@@ -41,10 +41,16 @@ type Connection struct {
 	// relaxes.
 	observed []URI
 
-	types     map[ConnType]bool
+	// node is the owning node, so the keepalive timers can arm through
+	// sim.AtArg with the connection itself as the argument (no closure).
+	node      *Node
+	roles     roleMask
 	inRing    bool // membership flag for the node's ringIndex
 	lastHeard sim.Time
 	pingTimer sim.Timer
+	// pingWait is the deadline the armed ping round is waiting out; each
+	// resend doubles it.
+	pingWait  sim.Duration
 	pingRetry int
 	awaiting  uint64 // outstanding ping seq; 0 = none
 	closed    bool
@@ -82,7 +88,7 @@ type Connection struct {
 }
 
 // Has reports whether the connection serves the given role.
-func (c *Connection) Has(t ConnType) bool { return c.types[t] }
+func (c *Connection) Has(t ConnType) bool { return c.roles&maskOf(t) != 0 }
 
 // RTT reports the connection's smoothed round-trip estimate and variance;
 // ok is false before the first keepalive sample.
@@ -119,27 +125,17 @@ func (c *Connection) DropReason() string { return c.dropReason }
 
 // Types lists the connection's roles in sorted order.
 func (c *Connection) Types() []ConnType {
-	out := make([]ConnType, 0, len(c.types))
-	for t := range c.types {
-		out = append(out, t)
+	out := make([]ConnType, 0, numConnTypes)
+	for t := ConnType(0); int(t) < numConnTypes; t++ {
+		if c.Has(t) {
+			out = append(out, t)
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
-// addType adds a role.
-func (c *Connection) addType(t ConnType) { c.types[t] = true }
-
-// dropType removes a role; reports whether any roles remain.
-func (c *Connection) dropType(t ConnType) bool {
-	delete(c.types, t)
-	return len(c.types) > 0
-}
-
 // structured reports whether the connection carries ring-routing roles.
-func (c *Connection) structured() bool {
-	return c.types[StructuredNear] || c.types[StructuredFar] || c.types[Shortcut]
-}
+func (c *Connection) structured() bool { return c.roles&structuredRoles != 0 }
 
 // Tunneled reports whether this is a tunnel edge (no direct physical
 // path; frames relayed through mutual neighbors).
@@ -238,7 +234,7 @@ func (c *Connection) removeRelay(r Addr) bool {
 
 // String renders "peer[types]@transport:endpoint".
 func (c *Connection) String() string {
-	names := make([]string, 0, len(c.types))
+	names := make([]string, 0, numConnTypes)
 	for _, t := range c.Types() {
 		names = append(names, t.String())
 	}
@@ -255,10 +251,11 @@ func (n *Node) addConnection(peer Addr, ep phys.Endpoint, stream *phys.Stream, u
 			Peer:      peer,
 			EP:        ep,
 			Stream:    stream,
-			types:     make(map[ConnType]bool),
+			node:      n,
 			lastHeard: n.sim.Now(),
 		}
 		n.conns[peer] = c
+		n.table.insert(c)
 		n.Stats.Inc("conn.created", 1)
 		n.watchStream(c)
 		n.schedulePing(c)
@@ -283,10 +280,7 @@ func (n *Node) addConnection(peer Addr, ep phys.Endpoint, stream *phys.Stream, u
 	if len(uris) > 0 {
 		c.URIs = uris
 	}
-	if !c.types[t] {
-		c.addType(t)
-		n.Stats.Inc("conn."+t.String(), 1)
-	}
+	n.addRole(c, t)
 	if c.structured() {
 		n.ring.insert(c)
 	}
@@ -304,13 +298,14 @@ func (n *Node) addTunnelConnection(peer Addr, relays []Addr, uris []URI, t ConnT
 	if !ok {
 		c = &Connection{
 			Peer:      peer,
-			types:     make(map[ConnType]bool),
+			node:      n,
 			lastHeard: n.sim.Now(),
 		}
 		for _, r := range relays {
 			c.addRelay(r)
 		}
 		n.conns[peer] = c
+		n.table.insert(c)
 		n.Stats.Inc("conn.created", 1)
 		n.Stats.Inc("tunnel.established", 1)
 		n.schedulePing(c)
@@ -325,10 +320,7 @@ func (n *Node) addTunnelConnection(peer Addr, relays []Addr, uris []URI, t ConnT
 	if len(uris) > 0 {
 		c.URIs = uris
 	}
-	if !c.types[t] {
-		c.addType(t)
-		n.Stats.Inc("conn."+t.String(), 1)
-	}
+	n.addRole(c, t)
 	if c.structured() {
 		n.ring.insert(c)
 	}
@@ -454,8 +446,10 @@ func (n *Node) dropConnection(c *Connection, sendClose bool, reason string) {
 	c.dropReason = reason
 	c.pingTimer.Cancel()
 	n.ring.remove(c)
+	n.table.remove(c)
 	delete(n.conns, c.Peer)
-	n.Stats.Inc("conn.dropped."+reason, 1)
+	n.uncountRoles(c)
+	n.countDrop(reason)
 	if sendClose && n.up {
 		if c.Stream != nil {
 			c.Stream.SendMsg(pingMsgSize, closeMsg{From: n.addr})
@@ -469,30 +463,8 @@ func (n *Node) dropConnection(c *Connection, sendClose bool, reason string) {
 	n.notifyDisc(c)
 }
 
-// Connections returns a snapshot of all live connections.
-func (n *Node) Connections() []*Connection {
-	out := make([]*Connection, 0, len(n.conns))
-	for _, c := range n.conns {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Peer.Less(out[j].Peer) })
-	return out
-}
-
 // ConnectionTo returns the connection to peer, or nil.
 func (n *Node) ConnectionTo(peer Addr) *Connection { return n.conns[peer] }
-
-// connsOfType returns live connections carrying role t.
-func (n *Node) connsOfType(t ConnType) []*Connection {
-	var out []*Connection
-	for _, c := range n.conns {
-		if c.types[t] {
-			out = append(out, c)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Peer.Less(out[j].Peer) })
-	return out
-}
 
 // touch refreshes liveness state on any traffic from the peer. Traffic
 // arriving while the detector had escalated (a ping round in retry, or a
@@ -515,7 +487,7 @@ func (n *Node) touch(c *Connection) {
 // handlePong consumes a keepalive answer: an untouched round (no resend —
 // Karn's rule) whose seq matches yields a clean RTT sample, and the pong
 // carries the peer's current relay load.
-func (n *Node) handlePong(c *Connection, m pongMsg) {
+func (n *Node) handlePong(c *Connection, m *pingMsg) {
 	if m.Seq != 0 && m.Seq == c.awaiting && c.pingRetry == 0 {
 		c.observeRTT(n.sim.Now().Sub(c.pingSentAt))
 	}
@@ -544,9 +516,29 @@ func (n *Node) pingDeadline(c *Connection) sim.Duration {
 // schedulePing arms the keepalive timer for a connection.
 func (n *Node) schedulePing(c *Connection) {
 	jitter := n.cfg.PingInterval / 10
-	c.pingTimer = n.sim.After(n.cfg.PingInterval+sim.Duration(n.rand().Int63n(int64(jitter)+1)), func() {
-		n.pingTick(c)
-	})
+	wait := n.cfg.PingInterval + sim.Duration(n.rand().Int63n(int64(jitter)+1))
+	c.pingTimer = n.sim.AtArg(n.sim.Now().Add(wait), pingTickFired, c)
+}
+
+// pingTickFired and pingTimeoutFired are the keepalive timer callbacks:
+// package-level functions taking the connection, so arming a timer
+// allocates nothing (see sim.AtArg).
+func pingTickFired(arg any) {
+	c := arg.(*Connection)
+	c.node.pingTick(c)
+}
+
+func pingTimeoutFired(arg any) {
+	c := arg.(*Connection)
+	c.node.pingTimeout(c)
+}
+
+// sendPing transmits one keepalive ping carrying the connection's
+// outstanding seq.
+func (n *Node) sendPing(c *Connection) {
+	m := n.acquirePing()
+	m.From, m.Seq = n.addr, c.awaiting
+	n.sendConn(c, pingMsgSize, m)
 }
 
 // pingTick sends a keepalive ping and arms the retry/backoff machinery.
@@ -563,41 +555,45 @@ func (n *Node) pingTick(c *Connection) {
 	c.awaiting = n.pingSeq
 	c.pingRetry = 0
 	c.pingSentAt = n.sim.Now()
-	n.sendConn(c, pingMsgSize, pingMsg{From: n.addr, Seq: c.awaiting})
+	n.sendPing(c)
 	n.Stats.Inc("ping.sent", 1)
 	n.armPingTimeout(c, n.pingDeadline(c))
 }
 
-// armPingTimeout waits for a pong; on timeout it resends with exponential
-// backoff, and after PingRetries declares the connection dead — the
-// mechanism that eventually clears state for crashed or migrated peers.
+// armPingTimeout waits for a pong, up to wait.
+func (n *Node) armPingTimeout(c *Connection, wait sim.Duration) {
+	c.pingWait = wait
+	c.pingTimer = n.sim.AtArg(n.sim.Now().Add(wait), pingTimeoutFired, c)
+}
+
+// pingTimeout runs when a ping round's deadline expires: it resends with
+// exponential backoff, and after PingRetries declares the connection dead —
+// the mechanism that eventually clears state for crashed or migrated peers.
 // The death verdict feeds the liveness counters: elapsed time since the
 // peer was last heard (detection latency, in ms) and whether the verdict
 // confirmed a forwarded suspicion.
-func (n *Node) armPingTimeout(c *Connection, wait sim.Duration) {
-	c.pingTimer = n.sim.After(wait, func() {
-		if c.closed || c.awaiting == 0 {
-			n.schedulePing(c)
-			return
+func (n *Node) pingTimeout(c *Connection) {
+	if c.closed || c.awaiting == 0 {
+		n.schedulePing(c)
+		return
+	}
+	if c.pingRetry >= n.cfg.PingRetries {
+		n.Stats.Inc("ping.dead", 1)
+		n.Stats.Inc("liveness.detect_ms", int64(n.sim.Now().Sub(c.lastHeard)/sim.Millisecond))
+		if c.suspected {
+			n.Stats.Inc("liveness.suspect_confirmed", 1)
 		}
-		if c.pingRetry >= n.cfg.PingRetries {
-			n.Stats.Inc("ping.dead", 1)
-			n.Stats.Inc("liveness.detect_ms", int64(n.sim.Now().Sub(c.lastHeard)/sim.Millisecond))
-			if c.suspected {
-				n.Stats.Inc("liveness.suspect_confirmed", 1)
-			}
-			n.dropConnection(c, false, "timeout")
-			n.forwardClose(c.Peer)
-			return
-		}
-		c.pingRetry++
-		c.timedOut = true
-		n.pingSeq++
-		c.awaiting = n.pingSeq
-		n.sendConn(c, pingMsgSize, pingMsg{From: n.addr, Seq: c.awaiting})
-		n.Stats.Inc("ping.resent", 1)
-		n.armPingTimeout(c, wait*2)
-	})
+		n.dropConnection(c, false, "timeout")
+		n.forwardClose(c.Peer)
+		return
+	}
+	c.pingRetry++
+	c.timedOut = true
+	n.pingSeq++
+	c.awaiting = n.pingSeq
+	n.sendPing(c)
+	n.Stats.Inc("ping.resent", 1)
+	n.armPingTimeout(c, c.pingWait*2)
 }
 
 // fastProbe pings a suspect connection immediately with a reduced retry
@@ -620,7 +616,7 @@ func (n *Node) fastProbe(c *Connection) {
 	n.pingSeq++
 	c.awaiting = n.pingSeq
 	c.pingSentAt = n.sim.Now()
-	n.sendConn(c, pingMsgSize, pingMsg{From: n.addr, Seq: c.awaiting})
+	n.sendPing(c)
 	n.Stats.Inc("ping.fast_probe", 1)
 	n.armPingTimeout(c, n.pingDeadline(c))
 }
@@ -633,12 +629,12 @@ func (n *Node) forwardClose(dead Addr) {
 	if !n.up {
 		return
 	}
-	msg := suspectMsg{From: n.addr, Dead: dead}
-	// Connections() iterates in address order: forwarding in map order
-	// would reshuffle the event sequence (and the substrate's RNG draws)
-	// from run to run, breaking deterministic replay of fault scenarios.
-	for _, c := range n.Connections() {
-		if !c.structured() || c.closed {
+	// One boxed message for every neighbor. The address-ordered table keeps
+	// the send order — and with it the substrate's RNG draws — a function
+	// of the seed; map order would reshuffle both from run to run.
+	var msg any = suspectMsg{From: n.addr, Dead: dead}
+	for _, c := range n.table {
+		if !c.structured() {
 			continue
 		}
 		n.sendConn(c, pingMsgSize, msg)
@@ -651,68 +647,11 @@ func (n *Node) forwardClose(dead Addr) {
 // connections participate only on exact address match, since leaf children
 // are not ring routers. An exact-match structured connection has ring
 // distance zero and always wins, so both exact-match cases reduce to one
-// map probe; the general case is the ring index's O(log c) search.
-// nearestConnLinear is the brute-force oracle this must agree with.
+// map probe; the general case is the ring index's O(log c) search. (The
+// brute-force oracle it must agree with lives in oracle_test.go.)
 func (n *Node) nearestConn(dst Addr, exclude Addr) *Connection {
-	if c, ok := n.conns[dst]; ok && dst != exclude && (c.structured() || c.types[Leaf]) {
+	if c, ok := n.conns[dst]; ok && dst != exclude && c.roles&(structuredRoles|maskOf(Leaf)) != 0 {
 		return c
 	}
 	return n.ring.nearest(dst, exclude)
-}
-
-// nearestConnLinear is the original linear-scan selection, kept as the
-// reference oracle for property tests of the ring index. It must implement
-// the exact same choice: minimal ring distance, ties to the smaller peer
-// address, leaf connections on exact match only.
-func (n *Node) nearestConnLinear(dst Addr, exclude Addr) *Connection {
-	var best *Connection
-	var bestDist Addr
-	for _, c := range n.conns {
-		if c.Peer == exclude {
-			continue
-		}
-		if !c.structured() {
-			if c.Peer == dst && c.types[Leaf] {
-				return c
-			}
-			continue
-		}
-		d := c.Peer.RingDist(dst)
-		if best == nil || d.Cmp(bestDist) < 0 || (d.Cmp(bestDist) == 0 && c.Peer.Less(best.Peer)) {
-			best, bestDist = c, d
-		}
-	}
-	return best
-}
-
-// neighborsOnSide returns structured-near peers sorted by clockwise
-// (right=true) or counter-clockwise distance from this node — a filtered
-// walk of the ring index, already in side order. Callers that need only
-// the first k use nearOnSide/firstOnSide instead of building the full
-// slice. neighborsOnSideLinear is the sort-based oracle.
-func (n *Node) neighborsOnSide(right bool) []*Connection {
-	var out []*Connection
-	n.ring.sideWalk(right, func(c *Connection) bool {
-		if c.Has(StructuredNear) {
-			out = append(out, c)
-		}
-		return true
-	})
-	return out
-}
-
-// neighborsOnSideLinear is the original sort-per-call selection, kept as
-// the reference oracle for property tests of the ring index walks.
-func (n *Node) neighborsOnSideLinear(right bool) []*Connection {
-	conns := n.connsOfType(StructuredNear)
-	sort.Slice(conns, func(i, j int) bool {
-		var di, dj Addr
-		if right {
-			di, dj = n.addr.Clockwise(conns[i].Peer), n.addr.Clockwise(conns[j].Peer)
-		} else {
-			di, dj = conns[i].Peer.Clockwise(n.addr), conns[j].Peer.Clockwise(n.addr)
-		}
-		return di.Cmp(dj) < 0
-	})
-	return conns
 }

@@ -95,12 +95,12 @@ func TestKarnRuleSkipsRetransmittedRounds(t *testing.T) {
 	s := sim.New(1)
 	n := &Node{sim: s, cfg: FastTestConfig()}
 	n.cfg.fillDefaults()
-	c := &Connection{Peer: AddrFromString("peer"), types: map[ConnType]bool{}}
+	c := &Connection{Peer: AddrFromString("peer")}
 
 	// Retransmitted round: the sample is ambiguous and must be skipped.
 	c.awaiting, c.pingRetry, c.pingSentAt = 7, 1, s.Now()
 	s.RunFor(100 * sim.Millisecond)
-	n.handlePong(c, pongMsg{From: c.Peer, Seq: 7, Load: 2})
+	n.handlePong(c, &pingMsg{From: c.Peer, Seq: 7, Pong: true, Load: 2})
 	if c.haveRTT {
 		t.Fatal("Karn violated: retransmitted round sampled")
 	}
@@ -110,7 +110,7 @@ func TestKarnRuleSkipsRetransmittedRounds(t *testing.T) {
 
 	// Stale seq: not the outstanding round.
 	c.awaiting, c.pingRetry, c.pingSentAt = 9, 0, s.Now()
-	n.handlePong(c, pongMsg{From: c.Peer, Seq: 7})
+	n.handlePong(c, &pingMsg{From: c.Peer, Seq: 7, Pong: true})
 	if c.haveRTT {
 		t.Fatal("stale pong sampled")
 	}
@@ -118,7 +118,7 @@ func TestKarnRuleSkipsRetransmittedRounds(t *testing.T) {
 	// Clean round: sampled, and touch() resets the round state.
 	c.awaiting, c.pingRetry, c.pingSentAt = 11, 0, s.Now()
 	s.RunFor(30 * sim.Millisecond)
-	n.handlePong(c, pongMsg{From: c.Peer, Seq: 11})
+	n.handlePong(c, &pingMsg{From: c.Peer, Seq: 11, Pong: true})
 	if srtt, _, ok := c.RTT(); !ok || srtt != 30*sim.Millisecond {
 		t.Fatalf("clean round: srtt=%v ok=%v, want 30ms", srtt, ok)
 	}
@@ -244,7 +244,7 @@ func TestBestRelayScoringHysteresisFailover(t *testing.T) {
 	cfg.fillDefaults()
 	n := &Node{cfg: cfg, conns: map[Addr]*Connection{}}
 	mkRelay := func(name string, srttMs int, load int) *Connection {
-		rc := &Connection{Peer: AddrFromString(name), types: map[ConnType]bool{StructuredNear: true}}
+		rc := &Connection{Peer: AddrFromString(name), roles: maskOf(StructuredNear)}
 		if srttMs > 0 {
 			rc.observeRTT(sim.Duration(srttMs) * sim.Millisecond)
 		}
@@ -254,7 +254,7 @@ func TestBestRelayScoringHysteresisFailover(t *testing.T) {
 	}
 	fast := mkRelay("fast", 10, 0)
 	slow := mkRelay("slow", 400, 0)
-	tun := &Connection{Peer: AddrFromString("tun"), Relays: []Addr{fast.Peer, slow.Peer}, types: map[ConnType]bool{}}
+	tun := &Connection{Peer: AddrFromString("tun"), Relays: []Addr{fast.Peer, slow.Peer}}
 	sort2 := func() { // c.Relays arrives sorted in production
 		if tun.Relays[1].Less(tun.Relays[0]) {
 			tun.Relays[0], tun.Relays[1] = tun.Relays[1], tun.Relays[0]
@@ -315,11 +315,11 @@ func TestRelayScoreDefaults(t *testing.T) {
 	cfg := FastTestConfig()
 	cfg.fillDefaults()
 	n := &Node{cfg: cfg, conns: map[Addr]*Connection{}}
-	unmeasured := &Connection{Peer: AddrFromString("x"), types: map[ConnType]bool{}}
+	unmeasured := &Connection{Peer: AddrFromString("x")}
 	if got := n.relayScore(unmeasured); got != cfg.PingTimeout {
 		t.Fatalf("unmeasured score = %v, want PingTimeout %v", got, cfg.PingTimeout)
 	}
-	measured := &Connection{Peer: AddrFromString("y"), types: map[ConnType]bool{}}
+	measured := &Connection{Peer: AddrFromString("y")}
 	measured.observeRTT(20 * sim.Millisecond)
 	if n.relayScore(measured) >= n.relayScore(unmeasured) {
 		t.Fatal("measured fast relay does not outrank unmeasured one")

@@ -1,0 +1,169 @@
+package brunet
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"wow/internal/phys"
+	"wow/internal/sim"
+)
+
+// settledNode picks a non-founder node of a settled ring that holds its
+// full complement of near and far links plus its leaf link — the steady
+// state the maintenance plane spends its life in.
+func settledNode(t testing.TB, nodes []*Node) *Node {
+	t.Helper()
+	for _, n := range nodes[1:] {
+		if n.roleCount[StructuredNear] >= 2*n.cfg.NearPerSide && n.roleCount[StructuredFar] >= n.cfg.FarCount && n.near.leafConn() != nil {
+			return n
+		}
+	}
+	t.Fatal("no node of the ring is settled; measurement would be vacuous")
+	return nil
+}
+
+// keepaliveRound returns one full keepalive exchange on c with the clock
+// frozen (zero-latency fabric): the ping tick fires, its deadline expires
+// once before the answer is seen (resend, doubled re-arm), both pings are
+// answered by pings flipped into pongs, and the expired deadline of the
+// answered round re-arms the next tick.
+func keepaliveRound(s *sim.Simulator, n *Node, c *Connection) func() {
+	return func() {
+		c.pingTimer.Cancel()
+		c.lastHeard = s.Now().Add(-n.cfg.PingInterval) // stale: the tick must ping
+		n.pingTick(c)
+		c.pingTimer.Cancel()
+		n.pingTimeout(c) // unanswered so far: resend, re-arm at twice the wait
+		s.RunUntil(s.Now())
+		c.pingTimer.Cancel()
+		n.pingTimeout(c) // answered meanwhile: arm the next tick
+	}
+}
+
+// nearMaintainPass returns one near-overlord pass plus the delivery of the
+// status messages it sent, clock frozen.
+func nearMaintainPass(s *sim.Simulator, n *Node) func() {
+	return func() {
+		n.near.maintain()
+		s.RunUntil(s.Now())
+	}
+}
+
+// allocGuard asserts f allocates at most max per run once warm; under the
+// race detector (which instruments allocation) it only logs.
+func allocGuard(t *testing.T, what string, max float64, f func()) {
+	t.Helper()
+	for i := 0; i < 32; i++ {
+		f()
+	}
+	avg := testing.AllocsPerRun(200, f)
+	if raceEnabled {
+		t.Logf("%s: %.2f allocs/run under -race (not asserted)", what, avg)
+		return
+	}
+	if avg > max {
+		t.Errorf("%s: %.2f allocs/run, want at most %v", what, avg, max)
+	}
+}
+
+// TestAllocFreeMaintenance is the maintenance-plane allocation guard: on a
+// settled 64-node ring a node-second of standing work — keepalives, the
+// far and tunnel overlords' idle passes, the routability and wanted()
+// probes — allocates nothing, and a near-overlord pass allocates only the
+// neighbor list it gossips and the one boxed status message carrying it.
+func TestAllocFreeMaintenance(t *testing.T) {
+	s, nodes := buildZeroLatencyRing(t, 13, 64)
+	n := settledNode(t, nodes)
+	var c *Connection
+	for _, cand := range n.table {
+		if cand.Has(StructuredNear) && !cand.Tunneled() && cand.Stream == nil {
+			c = cand
+			break
+		}
+	}
+	if c == nil {
+		t.Fatal("settled node has no direct near link")
+	}
+
+	sent, resent := n.Stats.Get("ping.sent"), n.Stats.Get("ping.resent")
+	allocGuard(t, "keepalive round", 0, keepaliveRound(s, n, c))
+	if n.Stats.Get("ping.sent") == sent || n.Stats.Get("ping.resent") == resent || c.closed || c.awaiting != 0 {
+		t.Fatalf("keepalive rounds did not complete (sent %d→%d, resent %d→%d, closed %v, awaiting %d)",
+			sent, n.Stats.Get("ping.sent"), resent, n.Stats.Get("ping.resent"), c.closed, c.awaiting)
+	}
+
+	ctm := n.Stats.Get("ctm.sent")
+	allocGuard(t, "farOverlord.maintain at full FarCount", 0, n.far.maintain)
+	if n.Stats.Get("ctm.sent") != ctm {
+		t.Fatal("far overlord topped up on a full table")
+	}
+
+	allocGuard(t, "tunnel overlord with no tunnel edges", 0, func() {
+		n.tun.onConnection(c)
+		n.tun.relaySuspected(c.Peer)
+		n.tun.relayLost(c.Peer)
+	})
+	allocGuard(t, "IsRoutable", 0, func() {
+		if !n.IsRoutable() {
+			t.Fatal("settled node not routable")
+		}
+	})
+	probe := nodes[0].addr
+	allocGuard(t, "wanted", 0, func() { n.near.wanted(probe) })
+
+	status := n.Stats.Get("status.sent")
+	allocGuard(t, "nearOverlord.maintain", 2, nearMaintainPass(s, n))
+	if n.Stats.Get("status.sent") == status {
+		t.Fatal("near overlord passes gossiped nothing")
+	}
+}
+
+func BenchmarkKeepaliveRound(b *testing.B) {
+	s, nodes := buildZeroLatencyRing(b, 13, 64)
+	n := settledNode(b, nodes)
+	round := keepaliveRound(s, n, n.firstConn(maskOf(StructuredNear)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round()
+	}
+}
+
+func BenchmarkNearMaintain(b *testing.B) {
+	s, nodes := buildZeroLatencyRing(b, 13, 64)
+	pass := nearMaintainPass(s, settledNode(b, nodes))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pass()
+	}
+}
+
+// BenchmarkConnTableChurn puts the write side of the connection table on
+// record: one add plus one drop of a structured connection against a table
+// already holding size others, so the cost of keeping the address and ring
+// indexes sorted (two binary searches and two slice shifts each way) shows
+// next to the reads it buys.
+func BenchmarkConnTableChurn(b *testing.B) {
+	for _, size := range []int{8, 32, 128} {
+		b.Run(fmt.Sprintf("size=%d", size), func(b *testing.B) {
+			n := ringTestNode(5)
+			rng := rand.New(rand.NewSource(5))
+			ep := phys.Endpoint{IP: 1, Port: 1}
+			for i := 0; i < size; i++ {
+				n.addConnection(RandomAddr(rng), ep, nil, nil, StructuredFar)
+			}
+			peers := make([]Addr, 256)
+			for i := range peers {
+				peers[i] = RandomAddr(rng)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c := n.addConnection(peers[i%len(peers)], ep, nil, nil, StructuredFar)
+				n.dropConnection(c, false, "test")
+			}
+		})
+	}
+}

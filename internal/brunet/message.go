@@ -93,20 +93,24 @@ type linkError struct {
 }
 
 // pingMsg keeps an idle connection alive (§IV-B); unresponded pings mark
-// the connection dead.
+// the connection dead. The responder answers by flipping the very message
+// it received into a pong (Pong set, From and Load rewritten, Seq echoed)
+// and sending it back, where the pinging node returns it to its free list
+// (Node.acquirePing/releasePing) — so a keepalive round allocates nothing
+// and a node's list never holds more messages than it sent. This relies on
+// the network delivering a payload at most once and on no handler keeping
+// a reference; a message lost in transit is simply garbage.
 type pingMsg struct {
 	From Addr
 	Seq  uint64
-}
-
-// pongMsg answers a ping. Load piggybacks the responder's current relay
-// load (tunnel pairs it is carrying frames for), so every keepalive round
-// refreshes the liveness estimator's RTT sample and the relay scorer's
-// load view at once.
-type pongMsg struct {
-	From Addr
-	Seq  uint64
+	// Pong marks the answer. Load then piggybacks the responder's current
+	// relay load (tunnel pairs it is carrying frames for), so every
+	// keepalive round refreshes the liveness estimator's RTT sample and
+	// the relay scorer's load view at once.
+	Pong bool
 	Load int
+
+	nextFree *pingMsg
 }
 
 // closeMsg announces graceful connection teardown.

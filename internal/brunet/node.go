@@ -257,8 +257,14 @@ type Node struct {
 	sock *phys.UDPSock
 	up   bool
 
+	// conns, table and ring are the connection table (see table.go):
+	// lookup by peer, every live connection in address order, and the
+	// structured subset in ring order. roleCount[t] is the number of live
+	// connections carrying role t.
 	conns     map[Addr]*Connection
+	table     addrIndex
 	ring      ringIndex
+	roleCount [numConnTypes]int
 	linkers   map[Addr]*linker
 	busyRetry map[Addr]int
 	learned   uriSet
@@ -300,12 +306,19 @@ type Node struct {
 	statDeadLetter     metrics.Handle
 	statNoProto        metrics.Handle
 	statUnknownOverlay metrics.Handle
+	// statConnType / statDropped are the conn.<role> and
+	// conn.dropped.<reason> counters (reasons indexed as dropReasons),
+	// resolved on first use (countVia).
+	statConnType [numConnTypes]metrics.Handle
+	statDropped  [len(dropReasons)]metrics.Handle
 
 	// freePkt heads the node's OverlayPacket origination pool (see
 	// OverlayPacket): packets SendTo creates come from here and whichever
 	// node terminates one releases it into its own list. Node-local lists
 	// keep the pool shard-safe under the parallel engine.
 	freePkt *OverlayPacket
+	// freePing heads the free list of keepalive messages (see pingMsg).
+	freePing *pingMsg
 
 	// flight is the node's flight-recorder handle (EnableTrace); nil —
 	// the default — disables all tracing at the cost of one nil check
@@ -337,6 +350,24 @@ func (n *Node) releasePkt(p *OverlayPacket) {
 	p.Trace, p.TraceStart = 0, 0
 	p.nextFree = n.freePkt
 	n.freePkt = p
+}
+
+// acquirePing takes a blank keepalive message from the free list, or
+// allocates one.
+func (n *Node) acquirePing() *pingMsg {
+	m := n.freePing
+	if m == nil {
+		return &pingMsg{}
+	}
+	n.freePing = m.nextFree
+	*m = pingMsg{}
+	return m
+}
+
+// releasePing retires a keepalive message that has come home as a pong.
+func (n *Node) releasePing(m *pingMsg) {
+	m.nextFree = n.freePing
+	n.freePing = m
 }
 
 // NewNode creates a node with the given overlay address on a physical
@@ -576,7 +607,7 @@ func (n *Node) Stop() {
 	for _, lk := range n.linkers {
 		lk.finish(false)
 	}
-	for _, c := range n.Connections() {
+	for _, c := range n.table {
 		c.pingTimer.Cancel()
 		c.closed = true
 		if c.Stream != nil {
@@ -584,6 +615,9 @@ func (n *Node) Stop() {
 		}
 		delete(n.conns, c.Peer)
 	}
+	clear(n.table)
+	n.table = n.table[:0]
+	n.roleCount = [numConnTypes]int{}
 	n.ring.reset(n.addr)
 	n.sock.Close()
 	if n.slisten != nil {
@@ -606,7 +640,14 @@ func (n *Node) Leave() {
 	if !n.up {
 		return
 	}
-	nears := n.connsOfType(StructuredNear)
+	// The handoff names every near neighbor the node had on entry, also
+	// those this loop has dropped by the time a later one is told.
+	nears := make([]*Connection, 0, n.roleCount[StructuredNear])
+	for _, c := range n.table {
+		if c.Has(StructuredNear) {
+			nears = append(nears, c)
+		}
+	}
 	for _, c := range nears {
 		msg := leaveMsg{From: n.addr}
 		for _, o := range nears {
@@ -619,7 +660,7 @@ func (n *Node) Leave() {
 		n.Stats.Inc("handoff.sent", 1)
 		n.dropConnection(c, false, "leave") // leaveMsg already closes
 	}
-	for _, c := range n.Connections() {
+	for c := n.firstConn(allRoles); c != nil; c = n.connAfter(c, allRoles) {
 		n.dropConnection(c, true, "leave")
 	}
 	n.Stop()
@@ -632,8 +673,7 @@ func (n *Node) IsRoutable() bool {
 	if !n.up {
 		return false
 	}
-	nears := n.connsOfType(StructuredNear)
-	if len(nears) == 0 {
+	if n.roleCount[StructuredNear] == 0 {
 		return len(n.bootstrap) == 0 // ring founder
 	}
 	// With one near connection the ring has exactly two nodes; the
@@ -744,7 +784,14 @@ func (n *Node) handleWire(w wire, payload any) {
 		n.handleLinkReply(w, m)
 	case linkError:
 		n.handleLinkError(m)
-	case pingMsg:
+	case *pingMsg:
+		if m.Pong {
+			if c, ok := n.conns[m.From]; ok {
+				n.handlePong(c, m)
+			}
+			n.releasePing(m)
+			return
+		}
 		c, ok := n.conns[m.From]
 		if !ok {
 			// A ping for a connection we no longer hold — the
@@ -765,11 +812,8 @@ func (n *Node) handleWire(w wire, payload any) {
 			c.EP = w.ep
 			n.Stats.Inc("conn.ep_roamed", 1)
 		}
-		n.replyTo(w, pingMsgSize, pongMsg{From: n.addr, Seq: m.Seq, Load: n.relayLoad()})
-	case pongMsg:
-		if c, ok := n.conns[m.From]; ok {
-			n.handlePong(c, m)
-		}
+		m.From, m.Pong, m.Load = n.addr, true, n.relayLoad()
+		n.replyTo(w, pingMsgSize, m)
 	case closeMsg:
 		if c, ok := n.conns[m.From]; ok {
 			n.dropConnection(c, false, "peer_close")
@@ -935,8 +979,8 @@ func (n *Node) relayCandidates() []NeighborInfo {
 		return nil
 	}
 	out := make([]NeighborInfo, 0, max)
-	for _, c := range n.Connections() {
-		if c.Tunneled() || c.closed {
+	for _, c := range n.table {
+		if c.Tunneled() {
 			continue
 		}
 		out = append(out, NeighborInfo{Addr: c.Peer, URIs: c.URIs, Load: c.peerLoad})
@@ -1045,7 +1089,7 @@ func (n *Node) neighborAcross(x Addr) *Connection {
 	// x is on our right when its clockwise distance is the shorter one;
 	// its other neighbor is then our closest right neighbor.
 	right := n.addr.Clockwise(x).Cmp(x.Clockwise(n.addr)) < 0
-	return n.firstOnSide(right)
+	return n.kthNearOnSide(right, 1)
 }
 
 // handleCTMReply starts initiator-side linking.

@@ -204,7 +204,7 @@ func TestFarConnectionsForm(t *testing.T) {
 	r.s.RunFor(120 * sim.Second)
 	total := 0
 	for _, n := range r.nodes {
-		total += len(n.connsOfType(StructuredFar))
+		total += n.roleCount[StructuredFar]
 	}
 	if total < len(r.nodes) {
 		t.Fatalf("far connections too sparse: %d across %d nodes", total, len(r.nodes))

@@ -47,8 +47,8 @@ func (o *nearOverlord) maintain() {
 		n.startLinker(Zero, []URI{uri}, Leaf)
 		return
 	}
-	nears := n.connsOfType(StructuredNear)
-	if len(nears) < 2 {
+	nears := n.roleCount[StructuredNear]
+	if nears < 2 {
 		// Leaf is up but our ring position is absent or one-sided:
 		// route a CTM to our own address through the leaf target
 		// (§IV-C). Re-sent every maintenance pass until both-side
@@ -57,18 +57,17 @@ func (o *nearOverlord) maintain() {
 		n.sendCTM(n.addr, StructuredNear, DeliverNearest, o.leafPeer)
 		o.joinSent = true
 	}
-	if len(nears) == 0 {
+	if nears == 0 {
 		return
 	}
 	o.gossip()
 	o.trim()
 }
 
+// leafConn returns the live leaf connection to the bootstrap peer, or nil.
 func (o *nearOverlord) leafConn() *Connection {
-	for _, c := range o.node.connsOfType(Leaf) {
-		if c.Peer == o.leafPeer {
-			return c
-		}
+	if c, ok := o.node.conns[o.leafPeer]; ok && c.Has(Leaf) {
+		return c
 	}
 	return nil
 }
@@ -81,7 +80,7 @@ func (o *nearOverlord) onConnection(c *Connection) {
 	if c.Has(Leaf) && o.leafPeer.IsZero() {
 		o.leafPeer = c.Peer
 		// Don't wait for the next maintenance tick: join now.
-		if !o.joinSent && len(n.connsOfType(StructuredNear)) == 0 {
+		if !o.joinSent && n.roleCount[StructuredNear] == 0 {
 			n.sendCTM(n.addr, StructuredNear, DeliverNearest, o.leafPeer)
 			o.joinSent = true
 		}
@@ -102,20 +101,25 @@ func (o *nearOverlord) onDisconnection(c *Connection) {
 // gossip advertises our near neighborhood over every near connection.
 func (o *nearOverlord) gossip() {
 	n := o.node
-	nears := n.connsOfType(StructuredNear)
-	if len(nears) == 0 {
+	nears := n.roleCount[StructuredNear]
+	if nears == 0 {
 		return
 	}
-	infos := make([]NeighborInfo, 0, len(nears))
-	for _, c := range nears {
-		infos = append(infos, NeighborInfo{Addr: c.Peer, URIs: c.URIs})
+	infos := make([]NeighborInfo, 0, nears)
+	for _, c := range n.table {
+		if c.Has(StructuredNear) {
+			infos = append(infos, NeighborInfo{Addr: c.Peer, URIs: c.URIs})
+		}
 	}
-	msg := statusMsg{From: n.addr, Neighbors: infos}
+	// One message for every neighbor, boxed once: receivers only read it.
+	var msg any = statusMsg{From: n.addr, Neighbors: infos}
 	size := statusMsgSize + 24*len(infos)
-	for _, c := range nears {
-		n.sendConn(c, size, msg)
+	for _, c := range n.table {
+		if c.Has(StructuredNear) {
+			n.sendConn(c, size, msg)
+		}
 	}
-	n.Stats.Inc("status.sent", int64(len(nears)))
+	n.Stats.Inc("status.sent", int64(nears))
 }
 
 // handleStatus connects toward advertised neighbors that are closer than
@@ -149,11 +153,10 @@ func (o *nearOverlord) wanted(w Addr) bool {
 	n := o.node
 	k := n.cfg.NearPerSide
 	right := n.addr.Clockwise(w).Cmp(w.Clockwise(n.addr)) < 0
-	side := n.nearOnSide(right, k)
-	if len(side) < k {
+	kth := n.kthNearOnSide(right, k)
+	if kth == nil {
 		return true
 	}
-	kth := side[k-1]
 	if right {
 		return n.addr.Clockwise(w).Cmp(n.addr.Clockwise(kth.Peer)) < 0
 	}
@@ -161,19 +164,19 @@ func (o *nearOverlord) wanted(w Addr) bool {
 }
 
 // trim drops the StructuredNear role from connections no longer among the
-// k nearest per side, closing connections left without any role.
+// k nearest per side, closing connections left without any role. The kept
+// set is whatever lies within the k-th neighbor clockwise or the k-th
+// counter-clockwise, both fixed before the first drop.
 func (o *nearOverlord) trim() {
 	n := o.node
 	k := n.cfg.NearPerSide
-	keep := make(map[Addr]bool)
-	for _, c := range n.nearOnSide(true, k) {
-		keep[c.Peer] = true
+	if n.roleCount[StructuredNear] <= 2*k {
+		return // the two k-long side walks cover every near connection
 	}
-	for _, c := range n.nearOnSide(false, k) {
-		keep[c.Peer] = true
-	}
-	for _, c := range n.connsOfType(StructuredNear) {
-		if keep[c.Peer] {
+	kr, kl := n.kthNearOnSide(true, k), n.kthNearOnSide(false, k)
+	near := maskOf(StructuredNear)
+	for c := n.firstConn(near); c != nil; c = n.connAfter(c, near) {
+		if n.addr.CmpClockwise(c.Peer, kr.Peer) <= 0 || n.addr.CmpClockwise(c.Peer, kl.Peer) >= 0 {
 			continue
 		}
 		n.Stats.Inc("near.trimmed", 1)
@@ -201,8 +204,7 @@ func (o *farOverlord) maintain() {
 	if !n.up || !n.IsRoutable() {
 		return
 	}
-	have := len(n.connsOfType(StructuredFar))
-	for i := have; i < n.cfg.FarCount; i++ {
+	for i := n.roleCount[StructuredFar]; i < n.cfg.FarCount; i++ {
 		// The paper leaves the random-address logic out of scope
 		// (footnote 1); we use the harmonic (Kleinberg) offset its
 		// reference [37] analyses.

@@ -97,7 +97,7 @@ func TestBusyBackoffRetries(t *testing.T) {
 		t.Fatal("never became routable")
 	}
 	// It must hold near links beyond the bootstrap.
-	if len(n.connsOfType(StructuredNear)) < 2 {
+	if n.roleCount[StructuredNear] < 2 {
 		t.Fatalf("one-sided ring position: %v", n.Connections())
 	}
 }

@@ -5,8 +5,8 @@ package brunet
 // seen from this node. It is maintained incrementally on every connection
 // add and role drop, so the routing hot path finds the connection nearest
 // to a destination with one binary search plus a constant-size neighbor
-// probe instead of a linear scan, and the near overlord walks ring sides
-// without re-sorting per call.
+// probe instead of a linear scan, and the near overlord reads the k-th
+// neighbor of a ring side off it without sorting or building a slice.
 //
 // Membership invariant: a connection is in the index exactly while
 // Connection.structured() is true and the connection is live; the inRing
@@ -112,50 +112,28 @@ func (r *ringIndex) nearest(dst, exclude Addr) *Connection {
 	return best
 }
 
-// sideWalk visits members in clockwise (right=true) or counter-clockwise
-// order from the origin, calling visit until it returns false. The two
-// directions are exact reversals: counter-clockwise distance is the ring
-// complement of clockwise distance, so walking the sorted slice backwards
-// yields ascending counter-clockwise distance.
-func (r *ringIndex) sideWalk(right bool, visit func(*Connection) bool) {
-	m := len(r.conns)
-	for k := 0; k < m; k++ {
-		i := k
+// kthNearOnSide returns the k-th nearest (k counts from 1) structured-near
+// connection on the given ring side — clockwise for right, counter-clockwise
+// otherwise — or nil when the side holds fewer than k. The two directions
+// are exact reversals: counter-clockwise distance is the ring complement of
+// clockwise distance, so walking the sorted slice backwards yields ascending
+// counter-clockwise distance. Both walks cover every near connection (a
+// "side" is a direction, not a half), so a non-nil k-th exists on one side
+// exactly when it does on the other.
+func (n *Node) kthNearOnSide(right bool, k int) *Connection {
+	ring := n.ring.conns
+	for j := range ring {
+		c := ring[j]
 		if !right {
-			i = m - 1 - k
+			c = ring[len(ring)-1-j]
 		}
-		if !visit(r.conns[i]) {
-			return
+		if c.Has(StructuredNear) {
+			if k--; k == 0 {
+				return c
+			}
 		}
 	}
-}
-
-// firstOnSide returns the structured-near connection nearest to this node
-// on the given ring side, or nil — the common single-neighbor query
-// (leave handoff, join-CTM pass-across) without building a sorted slice.
-func (n *Node) firstOnSide(right bool) *Connection {
-	var out *Connection
-	n.ring.sideWalk(right, func(c *Connection) bool {
-		if c.Has(StructuredNear) {
-			out = c
-			return false
-		}
-		return true
-	})
-	return out
-}
-
-// nearOnSide returns up to k structured-near connections on the given ring
-// side, nearest first.
-func (n *Node) nearOnSide(right bool, k int) []*Connection {
-	out := make([]*Connection, 0, k)
-	n.ring.sideWalk(right, func(c *Connection) bool {
-		if c.Has(StructuredNear) {
-			out = append(out, c)
-		}
-		return len(out) < k
-	})
-	return out
+	return nil
 }
 
 // dropConnRole removes role t from c, tearing the whole connection down
@@ -163,7 +141,17 @@ func (n *Node) nearOnSide(right bool, k int) []*Connection {
 // index consistent when the connection survives but stops being a ring
 // router — e.g. a trimmed near link that still serves a leaf child.
 func (n *Node) dropConnRole(c *Connection, t ConnType, reason string) {
-	if !c.dropType(t) {
+	if c.closed {
+		return // its roles were uncounted when it dropped
+	}
+	if c.Has(t) {
+		c.roles &^= maskOf(t)
+		n.roleCount[t]--
+	}
+	// A connection torn down here reaches its OnDisconnection callbacks
+	// without the role just dropped — an idle shortcut is not a structured
+	// loss to repair.
+	if c.roles == 0 {
 		n.dropConnection(c, true, reason)
 		return
 	}

@@ -83,40 +83,19 @@ func TestQuickNearestConnMatchesOracle(t *testing.T) {
 	}
 }
 
-// Property: the ring-walk neighborsOnSide returns the same connections in
-// the same order as the sort-per-call oracle, on both sides.
-func TestQuickNeighborsOnSideMatchesOracle(t *testing.T) {
+// Property: kthNearOnSide(side, k) is the k-th entry of the sort-per-call
+// oracle for every k, on both sides, and nil past its end.
+func TestQuickKthNearOnSideMatchesOracle(t *testing.T) {
 	f := func(ops []uint32) bool {
 		n := applyChurn(23, ops)
 		for _, right := range []bool{true, false} {
-			got := n.neighborsOnSide(right)
 			want := n.neighborsOnSideLinear(right)
-			if len(got) != len(want) {
-				return false
-			}
-			for i := range got {
-				if got[i] != want[i] {
+			for k := 1; k <= len(want); k++ {
+				if n.kthNearOnSide(right, k) != want[k-1] {
 					return false
 				}
 			}
-			// nearOnSide must be a prefix of the full side walk, and
-			// firstOnSide its head.
-			for _, k := range []int{1, 2, 3} {
-				pre := n.nearOnSide(right, k)
-				if len(pre) > k || len(pre) > len(want) {
-					return false
-				}
-				for i := range pre {
-					if pre[i] != want[i] {
-						return false
-					}
-				}
-			}
-			first := n.firstOnSide(right)
-			if len(want) == 0 && first != nil {
-				return false
-			}
-			if len(want) > 0 && first != want[0] {
+			if n.kthNearOnSide(right, len(want)+1) != nil {
 				return false
 			}
 		}
@@ -130,29 +109,7 @@ func TestQuickNeighborsOnSideMatchesOracle(t *testing.T) {
 // Property: the index slice itself stays sorted and mirrors exactly the
 // structured subset of the connection table through churn.
 func TestQuickRingIndexInvariants(t *testing.T) {
-	f := func(ops []uint32) bool {
-		n := applyChurn(31, ops)
-		structured := 0
-		for _, c := range n.conns {
-			if c.structured() {
-				structured++
-				if !c.inRing {
-					return false
-				}
-			} else if c.inRing {
-				return false
-			}
-		}
-		if len(n.ring.conns) != structured {
-			return false
-		}
-		for i := 1; i < len(n.ring.conns); i++ {
-			if n.addr.CmpClockwise(n.ring.conns[i-1].Peer, n.ring.conns[i].Peer) >= 0 {
-				return false
-			}
-		}
-		return true
-	}
+	f := func(ops []uint32) bool { return ringIndexHolds(applyChurn(31, ops)) == nil }
 	if err := quick.Check(f, &quick.Config{MaxCount: 150, Rand: rand.New(rand.NewSource(37))}); err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +120,7 @@ func TestQuickRingIndexInvariants(t *testing.T) {
 // RunUntil(Now()), so the clock never advances and no keepalive or gossip
 // timer can interleave with a measurement (the scale harness uses the same
 // trick).
-func buildZeroLatencyRing(t *testing.T, seed int64, count int) (*sim.Simulator, []*Node) {
+func buildZeroLatencyRing(t testing.TB, seed int64, count int) (*sim.Simulator, []*Node) {
 	t.Helper()
 	s := sim.New(seed)
 	net := phys.NewNetwork(s, phys.UniformLatency(phys.PathModel{}, phys.PathModel{}))

@@ -262,8 +262,8 @@ func (o *tunnelOverlord) onDisconnection(c *Connection) {
 // as a tunnel through fresh relays, or directly if the world has changed.
 func (o *tunnelOverlord) relayLost(dead Addr) {
 	n := o.node
-	for _, tc := range n.Connections() {
-		if tc.closed || !tc.Tunneled() || !tc.removeRelay(dead) {
+	for tc := n.firstConn(allRoles); tc != nil; tc = n.connAfter(tc, allRoles) {
+		if !tc.Tunneled() || !tc.removeRelay(dead) {
 			continue
 		}
 		n.Stats.Inc("tunnel.relay_lost", 1)
@@ -317,8 +317,8 @@ func (o *tunnelOverlord) relaySuspected(dead Addr) {
 	if n.tun != o {
 		return
 	}
-	for _, tc := range n.Connections() {
-		if tc.closed || !tc.Tunneled() || !tc.hasRelay(dead) {
+	for tc := n.firstConn(allRoles); tc != nil; tc = n.connAfter(tc, allRoles) {
+		if !tc.Tunneled() || !tc.hasRelay(dead) {
 			continue
 		}
 		if len(tc.Relays) > 1 {
@@ -403,11 +403,16 @@ func (o *tunnelOverlord) cancelUpgrade(peer Addr) {
 // relays exist only to carry frames and are not kept alive idle. Only
 // links this node itself recruited are eligible: the passive end of a
 // Relay link never references it and must leave teardown to the
-// recruiter. The
-// in-use set is computed by membership (map iteration order is irrelevant
-// to the outcome); the drop loop walks in address order for determinism.
+// recruiter — so with nothing recruited there is nothing to reap, which is
+// the case on every direct-edge connection event of a tunnel-free node.
+// The in-use set is computed by membership (map iteration order is
+// irrelevant to the outcome); the drop loop walks in address order for
+// determinism.
 func (o *tunnelOverlord) reapRelays() {
 	n := o.node
+	if len(o.recruited) == 0 {
+		return
+	}
 	inUse := make(map[Addr]bool)
 	for _, c := range n.conns {
 		for _, r := range c.Relays {
@@ -422,8 +427,9 @@ func (o *tunnelOverlord) reapRelays() {
 	for r := range o.recruiting {
 		inUse[r] = true
 	}
-	for _, c := range n.Connections() {
-		if c.Has(Relay) && !inUse[c.Peer] && o.recruited[c.Peer] {
+	relay := maskOf(Relay)
+	for c := n.firstConn(relay); c != nil; c = n.connAfter(c, relay) {
+		if !inUse[c.Peer] && o.recruited[c.Peer] {
 			delete(o.recruited, c.Peer)
 			n.Stats.Inc("tunnel.relay_reaped", 1)
 			n.dropConnRole(c, Relay, "idle")

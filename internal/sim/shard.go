@@ -39,9 +39,6 @@ type Sharded struct {
 	// goroutine), so appends are race-free without locks; the coordinator
 	// drains every lane between windows.
 	lanes [][]crossEvent
-	// mergeScratch is the reusable per-destination lane gather for
-	// mergeLanes (the strided lanes layout can't be sliced directly).
-	mergeScratch [][]crossEvent
 
 	windowEnd Time // exclusive bound of the in-flight window
 	inWindow  bool
@@ -60,10 +57,9 @@ type Sharded struct {
 }
 
 // crossEvent is a buffered cross-shard callback. Entries within one lane
-// keep emission order; the barrier merge sorts lanes per destination with
-// a stable sort keyed on the timestamp, so ties resolve to (timestamp,
-// source shard, emission order) — a total order independent of worker
-// scheduling.
+// keep emission order; the barrier drains lanes per destination in source-
+// shard order, so ties resolve to (timestamp, source shard, emission
+// order) — a total order independent of worker scheduling (see mergeLanes).
 type crossEvent struct {
 	when Time
 	fn   func(any)
@@ -290,8 +286,9 @@ func (g *Sharded) RunFor(d Duration) { g.RunUntil(g.Now().Add(d)) }
 
 // MergeStable concatenates parts in slice order and stable-sorts the
 // result by when, yielding the canonical (timestamp, part index, emission
-// order) total order used for every deterministic cross-shard merge: the
-// engine's event lanes and the flight recorder's trace buffers. When
+// order) total order of every deterministic cross-shard merge. The flight
+// recorder merges its per-shard trace buffers with it; the engine's event
+// lanes reach the same order without sorting (see mergeLanes). When
 // exactly one part is non-empty the result aliases it (no copy) — callers
 // that reuse the source storage must consume the result before clearing.
 func MergeStable[T any](parts [][]T, when func(T) Time) []T {
@@ -321,30 +318,23 @@ func MergeStable[T any](parts [][]T, when func(T) Time) []T {
 	return buf
 }
 
-// mergeLanes drains every cross-shard lane into its destination shard in
-// the canonical order. Lanes are concatenated in source-shard order and
-// stable-sorted by timestamp, yielding the (timestamp, source shard,
-// emission order) total order the determinism contract promises.
+// mergeLanes drains every cross-shard lane straight into its destination
+// shard's queue, lane by lane in source-shard order and entry by entry in
+// emission order. No sort is needed to realise the canonical (timestamp,
+// source shard, emission order) total order: the destination queue orders
+// by (when, seq), seq is handed out in scheduling order, so lane entries
+// with equal timestamps receive ascending seq in exactly (source shard,
+// emission) order, while every event the destination had already queued
+// keeps a smaller seq and every event scheduled later gets a larger one.
+// The pop order is therefore the one MergeStable followed by AtArg would
+// produce (TestQuickLaneDrainMatchesMergeStable holds the two together).
 func (g *Sharded) mergeLanes() {
 	k := len(g.shards)
-	if g.mergeScratch == nil {
-		g.mergeScratch = make([][]crossEvent, k)
-	}
-	for to := 0; to < k; to++ {
-		for from := 0; from < k; from++ {
-			g.mergeScratch[from] = g.lanes[from*k+to]
-		}
-		buf := MergeStable(g.mergeScratch, func(e crossEvent) Time { return e.when })
-		if len(buf) == 0 {
-			continue
-		}
-		dst := g.shards[to]
-		for i := range buf {
-			dst.AtArg(buf[i].when, buf[i].fn, buf[i].arg)
-		}
+	for to, dst := range g.shards {
 		for from := 0; from < k; from++ {
 			lane := g.lanes[from*k+to]
 			for i := range lane {
+				dst.AtArg(lane[i].when, lane[i].fn, lane[i].arg)
 				lane[i] = crossEvent{}
 			}
 			g.lanes[from*k+to] = lane[:0]

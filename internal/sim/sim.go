@@ -299,17 +299,50 @@ func (s *Simulator) AdvanceTo(t Time) {
 	}
 }
 
-// Ticker invokes fn every interval until the returned stop function is
-// called. The first invocation happens one interval from now.
+// Ticker invokes fn every interval until Stop is called. The first
+// invocation happens one interval from now. The ticker carries everything
+// its next arming needs, so each tick reschedules through AtArg with the
+// ticker itself as the argument and allocates nothing.
 type Ticker struct {
 	stop bool
 	ev   Timer
+
+	s        *Simulator
+	interval Duration
+	jitter   Duration
+	rng      *rand.Rand
+	fn       func()
 }
 
 // Stop halts the ticker; the pending tick is cancelled.
 func (t *Ticker) Stop() {
 	t.stop = true
 	t.ev.Cancel()
+}
+
+// arm schedules the next tick: one jitter draw (when jitter is positive)
+// and one event.
+func (t *Ticker) arm() {
+	d := t.interval
+	if t.jitter > 0 {
+		d += Duration(t.rng.Int63n(int64(2*t.jitter))) - t.jitter
+		if d < Nanosecond {
+			d = Nanosecond
+		}
+	}
+	t.ev = t.s.AtArg(t.s.now.Add(d), tickerFire, t)
+}
+
+// tickerFire is the package-level tick callback (see AtArg).
+func tickerFire(arg any) {
+	t := arg.(*Ticker)
+	if t.stop {
+		return
+	}
+	t.fn()
+	if !t.stop {
+		t.arm()
+	}
 }
 
 // Tick schedules fn to run every interval of virtual time. Jitter, when
@@ -328,26 +361,7 @@ func (s *Simulator) TickRand(interval, jitter Duration, rng *rand.Rand, fn func(
 	if rng == nil {
 		rng = s.rng
 	}
-	t := &Ticker{}
-	var schedule func()
-	schedule = func() {
-		d := interval
-		if jitter > 0 {
-			d += Duration(rng.Int63n(int64(2*jitter))) - jitter
-			if d < Nanosecond {
-				d = Nanosecond
-			}
-		}
-		t.ev = s.After(d, func() {
-			if t.stop {
-				return
-			}
-			fn()
-			if !t.stop {
-				schedule()
-			}
-		})
-	}
-	schedule()
+	t := &Ticker{s: s, interval: interval, jitter: jitter, rng: rng, fn: fn}
+	t.arm()
 	return t
 }
