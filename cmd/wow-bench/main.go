@@ -6,6 +6,8 @@
 // -json each experiment summary is emitted as one JSON object per line on
 // stdout (schema in EXPERIMENTS.md) and human-readable progress moves to
 // stderr, so the stream pipes cleanly into jq or a BENCH_*.json capture.
+// -cpuprofile and -memprofile write pprof profiles of the selected
+// experiments.
 package main
 
 import (
@@ -15,6 +17,8 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
+	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -39,6 +43,8 @@ func main() {
 	csvDir := flag.String("csv", "", "directory to write per-figure CSV series into")
 	traceN := flag.Uint64("trace", 0, "gray harness: sample 1-in-N originations for hop-by-hop route tracing (0 = off); records stream as trace.hop/trace.route JSONL envelopes in -json mode")
 	traceHealth := flag.Float64("trace-health", 0, "gray harness: per-node health.node snapshot period in virtual seconds (0 = off; needs -trace)")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
+	memProfile := flag.String("memprofile", "", "write an allocation profile of the selected experiments to this file")
 	flag.Parse()
 
 	// In JSON mode stdout carries only JSON objects; narration goes to
@@ -84,6 +90,11 @@ func main() {
 			os.Exit(2)
 		}
 		want[name] = true
+	}
+	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "wow-bench: %v\n", err)
+		os.Exit(2)
 	}
 	all := want["all"]
 	section := func(name, title string) bool {
@@ -403,5 +414,49 @@ func main() {
 			show("scale", res, err)
 		})
 	}
+	if err := stopProfiles(); err != nil {
+		fmt.Fprintf(os.Stderr, "wow-bench: %v\n", err)
+		exitCode = 1
+	}
 	os.Exit(exitCode)
+}
+
+// startProfiles begins a CPU profile into cpuPath and returns the function
+// that ends it and writes the allocation profile (every allocation since
+// process start) to memPath. An empty path skips that profile.
+func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
+	var cpuFile *os.File
+	if cpuPath != "" {
+		if cpuFile, err = os.Create(cpuPath); err != nil {
+			return nil, fmt.Errorf("cpuprofile: %w", err)
+		}
+		if err := pprof.StartCPUProfile(cpuFile); err != nil {
+			cpuFile.Close()
+			return nil, fmt.Errorf("cpuprofile: %w", err)
+		}
+	}
+	return func() error {
+		if cpuFile != nil {
+			pprof.StopCPUProfile()
+			if err := cpuFile.Close(); err != nil {
+				return fmt.Errorf("cpuprofile: %w", err)
+			}
+		}
+		if memPath == "" {
+			return nil
+		}
+		f, err := os.Create(memPath)
+		if err != nil {
+			return fmt.Errorf("memprofile: %w", err)
+		}
+		runtime.GC() // fold the last cycle's samples into the profile
+		err = pprof.Lookup("allocs").WriteTo(f, 0)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			return fmt.Errorf("memprofile: %w", err)
+		}
+		return nil
+	}, nil
 }

@@ -239,7 +239,7 @@ func TestURISetOrderAndDedup(t *testing.T) {
 	if !s.add(u1) || !s.add(u2) || s.add(u1) {
 		t.Fatal("set semantics wrong")
 	}
-	all := s.all()
+	all := s.list
 	if len(all) != 2 || all[0] != u1 || all[1] != u2 {
 		t.Fatalf("order lost: %v", all)
 	}

@@ -269,6 +269,7 @@ type Node struct {
 	busyRetry map[Addr]int
 	learned   uriSet
 	private   URI
+	uris      []URI // cached URIs() result; nil when learned or private changed
 	bootstrap []URI
 	slisten   *phys.StreamListener
 
@@ -470,14 +471,23 @@ func (n *Node) Up() bool { return n.up }
 // (Config.PrivateFirst reverses it) — and finally the private endpoint's
 // alternate-transport variant, since every node accepts links on both
 // transports (§IV-A: "a P2P node may have multiple URIs").
+//
+// The list is built once and shared: every call returns the same slice
+// until the node learns a URI or rebinds. It is immutable — peers keep it
+// (Connection.URIs, candidate stashes, relink state), possibly on another
+// shard — so a change drops the reference and the next call builds a new
+// array; nothing ever writes the old one. Callers must not modify it.
 func (n *Node) URIs() []URI {
-	pub := n.learned.all()
+	if n.uris != nil {
+		return n.uris
+	}
 	alt := n.private
 	if n.cfg.Transport == "tcp" {
 		alt.Transport = "udp"
 	} else {
 		alt.Transport = "tcp"
 	}
+	pub := n.learned.list
 	out := make([]URI, 0, len(pub)+2)
 	if n.cfg.PrivateFirst {
 		out = append(out, n.private)
@@ -486,7 +496,8 @@ func (n *Node) URIs() []URI {
 		out = append(out, pub...)
 		out = append(out, n.private)
 	}
-	return append(out, alt)
+	n.uris = append(out, alt)
+	return n.uris
 }
 
 // BootstrapURI returns the URI a new node should be configured with to
@@ -503,7 +514,11 @@ func (n *Node) learnURI(u URI) bool {
 	if u.IsZero() || u == n.private || u.Transport == "tcp" {
 		return false
 	}
-	return n.learned.add(u)
+	if !n.learned.add(u) {
+		return false
+	}
+	n.uris = nil
+	return true
 }
 
 // RegisterProto installs the handler for tunnelled application data with
@@ -565,6 +580,7 @@ func (n *Node) Start(bootstrap []URI) error {
 	n.sock.OnRecv = n.recv
 	n.slisten = sl
 	n.private = URI{Transport: n.cfg.Transport, EP: sock.LocalEndpoint()}
+	n.uris = nil
 	n.bootstrap = append([]URI(nil), bootstrap...)
 	n.up = true
 
@@ -626,6 +642,7 @@ func (n *Node) Stop() {
 	}
 	n.near, n.far, n.sco, n.repair, n.tun = nil, nil, nil, nil, nil
 	n.learned = uriSet{}
+	n.uris = nil
 	n.relayed = nil
 }
 

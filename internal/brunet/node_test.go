@@ -2,6 +2,7 @@ package brunet
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"testing"
 
@@ -496,6 +497,93 @@ func TestURITrialOrderPrivateFirst(t *testing.T) {
 		t.Fatalf("alternate-transport variant not last: %v", uris2)
 	}
 }
+
+// TestNodeURIsCopyOnWrite pins the advertised list's sharing rule: calls
+// between changes return the same slice without allocating, and a change
+// (a learned URI, eviction from the full learned set, Stop, a restart that
+// rebinds the private endpoint) yields a new array and leaves every list
+// handed out earlier exactly as it was — peers hold those.
+func TestNodeURIsCopyOnWrite(t *testing.T) {
+	r := newOverlayRig(19)
+	n := r.addPublic(t, "cow", FastTestConfig())
+	pub := func(port int) URI {
+		return UDPURI(phys.Endpoint{IP: phys.MustParseIP("9.9.9.9"), Port: uint16(port)})
+	}
+	want := func(learned ...URI) []URI {
+		alt := n.private
+		alt.Transport = "tcp"
+		return append(append(learned, n.private), alt)
+	}
+
+	first := n.URIs()
+	if !slices.Equal(first, want()) {
+		t.Fatalf("fresh node advertises %v", first)
+	}
+	if again := n.URIs(); &again[0] != &first[0] {
+		t.Fatal("unchanged node rebuilt its URI list")
+	}
+	if avg := testing.AllocsPerRun(100, func() { n.URIs() }); avg != 0 && !raceEnabled {
+		t.Errorf("cached URIs() allocates %.1f", avg)
+	}
+	if n.learnURI(n.private) || &n.URIs()[0] != &first[0] {
+		t.Fatal("a rejected observation invalidated the list")
+	}
+
+	// Fill the learned set past its cap; keep every list handed out and
+	// what it held at the time.
+	type held struct{ got, snapshot []URI }
+	holds := []held{{first, slices.Clone(first)}}
+	var learned []URI
+	for port := 1; port <= maxLearnedURIs+2; port++ {
+		if !n.learnURI(pub(port)) {
+			t.Fatalf("port %d not learned", port)
+		}
+		learned = append(learned, pub(port))
+		if len(learned) > maxLearnedURIs {
+			learned = learned[1:]
+		}
+		got := n.URIs()
+		if !slices.Equal(got, want(slices.Clone(learned)...)) {
+			t.Fatalf("after learning port %d: %v", port, got)
+		}
+		holds = append(holds, held{got, slices.Clone(got)})
+	}
+
+	n.Stop()
+	holds = append(holds, held{n.URIs(), slices.Clone(n.URIs())})
+	if len(n.URIs()) != 2 {
+		t.Fatalf("stopped node still advertises learned URIs: %v", n.URIs())
+	}
+	if err := n.Start(nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := n.URIs(); !slices.Equal(got, want()) {
+		t.Fatalf("restarted node advertises %v, private is %v", got, n.private)
+	}
+	for i, h := range holds {
+		if !slices.Equal(h.got, h.snapshot) {
+			t.Errorf("list %d handed out earlier was rewritten: %v, was %v", i, h.got, h.snapshot)
+		}
+	}
+}
+
+// BenchmarkNodeURIs times reading the advertised list, as every CTM, CTM
+// reply, link request and link reply does.
+func BenchmarkNodeURIs(b *testing.B) {
+	r := newOverlayRig(19)
+	n := NewNode(r.net.AddHost("h", r.site, r.net.Root(), phys.HostConfig{}), AddrFromString("bench"), FastTestConfig())
+	if err := n.Start(nil); err != nil {
+		b.Fatal(err)
+	}
+	n.learnURI(UDPURI(phys.Endpoint{IP: phys.MustParseIP("9.9.9.9"), Port: 7}))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkURIs = n.URIs()
+	}
+}
+
+var sinkURIs []URI
 
 func TestStoppedNodeIgnoresTraffic(t *testing.T) {
 	r := buildRing(t, 18, 4)

@@ -62,9 +62,3 @@ func (s *uriSet) add(u URI) bool {
 	s.list = append(s.list, u)
 	return true
 }
-
-func (s *uriSet) all() []URI {
-	out := make([]URI, len(s.list))
-	copy(out, s.list)
-	return out
-}

@@ -173,6 +173,49 @@ func TestAllocFreeTicker(t *testing.T) {
 	}
 }
 
+// TestAllocFreeSchedule guards the queue's own operations on a warmed
+// simulator (pool and slot array grown, a standing population queued):
+// scheduling a prebuilt func() through At, scheduling through AtArg,
+// cancelling and re-arming a standing timer, and popping allocate nothing.
+func TestAllocFreeSchedule(t *testing.T) {
+	s := New(1)
+	timers := make([]Timer, 1024)
+	for i := range timers {
+		timers[i] = s.AtArg(Time(Hour)+Time(i), nop, nil)
+	}
+	fn := func() {}
+	// Warm the pool and the slot array past anything a case below needs.
+	for i := 0; i < 8; i++ {
+		s.At(s.Now(), fn)
+	}
+	s.RunUntil(s.Now())
+	i := 0
+	for _, tc := range []struct {
+		name string
+		op   func()
+	}{
+		{"At+pop", func() { s.At(s.Now(), fn); s.step(-1) }},
+		{"AtArg+pop", func() { s.AtArg(s.Now(), nop, nil); s.step(-1) }},
+		{"Cancel+re-arm", func() {
+			tm := &timers[i%len(timers)]
+			i += 7
+			when := tm.Time()
+			tm.Cancel()
+			*tm = s.AtArg(when, nop, nil)
+		}},
+	} {
+		avg := testing.AllocsPerRun(1000, tc.op)
+		if raceEnabled {
+			t.Logf("%s: allocs under -race: %.2f (not asserted)", tc.name, avg)
+		} else if avg != 0 {
+			t.Errorf("%s: %.2f allocs, want 0", tc.name, avg)
+		}
+	}
+	if s.Pending() != len(timers) {
+		t.Fatalf("standing population changed: %d", s.Pending())
+	}
+}
+
 // BenchmarkShardedWindow times one window of the K=8 engine through
 // RunUntil — floor scan, worker handoff, barrier, lane drain — with every
 // shard active: idle windows run one self-rescheduling event per shard,

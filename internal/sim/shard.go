@@ -216,8 +216,9 @@ func (g *Sharded) runShardWindow(i int) {
 	g.shards[i].RunBefore(g.windowEnd)
 }
 
-// Close stops the worker pool. The engine is unusable afterwards; only
-// needed by harnesses that create many engines in one process.
+// Close stops the worker pool. The engine is unusable afterwards —
+// RunUntil panics — and closing again is a no-op; only needed by harnesses
+// that create many engines in one process.
 func (g *Sharded) Close() {
 	if g.started && !g.closed {
 		close(g.done)
@@ -229,6 +230,10 @@ func (g *Sharded) Close() {
 // and advances all shard clocks to t, like Simulator.RunUntil but in
 // parallel windows. With one shard it delegates to the plain Simulator.
 func (g *Sharded) RunUntil(t Time) {
+	if g.closed {
+		// The workers are gone: handing them a window would block forever.
+		panic("sim: RunUntil on a closed engine")
+	}
 	if len(g.shards) == 1 {
 		g.shards[0].RunUntil(t)
 		return

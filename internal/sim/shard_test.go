@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 // splitmix64 is the deterministic hash driving the random workloads: both
@@ -251,5 +252,39 @@ func TestMergeStable(t *testing.T) {
 	}
 	if &out[0] != &solo[0] {
 		t.Error("single-part merge no longer aliases its source; update the doc contract")
+	}
+}
+
+// TestClosedEngineRunUntilPanics is the regression for RunUntil after
+// Close: the workers have exited, so the coordinator used to block forever
+// handing them the first window. It must panic instead, before and after a
+// first run started the pool, and Close must stay callable.
+func TestClosedEngineRunUntilPanics(t *testing.T) {
+	for _, ran := range []bool{false, true} {
+		g := NewSharded(1, 4, 2)
+		g.SetLookahead(Millisecond)
+		for i := 0; i < 4; i++ {
+			g.Shard(i).After(Millisecond, func() {})
+		}
+		if ran {
+			g.RunUntil(Time(Millisecond))
+		}
+		g.Shard(0).After(Millisecond, func() {})
+		g.Close()
+		g.Close()
+
+		got := make(chan any, 1)
+		go func() {
+			defer func() { got <- recover() }()
+			g.RunUntil(Time(Second))
+		}()
+		select {
+		case r := <-got:
+			if r != "sim: RunUntil on a closed engine" {
+				t.Errorf("ran=%v: RunUntil after Close recovered %v", ran, r)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("ran=%v: RunUntil after Close deadlocked", ran)
+		}
 	}
 }

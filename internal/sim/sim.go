@@ -8,7 +8,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 )
@@ -54,16 +53,29 @@ func (t Time) String() string { return fmt.Sprintf("t=%.3fs", t.Seconds()) }
 // timers, keepalives) recycle a small working set instead of churning the
 // allocator. gen is bumped on every release; Timer handles carry the gen
 // they were issued with, so a stale handle can never cancel a recycled
-// event.
+// event. The ordering key (when, seq) is not here: it lives in the event's
+// queue slot, where comparisons read it without touching the event.
 type event struct {
-	when  Time
-	seq   uint64 // tie-breaker: FIFO among equal timestamps
-	index int    // heap index
-	gen   uint64
-	fn    func()
-	argFn func(any)
+	fn    func(any)
 	arg   any
 	next  *event // free-list link
+	gen   uint64
+	index int32 // position of the event's slot in Simulator.queue
+}
+
+// slot is one entry of the pending-event queue: the ordering key inline,
+// then the event it orders. Pop order is the (when, seq) total order and
+// nothing else — seq is unique, so no two slots ever compare equal and the
+// shape of the heap cannot influence which event fires next.
+type slot struct {
+	when Time
+	seq  uint64 // tie-breaker: FIFO among equal timestamps
+	ev   *event
+}
+
+// before reports whether a fires before b.
+func (a *slot) before(b *slot) bool {
+	return a.when < b.when || (a.when == b.when && a.seq < b.seq)
 }
 
 // Timer is a cancelable handle to a scheduled event, returned by the
@@ -87,7 +99,7 @@ func (t Timer) Time() Time {
 	if !t.Active() {
 		return 0
 	}
-	return t.ev.when
+	return t.s.queue[t.ev.index].when
 }
 
 // Cancel prevents a pending event from firing, removing it from the queue
@@ -98,38 +110,9 @@ func (t Timer) Cancel() bool {
 	if !t.Active() {
 		return false
 	}
-	heap.Remove(&t.s.queue, t.ev.index)
+	t.s.remove(int(t.ev.index))
 	t.s.release(t.ev)
 	return true
-}
-
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].when != h[j].when {
-		return h[i].when < h[j].when
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	ev := x.(*event)
-	ev.index = len(*h)
-	*h = append(*h, ev)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = -1
-	*h = old[:n-1]
-	return ev
 }
 
 // Simulator owns the virtual clock and the pending-event queue. It is not
@@ -138,7 +121,7 @@ func (h *eventHeap) Pop() any {
 // with its own Simulator.
 type Simulator struct {
 	now     Time
-	queue   eventHeap
+	queue   []slot // 4-ary min-heap on (when, seq); children of i are 4i+1..4i+4
 	free    *event
 	nextSeq uint64
 	rng     *rand.Rand
@@ -175,28 +158,85 @@ func (s *Simulator) acquire() *event {
 // every Timer handle issued for the retired scheduling.
 func (s *Simulator) release(e *event) {
 	e.gen++
-	e.fn, e.argFn, e.arg = nil, nil, nil
+	e.fn, e.arg = nil, nil
 	e.next = s.free
 	s.free = e
 }
 
-// schedule enqueues a filled callback at absolute time t (clamped to now).
-func (s *Simulator) schedule(t Time, fn func(), argFn func(any), arg any) Timer {
-	if t < s.now {
-		t = s.now
+// up places sl at or above position i, whose slot is free: ancestors that
+// fire after sl move down one level each, written once.
+func (s *Simulator) up(i int, sl slot) {
+	q := s.queue
+	for i > 0 {
+		p := (i - 1) / 4
+		if !sl.before(&q[p]) {
+			break
+		}
+		q[i] = q[p]
+		q[i].ev.index = int32(i)
+		i = p
 	}
-	e := s.acquire()
-	e.when, e.seq = t, s.nextSeq
-	e.fn, e.argFn, e.arg = fn, argFn, arg
-	s.nextSeq++
-	heap.Push(&s.queue, e)
-	return Timer{s: s, ev: e, gen: e.gen}
+	q[i] = sl
+	sl.ev.index = int32(i)
 }
+
+// down places sl at or below position i, whose slot is free: at each level
+// the earliest of up to four children moves up while it fires before sl.
+func (s *Simulator) down(i int, sl slot) {
+	q := s.queue
+	n := len(q)
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		end := c + 4
+		if end > n {
+			end = n
+		}
+		m := c
+		for j := c + 1; j < end; j++ {
+			if q[j].before(&q[m]) {
+				m = j
+			}
+		}
+		if !q[m].before(&sl) {
+			break
+		}
+		q[i] = q[m]
+		q[i].ev.index = int32(i)
+		i = m
+	}
+	q[i] = sl
+	sl.ev.index = int32(i)
+}
+
+// remove deletes the slot at position i (0 pops the minimum): the last
+// slot takes its place and sifts to where it belongs.
+func (s *Simulator) remove(i int) {
+	q := s.queue
+	n := len(q) - 1
+	last := q[n]
+	q[n] = slot{}
+	s.queue = q[:n]
+	if i == n {
+		return
+	}
+	if i > 0 && last.before(&q[(i-1)/4]) {
+		s.up(i, last)
+	} else {
+		s.down(i, last)
+	}
+}
+
+// callFunc runs a func() scheduled through At: the function value itself
+// is the event's argument (pointer-shaped, so boxing it allocates nothing).
+func callFunc(fn any) { fn.(func())() }
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
 // clamps to the current time (the event runs next).
 func (s *Simulator) At(t Time, fn func()) Timer {
-	return s.schedule(t, fn, nil, nil)
+	return s.AtArg(t, callFunc, fn)
 }
 
 // After schedules fn to run d from now. Negative d is treated as zero.
@@ -207,12 +247,20 @@ func (s *Simulator) After(d Duration, fn func()) Timer {
 	return s.At(s.now.Add(d), fn)
 }
 
-// AtArg schedules fn(arg) at absolute virtual time t. With a package-level
-// (non-capturing) fn this schedules without allocating: no closure is
-// created, and the pooled event carries arg — the allocation-free form the
-// packet-delivery hot path uses.
+// AtArg schedules fn(arg) at absolute virtual time t (clamped to now, like
+// At). With a package-level (non-capturing) fn this schedules without
+// allocating: no closure is created, and the pooled event carries arg —
+// the allocation-free form the packet-delivery hot path uses.
 func (s *Simulator) AtArg(t Time, fn func(any), arg any) Timer {
-	return s.schedule(t, nil, fn, arg)
+	if t < s.now {
+		t = s.now
+	}
+	e := s.acquire()
+	e.fn, e.arg = fn, arg
+	s.queue = append(s.queue, slot{})
+	s.up(len(s.queue)-1, slot{when: t, seq: s.nextSeq, ev: e})
+	s.nextSeq++
+	return Timer{s: s, ev: e, gen: e.gen}
 }
 
 // Stop terminates the run loop after the currently executing event returns.
@@ -228,22 +276,18 @@ func (s *Simulator) step(limit Time) bool {
 	if s.stopped || len(s.queue) == 0 {
 		return false
 	}
-	next := s.queue[0]
-	if limit >= 0 && next.when > limit {
+	when, ev := s.queue[0].when, s.queue[0].ev
+	if limit >= 0 && when > limit {
 		return false
 	}
-	heap.Pop(&s.queue)
-	s.now = next.when
+	s.remove(0)
+	s.now = when
 	s.Processed++
 	// Release before running: the callback may itself schedule (reusing
 	// this event), and any stale Timer handle is already invalidated.
-	fn, argFn, arg := next.fn, next.argFn, next.arg
-	s.release(next)
-	if argFn != nil {
-		argFn(arg)
-	} else {
-		fn()
-	}
+	fn, arg := ev.fn, ev.arg
+	s.release(ev)
+	fn(arg)
 	return true
 }
 
