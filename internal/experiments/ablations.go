@@ -14,17 +14,10 @@ import (
 
 // AblationOpts parameterizes design-choice sweeps.
 type AblationOpts struct {
-	Seed                    int64
+	Seed int64
+	// Routers / PlanetLabHosts size the overlay; zero takes the testbed's
+	// defaults (the paper's 118 routers on 20 hosts).
 	Routers, PlanetLabHosts int
-}
-
-func (o *AblationOpts) fillDefaults() {
-	if o.Routers == 0 {
-		o.Routers = 118
-	}
-	if o.PlanetLabHosts == 0 {
-		o.PlanetLabHosts = 20
-	}
 }
 
 // FarCountPoint is one sample of the far-connection sweep.
@@ -54,7 +47,6 @@ func (r *FarCountResult) String() string {
 // RunFarCountAblation measures greedy-routing path length on the router
 // overlay as k varies — the O((1/k)·log²n) tradeoff of §IV-A.
 func RunFarCountAblation(opts AblationOpts, ks []int) *FarCountResult {
-	opts.fillDefaults()
 	if len(ks) == 0 {
 		ks = []int{1, 2, 4, 8, 16}
 	}
@@ -88,7 +80,7 @@ func RunFarCountAblation(opts AblationOpts, ks []int) *FarCountResult {
 				sent++
 			}
 		}
-		tb.Sim.RunFor(time30s())
+		tb.Sim.RunFor(30 * sim.Second)
 		var after int64
 		var conns int
 		for _, r := range routers {
@@ -103,8 +95,6 @@ func RunFarCountAblation(opts AblationOpts, ks []int) *FarCountResult {
 	}
 	return res
 }
-
-func time30s() sim.Duration { return 30 * sim.Second }
 
 // ThresholdPoint is one sample of the shortcut-threshold sweep.
 type ThresholdPoint struct {
@@ -134,7 +124,6 @@ func (r *ThresholdResult) String() string {
 // adaptation speed against connection churn for the paper's 1 packet/s
 // ICMP workload.
 func RunThresholdAblation(opts AblationOpts, thresholds []float64) *ThresholdResult {
-	opts.fillDefaults()
 	if len(thresholds) == 0 {
 		thresholds = []float64{5, 15, 30, 60}
 	}
@@ -199,7 +188,6 @@ func (r *URIOrderResult) String() string {
 // RunURIOrderAblation measures UFL-UFL shortcut formation time under both
 // URI orders.
 func RunURIOrderAblation(opts AblationOpts, trials int) *URIOrderResult {
-	opts.fillDefaults()
 	if trials == 0 {
 		trials = 5
 	}
@@ -251,7 +239,6 @@ func (r *RingSizeResult) String() string {
 // RunRingSizeAblation measures join latency across overlay sizes,
 // exercising the design's scalability claim (§VI).
 func RunRingSizeAblation(opts AblationOpts, sizes []int, trials int) *RingSizeResult {
-	opts.fillDefaults()
 	if len(sizes) == 0 {
 		sizes = []int{16, 50, 118, 250}
 	}
@@ -306,7 +293,6 @@ func (r *TransportResult) String() string {
 // RunTransportAblation measures both transports on otherwise identical
 // overlays.
 func RunTransportAblation(opts AblationOpts) (*TransportResult, error) {
-	opts.fillDefaults()
 	res := &TransportResult{}
 	for _, transport := range []string{"udp", "tcp"} {
 		cfg := brunet.DefaultConfig()
@@ -331,20 +317,8 @@ func RunTransportAblation(opts AblationOpts) (*TransportResult, error) {
 		if err := workloads.TTCPServe(dst.Stack()); err != nil {
 			return nil, fmt.Errorf("transport ablation: %w", err)
 		}
-		warm := tb.Sim.Tick(sim.Second, 0, func() {
-			src.Stack().Ping(dst.IP(), 64, 2*sim.Second, func(bool, sim.Duration) {})
-		})
-		tb.Sim.RunFor(5 * sim.Minute)
-		warm.Stop()
-		var bw float64
-		done := false
-		workloads.TTCP(src.Stack(), dst.IP(), 16<<20, func(r workloads.TTCPResult) {
-			bw = r.BandwidthKBs()
-			done = true
-		})
-		for !done {
-			tb.Sim.RunFor(sim.Minute)
-		}
+		warmPath(tb.Sim, src, dst, 5*sim.Minute)
+		bw := runTTCP(tb.Sim, src, dst, 16<<20).BandwidthKBs()
 		if transport == "udp" {
 			res.JoinUDP, res.BandwidthUDP = join, bw
 		} else {

@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -307,5 +309,31 @@ func TestFig6StallDetectionHelpers(t *testing.T) {
 	jo.fillDefaults()
 	if jo.Trials != 100 || jo.Pings != 400 || jo.Routers != 118 {
 		t.Fatalf("join defaults: %+v", jo)
+	}
+}
+
+// TestTable2OrderedAndRepeatable: the scenarios of a leg share one testbed,
+// so their order is part of the experiment. Cells come out in the table's
+// order, and the same options reproduce the same table.
+func TestTable2OrderedAndRepeatable(t *testing.T) {
+	opts := Table2Opts{Seed: 2, Sizes: []int64{1 << 20}, Repeats: 1, Routers: 30, PlanetLabHosts: 6}
+	first, err := RunTable2(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var order []string
+	for _, c := range first.Cells {
+		order = append(order, fmt.Sprintf("%s/%v", c.Scenario, c.Shortcuts))
+	}
+	want := []string{"UFL-UFL/true", "UFL-NWU/true", "UFL-UFL/false", "UFL-NWU/false"}
+	if !reflect.DeepEqual(order, want) {
+		t.Errorf("cell order %v, want %v", order, want)
+	}
+	second, err := RunTable2(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.String() != second.String() {
+		t.Errorf("two runs of the same options differ:\n%s\n%s", first, second)
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"wow/internal/metrics"
 	"wow/internal/middleware/scp"
+	"wow/internal/phys"
 	"wow/internal/sim"
 	"wow/internal/testbed"
 	"wow/internal/vm"
@@ -22,7 +23,8 @@ type Fig6Opts struct {
 	// TransferBps is the VM image copy rate; with the default 768 MB
 	// image, 1.6 MB/s yields the paper's ~8 minute outage.
 	TransferBps float64
-	// Routers / PlanetLabHosts size the overlay.
+	// Routers / PlanetLabHosts size the overlay; zero takes the testbed's
+	// defaults (the paper's 118 routers on 20 hosts).
 	Routers, PlanetLabHosts int
 }
 
@@ -35,12 +37,6 @@ func (o *Fig6Opts) fillDefaults() {
 	}
 	if o.TransferBps == 0 {
 		o.TransferBps = 1.6 * (1 << 20)
-	}
-	if o.Routers == 0 {
-		o.Routers = 118
-	}
-	if o.PlanetLabHosts == 0 {
-		o.PlanetLabHosts = 20
 	}
 }
 
@@ -80,6 +76,13 @@ func (r *Fig6Result) String() string {
 // (IPOP killed, VM suspended, image copied, VM resumed, IPOP restarted)
 // and the transfer must resume without any application action.
 func RunFig6(opts Fig6Opts) (*Fig6Result, error) {
+	return runFig6(opts, (*vm.VM).Migrate)
+}
+
+// runFig6 is the experiment body; migrate is the migration method under
+// test (suspend-transfer-resume for Figure 6, live pre-copy for the
+// RunLiveMigration comparison).
+func runFig6(opts Fig6Opts, migrate func(*vm.VM, *phys.Host, vm.MigrationConfig, func()) error) (*Fig6Result, error) {
 	opts.fillDefaults()
 	tb := testbed.Build(testbed.Config{
 		Seed:           opts.Seed,
@@ -99,11 +102,7 @@ func RunFig6(opts Fig6Opts) (*Fig6Result, error) {
 
 	// Warm the client-server path so the transfer starts over a formed
 	// shortcut, as in the paper (nodes had communicated before).
-	warm := tb.Sim.Tick(sim.Second, 0, func() {
-		client.Stack().Ping(server.IP(), 64, 2*sim.Second, func(bool, sim.Duration) {})
-	})
-	tb.Sim.RunFor(2 * sim.Minute)
-	warm.Stop()
+	warmPath(tb.Sim, client, server, 2*sim.Minute)
 
 	start := tb.Sim.Now()
 	tr := scp.Fetch(client.Stack(), server.IP(), "/data/dataset.tar", 5*sim.Second, nil)
@@ -112,7 +111,7 @@ func RunFig6(opts Fig6Opts) (*Fig6Result, error) {
 	var migErr error
 	tb.Sim.At(start.Add(opts.MigrateAt), func() {
 		dst := tb.NewHostAt("northwestern.edu")
-		if err := server.Migrate(dst, vm.MigrationConfig{TransferBps: opts.TransferBps}, nil); err != nil {
+		if err := migrate(server, dst, vm.MigrationConfig{TransferBps: opts.TransferBps}, nil); err != nil {
 			migErr = fmt.Errorf("fig6: migrate: %w", err)
 			tb.Sim.Stop()
 		}

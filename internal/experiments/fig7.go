@@ -29,7 +29,8 @@ type Fig7Opts struct {
 	HostLoad float64
 	// TransferBps is the VM image copy rate.
 	TransferBps float64
-	// Routers / PlanetLabHosts size the overlay.
+	// Routers / PlanetLabHosts size the overlay; zero takes the testbed's
+	// defaults (the paper's 118 routers on 20 hosts).
 	Routers, PlanetLabHosts int
 }
 
@@ -48,12 +49,6 @@ func (o *Fig7Opts) fillDefaults() {
 	}
 	if o.TransferBps == 0 {
 		o.TransferBps = 1.6 * (1 << 20)
-	}
-	if o.Routers == 0 {
-		o.Routers = 118
-	}
-	if o.PlanetLabHosts == 0 {
-		o.PlanetLabHosts = 20
 	}
 }
 

@@ -23,7 +23,8 @@ type Fig8Opts struct {
 	SubmitInterval sim.Duration
 	// Shortcuts toggles the overlord, the experiment's comparison axis.
 	Shortcuts bool
-	// Routers / PlanetLabHosts size the overlay.
+	// Routers / PlanetLabHosts size the overlay; zero takes the testbed's
+	// defaults (the paper's 118 routers on 20 hosts).
 	Routers, PlanetLabHosts int
 }
 
@@ -33,12 +34,6 @@ func (o *Fig8Opts) fillDefaults() {
 	}
 	if o.SubmitInterval == 0 {
 		o.SubmitInterval = sim.Second
-	}
-	if o.Routers == 0 {
-		o.Routers = 118
-	}
-	if o.PlanetLabHosts == 0 {
-		o.PlanetLabHosts = 20
 	}
 }
 

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 	"time"
 
@@ -21,8 +20,9 @@ import (
 // failure detectors and scores them against each other: detection latency
 // for the real crashes, false suspicions on the merely-degraded links, and
 // end-state routability. Everything is deterministic in (Seed, Shards) and
-// worker-invariant; the time-functional gray faults and the node-local
-// protocol RNG (Config.JitterSeed) make serial and sharded runs agree.
+// worker-invariant: the gray faults are time-functional and the protocol
+// jitter is node-local (Config.JitterSeed), so neither depends on which
+// shard or goroutine executes an event.
 
 // GrayOpts parameterizes RunGrayFailures. Zero fields take the defaults in
 // fillDefaults.
@@ -68,8 +68,8 @@ type GrayOpts struct {
 	// jitter-free and read-only: protocol outcomes are unchanged.
 	TraceHealth sim.Duration
 
-	// Shards runs the simulation on a sim.Sharded engine with this many
-	// shards; 0 keeps the classic serial event queue.
+	// Shards is the engine's shard count. 0 runs on one shard like 1 does
+	// and keeps the shard/worker provenance out of the result.
 	Shards int
 	// Workers bounds the sharded engine's goroutines; results never
 	// depend on it.
@@ -108,14 +108,6 @@ func (o *GrayOpts) fillDefaults() {
 	}
 	if o.FlapUp == 0 {
 		o.FlapUp = 19 * sim.Second
-	}
-	if o.Shards > 1 {
-		if o.Workers == 0 {
-			o.Workers = runtime.GOMAXPROCS(0)
-		}
-		if o.Workers > o.Shards {
-			o.Workers = o.Shards
-		}
 	}
 }
 
@@ -234,62 +226,21 @@ func readGrayCounters(nodes []*brunet.Node) grayCounters {
 // RunGrayFailures builds the overlay, degrades the gray zone for the whole
 // fault phase, crashes clean-site nodes, and samples the detector's
 // behavior per window. The run is deterministic in (Seed, Shards) and
-// identical across serial and sharded engines.
+// independent of Workers.
 func RunGrayFailures(opts GrayOpts) (*GrayResult, error) {
 	opts.fillDefaults()
 	if opts.Kills >= opts.Windows {
 		return nil, fmt.Errorf("gray: %d kills need at least %d windows", opts.Kills, opts.Kills+1)
 	}
 
-	// Stand up the fabric: serial or sharded, same latency model.
-	var (
-		s   *sim.Simulator
-		eng *sim.Sharded
-		net *phys.Network
-	)
-	latency := phys.UniformLatency(
-		phys.PathModel{OneWay: sim.Millisecond},
-		phys.PathModel{OneWay: opts.WANLatency},
-	)
-	if opts.Shards > 0 {
-		eng = sim.NewSharded(opts.Seed, opts.Shards, opts.Workers)
-		defer eng.Close()
-		net = phys.NewShardedNetwork(eng, latency)
-		s = net.Sim
-	} else {
-		s = sim.New(opts.Seed)
-		net = phys.NewNetwork(s, latency)
+	f, err := newFabric("gray", opts.Seed, opts.Shards, opts.Workers, opts.Sites,
+		phys.PathModel{OneWay: sim.Millisecond}, phys.PathModel{OneWay: opts.WANLatency})
+	if err != nil {
+		return nil, err
 	}
-	sites := make([]*phys.Site, opts.Sites)
-	for i := range sites {
-		sites[i] = net.AddSite(fmt.Sprintf("site%02d", i))
-	}
-	if eng != nil && eng.Shards() > 1 {
-		floor, ok := net.CrossShardFloor()
-		if !ok {
-			return nil, fmt.Errorf("gray: %d shards but no cross-shard site pair (need Sites >= Shards)", opts.Shards)
-		}
-		if floor <= 0 {
-			return nil, fmt.Errorf("gray: cross-shard latency floor %v must be positive", floor)
-		}
-		eng.SetLookahead(floor)
-	}
-	runUntil := func(t sim.Time) {
-		if eng != nil {
-			eng.RunUntil(t)
-		} else {
-			s.RunUntil(t)
-		}
-	}
-	eventsProcessed := func() uint64 {
-		if eng != nil {
-			return eng.Processed()
-		}
-		return s.Processed
-	}
+	defer f.close()
+	s := f.net.Sim // shard 0: the injector's timeline
 
-	// Create the fleet up front and schedule identical staggered starts on
-	// each node's own shard; boot URIs resolve at fire time.
 	cfg := grayConfig(opts.Seed, opts.Adaptive)
 	detector := "fixed"
 	if opts.Adaptive {
@@ -298,58 +249,29 @@ func RunGrayFailures(opts GrayOpts) (*GrayResult, error) {
 	nodes := make([]*brunet.Node, opts.Nodes)
 	for i := range nodes {
 		name := fmt.Sprintf("gray%03d", i)
-		h := net.AddHost(name, sites[i%opts.Sites], net.Root(), phys.HostConfig{})
+		h := f.net.AddHost(name, f.site(i), f.net.Root(), phys.HostConfig{})
 		nodes[i] = brunet.NewNode(h, brunet.AddrFromString(name), cfg)
 	}
-
-	// Arm the flight recorder before any node starts: one single-writer
-	// buffer per engine shard, each stamping records with its own shard
-	// clock; physical-layer drops terminate traced routes too.
 	var tracer *trace.Tracer
 	if opts.TraceSample > 0 {
-		topts := trace.Options{SampleN: opts.TraceSample, Health: opts.TraceHealth}
-		if eng != nil {
-			clocks := make([]trace.Clock, eng.Shards())
-			for i := range clocks {
-				clocks[i] = eng.Shard(i)
-			}
-			tracer = trace.New(topts, clocks...)
-		} else {
-			tracer = trace.New(topts, s)
-		}
-		net.FlightRecorder = tracer
-		for _, n := range nodes {
-			n.EnableTrace(tracer)
-		}
-	}
-	for i, n := range nodes {
-		i, n := i, n
-		at := sim.Time(0).Add(sim.Duration(i) * 200 * sim.Millisecond)
-		n.Host().Sim().At(at, func() {
-			var boot []brunet.URI
-			if pool := min(i, 4); pool > 0 {
-				boot = []brunet.URI{
-					nodes[i%pool].BootstrapURI(),
-					nodes[(i+1)%pool].BootstrapURI(),
-				}
-			}
-			if err := n.Start(boot); err != nil {
-				panic(fmt.Sprintf("gray: start %s: %v", n.Addr(), err))
-			}
-		})
+		tracer = f.armTrace(trace.Options{SampleN: opts.TraceSample, Health: opts.TraceHealth}, nodes)
 	}
 
 	t0 := time.Now()
-	cursor := sim.Time(0).Add(sim.Duration(opts.Nodes)*200*sim.Millisecond + opts.Settle)
-	runUntil(cursor)
+	plan := staggeredPlan(opts.Nodes, 200*sim.Millisecond, 4, []int{0, 1})
+	plan.settle(opts.Settle)
+	if err := f.join(nodes, plan, nil); err != nil {
+		return nil, err
+	}
+	cursor := plan.end
 
 	// Arm the gray zone: jitter + flap over the first quarter of sites for
 	// the whole fault phase. Both are time-functional rules, installed
 	// before the fault phase runs — the shard-safe path.
-	inj := faults.New(s, net)
+	inj := faults.New(s, f.net)
 	graySites := make([]string, 0, opts.Sites/4)
 	for i := 0; i < (opts.Sites+3)/4; i++ {
-		graySites = append(graySites, sites[i].Name)
+		graySites = append(graySites, f.sites[i].Name)
 	}
 	phaseLen := sim.Duration(opts.Windows) * opts.WindowLen
 	inj.Schedule(
@@ -416,9 +338,9 @@ func RunGrayFailures(opts GrayOpts) (*GrayResult, error) {
 		Windows:  opts.Windows,
 		Kills:    kills,
 	}
-	if eng != nil {
-		res.Shards = eng.Shards()
-		res.Workers = eng.Workers()
+	if opts.Shards > 0 {
+		res.Shards = f.eng.Shards()
+		res.Workers = f.eng.Workers()
 	}
 
 	// The fault phase: run each window in 1s steps (tracking when each
@@ -428,7 +350,7 @@ func RunGrayFailures(opts GrayOpts) (*GrayResult, error) {
 		steps := int(opts.WindowLen / sim.Second)
 		for st := 0; st < steps; st++ {
 			cursor = cursor.Add(sim.Second)
-			runUntil(cursor)
+			f.runUntil(cursor)
 			for i := range kills {
 				if kills[i].DetectSec >= 0 || cursor.Seconds() <= kills[i].AtSec {
 					continue
@@ -448,7 +370,7 @@ func RunGrayFailures(opts GrayOpts) (*GrayResult, error) {
 			FalseSuspects: cur.falseSuspects - prev.falseSuspects,
 			Confirmed:     cur.confirmed - prev.confirmed,
 			Deaths:        cur.deaths - prev.deaths,
-			Events:        eventsProcessed(),
+			Events:        f.processed(),
 		}
 		if d := cur.deaths - prev.deaths; d > 0 {
 			p.MeanDetectMs = float64(cur.detectMs-prev.detectMs) / float64(d)
@@ -464,7 +386,7 @@ func RunGrayFailures(opts GrayOpts) (*GrayResult, error) {
 	// still-pending detections, then audit the end state.
 	for st := 0; st < 90; st++ {
 		cursor = cursor.Add(sim.Second)
-		runUntil(cursor)
+		f.runUntil(cursor)
 		for i := range kills {
 			if kills[i].DetectSec < 0 && forgotten(victims[i]) {
 				kills[i].DetectSec = cursor.Seconds() - kills[i].AtSec
@@ -476,7 +398,7 @@ func RunGrayFailures(opts GrayOpts) (*GrayResult, error) {
 	res.Confirmed = total.confirmed
 	res.Deaths = total.deaths
 	res.FinalRoutable = routableFrac()
-	res.EventsTotal = eventsProcessed()
+	res.EventsTotal = f.processed()
 	res.Timeline = inj.TimelineString()
 	res.WallSec = time.Since(t0).Seconds()
 	detected := 0

@@ -117,13 +117,16 @@ func grayOutcome(r *GrayResult) GrayResult {
 }
 
 // TestQuickGrayShardedEquivalence follows the TestQuickShardedNATEquivalence
-// pattern at overlay scale: for arbitrary seeds, the serial engine and the
-// 1-shard parallel engine produce the identical run — every counter, every
-// series point, the total event count — and a multi-shard run is
-// worker-invariant down to event totals. (Across different shard counts
-// the engine's contract is determinism in (seed, shards), not trace
-// equality: cross-shard ties break on source-shard index, so each shard
-// count is its own reproducible execution.)
+// pattern at overlay scale: for arbitrary seeds, Shards: 0 is the one-shard
+// run (only the provenance fields differ), and a multi-shard run is
+// worker-invariant down to event totals. That a one-shard engine is the
+// plain serial Simulator, and the sharded packet pipeline the unsharded
+// one, is pinned where both still exist (TestShardedSingleShardDelegates in
+// internal/sim, TestQuickShardedNATEquivalence in internal/natsim); the
+// seed-5 goldens above were captured on the serial engine. (Across
+// different shard counts the engine's contract is determinism in (seed,
+// shards), not trace equality: cross-shard ties break on source-shard
+// index, so each shard count is its own reproducible execution.)
 func TestQuickGrayShardedEquivalence(t *testing.T) {
 	small := func(seed int64, shards, workers int) *GrayResult {
 		opts := GrayOpts{Seed: seed, Nodes: 16, Sites: 4, Windows: 3,
@@ -137,10 +140,10 @@ func TestQuickGrayShardedEquivalence(t *testing.T) {
 	}
 	f := func(rawSeed uint8) bool {
 		seed := int64(rawSeed)%5 + 1
-		serial := grayOutcome(small(seed, 0, 0))
+		zero := grayOutcome(small(seed, 0, 0))
 		one := grayOutcome(small(seed, 1, 1))
-		if !reflect.DeepEqual(serial, one) {
-			t.Logf("seed %d: serial vs 1-shard:\nserial: %+v\n1shard: %+v", seed, serial, one)
+		if !reflect.DeepEqual(zero, one) {
+			t.Logf("seed %d: Shards 0 vs 1:\n0: %+v\n1: %+v", seed, zero, one)
 			return false
 		}
 		two1 := small(seed, 2, 1)

@@ -5,12 +5,11 @@ import (
 
 	"wow/internal/brunet"
 	"wow/internal/core"
-	"wow/internal/middleware/scp"
 	"wow/internal/phys"
 	"wow/internal/sim"
-	"wow/internal/testbed"
 	"wow/internal/vip"
 	"wow/internal/vm"
+	"wow/internal/workloads"
 )
 
 // smallOverlay is a lightweight public overlay with a few workstations,
@@ -21,16 +20,12 @@ type smallOverlay struct {
 	vms  []*vm.VM
 }
 
-func fastBrunet() brunet.Config { return brunet.DefaultConfig() }
-
-func stackCfg() vip.StackConfig { return vip.StackConfig{} }
-
 func mustVIP(s string) vip.IP { return vip.MustParseIP(s) }
 
 // buildSmallOverlay stands up n public routers and two public
 // workstations on the given network.
 func buildSmallOverlay(s *sim.Simulator, net *phys.Network, n int) (*smallOverlay, error) {
-	w := core.New(s, core.Options{Shortcuts: true, Brunet: fastBrunet()})
+	w := core.New(s, core.Options{Shortcuts: true, Brunet: brunet.DefaultConfig()})
 	for i := 0; i < n; i++ {
 		name := fmt.Sprintf("r%02d", i)
 		h := net.AddHost(name, net.AddSite(name), net.Root(), phys.HostConfig{})
@@ -63,66 +58,27 @@ func pingOK(s *sim.Simulator, from *vm.VM, to vip.IP) bool {
 	return ok
 }
 
-// runFig6Live is RunFig6 with live pre-copy migration instead of
-// suspend-transfer-resume.
-func runFig6Live(opts Fig6Opts) (*Fig6Result, error) {
-	opts.fillDefaults()
-	tb := testbed.Build(testbed.Config{
-		Seed:           opts.Seed,
-		Shortcuts:      true,
-		Routers:        opts.Routers,
-		PlanetLabHosts: opts.PlanetLabHosts,
-		SettleTime:     5 * sim.Minute,
+// warmPath pings dst from src once a second for d and then stops, so a
+// measurement that follows starts over a formed shortcut — the paper's
+// nodes had communicated before its transfers began.
+func warmPath(s *sim.Simulator, src, dst *vm.VM, d sim.Duration) {
+	warm := s.Tick(sim.Second, 0, func() {
+		src.Stack().Ping(dst.IP(), 64, 2*sim.Second, func(bool, sim.Duration) {})
 	})
-	server := tb.VM("node003")
-	client := tb.VM("node017")
-
-	srv, err := scp.NewServer(server.Stack())
-	if err != nil {
-		return nil, fmt.Errorf("fig6live: %w", err)
-	}
-	srv.Put("/data/dataset.tar", opts.FileBytes)
-
-	warm := tb.Sim.Tick(sim.Second, 0, func() {
-		client.Stack().Ping(server.IP(), 64, 2*sim.Second, func(bool, sim.Duration) {})
-	})
-	tb.Sim.RunFor(2 * sim.Minute)
+	s.RunFor(d)
 	warm.Stop()
+}
 
-	start := tb.Sim.Now()
-	tr := scp.Fetch(client.Stack(), server.IP(), "/data/dataset.tar", 5*sim.Second, nil)
-	var migErr error
-	tb.Sim.At(start.Add(opts.MigrateAt), func() {
-		dst := tb.NewHostAt("northwestern.edu")
-		if err := server.MigrateLive(dst, vm.MigrationConfig{TransferBps: opts.TransferBps}, nil); err != nil {
-			migErr = fmt.Errorf("fig6live: migrate: %w", err)
-			tb.Sim.Stop()
-		}
+// runTTCP transfers size bytes from src to dst and runs the simulation, a
+// minute at a time, until the transfer reports its result.
+func runTTCP(s *sim.Simulator, src, dst *vm.VM, size int64) workloads.TTCPResult {
+	var res workloads.TTCPResult
+	done := false
+	workloads.TTCP(src.Stack(), dst.IP(), size, func(r workloads.TTCPResult) {
+		res, done = r, true
 	})
-	for !tr.Done && migErr == nil && tb.Sim.Now().Sub(start) < 4*sim.Hour {
-		tb.Sim.RunFor(sim.Minute)
+	for !done {
+		s.RunFor(sim.Minute)
 	}
-	if migErr != nil {
-		return nil, migErr
-	}
-
-	res := &Fig6Result{
-		Progress:  tr.Progress,
-		Completed: tr.Done && tr.Err == nil && tr.Received == opts.FileBytes,
-	}
-	res.TotalSeconds = tb.Sim.Now().Sub(start).Seconds()
-	var stall, lastT, lastB float64
-	for i := 0; i < res.Progress.Len(); i++ {
-		tt, bytes := res.Progress.At(i)
-		if bytes == lastB && lastT > 0 {
-			if s := tt - lastT; s > stall {
-				stall = s
-			}
-		} else {
-			lastT = tt
-		}
-		lastB = bytes
-	}
-	res.StallSeconds = stall
-	return res, nil
+	return res
 }

@@ -20,20 +20,15 @@ type OutageOpts struct {
 	// ~8 minute no-routability window); false uses this library's
 	// defaults.
 	Conservative bool
-	// Routers / PlanetLabHosts size the overlay; with the 33 VMs this
-	// gives the paper's "150-node network".
+	// Routers / PlanetLabHosts size the overlay; zero takes the testbed's
+	// defaults (118 routers on 20 hosts), which with the 33 VMs gives the
+	// paper's "150-node network".
 	Routers, PlanetLabHosts int
 }
 
 func (o *OutageOpts) fillDefaults() {
 	if o.Trials == 0 {
 		o.Trials = 5
-	}
-	if o.Routers == 0 {
-		o.Routers = 118
-	}
-	if o.PlanetLabHosts == 0 {
-		o.PlanetLabHosts = 20
 	}
 }
 

@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
-	"sort"
 	"strings"
 
 	"wow/internal/brunet"
@@ -208,17 +206,17 @@ type SymRingOpts struct {
 	JoinSpacing sim.Duration
 	Settle      sim.Duration
 	// Pings is the number of end-to-end VIP pings between the two
-	// symmetric-NATed workstations (serial mode only).
+	// symmetric-NATed workstations (workstation run only).
 	Pings int
 
-	// Parallel-mode knobs. Shards>1 or BatchJoin>0 selects the batched
-	// build on the site-sharded engine: bare brunet nodes (no VM
-	// workstations or migration), every NAT realm pinned to its host's
-	// site, joins batched off the public routers only — a symmetric NAT
-	// admits no unsolicited inbound, so NATed peers are useless as
-	// bootstrap targets. Results are deterministic in (Seed, Shards) and
-	// independent of Workers. The serial mode (Shards<=1, BatchJoin=0) is
-	// golden-pinned and untouched by these fields.
+	// BatchJoin>0 (the default when Shards>1) runs the fleet-scale
+	// experiment instead of the workstation one: bare brunet nodes (no VM
+	// workstations or migration) on the harness fabric, every NAT realm
+	// pinned to its host's site, joins batched off the public routers
+	// only — a symmetric NAT admits no unsolicited inbound, so NATed
+	// peers are useless as bootstrap targets. Results are deterministic
+	// in (Seed, Shards) and independent of Workers. The workstation run
+	// (BatchJoin=0) is golden-pinned and untouched by the fields below.
 	Shards int
 	// Workers bounds the goroutines executing shard windows; 0 means
 	// min(Shards, GOMAXPROCS). Results never depend on it.
@@ -234,26 +232,27 @@ type SymRingOpts struct {
 	// Sites spreads hosts (and so NAT realms) round-robin over this many
 	// network sites.
 	Sites int
-	// Probes is how many end-to-end overlay probes the parallel
-	// measurement phase routes between random NATed pairs.
+	// Probes is how many end-to-end overlay probes the batched run
+	// routes between random NATed pairs.
 	Probes int
 	// OnProgress, when set, observes every build time-series sample of a
-	// parallel run.
+	// batched run.
 	OnProgress func(NATPoint)
 }
-
-func (o *SymRingOpts) parallel() bool { return o.Shards > 1 || o.BatchJoin > 0 }
 
 func (o *SymRingOpts) fillDefaults() {
 	if o.Nodes == 0 {
 		o.Nodes = 200
 	}
+	if o.Shards > 1 && o.BatchJoin == 0 {
+		o.BatchJoin = 64
+	}
 	if o.Routers == 0 {
 		o.Routers = 4
-		if o.parallel() && o.Nodes/50 > o.Routers {
+		if o.BatchJoin > 0 {
 			// Public relay capacity scales with the fleet: every tunnel
 			// edge and every bootstrap dial lands on a router.
-			o.Routers = o.Nodes / 50
+			o.Routers = max(4, o.Nodes/50)
 		}
 	}
 	if o.JoinSpacing == 0 {
@@ -265,10 +264,7 @@ func (o *SymRingOpts) fillDefaults() {
 	if o.Pings == 0 {
 		o.Pings = 10
 	}
-	if o.Shards > 1 && o.BatchJoin == 0 {
-		o.BatchJoin = 64
-	}
-	if o.parallel() {
+	if o.BatchJoin > 0 {
 		if o.BatchInterval == 0 {
 			o.BatchInterval = 10 * sim.Second
 		}
@@ -276,19 +272,10 @@ func (o *SymRingOpts) fillDefaults() {
 			o.WANLatency = 15 * sim.Millisecond
 		}
 		if o.Sites == 0 {
-			o.Sites = 32
-			if o.Shards > o.Sites {
-				o.Sites = o.Shards
-			}
+			o.Sites = max(32, o.Shards)
 		}
 		if o.Probes == 0 {
 			o.Probes = 200
-		}
-		if o.Workers == 0 {
-			o.Workers = runtime.GOMAXPROCS(0)
-		}
-		if o.Shards > 0 && o.Workers > o.Shards {
-			o.Workers = o.Shards
 		}
 	}
 }
@@ -317,7 +304,7 @@ type SymRingResult struct {
 	// public host; negative if it never recovered in the window.
 	MigOutageSec float64
 
-	// Parallel-mode fields (zero in serial runs).
+	// Batched-run fields (zero in workstation runs).
 	Shards          int        `json:",omitempty"`
 	Workers         int        `json:",omitempty"`
 	BatchJoin       int        `json:",omitempty"`
@@ -331,15 +318,15 @@ type SymRingResult struct {
 	Series          []NATPoint `json:",omitempty"`
 }
 
-// String renders the summary. The serial rendering is golden-pinned and
-// must stay byte-identical; parallel runs report their own closing lines
+// String renders the summary. The workstation rendering is golden-pinned
+// and must stay byte-identical; batched runs report their own closing lines
 // (probe delivery and build cost) instead of the VM workstation figures.
 func (r *SymRingResult) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "All-symmetric-NAT ring: %d NATed + %d public routers, seed %d\n",
 		r.Nodes, r.Routers, r.Seed)
-	parallel := r.Shards > 0 || r.BatchJoin > 0
-	if parallel {
+	batched := r.BatchJoin > 0
+	if batched {
 		fmt.Fprintf(&b, "  parallel: %d shards x %d workers (GOMAXPROCS %d), join batches of %d, wan %.0f ms\n",
 			r.Shards, r.Workers, r.MaxProcs, r.BatchJoin, r.WANLatencyMs)
 	}
@@ -347,7 +334,7 @@ func (r *SymRingResult) String() string {
 		r.RoutableFrac*100, r.MissingNear, r.DirectNear, r.TunnelNear)
 	fmt.Fprintf(&b, "  tunnels: %d established, %d upgraded; relays: %d lost, %d reselected\n",
 		r.TunnelsEstablished, r.TunnelsUpgraded, r.RelaysLost, r.RelaysReselected)
-	if parallel {
+	if batched {
 		fmt.Fprintf(&b, "  probes (sym <-> sym overlay): %d/%d delivered\n", r.ProbesDelivered, r.ProbesSent)
 		fmt.Fprintf(&b, "  build: %.1f s wall, %d events\n", r.BuildWallSec, r.EventsTotal)
 		return b.String()
@@ -357,6 +344,17 @@ func (r *SymRingResult) String() string {
 	return b.String()
 }
 
+// auditRing fills the end-state audit shared by both runs: routability,
+// the fleet-wide tunnel counters and the successor-edge classification.
+func (r *SymRingResult) auditRing(members []*brunet.Node) {
+	r.RoutableFrac = float64(routableCount(members)) / float64(len(members))
+	r.TunnelsEstablished = statTotal(members, "tunnel.established")
+	r.TunnelsUpgraded = statTotal(members, "tunnel.upgraded")
+	r.RelaysLost = statTotal(members, "tunnel.relay_lost")
+	r.RelaysReselected = statTotal(members, "tunnel.relay_reselected")
+	r.MissingNear, r.DirectNear, r.TunnelNear = ringAudit(members)
+}
+
 // RunSymmetricRing stands up an overlay whose every member save a handful
 // of public routers sits behind its own symmetric NAT — the topology
 // where no NATed pair can ever link directly — and verifies the ring
@@ -364,8 +362,8 @@ func (r *SymRingResult) String() string {
 // VIP traffic end to end, and survives a workstation migration.
 func RunSymmetricRing(opts SymRingOpts) (*SymRingResult, error) {
 	opts.fillDefaults()
-	if opts.parallel() {
-		return runSymmetricRingParallel(opts)
+	if opts.BatchJoin > 0 {
+		return runSymmetricRingBatched(opts)
 	}
 	s := sim.New(opts.Seed)
 	net := phys.NewNetwork(s, phys.UniformLatency(
@@ -427,30 +425,7 @@ func RunSymmetricRing(opts SymRingOpts) (*SymRingResult, error) {
 	for _, v := range ws {
 		members = append(members, v.Node().Overlay())
 	}
-	routable := 0
-	for _, n := range members {
-		if n.IsRoutable() {
-			routable++
-		}
-		res.TunnelsEstablished += n.Stats.Get("tunnel.established")
-		res.TunnelsUpgraded += n.Stats.Get("tunnel.upgraded")
-		res.RelaysLost += n.Stats.Get("tunnel.relay_lost")
-		res.RelaysReselected += n.Stats.Get("tunnel.relay_reselected")
-	}
-	res.RoutableFrac = float64(routable) / float64(len(members))
-	sort.Slice(members, func(i, j int) bool { return members[i].Addr().Less(members[j].Addr()) })
-	for i, n := range members {
-		succ := members[(i+1)%len(members)]
-		c := n.ConnectionTo(succ.Addr())
-		switch {
-		case c == nil || !c.Has(brunet.StructuredNear):
-			res.MissingNear++
-		case c.Tunneled():
-			res.TunnelNear++
-		default:
-			res.DirectNear++
-		}
-	}
+	res.auditRing(members)
 
 	// End-to-end VIP pings between the symmetric-NATed workstations.
 	res.PingsSent = opts.Pings

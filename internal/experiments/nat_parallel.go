@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"time"
 
 	"wow/internal/brunet"
@@ -12,32 +11,28 @@ import (
 	"wow/internal/sim"
 )
 
-// This file is the parallel half of the all-symmetric-NAT ring experiment:
-// the batched, optionally sharded build that RunSymmetricRing dispatches to
-// when SymRingOpts selects parallel mode. Every overlay member except the
-// public routers sits behind its own symmetric NAT — under the sharded
-// engine each NAT realm is pinned to its host's site, so all translation
-// state stays on one shard's timeline while the fleet builds in parallel.
-// The serial build in nat.go is golden-pinned; nothing here touches it.
+// This file is the fleet-scale half of the all-symmetric-NAT ring
+// experiment: the batched build of bare overlay nodes that RunSymmetricRing
+// runs when SymRingOpts.BatchJoin is set. Every overlay member except the
+// public routers sits behind its own symmetric NAT — each NAT realm is
+// pinned to its host's site, so all translation state stays on one shard's
+// timeline while the fleet builds in parallel. The VM-workstation run in
+// nat.go is golden-pinned; nothing here touches it.
 
-// NATPoint is one sample of the parallel build time series: the scale.series
+// NATPoint is one sample of the batched build time series: the scale.series
 // schema (wall/virtual clocks, joined count, throughput, events) extended
 // with the tunnel subsystem's progress — how much of the fleet is routable,
 // how many relay-backed tunnel edges exist, and how many upgrade probes the
 // tunnels have burned trying to become direct edges (with all-symmetric NATs
 // they never succeed; the probe count measures the cost of trying).
 type NATPoint struct {
-	WallSec       float64
-	VirtualSec    float64
-	Joined        int
-	JoinsPerSec   float64
-	Events        uint64
+	ScalePoint
 	RoutableFrac  float64
 	Tunnels       int64
 	UpgradeProbes int64
 }
 
-// natRingConfig is the protocol schedule of the parallel NAT build:
+// natRingConfig is the protocol schedule of the batched NAT build:
 // FastTestConfig's aggressive link-failure constants (tunnel fallback is
 // gated on direct linking failing, and the paper-default ~155s/dead-URI
 // schedule would dominate the run), but keepalives and topology ticks
@@ -53,233 +48,87 @@ func natRingConfig() brunet.Config {
 	return c
 }
 
-// runSymmetricRingParallel builds the all-symmetric overlay with batched
-// bootstrap on the (optionally sharded) parallel engine. All hosts, NATs
-// and nodes are created up front; Start events fire per batch on each
-// node's own shard. Joins bootstrap exclusively off the public routers —
-// a symmetric NAT drops unsolicited inbound dials, so only the routers
-// are reachable bootstrap targets — and the ring then assembles over
+// runSymmetricRingBatched builds the all-symmetric overlay with batched
+// bootstrap on the harness fabric. All hosts, NATs and nodes are created up
+// front; the routers start first, staggered, bootstrapping off earlier
+// routers, and the NATed fleet then joins in batches exclusively off the
+// public routers — a symmetric NAT drops unsolicited inbound dials, so only
+// the routers are reachable bootstrap targets — and the ring assembles over
 // relay-backed tunnel edges through those routers.
-func runSymmetricRingParallel(opts SymRingOpts) (*SymRingResult, error) {
-	k := opts.Shards
-	if k < 1 {
-		k = 1
+func runSymmetricRingBatched(opts SymRingOpts) (*SymRingResult, error) {
+	f, err := newFabric("sym-ring", opts.Seed, opts.Shards, opts.Workers, opts.Sites,
+		phys.PathModel{OneWay: sim.Millisecond}, phys.PathModel{OneWay: opts.WANLatency})
+	if err != nil {
+		return nil, err
 	}
-	eng := sim.NewSharded(opts.Seed, k, opts.Workers)
-	defer eng.Close()
-	net := phys.NewShardedNetwork(eng, phys.UniformLatency(
-		phys.PathModel{OneWay: sim.Millisecond},
-		phys.PathModel{OneWay: opts.WANLatency},
-	))
-	sites := make([]*phys.Site, opts.Sites)
-	for i := range sites {
-		sites[i] = net.AddSite(fmt.Sprintf("site%02d", i))
-	}
-	if k > 1 {
-		floor, ok := net.CrossShardFloor()
-		if !ok {
-			return nil, fmt.Errorf("sym-ring: %d shards but no cross-shard site pair (need Sites >= Shards)", k)
-		}
-		if floor <= 0 {
-			return nil, fmt.Errorf("sym-ring: cross-shard latency floor %v must be positive (WANLatency too small)", floor)
-		}
-		eng.SetLookahead(floor)
-	}
+	defer f.close()
 
 	cfg := natRingConfig()
-	routers := make([]*brunet.Node, opts.Routers)
-	for i := range routers {
+	members := make([]*brunet.Node, 0, opts.Routers+opts.Nodes)
+	for i := 0; i < opts.Routers; i++ {
 		name := fmt.Sprintf("pub%03d", i)
-		h := net.AddHost(name, sites[i%len(sites)], net.Root(), phys.HostConfig{})
-		routers[i] = brunet.NewNode(h, brunet.AddrFromString(name), cfg)
-		routers[i].RegisterProto("nat", func(brunet.Addr, brunet.AppData) {})
+		h := f.net.AddHost(name, f.site(i), f.net.Root(), phys.HostConfig{})
+		members = append(members, brunet.NewNode(h, brunet.AddrFromString(name), cfg))
 	}
-	nodes := make([]*brunet.Node, opts.Nodes)
-	for i := range nodes {
+	for i := 0; i < opts.Nodes; i++ {
 		name := fmt.Sprintf("sym%05d", i)
-		site := sites[i%len(sites)]
+		site := f.site(i)
 		// The NAT's clock is its owning shard's: the realm pins to site, and
 		// all translation state is only ever touched on that timeline.
 		nat := natsim.NewNAT(name+"-nat", natsim.Config{Type: natsim.Symmetric},
-			net.Root().NextIP(), eng.Shard(site.Shard()).Now)
-		realm := net.AddRealm(name, net.Root(), nat, phys.MustParseIP("10.0.0.2"))
-		h := net.AddHost(name+"-host", site, realm, phys.HostConfig{})
-		nodes[i] = brunet.NewNode(h, brunet.AddrFromString(name), cfg)
-		nodes[i].RegisterProto("nat", func(brunet.Addr, brunet.AppData) {})
+			f.net.Root().NextIP(), f.eng.Shard(site.Shard()).Now)
+		realm := f.net.AddRealm(name, f.net.Root(), nat, phys.MustParseIP("10.0.0.2"))
+		h := f.net.AddHost(name+"-host", site, realm, phys.HostConfig{})
+		members = append(members, brunet.NewNode(h, brunet.AddrFromString(name), cfg))
 	}
+	for _, n := range members {
+		n.RegisterProto("nat", func(brunet.Addr, brunet.AppData) {})
+	}
+	nodes := members[opts.Routers:]
 
-	// Routers start first, staggered, bootstrapping off earlier routers.
-	var t sim.Time
-	for i := range routers {
-		i := i
-		n := routers[i]
-		n.Host().Sim().At(t, func() {
-			var boot []brunet.URI
-			if i > 0 {
-				boot = []brunet.URI{
-					routers[i%i].BootstrapURI(),
-					routers[(i+7)%i].BootstrapURI(),
-					routers[(i+13)%i].BootstrapURI(),
-				}
-			}
-			if err := n.Start(boot); err != nil {
-				panic(fmt.Sprintf("sym-ring: start %s: %v", n.Addr(), err))
-			}
-		})
-		t = t.Add(250 * sim.Millisecond)
-	}
-	t = t.Add(opts.BatchInterval)
-
-	// NATed joins in geometrically ramping batches. Every joiner boots off
-	// three deterministic router picks: NATed peers cannot accept inbound
-	// dials, so the public routers are the whole usable bootstrap pool.
-	type batchMark struct {
-		end    sim.Time
-		joined int
-	}
-	var marks []batchMark
-	started := 0
-	for started < opts.Nodes {
-		size := started
-		if size < 1 {
-			size = 1
-		}
-		if size > opts.BatchJoin {
-			size = opts.BatchJoin
-		}
-		if size > opts.Nodes-started {
-			size = opts.Nodes - started
-		}
-		step := opts.BatchInterval / 2 / sim.Duration(size)
-		if step < sim.Microsecond {
-			step = sim.Microsecond
-		}
-		for j := 0; j < size; j++ {
-			i := started + j
-			n := nodes[i]
-			at := t.Add(sim.Duration(j) * step)
-			n.Host().Sim().At(at, func() {
-				r := len(routers)
-				boot := []brunet.URI{
-					routers[i%r].BootstrapURI(),
-					routers[(i+7)%r].BootstrapURI(),
-					routers[(i+13)%r].BootstrapURI(),
-				}
-				if err := n.Start(boot); err != nil {
-					panic(fmt.Sprintf("sym-ring: start %s: %v", n.Addr(), err))
-				}
-			})
-		}
-		started += size
-		t = t.Add(opts.BatchInterval)
-		marks = append(marks, batchMark{end: t, joined: started})
-	}
-
-	members := make([]*brunet.Node, 0, len(routers)+len(nodes))
-	members = append(members, routers...)
-	members = append(members, nodes...)
-
-	t0 := time.Now()
-	record := func(virtual sim.Time, joined int) NATPoint {
-		wall := time.Since(t0).Seconds()
-		p := NATPoint{
-			WallSec:    wall,
-			VirtualSec: virtual.Seconds(),
-			Joined:     joined,
-			Events:     eng.Processed(),
-		}
-		if wall > 0 {
-			p.JoinsPerSec = float64(joined) / wall
-		}
-		routable := 0
-		for _, n := range members {
-			if n.IsRoutable() {
-				routable++
-			}
-			p.Tunnels += n.Stats.Get("tunnel.established")
-			p.UpgradeProbes += n.Stats.Get("tunnel.upgrade_probes")
-		}
-		p.RoutableFrac = float64(routable) / float64(len(routers)+joined)
-		if opts.OnProgress != nil {
-			opts.OnProgress(p)
-		}
-		return p
-	}
+	plan := staggeredPlan(opts.Routers, 250*sim.Millisecond, opts.Routers, scaleOffsets)
+	plan.end = plan.end.Add(opts.BatchInterval)
+	plan.batched(opts.Nodes, opts.BatchJoin, opts.BatchInterval, opts.Routers)
+	plan.settle(opts.Settle)
 
 	res := &SymRingResult{
 		Seed:         opts.Seed,
 		Routers:      opts.Routers,
 		Nodes:        opts.Nodes,
-		Shards:       eng.Shards(),
-		Workers:      eng.Workers(),
+		Shards:       f.eng.Shards(),
+		Workers:      f.eng.Workers(),
 		BatchJoin:    opts.BatchJoin,
 		WANLatencyMs: float64(opts.WANLatency) / float64(sim.Millisecond),
 		MaxProcs:     runtime.GOMAXPROCS(0),
 	}
-	for _, m := range marks {
-		eng.RunUntil(m.end)
-		res.Series = append(res.Series, record(m.end, m.joined))
+	t0 := time.Now()
+	err = f.join(members, plan, func(sp ScalePoint) {
+		p := NATPoint{
+			ScalePoint:    sp,
+			RoutableFrac:  float64(routableCount(members)) / float64(opts.Routers+sp.Joined),
+			Tunnels:       statTotal(members, "tunnel.established"),
+			UpgradeProbes: statTotal(members, "tunnel.upgrade_probes"),
+		}
+		res.Series = append(res.Series, p)
+		if opts.OnProgress != nil {
+			opts.OnProgress(p)
+		}
+	})
+	if err != nil {
+		return nil, err
 	}
-	end := t.Add(opts.Settle)
-	eng.RunUntil(end)
-	res.Series = append(res.Series, record(end, opts.Nodes))
 	res.BuildWallSec = time.Since(t0).Seconds()
 
-	// Audit the converged ring exactly as the serial harness does.
-	routable := 0
-	for _, n := range members {
-		if n.IsRoutable() {
-			routable++
-		}
-		res.TunnelsEstablished += n.Stats.Get("tunnel.established")
-		res.TunnelsUpgraded += n.Stats.Get("tunnel.upgraded")
-		res.RelaysLost += n.Stats.Get("tunnel.relay_lost")
-		res.RelaysReselected += n.Stats.Get("tunnel.relay_reselected")
-		res.UpgradeProbes += n.Stats.Get("tunnel.upgrade_probes")
-	}
-	res.RoutableFrac = float64(routable) / float64(len(members))
-	ring := append([]*brunet.Node(nil), members...)
-	sort.Slice(ring, func(i, j int) bool { return ring[i].Addr().Less(ring[j].Addr()) })
-	for i, n := range ring {
-		succ := ring[(i+1)%len(ring)]
-		c := n.ConnectionTo(succ.Addr())
-		switch {
-		case c == nil || !c.Has(brunet.StructuredNear):
-			res.MissingNear++
-		case c.Tunneled():
-			res.TunnelNear++
-		default:
-			res.DirectNear++
-		}
-	}
+	// Audit the converged ring exactly as the workstation run does.
+	res.auditRing(members)
+	res.UpgradeProbes = statTotal(members, "tunnel.upgrade_probes")
 
 	// End-to-end probes between random NATed pairs, delivered through
-	// relay-backed tunnel routes; counted via per-node route.delivered
-	// deltas (a shared closure counter would race across shards).
+	// relay-backed tunnel routes.
 	res.ProbesSent = opts.Probes
-	var del0 int64
-	for _, n := range members {
-		del0 += n.Stats.Get("route.delivered")
-	}
-	const spacing = 2 * sim.Millisecond
-	base := eng.Now()
-	for i := 0; i < opts.Probes; i++ {
-		a := int(uint32(i) * 2654435761 % uint32(len(nodes)))
-		b := int((uint32(i)*40503 + 2654435769) % uint32(len(nodes)))
-		if a == b {
-			b = (b + 1) % len(nodes)
-		}
-		src, dstAddr := nodes[a], nodes[b].Addr()
-		src.Host().Sim().At(base.Add(sim.Duration(i)*spacing), func() {
-			src.SendTo(dstAddr, brunet.DeliverExact, brunet.AppData{Proto: "nat", Size: 64})
-		})
-	}
-	eng.RunUntil(base.Add(sim.Duration(opts.Probes)*spacing + 10*sim.Second))
-	var del1 int64
-	for _, n := range members {
-		del1 += n.Stats.Get("route.delivered")
-	}
-	res.ProbesDelivered = int(del1 - del0)
-	res.EventsTotal = eng.Processed()
+	del0 := statTotal(members, "route.delivered")
+	f.runUntil(f.scheduleProbes(nodes, "nat", opts.Probes, 10*sim.Second))
+	res.ProbesDelivered = int(statTotal(members, "route.delivered") - del0)
+	res.EventsTotal = f.processed()
 	return res, nil
 }

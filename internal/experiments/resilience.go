@@ -5,10 +5,12 @@ import (
 	"math"
 	"strings"
 
+	"wow/internal/brunet"
 	"wow/internal/natsim"
 	"wow/internal/phys"
 	"wow/internal/sim"
 	"wow/internal/testbed"
+	"wow/internal/vip"
 	"wow/internal/vm"
 )
 
@@ -56,7 +58,7 @@ func RunNATRebind(seed int64, trials int) (*NATRebindResult, error) {
 	realm := net.AddRealm("home", net.Root(), nat, phys.MustParseIP("192.168.1.10"))
 	host := net.AddHost("home-host", net.AddSite("home"), realm, phys.HostConfig{})
 	home := vm.New(host, mustVIP("172.16.1.34"), vm.Spec{Name: "node034", CPUSpeed: 0.49},
-		fastBrunet(), stackCfg())
+		brunet.DefaultConfig(), vip.StackConfig{})
 	if err := home.Start(tbLike.boot); err != nil {
 		return nil, fmt.Errorf("natrebind: %w", err)
 	}
@@ -181,11 +183,12 @@ func (r *LiveMigrationResult) String() string {
 // paper's suspend-copy migration and once with live pre-copy — and
 // compares the client-visible stalls.
 func RunLiveMigration(seed int64) (*LiveMigrationResult, error) {
-	suspend, err := RunFig6(Fig6Opts{Seed: seed, FileBytes: 256 << 20})
+	opts := Fig6Opts{Seed: seed, FileBytes: 256 << 20}
+	suspend, err := runFig6(opts, (*vm.VM).Migrate)
 	if err != nil {
 		return nil, err
 	}
-	live, err := runFig6Live(Fig6Opts{Seed: seed, FileBytes: 256 << 20})
+	live, err := runFig6(opts, (*vm.VM).MigrateLive)
 	if err != nil {
 		return nil, err
 	}

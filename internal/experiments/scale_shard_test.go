@@ -54,25 +54,14 @@ func TestScaleShardedBuildConverges(t *testing.T) {
 		t.Skip("multi-hundred-node build")
 	}
 	ov, opts := buildBatched(t, 0)
-	defer ov.Engine.Close()
+	defer ov.Close()
 	if frac := ov.RoutableFrac(); frac != 1.0 {
 		t.Fatalf("routable fraction = %.3f, want 1.0", frac)
 	}
 	// Ring consistency: every node must hold a structured connection to
 	// its true clockwise successor in sorted address order.
-	byAddr := make([]*brunet.Node, len(ov.Nodes))
-	copy(byAddr, ov.Nodes)
-	sort.Slice(byAddr, func(i, j int) bool { return byAddr[i].Addr().Less(byAddr[j].Addr()) })
-	missing := 0
-	for i, n := range byAddr {
-		succ := byAddr[(i+1)%len(byAddr)]
-		c := n.ConnectionTo(succ.Addr())
-		if c == nil || !c.Has(brunet.StructuredNear) {
-			missing++
-		}
-	}
-	if missing != 0 {
-		t.Errorf("%d/%d nodes missing their ring successor link", missing, len(byAddr))
+	if missing, _, _ := ringAudit(ov.Nodes); missing != 0 {
+		t.Errorf("%d/%d nodes missing their ring successor link", missing, len(ov.Nodes))
 	}
 	if len(ov.Series) == 0 {
 		t.Error("batched build recorded no time series")
@@ -94,13 +83,13 @@ func TestScaleShardedWorkerInvariance(t *testing.T) {
 		t.Skip("multi-hundred-node build x2")
 	}
 	ov1, _ := buildBatched(t, 1)
-	total1 := ov1.Net.TotalStats()
-	sig1, stats1, ev1 := topologySignature(ov1.Nodes), total1.String(), ov1.Engine.Processed()
-	ov1.Engine.Close()
+	total1 := ov1.fab.net.TotalStats()
+	sig1, stats1, ev1 := topologySignature(ov1.Nodes), total1.String(), ov1.fab.processed()
+	ov1.Close()
 	ov4, _ := buildBatched(t, 4)
-	total4 := ov4.Net.TotalStats()
-	sig4, stats4, ev4 := topologySignature(ov4.Nodes), total4.String(), ov4.Engine.Processed()
-	ov4.Engine.Close()
+	total4 := ov4.fab.net.TotalStats()
+	sig4, stats4, ev4 := topologySignature(ov4.Nodes), total4.String(), ov4.fab.processed()
+	ov4.Close()
 	if sig1 != sig4 {
 		t.Error("converged topology depends on worker count")
 	}
@@ -154,8 +143,8 @@ func TestScaleParallelMeasurement(t *testing.T) {
 }
 
 // TestScaleBatchedUnshardedBuild: BatchJoin without Shards runs the
-// batched bootstrap on a single event queue (K=1 engine) and still
-// converges — the batching and sharding knobs are independent.
+// batched plan on a single event queue and still converges — the batching
+// and sharding knobs are independent.
 func TestScaleBatchedUnshardedBuild(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-hundred-node build")
@@ -171,7 +160,7 @@ func TestScaleBatchedUnshardedBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ov.Engine.Close()
+	defer ov.Close()
 	if frac := ov.RoutableFrac(); frac != 1.0 {
 		t.Fatalf("routable fraction = %.3f, want 1.0", frac)
 	}

@@ -19,7 +19,8 @@ type Table2Opts struct {
 	Sizes []int64
 	// Repeats per size; the paper ran 12 transfers total per cell.
 	Repeats int
-	// Routers / PlanetLabHosts size the bootstrap overlay.
+	// Routers / PlanetLabHosts size the bootstrap overlay; zero takes the
+	// testbed's defaults (the paper's 118 routers on 20 hosts).
 	Routers, PlanetLabHosts int
 }
 
@@ -29,12 +30,6 @@ func (o *Table2Opts) fillDefaults() {
 	}
 	if o.Repeats == 0 {
 		o.Repeats = 4 // 4 × 3 sizes = 12 transfers per cell, as in the paper
-	}
-	if o.Routers == 0 {
-		o.Routers = 118
-	}
-	if o.PlanetLabHosts == 0 {
-		o.PlanetLabHosts = 20
 	}
 }
 
@@ -69,7 +64,8 @@ func (r *Table2Result) String() string {
 	b.WriteString("Table II: ttcp bandwidth between WOW nodes (KB/s)\n")
 	fmt.Fprintf(&b, "%-10s %22s %22s\n", "", "shortcuts enabled", "shortcuts disabled")
 	fmt.Fprintf(&b, "%-10s %10s %11s %10s %11s\n", "scenario", "mean", "std", "mean", "std")
-	for _, sc := range []string{"UFL-UFL", "UFL-NWU"} {
+	for _, p := range table2Pairs {
+		sc := p.scenario
 		on := r.Cell(sc, true)
 		off := r.Cell(sc, false)
 		if on == nil || off == nil {
@@ -80,12 +76,13 @@ func (r *Table2Result) String() string {
 	return b.String()
 }
 
-// table2Pairs maps scenarios to (sender, receiver) Table I nodes.
-func table2Pairs() map[string][2]string {
-	return map[string][2]string{
-		"UFL-UFL": {"node003", "node004"},
-		"UFL-NWU": {"node003", "node017"},
-	}
+// table2Pairs lists the scenarios with their (sender, receiver) Table I
+// nodes in measurement order. The order is part of the experiment: both
+// scenarios of a leg share one testbed, so the second one's warm-up and
+// transfers run on an overlay the first has already aged.
+var table2Pairs = []struct{ scenario, src, dst string }{
+	{"UFL-UFL", "node003", "node004"},
+	{"UFL-NWU", "node003", "node017"},
 }
 
 // RunTable2 reproduces Table II: repeated ttcp bulk transfers between WOW
@@ -121,57 +118,42 @@ func RunTable2(opts Table2Opts) (*Table2Result, error) {
 // runTable2Leg measures both scenarios under one shortcut setting.
 func runTable2Leg(opts Table2Opts, shortcuts bool) ([]Table2Cell, error) {
 	var cells []Table2Cell
-	{
-		tb := testbed.Build(testbed.Config{
-			Seed:           opts.Seed,
-			Shortcuts:      shortcuts,
-			Routers:        opts.Routers,
-			PlanetLabHosts: opts.PlanetLabHosts,
-			SettleTime:     5 * sim.Minute,
-		})
-		for scenario, pair := range table2Pairs() {
-			src := tb.VM(pair[0])
-			dst := tb.VM(pair[1])
-			if err := workloads.TTCPServe(dst.Stack()); err != nil {
-				return nil, fmt.Errorf("table2: %w", err)
-			}
-			if shortcuts {
-				// Warm the path so measurements reflect the
-				// steady state with a formed shortcut, as the
-				// paper's post-adaptation numbers do. UFL-UFL
-				// needs ~175 s: the linker burns through the
-				// hairpin-blocked public URI first (§V-B).
-				warm := tb.Sim.Tick(sim.Second, 0, func() {
-					src.Stack().Ping(dst.IP(), 64, 2*sim.Second, func(bool, sim.Duration) {})
-				})
-				tb.Sim.RunFor(5 * sim.Minute)
-				warm.Stop()
-			}
-			var bws []float64
-			for _, size := range opts.Sizes {
-				for rep := 0; rep < opts.Repeats; rep++ {
-					done := false
-					workloads.TTCP(src.Stack(), dst.IP(), size, func(r workloads.TTCPResult) {
-						if r.Completed {
-							bws = append(bws, r.BandwidthKBs())
-						}
-						done = true
-					})
-					for !done {
-						tb.Sim.RunFor(sim.Minute)
-					}
-					tb.Sim.RunFor(10 * sim.Second)
-				}
-			}
-			s := metrics.Summarize(bws)
-			cells = append(cells, Table2Cell{
-				Scenario:  scenario,
-				Shortcuts: shortcuts,
-				MeanKBs:   s.Mean,
-				StdKBs:    s.Std,
-				Transfers: s.N,
-			})
+	tb := testbed.Build(testbed.Config{
+		Seed:           opts.Seed,
+		Shortcuts:      shortcuts,
+		Routers:        opts.Routers,
+		PlanetLabHosts: opts.PlanetLabHosts,
+		SettleTime:     5 * sim.Minute,
+	})
+	for _, p := range table2Pairs {
+		src, dst := tb.VM(p.src), tb.VM(p.dst)
+		if err := workloads.TTCPServe(dst.Stack()); err != nil {
+			return nil, fmt.Errorf("table2: %w", err)
 		}
+		if shortcuts {
+			// Measure the steady state with a formed shortcut, as the
+			// paper's post-adaptation numbers do. UFL-UFL needs ~175 s:
+			// the linker burns through the hairpin-blocked public URI
+			// first (§V-B).
+			warmPath(tb.Sim, src, dst, 5*sim.Minute)
+		}
+		var bws []float64
+		for _, size := range opts.Sizes {
+			for rep := 0; rep < opts.Repeats; rep++ {
+				if r := runTTCP(tb.Sim, src, dst, size); r.Completed {
+					bws = append(bws, r.BandwidthKBs())
+				}
+				tb.Sim.RunFor(10 * sim.Second)
+			}
+		}
+		s := metrics.Summarize(bws)
+		cells = append(cells, Table2Cell{
+			Scenario:  p.scenario,
+			Shortcuts: shortcuts,
+			MeanKBs:   s.Mean,
+			StdKBs:    s.Std,
+			Transfers: s.N,
+		})
 	}
 	return cells, nil
 }

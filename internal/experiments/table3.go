@@ -17,19 +17,14 @@ type Table3Opts struct {
 	// Workload shapes the phylogenetic inference run; zero takes the
 	// paper's 50-taxa dataset.
 	Workload workloads.FastDNAmlConfig
-	// Routers / PlanetLabHosts size the overlay.
+	// Routers / PlanetLabHosts size the overlay; zero takes the testbed's
+	// defaults (the paper's 118 routers on 20 hosts).
 	Routers, PlanetLabHosts int
 }
 
 func (o *Table3Opts) fillDefaults() {
 	if o.Workload.Taxa == 0 {
 		o.Workload = workloads.DefaultFastDNAml()
-	}
-	if o.Routers == 0 {
-		o.Routers = 118
-	}
-	if o.PlanetLabHosts == 0 {
-		o.PlanetLabHosts = 20
 	}
 }
 

@@ -114,8 +114,8 @@ func TestGoldenSeedGrayTrace(t *testing.T) {
 
 // TestQuickGrayTraceEquivalence extends the sharded-equivalence property
 // to the flight recorder: the merged trace stream is byte-identical
-// between the serial engine and the 1-shard parallel engine, and between
-// worker counts of a multi-shard run. (Across shard counts the stream —
+// between Shards 0 and the explicit one-shard run, and between worker
+// counts of a multi-shard run. (Across shard counts the stream —
 // like the run itself — is a distinct deterministic execution; see
 // TestQuickGrayShardedEquivalence.)
 func TestQuickGrayTraceEquivalence(t *testing.T) {
@@ -139,11 +139,11 @@ func TestQuickGrayTraceEquivalence(t *testing.T) {
 	}
 	f := func(rawSeed uint8) bool {
 		seed := int64(rawSeed)%5 + 1
-		serial := stream(seed, 0, 0)
+		zero := stream(seed, 0, 0)
 		one := stream(seed, 1, 1)
-		if !bytes.Equal(serial, one) {
-			t.Logf("seed %d: serial and 1-shard trace streams differ; %s",
-				seed, diffLine(string(serial), string(one)))
+		if !bytes.Equal(zero, one) {
+			t.Logf("seed %d: Shards 0 and 1 trace streams differ; %s",
+				seed, diffLine(string(zero), string(one)))
 			return false
 		}
 		two1 := stream(seed, 2, 1)
