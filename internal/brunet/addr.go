@@ -9,9 +9,11 @@ package brunet
 
 import (
 	"crypto/sha1"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 )
 
@@ -54,18 +56,72 @@ func RandomAddr(rng *rand.Rand) Addr {
 	return a
 }
 
+// words loads a as three big-endian machine words — bits 159..96, 95..32
+// and 31..0 — the form all ring arithmetic below computes on. Addr itself
+// stays a byte array: it is a map key, a hash input and a wire field, and
+// [20]byte is 20 bytes where three words would pad to 24.
+func words(a *Addr) (hi, mid uint64, lo uint32) {
+	return binary.BigEndian.Uint64(a[0:8]), binary.BigEndian.Uint64(a[8:16]), binary.BigEndian.Uint32(a[16:20])
+}
+
+// fromWords is the inverse of words.
+func fromWords(hi, mid uint64, lo uint32) (a Addr) {
+	binary.BigEndian.PutUint64(a[0:8], hi)
+	binary.BigEndian.PutUint64(a[8:16], mid)
+	binary.BigEndian.PutUint32(a[16:20], lo)
+	return a
+}
+
+// subWords returns (a - b) mod 2^160 in words.
+func subWords(a, b *Addr) (hi, mid uint64, lo uint32) {
+	ah, am, al := words(a)
+	bh, bm, bl := words(b)
+	lo, borrow32 := bits.Sub32(al, bl, 0)
+	mid, borrow := bits.Sub64(am, bm, uint64(borrow32))
+	hi, _ = bits.Sub64(ah, bh, borrow)
+	return hi, mid, lo
+}
+
+// ringDistWords returns the bidirectional ring distance between a and b in
+// words: the clockwise distance, or its ring complement when the top bit
+// says it is 2^159 or more (the two sum to 2^160, so the other way round
+// is then no longer).
+func ringDistWords(a, b *Addr) (hi, mid uint64, lo uint32) {
+	hi, mid, lo = subWords(b, a)
+	if hi>>63 != 0 {
+		hi, mid, lo = subWords(a, b)
+	}
+	return hi, mid, lo
+}
+
+// cmpWords three-way-compares two 160-bit values given in words.
+func cmpWords(ah, am uint64, al uint32, bh, bm uint64, bl uint32) int {
+	switch {
+	case ah != bh:
+		if ah < bh {
+			return -1
+		}
+		return 1
+	case am != bm:
+		if am < bm {
+			return -1
+		}
+		return 1
+	case al != bl:
+		if al < bl {
+			return -1
+		}
+		return 1
+	}
+	return 0
+}
+
 // Cmp compares addresses as 160-bit big-endian unsigned integers,
 // returning -1, 0 or 1.
 func (a Addr) Cmp(b Addr) int {
-	for i := 0; i < AddrBytes; i++ {
-		switch {
-		case a[i] < b[i]:
-			return -1
-		case a[i] > b[i]:
-			return 1
-		}
-	}
-	return 0
+	ah, am, al := words(&a)
+	bh, bm, bl := words(&b)
+	return cmpWords(ah, am, al, bh, bm, bl)
 }
 
 // Less reports a < b in address order.
@@ -73,32 +129,16 @@ func (a Addr) Less(b Addr) bool { return a.Cmp(b) < 0 }
 
 // addModRing returns (a + b) mod 2^160.
 func addModRing(a, b Addr) Addr {
-	var out Addr
-	carry := 0
-	for i := AddrBytes - 1; i >= 0; i-- {
-		s := int(a[i]) + int(b[i]) + carry
-		out[i] = byte(s)
-		carry = s >> 8
-	}
-	return out
+	ah, am, al := words(&a)
+	bh, bm, bl := words(&b)
+	lo := uint64(al) + uint64(bl)
+	mid, carry := bits.Add64(am, bm, lo>>32)
+	hi, _ := bits.Add64(ah, bh, carry)
+	return fromWords(hi, mid, uint32(lo))
 }
 
 // subModRing returns (a - b) mod 2^160.
-func subModRing(a, b Addr) Addr {
-	var out Addr
-	borrow := 0
-	for i := AddrBytes - 1; i >= 0; i-- {
-		d := int(a[i]) - int(b[i]) - borrow
-		if d < 0 {
-			d += 256
-			borrow = 1
-		} else {
-			borrow = 0
-		}
-		out[i] = byte(d)
-	}
-	return out
-}
+func subModRing(a, b Addr) Addr { return fromWords(subWords(&a, &b)) }
 
 // Clockwise returns the clockwise (increasing-address) ring distance from a
 // to b: (b - a) mod 2^160.
@@ -107,14 +147,7 @@ func (a Addr) Clockwise(b Addr) Addr { return subModRing(b, a) }
 // RingDist returns the bidirectional ring distance between a and b: the
 // smaller of the clockwise and counter-clockwise distances. Greedy routing
 // minimizes this metric, per §IV-A.
-func (a Addr) RingDist(b Addr) Addr {
-	cw := subModRing(b, a)
-	ccw := subModRing(a, b)
-	if cw.Cmp(ccw) <= 0 {
-		return cw
-	}
-	return ccw
-}
+func (a Addr) RingDist(b Addr) Addr { return fromWords(ringDistWords(&a, &b)) }
 
 // CmpClockwise three-way-compares the clockwise distances from origin o to
 // a and to b — the comparison `o.Clockwise(a).Cmp(o.Clockwise(b))` without
@@ -134,25 +167,13 @@ func (o Addr) CmpClockwise(a, b Addr) int {
 }
 
 // CmpRingDist three-way-compares the bidirectional ring distances from dst
-// to a and to b — `a.RingDist(dst).Cmp(b.RingDist(dst))` without heap
-// traffic: each distance is computed into a stack value and reduced to its
-// ring minimum by the top-bit test (a clockwise distance ≥ 2^159 means the
-// counter-clockwise direction is shorter, and the two representations sum
-// to 2^160). Greedy routing's inner loop runs on this comparator.
+// to a and to b — `a.RingDist(dst).Cmp(b.RingDist(dst))` on six machine
+// words, neither distance ever stored as an address. Greedy routing's inner
+// loop runs on this comparator.
 func (dst Addr) CmpRingDist(a, b Addr) int {
-	da := ringDist(a, dst)
-	db := ringDist(b, dst)
-	return da.Cmp(db)
-}
-
-// ringDist is RingDist with the minimum taken by the top-bit test instead
-// of a second subtraction plus comparison.
-func ringDist(a, dst Addr) Addr {
-	d := subModRing(dst, a)
-	if d[0] >= 0x80 { // d ≥ 2^159: the other way round is no longer
-		d = subModRing(a, dst)
-	}
-	return d
+	ah, am, al := ringDistWords(&a, &dst)
+	bh, bm, bl := ringDistWords(&b, &dst)
+	return cmpWords(ah, am, al, bh, bm, bl)
 }
 
 // Between reports whether x lies strictly within the clockwise arc from a
@@ -170,11 +191,7 @@ func (a Addr) Offset(offset Addr) Addr { return addModRing(a, offset) }
 // Float64 maps the address to [0, 1) with ~52 bits of precision; used by
 // the Kleinberg far-connection sampler.
 func (a Addr) Float64() float64 {
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v = v<<8 | uint64(a[i])
-	}
-	return float64(v) / math.Exp2(64)
+	return float64(binary.BigEndian.Uint64(a[:8])) / math.Exp2(64)
 }
 
 // AddrFromFloat maps u in [0, 1) to an address (inverse of Float64, with
@@ -186,13 +203,7 @@ func AddrFromFloat(u float64) Addr {
 	if u >= 1 {
 		u = math.Nextafter(1, 0)
 	}
-	v := uint64(u * math.Exp2(64))
-	var a Addr
-	for i := 7; i >= 0; i-- {
-		a[i] = byte(v)
-		v >>= 8
-	}
-	return a
+	return fromWords(uint64(u*math.Exp2(64)), 0, 0)
 }
 
 // KleinbergOffset samples a clockwise ring offset with probability density

@@ -245,7 +245,7 @@ func (c *Connection) String() string {
 // one. It returns the connection. stream is non-nil for TCP-transport
 // links.
 func (n *Node) addConnection(peer Addr, ep phys.Endpoint, stream *phys.Stream, uris []URI, t ConnType) *Connection {
-	c, ok := n.conns[peer]
+	c, ok := n.lookup(peer)
 	if !ok {
 		c = &Connection{
 			Peer:      peer,
@@ -254,7 +254,6 @@ func (n *Node) addConnection(peer Addr, ep phys.Endpoint, stream *phys.Stream, u
 			node:      n,
 			lastHeard: n.sim.Now(),
 		}
-		n.conns[peer] = c
 		n.table.insert(c)
 		n.Stats.Inc("conn.created", 1)
 		n.watchStream(c)
@@ -281,9 +280,7 @@ func (n *Node) addConnection(peer Addr, ep phys.Endpoint, stream *phys.Stream, u
 		c.URIs = uris
 	}
 	n.addRole(c, t)
-	if c.structured() {
-		n.ring.insert(c)
-	}
+	n.ringInsert(c)
 	n.notifyConn(c)
 	return c
 }
@@ -294,7 +291,7 @@ func (n *Node) addConnection(peer Addr, ep phys.Endpoint, stream *phys.Stream, u
 // the role is added (the peer's tunnel state is transient and its own
 // upgrade probe will converge on the direct edge).
 func (n *Node) addTunnelConnection(peer Addr, relays []Addr, uris []URI, t ConnType) *Connection {
-	c, ok := n.conns[peer]
+	c, ok := n.lookup(peer)
 	if !ok {
 		c = &Connection{
 			Peer:      peer,
@@ -304,7 +301,6 @@ func (n *Node) addTunnelConnection(peer Addr, relays []Addr, uris []URI, t ConnT
 		for _, r := range relays {
 			c.addRelay(r)
 		}
-		n.conns[peer] = c
 		n.table.insert(c)
 		n.Stats.Inc("conn.created", 1)
 		n.Stats.Inc("tunnel.established", 1)
@@ -321,9 +317,7 @@ func (n *Node) addTunnelConnection(peer Addr, relays []Addr, uris []URI, t ConnT
 		c.URIs = uris
 	}
 	n.addRole(c, t)
-	if c.structured() {
-		n.ring.insert(c)
-	}
+	n.ringInsert(c)
 	n.notifyConn(c)
 	return c
 }
@@ -337,7 +331,7 @@ func (n *Node) watchStream(c *Connection) {
 	}
 	st := c.Stream
 	st.OnClose(func(err error) {
-		if !c.closed && n.conns[c.Peer] == c && c.Stream == st {
+		if !c.closed && c.Stream == st {
 			n.Stats.Inc("conn.stream_closed", 1)
 			n.dropConnection(c, false, "stream")
 		}
@@ -392,7 +386,7 @@ func (n *Node) bestRelay(c *Connection) *Connection {
 	var best, active *Connection
 	var bestScore, activeScore sim.Duration
 	for _, r := range c.Relays {
-		rc, ok := n.conns[r]
+		rc, ok := n.lookup(r)
 		if !ok || rc.closed || rc.Tunneled() {
 			continue
 		}
@@ -445,9 +439,8 @@ func (n *Node) dropConnection(c *Connection, sendClose bool, reason string) {
 	c.closed = true
 	c.dropReason = reason
 	c.pingTimer.Cancel()
-	n.ring.remove(c)
+	n.ringRemove(c)
 	n.table.remove(c)
-	delete(n.conns, c.Peer)
 	n.uncountRoles(c)
 	n.countDrop(reason)
 	if sendClose && n.up {
@@ -464,7 +457,10 @@ func (n *Node) dropConnection(c *Connection, sendClose bool, reason string) {
 }
 
 // ConnectionTo returns the connection to peer, or nil.
-func (n *Node) ConnectionTo(peer Addr) *Connection { return n.conns[peer] }
+func (n *Node) ConnectionTo(peer Addr) *Connection {
+	c, _ := n.lookup(peer)
+	return c
+}
 
 // touch refreshes liveness state on any traffic from the peer. Traffic
 // arriving while the detector had escalated (a ping round in retry, or a
@@ -629,15 +625,15 @@ func (n *Node) forwardClose(dead Addr) {
 	if !n.up {
 		return
 	}
-	// One boxed message for every neighbor. The address-ordered table keeps
-	// the send order — and with it the substrate's RNG draws — a function
-	// of the seed; map order would reshuffle both from run to run.
+	// One boxed message for every neighbor, sent in the table's address
+	// order, which keeps the send order — and with it the substrate's RNG
+	// draws — a function of the seed.
 	var msg any = suspectMsg{From: n.addr, Dead: dead}
-	for _, c := range n.table {
-		if !c.structured() {
+	for _, s := range n.table.slots {
+		if !s.c.structured() {
 			continue
 		}
-		n.sendConn(c, pingMsgSize, msg)
+		n.sendConn(s.c, pingMsgSize, msg)
 		n.Stats.Inc("close.forwarded", 1)
 	}
 }
@@ -647,10 +643,10 @@ func (n *Node) forwardClose(dead Addr) {
 // connections participate only on exact address match, since leaf children
 // are not ring routers. An exact-match structured connection has ring
 // distance zero and always wins, so both exact-match cases reduce to one
-// map probe; the general case is the ring index's O(log c) search. (The
+// table lookup; the general case is the ring index's O(log c) search. (The
 // brute-force oracle it must agree with lives in oracle_test.go.)
 func (n *Node) nearestConn(dst Addr, exclude Addr) *Connection {
-	if c, ok := n.conns[dst]; ok && dst != exclude && c.roles&(structuredRoles|maskOf(Leaf)) != 0 {
+	if c, ok := n.lookup(dst); ok && dst != exclude && c.roles&(structuredRoles|maskOf(Leaf)) != 0 {
 		return c
 	}
 	return n.ring.nearest(dst, exclude)

@@ -1,8 +1,6 @@
 package brunet
 
 import (
-	"encoding/binary"
-
 	"wow/internal/sim"
 	"wow/internal/trace"
 )
@@ -53,8 +51,8 @@ func (n *Node) EnableTrace(tr *trace.Tracer) {
 // distTop64 reduces the ring distance from a to dst to its top 64 bits —
 // the compact progress metric hop records carry.
 func distTop64(a, dst Addr) uint64 {
-	d := ringDist(a, dst)
-	return binary.BigEndian.Uint64(d[:8])
+	hi, _, _ := ringDistWords(&a, &dst)
+	return hi
 }
 
 // flightSample applies the deterministic 1-in-N sampling rule to one
@@ -82,7 +80,7 @@ func (n *Node) flightSample(pkt *OverlayPacket) {
 		Node:   f.nodeID,
 		Trace:  h,
 		Kind:   trace.KindOrigin,
-		Cands:  len(n.ring.conns),
+		Cands:  len(n.ring.slots),
 		Dist:   distTop64(n.addr, pkt.Dst),
 		Src:    pkt.Src.FullString(),
 		Dst:    pkt.Dst.FullString(),
@@ -125,7 +123,7 @@ func (n *Node) flightHop(pkt *OverlayPacket, best *Connection) {
 		Kind:   kind,
 		Next:   best.Peer.FullString(),
 		Via:    via,
-		Cands:  len(n.ring.conns),
+		Cands:  len(n.ring.slots),
 		Dist:   distTop64(best.Peer, pkt.Dst),
 	})
 }
@@ -168,8 +166,8 @@ func (n *Node) flightHealthTick() {
 	}
 	var srtt, rttvar, rto sim.Duration
 	measured := 0
-	// Only sums leave the loop, so map iteration order cannot matter.
-	for _, c := range n.conns {
+	for _, s := range n.table.slots {
+		c := s.c
 		if c.Tunneled() {
 			rec.Tunnels++
 		}

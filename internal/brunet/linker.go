@@ -70,7 +70,7 @@ func (n *Node) launchLinker(target Addr, uris []URI, relays []Addr, t ConnType, 
 	if len(uris) == 0 && len(relays) == 0 {
 		return
 	}
-	if c, ok := n.conns[target]; ok && c.Has(t) && !upgrade {
+	if c, ok := n.lookup(target); ok && c.Has(t) && !upgrade {
 		return // already linked in this role
 	}
 	if _, active := n.linkers[target]; active {
@@ -158,7 +158,7 @@ func (lk *linker) sendRequest() {
 		// current relay. A relay we no longer hold a direct connection
 		// to is skipped immediately.
 		relay := lk.relays[lk.uriIdx]
-		rc, ok := n.conns[relay]
+		rc, ok := n.lookup(relay)
 		if !ok || rc.closed || rc.Tunneled() {
 			lk.uriIdx++
 			lk.attempt = 0
@@ -287,7 +287,7 @@ func (n *Node) handleLinkRequest(w wire, req linkRequest) {
 		// upgrade probing livelocks, the smaller-address side forever
 		// "winning" races its own dials cannot cash in.
 		directUpgrade := false
-		if c, ok := n.conns[req.From]; ok && c.Tunneled() && !w.isTunnel() {
+		if c, ok := n.lookup(req.From); ok && c.Tunneled() && !w.isTunnel() {
 			directUpgrade = true
 		}
 		if n.addr.Less(req.From) && !directUpgrade {
@@ -345,7 +345,7 @@ func (n *Node) handleLinkReply(w wire, rep linkReply) {
 	}
 	if !ok || lk.token != rep.Token {
 		// Duplicate or stale reply; refresh liveness if connected.
-		if c, live := n.conns[rep.From]; live {
+		if c, live := n.lookup(rep.From); live {
 			n.touch(c)
 		}
 		return
@@ -410,7 +410,7 @@ func (n *Node) handleLinkError(rep linkError) {
 			if !n.up {
 				return
 			}
-			if c, ok := n.conns[target]; ok && c.Has(ctype) {
+			if c, ok := n.lookup(target); ok && c.Has(ctype) {
 				if !c.Tunneled() {
 					n.busyRetry[target] = 0
 					return // the peer's attempt won after all

@@ -242,14 +242,14 @@ func TestAdaptiveDetectsFaster(t *testing.T) {
 func TestBestRelayScoringHysteresisFailover(t *testing.T) {
 	cfg := FastTestConfig()
 	cfg.fillDefaults()
-	n := &Node{cfg: cfg, conns: map[Addr]*Connection{}}
+	n := &Node{cfg: cfg}
 	mkRelay := func(name string, srttMs int, load int) *Connection {
 		rc := &Connection{Peer: AddrFromString(name), roles: maskOf(StructuredNear)}
 		if srttMs > 0 {
 			rc.observeRTT(sim.Duration(srttMs) * sim.Millisecond)
 		}
 		rc.peerLoad = load
-		n.conns[rc.Peer] = rc
+		n.table.insert(rc)
 		return rc
 	}
 	fast := mkRelay("fast", 10, 0)
@@ -293,7 +293,7 @@ func TestBestRelayScoringHysteresisFailover(t *testing.T) {
 	}
 
 	// The active relay dying fails over instantly to the survivor.
-	delete(n.conns, slow.Peer)
+	n.table.remove(slow)
 	if got := n.bestRelay(tun); got != fast {
 		t.Fatalf("failover picked %v, want fast", got)
 	}
@@ -302,7 +302,7 @@ func TestBestRelayScoringHysteresisFailover(t *testing.T) {
 	}
 
 	// No live relays at all.
-	delete(n.conns, fast.Peer)
+	n.table.remove(fast)
 	if got := n.bestRelay(tun); got != nil {
 		t.Fatalf("bestRelay with no relays = %v, want nil", got)
 	}
@@ -314,7 +314,7 @@ func TestBestRelayScoringHysteresisFailover(t *testing.T) {
 func TestRelayScoreDefaults(t *testing.T) {
 	cfg := FastTestConfig()
 	cfg.fillDefaults()
-	n := &Node{cfg: cfg, conns: map[Addr]*Connection{}}
+	n := &Node{cfg: cfg}
 	unmeasured := &Connection{Peer: AddrFromString("x")}
 	if got := n.relayScore(unmeasured); got != cfg.PingTimeout {
 		t.Fatalf("unmeasured score = %v, want PingTimeout %v", got, cfg.PingTimeout)

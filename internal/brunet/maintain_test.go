@@ -76,7 +76,7 @@ func TestAllocFreeMaintenance(t *testing.T) {
 	s, nodes := buildZeroLatencyRing(t, 13, 64)
 	n := settledNode(t, nodes)
 	var c *Connection
-	for _, cand := range n.table {
+	for _, cand := range n.Connections() {
 		if cand.Has(StructuredNear) && !cand.Tunneled() && cand.Stream == nil {
 			c = cand
 			break

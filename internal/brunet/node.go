@@ -257,13 +257,12 @@ type Node struct {
 	sock *phys.UDPSock
 	up   bool
 
-	// conns, table and ring are the connection table (see table.go):
-	// lookup by peer, every live connection in address order, and the
-	// structured subset in ring order. roleCount[t] is the number of live
+	// table and ring are the connection table (see table.go): every live
+	// connection in address order, and the structured subset in ring order
+	// from this node's address. roleCount[t] is the number of live
 	// connections carrying role t.
-	conns     map[Addr]*Connection
-	table     addrIndex
-	ring      ringIndex
+	table     connIndex
+	ring      connIndex
 	roleCount [numConnTypes]int
 	linkers   map[Addr]*linker
 	busyRetry map[Addr]int
@@ -380,12 +379,11 @@ func NewNode(host *phys.Host, addr Addr, cfg Config) *Node {
 		host:      host,
 		sim:       host.Sim(),
 		cfg:       cfg,
-		conns:     make(map[Addr]*Connection),
 		linkers:   make(map[Addr]*linker),
 		busyRetry: make(map[Addr]int),
 		handlers:  make(map[string]func(src Addr, d AppData)),
 	}
-	n.ring.reset(addr)
+	n.ring.origin = addr
 	if cfg.JitterSeed != 0 {
 		h := fnv.New64a()
 		h.Write(addr[:])
@@ -623,18 +621,18 @@ func (n *Node) Stop() {
 	for _, lk := range n.linkers {
 		lk.finish(false)
 	}
-	for _, c := range n.table {
+	for _, s := range n.table.slots {
+		c := s.c
 		c.pingTimer.Cancel()
 		c.closed = true
+		c.inRing = false
 		if c.Stream != nil {
 			c.Stream.Close()
 		}
-		delete(n.conns, c.Peer)
 	}
-	clear(n.table)
-	n.table = n.table[:0]
+	n.table.reset()
+	n.ring.reset()
 	n.roleCount = [numConnTypes]int{}
-	n.ring.reset(n.addr)
 	n.sock.Close()
 	if n.slisten != nil {
 		n.slisten.Close()
@@ -660,9 +658,9 @@ func (n *Node) Leave() {
 	// The handoff names every near neighbor the node had on entry, also
 	// those this loop has dropped by the time a later one is told.
 	nears := make([]*Connection, 0, n.roleCount[StructuredNear])
-	for _, c := range n.table {
-		if c.Has(StructuredNear) {
-			nears = append(nears, c)
+	for _, s := range n.table.slots {
+		if s.c.Has(StructuredNear) {
+			nears = append(nears, s.c)
 		}
 	}
 	for _, c := range nears {
@@ -755,7 +753,7 @@ func (n *Node) replyTo(w wire, size int, payload any) {
 		return
 	}
 	if w.isTunnel() {
-		rc, ok := n.conns[w.tvia]
+		rc, ok := n.lookup(w.tvia)
 		if !ok || rc.closed || rc.Tunneled() {
 			n.Stats.Inc("tunnel.noreturn", 1)
 			return
@@ -803,13 +801,13 @@ func (n *Node) handleWire(w wire, payload any) {
 		n.handleLinkError(m)
 	case *pingMsg:
 		if m.Pong {
-			if c, ok := n.conns[m.From]; ok {
+			if c, ok := n.lookup(m.From); ok {
 				n.handlePong(c, m)
 			}
 			n.releasePing(m)
 			return
 		}
-		c, ok := n.conns[m.From]
+		c, ok := n.lookup(m.From)
 		if !ok {
 			// A ping for a connection we no longer hold — the
 			// sender's state is stale (we timed it out after its
@@ -832,7 +830,7 @@ func (n *Node) handleWire(w wire, payload any) {
 		m.From, m.Pong, m.Load = n.addr, true, n.relayLoad()
 		n.replyTo(w, pingMsgSize, m)
 	case closeMsg:
-		if c, ok := n.conns[m.From]; ok {
+		if c, ok := n.lookup(m.From); ok {
 			n.dropConnection(c, false, "peer_close")
 		}
 	case leaveMsg:
@@ -846,14 +844,14 @@ func (n *Node) handleWire(w wire, payload any) {
 			n.tun.noRoute(m.Relay, m.To)
 		}
 	case statusMsg:
-		if c, ok := n.conns[m.From]; ok {
+		if c, ok := n.lookup(m.From); ok {
 			n.touch(c)
 		}
 		if n.near != nil {
 			n.near.handleStatus(m)
 		}
 	case *OverlayPacket:
-		if c, ok := n.conns[m.Src]; ok {
+		if c, ok := n.lookup(m.Src); ok {
 			n.touch(c)
 		}
 		n.routePacket(m, m.Src)
@@ -992,11 +990,12 @@ func (n *Node) deliverApp(src Addr, m AppData) {
 // tunnel through.
 func (n *Node) relayCandidates() []NeighborInfo {
 	max := n.cfg.TunnelMaxRelays
-	if max <= 0 || len(n.conns) == 0 {
+	if max <= 0 || len(n.table.slots) == 0 {
 		return nil
 	}
 	out := make([]NeighborInfo, 0, max)
-	for _, c := range n.table {
+	for _, s := range n.table.slots {
+		c := s.c
 		if c.Tunneled() {
 			continue
 		}
@@ -1028,9 +1027,9 @@ func (n *Node) sendCTM(target Addr, t ConnType, mode DeliveryMode, replyVia Addr
 		Payload: req,
 	}
 	n.Stats.Inc("ctm.sent", 1)
-	if replyVia != (Addr{}) && len(n.conns) > 0 {
+	if replyVia != (Addr{}) && len(n.table.slots) > 0 {
 		// Joining: hand the packet to the leaf target to route.
-		if c, ok := n.conns[replyVia]; ok {
+		if c, ok := n.lookup(replyVia); ok {
 			pkt.Hops++
 			n.sendConn(c, pkt.Size, pkt)
 			return
@@ -1069,7 +1068,7 @@ func (n *Node) handleCTMRequest(pkt *OverlayPacket, req ctmRequest, exact bool) 
 	// Responder-side linking. A CTM from a peer we only hold a tunnel to
 	// doubles as an upgrade probe: re-run direct linking with the fresh
 	// URIs the CTM carries (both sides do, which is what punches holes).
-	if c, ok := n.conns[req.From]; ok && c.Tunneled() {
+	if c, ok := n.lookup(req.From); ok && c.Tunneled() {
 		n.startUpgradeLinker(req.From, c.upgradeURIs(req.URIs), req.Type)
 	} else {
 		n.startLinker(req.From, req.URIs, req.Type)
@@ -1118,7 +1117,7 @@ func (n *Node) handleCTMReply(rep ctmReply) {
 	if n.tun != nil {
 		n.tun.learnCandidates(rep.From, rep.URIs, rep.Relays)
 	}
-	if c, ok := n.conns[rep.From]; ok && c.Tunneled() {
+	if c, ok := n.lookup(rep.From); ok && c.Tunneled() {
 		n.startUpgradeLinker(rep.From, c.upgradeURIs(rep.URIs), rep.Type)
 		return
 	}
@@ -1132,7 +1131,7 @@ func (n *Node) handleCTMReply(rep ctmReply) {
 // receive the same introduction and both initiate, which is what lets the
 // handoff traverse NATs (bidirectional linking, as with CTMs).
 func (n *Node) handleLeave(m leaveMsg) {
-	if c, ok := n.conns[m.From]; ok {
+	if c, ok := n.lookup(m.From); ok {
 		n.dropConnection(c, false, "peer_leave")
 	}
 	n.Stats.Inc("handoff.received", 1)
@@ -1140,7 +1139,7 @@ func (n *Node) handleLeave(m leaveMsg) {
 		if info.Addr == n.addr || len(info.URIs) == 0 {
 			continue
 		}
-		if _, ok := n.conns[info.Addr]; ok {
+		if _, ok := n.lookup(info.Addr); ok {
 			continue
 		}
 		if n.near != nil && n.near.wanted(info.Addr) {
@@ -1159,7 +1158,7 @@ func (n *Node) handleSuspect(m suspectMsg) {
 	if m.Dead == n.addr {
 		return
 	}
-	if c, ok := n.conns[m.Dead]; ok {
+	if c, ok := n.lookup(m.Dead); ok {
 		n.fastProbe(c)
 	}
 	// A suspect that serves as a tunnel relay gets its tunnels
@@ -1186,7 +1185,7 @@ func (n *Node) linkFailed(target Addr, t ConnType, reason string) {
 // tunnels never nest (no relay cycles, bounded path length of two hops).
 func (n *Node) handleTunnelFrame(w wire, f tunnelFrame) {
 	if f.To != n.addr {
-		c, ok := n.conns[f.To]
+		c, ok := n.lookup(f.To)
 		if !ok || c.closed || c.Tunneled() {
 			n.Stats.Inc("tunnel.relay_noroute", 1)
 			if n.flight != nil {
@@ -1196,13 +1195,13 @@ func (n *Node) handleTunnelFrame(w wire, f tunnelFrame) {
 			}
 			// Bounce: tell the originator this relay has no direct route
 			// to To, so it fails over now rather than at ping timeout.
-			if oc, live := n.conns[f.From]; live && !oc.closed && !oc.Tunneled() {
+			if oc, live := n.lookup(f.From); live && !oc.closed && !oc.Tunneled() {
 				n.sendConn(oc, pingMsgSize, tunnelNoRoute{Relay: n.addr, To: f.To})
 			}
 			return
 		}
 		// The frame is traffic from the originator on our direct link.
-		if rc, rok := n.conns[f.From]; rok {
+		if rc, rok := n.lookup(f.From); rok {
 			n.touch(rc)
 		}
 		// Stamp the originator's wire endpoint: the tunnel endpoints
@@ -1217,9 +1216,9 @@ func (n *Node) handleTunnelFrame(w wire, f tunnelFrame) {
 	}
 	// Tunnel endpoint: a frame through Via proves that relay works in
 	// the peer->us direction; adopt it so our own sends can fail over.
-	if c, ok := n.conns[f.From]; ok && c.Tunneled() {
+	if c, ok := n.lookup(f.From); ok && c.Tunneled() {
 		if !f.Via.IsZero() && len(c.Relays) < n.cfg.TunnelMaxRelays {
-			if rc, rok := n.conns[f.Via]; rok && !rc.Tunneled() && c.addRelay(f.Via) {
+			if rc, rok := n.lookup(f.Via); rok && !rc.Tunneled() && c.addRelay(f.Via) {
 				n.Stats.Inc("tunnel.relay_learned", 1)
 			}
 		}
@@ -1235,7 +1234,7 @@ func (n *Node) handleTunnelFrame(w wire, f tunnelFrame) {
 // handleForwarded relays a payload to a leaf child (§IV-C: "the leaf
 // target acts as forwarding agent for the new node").
 func (n *Node) handleForwarded(fw forwarded) {
-	c, ok := n.conns[fw.To]
+	c, ok := n.lookup(fw.To)
 	if !ok {
 		n.Stats.Inc("forward.nochild", 1)
 		return
@@ -1248,5 +1247,5 @@ func (n *Node) handleForwarded(fw forwarded) {
 
 // String renders a diagnostic summary.
 func (n *Node) String() string {
-	return fmt.Sprintf("brunet.Node{%s conns=%d up=%v}", n.addr, len(n.conns), n.up)
+	return fmt.Sprintf("brunet.Node{%s conns=%d up=%v}", n.addr, len(n.table.slots), n.up)
 }

@@ -4,37 +4,53 @@ import "sort"
 
 // The oracles: the original copy-and-sort and linear-scan selections the
 // connection table's indexes replaced, kept as the references the property
-// tests hold the indexes to. Each reads only the conns map.
+// tests hold the indexes to. They share nothing with what they check: the
+// set comes from a shadow map the test keeps through the node's own
+// connection callbacks — independent of both indexes and of their keys —
+// and every comparison is the byte-wise reference arithmetic of
+// addr_oracle_test.go.
 
-// connectionsSorted is the old Connections(): copy the map, sort by peer.
-func (n *Node) connectionsSorted() []*Connection {
-	out := make([]*Connection, 0, len(n.conns))
-	for _, c := range n.conns {
+// shadow is a node's live connections by peer, as its OnConnection and
+// OnDisconnection callbacks report them.
+type shadow map[Addr]*Connection
+
+// watch starts shadowing n. Node.Stop tears connections down without
+// callbacks, so a test that stops the node clears the shadow itself.
+func watch(n *Node) shadow {
+	sh := shadow{}
+	n.OnConnection(func(c *Connection) { sh[c.Peer] = c })
+	n.OnDisconnection(func(c *Connection) { delete(sh, c.Peer) })
+	return sh
+}
+
+// sorted is the old Connections(): copy the map, sort by peer.
+func (sh shadow) sorted() []*Connection {
+	out := make([]*Connection, 0, len(sh))
+	for _, c := range sh {
 		out = append(out, c)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Peer.Less(out[j].Peer) })
+	sort.Slice(out, func(i, j int) bool { return refCmp(out[i].Peer, out[j].Peer) < 0 })
 	return out
 }
 
-// connsOfTypeSorted is the old per-role view: filter the map, sort by peer.
-func (n *Node) connsOfTypeSorted(t ConnType) []*Connection {
+// ofTypeSorted is the old per-role view: filter the map, sort by peer.
+func (sh shadow) ofTypeSorted(t ConnType) []*Connection {
 	var out []*Connection
-	for _, c := range n.conns {
+	for _, c := range sh.sorted() {
 		if c.Has(t) {
 			out = append(out, c)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Peer.Less(out[j].Peer) })
 	return out
 }
 
-// nearestConnLinear is the original linear-scan routing selection: minimal
+// nearestLinear is the original linear-scan routing selection: minimal
 // ring distance, ties to the smaller peer address, leaf connections on
 // exact match only.
-func (n *Node) nearestConnLinear(dst Addr, exclude Addr) *Connection {
+func (sh shadow) nearestLinear(dst Addr, exclude Addr) *Connection {
 	var best *Connection
 	var bestDist Addr
-	for _, c := range n.conns {
+	for _, c := range sh {
 		if c.Peer == exclude {
 			continue
 		}
@@ -44,8 +60,8 @@ func (n *Node) nearestConnLinear(dst Addr, exclude Addr) *Connection {
 			}
 			continue
 		}
-		d := c.Peer.RingDist(dst)
-		if best == nil || d.Cmp(bestDist) < 0 || (d.Cmp(bestDist) == 0 && c.Peer.Less(best.Peer)) {
+		d := refRingDist(c.Peer, dst)
+		if best == nil || refCmp(d, bestDist) < 0 || (refCmp(d, bestDist) == 0 && refCmp(c.Peer, best.Peer) < 0) {
 			best, bestDist = c, d
 		}
 	}
@@ -54,17 +70,14 @@ func (n *Node) nearestConnLinear(dst Addr, exclude Addr) *Connection {
 
 // neighborsOnSideLinear is the original sort-per-call side selection:
 // structured-near peers by clockwise (right) or counter-clockwise distance
-// from this node.
-func (n *Node) neighborsOnSideLinear(right bool) []*Connection {
-	conns := n.connsOfTypeSorted(StructuredNear)
+// from origin.
+func (sh shadow) neighborsOnSideLinear(origin Addr, right bool) []*Connection {
+	conns := sh.ofTypeSorted(StructuredNear)
 	sort.Slice(conns, func(i, j int) bool {
-		var di, dj Addr
 		if right {
-			di, dj = n.addr.Clockwise(conns[i].Peer), n.addr.Clockwise(conns[j].Peer)
-		} else {
-			di, dj = conns[i].Peer.Clockwise(n.addr), conns[j].Peer.Clockwise(n.addr)
+			return refCmp(refSub(conns[i].Peer, origin), refSub(conns[j].Peer, origin)) < 0
 		}
-		return di.Cmp(dj) < 0
+		return refCmp(refSub(origin, conns[i].Peer), refSub(origin, conns[j].Peer)) < 0
 	})
 	return conns
 }

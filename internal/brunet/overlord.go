@@ -66,7 +66,7 @@ func (o *nearOverlord) maintain() {
 
 // leafConn returns the live leaf connection to the bootstrap peer, or nil.
 func (o *nearOverlord) leafConn() *Connection {
-	if c, ok := o.node.conns[o.leafPeer]; ok && c.Has(Leaf) {
+	if c, ok := o.node.lookup(o.leafPeer); ok && c.Has(Leaf) {
 		return c
 	}
 	return nil
@@ -106,17 +106,17 @@ func (o *nearOverlord) gossip() {
 		return
 	}
 	infos := make([]NeighborInfo, 0, nears)
-	for _, c := range n.table {
-		if c.Has(StructuredNear) {
+	for _, s := range n.table.slots {
+		if c := s.c; c.Has(StructuredNear) {
 			infos = append(infos, NeighborInfo{Addr: c.Peer, URIs: c.URIs})
 		}
 	}
 	// One message for every neighbor, boxed once: receivers only read it.
 	var msg any = statusMsg{From: n.addr, Neighbors: infos}
 	size := statusMsgSize + 24*len(infos)
-	for _, c := range n.table {
-		if c.Has(StructuredNear) {
-			n.sendConn(c, size, msg)
+	for _, s := range n.table.slots {
+		if s.c.Has(StructuredNear) {
+			n.sendConn(s.c, size, msg)
 		}
 	}
 	n.Stats.Inc("status.sent", int64(nears))
@@ -131,7 +131,7 @@ func (o *nearOverlord) handleStatus(m statusMsg) {
 		if info.Addr == n.addr {
 			continue
 		}
-		if _, ok := n.conns[info.Addr]; ok {
+		if _, ok := n.lookup(info.Addr); ok {
 			continue
 		}
 		if o.wanted(info.Addr) {
@@ -283,7 +283,7 @@ func (o *shortcutOverlord) tick() {
 			s = 0
 		}
 		o.score[peer] = s
-		c := n.conns[peer]
+		c, _ := n.lookup(peer)
 
 		if s >= o.cfg.Threshold && !o.direct(peer) {
 			last, tried := o.lastTry[peer]
@@ -317,6 +317,6 @@ func (o *shortcutOverlord) tick() {
 
 // direct reports whether a single-hop path to peer already exists.
 func (o *shortcutOverlord) direct(peer Addr) bool {
-	c := o.node.conns[peer]
-	return c != nil && c.structured()
+	c, ok := o.node.lookup(peer)
+	return ok && c.structured()
 }

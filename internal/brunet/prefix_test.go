@@ -1,0 +1,291 @@
+package brunet
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"wow/internal/phys"
+)
+
+// The cases the random properties will not hit: 64-bit sort keys that
+// collide or sit within the ±1 the borrow out of the low 96 bits can move a
+// prefix distance. Random 160-bit addresses never share a top word, so
+// these build their addresses by hand — byte by byte, not through the word
+// helpers under test.
+
+// low96 patterns for the bytes below a key: the extremes and the middle.
+var (
+	lowZero = [12]byte{}
+	lowOne  = [12]byte{11: 1}
+	lowHalf = [12]byte{0: 0x80}
+	lowOnes = [12]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}
+	lows    = [][12]byte{lowZero, lowOne, lowHalf, lowOnes}
+)
+
+// addrOf assembles an address from its top 64 bits and its low 96.
+func addrOf(top uint64, low [12]byte) (a Addr) {
+	for i := 7; i >= 0; i-- {
+		a[i] = byte(top)
+		top >>= 8
+	}
+	copy(a[8:], low[:])
+	return a
+}
+
+// A node whose peers all share the top 64 bits: the key decides nothing, so
+// table order, lookup and the drop-tolerant walk all run on the full
+// comparator inside one equal-key run.
+func TestPrefixTieTableOrderLookupAndWalk(t *testing.T) {
+	const top = 0x0123456789abcdef
+	n := ringTestNode(61)
+	sh := watch(n)
+	ep := phys.Endpoint{IP: 1, Port: 1}
+	held := []Addr{addrOf(top, lowHalf), addrOf(top, lowZero), addrOf(top, lowOnes), addrOf(top, lowOne),
+		addrOf(top, [12]byte{5: 7}), addrOf(top+1, lowZero), addrOf(top-1, lowOnes)}
+	for i, a := range held {
+		n.addConnection(a, ep, nil, nil, churnTypes[i%len(churnTypes)])
+		if err := tableHolds(n, sh); err != nil {
+			t.Fatalf("after add %d: %v", i, err)
+		}
+	}
+	absent := []Addr{addrOf(top, [12]byte{11: 2}), addrOf(top, [12]byte{0: 0x7F}), addrOf(top, [12]byte{0: 0x80, 11: 1}),
+		addrOf(top+2, lowZero), addrOf(top-2, lowZero), {}}
+	check := func(when string) {
+		t.Helper()
+		for _, a := range append(append([]Addr(nil), held...), absent...) {
+			want, ok := sh[a]
+			if got, hit := n.lookup(a); got != want || hit != ok {
+				t.Fatalf("%s: lookup(%s) = %v, %v; shadow %v, %v", when, a.FullString(), got, hit, want, ok)
+			}
+		}
+	}
+	check("full table")
+
+	// connAfter across a dropped entry, inside the equal-key run: the walk
+	// resumes at the next peer whether the connection it stands on, the one
+	// ahead, or both have gone.
+	run := sh.sorted()[1:6] // the five sharing top
+	a, b, c := run[1], run[2], run[3]
+	n.dropConnection(b, false, "test")
+	if got := n.connAfter(a, allRoles); got != c {
+		t.Fatalf("connAfter over a dropped successor = %v, want %v", got, c)
+	}
+	if got := n.connAfter(b, allRoles); got != c {
+		t.Fatalf("connAfter from a dropped connection = %v, want %v", got, c)
+	}
+	n.dropConnection(a, false, "test")
+	if got := n.connAfter(a, allRoles); got != c {
+		t.Fatalf("connAfter from a dropped connection over a dropped successor = %v, want %v", got, c)
+	}
+	check("after drops")
+	if err := tableHolds(n, sh); err != nil {
+		t.Fatal(err)
+	}
+	for bits := uint32(0); bits < 64; bits++ {
+		for _, gone := range []*Connection{a, b} { // refill, then walk with drops
+			n.addConnection(gone.Peer, ep, nil, nil, StructuredFar)
+		}
+		if err := dropDuringWalk(n, sh, allRoles, bits*0x9E3779B1); err != nil {
+			t.Fatalf("bits %#x: %v", bits, err)
+		}
+		if err := tableHolds(n, sh); err != nil {
+			t.Fatalf("bits %#x: %v", bits, err)
+		}
+	}
+	check("after walks with drops")
+}
+
+// Ring peers whose clockwise keys lie within ±3 of each other and of the
+// destination's, with low bits at the extremes so the borrow goes both
+// ways: exactly the band where nearest may not trust a prefix distance and
+// must fall through to the full comparison. Holds nearestConn to the linear
+// oracle for every destination and exclusion in the band — at an ordinary
+// arc, across the origin (keys wrapping through zero), and with the
+// destination half a ring away (prefix distances at 2^63).
+func TestPrefixTieNearestMatchesOracle(t *testing.T) {
+	origin := AddrFromString("ring-test-origin") // ringTestNode's address
+	rng := rand.New(rand.NewSource(67))
+	ep := phys.Endpoint{IP: 1, Port: 1}
+	for _, base := range []uint64{0x3141592653589793, 1, ^uint64(0) - 1, 1 << 63} {
+		// Candidate peers: every key in base−3…base+3 with every low pattern.
+		var band []Addr
+		for dk := -3; dk <= 3; dk++ {
+			for _, low := range lows {
+				band = append(band, refAdd(origin, addrOf(base+uint64(dk), low)))
+			}
+		}
+		var dsts []Addr
+		for dk := -5; dk <= 5; dk++ {
+			for _, low := range lows {
+				d := refAdd(origin, addrOf(base+uint64(dk), low))
+				dsts = append(dsts, d, refAdd(d, addrOf(1<<63, lowZero)), refAdd(d, addrOf(1<<63-1, lowOnes)))
+			}
+		}
+		dsts = append(dsts, origin)
+		for trial := 0; trial < 40; trial++ {
+			n := ringTestNode(71)
+			if n.addr != origin {
+				t.Fatal("ringTestNode moved; rebuild the band around its address")
+			}
+			sh := watch(n)
+			for _, i := range rng.Perm(len(band))[:2+trial%6] {
+				n.addConnection(band[i], ep, nil, nil, churnTypes[rng.Intn(3)]) // structured roles only
+			}
+			if err := tableHolds(n, sh); err != nil {
+				t.Fatal(err)
+			}
+			excludes := []Addr{{}, origin}
+			for p := range sh {
+				excludes = append(excludes, p)
+			}
+			for _, dst := range dsts {
+				for _, ex := range excludes {
+					if got, want := n.nearestConn(dst, ex), sh.nearestLinear(dst, ex); got != want {
+						t.Fatalf("base %#x trial %d: nearestConn(%s, %s) = %v, oracle %v\npeers %v",
+							base, trial, dst.FullString(), ex.FullString(), got, want, sh.sorted())
+					}
+				}
+			}
+		}
+	}
+}
+
+// structuredNode builds a never-started node holding count connections laid
+// out like a converged node's: half near neighbors packed around its own
+// address on both sides, half far links at Kleinberg offsets.
+func structuredNode(count int) (*Node, shadow) {
+	n := ringTestNode(73)
+	sh := watch(n)
+	rng := rand.New(rand.NewSource(int64(count)))
+	ep := phys.Endpoint{IP: 1, Port: 1}
+	for i := 0; len(sh) < count; i++ {
+		if i%2 == 0 {
+			n.addConnection(n.addr.Offset(KleinbergOffset(rng)), ep, nil, nil, StructuredFar)
+			continue
+		}
+		step := AddrFromFloat(rng.Float64() / 1024)
+		if i%4 == 1 {
+			step = Zero.Clockwise(step).Clockwise(Zero) // counter-clockwise side
+		}
+		n.addConnection(n.addr.Offset(step), ep, nil, nil, StructuredNear)
+	}
+	return n, sh
+}
+
+// TestConnLookupAllocFree: the two reads every routed packet pays — the
+// peer lookup and the nearest-connection query — allocate nothing, hit or
+// miss.
+func TestConnLookupAllocFree(t *testing.T) {
+	n, sh := structuredNode(32)
+	rng := rand.New(rand.NewSource(79))
+	probes := []Addr{RandomAddr(rng), RandomAddr(rng)}
+	for p := range sh {
+		probes = append(probes, p)
+	}
+	found := 0
+	allocGuard(t, "lookup", 0, func() {
+		for _, p := range probes {
+			if _, ok := n.lookup(p); ok {
+				found++
+			}
+		}
+	})
+	if found == 0 || found%len(sh) != 0 {
+		t.Fatalf("lookup found %d of %d held peers per pass", found, len(sh))
+	}
+	allocGuard(t, "nearestConn", 0, func() {
+		for i, p := range probes {
+			if n.nearestConn(p, probes[(i+1)%len(probes)]) == nil {
+				t.Fatal("nearestConn found nobody on a populated ring")
+			}
+		}
+	})
+}
+
+var benchSink int
+
+// BenchmarkCmpRingDist times greedy routing's comparator on machine words
+// against the byte-wise reference it replaced.
+func BenchmarkCmpRingDist(b *testing.B) {
+	rng := rand.New(rand.NewSource(83))
+	addrs := make([]Addr, 256)
+	for i := range addrs {
+		addrs[i] = RandomAddr(rng)
+	}
+	b.Run("words", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			benchSink += addrs[i%256].CmpRingDist(addrs[(i+1)%256], addrs[(i+2)%256])
+		}
+	})
+	b.Run("bytewise", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			benchSink += refCmpRingDist(addrs[i%256], addrs[(i+1)%256], addrs[(i+2)%256])
+		}
+	})
+}
+
+// BenchmarkNearestConn times the per-hop routing query on a structured
+// table against the linear scan over the shadow map.
+func BenchmarkNearestConn(b *testing.B) {
+	rng := rand.New(rand.NewSource(89))
+	dsts := make([]Addr, 256)
+	for i := range dsts {
+		dsts[i] = RandomAddr(rng)
+	}
+	for _, size := range []int{12, 64} {
+		n, sh := structuredNode(size)
+		b.Run(fmt.Sprintf("conns=%d/index", size), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if n.nearestConn(dsts[i%256], dsts[(i+1)%256]) != nil {
+					benchSink++
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("conns=%d/linear", size), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if sh.nearestLinear(dsts[i%256], dsts[(i+1)%256]) != nil {
+					benchSink++
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkConnLookup times the peer lookup, hit and miss, against the
+// 20-byte-keyed map it retired (the shadow map is one).
+func BenchmarkConnLookup(b *testing.B) {
+	rng := rand.New(rand.NewSource(97))
+	for _, size := range []int{16, 64} {
+		n, sh := structuredNode(size)
+		hits := make([]Addr, 0, size)
+		for _, c := range sh.sorted() {
+			hits = append(hits, c.Peer)
+		}
+		rng.Shuffle(len(hits), func(i, j int) { hits[i], hits[j] = hits[j], hits[i] })
+		misses := make([]Addr, size)
+		for i := range misses {
+			misses[i] = RandomAddr(rng)
+		}
+		for _, probe := range []struct {
+			name  string
+			addrs []Addr
+		}{{"hit", hits}, {"miss", misses}} {
+			addrs := probe.addrs
+			b.Run(fmt.Sprintf("conns=%d/%s/table", size, probe.name), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, ok := n.lookup(addrs[i%size]); ok {
+						benchSink++
+					}
+				}
+			})
+			b.Run(fmt.Sprintf("conns=%d/%s/map", size, probe.name), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, ok := sh[addrs[i%size]]; ok {
+						benchSink++
+					}
+				}
+			})
+		}
+	}
+}

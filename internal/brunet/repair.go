@@ -103,7 +103,7 @@ func (o *repairOverlord) fire(peer Addr, st *relinkState) {
 	if !n.up || n.repair != o || o.pending[peer] != st {
 		return
 	}
-	if _, ok := n.conns[peer]; ok {
+	if _, ok := n.lookup(peer); ok {
 		delete(o.pending, peer)
 		n.Stats.Inc("relink.success", 1)
 		return

@@ -1,85 +1,35 @@
 package brunet
 
-// ringIndex keeps a node's structured connections sorted by clockwise
-// distance from the node's own address — the circular order of the ring as
-// seen from this node. It is maintained incrementally on every connection
-// add and role drop, so the routing hot path finds the connection nearest
-// to a destination with one binary search plus a constant-size neighbor
-// probe instead of a linear scan, and the near overlord reads the k-th
-// neighbor of a ring side off it without sorting or building a slice.
-//
-// Membership invariant: a connection is in the index exactly while
-// Connection.structured() is true and the connection is live; the inRing
-// flag on the connection mirrors membership so insert/remove are
-// idempotent.
-type ringIndex struct {
-	origin Addr
-	conns  []*Connection
+// The ring index (Node.ring, a connIndex anchored at the node's own
+// address) is maintained incrementally on every connection add and role
+// drop, so the routing hot path finds the connection nearest to a
+// destination with one binary search plus a constant-size neighbor probe
+// instead of a linear scan, and the near overlord reads the k-th neighbor
+// of a ring side off it without sorting or building a slice.
+
+// ringInsert puts c into the ring index if it carries a ring-routing role
+// and is not in it yet.
+func (n *Node) ringInsert(c *Connection) {
+	if c.structured() && !c.inRing {
+		n.ring.insert(c)
+		c.inRing = true
+	}
 }
 
-// reset clears the index (node stop) and re-anchors it at origin.
-func (r *ringIndex) reset(origin Addr) {
-	r.origin = origin
-	for _, c := range r.conns {
+// ringRemove takes c out of the ring index if it is in it.
+func (n *Node) ringRemove(c *Connection) {
+	if c.inRing {
+		n.ring.remove(c)
 		c.inRing = false
 	}
-	r.conns = r.conns[:0]
 }
 
-// search returns the insertion index for address a: the first position
-// whose peer is at a clockwise distance from origin no smaller than a's.
-// Hand-rolled binary search keeps the comparator call direct (no closure)
-// on the routing hot path.
-func (r *ringIndex) search(a Addr) int {
-	lo, hi := 0, len(r.conns)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if r.origin.CmpClockwise(r.conns[mid].Peer, a) < 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// insert adds c at its sorted position. Inserting a member is a no-op.
-func (r *ringIndex) insert(c *Connection) {
-	if c.inRing {
-		return
-	}
-	i := r.search(c.Peer)
-	r.conns = append(r.conns, nil)
-	copy(r.conns[i+1:], r.conns[i:])
-	r.conns[i] = c
-	c.inRing = true
-}
-
-// remove deletes c from the index. Removing a non-member is a no-op.
-func (r *ringIndex) remove(c *Connection) {
-	if !c.inRing {
-		return
-	}
-	i := r.search(c.Peer)
-	if i >= len(r.conns) || r.conns[i] != c {
-		// Defensive: the sorted position must hold c (peers are unique
-		// map keys), but fall back to a scan rather than corrupt the
-		// index if the invariant is ever violated.
-		i = -1
-		for j, o := range r.conns {
-			if o == c {
-				i = j
-				break
-			}
-		}
-		if i < 0 {
-			c.inRing = false
-			return
-		}
-	}
-	r.conns = append(r.conns[:i], r.conns[i+1:]...)
-	c.inRing = false
-}
+// prefixDist is the bidirectional ring distance between two sort keys of
+// one index, as 64-bit ring arithmetic. Keys are the top words of 160-bit
+// clockwise distances, so it stands to the top word of the true ring
+// distance between the two peers as a subtraction that ignores the borrow
+// out of the low 96 bits: never more than one off.
+func prefixDist(k, kd uint64) uint64 { return min(k-kd, kd-k) }
 
 // nearest returns the member whose peer minimizes bidirectional ring
 // distance to dst, excluding one peer address, with ties broken toward the
@@ -87,27 +37,39 @@ func (r *ringIndex) remove(c *Connection) {
 // minimizer over a circularly sorted set is one of dst's two circular
 // neighbors; with one possible exclusion per side, the four slots around
 // the insertion point cover every candidate.
-func (r *ringIndex) nearest(dst, exclude Addr) *Connection {
-	m := len(r.conns)
+//
+// Candidates are ranked on their keys where the keys can tell: each prefix
+// distance is within one of the true distance's top word, so two that
+// differ by three or more order the true distances the same way, and only
+// a closer call pays for CmpRingDist on the full addresses. The excluded
+// peer is likewise matched on its key before its address.
+func (x *connIndex) nearest(dst, exclude Addr) *Connection {
+	m := len(x.slots)
 	if m == 0 {
 		return nil
 	}
-	i := r.search(dst)
+	kd, ke := x.key(&dst), x.key(&exclude)
+	i := x.search(kd, &dst)
 	var best *Connection
+	var bestDist uint64
 	for _, j := range [4]int{i - 2, i - 1, i, i + 1} {
-		j = ((j % m) + m) % m
-		c := r.conns[j]
-		if c.Peer == exclude || c == best {
+		s := x.slots[((j%m)+m)%m]
+		if s.c == best || (s.key == ke && s.c.Peer == exclude) {
 			continue
 		}
-		if best == nil {
-			best = c
-			continue
+		d := prefixDist(s.key, kd)
+		if best != nil {
+			if d >= bestDist+3 {
+				continue
+			}
+			if d+3 > bestDist {
+				cmp := dst.CmpRingDist(s.c.Peer, best.Peer)
+				if cmp > 0 || (cmp == 0 && !s.c.Peer.Less(best.Peer)) {
+					continue
+				}
+			}
 		}
-		cmp := dst.CmpRingDist(c.Peer, best.Peer)
-		if cmp < 0 || (cmp == 0 && c.Peer.Less(best.Peer)) {
-			best = c
-		}
+		best, bestDist = s.c, d
 	}
 	return best
 }
@@ -121,11 +83,11 @@ func (r *ringIndex) nearest(dst, exclude Addr) *Connection {
 // "side" is a direction, not a half), so a non-nil k-th exists on one side
 // exactly when it does on the other.
 func (n *Node) kthNearOnSide(right bool, k int) *Connection {
-	ring := n.ring.conns
+	ring := n.ring.slots
 	for j := range ring {
-		c := ring[j]
+		c := ring[j].c
 		if !right {
-			c = ring[len(ring)-1-j]
+			c = ring[len(ring)-1-j].c
 		}
 		if c.Has(StructuredNear) {
 			if k--; k == 0 {
@@ -156,6 +118,6 @@ func (n *Node) dropConnRole(c *Connection, t ConnType, reason string) {
 		return
 	}
 	if !c.structured() {
-		n.ring.remove(c)
+		n.ringRemove(c)
 	}
 }

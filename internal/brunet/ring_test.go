@@ -24,11 +24,13 @@ func ringTestNode(seed int64) *Node {
 var churnTypes = []ConnType{StructuredNear, StructuredFar, Shortcut, Leaf}
 
 // applyChurn drives the connection table through a scripted sequence of
-// adds, role-drops and full drops derived from ops, returning the node.
-// Addresses are drawn from a small deterministic universe so drops hit
-// existing connections and role mixes accumulate on single peers.
-func applyChurn(seed int64, ops []uint32) *Node {
+// adds, role-drops and full drops derived from ops, returning the node and
+// the shadow of its connections. Addresses are drawn from a small
+// deterministic universe so drops hit existing connections and role mixes
+// accumulate on single peers.
+func applyChurn(seed int64, ops []uint32) (*Node, shadow) {
 	n := ringTestNode(seed)
+	sh := watch(n)
 	universe := make([]Addr, 24)
 	for i := range universe {
 		universe[i] = RandomAddr(rand.New(rand.NewSource(seed + int64(i))))
@@ -41,38 +43,39 @@ func applyChurn(seed int64, ops []uint32) *Node {
 		case 0, 1: // add (twice as likely: tables should be non-trivial)
 			n.addConnection(peer, ep, nil, nil, typ)
 		case 2: // drop one role, connection may survive
-			if c, ok := n.conns[peer]; ok && c.Has(typ) {
+			if c, ok := sh[peer]; ok && c.Has(typ) {
 				n.dropConnRole(c, typ, "test")
 			}
 		case 3: // drop the whole connection
-			if c, ok := n.conns[peer]; ok {
+			if c, ok := sh[peer]; ok {
 				n.dropConnection(c, false, "test")
 			}
 		}
 	}
-	return n
+	return n, sh
 }
 
 // Property: after arbitrary churn, the indexed nearestConn agrees with the
 // brute-force linear oracle for every destination and exclusion choice.
 func TestQuickNearestConnMatchesOracle(t *testing.T) {
 	f := func(ops []uint32, dstSel, exSel uint16) bool {
-		n := applyChurn(11, ops)
+		n, sh := applyChurn(11, ops)
+		ring := n.ring.slots
 		rng := rand.New(rand.NewSource(int64(dstSel)))
 		for trial := 0; trial < 8; trial++ {
 			var dst Addr
-			if trial%2 == 0 && len(n.ring.conns) > 0 {
+			if trial%2 == 0 && len(ring) > 0 {
 				// Half the probes aim at a connected peer: the
 				// exact-match and exclusion paths must agree too.
-				dst = n.ring.conns[int(dstSel)%len(n.ring.conns)].Peer
+				dst = ring[int(dstSel)%len(ring)].c.Peer
 			} else {
 				dst = RandomAddr(rng)
 			}
 			exclude := Addr{}
-			if trial%3 == 0 && len(n.ring.conns) > 0 {
-				exclude = n.ring.conns[int(exSel)%len(n.ring.conns)].Peer
+			if trial%3 == 0 && len(ring) > 0 {
+				exclude = ring[int(exSel)%len(ring)].c.Peer
 			}
-			if n.nearestConn(dst, exclude) != n.nearestConnLinear(dst, exclude) {
+			if n.nearestConn(dst, exclude) != sh.nearestLinear(dst, exclude) {
 				return false
 			}
 		}
@@ -87,9 +90,9 @@ func TestQuickNearestConnMatchesOracle(t *testing.T) {
 // oracle for every k, on both sides, and nil past its end.
 func TestQuickKthNearOnSideMatchesOracle(t *testing.T) {
 	f := func(ops []uint32) bool {
-		n := applyChurn(23, ops)
+		n, sh := applyChurn(23, ops)
 		for _, right := range []bool{true, false} {
-			want := n.neighborsOnSideLinear(right)
+			want := sh.neighborsOnSideLinear(n.addr, right)
 			for k := 1; k <= len(want); k++ {
 				if n.kthNearOnSide(right, k) != want[k-1] {
 					return false

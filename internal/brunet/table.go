@@ -2,12 +2,12 @@ package brunet
 
 import "wow/internal/metrics"
 
-// The connection table is three views of one set, kept in step by
+// The connection table is two indexes of one set, kept in step by
 // addConnection/addTunnelConnection, dropConnRole, dropConnection and Stop:
-// the conns map (lookup by peer), the address index below (every ordered
-// walk) and the ring index (routing and ring-side queries over the
-// structured subset). Per-role live counts ride along so "how many near
-// links do I hold" is a field read.
+// Node.table holds every live connection in address order (lookup by peer
+// and every ordered walk) and Node.ring the structured subset in ring order
+// (routing and ring-side queries). Both are a connIndex. Per-role live
+// counts ride along so "how many near links do I hold" is a field read.
 
 // roleMask is a set of ConnTypes, one bit per role.
 type roleMask uint8
@@ -24,22 +24,53 @@ func maskOf(t ConnType) roleMask { return 1 << uint(t) }
 // structuredRoles are the ring-routing roles (see Connection.structured).
 const structuredRoles = roleMask(1)<<StructuredNear | roleMask(1)<<StructuredFar | roleMask(1)<<Shortcut
 
-// addrIndex holds every live connection sorted by peer address
-// (Addr.Less). It is the iteration-order contract of the package: every
-// walk whose body sends messages, draws randomness or drops connections
-// visits connections in this order, so a run is a pure function of its
-// seed. Walks whose body cannot change the table range over the slice
-// directly; walks whose body may drop connections step with
-// Node.firstConn/connAfter, which re-find their position by address after
-// every step.
-type addrIndex []*Connection
+// slot is one entry of a connIndex: a connection and, inline beside the
+// pointer, the 64-bit sort key of its peer, so a search reads the slice
+// alone and touches a Connection only where keys tie.
+type slot struct {
+	key uint64
+	c   *Connection
+}
 
-// search returns the first position whose peer is not less than a.
-func (x addrIndex) search(a Addr) int {
-	lo, hi := 0, len(x)
+// connIndex holds connections sorted by the clockwise distance from origin
+// to their peer. A slot's key is the top 64 bits of that distance — a
+// prefix of what the full comparator (origin.CmpClockwise) compares — so
+// ordering by key, then by the full comparator among equal keys, is the
+// full comparator's order, and a binary search on keys alone lands on the
+// (almost always empty or single) run of slots a full comparison has to
+// settle.
+//
+// Node.ring is anchored at the node's own address: the circular order of
+// the ring as seen from this node, holding a connection exactly while
+// Connection.structured() is true (Connection.inRing mirrors membership).
+// Node.table is anchored at the zero address, from which clockwise order is
+// plain address order (Addr.Less) and the key the address's own top word.
+// It is the iteration-order contract of the package: every walk whose body
+// sends messages, draws randomness or drops connections visits connections
+// in this order, so a run is a pure function of its seed. Walks whose body
+// cannot change the table range over the slots directly; walks whose body
+// may drop connections step with Node.firstConn/connAfter, which re-find
+// their position by address after every step.
+type connIndex struct {
+	origin Addr
+	slots  []slot
+}
+
+// key returns the sort key of address a: the top 64 bits of its clockwise
+// distance from the index's origin.
+func (x *connIndex) key(a *Addr) uint64 {
+	hi, _, _ := subWords(a, &x.origin)
+	return hi
+}
+
+// first returns the first position whose key is not less than key. The one
+// binary search under every lookup, walk step and routing decision:
+// hand-rolled so the comparison is a direct machine-word compare.
+func (x *connIndex) first(key uint64) int {
+	lo, hi := 0, len(x.slots)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if x[mid].Peer.Less(a) {
+		if x.slots[mid].key < key {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -48,30 +79,73 @@ func (x addrIndex) search(a Addr) int {
 	return lo
 }
 
-// insert adds c at its sorted position. The caller guarantees c.Peer is
-// not present (peers are unique map keys).
-func (x *addrIndex) insert(c *Connection) {
-	i := x.search(c.Peer)
-	*x = append(*x, nil)
-	copy((*x)[i+1:], (*x)[i:])
-	(*x)[i] = c
+// search returns the insertion index for address a, whose key is key: the
+// first position whose peer does not sort before a.
+func (x *connIndex) search(key uint64, a *Addr) int {
+	i := x.first(key)
+	for i < len(x.slots) && x.slots[i].key == key && x.origin.CmpClockwise(x.slots[i].c.Peer, *a) < 0 {
+		i++
+	}
+	return i
 }
 
-// remove deletes c, which must be present.
-func (x *addrIndex) remove(c *Connection) {
-	s := *x
-	i := s.search(c.Peer)
+// find returns the member whose peer is a, key being a's key. A miss on
+// the keys reads no Connection at all.
+func (x *connIndex) find(key uint64, a *Addr) (*Connection, bool) {
+	for i := x.first(key); i < len(x.slots) && x.slots[i].key == key; i++ {
+		if c := x.slots[i].c; c.Peer == *a {
+			return c, true
+		}
+	}
+	return nil, false
+}
+
+// insert adds c at its sorted position. The caller guarantees c is not a
+// member.
+func (x *connIndex) insert(c *Connection) {
+	key := x.key(&c.Peer)
+	i := x.search(key, &c.Peer)
+	x.slots = append(x.slots, slot{})
+	copy(x.slots[i+1:], x.slots[i:])
+	x.slots[i] = slot{key, c}
+}
+
+// remove deletes c, which the caller guarantees is a member.
+func (x *connIndex) remove(c *Connection) {
+	s := x.slots
+	i := x.search(x.key(&c.Peer), &c.Peer)
+	if i >= len(s) || s[i].c != c {
+		// Defensive: the sorted position must hold c (peers are unique),
+		// but fall back to a scan rather than drop a neighbor from the
+		// index if the invariant is ever violated.
+		for i = 0; i < len(s) && s[i].c != c; i++ {
+		}
+		if i == len(s) {
+			return
+		}
+	}
 	copy(s[i:], s[i+1:])
-	s[len(s)-1] = nil
-	*x = s[:len(s)-1]
+	s[len(s)-1] = slot{}
+	x.slots = s[:len(s)-1]
+}
+
+// reset empties the index (node stop).
+func (x *connIndex) reset() {
+	clear(x.slots)
+	x.slots = x.slots[:0]
+}
+
+// lookup returns the live connection to peer.
+func (n *Node) lookup(peer Addr) (*Connection, bool) {
+	return n.table.find(n.table.key(&peer), &peer)
 }
 
 // from returns the first connection at or after position i carrying a role
 // in mask, or nil.
-func (x addrIndex) from(i int, mask roleMask) *Connection {
-	for ; i < len(x); i++ {
-		if x[i].roles&mask != 0 {
-			return x[i]
+func (x *connIndex) from(i int, mask roleMask) *Connection {
+	for ; i < len(x.slots); i++ {
+		if c := x.slots[i].c; c.roles&mask != 0 {
+			return c
 		}
 	}
 	return nil
@@ -89,17 +163,20 @@ func (n *Node) firstConn(mask roleMask) *Connection { return n.table.from(0, mas
 // connAfter continues a firstConn walk: the first matching connection whose
 // peer sorts after c's, whether or not c is still in the table.
 func (n *Node) connAfter(c *Connection, mask roleMask) *Connection {
-	i := n.table.search(c.Peer)
-	if i < len(n.table) && n.table[i].Peer == c.Peer {
+	x := &n.table
+	i := x.search(x.key(&c.Peer), &c.Peer)
+	if i < len(x.slots) && x.slots[i].c.Peer == c.Peer {
 		i++
 	}
-	return n.table.from(i, mask)
+	return x.from(i, mask)
 }
 
 // Connections returns a snapshot of all live connections in address order.
 func (n *Node) Connections() []*Connection {
-	out := make([]*Connection, len(n.table))
-	copy(out, n.table)
+	out := make([]*Connection, len(n.table.slots))
+	for i, s := range n.table.slots {
+		out[i] = s.c
+	}
 	return out
 }
 

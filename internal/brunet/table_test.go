@@ -48,12 +48,29 @@ func sameConns(a, b []*Connection) bool {
 	return true
 }
 
-// ringIndexHolds checks the ring index against the conns map: membership
+// indexHolds checks one index's own invariants by the byte-wise reference:
+// every key is the top 64 bits of the clockwise distance from the origin to
+// the slot's peer, and the slots are in strictly ascending order of that
+// distance.
+func indexHolds(x *connIndex) error {
+	for i, s := range x.slots {
+		d := refSub(s.c.Peer, x.origin)
+		if s.key != refWord(d, 0) {
+			return fmt.Errorf("slot %d: key %#x, distance %s", i, s.key, d.FullString())
+		}
+		if i > 0 && refCmp(refSub(x.slots[i-1].c.Peer, x.origin), d) >= 0 {
+			return fmt.Errorf("index out of order at %d", i)
+		}
+	}
+	return nil
+}
+
+// ringIndexHolds checks the ring index against the shadow set: membership
 // is exactly the structured subset, mirrored by inRing, in strictly
-// ascending clockwise order.
-func ringIndexHolds(n *Node) error {
+// ascending clockwise order from the node's address.
+func ringIndexHolds(n *Node, sh shadow) error {
 	structured := 0
-	for _, c := range n.conns {
+	for _, c := range sh {
 		if c.structured() != c.inRing {
 			return fmt.Errorf("%s: structured=%v inRing=%v", c, c.structured(), c.inRing)
 		}
@@ -61,32 +78,39 @@ func ringIndexHolds(n *Node) error {
 			structured++
 		}
 	}
-	if len(n.ring.conns) != structured {
-		return fmt.Errorf("ring index holds %d, conns map has %d structured", len(n.ring.conns), structured)
+	if len(n.ring.slots) != structured {
+		return fmt.Errorf("ring index holds %d, shadow has %d structured", len(n.ring.slots), structured)
 	}
-	for i := 1; i < len(n.ring.conns); i++ {
-		if n.addr.CmpClockwise(n.ring.conns[i-1].Peer, n.ring.conns[i].Peer) >= 0 {
-			return fmt.Errorf("ring index out of order at %d", i)
+	for _, s := range n.ring.slots {
+		if sh[s.c.Peer] != s.c {
+			return fmt.Errorf("ring index holds %s, not live", s.c)
 		}
 	}
-	return nil
+	if n.ring.origin != n.addr {
+		return fmt.Errorf("ring index anchored at %s", n.ring.origin)
+	}
+	return indexHolds(&n.ring)
 }
 
 // tableHolds checks every connection-table invariant: address index ≡
-// conns map ≡ sort oracle in content and order, Connections() a fresh copy
-// of it, role counts ≡ a recount, per-role and per-mask walks ≡ the
-// filtered oracle, nothing closed left inside, and the ring index sound.
-func tableHolds(n *Node) error {
-	want := n.connectionsSorted()
-	if !sameConns(n.table, want) {
-		return fmt.Errorf("address index %v, sort oracle %v", []*Connection(n.table), want)
-	}
+// shadow set ≡ sort oracle in content and order, its keys the peers' top
+// words, Connections() a snapshot of it, role counts ≡ a recount, per-role
+// and per-mask walks ≡ the filtered oracle, nothing closed left inside, and
+// the ring index sound.
+func tableHolds(n *Node, sh shadow) error {
+	want := sh.sorted()
 	snap := n.Connections()
 	if !sameConns(snap, want) {
 		return fmt.Errorf("Connections() %v, sort oracle %v", snap, want)
 	}
-	if len(snap) > 0 && &snap[0] == &n.table[0] {
-		return fmt.Errorf("Connections() aliases the index")
+	if len(n.table.slots) != len(want) {
+		return fmt.Errorf("address index holds %d, sort oracle %d", len(n.table.slots), len(want))
+	}
+	if n.table.origin != Zero {
+		return fmt.Errorf("address index anchored at %s", n.table.origin)
+	}
+	if err := indexHolds(&n.table); err != nil {
+		return fmt.Errorf("address index: %w", err)
 	}
 	var recount [numConnTypes]int
 	for _, c := range want {
@@ -104,8 +128,8 @@ func tableHolds(n *Node) error {
 		return fmt.Errorf("role counts %v, recount %v", n.roleCount, recount)
 	}
 	for t := ConnType(0); int(t) < numConnTypes; t++ {
-		if got := walkMask(n, maskOf(t)); !sameConns(got, n.connsOfTypeSorted(t)) {
-			return fmt.Errorf("walk over %s: %v, oracle %v", t, got, n.connsOfTypeSorted(t))
+		if got := walkMask(n, maskOf(t)); !sameConns(got, sh.ofTypeSorted(t)) {
+			return fmt.Errorf("walk over %s: %v, oracle %v", t, got, sh.ofTypeSorted(t))
 		}
 	}
 	for _, mask := range walkMasks {
@@ -113,7 +137,7 @@ func tableHolds(n *Node) error {
 			return fmt.Errorf("walk over mask %05b: %v, oracle %v", mask, got, filterMask(want, mask))
 		}
 	}
-	return ringIndexHolds(n)
+	return ringIndexHolds(n, sh)
 }
 
 var tableChurnTypes = []ConnType{StructuredNear, StructuredFar, Shortcut, Leaf, Relay}
@@ -123,8 +147,8 @@ var tableChurnTypes = []ConnType{StructuredNear, StructuredFar, Shortcut, Leaf, 
 // inside the loop body. It checks the walk against a model run on the
 // sort-oracle snapshot taken at entry: every connection still live when the
 // walk reaches it is visited, in order, exactly once.
-func dropDuringWalk(n *Node, mask roleMask, bits uint32) error {
-	snap := filterMask(n.connectionsSorted(), mask)
+func dropDuringWalk(n *Node, sh shadow, mask roleMask, bits uint32) error {
+	snap := filterMask(sh.sorted(), mask)
 	var got, want []*Connection
 	i := 0
 	for c := n.firstConn(mask); c != nil; c = n.connAfter(c, mask) {
@@ -162,11 +186,13 @@ func dropDuringWalk(n *Node, mask roleMask, bits uint32) error {
 
 // Property: through arbitrary churn — adds, role adds, relinks, tunnel
 // edges, role drops, full drops, drops issued from inside a walk, node stop
-// and restart — the three views of the connection table stay one set.
+// and restart — the two indexes of the connection table stay one set, and
+// lookup answers for every address, held or not, as the shadow map does.
 func TestQuickConnTableChurn(t *testing.T) {
 	var failure error
 	f := func(ops []uint32) bool {
 		n := ringTestNode(41)
+		sh := watch(n)
 		if err := n.Start(nil); err != nil {
 			failure = err
 			return false
@@ -174,6 +200,13 @@ func TestQuickConnTableChurn(t *testing.T) {
 		universe := make([]Addr, 24)
 		for i := range universe {
 			universe[i] = RandomAddr(rand.New(rand.NewSource(41 + int64(i))))
+		}
+		// Probes for lookup: the universe (held or not, as churn has it)
+		// and, for each member, an address never held that shares its key.
+		probes := append([]Addr(nil), universe...)
+		for _, a := range universe {
+			a[AddrBytes-1] ^= 1
+			probes = append(probes, a)
 		}
 		for step, op := range ops {
 			peer := universe[int(op>>8)%len(universe)]
@@ -185,22 +218,23 @@ func TestQuickConnTableChurn(t *testing.T) {
 			case 5, 6: // tunnel edge (or a role on an existing connection)
 				n.addTunnelConnection(peer, []Addr{universe[int(op>>20)%len(universe)]}, nil, typ)
 			case 7, 8, 9:
-				if c, ok := n.conns[peer]; ok {
+				if c, ok := sh[peer]; ok {
 					n.dropConnRole(c, typ, "test")
 				}
 			case 10, 11, 12:
-				if c, ok := n.conns[peer]; ok {
+				if c, ok := sh[peer]; ok {
 					n.dropConnection(c, false, "test")
 				}
 			case 13, 14:
-				if err := dropDuringWalk(n, walkMasks[int(op>>16)%len(walkMasks)], op>>4); err != nil {
+				if err := dropDuringWalk(n, sh, walkMasks[int(op>>16)%len(walkMasks)], op>>4); err != nil {
 					failure = fmt.Errorf("step %d: %w", step, err)
 					return false
 				}
 			case 15:
 				if op>>28 == 0 { // rarer: a restart empties everything
 					n.Stop()
-					if len(n.conns) != 0 || len(n.table) != 0 || len(n.ring.conns) != 0 {
+					clear(sh) // Stop runs no callbacks
+					if len(n.table.slots) != 0 || len(n.ring.slots) != 0 {
 						failure = fmt.Errorf("step %d: Stop left connections behind", step)
 						return false
 					}
@@ -210,9 +244,16 @@ func TestQuickConnTableChurn(t *testing.T) {
 					}
 				}
 			}
-			if err := tableHolds(n); err != nil {
+			if err := tableHolds(n, sh); err != nil {
 				failure = fmt.Errorf("step %d (op %#x): %w", step, op, err)
 				return false
+			}
+			for _, p := range probes {
+				want, held := sh[p]
+				if got, ok := n.lookup(p); got != want || ok != held {
+					failure = fmt.Errorf("step %d (op %#x): lookup(%s) = %v, %v; shadow %v, %v", step, op, p, got, ok, want, held)
+					return false
+				}
 			}
 		}
 		return true
@@ -229,6 +270,7 @@ func TestQuickConnTableChurn(t *testing.T) {
 // overlord reads the cleared role right after the drop.
 func TestDropLastRoleClearsItBeforeCallbacks(t *testing.T) {
 	n := ringTestNode(47)
+	sh := watch(n)
 	var seen []bool
 	n.OnDisconnection(func(c *Connection) { seen = append(seen, c.Has(Shortcut) || c.structured()) })
 	c := n.addConnection(AddrFromString("peer"), phys.Endpoint{IP: 1, Port: 1}, nil, nil, Shortcut)
@@ -236,7 +278,7 @@ func TestDropLastRoleClearsItBeforeCallbacks(t *testing.T) {
 	if !c.closed || c.Has(Shortcut) || len(seen) != 1 || seen[0] {
 		t.Fatalf("closed=%v Has(Shortcut)=%v callbacks saw the role: %v", c.closed, c.Has(Shortcut), seen)
 	}
-	if err := tableHolds(n); err != nil {
+	if err := tableHolds(n, sh); err != nil {
 		t.Fatal(err)
 	}
 }

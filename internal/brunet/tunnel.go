@@ -94,7 +94,7 @@ func (o *tunnelOverlord) learnCandidates(peer Addr, uris []URI, relays []Neighbo
 		return
 	}
 	o.cands[peer] = &candidateStash{uris: uris, relays: relays}
-	c, ok := n.conns[peer]
+	c, ok := n.lookup(peer)
 	if !ok || !c.Tunneled() {
 		return
 	}
@@ -105,7 +105,7 @@ func (o *tunnelOverlord) learnCandidates(peer Addr, uris []URI, relays []Neighbo
 		if adv.Addr == n.addr || adv.Addr == peer {
 			continue
 		}
-		if rc, live := n.conns[adv.Addr]; live && !rc.closed && !rc.Tunneled() {
+		if rc, live := n.lookup(adv.Addr); live && !rc.closed && !rc.Tunneled() {
 			if !rc.loadKnown {
 				// Seed the relay scorer with the advertised load until
 				// the relay's own pongs speak for it.
@@ -136,7 +136,7 @@ func (o *tunnelOverlord) linkFailed(target Addr, t ConnType, reason string) {
 		delete(o.recruited, target)
 		return
 	}
-	if c, ok := n.conns[target]; ok {
+	if c, ok := n.lookup(target); ok {
 		if c.Tunneled() {
 			o.armUpgrade(c)
 		}
@@ -166,7 +166,7 @@ func (o *tunnelOverlord) establish(target Addr) {
 		if adv.Addr == n.addr || adv.Addr == target {
 			continue
 		}
-		if rc, live := n.conns[adv.Addr]; live && !rc.closed && !rc.Tunneled() {
+		if rc, live := n.lookup(adv.Addr); live && !rc.closed && !rc.Tunneled() {
 			candidates = append(candidates, adv)
 		}
 	}
@@ -192,7 +192,7 @@ func (o *tunnelOverlord) establish(target Addr) {
 		if adv.Addr == n.addr || adv.Addr == target || len(adv.URIs) == 0 {
 			continue
 		}
-		if c, have := n.conns[adv.Addr]; have && c.Tunneled() {
+		if c, have := n.lookup(adv.Addr); have && c.Tunneled() {
 			continue // a tunneled neighbor cannot carry frames (no nesting)
 		}
 		already := false
@@ -222,7 +222,7 @@ func (o *tunnelOverlord) onConnection(c *Connection) {
 		// A recruited relay came up: serve the targets waiting on it.
 		delete(o.recruiting, c.Peer)
 		for _, target := range waiting {
-			if _, have := n.conns[target]; have {
+			if _, have := n.lookup(target); have {
 				continue
 			}
 			if n.near != nil && n.near.wanted(target) {
@@ -299,7 +299,7 @@ func (o *tunnelOverlord) noRoute(relay, to Addr) {
 	if n.tun != o {
 		return
 	}
-	tc, ok := n.conns[to]
+	tc, ok := n.lookup(to)
 	if !ok || tc.closed || !tc.Tunneled() || !tc.removeRelay(relay) {
 		return
 	}
@@ -345,7 +345,7 @@ func (o *tunnelOverlord) refill(tc *Connection) bool {
 		if adv.Addr == n.addr || adv.Addr == tc.Peer {
 			continue
 		}
-		if rc, live := n.conns[adv.Addr]; live && !rc.closed && !rc.Tunneled() {
+		if rc, live := n.lookup(adv.Addr); live && !rc.closed && !rc.Tunneled() {
 			tc.addRelay(adv.Addr)
 		}
 	}
@@ -380,7 +380,7 @@ func (o *tunnelOverlord) armUpgrade(c *Connection) {
 		if !n.up || n.tun != o {
 			return
 		}
-		tc, ok := n.conns[peer]
+		tc, ok := n.lookup(peer)
 		if !ok || tc.closed || !tc.Tunneled() {
 			return
 		}
@@ -414,8 +414,8 @@ func (o *tunnelOverlord) reapRelays() {
 		return
 	}
 	inUse := make(map[Addr]bool)
-	for _, c := range n.conns {
-		for _, r := range c.Relays {
+	for _, s := range n.table.slots {
+		for _, r := range s.c.Relays {
 			inUse[r] = true
 		}
 	}
