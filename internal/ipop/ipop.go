@@ -51,6 +51,12 @@ type Node struct {
 	// source/sink no virtual IP packets.
 	routerOnly bool
 
+	// addrs memoizes AddrForVIP for the destinations this node has sent
+	// to: the mapping is a pure function of the IP (a formatted string and
+	// a SHA-1 per call), so entries are never invalidated and outlive
+	// Stop, Start and MoveToHost. Created on first use.
+	addrs map[vip.IP]brunet.Addr
+
 	// Stats counts tunnelled packets.
 	Stats metrics.Counter
 }
@@ -89,6 +95,19 @@ func (n *Node) Addr() brunet.Addr {
 		return n.bn.Addr()
 	}
 	return AddrForVIP(n.ip)
+}
+
+// addrFor is AddrForVIP through the node's memo.
+func (n *Node) addrFor(ip vip.IP) brunet.Addr {
+	a, ok := n.addrs[ip]
+	if !ok {
+		if n.addrs == nil {
+			n.addrs = make(map[vip.IP]brunet.Addr)
+		}
+		a = AddrForVIP(ip)
+		n.addrs[ip] = a
+	}
+	return a
 }
 
 // Up reports whether the node is running.
@@ -170,7 +189,7 @@ func (n *Node) SendIP(p *vip.Packet) {
 		})
 		return
 	}
-	n.bn.SendTo(AddrForVIP(p.Dst), brunet.DeliverExact, brunet.AppData{
+	n.bn.SendTo(n.addrFor(p.Dst), brunet.DeliverExact, brunet.AppData{
 		Proto: protoIPOP,
 		Size:  p.Size,
 		Data:  p,

@@ -2,6 +2,7 @@ package ipop
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"wow/internal/brunet"
@@ -295,5 +296,26 @@ func TestLoopbackTCP(t *testing.T) {
 	}
 	if na.Stats.Get("tunnel.in") == 0 {
 		t.Fatal("loopback bypassed the tunnel accounting")
+	}
+}
+
+// The per-node memo under SendIP answers exactly as AddrForVIP does, and a
+// repeated destination costs a map read: no string, no hash, no allocation.
+func TestAddrForMemoMatchesAddrForVIP(t *testing.T) {
+	n := New(nil, vip.MustParseIP("172.16.1.2"), brunet.Config{})
+	rng := rand.New(rand.NewSource(3))
+	ips := make([]vip.IP, 1000)
+	for i := range ips {
+		ips[i] = vip.IP(rng.Uint32())
+	}
+	for pass := 0; pass < 2; pass++ { // second pass: every answer from the memo
+		for _, ip := range ips {
+			if got, want := n.addrFor(ip), AddrForVIP(ip); got != want {
+				t.Fatalf("pass %d: addrFor(%s) = %s, AddrForVIP %s", pass, ip, got.FullString(), want.FullString())
+			}
+		}
+	}
+	if avg := testing.AllocsPerRun(100, func() { n.addrFor(ips[7]) }); avg != 0 {
+		t.Errorf("memoized addrFor allocates %.1f times per call, want 0", avg)
 	}
 }
