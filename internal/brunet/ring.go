@@ -24,13 +24,6 @@ func (n *Node) ringRemove(c *Connection) {
 	}
 }
 
-// prefixDist is the bidirectional ring distance between two sort keys of
-// one index, as 64-bit ring arithmetic. Keys are the top words of 160-bit
-// clockwise distances, so it stands to the top word of the true ring
-// distance between the two peers as a subtraction that ignores the borrow
-// out of the low 96 bits: never more than one off.
-func prefixDist(k, kd uint64) uint64 { return min(k-kd, kd-k) }
-
 // nearest returns the member whose peer minimizes bidirectional ring
 // distance to dst, excluding one peer address, with ties broken toward the
 // smaller peer address — the same selection as the linear-scan oracle. The
@@ -38,11 +31,13 @@ func prefixDist(k, kd uint64) uint64 { return min(k-kd, kd-k) }
 // neighbors; with one possible exclusion per side, the four slots around
 // the insertion point cover every candidate.
 //
-// Candidates are ranked on their keys where the keys can tell: each prefix
-// distance is within one of the true distance's top word, so two that
-// differ by three or more order the true distances the same way, and only
-// a closer call pays for CmpRingDist on the full addresses. The excluded
-// peer is likewise matched on its key before its address.
+// Candidates are ranked on their keys where the keys can tell. The ring
+// distance between a slot's key and dst's, in 64-bit ring arithmetic, is
+// the top word of the true 160-bit ring distance computed without the
+// borrow out of the low 96 bits: never more than one off. So two prefix
+// distances that differ by three or more order the true distances the same
+// way, and only a closer call pays for CmpRingDist on the full addresses.
+// The excluded peer is likewise matched on its key before its address.
 func (x *connIndex) nearest(dst, exclude Addr) *Connection {
 	m := len(x.slots)
 	if m == 0 {
@@ -57,7 +52,7 @@ func (x *connIndex) nearest(dst, exclude Addr) *Connection {
 		if s.c == best || (s.key == ke && s.c.Peer == exclude) {
 			continue
 		}
-		d := prefixDist(s.key, kd)
+		d := min(s.key-kd, kd-s.key)
 		if best != nil {
 			if d >= bestDist+3 {
 				continue

@@ -89,17 +89,6 @@ func (x *connIndex) search(key uint64, a *Addr) int {
 	return i
 }
 
-// find returns the member whose peer is a, key being a's key. A miss on
-// the keys reads no Connection at all.
-func (x *connIndex) find(key uint64, a *Addr) (*Connection, bool) {
-	for i := x.first(key); i < len(x.slots) && x.slots[i].key == key; i++ {
-		if c := x.slots[i].c; c.Peer == *a {
-			return c, true
-		}
-	}
-	return nil, false
-}
-
 // insert adds c at its sorted position. The caller guarantees c is not a
 // member.
 func (x *connIndex) insert(c *Connection) {
@@ -135,9 +124,17 @@ func (x *connIndex) reset() {
 	x.slots = x.slots[:0]
 }
 
-// lookup returns the live connection to peer.
+// lookup returns the live connection to peer. A miss on the keys — the
+// common case for a forwarded packet's source — reads no Connection at all.
 func (n *Node) lookup(peer Addr) (*Connection, bool) {
-	return n.table.find(n.table.key(&peer), &peer)
+	x := &n.table
+	key := x.key(&peer)
+	for i := x.first(key); i < len(x.slots) && x.slots[i].key == key; i++ {
+		if c := x.slots[i].c; c.Peer == peer {
+			return c, true
+		}
+	}
+	return nil, false
 }
 
 // from returns the first connection at or after position i carrying a role

@@ -20,3 +20,19 @@ func TestSchedulerComparison(t *testing.T) {
 		t.Errorf("condor throughput %.1f << pbs %.1f", r.CondorJobsPerMinute, r.PBSJobsPerMinute)
 	}
 }
+
+// The comparison is a function of its seed: the negotiator ranks machines
+// of equal speed by name, not by the order a map hands them out.
+func TestSchedulerComparisonRepeatable(t *testing.T) {
+	a, err := RunSchedulerComparison(2, 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := RunSchedulerComparison(2, 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *a != *b {
+		t.Fatalf("two runs of seed 2 differ:\n%+v\n%+v", *a, *b)
+	}
+}

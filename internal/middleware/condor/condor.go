@@ -162,7 +162,14 @@ func (cm *CentralManager) negotiate() {
 		}
 	}
 	// Rank: fastest machines first (the standard Rank = KFlops idiom).
-	sort.Slice(avail, func(i, j int) bool { return avail[i].ad.Speed > avail[j].ad.Speed })
+	// avail comes out of a map, and most pools are machines of one speed:
+	// names break the tie, or map order would pick the match.
+	sort.Slice(avail, func(i, j int) bool {
+		if avail[i].ad.Speed != avail[j].ad.Speed {
+			return avail[i].ad.Speed > avail[j].ad.Speed
+		}
+		return avail[i].ad.Name < avail[j].ad.Name
+	})
 
 	for _, job := range cm.schedd.idleJobs() {
 		var pick *machineEntry
