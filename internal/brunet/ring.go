@@ -43,8 +43,8 @@ func (x *connIndex) nearest(dst, exclude Addr) *Connection {
 	if m == 0 {
 		return nil
 	}
-	kd, ke := x.key(&dst), x.key(&exclude)
-	i := x.search(kd, &dst)
+	i, kd := x.search(&dst)
+	ke := x.key(&exclude)
 	var best *Connection
 	var bestDist uint64
 	for _, j := range [4]int{i - 2, i - 1, i, i + 1} {

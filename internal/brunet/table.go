@@ -79,21 +79,21 @@ func (x *connIndex) first(key uint64) int {
 	return lo
 }
 
-// search returns the insertion index for address a, whose key is key: the
-// first position whose peer does not sort before a.
-func (x *connIndex) search(key uint64, a *Addr) int {
-	i := x.first(key)
+// search returns the insertion index for address a — the first position
+// whose peer does not sort before a — and a's key.
+func (x *connIndex) search(a *Addr) (i int, key uint64) {
+	key = x.key(a)
+	i = x.first(key)
 	for i < len(x.slots) && x.slots[i].key == key && x.origin.CmpClockwise(x.slots[i].c.Peer, *a) < 0 {
 		i++
 	}
-	return i
+	return i, key
 }
 
 // insert adds c at its sorted position. The caller guarantees c is not a
 // member.
 func (x *connIndex) insert(c *Connection) {
-	key := x.key(&c.Peer)
-	i := x.search(key, &c.Peer)
+	i, key := x.search(&c.Peer)
 	x.slots = append(x.slots, slot{})
 	copy(x.slots[i+1:], x.slots[i:])
 	x.slots[i] = slot{key, c}
@@ -102,7 +102,7 @@ func (x *connIndex) insert(c *Connection) {
 // remove deletes c, which the caller guarantees is a member.
 func (x *connIndex) remove(c *Connection) {
 	s := x.slots
-	i := x.search(x.key(&c.Peer), &c.Peer)
+	i, _ := x.search(&c.Peer)
 	if i >= len(s) || s[i].c != c {
 		// Defensive: the sorted position must hold c (peers are unique),
 		// but fall back to a scan rather than drop a neighbor from the
@@ -161,7 +161,7 @@ func (n *Node) firstConn(mask roleMask) *Connection { return n.table.from(0, mas
 // peer sorts after c's, whether or not c is still in the table.
 func (n *Node) connAfter(c *Connection, mask roleMask) *Connection {
 	x := &n.table
-	i := x.search(x.key(&c.Peer), &c.Peer)
+	i, _ := x.search(&c.Peer)
 	if i < len(x.slots) && x.slots[i].c.Peer == c.Peer {
 		i++
 	}
