@@ -174,9 +174,12 @@ func TestAllocFreeTicker(t *testing.T) {
 }
 
 // TestAllocFreeSchedule guards the queue's own operations on a warmed
-// simulator (pool and slot array grown, a standing population queued):
-// scheduling a prebuilt func() through At, scheduling through AtArg,
-// cancelling and re-arming a standing timer, and popping allocate nothing.
+// simulator (pool and both slot arrays grown, a standing population
+// queued): scheduling a prebuilt func() through At, scheduling through
+// AtArg for the current instant (the now queue: popped at once, popped
+// behind an entry that keeps the queue from ever draining, cancelled) and
+// for a later one (the heap), cancelling and re-arming a standing timer,
+// and popping allocate nothing.
 func TestAllocFreeSchedule(t *testing.T) {
 	s := New(1)
 	timers := make([]Timer, 1024)
@@ -194,8 +197,17 @@ func TestAllocFreeSchedule(t *testing.T) {
 		name string
 		op   func()
 	}{
-		{"At+pop", func() { s.At(s.Now(), fn); s.step(-1) }},
-		{"AtArg+pop", func() { s.AtArg(s.Now(), nop, nil); s.step(-1) }},
+		{"At(now)+pop", func() { s.At(s.Now(), fn); s.step(-1) }},
+		{"AtArg(now)+pop", func() { s.AtArg(s.Now(), nop, nil); s.step(-1) }},
+		// From here on one extra event stays pending from case to case.
+		{"AtArg(now)+pop behind a pending one", func() {
+			s.AtArg(s.Now(), nop, nil)
+			if s.Pending() > len(timers)+1 {
+				s.step(-1)
+			}
+		}},
+		{"AtArg(now)+Cancel", func() { s.AtArg(s.Now(), nop, nil).Cancel() }},
+		{"AtArg(later)+pop", func() { s.AtArg(s.Now()+1, nop, nil); s.step(-1) }},
 		{"Cancel+re-arm", func() {
 			tm := &timers[i%len(timers)]
 			i += 7
@@ -211,7 +223,7 @@ func TestAllocFreeSchedule(t *testing.T) {
 			t.Errorf("%s: %.2f allocs, want 0", tc.name, avg)
 		}
 	}
-	if s.Pending() != len(timers) {
+	if s.step(-1); s.Pending() != len(timers) {
 		t.Fatalf("standing population changed: %d", s.Pending())
 	}
 }

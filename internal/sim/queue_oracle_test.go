@@ -46,13 +46,15 @@ func (h *eventHeap) Pop() any {
 }
 
 // oracleSim is the reference Simulator over eventHeap: the clock, the
-// clamp-to-now rule, the three run primitives and the model's effects
-// (see queueModel.fire, its Simulator-side twin), nothing else.
+// clamp-to-now rule, Stop, the run primitives as the engine had them when
+// the heap was its only queue, and the model's effects (effect.apply, which
+// it shares with the Simulator under test), nothing else.
 type oracleSim struct {
-	now    Time
-	queue  eventHeap
-	events []*oracleEvent // by id, pending or not
-	popped []popRec
+	now     Time
+	queue   eventHeap
+	events  []*oracleEvent // by id, pending or not
+	popped  []popRec
+	stopped bool
 }
 
 // popRec is one executed event: the clock it ran at and its id (= seq).
@@ -61,7 +63,12 @@ type popRec struct {
 	id   uint64
 }
 
-func (o *oracleSim) schedule(t Time, eff effect) {
+func (o *oracleSim) clock() Time    { return o.now }
+func (o *oracleSim) scheduled() int { return len(o.events) }
+func (o *oracleSim) stop()          { o.stopped = true }
+
+// schedule ignores form: At, AtArg and After are one operation here.
+func (o *oracleSim) schedule(_ uint8, t Time, eff effect) {
 	if t < o.now {
 		t = o.now
 	}
@@ -79,29 +86,46 @@ func (o *oracleSim) cancel(id uint64) bool {
 	return true
 }
 
-func (o *oracleSim) step() {
+// step runs the earliest event unless the run is stopped, nothing is
+// pending or the event lies beyond a non-negative limit.
+func (o *oracleSim) step(limit Time) bool {
+	if o.stopped || len(o.queue) == 0 || (limit >= 0 && o.queue[0].when > limit) {
+		return false
+	}
 	ev := heap.Pop(&o.queue).(*oracleEvent)
 	o.now = ev.when
 	o.popped = append(o.popped, popRec{ev.when, ev.id})
-	if ev.effect.kind&1 != 0 {
-		o.schedule(o.now+offset(ev.effect.x), effect{})
-	}
-	if ev.effect.kind&2 != 0 {
-		o.cancel(uint64(ev.effect.x) * 7 % uint64(len(o.events)))
+	ev.effect.apply(o)
+	return true
+}
+
+func (o *oracleSim) run() {
+	o.stopped = false
+	for o.step(-1) {
 	}
 }
 
 func (o *oracleSim) runUntil(t Time) {
-	for len(o.queue) > 0 && o.queue[0].when <= t {
-		o.step()
+	o.stopped = false
+	for o.step(t) {
 	}
-	if t > o.now {
+	if !o.stopped && t > o.now {
 		o.now = t
 	}
 }
 
 func (o *oracleSim) runBefore(t Time) {
-	for len(o.queue) > 0 && o.queue[0].when < t {
-		o.step()
+	o.stopped = false
+	for !o.stopped && len(o.queue) > 0 && o.queue[0].when < t {
+		o.step(-1)
+	}
+}
+
+func (o *oracleSim) advanceTo(t Time) {
+	if len(o.queue) > 0 && o.queue[0].when < t {
+		t = o.queue[0].when
+	}
+	if t > o.now {
+		o.now = t
 	}
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -10,8 +11,36 @@ import (
 // effect is what an event does when it fires, besides being logged: the
 // queue is mutated from inside callbacks at least as often as from outside.
 type effect struct {
-	kind uint8 // 0 nothing, 1 schedule a child, 2 cancel some timer, 3 both
-	x    uint8
+	kind  uint8 // bit 0 schedule a child, bit 1 cancel some timer, bit 2 Stop the run
+	x     uint8
+	depth uint8 // generations of children after the first that carry the effect on
+}
+
+// effectTarget is what an effect acts through: the Simulator under test
+// (queueModel) or the oracle, so the two cannot drift apart.
+type effectTarget interface {
+	clock() Time
+	scheduled() int
+	schedule(form uint8, t Time, eff effect)
+	cancel(id uint64) bool
+	stop()
+}
+
+func (e effect) apply(q effectTarget) {
+	if e.kind&1 != 0 {
+		child := effect{}
+		if e.depth > 0 {
+			// Same-instant pipelines: most offsets are at or before now.
+			child = effect{kind: e.kind & 3, x: e.x*37 + 11, depth: e.depth - 1}
+		}
+		q.schedule(e.x, q.clock()+offset(e.x), child)
+	}
+	if e.kind&2 != 0 {
+		q.cancel(uint64(e.x) * 7 % uint64(q.scheduled()))
+	}
+	if e.kind&4 != 0 {
+		q.stop()
+	}
 }
 
 // queueModel drives a Simulator and the container/heap oracle through the
@@ -46,15 +75,15 @@ func (m *queueModel) failf(format string, args ...any) {
 	}
 }
 
+func (m *queueModel) clock() Time           { return m.s.Now() }
+func (m *queueModel) scheduled() int        { return len(m.handles) }
+func (m *queueModel) cancel(id uint64) bool { return m.handles[id].Cancel() }
+func (m *queueModel) stop()                 { m.s.Stop() }
+
 // fire is the Simulator-side callback of event id.
 func (m *queueModel) fire(id uint64, eff effect) {
 	m.got = append(m.got, popRec{m.s.Now(), id})
-	if eff.kind&1 != 0 {
-		m.scheduleReal(eff.x, m.s.Now()+offset(eff.x), effect{})
-	}
-	if eff.kind&2 != 0 {
-		m.handles[uint64(eff.x)*7%uint64(len(m.handles))].Cancel()
-	}
+	eff.apply(m)
 }
 
 func (m *queueModel) fireArg(arg any) {
@@ -62,9 +91,18 @@ func (m *queueModel) fireArg(arg any) {
 	m.fire(f.id, f.eff)
 }
 
-// scheduleReal schedules on the Simulator through one of its three forms
-// and checks the new slot carries the expected key.
-func (m *queueModel) scheduleReal(form uint8, t Time, eff effect) {
+// slotOf finds a pending timer's slot in whichever home holds it.
+func (m *queueModel) slotOf(h Timer) slot {
+	if i := h.ev.index; i < 0 {
+		return m.s.nowq[^i]
+	}
+	return m.s.queue[h.ev.index]
+}
+
+// schedule schedules on the Simulator through one of its three forms and
+// checks the new slot carries the expected key in the expected home: the
+// now queue exactly when the event is for the current instant.
+func (m *queueModel) schedule(form uint8, t Time, eff effect) {
 	id := uint64(len(m.handles))
 	now := m.s.Now()
 	var h Timer
@@ -80,23 +118,48 @@ func (m *queueModel) scheduleReal(form uint8, t Time, eff effect) {
 	if t < now {
 		t = now
 	}
-	if sl := m.s.queue[h.ev.index]; sl.ev != h.ev || sl.seq != id || sl.when != t {
+	if sl := m.slotOf(h); sl.ev != h.ev || sl.seq != id || sl.when != t {
 		m.failf("event %d scheduled at %d sits in slot {when %d, seq %d}", id, t, sl.when, sl.seq)
+	}
+	if inNow := h.ev.index < 0; inNow != (t == now) {
+		m.failf("event %d scheduled at %d with the clock at %d: in the now queue %v", id, t, now, inNow)
 	}
 }
 
-// check asserts every invariant that ties the two queues together.
+// liveNow lists the seq of every live now-queue entry, head first.
+func (m *queueModel) liveNow() []uint64 {
+	var ids []uint64
+	for _, sl := range m.s.nowq[m.s.nowHead:] {
+		if sl.ev != nil {
+			ids = append(ids, sl.seq)
+		}
+	}
+	return ids
+}
+
+// check asserts every invariant that ties the two queues together, and
+// those of the Simulator's two homes.
 func (m *queueModel) check(op string) {
 	if m.err != nil {
 		return
 	}
-	q := m.s.queue
-	if len(q) != len(m.o.queue) || m.s.Pending() != len(q) {
-		m.failf("%s: %d slots, Pending() %d, oracle holds %d", op, len(q), m.s.Pending(), len(m.o.queue))
+	s := m.s
+	q := s.queue
+	live := m.liveNow()
+	if len(q)+len(live) != len(m.o.queue) || s.Pending() != len(m.o.queue) || s.nowLive != len(live) {
+		m.failf("%s: %d heap slots + %d live now-queue entries (nowLive %d), Pending() %d, oracle holds %d",
+			op, len(q), len(live), s.nowLive, s.Pending(), len(m.o.queue))
 		return
 	}
-	if m.s.Now() != m.o.now {
-		m.failf("%s: clock %d, oracle %d", op, m.s.Now(), m.o.now)
+	if s.Now() != m.o.now {
+		m.failf("%s: clock %d, oracle %d", op, s.Now(), m.o.now)
+	}
+	if s.Processed != uint64(len(m.o.popped)) {
+		m.failf("%s: Processed %d, oracle popped %d", op, s.Processed, len(m.o.popped))
+	}
+	pt, ok := s.PeekTime()
+	if ok != (len(m.o.queue) > 0) || (ok && pt != m.o.queue[0].when) {
+		m.failf("%s: PeekTime() = %d, %v with %d pending in the oracle", op, pt, ok, len(m.o.queue))
 	}
 	for i := range q {
 		if int(q[i].ev.index) != i {
@@ -106,13 +169,51 @@ func (m *queueModel) check(op string) {
 			m.failf("%s: slot %d fires before its parent %d", op, i, (i-1)/4)
 		}
 	}
+	// The now queue: popped prefix and tombstones zeroed, live entries
+	// strictly ascending in (when, seq), nothing scheduled past the clock,
+	// each pointing back at its slot, the head live, an empty queue rewound.
+	var prev *slot
+	for i := range s.nowq {
+		sl := &s.nowq[i]
+		switch {
+		case sl.ev == nil:
+			if *sl != (slot{}) {
+				m.failf("%s: now-queue slot %d is dead but not zeroed: %+v", op, i, *sl)
+			}
+			if i == s.nowHead {
+				m.failf("%s: now-queue head %d is a tombstone", op, i)
+			}
+		case i < s.nowHead:
+			m.failf("%s: now-queue slot %d is live behind the head %d", op, i, s.nowHead)
+		default:
+			if sl.ev.index != ^int32(i) {
+				m.failf("%s: now-queue slot %d holds an event with index %d", op, i, sl.ev.index)
+			}
+			if sl.when > s.Now() {
+				m.failf("%s: now-queue slot %d is due at %d, after the clock %d", op, i, sl.when, s.Now())
+			}
+			if prev != nil && !prev.before(sl) {
+				m.failf("%s: now-queue slot %d (when %d, seq %d) does not fire after its predecessor (when %d, seq %d)",
+					op, i, sl.when, sl.seq, prev.when, prev.seq)
+			}
+			prev = sl
+		}
+	}
+	if len(live) == 0 && (len(s.nowq) != 0 || s.nowHead != 0) {
+		m.failf("%s: empty now queue not rewound: len %d, head %d", op, len(s.nowq), s.nowHead)
+	}
+	for _, sl := range s.nowq[len(s.nowq):cap(s.nowq)] {
+		if sl != (slot{}) {
+			m.failf("%s: now-queue storage beyond its length pins %+v", op, sl)
+		}
+	}
 	if len(m.handles) != len(m.o.events) {
 		m.failf("%s: %d events scheduled, oracle %d", op, len(m.handles), len(m.o.events))
 		return
 	}
 	for id, h := range m.handles {
 		if oe := m.o.events[id]; oe.index >= 0 {
-			if !h.Active() || h.Time() != oe.when || q[h.ev.index].seq != uint64(id) {
+			if !h.Active() || h.Time() != oe.when || m.slotOf(h).seq != uint64(id) {
 				m.failf("%s: pending timer %d: active %v, time %d want %d", op, id, h.Active(), h.Time(), oe.when)
 			}
 		} else if h.Active() || h.Time() != 0 {
@@ -130,6 +231,26 @@ func (m *queueModel) check(op string) {
 	}
 }
 
+// victim picks the timer a cancel operation aims at: the heap's root or
+// last slot, the now queue's head, tail or a middle entry, or any timer
+// ever issued.
+func (m *queueModel) victim(x uint8, pc int) uint64 {
+	q, live := m.s.queue, m.liveNow()
+	switch {
+	case x%8 == 0 && len(q) > 0:
+		return q[0].seq
+	case x%8 == 1 && len(q) > 0:
+		return q[len(q)-1].seq
+	case x%8 == 2 && len(live) > 0:
+		return live[0]
+	case x%8 == 3 && len(live) > 0:
+		return live[len(live)-1]
+	case x%8 == 4 && len(live) > 0:
+		return live[len(live)/2]
+	}
+	return (uint64(x)*251 + uint64(pc)) % uint64(len(m.handles))
+}
+
 // runQueueProgram interprets prog, two bytes an operation, against both
 // queues and reports the first divergence or broken invariant.
 func runQueueProgram(prog []byte) error {
@@ -138,64 +259,114 @@ func runQueueProgram(prog []byte) error {
 		op, x := prog[pc], prog[pc+1]
 		now := m.s.Now()
 		switch op % 8 {
-		case 0, 1, 2, 3: // schedule: form from op, effect from its high bits
-			eff := effect{kind: op >> 6, x: x ^ op}
-			m.scheduleReal(op, now+offset(x), eff)
-			m.o.schedule(now+offset(x), eff)
+		case 0, 1, 2, 3: // schedule: form and effect from op's bits
+			eff := effect{kind: op >> 6, x: x ^ op, depth: op >> 4 & 3}
+			if op&8 != 0 && x&16 != 0 {
+				eff.kind |= 4
+			}
+			m.schedule(op, now+offset(x), eff)
+			m.o.schedule(op, now+offset(x), eff)
 			m.check("schedule")
-		case 4: // cancel: the root, the last slot, or any timer ever issued
+		case 4: // cancel, and with op's bit 3 re-arm at the same time
 			if len(m.handles) == 0 {
 				continue
 			}
-			id := (uint64(x)*251 + uint64(pc)) % uint64(len(m.handles))
-			if q := m.s.queue; len(q) > 0 && x%4 == 0 {
-				id = q[0].seq
-			} else if len(q) > 0 && x%4 == 1 {
-				id = q[len(q)-1].seq
-			}
-			if got, want := m.handles[id].Cancel(), m.o.cancel(id); got != want {
+			id := m.victim(x, pc)
+			got, want := m.handles[id].Cancel(), m.o.cancel(id)
+			if got != want {
 				m.failf("Cancel(%d) = %v, oracle %v", id, got, want)
 			}
 			m.check("cancel")
-		case 5:
-			m.s.RunUntil(now + Time(x%8))
-			m.o.runUntil(now + Time(x%8))
+			if want && op&8 != 0 {
+				when := m.o.events[id].when
+				m.schedule(op>>4, when, effect{})
+				m.o.schedule(op>>4, when, effect{})
+				m.check("re-arm")
+			}
+		case 5: // two times in eight t < now: nothing runs, the clock stays
+			t := now + Time(x%8) - 2
+			m.s.RunUntil(t)
+			m.o.runUntil(t)
 			m.check("RunUntil")
 		case 6:
-			m.s.RunBefore(now + Time(x%8))
-			m.o.runBefore(now + Time(x%8))
+			t := now + Time(x%8) - 1
+			m.s.RunBefore(t)
+			m.o.runBefore(t)
 			m.check("RunBefore")
 		case 7:
-			if m.s.step(-1) {
-				m.o.step()
+			switch x % 4 {
+			case 0, 1:
+				if got, want := m.s.step(-1), m.o.step(-1); got != want {
+					m.failf("step() = %v, oracle %v", got, want)
+				}
+				m.check("step")
+			case 2:
+				t := now + Time(x>>2%8) - 1
+				m.s.AdvanceTo(t)
+				m.o.advanceTo(t)
+				m.check("AdvanceTo")
+			case 3: // Stop from outside a run: step refuses until a run resumes
+				m.s.Stop()
+				m.o.stop()
+				m.check("Stop")
 			}
-			m.check("step")
 		}
 	}
-	m.s.Run()
-	for len(m.o.queue) > 0 {
-		m.o.step()
+	for m.s.Pending() > 0 && m.err == nil { // a Stop effect ends a Run early
+		m.s.Run()
+		m.o.run()
+		m.check("drain")
 	}
-	m.check("drain")
+	if len(m.o.queue) > 0 {
+		m.failf("drained with %d events pending in the oracle", len(m.o.queue))
+	}
 	return m.err
 }
 
-// Property: over random interleavings of At/AtArg/After, Cancel and the
-// run primitives — from outside and from inside callbacks — the 4-ary slot
-// heap pops exactly the container/heap oracle's (when, seq) sequence and
-// keeps its index and heap-order invariants after every operation.
+// sameInstant rewrites a random program so that same-instant traffic is
+// dense: most schedules land at or before now, most cancels aim at the now
+// queue and half of them re-arm, and events run one step at a time so the
+// now queue stays populated between operations.
+func sameInstant(prog []byte, rng *rand.Rand) {
+	for pc := 0; pc+1 < len(prog); pc += 2 {
+		op, x := &prog[pc], &prog[pc+1]
+		switch *op % 8 {
+		case 0, 1, 2, 3:
+			if rng.Intn(4) > 0 {
+				*x = *x&^0xE7 | uint8(rng.Intn(3)) // offset -2, -1 or 0, never far future
+			}
+		case 4:
+			if rng.Intn(4) > 0 {
+				*x = *x&^7 | uint8(2+rng.Intn(3))
+			}
+		case 5, 6:
+			if rng.Intn(2) == 0 {
+				*op, *x = *op|7, *x&^3 // step
+			}
+		}
+	}
+}
+
+// Property: over random interleavings of At/AtArg/After, Cancel, Stop and
+// the run primitives — from outside and from inside callbacks — the 4-ary
+// slot heap and the now queue together pop exactly the container/heap
+// oracle's (when, seq) sequence, and each keeps its index and order
+// invariants after every operation.
 func TestQuickQueueMatchesOracle(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		prog := make([]byte, 2*(1+rng.Intn(400)))
 		rng.Read(prog)
-		if rng.Intn(2) == 0 {
+		switch rng.Intn(3) {
+		case 0:
 			// Bias toward scheduling so the heap grows several levels deep.
 			for pc := 0; pc < len(prog); pc += 2 {
 				if rng.Intn(3) > 0 {
 					prog[pc] &^= 4
 				}
 			}
+		case 1:
+			sameInstant(prog, rng)
 		}
 		if err := runQueueProgram(prog); err != nil {
 			t.Logf("seed %d: %v", seed, err)
@@ -205,6 +376,166 @@ func TestQuickQueueMatchesOracle(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 400, Rand: rand.New(rand.NewSource(59))}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestNowQueueCases pins the corners of the two-home queue one at a time:
+// each case drives a fresh Simulator, reports a broken intermediate
+// expectation as a string, and lists the (clock, id) sequence it must fire.
+func TestNowQueueCases(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		run  func(s *Simulator, note func(any)) string
+		want []popRec
+	}{
+		{"a heap event and a now-queue event at one instant: the heap one was scheduled first", func(s *Simulator, note func(any)) string {
+			s.AtArg(10, func(any) { note(0); s.AtArg(s.Now(), note, 2) }, nil)
+			s.AtArg(10, note, 1)
+			s.Run()
+			return ""
+		}, []popRec{{10, 0}, {10, 1}, {10, 2}}},
+		{"a now-queue event fires before a later heap timer scheduled first", func(s *Simulator, note func(any)) string {
+			s.AtArg(20, note, 0)
+			s.AtArg(0, note, 1)
+			s.AtArg(-5, note, 2)
+			s.Run()
+			return ""
+		}, []popRec{{0, 1}, {0, 2}, {20, 0}}},
+		{"cancel the head, a middle and the tail entry, then re-arm", func(s *Simulator, note func(any)) string {
+			s.AtArg(30, note, 9)
+			var tm [5]Timer
+			for i := range tm {
+				tm[i] = s.AtArg(s.Now(), note, i)
+			}
+			for _, i := range []int{0, 2, 4} {
+				if !tm[i].Cancel() || tm[i].Active() || tm[i].Time() != 0 || tm[i].Cancel() {
+					return fmt.Sprintf("cancelled timer %d: still active or cancellable", i)
+				}
+			}
+			if s.Pending() != 3 {
+				return fmt.Sprintf("Pending() = %d after three cancels, want 3", s.Pending())
+			}
+			if pt, ok := s.PeekTime(); !ok || pt != 0 {
+				return fmt.Sprintf("PeekTime() = %d, %v; want the surviving now-queue entry", pt, ok)
+			}
+			s.AtArg(s.Now(), note, 5)
+			s.AtArg(s.Now(), note, 6)
+			s.Run()
+			return ""
+		}, []popRec{{0, 1}, {0, 3}, {0, 5}, {0, 6}, {30, 9}}},
+		{"a cancelled now-queue event's storage is recycled without reviving its handle", func(s *Simulator, note func(any)) string {
+			stale := s.AtArg(s.Now(), note, 0)
+			stale.Cancel()
+			fresh := s.AtArg(Time(Second), note, 1)
+			if fresh.ev != stale.ev {
+				return "the cancelled event did not return to the pool at once"
+			}
+			if stale.Active() || stale.Cancel() || !fresh.Active() {
+				return "stale handle acts on the recycled event"
+			}
+			s.Run()
+			return ""
+		}, []popRec{{Time(Second), 1}}},
+		{"Stop in mid-instant leaves the rest of the instant queued for the next run", func(s *Simulator, note func(any)) string {
+			s.RunUntil(4)
+			s.AtArg(s.Now(), func(any) { note(0); s.Stop() }, nil)
+			s.AtArg(s.Now(), note, 1)
+			s.AtArg(s.Now(), note, 2)
+			s.Run()
+			if s.Pending() != 2 || s.Processed != 1 {
+				return fmt.Sprintf("after Stop: Pending() %d, Processed %d", s.Pending(), s.Processed)
+			}
+			if s.step(-1) {
+				return "step ran an event on a stopped simulator"
+			}
+			s.Run()
+			return ""
+		}, []popRec{{4, 0}, {4, 1}, {4, 2}}},
+		{"RunUntil and RunBefore short of the clock run nothing", func(s *Simulator, note func(any)) string {
+			s.RunUntil(10)
+			tm := s.AtArg(3, note, 0) // clamped to now
+			if tm.Time() != 10 || tm.ev.index >= 0 {
+				return fmt.Sprintf("past-time event: Time() %d, index %d", tm.Time(), tm.ev.index)
+			}
+			s.RunUntil(5)
+			s.RunBefore(10)
+			if s.Processed != 0 || s.Now() != 10 || s.Pending() != 1 {
+				return fmt.Sprintf("ran %d events, clock %d, pending %d", s.Processed, s.Now(), s.Pending())
+			}
+			s.RunBefore(11)
+			if s.Now() != 10 {
+				return fmt.Sprintf("RunBefore moved the clock to %d", s.Now())
+			}
+			return ""
+		}, []popRec{{10, 0}}},
+		{"PeekTime with only the now queue populated", func(s *Simulator, note func(any)) string {
+			s.RunUntil(7)
+			tm := s.AtArg(s.Now(), note, 0)
+			if pt, ok := s.PeekTime(); !ok || pt != 7 {
+				return fmt.Sprintf("PeekTime() = %d, %v; want 7, true", pt, ok)
+			}
+			tm.Cancel()
+			if pt, ok := s.PeekTime(); ok || s.Pending() != 0 {
+				return fmt.Sprintf("PeekTime() = %d, %v with everything cancelled", pt, ok)
+			}
+			return ""
+		}, nil},
+		{"AdvanceTo never passes a pending event", func(s *Simulator, note func(any)) string {
+			s.AtArg(20, note, 0)
+			tm := s.AtArg(s.Now(), note, 1)
+			if s.AdvanceTo(50); s.Now() != 0 {
+				return fmt.Sprintf("AdvanceTo passed the now queue: clock %d", s.Now())
+			}
+			tm.Cancel()
+			if s.AdvanceTo(50); s.Now() != 20 {
+				return fmt.Sprintf("AdvanceTo with a timer due at 20: clock %d", s.Now())
+			}
+			s.AtArg(s.Now(), note, 2) // same instant as the heap's root, scheduled after it
+			s.Run()
+			if s.AdvanceTo(50); s.Now() != 50 {
+				return fmt.Sprintf("AdvanceTo on an empty queue: clock %d", s.Now())
+			}
+			return ""
+		}, []popRec{{20, 0}, {20, 2}}},
+	} {
+		s := New(1)
+		var got []popRec
+		note := func(arg any) { got = append(got, popRec{s.Now(), uint64(arg.(int))}) }
+		if msg := tc.run(s, note); msg != "" {
+			t.Errorf("%s: %s", tc.name, msg)
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: fired %v, want %v", tc.name, got, tc.want)
+		}
+		if s.Pending() != 0 || len(s.nowq) != 0 || s.nowHead != 0 {
+			t.Errorf("%s: left %d pending, now queue len %d head %d", tc.name, s.Pending(), len(s.nowq), s.nowHead)
+		}
+	}
+}
+
+// TestNowQueueBounded: a frozen-clock pipeline that never lets the now
+// queue drain — the shape of closed-loop packet forwarding — processes a
+// million events in a few slots of storage, with and without cancellations
+// leaving tombstones behind.
+func TestNowQueueBounded(t *testing.T) {
+	for _, cancels := range []bool{false, true} {
+		s := New(1)
+		s.AtArg(Time(Hour), nop, nil) // a standing timer: the heap is not empty either
+		s.AtArg(s.Now(), nop, nil)    // always one event pending at now
+		for i := 0; i < 1<<20; i++ {
+			tm := s.AtArg(s.Now(), nop, nil)
+			if cancels && i%3 == 0 {
+				s.AtArg(s.Now(), nop, nil)
+				tm.Cancel()
+			}
+			s.step(-1)
+		}
+		if s.Now() != 0 || s.Pending() != 2 || s.Processed != 1<<20 {
+			t.Fatalf("cancels %v: clock %d, pending %d, processed %d", cancels, s.Now(), s.Pending(), s.Processed)
+		}
+		if cap(s.nowq) > 8 {
+			t.Errorf("cancels %v: now queue grew to %d slots for at most 3 live entries", cancels, cap(s.nowq))
+		}
 	}
 }
 
@@ -274,6 +605,16 @@ func FuzzEventQueue(f *testing.F) {
 	seed := make([]byte, 512)
 	rng.Read(seed)
 	f.Add(seed)
+	// Same-instant programs. By hand: five events at now (one with a child
+	// chain, one that Stops the run), cancel the now queue's head, middle
+	// and tail with a re-arm each, run short of the clock, step, AdvanceTo,
+	// a heap timer one tick ahead whose firing schedules at its own instant.
+	f.Add([]byte{0x01, 2, 0x71, 2, 0x09, 0x12, 0x00, 1, 0x02, 0, 0x0C, 2, 0x1C, 4, 0x2C, 3,
+		5, 0, 6, 0, 7, 0, 7, 6, 0x41, 3, 0x01, 3, 7, 1, 7, 0, 7, 3, 7, 0, 5, 7})
+	dense := make([]byte, 512)
+	rng.Read(dense)
+	sameInstant(dense, rng)
+	f.Add(dense)
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		if len(prog) > 2048 {
 			prog = prog[:2048]
@@ -284,16 +625,20 @@ func FuzzEventQueue(f *testing.F) {
 	})
 }
 
-// BenchmarkDeepQueue times the queue's three traffic patterns under a
-// standing population of far-future timers, at three depths, so that the
-// log₄(depth) cost of each is on record:
+// BenchmarkDeepQueue times the queue's traffic patterns under a standing
+// population of far-future timers, at three depths. The two that go through
+// the heap cost log₄(depth); hop, the same-instant pattern, goes through
+// the now queue and must not depend on the depth at all:
 //
-//	hop    push a near-now event past the standing timers and pop it
-//	       (a packet delivery at a frozen clock);
-//	rearm  pop the minimum and push it back one interval ahead
-//	       (a keepalive or ticker firing);
-//	cancel remove a random standing timer and arm it again
-//	       (a ping timeout reset by the pong).
+//	hop       schedule an event for the current instant and pop it
+//	          (a packet delivery at a frozen clock);
+//	hop+timer the same, every fourth schedule a near-future timer
+//	          replacing the previous one (a transfer re-arming its
+//	          retransmission timer): both homes live at once;
+//	rearm     pop the minimum and push it back one interval ahead
+//	          (a keepalive or ticker firing);
+//	cancel    remove a random standing timer and arm it again
+//	          (a ping timeout reset by the pong).
 func BenchmarkDeepQueue(b *testing.B) {
 	for _, depth := range []int{1 << 10, 1 << 16, 1 << 20} {
 		standing := func() (*Simulator, []Timer) {
@@ -309,6 +654,21 @@ func BenchmarkDeepQueue(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				s.AtArg(s.now, nop, nil)
+				s.step(-1)
+			}
+		})
+		b.Run(fmt.Sprintf("hop+timer/%d", depth), func(b *testing.B) {
+			s, _ := standing()
+			var rto Timer
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i%4 == 3 {
+					rto.Cancel()
+					rto = s.AtArg(s.now.Add(Millisecond), nop, nil)
+					continue
+				}
 				s.AtArg(s.now, nop, nil)
 				s.step(-1)
 			}

@@ -216,6 +216,51 @@ func TestShardedCrossTieOrder(t *testing.T) {
 	}
 }
 
+// TestShardedSendOutsideRunAtNow: between runs Send schedules directly, and
+// an event for the destination's current instant — which goes to that
+// shard's now queue — fires after everything already due at that instant,
+// whichever home holds it, and before anything scheduled after it.
+func TestShardedSendOutsideRunAtNow(t *testing.T) {
+	const at = Time(3 * Millisecond)
+	for _, k := range []int{1, 4} {
+		g := NewSharded(7, k, 2)
+		g.SetLookahead(Millisecond)
+		to := k - 1
+		dst := g.Shard(to)
+		var order []int
+		note := func(arg any) { order = append(order, arg.(int)) }
+		dst.AtArg(at.Add(Millisecond), note, 9) // a later timer with the smallest seq of all
+		g.RunUntil(at)
+		dst.AtArg(at, note, 1)
+		dst.AtArg(0, note, 2) // clamped to the same instant
+		g.Send(0, to, dst.Now(), note, 3)
+		dst.AtArg(at, note, 4)
+		g.RunUntil(at.Add(Second))
+		g.Close()
+		if !reflect.DeepEqual(order, []int{1, 2, 3, 4, 9}) {
+			t.Errorf("K=%d: fired %v, want [1 2 3 4 9]", k, order)
+		}
+	}
+
+	// One shard is the plain Simulator, where a Stop leaves heap events due
+	// at the instant the clock stopped at: they were scheduled first.
+	g := NewSharded(7, 1, 1)
+	s := g.Shard(0)
+	var order []int
+	note := func(arg any) { order = append(order, arg.(int)) }
+	s.AtArg(at, func(any) { s.Stop() }, nil)
+	s.AtArg(at, note, 1)
+	g.RunUntil(at)
+	if s.Now() != at || s.Pending() != 1 {
+		t.Fatalf("stopped at %v with %d pending", s.Now(), s.Pending())
+	}
+	g.Send(0, 0, s.Now(), note, 2)
+	g.RunUntil(at)
+	if !reflect.DeepEqual(order, []int{1, 2}) {
+		t.Errorf("after Stop: fired %v, want [1 2]", order)
+	}
+}
+
 // TestMergeStable pins the canonical cross-shard merge order shared by the
 // engine's event lanes and the flight recorder: concatenate parts in slice
 // order, stable-sort by timestamp — i.e. (time, part index, emission order).

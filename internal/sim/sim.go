@@ -60,13 +60,14 @@ type event struct {
 	arg   any
 	next  *event // free-list link
 	gen   uint64
-	index int32 // position of the event's slot in Simulator.queue
+	index int32 // the event's slot: Simulator.queue[index], or Simulator.nowq[^index] when negative
 }
 
 // slot is one entry of the pending-event queue: the ordering key inline,
 // then the event it orders. Pop order is the (when, seq) total order and
-// nothing else — seq is unique, so no two slots ever compare equal and the
-// shape of the heap cannot influence which event fires next.
+// nothing else — seq is unique, so no two slots ever compare equal and
+// neither the shape of the heap nor which of the two homes (heap or now
+// queue) a slot sits in can influence which event fires next.
 type slot struct {
 	when Time
 	seq  uint64 // tie-breaker: FIFO among equal timestamps
@@ -99,7 +100,11 @@ func (t Timer) Time() Time {
 	if !t.Active() {
 		return 0
 	}
-	return t.s.queue[t.ev.index].when
+	i := t.ev.index
+	if i < 0 {
+		return t.s.nowq[^i].when
+	}
+	return t.s.queue[i].when
 }
 
 // Cancel prevents a pending event from firing, removing it from the queue
@@ -110,7 +115,11 @@ func (t Timer) Cancel() bool {
 	if !t.Active() {
 		return false
 	}
-	t.s.remove(int(t.ev.index))
+	if i := int(t.ev.index); i < 0 {
+		t.s.retireNow(^i)
+	} else {
+		t.s.remove(i)
+	}
 	t.s.release(t.ev)
 	return true
 }
@@ -120,8 +129,21 @@ func (t Timer) Cancel() bool {
 // simulations (e.g. benchmark trials) may run in parallel goroutines, each
 // with its own Simulator.
 type Simulator struct {
-	now     Time
-	queue   []slot // 4-ary min-heap on (when, seq); children of i are 4i+1..4i+4
+	now   Time
+	queue []slot // 4-ary min-heap on (when, seq); children of i are 4i+1..4i+4
+
+	// The now queue: events scheduled for the instant they were scheduled
+	// at, in scheduling order. Entries are appended with when == now, the
+	// clock never moves backward and seq only grows, so nowq[nowHead:] is
+	// sorted by (when, seq) like the heap, and the next event is whichever
+	// of the two heads fires first (see head). nowq[:nowHead] has been
+	// popped; a cancelled entry stays behind as a zeroed tombstone until the
+	// head passes it or compactNow squeezes it out. While nowLive > 0 the
+	// head entry is live.
+	nowq    []slot
+	nowHead int
+	nowLive int // entries of nowq that are neither popped nor cancelled
+
 	free    *event
 	nextSeq uint64
 	rng     *rand.Rand
@@ -229,6 +251,54 @@ func (s *Simulator) remove(i int) {
 	}
 }
 
+// head returns the earliest pending slot, or nil when nothing is pending.
+// The heap and the now queue are each sorted by (when, seq), so taking the
+// earlier of their two heads is a two-way merge of the one total order:
+// neither home has precedence, the comparison decides.
+func (s *Simulator) head() *slot {
+	var h *slot
+	if len(s.queue) > 0 {
+		h = &s.queue[0]
+	}
+	if s.nowLive > 0 {
+		if n := &s.nowq[s.nowHead]; h == nil || n.before(h) {
+			return n
+		}
+	}
+	return h
+}
+
+// retireNow takes entry i out of the now queue, popped or cancelled: its
+// slot is zeroed, the head moves past whatever tombstones it then faces,
+// and an emptied queue restarts at the front of its storage.
+func (s *Simulator) retireNow(i int) {
+	s.nowq[i] = slot{}
+	s.nowLive--
+	if s.nowLive == 0 {
+		s.nowq, s.nowHead = s.nowq[:0], 0
+		return
+	}
+	for s.nowq[s.nowHead].ev == nil {
+		s.nowHead++
+	}
+}
+
+// compactNow slides the live entries of the now queue to the front of its
+// storage, dropping the popped prefix and the tombstones.
+func (s *Simulator) compactNow() {
+	q := s.nowq
+	n := 0
+	for i := s.nowHead; i < len(q); i++ {
+		if q[i].ev != nil {
+			q[n] = q[i]
+			q[n].ev.index = ^int32(n)
+			n++
+		}
+	}
+	clear(q[n:])
+	s.nowq, s.nowHead = q[:n], 0
+}
+
 // callFunc runs a func() scheduled through At: the function value itself
 // is the event's argument (pointer-shaped, so boxing it allocates nothing).
 func callFunc(fn any) { fn.(func())() }
@@ -251,15 +321,33 @@ func (s *Simulator) After(d Duration, fn func()) Timer {
 // At). With a package-level (non-capturing) fn this schedules without
 // allocating: no closure is created, and the pooled event carries arg —
 // the allocation-free form the packet-delivery hot path uses.
+//
+// An event for the current instant is appended to the now queue in O(1);
+// any other is pushed into the heap. Same-instant events are the heap's
+// worst case (they sift up past every standing timer, and popping them
+// drags a far-future timer back down) and most of a packet-heavy run.
 func (s *Simulator) AtArg(t Time, fn func(any), arg any) Timer {
 	if t < s.now {
 		t = s.now
 	}
 	e := s.acquire()
 	e.fn, e.arg = fn, arg
-	s.queue = append(s.queue, slot{})
-	s.up(len(s.queue)-1, slot{when: t, seq: s.nextSeq, ev: e})
+	sl := slot{when: t, seq: s.nextSeq, ev: e}
 	s.nextSeq++
+	if t == s.now {
+		// Out of room with at most half the storage live: reuse it rather
+		// than grow, so capacity follows the largest burst of live entries
+		// and not the number of events an instant processes.
+		if n := len(s.nowq); n == cap(s.nowq) && s.nowLive <= n/2 {
+			s.compactNow()
+		}
+		e.index = ^int32(len(s.nowq))
+		s.nowq = append(s.nowq, sl)
+		s.nowLive++
+	} else {
+		s.queue = append(s.queue, slot{})
+		s.up(len(s.queue)-1, sl)
+	}
 	return Timer{s: s, ev: e, gen: e.gen}
 }
 
@@ -268,19 +356,24 @@ func (s *Simulator) Stop() { s.stopped = true }
 
 // Pending reports the number of events waiting in the queue. Cancelled
 // events leave the queue immediately and are not counted.
-func (s *Simulator) Pending() int { return len(s.queue) }
+func (s *Simulator) Pending() int { return len(s.queue) + s.nowLive }
 
 // step executes the next pending event. It reports false when the queue is
 // empty or the simulator has been stopped.
 func (s *Simulator) step(limit Time) bool {
-	if s.stopped || len(s.queue) == 0 {
+	sl := s.head()
+	if s.stopped || sl == nil {
 		return false
 	}
-	when, ev := s.queue[0].when, s.queue[0].ev
+	when, ev := sl.when, sl.ev
 	if limit >= 0 && when > limit {
 		return false
 	}
-	s.remove(0)
+	if ev.index < 0 {
+		s.retireNow(s.nowHead)
+	} else {
+		s.remove(0)
+	}
 	s.now = when
 	s.Processed++
 	// Release before running: the callback may itself schedule (reusing
@@ -316,10 +409,11 @@ func (s *Simulator) RunFor(d Duration) { s.RunUntil(s.now.Add(d)) }
 // return is false when the queue is empty. Sharded coordinators use it to
 // compute the global window floor without popping anything.
 func (s *Simulator) PeekTime() (Time, bool) {
-	if len(s.queue) == 0 {
+	sl := s.head()
+	if sl == nil {
 		return 0, false
 	}
-	return s.queue[0].when, true
+	return sl.when, true
 }
 
 // RunBefore executes every event with timestamp strictly less than t and
@@ -329,15 +423,24 @@ func (s *Simulator) PeekTime() (Time, bool) {
 // events at or beyond the window boundary queued for later windows.
 func (s *Simulator) RunBefore(t Time) {
 	s.stopped = false
-	for !s.stopped && len(s.queue) > 0 && s.queue[0].when < t {
+	for !s.stopped {
+		if sl := s.head(); sl == nil || sl.when >= t {
+			break
+		}
 		s.step(-1)
 	}
 }
 
 // AdvanceTo moves the clock forward to t without executing anything.
-// Moving backward is a no-op. The sharded coordinator uses it to bring
-// every shard's clock to the common horizon after the last window.
+// Moving backward is a no-op, and the clock stops at the earliest pending
+// event if that is due before t: nothing ever waits in the queue behind the
+// clock, so executing an event never moves the clock backward. The sharded
+// coordinator uses it to bring every shard's clock to the common horizon
+// after the last window.
 func (s *Simulator) AdvanceTo(t Time) {
+	if sl := s.head(); sl != nil && sl.when < t {
+		t = sl.when
+	}
 	if t > s.now {
 		s.now = t
 	}
