@@ -272,8 +272,13 @@ func (s *Stream) armRTO() {
 	if s.state == streamOpen && len(s.sendBuf) == 0 {
 		return
 	}
-	s.rtoTimer = s.host.Sim().After(s.rto, s.onTimeout)
+	s.rtoTimer = s.host.Sim().AtArg(s.host.Sim().Now().Add(s.rto), streamTimeoutFired, s)
 }
+
+// streamTimeoutFired is the retransmission timer's callback: a package-level
+// function taking the stream, so re-arming allocates nothing (see
+// sim.AtArg).
+func streamTimeoutFired(arg any) { arg.(*Stream).onTimeout() }
 
 func (s *Stream) onTimeout() {
 	if s.state == streamClosed {

@@ -264,3 +264,31 @@ func TestQuickStreamIntegrity(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestAllocFreeRTO guards the closure-free retransmission timer of an open
+// stream with a message unacknowledged: arming, cancelling and re-arming
+// allocates nothing.
+func TestAllocFreeRTO(t *testing.T) {
+	s, _, h1, h2 := streamRig(9, 0)
+	h2.ListenStream(7000, func(st *Stream) {})
+	st := h1.DialStream(Endpoint{IP: h2.IP(), Port: 7000})
+	s.RunFor(sim.Second)
+	if !st.Open() {
+		t.Fatal("handshake failed")
+	}
+	st.SendMsg(100, nil)
+	if len(st.sendBuf) == 0 {
+		t.Fatal("nothing unacknowledged after SendMsg")
+	}
+	avg := testing.AllocsPerRun(1000, func() {
+		st.armRTO()
+		st.rtoTimer.Cancel()
+		st.armRTO()
+	})
+	if !st.rtoTimer.Active() {
+		t.Fatal("timer not armed; measurement would be vacuous")
+	}
+	if avg != 0 {
+		t.Errorf("arm + cancel + re-arm: %.2f allocs, want 0", avg)
+	}
+}

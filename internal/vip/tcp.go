@@ -361,8 +361,15 @@ func (c *Conn) armRTO() {
 	if !c.outstanding() {
 		return
 	}
-	c.rtoTimer = c.stack.sim.After(c.rto, c.onTimeout)
+	c.rtoTimer = c.stack.sim.AtArg(c.stack.sim.Now().Add(c.rto), connTimeoutFired, c)
 }
+
+// connTimeoutFired and connKeepAliveFired are the connection's timer
+// callbacks: package-level functions taking the connection, so re-arming a
+// timer — once per segment for the retransmission timer — allocates nothing
+// (see sim.AtArg).
+func connTimeoutFired(arg any)   { arg.(*Conn).onTimeout() }
+func connKeepAliveFired(arg any) { arg.(*Conn).keepAliveCheck() }
 
 // onTimeout retransmits the earliest outstanding item with exponential
 // backoff, shrinking the congestion window to one segment (Tahoe-style
@@ -617,7 +624,12 @@ func (c *Conn) armKeepAlive() {
 		return
 	}
 	c.kaTimer.Cancel()
-	c.kaTimer = c.stack.sim.After(idle, c.keepAliveCheck)
+	c.armKeepAliveIn(idle)
+}
+
+// armKeepAliveIn schedules the next keepalive check d from now.
+func (c *Conn) armKeepAliveIn(d sim.Duration) {
+	c.kaTimer = c.stack.sim.AtArg(c.stack.sim.Now().Add(d), connKeepAliveFired, c)
 }
 
 func (c *Conn) keepAliveCheck() {
@@ -629,7 +641,7 @@ func (c *Conn) keepAliveCheck() {
 	if idle < s.cfg.KeepAliveIdle {
 		// Traffic arrived since; re-check when the idle window would
 		// next elapse.
-		c.kaTimer = s.sim.After(s.cfg.KeepAliveIdle-idle, c.keepAliveCheck)
+		c.armKeepAliveIn(s.cfg.KeepAliveIdle - idle)
 		return
 	}
 	if c.kaProbes >= s.cfg.KeepAliveProbes {
@@ -642,7 +654,7 @@ func (c *Conn) keepAliveCheck() {
 		SrcPort: c.key.localPort, DstPort: c.key.remotePort,
 		Seq: c.sndNxt, Ack: c.rcvNxt, HasAck: true, Probe: true,
 	}, tcpHdrSize)
-	c.kaTimer = s.sim.After(75*sim.Second, c.keepAliveCheck)
+	c.armKeepAliveIn(75 * sim.Second)
 }
 
 // trimAcked drops fully acknowledged chunks from the front of the send

@@ -552,3 +552,31 @@ func TestCloseTCPListener(t *testing.T) {
 		t.Fatal("established conn killed by listener close")
 	}
 }
+
+// TestAllocFreeRTO guards the closure-free timers of an established
+// connection with data in flight: re-arming the retransmission timer (once
+// per segment on a transfer) and the keepalive timer allocates nothing.
+func TestAllocFreeRTO(t *testing.T) {
+	s, sa, sb, _, _ := pairedStacks(23, sim.Millisecond, StackConfig{})
+	sb.ListenTCP(80, func(c *Conn) {})
+	c := sa.DialTCP(sb.IP(), 80)
+	s.RunFor(sim.Second)
+	if !c.Established() {
+		t.Fatal("handshake failed")
+	}
+	if err := c.Send(500, nil); err != nil || !c.outstanding() {
+		t.Fatalf("nothing in flight after Send: %v", err)
+	}
+	avg := testing.AllocsPerRun(1000, func() {
+		c.armRTO()
+		c.rtoTimer.Cancel()
+		c.armRTO()
+		c.armKeepAlive()
+	})
+	if !c.rtoTimer.Active() || !c.kaTimer.Active() {
+		t.Fatal("timers not armed; measurement would be vacuous")
+	}
+	if avg != 0 {
+		t.Errorf("arm + cancel + re-arm: %.2f allocs, want 0", avg)
+	}
+}
