@@ -3,6 +3,7 @@ package brunet
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"wow/internal/phys"
@@ -111,6 +112,24 @@ func TestAllocFreeMaintenance(t *testing.T) {
 	})
 	probe := nodes[0].addr
 	allocGuard(t, "wanted", 0, func() { n.near.wanted(probe) })
+
+	// The shortcut overlord ticks on every router; only end points of
+	// tunnelled traffic have anything scored.
+	sco := newShortcutOverlord(n, *DefaultShortcutConfig())
+	allocGuard(t, "shortcutOverlord.tick with nothing scored", 0, sco.tick)
+	// Arrivals just above the drain: scores stay positive and far below the
+	// threshold, so no CTM goes out.
+	trickle := 1.01 * sco.cfg.ServiceRate * sco.cfg.Tick.Seconds()
+	allocGuard(t, "shortcutOverlord.tick over scored peers", 0, func() {
+		for _, peer := range nodes[:16] {
+			sco.observe(peer.addr, trickle)
+		}
+		sco.tick()
+	})
+	if len(sco.score) < 15 || len(sco.peers) != len(sco.score) || !slices.IsSortedFunc(sco.peers, Addr.Cmp) || n.Stats.Get("shortcut.ctm") != 0 {
+		t.Fatalf("shortcut overlord scored %d peers, walked %d, sent %d CTMs",
+			len(sco.score), len(sco.peers), n.Stats.Get("shortcut.ctm"))
+	}
 
 	status := n.Stats.Get("status.sent")
 	allocGuard(t, "nearOverlord.maintain", 2, nearMaintainPass(s, n))

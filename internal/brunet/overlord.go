@@ -1,7 +1,7 @@
 package brunet
 
 import (
-	"sort"
+	"slices"
 
 	"wow/internal/sim"
 )
@@ -226,6 +226,8 @@ type shortcutOverlord struct {
 	score     map[Addr]float64
 	zeroSince map[Addr]sim.Time
 	lastTry   map[Addr]sim.Time
+
+	peers []Addr // tick's scratch: the scored peers in address order
 }
 
 func newShortcutOverlord(n *Node, cfg ShortcutConfig) *shortcutOverlord {
@@ -262,6 +264,9 @@ func (o *shortcutOverlord) tick() {
 	if !n.up {
 		return
 	}
+	if len(o.arrivals) == 0 && len(o.score) == 0 {
+		return // a router that carries no tunnelled traffic: nothing to score
+	}
 	now := n.sim.Now()
 	drain := o.cfg.ServiceRate * o.cfg.Tick.Seconds()
 	for peer, a := range o.arrivals {
@@ -271,11 +276,12 @@ func (o *shortcutOverlord) tick() {
 	// Walk scores in address order: the loop sends CTMs and drops idle
 	// shortcuts, so map-order iteration would perturb the deterministic
 	// event sequence between runs.
-	peers := make([]Addr, 0, len(o.score))
+	peers := o.peers[:0]
 	for peer := range o.score {
 		peers = append(peers, peer)
 	}
-	sort.Slice(peers, func(i, j int) bool { return peers[i].Less(peers[j]) })
+	slices.SortFunc(peers, Addr.Cmp)
+	o.peers = peers
 	for _, peer := range peers {
 		s := o.score[peer]
 		s -= drain
