@@ -30,7 +30,8 @@ func (e effect) apply(q effectTarget) {
 	if e.kind&1 != 0 {
 		child := effect{}
 		if e.depth > 0 {
-			// Same-instant pipelines: most offsets are at or before now.
+			// A chain of descendants, three offsets in eight at or before
+			// now: same-instant pipelines running inside one callback tree.
 			child = effect{kind: e.kind & 3, x: e.x*37 + 11, depth: e.depth - 1}
 		}
 		q.schedule(e.x, q.clock()+offset(e.x), child)
