@@ -2,6 +2,7 @@ package phys
 
 import (
 	"fmt"
+	"slices"
 
 	"wow/internal/sim"
 )
@@ -11,40 +12,80 @@ import (
 // PlanetLab router nodes are modelled as hosts with high LoadFactor, which
 // throttles multi-hop overlay paths exactly as observed in §V-B.
 type Host struct {
+	// The fields a packet hop reads come first, so that sending, receiving
+	// and the socket search touch the struct's first two cache lines (and
+	// the inline socket slots on the third) and nothing else of the host.
 	net   *Network
-	Name  string
 	Site  *Site
 	realm *Realm
-	// uid is the host's network-wide creation index (1-based): unique
-	// across all realms, unlike ip, which repeats behind every NAT. Sharded
-	// stream connection IDs are qualified by it.
-	uid uint32
-	ip  IP
-	cfg HostConfig
-	up  bool
-
-	socks     map[wirePortKey]*UDPSock
-	nextPorts map[uint8]uint16
-	streamsSt *streamPeer
+	// shard/sim locate the host in a sharded network: all of the host's
+	// events run on shard's Simulator. In an unsharded network shard is 0
+	// and sim aliases net.Sim, so host code schedules uniformly.
+	sim   *sim.Simulator
+	shard int
+	ip    IP
+	up    bool
+	// socks is the host's bound sockets in ascending key order (see
+	// sockSlot), found by findSock. It starts out backed by sockArr — a
+	// brunet router binds exactly two sockets, its UDP socket and its TCP
+	// listener — and only a host that dials streams spills to the heap.
+	socks []sockSlot
+	cfg   HostConfig
 
 	txBusyUntil  sim.Time // uplink serialization
 	cpuBusyUntil sim.Time // receive-path CPU serialization
 
-	// shard/sim locate the host in a sharded network: all of the host's
-	// events run on shard's Simulator. In an unsharded network shard is 0
-	// and sim aliases net.Sim, so host code schedules uniformly.
-	shard int
-	sim   *sim.Simulator
+	// uid is the host's network-wide creation index (1-based): unique
+	// across all realms, unlike ip, which repeats behind every NAT. Sharded
+	// stream connection IDs are qualified by it.
+	uid uint32
+	// nextPorts is the next ephemeral port to try in each wire namespace
+	// (indexed by wireIndex); zero means the counter is at its start.
+	nextPorts [2]uint16
+	sockArr   [2]sockSlot
+
+	Name      string
+	streamsSt *streamPeer
 	// nextConnID allocates host-scoped stream connection IDs in sharded
 	// networks (a network-global counter would race across shards).
 	nextConnID uint64
 }
 
-// wirePortKey namespaces ports by wire protocol, as real hosts do: UDP
-// port 5000 and TCP port 5000 are independent.
-type wirePortKey struct {
-	proto uint8
-	port  uint16
+// sockSlot is one entry of a host's socket table. The key namespaces ports
+// by wire protocol, as real hosts do — UDP port 5000 and TCP port 5000 are
+// independent — and sits inline beside the pointer, so a search reads the
+// table alone.
+type sockSlot struct {
+	key  uint32
+	sock *UDPSock
+}
+
+// sockKey is the socket-table key of a port in a wire namespace.
+func sockKey(proto uint8, port uint16) uint32 { return uint32(proto)<<16 | uint32(port) }
+
+// wireIndex maps a wire protocol to its slot in the per-protocol arrays.
+func wireIndex(proto uint8) int {
+	if proto == WireTCP {
+		return 1
+	}
+	return 0
+}
+
+// findSock returns the position of key in the socket table and whether it
+// is bound; for an unbound key the position is where it would be inserted.
+// The one search under every delivery, bind and close.
+func (h *Host) findSock(key uint32) (int, bool) {
+	s := h.socks
+	lo, hi := 0, len(s)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if s[mid].key < key {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < len(s) && s[lo].key == key
 }
 
 // IP returns the host's address in its realm.
@@ -125,13 +166,14 @@ func finishReceive(a any) {
 		h.net.drop(h.shard, "lost.hostdown", p)
 		return
 	}
-	sock, ok := h.socks[wirePortKey{p.Proto, p.Dst.Port}]
-	if !ok || sock.closed {
+	// A socket in the table is open: Close takes it out.
+	i, ok := h.findSock(sockKey(p.Proto, p.Dst.Port))
+	if !ok {
 		h.net.drop(h.shard, "lost.noport", p)
 		return
 	}
 	h.net.deliveredSh[h.shard].Inc(1)
-	if sock.OnRecv != nil {
+	if sock := h.socks[i].sock; sock.OnRecv != nil {
 		sock.OnRecv(p)
 	}
 	h.net.releasePacket(h.shard, p)
@@ -160,24 +202,26 @@ func (h *Host) Listen(port uint16) (*UDPSock, error) {
 	return h.listenWire(WireUDP, port)
 }
 
-// listenWire binds a socket in the given wire namespace.
+// listenWire binds a socket in the given wire namespace, keeping the table
+// sorted. The third socket moves the table from the inline slots to the
+// heap (slices.Insert's doing); Close moves it back.
 func (h *Host) listenWire(proto uint8, port uint16) (*UDPSock, error) {
-	if port == 0 {
-		for {
-			port = h.nextPorts[proto]
-			if port == 0 {
+	ephemeral := port == 0
+	var i int
+	for taken := true; taken; {
+		if ephemeral {
+			next := &h.nextPorts[wireIndex(proto)]
+			if port = *next; port == 0 {
 				port = 32768
 			}
-			h.nextPorts[proto] = port + 1
-			if _, taken := h.socks[wirePortKey{proto, port}]; !taken {
-				break
-			}
+			*next = port + 1
 		}
-	} else if _, taken := h.socks[wirePortKey{proto, port}]; taken {
-		return nil, fmt.Errorf("%w: %d/%d on %s", ErrPortInUse, port, proto, h.Name)
+		if i, taken = h.findSock(sockKey(proto, port)); taken && !ephemeral {
+			return nil, fmt.Errorf("%w: %d/%d on %s", ErrPortInUse, port, proto, h.Name)
+		}
 	}
 	s := &UDPSock{host: h, proto: proto, port: port}
-	h.socks[wirePortKey{proto, port}] = s
+	h.socks = slices.Insert(h.socks, i, sockSlot{sockKey(proto, port), s})
 	return s, nil
 }
 
@@ -210,5 +254,11 @@ func (s *UDPSock) Close() {
 		return
 	}
 	s.closed = true
-	delete(s.host.socks, wirePortKey{s.proto, s.port})
+	h := s.host
+	i, _ := h.findSock(sockKey(s.proto, s.port))
+	t := slices.Delete(h.socks, i, i+1) // zeroes the vacated slot
+	if len(t) <= len(h.sockArr) && cap(t) > len(h.sockArr) {
+		t = h.sockArr[:copy(h.sockArr[:], t)]
+	}
+	h.socks = t
 }

@@ -75,9 +75,15 @@ type Realm struct {
 	net      *Network
 	parent   *Realm
 	boundary Boundary // connects this realm to parent; nil for root
-	hosts    map[IP]*Host
+	// hosts is the realm's directory, indexed by address minus base: every
+	// address comes from NextIP, which counts up from base, so the slice is
+	// dense, and an address handed to a middlebox instead of a host is a
+	// nil hole. Every shard reads it while the engine runs, so hosts are
+	// added before a run or between runs, never during one.
+	hosts    []*Host
+	base     IP
+	nhosts   int
 	children []childBoundary
-	nextIP   IP
 
 	// site/pinned are the sharded placement: set (with the whole chain) by
 	// the first AddHost behind this realm's top-level boundary. Unsharded
@@ -93,9 +99,16 @@ type childBoundary struct {
 
 // HasHost reports whether ip belongs to a host registered in this realm.
 // NAT and firewall boundaries use it to decide what they claim.
-func (r *Realm) HasHost(ip IP) bool {
-	_, ok := r.hosts[ip]
-	return ok
+func (r *Realm) HasHost(ip IP) bool { return r.host(ip) != nil }
+
+// host returns the host registered at ip, or nil: the one directory read
+// under routing, boundary descent and HasHost. An address below base wraps
+// to an index past the top.
+func (r *Realm) host(ip IP) *Host {
+	if i := uint(ip - r.base); i < uint(len(r.hosts)) {
+		return r.hosts[i]
+	}
+	return nil
 }
 
 // Covers reports whether ip is addressable within this realm: a host here,
@@ -115,7 +128,7 @@ func (r *Realm) Covers(ip IP) bool {
 }
 
 // Hosts returns the number of hosts registered in the realm.
-func (r *Realm) Hosts() int { return len(r.hosts) }
+func (r *Realm) Hosts() int { return r.nhosts }
 
 // Shard reports the engine shard owning this realm's middlebox timeline:
 // the pinned site's shard for a private realm in a sharded network, 0
@@ -159,15 +172,12 @@ func (r *Realm) pinChain(site *Site) {
 }
 
 // NextIP allocates the next unused address in the realm, counting up from
-// the base passed to AddRealm/root creation.
+// the base passed to AddRealm/root creation. AddHost gives the address to a
+// host; any other caller (a NAT taking a public address) leaves a hole in
+// the directory.
 func (r *Realm) NextIP() IP {
-	for {
-		ip := r.nextIP
-		r.nextIP++
-		if _, taken := r.hosts[ip]; !taken {
-			return ip
-		}
-	}
+	r.hosts = append(r.hosts, nil)
+	return r.base + IP(len(r.hosts)-1)
 }
 
 // Network is the simulated physical Internet: sites, realms, hosts and the
@@ -226,7 +236,7 @@ func NewNetwork(s *sim.Simulator, latency LatencyFunc) *Network {
 	n := &Network{
 		Sim:     s,
 		Latency: latency,
-		root:    &Realm{Name: "internet", hosts: make(map[IP]*Host), nextIP: MustParseIP("128.0.0.1")},
+		root:    &Realm{Name: "internet", base: MustParseIP("128.0.0.1")},
 	}
 	n.root.net = n
 	n.statsSh = []*metrics.Counter{&n.Stats}
@@ -252,7 +262,7 @@ func NewShardedNetwork(eng *sim.Sharded, latency LatencyFunc) *Network {
 	n := &Network{
 		Sim:     eng.Shard(0),
 		Latency: latency,
-		root:    &Realm{Name: "internet", hosts: make(map[IP]*Host), nextIP: MustParseIP("128.0.0.1")},
+		root:    &Realm{Name: "internet", base: MustParseIP("128.0.0.1")},
 		engine:  eng,
 	}
 	n.root.net = n
@@ -335,8 +345,7 @@ func (n *Network) AddRealm(name string, outer *Realm, boundary Boundary, ipBase 
 		net:      n,
 		parent:   outer,
 		boundary: boundary,
-		hosts:    make(map[IP]*Host),
-		nextIP:   ipBase,
+		base:     ipBase,
 	}
 	if n.engine != nil && outer.pinned {
 		r.site = outer.site
@@ -388,23 +397,23 @@ func (n *Network) AddHost(name string, site *Site, realm *Realm, cfg HostConfig)
 		cfg.QueueLimit = 200 * sim.Millisecond
 	}
 	h := &Host{
-		net:       n,
-		Name:      name,
-		Site:      site,
-		realm:     realm,
-		uid:       uint32(len(n.hosts) + 1),
-		ip:        ip,
-		cfg:       cfg,
-		up:        true,
-		socks:     make(map[wirePortKey]*UDPSock),
-		nextPorts: make(map[uint8]uint16),
-		shard:     site.shard,
-		sim:       n.Sim,
+		net:   n,
+		Name:  name,
+		Site:  site,
+		realm: realm,
+		uid:   uint32(len(n.hosts) + 1),
+		ip:    ip,
+		cfg:   cfg,
+		up:    true,
+		shard: site.shard,
+		sim:   n.Sim,
 	}
+	h.socks = h.sockArr[:0]
 	if n.engine != nil {
 		h.sim = n.engine.Shard(site.shard)
 	}
-	realm.hosts[ip] = h
+	realm.hosts[ip-realm.base] = h
+	realm.nhosts++
 	n.hosts = append(n.hosts, h)
 	return h
 }
@@ -417,7 +426,7 @@ func (n *Network) AddHost(name string, site *Site, realm *Realm, cfg HostConfig)
 func (n *Network) route(now sim.Time, p *Packet, from *Realm) (*Host, string) {
 	realm := from
 	for hops := 0; hops < 64; hops++ {
-		if h, ok := realm.hosts[p.Dst.IP]; ok {
+		if h := realm.host(p.Dst.IP); h != nil {
 			return h, ""
 		}
 		descended := false
@@ -460,7 +469,7 @@ func (n *Network) route(now sim.Time, p *Packet, from *Realm) (*Host, string) {
 func (n *Network) routeSharded(now sim.Time, p *Packet, src *Host) (*Host, *Realm, string) {
 	realm := src.realm
 	for hops := 0; hops < 64; hops++ {
-		if h, ok := realm.hosts[p.Dst.IP]; ok {
+		if h := realm.host(p.Dst.IP); h != nil {
 			return h, nil, ""
 		}
 		for _, cb := range realm.children {
@@ -507,7 +516,7 @@ func deliverBoundary(a any) {
 	}
 	n.boundInSh[sh].Inc(1)
 	for hops := 0; hops < 64; hops++ {
-		if h, ok := realm.hosts[p.Dst.IP]; ok {
+		if h := realm.host(p.Dst.IP); h != nil {
 			p.dest = h
 			h.receive(p)
 			return
@@ -653,7 +662,7 @@ func deliverPacket(a any) {
 // shard for wire/route losses, destination's for host-side losses).
 func (n *Network) drop(sh int, reason string, p *Packet) {
 	n.statsSh[sh].Inc(reason, 1)
-	n.flightDiscard(sh, "phys."+reason, p.Payload)
+	n.flightDiscard(sh, reason, p.Payload)
 	if n.OnDrop != nil {
 		n.OnDrop(reason, p)
 	}
@@ -666,8 +675,10 @@ func (n *Network) drop(sh int, reason string, p *Packet) {
 // otherwise hear of the packet. The record lands in the executing shard's
 // buffer (single-writer, like the stats counters) with that shard's clock,
 // and the payload's trace context is consumed so an object shared between
-// a retransmit buffer and the wire cannot terminate twice.
-func (n *Network) flightDiscard(sh int, outcome string, payload any) {
+// a retransmit buffer and the wire cannot terminate twice. The record's
+// outcome is "phys."+reason, spelled out only once a record is certain, so
+// an untraced drop allocates nothing.
+func (n *Network) flightDiscard(sh int, reason string, payload any) {
 	if n.FlightRecorder == nil {
 		return
 	}
@@ -686,7 +697,7 @@ func (n *Network) flightDiscard(sh int, outcome string, payload any) {
 		T:       int64(now),
 		Trace:   id,
 		LatNs:   int64(now.Sub(start)),
-		Outcome: outcome,
+		Outcome: "phys." + reason,
 	})
 	if c, ok := payload.(trace.Cleared); ok {
 		c.ClearTrace()

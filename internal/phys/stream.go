@@ -354,11 +354,11 @@ func (s *Stream) flightDiscardBuffers() {
 		}
 		sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
 		for _, seq := range seqs {
-			s.host.net.flightDiscard(s.host.shard, "phys.stream_abort", buf[seq].Payload)
+			s.host.net.flightDiscard(s.host.shard, "stream_abort", buf[seq].Payload)
 		}
 	}
 	for _, seg := range s.queue {
-		s.host.net.flightDiscard(s.host.shard, "phys.stream_abort", seg.Payload)
+		s.host.net.flightDiscard(s.host.shard, "stream_abort", seg.Payload)
 	}
 }
 
