@@ -16,23 +16,29 @@ import (
 // pings with retransmission and exponential backoff; unresponded pings
 // mark the connection dead and it is discarded (§IV-B).
 type Connection struct {
+	// Choosing a connection and sending on it read the fields down to
+	// Relays and nothing else; declared first, they share the struct's
+	// first cache line (TestHotFieldsLayout pins it).
 	Peer Addr
 	// EP is the peer's working physical endpoint — the URI that
 	// survived the linking protocol's trials.
-	EP phys.Endpoint
+	EP     phys.Endpoint
+	roles  roleMask
+	inRing bool // membership flag for the node's ringIndex
+	closed bool
 	// Stream is the TCP-transport link carrying this connection, nil
 	// for UDP-transport connections (§IV-A: "connections between Brunet
 	// nodes are abstracted and may operate over any transport").
 	Stream *phys.Stream
-	// URIs is the peer's last advertised URI list, kept for status
-	// gossip and relinking.
-	URIs []URI
 	// Relays, when non-empty, marks this a tunnel edge: no physical path
 	// to the peer exists, and every message is wrapped in a tunnelFrame
 	// and relayed through the first live relay in the list. The list is
 	// kept sorted; the tunnel overlord adds relays learned from traffic
 	// and CTM exchanges and prunes dead ones.
 	Relays []Addr
+	// URIs is the peer's last advertised URI list, kept for status
+	// gossip and relinking.
+	URIs []URI
 	// observed holds the peer's freshest relay-stamped physical endpoints
 	// (most recent first, bounded). Tunnel endpoints never see each
 	// other's wire addresses directly; these observations — current as of
@@ -44,8 +50,6 @@ type Connection struct {
 	// node is the owning node, so the keepalive timers can arm through
 	// sim.AtArg with the connection itself as the argument (no closure).
 	node      *Node
-	roles     roleMask
-	inRing    bool // membership flag for the node's ringIndex
 	lastHeard sim.Time
 	pingTimer sim.Timer
 	// pingWait is the deadline the armed ping round is waiting out; each
@@ -53,17 +57,18 @@ type Connection struct {
 	pingWait  sim.Duration
 	pingRetry int
 	awaiting  uint64 // outstanding ping seq; 0 = none
-	closed    bool
 
+	// pingSentAt stamps the departure of the outstanding ping round.
+	pingSentAt sim.Time
 	// srtt/rttvar are the Jacobson estimators fed by keepalive RTT
 	// samples (Karn's rule: retransmitted rounds are never sampled);
 	// haveRTT marks the first sample. They drive the adaptive ping
-	// deadline and the tunnel-relay score.
+	// deadline and the tunnel-relay score. (haveRTT sits with the flags
+	// below it: the struct is exactly 256 bytes, a size class whose
+	// objects start on a cache line.)
 	srtt    sim.Duration
 	rttvar  sim.Duration
 	haveRTT bool
-	// pingSentAt stamps the departure of the outstanding ping round.
-	pingSentAt sim.Time
 	// suspected marks a connection under a fast probe after a forwarded
 	// death verdict: a pong clears it as a false suspicion, a timeout
 	// confirms it.
@@ -254,7 +259,7 @@ func (n *Node) addConnection(peer Addr, ep phys.Endpoint, stream *phys.Stream, u
 			node:      n,
 			lastHeard: n.sim.Now(),
 		}
-		n.table.insert(c)
+		n.tableInsert(c)
 		n.Stats.Inc("conn.created", 1)
 		n.watchStream(c)
 		n.schedulePing(c)
@@ -301,7 +306,7 @@ func (n *Node) addTunnelConnection(peer Addr, relays []Addr, uris []URI, t ConnT
 		for _, r := range relays {
 			c.addRelay(r)
 		}
-		n.table.insert(c)
+		n.tableInsert(c)
 		n.Stats.Inc("conn.created", 1)
 		n.Stats.Inc("tunnel.established", 1)
 		n.schedulePing(c)
@@ -440,7 +445,7 @@ func (n *Node) dropConnection(c *Connection, sendClose bool, reason string) {
 	c.dropReason = reason
 	c.pingTimer.Cancel()
 	n.ringRemove(c)
-	n.table.remove(c)
+	n.tableRemove(c)
 	n.uncountRoles(c)
 	n.countDrop(reason)
 	if sendClose && n.up {

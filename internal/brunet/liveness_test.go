@@ -249,7 +249,7 @@ func TestBestRelayScoringHysteresisFailover(t *testing.T) {
 			rc.observeRTT(sim.Duration(srttMs) * sim.Millisecond)
 		}
 		rc.peerLoad = load
-		n.table.insert(rc)
+		n.tableInsert(rc)
 		return rc
 	}
 	fast := mkRelay("fast", 10, 0)
@@ -293,7 +293,7 @@ func TestBestRelayScoringHysteresisFailover(t *testing.T) {
 	}
 
 	// The active relay dying fails over instantly to the survivor.
-	n.table.remove(slow)
+	n.tableRemove(slow)
 	if got := n.bestRelay(tun); got != fast {
 		t.Fatalf("failover picked %v, want fast", got)
 	}
@@ -302,7 +302,7 @@ func TestBestRelayScoringHysteresisFailover(t *testing.T) {
 	}
 
 	// No live relays at all.
-	n.table.remove(fast)
+	n.tableRemove(fast)
 	if got := n.bestRelay(tun); got != nil {
 		t.Fatalf("bestRelay with no relays = %v, want nil", got)
 	}

@@ -250,12 +250,24 @@ func (c *Config) fillDefaults() {
 // Node is one Brunet P2P router. WOW compute nodes embed a Node (via
 // internal/ipop) and PlanetLab bootstrap routers run bare Nodes.
 type Node struct {
+	// What a forwarded packet reads of its router comes first, ahead of
+	// the 224-byte cfg, so a transit hop touches the head of the struct
+	// and nothing else of it: everything down to occ shares one cache
+	// line (TestHotFieldsLayout pins it).
 	addr Addr
-	host *phys.Host
-	sim  *sim.Simulator
-	cfg  Config
-	sock *phys.UDPSock
 	up   bool
+	sock *phys.UDPSock
+	// flight is the node's flight-recorder handle (EnableTrace); nil —
+	// the default — disables all tracing at the cost of one nil check
+	// per origination.
+	flight *flightRecorder
+	// statForwarded and the handles further down are pre-resolved Stats
+	// cells for the per-packet routing path, where a map lookup per
+	// counter bump is measurable at scale.
+	statForwarded metrics.Handle
+	// occ summarizes table for lookup: bit b is set exactly while some
+	// connection's peer address has b as its top six bits (see tableInsert).
+	occ uint64
 
 	// table and ring are the connection table (see table.go): every live
 	// connection in address order, and the structured subset in ring order
@@ -264,6 +276,11 @@ type Node struct {
 	table     connIndex
 	ring      connIndex
 	roleCount [numConnTypes]int
+
+	host *phys.Host
+	sim  *sim.Simulator
+	cfg  Config
+
 	linkers   map[Addr]*linker
 	busyRetry map[Addr]int
 	learned   uriSet
@@ -298,9 +315,6 @@ type Node struct {
 	// shortcut formations, …).
 	Stats metrics.Counter
 
-	// Pre-resolved Stats handles for the per-packet routing path, where a
-	// map lookup per counter bump is measurable at scale.
-	statForwarded      metrics.Handle
 	statDelivered      metrics.Handle
 	statHopsExceeded   metrics.Handle
 	statDeadLetter     metrics.Handle
@@ -319,11 +333,6 @@ type Node struct {
 	freePkt *OverlayPacket
 	// freePing heads the free list of keepalive messages (see pingMsg).
 	freePing *pingMsg
-
-	// flight is the node's flight-recorder handle (EnableTrace); nil —
-	// the default — disables all tracing at the cost of one nil check
-	// per origination.
-	flight *flightRecorder
 }
 
 // acquirePkt takes a packet from the origination pool, or allocates one.
@@ -631,6 +640,7 @@ func (n *Node) Stop() {
 		}
 	}
 	n.table.reset()
+	n.occ = 0
 	n.ring.reset()
 	n.roleCount = [numConnTypes]int{}
 	n.sock.Close()

@@ -156,8 +156,13 @@ func TestPrefixTieNearestMatchesOracle(t *testing.T) {
 // address on both sides, half far links at Kleinberg offsets.
 func structuredNode(count int) (*Node, shadow) {
 	n := ringTestNode(73)
+	return n, structure(n, count, rand.New(rand.NewSource(int64(count))))
+}
+
+// structure gives the never-started node n count connections, laid out as
+// structuredNode describes, and returns their shadow.
+func structure(n *Node, count int, rng *rand.Rand) shadow {
 	sh := watch(n)
-	rng := rand.New(rand.NewSource(int64(count)))
 	ep := phys.Endpoint{IP: 1, Port: 1}
 	for i := 0; len(sh) < count; i++ {
 		if i%2 == 0 {
@@ -170,16 +175,27 @@ func structuredNode(count int) (*Node, shadow) {
 		}
 		n.addConnection(n.addr.Offset(step), ep, nil, nil, StructuredNear)
 	}
-	return n, sh
+	return sh
 }
 
 // TestConnLookupAllocFree: the two reads every routed packet pays — the
-// peer lookup and the nearest-connection query — allocate nothing, hit or
-// miss.
+// peer lookup and the nearest-connection query — allocate nothing, whether
+// the lookup hits, misses on the keys of an occupied arc, or is turned away
+// by the occupancy word.
 func TestConnLookupAllocFree(t *testing.T) {
 	n, sh := structuredNode(32)
-	rng := rand.New(rand.NewSource(79))
-	probes := []Addr{RandomAddr(rng), RandomAddr(rng)}
+	var probes []Addr
+	arcMisses := 0
+	for arc := 0; arc < 64; arc++ { // one address in every arc: none is held
+		a := addrOf(uint64(arc)<<58|0x155, lowHalf)
+		if n.occ&(1<<arc) == 0 {
+			arcMisses++
+		}
+		probes = append(probes, a)
+	}
+	if keyMisses := len(probes) - arcMisses; arcMisses == 0 || keyMisses == 0 {
+		t.Fatalf("%d arc misses and %d key misses: both kinds must be measured", arcMisses, keyMisses)
+	}
 	for p := range sh {
 		probes = append(probes, p)
 	}
@@ -253,9 +269,31 @@ func BenchmarkNearestConn(b *testing.B) {
 }
 
 // BenchmarkConnLookup times the peer lookup, hit and miss, against the
-// 20-byte-keyed map it retired (the shadow map is one).
+// 20-byte-keyed map it retired (the shadow map is one); and, in miss-cold,
+// the miss a transit packet's source pays on a ring too large for the
+// cache: each lookup goes to the next of 4096 nodes, so whatever it reads
+// of the node it reads from memory.
 func BenchmarkConnLookup(b *testing.B) {
 	rng := rand.New(rand.NewSource(97))
+	b.Run("conns=16/miss-cold", func(b *testing.B) {
+		host := ringTestNode(1).host
+		nodes := make([]*Node, 4096)
+		for i := range nodes {
+			nodes[i] = NewNode(host, RandomAddr(rng), Config{})
+			structure(nodes[i], 16, rng)
+		}
+		rng.Shuffle(len(nodes), func(i, j int) { nodes[i], nodes[j] = nodes[j], nodes[i] })
+		misses := make([]Addr, 256)
+		for i := range misses {
+			misses[i] = RandomAddr(rng)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, ok := nodes[i%len(nodes)].lookup(misses[i%len(misses)]); ok {
+				benchSink++
+			}
+		}
+	})
 	for _, size := range []int{16, 64} {
 		n, sh := structuredNode(size)
 		hits := make([]Addr, 0, size)

@@ -90,17 +90,20 @@ func (x *connIndex) search(a *Addr) (i int, key uint64) {
 	return i, key
 }
 
-// insert adds c at its sorted position. The caller guarantees c is not a
-// member.
-func (x *connIndex) insert(c *Connection) {
+// insert adds c at its sorted position and returns its key. The caller
+// guarantees c is not a member.
+func (x *connIndex) insert(c *Connection) uint64 {
 	i, key := x.search(&c.Peer)
 	x.slots = append(x.slots, slot{})
 	copy(x.slots[i+1:], x.slots[i:])
 	x.slots[i] = slot{key, c}
+	return key
 }
 
-// remove deletes c, which the caller guarantees is a member.
-func (x *connIndex) remove(c *Connection) {
+// remove deletes c, which the caller guarantees is a member, and returns
+// the position it held and its key; the position is -1 if c was not there
+// after all.
+func (x *connIndex) remove(c *Connection) (int, uint64) {
 	s := x.slots
 	i, _ := x.search(&c.Peer)
 	if i >= len(s) || s[i].c != c {
@@ -110,12 +113,14 @@ func (x *connIndex) remove(c *Connection) {
 		for i = 0; i < len(s) && s[i].c != c; i++ {
 		}
 		if i == len(s) {
-			return
+			return -1, 0
 		}
 	}
+	key := s[i].key
 	copy(s[i:], s[i+1:])
 	s[len(s)-1] = slot{}
 	x.slots = s[:len(s)-1]
+	return i, key
 }
 
 // reset empties the index (node stop).
@@ -124,11 +129,40 @@ func (x *connIndex) reset() {
 	x.slots = x.slots[:0]
 }
 
-// lookup returns the live connection to peer. A miss on the keys — the
-// common case for a forwarded packet's source — reads no Connection at all.
+// arcBit is the occupancy bit of a table key. The table is anchored at the
+// zero address, so a key's top six bits name one of 64 equal arcs of the
+// address space, and Node.occ has the arc's bit set exactly while some slot
+// of the table lies in it.
+func arcBit(key uint64) uint64 { return 1 << (key >> 58) }
+
+// tableInsert and tableRemove are the only writers of Node.table besides
+// Stop, and keep Node.occ in step with it. A removal settles its arc's bit
+// from the two slots now either side of the gap: the slots are sorted, so
+// if neither lies in the arc, nothing does.
+func (n *Node) tableInsert(c *Connection) { n.occ |= arcBit(n.table.insert(c)) }
+
+func (n *Node) tableRemove(c *Connection) {
+	i, key := n.table.remove(c)
+	if i < 0 {
+		return
+	}
+	s, bit := n.table.slots, arcBit(key)
+	if (i > 0 && arcBit(s[i-1].key) == bit) || (i < len(s) && arcBit(s[i].key) == bit) {
+		return
+	}
+	n.occ &^= bit
+}
+
+// lookup returns the live connection to peer. A miss — the common case for
+// a forwarded packet's source — is usually answered by occ, a word on the
+// node's hot cache line, before the slots are read: a dozen connections
+// leave most of the 64 arcs empty. A miss on the keys reads no Connection.
 func (n *Node) lookup(peer Addr) (*Connection, bool) {
 	x := &n.table
 	key := x.key(&peer)
+	if n.occ&arcBit(key) == 0 {
+		return nil, false
+	}
 	for i := x.first(key); i < len(x.slots) && x.slots[i].key == key; i++ {
 		if c := x.slots[i].c; c.Peer == peer {
 			return c, true

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"wow/internal/phys"
 )
@@ -92,11 +93,20 @@ func ringIndexHolds(n *Node, sh shadow) error {
 	return indexHolds(&n.ring)
 }
 
+// occOf is the occupancy word by definition, from the shadow set and the
+// address bytes alone: one bit per 64th of the address space holding a peer.
+func occOf(sh shadow) (occ uint64) {
+	for peer := range sh {
+		occ |= 1 << (peer[0] >> 2)
+	}
+	return occ
+}
+
 // tableHolds checks every connection-table invariant: address index ≡
 // shadow set ≡ sort oracle in content and order, its keys the peers' top
-// words, Connections() a snapshot of it, role counts ≡ a recount, per-role
-// and per-mask walks ≡ the filtered oracle, nothing closed left inside, and
-// the ring index sound.
+// words, the occupancy word ≡ the OR over the peers' arcs, Connections() a
+// snapshot of it, role counts ≡ a recount, per-role and per-mask walks ≡
+// the filtered oracle, nothing closed left inside, and the ring index sound.
 func tableHolds(n *Node, sh shadow) error {
 	want := sh.sorted()
 	snap := n.Connections()
@@ -111,6 +121,9 @@ func tableHolds(n *Node, sh shadow) error {
 	}
 	if err := indexHolds(&n.table); err != nil {
 		return fmt.Errorf("address index: %w", err)
+	}
+	if want := occOf(sh); n.occ != want {
+		return fmt.Errorf("occupancy word %064b, peers occupy %064b", n.occ, want)
 	}
 	var recount [numConnTypes]int
 	for _, c := range want {
@@ -200,13 +213,27 @@ func TestQuickConnTableChurn(t *testing.T) {
 		universe := make([]Addr, 24)
 		for i := range universe {
 			universe[i] = RandomAddr(rand.New(rand.NewSource(41 + int64(i))))
+			if i >= 16 {
+				// The last eight each share an arc of the occupancy word
+				// with an earlier member, so removals leave arcs occupied.
+				universe[i][0] = universe[i-16][0]
+			}
 		}
-		// Probes for lookup: the universe (held or not, as churn has it)
-		// and, for each member, an address never held that shares its key.
+		// Probes for lookup: the universe (held or not, as churn has it);
+		// for each member an address never held that shares its key, one
+		// that shares only its arc, and one in the arc either side of it;
+		// and one address in each of the 64 arcs, most of them empty.
 		probes := append([]Addr(nil), universe...)
 		for _, a := range universe {
-			a[AddrBytes-1] ^= 1
-			probes = append(probes, a)
+			sameKey, sameArc, below, above := a, a, a, a
+			sameKey[AddrBytes-1] ^= 1
+			sameArc[1] ^= 0x80
+			below[0] -= 4
+			above[0] += 4
+			probes = append(probes, sameKey, sameArc, below, above)
+		}
+		for arc := 0; arc < 64; arc++ {
+			probes = append(probes, addrOf(uint64(arc)<<58|uint64(arc), lowHalf))
 		}
 		for step, op := range ops {
 			peer := universe[int(op>>8)%len(universe)]
@@ -280,5 +307,112 @@ func TestDropLastRoleClearsItBeforeCallbacks(t *testing.T) {
 	}
 	if err := tableHolds(n, sh); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// The occupancy word at the edges the random universe may not reach: the
+// first and last arcs, peers either side of an arc boundary, and an arc
+// that stays occupied until its last peer goes — removing a peer settles
+// its bit from the two slots beside the gap and from nothing else.
+func TestOccSettlesOnRemove(t *testing.T) {
+	n := ringTestNode(53)
+	sh := watch(n)
+	ep := phys.Endpoint{IP: 1, Port: 1}
+	const arc = uint64(1) << 58
+	peers := []Addr{
+		addrOf(0, lowOne),           // bottom of arc 0
+		addrOf(arc-1, lowOnes),      // top of arc 0
+		addrOf(arc, lowZero),        // bottom of arc 1
+		addrOf(17*arc+5, lowHalf),   // three in arc 17
+		addrOf(17*arc+6, lowHalf),   //
+		addrOf(18*arc-1, lowOnes),   //
+		addrOf(18*arc, lowZero),     // bottom of arc 18
+		addrOf(63*arc, lowZero),     // bottom of arc 63
+		addrOf(^uint64(0), lowOnes), // top of arc 63
+	}
+	check := func(when string) {
+		t.Helper()
+		if err := tableHolds(n, sh); err != nil {
+			t.Fatalf("%s: %v", when, err)
+		}
+		for _, p := range peers {
+			want, held := sh[p]
+			if got, ok := n.lookup(p); got != want || ok != held {
+				t.Fatalf("%s: lookup(%s) = %v, %v; shadow %v, %v", when, p.FullString(), got, ok, want, held)
+			}
+		}
+	}
+	for _, p := range peers {
+		n.addConnection(p, ep, nil, nil, Leaf)
+		check("after adding " + p.FullString())
+	}
+	if want := uint64(1)<<0 | 1<<1 | 1<<17 | 1<<18 | 1<<63; n.occ != want {
+		t.Fatalf("occupancy word %064b, want %064b", n.occ, want)
+	}
+	// Middle of an arc first, then its edges, then the rest in an order
+	// that removes a boundary peer while the peer across the boundary stays.
+	for _, i := range []int{4, 5, 3, 2, 0, 1, 8, 6, 7} {
+		n.dropConnection(sh[peers[i]], false, "test")
+		check("after dropping " + peers[i].FullString())
+	}
+	if n.occ != 0 {
+		t.Fatalf("occupancy word %064b on an empty table", n.occ)
+	}
+}
+
+// TestHotFieldsLayout pins what DESIGN.md §6 claims of a hop's footprint in
+// the router: the fields the forward path reads of a Node and of a
+// Connection end inside the struct's first 64 bytes. For Node the bound is
+// 56: at 888 bytes a Node carries the allocator's 8-byte header in front
+// (pointerful objects over 512 bytes), which also makes 888 the last size
+// in the 896-byte class — one word more and every node costs 1024. A
+// Connection is exactly 256 bytes, a class whose objects start on a line.
+func TestHotFieldsLayout(t *testing.T) {
+	type field struct {
+		name      string
+		off, size uintptr
+	}
+	var n Node
+	var c Connection
+	for _, s := range []struct {
+		name   string
+		limit  uintptr
+		fields []field
+	}{
+		{"Node", 56, []field{
+			{"addr", unsafe.Offsetof(n.addr), unsafe.Sizeof(n.addr)},
+			{"up", unsafe.Offsetof(n.up), unsafe.Sizeof(n.up)},
+			{"sock", unsafe.Offsetof(n.sock), unsafe.Sizeof(n.sock)},
+			{"flight", unsafe.Offsetof(n.flight), unsafe.Sizeof(n.flight)},
+			{"statForwarded", unsafe.Offsetof(n.statForwarded), unsafe.Sizeof(n.statForwarded)},
+			{"occ", unsafe.Offsetof(n.occ), unsafe.Sizeof(n.occ)},
+		}},
+		{"Connection", 64, []field{
+			{"Peer", unsafe.Offsetof(c.Peer), unsafe.Sizeof(c.Peer)},
+			{"EP", unsafe.Offsetof(c.EP), unsafe.Sizeof(c.EP)},
+			{"roles", unsafe.Offsetof(c.roles), unsafe.Sizeof(c.roles)},
+			{"inRing", unsafe.Offsetof(c.inRing), unsafe.Sizeof(c.inRing)},
+			{"closed", unsafe.Offsetof(c.closed), unsafe.Sizeof(c.closed)},
+			{"Stream", unsafe.Offsetof(c.Stream), unsafe.Sizeof(c.Stream)},
+			{"Relays", unsafe.Offsetof(c.Relays), unsafe.Sizeof(c.Relays)},
+		}},
+	} {
+		for _, f := range s.fields {
+			if f.off+f.size > s.limit {
+				t.Errorf("%s.%s ends at byte %d, past byte %d: the field moved off the hot cache line", s.name, f.name, f.off+f.size, s.limit)
+			}
+		}
+	}
+	if off := unsafe.Offsetof(n.table); off != 56 {
+		t.Errorf("Node.table starts at byte %d, want 56: right behind the hot fields", off)
+	}
+	if off, want := unsafe.Offsetof(n.ring), unsafe.Offsetof(n.table)+unsafe.Sizeof(n.table); off != want {
+		t.Errorf("Node.ring starts at byte %d, want %d: right behind table", off, want)
+	}
+	if size := unsafe.Sizeof(n); size > 888 {
+		t.Errorf("Node is %d bytes, past 888: it left the 896-byte size class for the 1024-byte one", size)
+	}
+	if size := unsafe.Sizeof(c); size > 256 {
+		t.Errorf("Connection is %d bytes, past the 256-byte size class", size)
 	}
 }
