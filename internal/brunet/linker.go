@@ -77,27 +77,45 @@ func (n *Node) launchLinker(target Addr, uris []URI, relays []Addr, t ConnType, 
 		return
 	}
 	n.tokenSeq++
-	// Trial order: the node's own preferred transport first (stable, so
-	// the paper's public-before-private order is preserved within each
-	// transport). A TCP-preferring node behind a UDP-hostile firewall
-	// thus dials streams outward immediately instead of burning the
-	// full retry budget on unreachable UDP endpoints.
-	ordered := make([]URI, 0, len(uris))
-	for _, u := range uris {
-		if u.Transport == n.cfg.Transport {
-			ordered = append(ordered, u)
-		}
-	}
-	for _, u := range uris {
-		if u.Transport != n.cfg.Transport {
-			ordered = append(ordered, u)
-		}
-	}
-	lk := &linker{node: n, target: target, ctype: t, uris: ordered,
+	lk := &linker{node: n, target: target, ctype: t, uris: trialOrder(uris, n.cfg.Transport),
 		relays: relays, upgrade: upgrade, token: n.tokenSeq}
 	n.linkers[target] = lk
 	n.Stats.Inc("link.attempts", 1)
 	lk.sendRequest()
+}
+
+// trialOrder puts the URIs of the node's own preferred transport first
+// (stable, so the paper's public-before-private order is preserved within
+// each transport). A TCP-preferring node behind a UDP-hostile firewall thus
+// dials streams outward immediately instead of burning the full retry
+// budget on unreachable UDP endpoints. A list already in that order — what
+// a peer of the same transport advertises — is returned as it is, not
+// copied: the linker only reads it.
+func trialOrder(uris []URI, own string) []URI {
+	foreign, inOrder := false, true
+	for _, u := range uris {
+		if u.Transport != own {
+			foreign = true
+		} else if foreign {
+			inOrder = false
+			break
+		}
+	}
+	if inOrder {
+		return uris
+	}
+	ordered := make([]URI, 0, len(uris))
+	for _, u := range uris {
+		if u.Transport == own {
+			ordered = append(ordered, u)
+		}
+	}
+	for _, u := range uris {
+		if u.Transport != own {
+			ordered = append(ordered, u)
+		}
+	}
+	return ordered
 }
 
 // trialCount is the number of trial slots: relays in tunnel mode, URIs
@@ -208,25 +226,31 @@ func (lk *linker) armResend() {
 	for i := 0; i < lk.attempt; i++ {
 		wait = sim.Duration(float64(wait) * n.cfg.LinkBackoff)
 	}
-	lk.timer = n.sim.After(wait, func() {
-		if lk.done {
-			return
+	lk.timer = n.sim.AtArg(n.sim.Now().Add(wait), linkResendFired, lk)
+}
+
+// linkResendFired is the resend timer's callback: package-level, so arming
+// it through AtArg allocates no closure (see sim.AtArg).
+func linkResendFired(arg any) {
+	lk := arg.(*linker)
+	n := lk.node
+	if lk.done {
+		return
+	}
+	lk.attempt++
+	if lk.attempt > n.cfg.LinkRetries {
+		if lk.tunnelMode() {
+			n.Stats.Inc("tunnel.relay_exhausted", 1)
+		} else {
+			n.Stats.Inc("link.uri_exhausted", 1)
+			n.Stats.Inc("link.uri_exhausted.timeout", 1)
 		}
-		lk.attempt++
-		if lk.attempt > n.cfg.LinkRetries {
-			if lk.tunnelMode() {
-				n.Stats.Inc("tunnel.relay_exhausted", 1)
-			} else {
-				n.Stats.Inc("link.uri_exhausted", 1)
-				n.Stats.Inc("link.uri_exhausted.timeout", 1)
-			}
-			lk.failTimeout++
-			lk.abandonStream()
-			lk.uriIdx++
-			lk.attempt = 0
-		}
-		lk.sendRequest()
-	})
+		lk.failTimeout++
+		lk.abandonStream()
+		lk.uriIdx++
+		lk.attempt = 0
+	}
+	lk.sendRequest()
 }
 
 // abandonStream detaches a pending TCP-transport attempt. The stream is

@@ -3,7 +3,6 @@ package brunet
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"wow/internal/phys"
@@ -126,9 +125,10 @@ func TestAllocFreeMaintenance(t *testing.T) {
 		}
 		sco.tick()
 	})
-	if len(sco.score) < 15 || len(sco.peers) != len(sco.score) || !slices.IsSortedFunc(sco.peers, Addr.Cmp) || n.Stats.Get("shortcut.ctm") != 0 {
-		t.Fatalf("shortcut overlord scored %d peers, walked %d, sent %d CTMs",
-			len(sco.score), len(sco.peers), n.Stats.Get("shortcut.ctm"))
+	known := nodes[3].addr
+	allocGuard(t, "shortcutOverlord.observe on a known peer", 0, func() { sco.observe(known, 0) })
+	if len(sco.scored) < 15 || n.Stats.Get("shortcut.ctm") != 0 {
+		t.Fatalf("shortcut overlord scored %d peers, sent %d CTMs", len(sco.scored), n.Stats.Get("shortcut.ctm"))
 	}
 
 	status := n.Stats.Get("status.sent")

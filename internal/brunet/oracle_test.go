@@ -1,6 +1,10 @@
 package brunet
 
-import "sort"
+import (
+	"sort"
+
+	"wow/internal/sim"
+)
 
 // The oracles: the original copy-and-sort and linear-scan selections the
 // connection table's indexes replaced, kept as the references the property
@@ -80,4 +84,105 @@ func (sh shadow) neighborsOnSideLinear(origin Addr, right bool) []*Connection {
 		return refCmp(refSub(origin, conns[i].Peer), refSub(origin, conns[j].Peer)) < 0
 	})
 	return conns
+}
+
+// refShortcut is the shortcut overlord as it was on four maps — arrivals,
+// scores, idle-since and last-try times by peer, the scored peers collected
+// and sorted on every tick — kept line for line as the reference the
+// slice-backed overlord is held to. It acts on its own node exactly as the
+// overlord does, and logs the targets of the CTMs it sends.
+type refShortcut struct {
+	node *Node
+	cfg  ShortcutConfig
+
+	arrivals  map[Addr]float64
+	score     map[Addr]float64
+	zeroSince map[Addr]sim.Time
+	lastTry   map[Addr]sim.Time
+
+	ctms []Addr
+}
+
+func newRefShortcut(n *Node, cfg ShortcutConfig) *refShortcut {
+	return &refShortcut{
+		node:      n,
+		cfg:       cfg,
+		arrivals:  make(map[Addr]float64),
+		score:     make(map[Addr]float64),
+		zeroSince: make(map[Addr]sim.Time),
+		lastTry:   make(map[Addr]sim.Time),
+	}
+}
+
+func (o *refShortcut) observe(peer Addr, pkts float64) {
+	if peer == o.node.addr {
+		return
+	}
+	o.arrivals[peer] += pkts
+}
+
+func (o *refShortcut) Score(peer Addr) float64 { return o.score[peer] }
+
+func (o *refShortcut) tick() {
+	n := o.node
+	if !n.up {
+		return
+	}
+	if len(o.arrivals) == 0 && len(o.score) == 0 {
+		return
+	}
+	now := n.sim.Now()
+	drain := o.cfg.ServiceRate * o.cfg.Tick.Seconds()
+	for peer, a := range o.arrivals {
+		o.score[peer] += a
+		delete(o.arrivals, peer)
+	}
+	var peers []Addr
+	for peer := range o.score {
+		peers = append(peers, peer)
+	}
+	sort.Slice(peers, func(i, j int) bool { return refCmp(peers[i], peers[j]) < 0 })
+	for _, peer := range peers {
+		s := o.score[peer]
+		s -= drain
+		if s <= 0 {
+			s = 0
+		}
+		o.score[peer] = s
+		c, _ := n.lookup(peer)
+
+		if s >= o.cfg.Threshold && !o.direct(peer) {
+			last, tried := o.lastTry[peer]
+			if !tried || now.Sub(last) >= o.cfg.Retry {
+				o.lastTry[peer] = now
+				n.Stats.Inc("shortcut.ctm", 1)
+				o.ctms = append(o.ctms, peer)
+				n.sendCTM(peer, Shortcut, DeliverExact, Zero)
+			}
+		}
+
+		if s == 0 {
+			if _, ok := o.zeroSince[peer]; !ok {
+				o.zeroSince[peer] = now
+			}
+			if c != nil && c.Has(Shortcut) && now.Sub(o.zeroSince[peer]) >= o.cfg.IdleDrop {
+				n.Stats.Inc("shortcut.idle_dropped", 1)
+				n.dropConnRole(c, Shortcut, "idle")
+			}
+			if c == nil || !c.Has(Shortcut) {
+				if now.Sub(o.zeroSince[peer]) >= o.cfg.IdleDrop {
+					delete(o.score, peer)
+					delete(o.zeroSince, peer)
+					delete(o.lastTry, peer)
+				}
+			}
+		} else {
+			delete(o.zeroSince, peer)
+		}
+	}
+}
+
+func (o *refShortcut) direct(peer Addr) bool {
+	c, ok := o.node.lookup(peer)
+	return ok && c.structured()
 }

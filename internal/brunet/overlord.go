@@ -222,23 +222,29 @@ type shortcutOverlord struct {
 	node *Node
 	cfg  ShortcutConfig
 
-	arrivals  map[Addr]float64
-	score     map[Addr]float64
-	zeroSince map[Addr]sim.Time
-	lastTry   map[Addr]sim.Time
+	// scored holds one entry per peer with traffic on record, ascending by
+	// address: the order tick must walk in, since it sends CTMs and drops
+	// idle shortcuts and the event sequence has to repeat between runs.
+	scored []scoredPeer
+	// last is the index observe used last. A transfer observes one peer
+	// for a long run of packets, so observe compares that entry's address
+	// before it searches; a stale index is only a failed compare.
+	last int
+}
 
-	peers []Addr // tick's scratch: the scored peers in address order
+// scoredPeer is the shortcut overlord's record of one peer.
+type scoredPeer struct {
+	peer      Addr
+	arrivals  float64  // packets observed since the last tick
+	score     float64  // s_i as of the last tick
+	zeroSince sim.Time // when the score last drained to zero, if idle
+	lastTry   sim.Time // when the last shortcut CTM went out, if tried
+	idle      bool
+	tried     bool
 }
 
 func newShortcutOverlord(n *Node, cfg ShortcutConfig) *shortcutOverlord {
-	return &shortcutOverlord{
-		node:      n,
-		cfg:       cfg,
-		arrivals:  make(map[Addr]float64),
-		score:     make(map[Addr]float64),
-		zeroSince: make(map[Addr]sim.Time),
-		lastTry:   make(map[Addr]sim.Time),
-	}
+	return &shortcutOverlord{node: n, cfg: cfg}
 }
 
 func (o *shortcutOverlord) start() {
@@ -247,82 +253,97 @@ func (o *shortcutOverlord) start() {
 	n.tickers = append(n.tickers, t)
 }
 
+// find returns the index at which peer is, or would be inserted, in scored
+// (a search written out: the entries are compared in place, word by word).
+func (o *shortcutOverlord) find(peer *Addr) (int, bool) {
+	ph, pm, pl := words(peer)
+	lo, hi := 0, len(o.scored)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		eh, em, el := words(&o.scored[mid].peer)
+		if cmpWords(eh, em, el, ph, pm, pl) < 0 {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < len(o.scored) && o.scored[lo].peer == *peer
+}
+
 // observe records tunnelled traffic to or from peer; called by the node on
 // every originated and delivered application packet (traffic inspection).
 func (o *shortcutOverlord) observe(peer Addr, pkts float64) {
+	if i := o.last; i < len(o.scored) && o.scored[i].peer == peer {
+		o.scored[i].arrivals += pkts
+		return
+	}
 	if peer == o.node.addr {
 		return
 	}
-	o.arrivals[peer] += pkts
+	i, ok := o.find(&peer)
+	if !ok {
+		o.scored = slices.Insert(o.scored, i, scoredPeer{peer: peer})
+	}
+	o.scored[i].arrivals += pkts
+	o.last = i
 }
 
 // Score exposes the current score for a peer (diagnostics and tests).
-func (o *shortcutOverlord) Score(peer Addr) float64 { return o.score[peer] }
+func (o *shortcutOverlord) Score(peer Addr) float64 {
+	if i, ok := o.find(&peer); ok {
+		return o.scored[i].score
+	}
+	return 0
+}
 
+// tick applies the recurrence to every scored peer in address order. A
+// router that carries no tunnelled traffic has nothing scored and returns
+// at once. Nothing tick calls observes traffic — sendCTM and dropConnRole
+// neither originate nor deliver application data — so scored is not
+// resized under the walk; peers done with are compacted out behind it.
 func (o *shortcutOverlord) tick() {
 	n := o.node
 	if !n.up {
 		return
 	}
-	if len(o.arrivals) == 0 && len(o.score) == 0 {
-		return // a router that carries no tunnelled traffic: nothing to score
-	}
 	now := n.sim.Now()
 	drain := o.cfg.ServiceRate * o.cfg.Tick.Seconds()
-	for peer, a := range o.arrivals {
-		o.score[peer] += a
-		delete(o.arrivals, peer)
-	}
-	// Walk scores in address order: the loop sends CTMs and drops idle
-	// shortcuts, so map-order iteration would perturb the deterministic
-	// event sequence between runs.
-	peers := o.peers[:0]
-	for peer := range o.score {
-		peers = append(peers, peer)
-	}
-	slices.SortFunc(peers, Addr.Cmp)
-	o.peers = peers
-	for _, peer := range peers {
-		s := o.score[peer]
-		s -= drain
+	kept := 0
+	for i := range o.scored {
+		e := &o.scored[i]
+		s := e.score + e.arrivals - drain
 		if s <= 0 {
 			s = 0
 		}
-		o.score[peer] = s
-		c, _ := n.lookup(peer)
+		e.score, e.arrivals = s, 0
+		c, _ := n.lookup(e.peer)
 
-		if s >= o.cfg.Threshold && !o.direct(peer) {
-			last, tried := o.lastTry[peer]
-			if !tried || now.Sub(last) >= o.cfg.Retry {
-				o.lastTry[peer] = now
+		if s >= o.cfg.Threshold && !(c != nil && c.structured()) { // no single-hop path yet
+			if !e.tried || now.Sub(e.lastTry) >= o.cfg.Retry {
+				e.lastTry, e.tried = now, true
 				n.Stats.Inc("shortcut.ctm", 1)
-				n.sendCTM(peer, Shortcut, DeliverExact, Zero)
+				n.sendCTM(e.peer, Shortcut, DeliverExact, Zero)
 			}
 		}
 
 		if s == 0 {
-			if _, ok := o.zeroSince[peer]; !ok {
-				o.zeroSince[peer] = now
+			if !e.idle {
+				e.zeroSince, e.idle = now, true
 			}
-			if c != nil && c.Has(Shortcut) && now.Sub(o.zeroSince[peer]) >= o.cfg.IdleDrop {
-				n.Stats.Inc("shortcut.idle_dropped", 1)
-				n.dropConnRole(c, Shortcut, "idle")
-			}
-			if c == nil || !c.Has(Shortcut) {
-				if now.Sub(o.zeroSince[peer]) >= o.cfg.IdleDrop {
-					delete(o.score, peer)
-					delete(o.zeroSince, peer)
-					delete(o.lastTry, peer)
+			if now.Sub(e.zeroSince) >= o.cfg.IdleDrop {
+				if c != nil && c.Has(Shortcut) {
+					n.Stats.Inc("shortcut.idle_dropped", 1)
+					n.dropConnRole(c, Shortcut, "idle")
+				}
+				if c == nil || !c.Has(Shortcut) {
+					continue // idled out with no shortcut left to watch: forget the peer
 				}
 			}
 		} else {
-			delete(o.zeroSince, peer)
+			e.idle = false
 		}
+		o.scored[kept] = *e
+		kept++
 	}
-}
-
-// direct reports whether a single-hop path to peer already exists.
-func (o *shortcutOverlord) direct(peer Addr) bool {
-	c, ok := o.node.lookup(peer)
-	return ok && c.structured()
+	o.scored = o.scored[:kept]
 }

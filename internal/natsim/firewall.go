@@ -1,6 +1,8 @@
 package natsim
 
 import (
+	"slices"
+
 	"wow/internal/phys"
 	"wow/internal/sim"
 )
@@ -20,16 +22,32 @@ type Firewall struct {
 	// FlowTTL expires idle pinholes. Zero means 120s.
 	flowTTL sim.Duration
 	clock   func() sim.Time
-	// allowPorts are statically open inbound destination ports.
-	allowPorts map[uint16]bool
+	// allowPorts are statically open inbound destination ports: a site
+	// opens one or none, so the rule sets are slices and scanned.
+	allowPorts []uint16
 	// blockedProtos drops traffic of the given wire protocols entirely
 	// (some sites firewall UDP altogether, forcing overlay links onto
 	// the TCP transport).
-	blockedProtos map[uint8]bool
-	// flows maps (inner endpoint, outer endpoint) -> last use.
+	blockedProtos []uint8
+	// flows maps (inner endpoint, outer endpoint) -> last use. The entry
+	// of the memo's pinhole may lag behind the memo; see remember.
 	flows map[flowKey]sim.Time
 	// Drops counts packets dropped, by reason.
 	Drops map[string]int
+
+	// The flow memo: the pinhole the previous packet used, in either
+	// direction, and its last use. A packet of the same flow refreshes
+	// last.seen and touches no map; the time goes back into flows when the
+	// memo moves to another pinhole, and an expired pinhole leaves both.
+	last struct {
+		key   flowKey
+		seen  sim.Time
+		live  bool // key is a pinhole of flows
+		dirty bool // seen is later than flows[key]
+	}
+	// memoHits of memoLookups pinhole passes did no map operation (tests
+	// read them; nothing prints them).
+	memoHits, memoLookups uint64
 }
 
 type flowKey struct {
@@ -45,16 +63,12 @@ func NewFirewall(name string, flowTTL sim.Duration, clock func() sim.Time, allow
 		flowTTL = 120 * sim.Second
 	}
 	f := &Firewall{
-		name:          name,
-		flowTTL:       flowTTL,
-		clock:         clock,
-		allowPorts:    make(map[uint16]bool),
-		blockedProtos: make(map[uint8]bool),
-		flows:         make(map[flowKey]sim.Time),
-		Drops:         make(map[string]int),
-	}
-	for _, p := range allowPorts {
-		f.allowPorts[p] = true
+		name:       name,
+		flowTTL:    flowTTL,
+		clock:      clock,
+		allowPorts: slices.Clone(allowPorts),
+		flows:      make(map[flowKey]sim.Time),
+		Drops:      make(map[string]int),
 	}
 	return f
 }
@@ -82,32 +96,65 @@ func (f *Firewall) Name() string { return f.name }
 
 // BlockProto drops all traffic of the given wire protocol in both
 // directions (e.g. phys.WireUDP for a UDP-hostile site).
-func (f *Firewall) BlockProto(proto uint8) { f.blockedProtos[proto] = true }
+func (f *Firewall) BlockProto(proto uint8) { f.blockedProtos = append(f.blockedProtos, proto) }
+
+// memo reports whether k is the pinhole the previous packet used.
+func (f *Firewall) memo(k flowKey) bool {
+	f.memoLookups++
+	return f.last.live && f.last.key == k
+}
+
+// refresh records a use of the memo's pinhole, in the memo alone.
+func (f *Firewall) refresh(now sim.Time) {
+	f.memoHits++
+	f.last.seen, f.last.dirty = now, true
+}
+
+// remember records a use of pinhole k in flows and makes k the memo; the
+// pinhole the memo leaves takes its refreshed time back into flows.
+func (f *Firewall) remember(k flowKey, now sim.Time) {
+	if f.last.live && f.last.dirty {
+		f.flows[f.last.key] = f.last.seen
+	}
+	f.flows[k] = now
+	f.last.key, f.last.seen, f.last.live, f.last.dirty = k, now, true, false
+}
 
 // Outbound implements phys.Boundary: record the flow pinhole and pass.
 func (f *Firewall) Outbound(now sim.Time, p *phys.Packet) bool {
-	if f.blockedProtos[p.Proto] {
+	if slices.Contains(f.blockedProtos, p.Proto) {
 		f.Drops["proto"]++
 		return false
 	}
-	f.flows[flowKey{proto: p.Proto, inside: p.Src, outside: p.Dst}] = now
+	if k := (flowKey{proto: p.Proto, inside: p.Src, outside: p.Dst}); f.memo(k) {
+		f.refresh(now)
+	} else {
+		f.remember(k, now)
+	}
 	return true
 }
 
 // Inbound implements phys.Boundary: admit packets to statically open ports
 // or matching a live pinhole.
 func (f *Firewall) Inbound(now sim.Time, p *phys.Packet) bool {
-	if f.blockedProtos[p.Proto] {
+	if slices.Contains(f.blockedProtos, p.Proto) {
 		f.Drops["proto"]++
 		return false
 	}
-	if f.allowPorts[p.Dst.Port] {
+	if slices.Contains(f.allowPorts, p.Dst.Port) {
 		return true
 	}
 	k := flowKey{proto: p.Proto, inside: p.Dst, outside: p.Src}
-	if t, ok := f.flows[k]; ok {
+	if f.memo(k) {
+		if now.Sub(f.last.seen) <= f.flowTTL {
+			f.refresh(now)
+			return true
+		}
+		delete(f.flows, k)
+		f.last.live = false
+	} else if t, ok := f.flows[k]; ok {
 		if now.Sub(t) <= f.flowTTL {
-			f.flows[k] = now
+			f.remember(k, now)
 			return true
 		}
 		delete(f.flows, k)

@@ -88,6 +88,21 @@ type NAT struct {
 	clock    func() sim.Time
 	// Drops counts packets dropped by this device, by reason.
 	Drops map[string]int
+
+	// The flow memo: the mapping the previous translation used, in either
+	// direction, and that packet's remote endpoint. A transfer is a long
+	// run of one flow, so the memo usually answers for both tables and the
+	// filter set without a map operation. While last is set it is the
+	// entry of byKey and byPublic under its own keys and last.peers holds
+	// lastPeer exactly: whatever takes a mapping out of the tables goes
+	// through drop or Rebind, which clear the memo, and only a translation
+	// that has just written or read that peer entry sets it. The TTL test
+	// and the lastUsed refresh run on a hit as on a miss.
+	last     *mapping
+	lastPeer phys.Endpoint
+	// memoHits of memoLookups translations did no map operation (tests read
+	// them; nothing prints them).
+	memoHits, memoLookups uint64
 }
 
 // NewNAT creates a NAT that will own publicIP in its outer realm. The
@@ -159,6 +174,7 @@ func (n *NAT) SetType(t NATType) { n.cfg.Type = t }
 func (n *NAT) Rebind() {
 	n.byKey = make(map[mapKey]*mapping)
 	n.byPublic = make(map[pubKey]*mapping)
+	n.last = nil
 }
 
 // Mappings reports the number of live (unexpired) mappings, reaping
@@ -167,15 +183,27 @@ func (n *NAT) Rebind() {
 func (n *NAT) Mappings() int {
 	now := n.clock()
 	live := 0
-	for k, m := range n.byKey {
-		if now.Sub(m.lastUsed) <= n.cfg.MappingTTL {
+	for _, m := range n.byKey {
+		if n.expired(now, m) {
+			n.drop(m)
+		} else {
 			live++
-			continue
 		}
-		delete(n.byKey, k)
-		delete(n.byPublic, pubKey{k.proto, m.public.Port})
 	}
 	return live
+}
+
+func (n *NAT) expired(now sim.Time, m *mapping) bool {
+	return now.Sub(m.lastUsed) > n.cfg.MappingTTL
+}
+
+// drop takes m out of both tables, and out of the memo if it is there.
+func (n *NAT) drop(m *mapping) {
+	delete(n.byKey, m.key)
+	delete(n.byPublic, pubKey{m.key.proto, m.public.Port})
+	if n.last == m {
+		n.last = nil
+	}
 }
 
 func (n *NAT) key(proto uint8, inner, dst phys.Endpoint) mapKey {
@@ -205,32 +233,33 @@ func (n *NAT) allocPort(proto uint8) uint16 {
 	}
 }
 
-func (n *NAT) lookupOrCreate(now sim.Time, proto uint8, inner, dst phys.Endpoint) *mapping {
-	k := n.key(proto, inner, dst)
+// lookupOrCreate is Outbound's table path: the mapping under k, made afresh
+// if absent or expired, with dst recorded among its peers and both
+// remembered as the flow memo.
+func (n *NAT) lookupOrCreate(now sim.Time, k mapKey, dst phys.Endpoint) *mapping {
 	m, ok := n.byKey[k]
-	if ok && now.Sub(m.lastUsed) > n.cfg.MappingTTL {
+	if ok && n.expired(now, m) {
 		// Expired: a fresh flow gets a fresh public port, modelling
 		// the NAT translation changes the paper observed on the
 		// home-broadband node034.
-		delete(n.byKey, k)
-		delete(n.byPublic, pubKey{proto, m.public.Port})
+		n.drop(m)
 		ok = false
 	}
 	if !ok {
 		m = &mapping{
 			key:    k,
-			inner:  inner,
-			public: phys.Endpoint{IP: n.publicIP, Port: n.allocPort(proto)},
+			inner:  k.inner,
+			public: phys.Endpoint{IP: n.publicIP, Port: n.allocPort(k.proto)},
 			peers:  make(map[phys.IP]map[uint16]bool),
 		}
 		n.byKey[k] = m
-		n.byPublic[pubKey{proto, m.public.Port}] = m
+		n.byPublic[pubKey{k.proto, m.public.Port}] = m
 	}
-	m.lastUsed = now
 	if m.peers[dst.IP] == nil {
 		m.peers[dst.IP] = make(map[uint16]bool)
 	}
 	m.peers[dst.IP][dst.Port] = true
+	n.last, n.lastPeer = m, dst
 	return m
 }
 
@@ -241,7 +270,18 @@ func (n *NAT) Outbound(now sim.Time, p *phys.Packet) bool {
 		n.Drops["hairpin"]++
 		return false
 	}
-	m := n.lookupOrCreate(now, p.Proto, p.Src, p.Dst)
+	n.memoLookups++
+	// The memo is compared by the key the current discipline computes, so
+	// a mapping made under another discipline (SetType) misses here exactly
+	// as it misses in byKey.
+	k := n.key(p.Proto, p.Src, p.Dst)
+	m := n.last
+	if m != nil && m.key == k && p.Dst == n.lastPeer && !n.expired(now, m) {
+		n.memoHits++
+	} else {
+		m = n.lookupOrCreate(now, k, p.Dst)
+	}
+	m.lastUsed = now
 	p.Src = m.public
 	return true
 }
@@ -250,31 +290,45 @@ func (n *NAT) Outbound(now sim.Time, p *phys.Packet) bool {
 // the NAT's public endpoints back to the mapped inner endpoint, subject to
 // the type's filtering discipline.
 func (n *NAT) Inbound(now sim.Time, p *phys.Packet) bool {
-	m, ok := n.byPublic[pubKey{p.Proto, p.Dst.Port}]
-	if ok && now.Sub(m.lastUsed) > n.cfg.MappingTTL {
+	n.memoLookups++
+	m := n.last
+	hit := m != nil && m.public.Port == p.Dst.Port && m.key.proto == p.Proto
+	if !hit {
+		m = n.byPublic[pubKey{p.Proto, p.Dst.Port}]
+	}
+	if m != nil && n.expired(now, m) {
 		// Expired mapping: reap it now; the packet is dropped exactly as
 		// if the entry had never existed.
-		delete(n.byKey, m.key)
-		delete(n.byPublic, pubKey{p.Proto, m.public.Port})
-		ok = false
+		n.drop(m)
+		m = nil
 	}
-	if !ok {
+	if m == nil {
 		n.Drops["nomapping"]++
 		return false
 	}
+	// On the memo's mapping the memo's peer is known to be in m.peers; any
+	// other source is looked up there.
 	switch n.cfg.Type {
 	case FullCone:
 		// accept from anyone
 	case RestrictedCone:
-		if m.peers[p.Src.IP] == nil {
+		hit = hit && p.Src.IP == n.lastPeer.IP
+		if !hit && m.peers[p.Src.IP] == nil {
 			n.Drops["filtered"]++
 			return false
 		}
 	case PortRestricted, Symmetric:
-		if m.peers[p.Src.IP] == nil || !m.peers[p.Src.IP][p.Src.Port] {
-			n.Drops["filtered"]++
-			return false
+		hit = hit && p.Src == n.lastPeer
+		if !hit {
+			if !m.peers[p.Src.IP][p.Src.Port] {
+				n.Drops["filtered"]++
+				return false
+			}
+			n.last, n.lastPeer = m, p.Src
 		}
+	}
+	if hit {
+		n.memoHits++
 	}
 	m.lastUsed = now
 	p.Dst = m.inner
