@@ -418,8 +418,8 @@ func (n *Node) bestRelay(c *Connection) *Connection {
 	return best
 }
 
-// sendTunnel wraps payload in a tunnelFrame and sends it to the
-// best-scoring live relay for forwarding to the tunnel peer.
+// sendTunnel sends payload in a tunnelFrame to the best-scoring live relay
+// for forwarding to the tunnel peer.
 func (n *Node) sendTunnel(c *Connection, size int, payload any) {
 	rc := n.bestRelay(c)
 	if rc == nil {
@@ -431,8 +431,16 @@ func (n *Node) sendTunnel(c *Connection, size int, payload any) {
 		}
 		return
 	}
-	frame := tunnelFrame{From: n.addr, To: c.Peer, Via: rc.Peer, Size: size, Inner: payload}
-	n.sendConn(rc, tunnelHdrSize+size, frame)
+	n.sendFrame(rc, c.Peer, size, payload)
+}
+
+// sendFrame originates a tunnel frame: it takes a frame from the shard's
+// list, addresses it to the tunnel peer at the far end with payload inside,
+// and hands it to the relay behind the direct connection rc.
+func (n *Node) sendFrame(rc *Connection, peer Addr, size int, payload any) {
+	f := n.acquireFrame()
+	f.From, f.To, f.Via, f.Size, f.Inner = n.addr, peer, rc.Peer, size, payload
+	n.sendConn(rc, tunnelHdrSize+size, f)
 }
 
 // dropConnection removes a connection entirely, with an optional close

@@ -183,8 +183,7 @@ func (lk *linker) sendRequest() {
 			lk.sendRequest()
 			return
 		}
-		frame := tunnelFrame{From: n.addr, To: lk.target, Via: relay, Size: size, Inner: req}
-		n.sendConn(rc, tunnelHdrSize+size, frame)
+		n.sendFrame(rc, lk.target, size, req)
 		n.Stats.Inc("link.requests", 1)
 		lk.armResend()
 		return

@@ -173,14 +173,16 @@ const (
 
 // OverlayPacket is a packet routed greedily over overlay connections.
 //
-// Packets originated by SendTo are pooled per node: the AppData payload is
-// stored in the packet's own app field and Payload points at it (boxing a
-// pointer allocates nothing), and whichever node terminates the packet
-// releases it into its own free list. Handlers therefore must not retain
-// the AppData (or pointers into it) past the delivery callback. Packets
-// carrying protocol messages (CTMs, replies) are never pooled — they are
-// allocated per message and may be copied freely (handleCTMRequest's
-// pass-across relies on that).
+// Packets originated by SendTo are pooled per shard (shardPool): the
+// AppData payload is stored in the packet's own app field and Payload
+// points at it (boxing a pointer allocates nothing), SendTo takes the
+// packet from the list of the sender's shard and whichever node terminates
+// it releases it into the list of its own. Handlers therefore must not
+// retain the AppData (or pointers into it) past the delivery callback. A
+// packet lost on the way, or delivered to a stopped node, is the garbage
+// collector's. Packets carrying protocol messages (CTMs, replies) are never
+// pooled — they are allocated per message and may be copied freely
+// (handleCTMRequest's pass-across relies on that).
 type OverlayPacket struct {
 	Src, Dst Addr
 	Mode     DeliveryMode
@@ -201,7 +203,9 @@ type OverlayPacket struct {
 	// pooled marks packets owned by the origination pool; only these are
 	// released at the routing terminal.
 	pooled bool
-	// nextFree links a node's packet free list.
+	// mark is empty except under the packetdebug build tag (pool_debug.go).
+	mark poolMark
+	// nextFree links the shard's packet free list.
 	nextFree *OverlayPacket
 }
 
@@ -255,6 +259,14 @@ type ctmReply struct {
 // learn working relays from traffic. Frames are never forwarded through a
 // second tunnel (no nesting): a relay without a direct connection to To
 // drops the frame.
+//
+// A frame travels by pointer and is pooled per shard (shardPool), like the
+// ping it often carries: the originator takes it from its shard's list
+// (Node.sendFrame), the relay stamps Observed and forwards the frame it
+// received, and the tunnel endpoint releases it into its own shard's list
+// once Inner's handler has returned (handleTunnelFrame). Nothing else keeps
+// a frame; one that is lost or that a relay cannot forward is the garbage
+// collector's.
 type tunnelFrame struct {
 	From Addr
 	To   Addr
@@ -268,11 +280,15 @@ type tunnelFrame struct {
 	// allows hole punching.
 	Observed URIEndpoint
 	Inner    any
+
+	// mark is empty except under the packetdebug build tag (pool_debug.go).
+	mark     poolMark
+	nextFree *tunnelFrame
 }
 
 // TraceContext delegates to the wrapped message: dropping a tunnel frame
 // in flight terminates the traced overlay packet inside it.
-func (f tunnelFrame) TraceContext() (uint64, sim.Time) {
+func (f *tunnelFrame) TraceContext() (uint64, sim.Time) {
 	if t, ok := f.Inner.(interface {
 		TraceContext() (uint64, sim.Time)
 	}); ok {
@@ -281,9 +297,8 @@ func (f tunnelFrame) TraceContext() (uint64, sim.Time) {
 	return 0, 0
 }
 
-// ClearTrace delegates to the wrapped message (the Inner interface holds a
-// pointer, so the value receiver still reaches the shared packet).
-func (f tunnelFrame) ClearTrace() {
+// ClearTrace delegates to the wrapped message.
+func (f *tunnelFrame) ClearTrace() {
 	if c, ok := f.Inner.(interface{ ClearTrace() }); ok {
 		c.ClearTrace()
 	}

@@ -326,40 +326,30 @@ type Node struct {
 	statConnType [numConnTypes]metrics.Handle
 	statDropped  [len(dropReasons)]metrics.Handle
 
-	// freePkt heads the node's OverlayPacket origination pool (see
-	// OverlayPacket): packets SendTo creates come from here and whichever
-	// node terminates one releases it into its own list. Node-local lists
-	// keep the pool shard-safe under the parallel engine.
-	freePkt *OverlayPacket
+	// pool is the free lists of the shard this node's host lives on (see
+	// shardPool): SendTo takes its packet and a tunnel edge its frame from
+	// there, and whichever node ends one's life puts it on its own shard's.
+	pool *shardPool
 	// freePing heads the free list of keepalive messages (see pingMsg).
 	freePing *pingMsg
 }
 
-// acquirePkt takes a packet from the origination pool, or allocates one.
-func (n *Node) acquirePkt() *OverlayPacket {
-	p := n.freePkt
-	if p != nil {
-		n.freePkt = p.nextFree
-		p.nextFree = nil
-		return p
-	}
-	return &OverlayPacket{}
+// shardPool holds the free lists of one shard's overlay packets and tunnel
+// frames (DESIGN.md §6, "Who owns a packet"). Every node of the shard shares
+// it and only the shard's goroutine touches it, so it needs no lock; NewNode
+// finds it on the shard's Simulator (sim.Simulator.Local). What one node
+// releases the next sender on the shard takes, so a list is as long as the
+// most objects the shard ever had in flight, whichever way the traffic
+// runs. acquire and release are in pool.go (pool_debug.go under packetdebug).
+type shardPool struct {
+	pkts   *OverlayPacket
+	frames *tunnelFrame
 }
 
-// releasePkt retires a pooled packet at its routing terminal. Unpooled
-// packets (protocol messages, externally built packets) pass through
-// untouched — their lifetime belongs to the garbage collector.
-func (n *Node) releasePkt(p *OverlayPacket) {
-	if !p.pooled {
-		return
-	}
-	p.pooled = false
-	p.Payload = nil
-	p.app = AppData{}
-	p.Trace, p.TraceStart = 0, 0
-	p.nextFree = n.freePkt
-	n.freePkt = p
-}
+// shardPoolKey is the pool's key among its Simulator's locals.
+type shardPoolKey struct{}
+
+func newShardPool() any { return &shardPool{} }
 
 // acquirePing takes a blank keepalive message from the free list, or
 // allocates one.
@@ -391,6 +381,7 @@ func NewNode(host *phys.Host, addr Addr, cfg Config) *Node {
 		linkers:   make(map[Addr]*linker),
 		busyRetry: make(map[Addr]int),
 		handlers:  make(map[string]func(src Addr, d AppData)),
+		pool:      host.Sim().Local(shardPoolKey{}, newShardPool).(*shardPool),
 	}
 	n.ring.origin = addr
 	if cfg.JitterSeed != 0 {
@@ -768,8 +759,7 @@ func (n *Node) replyTo(w wire, size int, payload any) {
 			n.Stats.Inc("tunnel.noreturn", 1)
 			return
 		}
-		frame := tunnelFrame{From: n.addr, To: w.tpeer, Via: w.tvia, Size: size, Inner: payload}
-		n.sendConn(rc, tunnelHdrSize+size, frame)
+		n.sendFrame(rc, w.tpeer, size, payload)
 		return
 	}
 	if w.stream != nil {
@@ -847,7 +837,7 @@ func (n *Node) handleWire(w wire, payload any) {
 		n.handleLeave(m)
 	case suspectMsg:
 		n.handleSuspect(m)
-	case tunnelFrame:
+	case *tunnelFrame:
 		n.handleTunnelFrame(w, m)
 	case tunnelNoRoute:
 		if n.tun != nil {
@@ -861,6 +851,7 @@ func (n *Node) handleWire(w wire, payload any) {
 			n.near.handleStatus(m)
 		}
 	case *OverlayPacket:
+		m.live("handleWire")
 		if c, ok := n.lookup(m.Src); ok {
 			n.touch(c)
 		}
@@ -878,7 +869,7 @@ func (n *Node) SendTo(dst Addr, mode DeliveryMode, d AppData) {
 	}
 	// Pooled origination: the AppData lives inside the packet and Payload
 	// boxes a pointer to it, so a SendTo on the hot path allocates nothing
-	// once the pool is warm.
+	// once the shard's list holds what the shard keeps in flight.
 	pkt := n.acquirePkt()
 	pkt.Src, pkt.Dst, pkt.Mode = n.addr, dst, mode
 	pkt.Hops = 0
@@ -899,11 +890,12 @@ func (n *Node) SendTo(dst Addr, mode DeliveryMode, d AppData) {
 // bounced straight back to the leaf child (the leaf target acts as the
 // child's forwarding agent into the ring).
 func (n *Node) routePacket(pkt *OverlayPacket, from Addr) {
+	pkt.live("routePacket")
 	if !n.up {
 		if n.flight != nil && pkt.Trace != 0 {
 			n.flightTerminal(pkt, trace.OutcomeNodeDown)
 		}
-		n.releasePkt(pkt)
+		n.releasePkt(pkt, "routePacket (node down)")
 		return
 	}
 	// Sampling happens at origination only: a packet entering the router
@@ -913,7 +905,7 @@ func (n *Node) routePacket(pkt *OverlayPacket, from Addr) {
 	}
 	if pkt.Dst == n.addr {
 		n.deliver(pkt)
-		n.releasePkt(pkt)
+		n.releasePkt(pkt, "routePacket (delivered)")
 		return
 	}
 	if pkt.Hops >= pkt.MaxHops {
@@ -921,14 +913,14 @@ func (n *Node) routePacket(pkt *OverlayPacket, from Addr) {
 		if n.flight != nil && pkt.Trace != 0 {
 			n.flightTerminal(pkt, trace.OutcomeHopsExceeded)
 		}
-		n.releasePkt(pkt)
+		n.releasePkt(pkt, "routePacket (hops exceeded)")
 		return
 	}
 	best := n.nearestConn(pkt.Dst, from)
 	if best == nil || (best.Peer != pkt.Dst && pkt.Dst.CmpRingDist(best.Peer, n.addr) >= 0) {
 		// Nobody closer: we are the nearest live node.
 		n.deliver(pkt)
-		n.releasePkt(pkt)
+		n.releasePkt(pkt, "routePacket (nearest)")
 		return
 	}
 	pkt.Hops++
@@ -1193,7 +1185,10 @@ func (n *Node) linkFailed(target Addr, t ConnType, reason string) {
 // endpoint. Frames are only ever forwarded over direct connections — a
 // relay whose own link to the destination is tunneled drops the frame, so
 // tunnels never nest (no relay cycles, bounded path length of two hops).
-func (n *Node) handleTunnelFrame(w wire, f tunnelFrame) {
+// The relay forwards the frame it received; the endpoint is where a frame's
+// life ends (see tunnelFrame).
+func (n *Node) handleTunnelFrame(w wire, f *tunnelFrame) {
+	f.live("handleTunnelFrame")
 	if f.To != n.addr {
 		c, ok := n.lookup(f.To)
 		if !ok || c.closed || c.Tunneled() {
@@ -1238,7 +1233,11 @@ func (n *Node) handleTunnelFrame(w wire, f tunnelFrame) {
 		// an upgrade attempt can actually reach.
 		c.noteObserved(f.Observed.URI)
 	}
+	// The wire copies what it needs out of the frame, and the frame stays
+	// ours until Inner's handler returns: whatever that handler sends through
+	// a tunnel takes another frame.
 	n.handleWire(wire{tpeer: f.From, tvia: f.Via, tobs: f.Observed.URI}, f.Inner)
+	n.releaseFrame(f, "handleTunnelFrame")
 }
 
 // handleForwarded relays a payload to a leaf child (§IV-C: "the leaf

@@ -1,0 +1,139 @@
+package brunet
+
+import (
+	"fmt"
+	"testing"
+
+	"wow/internal/natsim"
+	"wow/internal/phys"
+	"wow/internal/sim"
+)
+
+// buildZeroLatencySymmetricRing is buildSymmetricRing on a zero-latency
+// fabric (see buildZeroLatencyRing): a frame's whole way from originator
+// through relay to tunnel endpoint drains within RunUntil(Now()).
+func buildZeroLatencySymmetricRing(t testing.TB, seed int64, routers, symmetric int) *natRig {
+	t.Helper()
+	s := sim.New(seed)
+	net := phys.NewNetwork(s, phys.UniformLatency(phys.PathModel{}, phys.PathModel{}))
+	r := &natRig{overlayRig: &overlayRig{s: s, net: net, site: net.AddSite("z")}, nats: map[Addr]*natsim.NAT{}}
+	start := func(n *Node) {
+		var boot []URI
+		if len(r.nodes) > 0 {
+			boot = []URI{r.nodes[0].BootstrapURI()}
+		}
+		if err := n.Start(boot); err != nil {
+			t.Fatalf("start %s: %v", n.Addr(), err)
+		}
+		r.nodes = append(r.nodes, n)
+		s.RunFor(2 * sim.Second)
+	}
+	for i := 0; i < routers; i++ {
+		name := fmt.Sprintf("router%02d", i)
+		start(NewNode(net.AddHost(name, r.site, net.Root(), phys.HostConfig{}), AddrFromString(name), FastTestConfig()))
+	}
+	for i := 0; i < symmetric; i++ {
+		name := fmt.Sprintf("sym%02d", i)
+		nat := natsim.NewNAT(name+"-nat", natsim.Config{Type: natsim.Symmetric}, net.Root().NextIP(), s.Now)
+		realm := net.AddRealm(name, net.Root(), nat, phys.MustParseIP(fmt.Sprintf("10.%d.0.2", i)))
+		n := NewNode(net.AddHost(name+"-host", r.site, realm, phys.HostConfig{}), AddrFromString(name), FastTestConfig())
+		start(n)
+		r.nats[n.Addr()] = nat
+	}
+	s.RunFor(4 * sim.Minute)
+	return r
+}
+
+// tunnelEdge picks a live tunnel edge of the rig: its originator, the relay
+// it is using and the tunnel peer, with a handler on the peer that counts
+// what arrives. A first packet goes through so the edge has chosen its relay.
+func tunnelEdge(t testing.TB, r *natRig, delivered *int) (orig, relay, peer *Node) {
+	t.Helper()
+	orig, c := r.tunneledNearConn()
+	if orig == nil {
+		t.Fatal("no live tunneled near connection")
+	}
+	peer = r.nodeByAddr(c.Peer)
+	peer.RegisterProto("allocguard", func(Addr, AppData) { *delivered++ })
+	orig.SendTo(peer.Addr(), DeliverExact, AppData{Proto: "allocguard", Size: 64})
+	r.s.RunUntil(r.s.Now())
+	if relay = r.nodeByAddr(c.activeRelay); relay == nil || *delivered != 1 {
+		t.Fatalf("tunnel edge %v~%v carried %d of 1 packets via %v", orig.Addr(), peer.Addr(), *delivered, c.activeRelay)
+	}
+	return orig, relay, peer
+}
+
+// TestAllocFreeTunnelHop guards the tunnel hop: an application packet sent
+// across a tunnel edge, one way — a frame from the shard's list at the
+// originator, the same frame stamped and forwarded by the relay, unwrapped,
+// dispatched and released at the tunnel endpoint — allocates nothing.
+func TestAllocFreeTunnelHop(t *testing.T) {
+	r := buildZeroLatencySymmetricRing(t, 21, 3, 8)
+	delivered := 0
+	orig, relay, peer := tunnelEdge(t, r, &delivered)
+	d := AppData{Proto: "allocguard", Size: 64}
+	send := func() {
+		orig.SendTo(peer.Addr(), DeliverExact, d)
+		r.s.RunUntil(r.s.Now())
+	}
+	for i := 0; i < 64; i++ {
+		send()
+	}
+	relayed, before := relay.Stats.Get("tunnel.relayed"), delivered
+	avg := testing.AllocsPerRun(200, send)
+	if got := relay.Stats.Get("tunnel.relayed") - relayed; got != 201 || delivered-before != 201 {
+		t.Fatalf("201 sends: relay carried %d frames, endpoint got %d packets; measurement would be vacuous", got, delivered-before)
+	}
+	if raceEnabled || poolDebug {
+		t.Logf("allocs/tunnel hop under -race or packetdebug: %.2f (not asserted)", avg)
+		return
+	}
+	if avg != 0 {
+		t.Errorf("allocs per packet across a tunnel edge = %.2f, want 0", avg)
+	}
+}
+
+// TestPoolBoundedOneWay: under traffic that only ever runs one way the
+// shard's free lists hold what was in flight at once and no more — packets
+// over a multi-hop route, frames over a tunnel edge. (A list per node ends
+// as long as the number of packets the receiver ever saw.)
+func TestPoolBoundedOneWay(t *testing.T) {
+	const burst = 8 // sends between drains: the most objects ever in flight
+	d := AppData{Proto: "allocguard", Size: 64}
+
+	s, nodes := buildZeroLatencyRing(t, 11, 12)
+	src, dst := nodes[3], nodes[8]
+	delivered := 0
+	dst.RegisterProto("allocguard", func(Addr, AppData) { delivered++ })
+	for sent := 0; sent < 100000; sent += burst {
+		for i := 0; i < burst; i++ {
+			src.SendTo(dst.Addr(), DeliverExact, d)
+		}
+		s.RunUntil(s.Now())
+		if l := dst.pktListLen(); l > burst {
+			t.Fatalf("after %d one-way packets the receiver's list holds %d, more than the %d ever in flight", sent+burst, l, burst)
+		}
+	}
+	if delivered != 100000 {
+		t.Fatalf("%d of 100000 packets delivered", delivered)
+	}
+	if l := dst.pktListLen(); !poolDebug && l != burst {
+		t.Errorf("list holds %d packets after bursts of %d, want exactly the burst", l, burst)
+	}
+
+	r := buildZeroLatencySymmetricRing(t, 21, 3, 8)
+	delivered = 0
+	orig, _, peer := tunnelEdge(t, r, &delivered)
+	for sent := 0; sent < 20000; sent += burst {
+		for i := 0; i < burst; i++ {
+			orig.SendTo(peer.Addr(), DeliverExact, d)
+		}
+		r.s.RunUntil(r.s.Now())
+		if pl, fl := peer.pktListLen(), peer.frameListLen(); pl > burst || fl > burst {
+			t.Fatalf("after %d one-way packets over the tunnel the endpoint's lists hold %d packets and %d frames, more than the %d ever in flight", sent+burst, pl, fl, burst)
+		}
+	}
+	if delivered != 20001 {
+		t.Fatalf("%d of 20001 packets delivered over the tunnel", delivered)
+	}
+}

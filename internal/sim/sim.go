@@ -149,6 +149,8 @@ type Simulator struct {
 	rng     *rand.Rand
 	stopped bool
 
+	locals []local // see Local
+
 	// Processed counts events executed since construction; useful for
 	// run-length diagnostics and loop detection in tests.
 	Processed uint64
@@ -164,6 +166,29 @@ func (s *Simulator) Now() Time { return s.now }
 
 // Rand returns the simulator's deterministic random source.
 func (s *Simulator) Rand() *rand.Rand { return s.rng }
+
+// local is one value a package keeps on the simulator (see Local).
+type local struct{ key, val any }
+
+// Local returns the value this simulator keeps under key, made by mk the
+// first time the key is asked for. It is the home of what all hosts of one
+// shard share and no other shard touches — the free lists of pooled packets
+// above all: one goroutine drives a Simulator, so what hangs off it needs no
+// lock, and a shard's Simulator is the one piece of shard identity every
+// layer can reach. Keys compare with ==; a package passes a value of an
+// unexported type of its own, so two packages cannot collide. The lookup is
+// a scan of a handful of entries: fetch the value when a node or stack is
+// built and keep the pointer, not per packet.
+func (s *Simulator) Local(key any, mk func() any) any {
+	for i := range s.locals {
+		if s.locals[i].key == key {
+			return s.locals[i].val
+		}
+	}
+	v := mk()
+	s.locals = append(s.locals, local{key, v})
+	return v
+}
 
 // acquire takes an event from the free list, or allocates one.
 func (s *Simulator) acquire() *event {

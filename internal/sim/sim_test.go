@@ -323,3 +323,36 @@ func BenchmarkScheduleAndRun(b *testing.B) {
 		s.Run()
 	}
 }
+
+// Local keeps one value per (simulator, key): made once, the same pointer
+// ever after, and a value of its own for every key and for every shard of
+// an engine — what the per-shard packet pools stand on.
+func TestLocalOnePerSimulatorAndKey(t *testing.T) {
+	type keyA struct{}
+	type keyB struct{}
+	made := 0
+	mk := func() any { made++; return new(int) }
+	s := New(1)
+	a := s.Local(keyA{}, mk)
+	if s.Local(keyA{}, mk) != a || made != 1 {
+		t.Fatalf("second Local(keyA) made a new value (made %d)", made)
+	}
+	if b := s.Local(keyB{}, mk); b == a || made != 2 {
+		t.Fatalf("Local(keyB) shares keyA's value (made %d)", made)
+	}
+	if s.Local(keyA{}, mk) != a {
+		t.Fatal("Local(keyA) changed after another key was added")
+	}
+	if New(1).Local(keyA{}, mk) == a {
+		t.Fatal("two simulators share a local")
+	}
+	eng := NewSharded(1, 4, 1)
+	defer eng.Close()
+	seen := map[any]bool{}
+	for i := 0; i < eng.Shards(); i++ {
+		seen[eng.Shard(i).Local(keyA{}, mk)] = true
+	}
+	if len(seen) != eng.Shards() {
+		t.Fatalf("%d distinct locals over %d shards", len(seen), eng.Shards())
+	}
+}

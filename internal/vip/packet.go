@@ -79,11 +79,31 @@ func (p Proto) String() string {
 // Packet is one virtual IP packet. Size includes header overhead and
 // drives transmission-time modelling in the physical substrate underneath
 // the tunnel.
+//
+// The transport header rides inside the packet — Proto says which of the
+// three is meant — so a packet is one object from the stack that emits it to
+// the stack that receives it, and that object is pooled per shard
+// (shardPool): the sending stack takes it from its shard's free list and the
+// receiving stack puts it on its own when its handler returns. A Carrier
+// hands the pointer on and keeps nothing; a handler keeps nothing either,
+// with one exception, a TCP segment that arrived ahead of its turn and waits
+// in Conn.oo. A packet the carrier loses, misroutes or delivers to nobody is
+// the garbage collector's. Packets built outside the stack are never put on
+// a list.
 type Packet struct {
 	Src, Dst IP
 	Proto    Proto
 	Size     int
-	Seg      any // *TCPSegment, *UDPDatagram or *ICMPEcho
+
+	tcp  TCPSegment
+	icmp ICMPEcho
+	udp  UDPDatagram
+
+	// pooled marks a packet taken from a free list; only these return to one.
+	pooled bool
+	// mark is empty except under the packetdebug build tag (pool_debug.go).
+	mark     poolMark
+	nextFree *Packet
 }
 
 // Header sizes in bytes.

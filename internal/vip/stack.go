@@ -62,6 +62,10 @@ type Stack struct {
 	carrier Carrier
 	cfg     StackConfig
 	sim     *sim.Simulator
+	// pool is the free lists of the shard sim drives (see shardPool). Like
+	// sim it is fixed when the stack is built: a stack stays on one shard
+	// even when its carrier moves hosts.
+	pool *shardPool
 
 	pingID    uint64
 	pingSeq   int
@@ -78,18 +82,45 @@ type Stack struct {
 // UDPHandler receives a datagram's source address and payload.
 type UDPHandler func(src IP, srcPort uint16, size int, msg any)
 
+// pingState is one echo request awaiting its reply. It is the argument of
+// its own timeout event and is pooled with the packets (shardPool), so a
+// ping allocates nothing.
 type pingState struct {
+	stack   *Stack
+	id      uint64
 	cb      func(ok bool, rtt sim.Duration)
 	timeout sim.Timer
+
+	nextFree *pingState
 }
+
+// shardPool holds the free lists of one shard's virtual-IP packets and ping
+// states (DESIGN.md §6, "Who owns a packet"). Every stack of the shard
+// shares it and only the shard's goroutine touches it, so it needs no lock;
+// NewStack finds it on the Simulator behind Carrier.Clock
+// (sim.Simulator.Local). What one stack releases the next sender on the
+// shard takes, so the list is as long as the most packets the shard ever had
+// in flight and no stack hoards the ACKs its transfers brought home. acquire
+// and release are in pool.go (pool_debug.go under packetdebug).
+type shardPool struct {
+	pkts  *Packet
+	pings *pingState
+}
+
+// shardPoolKey is the pool's key among its Simulator's locals.
+type shardPoolKey struct{}
+
+func newShardPool() any { return &shardPool{} }
 
 // NewStack creates a stack over the carrier.
 func NewStack(carrier Carrier, cfg StackConfig) *Stack {
 	cfg.fillDefaults()
+	clock := carrier.Clock()
 	s := &Stack{
 		carrier:   carrier,
 		cfg:       cfg,
-		sim:       carrier.Clock(),
+		sim:       clock,
+		pool:      clock.Local(shardPoolKey{}, newShardPool).(*shardPool),
 		pings:     make(map[uint64]*pingState),
 		udp:       make(map[uint16]UDPHandler),
 		listeners: make(map[uint16]func(*Conn)),
@@ -109,27 +140,51 @@ func (s *Stack) Sim() *sim.Simulator { return s.sim }
 // Config returns the stack's transport constants.
 func (s *Stack) Config() StackConfig { return s.cfg }
 
+// packet takes a packet from the shard's list and addresses it from this
+// stack to dst; the caller fills in the transport header.
+func (s *Stack) packet(dst IP, proto Proto, size int) *Packet {
+	p := s.acquire()
+	p.Src, p.Dst, p.Proto, p.Size = s.IP(), dst, proto, size
+	return p
+}
+
 func (s *Stack) send(p *Packet) {
+	p.live("send")
 	s.Stats.Inc("ip.out", 1)
 	s.carrier.SendIP(p)
 }
 
+// receive is the carrier's upcall and the end of a packet's life: whatever
+// the handler did with it, the packet goes back on the shard's list when the
+// handler returns — unless the handler kept it, which only two do: the echo
+// responder, which sends the request back as the reply, and a connection
+// that parks an out-of-order segment (Conn.oo).
 func (s *Stack) receive(p *Packet) {
+	p.live("receive")
+	if !s.dispatch(p) {
+		s.release(p, "receive")
+	}
+}
+
+// dispatch hands p to its protocol's handler and reports whether the handler
+// kept the packet.
+func (s *Stack) dispatch(p *Packet) (kept bool) {
 	if p.Dst != s.IP() {
 		s.Stats.Inc("ip.misdelivered", 1)
-		return
+		return false
 	}
 	s.Stats.Inc("ip.in", 1)
 	switch p.Proto {
 	case ProtoICMP:
-		s.handleICMP(p)
+		return s.handleICMP(p)
 	case ProtoUDP:
 		s.handleUDP(p)
 	case ProtoTCP:
-		s.handleTCP(p)
+		return s.handleTCP(p)
 	default:
 		s.Stats.Inc("ip.unknown_proto", 1)
 	}
+	return false
 }
 
 // Ping sends one ICMP echo request of the given payload size and invokes
@@ -138,42 +193,59 @@ func (s *Stack) receive(p *Packet) {
 // are measured.
 func (s *Stack) Ping(dst IP, size int, timeout sim.Duration, cb func(ok bool, rtt sim.Duration)) {
 	s.pingID++
-	id := s.pingID
 	s.pingSeq++
-	st := &pingState{cb: cb}
-	s.pings[id] = st
-	st.timeout = s.sim.After(timeout, func() {
-		if _, live := s.pings[id]; live {
-			delete(s.pings, id)
-			s.Stats.Inc("icmp.timeout", 1)
-			cb(false, 0)
-		}
-	})
-	s.send(&Packet{
-		Src: s.IP(), Dst: dst, Proto: ProtoICMP,
-		Size: ipHdrSize + icmpHdrSize + size,
-		Seg:  &ICMPEcho{ID: id, Seq: s.pingSeq, Sent: s.sim.Now()},
-	})
+	st := s.pool.pings
+	if st == nil {
+		st = &pingState{}
+	} else {
+		s.pool.pings = st.nextFree
+	}
+	*st = pingState{stack: s, id: s.pingID, cb: cb}
+	s.pings[st.id] = st
+	st.timeout = s.sim.AtArg(s.sim.Now().Add(timeout), pingTimedOut, st)
+	p := s.packet(dst, ProtoICMP, ipHdrSize+icmpHdrSize+size)
+	p.icmp = ICMPEcho{ID: st.id, Seq: s.pingSeq, Sent: s.sim.Now()}
+	s.send(p)
 	s.Stats.Inc("icmp.sent", 1)
 }
 
-func (s *Stack) handleICMP(p *Packet) {
-	echo, ok := p.Seg.(*ICMPEcho)
-	if !ok {
-		return
-	}
+// finishPing retires an echo's state, answered or timed out, and returns
+// its callback.
+func (s *Stack) finishPing(st *pingState) func(ok bool, rtt sim.Duration) {
+	cb := st.cb
+	delete(s.pings, st.id)
+	*st = pingState{nextFree: s.pool.pings}
+	s.pool.pings = st
+	return cb
+}
+
+// pingTimedOut is the echo timeout's callback (see sim.AtArg); a reply
+// cancels the event, so it only ever fires for an echo still waiting.
+func pingTimedOut(arg any) {
+	st := arg.(*pingState)
+	s := st.stack
+	cb := s.finishPing(st)
+	s.Stats.Inc("icmp.timeout", 1)
+	cb(false, 0)
+}
+
+func (s *Stack) handleICMP(p *Packet) (kept bool) {
+	echo := &p.icmp
 	if !echo.Reply {
-		rep := *echo
-		rep.Reply = true
-		s.send(&Packet{Src: s.IP(), Dst: p.Src, Proto: ProtoICMP, Size: p.Size, Seg: &rep})
-		return
+		// The request becomes the reply in place and goes back as the same
+		// packet; the pinging stack releases it.
+		echo.Reply = true
+		p.Src, p.Dst = s.IP(), p.Src
+		s.send(p)
+		return true
 	}
 	if st, live := s.pings[echo.ID]; live {
-		delete(s.pings, echo.ID)
 		st.timeout.Cancel()
+		cb := s.finishPing(st)
 		s.Stats.Inc("icmp.replied", 1)
-		st.cb(true, s.sim.Now().Sub(echo.Sent))
+		cb(true, s.sim.Now().Sub(echo.Sent))
 	}
+	return false
 }
 
 // ListenUDP binds a datagram handler to a port.
@@ -190,18 +262,13 @@ func (s *Stack) CloseUDP(port uint16) { delete(s.udp, port) }
 
 // SendUDP transmits one datagram. size is the payload size in bytes.
 func (s *Stack) SendUDP(dst IP, srcPort, dstPort uint16, size int, msg any) {
-	s.send(&Packet{
-		Src: s.IP(), Dst: dst, Proto: ProtoUDP,
-		Size: ipHdrSize + udpHdrSize + size,
-		Seg:  &UDPDatagram{SrcPort: srcPort, DstPort: dstPort, Msg: msg},
-	})
+	p := s.packet(dst, ProtoUDP, ipHdrSize+udpHdrSize+size)
+	p.udp = UDPDatagram{SrcPort: srcPort, DstPort: dstPort, Msg: msg}
+	s.send(p)
 }
 
 func (s *Stack) handleUDP(p *Packet) {
-	d, ok := p.Seg.(*UDPDatagram)
-	if !ok {
-		return
-	}
+	d := &p.udp
 	if h, bound := s.udp[d.DstPort]; bound {
 		h(p.Src, d.SrcPort, p.Size-ipHdrSize-udpHdrSize, d.Msg)
 	} else {

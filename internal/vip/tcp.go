@@ -12,7 +12,8 @@ import (
 // segment covers Len bytes of the stream, and chunk boundaries (Ends)
 // carry application messages that complete within the segment. Classic
 // sequence-number semantics apply, with the FIN consuming one sequence
-// number past the last payload byte.
+// number past the last payload byte. A segment is the TCP header of a
+// Packet and lives inside it.
 type TCPSegment struct {
 	SrcPort, DstPort uint16
 	Kind             string // "syn", "synack", or "" for everything else
@@ -23,7 +24,9 @@ type TCPSegment struct {
 	FIN              bool
 	// Probe marks a keepalive probe, soliciting an immediate ACK.
 	Probe bool
-	Ends  []chunkEnd
+	// Ends is empty on a packet fresh from the pool and keeps its backing
+	// array from one use of the packet to the next.
+	Ends []chunkEnd
 }
 
 // chunkEnd marks an application message whose last byte is stream offset
@@ -100,7 +103,13 @@ type Conn struct {
 	rcvNxt    int
 	rcvBytes  int
 	remoteFin int // stream offset of FIN, -1 until seen
-	oo        map[int]*TCPSegment
+	// oo parks the segments that arrived ahead of rcvNxt, by first byte —
+	// the one place a received packet outlives its handler. A parked packet
+	// goes back to the pool when the stream reaches it and it is delivered,
+	// when the stream passes it by (a retransmission re-cut across its first
+	// byte) or when another segment takes its key; what is still parked
+	// when the connection goes is the garbage collector's.
+	oo map[int]*Packet
 
 	onConnect func()
 	onMessage func(size int, msg any)
@@ -112,6 +121,7 @@ type Conn struct {
 	kaProbes  int
 
 	retransmits int
+	rtoArms     int // times armRTO scheduled the timer; tests count it
 }
 
 // ListenTCP installs an accept callback for a port. The callback fires
@@ -139,7 +149,7 @@ func (s *Stack) DialTCP(dst IP, port uint16) *Conn {
 		ssthresh:  float64(s.cfg.Window),
 		rto:       sim.Second,
 		remoteFin: -1,
-		oo:        make(map[int]*TCPSegment),
+		oo:        make(map[int]*Packet),
 	}
 	c.lastProgress = s.sim.Now()
 	s.conns[c.key] = c
@@ -248,29 +258,24 @@ func (c *Conn) window() float64 {
 	return w
 }
 
+// segment takes a packet for the peer from the shard's list, with wire bytes
+// of TCP on top of the IP header and the connection's ports filled in.
+func (c *Conn) segment(wire int) (*Packet, *TCPSegment) {
+	p := c.stack.packet(c.key.remote, ProtoTCP, ipHdrSize+wire)
+	p.tcp.SrcPort, p.tcp.DstPort = c.key.localPort, c.key.remotePort
+	return p, &p.tcp
+}
+
 // sendControl emits a handshake segment.
 func (c *Conn) sendControl(kind string) {
-	seg := &TCPSegment{
-		SrcPort: c.key.localPort, DstPort: c.key.remotePort,
-		Kind: kind,
-	}
-	if kind == "synack" {
-		seg.HasAck = true
-	}
-	c.emit(seg, tcpHdrSize)
+	p, seg := c.segment(tcpHdrSize)
+	seg.Kind = kind
+	seg.HasAck = kind == "synack"
+	c.stack.send(p)
 }
 
-func (c *Conn) emit(seg *TCPSegment, wire int) {
-	c.stack.send(&Packet{
-		Src: c.stack.IP(), Dst: c.key.remote, Proto: ProtoTCP,
-		Size: ipHdrSize + wire,
-		Seg:  seg,
-	})
-}
-
-// endsInRange collects chunk boundaries inside [lo, hi).
-func (c *Conn) endsInRange(lo, hi int) []chunkEnd {
-	var out []chunkEnd
+// endsInRange appends the chunk boundaries inside [lo, hi) to out.
+func (c *Conn) endsInRange(out []chunkEnd, lo, hi int) []chunkEnd {
 	q := c.sndQ[c.sndTrim:]
 	i := sort.Search(len(q), func(i int) bool { return q[i].start+q[i].size > lo })
 	for ; i < len(q); i++ {
@@ -284,10 +289,12 @@ func (c *Conn) endsInRange(lo, hi int) []chunkEnd {
 }
 
 // trySend transmits as much of the stream as the window allows, then the
-// FIN once everything is flushed and the connection is closing.
-func (c *Conn) trySend() {
+// FIN once everything is flushed and the connection is closing, and arms
+// the retransmission timer for what is then outstanding. It reports false
+// when the connection is not established and it did none of this.
+func (c *Conn) trySend() bool {
 	if c.state != stateEstablished {
-		return
+		return false
 	}
 	mss := c.stack.cfg.MSS
 	for c.sndNxt < c.sndBytes {
@@ -311,14 +318,13 @@ func (c *Conn) trySend() {
 		c.sendFIN()
 	}
 	c.armRTO()
+	return true
 }
 
 func (c *Conn) sendData(seq, n int) {
-	seg := &TCPSegment{
-		SrcPort: c.key.localPort, DstPort: c.key.remotePort,
-		Seq: seq, Len: n, Ack: c.rcvNxt, HasAck: true,
-		Ends: c.endsInRange(seq, seq+n),
-	}
+	p, seg := c.segment(tcpHdrSize + n)
+	seg.Seq, seg.Len, seg.Ack, seg.HasAck = seq, n, c.rcvNxt, true
+	seg.Ends = c.endsInRange(seg.Ends, seq, seq+n)
 	if !c.timing && seq+n == c.sndNxt {
 		// Time only first transmissions at the send frontier (Karn).
 		c.timing = true
@@ -326,23 +332,19 @@ func (c *Conn) sendData(seq, n int) {
 		c.timedAt = c.stack.sim.Now()
 	}
 	c.stack.Stats.Inc("tcp.data_out", 1)
-	c.emit(seg, tcpHdrSize+n)
+	c.stack.send(p)
 }
 
 func (c *Conn) sendFIN() {
-	seg := &TCPSegment{
-		SrcPort: c.key.localPort, DstPort: c.key.remotePort,
-		Seq: c.sndBytes, FIN: true, Ack: c.rcvNxt, HasAck: true,
-	}
-	c.emit(seg, tcpHdrSize)
+	p, seg := c.segment(tcpHdrSize)
+	seg.Seq, seg.FIN, seg.Ack, seg.HasAck = c.sndBytes, true, c.rcvNxt, true
+	c.stack.send(p)
 }
 
 func (c *Conn) sendAck() {
-	seg := &TCPSegment{
-		SrcPort: c.key.localPort, DstPort: c.key.remotePort,
-		Seq: c.sndNxt, Ack: c.rcvNxt, HasAck: true,
-	}
-	c.emit(seg, tcpHdrSize)
+	p, seg := c.segment(tcpHdrSize)
+	seg.Seq, seg.Ack, seg.HasAck = c.sndNxt, c.rcvNxt, true
+	c.stack.send(p)
 }
 
 // outstanding reports whether anything needs the retransmission timer.
@@ -361,6 +363,7 @@ func (c *Conn) armRTO() {
 	if !c.outstanding() {
 		return
 	}
+	c.rtoArms++
 	c.rtoTimer = c.stack.sim.AtArg(c.stack.sim.Now().Add(c.rto), connTimeoutFired, c)
 }
 
@@ -462,12 +465,10 @@ func (c *Conn) baseRTO() sim.Duration {
 }
 
 // handleTCP dispatches an inbound segment to its connection, creating one
-// on SYN to a listening port.
-func (s *Stack) handleTCP(p *Packet) {
-	seg, ok := p.Seg.(*TCPSegment)
-	if !ok {
-		return
-	}
+// on SYN to a listening port. It reports whether the connection kept the
+// packet (see Conn.oo).
+func (s *Stack) handleTCP(p *Packet) (kept bool) {
+	seg := &p.tcp
 	key := connKey{remote: p.Src, remotePort: seg.SrcPort, localPort: seg.DstPort}
 	c, exists := s.conns[key]
 	if !exists {
@@ -481,35 +482,40 @@ func (s *Stack) handleTCP(p *Packet) {
 					ssthresh:  float64(s.cfg.Window),
 					rto:       sim.Second,
 					remoteFin: -1,
-					oo:        make(map[int]*TCPSegment),
+					oo:        make(map[int]*Packet),
 				}
 				c.lastProgress = s.sim.Now()
 				s.conns[key] = c
 				s.Stats.Inc("tcp.accepted", 1)
 				c.sendControl("synack")
 				c.armRTO()
-				return
+				return false
 			}
 		}
 		s.Stats.Inc("tcp.no_conn", 1)
-		return
+		return false
 	}
-	c.handleSegment(seg)
+	return c.handleSegment(p)
 }
 
-func (c *Conn) handleSegment(seg *TCPSegment) {
+// handleSegment processes one inbound segment and reports whether p was
+// parked in c.oo. Nothing here reads the segment once receiveData has
+// returned: by then a parked packet may already have been drained and
+// released by a segment that a synchronous carrier delivered in between.
+func (c *Conn) handleSegment(p *Packet) (parked bool) {
 	s := c.stack
+	seg := &p.tcp
 	switch c.state {
 	case stateSynSent:
 		if seg.Kind == "synack" {
 			c.establish()
 			c.sendAck()
 		}
-		return
+		return false
 	case stateSynRcvd:
 		if seg.Kind == "syn" {
 			c.sendControl("synack") // duplicate SYN: our SYNACK was lost
-			return
+			return false
 		}
 		if seg.HasAck || seg.Len > 0 {
 			c.establish()
@@ -518,10 +524,10 @@ func (c *Conn) handleSegment(seg *TCPSegment) {
 			}
 			// fall through to process the segment's contents
 		} else {
-			return
+			return false
 		}
 	case stateClosed:
-		return
+		return false
 	}
 
 	c.lastHeard = s.sim.Now()
@@ -593,14 +599,19 @@ func (c *Conn) handleSegment(seg *TCPSegment) {
 
 	// --- payload / FIN processing ---
 	if seg.Len > 0 || seg.FIN {
-		c.receiveData(seg)
+		parked = c.receiveData(p)
 	}
 
 	if progressed {
 		c.lastProgress = s.sim.Now()
-		c.trySend()
 	}
-	c.armRTO()
+	// trySend ends by arming the retransmission timer; arm it here only when
+	// trySend did not run, or the timer would be cancelled and scheduled
+	// twice for every ACK that makes progress.
+	if !progressed || !c.trySend() {
+		c.armRTO()
+	}
+	return parked
 }
 
 func (c *Conn) establish() {
@@ -650,10 +661,9 @@ func (c *Conn) keepAliveCheck() {
 	}
 	c.kaProbes++
 	s.Stats.Inc("tcp.keepalive_probe", 1)
-	c.emit(&TCPSegment{
-		SrcPort: c.key.localPort, DstPort: c.key.remotePort,
-		Seq: c.sndNxt, Ack: c.rcvNxt, HasAck: true, Probe: true,
-	}, tcpHdrSize)
+	p, seg := c.segment(tcpHdrSize)
+	seg.Seq, seg.Ack, seg.HasAck, seg.Probe = c.sndNxt, c.rcvNxt, true, true
+	s.send(p)
 	c.armKeepAliveIn(75 * sim.Second)
 }
 
@@ -672,8 +682,9 @@ func (c *Conn) trimAcked() {
 
 // receiveData accepts in-order payload, buffers out-of-order segments and
 // acknowledges every arrival (duplicate ACKs drive the sender's fast
-// retransmit).
-func (c *Conn) receiveData(seg *TCPSegment) {
+// retransmit). It reports whether it parked p in c.oo.
+func (c *Conn) receiveData(p *Packet) (parked bool) {
+	seg := &p.tcp
 	if seg.FIN && c.remoteFin < 0 {
 		c.remoteFin = seg.Seq
 	}
@@ -687,10 +698,27 @@ func (c *Conn) receiveData(seg *TCPSegment) {
 				break
 			}
 			delete(c.oo, c.rcvNxt)
-			c.acceptSegment(next)
+			next.live("drain")
+			c.acceptSegment(&next.tcp)
+			c.stack.release(next, "drain")
+		}
+		// What the stream has passed without landing on is never looked up
+		// again: a go-back-N retransmission cut from sndUna can span the
+		// first byte of a parked segment.
+		if len(c.oo) > 0 {
+			for at, old := range c.oo {
+				if at < c.rcvNxt {
+					delete(c.oo, at)
+					c.stack.release(old, "overtaken")
+				}
+			}
 		}
 	case seg.Len > 0 && seg.Seq > c.rcvNxt:
-		c.oo[seg.Seq] = seg
+		if old, dup := c.oo[seg.Seq]; dup {
+			c.stack.release(old, "replaced")
+		}
+		c.oo[seg.Seq] = p
+		parked = true
 		c.stack.Stats.Inc("tcp.out_of_order", 1)
 	}
 	if c.remoteFin >= 0 && c.rcvNxt == c.remoteFin {
@@ -698,6 +726,7 @@ func (c *Conn) receiveData(seg *TCPSegment) {
 	}
 	c.sendAck()
 	c.maybeFinish()
+	return parked
 }
 
 func (c *Conn) acceptSegment(seg *TCPSegment) {

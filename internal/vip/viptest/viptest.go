@@ -37,11 +37,15 @@ type Carrier struct {
 	ip   vip.IP
 	recv func(*vip.Packet)
 	up   bool
+	// deliverFn is deliver bound once, so SendIP schedules an arrival
+	// without allocating a closure or a method value per packet.
+	deliverFn func(any)
 }
 
 // Add creates a carrier for ip.
 func (m *Mesh) Add(ip vip.IP) *Carrier {
 	c := &Carrier{mesh: m, ip: ip, up: true}
+	c.deliverFn = c.deliver
 	m.carriers[ip] = c
 	return c
 }
@@ -79,11 +83,14 @@ func (c *Carrier) SendIP(p *vip.Packet) {
 	if c.mesh.Loss > 0 && c.mesh.rng.Float64() < c.mesh.Loss {
 		return
 	}
-	c.mesh.Sim.After(c.mesh.Latency, func() {
-		if dst.recv != nil && dst.up {
-			dst.recv(p)
-		}
-	})
+	c.mesh.Sim.AtArg(c.mesh.Sim.Now().Add(c.mesh.Latency), dst.deliverFn, p)
+}
+
+// deliver is the arrival of a packet at this endpoint.
+func (c *Carrier) deliver(p any) {
+	if c.recv != nil && c.up {
+		c.recv(p.(*vip.Packet))
+	}
 }
 
 var _ vip.Carrier = (*Carrier)(nil)
