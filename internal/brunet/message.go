@@ -180,9 +180,11 @@ const (
 // it releases it into the list of its own. Handlers therefore must not
 // retain the AppData (or pointers into it) past the delivery callback. A
 // packet lost on the way, or delivered to a stopped node, is the garbage
-// collector's. Packets carrying protocol messages (CTMs, replies) are never
-// pooled — they are allocated per message and may be copied freely
-// (handleCTMRequest's pass-across relies on that).
+// collector's, and so is one that a TCP-transport hop has carried: the
+// stream's retransmission buffer may still point at it (sendConn, unpool).
+// Packets carrying protocol messages (CTMs, replies) are never pooled — they
+// are allocated per message and may be copied freely (handleCTMRequest's
+// pass-across relies on that).
 type OverlayPacket struct {
 	Src, Dst Addr
 	Mode     DeliveryMode
@@ -201,7 +203,8 @@ type OverlayPacket struct {
 	// app is the inline AppData of a pooled packet; Payload aliases it.
 	app AppData
 	// pooled marks packets owned by the origination pool; only these are
-	// released at the routing terminal.
+	// released at the routing terminal. Cleared when a stream takes the
+	// packet (unpool).
 	pooled bool
 	// mark is empty except under the packetdebug build tag (pool_debug.go).
 	mark poolMark
@@ -264,14 +267,20 @@ type ctmReply struct {
 // ping it often carries: the originator takes it from its shard's list
 // (Node.sendFrame), the relay stamps Observed and forwards the frame it
 // received, and the tunnel endpoint releases it into its own shard's list
-// once Inner's handler has returned (handleTunnelFrame). Nothing else keeps
-// a frame; one that is lost or that a relay cannot forward is the garbage
-// collector's.
+// once Inner's handler has returned (handleTunnelFrame). A frame that is
+// lost or that a relay cannot forward is the garbage collector's. The one
+// thing that keeps a frame past its handler is the retransmission buffer of
+// a phys.Stream, when a hop of the tunnel runs over the TCP transport: such a
+// frame is no longer pooled (sendConn, unpool) and its release only blanks it.
 type tunnelFrame struct {
 	From Addr
 	To   Addr
 	Via  Addr
-	Size int
+	// pooled is set by the originator and cleared when a stream takes the
+	// frame (unpool); only a pooled frame joins a free list on release. It
+	// sits in the padding before Size.
+	pooled bool
+	Size   int
 	// Observed is stamped by the relay with the originator's wire source
 	// endpoint as the relay saw it. Tunnel endpoints otherwise never see
 	// each other's physical addresses, and a NATed originator depends on

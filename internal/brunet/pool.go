@@ -53,10 +53,15 @@ func (n *Node) acquireFrame() *tunnelFrame {
 }
 
 // releaseFrame retires a frame at its tunnel endpoint, blank, so the list
-// pins neither the message it carried nor a URI.
+// pins neither the message it carried nor a URI. A frame a stream has
+// carried (unpool) is blanked and left to the garbage collector.
 func (n *Node) releaseFrame(f *tunnelFrame, where string) {
-	*f = tunnelFrame{nextFree: n.pool.frames}
-	n.pool.frames = f
+	pooled := f.pooled
+	*f = tunnelFrame{}
+	if pooled {
+		f.nextFree = n.pool.frames
+		n.pool.frames = f
+	}
 }
 
 // live is the debug pool's checkpoint for a packet entering a handler.

@@ -5,8 +5,6 @@ package brunet
 import (
 	"strings"
 	"testing"
-
-	"wow/internal/sim"
 )
 
 // mustPanic runs f and checks that it panics with a message containing want.
@@ -55,18 +53,4 @@ func TestPoolDebugTunnelFrame(t *testing.T) {
 		func() { n.releaseFrame(f, "second site") })
 	mustPanic(t, "use of released tunnel frame in handleTunnelFrame (released in first site)",
 		func() { n.handleTunnelFrame(wire{}, f) })
-}
-
-// A node whose pool is not its host's shard's — here by swapping the
-// simulator under it — panics as soon as it touches the pool.
-func TestPoolDebugWrongShard(t *testing.T) {
-	_, nodes := buildZeroLatencyRing(t, 11, 3)
-	n := nodes[0]
-	p, f := n.acquirePkt(), n.acquireFrame()
-	p.pooled = true
-	n.sim = sim.New(2)
-	mustPanic(t, "another shard", func() { n.acquirePkt() })
-	mustPanic(t, "releasePkt in here", func() { n.releasePkt(p, "here") })
-	mustPanic(t, "another shard", func() { n.acquireFrame() })
-	mustPanic(t, "releaseFrame in here", func() { n.releaseFrame(f, "here") })
 }

@@ -11,16 +11,20 @@ import (
 
 // buildZeroLatencySymmetricRing is buildSymmetricRing on a zero-latency
 // fabric (see buildZeroLatencyRing): a frame's whole way from originator
-// through relay to tunnel endpoint drains within RunUntil(Now()).
-func buildZeroLatencySymmetricRing(t testing.TB, seed int64, routers, symmetric int) *natRig {
+// through relay to tunnel endpoint drains within RunUntil(Now()). The routers
+// advertise the given transport: over "tcp" every connection of the ring, and
+// so every hop of every tunnel, rides a phys.Stream.
+func buildZeroLatencySymmetricRing(t testing.TB, seed int64, routers, symmetric int, transport string) *natRig {
 	t.Helper()
 	s := sim.New(seed)
 	net := phys.NewNetwork(s, phys.UniformLatency(phys.PathModel{}, phys.PathModel{}))
 	r := &natRig{overlayRig: &overlayRig{s: s, net: net, site: net.AddSite("z")}, nats: map[Addr]*natsim.NAT{}}
+	routerCfg := FastTestConfig()
+	routerCfg.Transport = transport
 	start := func(n *Node) {
 		var boot []URI
 		if len(r.nodes) > 0 {
-			boot = []URI{r.nodes[0].BootstrapURI()}
+			boot = []URI{{Transport: transport, EP: r.nodes[0].BootstrapURI().EP}}
 		}
 		if err := n.Start(boot); err != nil {
 			t.Fatalf("start %s: %v", n.Addr(), err)
@@ -30,7 +34,7 @@ func buildZeroLatencySymmetricRing(t testing.TB, seed int64, routers, symmetric 
 	}
 	for i := 0; i < routers; i++ {
 		name := fmt.Sprintf("router%02d", i)
-		start(NewNode(net.AddHost(name, r.site, net.Root(), phys.HostConfig{}), AddrFromString(name), FastTestConfig()))
+		start(NewNode(net.AddHost(name, r.site, net.Root(), phys.HostConfig{}), AddrFromString(name), routerCfg))
 	}
 	for i := 0; i < symmetric; i++ {
 		name := fmt.Sprintf("sym%02d", i)
@@ -68,7 +72,7 @@ func tunnelEdge(t testing.TB, r *natRig, delivered *int) (orig, relay, peer *Nod
 // originator, the same frame stamped and forwarded by the relay, unwrapped,
 // dispatched and released at the tunnel endpoint — allocates nothing.
 func TestAllocFreeTunnelHop(t *testing.T) {
-	r := buildZeroLatencySymmetricRing(t, 21, 3, 8)
+	r := buildZeroLatencySymmetricRing(t, 21, 3, 8, "udp")
 	delivered := 0
 	orig, relay, peer := tunnelEdge(t, r, &delivered)
 	d := AppData{Proto: "allocguard", Size: 64}
@@ -121,7 +125,7 @@ func TestPoolBoundedOneWay(t *testing.T) {
 		t.Errorf("list holds %d packets after bursts of %d, want exactly the burst", l, burst)
 	}
 
-	r := buildZeroLatencySymmetricRing(t, 21, 3, 8)
+	r := buildZeroLatencySymmetricRing(t, 21, 3, 8, "udp")
 	delivered = 0
 	orig, _, peer := tunnelEdge(t, r, &delivered)
 	for sent := 0; sent < 20000; sent += burst {
@@ -135,5 +139,34 @@ func TestPoolBoundedOneWay(t *testing.T) {
 	}
 	if delivered != 20001 {
 		t.Fatalf("%d of 20001 packets delivered over the tunnel", delivered)
+	}
+}
+
+// TestStreamCarriedObjectsNotRecycled: a phys.Stream's retransmission buffer
+// keeps the pointer of what it carried until the peer's ACK arrives, and
+// reads its trace context if the stream is torn down first. A packet or frame
+// that a TCP-transport hop has carried therefore never joins a free list
+// (sendConn, unpool): recycled, it would let the teardown of one stream
+// terminate the trace of another sender's live packet. On a ring whose
+// routers speak TCP every hop rides a stream, so the lists stay empty.
+func TestStreamCarriedObjectsNotRecycled(t *testing.T) {
+	r := buildZeroLatencySymmetricRing(t, 21, 3, 8, "tcp")
+	delivered := 0
+	orig, relay, peer := tunnelEdge(t, r, &delivered)
+	for _, hop := range [][2]*Node{{orig, relay}, {relay, peer}} {
+		if c, ok := hop[0].lookup(hop[1].Addr()); !ok || c.Transport() != "tcp" {
+			t.Fatalf("hop %v -> %v does not ride a stream; the test would be vacuous", hop[0].Addr(), hop[1].Addr())
+		}
+	}
+	d := AppData{Proto: "allocguard", Size: 64}
+	for i := 0; i < 64; i++ {
+		orig.SendTo(peer.Addr(), DeliverExact, d)
+		r.s.RunUntil(r.s.Now())
+	}
+	if delivered != 65 {
+		t.Fatalf("%d of 65 packets delivered over the tunnel", delivered)
+	}
+	if pl, fl := peer.pktListLen(), peer.frameListLen(); pl != 0 || fl != 0 {
+		t.Errorf("the shard's lists hold %d packets and %d frames that a stream's retransmission buffer may still point at, want 0 and 0", pl, fl)
 	}
 }

@@ -95,9 +95,9 @@ type Packet struct {
 	Proto    Proto
 	Size     int
 
-	tcp  TCPSegment
-	icmp ICMPEcho
-	udp  UDPDatagram
+	tcp  tcpSegment
+	icmp icmpEcho
+	udp  udpDatagram
 
 	// pooled marks a packet taken from a free list; only these return to one.
 	pooled bool
@@ -128,16 +128,16 @@ type Carrier interface {
 	Clock() *sim.Simulator
 }
 
-// ICMPEcho is an echo request/reply, the probe used throughout §V-B.
-type ICMPEcho struct {
+// icmpEcho is an echo request/reply, the probe used throughout §V-B.
+type icmpEcho struct {
 	Reply bool
 	ID    uint64
 	Seq   int
 	Sent  sim.Time
 }
 
-// UDPDatagram carries one message-oriented payload.
-type UDPDatagram struct {
+// udpDatagram carries one message-oriented payload.
+type udpDatagram struct {
 	SrcPort, DstPort uint16
 	Msg              any
 }

@@ -155,6 +155,63 @@ func TestOvertakenSegmentDropped(t *testing.T) {
 	}
 }
 
+// TestOvertakenReleasedInOrder: when one retransmission carries the stream
+// past several parked segments they return to the list lowest first, whatever
+// order the map hands them out in — the free list, and with it which object
+// carries which later segment, must repeat from run to run. Five 300-byte
+// writes park behind a lost first one; the retransmission cut [0, 1400)
+// overtakes the four below 1400, and the ACK that answers it takes the head of
+// the list: the packet that was parked highest, released last.
+func TestOvertakenReleasedInOrder(t *testing.T) {
+	for run := 0; run < 8; run++ {
+		s, a, b, wa, wb := wiredStacks(5, 5*sim.Millisecond)
+		var srv *Conn
+		b.ListenTCP(80, func(c *Conn) { srv = c })
+		c := a.DialTCP(b.IP(), 80)
+		s.RunFor(sim.Second)
+		if !c.Established() {
+			t.Fatal("handshake failed")
+		}
+		var highest, ack *Packet
+		data := wb.recv
+		wb.recv = func(p *Packet) {
+			if p.tcp.Len > 0 && p.tcp.Seq == 0 {
+				if srv.OOLen() != 5 {
+					t.Fatalf("want five segments parked when the retransmission arrives, oo holds %d", srv.OOLen())
+				}
+				highest = srv.oo[1200]
+			}
+			data(p)
+		}
+		acks := wa.recv
+		wa.recv = func(p *Packet) {
+			if highest != nil && ack == nil {
+				ack = p
+				if p.tcp.Ack != 1400 {
+					t.Fatalf("the ACK after the retransmission acknowledges %d, want 1400", p.tcp.Ack)
+				}
+			}
+			acks(p)
+		}
+		wa.dropEvery = 1
+		c.Send(300, 0)
+		wa.dropEvery = 0
+		for i := 1; i <= 5; i++ {
+			c.Send(300, i)
+		}
+		s.RunFor(10 * sim.Second)
+		if srv.rcvNxt != 1800 || c.AckedBytes() != 1800 || srv.OOLen() != 0 {
+			t.Fatalf("stream did not complete as scripted: rcvNxt %d, acked %d, %d parked", srv.rcvNxt, c.AckedBytes(), srv.OOLen())
+		}
+		if poolDebug {
+			continue // nothing is reused: no order to observe
+		}
+		if ack == nil || ack != highest {
+			t.Fatalf("run %d: the ACK after the retransmission does not reuse the packet that was parked highest: overtaken segments were not released lowest first", run)
+		}
+	}
+}
+
 // transferProgram is one run of TestQuickPooledMatchesGCOwned's program and
 // everything of its outcome two runs are compared by.
 func transferProgram(gcOwned bool, sizesOut, sizesBack []uint16, dropA, dropB, late, ackMs uint8) string {

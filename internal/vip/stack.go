@@ -204,7 +204,7 @@ func (s *Stack) Ping(dst IP, size int, timeout sim.Duration, cb func(ok bool, rt
 	s.pings[st.id] = st
 	st.timeout = s.sim.AtArg(s.sim.Now().Add(timeout), pingTimedOut, st)
 	p := s.packet(dst, ProtoICMP, ipHdrSize+icmpHdrSize+size)
-	p.icmp = ICMPEcho{ID: st.id, Seq: s.pingSeq, Sent: s.sim.Now()}
+	p.icmp = icmpEcho{ID: st.id, Seq: s.pingSeq, Sent: s.sim.Now()}
 	s.send(p)
 	s.Stats.Inc("icmp.sent", 1)
 }
@@ -263,7 +263,7 @@ func (s *Stack) CloseUDP(port uint16) { delete(s.udp, port) }
 // SendUDP transmits one datagram. size is the payload size in bytes.
 func (s *Stack) SendUDP(dst IP, srcPort, dstPort uint16, size int, msg any) {
 	p := s.packet(dst, ProtoUDP, ipHdrSize+udpHdrSize+size)
-	p.udp = UDPDatagram{SrcPort: srcPort, DstPort: dstPort, Msg: msg}
+	p.udp = udpDatagram{SrcPort: srcPort, DstPort: dstPort, Msg: msg}
 	s.send(p)
 }
 

@@ -8,13 +8,13 @@ import (
 	"wow/internal/sim"
 )
 
-// TCPSegment is one virtual TCP segment. Payload content is abstract: a
+// tcpSegment is one virtual TCP segment. Payload content is abstract: a
 // segment covers Len bytes of the stream, and chunk boundaries (Ends)
 // carry application messages that complete within the segment. Classic
 // sequence-number semantics apply, with the FIN consuming one sequence
 // number past the last payload byte. A segment is the TCP header of a
 // Packet and lives inside it.
-type TCPSegment struct {
+type tcpSegment struct {
 	SrcPort, DstPort uint16
 	Kind             string // "syn", "synack", or "" for everything else
 	Seq              int    // first payload byte offset (data/fin)
@@ -260,7 +260,7 @@ func (c *Conn) window() float64 {
 
 // segment takes a packet for the peer from the shard's list, with wire bytes
 // of TCP on top of the IP header and the connection's ports filled in.
-func (c *Conn) segment(wire int) (*Packet, *TCPSegment) {
+func (c *Conn) segment(wire int) (*Packet, *tcpSegment) {
 	p := c.stack.packet(c.key.remote, ProtoTCP, ipHdrSize+wire)
 	p.tcp.SrcPort, p.tcp.DstPort = c.key.localPort, c.key.remotePort
 	return p, &p.tcp
@@ -704,14 +704,20 @@ func (c *Conn) receiveData(p *Packet) (parked bool) {
 		}
 		// What the stream has passed without landing on is never looked up
 		// again: a go-back-N retransmission cut from sndUna can span the
-		// first byte of a parked segment.
-		if len(c.oo) > 0 {
-			for at, old := range c.oo {
-				if at < c.rcvNxt {
-					delete(c.oo, at)
-					c.stack.release(old, "overtaken")
+		// first byte of a parked segment. Lowest first, so the order of the
+		// free list does not hang on the map's iteration order.
+		for len(c.oo) > 0 {
+			lo := c.rcvNxt
+			for at := range c.oo {
+				if at < lo {
+					lo = at
 				}
 			}
+			if lo == c.rcvNxt {
+				break
+			}
+			c.stack.release(c.oo[lo], "overtaken")
+			delete(c.oo, lo)
 		}
 	case seg.Len > 0 && seg.Seq > c.rcvNxt:
 		if old, dup := c.oo[seg.Seq]; dup {
@@ -729,7 +735,7 @@ func (c *Conn) receiveData(p *Packet) (parked bool) {
 	return parked
 }
 
-func (c *Conn) acceptSegment(seg *TCPSegment) {
+func (c *Conn) acceptSegment(seg *tcpSegment) {
 	c.rcvNxt = seg.Seq + seg.Len
 	c.rcvBytes += seg.Len
 	c.lastProgress = c.stack.sim.Now()
