@@ -367,19 +367,21 @@ func (n *Node) sendConn(c *Connection, size int, payload any) {
 	n.sendDirect(c.EP, size, payload)
 }
 
-// unpool takes a pooled packet or frame out of the pools' hands before a
-// stream carries it: the stream's retransmission buffer keeps the pointer
-// until the peer's ACK arrives, which can be after the far end has released
-// the object, and reads its trace context if the stream is torn down first
-// (phys.Stream.flightDiscardBuffers). A recycled object would then speak for
-// another packet, so one that has been on a stream is never recycled: its
-// release leaves it, a frame blank, to the garbage collector.
+// unpool takes a pooled packet, link message or frame out of the pools' hands
+// before a stream carries it: the stream's retransmission buffer keeps the
+// pointer until the peer's ACK arrives, which can be after the far end has
+// released the object, and reads its trace context if the stream is torn down
+// first (phys.Stream.flightDiscardBuffers). A recycled object would then
+// speak for another packet, so one that has been on a stream is never
+// recycled: its release leaves it, a frame blank, to the garbage collector.
 func unpool(payload any) {
 	switch m := payload.(type) {
 	case *OverlayPacket:
-		m.pooled = false
+		m.Unpool()
+	case *linkMsg:
+		m.Unpool()
 	case *tunnelFrame:
-		m.pooled = false
+		m.Unpool()
 		unpool(m.Inner)
 	}
 }
@@ -456,8 +458,8 @@ func (n *Node) sendTunnel(c *Connection, size int, payload any) {
 // list, addresses it to the tunnel peer at the far end with payload inside,
 // and hands it to the relay behind the direct connection rc.
 func (n *Node) sendFrame(rc *Connection, peer Addr, size int, payload any) {
-	f := n.acquireFrame()
-	f.From, f.To, f.Via, f.Size, f.Inner, f.pooled = n.addr, peer, rc.Peer, size, payload, true
+	f := n.pool.frames.Get()
+	f.From, f.To, f.Via, f.Size, f.Inner = n.addr, peer, rc.Peer, size, payload
 	n.sendConn(rc, tunnelHdrSize+size, f)
 }
 

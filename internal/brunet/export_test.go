@@ -1,19 +1,13 @@
 package brunet
 
-// pktListLen is the length of the overlay-packet free list n releases into.
-func (n *Node) pktListLen() int {
-	l := 0
-	for p := n.pool.pkts; p != nil; p = p.nextFree {
-		l++
-	}
-	return l
-}
+import "wow/internal/sim"
 
-// frameListLen is the length of the tunnel-frame free list n releases into.
-func (n *Node) frameListLen() int {
-	l := 0
-	for f := n.pool.frames; f != nil; f = f.nextFree {
-		l++
-	}
-	return l
-}
+// poolDebug reports whether the packetdebug free list is compiled in; the
+// allocation guards and list-length checks skip their assertions under it.
+const poolDebug = sim.PoolDebug
+
+// pktListLen, frameListLen and linkListLen are the lengths of the free lists
+// of overlay packets, tunnel frames and link messages n releases into.
+func (n *Node) pktListLen() int   { return n.pool.pkts.Len() }
+func (n *Node) frameListLen() int { return n.pool.frames.Len() }
+func (n *Node) linkListLen() int  { return n.pool.links.Len() }

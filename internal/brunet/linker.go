@@ -162,14 +162,9 @@ func (lk *linker) sendRequest() {
 		lk.giveUp()
 		return
 	}
-	req := linkRequest{
-		From:  n.addr,
-		To:    lk.target,
-		Type:  lk.ctype,
-		Token: lk.token,
-		Seq:   lk.attempt,
-		URIs:  n.URIs(),
-	}
+	req := n.pool.links.Get()
+	req.From, req.To, req.Type = n.addr, lk.target, lk.ctype
+	req.Token, req.Seq, req.URIs = lk.token, lk.attempt, n.URIs()
 	size := linkMsgSize + 16*len(req.URIs)
 	if lk.tunnelMode() {
 		// Tunnel mode: the handshake rides tunnelFrames through the
@@ -208,6 +203,7 @@ func (lk *linker) sendRequest() {
 				}
 			})
 		}
+		unpool(req)
 		lk.stream.SendMsg(size, req)
 	} else {
 		n.sendDirect(uri.EP, size, req)
@@ -294,7 +290,8 @@ func (lk *linker) finish(ok bool) {
 // the race with first-mover link errors plus randomized restarts; a
 // deterministic tie-break converges to the same single-winner outcome
 // without the restart round-trips.)
-func (n *Node) handleLinkRequest(w wire, req linkRequest) {
+func (n *Node) handleLinkRequest(w wire, req *linkMsg) {
+	req.Live("handleLinkRequest")
 	src := w.observed()
 	if req.To != n.addr && !req.To.IsZero() {
 		// NAT rebinding or stale URI delivered this to the wrong
@@ -338,17 +335,15 @@ func (n *Node) handleLinkRequest(w wire, req linkRequest) {
 		c = n.addConnection(req.From, src, w.stream, req.URIs, req.Type)
 	}
 	n.touch(c)
-	reply := linkReply{
-		From:     n.addr,
-		Token:    req.Token,
-		URIs:     n.URIs(),
-		Observed: observed,
-	}
+	// The reply comes from the list the request is about to go on.
+	reply := n.pool.links.Get()
+	reply.From, reply.Reply, reply.Token = n.addr, true, req.Token
+	reply.URIs, reply.Observed = n.URIs(), observed
 	n.replyTo(w, linkMsgSize+16*len(reply.URIs), reply)
 }
 
 // handleLinkReply completes the initiator side of the handshake.
-func (n *Node) handleLinkReply(w wire, rep linkReply) {
+func (n *Node) handleLinkReply(w wire, rep *linkMsg) {
 	src := w.observed()
 	// Learn our own NAT-assigned URI from the responder's observation.
 	if n.learnURI(rep.Observed.URI) {
@@ -422,6 +417,9 @@ func (n *Node) handleLinkError(rep linkError) {
 		lk.yielded = true
 		target, uris, ctype := lk.target, lk.uris, lk.ctype
 		lk.finish(false)
+		if n.busyRetry == nil {
+			n.busyRetry = make(map[Addr]int)
+		}
 		n.busyRetry[target]++
 		shift := n.busyRetry[target]
 		if shift > 5 {

@@ -59,23 +59,35 @@ const (
 	tunnelHdrSize  = 48 // tunnelFrame envelope around the inner message
 )
 
-// linkRequest begins or continues the linking protocol handshake (§IV-B2),
-// sent directly over the physical network to one of the target's URIs.
-type linkRequest struct {
-	From  Addr
-	To    Addr // intended target; a NAT-forwarded packet may reach the wrong node
-	Type  ConnType
-	Token uint64 // identifies one linking attempt across resends
-	Seq   int    // resend counter within the attempt
-	URIs  []URI  // initiator's URIs, so the responder can reciprocate state
-}
+// linkMsg is a message of the linking protocol handshake (§IV-B2), sent
+// directly over the physical network to one of the target's URIs (or, for a
+// tunnel edge, inside a tunnelFrame): the request that begins or continues an
+// attempt, and — Reply set — the acknowledgement that completes it.
+//
+// A link message travels by pointer and is pooled per shard (shardPool),
+// request and reply on the one list: the linker takes the request from its
+// shard's list, the responder takes the reply from its own — the list it is
+// about to put the request on — and handleWire releases either once its
+// handler has returned. The handlers keep the URIs slice and nothing else.
+// A message that is lost, or that reaches a stopped node, is the garbage
+// collector's, and so is one a phys.Stream has carried (unpool).
+type linkMsg struct {
+	From Addr
+	// To is the request's intended target; a NAT-forwarded packet may reach
+	// the wrong node. Unset in a reply.
+	To    Addr
+	Reply bool
+	Type  ConnType // of the request
+	Token uint64   // identifies one linking attempt across resends
+	Seq   int      // the request's resend counter within the attempt
+	// URIs is the sender's URI list: the initiator's, so the responder can
+	// reciprocate state, and the responder's in the reply.
+	URIs []URI
+	// Observed is the reply's: the source endpoint the responder saw (NAT
+	// discovery).
+	Observed URIEndpoint
 
-// linkReply acknowledges a linkRequest over the physical network.
-type linkReply struct {
-	From     Addr
-	Token    uint64
-	URIs     []URI
-	Observed URIEndpoint // the source endpoint the responder saw: NAT discovery
+	sim.Pooled
 }
 
 // URIEndpoint wraps the observed endpoint in the reply, letting initiators
@@ -173,18 +185,18 @@ const (
 
 // OverlayPacket is a packet routed greedily over overlay connections.
 //
-// Packets originated by SendTo are pooled per shard (shardPool): the
-// AppData payload is stored in the packet's own app field and Payload
-// points at it (boxing a pointer allocates nothing), SendTo takes the
-// packet from the list of the sender's shard and whichever node terminates
-// it releases it into the list of its own. Handlers therefore must not
-// retain the AppData (or pointers into it) past the delivery callback. A
-// packet lost on the way, or delivered to a stopped node, is the garbage
-// collector's, and so is one that a TCP-transport hop has carried: the
-// stream's retransmission buffer may still point at it (sendConn, unpool).
-// Packets carrying protocol messages (CTMs, replies) are never pooled — they
-// are allocated per message and may be copied freely (handleCTMRequest's
-// pass-across relies on that).
+// Every packet a node originates is pooled per shard (shardPool), and what
+// it carries lies inside it: the AppData of SendTo in the app field, a
+// message of the connection protocol in the ctm field, with Payload pointing
+// at the one in use (boxing a pointer allocates nothing). The sender takes
+// the packet from its shard's list and whichever node terminates it releases
+// it into the list of its own, after the handler has returned. Handlers
+// therefore must not retain the AppData or the ctmMsg (or pointers into
+// them) past the delivery callback; the slices a ctmMsg points at are
+// separate objects and may be kept. A packet lost on the way, delivered to a
+// stopped node or refused by a closed connection is the garbage collector's,
+// and so is one that a TCP-transport hop has carried: the stream's
+// retransmission buffer may still point at it (sendConn, unpool).
 type OverlayPacket struct {
 	Src, Dst Addr
 	Mode     DeliveryMode
@@ -200,16 +212,11 @@ type OverlayPacket struct {
 	Trace      uint64
 	TraceStart sim.Time
 
-	// app is the inline AppData of a pooled packet; Payload aliases it.
+	// app is the inline AppData of an application packet and ctm the inline
+	// message of a connection-protocol packet; Payload aliases one of them.
 	app AppData
-	// pooled marks packets owned by the origination pool; only these are
-	// released at the routing terminal. Cleared when a stream takes the
-	// packet (unpool).
-	pooled bool
-	// mark is empty except under the packetdebug build tag (pool_debug.go).
-	mark poolMark
-	// nextFree links the shard's packet free list.
-	nextFree *OverlayPacket
+	sim.Pooled
+	ctm ctmMsg
 }
 
 // TraceContext exposes the packet's flight-recorder context
@@ -222,34 +229,46 @@ func (p *OverlayPacket) TraceContext() (uint64, sim.Time) { return p.Trace, p.Tr
 // terminals.
 func (p *OverlayPacket) ClearTrace() { p.Trace = 0 }
 
-// ctmRequest is the Connect-To-Me message of the connection protocol
-// (§IV-B1), routed over the overlay to the target address.
-type ctmRequest struct {
-	From  Addr
-	Type  ConnType
-	Token uint64
-	URIs  []URI
-	// ReplyVia, when non-zero, asks that the CTM reply be routed to the
-	// named forwarding node (the new node's leaf target) which relays
-	// it over the leaf connection — necessary while the sender is not
-	// yet routable (§IV-C).
+// ctmKind tells the messages of the connection protocol apart.
+type ctmKind uint8
+
+const (
+	// ctmRequest is the Connect-To-Me request, routed over the overlay to
+	// the target address.
+	ctmRequest ctmKind = iota + 1
+	// ctmReply answers a request, carrying the responder's URIs back so the
+	// initiator can start the linking protocol.
+	ctmReply
+	// ctmForwardedReply is a reply on its way to the requester's leaf
+	// forwarder (the request's ReplyVia), which relays it over the leaf
+	// connection as a plain ctmReply: the packet is addressed to the
+	// forwarder and charged forwardHdrSize on top of the reply.
+	ctmForwardedReply
+)
+
+// forwardHdrSize is the wire cost of addressing a reply to a forwarder.
+const forwardHdrSize = 16
+
+// ctmMsg is a message of the connection protocol (§IV-B1): the
+// Connect-To-Me request and its reply. It lives inside the OverlayPacket
+// that carries it (OverlayPacket.ctm) and is released with it.
+type ctmMsg struct {
+	Kind ctmKind
+	From Addr
+	// To is the requester a reply is meant for; unset in a request.
+	To Addr
+	// ReplyVia, when non-zero, asks that the reply to this request be
+	// routed to the named forwarding node (the new node's leaf target)
+	// which relays it over the leaf connection — necessary while the
+	// sender is not yet routable (§IV-C). Unset in a reply.
 	ReplyVia Addr
+	Type     ConnType
+	Token    uint64
+	URIs     []URI
 	// Relays advertises the sender's directly-connected neighbors (its
 	// connection table, capped) so that, if the linking protocol cannot
 	// form a direct edge, the receiver can pick mutual neighbors as
 	// tunnel relays — Brunet's tunnel-edge fallback for symmetric NATs.
-	Relays []NeighborInfo
-}
-
-// ctmReply answers a ctmRequest, carrying the responder's URIs back so the
-// initiator can start the linking protocol (§IV-B1).
-type ctmReply struct {
-	From  Addr
-	To    Addr
-	Type  ConnType
-	Token uint64
-	URIs  []URI
-	// Relays mirrors ctmRequest.Relays for the responder.
 	Relays []NeighborInfo
 }
 
@@ -271,16 +290,15 @@ type ctmReply struct {
 // lost or that a relay cannot forward is the garbage collector's. The one
 // thing that keeps a frame past its handler is the retransmission buffer of
 // a phys.Stream, when a hop of the tunnel runs over the TCP transport: such a
-// frame is no longer pooled (sendConn, unpool) and its release only blanks it.
+// frame is no longer pooled (sendConn, unpool): the endpoint blanks it and
+// leaves it to the garbage collector.
 type tunnelFrame struct {
 	From Addr
 	To   Addr
 	Via  Addr
-	// pooled is set by the originator and cleared when a stream takes the
-	// frame (unpool); only a pooled frame joins a free list on release. It
-	// sits in the padding before Size.
-	pooled bool
-	Size   int
+	// Pooled sits in the padding before Size.
+	sim.Pooled
+	Size int
 	// Observed is stamped by the relay with the originator's wire source
 	// endpoint as the relay saw it. Tunnel endpoints otherwise never see
 	// each other's physical addresses, and a NATed originator depends on
@@ -289,10 +307,6 @@ type tunnelFrame struct {
 	// allows hole punching.
 	Observed URIEndpoint
 	Inner    any
-
-	// mark is empty except under the packetdebug build tag (pool_debug.go).
-	mark     poolMark
-	nextFree *tunnelFrame
 }
 
 // TraceContext delegates to the wrapped message: dropping a tunnel frame
@@ -321,31 +335,6 @@ func (f *tunnelFrame) ClearTrace() {
 type tunnelNoRoute struct {
 	Relay Addr // the bouncing relay
 	To    Addr // the tunnel peer it cannot reach
-}
-
-// forwarded wraps a payload relayed through a leaf forwarder to a
-// not-yet-routable node.
-type forwarded struct {
-	To    Addr
-	Inner any
-	Size  int
-}
-
-// TraceContext delegates to the wrapped message, like tunnelFrame's.
-func (f forwarded) TraceContext() (uint64, sim.Time) {
-	if t, ok := f.Inner.(interface {
-		TraceContext() (uint64, sim.Time)
-	}); ok {
-		return t.TraceContext()
-	}
-	return 0, 0
-}
-
-// ClearTrace delegates to the wrapped message, like tunnelFrame's.
-func (f forwarded) ClearTrace() {
-	if c, ok := f.Inner.(interface{ ClearTrace() }); ok {
-		c.ClearTrace()
-	}
 }
 
 // AppData is application traffic tunnelled over the overlay; IPOP uses it

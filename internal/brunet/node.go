@@ -281,7 +281,9 @@ type Node struct {
 	sim  *sim.Simulator
 	cfg  Config
 
-	linkers   map[Addr]*linker
+	linkers map[Addr]*linker
+	// busyRetry counts the busy races lost in a row toward a peer; made at
+	// the first one (handleLinkError), which most nodes never see.
 	busyRetry map[Addr]int
 	learned   uriSet
 	private   URI
@@ -327,29 +329,46 @@ type Node struct {
 	statDropped  [len(dropReasons)]metrics.Handle
 
 	// pool is the free lists of the shard this node's host lives on (see
-	// shardPool): SendTo takes its packet and a tunnel edge its frame from
-	// there, and whichever node ends one's life puts it on its own shard's.
+	// shardPool): every overlay packet, tunnel frame and link message the
+	// node sends comes from there, and whichever node ends one's life puts
+	// it on its own shard's.
 	pool *shardPool
 	// freePing heads the free list of keepalive messages (see pingMsg).
 	freePing *pingMsg
 }
 
-// shardPool holds the free lists of one shard's overlay packets and tunnel
-// frames (DESIGN.md §6, "Who owns a packet"). Every node of the shard shares
-// it and only the shard's goroutine touches it, so it needs no lock; NewNode
-// finds it on the shard's Simulator (sim.Simulator.Local). What one node
-// releases the next sender on the shard takes, so a list is as long as the
-// most objects the shard ever had in flight, whichever way the traffic
-// runs. acquire and release are in pool.go (pool_debug.go under packetdebug).
+// shardPool holds one shard's free lists of overlay packets, tunnel frames
+// and link messages (DESIGN.md §6, "Who owns a packet"). Every node of the
+// shard shares it and only the shard's goroutine touches it, so it needs no
+// lock; NewNode finds it on the shard's Simulator (sim.Simulator.Local). What
+// one node releases the next sender on the shard takes, so traffic that stays
+// on the shard keeps a list as long as the most objects it had in flight,
+// whichever way it runs. Objects that cross shards are not so bounded: a list
+// holds the largest excess of releases over acquires its shard has ever seen,
+// and only an exchange whose answer is taken from the list its request is
+// released on — a CTM and its reply, a link request and its reply — leaves
+// every shard it touches where it found it.
 type shardPool struct {
-	pkts   *OverlayPacket
-	frames *tunnelFrame
+	pkts   sim.FreeList[OverlayPacket, *OverlayPacket]
+	frames sim.FreeList[tunnelFrame, *tunnelFrame]
+	links  sim.FreeList[linkMsg, *linkMsg]
 }
 
 // shardPoolKey is the pool's key among its Simulator's locals.
 type shardPoolKey struct{}
 
-func newShardPool() any { return &shardPool{} }
+// poisonPayload is what the packetdebug list leaves where a released object
+// pointed at its message.
+const poisonPayload = "brunet: use of released pooled object"
+
+func newShardPool() any {
+	return &shardPool{
+		pkts: sim.NewFreeList[OverlayPacket]("overlay packet",
+			OverlayPacket{Size: -1, Hops: -1, MaxHops: -1, Payload: poisonPayload}),
+		frames: sim.NewFreeList[tunnelFrame]("tunnel frame", tunnelFrame{Size: -1, Inner: poisonPayload}),
+		links:  sim.NewFreeList[linkMsg]("link message", linkMsg{Type: -1, Seq: -1}),
+	}
+}
 
 // acquirePing takes a blank keepalive message from the free list, or
 // allocates one.
@@ -374,14 +393,13 @@ func (n *Node) releasePing(m *pingMsg) {
 func NewNode(host *phys.Host, addr Addr, cfg Config) *Node {
 	cfg.fillDefaults()
 	n := &Node{
-		addr:      addr,
-		host:      host,
-		sim:       host.Sim(),
-		cfg:       cfg,
-		linkers:   make(map[Addr]*linker),
-		busyRetry: make(map[Addr]int),
-		handlers:  make(map[string]func(src Addr, d AppData)),
-		pool:      host.Sim().Local(shardPoolKey{}, newShardPool).(*shardPool),
+		addr:     addr,
+		host:     host,
+		sim:      host.Sim(),
+		cfg:      cfg,
+		linkers:  make(map[Addr]*linker),
+		handlers: make(map[string]func(src Addr, d AppData)),
+		pool:     host.Sim().Local(shardPoolKey{}, newShardPool).(*shardPool),
 	}
 	n.ring.origin = addr
 	if cfg.JitterSeed != 0 {
@@ -763,6 +781,7 @@ func (n *Node) replyTo(w wire, size int, payload any) {
 		return
 	}
 	if w.stream != nil {
+		unpool(payload)
 		w.stream.SendMsg(size, payload)
 		return
 	}
@@ -793,10 +812,14 @@ func (n *Node) handleWire(w wire, payload any) {
 		return
 	}
 	switch m := payload.(type) {
-	case linkRequest:
-		n.handleLinkRequest(w, m)
-	case linkReply:
-		n.handleLinkReply(w, m)
+	case *linkMsg:
+		m.Live("handleWire")
+		if m.Reply {
+			n.handleLinkReply(w, m)
+		} else {
+			n.handleLinkRequest(w, m)
+		}
+		n.pool.links.Put(m, "handleWire")
 	case linkError:
 		n.handleLinkError(m)
 	case *pingMsg:
@@ -851,7 +874,7 @@ func (n *Node) handleWire(w wire, payload any) {
 			n.near.handleStatus(m)
 		}
 	case *OverlayPacket:
-		m.live("handleWire")
+		m.Live("handleWire")
 		if c, ok := n.lookup(m.Src); ok {
 			n.touch(c)
 		}
@@ -870,14 +893,12 @@ func (n *Node) SendTo(dst Addr, mode DeliveryMode, d AppData) {
 	// Pooled origination: the AppData lives inside the packet and Payload
 	// boxes a pointer to it, so a SendTo on the hot path allocates nothing
 	// once the shard's list holds what the shard keeps in flight.
-	pkt := n.acquirePkt()
+	pkt := n.pool.pkts.Get()
 	pkt.Src, pkt.Dst, pkt.Mode = n.addr, dst, mode
-	pkt.Hops = 0
 	pkt.MaxHops = n.cfg.MaxHops
 	pkt.Size = overlayHdrSize + d.Size
 	pkt.app = d
 	pkt.Payload = &pkt.app
-	pkt.pooled = true
 	if n.sco != nil {
 		n.sco.observe(dst, 1)
 	}
@@ -890,12 +911,12 @@ func (n *Node) SendTo(dst Addr, mode DeliveryMode, d AppData) {
 // bounced straight back to the leaf child (the leaf target acts as the
 // child's forwarding agent into the ring).
 func (n *Node) routePacket(pkt *OverlayPacket, from Addr) {
-	pkt.live("routePacket")
+	pkt.Live("routePacket")
 	if !n.up {
 		if n.flight != nil && pkt.Trace != 0 {
 			n.flightTerminal(pkt, trace.OutcomeNodeDown)
 		}
-		n.releasePkt(pkt, "routePacket (node down)")
+		n.pool.pkts.Put(pkt, "routePacket (node down)")
 		return
 	}
 	// Sampling happens at origination only: a packet entering the router
@@ -905,7 +926,7 @@ func (n *Node) routePacket(pkt *OverlayPacket, from Addr) {
 	}
 	if pkt.Dst == n.addr {
 		n.deliver(pkt)
-		n.releasePkt(pkt, "routePacket (delivered)")
+		n.pool.pkts.Put(pkt, "routePacket (delivered)")
 		return
 	}
 	if pkt.Hops >= pkt.MaxHops {
@@ -913,14 +934,14 @@ func (n *Node) routePacket(pkt *OverlayPacket, from Addr) {
 		if n.flight != nil && pkt.Trace != 0 {
 			n.flightTerminal(pkt, trace.OutcomeHopsExceeded)
 		}
-		n.releasePkt(pkt, "routePacket (hops exceeded)")
+		n.pool.pkts.Put(pkt, "routePacket (hops exceeded)")
 		return
 	}
 	best := n.nearestConn(pkt.Dst, from)
 	if best == nil || (best.Peer != pkt.Dst && pkt.Dst.CmpRingDist(best.Peer, n.addr) >= 0) {
 		// Nobody closer: we are the nearest live node.
 		n.deliver(pkt)
-		n.releasePkt(pkt, "routePacket (nearest)")
+		n.pool.pkts.Put(pkt, "routePacket (nearest)")
 		return
 	}
 	pkt.Hops++
@@ -939,6 +960,7 @@ func (n *Node) routePacket(pkt *OverlayPacket, from Addr) {
 // nearest-mode packets are consumed, which is what lets CTMs find ring
 // positions and far targets.
 func (n *Node) deliver(pkt *OverlayPacket) {
+	pkt.Live("deliver")
 	exact := pkt.Dst == n.addr
 	if !exact && pkt.Mode == DeliverExact {
 		n.statDeadLetter.Inc(1)
@@ -955,17 +977,22 @@ func (n *Node) deliver(pkt *OverlayPacket) {
 		}
 	}
 	switch m := pkt.Payload.(type) {
-	case ctmRequest:
-		n.handleCTMRequest(pkt, m, exact)
-	case ctmReply:
-		n.handleCTMReply(m)
-	case forwarded:
-		n.handleForwarded(m)
+	case *ctmMsg:
+		switch m.Kind {
+		case ctmRequest:
+			n.handleCTMRequest(pkt, m, exact)
+		case ctmReply:
+			n.handleCTMReply(m)
+		case ctmForwardedReply:
+			n.handleForwarded(pkt, m)
+		default:
+			n.statUnknownOverlay.Inc(1)
+		}
 	case AppData:
 		n.deliverApp(pkt.Src, m)
 	case *AppData:
-		// Pooled packet: the AppData is inline in the packet; hand the
-		// handler a copy, since the packet is released right after this.
+		// The AppData is inline in the packet; hand the handler a copy,
+		// since the packet is released right after this.
 		n.deliverApp(pkt.Src, *m)
 	default:
 		n.statUnknownOverlay.Inc(1)
@@ -1009,25 +1036,30 @@ func (n *Node) relayCandidates() []NeighborInfo {
 	return out
 }
 
+// ctmPacket takes a packet from the shard's list for a message of the
+// connection protocol and returns it with the message inside, both blank but
+// for the packet's source and hop budget and the message's sender, relay
+// candidates and URIs.
+func (n *Node) ctmPacket(kind ctmKind) (*OverlayPacket, *ctmMsg) {
+	pkt := n.pool.pkts.Get()
+	pkt.Src, pkt.MaxHops = n.addr, n.cfg.MaxHops
+	m := &pkt.ctm
+	m.Kind, m.From, m.URIs, m.Relays = kind, n.addr, n.URIs(), n.relayCandidates()
+	pkt.Payload = m
+	return pkt, m
+}
+
+// ctmSize is the wire size of a packet carrying m.
+func ctmSize(m *ctmMsg) int {
+	return overlayHdrSize + ctmMsgSize + 16*len(m.URIs) + 24*len(m.Relays)
+}
+
 // sendCTM routes a Connect-To-Me request toward target (§IV-B1).
 func (n *Node) sendCTM(target Addr, t ConnType, mode DeliveryMode, replyVia Addr) {
 	n.tokenSeq++
-	req := ctmRequest{
-		From:     n.addr,
-		Type:     t,
-		Token:    n.tokenSeq,
-		URIs:     n.URIs(),
-		ReplyVia: replyVia,
-		Relays:   n.relayCandidates(),
-	}
-	pkt := &OverlayPacket{
-		Src:     n.addr,
-		Dst:     target,
-		Mode:    mode,
-		MaxHops: n.cfg.MaxHops,
-		Size:    overlayHdrSize + ctmMsgSize + 16*len(req.URIs) + 24*len(req.Relays),
-		Payload: req,
-	}
+	pkt, req := n.ctmPacket(ctmRequest)
+	req.Type, req.Token, req.ReplyVia = t, n.tokenSeq, replyVia
+	pkt.Dst, pkt.Mode, pkt.Size = target, mode, ctmSize(req)
 	n.Stats.Inc("ctm.sent", 1)
 	if replyVia != (Addr{}) && len(n.table.slots) > 0 {
 		// Joining: hand the packet to the leaf target to route.
@@ -1043,8 +1075,10 @@ func (n *Node) sendCTM(target Addr, t ConnType, mode DeliveryMode, replyVia Addr
 // handleCTMRequest answers a CTM: reply with our URIs (routed back over
 // the overlay, via the requester's leaf forwarder when asked) and
 // simultaneously start linking toward the requester — the bidirectionality
-// that makes NAT hole punching work (§IV-D).
-func (n *Node) handleCTMRequest(pkt *OverlayPacket, req ctmRequest, exact bool) {
+// that makes NAT hole punching work (§IV-D). The request stays the
+// caller's, which releases it when this returns; the reply is a packet of
+// its own from the same list.
+func (n *Node) handleCTMRequest(pkt *OverlayPacket, req *ctmMsg, exact bool) {
 	if req.From == n.addr {
 		return // own join CTM came back: ring too small to matter
 	}
@@ -1052,21 +1086,15 @@ func (n *Node) handleCTMRequest(pkt *OverlayPacket, req ctmRequest, exact bool) 
 	if n.tun != nil {
 		n.tun.learnCandidates(req.From, req.URIs, req.Relays)
 	}
-	rep := ctmReply{From: n.addr, To: req.From, Type: req.Type, Token: req.Token,
-		URIs: n.URIs(), Relays: n.relayCandidates()}
-	size := overlayHdrSize + ctmMsgSize + 16*len(rep.URIs) + 24*len(rep.Relays)
+	rp, rep := n.ctmPacket(ctmReply)
+	rep.To, rep.Type, rep.Token = req.From, req.Type, req.Token
+	rp.Dst, rp.Mode, rp.Size = req.From, DeliverExact, ctmSize(rep)
 	if !req.ReplyVia.IsZero() {
-		fw := forwarded{To: req.From, Inner: rep, Size: size}
-		n.routePacket(&OverlayPacket{
-			Src: n.addr, Dst: req.ReplyVia, Mode: DeliverExact,
-			MaxHops: n.cfg.MaxHops, Size: size + 16, Payload: fw,
-		}, n.addr)
-	} else {
-		n.routePacket(&OverlayPacket{
-			Src: n.addr, Dst: req.From, Mode: DeliverExact,
-			MaxHops: n.cfg.MaxHops, Size: size, Payload: rep,
-		}, n.addr)
+		rep.Kind = ctmForwardedReply
+		rp.Dst = req.ReplyVia
+		rp.Size += forwardHdrSize
 	}
+	n.routePacket(rp, n.addr)
 	// Responder-side linking. A CTM from a peer we only hold a tunnel to
 	// doubles as an upgrade probe: re-run direct linking with the fresh
 	// URIs the CTM carries (both sides do, which is what punches holes).
@@ -1083,19 +1111,17 @@ func (n *Node) handleCTMRequest(pkt *OverlayPacket, req ctmRequest, exact bool) 
 	// neighbors").
 	if !exact && req.Type == StructuredNear && pkt.Dst == req.From && pkt.Hops < pkt.MaxHops {
 		if other := n.neighborAcross(req.From); other != nil {
-			// CTM packets are never pooled (see OverlayPacket), so this
-			// shallow copy cannot alias a pooled payload; clear the pool
-			// links anyway so the copy is self-evidently unpooled. The
-			// trace context is cleared too: the original traced packet
-			// terminated here, and a copy re-emitting under the same id
-			// would corrupt the hop chain.
-			cp := *pkt
-			cp.pooled, cp.nextFree = false, nil
-			cp.Trace, cp.TraceStart = 0, 0
-			cp.Hops++
-			cp.Mode = DeliverExact
-			cp.Dst = other.Peer
-			n.sendConn(other, cp.Size, &cp)
+			// The copy is a packet of its own with the message copied into
+			// it: the original is released when this handler returns, long
+			// before the copy arrives. It starts untraced: the original
+			// traced packet terminated here, and a copy re-emitting under
+			// the same id would corrupt the hop chain.
+			cp := n.pool.pkts.Get()
+			cp.ctm = *req
+			cp.Payload = &cp.ctm
+			cp.Src, cp.Dst, cp.Mode = pkt.Src, other.Peer, DeliverExact
+			cp.Hops, cp.MaxHops, cp.Size = pkt.Hops+1, pkt.MaxHops, pkt.Size
+			n.sendConn(other, cp.Size, cp)
 		}
 	}
 }
@@ -1111,7 +1137,7 @@ func (n *Node) neighborAcross(x Addr) *Connection {
 }
 
 // handleCTMReply starts initiator-side linking.
-func (n *Node) handleCTMReply(rep ctmReply) {
+func (n *Node) handleCTMReply(rep *ctmMsg) {
 	if rep.To != n.addr {
 		return
 	}
@@ -1188,7 +1214,7 @@ func (n *Node) linkFailed(target Addr, t ConnType, reason string) {
 // The relay forwards the frame it received; the endpoint is where a frame's
 // life ends (see tunnelFrame).
 func (n *Node) handleTunnelFrame(w wire, f *tunnelFrame) {
-	f.live("handleTunnelFrame")
+	f.Live("handleTunnelFrame")
 	if f.To != n.addr {
 		c, ok := n.lookup(f.To)
 		if !ok || c.closed || c.Tunneled() {
@@ -1237,21 +1263,30 @@ func (n *Node) handleTunnelFrame(w wire, f *tunnelFrame) {
 	// ours until Inner's handler returns: whatever that handler sends through
 	// a tunnel takes another frame.
 	n.handleWire(wire{tpeer: f.From, tvia: f.Via, tobs: f.Observed.URI}, f.Inner)
-	n.releaseFrame(f, "handleTunnelFrame")
+	if !n.pool.frames.Put(f, "handleTunnelFrame") {
+		// A stream has carried the frame and may still point at it: cut it
+		// loose from the message it carried, which may live on.
+		*f = tunnelFrame{}
+	}
 }
 
-// handleForwarded relays a payload to a leaf child (§IV-C: "the leaf
-// target acts as forwarding agent for the new node").
-func (n *Node) handleForwarded(fw forwarded) {
-	c, ok := n.lookup(fw.To)
+// handleForwarded relays a CTM reply to a leaf child (§IV-C: "the leaf
+// target acts as forwarding agent for the new node"): the message is copied
+// into a packet of this node's own, addressed to the child, and the one it
+// came in is released by the caller.
+func (n *Node) handleForwarded(pkt *OverlayPacket, rep *ctmMsg) {
+	c, ok := n.lookup(rep.To)
 	if !ok {
 		n.Stats.Inc("forward.nochild", 1)
 		return
 	}
-	n.sendConn(c, fw.Size, &OverlayPacket{
-		Src: n.addr, Dst: fw.To, Mode: DeliverExact,
-		MaxHops: n.cfg.MaxHops, Size: fw.Size, Payload: fw.Inner,
-	})
+	fp := n.pool.pkts.Get()
+	fp.ctm = *rep
+	fp.ctm.Kind = ctmReply
+	fp.Payload = &fp.ctm
+	fp.Src, fp.Dst, fp.Mode = n.addr, rep.To, DeliverExact
+	fp.MaxHops, fp.Size = n.cfg.MaxHops, pkt.Size-forwardHdrSize
+	n.sendConn(c, fp.Size, fp)
 }
 
 // String renders a diagnostic summary.

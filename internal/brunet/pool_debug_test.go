@@ -22,35 +22,85 @@ func mustPanic(t *testing.T, want string, f func()) {
 	f()
 }
 
-// A pooled overlay packet released twice, or routed after its release,
-// panics and names both sites; an unpooled one (a CTM) is never marked.
+// A pooled overlay packet released twice, or routed, delivered or received
+// after its release, panics and names both sites; one built by hand is never
+// marked.
 func TestPoolDebugOverlayPacket(t *testing.T) {
 	_, nodes := buildZeroLatencyRing(t, 11, 3)
 	n := nodes[0]
-	p := n.acquirePkt()
-	p.pooled = true
-	n.releasePkt(p, "first site")
+	p := n.pool.pkts.Get()
+	n.pool.pkts.Put(p, "first site")
+	if p.Size != -1 || p.Payload != poisonPayload {
+		t.Fatalf("released packet not poisoned: size %d payload %v", p.Size, p.Payload)
+	}
 	mustPanic(t, "double release of overlay packet in second site (first released in first site)",
-		func() { n.releasePkt(p, "second site") })
+		func() { n.pool.pkts.Put(p, "second site") })
 	mustPanic(t, "use of released overlay packet in routePacket (released in first site)",
 		func() { n.routePacket(p, n.addr) })
+	mustPanic(t, "use of released overlay packet in deliver (released in first site)",
+		func() { n.deliver(p) })
 	mustPanic(t, "use of released overlay packet in handleWire",
 		func() { n.handleWire(wire{}, p) })
 
-	ctm := &OverlayPacket{Src: n.addr, Dst: n.addr}
-	n.releasePkt(ctm, "x")
-	n.releasePkt(ctm, "y")
-	ctm.live("z")
+	own := &OverlayPacket{Src: n.addr, Dst: n.addr}
+	n.pool.pkts.Put(own, "x")
+	n.pool.pkts.Put(own, "y")
+	own.Live("z")
+}
+
+// A CTM is such a packet: the message inside it goes with it, and a second
+// release of the request — by a handler that thought it had flipped it into
+// the reply, say — panics.
+func TestPoolDebugCTM(t *testing.T) {
+	_, nodes := buildZeroLatencyRing(t, 11, 3)
+	n := nodes[0]
+	pkt, req := n.ctmPacket(ctmRequest)
+	req.Type, req.Token = StructuredFar, 7
+	n.pool.pkts.Put(pkt, "routePacket (nearest)")
+	if req.Kind != 0 || req.URIs != nil || req.Relays != nil || req.Token != 0 {
+		t.Fatalf("the message of a released CTM still reads %+v", *req)
+	}
+	mustPanic(t, "double release of overlay packet in handleCTMRequest (first released in routePacket (nearest))",
+		func() { n.pool.pkts.Put(pkt, "handleCTMRequest") })
 }
 
 // A tunnel frame released twice, or handled after its release, panics.
 func TestPoolDebugTunnelFrame(t *testing.T) {
 	_, nodes := buildZeroLatencyRing(t, 11, 3)
 	n := nodes[0]
-	f := n.acquireFrame()
-	n.releaseFrame(f, "first site")
+	f := n.pool.frames.Get()
+	n.pool.frames.Put(f, "first site")
 	mustPanic(t, "double release of tunnel frame in second site (first released in first site)",
-		func() { n.releaseFrame(f, "second site") })
+		func() { n.pool.frames.Put(f, "second site") })
 	mustPanic(t, "use of released tunnel frame in handleTunnelFrame (released in first site)",
 		func() { n.handleTunnelFrame(wire{}, f) })
+}
+
+// A link message released twice — by handleWire and again by the tunnel
+// endpoint that unwrapped it, say — or handled after its release, panics.
+func TestPoolDebugLinkMsg(t *testing.T) {
+	_, nodes := buildZeroLatencyRing(t, 11, 3)
+	n := nodes[0]
+	m := n.pool.links.Get()
+	m.From, m.To, m.Token = nodes[1].addr, n.addr, 9
+	n.pool.links.Put(m, "handleWire")
+	if m.Seq != -1 || m.Token != 0 {
+		t.Fatalf("released link message not poisoned: %+v", *m)
+	}
+	mustPanic(t, "double release of link message in handleTunnelFrame (first released in handleWire)",
+		func() { n.pool.links.Put(m, "handleTunnelFrame") })
+	mustPanic(t, "use of released link message in handleWire (released in handleWire)",
+		func() { n.handleWire(wire{}, m) })
+	mustPanic(t, "use of released link message in handleLinkRequest (released in handleWire)",
+		func() { n.handleLinkRequest(wire{}, m) })
+
+	// One a stream has carried is no longer the list's: its release leaves
+	// it alone, however often.
+	s := n.pool.links.Get()
+	s.Unpool()
+	s.Token = 5
+	if n.pool.links.Put(s, "x") || n.pool.links.Put(s, "y") || s.Token != 5 {
+		t.Fatalf("an unpooled link message was taken back or touched: %+v", *s)
+	}
+	s.Live("z")
 }

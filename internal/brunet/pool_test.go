@@ -100,7 +100,9 @@ func TestAllocFreeTunnelHop(t *testing.T) {
 // TestPoolBoundedOneWay: under traffic that only ever runs one way the
 // shard's free lists hold what was in flight at once and no more — packets
 // over a multi-hop route, frames over a tunnel edge. (A list per node ends
-// as long as the number of packets the receiver ever saw.)
+// as long as the number of packets the receiver ever saw.) The lists are
+// not empty to begin with: the CTMs and the tunnel handshakes of the ring's
+// build went through them, and what those left serves the traffic first.
 func TestPoolBoundedOneWay(t *testing.T) {
 	const burst = 8 // sends between drains: the most objects ever in flight
 	d := AppData{Proto: "allocguard", Size: 64}
@@ -109,32 +111,34 @@ func TestPoolBoundedOneWay(t *testing.T) {
 	src, dst := nodes[3], nodes[8]
 	delivered := 0
 	dst.RegisterProto("allocguard", func(Addr, AppData) { delivered++ })
+	bound := max(dst.pktListLen(), burst)
 	for sent := 0; sent < 100000; sent += burst {
 		for i := 0; i < burst; i++ {
 			src.SendTo(dst.Addr(), DeliverExact, d)
 		}
 		s.RunUntil(s.Now())
-		if l := dst.pktListLen(); l > burst {
-			t.Fatalf("after %d one-way packets the receiver's list holds %d, more than the %d ever in flight", sent+burst, l, burst)
+		if l := dst.pktListLen(); l > bound {
+			t.Fatalf("after %d one-way packets the receiver's list holds %d, more than the %d it held or had in flight", sent+burst, l, bound)
 		}
 	}
 	if delivered != 100000 {
 		t.Fatalf("%d of 100000 packets delivered", delivered)
 	}
-	if l := dst.pktListLen(); !poolDebug && l != burst {
-		t.Errorf("list holds %d packets after bursts of %d, want exactly the burst", l, burst)
+	if l := dst.pktListLen(); !poolDebug && l != bound {
+		t.Errorf("list holds %d packets after bursts of %d, want exactly the %d it held or had in flight", l, burst, bound)
 	}
 
 	r := buildZeroLatencySymmetricRing(t, 21, 3, 8, "udp")
 	delivered = 0
 	orig, _, peer := tunnelEdge(t, r, &delivered)
+	pbound, fbound := max(peer.pktListLen(), burst), max(peer.frameListLen(), burst)
 	for sent := 0; sent < 20000; sent += burst {
 		for i := 0; i < burst; i++ {
 			orig.SendTo(peer.Addr(), DeliverExact, d)
 		}
 		r.s.RunUntil(r.s.Now())
-		if pl, fl := peer.pktListLen(), peer.frameListLen(); pl > burst || fl > burst {
-			t.Fatalf("after %d one-way packets over the tunnel the endpoint's lists hold %d packets and %d frames, more than the %d ever in flight", sent+burst, pl, fl, burst)
+		if pl, fl := peer.pktListLen(), peer.frameListLen(); pl > pbound || fl > fbound {
+			t.Fatalf("after %d one-way packets over the tunnel the endpoint's lists hold %d packets and %d frames, more than the %d and %d they held or had in flight", sent+burst, pl, fl, pbound, fbound)
 		}
 	}
 	if delivered != 20001 {
@@ -144,11 +148,16 @@ func TestPoolBoundedOneWay(t *testing.T) {
 
 // TestStreamCarriedObjectsNotRecycled: a phys.Stream's retransmission buffer
 // keeps the pointer of what it carried until the peer's ACK arrives, and
-// reads its trace context if the stream is torn down first. A packet or frame
-// that a TCP-transport hop has carried therefore never joins a free list
-// (sendConn, unpool): recycled, it would let the teardown of one stream
-// terminate the trace of another sender's live packet. On a ring whose
-// routers speak TCP every hop rides a stream, so the lists stay empty.
+// reads its trace context if the stream is torn down first. A packet, link
+// message or frame that a TCP-transport hop has carried therefore never joins
+// a free list (sendConn, replyTo and the linker's dial go through unpool):
+// recycled, it would let the teardown of one stream terminate the trace of
+// another sender's live packet. On a ring whose routers speak TCP the lists,
+// emptied of what the build left (a NATed node reaches some routers over UDP,
+// and a CTM delivered at its own sender never leaves the node), stay empty
+// under application packets across a tunnel, and on a ring of such routers
+// alone under a CTM, its reply and the link handshake they set off: every hop
+// of those rides a stream.
 func TestStreamCarriedObjectsNotRecycled(t *testing.T) {
 	r := buildZeroLatencySymmetricRing(t, 21, 3, 8, "tcp")
 	delivered := 0
@@ -158,6 +167,7 @@ func TestStreamCarriedObjectsNotRecycled(t *testing.T) {
 			t.Fatalf("hop %v -> %v does not ride a stream; the test would be vacuous", hop[0].Addr(), hop[1].Addr())
 		}
 	}
+	*peer.pool = *newShardPool().(*shardPool)
 	d := AppData{Proto: "allocguard", Size: 64}
 	for i := 0; i < 64; i++ {
 		orig.SendTo(peer.Addr(), DeliverExact, d)
@@ -168,5 +178,37 @@ func TestStreamCarriedObjectsNotRecycled(t *testing.T) {
 	}
 	if pl, fl := peer.pktListLen(), peer.frameListLen(); pl != 0 || fl != 0 {
 		t.Errorf("the shard's lists hold %d packets and %d frames that a stream's retransmission buffer may still point at, want 0 and 0", pl, fl)
+	}
+
+	// Two routers across the ring from each other lose their link, if they
+	// hold one, and find each other by CTM: the request and the reply are
+	// routed through the routers in between, and the dial that follows is a
+	// stream of its own.
+	r = buildZeroLatencySymmetricRing(t, 22, 8, 0, "tcp")
+	for _, n := range r.nodes {
+		for _, c := range n.Connections() {
+			if c.Transport() != "tcp" {
+				t.Fatalf("%v holds a %s link to %v; the test would be vacuous", n.Addr(), c.Transport(), c.Peer)
+			}
+		}
+	}
+	order := r.ringOrder()
+	a, b := order[0], order[len(order)/2]
+	if c, ok := a.lookup(b.Addr()); ok {
+		a.dropConnection(c, false, "trim")
+	}
+	if c, ok := b.lookup(a.Addr()); ok {
+		b.dropConnection(c, false, "trim")
+	}
+	*a.pool = *newShardPool().(*shardPool)
+	received, replied, linked := b.Stats.Get("ctm.received"), a.Stats.Get("ctm.replied"), r.totalStat("link.success")
+	a.sendCTM(b.Addr(), StructuredNear, DeliverExact, Zero)
+	r.s.RunUntil(r.s.Now())
+	if c, ok := a.lookup(b.Addr()); !ok || c.Transport() != "tcp" || b.Stats.Get("ctm.received") != received+1 ||
+		a.Stats.Get("ctm.replied") != replied+1 || r.totalStat("link.success") == linked {
+		t.Fatalf("the CTM from %v did not reach %v, come back and link the two over a stream; the test would be vacuous", a.Addr(), b.Addr())
+	}
+	if pl, ll := a.pktListLen(), a.linkListLen(); pl != 0 || ll != 0 {
+		t.Errorf("the shard's lists hold %d packets and %d link messages that a stream's retransmission buffer may still point at, want 0 and 0", pl, ll)
 	}
 }

@@ -15,7 +15,8 @@ import "wow/internal/sim"
 // node costs nothing: no periodic pass, and no random draws that would
 // perturb the deterministic event sequence of fault-free runs.
 type repairOverlord struct {
-	node    *Node
+	node *Node
+	// pending is made when the first connection is lost (onDisconnection).
 	pending map[Addr]*relinkState
 }
 
@@ -31,7 +32,7 @@ type relinkState struct {
 var relinkReasons = map[string]bool{"timeout": true, "stream": true}
 
 func newRepairOverlord(n *Node) *repairOverlord {
-	return &repairOverlord{node: n, pending: make(map[Addr]*relinkState)}
+	return &repairOverlord{node: n}
 }
 
 // enabled reports whether repair is configured on (RelinkRetries = UseZero
@@ -81,6 +82,9 @@ func (o *repairOverlord) onDisconnection(c *Connection) {
 		st.ev.Cancel()
 	}
 	st := &relinkState{uris: c.URIs, ctype: t}
+	if o.pending == nil {
+		o.pending = make(map[Addr]*relinkState)
+	}
 	o.pending[c.Peer] = st
 	o.schedule(c.Peer, st)
 }

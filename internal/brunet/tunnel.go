@@ -36,6 +36,9 @@ type tunnelOverlord struct {
 	// material for relay selection.
 	cands map[Addr]*candidateStash
 	// upgrades holds the armed direct-link upgrade timer per tunnel peer.
+	// It and the two maps below are made at their first write (armUpgrade,
+	// establish): a node that never holds a tunnel never writes them, and
+	// reading, deleting from and ranging over a nil map are legal.
 	upgrades map[Addr]sim.Timer
 	// recruiting maps a relay candidate being linked (ConnType Relay) to
 	// the tunnel targets waiting on it — the path taken when no mutual
@@ -55,13 +58,7 @@ type candidateStash struct {
 }
 
 func newTunnelOverlord(n *Node) *tunnelOverlord {
-	return &tunnelOverlord{
-		node:       n,
-		cands:      make(map[Addr]*candidateStash),
-		upgrades:   make(map[Addr]sim.Timer),
-		recruiting: make(map[Addr][]Addr),
-		recruited:  make(map[Addr]bool),
-	}
+	return &tunnelOverlord{node: n, cands: make(map[Addr]*candidateStash)}
 }
 
 func (o *tunnelOverlord) start() {
@@ -201,6 +198,10 @@ func (o *tunnelOverlord) establish(target Addr) {
 				already = true
 				break
 			}
+		}
+		if o.recruiting == nil {
+			o.recruiting = make(map[Addr][]Addr)
+			o.recruited = make(map[Addr]bool)
 		}
 		if !already {
 			o.recruiting[adv.Addr] = append(o.recruiting[adv.Addr], target)
@@ -374,6 +375,9 @@ func (o *tunnelOverlord) armUpgrade(c *Connection) {
 	peer := c.Peer
 	if _, armed := o.upgrades[peer]; armed {
 		return
+	}
+	if o.upgrades == nil {
+		o.upgrades = make(map[Addr]sim.Timer)
 	}
 	o.upgrades[peer] = n.sim.After(n.cfg.TunnelUpgradeInterval, func() {
 		delete(o.upgrades, peer)

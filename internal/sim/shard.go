@@ -42,6 +42,8 @@ type Sharded struct {
 
 	windowEnd Time // exclusive bound of the in-flight window
 	inWindow  bool
+	// active is RunUntil's scratch: the shards with work in the window.
+	active []int
 
 	jobs    chan int
 	done    chan struct{}
@@ -87,6 +89,7 @@ func NewSharded(seed int64, k, workers int) *Sharded {
 		shards:  make([]*Simulator, k),
 		workers: workers,
 		lanes:   make([][]crossEvent, k*k),
+		active:  make([]int, 0, k),
 		jobs:    make(chan int),
 		done:    make(chan struct{}),
 	}
@@ -242,7 +245,7 @@ func (g *Sharded) RunUntil(t Time) {
 		panic("sim: multi-shard RunUntil without SetLookahead")
 	}
 	g.ensureWorkers()
-	var active []int
+	active := g.active
 	for {
 		// Global window floor: earliest pending event anywhere.
 		var floor Time

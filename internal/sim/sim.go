@@ -190,6 +190,35 @@ func (s *Simulator) Local(key any, mk func() any) any {
 	return v
 }
 
+// Pooled is what a struct embeds to have its objects recycled through a
+// FreeList (freelist.go; freelist_debug.go under -tags packetdebug): the
+// list's own word in the object.
+type Pooled struct {
+	// mark is empty except under the packetdebug build tag (and leads the
+	// struct: a trailing zero-size field would cost a byte of padding).
+	mark poolMark
+	// listable is set by Get and cleared by Put and Unpool: only an object
+	// that came from a list and has stayed in the pools' hands goes back on
+	// one.
+	listable bool
+}
+
+// pooled is how a FreeList reaches its word in an object (see Poolable).
+func (h *Pooled) pooled() *Pooled { return h }
+
+// Unpool takes the object out of the pools' hands for good: Put will leave
+// it to the garbage collector. It is what a sender does before something
+// that may keep the pointer past the receiving handler — the retransmission
+// buffer of a phys.Stream — carries the object.
+func (h *Pooled) Unpool() { h.listable = false }
+
+// Poolable is the constraint of a FreeList's object pointer: *T for a
+// struct T that embeds Pooled.
+type Poolable[T any] interface {
+	*T
+	pooled() *Pooled
+}
+
 // acquire takes an event from the free list, or allocates one.
 func (s *Simulator) acquire() *event {
 	e := s.free

@@ -99,11 +99,7 @@ type Packet struct {
 	icmp icmpEcho
 	udp  udpDatagram
 
-	// pooled marks a packet taken from a free list; only these return to one.
-	pooled bool
-	// mark is empty except under the packetdebug build tag (pool_debug.go).
-	mark     poolMark
-	nextFree *Packet
+	sim.Pooled
 }
 
 // Header sizes in bytes.

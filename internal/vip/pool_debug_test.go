@@ -38,7 +38,7 @@ func TestPoolDebugPacket(t *testing.T) {
 	own := &Packet{Src: a.IP(), Dst: a.IP(), Proto: ProtoUDP}
 	a.release(own, "x")
 	a.release(own, "y")
-	own.live("z")
+	own.Live("z")
 }
 
 // A parked segment that was released behind the connection's back panics
@@ -67,6 +67,6 @@ func TestPoolDebugWrongShard(t *testing.T) {
 	_, a, _, wa, _ := wiredStacks(1, sim.Millisecond)
 	p := a.packet(a.IP(), ProtoUDP, 100)
 	wa.s = sim.New(2)
-	mustPanic(t, "another shard", func() { a.acquire() })
-	mustPanic(t, "release in here", func() { a.release(p, "here") })
+	mustPanic(t, "vip: acquire on a stack whose carrier runs on another shard", func() { a.packet(a.IP(), ProtoUDP, 100) })
+	mustPanic(t, "vip: here on a stack whose carrier runs on another shard", func() { a.release(p, "here") })
 }

@@ -91,7 +91,7 @@ type pingState struct {
 	cb      func(ok bool, rtt sim.Duration)
 	timeout sim.Timer
 
-	nextFree *pingState
+	sim.Pooled
 }
 
 // shardPool holds the free lists of one shard's virtual-IP packets and ping
@@ -99,18 +99,27 @@ type pingState struct {
 // shares it and only the shard's goroutine touches it, so it needs no lock;
 // NewStack finds it on the Simulator behind Carrier.Clock
 // (sim.Simulator.Local). What one stack releases the next sender on the
-// shard takes, so the list is as long as the most packets the shard ever had
-// in flight and no stack hoards the ACKs its transfers brought home. acquire
-// and release are in pool.go (pool_debug.go under packetdebug).
+// shard takes, so while traffic stays on the shard the list is as long as the
+// most packets the shard ever had in flight and no stack hoards the ACKs its
+// transfers brought home; across shards it holds the largest excess of
+// releases over acquires the shard has seen, which a transfer's returning
+// ACKs keep small. The lists are sim.FreeLists; -tags packetdebug swaps in
+// the one that reuses nothing and panics on misuse.
 type shardPool struct {
-	pkts  *Packet
-	pings *pingState
+	pkts  sim.FreeList[Packet, *Packet]
+	pings sim.FreeList[pingState, *pingState]
 }
 
 // shardPoolKey is the pool's key among its Simulator's locals.
 type shardPoolKey struct{}
 
-func newShardPool() any { return &shardPool{} }
+func newShardPool() any {
+	return &shardPool{
+		pkts: sim.NewFreeList[Packet]("packet", Packet{Size: -1, Proto: 0xff,
+			tcp: tcpSegment{Ends: []chunkEnd{{End: -1, Size: -1, Msg: "vip: use of released packet"}}}}),
+		pings: sim.NewFreeList[pingState]("ping state", pingState{}),
+	}
+}
 
 // NewStack creates a stack over the carrier.
 func NewStack(carrier Carrier, cfg StackConfig) *Stack {
@@ -143,13 +152,39 @@ func (s *Stack) Config() StackConfig { return s.cfg }
 // packet takes a packet from the shard's list and addresses it from this
 // stack to dst; the caller fills in the transport header.
 func (s *Stack) packet(dst IP, proto Proto, size int) *Packet {
-	p := s.acquire()
+	s.checkShard("acquire")
+	p := s.pool.pkts.Get()
 	p.Src, p.Dst, p.Proto, p.Size = s.IP(), dst, proto, size
 	return p
 }
 
+// release ends the life of a packet the stack took from a list: it goes on
+// the shard's list blank but for the backing array of its Ends, so the list
+// pins no message and the next sender finds nothing of this one in it. A
+// packet built outside the stack passes through untouched. where names the
+// site for the packetdebug list.
+func (s *Stack) release(p *Packet, where string) {
+	ends := p.tcp.Ends
+	if s.pool.pkts.Put(p, where) && !sim.PoolDebug {
+		clear(ends)
+		p.tcp.Ends = ends[:0]
+	}
+	s.checkShard(where)
+}
+
+// checkShard is the packetdebug build's check that the stack is still driven
+// by the Simulator whose lists it holds: a stack whose carrier has moved to a
+// host of another shard would run on that shard's goroutine and share this
+// shard's lists with it. Which goroutine actually runs is the race
+// detector's to say; CI runs that build under -race.
+func (s *Stack) checkShard(where string) {
+	if sim.PoolDebug && s.carrier.Clock() != s.sim {
+		panic("vip: " + where + " on a stack whose carrier runs on another shard than its pool")
+	}
+}
+
 func (s *Stack) send(p *Packet) {
-	p.live("send")
+	p.Live("send")
 	s.Stats.Inc("ip.out", 1)
 	s.carrier.SendIP(p)
 }
@@ -160,7 +195,7 @@ func (s *Stack) send(p *Packet) {
 // responder, which sends the request back as the reply, and a connection
 // that parks an out-of-order segment (Conn.oo).
 func (s *Stack) receive(p *Packet) {
-	p.live("receive")
+	p.Live("receive")
 	if !s.dispatch(p) {
 		s.release(p, "receive")
 	}
@@ -194,13 +229,8 @@ func (s *Stack) dispatch(p *Packet) (kept bool) {
 func (s *Stack) Ping(dst IP, size int, timeout sim.Duration, cb func(ok bool, rtt sim.Duration)) {
 	s.pingID++
 	s.pingSeq++
-	st := s.pool.pings
-	if st == nil {
-		st = &pingState{}
-	} else {
-		s.pool.pings = st.nextFree
-	}
-	*st = pingState{stack: s, id: s.pingID, cb: cb}
+	st := s.pool.pings.Get()
+	st.stack, st.id, st.cb = s, s.pingID, cb
 	s.pings[st.id] = st
 	st.timeout = s.sim.AtArg(s.sim.Now().Add(timeout), pingTimedOut, st)
 	p := s.packet(dst, ProtoICMP, ipHdrSize+icmpHdrSize+size)
@@ -214,8 +244,7 @@ func (s *Stack) Ping(dst IP, size int, timeout sim.Duration, cb func(ok bool, rt
 func (s *Stack) finishPing(st *pingState) func(ok bool, rtt sim.Duration) {
 	cb := st.cb
 	delete(s.pings, st.id)
-	*st = pingState{nextFree: s.pool.pings}
-	s.pool.pings = st
+	s.pool.pings.Put(st, "finishPing")
 	return cb
 }
 

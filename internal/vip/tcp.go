@@ -121,7 +121,6 @@ type Conn struct {
 	kaProbes  int
 
 	retransmits int
-	rtoArms     int // times armRTO scheduled the timer; tests count it
 }
 
 // ListenTCP installs an accept callback for a port. The callback fires
@@ -363,7 +362,6 @@ func (c *Conn) armRTO() {
 	if !c.outstanding() {
 		return
 	}
-	c.rtoArms++
 	c.rtoTimer = c.stack.sim.AtArg(c.stack.sim.Now().Add(c.rto), connTimeoutFired, c)
 }
 
@@ -698,7 +696,7 @@ func (c *Conn) receiveData(p *Packet) (parked bool) {
 				break
 			}
 			delete(c.oo, c.rcvNxt)
-			next.live("drain")
+			next.Live("drain")
 			c.acceptSegment(&next.tcp)
 			c.stack.release(next, "drain")
 		}
