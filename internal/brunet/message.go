@@ -233,17 +233,17 @@ func (p *OverlayPacket) ClearTrace() { p.Trace = 0 }
 type ctmKind uint8
 
 const (
-	// ctmRequest is the Connect-To-Me request, routed over the overlay to
+	// kindRequest is the Connect-To-Me request, routed over the overlay to
 	// the target address.
-	ctmRequest ctmKind = iota + 1
-	// ctmReply answers a request, carrying the responder's URIs back so the
+	kindRequest ctmKind = iota + 1
+	// kindReply answers a request, carrying the responder's URIs back so the
 	// initiator can start the linking protocol.
-	ctmReply
-	// ctmForwardedReply is a reply on its way to the requester's leaf
+	kindReply
+	// kindForwardedReply is a reply on its way to the requester's leaf
 	// forwarder (the request's ReplyVia), which relays it over the leaf
-	// connection as a plain ctmReply: the packet is addressed to the
+	// connection as a plain kindReply: the packet is addressed to the
 	// forwarder and charged forwardHdrSize on top of the reply.
-	ctmForwardedReply
+	kindForwardedReply
 )
 
 // forwardHdrSize is the wire cost of addressing a reply to a forwarder.

@@ -979,11 +979,11 @@ func (n *Node) deliver(pkt *OverlayPacket) {
 	switch m := pkt.Payload.(type) {
 	case *ctmMsg:
 		switch m.Kind {
-		case ctmRequest:
+		case kindRequest:
 			n.handleCTMRequest(pkt, m, exact)
-		case ctmReply:
+		case kindReply:
 			n.handleCTMReply(m)
-		case ctmForwardedReply:
+		case kindForwardedReply:
 			n.handleForwarded(pkt, m)
 		default:
 			n.statUnknownOverlay.Inc(1)
@@ -1057,7 +1057,7 @@ func ctmSize(m *ctmMsg) int {
 // sendCTM routes a Connect-To-Me request toward target (§IV-B1).
 func (n *Node) sendCTM(target Addr, t ConnType, mode DeliveryMode, replyVia Addr) {
 	n.tokenSeq++
-	pkt, req := n.ctmPacket(ctmRequest)
+	pkt, req := n.ctmPacket(kindRequest)
 	req.Type, req.Token, req.ReplyVia = t, n.tokenSeq, replyVia
 	pkt.Dst, pkt.Mode, pkt.Size = target, mode, ctmSize(req)
 	n.Stats.Inc("ctm.sent", 1)
@@ -1086,11 +1086,11 @@ func (n *Node) handleCTMRequest(pkt *OverlayPacket, req *ctmMsg, exact bool) {
 	if n.tun != nil {
 		n.tun.learnCandidates(req.From, req.URIs, req.Relays)
 	}
-	rp, rep := n.ctmPacket(ctmReply)
+	rp, rep := n.ctmPacket(kindReply)
 	rep.To, rep.Type, rep.Token = req.From, req.Type, req.Token
 	rp.Dst, rp.Mode, rp.Size = req.From, DeliverExact, ctmSize(rep)
 	if !req.ReplyVia.IsZero() {
-		rep.Kind = ctmForwardedReply
+		rep.Kind = kindForwardedReply
 		rp.Dst = req.ReplyVia
 		rp.Size += forwardHdrSize
 	}
@@ -1282,7 +1282,7 @@ func (n *Node) handleForwarded(pkt *OverlayPacket, rep *ctmMsg) {
 	}
 	fp := n.pool.pkts.Get()
 	fp.ctm = *rep
-	fp.ctm.Kind = ctmReply
+	fp.ctm.Kind = kindReply
 	fp.Payload = &fp.ctm
 	fp.Src, fp.Dst, fp.Mode = n.addr, rep.To, DeliverExact
 	fp.MaxHops, fp.Size = n.cfg.MaxHops, pkt.Size-forwardHdrSize

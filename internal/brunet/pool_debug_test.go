@@ -54,7 +54,7 @@ func TestPoolDebugOverlayPacket(t *testing.T) {
 func TestPoolDebugCTM(t *testing.T) {
 	_, nodes := buildZeroLatencyRing(t, 11, 3)
 	n := nodes[0]
-	pkt, req := n.ctmPacket(ctmRequest)
+	pkt, req := n.ctmPacket(kindRequest)
 	req.Type, req.Token = StructuredFar, 7
 	n.pool.pkts.Put(pkt, "routePacket (nearest)")
 	if req.Kind != 0 || req.URIs != nil || req.Relays != nil || req.Token != 0 {
