@@ -16,12 +16,15 @@ import (
 // batched all-symmetric-NAT ring, gray failures) stands on: a sim.Sharded
 // engine driving a phys.NewShardedNetwork over round-robin sites. There is
 // no separate serial variant — a one-shard engine delegates RunUntil to its
-// single Simulator and is the serial engine (sim and phys pin that
-// equivalence in their shard tests). The fabric also owns what the
-// harnesses used to copy from each other: the lookahead derivation, the
-// flight-recorder wiring, starting a fleet from a join plan with Start
-// errors returned instead of panicking on a worker goroutine, the spaced
-// probe train, and the ring audit.
+// single Simulator and is the serial engine, and a one-shard network is the
+// network phys.NewNetwork builds: every middlebox is consulted at send time
+// (sim, phys and natsim pin both in their shard tests). With several shards
+// a packet to a NAT chain on another shard than its sender's is translated
+// at arrival instead, so the shard layout is part of a run's key. The
+// fabric also owns what the harnesses used to copy from each other: the
+// lookahead derivation, the flight-recorder wiring, starting a fleet from a
+// join plan with Start errors returned instead of panicking on a worker
+// goroutine, the spaced probe train, and the ring audit.
 type fabric struct {
 	name  string // harness name; prefixes every error
 	eng   *sim.Sharded

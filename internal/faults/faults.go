@@ -23,30 +23,33 @@ import (
 // the network's Perturb hook; faults are armed with Schedule and fire on
 // the simulation clock.
 //
-// On a sharded network (phys.NewShardedNetwork), only the time-functional
-// gray faults (AsymmetricBlackhole, JitterBurst, LinkFlap, SlowNode) are
-// safe: they install their rules at arm time, before the engine runs, and
-// evaluate activation against each packet's sender-shard clock, so the
-// rules slice is never mutated while shards execute. The event-windowed
-// faults (LinkBlackhole, Partition, LossBurst, LatencyBurst) mutate the
-// rules slice from scheduled events and remain serial-engine-only.
+// On a network of more than one shard, only the time-functional gray faults
+// (AsymmetricBlackhole, JitterBurst, LinkFlap, SlowNode) are safe: they
+// install their rules at arm time, before the engine runs, and evaluate
+// activation against each packet's sender-shard clock, so the rules slice is
+// never mutated while shards execute. The event-windowed faults
+// (LinkBlackhole, Partition, LossBurst, LatencyBurst) mutate the rules slice
+// from scheduled events and are for one shard only.
+//
+// The hook sees every packet whose destination host the sender's shard
+// resolves: a host in a realm the sender's chain reaches directly, or behind
+// a middlebox chain pinned to the sender's shard (translated at send time).
+// A packet to a chain pinned to another shard is translated there, at
+// arrival, and bypasses the hook — on one shard no packet does.
 type Injector struct {
 	S   *sim.Simulator
 	Net *phys.Network
 
-	// Stats counts per-fault events uniformly as "<label>.<event>":
-	// begin/end for windowed wire faults, kill/restart for node faults,
-	// flush for NAT flushes, dropped per blackholed packet. On a sharded
-	// network the per-packet counters land in per-shard counters instead
-	// (shard-local writes only); read the combined view with TotalStats.
+	// Stats counts the timeline's events as "<label>.<event>": begin/end
+	// for windowed wire faults, kill/restart for node faults, flush for NAT
+	// flushes. Written on S alone.
 	Stats metrics.Counter
 
 	rules    []*rule
 	timeline []TimelineEntry
-	// statsSh receives the per-packet perturb counters, indexed by the
-	// sending host's shard. Serially it is a single entry aliasing Stats.
-	statsSh []*metrics.Counter
-	sh      *metrics.Sharded
+	// dropped counts the blackholed packets, "<label>.dropped", on the
+	// sending host's shard (shard-local writes only). TotalStats reads both.
+	dropped *metrics.Sharded
 	// closed makes every already-scheduled fault event a no-op: Close
 	// must fully detach the injector even though simulator events cannot
 	// be unscheduled retroactively.
@@ -55,16 +58,7 @@ type Injector struct {
 
 // New creates an injector and installs it as net's Perturb hook.
 func New(s *sim.Simulator, net *phys.Network) *Injector {
-	inj := &Injector{S: s, Net: net}
-	if net.Sharded() {
-		inj.sh = metrics.NewSharded(net.Engine().Shards())
-		inj.statsSh = make([]*metrics.Counter, net.Engine().Shards())
-		for i := range inj.statsSh {
-			inj.statsSh[i] = inj.sh.Shard(i)
-		}
-	} else {
-		inj.statsSh = []*metrics.Counter{&inj.Stats}
-	}
+	inj := &Injector{S: s, Net: net, dropped: metrics.NewSharded(net.Shards())}
 	net.Perturb = inj.perturb
 	return inj
 }
@@ -79,16 +73,11 @@ func (inj *Injector) Close() {
 	inj.Net.Perturb = nil
 }
 
-// TotalStats merges the control-plane counters (timeline events) with the
-// per-shard per-packet counters into one view. Call it only between runs
-// on a sharded network.
+// TotalStats merges the timeline's counters with the per-shard per-packet
+// ones into one view. Call it only between runs.
 func (inj *Injector) TotalStats() metrics.Counter {
-	var out metrics.Counter
+	out := inj.dropped.Merged()
 	out.Merge(&inj.Stats)
-	if inj.sh != nil {
-		m := inj.sh.Merged()
-		out.Merge(&m)
-	}
 	return out
 }
 
@@ -221,7 +210,7 @@ func pseudoRand(seed uint64, now sim.Time, a, b string) uint64 {
 // perturb is the phys.Network hook: compose every active rule that matches
 // the packet's path. A drop rule wins outright; loss probabilities combine
 // as independent trials and latency adds. Per-packet counters go to the
-// sending shard's counter (the single aliased Stats counter serially).
+// sending shard's counter.
 func (inj *Injector) perturb(src, dst *phys.Host, pm phys.PathModel) (phys.PathModel, bool) {
 	now := src.Sim().Now()
 	for _, r := range inj.rules {
@@ -229,7 +218,7 @@ func (inj *Injector) perturb(src, dst *phys.Host, pm phys.PathModel) (phys.PathM
 			continue
 		}
 		if r.drop {
-			inj.statsSh[src.Shard()].Inc(r.label+".dropped", 1)
+			inj.dropped.Shard(src.Shard()).Inc(r.label+".dropped", 1)
 			return pm, true
 		}
 		if r.loss > 0 {

@@ -16,6 +16,17 @@ type rig struct {
 	got   map[string]int
 }
 
+// dropped reads how many packets the fault labelled label has blackholed.
+func dropped(inj *Injector, label string) int64 {
+	total := inj.TotalStats()
+	return total.Get(label + ".dropped")
+}
+
+func statsString(inj *Injector) string {
+	total := inj.TotalStats()
+	return total.String()
+}
+
 func newRig(t *testing.T, seed int64) *rig {
 	t.Helper()
 	s := sim.New(seed)
@@ -71,8 +82,8 @@ func TestPartitionDropsThenHeals(t *testing.T) {
 	if r.got["a2"] != 1 {
 		t.Fatalf("partition hit same-side traffic: a2=%d", r.got["a2"])
 	}
-	if inj.Stats.Get("partition.dropped") != 2 {
-		t.Fatalf("dropped counter = %d, want 2", inj.Stats.Get("partition.dropped"))
+	if dropped(inj, "partition") != 2 {
+		t.Fatalf("dropped counter = %d, want 2", dropped(inj, "partition"))
 	}
 	// After the window: healed.
 	r.s.RunFor(10 * sim.Second)
@@ -99,8 +110,8 @@ func TestBlackholeIsPairwise(t *testing.T) {
 	if r.got["b1"] != 1 {
 		t.Fatalf("b1 got %d packets, want only a2's", r.got["b1"])
 	}
-	if inj.Stats.Get("blackhole.dropped") != 1 {
-		t.Fatalf("dropped = %d, want 1", inj.Stats.Get("blackhole.dropped"))
+	if dropped(inj, "blackhole") != 1 {
+		t.Fatalf("dropped = %d, want 1", dropped(inj, "blackhole"))
 	}
 }
 
@@ -134,8 +145,8 @@ func TestLossBurstComposesToCertainLoss(t *testing.T) {
 	if r.got["b1"] != 0 {
 		t.Fatalf("certain loss leaked %d packets", r.got["b1"])
 	}
-	if r.net.Stats.Get("lost.wire") != 5 {
-		t.Fatalf("lost.wire = %d, want 5", r.net.Stats.Get("lost.wire"))
+	if total := r.net.TotalStats(); total.Get("lost.wire") != 5 {
+		t.Fatalf("lost.wire = %d, want 5", total.Get("lost.wire"))
 	}
 }
 
@@ -194,8 +205,8 @@ func TestDeterministicTimeline(t *testing.T) {
 	if a.TimelineString() == "" {
 		t.Fatal("empty timeline")
 	}
-	if a.Stats.String() != b.Stats.String() {
-		t.Fatalf("counters diverged:\n--- run 1\n%s\n--- run 2\n%s", a.Stats.String(), b.Stats.String())
+	if statsString(a) != statsString(b) {
+		t.Fatalf("counters diverged:\n--- run 1\n%s\n--- run 2\n%s", statsString(a), statsString(b))
 	}
 	// A different seed must still run the same faults (labels), just with
 	// jittered churn times.

@@ -127,9 +127,10 @@ func NewNAT(name string, cfg Config, publicIP phys.IP, clock func() sim.Time) *N
 // The outer realm is where the NAT's public endpoints live: Attach rejects
 // a public IP that collides with a host already registered there (a
 // topology bug that would otherwise shadow the host from inbound routing),
-// and the sharded engine pins the whole inner chain to one site through
-// phys.Realm placement, so a NAT knows its owning timeline via the realms
-// it is attached between.
+// and phys pins the whole inner chain to one site (and so one shard)
+// through phys.Realm placement, so a NAT knows its owning timeline via the
+// realms it is attached between: only events of that shard call Outbound
+// and Inbound.
 func (n *NAT) Attach(inner, outer *phys.Realm) {
 	if outer.HasHost(n.publicIP) {
 		panic(fmt.Sprintf("natsim: NAT %s public IP %s collides with a host in outer realm %q",

@@ -18,9 +18,8 @@ type Host struct {
 	net   *Network
 	Site  *Site
 	realm *Realm
-	// shard/sim locate the host in a sharded network: all of the host's
-	// events run on shard's Simulator. In an unsharded network shard is 0
-	// and sim aliases net.Sim, so host code schedules uniformly.
+	// shard/sim locate the host in the network: all of the host's events
+	// run on shard's Simulator (shard 0, net.Sim, on a one-shard network).
 	sim   *sim.Simulator
 	shard int
 	ip    IP
@@ -35,10 +34,6 @@ type Host struct {
 	txBusyUntil  sim.Time // uplink serialization
 	cpuBusyUntil sim.Time // receive-path CPU serialization
 
-	// uid is the host's network-wide creation index (1-based): unique
-	// across all realms, unlike ip, which repeats behind every NAT. Sharded
-	// stream connection IDs are qualified by it.
-	uid uint32
 	// nextPorts is the next ephemeral port to try in each wire namespace
 	// (indexed by wireIndex); zero means the counter is at its start.
 	nextPorts [2]uint16
@@ -46,9 +41,6 @@ type Host struct {
 
 	Name      string
 	streamsSt *streamPeer
-	// nextConnID allocates host-scoped stream connection IDs in sharded
-	// networks (a network-global counter would race across shards).
-	nextConnID uint64
 }
 
 // sockSlot is one entry of a host's socket table. The key namespaces ports
@@ -97,14 +89,14 @@ func (h *Host) Realm() *Realm { return h.realm }
 // Network returns the owning network.
 func (h *Host) Network() *Network { return h.net }
 
-// Sim returns the simulator driving this host's events: the network's
-// shared clock, or the host's shard in a sharded network. Protocol stacks
+// Sim returns the simulator driving this host's events, its shard's: the
+// network's one clock when there is one shard. Protocol stacks
 // schedule all their timers through it, which is what keeps a node's
 // entire state machine on its own shard.
 func (h *Host) Sim() *sim.Simulator { return h.sim }
 
-// Shard reports the engine shard owning this host's events; 0 when the
-// network is unsharded.
+// Shard reports the shard owning this host's events; 0 on a one-shard
+// network.
 func (h *Host) Shard() int { return h.shard }
 
 // Up reports whether the host is powered on.

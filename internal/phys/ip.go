@@ -93,10 +93,10 @@ type Packet struct {
 	// packet so delivery events can be scheduled through sim.AtArg with
 	// package-level callbacks — no per-packet closure allocations.
 	dest *Host
-	// entry is the private realm a boundary-deferred packet descends into:
-	// set by the sharded send path when the destination hides behind a
-	// middlebox chain owned by another shard's timeline, consumed by
-	// deliverBoundary on that shard (cleared before delivery).
+	// entry is the private realm a deferred packet descends into: set by
+	// send when the destination hides behind a middlebox chain owned by
+	// another shard than the sender's, consumed by deliverBoundary on that
+	// shard (cleared before delivery).
 	entry *Realm
 	// nextFree links the Network's packet free list.
 	nextFree *Packet

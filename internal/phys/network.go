@@ -30,17 +30,16 @@ type Boundary interface {
 }
 
 // Site is a network location. Path characteristics between two hosts are
-// looked up by their sites' indices in the network's latency model. In a
-// sharded network every site (and so every host at it) belongs to one
-// shard of the parallel engine.
+// looked up by their sites' indices in the network's latency model. Every
+// site (and so every host at it) belongs to one shard of the network.
 type Site struct {
 	Name  string
 	Index int
 	shard int
 }
 
-// Shard reports which engine shard owns the site's events; always 0 in an
-// unsharded network.
+// Shard reports which shard owns the site's events; always 0 on a one-shard
+// network.
 func (s *Site) Shard() int { return s.shard }
 
 // PathModel describes the wide-area path between two sites.
@@ -60,13 +59,13 @@ type LatencyFunc func(a, b *Site) PathModel
 // network behind a Boundary. Hosts are registered in exactly one realm and
 // their IPs are unique within it.
 //
-// In a sharded network every private realm is shard-affine: the chain of
-// realms hanging off one top-level boundary is pinned to a single site (and
-// therefore a single engine shard) by the first AddHost anywhere in the
-// chain. The boundary middleboxes of the chain are then only ever invoked
-// on that shard's timeline — outbound translations run on the sender's
-// shard (the sender lives in the chain), inbound translations are deferred
-// to the owning shard (see deliverBoundary) — so NAT mapping tables, port
+// Every private realm is shard-affine: the chain of realms hanging off one
+// top-level boundary is pinned to a single site (and therefore a single
+// shard) by the first AddHost anywhere in the chain. The boundary
+// middleboxes of the chain are then only ever invoked on that shard's
+// timeline — outbound translations by a sender inside the chain, inbound
+// translations at send time by a sender on the owning shard and at arrival
+// (deliverBoundary) for a sender on any other — so NAT mapping tables, port
 // allocators and firewall pinhole tables stay single-threaded without
 // locks. The root realm is never pinned: its hosts run on their own sites'
 // shards and it holds no middlebox state of its own.
@@ -85,9 +84,8 @@ type Realm struct {
 	nhosts   int
 	children []childBoundary
 
-	// site/pinned are the sharded placement: set (with the whole chain) by
-	// the first AddHost behind this realm's top-level boundary. Unsharded
-	// networks never pin.
+	// site/pinned are the realm's placement: set (with the whole chain) by
+	// the first AddHost behind this realm's top-level boundary.
 	site   *Site
 	pinned bool
 }
@@ -115,25 +113,25 @@ func (r *Realm) host(ip IP) *Host {
 // or an address claimed by a nested boundary (e.g. the public endpoint of
 // a VMware NAT inside a firewalled campus network). Firewalls claim their
 // inner realm's whole coverage, since they filter but do not translate.
-func (r *Realm) Covers(ip IP) bool {
-	if r.HasHost(ip) {
-		return true
-	}
+func (r *Realm) Covers(ip IP) bool { return r.HasHost(ip) || r.claimant(ip) != nil }
+
+// claimant returns the child realm whose boundary claims ip, or nil. Claims
+// is read-only by contract, so any shard may ask any chain's boundaries.
+func (r *Realm) claimant(ip IP) *Realm {
 	for _, cb := range r.children {
 		if cb.b.Claims(ip) {
-			return true
+			return cb.inner
 		}
 	}
-	return false
+	return nil
 }
 
 // Hosts returns the number of hosts registered in the realm.
 func (r *Realm) Hosts() int { return r.nhosts }
 
-// Shard reports the engine shard owning this realm's middlebox timeline:
-// the pinned site's shard for a private realm in a sharded network, 0
-// otherwise (root realm, unsharded network, or a chain no host was ever
-// placed behind).
+// Shard reports the shard owning this realm's middlebox timeline: the
+// pinned site's shard for a private realm, 0 otherwise (root realm, or a
+// chain no host was ever placed behind).
 func (r *Realm) Shard() int {
 	if r.pinned {
 		return r.site.shard
@@ -141,8 +139,8 @@ func (r *Realm) Shard() int {
 	return 0
 }
 
-// Site returns the site a sharded private realm is pinned to, nil when the
-// realm is unpinned (root, unsharded, or empty chain).
+// Site returns the site a private realm is pinned to, nil when the realm is
+// unpinned (root, or empty chain).
 func (r *Realm) Site() *Site {
 	if r.pinned {
 		return r.site
@@ -181,13 +179,14 @@ func (r *Realm) NextIP() IP {
 }
 
 // Network is the simulated physical Internet: sites, realms, hosts and the
-// packet-delivery pipeline.
+// packet-delivery pipeline, over one or more shards. A shard is a simulator
+// with the counters, free list and connection-ID counter only its own events
+// touch; NewNetwork builds the one-shard case.
 type Network struct {
+	// Sim is shard 0's simulator: the clock of a one-shard network, and a
+	// clock between runs for code that needs no more than that.
 	Sim     *sim.Simulator
 	Latency LatencyFunc
-	// Stats counts delivery outcomes: delivered, lost.wire, lost.noroute,
-	// lost.boundary, lost.hostdown, lost.noport, lost.overload.
-	Stats metrics.Counter
 	// OnDrop, when set, observes every dropped packet with its loss
 	// reason; a diagnostics hook used by tests and experiment harnesses.
 	OnDrop func(reason string, p *Packet)
@@ -195,107 +194,86 @@ type Network struct {
 	// a single packet — adding loss or latency, or blackholing the packet
 	// outright (second return true; counted as lost.fault). It runs after
 	// routing and host-liveness checks, so the injector sees the actual
-	// delivering hosts. internal/faults installs this hook.
+	// delivering hosts; a packet deferred to another shard's chain (see
+	// resolve) has no delivering host yet and bypasses it.
+	// internal/faults installs this hook.
 	Perturb func(src, dst *Host, pm PathModel) (PathModel, bool)
 	// FlightRecorder, when set, receives a route terminal for every
 	// traced overlay packet the network drops (outcome "phys."+reason).
-	// The tracer must carry one buffer per engine shard (a single buffer
-	// for the unsharded network): drops emit into the executing shard's
-	// buffer, preserving the single-writer merge discipline.
+	// The tracer must carry one buffer per shard: drops emit into the
+	// executing shard's buffer, preserving the single-writer merge
+	// discipline.
 	FlightRecorder *trace.Tracer
 
-	sites      []*Site
-	root       *Realm
-	hosts      []*Host
-	nextConnID uint64
+	sites []*Site
+	root  *Realm
+	hosts []*Host
 
-	// engine is the parallel event engine of a sharded network; nil for
-	// the classic single-threaded network, where Sim drives everything.
+	// engine carries a packet from one shard's timeline to another's; send
+	// reaches for it only when two shard indices differ, which on a
+	// NewNetwork network (nil engine) they never do.
 	engine *sim.Sharded
-	// shStats holds the per-shard drop/delivery counters of a sharded
-	// network; nil when unsharded. statsSh/deliveredSh are always
-	// populated: in the unsharded case they have one entry aliasing Stats,
-	// so the hot paths index by shard unconditionally.
-	shStats     *metrics.Sharded
-	statsSh     []*metrics.Counter
+	sims   []*sim.Simulator
+	// stats holds the delivery outcomes, one counter per shard: delivered,
+	// lost.wire, lost.noroute, lost.boundary, lost.hostdown, lost.noport,
+	// lost.overload, lost.fault, boundary.in, boundary.out. TotalStats is the
+	// one reader. deliveredSh/boundInSh/boundOutSh are its pre-resolved
+	// cells (inbound translations count on the chain's owning shard,
+	// outbound ones on the sender's), so the hot paths pay no counter-map
+	// lookup.
+	stats       *metrics.Sharded
 	deliveredSh []metrics.Handle
+	boundInSh   []metrics.Handle
+	boundOutSh  []metrics.Handle
 	// freePktSh is the per-shard packet free list: shard-local acquire and
 	// release, so pooling stays lock-free under parallel execution.
 	freePktSh []*Packet
-	// boundInSh/boundOutSh are pre-resolved per-shard counters for boundary
-	// translations (inbound counted on the realm's owning shard, outbound on
-	// the sender's), so the NAT path doesn't pay a counter-map lookup per
-	// translation.
-	boundInSh  []metrics.Handle
-	boundOutSh []metrics.Handle
+	// dialed counts the stream connections dialed on each shard (allocConnID).
+	dialed []uint64
 }
 
-// NewNetwork creates a network with the given latency model. The root
-// (public) realm allocates IPs starting at 128.0.0.1.
+// NewNetwork creates a one-shard network on s with the given latency model.
+// The root (public) realm allocates IPs starting at 128.0.0.1.
 func NewNetwork(s *sim.Simulator, latency LatencyFunc) *Network {
-	n := &Network{
-		Sim:     s,
-		Latency: latency,
-		root:    &Realm{Name: "internet", base: MustParseIP("128.0.0.1")},
-	}
-	n.root.net = n
-	n.statsSh = []*metrics.Counter{&n.Stats}
-	n.deliveredSh = []metrics.Handle{n.Stats.Handle("delivered")}
-	n.boundInSh = []metrics.Handle{n.Stats.Handle("boundary.in")}
-	n.boundOutSh = []metrics.Handle{n.Stats.Handle("boundary.out")}
-	n.freePktSh = make([]*Packet, 1)
-	return n
+	return newNetwork([]*sim.Simulator{s}, nil, latency)
 }
 
-// NewShardedNetwork creates a network driven by a parallel sharded engine.
-// Sites are assigned to shards round-robin as they are added, hosts run on
-// their site's shard, and cross-shard packets travel through the engine's
-// deterministic lanes. Private realms are supported and shard-affine: a
-// middlebox chain is pinned to one site (and shard) by the first AddHost
-// behind it, every later host behind the same chain must live at that site,
-// and all NAT/firewall state is touched only on the owning shard's timeline
-// (outbound translation at send on the sender's shard, inbound translation
-// deferred to the realm's shard — see deliverBoundary). Stats must be read
-// through TotalStats() (per-shard counters merge on demand). Sim aliases
-// shard 0 for code that only needs a clock between runs.
+// NewShardedNetwork creates a network driven by a parallel sharded engine,
+// one network shard per engine shard. Sites are assigned to shards
+// round-robin as they are added, hosts run on their site's shard, and
+// cross-shard packets travel through the engine's deterministic lanes.
 func NewShardedNetwork(eng *sim.Sharded, latency LatencyFunc) *Network {
+	sims := make([]*sim.Simulator, eng.Shards())
+	for i := range sims {
+		sims[i] = eng.Shard(i)
+	}
+	return newNetwork(sims, eng, latency)
+}
+
+func newNetwork(sims []*sim.Simulator, eng *sim.Sharded, latency LatencyFunc) *Network {
 	n := &Network{
-		Sim:     eng.Shard(0),
+		Sim:     sims[0],
 		Latency: latency,
 		root:    &Realm{Name: "internet", base: MustParseIP("128.0.0.1")},
 		engine:  eng,
+		sims:    sims,
+		stats:   metrics.NewSharded(len(sims)),
 	}
 	n.root.net = n
-	k := eng.Shards()
-	n.shStats = metrics.NewSharded(k)
-	n.statsSh = make([]*metrics.Counter, k)
-	n.deliveredSh = n.shStats.Handles("delivered")
-	n.boundInSh = n.shStats.Handles("boundary.in")
-	n.boundOutSh = n.shStats.Handles("boundary.out")
-	for i := 0; i < k; i++ {
-		n.statsSh[i] = n.shStats.Shard(i)
-	}
-	n.freePktSh = make([]*Packet, k)
+	n.deliveredSh = n.stats.Handles("delivered")
+	n.boundInSh = n.stats.Handles("boundary.in")
+	n.boundOutSh = n.stats.Handles("boundary.out")
+	n.freePktSh = make([]*Packet, len(sims))
+	n.dialed = make([]uint64, len(sims))
 	return n
 }
 
-// Sharded reports whether the network runs on a parallel engine.
-func (n *Network) Sharded() bool { return n.engine != nil }
+// Shards reports how many shards the network runs on.
+func (n *Network) Shards() int { return len(n.sims) }
 
-// Engine returns the parallel engine of a sharded network (nil otherwise).
-func (n *Network) Engine() *sim.Sharded { return n.engine }
-
-// TotalStats returns the fleet-wide delivery/drop counters: a merged view
-// of the per-shard counters in a sharded network, or a copy of Stats in an
-// unsharded one. Call between runs only.
-func (n *Network) TotalStats() metrics.Counter {
-	if n.shStats != nil {
-		return n.shStats.Merged()
-	}
-	var c metrics.Counter
-	c.Merge(&n.Stats)
-	return c
-}
+// TotalStats returns the network-wide delivery/drop counters, merged over
+// the shards. Call between runs only.
+func (n *Network) TotalStats() metrics.Counter { return n.stats.Merged() }
 
 // CrossShardFloor computes the infimum of inter-shard one-way delivery
 // latency over all site pairs living on different shards: OneWay-Jitter
@@ -324,21 +302,18 @@ func (n *Network) CrossShardFloor() (sim.Duration, bool) {
 // Root returns the public Internet realm.
 func (n *Network) Root() *Realm { return n.root }
 
-// AddSite registers a new site. In a sharded network sites are spread
-// round-robin over the engine's shards.
+// AddSite registers a new site. Sites are spread round-robin over the
+// network's shards.
 func (n *Network) AddSite(name string) *Site {
-	s := &Site{Name: name, Index: len(n.sites)}
-	if n.engine != nil {
-		s.shard = s.Index % n.engine.Shards()
-	}
+	s := &Site{Name: name, Index: len(n.sites), shard: len(n.sites) % len(n.sims)}
 	n.sites = append(n.sites, s)
 	return s
 }
 
 // AddRealm creates a private realm behind boundary, attached under outer.
-// Hosts added to it allocate IPs from ipBase upward. In a sharded network
-// the new realm joins its outer chain's shard pin (if the chain is already
-// pinned); otherwise the first AddHost behind the chain pins it.
+// Hosts added to it allocate IPs from ipBase upward. The new realm joins its
+// outer chain's pin (if the chain is already pinned); otherwise the first
+// AddHost behind the chain pins it.
 func (n *Network) AddRealm(name string, outer *Realm, boundary Boundary, ipBase IP) *Realm {
 	r := &Realm{
 		Name:     name,
@@ -347,10 +322,7 @@ func (n *Network) AddRealm(name string, outer *Realm, boundary Boundary, ipBase 
 		boundary: boundary,
 		base:     ipBase,
 	}
-	if n.engine != nil && outer.pinned {
-		r.site = outer.site
-		r.pinned = true
-	}
+	r.site, r.pinned = outer.site, outer.pinned
 	outer.children = append(outer.children, childBoundary{b: boundary, inner: r})
 	boundary.Attach(r, outer)
 	return r
@@ -375,17 +347,17 @@ type HostConfig struct {
 }
 
 // AddHost creates a host at site in realm with an automatically allocated
-// address. In a sharded network the first host placed behind a middlebox
-// chain pins the whole chain to its site's shard; every later host behind
-// the same chain must use the same site (one middlebox fronts one network
-// location, and a single site keeps the chain's latency well-defined).
+// address. The first host placed behind a middlebox chain pins the whole
+// chain to its site's shard; every later host behind the same chain must use
+// the same site (one middlebox fronts one network location, and a single
+// site keeps the chain's latency well-defined).
 func (n *Network) AddHost(name string, site *Site, realm *Realm, cfg HostConfig) *Host {
-	if n.engine != nil && realm.parent != nil {
+	if realm.parent != nil {
 		switch {
 		case !realm.pinned:
 			realm.chainTop().pinChain(site)
 		case realm.site != site:
-			panic(fmt.Sprintf("phys: sharded realm %q is pinned to site %q (shard %d); host %q at site %q must share the chain's site",
+			panic(fmt.Sprintf("phys: realm %q is pinned to site %q (shard %d); host %q at site %q must share the chain's site",
 				realm.Name, realm.site.Name, realm.site.shard, name, site.Name))
 		}
 	}
@@ -401,86 +373,44 @@ func (n *Network) AddHost(name string, site *Site, realm *Realm, cfg HostConfig)
 		Name:  name,
 		Site:  site,
 		realm: realm,
-		uid:   uint32(len(n.hosts) + 1),
 		ip:    ip,
 		cfg:   cfg,
 		up:    true,
 		shard: site.shard,
-		sim:   n.Sim,
+		sim:   n.sims[site.shard],
 	}
 	h.socks = h.sockArr[:0]
-	if n.engine != nil {
-		h.sim = n.engine.Shard(site.shard)
-	}
 	realm.hosts[ip-realm.base] = h
 	realm.nhosts++
 	n.hosts = append(n.hosts, h)
 	return h
 }
 
-// route walks the packet from the sender's realm to a destination host,
-// applying boundary translations synchronously. It returns the destination
-// host, or nil with a loss-reason counter name. This is the classic
-// unsharded pipeline; sharded networks use routeSharded + deliverBoundary
-// so middlebox state is only touched on its owning shard.
-func (n *Network) route(now sim.Time, p *Packet, from *Realm) (*Host, string) {
-	realm := from
-	for hops := 0; hops < 64; hops++ {
-		if h := realm.host(p.Dst.IP); h != nil {
-			return h, ""
-		}
-		descended := false
-		for _, cb := range realm.children {
-			if cb.b.Claims(p.Dst.IP) {
-				if !cb.b.Inbound(now, p) {
-					return nil, "lost.boundary"
-				}
-				n.boundInSh[0].Inc(1)
-				realm = cb.inner
-				descended = true
-				break
-			}
-		}
-		if descended {
-			continue
-		}
-		if realm.parent == nil {
-			return nil, "lost.noroute"
-		}
-		if !realm.boundary.Outbound(now, p) {
-			return nil, "lost.boundary"
-		}
-		n.boundOutSh[0].Inc(1)
-		realm = realm.parent
-	}
-	return nil, "lost.noroute"
-}
-
-// routeSharded is the sender-shard half of the sharded routing pipeline.
-// It ascends the sender's own middlebox chain applying outbound
-// translations — legal on this shard, because the sender's chain is pinned
-// to the sender's site — and resolves the packet's target: either a host
-// directly visible at some ascent level (classic delivery), or the pinned
-// private realm whose boundary claims the destination address. In the
-// latter case no inbound state is touched here: the descent (and its NAT
-// table mutations) is deferred to the claiming realm's owning shard via
-// deliverBoundary. Claims is read-only by contract, so probing other
-// chains' boundaries from this shard is race-free.
-func (n *Network) routeSharded(now sim.Time, p *Packet, src *Host) (*Host, *Realm, string) {
-	realm := src.realm
-	for hops := 0; hops < 64; hops++ {
+// resolve is the sender's half of the packet pipeline, and on one shard all
+// of it. It ascends the sender's own middlebox chain applying outbound
+// translations — the sender lives in that chain, so they run on the chain's
+// owning shard — until some level sees the destination: a host there, or a
+// child boundary that claims the address. Who then consults the claiming
+// chain's middleboxes, and when, is a matter of ownership. A chain pinned to
+// the sender's shard is descended here, at send time, and resolve returns the
+// host the translations end at. A chain pinned to another shard is not
+// touched: resolve returns its top realm, and deliverBoundary descends it on
+// the owning shard when the packet arrives. A chain nobody was ever placed
+// behind has no owner and no possible receiver.
+func (n *Network) resolve(now sim.Time, p *Packet, src *Host) (*Host, *Realm, string) {
+	for realm := src.realm; ; realm = realm.parent {
 		if h := realm.host(p.Dst.IP); h != nil {
 			return h, nil, ""
 		}
-		for _, cb := range realm.children {
-			if cb.b.Claims(p.Dst.IP) {
-				if !cb.inner.pinned {
-					// No host was ever placed behind this boundary, so the
-					// chain has no owning shard — and no possible receiver.
-					return nil, nil, "lost.noroute"
-				}
-				return nil, cb.inner, ""
+		if entry := realm.claimant(p.Dst.IP); entry != nil {
+			switch {
+			case !entry.pinned:
+				return nil, nil, "lost.noroute"
+			case entry.site.shard != src.shard:
+				return nil, entry, ""
 			}
+			h, reason := n.descend(now, p, entry)
+			return h, nil, reason
 		}
 		if realm.parent == nil {
 			return nil, nil, "lost.noroute"
@@ -489,66 +419,55 @@ func (n *Network) routeSharded(now sim.Time, p *Packet, src *Host) (*Host, *Real
 			return nil, nil, "lost.boundary"
 		}
 		n.boundOutSh[src.shard].Inc(1)
-		realm = realm.parent
 	}
-	return nil, nil, "lost.noroute"
 }
 
-// deliverBoundary is the owning-shard half of the sharded pipeline: it runs
-// on the claiming realm's shard at the packet's arrival time. The descent —
-// boundary Inbound translations, nested chains included, down to the
-// resolved host's receive pipeline — executes entirely on this shard, so
-// every mutation of the chain's middlebox state is single-threaded. The
-// destination's liveness is therefore judged at arrival rather than at send
-// time, which only this path does (the host was not resolvable on the
-// sender's shard).
+// descend takes a packet through the boundary of realm entry and on down
+// the chain — inbound translations, nested boundaries included — to the host
+// they end at, or to a loss reason. It runs on the chain's owning shard and
+// nowhere else, so every mutation of the chain's middlebox state is
+// single-threaded: called by resolve when that shard is the sender's, by
+// deliverBoundary when it is not.
+func (n *Network) descend(now sim.Time, p *Packet, entry *Realm) (*Host, string) {
+	for realm := entry; realm != nil; realm = realm.claimant(p.Dst.IP) {
+		if !realm.boundary.Inbound(now, p) {
+			return nil, "lost.boundary"
+		}
+		n.boundInSh[entry.site.shard].Inc(1)
+		if h := realm.host(p.Dst.IP); h != nil {
+			return h, ""
+		}
+	}
+	return nil, "lost.noroute"
+}
+
+// deliverBoundary is the arrival of a packet whose claiming chain lives on
+// another shard than its sender: it runs on the chain's shard at the packet's
+// arrival time, descends the chain there and hands the packet to the resolved
+// host's receive pipeline, which judges the host's liveness then.
 func deliverBoundary(a any) {
 	p := a.(*Packet)
-	realm := p.entry
+	entry := p.entry
 	p.entry = nil
-	n := realm.net
-	sh := realm.site.shard
+	n, sh := entry.net, entry.site.shard
 	checkPacketLive(p, sh, "boundary")
-	now := n.engine.Shard(sh).Now()
-	if !realm.boundary.Inbound(now, p) {
-		n.drop(sh, "lost.boundary", p)
+	h, reason := n.descend(n.sims[sh].Now(), p, entry)
+	if reason != "" {
+		n.drop(sh, reason, p)
 		return
 	}
-	n.boundInSh[sh].Inc(1)
-	for hops := 0; hops < 64; hops++ {
-		if h := realm.host(p.Dst.IP); h != nil {
-			p.dest = h
-			h.receive(p)
-			return
-		}
-		descended := false
-		for _, cb := range realm.children {
-			if cb.b.Claims(p.Dst.IP) {
-				if !cb.b.Inbound(now, p) {
-					n.drop(sh, "lost.boundary", p)
-					return
-				}
-				n.boundInSh[sh].Inc(1)
-				realm = cb.inner
-				descended = true
-				break
-			}
-		}
-		if !descended {
-			n.drop(sh, "lost.noroute", p)
-			return
-		}
-	}
-	n.drop(sh, "lost.noroute", p)
+	p.dest = h
+	h.receive(p)
 }
 
 // send injects a packet from host src. It computes the delivery schedule
 // (transmission, propagation, destination CPU) and routes through
 // middleboxes. The final translated packet is handed to the destination
 // socket's receive callback. All state it touches — sender clock and RNG,
-// shard counters, packet pool — belongs to the sender's shard, except the
-// final delivery schedule, which crosses shards through the engine when
-// the destination lives elsewhere.
+// shard counters, packet pool, the middleboxes of chains the sender's shard
+// owns — belongs to the sender's shard, except the final delivery schedule,
+// which crosses shards through the engine when the destination lives
+// elsewhere.
 func (n *Network) send(src *Host, p *Packet) {
 	checkPacketLive(p, src.shard, "send")
 	now := src.sim.Now()
@@ -567,37 +486,36 @@ func (n *Network) send(src *Host, p *Packet) {
 		src.txBusyUntil = depart
 	}
 
-	var dst *Host
-	var entry *Realm
-	var reason string
-	if n.engine == nil {
-		dst, reason = n.route(now, p, src.realm)
-	} else {
-		dst, entry, reason = n.routeSharded(now, p, src)
-	}
+	dst, entry, reason := n.resolve(now, p, src)
 	if reason != "" {
 		n.drop(src.shard, reason, p)
 		return
 	}
-	dstSite := src.Site
+	// Where the packet lands: on the resolved host, or — deferred — on the
+	// boundary of the claiming chain, on the chain's shard. That chain is
+	// pinned to one site, so the wide-area path (and the cross-shard
+	// lookahead bound) is the site-to-site path even though the exact host
+	// resolves later.
+	var (
+		deliver = deliverPacket
+		dstSite *Site
+		to      int
+	)
 	if dst != nil {
 		if !dst.up {
 			n.drop(src.shard, "lost.hostdown", p)
 			return
 		}
-		dstSite = dst.Site
+		p.dest, dstSite, to = dst, dst.Site, dst.shard
 	} else {
-		// Boundary-deferred target: the chain is pinned to one site, so the
-		// wide-area path (and the cross-shard lookahead bound) is the
-		// site-to-site path even though the exact host resolves later.
-		dstSite = entry.site
+		p.entry, deliver, dstSite, to = entry, deliverBoundary, entry.site, entry.site.shard
 	}
 
 	pm := n.Latency(src.Site, dstSite)
 	if n.Perturb != nil && dst != nil {
-		// Fault injection sees resolved host pairs only; boundary-deferred
-		// packets (sharded NAT descents) bypass the hook — the destination
-		// host is unknown until the owning shard translates.
+		// Fault injection sees resolved host pairs: every packet but one
+		// deferred to another shard's chain, whose destination host is
+		// unknown until that shard translates. Those bypass the hook.
 		var blackhole bool
 		pm, blackhole = n.Perturb(src, dst, pm)
 		if blackhole {
@@ -618,33 +536,17 @@ func (n *Network) send(src *Host, p *Packet) {
 	}
 
 	arrive := depart.Add(prop)
-	if dst != nil {
-		p.dest = dst
-		if dst.shard == src.shard {
-			src.sim.AtArg(arrive, deliverPacket, p)
-			return
-		}
-		// Cross-shard delivery: ownership of the packet transfers to the
-		// destination shard, and the engine's lane merge guarantees the
-		// destination sees it in deterministic timestamp order. The engine
-		// panics if arrive violates the lookahead (latency floor too small).
-		packetCrossShard(p, dst.shard)
-		n.engine.Send(src.shard, dst.shard, arrive, deliverPacket, p)
+	if to == src.shard {
+		src.sim.AtArg(arrive, deliver, p)
 		return
 	}
-	// Boundary-deferred delivery: the packet arrives at the claiming
-	// realm's boundary on that realm's shard, where the inbound descent
-	// translates and resolves the final host (deliverBoundary). The owner
-	// re-stamp mirrors the direct cross-shard case — the pool's
-	// single-owner rule holds across the realm boundary too.
-	p.entry = entry
-	sh := entry.site.shard
-	if sh == src.shard {
-		src.sim.AtArg(arrive, deliverBoundary, p)
-		return
-	}
-	packetCrossShard(p, sh)
-	n.engine.Send(src.shard, sh, arrive, deliverBoundary, p)
+	// Cross-shard delivery: ownership of the packet transfers to the
+	// destination shard — the host's, or the claiming chain's — and the
+	// engine's lane merge guarantees that shard sees it in deterministic
+	// timestamp order. The engine panics if arrive violates the lookahead
+	// (latency floor too small).
+	packetCrossShard(p, to)
+	n.engine.Send(src.shard, to, arrive, deliver, p)
 }
 
 // deliverPacket is the propagation-done callback: package-level so AtArg
@@ -661,7 +563,7 @@ func deliverPacket(a any) {
 // delivered OnRecv call. sh is the shard the drop executes on (sender's
 // shard for wire/route losses, destination's for host-side losses).
 func (n *Network) drop(sh int, reason string, p *Packet) {
-	n.statsSh[sh].Inc(reason, 1)
+	n.stats.Shard(sh).Inc(reason, 1)
 	n.flightDiscard(sh, reason, p.Payload)
 	if n.OnDrop != nil {
 		n.OnDrop(reason, p)
@@ -704,20 +606,16 @@ func (n *Network) flightDiscard(sh int, reason string, payload any) {
 	}
 }
 
-// allocConnID issues a stream connection ID. The classic network keeps
-// the historical global counter (IDs are stable for golden traces); a
-// sharded network derives IDs from the dialing host's network-wide uid and
-// a host-local counter, which is shard-safe (no global counter to race on)
-// and realm-proof: private-realm hosts reuse the same RFC1918 addresses
-// behind every NAT, so an IP-derived ID would collide across realms, but
-// the uid is unique over the whole network regardless of realm.
+// allocConnID issues a stream connection ID: the dialing host's shard in the
+// high bits over that shard's own counter, so no two shards race on a
+// counter and no two dials share an ID. Listeners demultiplex streams by
+// connection ID alone, and private-realm hosts reuse the same RFC1918
+// addresses behind every NAT, so nothing derived from the dialer's address
+// would do. On shard 0 — all of a one-shard network — the IDs are the plain
+// sequence 1, 2, 3, …
 func (n *Network) allocConnID(h *Host) uint64 {
-	if n.engine == nil {
-		n.nextConnID++
-		return n.nextConnID
-	}
-	h.nextConnID++
-	return uint64(h.uid)<<32 | (h.nextConnID & 0xffffffff)
+	n.dialed[h.shard]++
+	return uint64(h.shard)<<48 | n.dialed[h.shard]
 }
 
 // AllHosts returns every host in creation order.

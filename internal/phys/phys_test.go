@@ -13,6 +13,17 @@ func lanWan() LatencyFunc {
 	)
 }
 
+// stat reads one of the network's delivery counters, merged over its shards.
+func stat(n *Network, name string) int64 {
+	total := n.TotalStats()
+	return total.Get(name)
+}
+
+func statsString(n *Network) string {
+	total := n.TotalStats()
+	return total.String()
+}
+
 func TestParseIP(t *testing.T) {
 	ip, err := ParseIP("10.1.2.3")
 	if err != nil {
@@ -129,8 +140,8 @@ func TestUnroutableCounted(t *testing.T) {
 	s1, _ := h1.Listen(0)
 	s1.Send(Endpoint{IP: MustParseIP("9.9.9.9"), Port: 1}, 10, nil)
 	s.Run()
-	if net.Stats.Get("lost.noroute") != 1 {
-		t.Fatalf("stats = %v", net.Stats.String())
+	if stat(net, "lost.noroute") != 1 {
+		t.Fatalf("stats = %v", statsString(net))
 	}
 }
 
@@ -143,8 +154,8 @@ func TestClosedPortCounted(t *testing.T) {
 	s1, _ := h1.Listen(0)
 	s1.Send(Endpoint{IP: h2.IP(), Port: 99}, 10, nil)
 	s.Run()
-	if net.Stats.Get("lost.noport") != 1 {
-		t.Fatalf("stats = %v", net.Stats.String())
+	if stat(net, "lost.noport") != 1 {
+		t.Fatalf("stats = %v", statsString(net))
 	}
 }
 
@@ -165,8 +176,8 @@ func TestHostDownDropsAndRecovers(t *testing.T) {
 	}
 	s1.Send(Endpoint{IP: h2.IP(), Port: 1}, 10, nil)
 	s.Run()
-	if n != 0 || net.Stats.Get("lost.hostdown") != 1 {
-		t.Fatalf("down host received packet; stats=%v", net.Stats.String())
+	if n != 0 || stat(net, "lost.hostdown") != 1 {
+		t.Fatalf("down host received packet; stats=%v", statsString(net))
 	}
 
 	h2.SetUp(true)
@@ -285,8 +296,8 @@ func TestServiceTimeAndOverload(t *testing.T) {
 	if n != 3 {
 		t.Fatalf("processed %d packets, want 3 (rest overload-dropped)", n)
 	}
-	if net.Stats.Get("lost.overload") != 7 {
-		t.Fatalf("stats = %v", net.Stats.String())
+	if stat(net, "lost.overload") != 7 {
+		t.Fatalf("stats = %v", statsString(net))
 	}
 }
 
@@ -325,8 +336,8 @@ func TestWireLoss(t *testing.T) {
 	if n < 400 || n > 600 {
 		t.Fatalf("with 50%% loss, delivered %d of 1000", n)
 	}
-	if net.Stats.Get("lost.wire")+int64(n) != 1000 {
-		t.Fatalf("loss accounting: delivered=%d stats=%v", n, net.Stats.String())
+	if stat(net, "lost.wire")+int64(n) != 1000 {
+		t.Fatalf("loss accounting: delivered=%d stats=%v", n, statsString(net))
 	}
 }
 

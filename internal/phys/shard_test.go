@@ -1,6 +1,7 @@
 package phys
 
 import (
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -239,8 +240,11 @@ func TestShardedUnpinnedRealmUnroutable(t *testing.T) {
 // TestShardedConnIDsUniqueAcrossRealms: hosts in different private realms
 // reuse the same RFC1918 addresses, and the listener side demultiplexes
 // streams by connection ID alone — so IDs derived from the dialer's IP
-// would collide and hijack each other's streams. The sharded allocator
-// derives IDs from the network-wide host uid instead.
+// would collide and hijack each other's streams. The allocator counts per
+// shard under the shard's index: dialers on one shard and on two all differ,
+// and shard 0 — all of a one-shard network — counts 1, 2, 3, … (a streamSyn
+// with so small an ID boxes without allocating, and the golden traces were
+// pinned on that sequence).
 func TestShardedConnIDsUniqueAcrossRealms(t *testing.T) {
 	eng := sim.NewSharded(11, 2, 2)
 	defer eng.Close()
@@ -251,64 +255,85 @@ func TestShardedConnIDsUniqueAcrossRealms(t *testing.T) {
 	pubSite := net.AddSite("pub") // shard 0
 	lanSite1 := net.AddSite("l1") // shard 1
 	lanSite2 := net.AddSite("l2") // shard 0
+	lanSite3 := net.AddSite("l3") // shard 1
 	floor, _ := net.CrossShardFloor()
 	eng.SetLookahead(floor)
 
 	pub := net.AddHost("pub", pubSite, net.Root(), HostConfig{})
-	natA := &fakeNAT{public: net.Root().NextIP()}
-	natB := &fakeNAT{public: net.Root().NextIP()}
-	lanA := net.AddRealm("lanA", net.Root(), natA, MustParseIP("10.0.0.1"))
-	lanB := net.AddRealm("lanB", net.Root(), natB, MustParseIP("10.0.0.1"))
-	a := net.AddHost("a", lanSite1, lanA, HostConfig{})
-	b := net.AddHost("b", lanSite2, lanB, HostConfig{})
-	if a.IP() != b.IP() {
-		t.Fatalf("want colliding private IPs, got %v vs %v", a.IP(), b.IP())
+	var dialers []*Host
+	for i, site := range []*Site{lanSite1, lanSite2, lanSite3} {
+		nat := &fakeNAT{public: net.Root().NextIP()}
+		lan := net.AddRealm(fmt.Sprintf("lan%d", i), net.Root(), nat, MustParseIP("10.0.0.1"))
+		dialers = append(dialers, net.AddHost(fmt.Sprintf("h%d", i), site, lan, HostConfig{}))
+	}
+	if a, b, c := dialers[0], dialers[1], dialers[2]; a.IP() != b.IP() || a.IP() != c.IP() || a.Shard() != c.Shard() || a.Shard() == b.Shard() {
+		t.Fatalf("want colliding private IPs, two dialers on one shard and one on the other; got %v/%d %v/%d %v/%d",
+			a.IP(), a.Shard(), b.IP(), b.Shard(), c.IP(), c.Shard())
 	}
 
-	var ids []uint64
+	ids := map[uint64]bool{}
 	msgs := 0
 	pub.ListenStream(7000, func(st *Stream) {
-		ids = append(ids, st.connID)
+		ids[st.connID] = true
 		st.OnMessage(func(size int, payload any) { msgs++ })
 	})
-	eng.Shard(a.Shard()).At(0, func() {
-		a.DialStream(Endpoint{IP: pub.IP(), Port: 7000}).SendMsg(64, "from-a")
-	})
-	eng.Shard(b.Shard()).At(0, func() {
-		b.DialStream(Endpoint{IP: pub.IP(), Port: 7000}).SendMsg(64, "from-b")
-	})
-	eng.RunUntil(sim.Time(10 * sim.Second))
-	if len(ids) != 2 || msgs != 2 {
-		t.Fatalf("accepted %d streams, delivered %d messages, want 2/2", len(ids), msgs)
+	for _, h := range dialers {
+		h := h
+		h.Sim().At(0, func() { h.DialStream(Endpoint{IP: pub.IP(), Port: 7000}).SendMsg(64, "from-"+h.Name) })
 	}
-	if ids[0] == ids[1] {
-		t.Fatalf("conn IDs collide across realms: %#x", ids[0])
+	eng.RunUntil(sim.Time(10 * sim.Second))
+	if len(ids) != 3 || msgs != 3 {
+		t.Fatalf("accepted %d distinct conn IDs (%v), delivered %d messages, want 3/3", len(ids), ids, msgs)
+	}
+
+	s := sim.New(1)
+	serial := NewNetwork(s, UniformLatency(PathModel{}, PathModel{}))
+	h := serial.AddHost("h", serial.AddSite("x"), serial.Root(), HostConfig{})
+	for want := uint64(1); want <= 3; want++ {
+		if got := h.DialStream(Endpoint{IP: h.IP(), Port: 9}).connID; got != want {
+			t.Fatalf("dial %d on a one-shard network got conn ID %#x", want, got)
+		}
 	}
 }
 
-// TestUnshardedStatsUnchanged: the classic network still exposes Stats
-// directly and TotalStats mirrors it.
+// TestUnshardedStatsUnchanged: TotalStats is the one reader of a network's
+// counters, and on a serial network it sees every live one — the cells the
+// hot paths hold handles to (delivered, boundary.in, boundary.out) and the
+// ones a drop finds by name.
 func TestUnshardedStatsUnchanged(t *testing.T) {
 	s := sim.New(1)
 	net := NewNetwork(s, UniformLatency(PathModel{}, PathModel{}))
 	site := net.AddSite("x")
 	a := net.AddHost("a", site, net.Root(), HostConfig{})
 	b := net.AddHost("b", site, net.Root(), HostConfig{})
+	down := net.AddHost("down", site, net.Root(), HostConfig{})
+	down.SetUp(false)
+	nat := &fakeNAT{public: net.Root().NextIP()}
+	lan := net.AddRealm("lan", net.Root(), nat, MustParseIP("10.0.0.1"))
+	in := net.AddHost("in", site, lan, HostConfig{})
+	net.Perturb = func(src, dst *Host, pm PathModel) (PathModel, bool) {
+		if dst == b && src == in {
+			pm.Loss = 1
+		}
+		return pm, src == b && dst == a
+	}
+
 	bs, _ := b.Listen(7)
-	got := 0
-	bs.OnRecv = func(p *Packet) { got++ }
-	as, _ := a.Listen(0)
-	as.Send(Endpoint{IP: b.IP(), Port: 7}, 8, "x")
+	bs.OnRecv = func(p *Packet) { bs.Send(p.Src, 8, "echo") }
+	as, _ := a.Listen(8)
+	is, _ := in.Listen(8)
+	as.Send(Endpoint{IP: b.IP(), Port: 7}, 8, "delivered; the echo is blackholed")
+	as.Send(Endpoint{IP: b.IP(), Port: 9}, 8, "no such port")
+	as.Send(Endpoint{IP: down.IP(), Port: 7}, 8, "host down")
+	as.Send(Endpoint{IP: b.IP() + 100, Port: 7}, 8, "no route")
+	as.Send(Endpoint{IP: nat.public, Port: 1}, 8, "no mapping")
+	is.Send(Endpoint{IP: b.IP(), Port: 7}, 8, "translated, then lost on the wire")
+	is.Send(Endpoint{IP: a.IP(), Port: 8}, 8, "translated and delivered")
+	as.Send(Endpoint{IP: nat.public, Port: 2000}, 8, "translated back in")
 	s.Run()
-	if got != 1 {
-		t.Fatal("not delivered")
-	}
-	if net.Stats.Get("delivered") != 1 {
-		t.Fatalf("Stats.delivered = %d", net.Stats.Get("delivered"))
-	}
-	total := net.TotalStats()
-	if total.Get("delivered") != 1 {
-		t.Fatalf("TotalStats.delivered = %d", total.Get("delivered"))
+	const want = "boundary.in=1 boundary.out=2 delivered=3 lost.boundary=1 lost.fault=1 lost.hostdown=1 lost.noport=1 lost.noroute=1 lost.wire=1"
+	if got := statsString(net); got != want {
+		t.Fatalf("TotalStats = %q\nwant        %q", got, want)
 	}
 }
 
@@ -330,7 +355,7 @@ func TestTotalStatsConcurrentShardWrites(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < perShard; j++ {
 				net.deliveredSh[i].Inc(1)
-				net.statsSh[i].Inc("lost.wire", 1)
+				net.stats.Shard(i).Inc("lost.wire", 1)
 			}
 		}()
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -149,7 +150,7 @@ func TestQuickSockTable(t *testing.T) {
 					delete(closers, key)
 				}
 			case 6: // a datagram to every numbered port: delivered iff bound
-				before := net.Stats.Get("lost.noport")
+				before := stat(net, "lost.noport")
 				want := int64(0)
 				for _, p := range ports {
 					from.Send(Endpoint{IP: h.IP(), Port: p}, 10, nil)
@@ -169,21 +170,21 @@ func TestQuickSockTable(t *testing.T) {
 						return fail(step, op, "port %d bound=%v received %d datagrams", p, held, got)
 					}
 				}
-				if lost := net.Stats.Get("lost.noport") - before; lost != want {
+				if lost := stat(net, "lost.noport") - before; lost != want {
 					return fail(step, op, "lost.noport grew by %d, want %d", lost, want)
 				}
 			case 7: // a datagram in flight to a port that closes meanwhile
 				key := sockKey(WireUDP, port)
 				if _, held := oracle[key]; held {
-					before, had := net.Stats.Get("lost.noport"), recv[key]
+					before, had := stat(net, "lost.noport"), recv[key]
 					from.Send(Endpoint{IP: h.IP(), Port: port}, 10, nil)
 					closers[key]()
 					delete(oracle, key)
 					delete(closers, key)
 					s.RunFor(sim.Millisecond)
-					if recv[key] != had || net.Stats.Get("lost.noport") != before+1 {
+					if recv[key] != had || stat(net, "lost.noport") != before+1 {
 						return fail(step, op, "in flight to closed port %d: delivered %d, lost.noport +%d",
-							port, recv[key]-had, net.Stats.Get("lost.noport")-before)
+							port, recv[key]-had, stat(net, "lost.noport")-before)
 					}
 				} else if op>>28 == 0 { // rarely: park both counters just under the top
 					next[WireUDP], next[WireTCP] = 65534, 65534
@@ -291,19 +292,94 @@ func TestHostDirectoryHolesAndBounds(t *testing.T) {
 	if lan.HasHost(MustParseIP("10.0.0.9")) || lan.HasHost(h1.IP()) || root.HasHost(in1.IP()) {
 		t.Fatal("an address below a realm's base, or of another realm, resolved")
 	}
+}
 
-	// And the directory routes: two levels of NAT out, the reply back in.
-	echo, _ := h2.Listen(7)
-	echo.OnRecv = func(p *Packet) { echo.Send(p.Src, 10, "pong") }
-	sock, _ := deep.Listen(0)
-	got := 0
-	sock.OnRecv = func(*Packet) { got++ }
-	sock.Send(Endpoint{IP: h2.IP(), Port: 7}, 10, "ping")
-	sock.Send(Endpoint{IP: pub, Port: 1}, 10, "to the hole") // claimed, no mapping
-	sock.Send(Endpoint{IP: base + 100, Port: 7}, 10, "past the top")
-	s.Run()
-	if got != 1 || net.Stats.Get("lost.boundary") != 1 || net.Stats.Get("lost.noroute") != 1 {
-		t.Fatalf("echo through two NATs: %d replies; stats %s", got, net.Stats.String())
+// One descent, two callers. The directory routes — two levels of NAT out, the
+// reply back in — and the echo through the two nested NATs ends in the same
+// translated addresses, the same translation counts and the same loss reasons
+// for an unmapped port and an address past the top whether the claiming chain is descended at send time
+// by the echo server's own shard (a one-shard network on either constructor,
+// or a chain pinned to the server's shard of two) or at arrival by the shard
+// that owns it (deliverBoundary). The NATs keep their tables in maps and the
+// two-shard engines run two workers, so under -race a middlebox consulted off
+// its owning shard is a reported race.
+func TestNestedChainDescentInlineAndDeferred(t *testing.T) {
+	type outcome struct {
+		atPub, deepSrc, deepDst Endpoint
+		replies                 int
+		stats                   string
+	}
+	run := func(t *testing.T, shards int, chainSite string) outcome {
+		var net *Network
+		var runAll func()
+		if shards == 0 {
+			s := sim.New(1)
+			net, runAll = NewNetwork(s, lanWan()), s.Run
+		} else {
+			eng := sim.NewSharded(1, shards, shards)
+			defer eng.Close()
+			eng.SetLookahead(20 * sim.Millisecond) // lanWan's floor between sites
+			net, runAll = NewShardedNetwork(eng, lanWan()), func() { eng.RunUntil(sim.Time(sim.Second)) }
+		}
+		// Of two shards, "pub" and "near" land on shard 0 and "far" on shard 1;
+		// every pair of sites is the same 20 ms apart.
+		sites := map[string]*Site{}
+		for _, name := range []string{"pub", "far", "near"} {
+			sites[name] = net.AddSite(name)
+		}
+		root := net.Root()
+		pub := net.AddHost("pub", sites["pub"], root, HostConfig{})
+		outer := &fakeNAT{public: root.NextIP()}
+		lan := net.AddRealm("lan", root, outer, MustParseIP("10.0.0.10"))
+		inner := &fakeNAT{public: lan.NextIP()}
+		nested := net.AddRealm("nested", lan, inner, MustParseIP("192.168.0.10"))
+		deep := net.AddHost("deep", sites[chainSite], nested, HostConfig{})
+		if inline := shards < 2 || chainSite == "near"; (lan.Shard() == pub.Shard()) != inline {
+			t.Fatalf("chain on shard %d, server on shard %d: wrong leg", lan.Shard(), pub.Shard())
+		}
+
+		var out outcome
+		echo, _ := pub.Listen(7)
+		echo.OnRecv = func(p *Packet) {
+			out.atPub = p.Src
+			echo.Send(p.Src, 10, "pong")
+			echo.Send(Endpoint{IP: outer.public, Port: 1}, 10, "unmapped")
+		}
+		sock, _ := deep.Listen(5000)
+		sock.OnRecv = func(p *Packet) {
+			out.replies++
+			out.deepSrc, out.deepDst = p.Src, p.Dst
+		}
+		deep.Sim().At(0, func() {
+			sock.Send(Endpoint{IP: pub.IP(), Port: 7}, 10, "ping")
+			sock.Send(Endpoint{IP: pub.IP() + 100, Port: 7}, 10, "past the top")
+		})
+		runAll()
+		out.stats = statsString(net)
+		return out
+	}
+	want := run(t, 0, "far")
+	if want.replies != 1 || want.deepDst != (Endpoint{IP: MustParseIP("192.168.0.10"), Port: 5000}) ||
+		want.deepSrc.Port != 7 || want.atPub.Port != 2000 {
+		t.Fatalf("serial echo through two NATs: %+v", want)
+	}
+	for _, name := range []string{"boundary.out=4", "boundary.in=2", "lost.boundary=1", "lost.noroute=1", "delivered=2"} {
+		if !strings.Contains(want.stats, name) {
+			t.Fatalf("serial stats %q lack %s", want.stats, name)
+		}
+	}
+	for _, tc := range []struct {
+		name      string
+		shards    int
+		chainSite string
+	}{
+		{"one shard, inline", 1, "far"},
+		{"two shards, chain on the server's: inline", 2, "near"},
+		{"two shards, chain on the other: deferred", 2, "far"},
+	} {
+		if got := run(t, tc.shards, tc.chainSite); got != want {
+			t.Errorf("%s:\n got %+v\nwant %+v", tc.name, got, want)
+		}
 	}
 }
 
@@ -424,9 +500,9 @@ func TestAllocFreeDrop(t *testing.T) {
 			s.Run()
 		}
 		send() // warm-up: packet pool, event pool, the counter's map entry
-		before := net.Stats.Get(tc.stat)
+		before := stat(net, tc.stat)
 		avg := testing.AllocsPerRun(200, send)
-		if lost := net.Stats.Get(tc.stat) - before; lost != 201 {
+		if lost := stat(net, tc.stat) - before; lost != 201 {
 			t.Fatalf("%s: %s grew by %d over 201 sends; measurement would be vacuous", tc.name, tc.stat, lost)
 		}
 		if avg != pool {
