@@ -367,22 +367,20 @@ func (n *Node) sendConn(c *Connection, size int, payload any) {
 	n.sendDirect(c.EP, size, payload)
 }
 
-// unpool takes a pooled packet, link message or frame out of the pools' hands
-// before a stream carries it: the stream's retransmission buffer keeps the
-// pointer until the peer's ACK arrives, which can be after the far end has
-// released the object, and reads its trace context if the stream is torn down
-// first (phys.Stream.flightDiscardBuffers). A recycled object would then
-// speak for another packet, so one that has been on a stream is never
-// recycled: its release leaves it, a frame blank, to the garbage collector.
+// unpool takes a pooled message — packet, link message, ping or frame, and a
+// frame's Inner — out of the pools' hands before a stream carries it: the
+// stream's retransmission buffer keeps the pointer until the peer's ACK
+// arrives, which can be after the far end has released the object, and reads
+// its trace context if the stream is torn down first
+// (phys.Stream.flightDiscardBuffers). A recycled object would then speak for
+// another packet, so one that has been on a stream is never recycled: its
+// release leaves it, a frame blank, to the garbage collector.
 func unpool(payload any) {
-	switch m := payload.(type) {
-	case *OverlayPacket:
+	if m, ok := payload.(interface{ Unpool() }); ok {
 		m.Unpool()
-	case *linkMsg:
-		m.Unpool()
-	case *tunnelFrame:
-		m.Unpool()
-		unpool(m.Inner)
+	}
+	if f, ok := payload.(*tunnelFrame); ok {
+		unpool(f.Inner)
 	}
 }
 
@@ -565,7 +563,7 @@ func pingTimeoutFired(arg any) {
 // sendPing transmits one keepalive ping carrying the connection's
 // outstanding seq.
 func (n *Node) sendPing(c *Connection) {
-	m := n.acquirePing()
+	m := n.pool.pings.Get()
 	m.From, m.Seq = n.addr, c.awaiting
 	n.sendConn(c, pingMsgSize, m)
 }

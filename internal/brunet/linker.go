@@ -291,7 +291,7 @@ func (lk *linker) finish(ok bool) {
 // deterministic tie-break converges to the same single-winner outcome
 // without the restart round-trips.)
 func (n *Node) handleLinkRequest(w wire, req *linkMsg) {
-	req.Live("handleLinkRequest")
+	req.Live(n.sim, "handleLinkRequest")
 	src := w.observed()
 	if req.To != n.addr && !req.To.IsZero() {
 		// NAT rebinding or stale URI delivered this to the wrong

@@ -105,13 +105,14 @@ type linkError struct {
 }
 
 // pingMsg keeps an idle connection alive (§IV-B); unresponded pings mark
-// the connection dead. The responder answers by flipping the very message
-// it received into a pong (Pong set, From and Load rewritten, Seq echoed)
-// and sending it back, where the pinging node returns it to its free list
-// (Node.acquirePing/releasePing) — so a keepalive round allocates nothing
-// and a node's list never holds more messages than it sent. This relies on
-// the network delivering a payload at most once and on no handler keeping
-// a reference; a message lost in transit is simply garbage.
+// the connection dead. The pinging node takes the message from its shard's
+// list (shardPool); the responder answers by flipping the very message it
+// received into a pong (Pong set, From and Load rewritten, Seq echoed) and
+// sending it back, where the pinging node puts it on its shard's list again
+// (handleWire) — so a keepalive round allocates nothing and leaves the list
+// where it found it. This relies on the network delivering a payload at most
+// once and on no handler keeping a reference; a message lost in transit is
+// simply garbage, and so is one a phys.Stream has carried (unpool).
 type pingMsg struct {
 	From Addr
 	Seq  uint64
@@ -120,9 +121,9 @@ type pingMsg struct {
 	// keepalive round refreshes the liveness estimator's RTT sample and
 	// the relay scorer's load view at once.
 	Pong bool
+	// Pooled sits in the padding after Pong.
+	sim.Pooled
 	Load int
-
-	nextFree *pingMsg
 }
 
 // closeMsg announces graceful connection teardown.
@@ -223,6 +224,16 @@ type OverlayPacket struct {
 // (trace.Traced); id zero means untraced.
 func (p *OverlayPacket) TraceContext() (uint64, sim.Time) { return p.Trace, p.TraceStart }
 
+// Carries is the application data's own payload (a vip.Packet under IPOP),
+// which a cross-shard hand-off (sim.HandOff) follows; a CTM carries nothing
+// pooled.
+func (p *OverlayPacket) Carries() any {
+	if d, ok := p.Payload.(*AppData); ok {
+		return d.Data
+	}
+	return nil
+}
+
 // ClearTrace consumes the trace context after a terminal record. The
 // physical layer calls it through trace.Cleared so a packet object shared
 // between a transport retransmit buffer and the wire can never produce two
@@ -308,6 +319,10 @@ type tunnelFrame struct {
 	Observed URIEndpoint
 	Inner    any
 }
+
+// Carries is the wrapped message, which a cross-shard hand-off
+// (sim.HandOff) follows.
+func (f *tunnelFrame) Carries() any { return f.Inner }
 
 // TraceContext delegates to the wrapped message: dropping a tunnel frame
 // in flight terminates the traced overlay packet inside it.

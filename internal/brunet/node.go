@@ -329,16 +329,14 @@ type Node struct {
 	statDropped  [len(dropReasons)]metrics.Handle
 
 	// pool is the free lists of the shard this node's host lives on (see
-	// shardPool): every overlay packet, tunnel frame and link message the
-	// node sends comes from there, and whichever node ends one's life puts
-	// it on its own shard's.
+	// shardPool): every overlay packet, tunnel frame, link message and ping
+	// the node sends comes from there, and whichever node ends one's life
+	// puts it on its own shard's.
 	pool *shardPool
-	// freePing heads the free list of keepalive messages (see pingMsg).
-	freePing *pingMsg
 }
 
-// shardPool holds one shard's free lists of overlay packets, tunnel frames
-// and link messages (DESIGN.md §6, "Who owns a packet"). Every node of the
+// shardPool holds one shard's free lists of overlay packets, tunnel frames,
+// link messages and pings (DESIGN.md §6, "Who owns a packet"). Every node of the
 // shard shares it and only the shard's goroutine touches it, so it needs no
 // lock; NewNode finds it on the shard's Simulator (sim.Simulator.Local). What
 // one node releases the next sender on the shard takes, so traffic that stays
@@ -346,12 +344,13 @@ type Node struct {
 // whichever way it runs. Objects that cross shards are not so bounded: a list
 // holds the largest excess of releases over acquires its shard has ever seen,
 // and only an exchange whose answer is taken from the list its request is
-// released on — a CTM and its reply, a link request and its reply — leaves
-// every shard it touches where it found it.
+// released on — a CTM and its reply, a link request and its reply, a ping and
+// its pong — leaves every shard it touches where it found it.
 type shardPool struct {
 	pkts   sim.FreeList[OverlayPacket, *OverlayPacket]
 	frames sim.FreeList[tunnelFrame, *tunnelFrame]
 	links  sim.FreeList[linkMsg, *linkMsg]
+	pings  sim.FreeList[pingMsg, *pingMsg]
 }
 
 // shardPoolKey is the pool's key among its Simulator's locals.
@@ -361,31 +360,14 @@ type shardPoolKey struct{}
 // pointed at its message.
 const poisonPayload = "brunet: use of released pooled object"
 
-func newShardPool() any {
+func newShardPool(s *sim.Simulator) any {
 	return &shardPool{
-		pkts: sim.NewFreeList[OverlayPacket]("overlay packet",
+		pkts: sim.NewFreeList[OverlayPacket](s, "overlay packet",
 			OverlayPacket{Size: -1, Hops: -1, MaxHops: -1, Payload: poisonPayload}),
-		frames: sim.NewFreeList[tunnelFrame]("tunnel frame", tunnelFrame{Size: -1, Inner: poisonPayload}),
-		links:  sim.NewFreeList[linkMsg]("link message", linkMsg{Type: -1, Seq: -1}),
+		frames: sim.NewFreeList[tunnelFrame](s, "tunnel frame", tunnelFrame{Size: -1, Inner: poisonPayload}),
+		links:  sim.NewFreeList[linkMsg](s, "link message", linkMsg{Type: -1, Seq: -1}),
+		pings:  sim.NewFreeList[pingMsg](s, "ping", pingMsg{Load: -1}),
 	}
-}
-
-// acquirePing takes a blank keepalive message from the free list, or
-// allocates one.
-func (n *Node) acquirePing() *pingMsg {
-	m := n.freePing
-	if m == nil {
-		return &pingMsg{}
-	}
-	n.freePing = m.nextFree
-	*m = pingMsg{}
-	return m
-}
-
-// releasePing retires a keepalive message that has come home as a pong.
-func (n *Node) releasePing(m *pingMsg) {
-	m.nextFree = n.freePing
-	n.freePing = m
 }
 
 // NewNode creates a node with the given overlay address on a physical
@@ -813,7 +795,7 @@ func (n *Node) handleWire(w wire, payload any) {
 	}
 	switch m := payload.(type) {
 	case *linkMsg:
-		m.Live("handleWire")
+		m.Live(n.sim, "handleWire")
 		if m.Reply {
 			n.handleLinkReply(w, m)
 		} else {
@@ -823,11 +805,12 @@ func (n *Node) handleWire(w wire, payload any) {
 	case linkError:
 		n.handleLinkError(m)
 	case *pingMsg:
+		m.Live(n.sim, "handleWire")
 		if m.Pong {
 			if c, ok := n.lookup(m.From); ok {
 				n.handlePong(c, m)
 			}
-			n.releasePing(m)
+			n.pool.pings.Put(m, "handleWire")
 			return
 		}
 		c, ok := n.lookup(m.From)
@@ -874,7 +857,7 @@ func (n *Node) handleWire(w wire, payload any) {
 			n.near.handleStatus(m)
 		}
 	case *OverlayPacket:
-		m.Live("handleWire")
+		m.Live(n.sim, "handleWire")
 		if c, ok := n.lookup(m.Src); ok {
 			n.touch(c)
 		}
@@ -911,7 +894,7 @@ func (n *Node) SendTo(dst Addr, mode DeliveryMode, d AppData) {
 // bounced straight back to the leaf child (the leaf target acts as the
 // child's forwarding agent into the ring).
 func (n *Node) routePacket(pkt *OverlayPacket, from Addr) {
-	pkt.Live("routePacket")
+	pkt.Live(n.sim, "routePacket")
 	if !n.up {
 		if n.flight != nil && pkt.Trace != 0 {
 			n.flightTerminal(pkt, trace.OutcomeNodeDown)
@@ -960,7 +943,7 @@ func (n *Node) routePacket(pkt *OverlayPacket, from Addr) {
 // nearest-mode packets are consumed, which is what lets CTMs find ring
 // positions and far targets.
 func (n *Node) deliver(pkt *OverlayPacket) {
-	pkt.Live("deliver")
+	pkt.Live(n.sim, "deliver")
 	exact := pkt.Dst == n.addr
 	if !exact && pkt.Mode == DeliverExact {
 		n.statDeadLetter.Inc(1)
@@ -1214,7 +1197,7 @@ func (n *Node) linkFailed(target Addr, t ConnType, reason string) {
 // The relay forwards the frame it received; the endpoint is where a frame's
 // life ends (see tunnelFrame).
 func (n *Node) handleTunnelFrame(w wire, f *tunnelFrame) {
-	f.Live("handleTunnelFrame")
+	f.Live(n.sim, "handleTunnelFrame")
 	if f.To != n.addr {
 		c, ok := n.lookup(f.To)
 		if !ok || c.closed || c.Tunneled() {

@@ -2,25 +2,7 @@
 
 package brunet
 
-import (
-	"strings"
-	"testing"
-)
-
-// mustPanic runs f and checks that it panics with a message containing want.
-func mustPanic(t *testing.T, want string, f func()) {
-	t.Helper()
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatalf("no panic, want %q", want)
-		}
-		if msg, _ := r.(string); !strings.Contains(msg, want) {
-			t.Fatalf("panic %q, want it to contain %q", r, want)
-		}
-	}()
-	f()
-}
+import "testing"
 
 // A pooled overlay packet released twice, or routed, delivered or received
 // after its release, panics and names both sites; one built by hand is never
@@ -31,7 +13,7 @@ func TestPoolDebugOverlayPacket(t *testing.T) {
 	p := n.pool.pkts.Get()
 	n.pool.pkts.Put(p, "first site")
 	if p.Size != -1 || p.Payload != poisonPayload {
-		t.Fatalf("released packet not poisoned: size %d payload %v", p.Size, p.Payload)
+		t.Fatalf("released packet does not hold the poison: size %d payload %v", p.Size, p.Payload)
 	}
 	mustPanic(t, "double release of overlay packet in second site (first released in first site)",
 		func() { n.pool.pkts.Put(p, "second site") })
@@ -45,7 +27,7 @@ func TestPoolDebugOverlayPacket(t *testing.T) {
 	own := &OverlayPacket{Src: n.addr, Dst: n.addr}
 	n.pool.pkts.Put(own, "x")
 	n.pool.pkts.Put(own, "y")
-	own.Live("z")
+	own.Live(n.sim, "z")
 }
 
 // A CTM is such a packet: the message inside it goes with it, and a second
@@ -85,7 +67,7 @@ func TestPoolDebugLinkMsg(t *testing.T) {
 	m.From, m.To, m.Token = nodes[1].addr, n.addr, 9
 	n.pool.links.Put(m, "handleWire")
 	if m.Seq != -1 || m.Token != 0 {
-		t.Fatalf("released link message not poisoned: %+v", *m)
+		t.Fatalf("released link message does not hold the poison: %+v", *m)
 	}
 	mustPanic(t, "double release of link message in handleTunnelFrame (first released in handleWire)",
 		func() { n.pool.links.Put(m, "handleTunnelFrame") })
@@ -102,5 +84,5 @@ func TestPoolDebugLinkMsg(t *testing.T) {
 	if n.pool.links.Put(s, "x") || n.pool.links.Put(s, "y") || s.Token != 5 {
 		t.Fatalf("an unpooled link message was taken back or touched: %+v", *s)
 	}
-	s.Live("z")
+	s.Live(n.sim, "z")
 }

@@ -2,6 +2,7 @@ package brunet
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"wow/internal/natsim"
@@ -46,6 +47,21 @@ func buildZeroLatencySymmetricRing(t testing.TB, seed int64, routers, symmetric 
 	}
 	s.RunFor(4 * sim.Minute)
 	return r
+}
+
+// mustPanic runs f and checks that it panics with a message containing want.
+func mustPanic(t *testing.T, want string, f func()) {
+	t.Helper()
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatalf("no panic, want %q", want)
+		}
+		if msg, _ := r.(string); !strings.Contains(msg, want) {
+			t.Fatalf("panic %q, want it to contain %q", r, want)
+		}
+	}()
+	f()
 }
 
 // tunnelEdge picks a live tunnel edge of the rig: its originator, the relay
@@ -156,8 +172,8 @@ func TestPoolBoundedOneWay(t *testing.T) {
 // emptied of what the build left (a NATed node reaches some routers over UDP,
 // and a CTM delivered at its own sender never leaves the node), stay empty
 // under application packets across a tunnel, and on a ring of such routers
-// alone under a CTM, its reply and the link handshake they set off: every hop
-// of those rides a stream.
+// alone under a CTM, its reply and the link handshake they set off, and under
+// a keepalive round: every hop of those rides a stream.
 func TestStreamCarriedObjectsNotRecycled(t *testing.T) {
 	r := buildZeroLatencySymmetricRing(t, 21, 3, 8, "tcp")
 	delivered := 0
@@ -167,7 +183,7 @@ func TestStreamCarriedObjectsNotRecycled(t *testing.T) {
 			t.Fatalf("hop %v -> %v does not ride a stream; the test would be vacuous", hop[0].Addr(), hop[1].Addr())
 		}
 	}
-	*peer.pool = *newShardPool().(*shardPool)
+	*peer.pool = *newShardPool(r.s).(*shardPool)
 	d := AppData{Proto: "allocguard", Size: 64}
 	for i := 0; i < 64; i++ {
 		orig.SendTo(peer.Addr(), DeliverExact, d)
@@ -200,7 +216,7 @@ func TestStreamCarriedObjectsNotRecycled(t *testing.T) {
 	if c, ok := b.lookup(a.Addr()); ok {
 		b.dropConnection(c, false, "trim")
 	}
-	*a.pool = *newShardPool().(*shardPool)
+	*a.pool = *newShardPool(r.s).(*shardPool)
 	received, replied, linked := b.Stats.Get("ctm.received"), a.Stats.Get("ctm.replied"), r.totalStat("link.success")
 	a.sendCTM(b.Addr(), StructuredNear, DeliverExact, Zero)
 	r.s.RunUntil(r.s.Now())
@@ -210,5 +226,73 @@ func TestStreamCarriedObjectsNotRecycled(t *testing.T) {
 	}
 	if pl, ll := a.pktListLen(), a.linkListLen(); pl != 0 || ll != 0 {
 		t.Errorf("the shard's lists hold %d packets and %d link messages that a stream's retransmission buffer may still point at, want 0 and 0", pl, ll)
+	}
+
+	// Every node pings every peer once: the ping goes out on a stream and
+	// comes home on one as the pong, where the pinging node releases it.
+	for _, n := range r.nodes {
+		for _, c := range n.Connections() {
+			c.loadKnown = false
+			n.sendPing(c)
+		}
+	}
+	r.s.RunUntil(r.s.Now())
+	for _, n := range r.nodes {
+		for _, c := range n.Connections() {
+			if !c.loadKnown {
+				t.Fatalf("no pong came home to %v from %v; the test would be vacuous", n.Addr(), c.Peer)
+			}
+		}
+	}
+	if l := a.pingListLen(); l != 0 {
+		t.Errorf("the shard's list holds %d pings that a stream's retransmission buffer may still point at, want 0", l)
+	}
+}
+
+// TestOwnerStampShardedTunnel: on a two-shard engine an application packet
+// crosses a tunnel edge from a node on shard 1 to a relay and a tunnel
+// endpoint on shard 0. Every cross-shard hop hands the phys packet, the frame
+// and the overlay packet inside it to the far shard, so each is released on
+// the list of the shard that holds it: nothing panics under packetdebug
+// (where CI runs this with -race), and there a release of the delivered
+// packet on the sender's list is a cross-shard release, which does.
+func TestOwnerStampShardedTunnel(t *testing.T) {
+	r := buildShardedSymmetricRing(t, 21, 1, 3, 8)
+	byAddr := map[Addr]*Node{}
+	for _, n := range r.nodes {
+		byAddr[n.Addr()] = n
+	}
+	var orig, peer *Node
+	var edge *Connection
+	for _, n := range r.nodes {
+		for _, c := range n.Connections() {
+			if c.Tunneled() && orig == nil && n.Host().Shard() == 1 && byAddr[c.Peer].Host().Shard() == 0 {
+				orig, peer, edge = n, byAddr[c.Peer], c
+			}
+		}
+	}
+	if orig == nil {
+		t.Fatal("no tunnel edge from shard 1 to shard 0; the test would be vacuous")
+	}
+	var pkt *OverlayPacket
+	delivered := 0
+	peer.RegisterProto("owner", func(Addr, AppData) {
+		delivered++
+		if poolDebug {
+			mustPanic(t, "cross-shard release of overlay packet in sender's list: owned by shard 0, released on shard 1",
+				func() { orig.pool.pkts.Put(pkt, "sender's list") })
+		}
+	})
+	r.eng.Shard(1).At(r.eng.Now(), func() {
+		// SendTo, keeping the packet.
+		pkt = orig.pool.pkts.Get()
+		pkt.Src, pkt.Dst, pkt.Mode, pkt.MaxHops = orig.addr, peer.addr, DeliverExact, orig.cfg.MaxHops
+		pkt.app = AppData{Proto: "owner", Size: 64}
+		pkt.Payload, pkt.Size = &pkt.app, overlayHdrSize+64
+		orig.routePacket(pkt, orig.addr)
+	})
+	r.eng.RunFor(sim.Second)
+	if relay := byAddr[edge.activeRelay]; delivered != 1 || relay == nil || relay.Host().Shard() != 0 {
+		t.Fatalf("delivered %d of 1 packets, relay %v; the test would be vacuous", delivered, edge.activeRelay)
 	}
 }

@@ -168,7 +168,7 @@ func finishReceive(a any) {
 	if sock := h.socks[i].sock; sock.OnRecv != nil {
 		sock.OnRecv(p)
 	}
-	h.net.releasePacket(h.shard, p)
+	h.net.pkts[h.shard].Put(p, "finishReceive")
 }
 
 // UDPSock is a bound wire socket on a host. Despite the name it serves
@@ -235,7 +235,7 @@ func (s *UDPSock) Send(dst Endpoint, size int, payload any) {
 	if s.closed || !s.host.up {
 		return
 	}
-	p := s.host.net.acquirePacket(s.host.shard)
+	p := s.host.net.pkts[s.host.shard].Get()
 	p.Src, p.Dst, p.Proto, p.Size, p.Payload = s.LocalEndpoint(), dst, s.proto, size, payload
 	s.host.net.send(s.host, p)
 }

@@ -14,6 +14,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"wow/internal/sim"
 )
 
 // IP is a physical IPv4 address in host byte order.
@@ -78,14 +80,17 @@ const (
 // boundaries, exactly as real NATs rewrite headers. A zero Proto is
 // normalized to WireUDP on send.
 //
-// Packets are pooled by the Network: one is acquired per UDPSock.Send and
-// released after its delivery callback (or drop hook) returns. Receive
-// handlers must therefore not retain *Packet past the OnRecv call — copy
-// the fields (they are values) or the Packet itself if needed later.
+// Packets are pooled per shard by the Network (a sim.FreeList per shard):
+// one is taken from the sending shard's list per UDPSock.Send and put on the
+// executing shard's list after its delivery callback (or drop hook) returns.
+// Receive handlers must therefore not retain *Packet past the OnRecv call —
+// copy the fields (they are values) or the Packet itself if needed later.
 type Packet struct {
-	Src     Endpoint
-	Dst     Endpoint
-	Proto   uint8
+	Src   Endpoint
+	Dst   Endpoint
+	Proto uint8
+	// Pooled sits in the padding after Proto: the packet is 64 bytes.
+	sim.Pooled
 	Size    int
 	Payload any
 
@@ -98,16 +103,8 @@ type Packet struct {
 	// another shard than the sender's, consumed by deliverBoundary on that
 	// shard (cleared before delivery).
 	entry *Realm
-	// nextFree links the Network's packet free list.
-	nextFree *Packet
-	// poisoned marks a released packet under the packetdebug build tag;
-	// the debug pool panics when one re-enters the delivery pipeline.
-	poisoned bool
-	// ownerShard/releasedBy are maintained only under packetdebug: the
-	// shard whose free list currently owns the packet (re-stamped when a
-	// packet crosses shards through the engine's lanes) and the shard that
-	// released it, so cross-shard pool misuse panics with both parties
-	// named. Production builds never touch them.
-	ownerShard int32
-	releasedBy int32
 }
+
+// Carries is the payload, which a cross-shard hand-off (sim.HandOff) follows
+// to the pooled objects of the layers above.
+func (p *Packet) Carries() any { return p.Payload }

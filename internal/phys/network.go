@@ -225,9 +225,10 @@ type Network struct {
 	deliveredSh []metrics.Handle
 	boundInSh   []metrics.Handle
 	boundOutSh  []metrics.Handle
-	// freePktSh is the per-shard packet free list: shard-local acquire and
-	// release, so pooling stays lock-free under parallel execution.
-	freePktSh []*Packet
+	// pkts is the packet free list of each shard: taken from and put on by
+	// the shard's own events alone, so pooling needs no lock under parallel
+	// execution, and a packet delivered on another shard joins that shard's.
+	pkts []sim.FreeList[Packet, *Packet]
 	// dialed counts the stream connections dialed on each shard (allocConnID).
 	dialed []uint64
 }
@@ -263,7 +264,10 @@ func newNetwork(sims []*sim.Simulator, eng *sim.Sharded, latency LatencyFunc) *N
 	n.deliveredSh = n.stats.Handles("delivered")
 	n.boundInSh = n.stats.Handles("boundary.in")
 	n.boundOutSh = n.stats.Handles("boundary.out")
-	n.freePktSh = make([]*Packet, len(sims))
+	n.pkts = make([]sim.FreeList[Packet, *Packet], len(sims))
+	for i, s := range sims {
+		n.pkts[i] = sim.NewFreeList[Packet](s, "packet", Packet{Size: -1, Payload: "phys: use of released packet"})
+	}
 	n.dialed = make([]uint64, len(sims))
 	return n
 }
@@ -450,8 +454,9 @@ func deliverBoundary(a any) {
 	entry := p.entry
 	p.entry = nil
 	n, sh := entry.net, entry.site.shard
-	checkPacketLive(p, sh, "boundary")
-	h, reason := n.descend(n.sims[sh].Now(), p, entry)
+	s := n.sims[sh]
+	p.Live(s, "boundary")
+	h, reason := n.descend(s.Now(), p, entry)
 	if reason != "" {
 		n.drop(sh, reason, p)
 		return
@@ -469,7 +474,7 @@ func deliverBoundary(a any) {
 // which crosses shards through the engine when the destination lives
 // elsewhere.
 func (n *Network) send(src *Host, p *Packet) {
-	checkPacketLive(p, src.shard, "send")
+	p.Live(src.sim, "send")
 	now := src.sim.Now()
 	if p.Proto == 0 {
 		p.Proto = WireUDP
@@ -540,12 +545,12 @@ func (n *Network) send(src *Host, p *Packet) {
 		src.sim.AtArg(arrive, deliver, p)
 		return
 	}
-	// Cross-shard delivery: ownership of the packet transfers to the
-	// destination shard — the host's, or the claiming chain's — and the
-	// engine's lane merge guarantees that shard sees it in deterministic
-	// timestamp order. The engine panics if arrive violates the lookahead
-	// (latency floor too small).
-	packetCrossShard(p, to)
+	// Cross-shard delivery: ownership of the packet, and of every pooled
+	// object it carries, transfers to the destination shard — the host's, or
+	// the claiming chain's — and the engine's lane merge guarantees that
+	// shard sees it in deterministic timestamp order. The engine panics if
+	// arrive violates the lookahead (latency floor too small).
+	sim.HandOff(p, n.sims[to])
 	n.engine.Send(src.shard, to, arrive, deliver, p)
 }
 
@@ -554,7 +559,7 @@ func (n *Network) send(src *Host, p *Packet) {
 // destination host's shard.
 func deliverPacket(a any) {
 	p := a.(*Packet)
-	checkPacketLive(p, p.dest.shard, "deliver")
+	p.Live(p.dest.sim, "deliver")
 	p.dest.receive(p)
 }
 
@@ -568,7 +573,7 @@ func (n *Network) drop(sh int, reason string, p *Packet) {
 	if n.OnDrop != nil {
 		n.OnDrop(reason, p)
 	}
-	n.releasePacket(sh, p)
+	n.pkts[sh].Put(p, "drop")
 }
 
 // flightDiscard emits a route terminal for a traced overlay payload dying

@@ -3,6 +3,7 @@
 package phys
 
 import (
+	"strings"
 	"testing"
 
 	"wow/internal/sim"
@@ -16,11 +17,26 @@ func debugNet() (*sim.Simulator, *Network) {
 	))
 }
 
+// shardedDebugNet is a network on a k-shard engine, one worker.
+func shardedDebugNet(t *testing.T, k int) (*sim.Sharded, *Network) {
+	eng := sim.NewSharded(7, k, 1)
+	t.Cleanup(eng.Close)
+	return eng, NewShardedNetwork(eng, UniformLatency(
+		PathModel{OneWay: sim.Millisecond},
+		PathModel{OneWay: 20 * sim.Millisecond},
+	))
+}
+
+// mustPanic runs f and checks that it panics with a message containing want.
 func mustPanic(t *testing.T, want string, f func()) {
 	t.Helper()
 	defer func() {
-		if recover() == nil {
+		r := recover()
+		if r == nil {
 			t.Fatalf("no panic, want %q", want)
+		}
+		if msg, _ := r.(string); !strings.Contains(msg, want) {
+			t.Fatalf("panic %q, want it to contain %q", r, want)
 		}
 	}()
 	f()
@@ -29,22 +45,21 @@ func mustPanic(t *testing.T, want string, f func()) {
 // Double release panics under the debug pool.
 func TestPacketDebugDoubleRelease(t *testing.T) {
 	_, net := debugNet()
-	p := net.acquirePacket(0)
-	net.releasePacket(0, p)
-	mustPanic(t, "double release", func() { net.releasePacket(0, p) })
+	p := net.pkts[0].Get()
+	net.pkts[0].Put(p, "finishReceive")
+	mustPanic(t, "double release", func() { net.pkts[0].Put(p, "drop") })
 }
 
 // A released packet re-entering the delivery pipeline panics.
 func TestPacketDebugUseAfterRelease(t *testing.T) {
-	s, net := debugNet()
+	_, net := debugNet()
 	site := net.AddSite("site")
 	h := net.AddHost("h", site, net.Root(), HostConfig{})
-	p := net.acquirePacket(0)
+	p := net.pkts[0].Get()
 	p.Src = Endpoint{IP: h.IP(), Port: 1}
 	p.Dst = Endpoint{IP: h.IP(), Port: 2}
-	net.releasePacket(0, p)
+	net.pkts[0].Put(p, "drop")
 	mustPanic(t, "use of released packet", func() { net.send(h, p) })
-	_ = s
 }
 
 // Cross-shard pool misuse: releasing a packet on a shard that does not
@@ -52,24 +67,24 @@ func TestPacketDebugUseAfterRelease(t *testing.T) {
 // the single-owner rule packets obey when they migrate between shard
 // free lists through the engine.
 func TestPacketDebugCrossShardRelease(t *testing.T) {
-	_, net := debugNet()
-	p := net.acquirePacket(0)
-	mustPanic(t, "cross-shard release", func() { net.releasePacket(1, p) })
+	_, net := shardedDebugNet(t, 4)
+	p := net.pkts[0].Get()
+	mustPanic(t, "cross-shard release", func() { net.pkts[1].Put(p, "drop") })
 
-	q := net.acquirePacket(2)
-	packetCrossShard(q, 3) // legal hand-off: ownership moves to shard 3
-	mustPanic(t, "cross-shard release", func() { net.releasePacket(2, q) })
-	net.releasePacket(3, q) // owner releases fine
-	mustPanic(t, "double release", func() { net.releasePacket(3, q) })
+	q := net.pkts[2].Get()
+	sim.HandOff(q, net.sims[3]) // legal hand-off: ownership moves to shard 3
+	mustPanic(t, "cross-shard release", func() { net.pkts[2].Put(q, "drop") })
+	net.pkts[3].Put(q, "drop") // owner releases fine
+	mustPanic(t, "double release", func() { net.pkts[3].Put(q, "drop") })
 }
 
 // A shard touching a live packet it does not own panics at the pipeline
 // checkpoints.
 func TestPacketDebugCrossShardUse(t *testing.T) {
-	_, net := debugNet()
-	p := net.acquirePacket(1)
-	mustPanic(t, "owned by shard 1", func() { checkPacketLive(p, 0, "send") })
-	checkPacketLive(p, 1, "send") // owner passes
+	_, net := shardedDebugNet(t, 2)
+	p := net.pkts[1].Get()
+	mustPanic(t, "owned by shard 1", func() { p.Live(net.sims[0], "send") })
+	p.Live(net.sims[1], "send") // owner passes
 }
 
 // A boundary-deferred packet crossing shards is re-stamped to the realm's
@@ -77,12 +92,7 @@ func TestPacketDebugCrossShardUse(t *testing.T) {
 // behind the boundary sees a packet owned by its own shard, so the
 // single-owner pool rule holds across realm boundaries too.
 func TestPacketDebugBoundaryRestamp(t *testing.T) {
-	eng := sim.NewSharded(7, 2, 1)
-	defer eng.Close()
-	net := NewShardedNetwork(eng, UniformLatency(
-		PathModel{OneWay: sim.Millisecond},
-		PathModel{OneWay: 20 * sim.Millisecond},
-	))
+	eng, net := shardedDebugNet(t, 2)
 	pubSite := net.AddSite("pub") // shard 0
 	lanSite := net.AddSite("lan") // shard 1
 	floor, _ := net.CrossShardFloor()
@@ -98,9 +108,12 @@ func TestPacketDebugBoundaryRestamp(t *testing.T) {
 	got := 0
 	is.OnRecv = func(p *Packet) {
 		got++
-		if p.ownerShard != 1 {
-			t.Errorf("boundary-deferred packet owned by shard %d at delivery, want 1", p.ownerShard)
-		}
+		defer func() {
+			if r := recover(); r != nil {
+				t.Errorf("boundary-deferred packet not owned by shard 1 at delivery: %v", r)
+			}
+		}()
+		p.Live(eng.Shard(1), "OnRecv")
 	}
 	eng.Shard(1).At(0, func() { is.Send(Endpoint{IP: pub.IP(), Port: 200}, 32, "ping") })
 	eng.RunUntil(sim.Time(sim.Second))
@@ -109,28 +122,52 @@ func TestPacketDebugBoundaryRestamp(t *testing.T) {
 	}
 }
 
+// A stream message crosses shards inside a segment copy that the send-side
+// hand-off does not follow: the stream hands the message, and what it
+// carries, to the receiving shard on delivery, so a pooled object in it is
+// released there without a cross-shard panic.
+func TestPacketDebugStreamHandOff(t *testing.T) {
+	eng, net := shardedDebugNet(t, 2)
+	a := net.AddHost("a", net.AddSite("a"), net.Root(), HostConfig{}) // shard 0
+	b := net.AddHost("b", net.AddSite("b"), net.Root(), HostConfig{}) // shard 1
+	floor, _ := net.CrossShardFloor()
+	eng.SetLookahead(floor)
+	got := 0
+	b.ListenStream(7000, func(st *Stream) {
+		st.OnMessage(func(_ int, msg any) {
+			got++
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("releasing the message on the receiving shard: %v", r)
+				}
+			}()
+			net.pkts[1].Put(msg.(*Packet), "OnMessage")
+		})
+	})
+	eng.Shard(0).At(0, func() { a.DialStream(Endpoint{IP: b.IP(), Port: 7000}).SendMsg(64, net.pkts[0].Get()) })
+	eng.RunUntil(sim.Time(sim.Second))
+	if got != 1 {
+		t.Fatalf("delivered %d stream messages, want 1", got)
+	}
+}
+
 // A released packet re-entering the pipeline at the realm boundary panics
 // at the "boundary" checkpoint.
 func TestPacketDebugBoundaryCheckpoint(t *testing.T) {
-	eng := sim.NewSharded(7, 2, 1)
-	defer eng.Close()
-	net := NewShardedNetwork(eng, UniformLatency(
-		PathModel{OneWay: sim.Millisecond},
-		PathModel{OneWay: 20 * sim.Millisecond},
-	))
+	_, net := shardedDebugNet(t, 2)
 	net.AddSite("pub")
 	lanSite := net.AddSite("lan")
 	nat := &fakeNAT{public: net.Root().NextIP()}
 	lan := net.AddRealm("lan", net.Root(), nat, MustParseIP("10.0.0.1"))
 	net.AddHost("inside", lanSite, lan, HostConfig{})
 
-	p := net.acquirePacket(1)
-	net.releasePacket(1, p)
+	p := net.pkts[1].Get()
+	net.pkts[1].Put(p, "drop")
 	p.entry = lan // simulate a stale pointer re-entering the boundary path
 	mustPanic(t, "use of released packet in boundary", func() { deliverBoundary(p) })
 }
 
-// An OnRecv handler that retains the packet sees it poisoned after the
+// An OnRecv handler that retains the packet finds the poison in it after the
 // callback returns — the misuse the detector exists to catch.
 func TestPacketDebugRetainedPacketIsPoisoned(t *testing.T) {
 	s, net := debugNet()
@@ -152,7 +189,8 @@ func TestPacketDebugRetainedPacketIsPoisoned(t *testing.T) {
 	if retained == nil {
 		t.Fatal("packet not delivered")
 	}
-	if !retained.poisoned || retained.Size != -1 {
-		t.Fatal("retained packet not poisoned after OnRecv returned")
+	if retained.Size != -1 || retained.Payload != "phys: use of released packet" {
+		t.Fatal("retained packet not overwritten with the poison after OnRecv returned")
 	}
+	mustPanic(t, "use of released packet in send (released in finishReceive)", func() { retained.Live(s, "send") })
 }

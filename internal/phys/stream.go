@@ -437,6 +437,10 @@ func (s *Stream) deliver(seg *streamSeg) {
 		return
 	}
 	if s.onMsg != nil {
+		// The message crossed inside a segment copy, which the send-side
+		// hand-off does not follow: what it carries that is still a list's
+		// becomes this shard's here.
+		sim.HandOff(seg.Payload, s.host.sim)
 		s.onMsg(seg.Size, seg.Payload)
 	}
 }

@@ -485,8 +485,8 @@ func TestAllocFreeDrop(t *testing.T) {
 	// under -tags packetdebug, whose pool never reuses one.
 	var held *Packet // keeps the debug pool's fresh packet from staying on the stack
 	pool := testing.AllocsPerRun(200, func() {
-		held = net.acquirePacket(0)
-		net.releasePacket(0, held)
+		held = net.pkts[0].Get()
+		net.pkts[0].Put(held, "drop")
 	})
 	for _, tc := range []struct {
 		name, stat string
@@ -548,6 +548,15 @@ func TestHotFieldsLayout(t *testing.T) {
 	}
 	if size := unsafe.Sizeof(h); size > 3*line {
 		t.Errorf("Host is %d bytes, past the %d-byte size class whose objects start on a cache line", size, 3*line)
+	}
+}
+
+// TestHotFieldsPacketSize pins a packet to one cache line and the 64-byte
+// size class: the pool's word sits in the padding after Proto. (The debug
+// list's owner stamp and sites make it bigger under -tags packetdebug.)
+func TestHotFieldsPacketSize(t *testing.T) {
+	if size := unsafe.Sizeof(Packet{}); size > 64 && !sim.PoolDebug {
+		t.Errorf("Packet is %d bytes, past the 64-byte size class", size)
 	}
 }
 

@@ -3,21 +3,25 @@ package sim
 import "testing"
 
 // pooledThing is a struct of the kind the packages pool: a size, a pointer
-// the list must not pin, and the list's word.
+// the list must not pin — what the thing carries — and the list's word.
 type pooledThing struct {
 	Size    int
 	Payload any
 	Pooled
 }
 
-func newThingList() FreeList[pooledThing, *pooledThing] {
-	return NewFreeList[pooledThing]("thing", pooledThing{Size: -1, Payload: "poison"})
+// Carries is what HandOff follows from the thing to what it carries.
+func (p *pooledThing) Carries() any { return p.Payload }
+
+func newThingList(s *Simulator) FreeList[pooledThing, *pooledThing] {
+	return NewFreeList[pooledThing](s, "thing", pooledThing{Size: -1, Payload: "poison"})
 }
 
 // An object goes out blank, comes back blank and goes out again; what the
 // list did not hand out, or what has been unpooled since, it leaves alone.
 func TestFreeListLifecycle(t *testing.T) {
-	l := newThingList()
+	s := New(1)
+	l := newThingList(s)
 	a := l.Get()
 	if a.Size != 0 || a.Payload != nil {
 		t.Fatalf("fresh object not blank: %+v", *a)
@@ -58,12 +62,12 @@ func TestFreeListLifecycle(t *testing.T) {
 	if l.Put(u, "test") || l.Len() != 0 || u.Size != 5 {
 		t.Fatalf("an unpooled object was listed or touched: len %d, %+v", l.Len(), *u)
 	}
-	u.Live("test")
+	u.Live(s, "test")
 }
 
 // Once the list holds what is in flight at once, Get and Put allocate nothing.
 func TestFreeListAllocFree(t *testing.T) {
-	l := newThingList()
+	l := newThingList(New(1))
 	var out [8]*pooledThing
 	cycle := func() {
 		for i := range out {

@@ -95,6 +95,7 @@ func NewSharded(seed int64, k, workers int) *Sharded {
 	}
 	for i := range g.shards {
 		g.shards[i] = New(seed + int64(i)*shardSeedStride)
+		g.shards[i].shard = i
 	}
 	return g
 }

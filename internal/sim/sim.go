@@ -150,6 +150,9 @@ type Simulator struct {
 	stopped bool
 
 	locals []local // see Local
+	// shard is the simulator's index in its Sharded engine (0 for one made
+	// by New): the name the packetdebug free list gives a shard in a panic.
+	shard int
 
 	// Processed counts events executed since construction; useful for
 	// run-length diagnostics and loop detection in tests.
@@ -170,32 +173,34 @@ func (s *Simulator) Rand() *rand.Rand { return s.rng }
 // local is one value a package keeps on the simulator (see Local).
 type local struct{ key, val any }
 
-// Local returns the value this simulator keeps under key, made by mk the
-// first time the key is asked for. It is the home of what all hosts of one
-// shard share and no other shard touches — the free lists of pooled packets
-// above all: one goroutine drives a Simulator, so what hangs off it needs no
-// lock, and a shard's Simulator is the one piece of shard identity every
-// layer can reach. Keys compare with ==; a package passes a value of an
-// unexported type of its own, so two packages cannot collide. The lookup is
-// a scan of a handful of entries: fetch the value when a node or stack is
-// built and keep the pointer, not per packet.
-func (s *Simulator) Local(key any, mk func() any) any {
+// Local returns the value this simulator keeps under key, made by mk from the
+// simulator the first time the key is asked for. It is the home of what all
+// hosts of one shard share and no other shard touches — the free lists of
+// pooled packets above all: one goroutine drives a Simulator, so what hangs
+// off it needs no lock, and a shard's Simulator is the one piece of shard
+// identity every layer can reach. Keys compare with ==; a package passes a
+// value of an unexported type of its own, so two packages cannot collide.
+// The lookup is a scan of a handful of entries: fetch the value when a node
+// or stack is built and keep the pointer, not per packet.
+func (s *Simulator) Local(key any, mk func(*Simulator) any) any {
 	for i := range s.locals {
 		if s.locals[i].key == key {
 			return s.locals[i].val
 		}
 	}
-	v := mk()
+	v := mk(s)
 	s.locals = append(s.locals, local{key, v})
 	return v
 }
 
 // Pooled is what a struct embeds to have its objects recycled through a
 // FreeList (freelist.go; freelist_debug.go under -tags packetdebug): the
-// list's own word in the object.
+// list's own word in the object, one byte, which fits in the padding after
+// a small field.
 type Pooled struct {
-	// mark is empty except under the packetdebug build tag (and leads the
-	// struct: a trailing zero-size field would cost a byte of padding).
+	// mark is empty except under the packetdebug build tag, where it holds
+	// the owner stamp (and leads the struct: a trailing zero-size field
+	// would cost a byte of padding).
 	mark poolMark
 	// listable is set by Get and cleared by Put and Unpool: only an object
 	// that came from a list and has stayed in the pools' hands goes back on

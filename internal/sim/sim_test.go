@@ -331,7 +331,7 @@ func TestLocalOnePerSimulatorAndKey(t *testing.T) {
 	type keyA struct{}
 	type keyB struct{}
 	made := 0
-	mk := func() any { made++; return new(int) }
+	mk := func(*Simulator) any { made++; return new(int) }
 	s := New(1)
 	a := s.Local(keyA{}, mk)
 	if s.Local(keyA{}, mk) != a || made != 1 {

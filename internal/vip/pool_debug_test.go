@@ -38,7 +38,7 @@ func TestPoolDebugPacket(t *testing.T) {
 	own := &Packet{Src: a.IP(), Dst: a.IP(), Proto: ProtoUDP}
 	a.release(own, "x")
 	a.release(own, "y")
-	own.Live("z")
+	own.Live(a.sim, "z")
 }
 
 // A parked segment that was released behind the connection's back panics

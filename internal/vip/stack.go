@@ -113,11 +113,11 @@ type shardPool struct {
 // shardPoolKey is the pool's key among its Simulator's locals.
 type shardPoolKey struct{}
 
-func newShardPool() any {
+func newShardPool(s *sim.Simulator) any {
 	return &shardPool{
-		pkts: sim.NewFreeList[Packet]("packet", Packet{Size: -1, Proto: 0xff,
+		pkts: sim.NewFreeList[Packet](s, "packet", Packet{Size: -1, Proto: 0xff,
 			tcp: tcpSegment{Ends: []chunkEnd{{End: -1, Size: -1, Msg: "vip: use of released packet"}}}}),
-		pings: sim.NewFreeList[pingState]("ping state", pingState{}),
+		pings: sim.NewFreeList[pingState](s, "ping state", pingState{}),
 	}
 }
 
@@ -184,7 +184,7 @@ func (s *Stack) checkShard(where string) {
 }
 
 func (s *Stack) send(p *Packet) {
-	p.Live("send")
+	p.Live(s.sim, "send")
 	s.Stats.Inc("ip.out", 1)
 	s.carrier.SendIP(p)
 }
@@ -195,7 +195,7 @@ func (s *Stack) send(p *Packet) {
 // responder, which sends the request back as the reply, and a connection
 // that parks an out-of-order segment (Conn.oo).
 func (s *Stack) receive(p *Packet) {
-	p.Live("receive")
+	p.Live(s.sim, "receive")
 	if !s.dispatch(p) {
 		s.release(p, "receive")
 	}

@@ -696,7 +696,7 @@ func (c *Conn) receiveData(p *Packet) (parked bool) {
 				break
 			}
 			delete(c.oo, c.rcvNxt)
-			next.Live("drain")
+			next.Live(c.stack.sim, "drain")
 			c.acceptSegment(&next.tcp)
 			c.stack.release(next, "drain")
 		}
