@@ -135,10 +135,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.Int64Var(&b.seed, "seed", 1, "simulation seed")
 	fs.IntVar(&b.trials, "trials", 20, "trials per join scenario (paper: 100)")
 	fs.IntVar(&b.jobs, "jobs", 1000, "MEME jobs for fig8 (paper: 4000)")
-	fs.IntVar(&b.nodes, "nodes", 2000, "overlay size for the scale/nat harnesses (1000-20000)")
+	fs.IntVar(&b.nodes, "nodes", 2000, "overlay size for the scale/nat harnesses (1000-20000) and, only when given, the gray harness (default 32)")
 	fs.IntVar(&b.packets, "packets", 2000, "routed packets measured by the scale harness")
-	fs.IntVar(&b.shards, "shards", 0, "scale/nat harnesses: run on this many event shards (0/1 = single queue)")
-	fs.IntVar(&b.workers, "workers", 0, "scale/nat harnesses: worker goroutines for sharded runs (0 = min(shards, GOMAXPROCS))")
+	fs.IntVar(&b.shards, "shards", 0, "scale/nat/gray harnesses: run on this many event shards (0/1 = single queue)")
+	fs.IntVar(&b.workers, "workers", 0, "scale/nat/gray harnesses: worker goroutines for sharded runs (0 = min(shards, GOMAXPROCS))")
 	fs.IntVar(&b.batch, "batch", 0, "scale/nat harnesses: batched-bootstrap batch size (0 = staggered joins, or 256/64 when -shards > 1)")
 	fs.Float64Var(&b.settle, "settle", 0, "scale/nat harnesses: convergence settle time in virtual seconds (0 = default)")
 	fs.Float64Var(&b.wan, "wan", 0, "scale/nat harnesses: one-way inter-site latency in ms for batched builds (0 = default; also the shard lookahead)")

@@ -33,10 +33,10 @@ func main() {
 	})
 
 	fmt.Printf("\noverlay settled at t=%s\n", tb.Sim.Now())
-	fmt.Printf("routable compute nodes: %d/%d\n\n", tb.RoutableVMs(), len(tb.VMs))
+	fmt.Printf("routable compute nodes: %d/%d\n\n", tb.RoutableWorkstations(), len(tb.Workstations()))
 
 	fmt.Println("node       vip           site              speed  conns  types")
-	for _, v := range tb.VMs {
+	for _, v := range tb.Workstations() {
 		conns := v.Node().Overlay().Connections()
 		counts := map[brunet.ConnType]int{}
 		for _, c := range conns {

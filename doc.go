@@ -9,7 +9,7 @@
 // simulated physical substrate standing in for the paper's PlanetLab +
 // six-domain testbed (internal/phys, internal/natsim, internal/testbed).
 //
-// The public entry point is internal/core.WOW; see examples/ for runnable
-// scenarios and bench_test.go for benchmarks regenerating every table and
-// figure of the paper's evaluation.
+// The public entry point is internal/testbed.WOW; see examples/ for
+// runnable scenarios and bench_test.go for benchmarks regenerating every
+// table and figure of the paper's evaluation.
 package wow

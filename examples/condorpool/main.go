@@ -33,7 +33,7 @@ func main() {
 	}
 	schedd := condor.NewSchedd(head.Stack())
 	cm.AttachSchedd(schedd)
-	for _, v := range tb.VMs {
+	for _, v := range tb.Workstations() {
 		if _, err := condor.NewStartd(v, v.Spec().CPUSpeed, head.IP(), 60*sim.Second); err != nil {
 			panic(err)
 		}

@@ -14,7 +14,6 @@ import (
 	"os"
 
 	"wow/internal/experiments"
-	"wow/internal/sim"
 )
 
 func main() {
@@ -50,5 +49,4 @@ func main() {
 			fmt.Printf("    job %3d  %7.1f s  [%s]\n", p.JobID, p.WallSeconds, p.Phase)
 		}
 	}
-	_ = sim.Second
 }

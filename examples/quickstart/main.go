@@ -9,10 +9,10 @@ import (
 	"fmt"
 
 	"wow/internal/brunet"
-	"wow/internal/core"
 	"wow/internal/natsim"
 	"wow/internal/phys"
 	"wow/internal/sim"
+	"wow/internal/testbed"
 	"wow/internal/vip"
 	"wow/internal/vm"
 )
@@ -26,7 +26,7 @@ func main() {
 	))
 
 	// 2. A WOW with shortcut creation enabled.
-	wow := core.New(s, core.Options{Shortcuts: true})
+	wow := testbed.NewWOW(testbed.Options{Shortcuts: true})
 
 	// 3. Two dozen public bootstrap routers (the paper used 118 on
 	// PlanetLab; any overlay node on the public Internet works).

@@ -21,7 +21,7 @@ func liveOverlays(tb *testbed.Testbed) []*brunet.Node {
 			out = append(out, bn)
 		}
 	}
-	for _, v := range tb.VMs {
+	for _, v := range tb.Workstations() {
 		if bn := v.Node().Overlay(); bn != nil && bn.Up() {
 			out = append(out, bn)
 		}

@@ -114,7 +114,7 @@ func RunFig8(opts Fig8Opts) (*Fig8Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fig8: %w", err)
 	}
-	for _, v := range tb.VMs {
+	for _, v := range tb.Workstations() {
 		if _, err := pbs.NewMOM(v, head.IP()); err != nil {
 			return nil, fmt.Errorf("fig8: mom %s: %w", v.Name(), err)
 		}

@@ -4,28 +4,21 @@ import (
 	"fmt"
 
 	"wow/internal/brunet"
-	"wow/internal/core"
 	"wow/internal/phys"
 	"wow/internal/sim"
+	"wow/internal/testbed"
 	"wow/internal/vip"
 	"wow/internal/vm"
 	"wow/internal/workloads"
 )
 
-// smallOverlay is a lightweight public overlay with a few workstations,
-// for experiments that don't need the full Figure-1 testbed.
-type smallOverlay struct {
-	wow  *core.WOW
-	boot []brunet.URI
-	vms  []*vm.VM
-}
-
 func mustVIP(s string) vip.IP { return vip.MustParseIP(s) }
 
 // buildSmallOverlay stands up n public routers and two public
-// workstations on the given network.
-func buildSmallOverlay(s *sim.Simulator, net *phys.Network, n int) (*smallOverlay, error) {
-	w := core.New(s, core.Options{Shortcuts: true, Brunet: brunet.DefaultConfig()})
+// workstations on the given network, for experiments that don't need the
+// full Figure-1 testbed.
+func buildSmallOverlay(s *sim.Simulator, net *phys.Network, n int) (*testbed.WOW, error) {
+	w := testbed.NewWOW(testbed.Options{Shortcuts: true, Brunet: brunet.DefaultConfig()})
 	for i := 0; i < n; i++ {
 		name := fmt.Sprintf("r%02d", i)
 		h := net.AddHost(name, net.AddSite(name), net.Root(), phys.HostConfig{})
@@ -34,20 +27,17 @@ func buildSmallOverlay(s *sim.Simulator, net *phys.Network, n int) (*smallOverla
 		}
 		s.RunFor(sim.Second)
 	}
-	so := &smallOverlay{wow: w, boot: w.Bootstrap()}
 	for i := 0; i < 2; i++ {
 		name := fmt.Sprintf("ws%02d", i)
 		h := net.AddHost(name, net.AddSite(name), net.Root(), phys.HostConfig{
 			ServiceTime: 400 * sim.Microsecond, Bandwidth: 1.7e6,
 		})
-		v, err := w.AddWorkstation(h, mustVIP(fmt.Sprintf("172.16.1.%d", i+2)), vm.Spec{Name: name})
-		if err != nil {
+		if _, err := w.AddWorkstation(h, mustVIP(fmt.Sprintf("172.16.1.%d", i+2)), vm.Spec{Name: name}); err != nil {
 			return nil, fmt.Errorf("experiments: add workstation %s: %w", name, err)
 		}
-		so.vms = append(so.vms, v)
 	}
 	s.RunFor(2 * sim.Minute)
-	return so, nil
+	return w, nil
 }
 
 // pingOK sends one virtual ping and waits out its timeout.

@@ -136,30 +136,26 @@ func (r *VirtOverheadResult) String() string {
 // this experiment verifies it propagates to application wall time
 // end-to-end rather than re-deriving it.
 func RunVirtOverhead(seed int64) *VirtOverheadResult {
-	run := func(overhead float64) float64 {
+	run := func(bare bool) float64 {
 		tb := testbed.Build(testbed.Config{
 			Seed: seed, Shortcuts: true, Routers: 12, PlanetLabHosts: 4,
 			SettleTime: 2 * sim.Minute,
 		})
 		v := tb.VM("node002")
-		spec := v.Spec()
-		_ = spec
-		// Re-create a VM-like executor with the chosen overhead by
-		// timing a job scaled accordingly: Execute charges
-		// CPU × VirtOverhead / speed.
+		// Execute charges CPU × VirtOverhead / speed; the bare host is
+		// the same job with the VM's overhead divided out.
 		start := tb.Sim.Now()
 		var doneAt sim.Time
 		cpu := 100 * sim.Second
-		if overhead == 1.0 {
-			// Model the bare host: divide out the VM's overhead.
-			cpu = sim.Duration(float64(cpu) / spec.VirtOverhead)
+		if bare {
+			cpu = sim.Duration(float64(cpu) / v.Spec().VirtOverhead)
 		}
 		v.Execute(cpu, func() { doneAt = tb.Sim.Now() })
 		tb.Sim.RunFor(sim.Hour)
 		return doneAt.Sub(start).Seconds()
 	}
-	virtual := run(1.13)
-	physical := run(1.0)
+	virtual := run(false)
+	physical := run(true)
 	return &VirtOverheadResult{
 		VirtualSeconds:  virtual,
 		PhysicalSeconds: physical,

@@ -5,10 +5,10 @@ import (
 	"strings"
 
 	"wow/internal/brunet"
-	"wow/internal/core"
 	"wow/internal/natsim"
 	"wow/internal/phys"
 	"wow/internal/sim"
+	"wow/internal/testbed"
 	"wow/internal/vm"
 )
 
@@ -374,7 +374,7 @@ func RunSymmetricRing(opts SymRingOpts) (*SymRingResult, error) {
 	for i := range sites {
 		sites[i] = net.AddSite(fmt.Sprintf("site%d", i))
 	}
-	w := core.New(s, core.Options{Shortcuts: true, Brunet: brunet.FastTestConfig()})
+	w := testbed.NewWOW(testbed.Options{Shortcuts: true, Brunet: brunet.FastTestConfig()})
 
 	for i := 0; i < opts.Routers; i++ {
 		name := fmt.Sprintf("pub%02d", i)
@@ -402,18 +402,16 @@ func RunSymmetricRing(opts SymRingOpts) (*SymRingResult, error) {
 	}
 
 	// Two virtual workstations, also behind symmetric NATs.
-	ws := make([]*vm.VM, 2)
-	for i := range ws {
+	for i := 0; i < 2; i++ {
 		name := fmt.Sprintf("ws%d", i)
-		v, err := w.AddWorkstation(symHost(name, sites[i]),
-			mustVIP(fmt.Sprintf("172.16.1.%d", i+2)), vm.Spec{Name: name})
-		if err != nil {
+		if _, err := w.AddWorkstation(symHost(name, sites[i]),
+			mustVIP(fmt.Sprintf("172.16.1.%d", i+2)), vm.Spec{Name: name}); err != nil {
 			return nil, fmt.Errorf("sym-ring: %w", err)
 		}
-		ws[i] = v
 		s.RunFor(opts.JoinSpacing)
 	}
 	s.RunFor(opts.Settle)
+	ws := w.Workstations()
 
 	res := &SymRingResult{Seed: opts.Seed, Routers: opts.Routers, Nodes: opts.Nodes}
 
@@ -438,7 +436,7 @@ func RunSymmetricRing(opts SymRingOpts) (*SymRingResult, error) {
 	// Migrate ws0 to a public host and measure the VIP outage.
 	dst := net.AddHost("mig-dst", sites[0], net.Root(), phys.HostConfig{})
 	start := s.Now()
-	if err := w.Migrate(ws[0], dst, vm.MigrationConfig{TransferBps: 32 << 20, Graceful: true}, nil); err != nil {
+	if err := ws[0].Migrate(dst, vm.MigrationConfig{TransferBps: 32 << 20, Graceful: true}, nil); err != nil {
 		return nil, fmt.Errorf("sym-ring: migrate: %w", err)
 	}
 	res.MigOutageSec = -1

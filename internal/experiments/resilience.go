@@ -5,12 +5,10 @@ import (
 	"math"
 	"strings"
 
-	"wow/internal/brunet"
 	"wow/internal/natsim"
 	"wow/internal/phys"
 	"wow/internal/sim"
 	"wow/internal/testbed"
-	"wow/internal/vip"
 	"wow/internal/vm"
 )
 
@@ -50,19 +48,18 @@ func RunNATRebind(seed int64, trials int) (*NATRebindResult, error) {
 		phys.PathModel{OneWay: 15 * sim.Millisecond},
 	))
 	// A small public overlay plus one node behind a rebinding NAT.
-	tbLike, err := buildSmallOverlay(s, net, 24)
+	w, err := buildSmallOverlay(s, net, 24)
 	if err != nil {
 		return nil, fmt.Errorf("natrebind: %w", err)
 	}
 	nat := natsim.NewNAT("isp", natsim.Config{Type: natsim.PortRestricted}, net.Root().NextIP(), s.Now)
 	realm := net.AddRealm("home", net.Root(), nat, phys.MustParseIP("192.168.1.10"))
 	host := net.AddHost("home-host", net.AddSite("home"), realm, phys.HostConfig{})
-	home := vm.New(host, mustVIP("172.16.1.34"), vm.Spec{Name: "node034", CPUSpeed: 0.49},
-		brunet.DefaultConfig(), vip.StackConfig{})
-	if err := home.Start(tbLike.boot); err != nil {
+	home, err := w.AddWorkstation(host, mustVIP("172.16.1.34"), vm.Spec{Name: "node034", CPUSpeed: 0.49})
+	if err != nil {
 		return nil, fmt.Errorf("natrebind: %w", err)
 	}
-	prober := tbLike.vms[0]
+	prober := w.Workstations()[0]
 	s.RunFor(2 * sim.Minute)
 
 	res := &NATRebindResult{Recovered: true}

@@ -71,7 +71,7 @@ func RunSchedulerComparison(seed int64, jobs int) (*SchedulerComparison, error) 
 	// Jobs fetch no NFS data under Condor in this comparison; the CPU
 	// stream is identical and the I/O difference is noted in
 	// EXPERIMENTS.md.
-	for _, v := range tb.VMs {
+	for _, v := range tb.Workstations() {
 		if _, err := condor.NewStartd(v, v.Spec().CPUSpeed, head.IP(), 60*sim.Second); err != nil {
 			return nil, fmt.Errorf("schedulers: startd %s: %w", v.Name(), err)
 		}

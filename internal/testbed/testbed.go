@@ -11,6 +11,10 @@
 // multi-hop RTT through loaded PlanetLab routers, ~1.6 MB/s user-level
 // tunnel processing ceiling, and the hairpin behaviours that produce the
 // three join regimes of Figure 5.
+//
+// The package also holds WOW, the one way to assemble routers and virtual
+// workstations into a wide-area overlay network on any simulated physical
+// topology; Testbed is a WOW on the Figure 1 topology.
 package testbed
 
 import (
@@ -18,8 +22,6 @@ import (
 	"hash/fnv"
 
 	"wow/internal/brunet"
-	"wow/internal/core"
-	"wow/internal/ipop"
 	"wow/internal/natsim"
 	"wow/internal/phys"
 	"wow/internal/sim"
@@ -103,15 +105,14 @@ func (c *Config) fillDefaults() {
 	}
 }
 
-// Testbed is the assembled deployment: a core.WOW on the Figure 1
-// topology.
+// Testbed is the assembled deployment: a WOW on the Figure 1 topology.
 type Testbed struct {
+	// WOW is the overlay network of virtual workstations; its
+	// Workstations are the Table I nodes in order, then any added later.
+	*WOW
 	Cfg Config
 	Sim *sim.Simulator
 	Net *phys.Network
-	// WOW is the overlay network of virtual workstations.
-	WOW *core.WOW
-	VMs []*vm.VM
 
 	sites    map[string]*phys.Site
 	vmRealms map[string]*phys.Realm
@@ -164,6 +165,11 @@ func Build(cfg Config) *Testbed {
 	s := sim.New(cfg.Seed)
 	net := phys.NewNetwork(s, latency)
 	tb := &Testbed{
+		WOW: NewWOW(Options{
+			Shortcuts: cfg.Shortcuts,
+			Brunet:    cfg.Brunet,
+			Stack:     cfg.Stack,
+		}),
 		Cfg:      cfg,
 		Sim:      s,
 		Net:      net,
@@ -172,12 +178,6 @@ func Build(cfg Config) *Testbed {
 		byName:   make(map[string]*vm.VM),
 		nextVIP:  35,
 	}
-	tb.WOW = core.New(s, core.Options{
-		Shortcuts: cfg.Shortcuts,
-		Brunet:    cfg.Brunet,
-		Stack:     cfg.Stack,
-	})
-
 	tb.buildPlanetLab()
 	tb.buildComputeDomains()
 	if !cfg.SkipVMs {
@@ -210,7 +210,7 @@ func (tb *Testbed) buildPlanetLab() {
 	}
 	for i := 0; i < cfg.Routers; i++ {
 		host := tb.plHosts[i%len(tb.plHosts)]
-		if _, err := tb.WOW.AddRouter(host, fmt.Sprintf("plab-%03d", i)); err != nil {
+		if _, err := tb.AddRouter(host, fmt.Sprintf("plab-%03d", i)); err != nil {
 			panic(fmt.Sprintf("testbed: %v", err))
 		}
 		tb.Sim.RunFor(sim.Second)
@@ -279,11 +279,10 @@ func (tb *Testbed) addVM(def NodeDef) *vm.VM {
 		// IPOP traffic (§V-A); the node must bind it.
 		bcfg.Port = 40000
 	}
-	v, err := tb.WOW.AddWorkstationCfg(host, vip.MustParseIP(fmt.Sprintf("172.16.1.%d", def.VIP)), spec, bcfg)
+	v, err := tb.AddWorkstationCfg(host, vip.MustParseIP(fmt.Sprintf("172.16.1.%d", def.VIP)), spec, bcfg)
 	if err != nil {
 		panic(fmt.Sprintf("testbed: vm %s: %v", def.Name, err))
 	}
-	tb.VMs = append(tb.VMs, v)
 	tb.byName[def.Name] = v
 	return v
 }
@@ -320,13 +319,3 @@ func (tb *Testbed) NewHostAt(siteName string) *phys.Host {
 	tb.nextVIP++
 	return h
 }
-
-// RoutableVMs counts compute nodes whose overlay node reports ring
-// routability.
-func (tb *Testbed) RoutableVMs() int { return tb.WOW.RoutableWorkstations() }
-
-// Boot returns the bootstrap URIs handed to joining nodes.
-func (tb *Testbed) Boot() []brunet.URI { return tb.WOW.Bootstrap() }
-
-// Routers returns the PlanetLab router nodes.
-func (tb *Testbed) Routers() []*ipop.Node { return tb.WOW.Routers() }

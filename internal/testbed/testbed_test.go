@@ -5,7 +5,6 @@ import (
 
 	"wow/internal/brunet"
 	"wow/internal/sim"
-	"wow/internal/vip"
 )
 
 // fastCfg shrinks the testbed for unit tests; the benchmarks use the full
@@ -48,8 +47,8 @@ func TestBuildRoutersOnly(t *testing.T) {
 	cfg := fastCfg(1, true)
 	cfg.SkipVMs = true
 	tb := Build(cfg)
-	if len(tb.Routers()) != 24 || len(tb.VMs) != 0 {
-		t.Fatalf("routers=%d vms=%d", len(tb.Routers()), len(tb.VMs))
+	if len(tb.Routers()) != 24 || len(tb.Workstations()) != 0 {
+		t.Fatalf("routers=%d vms=%d", len(tb.Routers()), len(tb.Workstations()))
 	}
 	routable := 0
 	for _, r := range tb.Routers() {
@@ -64,11 +63,11 @@ func TestBuildRoutersOnly(t *testing.T) {
 
 func TestBuildFullTestbedAllRoutable(t *testing.T) {
 	tb := Build(fastCfg(2, true))
-	if len(tb.VMs) != 33 {
-		t.Fatalf("VMs = %d", len(tb.VMs))
+	if len(tb.Workstations()) != 33 {
+		t.Fatalf("VMs = %d", len(tb.Workstations()))
 	}
-	if got := tb.RoutableVMs(); got != 33 {
-		for _, v := range tb.VMs {
+	if got := tb.RoutableWorkstations(); got != 33 {
+		for _, v := range tb.Workstations() {
 			if !v.Node().Overlay().IsRoutable() {
 				t.Logf("not routable: %s (conns=%d)", v.Name(), len(v.Node().Overlay().Connections()))
 			}
@@ -106,13 +105,13 @@ func TestCrossDomainPing(t *testing.T) {
 
 func TestShortcutsToggle(t *testing.T) {
 	tbOff := Build(fastCfg(4, false))
-	for _, v := range tbOff.VMs[:3] {
+	for _, v := range tbOff.Workstations()[:3] {
 		if v.Node().Overlay().Config().Shortcut != nil {
 			t.Fatal("shortcuts enabled despite Shortcuts=false")
 		}
 	}
 	tbOn := Build(fastCfg(4, true))
-	if tbOn.VMs[0].Node().Overlay().Config().Shortcut == nil {
+	if tbOn.Workstations()[0].Node().Overlay().Config().Shortcut == nil {
 		t.Fatal("shortcuts disabled despite Shortcuts=true")
 	}
 }
@@ -159,8 +158,7 @@ func TestNewVMAndHostHelpers(t *testing.T) {
 	if h == nil || h.Realm() != tb.vmRealms["northwestern.edu"] {
 		t.Fatal("NewHostAt realm")
 	}
-	if v.IP() == 0 || v.IP() == tb.VMs[0].IP() {
+	if v.IP() == 0 || v.IP() == tb.Workstations()[0].IP() {
 		t.Fatal("VIP allocation")
 	}
-	_ = vip.IP(0)
 }
