@@ -169,6 +169,65 @@ type NeighborInfo struct {
 	Load int
 }
 
+// same reports whether two entries advertise the same thing: the same peer
+// and load, and the same URI list — the same length at the same array,
+// which for copy-on-write URI lists (Node.URIs) is the same contents.
+func (e *NeighborInfo) same(o *NeighborInfo) bool {
+	return e.Addr == o.Addr && e.Load == o.Load && len(e.URIs) == len(o.URIs) &&
+		(len(e.URIs) == 0 || &e.URIs[0] == &o.URIs[0])
+}
+
+// advert publishes a neighbor list copy-on-write, the way Node.URIs publishes
+// the URI list: a list it has handed out is never written again, because
+// receivers keep it (candidateStash.relays, a statusMsg in flight), possibly
+// on another shard. A build compares each entry with the published list in
+// place and makes a new array only at the first entry that differs; a list
+// that is a strict prefix of the published one is that list re-sliced with
+// its capacity capped.
+type advert struct {
+	pub  []NeighborInfo // the list last handed out
+	next []NeighborInfo // the list being built: a prefix of pub until own
+	own  bool           // next is a new array
+	size int            // the capacity a new array is made with
+}
+
+// begin starts a build; a new array, if one is needed, holds size entries.
+func (a *advert) begin(size int) { a.next, a.own, a.size = a.pub[:0], false, size }
+
+// add appends e to the list being built and returns the list's length.
+func (a *advert) add(e NeighborInfo) int {
+	i := len(a.next)
+	if !a.own {
+		if i < len(a.pub) && a.pub[i].same(&e) {
+			a.next = a.pub[:i+1]
+			return i + 1
+		}
+		fresh := make([]NeighborInfo, i, max(i+1, a.size))
+		copy(fresh, a.pub)
+		a.next, a.own = fresh, true
+	}
+	a.next = append(a.next, e)
+	return i + 1
+}
+
+// publish ends the build. The list it returns is shared and must not be
+// written; changed reports whether it differs from the one published
+// before. An empty list is nil.
+func (a *advert) publish() (list []NeighborInfo, changed bool) {
+	n := len(a.next)
+	switch {
+	case a.own:
+		a.pub = a.next
+	case n == len(a.pub):
+		return a.pub, false
+	case n == 0:
+		a.pub = nil
+	default:
+		a.pub = a.pub[:n:n]
+	}
+	return a.pub, true
+}
+
 // DeliveryMode selects how an overlay packet terminates (§IV-A: "the
 // packet is eventually delivered to the destination; or if the destination
 // is down, it is delivered to its nearest neighbors").

@@ -849,7 +849,7 @@ func (n *Node) handleWire(w wire, payload any) {
 		if n.tun != nil {
 			n.tun.noRoute(m.Relay, m.To)
 		}
-	case statusMsg:
+	case *statusMsg:
 		if c, ok := n.lookup(m.From); ok {
 			n.touch(c)
 		}
@@ -999,24 +999,27 @@ func (n *Node) deliverApp(src Addr, m AppData) {
 // relayCandidates lists this node's directly-connected peers (capped, in
 // address order) for a CTM's Relays field: the connection-table exchange
 // that lets two nodes that cannot link directly find mutual neighbors to
-// tunnel through.
+// tunnel through. The list is the tunnel overlord's published advert, nil
+// when no peer qualifies; the returned slice is shared and must not be
+// written.
 func (n *Node) relayCandidates() []NeighborInfo {
 	max := n.cfg.TunnelMaxRelays
-	if max <= 0 || len(n.table.slots) == 0 {
+	if max <= 0 || n.tun == nil {
 		return nil
 	}
-	out := make([]NeighborInfo, 0, max)
+	adv := &n.tun.relays
+	adv.begin(max)
 	for _, s := range n.table.slots {
 		c := s.c
 		if c.Tunneled() {
 			continue
 		}
-		out = append(out, NeighborInfo{Addr: c.Peer, URIs: c.URIs, Load: c.peerLoad})
-		if len(out) >= max {
+		if adv.add(NeighborInfo{Addr: c.Peer, URIs: c.URIs, Load: c.peerLoad}) >= max {
 			break
 		}
 	}
-	return out
+	list, _ := adv.publish()
+	return list
 }
 
 // ctmPacket takes a packet from the shard's list for a message of the

@@ -15,6 +15,10 @@ type nearOverlord struct {
 	node     *Node
 	leafPeer Addr
 	joinSent bool
+	// nears is the near neighborhood as last gossiped, and status the one
+	// message built from it that every neighbor is sent until it changes.
+	nears  advert
+	status *statusMsg
 }
 
 func newNearOverlord(n *Node) *nearOverlord { return &nearOverlord{node: n} }
@@ -105,15 +109,19 @@ func (o *nearOverlord) gossip() {
 	if nears == 0 {
 		return
 	}
-	infos := make([]NeighborInfo, 0, nears)
+	o.nears.begin(nears)
 	for _, s := range n.table.slots {
 		if c := s.c; c.Has(StructuredNear) {
-			infos = append(infos, NeighborInfo{Addr: c.Peer, URIs: c.URIs})
+			o.nears.add(NeighborInfo{Addr: c.Peer, URIs: c.URIs})
 		}
 	}
-	// One message for every neighbor, boxed once: receivers only read it.
-	var msg any = statusMsg{From: n.addr, Neighbors: infos}
-	size := statusMsgSize + 24*len(infos)
+	// One message for every neighbor, rebuilt only when the list changes:
+	// receivers only read it, and one still in flight keeps its own list.
+	if infos, changed := o.nears.publish(); changed {
+		o.status = &statusMsg{From: n.addr, Neighbors: infos}
+	}
+	msg := o.status
+	size := statusMsgSize + 24*len(msg.Neighbors)
 	for _, s := range n.table.slots {
 		if s.c.Has(StructuredNear) {
 			n.sendConn(s.c, size, msg)
@@ -125,7 +133,7 @@ func (o *nearOverlord) gossip() {
 // handleStatus connects toward advertised neighbors that are closer than
 // what we currently hold — the ring-repair path that makes the overlay
 // converge after joins, leaves and migrations.
-func (o *nearOverlord) handleStatus(m statusMsg) {
+func (o *nearOverlord) handleStatus(m *statusMsg) {
 	n := o.node
 	for _, info := range m.Neighbors {
 		if info.Addr == n.addr {

@@ -35,6 +35,9 @@ type tunnelOverlord struct {
 	// excerpt most recently learned from a CTM exchange with it — the raw
 	// material for relay selection.
 	cands map[Addr]*candidateStash
+	// relays is this node's own connection-table excerpt as its CTMs last
+	// advertised it (relayCandidates).
+	relays advert
 	// upgrades holds the armed direct-link upgrade timer per tunnel peer.
 	// It and the two maps below are made at their first write (armUpgrade,
 	// establish): a node that never holds a tunnel never writes them, and
@@ -51,7 +54,10 @@ type tunnelOverlord struct {
 	recruited map[Addr]bool
 }
 
-// candidateStash is the tunnel-relevant content of one CTM exchange.
+// candidateStash is the tunnel-relevant content of one CTM exchange. Both
+// slices are the sender's published lists, shared and never written; a later
+// exchange with the same peer refills the stash in place, so readers take
+// what they need within the call and keep no stash across calls.
 type candidateStash struct {
 	uris   []URI
 	relays []NeighborInfo
@@ -90,7 +96,11 @@ func (o *tunnelOverlord) learnCandidates(peer Addr, uris []URI, relays []Neighbo
 	if peer == n.addr {
 		return
 	}
-	o.cands[peer] = &candidateStash{uris: uris, relays: relays}
+	if st := o.cands[peer]; st != nil {
+		st.uris, st.relays = uris, relays
+	} else {
+		o.cands[peer] = &candidateStash{uris: uris, relays: relays}
+	}
 	c, ok := n.lookup(peer)
 	if !ok || !c.Tunneled() {
 		return
