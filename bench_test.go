@@ -295,7 +295,7 @@ func BenchmarkNATRebind(b *testing.B) {
 // BenchmarkChurn measures ring self-repair after bulk router failure.
 func BenchmarkChurn(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := experiments.RunChurn(int64(i+1), 0.25)
+		res := experiments.RunChurn(int64(i + 1))
 		if !res.Healed {
 			b.Fatal("overlay did not heal")
 		}

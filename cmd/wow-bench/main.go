@@ -85,7 +85,7 @@ var registry = []experiment{
 	{"resilience", "Resilience: NAT rebinding, churn, live migration", func(b *bench) {
 		natRes, err := experiments.RunNATRebind(b.seed, 3)
 		b.show("nat-rebind", natRes, err)
-		b.show("churn", experiments.RunChurn(b.seed, 0.25), nil)
+		b.show("churn", experiments.RunChurn(b.seed), nil)
 		migRes, err := experiments.RunLiveMigration(b.seed)
 		b.show("live-migration", migRes, err)
 	}},

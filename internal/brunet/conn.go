@@ -84,7 +84,7 @@ type Connection struct {
 	loadKnown bool
 	// activeRelay anchors a tunnel edge's relay hysteresis: the relay the
 	// last frame used, kept until it dies or a challenger beats it by
-	// more than Config.RelayHysteresis.
+	// more than relayHysteresis.
 	activeRelay Addr
 	// dropReason records why dropConnection tore the connection down
 	// ("timeout", "leave", …), readable by OnDisconnection callbacks —
@@ -100,9 +100,6 @@ func (c *Connection) Has(t ConnType) bool { return c.roles&maskOf(t) != 0 }
 func (c *Connection) RTT() (srtt, rttvar sim.Duration, ok bool) {
 	return c.srtt, c.rttvar, c.haveRTT
 }
-
-// PeerLoad reports the peer's last advertised relay load.
-func (c *Connection) PeerLoad() int { return c.peerLoad }
 
 // observeRTT folds one clean round-trip sample into the estimators:
 // the standard Jacobson update (srtt ← 7/8·srtt + 1/8·rtt,
@@ -123,10 +120,6 @@ func (c *Connection) observeRTT(rtt sim.Duration) {
 	c.rttvar = (3*c.rttvar + diff) / 4
 	c.srtt = (7*c.srtt + rtt) / 8
 }
-
-// DropReason reports why the connection was torn down ("timeout",
-// "leave", …) — meaningful only inside OnDisconnection callbacks.
-func (c *Connection) DropReason() string { return c.dropReason }
 
 // Types lists the connection's roles in sorted order.
 func (c *Connection) Types() []ConnType {
@@ -348,11 +341,7 @@ func (n *Node) watchStream(c *Connection) {
 // tunnelFrame and handed to the first live relay.
 func (n *Node) sendConn(c *Connection, size int, payload any) {
 	if !n.up || c.closed {
-		if n.flight != nil {
-			if op, ok := payload.(*OverlayPacket); ok && op.Trace != 0 {
-				n.flightTerminal(op, trace.OutcomeConnClosed)
-			}
-		}
+		n.flightDrop(payload, trace.OutcomeConnClosed)
 		return
 	}
 	if c.Tunneled() {
@@ -384,24 +373,35 @@ func unpool(payload any) {
 	}
 }
 
+// Relay selection. relayLoadPenalty converts a tunnel relay's advertised
+// load (tunnel pairs currently carried, piggybacked on pongs and CTM
+// NeighborInfo) into score time. relayHysteresis is how much better a
+// challenger relay's score must be before a tunnel edge re-points away from
+// a live active relay, so flapping links don't thrash re-selection; failover
+// away from a dead relay is always instant.
+const (
+	relayLoadPenalty = 25 * sim.Millisecond
+	relayHysteresis  = 50 * sim.Millisecond
+)
+
 // relayScore ranks one relay candidate for a tunnel edge: the observed
 // smoothed RTT to it (PingTimeout standing in before the first sample)
-// plus a penalty per tunnel pair the relay advertises it already carries.
-// Lower is better.
+// plus relayLoadPenalty per tunnel pair the relay advertises it already
+// carries. Lower is better.
 func (n *Node) relayScore(rc *Connection) sim.Duration {
 	rtt := n.cfg.PingTimeout
 	if rc.haveRTT {
 		rtt = rc.srtt
 	}
-	return rtt + sim.Duration(rc.peerLoad)*n.cfg.RelayLoadPenalty
+	return rtt + sim.Duration(rc.peerLoad)*relayLoadPenalty
 }
 
 // bestRelay picks the relay to carry c's next frame: the lowest-scoring
 // relay reachable over a direct (non-tunneled) connection — tunnels never
 // nest. Hysteresis keeps the edge on its current relay unless a challenger
-// beats it by more than Config.RelayHysteresis, so score wobble on
-// flapping links doesn't thrash re-selection; a dead active relay fails
-// over to the next-ranked one instantly. Score ties resolve to the
+// beats it by more than relayHysteresis, so score wobble on flapping links
+// doesn't thrash re-selection; a dead active relay fails over to the
+// next-ranked one instantly. Score ties resolve to the
 // lowest-addressed relay (c.Relays is sorted), which is exactly the old
 // first-live-wins choice when no RTT or load information distinguishes
 // the candidates.
@@ -424,7 +424,7 @@ func (n *Node) bestRelay(c *Connection) *Connection {
 	if best == nil {
 		return nil
 	}
-	if active != nil && activeScore <= bestScore+n.cfg.RelayHysteresis {
+	if active != nil && activeScore <= bestScore+relayHysteresis {
 		return active
 	}
 	if active == nil && !c.activeRelay.IsZero() {
@@ -442,11 +442,7 @@ func (n *Node) sendTunnel(c *Connection, size int, payload any) {
 	rc := n.bestRelay(c)
 	if rc == nil {
 		n.Stats.Inc("tunnel.norelay", 1)
-		if n.flight != nil {
-			if op, ok := payload.(*OverlayPacket); ok && op.Trace != 0 {
-				n.flightTerminal(op, trace.OutcomeNoRelay)
-			}
-		}
+		n.flightDrop(payload, trace.OutcomeNoRelay)
 		return
 	}
 	n.sendFrame(rc, c.Peer, size, payload)
@@ -523,21 +519,24 @@ func (n *Node) handlePong(c *Connection, m *pingMsg) {
 	n.touch(c)
 }
 
+// The adaptive ping deadline: rtoK is the rttvar multiplier k, and
+// [rtoMin, rtoMax] clamps the result. The floor guards against suspicion
+// storms on very fast links, the ceiling bounds detection latency on very
+// jittery ones.
+const (
+	rtoK   = 4
+	rtoMin = 500 * sim.Millisecond
+	rtoMax = 20 * sim.Second
+)
+
 // pingDeadline derives the wait for one ping round: the adaptive RTO
-// srtt + RTOK·rttvar clamped to [RTOMin, RTOMax] when Config.AdaptiveRTO
+// srtt + rtoK·rttvar clamped to [rtoMin, rtoMax] when Config.AdaptiveRTO
 // is set and a sample exists, the fixed PingTimeout otherwise.
 func (n *Node) pingDeadline(c *Connection) sim.Duration {
 	if !n.cfg.AdaptiveRTO || !c.haveRTT {
 		return n.cfg.PingTimeout
 	}
-	d := c.srtt + sim.Duration(n.cfg.RTOK)*c.rttvar
-	if d < n.cfg.RTOMin {
-		d = n.cfg.RTOMin
-	}
-	if d > n.cfg.RTOMax {
-		d = n.cfg.RTOMax
-	}
-	return d
+	return min(max(c.srtt+rtoK*c.rttvar, rtoMin), rtoMax)
 }
 
 // schedulePing arms the keepalive timer for a connection.

@@ -148,6 +148,18 @@ func (n *Node) flightTerminal(pkt *OverlayPacket, outcome string) {
 	pkt.Trace = 0
 }
 
+// flightDrop records the end of a payload dying at this node when it is a
+// traced overlay packet: a stopped node's wire, a closed connection, a tunnel
+// edge without a live relay, a relay with no route onward.
+func (n *Node) flightDrop(payload any, outcome string) {
+	if n.flight == nil {
+		return
+	}
+	if op, ok := payload.(*OverlayPacket); ok && op.Trace != 0 {
+		n.flightTerminal(op, outcome)
+	}
+}
+
 // flightHealthTick emits one health snapshot: ring consistency
 // (routability), the connection table's composition by role and tunnel
 // state, the mean RTT-estimator state over measured connections with the

@@ -35,7 +35,7 @@ func TestObserveRTTJacobson(t *testing.T) {
 
 // TestQuickAdaptiveDeadlineClamped is the satellite property: for ANY
 // sequence of RTT samples, the adaptive ping deadline stays within
-// [RTOMin, RTOMax].
+// [rtoMin, rtoMax].
 func TestQuickAdaptiveDeadlineClamped(t *testing.T) {
 	cfg := FastTestConfig()
 	cfg.AdaptiveRTO = true
@@ -50,7 +50,7 @@ func TestQuickAdaptiveDeadlineClamped(t *testing.T) {
 		if !c.haveRTT {
 			return d == cfg.PingTimeout // no sample yet: fixed fallback
 		}
-		return d >= cfg.RTOMin && d <= cfg.RTOMax
+		return d >= rtoMin && d <= rtoMax
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
@@ -58,7 +58,7 @@ func TestQuickAdaptiveDeadlineClamped(t *testing.T) {
 }
 
 // TestPingDeadlineModes: fixed unless AdaptiveRTO and a sample exist, and
-// the adaptive value follows srtt + RTOK·rttvar between the clamps.
+// the adaptive value follows srtt + rtoK·rttvar between the clamps.
 func TestPingDeadlineModes(t *testing.T) {
 	cfg := FastTestConfig()
 	cfg.AdaptiveRTO = true
@@ -70,15 +70,15 @@ func TestPingDeadlineModes(t *testing.T) {
 	}
 	// srtt 800ms, rttvar 400ms → 800 + 4·400 = 2400ms, inside the clamps.
 	c.observeRTT(800 * sim.Millisecond)
-	want := 800*sim.Millisecond + sim.Duration(cfg.RTOK)*400*sim.Millisecond
+	want := 800*sim.Millisecond + rtoK*400*sim.Millisecond
 	if d := n.pingDeadline(c); d != want {
 		t.Fatalf("adaptive deadline = %v, want %v", d, want)
 	}
 	// A tiny RTT clamps up to the floor.
 	c2 := &Connection{}
 	c2.observeRTT(sim.Millisecond)
-	if d := n.pingDeadline(c2); d != cfg.RTOMin {
-		t.Fatalf("tiny-RTT deadline = %v, want floor %v", d, cfg.RTOMin)
+	if d := n.pingDeadline(c2); d != rtoMin {
+		t.Fatalf("tiny-RTT deadline = %v, want floor %v", d, rtoMin)
 	}
 	// With the knob off the estimators run but the deadline stays fixed.
 	off := n.cfg
@@ -325,7 +325,7 @@ func TestRelayScoreDefaults(t *testing.T) {
 		t.Fatal("measured fast relay does not outrank unmeasured one")
 	}
 	measured.peerLoad = 3
-	want := 20*sim.Millisecond + 3*cfg.RelayLoadPenalty
+	want := 20*sim.Millisecond + 3*relayLoadPenalty
 	if got := n.relayScore(measured); got != want {
 		t.Fatalf("loaded score = %v, want %v", got, want)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"wow/internal/sim"
+	"wow/internal/trace"
 )
 
 // ConnType classifies overlay connections (§IV-A).
@@ -294,7 +295,7 @@ func (p *OverlayPacket) Carries() any {
 }
 
 // ClearTrace consumes the trace context after a terminal record. The
-// physical layer calls it through trace.Cleared so a packet object shared
+// physical layer calls it through trace.Traced so a packet object shared
 // between a transport retransmit buffer and the wire can never produce two
 // terminals.
 func (p *OverlayPacket) ClearTrace() { p.Trace = 0 }
@@ -386,9 +387,7 @@ func (f *tunnelFrame) Carries() any { return f.Inner }
 // TraceContext delegates to the wrapped message: dropping a tunnel frame
 // in flight terminates the traced overlay packet inside it.
 func (f *tunnelFrame) TraceContext() (uint64, sim.Time) {
-	if t, ok := f.Inner.(interface {
-		TraceContext() (uint64, sim.Time)
-	}); ok {
+	if t, ok := f.Inner.(trace.Traced); ok {
 		return t.TraceContext()
 	}
 	return 0, 0
@@ -396,8 +395,8 @@ func (f *tunnelFrame) TraceContext() (uint64, sim.Time) {
 
 // ClearTrace delegates to the wrapped message.
 func (f *tunnelFrame) ClearTrace() {
-	if c, ok := f.Inner.(interface{ ClearTrace() }); ok {
-		c.ClearTrace()
+	if t, ok := f.Inner.(trace.Traced); ok {
+		t.ClearTrace()
 	}
 }
 

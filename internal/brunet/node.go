@@ -42,29 +42,11 @@ type Config struct {
 	PingRetries  int
 
 	// AdaptiveRTO switches the ping deadline from the fixed PingTimeout
-	// to the per-connection estimate srtt + RTOK·rttvar (Jacobson/Karn),
-	// clamped to [RTOMin, RTOMax]. The estimators run either way — only
+	// to the per-connection estimate srtt + rtoK·rttvar (Jacobson/Karn),
+	// clamped to [rtoMin, rtoMax]. The estimators run either way — only
 	// the deadline derivation is gated — so flipping the knob mid-run
 	// takes effect with whatever samples the connection already has.
 	AdaptiveRTO bool
-	// RTOK is the rttvar multiplier k in the adaptive deadline.
-	RTOK int
-	// RTOMin / RTOMax clamp the adaptive deadline: the floor guards
-	// against suspicion storms on very fast links, the ceiling bounds
-	// detection latency on very jittery ones.
-	RTOMin sim.Duration
-	RTOMax sim.Duration
-
-	// RelayLoadPenalty converts a tunnel relay's advertised load (tunnel
-	// pairs currently carried, piggybacked on pongs and CTM NeighborInfo)
-	// into score time: score = srtt + load·RelayLoadPenalty. Relay
-	// selection prefers the lowest score.
-	RelayLoadPenalty sim.Duration
-	// RelayHysteresis is how much better a challenger relay's score must
-	// be before a tunnel edge re-points away from a live active relay —
-	// flapping links don't thrash re-selection. Failover away from a
-	// dead relay is always instant.
-	RelayHysteresis sim.Duration
 
 	// JitterSeed, when non-zero, gives the node a private protocol-jitter
 	// RNG seeded JitterSeed^hash(addr) instead of drawing from the shared
@@ -111,9 +93,6 @@ type Config struct {
 	// node moved). The probes double as relay-candidate refresh.
 	// UseZero disables upgrade probing.
 	TunnelUpgradeInterval sim.Duration
-	// TunnelMaxRelays caps both the relay list of a tunnel edge and the
-	// relay-candidate list advertised in CTMs.
-	TunnelMaxRelays int
 
 	// PrivateFirst flips the linking protocol's URI trial order to try
 	// private endpoints before NAT-learned ones; an ablation knob for
@@ -165,14 +144,7 @@ func DefaultConfig() Config {
 		RelinkBase:     10 * sim.Second,
 		RelinkRetries:  5,
 
-		RTOK:             4,
-		RTOMin:           500 * sim.Millisecond,
-		RTOMax:           20 * sim.Second,
-		RelayLoadPenalty: 25 * sim.Millisecond,
-		RelayHysteresis:  50 * sim.Millisecond,
-
 		TunnelUpgradeInterval: 60 * sim.Second,
-		TunnelMaxRelays:       4,
 
 		Shortcut: DefaultShortcutConfig(),
 	}
@@ -235,13 +207,7 @@ func (c *Config) fillDefaults() {
 	c.SuspectRetries = defaulted(c.SuspectRetries, d.SuspectRetries)
 	c.RelinkBase = defaulted(c.RelinkBase, d.RelinkBase)
 	c.RelinkRetries = defaulted(c.RelinkRetries, d.RelinkRetries)
-	c.RTOK = defaulted(c.RTOK, d.RTOK)
-	c.RTOMin = defaulted(c.RTOMin, d.RTOMin)
-	c.RTOMax = defaulted(c.RTOMax, d.RTOMax)
-	c.RelayLoadPenalty = defaulted(c.RelayLoadPenalty, d.RelayLoadPenalty)
-	c.RelayHysteresis = defaulted(c.RelayHysteresis, d.RelayHysteresis)
 	c.TunnelUpgradeInterval = defaulted(c.TunnelUpgradeInterval, d.TunnelUpgradeInterval)
-	c.TunnelMaxRelays = defaulted(c.TunnelMaxRelays, d.TunnelMaxRelays)
 	if c.Transport == "" {
 		c.Transport = "udp"
 	}
@@ -251,7 +217,7 @@ func (c *Config) fillDefaults() {
 // internal/ipop) and PlanetLab bootstrap routers run bare Nodes.
 type Node struct {
 	// What a forwarded packet reads of its router comes first, ahead of
-	// the 224-byte cfg, so a transit hop touches the head of the struct
+	// the 176-byte cfg, so a transit hop touches the head of the struct
 	// and nothing else of it: everything down to occ shares one cache
 	// line (TestHotFieldsLayout pins it).
 	addr Addr
@@ -786,11 +752,7 @@ func (n *Node) handleWire(w wire, payload any) {
 	if !n.up {
 		// A stopped node silently eats anything still addressed to it;
 		// give traced packets a terminal instead of a vanishing act.
-		if n.flight != nil {
-			if op, ok := payload.(*OverlayPacket); ok && op.Trace != 0 {
-				n.flightTerminal(op, trace.OutcomeNodeDown)
-			}
-		}
+		n.flightDrop(payload, trace.OutcomeNodeDown)
 		return
 	}
 	switch m := payload.(type) {
@@ -971,8 +933,6 @@ func (n *Node) deliver(pkt *OverlayPacket) {
 		default:
 			n.statUnknownOverlay.Inc(1)
 		}
-	case AppData:
-		n.deliverApp(pkt.Src, m)
 	case *AppData:
 		// The AppData is inline in the packet; hand the handler a copy,
 		// since the packet is released right after this.
@@ -1003,18 +963,17 @@ func (n *Node) deliverApp(src Addr, m AppData) {
 // when no peer qualifies; the returned slice is shared and must not be
 // written.
 func (n *Node) relayCandidates() []NeighborInfo {
-	max := n.cfg.TunnelMaxRelays
-	if max <= 0 || n.tun == nil {
+	if n.tun == nil {
 		return nil
 	}
 	adv := &n.tun.relays
-	adv.begin(max)
+	adv.begin(tunnelMaxRelays)
 	for _, s := range n.table.slots {
 		c := s.c
 		if c.Tunneled() {
 			continue
 		}
-		if adv.add(NeighborInfo{Addr: c.Peer, URIs: c.URIs, Load: c.peerLoad}) >= max {
+		if adv.add(NeighborInfo{Addr: c.Peer, URIs: c.URIs, Load: c.peerLoad}) >= tunnelMaxRelays {
 			break
 		}
 	}
@@ -1205,11 +1164,7 @@ func (n *Node) handleTunnelFrame(w wire, f *tunnelFrame) {
 		c, ok := n.lookup(f.To)
 		if !ok || c.closed || c.Tunneled() {
 			n.Stats.Inc("tunnel.relay_noroute", 1)
-			if n.flight != nil {
-				if op, tok := f.Inner.(*OverlayPacket); tok && op.Trace != 0 {
-					n.flightTerminal(op, trace.OutcomeRelayNoRoute)
-				}
-			}
+			n.flightDrop(f.Inner, trace.OutcomeRelayNoRoute)
 			// Bounce: tell the originator this relay has no direct route
 			// to To, so it fails over now rather than at ping timeout.
 			if oc, live := n.lookup(f.From); live && !oc.closed && !oc.Tunneled() {
@@ -1234,7 +1189,7 @@ func (n *Node) handleTunnelFrame(w wire, f *tunnelFrame) {
 	// Tunnel endpoint: a frame through Via proves that relay works in
 	// the peer->us direction; adopt it so our own sends can fail over.
 	if c, ok := n.lookup(f.From); ok && c.Tunneled() {
-		if !f.Via.IsZero() && len(c.Relays) < n.cfg.TunnelMaxRelays {
+		if !f.Via.IsZero() && len(c.Relays) < tunnelMaxRelays {
 			if rc, rok := n.lookup(f.Via); rok && !rc.Tunneled() && c.addRelay(f.Via) {
 				n.Stats.Inc("tunnel.relay_learned", 1)
 			}

@@ -149,15 +149,18 @@ func buildZeroLatencyRing(t testing.TB, seed int64, count int) (*sim.Simulator, 
 }
 
 // TestAllocFreeForwarding is the hot-path allocation guard: with the
-// virtual clock frozen, routing a pre-built overlay packet through a
-// converged ring — socket send, propagation event, CPU event, per-hop
-// greedy forwarding, final delivery — must not allocate at all in steady
-// state. Event and packet pools absorb the per-hop objects; origination
+// virtual clock frozen, routing a pre-built overlay packet (its AppData
+// inline, as SendTo builds it; built by hand, so no list takes it back)
+// through a converged ring — socket send, propagation event, CPU event,
+// per-hop greedy forwarding, final delivery — must not allocate at all in
+// steady state. Event and packet pools absorb the per-hop objects; origination
 // (SendTo) has its own guard, TestAllocFreeOrigination.
 func TestAllocFreeForwarding(t *testing.T) {
 	s, nodes := buildZeroLatencyRing(t, 7, 12)
 	src, dst := nodes[2], nodes[9]
-	pkt := &OverlayPacket{Payload: AppData{Proto: "allocguard", Size: 64}}
+	pkt := &OverlayPacket{}
+	pkt.app = AppData{Proto: "allocguard", Size: 64}
+	pkt.Payload = &pkt.app
 	delivered := 0
 	dst.RegisterProto("allocguard", func(Addr, AppData) { delivered++ })
 	route := func() {
@@ -241,7 +244,9 @@ func TestAllocFreeForwardingTraced(t *testing.T) {
 	s, nodes := buildZeroLatencyRing(t, 7, 12)
 	tr := enableUnsampledTrace(s, nodes)
 	src, dst := nodes[2], nodes[9]
-	pkt := &OverlayPacket{Payload: AppData{Proto: "allocguard", Size: 64}}
+	pkt := &OverlayPacket{}
+	pkt.app = AppData{Proto: "allocguard", Size: 64}
+	pkt.Payload = &pkt.app
 	delivered := 0
 	dst.RegisterProto("allocguard", func(Addr, AppData) { delivered++ })
 	route := func() {

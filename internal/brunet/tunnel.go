@@ -63,6 +63,10 @@ type candidateStash struct {
 	relays []NeighborInfo
 }
 
+// tunnelMaxRelays caps both the relay list of a tunnel edge and the
+// relay-candidate list advertised in CTMs.
+const tunnelMaxRelays = 4
+
 func newTunnelOverlord(n *Node) *tunnelOverlord {
 	return &tunnelOverlord{node: n, cands: make(map[Addr]*candidateStash)}
 }
@@ -106,7 +110,7 @@ func (o *tunnelOverlord) learnCandidates(peer Addr, uris []URI, relays []Neighbo
 		return
 	}
 	for _, adv := range relays {
-		if len(c.Relays) >= n.cfg.TunnelMaxRelays {
+		if len(c.Relays) >= tunnelMaxRelays {
 			break
 		}
 		if adv.Addr == n.addr || adv.Addr == peer {
@@ -183,8 +187,8 @@ func (o *tunnelOverlord) establish(target Addr) {
 	sort.SliceStable(candidates, func(i, j int) bool {
 		return candidates[i].Load < candidates[j].Load
 	})
-	if len(candidates) > n.cfg.TunnelMaxRelays {
-		candidates = candidates[:n.cfg.TunnelMaxRelays]
+	if len(candidates) > tunnelMaxRelays {
+		candidates = candidates[:tunnelMaxRelays]
 	}
 	if len(candidates) > 0 {
 		mutual := make([]Addr, len(candidates))
@@ -350,7 +354,7 @@ func (o *tunnelOverlord) refill(tc *Connection) bool {
 		return false
 	}
 	for _, adv := range st.relays {
-		if len(tc.Relays) >= n.cfg.TunnelMaxRelays {
+		if len(tc.Relays) >= tunnelMaxRelays {
 			break
 		}
 		if adv.Addr == n.addr || adv.Addr == tc.Peer {

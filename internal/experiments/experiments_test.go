@@ -135,6 +135,7 @@ func TestFig6Shape(t *testing.T) {
 	if res.Progress.Len() == 0 {
 		t.Error("no progress series")
 	}
+	pinned(t, "fig6", res.String(), pinFig6Seed1)
 }
 
 func TestFig7Shape(t *testing.T) {
@@ -157,6 +158,7 @@ func TestFig7Shape(t *testing.T) {
 	if len(res.Points) != 110 {
 		t.Errorf("points = %d", len(res.Points))
 	}
+	pinned(t, "fig7", res.String(), pinFig7Seed1)
 }
 
 func TestFig8Shape(t *testing.T) {
@@ -223,6 +225,7 @@ func TestTable3Shape(t *testing.T) {
 	if !strings.Contains(res.String(), "Table III") {
 		t.Error("String malformed")
 	}
+	pinned(t, "table3", res.String(), pinTable3Seed1)
 }
 
 func TestOutageRecovery(t *testing.T) {
@@ -236,6 +239,7 @@ func TestOutageRecovery(t *testing.T) {
 	if !strings.Contains(res.String(), "no-routability") {
 		t.Error("String malformed")
 	}
+	pinned(t, "outage", res.String(), pinOutageSeed1)
 }
 
 func TestVirtOverheadIs13Pct(t *testing.T) {
@@ -302,7 +306,7 @@ func TestFig6StallDetectionHelpers(t *testing.T) {
 	// Degenerate option handling.
 	var o Fig6Opts
 	o.fillDefaults()
-	if o.FileBytes != 720<<20 || o.MigrateAt != 200*sim.Second {
+	if o.FileBytes != 720<<20 || fig6MigrateAt != 200*sim.Second {
 		t.Fatalf("defaults: %+v", o)
 	}
 	var jo JoinOpts

@@ -91,18 +91,16 @@ func renderTimeline(b *strings.Builder, tl []faults.TimelineEntry) {
 // MigrationOutageOpts parameterizes the graceful-vs-cold §V-C comparison.
 type MigrationOutageOpts struct {
 	Seed int64
-	// TransferBps is the VM image copy rate; the default 2 MB/s keeps
-	// the transfer much longer than the baseline detection window, so
-	// the window is measured cleanly before the node reappears.
-	TransferBps float64
 	// Routers / PlanetLabHosts size the overlay.
 	Routers, PlanetLabHosts int
 }
 
+// migrationOutageBps is the VM image copy rate of the §V-C comparison: 2 MB/s
+// keeps the transfer much longer than the baseline detection window, so the
+// window is measured cleanly before the node reappears.
+const migrationOutageBps = 2 << 20
+
 func (o *MigrationOutageOpts) fillDefaults() {
-	if o.TransferBps == 0 {
-		o.TransferBps = 2 << 20
-	}
 	if o.Routers == 0 {
 		o.Routers = 40
 	}
@@ -182,7 +180,7 @@ func runMigrationWindow(opts MigrationOutageOpts, graceful bool) (float64, metri
 
 	before := snapshotRecovery(tb)
 	killAt := tb.Sim.Now()
-	cfg := vm.MigrationConfig{TransferBps: opts.TransferBps, Graceful: graceful}
+	cfg := vm.MigrationConfig{TransferBps: migrationOutageBps, Graceful: graceful}
 	if err := victim.Migrate(dst, cfg, nil); err != nil {
 		return -1, report, fmt.Errorf("%s: %w", scenario, err)
 	}
@@ -206,19 +204,16 @@ func runMigrationWindow(opts MigrationOutageOpts, graceful bool) (float64, metri
 // PartitionHealOpts parameterizes the partition-and-repair experiment.
 type PartitionHealOpts struct {
 	Seed int64
-	// PartitionFor is how long the cut lasts; long enough by default
-	// that every cross-partition link times out and each side re-forms
-	// its own ring, so re-merging requires the repair overlord's cached
-	// direct re-links.
-	PartitionFor sim.Duration
 	// Routers / PlanetLabHosts size the overlay.
 	Routers, PlanetLabHosts int
 }
 
+// partitionFor is how long the cut lasts: long enough that every
+// cross-partition link times out and each side re-forms its own ring, so
+// re-merging requires the repair overlord's cached direct re-links.
+const partitionFor = 3 * sim.Minute
+
 func (o *PartitionHealOpts) fillDefaults() {
-	if o.PartitionFor == 0 {
-		o.PartitionFor = 3 * sim.Minute
-	}
 	if o.Routers == 0 {
 		o.Routers = 40
 	}
@@ -271,18 +266,18 @@ func RunPartitionHeal(opts PartitionHealOpts) (*PartitionHealResult, error) {
 	for h := 0; h < opts.PlanetLabHosts/2; h++ {
 		cutSites = append(cutSites, fmt.Sprintf("planetlab%02d", h))
 	}
-	inj.Schedule(faults.Partition{A: faults.AtSites(cutSites...), From: 0, For: opts.PartitionFor})
+	inj.Schedule(faults.Partition{A: faults.AtSites(cutSites...), From: 0, For: partitionFor})
 	cutAt := tb.Sim.Now()
 	before := snapshotRecovery(tb)
 
 	// Mid-window: the cut must actually sever cross-partition traffic.
-	tb.Sim.RunFor(opts.PartitionFor / 2)
+	tb.Sim.RunFor(partitionFor / 2)
 	res := &PartitionHealResult{
-		PartitionSeconds: opts.PartitionFor.Seconds(),
+		PartitionSeconds: partitionFor.Seconds(),
 		CutConfirmed:     !pingOK(tb.Sim, tb.VM("node003"), tb.VM("node017").IP()),
 	}
 
-	healAt := cutAt.Add(opts.PartitionFor)
+	healAt := cutAt.Add(partitionFor)
 	if now := tb.Sim.Now(); now < healAt {
 		tb.Sim.RunFor(healAt.Sub(now))
 	}
@@ -316,26 +311,20 @@ func RunPartitionHeal(opts PartitionHealOpts) (*PartitionHealResult, error) {
 // ChurnWaveOpts parameterizes the correlated-churn experiment.
 type ChurnWaveOpts struct {
 	Seed int64
-	// Fraction of the PlanetLab routers cycled by the wave.
-	Fraction float64
-	// Spacing between consecutive kills; Down is each router's outage.
-	// With Down spanning several Spacings the wave overlaps: the overlay
-	// repairs under continued fire.
-	Spacing, Down sim.Duration
 	// Routers / PlanetLabHosts size the overlay.
 	Routers, PlanetLabHosts int
 }
 
+// The churn wave: churnFraction of the PlanetLab routers (the same share
+// RunChurn kills at once), one killed every churnSpacing, each down for
+// churnDown. With churnDown spanning several spacings the wave overlaps:
+// the overlay repairs under continued fire.
+const (
+	churnSpacing = 5 * sim.Second
+	churnDown    = 45 * sim.Second
+)
+
 func (o *ChurnWaveOpts) fillDefaults() {
-	if o.Fraction == 0 {
-		o.Fraction = 0.25
-	}
-	if o.Spacing == 0 {
-		o.Spacing = 5 * sim.Second
-	}
-	if o.Down == 0 {
-		o.Down = 45 * sim.Second
-	}
 	if o.Routers == 0 {
 		o.Routers = 40
 	}
@@ -381,7 +370,7 @@ func RunCorrelatedChurn(opts ChurnWaveOpts) (*ChurnWaveResult, error) {
 	defer inj.Close()
 
 	routers := tb.Routers()
-	churn := int(float64(len(routers)) * opts.Fraction)
+	churn := int(float64(len(routers)) * churnFraction)
 	var lastRestart sim.Time
 	var restartErr error
 	targets := make([]faults.ChurnTarget, 0, churn)
@@ -402,13 +391,13 @@ func RunCorrelatedChurn(opts ChurnWaveOpts) (*ChurnWaveResult, error) {
 	inj.Schedule(faults.ChurnWave{
 		Targets: targets,
 		From:    sim.Second,
-		Spacing: opts.Spacing,
-		Jitter:  opts.Spacing / 2,
-		Down:    opts.Down,
+		Spacing: churnSpacing,
+		Jitter:  churnSpacing / 2,
+		Down:    churnDown,
 	})
-	// Run out the whole wave: worst case every kill lands Spacing+Jitter
+	// Run out the whole wave: worst case every kill lands spacing + jitter
 	// after the previous one, plus the final outage.
-	waveSpan := sim.Second + sim.Duration(churn)*(opts.Spacing+opts.Spacing/2) + opts.Down + 10*sim.Second
+	waveSpan := sim.Second + sim.Duration(churn)*(churnSpacing+churnSpacing/2) + churnDown + 10*sim.Second
 	tb.Sim.RunFor(waveSpan)
 	if restartErr != nil {
 		return nil, restartErr

@@ -31,6 +31,7 @@ func TestGracefulLeaveShrinksWindow(t *testing.T) {
 	if !strings.Contains(res.String(), "ring-repair window") {
 		t.Error("String malformed")
 	}
+	pinned(t, "migration-outage", res.String(), pinMigrationOutageSeed1)
 }
 
 func TestPartitionHealRecovers(t *testing.T) {
@@ -69,4 +70,5 @@ func TestCorrelatedChurnRecovers(t *testing.T) {
 		t.Errorf("timeline has %d entries for %d churned routers, want kill+restart each",
 			len(res.Timeline), res.Churned)
 	}
+	pinned(t, "correlated-churn", res.String(), pinCorrelatedChurnSeed1)
 }

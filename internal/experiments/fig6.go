@@ -17,28 +17,22 @@ type Fig6Opts struct {
 	Seed int64
 	// FileBytes is the transferred file; the paper used 720 MB.
 	FileBytes int64
-	// MigrateAt is the elapsed transfer time when migration starts
-	// (~200 s in the paper).
-	MigrateAt sim.Duration
-	// TransferBps is the VM image copy rate; with the default 768 MB
-	// image, 1.6 MB/s yields the paper's ~8 minute outage.
-	TransferBps float64
-	// Routers / PlanetLabHosts size the overlay; zero takes the testbed's
-	// defaults (the paper's 118 routers on 20 hosts).
-	Routers, PlanetLabHosts int
 }
 
 func (o *Fig6Opts) fillDefaults() {
 	if o.FileBytes == 0 {
 		o.FileBytes = 720 << 20
 	}
-	if o.MigrateAt == 0 {
-		o.MigrateAt = 200 * sim.Second
-	}
-	if o.TransferBps == 0 {
-		o.TransferBps = 1.6 * (1 << 20)
-	}
 }
+
+// fig6MigrateAt is the elapsed transfer time when the migration starts
+// (~200 s in the paper).
+const fig6MigrateAt = 200 * sim.Second
+
+// paperImageBps is the VM image copy rate of the paper's migrations
+// (Figures 6 and 7): with the default 768 MB image, 1.6 MB/s yields the
+// paper's ~8 minute outage.
+const paperImageBps = 1.6 * (1 << 20)
 
 // Fig6Result captures the client-side transfer profile across the
 // server's wide-area migration.
@@ -85,11 +79,9 @@ func RunFig6(opts Fig6Opts) (*Fig6Result, error) {
 func runFig6(opts Fig6Opts, migrate func(*vm.VM, *phys.Host, vm.MigrationConfig, func()) error) (*Fig6Result, error) {
 	opts.fillDefaults()
 	tb := testbed.Build(testbed.Config{
-		Seed:           opts.Seed,
-		Shortcuts:      true,
-		Routers:        opts.Routers,
-		PlanetLabHosts: opts.PlanetLabHosts,
-		SettleTime:     5 * sim.Minute,
+		Seed:       opts.Seed,
+		Shortcuts:  true,
+		SettleTime: 5 * sim.Minute,
 	})
 	server := tb.VM("node003") // UFL
 	client := tb.VM("node017") // NWU
@@ -107,11 +99,10 @@ func runFig6(opts Fig6Opts, migrate func(*vm.VM, *phys.Host, vm.MigrationConfig,
 	start := tb.Sim.Now()
 	tr := scp.Fetch(client.Stack(), server.IP(), "/data/dataset.tar", 5*sim.Second, nil)
 
-	// Kick off the migration at the configured elapsed time.
 	var migErr error
-	tb.Sim.At(start.Add(opts.MigrateAt), func() {
+	tb.Sim.At(start.Add(fig6MigrateAt), func() {
 		dst := tb.NewHostAt("northwestern.edu")
-		if err := migrate(server, dst, vm.MigrationConfig{TransferBps: opts.TransferBps}, nil); err != nil {
+		if err := migrate(server, dst, vm.MigrationConfig{TransferBps: paperImageBps}, nil); err != nil {
 			migErr = fmt.Errorf("fig6: migrate: %w", err)
 			tb.Sim.Stop()
 		}
@@ -133,7 +124,7 @@ func runFig6(opts Fig6Opts, migrate func(*vm.VM, *phys.Host, vm.MigrationConfig,
 	// Derive rates and stall from the progress series.
 	var stall, preEnd float64
 	var lastT, lastB float64
-	migAt := opts.MigrateAt.Seconds() + start.Seconds()
+	migAt := fig6MigrateAt.Seconds() + start.Seconds()
 	for i := 0; i < res.Progress.Len(); i++ {
 		t, bytes := res.Progress.At(i)
 		if bytes == lastB && lastT > 0 {
@@ -149,9 +140,7 @@ func runFig6(opts Fig6Opts, migrate func(*vm.VM, *phys.Host, vm.MigrationConfig,
 		lastB = bytes
 	}
 	res.StallSeconds = stall
-	if opts.MigrateAt > 0 {
-		res.PreMBs = preEnd / opts.MigrateAt.Seconds() / (1 << 20)
-	}
+	res.PreMBs = preEnd / fig6MigrateAt.Seconds() / (1 << 20)
 	// Post rate: the sustained transfer rate once the connection has
 	// recovered — the slope over the last minute of progress samples
 	// (the paper quotes sustained bandwidths on both sides of the

@@ -19,38 +19,23 @@ type Fig7Opts struct {
 	// Jobs is how many sequential MEME jobs to stream through the
 	// worker.
 	Jobs int
-	// LoadAtJob introduces background load on the worker's host at this
-	// job index (the imbalance that motivates migrating).
-	LoadAtJob int
-	// MigrateAtJob starts the migration while this job runs (88 in the
-	// paper's figure).
-	MigrateAtJob int
-	// HostLoad is the background load factor applied at LoadAtJob.
-	HostLoad float64
-	// TransferBps is the VM image copy rate.
-	TransferBps float64
-	// Routers / PlanetLabHosts size the overlay; zero takes the testbed's
-	// defaults (the paper's 118 routers on 20 hosts).
-	Routers, PlanetLabHosts int
 }
 
 func (o *Fig7Opts) fillDefaults() {
 	if o.Jobs == 0 {
 		o.Jobs = 120
 	}
-	if o.LoadAtJob == 0 {
-		o.LoadAtJob = 55
-	}
-	if o.MigrateAtJob == 0 {
-		o.MigrateAtJob = 88
-	}
-	if o.HostLoad == 0 {
-		o.HostLoad = 2.5
-	}
-	if o.TransferBps == 0 {
-		o.TransferBps = 1.6 * (1 << 20)
-	}
 }
+
+// Figure 7's timeline: background load of fig7HostLoad lands on the
+// worker's host at job fig7LoadAtJob (the imbalance that motivates
+// migrating), and the migration starts while job fig7MigrateAtJob runs (88
+// in the paper's figure).
+const (
+	fig7LoadAtJob    = 55
+	fig7MigrateAtJob = 88
+	fig7HostLoad     = 2.5
+)
 
 // Fig7Point is one job's execution record.
 type Fig7Point struct {
@@ -96,11 +81,9 @@ func (r *Fig7Result) String() string {
 func RunFig7(opts Fig7Opts) (*Fig7Result, error) {
 	opts.fillDefaults()
 	tb := testbed.Build(testbed.Config{
-		Seed:           opts.Seed,
-		Shortcuts:      true,
-		Routers:        opts.Routers,
-		PlanetLabHosts: opts.PlanetLabHosts,
-		SettleTime:     5 * sim.Minute,
+		Seed:       opts.Seed,
+		Shortcuts:  true,
+		SettleTime: 5 * sim.Minute,
 	})
 	head := tb.VM("node002")
 	worker := tb.VM("node003")
@@ -131,18 +114,18 @@ func RunFig7(opts Fig7Opts) (*Fig7Result, error) {
 		if i >= opts.Jobs {
 			return
 		}
-		if i == opts.LoadAtJob {
-			worker.SetHostLoad(opts.HostLoad)
+		if i == fig7LoadAtJob {
+			worker.SetHostLoad(fig7HostLoad)
 			phase = "loaded"
 		}
-		if i == opts.MigrateAtJob {
+		if i == fig7MigrateAtJob {
 			phase = "migrating"
 			migrating = true
 			// Migrate while the job is in flight: schedule just
 			// after dispatch.
 			tb.Sim.After(5*sim.Second, func() {
 				dst := tb.NewHostAt("northwestern.edu")
-				if err := worker.Migrate(dst, vm.MigrationConfig{TransferBps: opts.TransferBps}, func() {
+				if err := worker.Migrate(dst, vm.MigrationConfig{TransferBps: paperImageBps}, func() {
 					// Destination host is unloaded.
 					worker.SetHostLoad(1)
 				}); err != nil {

@@ -19,8 +19,6 @@ type Fig8Opts struct {
 	Seed int64
 	// Jobs is the batch size; the paper ran 4000.
 	Jobs int
-	// SubmitInterval is the qsub pacing; the paper submitted 1 job/s.
-	SubmitInterval sim.Duration
 	// Shortcuts toggles the overlord, the experiment's comparison axis.
 	Shortcuts bool
 	// Routers / PlanetLabHosts size the overlay; zero takes the testbed's
@@ -32,10 +30,10 @@ func (o *Fig8Opts) fillDefaults() {
 	if o.Jobs == 0 {
 		o.Jobs = 4000
 	}
-	if o.SubmitInterval == 0 {
-		o.SubmitInterval = sim.Second
-	}
 }
+
+// fig8SubmitInterval is the qsub pacing; the paper submitted 1 job/s.
+const fig8SubmitInterval = sim.Second
 
 // Fig8Result summarizes one MEME batch run.
 type Fig8Result struct {
@@ -147,7 +145,7 @@ func RunFig8(opts Fig8Opts) (*Fig8Result, error) {
 	firstSubmit = tb.Sim.Now()
 	for i := 0; i < opts.Jobs; i++ {
 		i := i
-		tb.Sim.At(firstSubmit.Add(sim.Duration(i)*opts.SubmitInterval), func() {
+		tb.Sim.At(firstSubmit.Add(sim.Duration(i)*fig8SubmitInterval), func() {
 			pbsHead.Submit(meme.Job(i, rng))
 		})
 	}

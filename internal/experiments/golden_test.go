@@ -55,6 +55,97 @@ const goldenSymRingSeed5 = "All-symmetric-NAT ring: 20 NATed + 3 public routers,
 	"  vip ping (sym ws <-> sym ws): 4/4\n" +
 	"  migration to public host: vip outage 26.4 s\n"
 
+// The shape tests of the harnesses whose options became constants pin their
+// summaries too, as captured before the fold: seed 1, the tests' own options.
+const (
+	pinFig6Seed1 = "Figure 6: SCP transfer across server migration (UFL -> NWU)\n" +
+		"  completed without restart: true\n" +
+		"  pre-migration rate:  1.19 MB/s (paper: 1.36)\n" +
+		"  post-migration rate: 0.29 MB/s (paper: 1.83)\n" +
+		"  stall (no routability): 575 s (paper: ~480 s)\n" +
+		"  total transfer time: 840 s\n"
+	pinFig7Seed1 = "Figure 7: PBS/MEME job stream across worker migration\n" +
+		"  all jobs completed: true\n" +
+		"  baseline mean: 23.2 s\n" +
+		"  loaded-host mean: 56.3 s\n" +
+		"  in-transit job: 582 s (stretched by the WAN migration latency)\n" +
+		"  post-migration mean: 23.2 s (unloaded destination host)\n"
+	pinTable3Seed1 = "Table III: fastDNAml-PVM execution times and speedups\n" +
+		"  sequential node002:     2791 s (paper: 22272)\n" +
+		"  sequential node034:     5697 s (paper: 45191)\n" +
+		"  15 nodes, shortcuts:       376 s  speedup  7.4 (paper: 2439, 9.1x)\n" +
+		"  30 nodes, no shortcuts:   1002 s  speedup  2.8 (paper: 2033, 11.0x)\n" +
+		"  30 nodes, shortcuts:       309 s  speedup  9.0 (paper: 1642, 13.6x)\n"
+	pinOutageSeed1 = "§V-C no-routability window after IPOP kill+restart (library defaults): mean 8 s, max 15 s over 2 trials\n" +
+		"  (the paper reports ~480 s; this implementation re-links stale ring state on rejoin,\n" +
+		"   so bare restarts heal in seconds — the paper-scale outage appears in Figure 6,\n" +
+		"   where the VM image transfer dominates)\n"
+	pinMigrationOutageSeed1 = "§V-C migration: overlay ring-repair window after IPOP shutdown\n" +
+		"  cold kill (peers time out):    93.0 s\n" +
+		"  graceful leave (handoff):       1.0 s\n" +
+		"migration-cold           recovery: 93.0s\n" +
+		"  ping.dead              8\n" +
+		"  ping.stale             0\n" +
+		"  ping.fast_probe        0\n" +
+		"  close.forwarded        65\n" +
+		"  handoff.sent           0\n" +
+		"  handoff.received       0\n" +
+		"  handoff.linked         0\n" +
+		"  relink.attempts        1\n" +
+		"  relink.success         0\n" +
+		"  relink.giveup          0\n" +
+		"  link.giveup            0\n" +
+		"migration-graceful       recovery: 1.0s\n" +
+		"  ping.dead              0\n" +
+		"  ping.stale             0\n" +
+		"  ping.fast_probe        0\n" +
+		"  close.forwarded        0\n" +
+		"  handoff.sent           0\n" +
+		"  handoff.received       4\n" +
+		"  handoff.linked         5\n" +
+		"  relink.attempts        0\n" +
+		"  relink.success         0\n" +
+		"  relink.giveup          0\n" +
+		"  link.giveup            0\n"
+	pinCorrelatedChurnSeed1 = "Correlated churn: wave cycled 7/30 routers (overlapping outages)\n" +
+		"  all probe pairs recovered: true\n" +
+		"correlated-churn         recovery: 36.1s\n" +
+		"  ping.dead              64\n" +
+		"  ping.stale             0\n" +
+		"  ping.fast_probe        3\n" +
+		"  close.forwarded        578\n" +
+		"  handoff.sent           0\n" +
+		"  handoff.received       0\n" +
+		"  handoff.linked         0\n" +
+		"  relink.attempts        29\n" +
+		"  relink.success         1\n" +
+		"  relink.giveup          0\n" +
+		"  link.giveup            0\n" +
+		"  fault timeline:\n" +
+		"    t=431.143s churn.000 kill\n" +
+		"    t=436.801s churn.004 kill\n" +
+		"    t=443.855s churn.008 kill\n" +
+		"    t=449.532s churn.012 kill\n" +
+		"    t=454.732s churn.017 kill\n" +
+		"    t=461.369s churn.021 kill\n" +
+		"    t=468.384s churn.025 kill\n" +
+		"    t=476.143s churn.000 restart\n" +
+		"    t=481.801s churn.004 restart\n" +
+		"    t=488.855s churn.008 restart\n" +
+		"    t=494.532s churn.012 restart\n" +
+		"    t=499.732s churn.017 restart\n" +
+		"    t=506.369s churn.021 restart\n" +
+		"    t=513.384s churn.025 restart\n"
+)
+
+// pinned fails t when a summary differs from its pin.
+func pinned(t *testing.T, name, got, want string) {
+	t.Helper()
+	if got != want {
+		t.Errorf("%s summary drifted; %s\nfull output:\n%s", name, diffLine(got, want), got)
+	}
+}
+
 // diffLine locates the first line where got and want diverge, for a
 // readable failure message.
 func diffLine(got, want string) string {

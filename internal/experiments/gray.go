@@ -35,7 +35,7 @@ type GrayOpts struct {
 	// gray zone, the last site is the clean crash site.
 	Sites int
 	// Adaptive selects the detector: false = fixed PingTimeout deadlines,
-	// true = srtt + RTOK·rttvar clamped to [RTOMin, RTOMax].
+	// true = srtt + rtoK·rttvar clamped to [rtoMin, rtoMax] (brunet).
 	Adaptive bool
 	// Windows and WindowLen shape the measurement phase: the gray faults
 	// stay armed for Windows·WindowLen and one series sample is taken per
@@ -47,16 +47,6 @@ type GrayOpts struct {
 	// Kills is how many clean-site nodes are crashed (ungracefully)
 	// during the fault phase, one per window starting at window 1.
 	Kills int
-	// WANLatency is the one-way inter-site delay (also the sharded
-	// engine's lookahead floor).
-	WANLatency sim.Duration
-	// JitterAmp is the gray zone's mean added one-way delay; per-packet
-	// the added delay is uniform in [0, 2·JitterAmp).
-	JitterAmp sim.Duration
-	// FlapPeriod/FlapUp duty-cycle the gray zone's uplink: up for FlapUp
-	// out of every FlapPeriod, dead for the remainder.
-	FlapPeriod sim.Duration
-	FlapUp     sim.Duration
 
 	// TraceSample, when non-zero, arms the flight recorder: every node
 	// samples 1-in-TraceSample of its originations for hop-by-hop route
@@ -97,19 +87,20 @@ func (o *GrayOpts) fillDefaults() {
 	if o.Kills == 0 {
 		o.Kills = 3
 	}
-	if o.WANLatency == 0 {
-		o.WANLatency = 40 * sim.Millisecond
-	}
-	if o.JitterAmp == 0 {
-		o.JitterAmp = 2 * sim.Second
-	}
-	if o.FlapPeriod == 0 {
-		o.FlapPeriod = 25 * sim.Second
-	}
-	if o.FlapUp == 0 {
-		o.FlapUp = 19 * sim.Second
-	}
 }
+
+// The gray-failure scenario. grayWAN is the one-way inter-site delay (also
+// the sharded engine's lookahead floor). grayJitterAmp is the gray zone's
+// mean added one-way delay: per packet the added delay is uniform in
+// [0, 2·grayJitterAmp). grayFlapPeriod/grayFlapUp duty-cycle the gray
+// zone's uplink: up for grayFlapUp out of every grayFlapPeriod, dead for the
+// remainder.
+const (
+	grayWAN        = 40 * sim.Millisecond
+	grayJitterAmp  = 2 * sim.Second
+	grayFlapPeriod = 25 * sim.Second
+	grayFlapUp     = 19 * sim.Second
+)
 
 // grayConfig is the protocol schedule both detectors share: FastTestConfig
 // link/repair constants (paper-default relinking would outlast the run)
@@ -234,7 +225,7 @@ func RunGrayFailures(opts GrayOpts) (*GrayResult, error) {
 	}
 
 	f, err := newFabric("gray", opts.Seed, opts.Shards, opts.Workers, opts.Sites,
-		phys.PathModel{OneWay: sim.Millisecond}, phys.PathModel{OneWay: opts.WANLatency})
+		phys.PathModel{OneWay: sim.Millisecond}, phys.PathModel{OneWay: grayWAN})
 	if err != nil {
 		return nil, err
 	}
@@ -275,10 +266,10 @@ func RunGrayFailures(opts GrayOpts) (*GrayResult, error) {
 	}
 	phaseLen := sim.Duration(opts.Windows) * opts.WindowLen
 	inj.Schedule(
-		faults.JitterBurst{Scope: faults.AtSites(graySites...), Amp: opts.JitterAmp,
+		faults.JitterBurst{Scope: faults.AtSites(graySites...), Amp: grayJitterAmp,
 			Start: 0, For: phaseLen, Seed: uint64(opts.Seed)},
-		faults.LinkFlap{A: faults.AtSites(graySites...), Period: opts.FlapPeriod,
-			Up: opts.FlapUp, Start: 0, For: phaseLen},
+		faults.LinkFlap{A: faults.AtSites(graySites...), Period: grayFlapPeriod,
+			Up: grayFlapUp, Start: 0, For: phaseLen},
 	)
 
 	// Schedule the crashes: one clean-site victim per window, mid-window,

@@ -201,10 +201,8 @@ type SymRingOpts struct {
 	// Nodes is the count of overlay routers each behind its own
 	// symmetric NAT.
 	Nodes int
-	// JoinSpacing staggers node starts; Settle is the convergence time
-	// after the last join.
-	JoinSpacing sim.Duration
-	Settle      sim.Duration
+	// Settle is the convergence time after the last join.
+	Settle sim.Duration
 	// Pings is the number of end-to-end VIP pings between the two
 	// symmetric-NATed workstations (workstation run only).
 	Pings int
@@ -224,8 +222,6 @@ type SymRingOpts struct {
 	// BatchJoin is the batched-bootstrap ramp cap; defaults to 64 when
 	// Shards>1.
 	BatchJoin int
-	// BatchInterval is the virtual time between batch starts.
-	BatchInterval sim.Duration
 	// WANLatency is the one-way inter-site delay; its floor is the
 	// engine lookahead, so it must be positive when Shards>1.
 	WANLatency sim.Duration
@@ -255,9 +251,6 @@ func (o *SymRingOpts) fillDefaults() {
 			o.Routers = max(4, o.Nodes/50)
 		}
 	}
-	if o.JoinSpacing == 0 {
-		o.JoinSpacing = 500 * sim.Millisecond
-	}
 	if o.Settle == 0 {
 		o.Settle = 6 * sim.Minute
 	}
@@ -265,9 +258,6 @@ func (o *SymRingOpts) fillDefaults() {
 		o.Pings = 10
 	}
 	if o.BatchJoin > 0 {
-		if o.BatchInterval == 0 {
-			o.BatchInterval = 10 * sim.Second
-		}
 		if o.WANLatency == 0 {
 			o.WANLatency = 15 * sim.Millisecond
 		}
@@ -279,6 +269,13 @@ func (o *SymRingOpts) fillDefaults() {
 		}
 	}
 }
+
+// The symmetric ring's join schedule: the workstation run starts a node
+// every symJoinSpacing, the batched run a batch every symBatchInterval.
+const (
+	symJoinSpacing   = 500 * sim.Millisecond
+	symBatchInterval = 10 * sim.Second
+)
 
 // SymRingResult summarizes the all-symmetric run. All fields derive from
 // the simulation clock and are seed-deterministic.
@@ -398,7 +395,7 @@ func RunSymmetricRing(opts SymRingOpts) (*SymRingResult, error) {
 		if _, err := w.AddRouter(symHost(name, sites[i%len(sites)]), name); err != nil {
 			return nil, fmt.Errorf("sym-ring: %w", err)
 		}
-		s.RunFor(opts.JoinSpacing)
+		s.RunFor(symJoinSpacing)
 	}
 
 	// Two virtual workstations, also behind symmetric NATs.
@@ -408,7 +405,7 @@ func RunSymmetricRing(opts SymRingOpts) (*SymRingResult, error) {
 			mustVIP(fmt.Sprintf("172.16.1.%d", i+2)), vm.Spec{Name: name}); err != nil {
 			return nil, fmt.Errorf("sym-ring: %w", err)
 		}
-		s.RunFor(opts.JoinSpacing)
+		s.RunFor(symJoinSpacing)
 	}
 	s.RunFor(opts.Settle)
 	ws := w.Workstations()

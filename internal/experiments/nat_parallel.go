@@ -87,8 +87,8 @@ func runSymmetricRingBatched(opts SymRingOpts) (*SymRingResult, error) {
 	nodes := members[opts.Routers:]
 
 	plan := staggeredPlan(opts.Routers, 250*sim.Millisecond, opts.Routers, scaleOffsets)
-	plan.end = plan.end.Add(opts.BatchInterval)
-	plan.batched(opts.Nodes, opts.BatchJoin, opts.BatchInterval, opts.Routers)
+	plan.end = plan.end.Add(symBatchInterval)
+	plan.batched(opts.Nodes, opts.BatchJoin, symBatchInterval, opts.Routers)
 	plan.settle(opts.Settle)
 
 	res := &SymRingResult{

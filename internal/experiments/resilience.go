@@ -114,18 +114,20 @@ func (r *ChurnResult) String() string {
 		r.KilledRouters, r.TotalRouters, r.RecoverySeconds, r.Healed)
 }
 
-// RunChurn kills a fraction of the PlanetLab routers at once and measures
-// how long until all compute-node pairs are mutually reachable again.
-func RunChurn(seed int64, fraction float64) *ChurnResult {
-	if fraction == 0 {
-		fraction = 0.25
-	}
+// churnFraction is the share of the PlanetLab routers a churn experiment
+// takes down.
+const churnFraction = 0.25
+
+// RunChurn kills churnFraction of the PlanetLab routers at once and
+// measures how long until all compute-node pairs are mutually reachable
+// again.
+func RunChurn(seed int64) *ChurnResult {
 	tb := testbed.Build(testbed.Config{
 		Seed: seed, Shortcuts: true, Routers: 118, PlanetLabHosts: 20,
 		SettleTime: 5 * sim.Minute,
 	})
 	routers := tb.Routers()
-	kill := int(float64(len(routers)) * fraction)
+	kill := int(float64(len(routers)) * churnFraction)
 	for i := 0; i < kill; i++ {
 		routers[i*len(routers)/kill].Stop()
 	}

@@ -18,7 +18,7 @@ func TestNATRebindHealsAutonomously(t *testing.T) {
 }
 
 func TestChurnHeals(t *testing.T) {
-	r := RunChurn(1, 0.25)
+	r := RunChurn(1)
 	if !r.Healed {
 		t.Fatal("overlay did not heal after 25% router loss")
 	}

@@ -16,8 +16,8 @@ import (
 // the join plan. Zero fields take the defaults below.
 //
 // Every build runs on the harness fabric (fabric.go); the options only pick
-// the join plan. BatchJoin == 0 joins one node per JoinSpacing through a
-// 16-node founder pool on a zero-latency fabric — the rung whose routing
+// the join plan. BatchJoin == 0 joins one node per scaleJoinSpacing through
+// a 16-node founder pool on a zero-latency fabric — the rung whose routing
 // hot path the benchmarks weigh. BatchJoin > 0 (the default when Shards > 1)
 // targets the 10k–20k rungs: each batch's joins fan across every
 // already-joined node, keepalives run on a coarse schedule, and the fabric
@@ -34,8 +34,6 @@ type ScaleOpts struct {
 	Packets int
 	// Sites spreads hosts round-robin over this many network sites.
 	Sites int
-	// JoinSpacing staggers node starts when BatchJoin is 0.
-	JoinSpacing sim.Duration
 	// Settle is the convergence time granted after the last join.
 	Settle sim.Duration
 
@@ -83,9 +81,6 @@ func (o *ScaleOpts) fillDefaults() {
 	if o.Sites == 0 {
 		o.Sites = 32
 	}
-	if o.JoinSpacing == 0 {
-		o.JoinSpacing = 100 * sim.Millisecond
-	}
 	if o.Settle == 0 {
 		o.Settle = 2 * sim.Minute
 	}
@@ -101,6 +96,9 @@ func (o *ScaleOpts) fillDefaults() {
 		}
 	}
 }
+
+// scaleJoinSpacing staggers node starts when BatchJoin is 0.
+const scaleJoinSpacing = 100 * sim.Millisecond
 
 // coarseKeepaliveConfig is the protocol schedule of batched builds:
 // paper-default topology constants but liveness pings 4x coarser —
@@ -182,7 +180,7 @@ func (ov *ScaleOverlay) join(opts ScaleOpts) error {
 	if opts.BatchJoin > 0 {
 		plan.batched(opts.Nodes, opts.BatchJoin, opts.BatchInterval, 0)
 	} else {
-		plan = staggeredPlan(opts.Nodes, opts.JoinSpacing, 16, scaleOffsets)
+		plan = staggeredPlan(opts.Nodes, scaleJoinSpacing, 16, scaleOffsets)
 	}
 	plan.settle(opts.Settle)
 	return ov.fab.join(ov.Nodes, plan, func(p ScalePoint) {

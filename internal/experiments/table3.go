@@ -17,9 +17,6 @@ type Table3Opts struct {
 	// Workload shapes the phylogenetic inference run; zero takes the
 	// paper's 50-taxa dataset.
 	Workload workloads.FastDNAmlConfig
-	// Routers / PlanetLabHosts size the overlay; zero takes the testbed's
-	// defaults (the paper's 118 routers on 20 hosts).
-	Routers, PlanetLabHosts int
 }
 
 func (o *Table3Opts) fillDefaults() {
@@ -63,11 +60,9 @@ func (r *Table3Result) String() string {
 // compute nodes after the master (node002), returning wall seconds.
 func runFastDNAmlParallel(opts Table3Opts, workers int, shortcuts bool) (float64, error) {
 	tb := testbed.Build(testbed.Config{
-		Seed:           opts.Seed,
-		Shortcuts:      shortcuts,
-		Routers:        opts.Routers,
-		PlanetLabHosts: opts.PlanetLabHosts,
-		SettleTime:     5 * sim.Minute,
+		Seed:       opts.Seed,
+		Shortcuts:  shortcuts,
+		SettleTime: 5 * sim.Minute,
 	})
 	master := tb.VM("node002")
 	m, err := pvm.NewMaster(master.Stack())

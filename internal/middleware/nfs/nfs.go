@@ -181,6 +181,3 @@ func (c *Client) WriteFile(path string, size int64, cb func(ok bool)) {
 
 // Unmount closes the client connection.
 func (c *Client) Unmount() { c.rpc.Close() }
-
-// RPC exposes the underlying client for diagnostics.
-func (c *Client) RPC() *rpc.Client { return c.rpc }

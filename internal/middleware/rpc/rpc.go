@@ -133,20 +133,6 @@ func (c *Client) Call(req any, reqSize int, cb func(resp any)) {
 // Pending reports in-flight calls.
 func (c *Client) Pending() int { return len(c.pending) }
 
-// ConnState reports the transport connection's state for diagnostics:
-// "none", "established", "closed" or "connecting".
-func (c *Client) ConnState() string {
-	switch {
-	case c.conn == nil:
-		return "none"
-	case c.conn.Closed():
-		return "closed"
-	case c.conn.Established():
-		return "established"
-	}
-	return "connecting"
-}
-
 // Close tears the client down; pending calls get nil responses.
 func (c *Client) Close() {
 	if c.closed {

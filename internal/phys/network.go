@@ -187,9 +187,6 @@ type Network struct {
 	// clock between runs for code that needs no more than that.
 	Sim     *sim.Simulator
 	Latency LatencyFunc
-	// OnDrop, when set, observes every dropped packet with its loss
-	// reason; a diagnostics hook used by tests and experiment harnesses.
-	OnDrop func(reason string, p *Packet)
 	// Perturb, when set, lets a fault injector rewrite the path model of
 	// a single packet — adding loss or latency, or blackholing the packet
 	// outright (second return true; counted as lost.fault). It runs after
@@ -563,16 +560,12 @@ func deliverPacket(a any) {
 	p.dest.receive(p)
 }
 
-// drop records a packet loss, notifies the diagnostics hook, and retires
-// the packet. Every packet's life ends in exactly one drop call or one
+// drop records a packet loss and retires the packet. Every packet's life ends in exactly one drop call or one
 // delivered OnRecv call. sh is the shard the drop executes on (sender's
 // shard for wire/route losses, destination's for host-side losses).
 func (n *Network) drop(sh int, reason string, p *Packet) {
 	n.stats.Shard(sh).Inc(reason, 1)
 	n.flightDiscard(sh, reason, p.Payload)
-	if n.OnDrop != nil {
-		n.OnDrop(reason, p)
-	}
 	n.pkts[sh].Put(p, "drop")
 }
 
@@ -606,9 +599,7 @@ func (n *Network) flightDiscard(sh int, reason string, payload any) {
 		LatNs:   int64(now.Sub(start)),
 		Outcome: "phys." + reason,
 	})
-	if c, ok := payload.(trace.Cleared); ok {
-		c.ClearTrace()
-	}
+	t.ClearTrace()
 }
 
 // allocConnID issues a stream connection ID: the dialing host's shard in the

@@ -470,8 +470,8 @@ func TestEphemeralPortsPerWireNamespace(t *testing.T) {
 }
 
 // TestAllocFreeDrop: losing a packet allocates nothing when no flight
-// recorder and no OnDrop hook is installed — the record's outcome string is
-// only spelled out for a traced payload.
+// recorder is installed — the record's outcome string is only spelled out
+// for a traced payload.
 func TestAllocFreeDrop(t *testing.T) {
 	s := sim.New(1)
 	net := NewNetwork(s, UniformLatency(PathModel{}, PathModel{}))

@@ -82,8 +82,6 @@ type Config struct {
 	// Brunet overrides the protocol constants; zero-value fields take
 	// paper defaults.
 	Brunet brunet.Config
-	// Stack overrides virtual transport constants.
-	Stack vip.StackConfig
 	// SettleTime is how long to run after construction before the
 	// testbed is handed over; covers router ring convergence and VM
 	// joins. Zero means 10 virtual minutes.
@@ -168,7 +166,6 @@ func Build(cfg Config) *Testbed {
 		WOW: NewWOW(Options{
 			Shortcuts: cfg.Shortcuts,
 			Brunet:    cfg.Brunet,
-			Stack:     cfg.Stack,
 		}),
 		Cfg:      cfg,
 		Sim:      s,

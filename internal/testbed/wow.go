@@ -22,8 +22,6 @@ type Options struct {
 	// Brunet sets overlay protocol constants; zero fields take the
 	// paper-faithful defaults.
 	Brunet brunet.Config
-	// Stack sets guest transport constants.
-	Stack vip.StackConfig
 }
 
 // WOW is one wide-area overlay network of virtual workstations, built on
@@ -94,7 +92,7 @@ func (w *WOW) AddWorkstationCfg(host *phys.Host, ip vip.IP, spec vm.Spec, bcfg b
 	} else if bcfg.Shortcut == nil {
 		bcfg.Shortcut = w.opts.Brunet.Shortcut
 	}
-	v := vm.New(host, ip, spec, bcfg, w.opts.Stack)
+	v := vm.New(host, ip, spec, bcfg)
 	if err := v.Start(w.boot); err != nil {
 		return nil, fmt.Errorf("wow: workstation %s: %w", spec.Name, err)
 	}

@@ -255,17 +255,13 @@ func Sampled(h, sampleN uint64) bool {
 
 // Traced is implemented by packet payloads that may carry a trace
 // context, letting layers that cannot name the overlay packet type (the
-// physical network's drop path) recover the context. A zero id means the
-// payload is untraced.
+// physical network's drop path) recover the context, and consume it after
+// a terminal record. A zero id means the payload is untraced. Layers that
+// may hold one packet object in two places at once (a transport retransmit
+// buffer plus the wire) clear the context on the first terminal so the
+// second sighting stays silent.
 type Traced interface {
 	TraceContext() (id uint64, start sim.Time)
-}
-
-// Cleared is implemented by Traced payloads whose context can be consumed
-// after a terminal record. Layers that may hold one packet object in two
-// places at once (a transport retransmit buffer plus the wire) clear the
-// context on the first terminal so the second sighting stays silent.
-type Cleared interface {
 	ClearTrace()
 }
 

@@ -15,8 +15,6 @@ type StackConfig struct {
 	// exceeds it. The default (40 segments ≈ 56 KB at MSS 1400) gives
 	// the wide-area window-limited throughput observed in Table II.
 	Window int
-	// MinRTO / MaxRTO clamp the retransmission timeout.
-	MinRTO, MaxRTO sim.Duration
 	// GiveUp abandons a connection after this much time without any
 	// acknowledged progress. The default 15 minutes lets connections
 	// survive the ~8 minute migration outages of §V-C, as real TCP
@@ -38,12 +36,6 @@ func (c *StackConfig) fillDefaults() {
 	}
 	if c.Window == 0 {
 		c.Window = 40
-	}
-	if c.MinRTO == 0 {
-		c.MinRTO = 200 * sim.Millisecond
-	}
-	if c.MaxRTO == 0 {
-		c.MaxRTO = 60 * sim.Second
 	}
 	if c.GiveUp == 0 {
 		c.GiveUp = 15 * sim.Minute

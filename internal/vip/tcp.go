@@ -422,10 +422,7 @@ func (c *Conn) onTimeout() {
 			c.sendFIN()
 		}
 	}
-	c.rto *= 2
-	if c.rto > s.cfg.MaxRTO {
-		c.rto = s.cfg.MaxRTO
-	}
+	c.rto = min(2*c.rto, maxRTO)
 	c.armRTO()
 }
 
@@ -446,20 +443,19 @@ func (c *Conn) updateRTT(sample sim.Duration) {
 	c.rto = c.baseRTO()
 }
 
+// minRTO / maxRTO clamp the retransmission timeout.
+const (
+	minRTO = 200 * sim.Millisecond
+	maxRTO = 60 * sim.Second
+)
+
 // baseRTO computes the un-backed-off retransmission timeout from the
-// smoothed RTT estimate, clamped to the configured bounds.
+// smoothed RTT estimate, clamped to [minRTO, maxRTO].
 func (c *Conn) baseRTO() sim.Duration {
 	if !c.hasRTT {
 		return sim.Second
 	}
-	rto := c.srtt + 4*c.rttvar
-	if rto < c.stack.cfg.MinRTO {
-		rto = c.stack.cfg.MinRTO
-	}
-	if rto > c.stack.cfg.MaxRTO {
-		rto = c.stack.cfg.MaxRTO
-	}
-	return rto
+	return min(max(c.srtt+4*c.rttvar, minRTO), maxRTO)
 }
 
 // handleTCP dispatches an inbound segment to its connection, creating one

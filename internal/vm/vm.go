@@ -78,7 +78,7 @@ type VM struct {
 
 // New creates a VM with the given virtual IP on a physical host. Call
 // Start to boot it onto the overlay.
-func New(host *phys.Host, ip vip.IP, spec Spec, cfg brunet.Config, stackCfg vip.StackConfig) *VM {
+func New(host *phys.Host, ip vip.IP, spec Spec, cfg brunet.Config) *VM {
 	spec.fillDefaults()
 	node := ipop.New(host, ip, cfg)
 	v := &VM{
@@ -88,7 +88,7 @@ func New(host *phys.Host, ip vip.IP, spec Spec, cfg brunet.Config, stackCfg vip.
 		sim:      host.Sim(),
 		hostLoad: 1,
 	}
-	v.stack = vip.NewStack(node, stackCfg)
+	v.stack = vip.NewStack(node, vip.StackConfig{})
 	return v
 }
 
@@ -247,14 +247,9 @@ type MigrationConfig struct {
 	// — the origin of the paper's "hundreds of seconds" migration
 	// latency and ~8 minute no-routability window.
 	TransferBps float64
-	// ExtraDowntime adds suspend/resume overhead.
-	ExtraDowntime sim.Duration
 	// DirtyRateBps is the guest's memory dirtying rate, used by live
 	// pre-copy migration (MigrateLive). Zero means 256 KB/s.
 	DirtyRateBps float64
-	// MaxPreCopyRounds bounds the iterative pre-copy before the final
-	// stop-and-copy. Zero means 8.
-	MaxPreCopyRounds int
 	// Graceful makes the IPOP shutdown a planned departure: instead of
 	// killing the process (peers discover the death by ping timeout, the
 	// paper's §V-C behaviour), the node leaves with handoff messages that
@@ -289,16 +284,22 @@ func (v *VM) Migrate(dst *phys.Host, cfg MigrationConfig, done func()) error {
 	v.pauseCPU()
 	v.Stats.Inc("vm.migrations", 1)
 
-	transfer := sim.Duration(float64(v.spec.ImageBytes) / cfg.TransferBps * float64(sim.Second))
-	v.sim.After(transfer+cfg.ExtraDowntime, func() {
-		// Step 3: resume on the destination host; the guest's virtual
-		// network interface identity (tap0 / virtual IP) is unchanged.
+	// Steps 3 and 4, once the image has crossed: resume on dst, restart
+	// IPOP.
+	v.resumeAt(dst, sim.Duration(float64(v.spec.ImageBytes)/cfg.TransferBps*float64(sim.Second)), done)
+	return nil
+}
+
+// resumeAt ends a migration once downtime has passed: the VM resumes on
+// dst with its virtual network interface identity (tap0 / virtual IP)
+// unchanged, IPOP restarts and rejoins autonomously, and done fires.
+func (v *VM) resumeAt(dst *phys.Host, downtime sim.Duration, done func()) {
+	v.sim.After(downtime, func() {
 		v.host = dst
 		if err := v.node.MoveToHost(dst); err != nil {
 			panic(fmt.Sprintf("vm %s: move: %v", v.spec.Name, err))
 		}
 		v.suspended = false
-		// Step 4: restart IPOP; it rejoins autonomously.
 		if err := v.node.Start(v.boot); err != nil {
 			panic(fmt.Sprintf("vm %s: ipop restart: %v", v.spec.Name, err))
 		}
@@ -308,8 +309,11 @@ func (v *VM) Migrate(dst *phys.Host, cfg MigrationConfig, done func()) error {
 			done()
 		}
 	})
-	return nil
 }
+
+// maxPreCopyRounds bounds live migration's iterative pre-copy before the
+// final stop-and-copy.
+const maxPreCopyRounds = 8
 
 // MigrateLive performs iterative pre-copy live migration — the technique
 // the paper's §II/§VI anticipate from Xen-style monitors ("growing
@@ -331,9 +335,6 @@ func (v *VM) MigrateLive(dst *phys.Host, cfg MigrationConfig, done func()) error
 	if cfg.DirtyRateBps == 0 {
 		cfg.DirtyRateBps = 256 << 10
 	}
-	if cfg.MaxPreCopyRounds == 0 {
-		cfg.MaxPreCopyRounds = 8
-	}
 	if cfg.DirtyRateBps >= cfg.TransferBps {
 		return fmt.Errorf("vm %s: dirty rate %.0f B/s >= transfer rate %.0f B/s; pre-copy cannot converge",
 			v.spec.Name, cfg.DirtyRateBps, cfg.TransferBps)
@@ -353,7 +354,7 @@ func (v *VM) MigrateLive(dst *phys.Host, cfg MigrationConfig, done func()) error
 			remaining = dirtied
 			// Stop when the residual fits in a short downtime or
 			// the round budget is spent.
-			if round >= cfg.MaxPreCopyRounds || remaining <= cfg.TransferBps/2 {
+			if round >= maxPreCopyRounds || remaining <= cfg.TransferBps/2 {
 				v.liveStopAndCopy(dst, cfg, remaining, done)
 				return
 			}
@@ -373,22 +374,7 @@ func (v *VM) liveStopAndCopy(dst *phys.Host, cfg MigrationConfig, residual float
 	v.node.Stop()
 	v.suspended = true
 	v.pauseCPU()
-	downtime := sim.Duration(residual / cfg.TransferBps * float64(sim.Second))
-	v.sim.After(downtime+cfg.ExtraDowntime, func() {
-		v.host = dst
-		if err := v.node.MoveToHost(dst); err != nil {
-			panic(fmt.Sprintf("vm %s: move: %v", v.spec.Name, err))
-		}
-		v.suspended = false
-		if err := v.node.Start(v.boot); err != nil {
-			panic(fmt.Sprintf("vm %s: ipop restart: %v", v.spec.Name, err))
-		}
-		v.resumeCPU()
-		v.Stats.Inc("vm.migrated", 1)
-		if done != nil {
-			done()
-		}
-	})
+	v.resumeAt(dst, sim.Duration(residual/cfg.TransferBps*float64(sim.Second)), done)
 }
 
 // String renders a diagnostic summary.

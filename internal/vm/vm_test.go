@@ -45,7 +45,7 @@ func (r *rig) addVM(t *testing.T, name, ip string, spec Spec) *VM {
 	t.Helper()
 	spec.Name = name
 	h := r.net.AddHost(name+"-host", r.net.AddSite(name+"-site"), r.net.Root(), phys.HostConfig{})
-	v := New(h, vip.MustParseIP(ip), spec, brunet.FastTestConfig(), vip.StackConfig{})
+	v := New(h, vip.MustParseIP(ip), spec, brunet.FastTestConfig())
 	if err := v.Start(r.boot); err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestMigrateErrors(t *testing.T) {
 		t.Fatal("double migrate accepted")
 	}
 	v2 := New(r.net.AddHost("h2", r.net.AddSite("h2"), r.net.Root(), phys.HostConfig{}),
-		vip.MustParseIP("172.16.1.9"), Spec{Name: "off"}, brunet.FastTestConfig(), vip.StackConfig{})
+		vip.MustParseIP("172.16.1.9"), Spec{Name: "off"}, brunet.FastTestConfig())
 	if err := v2.Migrate(dst, MigrationConfig{}, nil); err == nil {
 		t.Fatal("migrating powered-off VM accepted")
 	}
