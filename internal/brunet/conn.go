@@ -17,8 +17,8 @@ import (
 // mark the connection dead and it is discarded (§IV-B).
 type Connection struct {
 	// Choosing a connection and sending on it read the fields down to
-	// Relays and nothing else; declared first, they share the struct's
-	// first cache line (TestHotFieldsLayout pins it).
+	// Relays and nothing else; declared first, they are the struct's
+	// first 64 bytes (TestHotFieldsLayout pins it).
 	Peer Addr
 	// EP is the peer's working physical endpoint — the URI that
 	// survived the linking protocol's trials.
@@ -64,8 +64,7 @@ type Connection struct {
 	// samples (Karn's rule: retransmitted rounds are never sampled);
 	// haveRTT marks the first sample. They drive the adaptive ping
 	// deadline and the tunnel-relay score. (haveRTT sits with the flags
-	// below it: the struct is exactly 256 bytes, a size class whose
-	// objects start on a cache line.)
+	// below it, sharing their word.)
 	srtt    sim.Duration
 	rttvar  sim.Duration
 	haveRTT bool
@@ -86,10 +85,10 @@ type Connection struct {
 	// last frame used, kept until it dies or a challenger beats it by
 	// more than relayHysteresis.
 	activeRelay Addr
-	// dropReason records why dropConnection tore the connection down
-	// ("timeout", "leave", …), readable by OnDisconnection callbacks —
-	// the repair overlord re-links only involuntary losses.
-	dropReason string
+	// reason records why dropConnection tore the connection down,
+	// readable by OnDisconnection callbacks — the repair overlord re-links
+	// only involuntary losses.
+	reason dropReason
 }
 
 // Has reports whether the connection serves the given role.
@@ -253,7 +252,7 @@ func (n *Node) addConnection(peer Addr, ep phys.Endpoint, stream *phys.Stream, u
 			lastHeard: n.sim.Now(),
 		}
 		n.tableInsert(c)
-		n.Stats.Inc("conn.created", 1)
+		n.Stats.Add(cConnCreated, 1)
 		n.watchStream(c)
 		n.schedulePing(c)
 	} else {
@@ -270,7 +269,7 @@ func (n *Node) addConnection(peer Addr, ep phys.Endpoint, stream *phys.Stream, u
 			// state all carry over.
 			c.Relays = nil
 			c.observed = nil
-			n.Stats.Inc("tunnel.upgraded", 1)
+			n.Stats.Add(cTunnelUpgraded, 1)
 		}
 		c.lastHeard = n.sim.Now()
 	}
@@ -300,8 +299,8 @@ func (n *Node) addTunnelConnection(peer Addr, relays []Addr, uris []URI, t ConnT
 			c.addRelay(r)
 		}
 		n.tableInsert(c)
-		n.Stats.Inc("conn.created", 1)
-		n.Stats.Inc("tunnel.established", 1)
+		n.Stats.Add(cConnCreated, 1)
+		n.Stats.Add(cTunnelEstablished, 1)
 		n.schedulePing(c)
 	} else {
 		if c.Tunneled() {
@@ -330,8 +329,8 @@ func (n *Node) watchStream(c *Connection) {
 	st := c.Stream
 	st.OnClose(func(err error) {
 		if !c.closed && c.Stream == st {
-			n.Stats.Inc("conn.stream_closed", 1)
-			n.dropConnection(c, false, "stream")
+			n.Stats.Add(cConnStreamClosed, 1)
+			n.dropConnection(c, false, dropStream)
 		}
 	})
 }
@@ -428,9 +427,9 @@ func (n *Node) bestRelay(c *Connection) *Connection {
 		return active
 	}
 	if active == nil && !c.activeRelay.IsZero() {
-		n.Stats.Inc("tunnel.relay_failover", 1)
+		n.Stats.Add(cTunnelRelayFailover, 1)
 	} else if active != nil {
-		n.Stats.Inc("tunnel.relay_switched", 1)
+		n.Stats.Add(cTunnelRelaySwitched, 1)
 	}
 	c.activeRelay = best.Peer
 	return best
@@ -441,7 +440,7 @@ func (n *Node) bestRelay(c *Connection) *Connection {
 func (n *Node) sendTunnel(c *Connection, size int, payload any) {
 	rc := n.bestRelay(c)
 	if rc == nil {
-		n.Stats.Inc("tunnel.norelay", 1)
+		n.Stats.Add(cTunnelNoRelay, 1)
 		n.flightDrop(payload, trace.OutcomeNoRelay)
 		return
 	}
@@ -459,17 +458,17 @@ func (n *Node) sendFrame(rc *Connection, peer Addr, size int, payload any) {
 
 // dropConnection removes a connection entirely, with an optional close
 // message to the peer.
-func (n *Node) dropConnection(c *Connection, sendClose bool, reason string) {
+func (n *Node) dropConnection(c *Connection, sendClose bool, reason dropReason) {
 	if c.closed {
 		return
 	}
 	c.closed = true
-	c.dropReason = reason
+	c.reason = reason
 	c.pingTimer.Cancel()
 	n.ringRemove(c)
 	n.tableRemove(c)
 	n.uncountRoles(c)
-	n.countDrop(reason)
+	n.Stats.Add(cConnDropped+int(reason), 1)
 	if sendClose && n.up {
 		if c.Stream != nil {
 			c.Stream.SendMsg(pingMsgSize, closeMsg{From: n.addr})
@@ -496,11 +495,11 @@ func (n *Node) ConnectionTo(peer Addr) *Connection {
 func (n *Node) touch(c *Connection) {
 	if c.suspected {
 		c.suspected = false
-		n.Stats.Inc("liveness.false_suspect", 1)
+		n.Stats.Add(cLivenessFalseSuspect, 1)
 	}
 	if c.timedOut {
 		c.timedOut = false
-		n.Stats.Inc("liveness.premature_timeout", 1)
+		n.Stats.Add(cLivenessPrematureTimeout, 1)
 	}
 	c.lastHeard = n.sim.Now()
 	c.pingRetry = 0
@@ -582,7 +581,7 @@ func (n *Node) pingTick(c *Connection) {
 	c.pingRetry = 0
 	c.pingSentAt = n.sim.Now()
 	n.sendPing(c)
-	n.Stats.Inc("ping.sent", 1)
+	n.Stats.Add(cPingSent, 1)
 	n.armPingTimeout(c, n.pingDeadline(c))
 }
 
@@ -604,12 +603,12 @@ func (n *Node) pingTimeout(c *Connection) {
 		return
 	}
 	if c.pingRetry >= n.cfg.PingRetries {
-		n.Stats.Inc("ping.dead", 1)
-		n.Stats.Inc("liveness.detect_ms", int64(n.sim.Now().Sub(c.lastHeard)/sim.Millisecond))
+		n.Stats.Add(cPingDead, 1)
+		n.Stats.Add(cLivenessDetectMs, int64(n.sim.Now().Sub(c.lastHeard)/sim.Millisecond))
 		if c.suspected {
-			n.Stats.Inc("liveness.suspect_confirmed", 1)
+			n.Stats.Add(cLivenessSuspectConfirmed, 1)
 		}
-		n.dropConnection(c, false, "timeout")
+		n.dropConnection(c, false, dropTimeout)
 		n.forwardClose(c.Peer)
 		return
 	}
@@ -618,7 +617,7 @@ func (n *Node) pingTimeout(c *Connection) {
 	n.pingSeq++
 	c.awaiting = n.pingSeq
 	n.sendPing(c)
-	n.Stats.Inc("ping.resent", 1)
+	n.Stats.Add(cPingResent, 1)
 	n.armPingTimeout(c, c.pingWait*2)
 }
 
@@ -643,7 +642,7 @@ func (n *Node) fastProbe(c *Connection) {
 	c.awaiting = n.pingSeq
 	c.pingSentAt = n.sim.Now()
 	n.sendPing(c)
-	n.Stats.Inc("ping.fast_probe", 1)
+	n.Stats.Add(cPingFastProbe, 1)
 	n.armPingTimeout(c, n.pingDeadline(c))
 }
 
@@ -664,7 +663,7 @@ func (n *Node) forwardClose(dead Addr) {
 			continue
 		}
 		n.sendConn(s.c, pingMsgSize, msg)
-		n.Stats.Inc("close.forwarded", 1)
+		n.Stats.Add(cCloseForwarded, 1)
 	}
 }
 

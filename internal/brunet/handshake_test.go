@@ -175,13 +175,29 @@ func gcOwned(payload any) any {
 	return payload
 }
 
-// joinProgram builds a seeded overlay — public nodes joining half a second
-// apart, then a few behind symmetric NATs, whose near links need tunnels —
-// lets it settle, and returns everything two runs are compared by: every
-// node's connection table and counters, and the number of events run. With
-// gcCopies every datagram is handed to its receiver as a gcOwned copy, so no
-// object is ever listed and every sender allocates: the reference run.
+// joinProgram builds a seeded overlay (joinOverlay) and returns everything
+// two runs are compared by: every node's connection table and counters, and
+// the number of events run.
 func joinProgram(t *testing.T, public, symmetric int, gcCopies bool) string {
+	r := joinOverlay(t, public, symmetric, gcCopies)
+	var out strings.Builder
+	for _, n := range r.ringOrder() {
+		fmt.Fprintf(&out, "%v:", n.Addr())
+		for _, s := range n.table.slots {
+			fmt.Fprintf(&out, " %v%v", s.c, s.c.Relays)
+		}
+		fmt.Fprintf(&out, "\n  %s\n", n.Stats.String())
+	}
+	fmt.Fprintf(&out, "events %d\n", r.s.Processed)
+	return out.String()
+}
+
+// joinOverlay builds a seeded overlay — public nodes joining half a second
+// apart, then a few behind symmetric NATs, whose near links need tunnels —
+// and lets it settle. With gcCopies every datagram is handed to its receiver
+// as a gcOwned copy, so no object is ever listed and every sender allocates:
+// the reference run.
+func joinOverlay(t *testing.T, public, symmetric int, gcCopies bool) *natRig {
 	r := &natRig{overlayRig: newOverlayRig(23), nats: map[Addr]*natsim.NAT{}}
 	started := func(n *Node) {
 		if gcCopies {
@@ -200,17 +216,7 @@ func joinProgram(t *testing.T, public, symmetric int, gcCopies bool) string {
 		started(r.addNATed(t, fmt.Sprintf("sym%02d", i), natsim.Symmetric))
 	}
 	r.s.RunFor(2 * sim.Minute)
-
-	var out strings.Builder
-	for _, n := range r.ringOrder() {
-		fmt.Fprintf(&out, "%v:", n.Addr())
-		for _, s := range n.table.slots {
-			fmt.Fprintf(&out, " %v%v", s.c, s.c.Relays)
-		}
-		fmt.Fprintf(&out, "\n  %s\n", n.Stats.String())
-	}
-	fmt.Fprintf(&out, "events %d\n", r.s.Processed)
-	return out.String()
+	return r
 }
 
 // TestPooledJoinMatchesGCOwned: the same seeded join — 200 public nodes and

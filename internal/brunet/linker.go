@@ -80,7 +80,7 @@ func (n *Node) launchLinker(target Addr, uris []URI, relays []Addr, t ConnType, 
 	lk := &linker{node: n, target: target, ctype: t, uris: trialOrder(uris, n.cfg.Transport),
 		relays: relays, upgrade: upgrade, token: n.tokenSeq}
 	n.linkers[target] = lk
-	n.Stats.Inc("link.attempts", 1)
+	n.Stats.Add(cLinkAttempts, 1)
 	lk.sendRequest()
 }
 
@@ -128,25 +128,26 @@ func (lk *linker) trialCount() int {
 }
 
 // giveUp terminates the linker after its last trial slot failed, counting
-// the terminal reason and reporting it to the node so the tunnel overlord
-// can distinguish "retry later" (busy races) from "needs a tunnel"
-// (every URI timed out or was rejected).
+// the terminal reason (a reject when every failed trial was refused, a
+// timeout otherwise) and reporting the failure to the node, whose tunnel
+// overlord decides whether a tunnel is needed. A busy race never ends here:
+// it retries on its own (handleLinkError).
 func (lk *linker) giveUp() {
 	n := lk.node
 	if lk.tunnelMode() {
 		// A failed tunnel handshake never falls back to another tunnel.
-		n.Stats.Inc("tunnel.link_giveup", 1)
+		n.Stats.Add(cTunnelLinkGiveup, 1)
 		lk.finish(false)
 		return
 	}
-	reason := "timeout"
+	n.Stats.Add(cLinkGiveup, 1)
 	if lk.failReject > 0 && lk.failTimeout == 0 {
-		reason = "reject"
+		n.Stats.Add(cLinkGiveupReject, 1)
+	} else {
+		n.Stats.Add(cLinkGiveupTimeout, 1)
 	}
-	n.Stats.Inc("link.giveup", 1)
-	n.Stats.Inc("link.giveup."+reason, 1)
 	lk.finish(false)
-	n.linkFailed(lk.target, lk.ctype, reason)
+	n.linkFailed(lk.target, lk.ctype)
 }
 
 // sendRequest transmits the current link request and arms the resend timer.
@@ -179,7 +180,7 @@ func (lk *linker) sendRequest() {
 			return
 		}
 		n.sendFrame(rc, lk.target, size, req)
-		n.Stats.Inc("link.requests", 1)
+		n.Stats.Add(cLinkRequests, 1)
 		lk.armResend()
 		return
 	}
@@ -208,7 +209,7 @@ func (lk *linker) sendRequest() {
 	} else {
 		n.sendDirect(uri.EP, size, req)
 	}
-	n.Stats.Inc("link.requests", 1)
+	n.Stats.Add(cLinkRequests, 1)
 	lk.armResend()
 }
 
@@ -235,10 +236,10 @@ func linkResendFired(arg any) {
 	lk.attempt++
 	if lk.attempt > n.cfg.LinkRetries {
 		if lk.tunnelMode() {
-			n.Stats.Inc("tunnel.relay_exhausted", 1)
+			n.Stats.Add(cTunnelRelayExhausted, 1)
 		} else {
-			n.Stats.Inc("link.uri_exhausted", 1)
-			n.Stats.Inc("link.uri_exhausted.timeout", 1)
+			n.Stats.Add(cLinkURIExhausted, 1)
+			n.Stats.Add(cLinkURIExhaustedTimeout, 1)
 		}
 		lk.failTimeout++
 		lk.abandonStream()
@@ -270,7 +271,7 @@ func (lk *linker) finish(ok bool) {
 	}
 	delete(lk.node.linkers, lk.target)
 	if ok {
-		lk.node.Stats.Inc("link.success", 1)
+		lk.node.Stats.Add(cLinkSuccess, 1)
 		// A fresh link clears any busy-race escalation toward this
 		// peer; the next race starts from the base backoff again.
 		delete(lk.node.busyRetry, lk.target)
@@ -313,12 +314,12 @@ func (n *Node) handleLinkRequest(w wire, req *linkMsg) {
 		if n.addr.Less(req.From) && !directUpgrade {
 			// We win: tell the peer to stand down; our own attempt
 			// continues.
-			n.Stats.Inc("link.race_won", 1)
+			n.Stats.Add(cLinkRaceWon, 1)
 			n.replyTo(w, linkMsgSize, linkError{From: n.addr, Token: req.Token, Reason: "busy"})
 			return
 		}
 		// We lose: abandon our attempt and serve theirs.
-		n.Stats.Inc("link.race_yield", 1)
+		n.Stats.Add(cLinkRaceYield, 1)
 		lk.yielded = true
 		lk.finish(false)
 	}
@@ -347,7 +348,7 @@ func (n *Node) handleLinkReply(w wire, rep *linkMsg) {
 	src := w.observed()
 	// Learn our own NAT-assigned URI from the responder's observation.
 	if n.learnURI(rep.Observed.URI) {
-		n.Stats.Inc("uri.learned", 1)
+		n.Stats.Add(cURILearned, 1)
 	}
 	lk, ok := n.linkers[rep.From]
 	if !ok {
@@ -412,8 +413,8 @@ func (n *Node) handleLinkError(rep linkError) {
 		// behind a stateful firewall), only OUR outbound handshake can
 		// ever succeed — so, per §IV-B2, restart with a randomized
 		// exponential backoff rather than yielding forever.
-		n.Stats.Inc("link.uri_exhausted", 1)
-		n.Stats.Inc("link.uri_exhausted.busy", 1)
+		n.Stats.Add(cLinkURIExhausted, 1)
+		n.Stats.Add(cLinkURIExhaustedBusy, 1)
 		lk.yielded = true
 		target, uris, ctype := lk.target, lk.uris, lk.ctype
 		lk.finish(false)
@@ -447,8 +448,8 @@ func (n *Node) handleLinkError(rep linkError) {
 	}
 	// Wrong target (NAT rebind handed the URI to somebody else): this URI
 	// is a hard reject, not a timeout; skip straight to the next.
-	n.Stats.Inc("link.uri_exhausted", 1)
-	n.Stats.Inc("link.uri_exhausted.reject", 1)
+	n.Stats.Add(cLinkURIExhausted, 1)
+	n.Stats.Add(cLinkURIExhaustedReject, 1)
 	lk.failReject++
 	lk.timer.Cancel()
 	lk.abandonStream()

@@ -242,7 +242,7 @@ func TestAdaptiveDetectsFaster(t *testing.T) {
 func TestBestRelayScoringHysteresisFailover(t *testing.T) {
 	cfg := FastTestConfig()
 	cfg.fillDefaults()
-	n := &Node{cfg: cfg}
+	n := &Node{cfg: cfg, Stats: Counters.New()}
 	mkRelay := func(name string, srttMs int, load int) *Connection {
 		rc := &Connection{Peer: AddrFromString(name), roles: maskOf(StructuredNear)}
 		if srttMs > 0 {

@@ -182,8 +182,8 @@ func BenchmarkCTMExchange(b *testing.B) {
 		if ca == nil || cb == nil {
 			b.Fatalf("%v -> %v did not link both ends", p.a.Addr(), p.b.Addr())
 		}
-		p.a.dropConnection(ca, false, "bench")
-		p.b.dropConnection(cb, false, "bench")
+		p.a.dropConnection(ca, false, dropTrim)
+		p.b.dropConnection(cb, false, dropTrim)
 	}
 	for _, p := range pairs {
 		exchange(p)
@@ -217,7 +217,7 @@ func BenchmarkConnTableChurn(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				c := n.addConnection(peers[i%len(peers)], ep, nil, nil, StructuredFar)
-				n.dropConnection(c, false, "test")
+				n.dropConnection(c, false, dropTrim)
 			}
 		})
 	}

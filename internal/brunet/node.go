@@ -227,9 +227,8 @@ type Node struct {
 	// the default — disables all tracing at the cost of one nil check
 	// per origination.
 	flight *flightRecorder
-	// statForwarded and the handles further down are pre-resolved Stats
-	// cells for the per-packet routing path, where a map lookup per
-	// counter bump is measurable at scale.
+	// statForwarded is Stats' route.forwarded cell, held here so a transit
+	// hop counts itself with one store through a pointer on this line.
 	statForwarded metrics.Handle
 	// occ summarizes table for lookup: bit b is set exactly while some
 	// connection's peer address has b as its top six bits (see tableInsert).
@@ -280,19 +279,8 @@ type Node struct {
 	relayed map[relayPair]sim.Time
 
 	// Stats counts protocol events (link attempts, routed packets,
-	// shortcut formations, …).
+	// shortcut formations, …): the Counters family, one cell per name.
 	Stats metrics.Counter
-
-	statDelivered      metrics.Handle
-	statHopsExceeded   metrics.Handle
-	statDeadLetter     metrics.Handle
-	statNoProto        metrics.Handle
-	statUnknownOverlay metrics.Handle
-	// statConnType / statDropped are the conn.<role> and
-	// conn.dropped.<reason> counters (reasons indexed as dropReasons),
-	// resolved on first use (countVia).
-	statConnType [numConnTypes]metrics.Handle
-	statDropped  [len(dropReasons)]metrics.Handle
 
 	// pool is the free lists of the shard this node's host lives on (see
 	// shardPool): every overlay packet, tunnel frame, link message and ping
@@ -347,6 +335,7 @@ func NewNode(host *phys.Host, addr Addr, cfg Config) *Node {
 		cfg:      cfg,
 		linkers:  make(map[Addr]*linker),
 		handlers: make(map[string]func(src Addr, d AppData)),
+		Stats:    Counters.New(),
 		pool:     host.Sim().Local(shardPoolKey{}, newShardPool).(*shardPool),
 	}
 	n.ring.origin = addr
@@ -356,11 +345,6 @@ func NewNode(host *phys.Host, addr Addr, cfg Config) *Node {
 		n.rng = rand.New(rand.NewSource(cfg.JitterSeed ^ int64(h.Sum64())))
 	}
 	n.statForwarded = n.Stats.Handle("route.forwarded")
-	n.statDelivered = n.Stats.Handle("route.delivered")
-	n.statHopsExceeded = n.Stats.Handle("route.hops_exceeded")
-	n.statDeadLetter = n.Stats.Handle("route.dead_letter")
-	n.statNoProto = n.Stats.Handle("recv.noproto")
-	n.statUnknownOverlay = n.Stats.Handle("recv.unknown_overlay")
 	return n
 }
 
@@ -639,11 +623,11 @@ func (n *Node) Leave() {
 			msg.Neighbors = append(msg.Neighbors, NeighborInfo{Addr: o.Peer, URIs: o.URIs})
 		}
 		n.sendConn(c, statusMsgSize+24*len(msg.Neighbors), msg)
-		n.Stats.Inc("handoff.sent", 1)
-		n.dropConnection(c, false, "leave") // leaveMsg already closes
+		n.Stats.Add(cHandoffSent, 1)
+		n.dropConnection(c, false, dropLeave) // leaveMsg already closes
 	}
 	for c := n.firstConn(allRoles); c != nil; c = n.connAfter(c, allRoles) {
-		n.dropConnection(c, true, "leave")
+		n.dropConnection(c, true, dropLeave)
 	}
 	n.Stop()
 }
@@ -722,7 +706,7 @@ func (n *Node) replyTo(w wire, size int, payload any) {
 	if w.isTunnel() {
 		rc, ok := n.lookup(w.tvia)
 		if !ok || rc.closed || rc.Tunneled() {
-			n.Stats.Inc("tunnel.noreturn", 1)
+			n.Stats.Add(cTunnelNoReturn, 1)
 			return
 		}
 		n.sendFrame(rc, w.tpeer, size, payload)
@@ -783,7 +767,7 @@ func (n *Node) handleWire(w wire, payload any) {
 			// the zombie so its overlords re-establish properly
 			// (§V-E: "detecting broken links and re-establishing
 			// them").
-			n.Stats.Inc("ping.stale", 1)
+			n.Stats.Add(cPingStale, 1)
 			n.replyTo(w, pingMsgSize, closeMsg{From: n.addr})
 			return
 		}
@@ -793,13 +777,13 @@ func (n *Node) handleWire(w wire, payload any) {
 		// endpoint so our return path follows the translation change.
 		if c.Stream == nil && w.stream == nil && !w.isTunnel() && !c.Tunneled() && w.ep != c.EP {
 			c.EP = w.ep
-			n.Stats.Inc("conn.ep_roamed", 1)
+			n.Stats.Add(cConnEPRoamed, 1)
 		}
 		m.From, m.Pong, m.Load = n.addr, true, n.relayLoad()
 		n.replyTo(w, pingMsgSize, m)
 	case closeMsg:
 		if c, ok := n.lookup(m.From); ok {
-			n.dropConnection(c, false, "peer_close")
+			n.dropConnection(c, false, dropPeerClose)
 		}
 	case leaveMsg:
 		n.handleLeave(m)
@@ -825,7 +809,7 @@ func (n *Node) handleWire(w wire, payload any) {
 		}
 		n.routePacket(m, m.Src)
 	default:
-		n.Stats.Inc("recv.unknown", 1)
+		n.Stats.Add(cRecvUnknown, 1)
 	}
 }
 
@@ -875,7 +859,7 @@ func (n *Node) routePacket(pkt *OverlayPacket, from Addr) {
 		return
 	}
 	if pkt.Hops >= pkt.MaxHops {
-		n.statHopsExceeded.Inc(1)
+		n.Stats.Add(cRouteHopsExceeded, 1)
 		if n.flight != nil && pkt.Trace != 0 {
 			n.flightTerminal(pkt, trace.OutcomeHopsExceeded)
 		}
@@ -908,7 +892,7 @@ func (n *Node) deliver(pkt *OverlayPacket) {
 	pkt.Live(n.sim, "deliver")
 	exact := pkt.Dst == n.addr
 	if !exact && pkt.Mode == DeliverExact {
-		n.statDeadLetter.Inc(1)
+		n.Stats.Add(cRouteDeadLetter, 1)
 		if n.flight != nil && pkt.Trace != 0 {
 			n.flightTerminal(pkt, trace.OutcomeDeadLetter)
 		}
@@ -931,28 +915,28 @@ func (n *Node) deliver(pkt *OverlayPacket) {
 		case kindForwardedReply:
 			n.handleForwarded(pkt, m)
 		default:
-			n.statUnknownOverlay.Inc(1)
+			n.Stats.Add(cRecvUnknownOverlay, 1)
 		}
 	case *AppData:
 		// The AppData is inline in the packet; hand the handler a copy,
 		// since the packet is released right after this.
 		n.deliverApp(pkt.Src, *m)
 	default:
-		n.statUnknownOverlay.Inc(1)
+		n.Stats.Add(cRecvUnknownOverlay, 1)
 	}
 }
 
 // deliverApp dispatches delivered application data to its protocol
 // handler.
 func (n *Node) deliverApp(src Addr, m AppData) {
-	n.statDelivered.Inc(1)
+	n.Stats.Add(cRouteDelivered, 1)
 	if n.sco != nil {
 		n.sco.observe(src, 1)
 	}
 	if h, ok := n.handlers[m.Proto]; ok {
 		h(src, m)
 	} else {
-		n.statNoProto.Inc(1)
+		n.Stats.Add(cRecvNoProto, 1)
 	}
 }
 
@@ -1005,7 +989,7 @@ func (n *Node) sendCTM(target Addr, t ConnType, mode DeliveryMode, replyVia Addr
 	pkt, req := n.ctmPacket(kindRequest)
 	req.Type, req.Token, req.ReplyVia = t, n.tokenSeq, replyVia
 	pkt.Dst, pkt.Mode, pkt.Size = target, mode, ctmSize(req)
-	n.Stats.Inc("ctm.sent", 1)
+	n.Stats.Add(cCTMSent, 1)
 	if replyVia != (Addr{}) && len(n.table.slots) > 0 {
 		// Joining: hand the packet to the leaf target to route.
 		if c, ok := n.lookup(replyVia); ok {
@@ -1027,7 +1011,7 @@ func (n *Node) handleCTMRequest(pkt *OverlayPacket, req *ctmMsg, exact bool) {
 	if req.From == n.addr {
 		return // own join CTM came back: ring too small to matter
 	}
-	n.Stats.Inc("ctm.received", 1)
+	n.Stats.Add(cCTMReceived, 1)
 	if n.tun != nil {
 		n.tun.learnCandidates(req.From, req.URIs, req.Relays)
 	}
@@ -1086,7 +1070,7 @@ func (n *Node) handleCTMReply(rep *ctmMsg) {
 	if rep.To != n.addr {
 		return
 	}
-	n.Stats.Inc("ctm.replied", 1)
+	n.Stats.Add(cCTMReplied, 1)
 	if n.tun != nil {
 		n.tun.learnCandidates(rep.From, rep.URIs, rep.Relays)
 	}
@@ -1105,9 +1089,9 @@ func (n *Node) handleCTMReply(rep *ctmMsg) {
 // handoff traverse NATs (bidirectional linking, as with CTMs).
 func (n *Node) handleLeave(m leaveMsg) {
 	if c, ok := n.lookup(m.From); ok {
-		n.dropConnection(c, false, "peer_leave")
+		n.dropConnection(c, false, dropPeerLeave)
 	}
-	n.Stats.Inc("handoff.received", 1)
+	n.Stats.Add(cHandoffReceived, 1)
 	for _, info := range m.Neighbors {
 		if info.Addr == n.addr || len(info.URIs) == 0 {
 			continue
@@ -1116,7 +1100,7 @@ func (n *Node) handleLeave(m leaveMsg) {
 			continue
 		}
 		if n.near != nil && n.near.wanted(info.Addr) {
-			n.Stats.Inc("handoff.linked", 1)
+			n.Stats.Add(cHandoffLinked, 1)
 			n.startLinker(info.Addr, info.URIs, StructuredNear)
 		}
 	}
@@ -1143,11 +1127,11 @@ func (n *Node) handleSuspect(m suspectMsg) {
 }
 
 // linkFailed is the linker's terminal-failure hook: every URI toward
-// target was exhausted for the given reason ("timeout" or "reject"). The
-// tunnel overlord consumes it to decide when a tunnel edge is warranted.
-func (n *Node) linkFailed(target Addr, t ConnType, reason string) {
+// target timed out or refused. The tunnel overlord consumes it to decide
+// when a tunnel edge is warranted.
+func (n *Node) linkFailed(target Addr, t ConnType) {
 	if n.tun != nil {
-		n.tun.linkFailed(target, t, reason)
+		n.tun.linkFailed(target, t)
 	}
 }
 
@@ -1163,7 +1147,7 @@ func (n *Node) handleTunnelFrame(w wire, f *tunnelFrame) {
 	if f.To != n.addr {
 		c, ok := n.lookup(f.To)
 		if !ok || c.closed || c.Tunneled() {
-			n.Stats.Inc("tunnel.relay_noroute", 1)
+			n.Stats.Add(cTunnelRelayNoRoute, 1)
 			n.flightDrop(f.Inner, trace.OutcomeRelayNoRoute)
 			// Bounce: tell the originator this relay has no direct route
 			// to To, so it fails over now rather than at ping timeout.
@@ -1181,7 +1165,7 @@ func (n *Node) handleTunnelFrame(w wire, f *tunnelFrame) {
 		// on this observation to keep their learned URIs fresh for the
 		// direct-link upgrade path.
 		f.Observed = URIEndpoint{URI: URI{Transport: w.transport(), EP: w.observed()}}
-		n.Stats.Inc("tunnel.relayed", 1)
+		n.Stats.Add(cTunnelRelayed, 1)
 		n.noteRelayed(f.From, f.To)
 		n.sendConn(c, tunnelHdrSize+f.Size, f)
 		return
@@ -1191,7 +1175,7 @@ func (n *Node) handleTunnelFrame(w wire, f *tunnelFrame) {
 	if c, ok := n.lookup(f.From); ok && c.Tunneled() {
 		if !f.Via.IsZero() && len(c.Relays) < tunnelMaxRelays {
 			if rc, rok := n.lookup(f.Via); rok && !rc.Tunneled() && c.addRelay(f.Via) {
-				n.Stats.Inc("tunnel.relay_learned", 1)
+				n.Stats.Add(cTunnelRelayLearned, 1)
 			}
 		}
 		// The relay stamped the peer's current wire endpoint on the
@@ -1218,7 +1202,7 @@ func (n *Node) handleTunnelFrame(w wire, f *tunnelFrame) {
 func (n *Node) handleForwarded(pkt *OverlayPacket, rep *ctmMsg) {
 	c, ok := n.lookup(rep.To)
 	if !ok {
-		n.Stats.Inc("forward.nochild", 1)
+		n.Stats.Add(cForwardNoChild, 1)
 		return
 	}
 	fp := n.pool.pkts.Get()

@@ -167,7 +167,7 @@ func (o *refShortcut) tick() {
 			}
 			if c != nil && c.Has(Shortcut) && now.Sub(o.zeroSince[peer]) >= o.cfg.IdleDrop {
 				n.Stats.Inc("shortcut.idle_dropped", 1)
-				n.dropConnRole(c, Shortcut, "idle")
+				n.dropConnRole(c, Shortcut, dropIdle)
 			}
 			if c == nil || !c.Has(Shortcut) {
 				if now.Sub(o.zeroSince[peer]) >= o.cfg.IdleDrop {

@@ -127,7 +127,7 @@ func (o *nearOverlord) gossip() {
 			n.sendConn(s.c, size, msg)
 		}
 	}
-	n.Stats.Inc("status.sent", int64(nears))
+	n.Stats.Add(cStatusSent, int64(nears))
 }
 
 // handleStatus connects toward advertised neighbors that are closer than
@@ -149,7 +149,7 @@ func (o *nearOverlord) handleStatus(m *statusMsg) {
 			// middleboxes defeat inbound linking (TCP-only sites)
 			// depend entirely on the reply arriving so they can
 			// dial outward.
-			n.Stats.Inc("status.discovered", 1)
+			n.Stats.Add(cStatusDiscovered, 1)
 			n.sendCTM(info.Addr, StructuredNear, DeliverExact, o.leafPeer)
 		}
 	}
@@ -187,8 +187,8 @@ func (o *nearOverlord) trim() {
 		if n.addr.CmpClockwise(c.Peer, kr.Peer) <= 0 || n.addr.CmpClockwise(c.Peer, kl.Peer) >= 0 {
 			continue
 		}
-		n.Stats.Inc("near.trimmed", 1)
-		n.dropConnRole(c, StructuredNear, "trim")
+		n.Stats.Add(cNearTrimmed, 1)
+		n.dropConnRole(c, StructuredNear, dropTrim)
 	}
 }
 
@@ -329,7 +329,7 @@ func (o *shortcutOverlord) tick() {
 		if s >= o.cfg.Threshold && !(c != nil && c.structured()) { // no single-hop path yet
 			if !e.tried || now.Sub(e.lastTry) >= o.cfg.Retry {
 				e.lastTry, e.tried = now, true
-				n.Stats.Inc("shortcut.ctm", 1)
+				n.Stats.Add(cShortcutCTM, 1)
 				n.sendCTM(e.peer, Shortcut, DeliverExact, Zero)
 			}
 		}
@@ -340,8 +340,8 @@ func (o *shortcutOverlord) tick() {
 			}
 			if now.Sub(e.zeroSince) >= o.cfg.IdleDrop {
 				if c != nil && c.Has(Shortcut) {
-					n.Stats.Inc("shortcut.idle_dropped", 1)
-					n.dropConnRole(c, Shortcut, "idle")
+					n.Stats.Add(cShortcutIdleDropped, 1)
+					n.dropConnRole(c, Shortcut, dropIdle)
 				}
 				if c == nil || !c.Has(Shortcut) {
 					continue // idled out with no shortcut left to watch: forget the peer

@@ -211,10 +211,10 @@ func TestStreamCarriedObjectsNotRecycled(t *testing.T) {
 	order := r.ringOrder()
 	a, b := order[0], order[len(order)/2]
 	if c, ok := a.lookup(b.Addr()); ok {
-		a.dropConnection(c, false, "trim")
+		a.dropConnection(c, false, dropTrim)
 	}
 	if c, ok := b.lookup(a.Addr()); ok {
-		b.dropConnection(c, false, "trim")
+		b.dropConnection(c, false, dropTrim)
 	}
 	*a.pool = *newShardPool(r.s).(*shardPool)
 	received, replied, linked := b.Stats.Get("ctm.received"), a.Stats.Get("ctm.replied"), r.totalStat("link.success")

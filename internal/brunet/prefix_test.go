@@ -67,14 +67,14 @@ func TestPrefixTieTableOrderLookupAndWalk(t *testing.T) {
 	// ahead, or both have gone.
 	run := sh.sorted()[1:6] // the five sharing top
 	a, b, c := run[1], run[2], run[3]
-	n.dropConnection(b, false, "test")
+	n.dropConnection(b, false, dropTrim)
 	if got := n.connAfter(a, allRoles); got != c {
 		t.Fatalf("connAfter over a dropped successor = %v, want %v", got, c)
 	}
 	if got := n.connAfter(b, allRoles); got != c {
 		t.Fatalf("connAfter from a dropped connection = %v, want %v", got, c)
 	}
-	n.dropConnection(a, false, "test")
+	n.dropConnection(a, false, dropTrim)
 	if got := n.connAfter(a, allRoles); got != c {
 		t.Fatalf("connAfter from a dropped connection over a dropped successor = %v, want %v", got, c)
 	}

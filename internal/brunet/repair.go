@@ -28,9 +28,6 @@ type relinkState struct {
 	ev      sim.Timer
 }
 
-// relinkReasons are the involuntary drop reasons eligible for repair.
-var relinkReasons = map[string]bool{"timeout": true, "stream": true}
-
 func newRepairOverlord(n *Node) *repairOverlord {
 	return &repairOverlord{node: n}
 }
@@ -57,7 +54,7 @@ func (o *repairOverlord) onConnection(c *Connection) {
 	if st, ok := o.pending[c.Peer]; ok {
 		st.ev.Cancel()
 		delete(o.pending, c.Peer)
-		o.node.Stats.Inc("relink.success", 1)
+		o.node.Stats.Add(cRelinkSuccess, 1)
 	}
 }
 
@@ -66,7 +63,8 @@ func (o *repairOverlord) onDisconnection(c *Connection) {
 	if n.repair != o {
 		return // stale callback from before a restart
 	}
-	if !relinkReasons[c.dropReason] || !c.structured() || len(c.URIs) == 0 {
+	involuntary := c.reason == dropTimeout || c.reason == dropStream
+	if !involuntary || !c.structured() || len(c.URIs) == 0 {
 		return
 	}
 	// Re-link in the connection's most load-bearing role; the overlords
@@ -109,16 +107,16 @@ func (o *repairOverlord) fire(peer Addr, st *relinkState) {
 	}
 	if _, ok := n.lookup(peer); ok {
 		delete(o.pending, peer)
-		n.Stats.Inc("relink.success", 1)
+		n.Stats.Add(cRelinkSuccess, 1)
 		return
 	}
 	if st.attempt >= n.cfg.RelinkRetries {
 		delete(o.pending, peer)
-		n.Stats.Inc("relink.giveup", 1)
+		n.Stats.Add(cRelinkGiveup, 1)
 		return
 	}
 	st.attempt++
-	n.Stats.Inc("relink.attempts", 1)
+	n.Stats.Add(cRelinkAttempts, 1)
 	n.startLinker(peer, st.uris, st.ctype)
 	o.schedule(peer, st)
 }

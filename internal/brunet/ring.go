@@ -97,7 +97,7 @@ func (n *Node) kthNearOnSide(right bool, k int) *Connection {
 // (with a close to the peer) when no roles remain, and keeping the ring
 // index consistent when the connection survives but stops being a ring
 // router — e.g. a trimmed near link that still serves a leaf child.
-func (n *Node) dropConnRole(c *Connection, t ConnType, reason string) {
+func (n *Node) dropConnRole(c *Connection, t ConnType, reason dropReason) {
 	if c.closed {
 		return // its roles were uncounted when it dropped
 	}

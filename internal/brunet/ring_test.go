@@ -44,11 +44,11 @@ func applyChurn(seed int64, ops []uint32) (*Node, shadow) {
 			n.addConnection(peer, ep, nil, nil, typ)
 		case 2: // drop one role, connection may survive
 			if c, ok := sh[peer]; ok && c.Has(typ) {
-				n.dropConnRole(c, typ, "test")
+				n.dropConnRole(c, typ, dropTrim)
 			}
 		case 3: // drop the whole connection
 			if c, ok := sh[peer]; ok {
-				n.dropConnection(c, false, "test")
+				n.dropConnection(c, false, dropTrim)
 			}
 		}
 	}

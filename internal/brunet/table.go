@@ -1,7 +1,5 @@
 package brunet
 
-import "wow/internal/metrics"
-
 // The connection table is two indexes of one set, kept in step by
 // addConnection/addTunnelConnection, dropConnRole, dropConnection and Stop:
 // Node.table holds every live connection in address order (lookup by peer
@@ -218,7 +216,7 @@ func (n *Node) addRole(c *Connection, t ConnType) {
 	}
 	c.roles |= maskOf(t)
 	n.roleCount[t]++
-	n.countVia(&n.statConnType[t], connStatNames[t])
+	n.Stats.Add(cConnRole+int(t), 1)
 }
 
 // uncountRoles takes every role c carries out of the per-role counts; the
@@ -232,46 +230,20 @@ func (n *Node) uncountRoles(c *Connection) {
 	}
 }
 
-// dropReasons are the teardown reasons dropConnection is called with.
-var dropReasons = [...]string{"timeout", "stream", "peer_close", "peer_leave", "leave", "trim", "idle", "norelay"}
+// dropReason is why dropConnection tore a connection down; each has its
+// conn.dropped.<reason> counter. Only timeout and stream are involuntary,
+// the losses the repair overlord re-links.
+type dropReason uint8
 
-// connStatNames and dropStatNames are the "conn.<role>" and
-// "conn.dropped.<reason>" counter names, spelled out once per process
-// instead of once per connection event.
-var (
-	connStatNames = func() (names [numConnTypes]string) {
-		for t := range names {
-			names[t] = "conn." + ConnType(t).String()
-		}
-		return
-	}()
-	dropStatNames = func() (names [len(dropReasons)]string) {
-		for i, reason := range dropReasons {
-			names[i] = "conn.dropped." + reason
-		}
-		return
-	}()
+const (
+	dropTimeout dropReason = iota
+	dropStream
+	dropPeerClose
+	dropPeerLeave
+	dropLeave
+	dropTrim
+	dropIdle
+	dropNoRelay
+
+	numDropReasons = int(dropNoRelay) + 1
 )
-
-// countVia bumps the named counter through its handle, resolving the handle
-// the first time this node counts the event — so a node registers exactly
-// the counters it has used, and NewNode (which the benchmark's set-up times
-// by the tens of thousands) pays nothing for them.
-func (n *Node) countVia(h *metrics.Handle, name string) {
-	if *h == (metrics.Handle{}) {
-		*h = n.Stats.Handle(name)
-	}
-	h.Inc(1)
-}
-
-// countDrop bumps the drop counter for reason: through a handle for the
-// reasons this package uses, by name for any other.
-func (n *Node) countDrop(reason string) {
-	for i, r := range dropReasons {
-		if r == reason {
-			n.countVia(&n.statDropped[i], dropStatNames[i])
-			return
-		}
-	}
-	n.Stats.Inc("conn.dropped."+reason, 1)
-}

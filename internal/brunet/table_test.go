@@ -183,7 +183,7 @@ func dropDuringWalk(n *Node, sh shadow, mask roleMask, bits uint32) error {
 		}
 		i++
 		if victim != nil && !victim.closed {
-			n.dropConnection(victim, false, "test")
+			n.dropConnection(victim, false, dropTrim)
 		}
 	}
 	for ; i < len(snap); i++ {
@@ -246,11 +246,11 @@ func TestQuickConnTableChurn(t *testing.T) {
 				n.addTunnelConnection(peer, []Addr{universe[int(op>>20)%len(universe)]}, nil, typ)
 			case 7, 8, 9:
 				if c, ok := sh[peer]; ok {
-					n.dropConnRole(c, typ, "test")
+					n.dropConnRole(c, typ, dropTrim)
 				}
 			case 10, 11, 12:
 				if c, ok := sh[peer]; ok {
-					n.dropConnection(c, false, "test")
+					n.dropConnection(c, false, dropTrim)
 				}
 			case 13, 14:
 				if err := dropDuringWalk(n, sh, walkMasks[int(op>>16)%len(walkMasks)], op>>4); err != nil {
@@ -301,7 +301,7 @@ func TestDropLastRoleClearsItBeforeCallbacks(t *testing.T) {
 	var seen []bool
 	n.OnDisconnection(func(c *Connection) { seen = append(seen, c.Has(Shortcut) || c.structured()) })
 	c := n.addConnection(AddrFromString("peer"), phys.Endpoint{IP: 1, Port: 1}, nil, nil, Shortcut)
-	n.dropConnRole(c, Shortcut, "idle")
+	n.dropConnRole(c, Shortcut, dropIdle)
 	if !c.closed || c.Has(Shortcut) || len(seen) != 1 || seen[0] {
 		t.Fatalf("closed=%v Has(Shortcut)=%v callbacks saw the role: %v", c.closed, c.Has(Shortcut), seen)
 	}
@@ -352,7 +352,7 @@ func TestOccSettlesOnRemove(t *testing.T) {
 	// Middle of an arc first, then its edges, then the rest in an order
 	// that removes a boundary peer while the peer across the boundary stays.
 	for _, i := range []int{4, 5, 3, 2, 0, 1, 8, 6, 7} {
-		n.dropConnection(sh[peers[i]], false, "test")
+		n.dropConnection(sh[peers[i]], false, dropTrim)
 		check("after dropping " + peers[i].FullString())
 	}
 	if n.occ != 0 {
@@ -366,7 +366,7 @@ func TestOccSettlesOnRemove(t *testing.T) {
 // 56: at 888 bytes a Node carries the allocator's 8-byte header in front
 // (pointerful objects over 512 bytes), which also makes 888 the last size
 // in the 896-byte class — one word more and every node costs 1024. A
-// Connection is exactly 256 bytes, a class whose objects start on a line.
+// Connection stays within the 256-byte class.
 func TestHotFieldsLayout(t *testing.T) {
 	type field struct {
 		name      string

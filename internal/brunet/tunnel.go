@@ -127,14 +127,14 @@ func (o *tunnelOverlord) learnCandidates(peer Addr, uris []URI, relays []Neighbo
 	}
 }
 
-// linkFailed consumes the linker's terminal-failure report. Busy races
-// retry on their own; a failed direct attempt toward a peer we hold a
-// tunnel to re-arms the upgrade probe; a failed attempt toward a wanted
-// structured-near neighbor we hold nothing to triggers tunnel
-// establishment — the linker→tunnel fallback itself.
-func (o *tunnelOverlord) linkFailed(target Addr, t ConnType, reason string) {
+// linkFailed consumes the linker's terminal-failure report. A failed
+// direct attempt toward a peer we hold a tunnel to re-arms the upgrade
+// probe; a failed attempt toward a wanted structured-near neighbor we hold
+// nothing to triggers tunnel establishment — the linker→tunnel fallback
+// itself.
+func (o *tunnelOverlord) linkFailed(target Addr, t ConnType) {
 	n := o.node
-	if !n.up || n.tun != o || reason == "busy" {
+	if !n.up || n.tun != o {
 		return
 	}
 	if t == Relay {
@@ -142,7 +142,7 @@ func (o *tunnelOverlord) linkFailed(target Addr, t ConnType, reason string) {
 		// the next CTM exchange refreshes their candidate sets.
 		if waiting, ok := o.recruiting[target]; ok {
 			delete(o.recruiting, target)
-			n.Stats.Inc("tunnel.recruit_failed", int64(len(waiting)))
+			n.Stats.Add(cTunnelRecruitFailed, int64(len(waiting)))
 		}
 		delete(o.recruited, target)
 		return
@@ -169,7 +169,7 @@ func (o *tunnelOverlord) establish(target Addr) {
 	n := o.node
 	st, ok := o.cands[target]
 	if !ok {
-		n.Stats.Inc("tunnel.nocandidate", 1)
+		n.Stats.Add(cTunnelNoCandidate, 1)
 		return
 	}
 	var candidates []NeighborInfo
@@ -195,7 +195,7 @@ func (o *tunnelOverlord) establish(target Addr) {
 		for i, adv := range candidates {
 			mutual[i] = adv.Addr
 		}
-		n.Stats.Inc("tunnel.attempts", 1)
+		n.Stats.Add(cTunnelAttempts, 1)
 		n.startTunnelLinker(target, mutual, st.uris, StructuredNear)
 		return
 	}
@@ -221,11 +221,11 @@ func (o *tunnelOverlord) establish(target Addr) {
 			o.recruiting[adv.Addr] = append(o.recruiting[adv.Addr], target)
 		}
 		o.recruited[adv.Addr] = true
-		n.Stats.Inc("tunnel.recruit", 1)
+		n.Stats.Add(cTunnelRecruit, 1)
 		n.startLinker(adv.Addr, adv.URIs, Relay)
 		return
 	}
-	n.Stats.Inc("tunnel.nocandidate", 1)
+	n.Stats.Add(cTunnelNoCandidate, 1)
 }
 
 func (o *tunnelOverlord) onConnection(c *Connection) {
@@ -281,7 +281,7 @@ func (o *tunnelOverlord) relayLost(dead Addr) {
 		if !tc.Tunneled() || !tc.removeRelay(dead) {
 			continue
 		}
-		n.Stats.Inc("tunnel.relay_lost", 1)
+		n.Stats.Add(cTunnelRelayLost, 1)
 		o.recoverOrDrop(tc)
 	}
 }
@@ -296,12 +296,12 @@ func (o *tunnelOverlord) recoverOrDrop(tc *Connection) {
 		return
 	}
 	if o.refill(tc) {
-		n.Stats.Inc("tunnel.relay_reselected", 1)
+		n.Stats.Add(cTunnelRelayReselected, 1)
 		return
 	}
 	role := tunnelRole(tc)
 	peer := tc.Peer
-	n.dropConnection(tc, false, "norelay")
+	n.dropConnection(tc, false, dropNoRelay)
 	o.reprobe(peer, role)
 }
 
@@ -318,7 +318,7 @@ func (o *tunnelOverlord) noRoute(relay, to Addr) {
 	if !ok || tc.closed || !tc.Tunneled() || !tc.removeRelay(relay) {
 		return
 	}
-	n.Stats.Inc("tunnel.relay_bounced", 1)
+	n.Stats.Add(cTunnelRelayBounced, 1)
 	o.recoverOrDrop(tc)
 }
 
@@ -338,7 +338,7 @@ func (o *tunnelOverlord) relaySuspected(dead Addr) {
 		}
 		if len(tc.Relays) > 1 {
 			tc.removeRelay(dead)
-			n.Stats.Inc("tunnel.relay_suspected", 1)
+			n.Stats.Add(cTunnelRelaySuspected, 1)
 			continue
 		}
 		o.reprobe(tc.Peer, tunnelRole(tc))
@@ -372,7 +372,7 @@ func (o *tunnelOverlord) refill(tc *Connection) bool {
 // the current NAT situation permits.
 func (o *tunnelOverlord) reprobe(peer Addr, t ConnType) {
 	n := o.node
-	n.Stats.Inc("tunnel.reprobe", 1)
+	n.Stats.Add(cTunnelReprobe, 1)
 	n.sendCTM(peer, t, DeliverExact, Zero)
 }
 
@@ -402,7 +402,7 @@ func (o *tunnelOverlord) armUpgrade(c *Connection) {
 		if !ok || tc.closed || !tc.Tunneled() {
 			return
 		}
-		n.Stats.Inc("tunnel.upgrade_probes", 1)
+		n.Stats.Add(cTunnelUpgradeProbes, 1)
 		o.armUpgrade(tc)
 		n.sendCTM(peer, tunnelRole(tc), DeliverExact, Zero)
 	})
@@ -449,8 +449,8 @@ func (o *tunnelOverlord) reapRelays() {
 	for c := n.firstConn(relay); c != nil; c = n.connAfter(c, relay) {
 		if !inUse[c.Peer] && o.recruited[c.Peer] {
 			delete(o.recruited, c.Peer)
-			n.Stats.Inc("tunnel.relay_reaped", 1)
-			n.dropConnRole(c, Relay, "idle")
+			n.Stats.Add(cTunnelRelayReaped, 1)
+			n.dropConnRole(c, Relay, dropIdle)
 		}
 	}
 }

@@ -63,13 +63,13 @@ type Node struct {
 
 // New creates an IPOP node for a virtual IP on a physical host.
 func New(host *phys.Host, ip vip.IP, cfg brunet.Config) *Node {
-	return &Node{ip: ip, cfg: cfg, host: host}
+	return &Node{ip: ip, cfg: cfg, host: host, Stats: Counters.New()}
 }
 
 // NewRouter creates a router-only node (no virtual IP) with the given
 // overlay address, as deployed on the paper's PlanetLab hosts.
 func NewRouter(host *phys.Host, addr brunet.Addr, cfg brunet.Config) *Node {
-	n := &Node{cfg: cfg, host: host, routerOnly: true}
+	n := &Node{cfg: cfg, host: host, routerOnly: true, Stats: Counters.New()}
 	n.bn = brunet.NewNode(host, addr, cfg)
 	return n
 }
@@ -173,17 +173,17 @@ func (n *Node) SetReceiver(f func(*vip.Packet)) { n.recv = f }
 // matching real IP semantics (unroutable packets vanish).
 func (n *Node) SendIP(p *vip.Packet) {
 	if !n.Up() || n.routerOnly {
-		n.Stats.Inc("tunnel.dropped_down", 1)
+		n.Stats.Add(cTunnelDroppedDown, 1)
 		return
 	}
-	n.Stats.Inc("tunnel.out", 1)
+	n.Stats.Add(cTunnelOut, 1)
 	if p.Dst == n.ip {
 		// Loopback (e.g. the PBS head mounting its own NFS export):
 		// deliver asynchronously so transport code never re-enters
 		// its caller's stack frame.
 		n.host.Sim().After(0, func() {
 			if n.Up() && n.recv != nil {
-				n.Stats.Inc("tunnel.in", 1)
+				n.Stats.Add(cTunnelIn, 1)
 				n.recv(p)
 			}
 		})
@@ -200,16 +200,16 @@ func (n *Node) SendIP(p *vip.Packet) {
 func (n *Node) fromOverlay(src brunet.Addr, d brunet.AppData) {
 	p, ok := d.Data.(*vip.Packet)
 	if !ok {
-		n.Stats.Inc("tunnel.garbage", 1)
+		n.Stats.Add(cTunnelGarbage, 1)
 		return
 	}
 	if p.Dst != n.ip {
 		// Greedy routing delivered to the nearest neighbor of a dead
 		// address; a real tap would never see this packet.
-		n.Stats.Inc("tunnel.misrouted", 1)
+		n.Stats.Add(cTunnelMisrouted, 1)
 		return
 	}
-	n.Stats.Inc("tunnel.in", 1)
+	n.Stats.Add(cTunnelIn, 1)
 	if n.recv != nil {
 		n.recv(p)
 	}

@@ -287,14 +287,66 @@ func (s *Series) CSV() string {
 	return b.String()
 }
 
+// Family is one package's declared counters: every name the package counts,
+// each at a fixed index the package declares as a constant. A Counter made by
+// the family (New) keeps one dense cell per name, and the package counts
+// with Add — an indexed add, no hashing and nothing allocated on first use.
+// The names are read only by the by-name view (Get, Names, String, Merge)
+// and by whoever lists the catalog.
+type Family struct {
+	names []string
+	index map[string]int
+}
+
+// NewFamily declares a family whose i-th name is names[i]. It panics on an
+// empty or repeated name: each name is declared once.
+func NewFamily(names ...string) *Family {
+	f := &Family{names: names, index: make(map[string]int, len(names))}
+	for i, name := range names {
+		if name == "" {
+			panic(fmt.Sprintf("metrics: counter family leaves index %d unnamed", i))
+		}
+		if _, dup := f.index[name]; dup {
+			panic(fmt.Sprintf("metrics: counter family declares %q twice", name))
+		}
+		f.index[name] = i
+	}
+	return f
+}
+
+// New returns a Counter with one zero cell for each of the family's names.
+func (f *Family) New() Counter {
+	return Counter{fam: f, vals: make([]int64, len(f.names))}
+}
+
+// Names returns the family's names in declaration (index) order.
+func (f *Family) Names() []string { return append([]string(nil), f.names...) }
+
+// lookup returns the index of a family name; a nil family has none.
+func (f *Family) lookup(name string) (int, bool) {
+	if f == nil {
+		return 0, false
+	}
+	i, ok := f.index[name]
+	return i, ok
+}
+
 // Counter accumulates named integer counts; handy for protocol statistics
-// (packets routed, retries, hole punches, …). Hot paths that cannot afford
-// a map lookup per increment resolve a Handle once and bump it directly;
-// both forms feed the same name-keyed view.
+// (packets routed, retries, hole punches, …). A Counter made by a Family
+// (Family.New) counts the family's names in dense cells through Add; any
+// other name, and every name of a bare Counter, lives in a map and is
+// counted by name (Inc) or through a Handle resolved once. All of it reads
+// as one name-keyed view. A copy of a Counter shares its cells with the
+// original.
 type Counter struct {
+	fam   *Family
+	vals  []int64 // fam's cells, indexed as fam's names
 	m     map[string]int64
 	cells map[string]*int64
 }
+
+// Add adds delta to the family cell at index i.
+func (c *Counter) Add(i int, delta int64) { c.vals[i] += delta }
 
 // Handle is a pre-resolved counter cell: Inc on it is a single pointer
 // write, with no string hashing or map probe — the form packet-routing hot
@@ -311,10 +363,14 @@ func (h Handle) Inc(delta int64) {
 	}
 }
 
-// Handle resolves the named count to a direct cell, creating it if
-// necessary. Resolving registers the name: it appears in Names and String
-// even while still zero. Repeated resolutions of one name share a cell.
+// Handle resolves the named count to a direct cell. A family name's handle
+// is its family cell. Any other name's cell is made if necessary, and
+// resolving registers that name: it appears in Names and String even while
+// still zero. Repeated resolutions of one name share a cell.
 func (c *Counter) Handle(name string) Handle {
+	if i, ok := c.fam.lookup(name); ok {
+		return Handle{v: &c.vals[i]}
+	}
 	if c.cells == nil {
 		c.cells = make(map[string]*int64)
 	}
@@ -328,6 +384,10 @@ func (c *Counter) Handle(name string) Handle {
 
 // Inc adds delta to the named count.
 func (c *Counter) Inc(name string, delta int64) {
+	if i, ok := c.fam.lookup(name); ok {
+		c.vals[i] += delta
+		return
+	}
 	if cell, ok := c.cells[name]; ok {
 		*cell += delta
 		return
@@ -340,16 +400,25 @@ func (c *Counter) Inc(name string, delta int64) {
 
 // Get returns the named count (0 when never incremented).
 func (c *Counter) Get(name string) int64 {
+	if i, ok := c.fam.lookup(name); ok {
+		return c.vals[i]
+	}
 	if cell, ok := c.cells[name]; ok {
 		return c.m[name] + *cell
 	}
 	return c.m[name]
 }
 
-// Names returns all counter names in sorted order, including names that
-// have been resolved to handles but not yet incremented.
+// Names returns all counter names in sorted order: every family name whose
+// count is non-zero, and every other name that has been counted or resolved
+// to a handle, even while still zero.
 func (c *Counter) Names() []string {
 	out := make([]string, 0, len(c.m)+len(c.cells))
+	for i, v := range c.vals {
+		if v != 0 {
+			out = append(out, c.fam.names[i])
+		}
+	}
 	for k := range c.m {
 		out = append(out, k)
 	}
@@ -375,9 +444,15 @@ func (c *Counter) String() string {
 }
 
 // Merge adds every count from other into c — how experiments aggregate
-// per-node protocol counters into one fleet-wide view. Iteration order
-// doesn't matter here: Merge only ever adds into c's own cells.
+// per-node protocol counters into one fleet-wide view. A family cell that
+// is still zero adds nothing, not even its name. Iteration order doesn't
+// matter here: Merge only ever adds into c's own cells.
 func (c *Counter) Merge(other *Counter) {
+	for i, v := range other.vals {
+		if v != 0 {
+			c.Inc(other.fam.names[i], v)
+		}
+	}
 	for name, v := range other.m {
 		c.Inc(name, v)
 	}

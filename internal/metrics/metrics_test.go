@@ -348,6 +348,115 @@ func TestCounterMergeHandles(t *testing.T) {
 	}
 }
 
+// testFamily is a family for the counter properties below. The "free."
+// names stand for what a family counter still keeps by name: dynamic labels
+// and counts from outside the package.
+var (
+	testFamily  = NewFamily("a.one", "b.two", "c.three", "d.four")
+	streamNames = []string{"a.one", "b.two", "c.three", "d.four", "free.x", "free.y"}
+)
+
+// TestQuickCounterFamilyMatchesFreeForm: a family counter and a bare one fed
+// the same stream of (name, delta) agree on every read of the by-name view —
+// Get, Names, String — and merge into a bare counter and into another family
+// counter alike, whichever way the family counter takes each count (Add,
+// Inc by name, a Handle). Deltas are positive, so every name counted is
+// non-zero: the one place the two may differ is a family name still at zero,
+// which only the bare counter lists.
+func TestQuickCounterFamilyMatchesFreeForm(t *testing.T) {
+	prop := func(ops []uint16) bool {
+		fam, bare := testFamily.New(), Counter{}
+		for _, op := range ops {
+			name, delta := streamNames[int(op>>2)%len(streamNames)], int64(op>>5)+1
+			i, inFamily := testFamily.lookup(name)
+			switch {
+			case op&3 == 0 && inFamily:
+				fam.Add(i, delta)
+			case op&3 == 1:
+				fam.Handle(name).Inc(delta)
+			default:
+				fam.Inc(name, delta)
+			}
+			bare.Inc(name, delta)
+		}
+		for _, name := range append(streamNames, "never") {
+			if fam.Get(name) != bare.Get(name) {
+				return false
+			}
+		}
+		if fmt.Sprint(fam.Names()) != fmt.Sprint(bare.Names()) || fam.String() != bare.String() {
+			return false
+		}
+		var fromFam, fromBare Counter
+		fromFam.Merge(&fam)
+		fromBare.Merge(&bare)
+		famFam := testFamily.New()
+		famFam.Merge(&fam)
+		return fromFam.String() == fromBare.String() && famFam.String() == bare.String()
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 500, Rand: rand.New(rand.NewSource(6))}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCounterFamilyHandleAliasesCell: a Handle on a family name, and a copy
+// of the Counter, reach the family cell itself; a family name at zero is
+// not listed even once resolved; a family declares each name once.
+func TestCounterFamilyHandleAliasesCell(t *testing.T) {
+	c := testFamily.New()
+	h := c.Handle("b.two")
+	h.Inc(2)
+	c.Add(1, 3)
+	alias := c
+	alias.Inc("b.two", 1)
+	if got := c.Get("b.two"); got != 6 {
+		t.Fatalf("b.two = %d through Handle, Add and a copy's Inc, want 6", got)
+	}
+	c.Handle("c.three")
+	if got := c.String(); got != "b.two=6" {
+		t.Fatalf("String = %q, want only the non-zero family name", got)
+	}
+	for _, names := range [][]string{{"x", "y", "x"}, {"x", ""}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewFamily(%q) did not panic", names)
+				}
+			}()
+			NewFamily(names...)
+		}()
+	}
+}
+
+// BenchmarkCounter times one count each way a Counter takes it: Add on a
+// family cell, Inc through a resolved Handle, and Inc by name, on a family
+// name and on a free-form one.
+func BenchmarkCounter(b *testing.B) {
+	c := testFamily.New()
+	c.Inc("free.x", 1)
+	b.Run("Add", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			c.Add(1, 1)
+		}
+	})
+	b.Run("Handle.Inc", func(b *testing.B) {
+		h := c.Handle("b.two")
+		for i := 0; i < b.N; i++ {
+			h.Inc(1)
+		}
+	})
+	b.Run("Inc/family", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			c.Inc("b.two", 1)
+		}
+	})
+	b.Run("Inc/free", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			c.Inc("free.x", 1)
+		}
+	})
+}
+
 // TestShardedConcurrentWrites exercises the sharded counters' ownership
 // contract under the race detector: every shard writes only its own
 // Counter from its own goroutine (mixing map Incs and pre-resolved

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -225,6 +226,33 @@ func TestAllocFreeSchedule(t *testing.T) {
 	}
 	if s.step(-1); s.Pending() != len(timers) {
 		t.Fatalf("standing population changed: %d", s.Pending())
+	}
+}
+
+// TestEventSlabAllocs: a simulator whose free list is empty takes its
+// events from the allocator a slab of eventSlab at a time, so k·eventSlab
+// schedules that each need a fresh event (nothing fires in between) make k
+// allocations — with the heap's storage grown beforehand, nothing else.
+func TestEventSlabAllocs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, k := range []int{1, 2, 5} {
+		s := New(1)
+		s.queue = make([]slot, 0, k*eventSlab)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < k*eventSlab; i++ {
+			s.AtArg(Time(Hour)+Time(i), nop, nil)
+		}
+		runtime.ReadMemStats(&after)
+		if s.Pending() != k*eventSlab {
+			t.Fatalf("%d events pending, want %d", s.Pending(), k*eventSlab)
+		}
+		got := after.Mallocs - before.Mallocs
+		if raceEnabled {
+			t.Logf("%d fresh schedules under -race: %d allocs (not asserted)", k*eventSlab, got)
+		} else if got != uint64(k) {
+			t.Errorf("%d fresh schedules allocate %d objects, want %d slabs", k*eventSlab, got, k)
+		}
 	}
 }
 

@@ -224,15 +224,25 @@ type Poolable[T any] interface {
 	pooled() *Pooled
 }
 
-// acquire takes an event from the free list, or allocates one.
+// eventSlab is how many events acquire allocates at once when the free list
+// is empty: 63 events of 48 bytes and the allocator's 8-byte header fill the
+// 3072-byte size class, where 64 would take the 3200-byte one.
+const eventSlab = 63
+
+// acquire takes an event from the free list, refilling the list with a slab
+// of fresh events when it is empty.
 func (s *Simulator) acquire() *event {
 	e := s.free
-	if e != nil {
-		s.free = e.next
-		e.next = nil
-		return e
+	if e == nil {
+		slab := make([]event, eventSlab)
+		for i := range slab[:eventSlab-1] {
+			slab[i].next = &slab[i+1]
+		}
+		e = &slab[0]
 	}
-	return &event{}
+	s.free = e.next
+	e.next = nil
+	return e
 }
 
 // release retires an event to the free list. Bumping gen here invalidates

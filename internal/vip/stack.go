@@ -127,6 +127,7 @@ func NewStack(carrier Carrier, cfg StackConfig) *Stack {
 		listeners: make(map[uint16]func(*Conn)),
 		conns:     make(map[connKey]*Conn),
 		nextPort:  32768,
+		Stats:     Counters.New(),
 	}
 	carrier.SetReceiver(s.receive)
 	return s
@@ -177,7 +178,7 @@ func (s *Stack) checkShard(where string) {
 
 func (s *Stack) send(p *Packet) {
 	p.Live(s.sim, "send")
-	s.Stats.Inc("ip.out", 1)
+	s.Stats.Add(cIPOut, 1)
 	s.carrier.SendIP(p)
 }
 
@@ -197,10 +198,10 @@ func (s *Stack) receive(p *Packet) {
 // kept the packet.
 func (s *Stack) dispatch(p *Packet) (kept bool) {
 	if p.Dst != s.IP() {
-		s.Stats.Inc("ip.misdelivered", 1)
+		s.Stats.Add(cIPMisdelivered, 1)
 		return false
 	}
-	s.Stats.Inc("ip.in", 1)
+	s.Stats.Add(cIPIn, 1)
 	switch p.Proto {
 	case ProtoICMP:
 		return s.handleICMP(p)
@@ -209,7 +210,7 @@ func (s *Stack) dispatch(p *Packet) (kept bool) {
 	case ProtoTCP:
 		return s.handleTCP(p)
 	default:
-		s.Stats.Inc("ip.unknown_proto", 1)
+		s.Stats.Add(cIPUnknownProto, 1)
 	}
 	return false
 }
@@ -228,7 +229,7 @@ func (s *Stack) Ping(dst IP, size int, timeout sim.Duration, cb func(ok bool, rt
 	p := s.packet(dst, ProtoICMP, ipHdrSize+icmpHdrSize+size)
 	p.icmp = icmpEcho{ID: st.id, Seq: s.pingSeq, Sent: s.sim.Now()}
 	s.send(p)
-	s.Stats.Inc("icmp.sent", 1)
+	s.Stats.Add(cICMPSent, 1)
 }
 
 // finishPing retires an echo's state, answered or timed out, and returns
@@ -246,7 +247,7 @@ func pingTimedOut(arg any) {
 	st := arg.(*pingState)
 	s := st.stack
 	cb := s.finishPing(st)
-	s.Stats.Inc("icmp.timeout", 1)
+	s.Stats.Add(cICMPTimeout, 1)
 	cb(false, 0)
 }
 
@@ -263,7 +264,7 @@ func (s *Stack) handleICMP(p *Packet) (kept bool) {
 	if st, live := s.pings[echo.ID]; live {
 		st.timeout.Cancel()
 		cb := s.finishPing(st)
-		s.Stats.Inc("icmp.replied", 1)
+		s.Stats.Add(cICMPReplied, 1)
 		cb(true, s.sim.Now().Sub(echo.Sent))
 	}
 	return false
@@ -293,7 +294,7 @@ func (s *Stack) handleUDP(p *Packet) {
 	if h, bound := s.udp[d.DstPort]; bound {
 		h(p.Src, d.SrcPort, p.Size-ipHdrSize-udpHdrSize, d.Msg)
 	} else {
-		s.Stats.Inc("udp.unbound", 1)
+		s.Stats.Add(cUDPUnbound, 1)
 	}
 }
 

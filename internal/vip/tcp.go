@@ -152,7 +152,7 @@ func (s *Stack) DialTCP(dst IP, port uint16) *Conn {
 	}
 	c.lastProgress = s.sim.Now()
 	s.conns[c.key] = c
-	s.Stats.Inc("tcp.dialed", 1)
+	s.Stats.Add(cTCPDialed, 1)
 	c.sendControl("syn")
 	c.armRTO()
 	return c
@@ -231,7 +231,7 @@ func (c *Conn) abort(err error) {
 	c.rtoTimer.Cancel()
 	c.kaTimer.Cancel()
 	delete(c.stack.conns, c.key)
-	c.stack.Stats.Inc("tcp.aborted", 1)
+	c.stack.Stats.Add(cTCPAborted, 1)
 	c.fireClose(err)
 }
 
@@ -330,7 +330,7 @@ func (c *Conn) sendData(seq, n int) {
 		c.timedEnd = seq + n
 		c.timedAt = c.stack.sim.Now()
 	}
-	c.stack.Stats.Inc("tcp.data_out", 1)
+	c.stack.Stats.Add(cTCPDataOut, 1)
 	c.stack.send(p)
 }
 
@@ -386,7 +386,7 @@ func (c *Conn) onTimeout() {
 		return
 	}
 	c.retransmits++
-	s.Stats.Inc("tcp.rto", 1)
+	s.Stats.Add(cTCPRTO, 1)
 	c.timing = false
 	switch c.state {
 	case stateSynSent:
@@ -480,13 +480,13 @@ func (s *Stack) handleTCP(p *Packet) (kept bool) {
 				}
 				c.lastProgress = s.sim.Now()
 				s.conns[key] = c
-				s.Stats.Inc("tcp.accepted", 1)
+				s.Stats.Add(cTCPAccepted, 1)
 				c.sendControl("synack")
 				c.armRTO()
 				return false
 			}
 		}
-		s.Stats.Inc("tcp.no_conn", 1)
+		s.Stats.Add(cTCPNoConn, 1)
 		return false
 	}
 	return c.handleSegment(p)
@@ -568,7 +568,7 @@ func (c *Conn) handleSegment(p *Packet) (parked bool) {
 			c.dupAcks++
 			if c.dupAcks == 3 {
 				// Fast retransmit (Reno).
-				s.Stats.Inc("tcp.fast_retransmit", 1)
+				s.Stats.Add(cTCPFastRetransmit, 1)
 				c.retransmits++
 				inflightSegs := float64(c.sndNxt-c.sndUna) / float64(s.cfg.MSS)
 				c.ssthresh = inflightSegs / 2
@@ -654,7 +654,7 @@ func (c *Conn) keepAliveCheck() {
 		return
 	}
 	c.kaProbes++
-	s.Stats.Inc("tcp.keepalive_probe", 1)
+	s.Stats.Add(cTCPKeepaliveProbe, 1)
 	p, seg := c.segment(tcpHdrSize)
 	seg.Seq, seg.Ack, seg.HasAck, seg.Probe = c.sndNxt, c.rcvNxt, true, true
 	s.send(p)
@@ -719,7 +719,7 @@ func (c *Conn) receiveData(p *Packet) (parked bool) {
 		}
 		c.oo[seg.Seq] = p
 		parked = true
-		c.stack.Stats.Inc("tcp.out_of_order", 1)
+		c.stack.Stats.Add(cTCPOutOfOrder, 1)
 	}
 	if c.remoteFin >= 0 && c.rcvNxt == c.remoteFin {
 		c.rcvNxt = c.remoteFin + 1 // consume the FIN
@@ -759,7 +759,7 @@ func (c *Conn) maybeFinish() {
 		c.rtoTimer.Cancel()
 		c.kaTimer.Cancel()
 		delete(c.stack.conns, c.key)
-		c.stack.Stats.Inc("tcp.closed", 1)
+		c.stack.Stats.Add(cTCPClosed, 1)
 		c.fireClose(nil)
 	}
 }

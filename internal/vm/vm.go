@@ -87,6 +87,7 @@ func New(host *phys.Host, ip vip.IP, spec Spec, cfg brunet.Config) *VM {
 		node:     node,
 		sim:      host.Sim(),
 		hostLoad: 1,
+		Stats:    Counters.New(),
 	}
 	v.stack = vip.NewStack(node, vip.StackConfig{})
 	return v
@@ -123,7 +124,7 @@ func (v *VM) Start(bootstrap []brunet.URI) error {
 		return fmt.Errorf("vm %s: %w", v.spec.Name, err)
 	}
 	v.running = true
-	v.Stats.Inc("vm.started", 1)
+	v.Stats.Add(cVMStarted, 1)
 	return nil
 }
 
@@ -186,7 +187,7 @@ func (v *VM) EstimateWall(cpu sim.Duration) sim.Duration {
 func (v *VM) Execute(cpu sim.Duration, done func()) {
 	t := &task{remaining: cpu, done: done}
 	v.queue = append(v.queue, t)
-	v.Stats.Inc("job.queued", 1)
+	v.Stats.Add(cJobQueued, 1)
 	v.dispatch()
 }
 
@@ -211,7 +212,7 @@ func (v *VM) startCurrent() {
 	wall := sim.Duration(float64(t.remaining) * v.rate())
 	v.compEv = v.sim.After(wall, func() {
 		v.current = nil
-		v.Stats.Inc("job.completed", 1)
+		v.Stats.Add(cJobCompleted, 1)
 		if t.done != nil {
 			t.done()
 		}
@@ -282,7 +283,7 @@ func (v *VM) Migrate(dst *phys.Host, cfg MigrationConfig, done func()) error {
 	// Step 2: suspend the guest; in-flight jobs freeze.
 	v.suspended = true
 	v.pauseCPU()
-	v.Stats.Inc("vm.migrations", 1)
+	v.Stats.Add(cVMMigrations, 1)
 
 	// Steps 3 and 4, once the image has crossed: resume on dst, restart
 	// IPOP.
@@ -304,7 +305,7 @@ func (v *VM) resumeAt(dst *phys.Host, downtime sim.Duration, done func()) {
 			panic(fmt.Sprintf("vm %s: ipop restart: %v", v.spec.Name, err))
 		}
 		v.resumeCPU()
-		v.Stats.Inc("vm.migrated", 1)
+		v.Stats.Add(cVMMigrated, 1)
 		if done != nil {
 			done()
 		}
@@ -339,7 +340,7 @@ func (v *VM) MigrateLive(dst *phys.Host, cfg MigrationConfig, done func()) error
 		return fmt.Errorf("vm %s: dirty rate %.0f B/s >= transfer rate %.0f B/s; pre-copy cannot converge",
 			v.spec.Name, cfg.DirtyRateBps, cfg.TransferBps)
 	}
-	v.Stats.Inc("vm.migrations_live", 1)
+	v.Stats.Add(cVMMigrationsLive, 1)
 
 	// Iterative pre-copy: each round ships the previous round's dirty
 	// set while the guest dirties more.
