@@ -24,7 +24,6 @@ type Connection struct {
 	// survived the linking protocol's trials.
 	EP     phys.Endpoint
 	roles  roleMask
-	inRing bool // membership flag for the node's ringIndex
 	closed bool
 	// Stream is the TCP-transport link carrying this connection, nil
 	// for UDP-transport connections (§IV-A: "connections between Brunet
@@ -265,7 +264,7 @@ func (n *Node) addConnection(peer Addr, ep phys.Endpoint, stream *phys.Stream, u
 		}
 		if c.Tunneled() {
 			// A direct wire confirmed: the tunnel upgrades in place
-			// to a direct edge — roles, ring membership and keepalive
+			// to a direct edge — roles, table slot and keepalive
 			// state all carry over.
 			c.Relays = nil
 			c.observed = nil
@@ -277,7 +276,6 @@ func (n *Node) addConnection(peer Addr, ep phys.Endpoint, stream *phys.Stream, u
 		c.URIs = uris
 	}
 	n.addRole(c, t)
-	n.ringInsert(c)
 	n.notifyConn(c)
 	return c
 }
@@ -314,7 +312,6 @@ func (n *Node) addTunnelConnection(peer Addr, relays []Addr, uris []URI, t ConnT
 		c.URIs = uris
 	}
 	n.addRole(c, t)
-	n.ringInsert(c)
 	n.notifyConn(c)
 	return c
 }
@@ -465,7 +462,6 @@ func (n *Node) dropConnection(c *Connection, sendClose bool, reason dropReason) 
 	c.closed = true
 	c.reason = reason
 	c.pingTimer.Cancel()
-	n.ringRemove(c)
 	n.tableRemove(c)
 	n.uncountRoles(c)
 	n.Stats.Add(cConnDropped+int(reason), 1)
@@ -665,18 +661,4 @@ func (n *Node) forwardClose(dead Addr) {
 		n.sendConn(s.c, pingMsgSize, msg)
 		n.Stats.Add(cCloseForwarded, 1)
 	}
-}
-
-// nearestConn returns the structured connection whose peer is closest to
-// dst by ring distance, excluding a peer address (no-backtrack). Leaf
-// connections participate only on exact address match, since leaf children
-// are not ring routers. An exact-match structured connection has ring
-// distance zero and always wins, so both exact-match cases reduce to one
-// table lookup; the general case is the ring index's O(log c) search. (The
-// brute-force oracle it must agree with lives in oracle_test.go.)
-func (n *Node) nearestConn(dst Addr, exclude Addr) *Connection {
-	if c, ok := n.lookup(dst); ok && dst != exclude && c.roles&(structuredRoles|maskOf(Leaf)) != 0 {
-		return c
-	}
-	return n.ring.nearest(dst, exclude)
 }

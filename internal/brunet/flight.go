@@ -80,7 +80,7 @@ func (n *Node) flightSample(pkt *OverlayPacket) {
 		Node:   f.nodeID,
 		Trace:  h,
 		Kind:   trace.KindOrigin,
-		Cands:  len(n.ring.slots),
+		Cands:  n.routers(),
 		Dist:   distTop64(n.addr, pkt.Dst),
 		Src:    pkt.Src.FullString(),
 		Dst:    pkt.Dst.FullString(),
@@ -123,7 +123,7 @@ func (n *Node) flightHop(pkt *OverlayPacket, best *Connection) {
 		Kind:   kind,
 		Next:   best.Peer.FullString(),
 		Via:    via,
-		Cands:  len(n.ring.slots),
+		Cands:  n.routers(),
 		Dist:   distTop64(best.Peer, pkt.Dst),
 	})
 }

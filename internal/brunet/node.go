@@ -234,12 +234,10 @@ type Node struct {
 	// connection's peer address has b as its top six bits (see tableInsert).
 	occ uint64
 
-	// table and ring are the connection table (see table.go): every live
-	// connection in address order, and the structured subset in ring order
-	// from this node's address. roleCount[t] is the number of live
-	// connections carrying role t.
+	// table is the connection table (see table.go): every live connection
+	// in address order. roleCount[t] is the number of live connections
+	// carrying role t.
 	table     connIndex
-	ring      connIndex
 	roleCount [numConnTypes]int
 
 	host *phys.Host
@@ -338,7 +336,6 @@ func NewNode(host *phys.Host, addr Addr, cfg Config) *Node {
 		Stats:    Counters.New(),
 		pool:     host.Sim().Local(shardPoolKey{}, newShardPool).(*shardPool),
 	}
-	n.ring.origin = addr
 	if cfg.JitterSeed != 0 {
 		h := fnv.New64a()
 		h.Write(addr[:])
@@ -575,14 +572,12 @@ func (n *Node) Stop() {
 		c := s.c
 		c.pingTimer.Cancel()
 		c.closed = true
-		c.inRing = false
 		if c.Stream != nil {
 			c.Stream.Close()
 		}
 	}
 	n.table.reset()
 	n.occ = 0
-	n.ring.reset()
 	n.roleCount = [numConnTypes]int{}
 	n.sock.Close()
 	if n.slisten != nil {

@@ -7,12 +7,11 @@ import (
 )
 
 // The oracles: the original copy-and-sort and linear-scan selections the
-// connection table's indexes replaced, kept as the references the property
-// tests hold the indexes to. They share nothing with what they check: the
-// set comes from a shadow map the test keeps through the node's own
-// connection callbacks — independent of both indexes and of their keys —
-// and every comparison is the byte-wise reference arithmetic of
-// addr_oracle_test.go.
+// connection table replaced, kept as the references the property tests hold
+// the table to. They share nothing with what they check: the set comes from
+// a shadow map the test keeps through the node's own connection callbacks —
+// independent of the table and of its keys — and every comparison is the
+// byte-wise reference arithmetic of addr_oracle_test.go.
 
 // shadow is a node's live connections by peer, as its OnConnection and
 // OnDisconnection callbacks report them.

@@ -96,33 +96,43 @@ func TestPrefixTieTableOrderLookupAndWalk(t *testing.T) {
 	check("after walks with drops")
 }
 
-// Ring peers whose clockwise keys lie within ±3 of each other and of the
+// Ring peers whose keys lie within ±3 of each other and of the
 // destination's, with low bits at the extremes so the borrow goes both
-// ways: exactly the band where nearest may not trust a prefix distance and
-// must fall through to the full comparison. Holds nearestConn to the linear
-// oracle for every destination and exclusion in the band — at an ordinary
-// arc, across the origin (keys wrapping through zero), and with the
-// destination half a ring away (prefix distances at 2^63).
+// ways: exactly the band where nearestConn may not trust a prefix distance
+// and must fall through to the full comparison. Holds nearestConn to the
+// linear oracle for every destination and exclusion in the band, with the
+// destination also half a ring away (prefix distances at 2^63). The bands
+// sit at absolute keys — the table's own — at an ordinary key, across
+// address zero (keys wrapping through the end of the table) and at 2^63;
+// and at the same offsets from the node's own address. About two slots in
+// five are leaf- or relay-only, so the walks to dst's two ring neighbors
+// step over slots inside the band that are not ring routers.
 func TestPrefixTieNearestMatchesOracle(t *testing.T) {
 	origin := AddrFromString("ring-test-origin") // ringTestNode's address
 	rng := rand.New(rand.NewSource(67))
 	ep := phys.Endpoint{IP: 1, Port: 1}
-	for _, base := range []uint64{0x3141592653589793, 1, ^uint64(0) - 1, 1 << 63} {
+	for _, b := range []struct {
+		anchor Addr
+		base   uint64
+	}{
+		{Zero, 0x3141592653589793}, {Zero, 0}, {Zero, 1 << 63},
+		{origin, 0x3141592653589793}, {origin, 1}, {origin, ^uint64(0) - 1}, {origin, 1 << 63},
+	} {
 		// Candidate peers: every key in base−3…base+3 with every low pattern.
 		var band []Addr
 		for dk := -3; dk <= 3; dk++ {
 			for _, low := range lows {
-				band = append(band, refAdd(origin, addrOf(base+uint64(dk), low)))
+				band = append(band, refAdd(b.anchor, addrOf(b.base+uint64(dk), low)))
 			}
 		}
 		var dsts []Addr
 		for dk := -5; dk <= 5; dk++ {
 			for _, low := range lows {
-				d := refAdd(origin, addrOf(base+uint64(dk), low))
+				d := refAdd(b.anchor, addrOf(b.base+uint64(dk), low))
 				dsts = append(dsts, d, refAdd(d, addrOf(1<<63, lowZero)), refAdd(d, addrOf(1<<63-1, lowOnes)))
 			}
 		}
-		dsts = append(dsts, origin)
+		dsts = append(dsts, origin, b.anchor)
 		for trial := 0; trial < 40; trial++ {
 			n := ringTestNode(71)
 			if n.addr != origin {
@@ -130,7 +140,7 @@ func TestPrefixTieNearestMatchesOracle(t *testing.T) {
 			}
 			sh := watch(n)
 			for _, i := range rng.Perm(len(band))[:2+trial%6] {
-				n.addConnection(band[i], ep, nil, nil, churnTypes[rng.Intn(3)]) // structured roles only
+				n.addConnection(band[i], ep, nil, nil, churnTypes[rng.Intn(len(churnTypes))])
 			}
 			if err := tableHolds(n, sh); err != nil {
 				t.Fatal(err)
@@ -142,10 +152,54 @@ func TestPrefixTieNearestMatchesOracle(t *testing.T) {
 			for _, dst := range dsts {
 				for _, ex := range excludes {
 					if got, want := n.nearestConn(dst, ex), sh.nearestLinear(dst, ex); got != want {
-						t.Fatalf("base %#x trial %d: nearestConn(%s, %s) = %v, oracle %v\npeers %v",
-							base, trial, dst.FullString(), ex.FullString(), got, want, sh.sorted())
+						t.Fatalf("anchor %s base %#x trial %d: nearestConn(%s, %s) = %v, oracle %v\npeers %v",
+							b.anchor, b.base, trial, dst.FullString(), ex.FullString(), got, want, sh.sorted())
 					}
 				}
+			}
+		}
+	}
+}
+
+// kthNearOnSide walks out from the node's own position in the table; these
+// are the positions a random address rarely takes: before every peer (the
+// counter-clockwise walk starts by wrapping to the end), after every peer
+// (the clockwise walk starts by wrapping to the front), and inside a run of
+// peers that share the node's top word (the position is settled past the
+// key, on the full address). Near, far, leaf, relay and mixed roles are
+// interleaved so the walks filter as they go.
+func TestKthNearOnSideAtTableEdges(t *testing.T) {
+	const top = 0x0123456789abcdef
+	ep := phys.Endpoint{IP: 1, Port: 1}
+	peers := []Addr{
+		addrOf(top-1, lowOnes), addrOf(top, lowZero), addrOf(top, lowOne), addrOf(top, lowOnes),
+		addrOf(top+1, lowZero), addrOf(1<<40, lowHalf), addrOf(1<<63, lowZero), addrOf(^uint64(0)-1<<40, lowHalf),
+	}
+	roles := [][]ConnType{
+		{StructuredNear}, {StructuredNear, Leaf}, {StructuredFar}, {StructuredNear},
+		{Relay}, {StructuredNear}, {Leaf, StructuredNear}, {StructuredNear, Shortcut},
+	}
+	for _, c := range []struct {
+		name string
+		addr Addr
+	}{
+		{"below every peer", addrOf(0, lowOne)},
+		{"above every peer", addrOf(^uint64(0), lowOnes)},
+		{"sharing a peer's top word", addrOf(top, lowHalf)},
+	} {
+		for drop := -1; drop < len(peers); drop++ {
+			n := ringTestNodeAt(79, c.addr)
+			sh := watch(n)
+			for i, p := range peers {
+				for _, r := range roles[i] {
+					n.addConnection(p, ep, nil, nil, r)
+				}
+			}
+			if drop >= 0 { // and once with each peer gone
+				n.dropConnection(sh[peers[drop]], false, dropTrim)
+			}
+			if err := kthHolds(n, sh); err != nil {
+				t.Fatalf("%s, peer %d dropped: %v", c.name, drop, err)
 			}
 		}
 	}

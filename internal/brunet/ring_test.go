@@ -1,6 +1,7 @@
 package brunet
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -11,17 +12,22 @@ import (
 )
 
 // ringTestNode builds a bare node (never started) whose connection table
-// can be churned directly — the unit under test is the ring index's
+// can be churned directly — the unit under test is the table's ring reads'
 // agreement with the linear-scan oracles, not the linking protocol.
-func ringTestNode(seed int64) *Node {
+func ringTestNode(seed int64) *Node { return ringTestNodeAt(seed, AddrFromString("ring-test-origin")) }
+
+// ringTestNodeAt is ringTestNode at a chosen address.
+func ringTestNodeAt(seed int64, addr Addr) *Node {
 	s := sim.New(seed)
 	net := phys.NewNetwork(s, phys.UniformLatency(phys.PathModel{}, phys.PathModel{}))
 	site := net.AddSite("t")
 	h := net.AddHost("t0", site, net.Root(), phys.HostConfig{})
-	return NewNode(h, AddrFromString("ring-test-origin"), Config{})
+	return NewNode(h, addr, Config{})
 }
 
-var churnTypes = []ConnType{StructuredNear, StructuredFar, Shortcut, Leaf}
+// churnTypes lists the ring-routing roles first: the first three are
+// structured, the last two are not.
+var churnTypes = []ConnType{StructuredNear, StructuredFar, Shortcut, Leaf, Relay}
 
 // applyChurn drives the connection table through a scripted sequence of
 // adds, role-drops and full drops derived from ops, returning the node and
@@ -55,25 +61,25 @@ func applyChurn(seed int64, ops []uint32) (*Node, shadow) {
 	return n, sh
 }
 
-// Property: after arbitrary churn, the indexed nearestConn agrees with the
+// Property: after arbitrary churn, the table's nearestConn agrees with the
 // brute-force linear oracle for every destination and exclusion choice.
 func TestQuickNearestConnMatchesOracle(t *testing.T) {
 	f := func(ops []uint32, dstSel, exSel uint16) bool {
 		n, sh := applyChurn(11, ops)
-		ring := n.ring.slots
+		held := sh.sorted()
 		rng := rand.New(rand.NewSource(int64(dstSel)))
 		for trial := 0; trial < 8; trial++ {
 			var dst Addr
-			if trial%2 == 0 && len(ring) > 0 {
+			if trial%2 == 0 && len(held) > 0 {
 				// Half the probes aim at a connected peer: the
 				// exact-match and exclusion paths must agree too.
-				dst = ring[int(dstSel)%len(ring)].c.Peer
+				dst = held[int(dstSel)%len(held)].Peer
 			} else {
 				dst = RandomAddr(rng)
 			}
 			exclude := Addr{}
-			if trial%3 == 0 && len(ring) > 0 {
-				exclude = ring[int(exSel)%len(ring)].c.Peer
+			if trial%3 == 0 && len(held) > 0 {
+				exclude = held[int(exSel)%len(held)].Peer
 			}
 			if n.nearestConn(dst, exclude) != sh.nearestLinear(dst, exclude) {
 				return false
@@ -86,34 +92,28 @@ func TestQuickNearestConnMatchesOracle(t *testing.T) {
 	}
 }
 
-// Property: kthNearOnSide(side, k) is the k-th entry of the sort-per-call
-// oracle for every k, on both sides, and nil past its end.
-func TestQuickKthNearOnSideMatchesOracle(t *testing.T) {
-	f := func(ops []uint32) bool {
-		n, sh := applyChurn(23, ops)
-		for _, right := range []bool{true, false} {
-			want := sh.neighborsOnSideLinear(n.addr, right)
-			for k := 1; k <= len(want); k++ {
-				if n.kthNearOnSide(right, k) != want[k-1] {
-					return false
-				}
+// kthHolds checks that kthNearOnSide(side, k) is the k-th entry of the
+// sort-per-call oracle for every k, on both sides, and nil past its end.
+func kthHolds(n *Node, sh shadow) error {
+	for _, right := range []bool{true, false} {
+		want := sh.neighborsOnSideLinear(n.addr, right)
+		for k := 1; k <= len(want)+1; k++ {
+			var w *Connection
+			if k <= len(want) {
+				w = want[k-1]
 			}
-			if n.kthNearOnSide(right, len(want)+1) != nil {
-				return false
+			if got := n.kthNearOnSide(right, k); got != w {
+				return fmt.Errorf("kthNearOnSide(right=%v, %d) = %v, oracle %v", right, k, got, w)
 			}
 		}
-		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150, Rand: rand.New(rand.NewSource(29))}); err != nil {
-		t.Fatal(err)
-	}
+	return nil
 }
 
-// Property: the index slice itself stays sorted and mirrors exactly the
-// structured subset of the connection table through churn.
-func TestQuickRingIndexInvariants(t *testing.T) {
-	f := func(ops []uint32) bool { return ringIndexHolds(applyChurn(31, ops)) == nil }
-	if err := quick.Check(f, &quick.Config{MaxCount: 150, Rand: rand.New(rand.NewSource(37))}); err != nil {
+// Property: after arbitrary churn, kthHolds.
+func TestQuickKthNearOnSideMatchesOracle(t *testing.T) {
+	f := func(ops []uint32) bool { return kthHolds(applyChurn(23, ops)) == nil }
+	if err := quick.Check(f, &quick.Config{MaxCount: 150, Rand: rand.New(rand.NewSource(29))}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,10 +1,12 @@
 package brunet
 
-// The connection table is two indexes of one set, kept in step by
-// addConnection/addTunnelConnection, dropConnRole, dropConnection and Stop:
-// Node.table holds every live connection in address order (lookup by peer
-// and every ordered walk) and Node.ring the structured subset in ring order
-// (routing and ring-side queries). Both are a connIndex. Per-role live
+import "encoding/binary"
+
+// The connection table is one index, Node.table: every live connection in
+// address order, written by addConnection/addTunnelConnection,
+// dropConnRole, dropConnection and Stop. Lookup by peer, every ordered walk
+// and the ring reads (ring.go) all search it; the ring is the slots whose
+// connection carries a ring-routing role, read in place. Per-role live
 // counts ride along so "how many near links do I hold" is a field read.
 
 // roleMask is a set of ConnTypes, one bit per role.
@@ -23,43 +25,31 @@ func maskOf(t ConnType) roleMask { return 1 << uint(t) }
 const structuredRoles = roleMask(1)<<StructuredNear | roleMask(1)<<StructuredFar | roleMask(1)<<Shortcut
 
 // slot is one entry of a connIndex: a connection and, inline beside the
-// pointer, the 64-bit sort key of its peer, so a search reads the slice
-// alone and touches a Connection only where keys tie.
+// pointer, the sort key of its peer, so a search reads the slice alone and
+// touches a Connection only where keys tie.
 type slot struct {
 	key uint64
 	c   *Connection
 }
 
-// connIndex holds connections sorted by the clockwise distance from origin
-// to their peer. A slot's key is the top 64 bits of that distance — a
-// prefix of what the full comparator (origin.CmpClockwise) compares — so
-// ordering by key, then by the full comparator among equal keys, is the
-// full comparator's order, and a binary search on keys alone lands on the
-// (almost always empty or single) run of slots a full comparison has to
-// settle.
+// connIndex holds connections sorted by peer address (Addr.Less). A slot's
+// key is the top 64 bits of its peer's address — a prefix of what Addr.Less
+// compares — so ordering by key, then by address among equal keys, is
+// address order, and a binary search on keys alone lands on the (almost
+// always empty or single) run of slots a full comparison has to settle.
 //
-// Node.ring is anchored at the node's own address: the circular order of
-// the ring as seen from this node, holding a connection exactly while
-// Connection.structured() is true (Connection.inRing mirrors membership).
-// Node.table is anchored at the zero address, from which clockwise order is
-// plain address order (Addr.Less) and the key the address's own top word.
-// It is the iteration-order contract of the package: every walk whose body
-// sends messages, draws randomness or drops connections visits connections
-// in this order, so a run is a pure function of its seed. Walks whose body
-// cannot change the table range over the slots directly; walks whose body
-// may drop connections step with Node.firstConn/connAfter, which re-find
-// their position by address after every step.
+// Address order is the iteration-order contract of the package: every walk
+// whose body sends messages, draws randomness or drops connections visits
+// connections in this order, so a run is a pure function of its seed. Walks
+// whose body cannot change the table range over the slots directly; walks
+// whose body may drop connections step with Node.firstConn/connAfter, which
+// re-find their position by address after every step.
 type connIndex struct {
-	origin Addr
-	slots  []slot
+	slots []slot
 }
 
-// key returns the sort key of address a: the top 64 bits of its clockwise
-// distance from the index's origin.
-func (x *connIndex) key(a *Addr) uint64 {
-	hi, _, _ := subWords(a, &x.origin)
-	return hi
-}
+// addrKey returns the sort key of address a: its top 64 bits.
+func addrKey(a *Addr) uint64 { return binary.BigEndian.Uint64(a[:8]) }
 
 // first returns the first position whose key is not less than key. The one
 // binary search under every lookup, walk step and routing decision:
@@ -80,9 +70,9 @@ func (x *connIndex) first(key uint64) int {
 // search returns the insertion index for address a — the first position
 // whose peer does not sort before a — and a's key.
 func (x *connIndex) search(a *Addr) (i int, key uint64) {
-	key = x.key(a)
+	key = addrKey(a)
 	i = x.first(key)
-	for i < len(x.slots) && x.slots[i].key == key && x.origin.CmpClockwise(x.slots[i].c.Peer, *a) < 0 {
+	for i < len(x.slots) && x.slots[i].key == key && x.slots[i].c.Peer.Less(*a) {
 		i++
 	}
 	return i, key
@@ -127,10 +117,10 @@ func (x *connIndex) reset() {
 	x.slots = x.slots[:0]
 }
 
-// arcBit is the occupancy bit of a table key. The table is anchored at the
-// zero address, so a key's top six bits name one of 64 equal arcs of the
-// address space, and Node.occ has the arc's bit set exactly while some slot
-// of the table lies in it.
+// arcBit is the occupancy bit of a table key. A key is the top word of an
+// address, so its top six bits name one of 64 equal arcs of the address
+// space, and Node.occ has the arc's bit set exactly while some slot of the
+// table lies in it.
 func arcBit(key uint64) uint64 { return 1 << (key >> 58) }
 
 // tableInsert and tableRemove are the only writers of Node.table besides
@@ -157,7 +147,7 @@ func (n *Node) tableRemove(c *Connection) {
 // leave most of the 64 arcs empty. A miss on the keys reads no Connection.
 func (n *Node) lookup(peer Addr) (*Connection, bool) {
 	x := &n.table
-	key := x.key(&peer)
+	key := addrKey(&peer)
 	if n.occ&arcBit(key) == 0 {
 		return nil, false
 	}
@@ -227,6 +217,26 @@ func (n *Node) uncountRoles(c *Connection) {
 		if c.Has(ConnType(t)) {
 			n.roleCount[t]--
 		}
+	}
+}
+
+// dropConnRole removes role t from c, tearing the whole connection down
+// (with a close to the peer) when no roles remain. A connection that
+// survives keeps its slot; whether it is still a ring router is read off its
+// roles.
+func (n *Node) dropConnRole(c *Connection, t ConnType, reason dropReason) {
+	if c.closed {
+		return // its roles were uncounted when it dropped
+	}
+	if c.Has(t) {
+		c.roles &^= maskOf(t)
+		n.roleCount[t]--
+	}
+	// A connection torn down here reaches its OnDisconnection callbacks
+	// without the role just dropped — an idle shortcut is not a structured
+	// loss to repair.
+	if c.roles == 0 {
+		n.dropConnection(c, true, reason)
 	}
 }
 

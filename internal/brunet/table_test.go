@@ -49,48 +49,19 @@ func sameConns(a, b []*Connection) bool {
 	return true
 }
 
-// indexHolds checks one index's own invariants by the byte-wise reference:
-// every key is the top 64 bits of the clockwise distance from the origin to
-// the slot's peer, and the slots are in strictly ascending order of that
-// distance.
+// indexHolds checks the index's own invariants by the byte-wise reference:
+// every key is the top 64 bits of the slot's peer address, and the slots are
+// in strictly ascending address order.
 func indexHolds(x *connIndex) error {
 	for i, s := range x.slots {
-		d := refSub(s.c.Peer, x.origin)
-		if s.key != refWord(d, 0) {
-			return fmt.Errorf("slot %d: key %#x, distance %s", i, s.key, d.FullString())
+		if s.key != refWord(s.c.Peer, 0) {
+			return fmt.Errorf("slot %d: key %#x, peer %s", i, s.key, s.c.Peer.FullString())
 		}
-		if i > 0 && refCmp(refSub(x.slots[i-1].c.Peer, x.origin), d) >= 0 {
+		if i > 0 && refCmp(x.slots[i-1].c.Peer, s.c.Peer) >= 0 {
 			return fmt.Errorf("index out of order at %d", i)
 		}
 	}
 	return nil
-}
-
-// ringIndexHolds checks the ring index against the shadow set: membership
-// is exactly the structured subset, mirrored by inRing, in strictly
-// ascending clockwise order from the node's address.
-func ringIndexHolds(n *Node, sh shadow) error {
-	structured := 0
-	for _, c := range sh {
-		if c.structured() != c.inRing {
-			return fmt.Errorf("%s: structured=%v inRing=%v", c, c.structured(), c.inRing)
-		}
-		if c.structured() {
-			structured++
-		}
-	}
-	if len(n.ring.slots) != structured {
-		return fmt.Errorf("ring index holds %d, shadow has %d structured", len(n.ring.slots), structured)
-	}
-	for _, s := range n.ring.slots {
-		if sh[s.c.Peer] != s.c {
-			return fmt.Errorf("ring index holds %s, not live", s.c)
-		}
-	}
-	if n.ring.origin != n.addr {
-		return fmt.Errorf("ring index anchored at %s", n.ring.origin)
-	}
-	return indexHolds(&n.ring)
 }
 
 // occOf is the occupancy word by definition, from the shadow set and the
@@ -102,11 +73,11 @@ func occOf(sh shadow) (occ uint64) {
 	return occ
 }
 
-// tableHolds checks every connection-table invariant: address index ≡
-// shadow set ≡ sort oracle in content and order, its keys the peers' top
-// words, the occupancy word ≡ the OR over the peers' arcs, Connections() a
-// snapshot of it, role counts ≡ a recount, per-role and per-mask walks ≡
-// the filtered oracle, nothing closed left inside, and the ring index sound.
+// tableHolds checks every connection-table invariant: the index ≡ shadow set
+// ≡ sort oracle in content and order, its keys the peers' top words, the
+// occupancy word ≡ the OR over the peers' arcs, Connections() a snapshot of
+// it, role counts ≡ a recount, per-role and per-mask walks ≡ the filtered
+// oracle, and nothing closed left inside.
 func tableHolds(n *Node, sh shadow) error {
 	want := sh.sorted()
 	snap := n.Connections()
@@ -114,13 +85,10 @@ func tableHolds(n *Node, sh shadow) error {
 		return fmt.Errorf("Connections() %v, sort oracle %v", snap, want)
 	}
 	if len(n.table.slots) != len(want) {
-		return fmt.Errorf("address index holds %d, sort oracle %d", len(n.table.slots), len(want))
-	}
-	if n.table.origin != Zero {
-		return fmt.Errorf("address index anchored at %s", n.table.origin)
+		return fmt.Errorf("table holds %d, sort oracle %d", len(n.table.slots), len(want))
 	}
 	if err := indexHolds(&n.table); err != nil {
-		return fmt.Errorf("address index: %w", err)
+		return fmt.Errorf("table: %w", err)
 	}
 	if want := occOf(sh); n.occ != want {
 		return fmt.Errorf("occupancy word %064b, peers occupy %064b", n.occ, want)
@@ -150,10 +118,8 @@ func tableHolds(n *Node, sh shadow) error {
 			return fmt.Errorf("walk over mask %05b: %v, oracle %v", mask, got, filterMask(want, mask))
 		}
 	}
-	return ringIndexHolds(n, sh)
+	return nil
 }
-
-var tableChurnTypes = []ConnType{StructuredNear, StructuredFar, Shortcut, Leaf, Relay}
 
 // dropDuringWalk walks the connections matching mask and, steered by bits,
 // drops the current connection, one already passed or one still ahead from
@@ -199,8 +165,8 @@ func dropDuringWalk(n *Node, sh shadow, mask roleMask, bits uint32) error {
 
 // Property: through arbitrary churn — adds, role adds, relinks, tunnel
 // edges, role drops, full drops, drops issued from inside a walk, node stop
-// and restart — the two indexes of the connection table stay one set, and
-// lookup answers for every address, held or not, as the shadow map does.
+// and restart — the connection table stays the live set in address order,
+// and lookup answers for every address, held or not, as the shadow map does.
 func TestQuickConnTableChurn(t *testing.T) {
 	var failure error
 	f := func(ops []uint32) bool {
@@ -237,7 +203,7 @@ func TestQuickConnTableChurn(t *testing.T) {
 		}
 		for step, op := range ops {
 			peer := universe[int(op>>8)%len(universe)]
-			typ := tableChurnTypes[int(op>>16)%len(tableChurnTypes)]
+			typ := churnTypes[int(op>>16)%len(churnTypes)]
 			switch op % 16 {
 			case 0, 1, 2, 3, 4: // add, add a role, or relink from a new endpoint
 				ep := phys.Endpoint{IP: phys.IP(1 + op>>24), Port: 1}
@@ -261,7 +227,7 @@ func TestQuickConnTableChurn(t *testing.T) {
 				if op>>28 == 0 { // rarer: a restart empties everything
 					n.Stop()
 					clear(sh) // Stop runs no callbacks
-					if len(n.table.slots) != 0 || len(n.ring.slots) != 0 {
+					if len(n.table.slots) != 0 {
 						failure = fmt.Errorf("step %d: Stop left connections behind", step)
 						return false
 					}
@@ -363,10 +329,10 @@ func TestOccSettlesOnRemove(t *testing.T) {
 // TestHotFieldsLayout pins what DESIGN.md §6 claims of a hop's footprint in
 // the router: the fields the forward path reads of a Node and of a
 // Connection end inside the struct's first 64 bytes. For Node the bound is
-// 56: at 888 bytes a Node carries the allocator's 8-byte header in front
-// (pointerful objects over 512 bytes), which also makes 888 the last size
-// in the 896-byte class — one word more and every node costs 1024. A
-// Connection stays within the 256-byte class.
+// 56: a Node carries the allocator's 8-byte header in front (pointerful
+// objects over 512 bytes), which also makes 696 the last size in the
+// 704-byte class — one word more and every node costs 768. A Connection
+// stays within the 256-byte class.
 func TestHotFieldsLayout(t *testing.T) {
 	type field struct {
 		name      string
@@ -391,7 +357,6 @@ func TestHotFieldsLayout(t *testing.T) {
 			{"Peer", unsafe.Offsetof(c.Peer), unsafe.Sizeof(c.Peer)},
 			{"EP", unsafe.Offsetof(c.EP), unsafe.Sizeof(c.EP)},
 			{"roles", unsafe.Offsetof(c.roles), unsafe.Sizeof(c.roles)},
-			{"inRing", unsafe.Offsetof(c.inRing), unsafe.Sizeof(c.inRing)},
 			{"closed", unsafe.Offsetof(c.closed), unsafe.Sizeof(c.closed)},
 			{"Stream", unsafe.Offsetof(c.Stream), unsafe.Sizeof(c.Stream)},
 			{"Relays", unsafe.Offsetof(c.Relays), unsafe.Sizeof(c.Relays)},
@@ -406,11 +371,8 @@ func TestHotFieldsLayout(t *testing.T) {
 	if off := unsafe.Offsetof(n.table); off != 56 {
 		t.Errorf("Node.table starts at byte %d, want 56: right behind the hot fields", off)
 	}
-	if off, want := unsafe.Offsetof(n.ring), unsafe.Offsetof(n.table)+unsafe.Sizeof(n.table); off != want {
-		t.Errorf("Node.ring starts at byte %d, want %d: right behind table", off, want)
-	}
-	if size := unsafe.Sizeof(n); size > 888 {
-		t.Errorf("Node is %d bytes, past 888: it left the 896-byte size class for the 1024-byte one", size)
+	if size := unsafe.Sizeof(n); size > 696 {
+		t.Errorf("Node is %d bytes, past 696: it left the 704-byte size class for the 768-byte one", size)
 	}
 	if size := unsafe.Sizeof(c); size > 256 {
 		t.Errorf("Connection is %d bytes, past the 256-byte size class", size)

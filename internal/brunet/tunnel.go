@@ -12,8 +12,8 @@ import (
 // wanted structured-near neighbor, the overlord establishes a tunnel edge
 // instead: link-layer traffic to the peer is relayed through mutual
 // neighbors learned from the connection tables exchanged in CTMs. The
-// resulting Connection registers in the conn table and ring index like any
-// other edge, so routing, keepalives and ring repair work unchanged.
+// resulting Connection registers in the conn table like any other edge, so
+// routing, keepalives and ring repair work unchanged.
 //
 // Tunnels self-maintain:
 //   - multi-relay lists fail over instantly (sendTunnel picks the first

@@ -82,7 +82,7 @@ type Record struct {
 	// Via is the tunnel relay that carried the hop (tunnel-relay hops).
 	Via string `json:"via,omitempty"`
 	// Cands is the size of the structured candidate set the decision
-	// chose from (the node's ring index).
+	// chose from (the node's ring routers).
 	Cands int `json:"cands,omitempty"`
 	// Dist is the top 64 bits of the remaining ring distance to the
 	// destination after this decision (at origination: the full initial

@@ -584,9 +584,11 @@ func (c *Conn) handleSegment(p *Packet) (parked bool) {
 				c.sendData(c.sndUna, n)
 			}
 		}
-		if c.finSent && c.sndUna >= finSeq+1 {
-			// Our FIN is acknowledged; if the remote's stream is
-			// also done, tear down.
+		if c.closedLoc && c.sndUna >= finSeq+1 {
+			// Our FIN is acknowledged — even if an RTO since cleared
+			// finSent to resend it — so it needs no resend; if the
+			// remote's stream is also done, tear down.
+			c.finSent = true
 			c.maybeFinish()
 		}
 	}
