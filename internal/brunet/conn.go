@@ -467,9 +467,9 @@ func (n *Node) dropConnection(c *Connection, sendClose bool, reason dropReason) 
 	n.Stats.Add(cConnDropped+int(reason), 1)
 	if sendClose && n.up {
 		if c.Stream != nil {
-			c.Stream.SendMsg(pingMsgSize, closeMsg{From: n.addr})
+			c.Stream.SendMsg(pingMsgSize, n.closing())
 		} else {
-			n.sendDirect(c.EP, pingMsgSize, closeMsg{From: n.addr})
+			n.sendDirect(c.EP, pingMsgSize, n.closing())
 		}
 	}
 	if c.Stream != nil {

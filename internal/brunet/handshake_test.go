@@ -27,16 +27,17 @@ func mallocs(f func()) uint64 {
 // it sets off — the request routed to its target, the reply routed back
 // directly or through a forwarder, the responder's link request and the
 // initiator's link reply — allocate what the two nodes keep and nothing
-// else: a connection on each side, the responder's linker, and the candidate
-// stash each tunnel overlord files for the other, when it has none for that
-// peer yet (a known peer's stash is refilled in place). The relay-candidate
-// lists the two CTMs advertise are each node's published list, made anew only
-// when its table has changed since it last advertised. Every message is a
-// listed object that is back on its list when the exchange is over. A table,
-// a published list or the event pool may grow under an exchange, so what is
-// kept is asserted as the least an exchange costs, with a cap on the growth
-// of the others. A CTM delivered at its own sender on an unchanged table
-// allocates nothing.
+// else: a connection on each side. The responder's linker comes from the
+// shard's list and is back on it when the link is up; the candidate stash
+// each tunnel overlord files for the other is a map entry held by value, and
+// is gone once the two hold a direct edge, a reply that arrives after the
+// link included. The relay-candidate lists the two CTMs advertise are each
+// node's published list, made anew only when its table has changed since it
+// last advertised. Every message is a listed object that is back on its list
+// when the exchange is over. A table, a map, a published list or the event
+// pool may grow under an exchange, so what is kept is asserted as the least
+// an exchange costs, with a cap on the growth of the others. A CTM delivered
+// at its own sender on an unchanged table allocates nothing.
 func TestAllocHandshake(t *testing.T) {
 	s, nodes := buildZeroLatencyRing(t, 13, 64)
 	exchanges, least, most := 0, ^uint64(0), uint64(0)
@@ -49,15 +50,7 @@ func TestAllocHandshake(t *testing.T) {
 		if exchanges%2 == 1 {
 			via = a.table.slots[0].c.Peer
 		}
-		retained := uint64(3) // two connections and the responder's linker
-		for _, st := range []struct {
-			n    *Node
-			peer Addr
-		}{{a, b.addr}, {b, a.addr}} {
-			if st.n.tun.cands[st.peer] == nil {
-				retained++
-			}
-		}
+		const retained = 2 // the two connections
 		pkts, links := a.pktListLen(), a.linkListLen()
 		received, replied := b.Stats.Get("ctm.received"), a.Stats.Get("ctm.replied")
 		got := mallocs(func() {
@@ -71,6 +64,11 @@ func TestAllocHandshake(t *testing.T) {
 		}
 		if pl, ll := a.pktListLen(), a.linkListLen(); !poolDebug && (pl != pkts || ll != links) {
 			t.Errorf("exchange %d: the lists hold %d packets and %d link messages, %d and %d before it: a message was kept or not released", exchanges, pl, ll, pkts, links)
+		}
+		_, sa := a.tun.cands[b.addr]
+		_, sb := b.tun.cands[a.addr]
+		if sa || sb {
+			t.Errorf("exchange %d: a stash outlives the direct edge (%v at the initiator, %v at the responder)", exchanges, sa, sb)
 		}
 		exchanges++
 		if got < retained {

@@ -12,6 +12,11 @@ import (
 // ~150s before giving up on a bad URI — exactly the mechanism behind the
 // slow UFL-UFL shortcut formation in Figure 4 — and those constants are
 // Config fields here (LinkResend, LinkBackoff, LinkRetries).
+//
+// Linkers are pooled per shard (shardPool): launchLinker takes one from the
+// list and finish puts it back, and nothing reads a linker after finish — the
+// resend timer is cancelled there, and a TCP attempt's OnClose tells its own
+// linker from the next one to take the object by the stream it holds.
 type linker struct {
 	node   *Node
 	target Addr
@@ -26,13 +31,13 @@ type linker struct {
 	// upgrade marks an attempt to replace an existing tunnel edge with a
 	// direct one: the "already linked in this role" guard is skipped.
 	upgrade bool
+	// Pooled sits in the padding after upgrade.
+	sim.Pooled
 
 	uriIdx  int
 	attempt int
 	timer   sim.Timer
 	stream  *phys.Stream // active TCP-transport attempt, if any
-	done    bool
-	yielded bool
 
 	// failTimeout / failReject classify the trial failures seen so far,
 	// for the terminal failure taxonomy reported to the node.
@@ -77,8 +82,9 @@ func (n *Node) launchLinker(target Addr, uris []URI, relays []Addr, t ConnType, 
 		return
 	}
 	n.tokenSeq++
-	lk := &linker{node: n, target: target, ctype: t, uris: trialOrder(uris, n.cfg.Transport),
-		relays: relays, upgrade: upgrade, token: n.tokenSeq}
+	lk := n.pool.linkers.Get()
+	lk.node, lk.target, lk.ctype, lk.token = n, target, t, n.tokenSeq
+	lk.uris, lk.relays, lk.upgrade = trialOrder(uris, n.cfg.Transport), relays, upgrade
 	n.linkers[target] = lk
 	n.Stats.Add(cLinkAttempts, 1)
 	lk.sendRequest()
@@ -133,7 +139,7 @@ func (lk *linker) trialCount() int {
 // overlord decides whether a tunnel is needed. A busy race never ends here:
 // it retries on its own (handleLinkError).
 func (lk *linker) giveUp() {
-	n := lk.node
+	n, target, t := lk.node, lk.target, lk.ctype
 	if lk.tunnelMode() {
 		// A failed tunnel handshake never falls back to another tunnel.
 		n.Stats.Add(cTunnelLinkGiveup, 1)
@@ -147,13 +153,13 @@ func (lk *linker) giveUp() {
 		n.Stats.Add(cLinkGiveupTimeout, 1)
 	}
 	lk.finish(false)
-	n.linkFailed(lk.target, lk.ctype)
+	n.linkFailed(target, t)
 }
 
 // sendRequest transmits the current link request and arms the resend timer.
 func (lk *linker) sendRequest() {
 	n := lk.node
-	if lk.done || !n.up {
+	if !n.up {
 		lk.finish(false)
 		return
 	}
@@ -194,7 +200,10 @@ func (lk *linker) sendRequest() {
 				n.handleWire(wire{stream: st}, payload)
 			})
 			st.OnClose(func(err error) {
-				if err != nil && !lk.done && lk.stream == st {
+				// A stream this linker abandoned, or one of a finished
+				// linker whose object another linker has taken since, is
+				// not the stream lk holds.
+				if err != nil && lk.stream == st {
 					// Stream failed: try the next URI.
 					lk.stream = nil
 					lk.timer.Cancel()
@@ -226,13 +235,11 @@ func (lk *linker) armResend() {
 }
 
 // linkResendFired is the resend timer's callback: package-level, so arming
-// it through AtArg allocates no closure (see sim.AtArg).
+// it through AtArg allocates no closure (see sim.AtArg). It never fires for a
+// finished linker: finish cancels the timer.
 func linkResendFired(arg any) {
 	lk := arg.(*linker)
 	n := lk.node
-	if lk.done {
-		return
-	}
 	lk.attempt++
 	if lk.attempt > n.cfg.LinkRetries {
 		if lk.tunnelMode() {
@@ -259,23 +266,20 @@ func (lk *linker) abandonStream() {
 	lk.stream = nil
 }
 
-// finish terminates the linker and deregisters it.
+// finish terminates the linker, deregisters it and puts it back on its
+// shard's list. Put blanks it, which abandons a pending stream the connection
+// has not taken (see abandonStream). The caller must not touch lk afterwards.
 func (lk *linker) finish(ok bool) {
-	if lk.done {
-		return
-	}
-	lk.done = true
+	n := lk.node
 	lk.timer.Cancel()
-	if !ok {
-		lk.abandonStream()
-	}
-	delete(lk.node.linkers, lk.target)
+	delete(n.linkers, lk.target)
 	if ok {
-		lk.node.Stats.Add(cLinkSuccess, 1)
+		n.Stats.Add(cLinkSuccess, 1)
 		// A fresh link clears any busy-race escalation toward this
 		// peer; the next race starts from the base backoff again.
-		delete(lk.node.busyRetry, lk.target)
+		delete(n.busyRetry, lk.target)
 	}
+	n.pool.linkers.Put(lk, "linker.finish")
 }
 
 // handleLinkRequest is the responder side of the handshake. The responder
@@ -300,7 +304,7 @@ func (n *Node) handleLinkRequest(w wire, req *linkMsg) {
 		n.replyTo(w, linkMsgSize, linkError{From: n.addr, Token: req.Token, Reason: "wrong target"})
 		return
 	}
-	if lk, active := n.linkers[req.From]; active && !lk.yielded {
+	if lk, active := n.linkers[req.From]; active {
 		// A direct-wire request from a peer we only hold a tunnel to is
 		// proof the peer can reach us physically, while our own attempt
 		// may be dialing through a NAT that will never admit it. It wins
@@ -320,7 +324,6 @@ func (n *Node) handleLinkRequest(w wire, req *linkMsg) {
 		}
 		// We lose: abandon our attempt and serve theirs.
 		n.Stats.Add(cLinkRaceYield, 1)
-		lk.yielded = true
 		lk.finish(false)
 	}
 	var c *Connection
@@ -415,7 +418,6 @@ func (n *Node) handleLinkError(rep linkError) {
 		// exponential backoff rather than yielding forever.
 		n.Stats.Add(cLinkURIExhausted, 1)
 		n.Stats.Add(cLinkURIExhaustedBusy, 1)
-		lk.yielded = true
 		target, uris, ctype := lk.target, lk.uris, lk.ctype
 		lk.finish(false)
 		if n.busyRetry == nil {

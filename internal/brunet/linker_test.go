@@ -169,3 +169,163 @@ func TestRelinkRepairsAfterTransientBlackhole(t *testing.T) {
 		t.Error("no relink.attempts recorded")
 	}
 }
+
+// listed reports whether lk is on its shard's list of linkers, and leaves the
+// list as it was. Under packetdebug, whose lists hold nothing, it reports
+// whether lk has been released.
+func listed(n *Node, lk *linker) (yes bool) {
+	if poolDebug {
+		defer func() { yes = recover() != nil }()
+		lk.Live(n.sim, "listed")
+		return false
+	}
+	var taken []*linker
+	for n.pool.linkers.Len() > 0 && !yes {
+		got := n.pool.linkers.Get()
+		taken = append(taken, got)
+		yes = got == lk
+	}
+	for i := len(taken) - 1; i >= 0; i-- {
+		n.pool.linkers.Put(taken[i], "listed")
+	}
+	return yes
+}
+
+// TestLinkerRecycle: a linker lives on its shard's list. However it ends —
+// its link up, given up after its last URI, yielded to the peer's own
+// request, told the peer is busy, or its node stopped — finish puts it back,
+// and starting the next linker of any node on the shard takes a listed one
+// and allocates nothing. The clock stays frozen (zero-latency ring), so each
+// ending is the only thing that happens.
+func TestLinkerRecycle(t *testing.T) {
+	s, nodes := buildZeroLatencyRing(t, 13, 16)
+	// a links toward nodes it holds no link to: one with a smaller address
+	// and three with larger ones.
+	var a *Node
+	var below, above []*Node
+	for _, cand := range nodes[1:] {
+		a, below, above = cand, nil, nil
+		for _, n := range nodes {
+			if n == a || a.ConnectionTo(n.Addr()) != nil {
+				continue
+			}
+			if n.addr.Less(a.addr) {
+				below = append(below, n)
+			} else {
+				above = append(above, n)
+			}
+		}
+		if len(below) >= 1 && len(above) >= 3 {
+			break
+		}
+	}
+	if len(below) < 1 || len(above) < 3 {
+		t.Fatal("no node of the ring has one unlinked node below it and three above")
+	}
+	start := func(n *Node, target Addr, uris []URI) *linker {
+		t.Helper()
+		if !poolDebug && n.pool.linkers.Len() == 0 {
+			t.Fatal("the shard's list holds no linker before a start; the measurement would be vacuous")
+		}
+		got := mallocs(func() { n.startLinker(target, uris, StructuredFar) })
+		lk := n.linkers[target]
+		if lk == nil {
+			t.Fatalf("no linker toward %v registered", target)
+		}
+		if !raceEnabled && !poolDebug && got != 0 {
+			t.Errorf("starting a linker toward %v allocates %d objects, want 0", target, got)
+		}
+		return lk
+	}
+	// ended checks a linker that ended the way how says, which happened
+	// tells: counted, or the node down.
+	ended := func(how string, happened bool, n *Node, lk *linker, target Addr) {
+		t.Helper()
+		if !happened {
+			t.Fatalf("%s: the linker did not end that way", how)
+		}
+		if _, still := n.linkers[target]; still {
+			t.Errorf("%s: the linker toward %v is still registered", how, target)
+		}
+		if !listed(n, lk) {
+			t.Errorf("%s: the linker is not back on its shard's list", how)
+		}
+	}
+
+	b := above[0]
+	counted := func(name string) func() bool {
+		before := a.Stats.Get(name)
+		return func() bool { return a.Stats.Get(name) == before+1 }
+	}
+	done := counted("link.success")
+	lk := start(a, b.Addr(), b.URIs())
+	s.RunUntil(s.Now())
+	ended("link up", done(), a, lk, b.addr)
+
+	ghost, wrong := AddrFromString("nobody-home"), []URI{above[1].BootstrapURI()}
+	done = counted("link.giveup.reject")
+	lk = start(a, ghost, wrong) // answered "wrong target": its one URI is refused
+	s.RunUntil(s.Now())
+	ended("given up", done(), a, lk, ghost)
+
+	// Both ends dial at once and the smaller address wins the race: a,
+	// above y, serves y's request and abandons its own.
+	y := below[0]
+	done = counted("link.race_yield")
+	lk = start(a, y.Addr(), y.URIs())
+	y.startLinker(a.Addr(), a.URIs(), StructuredFar)
+	s.RunUntil(s.Now())
+	ended("yielded", done(), a, lk, y.addr)
+
+	c := above[2]
+	done = counted("link.uri_exhausted.busy")
+	lk = start(a, c.Addr(), c.URIs())
+	a.handleLinkError(linkError{From: c.addr, Token: lk.token, Reason: "busy"})
+	ended("told busy", done(), a, lk, c.addr)
+	s.RunUntil(s.Now()) // the request still in flight is answered, and the answer ignored
+
+	lk = start(a, ghost, wrong)
+	a.Stop()
+	ended("node stopped", !a.Up(), a, lk, ghost)
+	start(b, ghost, wrong) // another node of the shard takes it
+}
+
+// TestLinkerRecycleStaleStream: a TCP-transport linker dials a stream, and
+// when the linker ends before its stream does, the stream is abandoned and
+// fails on its own later. Its OnClose then belongs to an object another
+// linker has taken from the list since: it must leave that linker alone. A
+// linker whose own stream fails, beside it, moves on to its next URI.
+func TestLinkerRecycleStaleStream(t *testing.T) {
+	r := newOverlayRig(31)
+	cfg := FastTestConfig()
+	cfg.Transport = "tcp"            // dial TCP URIs first
+	cfg.LinkResend = 10 * sim.Minute // no resend while the streams time out
+	a := r.addPublic(t, "solo", cfg)
+	dead := r.net.AddHost("dead", r.site, r.net.Root(), phys.HostConfig{})
+	tcp := URI{Transport: "tcp", EP: phys.Endpoint{IP: dead.IP(), Port: 4001}}
+	udp := URI{Transport: "udp", EP: phys.Endpoint{IP: dead.IP(), Port: 4002}}
+
+	live, stale, next := AddrFromString("live"), AddrFromString("stale"), AddrFromString("next")
+	a.startLinker(live, []URI{tcp, udp}, Shortcut)
+	a.startLinker(stale, []URI{tcp}, Shortcut)
+	old := a.linkers[stale]
+	// Refused: the linker gives up after its one URI, abandoning the stream.
+	a.handleLinkError(linkError{From: AddrFromString("tenant"), Token: old.token, Reason: "wrong target"})
+	if _, still := a.linkers[stale]; still {
+		t.Fatal("the refused linker is still registered")
+	}
+	a.startLinker(next, []URI{udp}, Shortcut)
+	lk := a.linkers[next]
+	if !poolDebug && lk != old {
+		t.Fatal("the next linker is not the object the refused one left on the list")
+	}
+	token := lk.token
+
+	r.s.RunFor(4 * sim.Minute) // both streams' SYNs go unanswered until they time out
+	if l := a.linkers[live]; l == nil || l.uriIdx != 1 {
+		t.Fatalf("the live linker's stream failure did not move it to its next URI (%+v); the check below would be vacuous", l)
+	}
+	if a.linkers[next] != lk || lk.token != token || lk.uriIdx != 0 || lk.attempt != 0 || !lk.timer.Active() {
+		t.Errorf("a stale stream's close touched the linker holding its object: %+v", lk)
+	}
+}

@@ -127,7 +127,9 @@ type pingMsg struct {
 	Load int
 }
 
-// closeMsg announces graceful connection teardown.
+// closeMsg announces graceful connection teardown. A node sends one and the
+// same message every time (Node.closing): it is immutable, so any shard may
+// read it and a stream may keep it.
 type closeMsg struct {
 	From Addr
 }

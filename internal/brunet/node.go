@@ -285,24 +285,30 @@ type Node struct {
 	// the node sends comes from there, and whichever node ends one's life
 	// puts it on its own shard's.
 	pool *shardPool
+	// bye is the node's close announcement, made at its first use (closing).
+	bye *closeMsg
 }
 
 // shardPool holds one shard's free lists of overlay packets, tunnel frames,
-// link messages and pings (DESIGN.md §6, "Who owns a packet"). Every node of the
-// shard shares it and only the shard's goroutine touches it, so it needs no
-// lock; NewNode finds it on the shard's Simulator (sim.Simulator.Local). What
-// one node releases the next sender on the shard takes, so traffic that stays
-// on the shard keeps a list as long as the most objects it had in flight,
-// whichever way it runs. Objects that cross shards are not so bounded: a list
-// holds the largest excess of releases over acquires its shard has ever seen,
-// and only an exchange whose answer is taken from the list its request is
-// released on — a CTM and its reply, a link request and its reply, a ping and
-// its pong — leaves every shard it touches where it found it.
+// link messages, pings and linkers (DESIGN.md §6, "Who owns a packet"). Every
+// node of the shard shares it and only the shard's goroutine touches it, so it
+// needs no lock; NewNode finds it on the shard's Simulator
+// (sim.Simulator.Local). What one node releases the next sender on the shard
+// takes, so traffic that stays on the shard keeps a list as long as the most
+// objects it had in flight, whichever way it runs. Objects that cross shards
+// are not so bounded: a list holds the largest excess of releases over
+// acquires its shard has ever seen, and only an exchange whose answer is taken
+// from the list its request is released on — a CTM and its reply, a link
+// request and its reply, a ping and its pong — leaves every shard it touches
+// where it found it.
 type shardPool struct {
 	pkts   sim.FreeList[OverlayPacket, *OverlayPacket]
 	frames sim.FreeList[tunnelFrame, *tunnelFrame]
 	links  sim.FreeList[linkMsg, *linkMsg]
 	pings  sim.FreeList[pingMsg, *pingMsg]
+	// linkers is not traffic: a linker lives on its node, from launchLinker
+	// to finish.
+	linkers sim.FreeList[linker, *linker]
 }
 
 // shardPoolKey is the pool's key among its Simulator's locals.
@@ -316,9 +322,10 @@ func newShardPool(s *sim.Simulator) any {
 	return &shardPool{
 		pkts: sim.NewFreeList[OverlayPacket](s, "overlay packet",
 			OverlayPacket{Size: -1, Hops: -1, MaxHops: -1, Payload: poisonPayload}),
-		frames: sim.NewFreeList[tunnelFrame](s, "tunnel frame", tunnelFrame{Size: -1, Inner: poisonPayload}),
-		links:  sim.NewFreeList[linkMsg](s, "link message", linkMsg{Type: -1, Seq: -1}),
-		pings:  sim.NewFreeList[pingMsg](s, "ping", pingMsg{Load: -1}),
+		frames:  sim.NewFreeList[tunnelFrame](s, "tunnel frame", tunnelFrame{Size: -1, Inner: poisonPayload}),
+		links:   sim.NewFreeList[linkMsg](s, "link message", linkMsg{Type: -1, Seq: -1}),
+		pings:   sim.NewFreeList[pingMsg](s, "ping", pingMsg{Load: -1}),
+		linkers: sim.NewFreeList[linker](s, "linker", linker{ctype: -1, uriIdx: -1}),
 	}
 }
 
@@ -343,6 +350,15 @@ func NewNode(host *phys.Host, addr Addr, cfg Config) *Node {
 	}
 	n.statForwarded = n.Stats.Handle("route.forwarded")
 	return n
+}
+
+// closing returns the node's close announcement: one message for every drop
+// and every stale-ping answer, never written after it is made.
+func (n *Node) closing() *closeMsg {
+	if n.bye == nil {
+		n.bye = &closeMsg{From: n.addr}
+	}
+	return n.bye
 }
 
 // rand returns the node's protocol-jitter source: the private per-node
@@ -763,7 +779,7 @@ func (n *Node) handleWire(w wire, payload any) {
 			// (§V-E: "detecting broken links and re-establishing
 			// them").
 			n.Stats.Add(cPingStale, 1)
-			n.replyTo(w, pingMsgSize, closeMsg{From: n.addr})
+			n.replyTo(w, pingMsgSize, n.closing())
 			return
 		}
 		n.touch(c)
@@ -776,7 +792,7 @@ func (n *Node) handleWire(w wire, payload any) {
 		}
 		m.From, m.Pong, m.Load = n.addr, true, n.relayLoad()
 		n.replyTo(w, pingMsgSize, m)
-	case closeMsg:
+	case *closeMsg:
 		if c, ok := n.lookup(m.From); ok {
 			n.dropConnection(c, false, dropPeerClose)
 		}

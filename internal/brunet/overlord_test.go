@@ -167,9 +167,11 @@ func TestLinkerOrder(t *testing.T) {
 func TestLinkerResendAllocFree(t *testing.T) {
 	s := sim.New(1)
 	net := phys.NewNetwork(s, phys.UniformLatency(phys.PathModel{}, phys.PathModel{}))
-	// Never started: the only events are the linker's own.
+	// Never started: the only events are the linker's own, and every resend
+	// finds the node down and finishes the linker. Built by hand, it is no
+	// list's, so finish leaves it as it is (sim.FreeList.Put).
 	n := NewNode(net.AddHost("h", net.AddSite("z"), net.Root(), phys.HostConfig{}), AddrFromString("h"), FastTestConfig())
-	lk := &linker{node: n, target: AddrFromString("ghost"), ctype: StructuredFar, done: true}
+	lk := &linker{node: n, target: AddrFromString("ghost"), ctype: StructuredFar}
 	allocGuard(t, "linker resend timer: arm, fire, re-arm", 0, func() {
 		lk.armResend()
 		if s.Run(); s.Pending() != 0 {
@@ -180,10 +182,11 @@ func TestLinkerResendAllocFree(t *testing.T) {
 	})
 	// The callback is the old closure's body: it counts the attempt and
 	// moves to the next trial slot once the retry budget is burned.
-	lk.done, lk.attempt = false, n.cfg.LinkRetries
+	lk.uriIdx, lk.attempt, lk.failTimeout = 0, n.cfg.LinkRetries, 0
+	timeouts := n.Stats.Get("link.uri_exhausted.timeout")
 	lk.armResend()
 	s.Run()
-	if lk.uriIdx != 1 || lk.attempt != 0 || lk.failTimeout != 1 || n.Stats.Get("link.uri_exhausted.timeout") != 1 {
+	if lk.uriIdx != 1 || lk.attempt != 0 || lk.failTimeout != 1 || n.Stats.Get("link.uri_exhausted.timeout") != timeouts+1 {
 		t.Fatalf("resend past the budget left the linker at %+v", lk)
 	}
 }

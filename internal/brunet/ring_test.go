@@ -181,10 +181,10 @@ func TestAllocFreeForwarding(t *testing.T) {
 		t.Fatal("warmup packets never delivered; measurement would be vacuous")
 	}
 	avg := testing.AllocsPerRun(200, route)
-	if raceEnabled {
-		// The race detector instruments allocations; record but don't
-		// assert.
-		t.Logf("allocs/packet under -race: %.2f (not asserted)", avg)
+	if raceEnabled || poolDebug {
+		// The race detector instruments allocations and the packetdebug
+		// lists allocate every object; record but don't assert.
+		t.Logf("allocs/packet under -race or packetdebug: %.2f (not asserted)", avg)
 		return
 	}
 	if avg != 0 {
@@ -269,8 +269,8 @@ func TestAllocFreeForwardingTraced(t *testing.T) {
 	if n := tr.Shard(0).Len(); n != 0 {
 		t.Fatalf("expected no sampled packets at 1-in-2^62, got %d records", n)
 	}
-	if raceEnabled {
-		t.Logf("allocs/packet traced-unsampled under -race: %.2f (not asserted)", avg)
+	if raceEnabled || poolDebug {
+		t.Logf("allocs/packet traced-unsampled under -race or packetdebug: %.2f (not asserted)", avg)
 		return
 	}
 	if avg != 0 {
@@ -303,8 +303,8 @@ func TestAllocFreeOriginationTraced(t *testing.T) {
 	if n := tr.Shard(0).Len(); n != 0 {
 		t.Fatalf("expected no sampled packets at 1-in-2^62, got %d records", n)
 	}
-	if raceEnabled {
-		t.Logf("allocs/origination traced-unsampled under -race: %.2f (not asserted)", avg)
+	if raceEnabled || poolDebug {
+		t.Logf("allocs/origination traced-unsampled under -race or packetdebug: %.2f (not asserted)", avg)
 		return
 	}
 	if avg != 0 {

@@ -31,10 +31,10 @@ import (
 // costs nothing, and fault-free runs stay deterministic.
 type tunnelOverlord struct {
 	node *Node
-	// cands stashes, per remote peer, the URIs and connection-table
-	// excerpt most recently learned from a CTM exchange with it — the raw
-	// material for relay selection.
-	cands map[Addr]*candidateStash
+	// cands stashes, per remote peer the node holds no direct edge to, the
+	// URIs and connection-table excerpt most recently learned from a CTM
+	// exchange with it — the raw material for relay selection.
+	cands map[Addr]candidateStash
 	// relays is this node's own connection-table excerpt as its CTMs last
 	// advertised it (relayCandidates).
 	relays advert
@@ -54,10 +54,11 @@ type tunnelOverlord struct {
 	recruited map[Addr]bool
 }
 
-// candidateStash is the tunnel-relevant content of one CTM exchange. Both
-// slices are the sender's published lists, shared and never written; a later
-// exchange with the same peer refills the stash in place, so readers take
-// what they need within the call and keep no stash across calls.
+// candidateStash is the tunnel-relevant content of one CTM exchange, held by
+// value in the overlord's map. Both slices are the sender's published lists,
+// shared and never written; a later exchange with the same peer overwrites
+// the entry, so readers take what they need within the call and keep no stash
+// across calls.
 type candidateStash struct {
 	uris   []URI
 	relays []NeighborInfo
@@ -68,7 +69,7 @@ type candidateStash struct {
 const tunnelMaxRelays = 4
 
 func newTunnelOverlord(n *Node) *tunnelOverlord {
-	return &tunnelOverlord{node: n, cands: make(map[Addr]*candidateStash)}
+	return &tunnelOverlord{node: n, cands: make(map[Addr]candidateStash)}
 }
 
 func (o *tunnelOverlord) start() {
@@ -92,7 +93,10 @@ func tunnelRole(c *Connection) ConnType {
 }
 
 // learnCandidates records the URIs and relay candidates a CTM exchange
-// with peer carried. If a tunnel edge to peer is live, any newly mutual
+// with peer carried, unless the node holds peer over a direct edge: the
+// stash only feeds the tunnel fallback, and onConnection has dropped it when
+// that edge came up — a CTM reply arriving after its link completed must not
+// file it again. If a tunnel edge to peer is live, any newly mutual
 // neighbors extend its relay list — the refresh that lets periodic upgrade
 // probes double as relay maintenance.
 func (o *tunnelOverlord) learnCandidates(peer Addr, uris []URI, relays []NeighborInfo) {
@@ -100,13 +104,12 @@ func (o *tunnelOverlord) learnCandidates(peer Addr, uris []URI, relays []Neighbo
 	if peer == n.addr {
 		return
 	}
-	if st := o.cands[peer]; st != nil {
-		st.uris, st.relays = uris, relays
-	} else {
-		o.cands[peer] = &candidateStash{uris: uris, relays: relays}
-	}
 	c, ok := n.lookup(peer)
-	if !ok || !c.Tunneled() {
+	if ok && !c.Tunneled() {
+		return
+	}
+	o.cands[peer] = candidateStash{uris: uris, relays: relays}
+	if !ok {
 		return
 	}
 	for _, adv := range relays {

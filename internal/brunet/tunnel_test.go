@@ -85,6 +85,27 @@ func (r *natRig) totalStat(name string) int64 {
 	return tot
 }
 
+// TestNoStashBesideDirectEdge: the candidate stash feeds the tunnel fallback
+// alone, so a settled node keeps none for a peer it holds over a direct edge.
+// The case that used to leave one behind is a CTM reply arriving after the
+// link it set off has completed: the link's onConnection deletes the stash
+// and the late reply must not file it again.
+func TestNoStashBesideDirectEdge(t *testing.T) {
+	_, nodes := buildZeroLatencyRing(t, 13, 64)
+	stale, stashed := 0, 0
+	for _, n := range nodes {
+		for peer := range n.tun.cands {
+			stashed++
+			if c, ok := n.lookup(peer); ok && !c.Tunneled() {
+				stale++
+			}
+		}
+	}
+	if stale != 0 {
+		t.Errorf("%d of the %d stashes on %d settled nodes are for peers held over a direct edge, want none", stale, stashed, len(nodes))
+	}
+}
+
 // A ring of symmetric-NATed nodes converges to full structured-ring
 // consistency by falling back to tunnel edges, and application traffic
 // routes across those edges.

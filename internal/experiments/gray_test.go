@@ -72,17 +72,17 @@ const goldenGrayTimelineSeed5 = "t=186.400s jitter begin\n" +
 	"t=426.400s flap end\n"
 
 const goldenGraySeriesSeed5 = "w0 routable=1.000 false=345 confirmed=45 deaths=86 detect=6029ms events=83983\n" +
-	"w1 routable=1.000 false=293 confirmed=33 deaths=69 detect=7557ms events=104198\n" +
-	"w2 routable=1.000 false=319 confirmed=20 deaths=43 detect=8063ms events=124637\n" +
-	"w3 routable=1.000 false=314 confirmed=15 deaths=59 detect=9687ms events=145489\n" +
-	"w4 routable=1.000 false=284 confirmed=19 deaths=43 detect=8892ms events=166153\n" +
-	"w5 routable=1.000 false=370 confirmed=17 deaths=54 detect=9566ms events=187208\n" +
-	"w6 routable=1.000 false=326 confirmed=20 deaths=50 detect=9532ms events=206677\n" +
-	"w7 routable=1.000 false=364 confirmed=20 deaths=51 detect=9491ms events=226566\n"
+	"w1 routable=1.000 false=293 confirmed=33 deaths=69 detect=7557ms events=104170\n" +
+	"w2 routable=1.000 false=319 confirmed=20 deaths=43 detect=8063ms events=124383\n" +
+	"w3 routable=1.000 false=314 confirmed=15 deaths=59 detect=9687ms events=145079\n" +
+	"w4 routable=1.000 false=284 confirmed=19 deaths=43 detect=8892ms events=165602\n" +
+	"w5 routable=1.000 false=370 confirmed=17 deaths=54 detect=9566ms events=186558\n" +
+	"w6 routable=1.000 false=325 confirmed=20 deaths=50 detect=9532ms events=206081\n" +
+	"w7 routable=1.000 false=372 confirmed=21 deaths=51 detect=9476ms events=226500\n"
 
 const goldenGraySummarySeed5 = "Gray failures: 32 nodes / 8 sites, adaptive detector, seed 5\n" +
 	"  crashes: 3, mean detection 9.7 s\n" +
-	"  false suspicions: 2656 (confirmed: 189, deaths: 455)\n" +
+	"  false suspicions: 2661 (confirmed: 191, deaths: 456)\n" +
 	"  final routability: 100.0%\n"
 
 func TestGoldenSeedGray(t *testing.T) {

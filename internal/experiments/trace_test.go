@@ -56,9 +56,9 @@ func TestGrayTraceNeutral(t *testing.T) {
 // merged JSONL is a byte-exact function of the seed. The first records and
 // a digest of the whole stream are pinned; drift means the sampling rule,
 // the record schema, the merge order, or a routing decision changed.
-const goldenGrayTraceSeed5Hops = 518
-const goldenGrayTraceSeed5Routes = 291
-const goldenGrayTraceSeed5SHA = "d261dc9ce2298fb5eb5f0f438ed1df31b525103c242593464c9a27e55006ee2a"
+const goldenGrayTraceSeed5Hops = 534
+const goldenGrayTraceSeed5Routes = 299
+const goldenGrayTraceSeed5SHA = "d1b740f31715e64db47e3dc4cd5ddfe8b313832b5ee2c897184dd91abb9a4572"
 
 const goldenGrayTraceSeed5First = `{"stream":"hop","t":1040000000,"node":"e029939a066d17c0716d0f72cff8f46b781f90ca","trace":15595511106300592320,"kind":"origin","cands":3,"dist":5144826207695440223,"src":"e029939a066d17c0716d0f72cff8f46b781f90ca","dst":"98c37b6c999e8e611b15f1d57c53ec6a5d1bcbdd"}
 {"stream":"hop","t":1040000000,"node":"e029939a066d17c0716d0f72cff8f46b781f90ca","trace":15595511106300592320,"hop":1,"kind":"near","next":"98c37b6c999e8e611b15f1d57c53ec6a5d1bcbdd","cands":3}
