@@ -27,14 +27,21 @@ type flightRecorder struct {
 	seq uint64
 	// nodeID is the node address pre-rendered for records.
 	nodeID string
+	// ticker paces the health snapshots while the node runs (health > 0).
+	ticker sim.Ticker
 }
 
 // EnableTrace attaches the node to a flight recorder (nil detaches). Call
-// before Start: the health ticker, when configured, is armed during Start.
+// before Start: the health ticker, when configured, is armed during Start,
+// and stops with the recorder it belongs to — at Stop, or when this call
+// replaces it.
 // The tracer must carry one buffer per engine shard — the node emits into
 // the buffer of the shard that owns its host, keeping buffers
 // single-writer under the parallel engine.
 func (n *Node) EnableTrace(tr *trace.Tracer) {
+	if n.flight != nil {
+		n.flight.ticker.Stop()
+	}
 	if tr == nil {
 		n.flight = nil
 		return
@@ -159,6 +166,9 @@ func (n *Node) flightDrop(payload any, outcome string) {
 		n.flightTerminal(op, outcome)
 	}
 }
+
+// flightHealthFired is the health ticker's callback (see nearTickFired).
+func flightHealthFired(n any) { n.(*Node).flightHealthTick() }
 
 // flightHealthTick emits one health snapshot: ring consistency
 // (routability), the connection table's composition by role and tunnel

@@ -411,8 +411,10 @@ func TestAllocFreeForwardingSharded(t *testing.T) {
 	delivered := make([]int, len(fleet)) // each written by its node's shard alone
 	for i, n := range fleet {
 		n.RegisterProto("allocguard", func(Addr, AppData) { delivered[i]++ })
-		for _, tk := range n.tickers {
-			tk.Stop()
+		n.near.ticker.Stop()
+		n.far.ticker.Stop()
+		if n.sco != nil {
+			n.sco.ticker.Stop()
 		}
 		if peer := fleet[(i+1)%len(fleet)]; len(pairs) < 16 && n.host.Site.Shard() != peer.host.Site.Shard() {
 			pairs = append(pairs, pair{n, peer})

@@ -301,7 +301,7 @@ func (n *Node) handleLinkRequest(w wire, req *linkMsg) {
 	if req.To != n.addr && !req.To.IsZero() {
 		// NAT rebinding or stale URI delivered this to the wrong
 		// node: refuse so the initiator tries its next URI.
-		n.replyTo(w, linkMsgSize, linkError{From: n.addr, Token: req.Token, Reason: "wrong target"})
+		n.refuse(w, req, refuseWrongTarget)
 		return
 	}
 	if lk, active := n.linkers[req.From]; active {
@@ -319,7 +319,7 @@ func (n *Node) handleLinkRequest(w wire, req *linkMsg) {
 			// We win: tell the peer to stand down; our own attempt
 			// continues.
 			n.Stats.Add(cLinkRaceWon, 1)
-			n.replyTo(w, linkMsgSize, linkError{From: n.addr, Token: req.Token, Reason: "busy"})
+			n.refuse(w, req, refuseBusy)
 			return
 		}
 		// We lose: abandon our attempt and serve theirs.
@@ -344,6 +344,14 @@ func (n *Node) handleLinkRequest(w wire, req *linkMsg) {
 	reply.From, reply.Reply, reply.Token = n.addr, true, req.Token
 	reply.URIs, reply.Observed = n.URIs(), observed
 	n.replyTo(w, linkMsgSize+16*len(reply.URIs), reply)
+}
+
+// refuse turns req away with a reply from the list the request is about to
+// go on.
+func (n *Node) refuse(w wire, req *linkMsg, why refusal) {
+	rep := n.pool.links.Get()
+	rep.From, rep.Reply, rep.refusal, rep.Token = n.addr, true, why, req.Token
+	n.replyTo(w, linkMsgSize, rep)
 }
 
 // handleLinkReply completes the initiator side of the handshake.
@@ -387,13 +395,13 @@ func (n *Node) handleLinkReply(w wire, rep *linkMsg) {
 	lk.finish(true)
 }
 
-// handleLinkError aborts the corresponding attempt. A "busy" error means
+// handleLinkError aborts the attempt a refusal answers. A busy refusal means
 // the peer's symmetric attempt is in flight and will soon establish the
-// connection from its side; any other reason advances to the next URI.
-func (n *Node) handleLinkError(rep linkError) {
+// connection from its side; a wrong-target one advances to the next URI.
+func (n *Node) handleLinkError(rep *linkMsg) {
 	lk, ok := n.linkers[rep.From]
 	if !ok || lk.token != rep.Token {
-		// A "wrong target" error comes from whoever actually answered a
+		// A wrong-target refusal comes from whoever actually answered a
 		// stale URI — not the node we believed we were dialing — so the
 		// sender's address won't match any linker. Recover it by token
 		// (tokens are unique per linker); map iteration order is
@@ -409,7 +417,7 @@ func (n *Node) handleLinkError(rep linkError) {
 			return
 		}
 	}
-	if rep.Reason == "busy" {
+	if rep.refusal == refuseBusy {
 		// The peer's symmetric attempt is in flight; usually it will
 		// establish the connection from its side. But when our
 		// middleboxes defeat inbound linking (e.g. a TCP-only node

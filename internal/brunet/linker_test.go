@@ -102,7 +102,7 @@ func TestBusyRaceRandomizedRestart(t *testing.T) {
 	}
 	// Simulate losing the race: the peer reports its own attempt in
 	// flight — but never actually links (the middlebox-defeated case).
-	a.handleLinkError(linkError{From: b.Addr(), Token: lk.token, Reason: "busy"})
+	a.handleLinkError(&linkMsg{From: b.Addr(), Reply: true, refusal: refuseBusy, Token: lk.token})
 	if _, still := a.linkers[b.Addr()]; still {
 		t.Fatal("busy error did not terminate the yielding linker")
 	}
@@ -121,6 +121,55 @@ func TestBusyRaceRandomizedRestart(t *testing.T) {
 	}
 	if a.busyRetry[b.Addr()] != 0 {
 		t.Errorf("busyRetry not reset after success: %d", a.busyRetry[b.Addr()])
+	}
+}
+
+// TestAllocFreeRefusal: the winner of a linking race turns the loser's
+// request away with a link reply from the shard's list, refusal set, and the
+// loser's handleWire routes it to handleLinkError and releases it. Once warm
+// a busy race — the request, its refusal and their two trips — allocates
+// nothing. The clock stays frozen (zero-latency ring).
+func TestAllocFreeRefusal(t *testing.T) {
+	s, nodes := buildZeroLatencyRing(t, 13, 16)
+	var x, y *Node // x, the smaller address, wins
+	for _, a := range nodes {
+		for _, b := range nodes {
+			if x == nil && a.addr.Less(b.addr) && a.ConnectionTo(b.addr) == nil {
+				x, y = a, b
+			}
+		}
+	}
+	if x == nil {
+		t.Fatal("every pair of the ring is linked")
+	}
+	// x's own attempt toward y dials an endpoint where nothing listens, so it
+	// stays in flight for as long as the clock stands still.
+	net := x.host.Network()
+	dead := net.AddHost("dead", x.host.Site, net.Root(), phys.HostConfig{})
+	x.startLinker(y.addr, []URI{{Transport: "udp", EP: phys.Endpoint{IP: dead.IP(), Port: 4001}}}, StructuredFar)
+	// y dials x too, and is told busy.
+	busy := y.Stats.Get("link.uri_exhausted.busy")
+	y.startLinker(x.addr, x.URIs(), StructuredFar)
+	s.RunUntil(s.Now())
+	if y.Stats.Get("link.uri_exhausted.busy") != busy+1 {
+		t.Fatal("y's request was not refused busy: the race the guard repeats did not happen")
+	}
+	// The race again, with y's request made by hand: its token is no linker's
+	// any more, so y ignores the refusal (after the token scan of
+	// handleLinkError) and starts no retry that would allocate.
+	won, links := x.Stats.Get("link.race_won"), x.linkListLen()
+	from := y.sock.LocalEndpoint()
+	allocGuard(t, "a busy race", 0, func() {
+		req := y.pool.links.Get()
+		req.From, req.To, req.Type, req.Token, req.URIs = y.addr, x.addr, StructuredFar, y.tokenSeq, y.URIs()
+		x.handleWire(wire{ep: from}, req)
+		s.RunUntil(s.Now())
+	})
+	if got := x.Stats.Get("link.race_won") - won; got != 32+201 {
+		t.Errorf("x won %d races, want %d", got, 32+201)
+	}
+	if !poolDebug && x.linkListLen() != links {
+		t.Errorf("the list holds %d link messages, %d before the races: a refusal was kept or not released", x.linkListLen(), links)
 	}
 }
 
@@ -280,7 +329,7 @@ func TestLinkerRecycle(t *testing.T) {
 	c := above[2]
 	done = counted("link.uri_exhausted.busy")
 	lk = start(a, c.Addr(), c.URIs())
-	a.handleLinkError(linkError{From: c.addr, Token: lk.token, Reason: "busy"})
+	a.handleLinkError(&linkMsg{From: c.addr, Reply: true, refusal: refuseBusy, Token: lk.token})
 	ended("told busy", done(), a, lk, c.addr)
 	s.RunUntil(s.Now()) // the request still in flight is answered, and the answer ignored
 
@@ -310,7 +359,7 @@ func TestLinkerRecycleStaleStream(t *testing.T) {
 	a.startLinker(stale, []URI{tcp}, Shortcut)
 	old := a.linkers[stale]
 	// Refused: the linker gives up after its one URI, abandoning the stream.
-	a.handleLinkError(linkError{From: AddrFromString("tenant"), Token: old.token, Reason: "wrong target"})
+	a.handleLinkError(&linkMsg{From: AddrFromString("tenant"), Reply: true, refusal: refuseWrongTarget, Token: old.token})
 	if _, still := a.linkers[stale]; still {
 		t.Fatal("the refused linker is still registered")
 	}

@@ -140,6 +140,59 @@ func TestAllocFreeMaintenance(t *testing.T) {
 	}
 }
 
+// restartMember returns a ring member (not the founder) and its restart: a
+// Stop and a Start through the founder's URI, as a crash-restart or a
+// migration runs it (§V-C).
+func restartMember(t testing.TB, nodes []*Node) (*Node, func()) {
+	n, boot := nodes[5], []URI{nodes[0].BootstrapURI()}
+	return n, func() {
+		n.Stop()
+		if err := n.Start(boot); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestRestartHoldsNoOldOverlords: a restart leaves the node holding nothing
+// of its stopped overlords, and allocates the same fixed few objects every
+// time. The overlords are called directly, so a Start registers no
+// callbacks: a Start that registered its overlords' would leave them in the
+// node's observer lists at every restart, each entry pinning a dead overlord
+// (its adverts, its candidate map) for the node's life.
+func TestRestartHoldsNoOldOverlords(t *testing.T) {
+	s, nodes := buildZeroLatencyRing(t, 13, 16)
+	n, restart := restartMember(t, nodes)
+	observers := len(n.onConn) + len(n.onDisc)
+	var allocs []uint64
+	for i := 1; i <= 5; i++ {
+		allocs = append(allocs, mallocs(restart))
+		s.RunUntil(s.Now()) // the rejoin, clock frozen
+		if got := len(n.onConn) + len(n.onDisc); got != observers {
+			t.Fatalf("restart %d: the node holds %d connection callbacks, %d before the first restart", i, got, observers)
+		}
+		if !n.IsRoutable() || n.near.leafConn() == nil {
+			t.Fatalf("restart %d: the node did not rejoin (routable %v, leaf %v)", i, n.IsRoutable(), n.near.leafConn())
+		}
+	}
+	// What a Start keeps, 11 objects: four of phys's (the UDP socket; the
+	// stream listener, its TCP socket and that socket's receive closure), the
+	// two handler method values they call (n.recv, n.acceptStream), the
+	// overlords block and its tunnel overlord's candidate map, the shortcut
+	// overlord (FastTestConfig configures shortcuts), the copy of the
+	// bootstrap list, and the node's URI list, rebuilt on the new port for the
+	// leaf link request. Stop allocates nothing.
+	const kept = 11
+	if raceEnabled || poolDebug {
+		t.Logf("allocs per Stop+Start under -race or packetdebug: %v (not asserted)", allocs)
+		return
+	}
+	for i, got := range allocs {
+		if got != allocs[0] || got > kept {
+			t.Fatalf("allocs per Stop+Start: %v; want the same on every restart and at most %d (restart %d)", allocs, kept, i+1)
+		}
+	}
+}
+
 func BenchmarkKeepaliveRound(b *testing.B) {
 	s, nodes := buildZeroLatencyRing(b, 13, 64)
 	n := settledNode(b, nodes)
@@ -193,6 +246,22 @@ func BenchmarkCTMExchange(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		exchange(pairs[i%len(pairs)])
+	}
+}
+
+// BenchmarkNodeStart puts the join's fixed cost on record: a Stop and a Start
+// of a member of a settled 16-node ring (TestRestartHoldsNoOldOverlords's
+// restart), clock frozen. The rejoin it sets off drains outside the timer.
+func BenchmarkNodeStart(b *testing.B) {
+	s, nodes := buildZeroLatencyRing(b, 13, 16)
+	_, restart := restartMember(b, nodes)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		restart()
+		b.StopTimer()
+		s.RunUntil(s.Now())
+		b.StartTimer()
 	}
 }
 

@@ -63,7 +63,8 @@ const (
 // linkMsg is a message of the linking protocol handshake (§IV-B2), sent
 // directly over the physical network to one of the target's URIs (or, for a
 // tunnel edge, inside a tunnelFrame): the request that begins or continues an
-// attempt, and — Reply set — the acknowledgement that completes it.
+// attempt, and — Reply set — the acknowledgement that completes it or, with a
+// refusal code, the answer that turns it away.
 //
 // A link message travels by pointer and is pooled per shard (shardPool),
 // request and reply on the one list: the linker takes the request from its
@@ -78,9 +79,12 @@ type linkMsg struct {
 	// the wrong node. Unset in a reply.
 	To    Addr
 	Reply bool
-	Type  ConnType // of the request
-	Token uint64   // identifies one linking attempt across resends
-	Seq   int      // the request's resend counter within the attempt
+	// refusal, in a reply, says why the request was turned away; zero
+	// accepts it.
+	refusal refusal
+	Type    ConnType // of the request
+	Token   uint64   // identifies one linking attempt across resends
+	Seq     int      // the request's resend counter within the attempt
 	// URIs is the sender's URI list: the initiator's, so the responder can
 	// reciprocate state, and the responder's in the reply.
 	URIs []URI
@@ -97,13 +101,17 @@ type URIEndpoint struct {
 	URI URI
 }
 
-// linkError rejects a linkRequest, breaking linking races: the loser gives
-// up its active attempt and lets the winner's handshake finish (§IV-B2).
-type linkError struct {
-	From   Addr
-	Token  uint64
-	Reason string
-}
+// refusal is why a link request was turned away (handleLinkError).
+type refusal uint8
+
+const (
+	// refuseBusy breaks a linking race: the responder's own attempt toward
+	// the requester goes on, and the requester gives its up (§IV-B2).
+	refuseBusy refusal = 1 + iota
+	// refuseWrongTarget answers a request meant for another node (a stale
+	// URI, a NAT rebinding): the requester moves to its next URI.
+	refuseWrongTarget
+)
 
 // pingMsg keeps an idle connection alive (§IV-B); unresponded pings mark
 // the connection dead. The pinging node takes the message from its shard's

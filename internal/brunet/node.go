@@ -255,9 +255,14 @@ type Node struct {
 	slisten   *phys.StreamListener
 
 	handlers map[string]func(src Addr, d AppData)
-	onConn   []func(*Connection)
-	onDisc   []func(*Connection)
+	// onConn and onDisc are the observers registered from outside the
+	// package; the overlords are called directly (notifyConn).
+	onConn []func(*Connection)
+	onDisc []func(*Connection)
 
+	// near, far, repair and tun point into the one overlords block Start
+	// makes; sco is made apart, only when shortcuts are configured. All are
+	// nil while the node is stopped.
 	near   *nearOverlord
 	far    *farOverlord
 	sco    *shortcutOverlord
@@ -266,7 +271,6 @@ type Node struct {
 
 	tokenSeq uint64
 	pingSeq  uint64
-	tickers  []*sim.Ticker
 
 	// rng is the node-private protocol-jitter source (Config.JitterSeed);
 	// nil means draw from the shared simulator RNG as before.
@@ -368,12 +372,6 @@ func (n *Node) rand() *rand.Rand {
 		return n.rng
 	}
 	return n.sim.Rand()
-}
-
-// tick starts a protocol ticker whose interval jitter draws from the
-// node's own jitter source (see Config.JitterSeed).
-func (n *Node) tick(interval, jitter sim.Duration, fn func()) *sim.Ticker {
-	return n.sim.TickRand(interval, jitter, n.rng, fn)
 }
 
 // relayPair is a normalized (lower, higher) tunnel-endpoint pair.
@@ -489,22 +487,52 @@ func (n *Node) RegisterProto(proto string, h func(src Addr, d AppData)) {
 }
 
 // OnConnection registers a callback invoked whenever a connection is
-// created or gains a role.
+// created or gains a role, after the node's own overlords have seen it.
 func (n *Node) OnConnection(f func(*Connection)) { n.onConn = append(n.onConn, f) }
 
-// OnDisconnection registers a callback invoked whenever a connection dies.
+// OnDisconnection registers a callback invoked whenever a connection dies,
+// after the node's own overlords have seen it.
 func (n *Node) OnDisconnection(f func(*Connection)) { n.onDisc = append(n.onDisc, f) }
 
+// notifyConn tells the running overlords, near, repair (when enabled) and
+// tunnel in that order, then the registered observers, that c is up or has
+// gained a role.
 func (n *Node) notifyConn(c *Connection) {
+	if n.near != nil {
+		n.near.onConnection(c)
+		if n.repair.enabled() {
+			n.repair.onConnection(c)
+		}
+		n.tun.onConnection(c)
+	}
 	for _, f := range n.onConn {
 		f(c)
 	}
 }
 
+// notifyDisc is notifyConn for a connection that died.
 func (n *Node) notifyDisc(c *Connection) {
+	if n.near != nil {
+		n.near.onDisconnection(c)
+		if n.repair.enabled() {
+			n.repair.onDisconnection(c)
+		}
+		n.tun.onDisconnection(c)
+	}
 	for _, f := range n.onDisc {
 		f(c)
 	}
+}
+
+// overlords is the block a node's Start makes for the connection overlords
+// every router runs (shortcuts are optional and made apart): one object per
+// start. A restart makes a new block; the old one lives on only while timers
+// it armed are pending, and they find it no longer the node's.
+type overlords struct {
+	near   nearOverlord
+	far    farOverlord
+	repair repairOverlord
+	tun    tunnelOverlord
 }
 
 // Start binds the node's socket and begins joining the overlay through the
@@ -545,25 +573,27 @@ func (n *Node) Start(bootstrap []URI) error {
 	n.bootstrap = append([]URI(nil), bootstrap...)
 	n.up = true
 
-	n.near = newNearOverlord(n)
-	n.far = newFarOverlord(n)
-	n.repair = newRepairOverlord(n)
-	n.tun = newTunnelOverlord(n)
-	if n.cfg.Shortcut != nil {
-		n.sco = newShortcutOverlord(n, *n.cfg.Shortcut)
+	o := &overlords{
+		near:   nearOverlord{node: n},
+		far:    farOverlord{node: n},
+		repair: repairOverlord{node: n},
+		tun:    tunnelOverlord{node: n, cands: make(map[Addr]candidateStash)},
 	}
-
-	n.near.start()
-	n.far.start()
-	n.repair.start()
-	n.tun.start()
-	if n.sco != nil {
-		n.sco.start()
+	n.near, n.far, n.repair, n.tun = &o.near, &o.far, &o.repair, &o.tun
+	// The tickers' interval jitter draws from the node's own jitter source
+	// (see Config.JitterSeed).
+	n.near.maintain()
+	n.sim.StartTicker(&o.near.ticker, n.cfg.StatusInterval, n.cfg.StatusInterval/5, n.rng, nearTickFired, &o.near)
+	n.sim.StartTicker(&o.far.ticker, n.cfg.FarInterval, n.cfg.FarInterval/5, n.rng, farTickFired, &o.far)
+	if n.cfg.Shortcut != nil {
+		sco := newShortcutOverlord(n, *n.cfg.Shortcut)
+		n.sim.StartTicker(&sco.ticker, sco.cfg.Tick, sco.cfg.Tick/10, n.rng, shortcutTickFired, sco)
+		n.sco = sco
 	}
 	// The health sampler runs jitter-free (no RNG draw) and read-only, so
 	// arming it adds events without perturbing any protocol decision.
 	if n.flight != nil && n.flight.health > 0 {
-		n.tickers = append(n.tickers, n.tick(n.flight.health, 0, n.flightHealthTick))
+		n.sim.StartTicker(&n.flight.ticker, n.flight.health, 0, n.rng, flightHealthFired, n)
 	}
 	return nil
 }
@@ -577,10 +607,14 @@ func (n *Node) Stop() {
 		return
 	}
 	n.up = false
-	for _, t := range n.tickers {
-		t.Stop()
+	n.near.ticker.Stop()
+	n.far.ticker.Stop()
+	if n.sco != nil {
+		n.sco.ticker.Stop()
 	}
-	n.tickers = nil
+	if n.flight != nil {
+		n.flight.ticker.Stop()
+	}
 	for _, lk := range n.linkers {
 		lk.finish(false)
 	}
@@ -753,14 +787,15 @@ func (n *Node) handleWire(w wire, payload any) {
 	switch m := payload.(type) {
 	case *linkMsg:
 		m.Live(n.sim, "handleWire")
-		if m.Reply {
+		switch {
+		case m.refusal != 0:
+			n.handleLinkError(m)
+		case m.Reply:
 			n.handleLinkReply(w, m)
-		} else {
+		default:
 			n.handleLinkRequest(w, m)
 		}
 		n.pool.links.Put(m, "handleWire")
-	case linkError:
-		n.handleLinkError(m)
 	case *pingMsg:
 		m.Live(n.sim, "handleWire")
 		if m.Pong {

@@ -19,18 +19,13 @@ type nearOverlord struct {
 	// message built from it that every neighbor is sent until it changes.
 	nears  advert
 	status *statusMsg
+	ticker sim.Ticker
 }
 
-func newNearOverlord(n *Node) *nearOverlord { return &nearOverlord{node: n} }
-
-func (o *nearOverlord) start() {
-	n := o.node
-	n.OnConnection(o.onConnection)
-	n.OnDisconnection(o.onDisconnection)
-	o.maintain()
-	t := n.tick(n.cfg.StatusInterval, n.cfg.StatusInterval/5, o.maintain)
-	n.tickers = append(n.tickers, t)
-}
+// nearTickFired, farTickFired and shortcutTickFired are the overlords' ticker
+// callbacks: package-level, taking the overlord, so a tick allocates nothing
+// (see sim.StartTicker).
+func nearTickFired(o any) { o.(*nearOverlord).maintain() }
 
 // maintain is the periodic overlord pass: bootstrap if necessary, retry
 // the join, gossip status, trim the neighbor set.
@@ -47,8 +42,8 @@ func (o *nearOverlord) maintain() {
 		// Try a bootstrap URI; rotate through the list across
 		// attempts via the RNG so a dead bootstrap node doesn't
 		// wedge the join.
-		uri := n.bootstrap[n.rand().Intn(len(n.bootstrap))]
-		n.startLinker(Zero, []URI{uri}, Leaf)
+		i := n.rand().Intn(len(n.bootstrap))
+		n.startLinker(Zero, n.bootstrap[i:i+1:i+1], Leaf)
 		return
 	}
 	nears := n.roleCount[StructuredNear]
@@ -78,9 +73,6 @@ func (o *nearOverlord) leafConn() *Connection {
 
 func (o *nearOverlord) onConnection(c *Connection) {
 	n := o.node
-	if n.near != o {
-		return // stale callback from before a restart
-	}
 	if c.Has(Leaf) && o.leafPeer.IsZero() {
 		o.leafPeer = c.Peer
 		// Don't wait for the next maintenance tick: join now.
@@ -92,9 +84,6 @@ func (o *nearOverlord) onConnection(c *Connection) {
 }
 
 func (o *nearOverlord) onDisconnection(c *Connection) {
-	if o.node.near != o {
-		return // stale callback from before a restart
-	}
 	if c.Peer == o.leafPeer {
 		o.leafPeer = Zero
 	}
@@ -196,16 +185,11 @@ func (o *nearOverlord) trim() {
 // addresses drawn from the small-world distribution of the paper's
 // reference [37], giving O((1/k)·log²n) greedy routing.
 type farOverlord struct {
-	node *Node
+	node   *Node
+	ticker sim.Ticker
 }
 
-func newFarOverlord(n *Node) *farOverlord { return &farOverlord{node: n} }
-
-func (o *farOverlord) start() {
-	n := o.node
-	t := n.tick(n.cfg.FarInterval, n.cfg.FarInterval/5, o.maintain)
-	n.tickers = append(n.tickers, t)
-}
+func farTickFired(o any) { o.(*farOverlord).maintain() }
 
 func (o *farOverlord) maintain() {
 	n := o.node
@@ -238,6 +222,8 @@ type shortcutOverlord struct {
 	// for a long run of packets, so observe compares that entry's address
 	// before it searches; a stale index is only a failed compare.
 	last int
+
+	ticker sim.Ticker
 }
 
 // scoredPeer is the shortcut overlord's record of one peer.
@@ -255,11 +241,7 @@ func newShortcutOverlord(n *Node, cfg ShortcutConfig) *shortcutOverlord {
 	return &shortcutOverlord{node: n, cfg: cfg}
 }
 
-func (o *shortcutOverlord) start() {
-	n := o.node
-	t := n.tick(o.cfg.Tick, o.cfg.Tick/10, o.tick)
-	n.tickers = append(n.tickers, t)
-}
+func shortcutTickFired(o any) { o.(*shortcutOverlord).tick() }
 
 // find returns the index at which peer is, or would be inserted, in scored
 // (a search written out: the entries are compared in place, word by word).

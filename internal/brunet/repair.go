@@ -28,29 +28,13 @@ type relinkState struct {
 	ev      sim.Timer
 }
 
-func newRepairOverlord(n *Node) *repairOverlord {
-	return &repairOverlord{node: n}
-}
-
 // enabled reports whether repair is configured on (RelinkRetries = UseZero
 // turns it off).
 func (o *repairOverlord) enabled() bool {
 	return o.node.cfg.RelinkRetries > 0 && o.node.cfg.RelinkBase > 0
 }
 
-func (o *repairOverlord) start() {
-	if !o.enabled() {
-		return
-	}
-	n := o.node
-	n.OnConnection(o.onConnection)
-	n.OnDisconnection(o.onDisconnection)
-}
-
 func (o *repairOverlord) onConnection(c *Connection) {
-	if o.node.repair != o {
-		return // stale callback from before a restart
-	}
 	if st, ok := o.pending[c.Peer]; ok {
 		st.ev.Cancel()
 		delete(o.pending, c.Peer)
@@ -59,10 +43,6 @@ func (o *repairOverlord) onConnection(c *Connection) {
 }
 
 func (o *repairOverlord) onDisconnection(c *Connection) {
-	n := o.node
-	if n.repair != o {
-		return // stale callback from before a restart
-	}
 	involuntary := c.reason == dropTimeout || c.reason == dropStream
 	if !involuntary || !c.structured() || len(c.URIs) == 0 {
 		return

@@ -68,16 +68,6 @@ type candidateStash struct {
 // relay-candidate list advertised in CTMs.
 const tunnelMaxRelays = 4
 
-func newTunnelOverlord(n *Node) *tunnelOverlord {
-	return &tunnelOverlord{node: n, cands: make(map[Addr]candidateStash)}
-}
-
-func (o *tunnelOverlord) start() {
-	n := o.node
-	n.OnConnection(o.onConnection)
-	n.OnDisconnection(o.onDisconnection)
-}
-
 // tunnelRole picks the role a tunnel-related CTM should request for an
 // existing connection: its most load-bearing structured role.
 func tunnelRole(c *Connection) ConnType {
@@ -137,7 +127,7 @@ func (o *tunnelOverlord) learnCandidates(peer Addr, uris []URI, relays []Neighbo
 // itself.
 func (o *tunnelOverlord) linkFailed(target Addr, t ConnType) {
 	n := o.node
-	if !n.up || n.tun != o {
+	if !n.up {
 		return
 	}
 	if t == Relay {
@@ -233,9 +223,6 @@ func (o *tunnelOverlord) establish(target Addr) {
 
 func (o *tunnelOverlord) onConnection(c *Connection) {
 	n := o.node
-	if n.tun != o {
-		return // stale callback from before a restart
-	}
 	if waiting, ok := o.recruiting[c.Peer]; ok && !c.Tunneled() {
 		// A recruited relay came up: serve the targets waiting on it.
 		delete(o.recruiting, c.Peer)
@@ -261,10 +248,6 @@ func (o *tunnelOverlord) onConnection(c *Connection) {
 }
 
 func (o *tunnelOverlord) onDisconnection(c *Connection) {
-	n := o.node
-	if n.tun != o {
-		return // stale callback from before a restart
-	}
 	o.cancelUpgrade(c.Peer)
 	delete(o.recruited, c.Peer)
 	if !c.Tunneled() {
@@ -314,9 +297,6 @@ func (o *tunnelOverlord) recoverOrDrop(tc *Connection) {
 // time the whole edge out.
 func (o *tunnelOverlord) noRoute(relay, to Addr) {
 	n := o.node
-	if n.tun != o {
-		return
-	}
 	tc, ok := n.lookup(to)
 	if !ok || tc.closed || !tc.Tunneled() || !tc.removeRelay(relay) {
 		return
@@ -332,9 +312,6 @@ func (o *tunnelOverlord) noRoute(relay, to Addr) {
 // re-probes for fresh candidates immediately.
 func (o *tunnelOverlord) relaySuspected(dead Addr) {
 	n := o.node
-	if n.tun != o {
-		return
-	}
 	for tc := n.firstConn(allRoles); tc != nil; tc = n.connAfter(tc, allRoles) {
 		if !tc.Tunneled() || !tc.hasRelay(dead) {
 			continue

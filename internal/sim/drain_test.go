@@ -153,24 +153,60 @@ func TestAllocFreeLaneDrain(t *testing.T) {
 	}
 }
 
+// embeddedTicks is an owner that embeds its ticker, the way brunet's
+// overlords do: armed by StartTicker, fired through a package-level function.
+type embeddedTicks struct {
+	ticker Ticker
+	at     []Time
+}
+
+func embeddedTickFired(o any) {
+	e := o.(*embeddedTicks)
+	e.at = append(e.at, e.ticker.s.Now())
+}
+
 // TestAllocFreeTicker guards the closure-free ticker: a tick's reschedule
-// draws its jitter and arms through AtArg without allocating.
+// draws its jitter and arms through AtArg without allocating, whether Tick
+// made the ticker or its owner embeds it (StartTicker). The two draw the same
+// intervals from the same seed: TickRand is StartTicker on a ticker of its
+// own.
 func TestAllocFreeTicker(t *testing.T) {
 	s := New(1)
-	ticks := 0
-	tk := s.Tick(Second, 100*Millisecond, func() { ticks++ })
+	at := make([]Time, 0, 2048)
+	tk := s.Tick(Second, 100*Millisecond, func() { at = append(at, s.Now()) })
 	defer tk.Stop()
 	s.RunFor(10 * Second)
+	at = at[:0]
 	avg := testing.AllocsPerRun(100, func() { s.RunFor(10 * Second) })
-	if ticks < 500 {
-		t.Fatalf("ticker fired %d times", ticks)
+	if len(at) < 500 {
+		t.Fatalf("ticker fired %d times", len(at))
 	}
+
+	es := New(1)
+	e := &embeddedTicks{at: make([]Time, 0, 2048)}
+	es.StartTicker(&e.ticker, Second, 100*Millisecond, nil, embeddedTickFired, e)
+	defer e.ticker.Stop()
+	es.RunFor(10 * Second)
+	e.at = e.at[:0]
+	embedded := testing.AllocsPerRun(100, func() { es.RunFor(10 * Second) })
+	if len(e.at) != len(at) {
+		t.Fatalf("embedded ticker fired %d times, Tick's %d", len(e.at), len(at))
+	}
+	for i := range at {
+		if e.at[i] != at[i] {
+			t.Fatalf("tick %d: embedded ticker at %v, Tick's at %v", i, e.at[i], at[i])
+		}
+	}
+
 	if raceEnabled {
-		t.Logf("allocs per 10 ticks under -race: %.2f (not asserted)", avg)
+		t.Logf("allocs per 10 ticks under -race: %.2f made by Tick, %.2f embedded (not asserted)", avg, embedded)
 		return
 	}
 	if avg != 0 {
 		t.Errorf("allocs per 10 ticker reschedules = %.2f, want 0", avg)
+	}
+	if embedded != 0 {
+		t.Errorf("allocs per 10 embedded ticker reschedules = %.2f, want 0", embedded)
 	}
 }
 

@@ -518,7 +518,9 @@ func (s *Simulator) AdvanceTo(t Time) {
 // Ticker invokes fn every interval until Stop is called. The first
 // invocation happens one interval from now. The ticker carries everything
 // its next arming needs, so each tick reschedules through AtArg with the
-// ticker itself as the argument and allocates nothing.
+// ticker itself as the argument and allocates nothing. A Ticker may be a
+// field of the struct that owns it, armed with StartTicker; Tick and
+// TickRand make one of their own.
 type Ticker struct {
 	stop bool
 	ev   Timer
@@ -527,7 +529,8 @@ type Ticker struct {
 	interval Duration
 	jitter   Duration
 	rng      *rand.Rand
-	fn       func()
+	fn       func(any)
+	arg      any
 }
 
 // Stop halts the ticker; the pending tick is cancelled.
@@ -555,7 +558,7 @@ func tickerFire(arg any) {
 	if t.stop {
 		return
 	}
-	t.fn()
+	t.fn(t.arg)
 	if !t.stop {
 		t.arm()
 	}
@@ -574,10 +577,21 @@ func (s *Simulator) Tick(interval, jitter Duration, fn func()) *Ticker {
 // independent of the global draw sequence (and therefore identical across
 // shard counts on the parallel engine). A nil rng is exactly Tick.
 func (s *Simulator) TickRand(interval, jitter Duration, rng *rand.Rand, fn func()) *Ticker {
+	t := new(Ticker)
+	s.StartTicker(t, interval, jitter, rng, callFunc, fn)
+	return t
+}
+
+// StartTicker arms t, which its owner embeds, to call fn(arg) every interval,
+// with TickRand's jitter draw and order: the first tick one jittered interval
+// from now, each later one armed after fn returns. With a package-level fn
+// and a pointer arg (the owner, say) neither the arming nor a tick allocates.
+// Whatever t held before is overwritten: a ticker that is still running must
+// be stopped first.
+func (s *Simulator) StartTicker(t *Ticker, interval, jitter Duration, rng *rand.Rand, fn func(any), arg any) {
 	if rng == nil {
 		rng = s.rng
 	}
-	t := &Ticker{s: s, interval: interval, jitter: jitter, rng: rng, fn: fn}
+	*t = Ticker{s: s, interval: interval, jitter: jitter, rng: rng, fn: fn, arg: arg}
 	t.arm()
-	return t
 }
