@@ -4,11 +4,10 @@ import (
 	"testing"
 
 	"wow/internal/phys"
-	"wow/internal/sim"
 )
 
-// publishList runs one advert build over list, the way relayCandidates and
-// the near overlord's gossip walk the table.
+// publishList runs one advert build over list, the way the near overlord's
+// gossip walks the table.
 func publishList(adv *advert, list []NeighborInfo) ([]NeighborInfo, bool) {
 	adv.begin(len(list))
 	for _, e := range list {
@@ -126,61 +125,5 @@ func TestStatusRebuildLeavesInFlight(t *testing.T) {
 	}
 	if e := n.near.status.Neighbors[0]; e.Addr != c.Peer || &e.URIs[0] != &c.URIs[0] {
 		t.Errorf("the rebuilt message does not advertise the changed neighbor's URI list")
-	}
-}
-
-// TestAdvertRepublishAcrossShards: a node on shard 0 republishes its relay
-// list window after window while a stash on shard 1 holds the list it
-// published before, with four workers running the shards at once. The held
-// list must read as it did when handed out; under -race a write to it is a
-// reported race.
-func TestAdvertRepublishAcrossShards(t *testing.T) {
-	const shards, workers, rounds = 4, 4, 50
-	eng, fleet, end := shardedBatchedFleet(t, 9, shards, workers, 48, 16)
-	eng.RunUntil(end.Add(30 * sim.Second))
-	var pub, holder *Node
-	for _, n := range fleet {
-		if pub == nil && n.host.Site.Shard() == 0 && len(n.table.slots) > 0 {
-			pub = n
-		}
-	}
-	for _, n := range fleet {
-		if holder == nil && pub != nil && n.host.Site.Shard() == 1 && n.ConnectionTo(pub.Addr()) == nil {
-			holder = n
-		}
-	}
-	if pub == nil || holder == nil {
-		t.Fatal("no unlinked publisher and holder on shards 0 and 1; the test would be vacuous")
-	}
-	// Between runs: the holder stashes the publisher's list, as a CTM from it
-	// would have left it.
-	held := pub.relayCandidates()
-	want := append([]NeighborInfo(nil), held...)
-	holder.tun.learnCandidates(pub.Addr(), pub.URIs(), held)
-	st := holder.tun.cands[pub.Addr()]
-
-	republished, intact := 0, 0 // each written by one shard alone
-	start := eng.Now()
-	for k := 1; k <= rounds; k++ {
-		at := start.Add(sim.Duration(k) * sim.Millisecond)
-		eng.Shard(0).At(at, func() {
-			// The first candidate reports a load never seen before.
-			pub.table.slots[0].c.peerLoad = 1000 + k
-			if l := pub.relayCandidates(); len(l) > 0 && &l[0] != &held[0] {
-				republished++
-			}
-		})
-		eng.Shard(1).At(at, func() {
-			if sameList(st.relays, want) && &st.relays[0] == &held[0] {
-				intact++
-			}
-		})
-	}
-	eng.RunUntil(start.Add(rounds*sim.Millisecond + sim.Millisecond))
-	if republished != rounds {
-		t.Fatalf("the publisher republished %d times in %d rounds; the test would be vacuous", republished, rounds)
-	}
-	if intact != rounds {
-		t.Errorf("the held list read as handed out in %d of %d rounds", intact, rounds)
 	}
 }

@@ -352,8 +352,9 @@ func (n *Node) sendConn(c *Connection, size int, payload any) {
 	n.sendDirect(c.EP, size, payload)
 }
 
-// unpool takes a pooled message — packet, link message, ping or frame, and a
-// frame's Inner — out of the pools' hands before a stream carries it: the
+// unpool takes a pooled message — packet (with a CTM's message:
+// OverlayPacket.Unpool), link message, ping or frame, and a frame's Inner —
+// out of the pools' hands before a stream carries it: the
 // stream's retransmission buffer keeps the pointer until the peer's ACK
 // arrives, which can be after the far end has released the object, and reads
 // its trace context if the stream is torn down first

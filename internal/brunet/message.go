@@ -190,11 +190,11 @@ func (e *NeighborInfo) same(o *NeighborInfo) bool {
 
 // advert publishes a neighbor list copy-on-write, the way Node.URIs publishes
 // the URI list: a list it has handed out is never written again, because
-// receivers keep it (candidateStash.relays, a statusMsg in flight), possibly
-// on another shard. A build compares each entry with the published list in
-// place and makes a new array only at the first entry that differs; a list
-// that is a strict prefix of the published one is that list re-sliced with
-// its capacity capped.
+// receivers keep it (a statusMsg in flight), possibly on another shard. The
+// near overlord's gossip is its one user. A build compares each entry with
+// the published list in place and makes a new array only at the first entry
+// that differs; a list that is a strict prefix of the published one is that
+// list re-sliced with its capacity capped.
 type advert struct {
 	pub  []NeighborInfo // the list last handed out
 	next []NeighborInfo // the list being built: a prefix of pub until own
@@ -256,16 +256,16 @@ const (
 
 // OverlayPacket is a packet routed greedily over overlay connections.
 //
-// Every packet a node originates is pooled per shard (shardPool), and what
-// it carries lies inside it: the AppData of SendTo in the app field, a
-// message of the connection protocol in the ctm field, with Payload pointing
-// at the one in use (boxing a pointer allocates nothing). The sender takes
-// the packet from its shard's list and whichever node terminates it releases
-// it into the list of its own, after the handler has returned. Handlers
-// therefore must not retain the AppData or the ctmMsg (or pointers into
-// them) past the delivery callback; the slices a ctmMsg points at are
-// separate objects and may be kept. A packet lost on the way, delivered to a
-// stopped node or refused by a closed connection is the garbage collector's,
+// Every packet a node originates is pooled per shard (shardPool). The
+// AppData of SendTo lies inside it, in the app field; a message of the
+// connection protocol is a pooled ctmMsg of its own, from the shard's CTM
+// list. Payload points at the one in use (boxing a pointer allocates
+// nothing). The sender takes the packet (and the message) from its shard's
+// lists and whichever node terminates it releases both into the lists of its
+// own, after the handler has returned (Node.release). Handlers therefore must
+// not retain the AppData or the ctmMsg (or pointers into them) past the
+// delivery callback. A packet lost on the way, delivered to a stopped node or
+// refused by a closed connection is the garbage collector's, message and all,
 // and so is one that a TCP-transport hop has carried: the stream's
 // retransmission buffer may still point at it (sendConn, unpool).
 type OverlayPacket struct {
@@ -283,25 +283,35 @@ type OverlayPacket struct {
 	Trace      uint64
 	TraceStart sim.Time
 
-	// app is the inline AppData of an application packet and ctm the inline
-	// message of a connection-protocol packet; Payload aliases one of them.
+	// app is the inline AppData of an application packet; Payload aliases it.
 	app AppData
 	sim.Pooled
-	ctm ctmMsg
 }
 
 // TraceContext exposes the packet's flight-recorder context
 // (trace.Traced); id zero means untraced.
 func (p *OverlayPacket) TraceContext() (uint64, sim.Time) { return p.Trace, p.TraceStart }
 
-// Carries is the application data's own payload (a vip.Packet under IPOP),
-// which a cross-shard hand-off (sim.HandOff) follows; a CTM carries nothing
-// pooled.
+// Carries is what a cross-shard hand-off (sim.HandOff) follows: the
+// application data's own payload (a vip.Packet under IPOP), or a CTM's
+// message.
 func (p *OverlayPacket) Carries() any {
-	if d, ok := p.Payload.(*AppData); ok {
-		return d.Data
+	switch m := p.Payload.(type) {
+	case *AppData:
+		return m.Data
+	case *ctmMsg:
+		return m
 	}
 	return nil
+}
+
+// Unpool takes the packet out of the pools' hands, and the CTM message it
+// carries with it (see unpool).
+func (p *OverlayPacket) Unpool() {
+	p.Pooled.Unpool()
+	if m, ok := p.Payload.(*ctmMsg); ok {
+		m.Unpool()
+	}
 }
 
 // ClearTrace consumes the trace context after a terminal record. The
@@ -331,10 +341,17 @@ const (
 const forwardHdrSize = 16
 
 // ctmMsg is a message of the connection protocol (§IV-B1): the
-// Connect-To-Me request and its reply. It lives inside the OverlayPacket
-// that carries it (OverlayPacket.ctm) and is released with it.
+// Connect-To-Me request and its reply. It is pooled per shard (shardPool),
+// taken with the OverlayPacket that carries it (ctmPacket) and released with
+// it (Node.release), and a message sent on — the join CTM passed across, a
+// forwarded reply — is a copy in a message of its own (set). Its relay
+// candidates lie inside it, so a copy never shares them with the original; a
+// handler may keep the URIs slice, which is the sender's copy-on-write list,
+// and nothing else.
 type ctmMsg struct {
 	Kind ctmKind
+	// Pooled sits in the padding after Kind.
+	sim.Pooled
 	From Addr
 	// To is the requester a reply is meant for; unset in a request.
 	To Addr
@@ -346,11 +363,23 @@ type ctmMsg struct {
 	Type     ConnType
 	Token    uint64
 	URIs     []URI
-	// Relays advertises the sender's directly-connected neighbors (its
-	// connection table, capped) so that, if the linking protocol cannot
-	// form a direct edge, the receiver can pick mutual neighbors as
-	// tunnel relays — Brunet's tunnel-edge fallback for symmetric NATs.
-	Relays []NeighborInfo
+	// relays[:nrelays] advertises the sender's directly-connected neighbors
+	// (its connection table, capped) so that, if the linking protocol cannot
+	// form a direct edge, the receiver can pick mutual neighbors as tunnel
+	// relays — Brunet's tunnel-edge fallback for symmetric NATs.
+	relays  [tunnelMaxRelays]NeighborInfo
+	nrelays int
+}
+
+// Relays is the message's relay-candidate list. It lies inside the message:
+// whoever keeps it past the handler copies it.
+func (m *ctmMsg) Relays() []NeighborInfo { return m.relays[:m.nrelays] }
+
+// set makes m a copy of o, keeping m's own pool state.
+func (m *ctmMsg) set(o *ctmMsg) {
+	h := m.Pooled
+	*m = *o
+	m.Pooled = h
 }
 
 // tunnelFrame carries one link-layer message of a tunnel edge. The

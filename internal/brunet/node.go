@@ -285,28 +285,31 @@ type Node struct {
 	Stats metrics.Counter
 
 	// pool is the free lists of the shard this node's host lives on (see
-	// shardPool): every overlay packet, tunnel frame, link message and ping
-	// the node sends comes from there, and whichever node ends one's life
-	// puts it on its own shard's.
+	// shardPool): every overlay packet, CTM message, tunnel frame, link
+	// message and ping the node sends comes from there, and whichever node
+	// ends one's life puts it on its own shard's.
 	pool *shardPool
 	// bye is the node's close announcement, made at its first use (closing).
 	bye *closeMsg
 }
 
-// shardPool holds one shard's free lists of overlay packets, tunnel frames,
-// link messages, pings and linkers (DESIGN.md §6, "Who owns a packet"). Every
-// node of the shard shares it and only the shard's goroutine touches it, so it
-// needs no lock; NewNode finds it on the shard's Simulator
+// shardPool holds one shard's free lists of overlay packets, CTM messages,
+// tunnel frames, link messages, pings and linkers (DESIGN.md §6, "Who owns a
+// packet"). Every node of the shard shares it and only the shard's goroutine
+// touches it, so it needs no lock; NewNode finds it on the shard's Simulator
 // (sim.Simulator.Local). What one node releases the next sender on the shard
 // takes, so traffic that stays on the shard keeps a list as long as the most
 // objects it had in flight, whichever way it runs. Objects that cross shards
 // are not so bounded: a list holds the largest excess of releases over
 // acquires its shard has ever seen, and only an exchange whose answer is taken
-// from the list its request is released on — a CTM and its reply, a link
-// request and its reply, a ping and its pong — leaves every shard it touches
-// where it found it.
+// from the lists its request is released on — a CTM and its reply (packet and
+// message), a link request and its reply, a ping and its pong — leaves every
+// shard it touches where it found it.
 type shardPool struct {
-	pkts   sim.FreeList[OverlayPacket, *OverlayPacket]
+	pkts sim.FreeList[OverlayPacket, *OverlayPacket]
+	// ctms holds the messages CTM packets carry: taken with the packet, put
+	// back with it (Node.release).
+	ctms   sim.FreeList[ctmMsg, *ctmMsg]
 	frames sim.FreeList[tunnelFrame, *tunnelFrame]
 	links  sim.FreeList[linkMsg, *linkMsg]
 	pings  sim.FreeList[pingMsg, *pingMsg]
@@ -326,6 +329,7 @@ func newShardPool(s *sim.Simulator) any {
 	return &shardPool{
 		pkts: sim.NewFreeList[OverlayPacket](s, "overlay packet",
 			OverlayPacket{Size: -1, Hops: -1, MaxHops: -1, Payload: poisonPayload}),
+		ctms:    sim.NewFreeList[ctmMsg](s, "CTM message", ctmMsg{Type: -1}),
 		frames:  sim.NewFreeList[tunnelFrame](s, "tunnel frame", tunnelFrame{Size: -1, Inner: poisonPayload}),
 		links:   sim.NewFreeList[linkMsg](s, "link message", linkMsg{Type: -1, Seq: -1}),
 		pings:   sim.NewFreeList[pingMsg](s, "ping", pingMsg{Load: -1}),
@@ -572,12 +576,17 @@ func (n *Node) Start(bootstrap []URI) error {
 	n.uris = nil
 	n.bootstrap = append([]URI(nil), bootstrap...)
 	n.up = true
+	if n.table.slots == nil {
+		// Room for the structured links the overlords aim at, made once:
+		// Stop keeps the array for a restart.
+		n.table.slots = make([]slot, 0, 2*n.cfg.NearPerSide+n.cfg.FarCount+tableSlack)
+	}
 
 	o := &overlords{
 		near:   nearOverlord{node: n},
 		far:    farOverlord{node: n},
 		repair: repairOverlord{node: n},
-		tun:    tunnelOverlord{node: n, cands: make(map[Addr]candidateStash)},
+		tun:    tunnelOverlord{node: n},
 	}
 	n.near, n.far, n.repair, n.tun = &o.near, &o.far, &o.repair, &o.tun
 	// The tickers' interval jitter draws from the node's own jitter source
@@ -597,6 +606,11 @@ func (n *Node) Start(bootstrap []URI) error {
 	}
 	return nil
 }
+
+// tableSlack is the connection table's room, at its first Start, beyond the
+// near and far links the overlords aim at: the leaf, shortcuts, relays and a
+// link or two more than the target while trimming catches up.
+const tableSlack = 4
 
 // Stop kills the node ungracefully — the moral equivalent of the paper's
 // "killing and restarting the user-level IPOP program" during VM
@@ -891,7 +905,7 @@ func (n *Node) routePacket(pkt *OverlayPacket, from Addr) {
 		if n.flight != nil && pkt.Trace != 0 {
 			n.flightTerminal(pkt, trace.OutcomeNodeDown)
 		}
-		n.pool.pkts.Put(pkt, "routePacket (node down)")
+		n.release(pkt, "routePacket (node down)")
 		return
 	}
 	// Sampling happens at origination only: a packet entering the router
@@ -901,7 +915,7 @@ func (n *Node) routePacket(pkt *OverlayPacket, from Addr) {
 	}
 	if pkt.Dst == n.addr {
 		n.deliver(pkt)
-		n.pool.pkts.Put(pkt, "routePacket (delivered)")
+		n.release(pkt, "routePacket (delivered)")
 		return
 	}
 	if pkt.Hops >= pkt.MaxHops {
@@ -909,14 +923,14 @@ func (n *Node) routePacket(pkt *OverlayPacket, from Addr) {
 		if n.flight != nil && pkt.Trace != 0 {
 			n.flightTerminal(pkt, trace.OutcomeHopsExceeded)
 		}
-		n.pool.pkts.Put(pkt, "routePacket (hops exceeded)")
+		n.release(pkt, "routePacket (hops exceeded)")
 		return
 	}
 	best := n.nearestConn(pkt.Dst, from)
 	if best == nil || (best.Peer != pkt.Dst && pkt.Dst.CmpRingDist(best.Peer, n.addr) >= 0) {
 		// Nobody closer: we are the nearest live node.
 		n.deliver(pkt)
-		n.pool.pkts.Put(pkt, "routePacket (nearest)")
+		n.release(pkt, "routePacket (nearest)")
 		return
 	}
 	pkt.Hops++
@@ -927,6 +941,16 @@ func (n *Node) routePacket(pkt *OverlayPacket, from Addr) {
 	// consumed by the terminal record and skips the hop record here.
 	if n.flight != nil && pkt.Trace != 0 {
 		n.flightHop(pkt, best)
+	}
+}
+
+// release ends the life of a packet at its routing terminal: the packet goes
+// on the shard's list, and a CTM's message on the CTM list with it. A packet
+// the lists let go of (a stream carried it: unpool) keeps its message.
+func (n *Node) release(pkt *OverlayPacket, where string) {
+	m, _ := pkt.Payload.(*ctmMsg)
+	if n.pool.pkts.Put(pkt, where) && m != nil {
+		n.pool.ctms.Put(m, where)
 	}
 }
 
@@ -953,6 +977,7 @@ func (n *Node) deliver(pkt *OverlayPacket) {
 	}
 	switch m := pkt.Payload.(type) {
 	case *ctmMsg:
+		m.Live(n.sim, "deliver")
 		switch m.Kind {
 		case kindRequest:
 			n.handleCTMRequest(pkt, m, exact)
@@ -986,47 +1011,40 @@ func (n *Node) deliverApp(src Addr, m AppData) {
 	}
 }
 
-// relayCandidates lists this node's directly-connected peers (capped, in
-// address order) for a CTM's Relays field: the connection-table exchange
-// that lets two nodes that cannot link directly find mutual neighbors to
-// tunnel through. The list is the tunnel overlord's published advert, nil
-// when no peer qualifies; the returned slice is shared and must not be
-// written.
-func (n *Node) relayCandidates() []NeighborInfo {
-	if n.tun == nil {
-		return nil
-	}
-	adv := &n.tun.relays
-	adv.begin(tunnelMaxRelays)
+// relayCandidates fills m's relay list with this node's directly-connected
+// peers (capped, in address order): the connection-table exchange that lets
+// two nodes that cannot link directly find mutual neighbors to tunnel
+// through.
+func (n *Node) relayCandidates(m *ctmMsg) {
+	k := 0
 	for _, s := range n.table.slots {
-		c := s.c
-		if c.Tunneled() {
-			continue
-		}
-		if adv.add(NeighborInfo{Addr: c.Peer, URIs: c.URIs, Load: c.peerLoad}) >= tunnelMaxRelays {
+		if k == tunnelMaxRelays {
 			break
 		}
+		if c := s.c; !c.Tunneled() {
+			m.relays[k] = NeighborInfo{Addr: c.Peer, URIs: c.URIs, Load: c.peerLoad}
+			k++
+		}
 	}
-	list, _ := adv.publish()
-	return list
+	m.nrelays = k
 }
 
-// ctmPacket takes a packet from the shard's list for a message of the
-// connection protocol and returns it with the message inside, both blank but
-// for the packet's source and hop budget and the message's sender, relay
-// candidates and URIs.
+// ctmPacket takes a packet and a message from the shard's lists for the
+// connection protocol and returns them with the message in the packet, both
+// blank but for the packet's source and hop budget and the message's sender,
+// relay candidates and URIs.
 func (n *Node) ctmPacket(kind ctmKind) (*OverlayPacket, *ctmMsg) {
-	pkt := n.pool.pkts.Get()
+	pkt, m := n.pool.pkts.Get(), n.pool.ctms.Get()
 	pkt.Src, pkt.MaxHops = n.addr, n.cfg.MaxHops
-	m := &pkt.ctm
-	m.Kind, m.From, m.URIs, m.Relays = kind, n.addr, n.URIs(), n.relayCandidates()
+	m.Kind, m.From, m.URIs = kind, n.addr, n.URIs()
+	n.relayCandidates(m)
 	pkt.Payload = m
 	return pkt, m
 }
 
 // ctmSize is the wire size of a packet carrying m.
 func ctmSize(m *ctmMsg) int {
-	return overlayHdrSize + ctmMsgSize + 16*len(m.URIs) + 24*len(m.Relays)
+	return overlayHdrSize + ctmMsgSize + 16*len(m.URIs) + 24*m.nrelays
 }
 
 // sendCTM routes a Connect-To-Me request toward target (§IV-B1).
@@ -1051,15 +1069,15 @@ func (n *Node) sendCTM(target Addr, t ConnType, mode DeliveryMode, replyVia Addr
 // the overlay, via the requester's leaf forwarder when asked) and
 // simultaneously start linking toward the requester — the bidirectionality
 // that makes NAT hole punching work (§IV-D). The request stays the
-// caller's, which releases it when this returns; the reply is a packet of
-// its own from the same list.
+// caller's, which releases it when this returns; the reply is a packet and a
+// message of its own from the same lists.
 func (n *Node) handleCTMRequest(pkt *OverlayPacket, req *ctmMsg, exact bool) {
 	if req.From == n.addr {
 		return // own join CTM came back: ring too small to matter
 	}
 	n.Stats.Add(cCTMReceived, 1)
 	if n.tun != nil {
-		n.tun.learnCandidates(req.From, req.URIs, req.Relays)
+		n.tun.learnCandidates(req)
 	}
 	rp, rep := n.ctmPacket(kindReply)
 	rep.To, rep.Type, rep.Token = req.From, req.Type, req.Token
@@ -1086,14 +1104,14 @@ func (n *Node) handleCTMRequest(pkt *OverlayPacket, req *ctmMsg, exact bool) {
 	// neighbors").
 	if !exact && req.Type == StructuredNear && pkt.Dst == req.From && pkt.Hops < pkt.MaxHops {
 		if other := n.neighborAcross(req.From); other != nil {
-			// The copy is a packet of its own with the message copied into
-			// it: the original is released when this handler returns, long
-			// before the copy arrives. It starts untraced: the original
-			// traced packet terminated here, and a copy re-emitting under
-			// the same id would corrupt the hop chain.
-			cp := n.pool.pkts.Get()
-			cp.ctm = *req
-			cp.Payload = &cp.ctm
+			// The copy is a packet and a message of their own, the request
+			// copied in: the original is released when this handler
+			// returns, long before the copy arrives. It starts untraced: the
+			// original traced packet terminated here, and a copy re-emitting
+			// under the same id would corrupt the hop chain.
+			cp, cm := n.pool.pkts.Get(), n.pool.ctms.Get()
+			cm.set(req)
+			cp.Payload = cm
 			cp.Src, cp.Dst, cp.Mode = pkt.Src, other.Peer, DeliverExact
 			cp.Hops, cp.MaxHops, cp.Size = pkt.Hops+1, pkt.MaxHops, pkt.Size
 			n.sendConn(other, cp.Size, cp)
@@ -1118,7 +1136,7 @@ func (n *Node) handleCTMReply(rep *ctmMsg) {
 	}
 	n.Stats.Add(cCTMReplied, 1)
 	if n.tun != nil {
-		n.tun.learnCandidates(rep.From, rep.URIs, rep.Relays)
+		n.tun.learnCandidates(rep)
 	}
 	if c, ok := n.lookup(rep.From); ok && c.Tunneled() {
 		n.startUpgradeLinker(rep.From, c.upgradeURIs(rep.URIs), rep.Type)
@@ -1243,18 +1261,18 @@ func (n *Node) handleTunnelFrame(w wire, f *tunnelFrame) {
 
 // handleForwarded relays a CTM reply to a leaf child (§IV-C: "the leaf
 // target acts as forwarding agent for the new node"): the message is copied
-// into a packet of this node's own, addressed to the child, and the one it
-// came in is released by the caller.
+// into a packet and a message of this node's own, addressed to the child, and
+// the ones it came in are released by the caller.
 func (n *Node) handleForwarded(pkt *OverlayPacket, rep *ctmMsg) {
 	c, ok := n.lookup(rep.To)
 	if !ok {
 		n.Stats.Add(cForwardNoChild, 1)
 		return
 	}
-	fp := n.pool.pkts.Get()
-	fp.ctm = *rep
-	fp.ctm.Kind = kindReply
-	fp.Payload = &fp.ctm
+	fp, fm := n.pool.pkts.Get(), n.pool.ctms.Get()
+	fm.set(rep)
+	fm.Kind = kindReply
+	fp.Payload = fm
 	fp.Src, fp.Dst, fp.Mode = n.addr, rep.To, DeliverExact
 	fp.MaxHops, fp.Size = n.cfg.MaxHops, pkt.Size-forwardHdrSize
 	n.sendConn(c, fp.Size, fp)

@@ -30,20 +30,31 @@ func TestPoolDebugOverlayPacket(t *testing.T) {
 	own.Live(n.sim, "z")
 }
 
-// A CTM is such a packet: the message inside it goes with it, and a second
-// release of the request — by a handler that thought it had flipped it into
-// the reply, say — panics.
+// A CTM is such a packet with a pooled message of its own: release puts both
+// back, poisoned, and a second release of the request — by a handler that
+// thought it had flipped it into the reply, say — panics, and so does a
+// second release of the message or its use.
 func TestPoolDebugCTM(t *testing.T) {
 	_, nodes := buildZeroLatencyRing(t, 11, 3)
 	n := nodes[0]
 	pkt, req := n.ctmPacket(kindRequest)
 	req.Type, req.Token = StructuredFar, 7
-	n.pool.pkts.Put(pkt, "routePacket (nearest)")
-	if req.Kind != 0 || req.URIs != nil || req.Relays != nil || req.Token != 0 {
-		t.Fatalf("the message of a released CTM still reads %+v", *req)
+	if len(req.Relays()) == 0 {
+		t.Fatal("the CTM carries no relay candidates; the test would be vacuous")
+	}
+	n.release(pkt, "routePacket (nearest)")
+	if pkt.Size != -1 || pkt.Payload != poisonPayload {
+		t.Fatalf("the released packet does not hold the poison: size %d payload %v", pkt.Size, pkt.Payload)
+	}
+	if req.Type != -1 || req.Kind != 0 || req.URIs != nil || len(req.Relays()) != 0 || req.Token != 0 {
+		t.Fatalf("the message of a released CTM does not hold the poison: %+v", *req)
 	}
 	mustPanic(t, "double release of overlay packet in handleCTMRequest (first released in routePacket (nearest))",
-		func() { n.pool.pkts.Put(pkt, "handleCTMRequest") })
+		func() { n.release(pkt, "handleCTMRequest") })
+	mustPanic(t, "double release of CTM message in x (first released in routePacket (nearest))",
+		func() { n.pool.ctms.Put(req, "x") })
+	mustPanic(t, "use of released CTM message in deliver (released in routePacket (nearest))",
+		func() { n.deliver(&OverlayPacket{Src: n.addr, Dst: n.addr, Payload: req}) })
 }
 
 // A tunnel frame released twice, or handled after its release, panics.

@@ -166,7 +166,8 @@ func TestPoolBoundedOneWay(t *testing.T) {
 // keeps the pointer of what it carried until the peer's ACK arrives, and
 // reads its trace context if the stream is torn down first. A packet, link
 // message or frame that a TCP-transport hop has carried therefore never joins
-// a free list (sendConn, replyTo and the linker's dial go through unpool):
+// a free list, nor does a CTM's message with it (sendConn, replyTo and the
+// linker's dial go through unpool):
 // recycled, it would let the teardown of one stream terminate the trace of
 // another sender's live packet. On a ring whose routers speak TCP the lists,
 // emptied of what the build left (a NATed node reaches some routers over UDP,
@@ -224,8 +225,8 @@ func TestStreamCarriedObjectsNotRecycled(t *testing.T) {
 		a.Stats.Get("ctm.replied") != replied+1 || r.totalStat("link.success") == linked {
 		t.Fatalf("the CTM from %v did not reach %v, come back and link the two over a stream; the test would be vacuous", a.Addr(), b.Addr())
 	}
-	if pl, ll := a.pktListLen(), a.linkListLen(); pl != 0 || ll != 0 {
-		t.Errorf("the shard's lists hold %d packets and %d link messages that a stream's retransmission buffer may still point at, want 0 and 0", pl, ll)
+	if pl, cl, ll := a.pktListLen(), a.ctmListLen(), a.linkListLen(); pl != 0 || cl != 0 || ll != 0 {
+		t.Errorf("the shard's lists hold %d packets, %d CTM messages and %d link messages that a stream's retransmission buffer may still point at, want none", pl, cl, ll)
 	}
 
 	// Every node pings every peer once: the ping goes out on a stream and

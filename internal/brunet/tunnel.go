@@ -33,11 +33,10 @@ type tunnelOverlord struct {
 	node *Node
 	// cands stashes, per remote peer the node holds no direct edge to, the
 	// URIs and connection-table excerpt most recently learned from a CTM
-	// exchange with it — the raw material for relay selection.
-	cands map[Addr]candidateStash
-	// relays is this node's own connection-table excerpt as its CTMs last
-	// advertised it (relayCandidates).
-	relays advert
+	// exchange with it — the raw material for relay selection. It is a short
+	// list in no particular order (stashOf, dropStash): a node rarely holds
+	// more than two at a time.
+	cands []candidateStash
 	// upgrades holds the armed direct-link upgrade timer per tunnel peer.
 	// It and the two maps below are made at their first write (armUpgrade,
 	// establish): a node that never holds a tunnel never writes them, and
@@ -54,14 +53,43 @@ type tunnelOverlord struct {
 	recruited map[Addr]bool
 }
 
-// candidateStash is the tunnel-relevant content of one CTM exchange, held by
-// value in the overlord's map. Both slices are the sender's published lists,
-// shared and never written; a later exchange with the same peer overwrites
-// the entry, so readers take what they need within the call and keep no stash
-// across calls.
+// candidateStash is the tunnel-relevant content of one CTM exchange with
+// peer, held by value in the overlord's list: a copy of the message's relay
+// candidates, and its URIs, which are the sender's copy-on-write list, shared
+// and never written. A later exchange with the same peer overwrites the
+// entry and a direct edge removes it, so readers take what they need within
+// the call and keep no stash across calls.
 type candidateStash struct {
-	uris   []URI
-	relays []NeighborInfo
+	peer    Addr
+	uris    []URI
+	relays  [tunnelMaxRelays]NeighborInfo
+	nrelays int
+}
+
+// list is the stashed relay candidates.
+func (st *candidateStash) list() []NeighborInfo { return st.relays[:st.nrelays] }
+
+// stashOf returns the stash filed for peer, or nil.
+func (o *tunnelOverlord) stashOf(peer Addr) *candidateStash {
+	for i := range o.cands {
+		if o.cands[i].peer == peer {
+			return &o.cands[i]
+		}
+	}
+	return nil
+}
+
+// dropStash removes the stash filed for peer, if any, moving the last entry
+// into its place.
+func (o *tunnelOverlord) dropStash(peer Addr) {
+	st := o.stashOf(peer)
+	if st == nil {
+		return
+	}
+	last := len(o.cands) - 1
+	*st = o.cands[last]
+	o.cands[last] = candidateStash{}
+	o.cands = o.cands[:last]
 }
 
 // tunnelMaxRelays caps both the relay list of a tunnel edge and the
@@ -82,15 +110,15 @@ func tunnelRole(c *Connection) ConnType {
 	return StructuredNear
 }
 
-// learnCandidates records the URIs and relay candidates a CTM exchange
-// with peer carried, unless the node holds peer over a direct edge: the
-// stash only feeds the tunnel fallback, and onConnection has dropped it when
-// that edge came up — a CTM reply arriving after its link completed must not
-// file it again. If a tunnel edge to peer is live, any newly mutual
-// neighbors extend its relay list — the refresh that lets periodic upgrade
-// probes double as relay maintenance.
-func (o *tunnelOverlord) learnCandidates(peer Addr, uris []URI, relays []NeighborInfo) {
-	n := o.node
+// learnCandidates records the URIs and relay candidates of m, a CTM or
+// reply from its sender (peer), unless the node holds peer over a direct
+// edge: the stash only feeds the tunnel fallback, and onConnection has
+// dropped it when that edge came up — a CTM reply arriving after its link
+// completed must not file it again. If a tunnel edge to peer is live, any
+// newly mutual neighbors extend its relay list — the refresh that lets
+// periodic upgrade probes double as relay maintenance.
+func (o *tunnelOverlord) learnCandidates(m *ctmMsg) {
+	n, peer := o.node, m.From
 	if peer == n.addr {
 		return
 	}
@@ -98,11 +126,16 @@ func (o *tunnelOverlord) learnCandidates(peer Addr, uris []URI, relays []Neighbo
 	if ok && !c.Tunneled() {
 		return
 	}
-	o.cands[peer] = candidateStash{uris: uris, relays: relays}
+	st := o.stashOf(peer)
+	if st == nil {
+		o.cands = append(o.cands, candidateStash{peer: peer})
+		st = &o.cands[len(o.cands)-1]
+	}
+	st.uris, st.relays, st.nrelays = m.URIs, m.relays, m.nrelays
 	if !ok {
 		return
 	}
-	for _, adv := range relays {
+	for _, adv := range m.Relays() {
 		if len(c.Relays) >= tunnelMaxRelays {
 			break
 		}
@@ -160,13 +193,13 @@ func (o *tunnelOverlord) linkFailed(target Addr, t ConnType) {
 // Relay-type link to one of the target's neighbors.
 func (o *tunnelOverlord) establish(target Addr) {
 	n := o.node
-	st, ok := o.cands[target]
-	if !ok {
+	st := o.stashOf(target)
+	if st == nil {
 		n.Stats.Add(cTunnelNoCandidate, 1)
 		return
 	}
 	var candidates []NeighborInfo
-	for _, adv := range st.relays {
+	for _, adv := range st.list() {
 		if adv.Addr == n.addr || adv.Addr == target {
 			continue
 		}
@@ -192,7 +225,7 @@ func (o *tunnelOverlord) establish(target Addr) {
 		n.startTunnelLinker(target, mutual, st.uris, StructuredNear)
 		return
 	}
-	for _, adv := range st.relays {
+	for _, adv := range st.list() {
 		if adv.Addr == n.addr || adv.Addr == target || len(adv.URIs) == 0 {
 			continue
 		}
@@ -243,7 +276,7 @@ func (o *tunnelOverlord) onConnection(c *Connection) {
 	// upgrade probing is over, the stash is stale, and relays recruited on
 	// this peer's behalf may now be idle.
 	o.cancelUpgrade(c.Peer)
-	delete(o.cands, c.Peer)
+	o.dropStash(c.Peer)
 	o.reapRelays()
 }
 
@@ -329,11 +362,11 @@ func (o *tunnelOverlord) relaySuspected(dead Addr) {
 // set; reports whether any relay is now listed.
 func (o *tunnelOverlord) refill(tc *Connection) bool {
 	n := o.node
-	st, ok := o.cands[tc.Peer]
-	if !ok {
+	st := o.stashOf(tc.Peer)
+	if st == nil {
 		return false
 	}
-	for _, adv := range st.relays {
+	for _, adv := range st.list() {
 		if len(tc.Relays) >= tunnelMaxRelays {
 			break
 		}

@@ -94,15 +94,89 @@ func TestNoStashBesideDirectEdge(t *testing.T) {
 	_, nodes := buildZeroLatencyRing(t, 13, 64)
 	stale, stashed := 0, 0
 	for _, n := range nodes {
-		for peer := range n.tun.cands {
+		for _, st := range n.tun.cands {
 			stashed++
-			if c, ok := n.lookup(peer); ok && !c.Tunneled() {
+			if c, ok := n.lookup(st.peer); ok && !c.Tunneled() {
 				stale++
 			}
 		}
 	}
 	if stale != 0 {
 		t.Errorf("%d of the %d stashes on %d settled nodes are for peers held over a direct edge, want none", stale, stashed, len(nodes))
+	}
+}
+
+// TestStashCopyAcrossShards: a stash is a copy of the CTM it was filed from,
+// not a view into it. A sender on shard 0 sends a CTM that a holder on shard 1
+// stashes; then, window after window with four workers running the shards at
+// once, the sender changes its table and sends CTMs in the messages its
+// shard's list recycles — the one the stash was filed from first among them.
+// The stash must read as first filed in every round; under -race a stash that
+// shared a message's memory would be a reported race.
+func TestStashCopyAcrossShards(t *testing.T) {
+	const shards, workers, rounds = 4, 4, 50
+	eng, fleet, end := shardedBatchedFleet(t, 9, shards, workers, 48, 16)
+	eng.RunUntil(end.Add(30 * sim.Second))
+	var pub, holder *Node
+	for _, n := range fleet {
+		if pub == nil && n.host.Site.Shard() == 0 && len(n.table.slots) > 0 {
+			pub = n
+		}
+	}
+	for _, n := range fleet {
+		if holder == nil && pub != nil && n.host.Site.Shard() == 1 && n.ConnectionTo(pub.Addr()) == nil {
+			holder = n
+		}
+	}
+	if pub == nil || holder == nil {
+		t.Fatal("no unlinked sender and holder on shards 0 and 1; the test would be vacuous")
+	}
+	// The rounds' CTMs are the only ones taken from shard 0's list while
+	// they run.
+	for _, n := range fleet {
+		n.near.ticker.Stop()
+		n.far.ticker.Stop()
+		if n.sco != nil {
+			n.sco.ticker.Stop()
+		}
+	}
+	// Between runs: the holder stashes a CTM from the sender, whose message
+	// then goes back on the sender's list.
+	pkt, first := pub.ctmPacket(kindRequest)
+	holder.tun.learnCandidates(first)
+	want := append([]NeighborInfo(nil), first.Relays()...)
+	pub.release(pkt, "filed")
+	if len(want) == 0 || holder.tun.stashOf(pub.Addr()) == nil {
+		t.Fatalf("the holder filed no stash of %d relay candidates; the test would be vacuous", len(want))
+	}
+
+	rewritten, intact := 0, 0 // each written by one shard alone
+	start := eng.Now()
+	for k := 1; k <= rounds; k++ {
+		at := start.Add(sim.Duration(k) * sim.Millisecond)
+		eng.Shard(0).At(at, func() {
+			// The first candidate reports a load never seen before, and a CTM
+			// delivered at its sender carries it.
+			pub.table.slots[0].c.peerLoad = 1000 + k
+			pkt, m := pub.ctmPacket(kindRequest)
+			if m == first && m.relays[0].Load == 1000+k {
+				rewritten++
+			}
+			pkt.Dst, pkt.Mode, pkt.Size = pub.addr, DeliverExact, ctmSize(m)
+			pub.routePacket(pkt, pub.addr)
+		})
+		eng.Shard(1).At(at, func() {
+			if st := holder.tun.stashOf(pub.Addr()); st != nil && sameList(st.list(), want) {
+				intact++
+			}
+		})
+	}
+	eng.RunUntil(start.Add(rounds*sim.Millisecond + sim.Millisecond))
+	if !poolDebug && rewritten != rounds {
+		t.Fatalf("the stashed message was taken and rewritten in %d of %d rounds; the test would be vacuous", rewritten, rounds)
+	}
+	if intact != rounds {
+		t.Errorf("the stash read as first filed in %d of %d rounds", intact, rounds)
 	}
 }
 
