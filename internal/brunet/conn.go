@@ -2,7 +2,7 @@ package brunet
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"wow/internal/phys"
@@ -25,6 +25,12 @@ type Connection struct {
 	EP     phys.Endpoint
 	roles  roleMask
 	closed bool
+	// suspected marks a connection under a fast probe after a forwarded
+	// death verdict: a pong clears it as a false suspicion, a timeout
+	// confirms it. It and haveRTT (see srtt) sit in the padding after
+	// closed.
+	haveRTT   bool
+	suspected bool
 	// Stream is the TCP-transport link carrying this connection, nil
 	// for UDP-transport connections (§IV-A: "connections between Brunet
 	// nodes are abstracted and may operate over any transport").
@@ -32,19 +38,17 @@ type Connection struct {
 	// Relays, when non-empty, marks this a tunnel edge: no physical path
 	// to the peer exists, and every message is wrapped in a tunnelFrame
 	// and relayed through the first live relay in the list. The list is
-	// kept sorted; the tunnel overlord adds relays learned from traffic
-	// and CTM exchanges and prunes dead ones.
+	// kept sorted and holds at most tunnelMaxRelays; the tunnel overlord
+	// adds relays learned from traffic and CTM exchanges and prunes dead
+	// ones. It is a slice of tun's array.
 	Relays []Addr
+	// tun is what only a tunnel edge keeps, made by the edge's first
+	// addRelay and dropped with Relays when the edge upgrades in place;
+	// nil on every direct edge.
+	tun *tunnelState
 	// URIs is the peer's last advertised URI list, kept for status
 	// gossip and relinking.
 	URIs []URI
-	// observed holds the peer's freshest relay-stamped physical endpoints
-	// (most recent first, bounded). Tunnel endpoints never see each
-	// other's wire addresses directly; these observations — current as of
-	// the last frame — are what upgrade attempts dial first, because the
-	// peer's *advertised* URIs go stale the moment its NAT re-binds or
-	// relaxes.
-	observed []URI
 
 	// node is the owning node, so the keepalive timers can arm through
 	// sim.AtArg with the connection itself as the argument (no closure).
@@ -54,40 +58,57 @@ type Connection struct {
 	// pingWait is the deadline the armed ping round is waiting out; each
 	// resend doubles it.
 	pingWait  sim.Duration
-	pingRetry int
-	awaiting  uint64 // outstanding ping seq; 0 = none
+	pingRetry int32
+	// peerLoad is the peer's last advertised relay load (pongs, or a CTM
+	// NeighborInfo before the first pong); loadKnown marks a first-hand
+	// pong value, which third-party adverts never overwrite.
+	peerLoad int32
+	awaiting uint64 // outstanding ping seq; 0 = none
 
 	// pingSentAt stamps the departure of the outstanding ping round.
 	pingSentAt sim.Time
 	// srtt/rttvar are the Jacobson estimators fed by keepalive RTT
 	// samples (Karn's rule: retransmitted rounds are never sampled);
 	// haveRTT marks the first sample. They drive the adaptive ping
-	// deadline and the tunnel-relay score. (haveRTT sits with the flags
-	// below it, sharing their word.)
-	srtt    sim.Duration
-	rttvar  sim.Duration
-	haveRTT bool
-	// suspected marks a connection under a fast probe after a forwarded
-	// death verdict: a pong clears it as a false suspicion, a timeout
-	// confirms it.
-	suspected bool
+	// deadline and the tunnel-relay score.
+	srtt   sim.Duration
+	rttvar sim.Duration
 	// timedOut marks that at least one ping deadline actually expired in
 	// the current round (fastProbe inflates pingRetry without one);
 	// traffic arriving with it set counts as a premature timeout.
-	timedOut bool
-	// peerLoad is the peer's last advertised relay load (pongs, or a CTM
-	// NeighborInfo before the first pong); loadKnown marks a first-hand
-	// pong value, which third-party adverts never overwrite.
-	peerLoad  int
+	timedOut  bool
 	loadKnown bool
-	// activeRelay anchors a tunnel edge's relay hysteresis: the relay the
-	// last frame used, kept until it dies or a challenger beats it by
-	// more than relayHysteresis.
-	activeRelay Addr
 	// reason records why dropConnection tore the connection down,
 	// readable by OnDisconnection callbacks — the repair overlord re-links
 	// only involuntary losses.
 	reason dropReason
+}
+
+// tunnelState is a tunnel edge's own bookkeeping, kept out of Connection
+// so that a direct edge — nearly every edge — does not carry it.
+type tunnelState struct {
+	// relays backs Connection.Relays.
+	relays [tunnelMaxRelays]Addr
+	// observed holds the peer's freshest relay-stamped physical endpoints,
+	// the first nobserved of them, most recent first. Tunnel endpoints
+	// never see each other's wire addresses directly; these observations —
+	// current as of the last frame — are what upgrade attempts dial first,
+	// because the peer's *advertised* URIs go stale the moment its NAT
+	// re-binds or relaxes.
+	observed  [maxObservedURIs]URI
+	nobserved uint8
+	// activeRelay anchors the edge's relay hysteresis: the relay the last
+	// frame used, kept until it dies or a challenger beats it by more than
+	// relayHysteresis.
+	activeRelay Addr
+}
+
+// tunnel returns c's tunnel state, making it on first use.
+func (c *Connection) tunnel() *tunnelState {
+	if c.tun == nil {
+		c.tun = &tunnelState{}
+	}
+	return c.tun
 }
 
 // Has reports whether the connection serves the given role.
@@ -148,23 +169,43 @@ func (c *Connection) Transport() string {
 	return "udp"
 }
 
+// dropTunnel forgets the tunnel state of an edge upgraded in place to a
+// direct one: its relays and its observations go together.
+func (c *Connection) dropTunnel() { c.Relays, c.tun = nil, nil }
+
 // hasRelay reports whether r is in the connection's relay list.
 func (c *Connection) hasRelay(r Addr) bool {
-	for _, a := range c.Relays {
-		if a == r {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(c.Relays, r)
 }
 
-// addRelay inserts r into the sorted relay list; reports whether new.
+// addRelay inserts r into the sorted relay list; reports whether new. A
+// full list refuses it: the callers check tunnelMaxRelays first.
 func (c *Connection) addRelay(r Addr) bool {
-	if c.hasRelay(r) {
+	k := len(c.Relays)
+	if k == tunnelMaxRelays || c.hasRelay(r) {
 		return false
 	}
-	c.Relays = append(c.Relays, r)
-	sort.Slice(c.Relays, func(i, j int) bool { return c.Relays[i].Less(c.Relays[j]) })
+	t := c.tunnel()
+	i := k
+	for i > 0 && r.Less(t.relays[i-1]) {
+		i--
+	}
+	copy(t.relays[i+1:k+1], t.relays[i:k])
+	t.relays[i] = r
+	c.Relays = t.relays[:k+1]
+	return true
+}
+
+// removeRelay deletes r from the relay list; reports whether present.
+func (c *Connection) removeRelay(r Addr) bool {
+	i := slices.Index(c.Relays, r)
+	if i < 0 {
+		return false
+	}
+	k := len(c.Relays) - 1
+	copy(c.Relays[i:], c.Relays[i+1:])
+	c.Relays[k] = Addr{}
+	c.Relays = c.Relays[:k]
 	return true
 }
 
@@ -178,54 +219,38 @@ func (c *Connection) noteObserved(u URI) {
 	if u.IsZero() || u.Transport == "tcp" {
 		return
 	}
-	if len(c.observed) > 0 && c.observed[0] == u {
+	t := c.tunnel()
+	// Shift the entries in front of u's old slot — or, for a new u, all of
+	// them, the oldest falling off a full history — back by one.
+	i := slices.Index(t.observed[:t.nobserved], u)
+	if i == 0 {
 		return
 	}
-	for i, o := range c.observed {
-		if o == u {
-			c.observed = append(c.observed[:i], c.observed[i+1:]...)
-			break
+	if i < 0 {
+		if t.nobserved < maxObservedURIs {
+			t.nobserved++
 		}
+		i = int(t.nobserved) - 1
 	}
-	c.observed = append([]URI{u}, c.observed...)
-	if len(c.observed) > maxObservedURIs {
-		c.observed = c.observed[:maxObservedURIs]
-	}
+	copy(t.observed[1:i+1], t.observed[:i])
+	t.observed[0] = u
 }
 
 // upgradeURIs builds the trial list for a direct-link upgrade attempt:
 // the freshest relay-stamped observations first, then the peer's own
 // advertised list, deduplicated.
 func (c *Connection) upgradeURIs(advertised []URI) []URI {
-	if len(c.observed) == 0 {
+	if c.tun == nil || c.tun.nobserved == 0 {
 		return advertised
 	}
-	out := make([]URI, 0, len(c.observed)+len(advertised))
-	seen := make(map[URI]bool, len(c.observed)+len(advertised))
-	for _, u := range c.observed {
-		if !seen[u] {
-			seen[u] = true
-			out = append(out, u)
-		}
-	}
+	obs := c.tun.observed[:c.tun.nobserved]
+	out := append(make([]URI, 0, len(obs)+len(advertised)), obs...)
 	for _, u := range advertised {
-		if !seen[u] {
-			seen[u] = true
+		if !slices.Contains(out, u) {
 			out = append(out, u)
 		}
 	}
 	return out
-}
-
-// removeRelay deletes r from the relay list; reports whether present.
-func (c *Connection) removeRelay(r Addr) bool {
-	for i, a := range c.Relays {
-		if a == r {
-			c.Relays = append(c.Relays[:i], c.Relays[i+1:]...)
-			return true
-		}
-	}
-	return false
 }
 
 // String renders "peer[types]@transport:endpoint".
@@ -266,8 +291,7 @@ func (n *Node) addConnection(peer Addr, ep phys.Endpoint, stream *phys.Stream, u
 			// A direct wire confirmed: the tunnel upgrades in place
 			// to a direct edge — roles, table slot and keepalive
 			// state all carry over.
-			c.Relays = nil
-			c.observed = nil
+			c.dropTunnel()
 			n.Stats.Add(cTunnelUpgraded, 1)
 		}
 		c.lastHeard = n.sim.Now()
@@ -414,7 +438,7 @@ func (n *Node) bestRelay(c *Connection) *Connection {
 		if best == nil || s < bestScore {
 			best, bestScore = rc, s
 		}
-		if r == c.activeRelay {
+		if r == c.tun.activeRelay {
 			active, activeScore = rc, s
 		}
 	}
@@ -424,12 +448,12 @@ func (n *Node) bestRelay(c *Connection) *Connection {
 	if active != nil && activeScore <= bestScore+relayHysteresis {
 		return active
 	}
-	if active == nil && !c.activeRelay.IsZero() {
+	if active == nil && !c.tun.activeRelay.IsZero() {
 		n.Stats.Add(cTunnelRelayFailover, 1)
 	} else if active != nil {
 		n.Stats.Add(cTunnelRelaySwitched, 1)
 	}
-	c.activeRelay = best.Peer
+	c.tun.activeRelay = best.Peer
 	return best
 }
 
@@ -510,7 +534,7 @@ func (n *Node) handlePong(c *Connection, m *pingMsg) {
 	if m.Seq != 0 && m.Seq == c.awaiting && c.pingRetry == 0 {
 		c.observeRTT(n.sim.Now().Sub(c.pingSentAt))
 	}
-	c.peerLoad = m.Load
+	c.peerLoad = int32(m.Load)
 	c.loadKnown = true
 	n.touch(c)
 }
@@ -599,7 +623,7 @@ func (n *Node) pingTimeout(c *Connection) {
 		n.schedulePing(c)
 		return
 	}
-	if c.pingRetry >= n.cfg.PingRetries {
+	if int(c.pingRetry) >= n.cfg.PingRetries {
 		n.Stats.Add(cPingDead, 1)
 		n.Stats.Add(cLivenessDetectMs, int64(n.sim.Now().Sub(c.lastHeard)/sim.Millisecond))
 		if c.suspected {
@@ -630,10 +654,7 @@ func (n *Node) fastProbe(c *Connection) {
 		return // dead already, or a ping round is in flight
 	}
 	c.pingTimer.Cancel()
-	c.pingRetry = n.cfg.PingRetries - n.cfg.SuspectRetries
-	if c.pingRetry < 0 {
-		c.pingRetry = 0
-	}
+	c.pingRetry = int32(max(n.cfg.PingRetries-n.cfg.SuspectRetries, 0))
 	c.suspected = true
 	n.pingSeq++
 	c.awaiting = n.pingSeq

@@ -107,8 +107,8 @@ func (n *Node) flightHop(pkt *OverlayPacket, best *Connection) {
 	switch {
 	case best.Tunneled():
 		kind = trace.KindTunnelRelay
-		if !best.activeRelay.IsZero() {
-			via = best.activeRelay.FullString()
+		if !best.tun.activeRelay.IsZero() {
+			via = best.tun.activeRelay.FullString()
 		}
 	case best.Has(Shortcut):
 		kind = trace.KindShortcut

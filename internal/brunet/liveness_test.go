@@ -243,7 +243,7 @@ func TestBestRelayScoringHysteresisFailover(t *testing.T) {
 	cfg := FastTestConfig()
 	cfg.fillDefaults()
 	n := &Node{cfg: cfg, Stats: Counters.New()}
-	mkRelay := func(name string, srttMs int, load int) *Connection {
+	mkRelay := func(name string, srttMs int, load int32) *Connection {
 		rc := &Connection{Peer: AddrFromString(name), roles: maskOf(StructuredNear)}
 		if srttMs > 0 {
 			rc.observeRTT(sim.Duration(srttMs) * sim.Millisecond)
@@ -254,19 +254,15 @@ func TestBestRelayScoringHysteresisFailover(t *testing.T) {
 	}
 	fast := mkRelay("fast", 10, 0)
 	slow := mkRelay("slow", 400, 0)
-	tun := &Connection{Peer: AddrFromString("tun"), Relays: []Addr{fast.Peer, slow.Peer}}
-	sort2 := func() { // c.Relays arrives sorted in production
-		if tun.Relays[1].Less(tun.Relays[0]) {
-			tun.Relays[0], tun.Relays[1] = tun.Relays[1], tun.Relays[0]
-		}
-	}
-	sort2()
+	tun := &Connection{Peer: AddrFromString("tun")}
+	tun.addRelay(fast.Peer)
+	tun.addRelay(slow.Peer)
 
 	// Fresh edge: lowest score wins outright.
 	if got := n.bestRelay(tun); got != fast {
 		t.Fatalf("bestRelay picked %v, want fast", got.Peer)
 	}
-	if tun.activeRelay != fast.Peer {
+	if tun.tun.activeRelay != fast.Peer {
 		t.Fatal("activeRelay not anchored")
 	}
 

@@ -1022,7 +1022,7 @@ func (n *Node) relayCandidates(m *ctmMsg) {
 			break
 		}
 		if c := s.c; !c.Tunneled() {
-			m.relays[k] = NeighborInfo{Addr: c.Peer, URIs: c.URIs, Load: c.peerLoad}
+			m.relays[k] = NeighborInfo{Addr: c.Peer, URIs: c.URIs, Load: int(c.peerLoad)}
 			k++
 		}
 	}

@@ -185,3 +185,83 @@ func (o *refShortcut) direct(peer Addr) bool {
 	c, ok := o.node.lookup(peer)
 	return ok && c.structured()
 }
+
+// refTunnel is a tunnel edge's bookkeeping as Connection kept it before the
+// tunnelState: a sorted relay slice grown by append and sort.Slice, and a
+// freshly prepended observation slice. TestQuickTunnelBookkeepingMatchesOracle
+// holds Connection to it.
+type refTunnel struct {
+	relays   []Addr
+	observed []URI
+}
+
+func (c *refTunnel) hasRelay(r Addr) bool {
+	for _, a := range c.relays {
+		if a == r {
+			return true
+		}
+	}
+	return false
+}
+
+func (c *refTunnel) addRelay(r Addr) bool {
+	if c.hasRelay(r) {
+		return false
+	}
+	c.relays = append(c.relays, r)
+	sort.Slice(c.relays, func(i, j int) bool { return c.relays[i].Less(c.relays[j]) })
+	return true
+}
+
+func (c *refTunnel) removeRelay(r Addr) bool {
+	for i, a := range c.relays {
+		if a == r {
+			c.relays = append(c.relays[:i], c.relays[i+1:]...)
+			return true
+		}
+	}
+	return false
+}
+
+func (c *refTunnel) noteObserved(u URI) {
+	if u.IsZero() || u.Transport == "tcp" {
+		return
+	}
+	if len(c.observed) > 0 && c.observed[0] == u {
+		return
+	}
+	for i, o := range c.observed {
+		if o == u {
+			c.observed = append(c.observed[:i], c.observed[i+1:]...)
+			break
+		}
+	}
+	c.observed = append([]URI{u}, c.observed...)
+	if len(c.observed) > maxObservedURIs {
+		c.observed = c.observed[:maxObservedURIs]
+	}
+}
+
+func (c *refTunnel) upgradeURIs(advertised []URI) []URI {
+	if len(c.observed) == 0 {
+		return advertised
+	}
+	out := make([]URI, 0, len(c.observed)+len(advertised))
+	seen := make(map[URI]bool, len(c.observed)+len(advertised))
+	for _, u := range c.observed {
+		if !seen[u] {
+			seen[u] = true
+			out = append(out, u)
+		}
+	}
+	for _, u := range advertised {
+		if !seen[u] {
+			seen[u] = true
+			out = append(out, u)
+		}
+	}
+	return out
+}
+
+// dropTunnel is the in-place upgrade's reset.
+func (c *refTunnel) dropTunnel() { c.relays, c.observed = nil, nil }

@@ -77,8 +77,8 @@ func tunnelEdge(t testing.TB, r *natRig, delivered *int) (orig, relay, peer *Nod
 	peer.RegisterProto("allocguard", func(Addr, AppData) { *delivered++ })
 	orig.SendTo(peer.Addr(), DeliverExact, AppData{Proto: "allocguard", Size: 64})
 	r.s.RunUntil(r.s.Now())
-	if relay = r.nodeByAddr(c.activeRelay); relay == nil || *delivered != 1 {
-		t.Fatalf("tunnel edge %v~%v carried %d of 1 packets via %v", orig.Addr(), peer.Addr(), *delivered, c.activeRelay)
+	if relay = r.nodeByAddr(c.tun.activeRelay); relay == nil || *delivered != 1 {
+		t.Fatalf("tunnel edge %v~%v carried %d of 1 packets via %v", orig.Addr(), peer.Addr(), *delivered, c.tun.activeRelay)
 	}
 	return orig, relay, peer
 }
@@ -293,7 +293,7 @@ func TestOwnerStampShardedTunnel(t *testing.T) {
 		orig.routePacket(pkt, orig.addr)
 	})
 	r.eng.RunFor(sim.Second)
-	if relay := byAddr[edge.activeRelay]; delivered != 1 || relay == nil || relay.Host().Shard() != 0 {
-		t.Fatalf("delivered %d of 1 packets, relay %v; the test would be vacuous", delivered, edge.activeRelay)
+	if relay := byAddr[edge.tun.activeRelay]; delivered != 1 || relay == nil || relay.Host().Shard() != 0 {
+		t.Fatalf("delivered %d of 1 packets, relay %v; the test would be vacuous", delivered, edge.tun.activeRelay)
 	}
 }

@@ -332,7 +332,8 @@ func TestOccSettlesOnRemove(t *testing.T) {
 // 56: a Node carries the allocator's 8-byte header in front (pointerful
 // objects over 512 bytes), which also makes 696 the last size in the
 // 704-byte class — one word more and every node costs 768. A Connection
-// stays within the 256-byte class.
+// stays within the 192-byte class, where every object starts on a cache
+// line.
 func TestHotFieldsLayout(t *testing.T) {
 	type field struct {
 		name      string
@@ -374,7 +375,7 @@ func TestHotFieldsLayout(t *testing.T) {
 	if size := unsafe.Sizeof(n); size > 696 {
 		t.Errorf("Node is %d bytes, past 696: it left the 704-byte size class for the 768-byte one", size)
 	}
-	if size := unsafe.Sizeof(c); size > 256 {
-		t.Errorf("Connection is %d bytes, past the 256-byte size class", size)
+	if size := unsafe.Sizeof(c); size > 192 {
+		t.Errorf("Connection is %d bytes, past the 192-byte size class", size)
 	}
 }

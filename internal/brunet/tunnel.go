@@ -146,7 +146,7 @@ func (o *tunnelOverlord) learnCandidates(m *ctmMsg) {
 			if !rc.loadKnown {
 				// Seed the relay scorer with the advertised load until
 				// the relay's own pongs speak for it.
-				rc.peerLoad = adv.Load
+				rc.peerLoad = int32(adv.Load)
 			}
 			c.addRelay(adv.Addr)
 		}

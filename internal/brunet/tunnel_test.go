@@ -2,7 +2,10 @@ package brunet
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
+	"testing/quick"
 
 	"wow/internal/natsim"
 	"wow/internal/phys"
@@ -157,7 +160,7 @@ func TestStashCopyAcrossShards(t *testing.T) {
 		eng.Shard(0).At(at, func() {
 			// The first candidate reports a load never seen before, and a CTM
 			// delivered at its sender carries it.
-			pub.table.slots[0].c.peerLoad = 1000 + k
+			pub.table.slots[0].c.peerLoad = int32(1000 + k)
 			pkt, m := pub.ctmPacket(kindRequest)
 			if m == first && m.relays[0].Load == 1000+k {
 				rewritten++
@@ -305,5 +308,144 @@ func TestLinkGiveUpReasonReject(t *testing.T) {
 	}
 	if got := a.Stats.Get("link.giveup.timeout"); got != 0 {
 		t.Fatalf("pure-reject failure counted link.giveup.timeout = %d", got)
+	}
+}
+
+// tunnelFixture is the relay and URI pool the tunnel-bookkeeping tests draw
+// from: six relays, two more than an edge can hold, and a zero, a TCP and
+// three UDP observations.
+func tunnelFixture() ([]Addr, []URI) {
+	relays := make([]Addr, tunnelMaxRelays+2)
+	for i := range relays {
+		relays[i] = AddrFromString(fmt.Sprintf("relay-%d", i))
+	}
+	ip := phys.IP(0x0a000001)
+	uris := []URI{
+		{},
+		{Transport: "tcp", EP: phys.Endpoint{IP: ip, Port: 4000}},
+		{Transport: "udp", EP: phys.Endpoint{IP: ip, Port: 4001}},
+		{Transport: "udp", EP: phys.Endpoint{IP: ip, Port: 4002}},
+		{Transport: "udp", EP: phys.Endpoint{IP: ip + 1, Port: 4001}},
+	}
+	return relays, uris
+}
+
+// TestQuickTunnelBookkeepingMatchesOracle runs random sequences of relay
+// adds (behind the callers' tunnelMaxRelays check), removes of present and
+// absent relays, observations (zero, TCP and repeated URIs), upgrade-list
+// builds and in-place upgrade resets on a Connection and on refTunnel, the
+// slice-based bookkeeping it replaced, and wants the same relay list,
+// observations, upgrade lists and return values after every step. The
+// relay list must stay a slice of the tunnel state's array, whose vacated
+// slots are zero.
+func TestQuickTunnelBookkeepingMatchesOracle(t *testing.T) {
+	relays, uris := tunnelFixture()
+	var capped, absent, resets int
+	f := func(ops []uint16) bool {
+		c := &Connection{Peer: AddrFromString("peer")}
+		ref := &refTunnel{}
+		for step, op := range ops {
+			arg := int(op >> 4)
+			r, u := relays[arg%len(relays)], uris[arg%len(uris)]
+			switch kind := op & 15; {
+			case kind < 5:
+				if len(c.Relays) >= tunnelMaxRelays || len(ref.relays) >= tunnelMaxRelays {
+					if len(c.Relays) != len(ref.relays) {
+						t.Logf("step %d: cap check disagrees: %v vs %v", step, c.Relays, ref.relays)
+						return false
+					}
+					capped++
+					break
+				}
+				if got, want := c.addRelay(r), ref.addRelay(r); got != want {
+					t.Logf("step %d: addRelay(%v) = %v, oracle %v", step, r, got, want)
+					return false
+				}
+			case kind < 8:
+				got, want := c.removeRelay(r), ref.removeRelay(r)
+				if got != want {
+					t.Logf("step %d: removeRelay(%v) = %v, oracle %v", step, r, got, want)
+					return false
+				}
+				if !want {
+					absent++
+				}
+			case kind < 11:
+				c.noteObserved(u)
+				ref.noteObserved(u)
+			case kind < 13:
+				n := len(uris)
+				advertised := []URI{u, uris[arg/n%n], uris[arg/n/n%n]}
+				if got, want := c.upgradeURIs(advertised), ref.upgradeURIs(advertised); !slices.Equal(got, want) {
+					t.Logf("step %d: upgradeURIs(%v) = %v, oracle %v", step, advertised, got, want)
+					return false
+				}
+			case kind < 15:
+				if got, want := c.hasRelay(r), ref.hasRelay(r); got != want {
+					t.Logf("step %d: hasRelay(%v) = %v, oracle %v", step, r, got, want)
+					return false
+				}
+			default:
+				c.dropTunnel()
+				ref.dropTunnel()
+				resets++
+			}
+			var observed []URI
+			if c.tun != nil {
+				observed = c.tun.observed[:c.tun.nobserved]
+				if len(c.Relays) > 0 && &c.Relays[0] != &c.tun.relays[0] {
+					t.Logf("step %d: Relays is not a slice of the tunnel state's array", step)
+					return false
+				}
+				for _, a := range c.tun.relays[len(c.Relays):] {
+					if !a.IsZero() {
+						t.Logf("step %d: a vacated relay slot holds %v", step, a)
+						return false
+					}
+				}
+			}
+			if !slices.Equal(c.Relays, ref.relays) || !slices.Equal(observed, ref.observed) || c.Tunneled() != (len(ref.relays) > 0) {
+				t.Logf("step %d (op %#x): relays %v observed %v, oracle %v %v", step, op, c.Relays, observed, ref.relays, ref.observed)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000, Rand: rand.New(rand.NewSource(35))}); err != nil {
+		t.Fatal(err)
+	}
+	if capped == 0 || absent == 0 || resets == 0 {
+		t.Fatalf("sequences never hit the cap (%d), an absent remove (%d) or a reset (%d)", capped, absent, resets)
+	}
+}
+
+// TestAllocFreeTunnelBookkeeping guards a tunnel edge that already has its
+// tunnel state: filling its relay list, emptying it again and recording a
+// fresh UDP observation allocate nothing.
+func TestAllocFreeTunnelBookkeeping(t *testing.T) {
+	relays, uris := tunnelFixture()
+	relays, udp := relays[:tunnelMaxRelays], uris[2:]
+	c := &Connection{Peer: AddrFromString("peer")}
+	c.addRelay(relays[0])
+	c.removeRelay(relays[0])
+	if c.tun == nil {
+		t.Fatal("no tunnel state after the first addRelay")
+	}
+	k := 0
+	allocGuard(t, "tunnel bookkeeping", 0, func() {
+		for i := range relays {
+			c.addRelay(relays[(k+3*i)%len(relays)])
+		}
+		if len(c.Relays) != tunnelMaxRelays {
+			t.Fatalf("%d relays listed, want %d", len(c.Relays), tunnelMaxRelays)
+		}
+		for i := range relays {
+			c.removeRelay(relays[(k+i)%len(relays)])
+		}
+		c.noteObserved(udp[k%len(udp)])
+		k++
+	})
+	if len(c.Relays) != 0 || c.tun.nobserved != maxObservedURIs || c.tun.observed[0] != udp[(k-1)%len(udp)] {
+		t.Fatalf("relays %v, observations %v: the runs did not do what they claim", c.Relays, c.tun.observed[:c.tun.nobserved])
 	}
 }

@@ -39,8 +39,10 @@ type Host struct {
 	nextPorts [2]uint16
 	sockArr   [2]sockSlot
 
-	Name      string
-	streamsSt *streamPeer
+	Name string
+	// streams indexes the host's open streams by connection ID; the first
+	// stream, dialled or accepted, makes it (addStream).
+	streams map[uint64]*Stream
 }
 
 // sockSlot is one entry of a host's socket table. The key namespaces ports

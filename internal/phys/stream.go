@@ -59,7 +59,7 @@ const (
 	streamIdleReap = 5 * sim.Minute
 )
 
-// streamState values.
+// Stream.state values.
 const (
 	streamSynSent = iota
 	streamOpen
@@ -100,55 +100,40 @@ type Stream struct {
 	reaper       *sim.Ticker
 }
 
-// streamPeer is the per-host stream dispatch state.
-type streamPeer struct {
-	listeners map[uint16]func(*Stream)
-	conns     map[uint64]*Stream // by connID
-}
-
-func (h *Host) streamState() *streamPeer {
-	if h.streamsSt == nil {
-		h.streamsSt = &streamPeer{
-			listeners: make(map[uint16]func(*Stream)),
-			conns:     make(map[uint64]*Stream),
-		}
+// addStream files s in the host's stream index, which the host's first
+// stream makes: a host that never streams keeps none. Lookups read the nil
+// map.
+func (h *Host) addStream(s *Stream) {
+	if h.streams == nil {
+		h.streams = make(map[uint64]*Stream)
 	}
-	return h.streamsSt
+	h.streams[s.connID] = s
 }
 
-// StreamListener accepts inbound streams on a port.
+// StreamListener accepts inbound streams on a port. Its socket's entry in
+// the host's socket table is the listener's registration: a second listener
+// on the port is refused at bind, and a closed one's SYNs find no socket.
 type StreamListener struct {
-	host *Host
-	port uint16
-	sock *UDPSock
+	port   uint16
+	sock   *UDPSock
+	accept func(*Stream)
 }
 
 // Port returns the listening port.
 func (l *StreamListener) Port() uint16 { return l.port }
 
 // Close stops accepting new streams; established streams survive.
-func (l *StreamListener) Close() {
-	st := l.host.streamState()
-	delete(st.listeners, l.port)
-	l.sock.Close()
-}
+func (l *StreamListener) Close() { l.sock.Close() }
 
 // ListenStream accepts stream connections on port (0 picks ephemeral) in
 // the TCP wire namespace; accept fires once per established inbound
 // stream, after the handshake.
 func (h *Host) ListenStream(port uint16, accept func(*Stream)) (*StreamListener, error) {
-	st := h.streamState()
 	sock, err := h.listenWire(WireTCP, port)
 	if err != nil {
 		return nil, fmt.Errorf("phys: stream listen: %w", err)
 	}
-	port = sock.Port()
-	if _, taken := st.listeners[port]; taken {
-		sock.Close()
-		return nil, fmt.Errorf("phys: stream port %d already listening on %s", port, h.Name)
-	}
-	st.listeners[port] = accept
-	l := &StreamListener{host: h, port: port, sock: sock}
+	l := &StreamListener{port: sock.Port(), sock: sock, accept: accept}
 	sock.OnRecv = func(p *Packet) { h.streamDispatchListener(l, p) }
 	return l, nil
 }
@@ -171,7 +156,7 @@ func (h *Host) DialStream(dst Endpoint) *Stream {
 		oo:       make(map[uint64]*streamSeg),
 		rto:      sim.Second,
 	}
-	h.streamState().conns[s.connID] = s
+	h.addStream(s)
 	sock.OnRecv = s.receive
 	s.startReaper()
 	s.emit(streamHdrSize, streamSyn{ConnID: s.connID})
@@ -317,7 +302,7 @@ func (s *Stream) abort(err error) {
 	}
 	s.state = streamClosed
 	s.rtoTimer.Cancel()
-	delete(s.host.streamState().conns, s.connID)
+	delete(s.host.streams, s.connID)
 	if s.reaper != nil {
 		s.reaper.Stop()
 	}
@@ -448,17 +433,11 @@ func (s *Stream) deliver(seg *streamSeg) {
 // streamDispatchListener routes listener-socket traffic: SYNs create
 // accepted streams; everything else dispatches by connection ID.
 func (h *Host) streamDispatchListener(l *StreamListener, p *Packet) {
-	st := h.streamState()
 	switch m := p.Payload.(type) {
 	case streamSyn:
-		if s, ok := st.conns[m.ConnID]; ok {
+		if s, ok := h.streams[m.ConnID]; ok {
 			// Duplicate SYN: our SYNACK was lost.
 			s.emit(streamHdrSize, streamSynAck{ConnID: m.ConnID})
-			return
-		}
-		accept, listening := st.listeners[l.port]
-		if !listening {
-			l.sock.Send(p.Src, streamHdrSize, streamRst{ConnID: m.ConnID})
 			return
 		}
 		s := &Stream{
@@ -471,12 +450,12 @@ func (h *Host) streamDispatchListener(l *StreamListener, p *Packet) {
 			oo:      make(map[uint64]*streamSeg),
 			rto:     sim.Second,
 		}
-		st.conns[m.ConnID] = s
+		h.addStream(s)
 		s.startReaper()
 		s.emit(streamHdrSize, streamSynAck{ConnID: m.ConnID})
-		accept(s)
+		l.accept(s)
 	case streamSeg:
-		if s, ok := st.conns[m.ConnID]; ok {
+		if s, ok := h.streams[m.ConnID]; ok {
 			s.remote = p.Src // track NAT rebinding
 			s.lastActivity = h.Sim().Now()
 			s.acceptSeg(&m)
@@ -484,11 +463,11 @@ func (h *Host) streamDispatchListener(l *StreamListener, p *Packet) {
 			l.sock.Send(p.Src, streamHdrSize, streamRst{ConnID: m.ConnID})
 		}
 	case streamAck:
-		if s, ok := st.conns[m.ConnID]; ok {
+		if s, ok := h.streams[m.ConnID]; ok {
 			s.receive(p)
 		}
 	case streamRst:
-		if s, ok := st.conns[m.ConnID]; ok {
+		if s, ok := h.streams[m.ConnID]; ok {
 			s.abort(ErrStreamRefused)
 		}
 	}

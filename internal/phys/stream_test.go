@@ -1,6 +1,7 @@
 package phys
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -94,17 +95,23 @@ func TestStreamDialUnboundPortTimesOut(t *testing.T) {
 }
 
 func TestStreamRefusedWhenListenerDeregistered(t *testing.T) {
-	// A listener that was closed but whose port state persists responds
-	// with RST... here the socket is gone too, so the dial times out.
-	s, _, h1, h2 := streamRig(5, 0)
+	// Closing a listener takes its socket out of the host's socket table,
+	// which is the only registration a listener has: nothing is left on
+	// the port to answer with an RST, so every SYN is dropped for want of
+	// a socket and the dial times out.
+	s, net, h1, h2 := streamRig(5, 0)
 	l, _ := h2.ListenStream(7000, func(st *Stream) {})
 	l.Close()
 	var err error
 	st := h1.DialStream(Endpoint{IP: h2.IP(), Port: 7000})
 	st.OnClose(func(e error) { err = e })
 	s.RunFor(5 * sim.Minute)
-	if err == nil {
-		t.Fatal("dial to closed listener did not fail")
+	if err != ErrStreamTimeout {
+		t.Fatalf("err = %v, want timeout", err)
+	}
+	// The first SYN and its eight retransmissions before the dialer gives up.
+	if lost := stat(net, "lost.noport"); lost != 9 {
+		t.Fatalf("lost.noport = %d, want the dial's 9 SYNs", lost)
 	}
 }
 
@@ -290,5 +297,46 @@ func TestAllocFreeRTO(t *testing.T) {
 	}
 	if avg != 0 {
 		t.Errorf("arm + cancel + re-arm: %.2f allocs, want 0", avg)
+	}
+}
+
+// TestListenStreamAllocs guards what a host that never streams keeps: its
+// first ListenStream allocates the socket, the listener and the socket's
+// receive closure, and the host has no stream index until its first stream,
+// dialled or accepted.
+func TestListenStreamAllocs(t *testing.T) {
+	s, net, h1, h2 := streamRig(10, 0)
+	site := net.AddSite("c")
+	hosts := make([]*Host, 101) // AllocsPerRun's warm-up run takes one too
+	for i := range hosts {
+		hosts[i] = net.AddHost(fmt.Sprintf("l%d", i), site, net.Root(), HostConfig{})
+	}
+	accept := func(*Stream) {}
+	next := 0
+	avg := testing.AllocsPerRun(len(hosts)-1, func() {
+		if _, err := hosts[next].ListenStream(7000, accept); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	})
+	if raceEnabled || sim.PoolDebug {
+		t.Logf("allocs per first ListenStream under -race or packetdebug: %.2f (not asserted)", avg)
+	} else if avg > 3 {
+		t.Errorf("a host's first ListenStream: %.2f allocs, want at most 3", avg)
+	}
+
+	if _, err := h2.ListenStream(7000, accept); err != nil {
+		t.Fatal(err)
+	}
+	if h1.streams != nil || h2.streams != nil || hosts[0].streams != nil {
+		t.Fatal("a host that has no stream has a stream index")
+	}
+	st := h1.DialStream(Endpoint{IP: h2.IP(), Port: 7000})
+	if h1.streams[st.connID] != st {
+		t.Fatal("dialled stream not indexed")
+	}
+	s.RunFor(sim.Second)
+	if !st.Open() || len(h2.streams) != 1 {
+		t.Fatalf("open %v, %d accepted streams indexed, want 1", st.Open(), len(h2.streams))
 	}
 }
