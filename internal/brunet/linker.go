@@ -28,10 +28,6 @@ type linker struct {
 	// target's URIs, each link request is wrapped in a tunnelFrame and
 	// sent through one relay at a time (uriIdx indexes relays).
 	relays []Addr
-	// upgrade marks an attempt to replace an existing tunnel edge with a
-	// direct one: the "already linked in this role" guard is skipped.
-	upgrade bool
-	// Pooled sits in the padding after upgrade.
 	sim.Pooled
 
 	uriIdx  int
@@ -68,6 +64,9 @@ func (n *Node) startTunnelLinker(target Addr, relays []Addr, uris []URI, t ConnT
 	n.launchLinker(target, uris, relays, t, false)
 }
 
+// launchLinker starts the linker the three above describe. upgrade marks an
+// attempt to replace an existing tunnel edge with a direct one: the "already
+// linked in this role" guard is skipped.
 func (n *Node) launchLinker(target Addr, uris []URI, relays []Addr, t ConnType, upgrade bool) {
 	if target == n.addr {
 		return
@@ -84,7 +83,7 @@ func (n *Node) launchLinker(target Addr, uris []URI, relays []Addr, t ConnType, 
 	n.tokenSeq++
 	lk := n.pool.linkers.Get()
 	lk.node, lk.target, lk.ctype, lk.token = n, target, t, n.tokenSeq
-	lk.uris, lk.relays, lk.upgrade = trialOrder(uris, n.cfg.Transport), relays, upgrade
+	lk.uris, lk.relays = trialOrder(uris, n.cfg.Transport), relays
 	n.linkers[target] = lk
 	n.Stats.Add(cLinkAttempts, 1)
 	lk.sendRequest()

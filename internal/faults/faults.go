@@ -3,7 +3,7 @@
 // site-to-site partitions, packet-loss and latency bursts, node
 // crash+restart cycles, NAT table flushes and correlated churn waves
 // against any phys.Network (and hence any testbed built on one), recording
-// a per-fault timeline and event counters as they fire.
+// a per-fault timeline as they fire.
 //
 // Everything is driven off the shared sim.Simulator: under a fixed seed
 // two runs of the same scenario produce identical timelines, so recovery
@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"strings"
 
-	"wow/internal/metrics"
 	"wow/internal/phys"
 	"wow/internal/sim"
 )
@@ -23,13 +22,10 @@ import (
 // the network's Perturb hook; faults are armed with Schedule and fire on
 // the simulation clock.
 //
-// On a network of more than one shard, only the time-functional gray faults
-// (AsymmetricBlackhole, JitterBurst, LinkFlap, SlowNode) are safe: they
-// install their rules at arm time, before the engine runs, and evaluate
-// activation against each packet's sender-shard clock, so the rules slice is
-// never mutated while shards execute. The event-windowed faults
-// (LinkBlackhole, Partition, LossBurst, LatencyBurst) mutate the rules slice
-// from scheduled events and are for one shard only.
+// Every rule is installed before the engine runs — Schedule is called
+// between runs — and never changes while shards execute: a wire fault's
+// rule evaluates its window against each packet's sender-shard clock, so
+// every fault is safe on any shard count.
 //
 // The hook sees every packet whose destination host the sender's shard
 // resolves: a host in a realm the sender's chain reaches directly, or behind
@@ -40,16 +36,8 @@ type Injector struct {
 	S   *sim.Simulator
 	Net *phys.Network
 
-	// Stats counts the timeline's events as "<label>.<event>": begin/end
-	// for windowed wire faults, kill/restart for node faults, flush for NAT
-	// flushes. Written on S alone.
-	Stats metrics.Counter
-
 	rules    []*rule
 	timeline []TimelineEntry
-	// dropped counts the blackholed packets, "<label>.dropped", on the
-	// sending host's shard (shard-local writes only). TotalStats reads both.
-	dropped *metrics.Sharded
 	// closed makes every already-scheduled fault event a no-op: Close
 	// must fully detach the injector even though simulator events cannot
 	// be unscheduled retroactively.
@@ -58,7 +46,7 @@ type Injector struct {
 
 // New creates an injector and installs it as net's Perturb hook.
 func New(s *sim.Simulator, net *phys.Network) *Injector {
-	inj := &Injector{S: s, Net: net, dropped: metrics.NewSharded(net.Shards())}
+	inj := &Injector{S: s, Net: net}
 	net.Perturb = inj.perturb
 	return inj
 }
@@ -73,18 +61,10 @@ func (inj *Injector) Close() {
 	inj.Net.Perturb = nil
 }
 
-// TotalStats merges the timeline's counters with the per-shard per-packet
-// ones into one view. Call it only between runs.
-func (inj *Injector) TotalStats() metrics.Counter {
-	out := inj.dropped.Merged()
-	out.Merge(&inj.Stats)
-	return out
-}
-
 // Fault is one schedulable fault scenario. The concrete types in this
 // package compose freely: schedule any number against one injector.
 type Fault interface {
-	// Label names the fault in the timeline and counters.
+	// Label names the fault in the timeline.
 	Label() string
 	arm(inj *Injector)
 }
@@ -126,25 +106,20 @@ func (inj *Injector) TimelineString() string {
 
 func (inj *Injector) record(label, event string) {
 	inj.timeline = append(inj.timeline, TimelineEntry{At: inj.S.Now(), Fault: label, Event: event})
-	inj.Stats.Inc(label+"."+event, 1)
 }
 
-// rule is one active wire perturbation. Event-windowed rules (the
-// original seven fault types) are inserted and removed by scheduled
-// events; timed rules (the gray faults) sit in the slice for the whole
-// run and evaluate their activation window — and any up/down duty cycle —
-// against the packet clock, a pure function of (now, src, dst) that is
-// safe on every shard of a parallel engine.
+// rule is one wire perturbation. It sits in the injector's slice from
+// Schedule to Close and evaluates its activation window — and any up/down
+// duty cycle — against the packet clock, a pure function of (now, src, dst)
+// that is safe on every shard of a parallel engine.
 type rule struct {
-	label  string
 	match  func(src, dst *phys.Host) bool
 	drop   bool
 	loss   float64
 	extra  sim.Duration
 	jitter sim.Duration
 
-	// Timed activation (gray faults).
-	timed bool
+	// Activation window.
 	from  sim.Time
 	until sim.Time // 0 = forever
 	// flapPeriod/flapUp give a drop rule a duty cycle: within each
@@ -161,12 +136,8 @@ type rule struct {
 	seed         uint64
 }
 
-// activeAt reports whether a timed rule applies to a packet sent at now.
-// Untimed rules are always active while installed.
+// activeAt reports whether the rule applies to a packet sent at now.
 func (r *rule) activeAt(now sim.Time) bool {
-	if !r.timed {
-		return true
-	}
 	if now < r.from || (r.until > r.from && now >= r.until) {
 		return false
 	}
@@ -209,8 +180,8 @@ func pseudoRand(seed uint64, now sim.Time, a, b string) uint64 {
 
 // perturb is the phys.Network hook: compose every active rule that matches
 // the packet's path. A drop rule wins outright; loss probabilities combine
-// as independent trials and latency adds. Per-packet counters go to the
-// sending shard's counter.
+// as independent trials and latency adds. phys counts a blackholed packet
+// as lost.fault on the sending shard.
 func (inj *Injector) perturb(src, dst *phys.Host, pm phys.PathModel) (phys.PathModel, bool) {
 	now := src.Sim().Now()
 	for _, r := range inj.rules {
@@ -218,7 +189,6 @@ func (inj *Injector) perturb(src, dst *phys.Host, pm phys.PathModel) (phys.PathM
 			continue
 		}
 		if r.drop {
-			inj.dropped.Shard(src.Shard()).Inc(r.label+".dropped", 1)
 			return pm, true
 		}
 		if r.loss > 0 {
@@ -234,39 +204,12 @@ func (inj *Injector) perturb(src, dst *phys.Host, pm phys.PathModel) (phys.PathM
 	return pm, false
 }
 
-// window installs r From after arming and removes it For later, recording
-// begin/end. A zero For leaves the fault active forever.
+// window installs r at once, while no shard runs, active from `from` after
+// arming for dur (a zero dur leaves it active forever), and schedules
+// record-only begin/end marks on the injector's own simulator for the
+// timeline.
 func (inj *Injector) window(label string, r *rule, from, dur sim.Duration) {
-	inj.S.After(from, func() {
-		if inj.closed {
-			return
-		}
-		inj.rules = append(inj.rules, r)
-		inj.record(label, "begin")
-		if dur <= 0 {
-			return
-		}
-		inj.S.After(dur, func() {
-			if inj.closed {
-				return
-			}
-			for i, have := range inj.rules {
-				if have == r {
-					inj.rules = append(inj.rules[:i], inj.rules[i+1:]...)
-					break
-				}
-			}
-			inj.record(label, "end")
-		})
-	})
-}
-
-// timedWindow installs a timed rule immediately (before the run starts —
-// the shard-safe path) and schedules record-only begin/end marks on the
-// injector's own simulator for the timeline.
-func (inj *Injector) timedWindow(label string, r *rule, from, dur sim.Duration) {
 	now := inj.S.Now()
-	r.timed = true
 	r.from = now.Add(from)
 	if dur > 0 {
 		r.until = now.Add(from + dur)

@@ -1,6 +1,9 @@
 package faults
 
 import (
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"wow/internal/phys"
@@ -16,15 +19,18 @@ type rig struct {
 	got   map[string]int
 }
 
-// dropped reads how many packets the fault labelled label has blackholed.
-func dropped(inj *Injector, label string) int64 {
-	total := inj.TotalStats()
-	return total.Get(label + ".dropped")
+// dropped reads how many packets the injector's network has blackholed:
+// phys counts each as lost.fault. A test that reads it arms one wire fault.
+func dropped(inj *Injector) int64 {
+	total := inj.Net.TotalStats()
+	return total.Get("lost.fault")
 }
 
+// statsString renders what a run leaves observable: the network's counters
+// and the fault timeline.
 func statsString(inj *Injector) string {
-	total := inj.TotalStats()
-	return total.String()
+	total := inj.Net.TotalStats()
+	return total.String() + "\n" + inj.TimelineString()
 }
 
 func newRig(t *testing.T, seed int64) *rig {
@@ -82,8 +88,8 @@ func TestPartitionDropsThenHeals(t *testing.T) {
 	if r.got["a2"] != 1 {
 		t.Fatalf("partition hit same-side traffic: a2=%d", r.got["a2"])
 	}
-	if dropped(inj, "partition") != 2 {
-		t.Fatalf("dropped counter = %d, want 2", dropped(inj, "partition"))
+	if dropped(inj) != 2 {
+		t.Fatalf("dropped counter = %d, want 2", dropped(inj))
 	}
 	// After the window: healed.
 	r.s.RunFor(10 * sim.Second)
@@ -110,8 +116,8 @@ func TestBlackholeIsPairwise(t *testing.T) {
 	if r.got["b1"] != 1 {
 		t.Fatalf("b1 got %d packets, want only a2's", r.got["b1"])
 	}
-	if dropped(inj, "blackhole") != 1 {
-		t.Fatalf("dropped = %d, want 1", dropped(inj, "blackhole"))
+	if dropped(inj) != 1 {
+		t.Fatalf("dropped = %d, want 1", dropped(inj))
 	}
 }
 
@@ -195,7 +201,7 @@ func buildScenario(t *testing.T, seed int64) *Injector {
 
 // TestDeterministicTimeline is the acceptance criterion: two runs of an
 // identical scenario under the same seed produce identical fault timelines
-// and identical per-fault counters.
+// and identical network counters.
 func TestDeterministicTimeline(t *testing.T) {
 	a := buildScenario(t, 42)
 	b := buildScenario(t, 42)
@@ -213,5 +219,98 @@ func TestDeterministicTimeline(t *testing.T) {
 	c := buildScenario(t, 7)
 	if len(c.Timeline()) != len(a.Timeline()) {
 		t.Fatalf("event counts differ across seeds: %d vs %d", len(c.Timeline()), len(a.Timeline()))
+	}
+}
+
+// TestWireFaultsSharded runs the four crisp wire faults one after another
+// over steady two-way traffic between two sites, on one shard and on two
+// shards with one and with two workers. Every run must deliver the same
+// packets at the same instants, lose the same ones for the same reasons and
+// record the same timeline. With two workers under -race it also holds the
+// injector to its rule: no rule changes while shards execute.
+func TestWireFaultsSharded(t *testing.T) {
+	type result struct {
+		arrivals [2][]sim.Time
+		counts   string
+		timeline string
+	}
+	run := func(k, workers int) result {
+		eng := sim.NewSharded(1, k, workers)
+		defer eng.Close()
+		net := phys.NewShardedNetwork(eng, phys.UniformLatency(
+			phys.PathModel{OneWay: sim.Millisecond},
+			phys.PathModel{OneWay: 15 * sim.Millisecond},
+		))
+		var res result
+		hosts := [2]*phys.Host{
+			net.AddHost("a1", net.AddSite("site-a"), net.Root(), phys.HostConfig{}),
+			net.AddHost("b1", net.AddSite("site-b"), net.Root(), phys.HostConfig{}),
+		}
+		if floor, ok := net.CrossShardFloor(); ok {
+			eng.SetLookahead(floor)
+		}
+		if hosts[0].Shard() != 0 || hosts[1].Shard() != k-1 {
+			t.Fatalf("K=%d: hosts on shards %d, %d", k, hosts[0].Shard(), hosts[1].Shard())
+		}
+		var socks [2]*phys.UDPSock
+		for i, h := range hosts {
+			i, h := i, h
+			sock, err := h.Listen(7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sock.OnRecv = func(*phys.Packet) { res.arrivals[i] = append(res.arrivals[i], h.Sim().Now()) }
+			socks[i] = sock
+		}
+		// Each host sends to the other every 10 ms for 10 s, on its own
+		// shard, halfway between fault edges: every lookahead window of
+		// the two-shard engine has sends on both shards.
+		for i, h := range hosts {
+			i := i
+			peer := phys.Endpoint{IP: hosts[1-i].IP(), Port: 7}
+			for n := 0; n < 1000; n++ {
+				at := sim.Time(0).Add(sim.Duration(n)*10*sim.Millisecond + 5*sim.Millisecond)
+				h.Sim().At(at, func() { socks[i].Send(peer, 100, "x") })
+			}
+		}
+		inj := New(eng.Shard(0), net)
+		defer inj.Close()
+		inj.Schedule(
+			Partition{A: AtSites("site-a"), From: sim.Second, For: sim.Second},
+			LinkBlackhole{A: On("a1"), B: On("b1"), From: 3 * sim.Second, For: sim.Second},
+			LossBurst{Scope: On("b1"), Loss: 1, From: 5 * sim.Second, For: sim.Second},
+			LatencyBurst{Scope: On("b1"), Extra: 200 * sim.Millisecond, From: 7 * sim.Second, For: sim.Second},
+		)
+		eng.RunFor(11 * sim.Second)
+		total := net.TotalStats()
+		for _, name := range total.Names() {
+			if name == "delivered" || strings.HasPrefix(name, "lost.") {
+				res.counts += fmt.Sprintf("%s=%d ", name, total.Get(name))
+			}
+		}
+		res.timeline = inj.TimelineString()
+		return res
+	}
+
+	one := run(1, 1)
+	// Each fault covers a hundred sends each way; the partition and the
+	// blackhole drop theirs, the loss burst loses its on the wire.
+	if want := "delivered=1400 lost.fault=400 lost.wire=200 "; one.counts != want {
+		t.Fatalf("one shard: counts %q, want %q", one.counts, want)
+	}
+	if strings.Count(one.timeline, "\n") != 8 {
+		t.Fatalf("one shard: timeline\n%s want a begin and an end per fault", one.timeline)
+	}
+	for _, workers := range []int{2, 1} {
+		got := run(2, workers)
+		if got.counts != one.counts || got.timeline != one.timeline {
+			t.Fatalf("K=2 workers=%d: counts %q timeline\n%s want counts %q timeline\n%s",
+				workers, got.counts, got.timeline, one.counts, one.timeline)
+		}
+		for i := range got.arrivals {
+			if !slices.Equal(got.arrivals[i], one.arrivals[i]) {
+				t.Fatalf("K=2 workers=%d: host %d arrivals %v, want %v", workers, i, got.arrivals[i], one.arrivals[i])
+			}
+		}
 	}
 }

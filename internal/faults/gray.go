@@ -7,10 +7,8 @@ import (
 
 // The gray faults model failures that degrade rather than sever: one-way
 // blackholes, latency variance, duty-cycled link flaps and slow hosts.
-// Unlike the crisp window faults they are time-functional — armed before
-// the run, evaluated against each packet's sender clock — so they compose
-// with the parallel engine (see Injector). All are deterministic and
-// timeline-recorded like the original seven.
+// They arm through the same window as the crisp wire faults (see Injector)
+// and are deterministic and timeline-recorded like the original seven.
 
 // AsymmetricBlackhole drops packets in ONE direction only — From→To — for
 // the window. The classic gray failure a bidirectional ping can't localize:
@@ -23,13 +21,12 @@ type AsymmetricBlackhole struct {
 	For      sim.Duration // window length; 0 = forever
 }
 
-// Label names the fault in timelines and counters.
+// Label names the fault in timelines.
 func (f AsymmetricBlackhole) Label() string { return label(f.Name, "asymhole") }
 
 func (f AsymmetricBlackhole) arm(inj *Injector) {
 	a, b := f.From.matcher(), f.To.matcher()
-	inj.timedWindow(f.Label(), &rule{
-		label: f.Label(),
+	inj.window(f.Label(), &rule{
 		drop:  true,
 		match: func(src, dst *phys.Host) bool { return a(src) && b(dst) },
 	}, f.Start, f.For)
@@ -50,13 +47,12 @@ type JitterBurst struct {
 	Seed  uint64 // varies the per-packet pattern across instances
 }
 
-// Label names the fault in timelines and counters.
+// Label names the fault in timelines.
 func (f JitterBurst) Label() string { return label(f.Name, "jitter") }
 
 func (f JitterBurst) arm(inj *Injector) {
 	m := f.Scope.matcher()
-	inj.timedWindow(f.Label(), &rule{
-		label:        f.Label(),
+	inj.window(f.Label(), &rule{
 		pseudoJitter: f.Amp,
 		seed:         f.Seed,
 		match:        func(src, dst *phys.Host) bool { return m(src) || m(dst) },
@@ -78,7 +74,7 @@ type LinkFlap struct {
 	For    sim.Duration
 }
 
-// Label names the fault in timelines and counters.
+// Label names the fault in timelines.
 func (f LinkFlap) Label() string { return label(f.Name, "flap") }
 
 func (f LinkFlap) arm(inj *Injector) {
@@ -87,8 +83,7 @@ func (f LinkFlap) arm(inj *Injector) {
 	if f.B.empty() {
 		b = func(h *phys.Host) bool { return !a(h) }
 	}
-	inj.timedWindow(f.Label(), &rule{
-		label:      f.Label(),
+	inj.window(f.Label(), &rule{
 		drop:       true,
 		flapPeriod: f.Period,
 		flapUp:     f.Up,
@@ -111,13 +106,12 @@ type SlowNode struct {
 	For   sim.Duration
 }
 
-// Label names the fault in timelines and counters.
+// Label names the fault in timelines.
 func (f SlowNode) Label() string { return label(f.Name, "slow") }
 
 func (f SlowNode) arm(inj *Injector) {
 	m := f.Scope.matcher()
-	inj.timedWindow(f.Label(), &rule{
-		label: f.Label(),
+	inj.window(f.Label(), &rule{
 		extra: f.Extra,
 		match: func(src, dst *phys.Host) bool { return m(dst) },
 	}, f.Start, f.For)

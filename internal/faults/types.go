@@ -16,14 +16,13 @@ type LinkBlackhole struct {
 	For  sim.Duration // window length; 0 = forever
 }
 
-// Label names the fault in timelines and counters.
+// Label names the fault in timelines.
 func (f LinkBlackhole) Label() string { return label(f.Name, "blackhole") }
 
 func (f LinkBlackhole) arm(inj *Injector) {
 	a, b := f.A.matcher(), f.B.matcher()
 	inj.window(f.Label(), &rule{
-		label: f.Label(),
-		drop:  true,
+		drop: true,
 		match: func(src, dst *phys.Host) bool {
 			return (a(src) && b(dst)) || (b(src) && a(dst))
 		},
@@ -40,7 +39,7 @@ type Partition struct {
 	For  sim.Duration
 }
 
-// Label names the fault in timelines and counters.
+// Label names the fault in timelines.
 func (f Partition) Label() string { return label(f.Name, "partition") }
 
 func (f Partition) arm(inj *Injector) {
@@ -50,8 +49,7 @@ func (f Partition) arm(inj *Injector) {
 		b = func(h *phys.Host) bool { return !a(h) }
 	}
 	inj.window(f.Label(), &rule{
-		label: f.Label(),
-		drop:  true,
+		drop: true,
 		match: func(src, dst *phys.Host) bool {
 			return (a(src) && b(dst)) || (b(src) && a(dst))
 		},
@@ -69,13 +67,12 @@ type LossBurst struct {
 	For   sim.Duration
 }
 
-// Label names the fault in timelines and counters.
+// Label names the fault in timelines.
 func (f LossBurst) Label() string { return label(f.Name, "loss") }
 
 func (f LossBurst) arm(inj *Injector) {
 	m := f.Scope.matcher()
 	inj.window(f.Label(), &rule{
-		label: f.Label(),
 		loss:  f.Loss,
 		match: func(src, dst *phys.Host) bool { return m(src) || m(dst) },
 	}, f.From, f.For)
@@ -94,13 +91,12 @@ type LatencyBurst struct {
 	For    sim.Duration
 }
 
-// Label names the fault in timelines and counters.
+// Label names the fault in timelines.
 func (f LatencyBurst) Label() string { return label(f.Name, "latency") }
 
 func (f LatencyBurst) arm(inj *Injector) {
 	m := f.Scope.matcher()
 	inj.window(f.Label(), &rule{
-		label:  f.Label(),
 		extra:  f.Extra,
 		jitter: f.Jitter,
 		match:  func(src, dst *phys.Host) bool { return m(src) || m(dst) },
@@ -120,7 +116,7 @@ type CrashRestart struct {
 	Restart func()
 }
 
-// Label names the fault in timelines and counters.
+// Label names the fault in timelines.
 func (f CrashRestart) Label() string { return label(f.Name, "crash") }
 
 func (f CrashRestart) arm(inj *Injector) {
@@ -156,7 +152,7 @@ type NATFlush struct {
 	At   sim.Duration
 }
 
-// Label names the fault in timelines and counters.
+// Label names the fault in timelines.
 func (f NATFlush) Label() string { return label(f.Name, "natflush") }
 
 func (f NATFlush) arm(inj *Injector) {
@@ -189,7 +185,7 @@ type ChurnWave struct {
 	Down    sim.Duration
 }
 
-// Label names the fault in timelines and counters.
+// Label names the fault in timelines.
 func (f ChurnWave) Label() string { return label(f.Name, "churn") }
 
 func (f ChurnWave) arm(inj *Injector) {

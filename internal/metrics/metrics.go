@@ -334,14 +334,13 @@ func (f *Family) lookup(name string) (int, bool) {
 // Counter accumulates named integer counts; handy for protocol statistics
 // (packets routed, retries, hole punches, …). A Counter made by a Family
 // (Family.New) counts the family's names in dense cells through Add; any
-// other name, and every name of a bare Counter, lives in a map and is
+// other name, and every name of a bare Counter, has a cell in one map and is
 // counted by name (Inc) or through a Handle resolved once. All of it reads
 // as one name-keyed view. A copy of a Counter shares its cells with the
 // original.
 type Counter struct {
 	fam   *Family
 	vals  []int64 // fam's cells, indexed as fam's names
-	m     map[string]int64
 	cells map[string]*int64
 }
 
@@ -367,65 +366,51 @@ func (h Handle) Inc(delta int64) {
 // is its family cell. Any other name's cell is made if necessary, and
 // resolving registers that name: it appears in Names and String even while
 // still zero. Repeated resolutions of one name share a cell.
-func (c *Counter) Handle(name string) Handle {
+func (c *Counter) Handle(name string) Handle { return Handle{v: c.cell(name)} }
+
+// cell returns the named count's cell: a family name's family cell, any
+// other name's map cell, made on first use.
+func (c *Counter) cell(name string) *int64 {
 	if i, ok := c.fam.lookup(name); ok {
-		return Handle{v: &c.vals[i]}
-	}
-	if c.cells == nil {
-		c.cells = make(map[string]*int64)
+		return &c.vals[i]
 	}
 	cell, ok := c.cells[name]
 	if !ok {
+		if c.cells == nil {
+			c.cells = make(map[string]*int64)
+		}
 		cell = new(int64)
 		c.cells[name] = cell
 	}
-	return Handle{v: cell}
+	return cell
 }
 
 // Inc adds delta to the named count.
-func (c *Counter) Inc(name string, delta int64) {
-	if i, ok := c.fam.lookup(name); ok {
-		c.vals[i] += delta
-		return
-	}
-	if cell, ok := c.cells[name]; ok {
-		*cell += delta
-		return
-	}
-	if c.m == nil {
-		c.m = make(map[string]int64)
-	}
-	c.m[name] += delta
-}
+func (c *Counter) Inc(name string, delta int64) { *c.cell(name) += delta }
 
 // Get returns the named count (0 when never incremented).
 func (c *Counter) Get(name string) int64 {
 	if i, ok := c.fam.lookup(name); ok {
 		return c.vals[i]
 	}
-	if cell, ok := c.cells[name]; ok {
-		return c.m[name] + *cell
+	if cell := c.cells[name]; cell != nil {
+		return *cell
 	}
-	return c.m[name]
+	return 0
 }
 
 // Names returns all counter names in sorted order: every family name whose
 // count is non-zero, and every other name that has been counted or resolved
 // to a handle, even while still zero.
 func (c *Counter) Names() []string {
-	out := make([]string, 0, len(c.m)+len(c.cells))
+	out := make([]string, 0, len(c.cells))
 	for i, v := range c.vals {
 		if v != 0 {
 			out = append(out, c.fam.names[i])
 		}
 	}
-	for k := range c.m {
-		out = append(out, k)
-	}
 	for k := range c.cells {
-		if _, dup := c.m[k]; !dup {
-			out = append(out, k)
-		}
+		out = append(out, k)
 	}
 	sort.Strings(out)
 	return out
@@ -452,9 +437,6 @@ func (c *Counter) Merge(other *Counter) {
 		if v != 0 {
 			c.Inc(other.fam.names[i], v)
 		}
-	}
-	for name, v := range other.m {
-		c.Inc(name, v)
 	}
 	for name, cell := range other.cells {
 		c.Inc(name, *cell)

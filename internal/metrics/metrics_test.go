@@ -316,10 +316,10 @@ func TestLogHistogram(t *testing.T) {
 // handle-backed names in one sorted order with no duplicates.
 func TestCounterMergeHandles(t *testing.T) {
 	var a, b Counter
-	a.Inc("m", 1)         // map-backed
-	a.Handle("h").Inc(2)  // cell-backed
-	b.Handle("m").Inc(10) // cell-backed on a name a holds in its map
-	b.Inc("h", 20)        // b's map, a's cell
+	a.Inc("m", 1)         // by name
+	a.Handle("h").Inc(2)  // through a handle
+	b.Handle("m").Inc(10) // a handle on a name a counts by name
+	b.Inc("h", 20)        // by name on a name a holds a handle to
 	b.Handle("z")         // resolved but never incremented
 	a.Merge(&b)
 	if a.Get("m") != 11 || a.Get("h") != 22 || a.Get("z") != 0 {
@@ -335,16 +335,16 @@ func TestCounterMergeHandles(t *testing.T) {
 			t.Fatalf("names = %v, want %v", names, want)
 		}
 	}
-	// A name living in both the map and a cell must be listed once and
-	// read as the sum of both stores.
+	// A name counted both by name and through a handle must be listed once
+	// and read as the sum of both.
 	var c Counter
-	c.Inc("dual", 1)        // map store
-	c.Handle("dual").Inc(2) // cell store, same name
+	c.Inc("dual", 1)
+	c.Handle("dual").Inc(2)
 	if got := c.Names(); len(got) != 1 || got[0] != "dual" {
-		t.Fatalf("dual-store name duplicated: %v", got)
+		t.Fatalf("name counted two ways duplicated: %v", got)
 	}
 	if c.Get("dual") != 3 {
-		t.Fatalf("dual-store read = %d, want 3", c.Get("dual"))
+		t.Fatalf("name counted two ways read = %d, want 3", c.Get("dual"))
 	}
 }
 

@@ -576,8 +576,8 @@ func (n *Network) drop(sh int, reason string, p *Packet) {
 // buffer (single-writer, like the stats counters) with that shard's clock,
 // and the payload's trace context is consumed so an object shared between
 // a retransmit buffer and the wire cannot terminate twice. The record's
-// outcome is "phys."+reason, spelled out only once a record is certain, so
-// an untraced drop allocates nothing.
+// outcome is trace.OutcomePhysicalDrop+reason, spelled out only once a
+// record is certain, so an untraced drop allocates nothing.
 func (n *Network) flightDiscard(sh int, reason string, payload any) {
 	if n.FlightRecorder == nil {
 		return
@@ -597,7 +597,7 @@ func (n *Network) flightDiscard(sh int, reason string, payload any) {
 		T:       int64(now),
 		Trace:   id,
 		LatNs:   int64(now.Sub(start)),
-		Outcome: "phys." + reason,
+		Outcome: trace.OutcomePhysicalDrop + reason,
 	})
 	t.ClearTrace()
 }

@@ -168,8 +168,7 @@ func embeddedTickFired(o any) {
 // TestAllocFreeTicker guards the closure-free ticker: a tick's reschedule
 // draws its jitter and arms through AtArg without allocating, whether Tick
 // made the ticker or its owner embeds it (StartTicker). The two draw the same
-// intervals from the same seed: TickRand is StartTicker on a ticker of its
-// own.
+// intervals from the same seed: Tick is StartTicker on a ticker of its own.
 func TestAllocFreeTicker(t *testing.T) {
 	s := New(1)
 	at := make([]Time, 0, 2048)

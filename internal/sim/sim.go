@@ -519,8 +519,8 @@ func (s *Simulator) AdvanceTo(t Time) {
 // invocation happens one interval from now. The ticker carries everything
 // its next arming needs, so each tick reschedules through AtArg with the
 // ticker itself as the argument and allocates nothing. A Ticker may be a
-// field of the struct that owns it, armed with StartTicker; Tick and
-// TickRand make one of their own.
+// field of the struct that owns it, armed with StartTicker; Tick makes one
+// of its own.
 type Ticker struct {
 	stop bool
 	ev   Timer
@@ -568,24 +568,18 @@ func tickerFire(arg any) {
 // positive, uniformly perturbs each interval by ±jitter to avoid lock-step
 // synchronization across many nodes.
 func (s *Simulator) Tick(interval, jitter Duration, fn func()) *Ticker {
-	return s.TickRand(interval, jitter, nil, fn)
-}
-
-// TickRand is Tick with an explicit jitter source: a non-nil rng supplies
-// the interval perturbations instead of the simulator's shared RNG. Nodes
-// that carry their own seeded RNG use this to keep protocol jitter
-// independent of the global draw sequence (and therefore identical across
-// shard counts on the parallel engine). A nil rng is exactly Tick.
-func (s *Simulator) TickRand(interval, jitter Duration, rng *rand.Rand, fn func()) *Ticker {
 	t := new(Ticker)
-	s.StartTicker(t, interval, jitter, rng, callFunc, fn)
+	s.StartTicker(t, interval, jitter, nil, callFunc, fn)
 	return t
 }
 
 // StartTicker arms t, which its owner embeds, to call fn(arg) every interval,
-// with TickRand's jitter draw and order: the first tick one jittered interval
-// from now, each later one armed after fn returns. With a package-level fn
-// and a pointer arg (the owner, say) neither the arming nor a tick allocates.
+// with Tick's jitter draw and order: the first tick one jittered interval
+// from now, each later one armed after fn returns. A non-nil rng supplies
+// the jitter instead of the simulator's shared RNG, keeping a node's protocol
+// jitter independent of the global draw sequence (and so identical across
+// shard counts). With a package-level fn and a pointer arg (the owner, say)
+// neither the arming nor a tick allocates.
 // Whatever t held before is overwritten: a ticker that is still running must
 // be stopped first.
 func (s *Simulator) StartTicker(t *Ticker, interval, jitter Duration, rng *rand.Rand, fn func(any), arg any) {
