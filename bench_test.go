@@ -330,7 +330,7 @@ func BenchmarkLiveMigration(b *testing.B) {
 // for every cross-side link to die.
 func BenchmarkPartitionHeal(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunPartitionHeal(experiments.PartitionHealOpts{Seed: int64(i + 1)})
+		res, err := experiments.RunPartitionHeal(experiments.FaultOpts{Seed: int64(i + 1)})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -338,7 +338,7 @@ func BenchmarkPartitionHeal(b *testing.B) {
 			b.Fatal("overlay did not re-merge after the partition healed")
 		}
 		b.ReportMetric(res.Report.RecoverySec, "remerge-s")
-		b.ReportMetric(float64(res.Report.Counters.Get("relink.success")), "relinks")
+		b.ReportMetric(float64(res.Report.Counters["relink.success"]), "relinks")
 		if i == 0 {
 			b.Log("\n" + res.String())
 		}
@@ -349,7 +349,7 @@ func BenchmarkPartitionHeal(b *testing.B) {
 // the paper's cold IPOP kill against a graceful leave with ring handoff.
 func BenchmarkGracefulMigration(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunMigrationOutage(experiments.MigrationOutageOpts{Seed: int64(i + 1)})
+		res, err := experiments.RunMigrationOutage(experiments.FaultOpts{Seed: int64(i + 1)})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -368,7 +368,7 @@ func BenchmarkGracefulMigration(b *testing.B) {
 // kill+restart wave rolling across a quarter of the routers.
 func BenchmarkCorrelatedChurn(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunCorrelatedChurn(experiments.ChurnWaveOpts{Seed: int64(i + 1)})
+		res, err := experiments.RunCorrelatedChurn(experiments.FaultOpts{Seed: int64(i + 1)})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -90,11 +90,11 @@ var registry = []experiment{
 		b.show("live-migration", migRes, err)
 	}},
 	{"faults", "Fault injection: migration window, partition repair, correlated churn", func(b *bench) {
-		mo, err := experiments.RunMigrationOutage(experiments.MigrationOutageOpts{Seed: b.seed})
+		mo, err := experiments.RunMigrationOutage(experiments.FaultOpts{Seed: b.seed})
 		b.show("migration-outage", mo, err)
-		ph, err := experiments.RunPartitionHeal(experiments.PartitionHealOpts{Seed: b.seed})
+		ph, err := experiments.RunPartitionHeal(experiments.FaultOpts{Seed: b.seed})
 		b.show("partition-heal", ph, err)
-		cc, err := experiments.RunCorrelatedChurn(experiments.ChurnWaveOpts{Seed: b.seed})
+		cc, err := experiments.RunCorrelatedChurn(experiments.FaultOpts{Seed: b.seed})
 		b.show("correlated-churn", cc, err)
 	}},
 	{"schedulers", "Middleware comparison: PBS vs Condor", func(b *bench) {

@@ -311,8 +311,12 @@ func TestFig6StallDetectionHelpers(t *testing.T) {
 	}
 	var jo JoinOpts
 	jo.fillDefaults()
-	if jo.Trials != 100 || jo.Pings != 400 || jo.Routers != 118 {
+	if jo.Trials != 100 || jo.Pings != 400 {
 		t.Fatalf("join defaults: %+v", jo)
+	}
+	// The overlay's size defaults in the testbed: the paper's 118 routers.
+	if tb, _ := joinTestbed(jo, "ufl.edu", true); len(tb.Routers()) != 118 || tb.Cfg.PlanetLabHosts != 20 {
+		t.Fatalf("join testbed: %d routers on %d hosts, want 118 on 20", len(tb.Routers()), tb.Cfg.PlanetLabHosts)
 	}
 }
 

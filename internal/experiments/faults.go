@@ -6,7 +6,6 @@ import (
 
 	"wow/internal/brunet"
 	"wow/internal/faults"
-	"wow/internal/metrics"
 	"wow/internal/sim"
 	"wow/internal/testbed"
 	"wow/internal/vm"
@@ -29,12 +28,59 @@ func liveOverlays(tb *testbed.Testbed) []*brunet.Node {
 	return out
 }
 
-// snapshotRecovery merges every live node's protocol counters into one
-// fleet-wide view.
-func snapshotRecovery(tb *testbed.Testbed) metrics.Counter {
-	var c metrics.Counter
-	for _, bn := range liveOverlays(tb) {
-		c.Merge(&bn.Stats)
+// recoveryNames are the fault-handling counters every resilience
+// experiment reports, in presentation order: the detection path
+// (ping.dead, ping.stale, fast probes, forwarded closes), the graceful
+// path (handoffs), and the repair path (re-links, link give-ups).
+var recoveryNames = []string{
+	"ping.dead",
+	"ping.stale",
+	"ping.fast_probe",
+	"close.forwarded",
+	"handoff.sent",
+	"handoff.received",
+	"handoff.linked",
+	"relink.attempts",
+	"relink.success",
+	"relink.giveup",
+	"link.giveup",
+}
+
+// RecoveryReport is the uniform summary a resilience experiment produces:
+// how long recovery took and which protocol machinery did the work.
+type RecoveryReport struct {
+	// Scenario names the experiment ("partition-heal", …).
+	Scenario string
+	// RecoverySec is the measured time from fault (or heal trigger) to
+	// full recovery, in seconds; negative when recovery never completed.
+	RecoverySec float64
+	// Counters holds how much each recovery counter grew over the
+	// experiment, summed over the fleet.
+	Counters map[string]int64
+}
+
+// String renders the standard recovery table: one scenario line followed by
+// every recovery counter. Zeros are printed rather than suppressed — which
+// recovery machinery did no work is as informative as which did.
+func (r *RecoveryReport) String() string {
+	var b strings.Builder
+	if r.RecoverySec < 0 {
+		fmt.Fprintf(&b, "%-24s recovery: DID NOT RECOVER\n", r.Scenario)
+	} else {
+		fmt.Fprintf(&b, "%-24s recovery: %.1fs\n", r.Scenario, r.RecoverySec)
+	}
+	for _, name := range recoveryNames {
+		fmt.Fprintf(&b, "  %-22s %d\n", name, r.Counters[name])
+	}
+	return b.String()
+}
+
+// recoveryCounts sums each recovery counter over the testbed's live nodes.
+func recoveryCounts(tb *testbed.Testbed) map[string]int64 {
+	live := liveOverlays(tb)
+	c := make(map[string]int64, len(recoveryNames))
+	for _, name := range recoveryNames {
+		c[name] = statTotal(live, name)
 	}
 	return c
 }
@@ -42,12 +88,10 @@ func snapshotRecovery(tb *testbed.Testbed) metrics.Counter {
 // recoveryDelta reports how much each recovery counter grew between two
 // snapshots, clamped at zero (a node restarted in between resets its own
 // counts).
-func recoveryDelta(before, after metrics.Counter) metrics.Counter {
-	var d metrics.Counter
-	for _, name := range metrics.RecoveryNames {
-		if v := after.Get(name) - before.Get(name); v > 0 {
-			d.Inc(name, v)
-		}
+func recoveryDelta(before, after map[string]int64) map[string]int64 {
+	d := make(map[string]int64, len(recoveryNames))
+	for _, name := range recoveryNames {
+		d[name] = max(after[name]-before[name], 0)
 	}
 	return d
 }
@@ -88,26 +132,36 @@ func renderTimeline(b *strings.Builder, tl []faults.TimelineEntry) {
 	}
 }
 
-// MigrationOutageOpts parameterizes the graceful-vs-cold §V-C comparison.
-type MigrationOutageOpts struct {
+// FaultOpts parameterizes the fault harnesses: the §V-C migration window,
+// partition repair and the correlated churn wave.
+type FaultOpts struct {
 	Seed int64
-	// Routers / PlanetLabHosts size the overlay.
+	// Routers / PlanetLabHosts size the overlay (default 40 on 8 hosts).
 	Routers, PlanetLabHosts int
 }
 
-// migrationOutageBps is the VM image copy rate of the §V-C comparison: 2 MB/s
-// keeps the transfer much longer than the baseline detection window, so the
-// window is measured cleanly before the node reappears.
-const migrationOutageBps = 2 << 20
-
-func (o *MigrationOutageOpts) fillDefaults() {
+// faultTestbed fills o's defaults in place — RunPartitionHeal reads
+// PlanetLabHosts to choose its cut — and builds the settled testbed.
+func faultTestbed(o *FaultOpts) *testbed.Testbed {
 	if o.Routers == 0 {
 		o.Routers = 40
 	}
 	if o.PlanetLabHosts == 0 {
 		o.PlanetLabHosts = 8
 	}
+	return testbed.Build(testbed.Config{
+		Seed:           o.Seed,
+		Shortcuts:      true,
+		Routers:        o.Routers,
+		PlanetLabHosts: o.PlanetLabHosts,
+		SettleTime:     5 * sim.Minute,
+	})
 }
+
+// migrationOutageBps is the VM image copy rate of the §V-C comparison: 2 MB/s
+// keeps the transfer much longer than the baseline detection window, so the
+// window is measured cleanly before the node reappears.
+const migrationOutageBps = 2 << 20
 
 // MigrationOutageResult compares the ring-repair window of a cold IPOP
 // kill (the paper's §V-C migration procedure) against a graceful leave
@@ -124,7 +178,7 @@ type MigrationOutageResult struct {
 	// Baseline / Graceful attribute the repair work: the baseline heals
 	// via ping timeouts, fast probes and re-links, the graceful path via
 	// leave handoffs.
-	Baseline, Graceful metrics.RecoveryReport
+	Baseline, Graceful RecoveryReport
 }
 
 // String renders the comparison.
@@ -141,8 +195,7 @@ func (r *MigrationOutageResult) String() string {
 // RunMigrationOutage runs the §V-C migration twice — once killing IPOP
 // cold as the paper did, once departing gracefully — and measures the
 // overlay ring-repair window in each mode.
-func RunMigrationOutage(opts MigrationOutageOpts) (*MigrationOutageResult, error) {
-	opts.fillDefaults()
+func RunMigrationOutage(opts FaultOpts) (*MigrationOutageResult, error) {
 	res := &MigrationOutageResult{}
 	for _, graceful := range []bool{false, true} {
 		window, report, err := runMigrationWindow(opts, graceful)
@@ -160,25 +213,19 @@ func RunMigrationOutage(opts MigrationOutageOpts) (*MigrationOutageResult, error
 	return res, nil
 }
 
-func runMigrationWindow(opts MigrationOutageOpts, graceful bool) (float64, metrics.RecoveryReport, error) {
+func runMigrationWindow(opts FaultOpts, graceful bool) (float64, RecoveryReport, error) {
 	scenario := "migration-cold"
 	if graceful {
 		scenario = "migration-graceful"
 	}
-	report := metrics.RecoveryReport{Scenario: scenario, RecoverySec: -1}
+	report := RecoveryReport{Scenario: scenario, RecoverySec: -1}
 
-	tb := testbed.Build(testbed.Config{
-		Seed:           opts.Seed,
-		Shortcuts:      true,
-		Routers:        opts.Routers,
-		PlanetLabHosts: opts.PlanetLabHosts,
-		SettleTime:     5 * sim.Minute,
-	})
+	tb := faultTestbed(&opts)
 	victim := tb.VM("node003")
 	victimAddr := victim.Node().Addr()
 	dst := tb.NewHostAt("northwestern.edu")
 
-	before := snapshotRecovery(tb)
+	before := recoveryCounts(tb)
 	killAt := tb.Sim.Now()
 	cfg := vm.MigrationConfig{TransferBps: migrationOutageBps, Graceful: graceful}
 	if err := victim.Migrate(dst, cfg, nil); err != nil {
@@ -186,7 +233,7 @@ func runMigrationWindow(opts MigrationOutageOpts, graceful bool) (float64, metri
 	}
 
 	window := -1.0
-	for tb.Sim.Now().Sub(killAt) < 20*sim.Minute {
+	for tb.Sim.Now().Sub(killAt) < healWindow {
 		tb.Sim.RunFor(sim.Second)
 		if victim.Node().Up() {
 			break // node restarted at the destination; window censored
@@ -197,30 +244,14 @@ func runMigrationWindow(opts MigrationOutageOpts, graceful bool) (float64, metri
 		}
 	}
 	report.RecoverySec = window
-	report.Counters = recoveryDelta(before, snapshotRecovery(tb))
+	report.Counters = recoveryDelta(before, recoveryCounts(tb))
 	return window, report, nil
-}
-
-// PartitionHealOpts parameterizes the partition-and-repair experiment.
-type PartitionHealOpts struct {
-	Seed int64
-	// Routers / PlanetLabHosts size the overlay.
-	Routers, PlanetLabHosts int
 }
 
 // partitionFor is how long the cut lasts: long enough that every
 // cross-partition link times out and each side re-forms its own ring, so
 // re-merging requires the repair overlord's cached direct re-links.
 const partitionFor = 3 * sim.Minute
-
-func (o *PartitionHealOpts) fillDefaults() {
-	if o.Routers == 0 {
-		o.Routers = 40
-	}
-	if o.PlanetLabHosts == 0 {
-		o.PlanetLabHosts = 8
-	}
-}
 
 // PartitionHealResult is the measured repair after a WAN partition.
 type PartitionHealResult struct {
@@ -230,7 +261,7 @@ type PartitionHealResult struct {
 	CutConfirmed bool
 	// Healed reports that every cross-partition probe pair recovered.
 	Healed bool
-	Report metrics.RecoveryReport
+	Report RecoveryReport
 	// Timeline is the injector's fault record.
 	Timeline []faults.TimelineEntry
 }
@@ -250,15 +281,8 @@ func (r *PartitionHealResult) String() string {
 // hosts off from the rest of the world, holds the partition long enough
 // for every cross-side link to die, heals it, and measures how long the
 // overlay takes to re-merge into one routable ring.
-func RunPartitionHeal(opts PartitionHealOpts) (*PartitionHealResult, error) {
-	opts.fillDefaults()
-	tb := testbed.Build(testbed.Config{
-		Seed:           opts.Seed,
-		Shortcuts:      true,
-		Routers:        opts.Routers,
-		PlanetLabHosts: opts.PlanetLabHosts,
-		SettleTime:     5 * sim.Minute,
-	})
+func RunPartitionHeal(opts FaultOpts) (*PartitionHealResult, error) {
+	tb := faultTestbed(&opts)
 	inj := faults.New(tb.Sim, tb.Net)
 	defer inj.Close()
 
@@ -268,7 +292,7 @@ func RunPartitionHeal(opts PartitionHealOpts) (*PartitionHealResult, error) {
 	}
 	inj.Schedule(faults.Partition{A: faults.AtSites(cutSites...), From: 0, For: partitionFor})
 	cutAt := tb.Sim.Now()
-	before := snapshotRecovery(tb)
+	before := recoveryCounts(tb)
 
 	// Mid-window: the cut must actually sever cross-partition traffic.
 	tb.Sim.RunFor(partitionFor / 2)
@@ -286,33 +310,13 @@ func RunPartitionHeal(opts PartitionHealOpts) (*PartitionHealResult, error) {
 		{"node003", "node017"}, {"node017", "node003"},
 		{"node004", "node018"}, {"node019", "node030"},
 	}
-	report := metrics.RecoveryReport{Scenario: "partition-heal", RecoverySec: -1}
-	for tb.Sim.Now().Sub(healAt) < 20*sim.Minute {
-		allOK := true
-		for _, p := range pairs {
-			if !pingOK(tb.Sim, tb.VM(p[0]), tb.VM(p[1]).IP()) {
-				allOK = false
-				break
-			}
-		}
-		if allOK {
-			res.Healed = true
-			report.RecoverySec = tb.Sim.Now().Sub(healAt).Seconds()
-			break
-		}
-		tb.Sim.RunFor(5 * sim.Second)
+	res.Report = RecoveryReport{Scenario: "partition-heal", RecoverySec: -1}
+	if sec, ok := healedAfter(tb, pairs, healAt, 5*sim.Second); ok {
+		res.Healed, res.Report.RecoverySec = true, sec
 	}
-	report.Counters = recoveryDelta(before, snapshotRecovery(tb))
-	res.Report = report
+	res.Report.Counters = recoveryDelta(before, recoveryCounts(tb))
 	res.Timeline = inj.Timeline()
 	return res, nil
-}
-
-// ChurnWaveOpts parameterizes the correlated-churn experiment.
-type ChurnWaveOpts struct {
-	Seed int64
-	// Routers / PlanetLabHosts size the overlay.
-	Routers, PlanetLabHosts int
 }
 
 // The churn wave: churnFraction of the PlanetLab routers (the same share
@@ -324,21 +328,12 @@ const (
 	churnDown    = 45 * sim.Second
 )
 
-func (o *ChurnWaveOpts) fillDefaults() {
-	if o.Routers == 0 {
-		o.Routers = 40
-	}
-	if o.PlanetLabHosts == 0 {
-		o.PlanetLabHosts = 8
-	}
-}
-
 // ChurnWaveResult is the measured recovery from a correlated churn wave.
 type ChurnWaveResult struct {
 	Churned, Total int
 	// Healed reports that every probe pair recovered after the wave.
 	Healed bool
-	Report metrics.RecoveryReport
+	Report RecoveryReport
 	// Timeline is the injector's kill/restart record.
 	Timeline []faults.TimelineEntry
 }
@@ -357,15 +352,8 @@ func (r *ChurnWaveResult) String() string {
 // of the PlanetLab routers — outages overlap, so the overlay repairs while
 // still losing nodes — and measures the time from the last restart until
 // every compute probe pair is mutually reachable again.
-func RunCorrelatedChurn(opts ChurnWaveOpts) (*ChurnWaveResult, error) {
-	opts.fillDefaults()
-	tb := testbed.Build(testbed.Config{
-		Seed:           opts.Seed,
-		Shortcuts:      true,
-		Routers:        opts.Routers,
-		PlanetLabHosts: opts.PlanetLabHosts,
-		SettleTime:     5 * sim.Minute,
-	})
+func RunCorrelatedChurn(opts FaultOpts) (*ChurnWaveResult, error) {
+	tb := faultTestbed(&opts)
 	inj := faults.New(tb.Sim, tb.Net)
 	defer inj.Close()
 
@@ -387,7 +375,7 @@ func RunCorrelatedChurn(opts ChurnWaveOpts) (*ChurnWaveResult, error) {
 			},
 		})
 	}
-	before := snapshotRecovery(tb)
+	before := recoveryCounts(tb)
 	inj.Schedule(faults.ChurnWave{
 		Targets: targets,
 		From:    sim.Second,
@@ -409,23 +397,10 @@ func RunCorrelatedChurn(opts ChurnWaveOpts) (*ChurnWaveResult, error) {
 		{"node003", "node017"}, {"node004", "node030"},
 		{"node018", "node033"}, {"node019", "node034"},
 	}
-	report := metrics.RecoveryReport{Scenario: "correlated-churn", RecoverySec: -1}
-	for tb.Sim.Now().Sub(lastRestart) < 20*sim.Minute {
-		allOK := true
-		for _, p := range pairs {
-			if !pingOK(tb.Sim, tb.VM(p[0]), tb.VM(p[1]).IP()) {
-				allOK = false
-				break
-			}
-		}
-		if allOK {
-			res.Healed = true
-			report.RecoverySec = tb.Sim.Now().Sub(lastRestart).Seconds()
-			break
-		}
-		tb.Sim.RunFor(5 * sim.Second)
+	res.Report = RecoveryReport{Scenario: "correlated-churn", RecoverySec: -1}
+	if sec, ok := healedAfter(tb, pairs, lastRestart, 5*sim.Second); ok {
+		res.Healed, res.Report.RecoverySec = true, sec
 	}
-	report.Counters = recoveryDelta(before, snapshotRecovery(tb))
-	res.Report = report
+	res.Report.Counters = recoveryDelta(before, recoveryCounts(tb))
 	return res, nil
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -9,7 +10,7 @@ import (
 // migration path: the overlay's ring-repair window with a leave/handoff
 // must be strictly smaller than with the paper's cold kill.
 func TestGracefulLeaveShrinksWindow(t *testing.T) {
-	res, err := RunMigrationOutage(MigrationOutageOpts{Seed: 1, Routers: 24, PlanetLabHosts: 6})
+	res, err := RunMigrationOutage(FaultOpts{Seed: 1, Routers: 24, PlanetLabHosts: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,12 +22,23 @@ func TestGracefulLeaveShrinksWindow(t *testing.T) {
 			res.GracefulWindowSec, res.BaselineWindowSec)
 	}
 	// The cold kill heals via ping timeouts; the graceful path must have
-	// actually used the handoff protocol.
-	if res.Graceful.Counters.Get("handoff.received") == 0 {
-		t.Errorf("graceful run recorded no handoffs: %s", res.Graceful.Counters.String())
+	// actually used the handoff protocol. Both counts are read back from
+	// the JSON a -json run emits, so the counter tables must marshal.
+	raw, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if res.Baseline.Counters.Get("ping.dead") == 0 {
-		t.Errorf("cold run recorded no ping deaths: %s", res.Baseline.Counters.String())
+	var got struct {
+		Baseline, Graceful struct{ Counters map[string]int64 }
+	}
+	if err := json.Unmarshal(raw, &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.Graceful.Counters["handoff.received"] == 0 {
+		t.Errorf("graceful run recorded no handoffs: %s", raw)
+	}
+	if got.Baseline.Counters["ping.dead"] == 0 {
+		t.Errorf("cold run recorded no ping deaths: %s", raw)
 	}
 	if !strings.Contains(res.String(), "ring-repair window") {
 		t.Error("String malformed")
@@ -35,7 +47,7 @@ func TestGracefulLeaveShrinksWindow(t *testing.T) {
 }
 
 func TestPartitionHealRecovers(t *testing.T) {
-	res, err := RunPartitionHeal(PartitionHealOpts{Seed: 1, Routers: 30, PlanetLabHosts: 6})
+	res, err := RunPartitionHeal(FaultOpts{Seed: 1, Routers: 30, PlanetLabHosts: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,8 +62,8 @@ func TestPartitionHealRecovers(t *testing.T) {
 	}
 	// Re-merging severed rings requires the repair overlord's cached
 	// direct re-links.
-	if res.Report.Counters.Get("relink.attempts") == 0 {
-		t.Errorf("no re-link attempts recorded: %s", res.Report.Counters.String())
+	if res.Report.Counters["relink.attempts"] == 0 {
+		t.Errorf("no re-link attempts recorded:\n%s", res.Report.String())
 	}
 	if len(res.Timeline) != 2 {
 		t.Errorf("timeline %v, want begin+end", res.Timeline)
@@ -59,7 +71,7 @@ func TestPartitionHealRecovers(t *testing.T) {
 }
 
 func TestCorrelatedChurnRecovers(t *testing.T) {
-	res, err := RunCorrelatedChurn(ChurnWaveOpts{Seed: 1, Routers: 30, PlanetLabHosts: 6})
+	res, err := RunCorrelatedChurn(FaultOpts{Seed: 1, Routers: 30, PlanetLabHosts: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,4 +83,23 @@ func TestCorrelatedChurnRecovers(t *testing.T) {
 			len(res.Timeline), res.Churned)
 	}
 	pinned(t, "correlated-churn", res.String(), pinCorrelatedChurnSeed1)
+}
+
+func TestRecoveryReportString(t *testing.T) {
+	r := &RecoveryReport{Scenario: "partition-heal", RecoverySec: 12.5,
+		Counters: map[string]int64{"relink.success": 3}}
+	s := r.String()
+	if !strings.Contains(s, "partition-heal") || !strings.Contains(s, "12.5s") {
+		t.Fatalf("missing scenario/recovery line:\n%s", s)
+	}
+	// Every standard counter appears, including zeros.
+	for _, name := range recoveryNames {
+		if !strings.Contains(s, name) {
+			t.Fatalf("missing %s in:\n%s", name, s)
+		}
+	}
+	r.RecoverySec = -1
+	if !strings.Contains(r.String(), "DID NOT RECOVER") {
+		t.Fatal("negative recovery not flagged")
+	}
 }

@@ -55,8 +55,9 @@ const goldenSymRingSeed5 = "All-symmetric-NAT ring: 20 NATed + 3 public routers,
 	"  vip ping (sym ws <-> sym ws): 4/4\n" +
 	"  migration to public host: vip outage 26.4 s\n"
 
-// The shape tests of the harnesses whose options became constants pin their
-// summaries too, as captured before the fold: seed 1, the tests' own options.
+// The shape tests of the harnesses whose options became constants, or whose
+// recovery probes became shared helpers, pin their summaries too, as captured
+// before the change: seed 1, the tests' own options.
 const (
 	pinFig6Seed1 = "Figure 6: SCP transfer across server migration (UFL -> NWU)\n" +
 		"  completed without restart: true\n" +
@@ -76,6 +77,11 @@ const (
 		"  15 nodes, shortcuts:       376 s  speedup  7.4 (paper: 2439, 9.1x)\n" +
 		"  30 nodes, no shortcuts:   1002 s  speedup  2.8 (paper: 2033, 11.0x)\n" +
 		"  30 nodes, shortcuts:       309 s  speedup  9.0 (paper: 1642, 13.6x)\n"
+	pinChurnSeed1     = "Churn: killed 29/118 routers; virtual network healed in 106 s (healed=true)\n"
+	pinNATRebindSeed1 = "§V-E NAT rebinding resilience (home node, translation tables flushed):\n" +
+		"  trial 1: connectivity restored after 15 s\n" +
+		"  trial 2: connectivity restored after 6 s\n" +
+		"  all trials recovered autonomously: true (paper: links re-established, no restart)\n"
 	pinOutageSeed1 = "§V-C no-routability window after IPOP kill+restart (library defaults): mean 8 s, max 15 s over 2 trials\n" +
 		"  (the paper reports ~480 s; this implementation re-links stale ring state on rejoin,\n" +
 		"   so bare restarts heal in seconds — the paper-scale outage appears in Figure 6,\n" +
@@ -170,7 +176,7 @@ func TestGoldenSeedFig8(t *testing.T) {
 }
 
 func TestGoldenSeedPartitionHeal(t *testing.T) {
-	res, err := RunPartitionHeal(PartitionHealOpts{Seed: 5, Routers: 30, PlanetLabHosts: 6})
+	res, err := RunPartitionHeal(FaultOpts{Seed: 5, Routers: 30, PlanetLabHosts: 6})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,6 +48,57 @@ func pingOK(s *sim.Simulator, from *vm.VM, to vip.IP) bool {
 	return ok
 }
 
+// healWindow is how long a fault harness waits for the overlay to recover
+// before it reports the fault as unhealed.
+const healWindow = 20 * sim.Minute
+
+// healedAfter pings every probe pair, from each pair's first VM to its
+// second, every step until all answer in one round, and reports the seconds
+// since from when they did. It gives up once healWindow has passed since
+// from, returning the censored window and false.
+func healedAfter(tb *testbed.Testbed, pairs [][2]string, from sim.Time, step sim.Duration) (float64, bool) {
+	for tb.Sim.Now().Sub(from) < healWindow {
+		healed := true
+		for _, p := range pairs {
+			if !pingOK(tb.Sim, tb.VM(p[0]), tb.VM(p[1]).IP()) {
+				healed = false
+				break
+			}
+		}
+		if healed {
+			return tb.Sim.Now().Sub(from).Seconds(), true
+		}
+		tb.Sim.RunFor(step)
+	}
+	return healWindow.Seconds(), false
+}
+
+// firstReply pings dst from src once a second for window, each ping timing
+// out after 900 ms, and reports the seconds from the call until the first
+// reply arrived. With no reply inside the window it returns the censored
+// window and false.
+func firstReply(s *sim.Simulator, src *vm.VM, dst vip.IP, window sim.Duration) (float64, bool) {
+	start := s.Now()
+	replied := false
+	var sec float64
+	tk := s.Tick(sim.Second, 0, func() {
+		if replied {
+			return
+		}
+		src.Stack().Ping(dst, 64, 900*sim.Millisecond, func(ok bool, _ sim.Duration) {
+			if ok && !replied {
+				replied, sec = true, s.Now().Sub(start).Seconds()
+			}
+		})
+	})
+	s.RunFor(window)
+	tk.Stop()
+	if !replied {
+		return window.Seconds(), false
+	}
+	return sec, true
+}
+
 // warmPath pings dst from src once a second for d and then stops, so a
 // measurement that follows starts over a formed shortcut — the paper's
 // nodes had communicated before its transfers began.

@@ -27,10 +27,9 @@ type JoinOpts struct {
 	Trials int
 	// Pings per trial at one-second intervals; the paper sent 400.
 	Pings int
-	// Routers sizes the bootstrap overlay (118 in the paper).
-	Routers int
-	// PlanetLabHosts hosts them (20 in the paper).
-	PlanetLabHosts int
+	// Routers sizes the bootstrap overlay and PlanetLabHosts hosts it; zero
+	// takes the testbed's defaults, the paper's 118 routers on 20 hosts.
+	Routers, PlanetLabHosts int
 	// Brunet overrides protocol constants (ablations); zero fields take
 	// paper defaults.
 	Brunet brunet.Config
@@ -42,12 +41,6 @@ func (o *JoinOpts) fillDefaults() {
 	}
 	if o.Pings == 0 {
 		o.Pings = 400
-	}
-	if o.Routers == 0 {
-		o.Routers = 118
-	}
-	if o.PlanetLabHosts == 0 {
-		o.PlanetLabHosts = 20
 	}
 }
 

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 
 	"wow/internal/metrics"
 	"wow/internal/sim"
@@ -66,27 +65,12 @@ func RunOutage(opts OutageOpts) (*OutageResult, error) {
 		// simply killing and restarting the user-level IPOP
 		// program").
 		victim.Node().Stop()
-		killAt := tb.Sim.Now()
 		if err := victim.Node().Start(tb.Boot()); err != nil {
 			return nil, fmt.Errorf("outage: restart: %w", err)
 		}
-
-		recovered := math.NaN()
-		tk := tb.Sim.Tick(sim.Second, 0, func() {
-			if !math.IsNaN(recovered) {
-				return
-			}
-			prober.Stack().Ping(victim.IP(), 64, 900*sim.Millisecond, func(ok bool, _ sim.Duration) {
-				if ok && math.IsNaN(recovered) {
-					recovered = tb.Sim.Now().Sub(killAt).Seconds()
-				}
-			})
-		})
-		tb.Sim.RunFor(30 * sim.Minute)
-		tk.Stop()
-		if math.IsNaN(recovered) {
-			recovered = 30 * 60 // censored at the window
-		}
+		// Stop and Start take no virtual time, so the window opens at the
+		// kill; a victim that never answers counts the censored window.
+		recovered, _ := firstReply(tb.Sim, prober, victim.IP(), 30*sim.Minute)
 		res.Seconds = append(res.Seconds, recovered)
 		tb.Sim.RunFor(5 * sim.Minute) // settle before next trial
 	}

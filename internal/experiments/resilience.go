@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 	"strings"
 
 	"wow/internal/natsim"
@@ -36,12 +35,9 @@ func (r *NATRebindResult) String() string {
 }
 
 // RunNATRebind flushes the home node's outermost NAT (node034's ISP-level
-// box) repeatedly and measures how long the overlay takes to detect the
+// box) trials times and measures how long the overlay takes to detect the
 // broken links and re-establish them — with no process restart anywhere.
 func RunNATRebind(seed int64, trials int) (*NATRebindResult, error) {
-	if trials == 0 {
-		trials = 3
-	}
 	s := sim.New(seed)
 	net := phys.NewNetwork(s, phys.UniformLatency(
 		phys.PathModel{OneWay: sim.Millisecond},
@@ -70,24 +66,8 @@ func RunNATRebind(seed int64, trials int) (*NATRebindResult, error) {
 			break
 		}
 		nat.Rebind()
-		flushAt := s.Now()
-		recovered := math.NaN()
-		tk := s.Tick(sim.Second, 0, func() {
-			if !math.IsNaN(recovered) {
-				return
-			}
-			prober.Stack().Ping(home.IP(), 64, 900*sim.Millisecond, func(ok bool, _ sim.Duration) {
-				if ok && math.IsNaN(recovered) {
-					recovered = s.Now().Sub(flushAt).Seconds()
-				}
-			})
-		})
-		s.RunFor(10 * sim.Minute)
-		tk.Stop()
-		if math.IsNaN(recovered) {
-			res.Recovered = false
-			recovered = 600
-		}
+		recovered, ok := firstReply(s, prober, home.IP(), 10*sim.Minute)
+		res.Recovered = res.Recovered && ok
 		res.OutageSeconds = append(res.OutageSeconds, recovered)
 		s.RunFor(sim.Minute)
 	}
@@ -122,10 +102,7 @@ const churnFraction = 0.25
 // measures how long until all compute-node pairs are mutually reachable
 // again.
 func RunChurn(seed int64) *ChurnResult {
-	tb := testbed.Build(testbed.Config{
-		Seed: seed, Shortcuts: true, Routers: 118, PlanetLabHosts: 20,
-		SettleTime: 5 * sim.Minute,
-	})
+	tb := testbed.Build(testbed.Config{Seed: seed, Shortcuts: true, SettleTime: 5 * sim.Minute})
 	routers := tb.Routers()
 	kill := int(float64(len(routers)) * churnFraction)
 	for i := 0; i < kill; i++ {
@@ -138,23 +115,7 @@ func RunChurn(seed int64) *ChurnResult {
 		{"node018", "node033"}, {"node019", "node034"},
 	}
 	res := &ChurnResult{KilledRouters: kill, TotalRouters: len(routers)}
-	deadline := killedAt.Add(20 * sim.Minute)
-	for tb.Sim.Now() < deadline {
-		allOK := true
-		for _, p := range pairs {
-			if !pingOK(tb.Sim, tb.VM(p[0]), tb.VM(p[1]).IP()) {
-				allOK = false
-				break
-			}
-		}
-		if allOK {
-			res.Healed = true
-			res.RecoverySeconds = tb.Sim.Now().Sub(killedAt).Seconds()
-			return res
-		}
-		tb.Sim.RunFor(10 * sim.Second)
-	}
-	res.RecoverySeconds = 20 * 60
+	res.RecoverySeconds, res.Healed = healedAfter(tb, pairs, killedAt, 10*sim.Second)
 	return res
 }
 

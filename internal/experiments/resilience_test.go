@@ -15,6 +15,7 @@ func TestNATRebindHealsAutonomously(t *testing.T) {
 			t.Errorf("trial %d took %.0fs to heal; want under ~2 ping cycles", i, s)
 		}
 	}
+	pinned(t, "nat-rebind", r.String(), pinNATRebindSeed1)
 }
 
 func TestChurnHeals(t *testing.T) {
@@ -25,6 +26,7 @@ func TestChurnHeals(t *testing.T) {
 	if r.RecoverySeconds > 600 {
 		t.Errorf("healing took %.0fs", r.RecoverySeconds)
 	}
+	pinned(t, "churn", r.String(), pinChurnSeed1)
 }
 
 func TestLiveMigrationShrinksStall(t *testing.T) {

@@ -57,10 +57,7 @@ func RunSchedulerComparison(seed int64, jobs int) (*SchedulerComparison, error) 
 
 	// Condor leg: same testbed, startd on every VM, schedd+collector on
 	// the head.
-	tb := testbed.Build(testbed.Config{
-		Seed: seed, Shortcuts: true, Routers: 118, PlanetLabHosts: 20,
-		SettleTime: 5 * sim.Minute,
-	})
+	tb := testbed.Build(testbed.Config{Seed: seed, Shortcuts: true, SettleTime: 5 * sim.Minute})
 	head := tb.VM("node002")
 	cm, err := condor.NewCentralManager(head.Stack(), 30*sim.Second)
 	if err != nil {

@@ -442,49 +442,3 @@ func (c *Counter) Merge(other *Counter) {
 		c.Inc(name, *cell)
 	}
 }
-
-// RecoveryNames are the fault-handling counters every resilience
-// experiment reports, in presentation order: the detection path
-// (ping.dead, ping.stale, fast probes, forwarded closes), the graceful
-// path (handoffs), and the repair path (re-links, link give-ups).
-var RecoveryNames = []string{
-	"ping.dead",
-	"ping.stale",
-	"ping.fast_probe",
-	"close.forwarded",
-	"handoff.sent",
-	"handoff.received",
-	"handoff.linked",
-	"relink.attempts",
-	"relink.success",
-	"relink.giveup",
-	"link.giveup",
-}
-
-// RecoveryReport is the uniform summary a resilience experiment produces:
-// how long recovery took and which protocol machinery did the work.
-type RecoveryReport struct {
-	// Scenario names the experiment ("partition-heal", …).
-	Scenario string
-	// RecoverySec is the measured time from fault (or heal trigger) to
-	// full recovery, in seconds; negative when recovery never completed.
-	RecoverySec float64
-	// Counters holds the fleet-aggregated protocol counters.
-	Counters Counter
-}
-
-// String renders the standard recovery table: one scenario line followed by
-// every RecoveryNames counter. Zeros are printed rather than suppressed —
-// which recovery machinery did no work is as informative as which did.
-func (r *RecoveryReport) String() string {
-	var b strings.Builder
-	if r.RecoverySec < 0 {
-		fmt.Fprintf(&b, "%-24s recovery: DID NOT RECOVER\n", r.Scenario)
-	} else {
-		fmt.Fprintf(&b, "%-24s recovery: %.1fs\n", r.Scenario, r.RecoverySec)
-	}
-	for _, name := range RecoveryNames {
-		fmt.Fprintf(&b, "  %-22s %d\n", name, r.Counters.Get(name))
-	}
-	return b.String()
-}

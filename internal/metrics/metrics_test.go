@@ -493,22 +493,3 @@ func TestShardedConcurrentWrites(t *testing.T) {
 		}
 	}
 }
-
-func TestRecoveryReportString(t *testing.T) {
-	r := &RecoveryReport{Scenario: "partition-heal", RecoverySec: 12.5}
-	r.Counters.Inc("relink.success", 3)
-	s := r.String()
-	if !strings.Contains(s, "partition-heal") || !strings.Contains(s, "12.5s") {
-		t.Fatalf("missing scenario/recovery line:\n%s", s)
-	}
-	// Every standard counter appears, including zeros.
-	for _, name := range RecoveryNames {
-		if !strings.Contains(s, name) {
-			t.Fatalf("missing %s in:\n%s", name, s)
-		}
-	}
-	r.RecoverySec = -1
-	if !strings.Contains(r.String(), "DID NOT RECOVER") {
-		t.Fatal("negative recovery not flagged")
-	}
-}
