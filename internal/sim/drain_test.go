@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 // laneCase is one randomized barrier: what the destination shard already
@@ -214,8 +215,8 @@ func TestAllocFreeTicker(t *testing.T) {
 // queued): scheduling a prebuilt func() through At, scheduling through
 // AtArg for the current instant (the now queue: popped at once, popped
 // behind an entry that keeps the queue from ever draining, cancelled) and
-// for a later one (the heap), cancelling and re-arming a standing timer,
-// and popping allocate nothing.
+// for a later one (the soon heap, the timer heap), cancelling and
+// re-arming a standing timer, and popping allocate nothing.
 func TestAllocFreeSchedule(t *testing.T) {
 	s := New(1)
 	timers := make([]Timer, 1024)
@@ -233,17 +234,18 @@ func TestAllocFreeSchedule(t *testing.T) {
 		name string
 		op   func()
 	}{
-		{"At(now)+pop", func() { s.At(s.Now(), fn); s.step(-1) }},
-		{"AtArg(now)+pop", func() { s.AtArg(s.Now(), nop, nil); s.step(-1) }},
+		{"At(now)+pop", func() { s.At(s.Now(), fn); s.step(maxTime) }},
+		{"AtArg(now)+pop", func() { s.AtArg(s.Now(), nop, nil); s.step(maxTime) }},
 		// From here on one extra event stays pending from case to case.
 		{"AtArg(now)+pop behind a pending one", func() {
 			s.AtArg(s.Now(), nop, nil)
 			if s.Pending() > len(timers)+1 {
-				s.step(-1)
+				s.step(maxTime)
 			}
 		}},
 		{"AtArg(now)+Cancel", func() { s.AtArg(s.Now(), nop, nil).Cancel() }},
-		{"AtArg(later)+pop", func() { s.AtArg(s.Now()+1, nop, nil); s.step(-1) }},
+		{"AtArg(later)+pop", func() { s.AtArg(s.Now()+1, nop, nil); s.step(maxTime) }},
+		{"AtArg(soonSpan later)+pop", func() { s.AtArg(s.Now().Add(soonSpan), nop, nil); s.step(maxTime) }},
 		{"Cancel+re-arm", func() {
 			tm := &timers[i%len(timers)]
 			i += 7
@@ -259,7 +261,7 @@ func TestAllocFreeSchedule(t *testing.T) {
 			t.Errorf("%s: %.2f allocs, want 0", tc.name, avg)
 		}
 	}
-	if s.step(-1); s.Pending() != len(timers) {
+	if s.step(maxTime); s.Pending() != len(timers) {
 		t.Fatalf("standing population changed: %d", s.Pending())
 	}
 }
@@ -268,11 +270,15 @@ func TestAllocFreeSchedule(t *testing.T) {
 // events from the allocator a slab of eventSlab at a time, so k·eventSlab
 // schedules that each need a fresh event (nothing fires in between) make k
 // allocations — with the heap's storage grown beforehand, nothing else.
+// The slab's size rests on event being 48 bytes, home flag included.
 func TestEventSlabAllocs(t *testing.T) {
+	if got := unsafe.Sizeof(event{}); got != 48 {
+		t.Fatalf("event is %d bytes, want 48: eventSlab no longer fills its size class", got)
+	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, k := range []int{1, 2, 5} {
 		s := New(1)
-		s.queue = make([]slot, 0, k*eventSlab)
+		s.queue.slots = make([]slot, 0, k*eventSlab)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for i := 0; i < k*eventSlab; i++ {

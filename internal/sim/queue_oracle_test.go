@@ -46,9 +46,10 @@ func (h *eventHeap) Pop() any {
 }
 
 // oracleSim is the reference Simulator over eventHeap: the clock, the
-// clamp-to-now rule, Stop, the run primitives as the engine had them when
-// the heap was its only queue, and the model's effects (effect.apply, which
-// it shares with the Simulator under test), nothing else.
+// clamp-to-now rule, Stop, the run primitives (RunBefore with the loop of
+// its own the engine had when the heap was its only queue), and the
+// model's effects (effect.apply, which it shares with the Simulator under
+// test), nothing else.
 type oracleSim struct {
 	now     Time
 	queue   eventHeap
@@ -87,9 +88,9 @@ func (o *oracleSim) cancel(id uint64) bool {
 }
 
 // step runs the earliest event unless the run is stopped, nothing is
-// pending or the event lies beyond a non-negative limit.
+// pending or the event lies beyond limit.
 func (o *oracleSim) step(limit Time) bool {
-	if o.stopped || len(o.queue) == 0 || (limit >= 0 && o.queue[0].when > limit) {
+	if o.stopped || len(o.queue) == 0 || o.queue[0].when > limit {
 		return false
 	}
 	ev := heap.Pop(&o.queue).(*oracleEvent)
@@ -101,7 +102,7 @@ func (o *oracleSim) step(limit Time) bool {
 
 func (o *oracleSim) run() {
 	o.stopped = false
-	for o.step(-1) {
+	for o.step(maxTime) {
 	}
 }
 
@@ -117,7 +118,7 @@ func (o *oracleSim) runUntil(t Time) {
 func (o *oracleSim) runBefore(t Time) {
 	o.stopped = false
 	for !o.stopped && len(o.queue) > 0 && o.queue[0].when < t {
-		o.step(-1)
+		o.step(maxTime)
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 // effect is what an event does when it fires, besides being logged: the
 // queue is mutated from inside callbacks at least as often as from outside.
 type effect struct {
-	kind  uint8 // bit 0 schedule a child, bit 1 cancel some timer, bit 2 Stop the run
+	kind  uint8 // bit 0 schedule a child, bit 1 cancel some timer, bit 2 Stop the run, bit 3 a near event before the child
 	x     uint8
 	depth uint8 // generations of children after the first that carry the effect on
 }
@@ -27,6 +27,11 @@ type effectTarget interface {
 }
 
 func (e effect) apply(q effectTarget) {
+	if e.kind&8 != 0 {
+		// Into the now queue or the soon heap: a far child after it must
+		// still fill the hole its timer left, not this push.
+		q.schedule(e.x, q.clock()+offset(e.x&7), effect{})
+	}
 	if e.kind&1 != 0 {
 		child := effect{}
 		if e.depth > 0 {
@@ -62,9 +67,13 @@ type firing struct {
 
 // offset maps a program byte to a scheduling distance: mostly a handful of
 // near values around zero, so equal timestamps and past (clamped) times are
-// the norm, with an occasional far-future standing timer.
+// the norm, with an occasional event further ahead: 224…239 in the soon
+// heap, 240…255 a standing timer in the timer heap.
 func offset(x uint8) Time {
-	if x >= 224 {
+	switch {
+	case x >= 240:
+		return Time(soonSpan) + Time(x)
+	case x >= 224:
 		return 1000 + Time(x)
 	}
 	return Time(x%8) - 2
@@ -97,12 +106,57 @@ func (m *queueModel) slotOf(h Timer) slot {
 	if i := h.ev.index; i < 0 {
 		return m.s.nowq[^i]
 	}
-	return m.s.queue[h.ev.index]
+	return m.s.heapOf(h.ev).slots[h.ev.index]
+}
+
+// homeOf names the home of a pending event.
+func homeOf(e *event) string {
+	switch {
+	case e.index < 0:
+		return "now queue"
+	case e.soon:
+		return "soon heap"
+	}
+	return "timer heap"
+}
+
+// heapBroken reports the first broken invariant of h, whose events must
+// carry soon as their home flag, or "" when all hold: no hole is open,
+// every slot's event points back at the slot and names this heap, and no
+// slot fires before its parent.
+func heapBroken(h *heap4, soon bool) string {
+	if h.hole {
+		return "a hole is open"
+	}
+	for i := range h.slots {
+		sl := &h.slots[i]
+		switch {
+		case int(sl.ev.index) != i:
+			return fmt.Sprintf("slot %d holds an event with index %d", i, sl.ev.index)
+		case sl.ev.soon != soon:
+			return fmt.Sprintf("slot %d holds an event of the %s", i, homeOf(sl.ev))
+		case i > 0 && sl.before(&h.slots[(i-1)/4]):
+			return fmt.Sprintf("slot %d fires before its parent %d", i, (i-1)/4)
+		}
+	}
+	return ""
+}
+
+// heapsBroken checks both heaps with heapBroken.
+func heapsBroken(s *Simulator) string {
+	if msg := heapBroken(&s.queue, false); msg != "" {
+		return "timer heap: " + msg
+	}
+	if msg := heapBroken(&s.soon, true); msg != "" {
+		return "soon heap: " + msg
+	}
+	return ""
 }
 
 // schedule schedules on the Simulator through one of its three forms and
 // checks the new slot carries the expected key in the expected home: the
-// now queue exactly when the event is for the current instant.
+// now queue exactly when the event is for the current instant, the soon
+// heap when it is due less than soonSpan ahead, the timer heap otherwise.
 func (m *queueModel) schedule(form uint8, t Time, eff effect) {
 	id := uint64(len(m.handles))
 	now := m.s.Now()
@@ -122,8 +176,14 @@ func (m *queueModel) schedule(form uint8, t Time, eff effect) {
 	if sl := m.slotOf(h); sl.ev != h.ev || sl.seq != id || sl.when != t {
 		m.failf("event %d scheduled at %d sits in slot {when %d, seq %d}", id, t, sl.when, sl.seq)
 	}
-	if inNow := h.ev.index < 0; inNow != (t == now) {
-		m.failf("event %d scheduled at %d with the clock at %d: in the now queue %v", id, t, now, inNow)
+	want := "timer heap"
+	if t == now {
+		want = "now queue"
+	} else if t.Sub(now) < soonSpan {
+		want = "soon heap"
+	}
+	if got := homeOf(h.ev); got != want {
+		m.failf("event %d scheduled at %d with the clock at %d: in the %s, want the %s", id, t, now, got, want)
 	}
 }
 
@@ -139,17 +199,21 @@ func (m *queueModel) liveNow() []uint64 {
 }
 
 // check asserts every invariant that ties the two queues together, and
-// those of the Simulator's two homes.
+// those of the Simulator's three homes.
 func (m *queueModel) check(op string) {
 	if m.err != nil {
 		return
 	}
 	s := m.s
-	q := s.queue
+	if msg := heapsBroken(s); msg != "" {
+		m.failf("%s: %s", op, msg)
+		return
+	}
+	nq, ns := len(s.queue.slots), len(s.soon.slots)
 	live := m.liveNow()
-	if len(q)+len(live) != len(m.o.queue) || s.Pending() != len(m.o.queue) || s.nowLive != len(live) {
-		m.failf("%s: %d heap slots + %d live now-queue entries (nowLive %d), Pending() %d, oracle holds %d",
-			op, len(q), len(live), s.nowLive, s.Pending(), len(m.o.queue))
+	if nq+ns+len(live) != len(m.o.queue) || s.Pending() != len(m.o.queue) || s.nowLive != len(live) {
+		m.failf("%s: %d timer-heap + %d soon-heap slots + %d live now-queue entries (nowLive %d), Pending() %d, oracle holds %d",
+			op, nq, ns, len(live), s.nowLive, s.Pending(), len(m.o.queue))
 		return
 	}
 	if s.Now() != m.o.now {
@@ -161,14 +225,6 @@ func (m *queueModel) check(op string) {
 	pt, ok := s.PeekTime()
 	if ok != (len(m.o.queue) > 0) || (ok && pt != m.o.queue[0].when) {
 		m.failf("%s: PeekTime() = %d, %v with %d pending in the oracle", op, pt, ok, len(m.o.queue))
-	}
-	for i := range q {
-		if int(q[i].ev.index) != i {
-			m.failf("%s: slot %d holds an event with index %d", op, i, q[i].ev.index)
-		}
-		if i > 0 && q[i].before(&q[(i-1)/4]) {
-			m.failf("%s: slot %d fires before its parent %d", op, i, (i-1)/4)
-		}
 	}
 	// The now queue: popped prefix and tombstones zeroed, live entries
 	// strictly ascending in (when, seq), nothing scheduled past the clock,
@@ -232,11 +288,11 @@ func (m *queueModel) check(op string) {
 	}
 }
 
-// victim picks the timer a cancel operation aims at: the heap's root or
-// last slot, the now queue's head, tail or a middle entry, or any timer
-// ever issued.
+// victim picks the timer a cancel operation aims at: either heap's root
+// or last slot, the now queue's head, tail or a middle entry, or any
+// timer ever issued.
 func (m *queueModel) victim(x uint8, pc int) uint64 {
-	q, live := m.s.queue, m.liveNow()
+	q, sq, live := m.s.queue.slots, m.s.soon.slots, m.liveNow()
 	switch {
 	case x%8 == 0 && len(q) > 0:
 		return q[0].seq
@@ -248,6 +304,10 @@ func (m *queueModel) victim(x uint8, pc int) uint64 {
 		return live[len(live)-1]
 	case x%8 == 4 && len(live) > 0:
 		return live[len(live)/2]
+	case x%8 == 5 && len(sq) > 0:
+		return sq[0].seq
+	case x%8 == 6 && len(sq) > 0:
+		return sq[len(sq)-1].seq
 	}
 	return (uint64(x)*251 + uint64(pc)) % uint64(len(m.handles))
 }
@@ -264,6 +324,9 @@ func runQueueProgram(prog []byte) error {
 			eff := effect{kind: op >> 6, x: x ^ op, depth: op >> 4 & 3}
 			if op&8 != 0 && x&16 != 0 {
 				eff.kind |= 4
+			}
+			if op&8 != 0 && x&8 != 0 {
+				eff.kind |= 9
 			}
 			m.schedule(op, now+offset(x), eff)
 			m.o.schedule(op, now+offset(x), eff)
@@ -297,7 +360,7 @@ func runQueueProgram(prog []byte) error {
 		case 7:
 			switch x % 4 {
 			case 0, 1:
-				if got, want := m.s.step(-1), m.o.step(-1); got != want {
+				if got, want := m.s.step(maxTime), m.o.step(maxTime); got != want {
 					m.failf("step() = %v, oracle %v", got, want)
 				}
 				m.check("step")
@@ -349,10 +412,10 @@ func sameInstant(prog []byte, rng *rand.Rand) {
 }
 
 // Property: over random interleavings of At/AtArg/After, Cancel, Stop and
-// the run primitives — from outside and from inside callbacks — the 4-ary
-// slot heap and the now queue together pop exactly the container/heap
-// oracle's (when, seq) sequence, and each keeps its index and order
-// invariants after every operation.
+// the run primitives — from outside and from inside callbacks — the two
+// 4-ary slot heaps and the now queue together pop exactly the
+// container/heap oracle's (when, seq) sequence, and each keeps its index,
+// order and home invariants after every operation.
 func TestQuickQueueMatchesOracle(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -446,7 +509,7 @@ func TestNowQueueCases(t *testing.T) {
 			if s.Pending() != 2 || s.Processed != 1 {
 				return fmt.Sprintf("after Stop: Pending() %d, Processed %d", s.Pending(), s.Processed)
 			}
-			if s.step(-1) {
+			if s.step(maxTime) {
 				return "step ran an event on a stopped simulator"
 			}
 			s.Run()
@@ -514,6 +577,203 @@ func TestNowQueueCases(t *testing.T) {
 	}
 }
 
+// TestHoleCases pins the replace-top hole (step) one corner at a time, in
+// each heap: from the heap under test a callback pops, and it schedules
+// off ahead to land in that heap again or other ahead to land in the
+// other one. Each case reports a broken intermediate expectation as a
+// string and lists the (clock, id) sequence it must fire.
+func TestHoleCases(t *testing.T) {
+	type heapCase struct {
+		name       string
+		soon       bool
+		off, other Time
+	}
+	// standing schedules ids from..to-1, 10·off+id ahead: later than
+	// anything a case's callbacks schedule, in the heap under test.
+	standing := func(s *Simulator, hc heapCase, note func(any), from, to int) []Timer {
+		var tm []Timer
+		for id := from; id < to; id++ {
+			tm = append(tm, s.AtArg(10*hc.off+Time(id), note, id))
+		}
+		return tm
+	}
+	later := func(hc heapCase, from, to int) []popRec {
+		var want []popRec
+		for id := from; id < to; id++ {
+			want = append(want, popRec{10*hc.off + Time(id), uint64(id)})
+		}
+		return want
+	}
+	for _, tc := range []struct {
+		name string
+		run  func(s *Simulator, h *heap4, hc heapCase, note func(any)) string
+		want func(hc heapCase) []popRec
+	}{
+		{"pop, then push into the same heap: the new slot takes the root and no other slot moves", func(s *Simulator, h *heap4, hc heapCase, note func(any)) string {
+			var msg string
+			s.AtArg(hc.off, func(any) {
+				note(0)
+				rest := append([]slot(nil), h.slots[1:]...)
+				if !h.hole || len(rest) != 8 {
+					msg = fmt.Sprintf("in the callback: hole %v, %d slots behind it", h.hole, len(rest))
+					return
+				}
+				tm := s.AtArg(s.Now()+hc.off, note, 9)
+				if tm.ev.index != 0 || h.hole || !reflect.DeepEqual(h.slots[1:], rest) {
+					msg = fmt.Sprintf("the push went to slot %d (hole %v); the others moved: %v",
+						tm.ev.index, h.hole, !reflect.DeepEqual(h.slots[1:], rest))
+				}
+			}, nil)
+			standing(s, hc, note, 1, 9)
+			s.Run()
+			return msg
+		}, func(hc heapCase) []popRec {
+			return append([]popRec{{hc.off, 0}, {2 * hc.off, 9}}, later(hc, 1, 9)...)
+		}},
+		{"pop, then push into the other heap and the now queue: the hole is closed when the callback returns", func(s *Simulator, h *heap4, hc heapCase, note func(any)) string {
+			var msg string
+			s.AtArg(hc.off, func(any) {
+				note(0)
+				s.AtArg(s.Now()+hc.other, note, 6)
+				if !h.hole {
+					msg = "a push into the other heap filled the hole"
+				}
+				s.AtArg(s.Now(), note, 7)
+			}, nil)
+			standing(s, hc, note, 1, 6)
+			s.step(maxTime)
+			if h.hole || len(h.slots) != 5 || s.Pending() != 7 {
+				return fmt.Sprintf("after the callback: hole %v, %d slots, Pending() %d", h.hole, len(h.slots), s.Pending())
+			}
+			if m := heapsBroken(s); m != "" {
+				return m
+			}
+			s.Run()
+			return msg
+		}, func(hc heapCase) []popRec {
+			first := []popRec{{hc.off, 0}, {hc.off, 7}}
+			if hc.soon { // the other push is a standing timer: it fires last
+				return append(append(first, later(hc, 1, 6)...), popRec{hc.off + hc.other, 6})
+			}
+			return append(append(first, popRec{hc.off + hc.other, 6}), later(hc, 1, 6)...)
+		}},
+		{"push into the other heap, then into the same heap: the second push fills the hole", func(s *Simulator, h *heap4, hc heapCase, note func(any)) string {
+			var msg string
+			s.AtArg(hc.off, func(any) {
+				note(0)
+				s.AtArg(s.Now()+hc.other, note, 6)
+				tm := s.AtArg(s.Now()+hc.off, note, 7)
+				if tm.ev.index != 0 || h.hole {
+					msg = fmt.Sprintf("the same-heap push went to slot %d (hole %v)", tm.ev.index, h.hole)
+				}
+			}, nil)
+			standing(s, hc, note, 1, 6)
+			s.Run()
+			return msg
+		}, func(hc heapCase) []popRec {
+			first := []popRec{{hc.off, 0}, {2 * hc.off, 7}}
+			if hc.soon {
+				return append(append(first, later(hc, 1, 6)...), popRec{hc.off + hc.other, 6})
+			}
+			return append([]popRec{{hc.off, 0}, {hc.off + hc.other, 6}, {2 * hc.off, 7}}, later(hc, 1, 6)...)
+		}},
+		{"Pending, Timer.Time, Cancel of the slot closing moves, and Stop inside the callback", func(s *Simulator, h *heap4, hc heapCase, note func(any)) string {
+			var msg string
+			var tm []Timer
+			popped := s.AtArg(hc.off, func(any) {
+				note(0)
+				switch {
+				case !h.hole:
+					msg = "no hole in the callback"
+				case s.Pending() != 8:
+					msg = fmt.Sprintf("Pending() = %d with a hole open, want 8", s.Pending())
+				}
+				for i, x := range tm {
+					if x.Time() != 10*hc.off+Time(i+1) {
+						msg = fmt.Sprintf("timer %d: Time() = %d with a hole open", i+1, x.Time())
+					}
+				}
+				// The last slot (id 8) is the one closing the hole moves.
+				if !tm[7].Cancel() || s.Pending() != 7 {
+					msg = fmt.Sprintf("Cancel of the last slot's timer with a hole open: Pending() = %d", s.Pending())
+				}
+				if m := heapsBroken(s); m != "" {
+					msg = "after Cancel: " + m
+				}
+				s.Stop()
+			}, nil)
+			tm = standing(s, hc, note, 1, 9)
+			s.Run()
+			if popped.Active() || s.Pending() != 7 || h.hole {
+				return fmt.Sprintf("after Stop: popped timer active %v, Pending() %d, hole %v", popped.Active(), s.Pending(), h.hole)
+			}
+			s.Run()
+			return msg
+		}, func(hc heapCase) []popRec {
+			return append([]popRec{{hc.off, 0}}, later(hc, 1, 8)...)
+		}},
+		{"AdvanceTo and PeekTime inside callbacks see past the hole", func(s *Simulator, h *heap4, hc heapCase, note func(any)) string {
+			var msg string
+			s.AtArg(hc.off, func(any) {
+				note(0)
+				if s.AdvanceTo(s.Now() + 1); h.hole || s.Now() != hc.off+1 {
+					msg = fmt.Sprintf("AdvanceTo: hole %v, clock %d, want %d", h.hole, s.Now(), hc.off+1)
+				}
+			}, nil)
+			s.AtArg(hc.off+2, func(any) {
+				note(1)
+				if pt, ok := s.PeekTime(); !ok || pt != 10*hc.off+2 || h.hole {
+					msg = fmt.Sprintf("PeekTime() = %d, %v (hole %v), want %d", pt, ok, h.hole, 10*hc.off+2)
+				}
+				s.AtArg(s.Now()+hc.off, note, 5)
+			}, nil)
+			standing(s, hc, note, 2, 5)
+			s.Run()
+			return msg
+		}, func(hc heapCase) []popRec {
+			return append([]popRec{{hc.off, 0}, {hc.off + 2, 1}, {2*hc.off + 2, 5}}, later(hc, 2, 5)...)
+		}},
+		{"a one-slot heap popped and refilled, then popped and left empty", func(s *Simulator, h *heap4, hc heapCase, note func(any)) string {
+			var msg string
+			s.AtArg(hc.off, func(any) {
+				note(0)
+				if tm := s.AtArg(s.Now()+hc.off, note, 1); tm.ev.index != 0 || h.hole || len(h.slots) != 1 {
+					msg = fmt.Sprintf("refill: slot %d, hole %v, %d slots", tm.ev.index, h.hole, len(h.slots))
+				}
+			}, nil)
+			if s.step(maxTime); msg == "" && (s.Pending() != 1 || len(h.slots) != 1) {
+				msg = fmt.Sprintf("after the refill: Pending() %d, %d slots", s.Pending(), len(h.slots))
+			}
+			if s.step(maxTime); msg == "" && (s.Pending() != 0 || len(h.slots) != 0 || h.hole) {
+				msg = fmt.Sprintf("after the last pop: Pending() %d, %d slots, hole %v", s.Pending(), len(h.slots), h.hole)
+			}
+			return msg
+		}, func(hc heapCase) []popRec { return []popRec{{hc.off, 0}, {2 * hc.off, 1}} }},
+	} {
+		for _, hc := range []heapCase{
+			{"soon", true, 1, Time(soonSpan)},
+			{"timer", false, Time(soonSpan), 1},
+		} {
+			s := New(1)
+			h := &s.queue
+			if hc.soon {
+				h = &s.soon
+			}
+			var got []popRec
+			note := func(arg any) { got = append(got, popRec{s.Now(), uint64(arg.(int))}) }
+			if msg := tc.run(s, h, hc, note); msg != "" {
+				t.Errorf("%s heap: %s: %s", hc.name, tc.name, msg)
+			}
+			if want := tc.want(hc); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s heap: %s: fired %v, want %v", hc.name, tc.name, got, want)
+			}
+			if msg := heapsBroken(s); msg != "" || s.Pending() != 0 {
+				t.Errorf("%s heap: %s: left %d pending: %s", hc.name, tc.name, s.Pending(), msg)
+			}
+		}
+	}
+}
+
 // TestNowQueueBounded: a frozen-clock pipeline that never lets the now
 // queue drain — the shape of closed-loop packet forwarding — processes a
 // million events in a few slots of storage, with and without cancellations
@@ -529,7 +789,7 @@ func TestNowQueueBounded(t *testing.T) {
 				s.AtArg(s.Now(), nop, nil)
 				tm.Cancel()
 			}
-			s.step(-1)
+			s.step(maxTime)
 		}
 		if s.Now() != 0 || s.Pending() != 2 || s.Processed != 1<<20 {
 			t.Fatalf("cancels %v: clock %d, pending %d, processed %d", cancels, s.Now(), s.Pending(), s.Processed)
@@ -541,9 +801,11 @@ func TestNowQueueBounded(t *testing.T) {
 }
 
 // TestQueueCancelPositions pins the indexed removal's corner cases on a
-// heap three levels deep: the root, the last slot, a slot whose replacement
-// must sift down and one whose replacement must sift up. Keys are inserted
-// so that none sifts on the way in: slot i holds the i-th key.
+// heap three levels deep, in each of the two heaps: the root, the last
+// slot, a slot whose replacement must sift down and one whose replacement
+// must sift up. Keys are inserted so that none sifts on the way in: slot i
+// holds the i-th key. They lie within soonSpan, so soonSpan added to each
+// takes the table into the timer heap.
 func TestQueueCancelPositions(t *testing.T) {
 	ascending := make([]Time, 64)
 	for i := range ascending {
@@ -552,47 +814,56 @@ func TestQueueCancelPositions(t *testing.T) {
 	// Slot 1 and its children 5..8 are late, the last slot (20, under slot
 	// 4) is early: moved into slot 5 it fires before slot 1 and must rise.
 	lateSubtree := []Time{1, 100, 2, 3, 4, 101, 102, 103, 104, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}
-	for _, tc := range []struct {
+	for _, home := range []struct {
 		name string
-		keys []Time
-		slot int
-	}{
-		{"root", ascending, 0},
-		{"last", ascending, len(ascending) - 1},
-		{"down", ascending, 1},
-		{"up", lateSubtree, 5},
-	} {
-		s := New(1)
-		var fired []int
-		note := func(arg any) { fired = append(fired, arg.(int)) }
-		timers := make([]Timer, len(tc.keys))
-		for i, when := range tc.keys {
-			timers[i] = s.AtArg(when, note, i)
-			if timers[i].ev.index != int32(i) {
-				t.Fatalf("%s: key %d sifted on insertion", tc.name, i)
+		base Time
+		soon bool
+	}{{"soon", 0, true}, {"timer", Time(soonSpan), false}} {
+		for _, tc := range []struct {
+			name string
+			keys []Time
+			slot int
+		}{
+			{"root", ascending, 0},
+			{"last", ascending, len(ascending) - 1},
+			{"down", ascending, 1},
+			{"up", lateSubtree, 5},
+		} {
+			name := home.name + "/" + tc.name
+			s := New(1)
+			h := &s.queue
+			if home.soon {
+				h = &s.soon
 			}
-		}
-		if last := &s.queue[len(s.queue)-1]; tc.name == "up" && !last.before(&s.queue[(tc.slot-1)/4]) {
-			t.Fatal("up: the last slot would not rise from the victim's position")
-		}
-		if !timers[tc.slot].Cancel() || s.Pending() != len(tc.keys)-1 {
-			t.Fatalf("%s: Cancel of a pending timer failed", tc.name)
-		}
-		for i := range s.queue {
-			if int(s.queue[i].ev.index) != i || (i > 0 && s.queue[i].before(&s.queue[(i-1)/4])) {
-				t.Fatalf("%s: heap broken at slot %d after Cancel", tc.name, i)
+			var fired []int
+			note := func(arg any) { fired = append(fired, arg.(int)) }
+			timers := make([]Timer, len(tc.keys))
+			for i, when := range tc.keys {
+				timers[i] = s.AtArg(home.base+when, note, i)
+				if timers[i].ev.index != int32(i) || timers[i].ev.soon != home.soon {
+					t.Fatalf("%s: key %d sifted on insertion or landed in the %s", name, i, homeOf(timers[i].ev))
+				}
 			}
-		}
-		s.Run()
-		if len(fired) != len(tc.keys)-1 {
-			t.Fatalf("%s: fired %d of %d", tc.name, len(fired), len(tc.keys)-1)
-		}
-		for i, id := range fired {
-			if id == tc.slot {
-				t.Fatalf("%s: cancelled event fired", tc.name)
+			if last := &h.slots[len(h.slots)-1]; tc.name == "up" && !last.before(&h.slots[(tc.slot-1)/4]) {
+				t.Fatal("up: the last slot would not rise from the victim's position")
 			}
-			if i > 0 && tc.keys[id] < tc.keys[fired[i-1]] {
-				t.Fatalf("%s: events fired out of order: %v", tc.name, fired)
+			if !timers[tc.slot].Cancel() || s.Pending() != len(tc.keys)-1 {
+				t.Fatalf("%s: Cancel of a pending timer failed", name)
+			}
+			if msg := heapBroken(h, home.soon); msg != "" {
+				t.Fatalf("%s: after Cancel: %s", name, msg)
+			}
+			s.Run()
+			if len(fired) != len(tc.keys)-1 {
+				t.Fatalf("%s: fired %d of %d", name, len(fired), len(tc.keys)-1)
+			}
+			for i, id := range fired {
+				if id == tc.slot {
+					t.Fatalf("%s: cancelled event fired", name)
+				}
+				if i > 0 && tc.keys[id] < tc.keys[fired[i-1]] {
+					t.Fatalf("%s: events fired out of order: %v", name, fired)
+				}
 			}
 		}
 	}
@@ -616,6 +887,14 @@ func FuzzEventQueue(f *testing.F) {
 	rng.Read(dense)
 	sameInstant(dense, rng)
 	f.Add(dense)
+	// Far timers, by hand: seven standing ones and two in the soon heap,
+	// then timers whose callbacks schedule near and then far (into the
+	// soon heap, into the now queue), near and near, and near twice with
+	// a cancel in between, all while the timer heap's hole is open; steps,
+	// a RunBefore and a cancel + re-arm of the timer heap's root between.
+	f.Add([]byte{0x00, 0xF0, 0x01, 0xF1, 0x02, 0xF2, 0x00, 0xF4, 0x01, 0xF5, 0x02, 0xF6, 0x00, 0xF7,
+		0x00, 0xE0, 0x01, 0xE5, 0x08, 0xFB, 0x09, 0xF8, 0x4A, 0xFC, 0x88, 0xF9,
+		7, 0, 7, 0, 0x0C, 0, 7, 0, 6, 7, 7, 0, 7, 0, 7, 0, 7, 0})
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		if len(prog) > 2048 {
 			prog = prog[:2048]
@@ -628,35 +907,43 @@ func FuzzEventQueue(f *testing.F) {
 
 // BenchmarkDeepQueue times the queue's traffic patterns under a standing
 // population of far-future timers, at three depths. The two that go through
-// the heap cost log₄(depth); hop, the same-instant pattern, goes through
-// the now queue and must not depend on the depth at all:
+// the timer heap cost log₄(depth); hop, the same-instant pattern, goes
+// through the now queue and flight through the soon heap, and neither may
+// depend on the depth:
 //
 //	hop       schedule an event for the current instant and pop it
 //	          (a packet delivery at a frozen clock);
 //	hop+timer the same, every fourth schedule a near-future timer
 //	          replacing the previous one (a transfer re-arming its
-//	          retransmission timer): both homes live at once;
+//	          retransmission timer): the now queue and the soon heap
+//	          live at once;
 //	rearm     pop the minimum and push it back one interval ahead
 //	          (a keepalive or ticker firing);
 //	cancel    remove a random standing timer and arm it again
-//	          (a ping timeout reset by the pong).
+//	          (a ping timeout reset by the pong);
+//	flight    pop one of flightPackets events 0.3 to 35 ms ahead, whose
+//	          callback schedules the next one as far ahead (a packet's
+//	          delivery scheduling its end of service, on a WAN path):
+//	          the standing timers lie beyond every clock the stream
+//	          reaches, so only packet events pop.
 func BenchmarkDeepQueue(b *testing.B) {
 	for _, depth := range []int{1 << 10, 1 << 16, 1 << 20} {
-		standing := func() (*Simulator, []Timer) {
+		standingFrom := func(from Time) (*Simulator, []Timer) {
 			s := New(1)
 			timers := make([]Timer, depth)
 			for i := range timers {
-				timers[i] = s.AtArg(Time(Second)+Time(s.Rand().Int63n(int64(standingInterval))), rearmNop, s)
+				timers[i] = s.AtArg(from+Time(s.Rand().Int63n(int64(standingInterval))), rearmNop, s)
 			}
 			return s, timers
 		}
+		standing := func() (*Simulator, []Timer) { return standingFrom(Time(Second)) }
 		b.Run(fmt.Sprintf("hop/%d", depth), func(b *testing.B) {
 			s, _ := standing()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				s.AtArg(s.now, nop, nil)
-				s.step(-1)
+				s.step(maxTime)
 			}
 		})
 		b.Run(fmt.Sprintf("hop+timer/%d", depth), func(b *testing.B) {
@@ -671,7 +958,7 @@ func BenchmarkDeepQueue(b *testing.B) {
 					continue
 				}
 				s.AtArg(s.now, nop, nil)
-				s.step(-1)
+				s.step(maxTime)
 			}
 		})
 		b.Run(fmt.Sprintf("rearm/%d", depth), func(b *testing.B) {
@@ -679,7 +966,7 @@ func BenchmarkDeepQueue(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				s.step(-1)
+				s.step(maxTime)
 			}
 		})
 		b.Run(fmt.Sprintf("cancel/%d", depth), func(b *testing.B) {
@@ -695,7 +982,41 @@ func BenchmarkDeepQueue(b *testing.B) {
 				*tm = s.AtArg(when, rearmNop, s)
 			}
 		})
+		b.Run(fmt.Sprintf("flight/%d", depth), func(b *testing.B) {
+			s, _ := standingFrom(Time(1000 * Hour))
+			for i := 0; i < flightPackets; i++ {
+				flightHop(s)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.step(maxTime)
+			}
+		})
 	}
+}
+
+// flightPackets is how many packet events BenchmarkDeepQueue's flight
+// pattern keeps pending: about what the soon heap holds on the NATed
+// testbed's transfers.
+const flightPackets = 32
+
+// flightDelays are the distances ahead flightHop schedules at, in turn:
+// path latencies and service times from 0.3 to 35 ms.
+var flightDelays = func() [64]Duration {
+	var d [64]Duration
+	rng := rand.New(rand.NewSource(3))
+	for i := range d {
+		d[i] = 300*Microsecond + Duration(rng.Int63n(int64(35*Millisecond-300*Microsecond)))
+	}
+	return d
+}()
+
+// flightHop is a packet event's callback: it schedules the packet's next
+// event one of flightDelays ahead.
+func flightHop(arg any) {
+	s := arg.(*Simulator)
+	s.AtArg(s.now.Add(flightDelays[s.Processed%64]), flightHop, s)
 }
 
 // standingInterval is the period of BenchmarkDeepQueue's standing timers.

@@ -9,6 +9,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 )
 
@@ -48,26 +49,31 @@ func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 // String formats the time in seconds with millisecond precision.
 func (t Time) String() string { return fmt.Sprintf("t=%.3fs", t.Seconds()) }
 
+// maxTime is the latest Time: the limit under which Run runs everything.
+const maxTime Time = math.MaxInt64
+
 // event is a pooled scheduled callback. Fired and cancelled events return
 // to the simulator's free list, so cancel-heavy workloads (retransmit
 // timers, keepalives) recycle a small working set instead of churning the
 // allocator. gen is bumped on every release; Timer handles carry the gen
 // they were issued with, so a stale handle can never cancel a recycled
 // event. The ordering key (when, seq) is not here: it lives in the event's
-// queue slot, where comparisons read it without touching the event.
+// queue slot, where comparisons read it without touching the event. soon
+// rides in the padding after index: event is 48 bytes (see eventSlab).
 type event struct {
 	fn    func(any)
 	arg   any
 	next  *event // free-list link
 	gen   uint64
-	index int32 // the event's slot: Simulator.queue[index], or Simulator.nowq[^index] when negative
+	index int32 // the event's slot: slots[index] of its heap, or Simulator.nowq[^index] when negative
+	soon  bool  // the heap is Simulator.soon, not Simulator.queue
 }
 
 // slot is one entry of the pending-event queue: the ordering key inline,
 // then the event it orders. Pop order is the (when, seq) total order and
 // nothing else — seq is unique, so no two slots ever compare equal and
-// neither the shape of the heap nor which of the two homes (heap or now
-// queue) a slot sits in can influence which event fires next.
+// neither the shape of a heap nor which of the three homes (the two heaps
+// and the now queue) a slot sits in can influence which event fires next.
 type slot struct {
 	when Time
 	seq  uint64 // tie-breaker: FIFO among equal timestamps
@@ -104,7 +110,7 @@ func (t Timer) Time() Time {
 	if i < 0 {
 		return t.s.nowq[^i].when
 	}
-	return t.s.queue[i].when
+	return t.s.heapOf(t.ev).slots[i].when
 }
 
 // Cancel prevents a pending event from firing, removing it from the queue
@@ -118,7 +124,11 @@ func (t Timer) Cancel() bool {
 	if i := int(t.ev.index); i < 0 {
 		t.s.retireNow(^i)
 	} else {
-		t.s.remove(i)
+		h := t.s.heapOf(t.ev)
+		if h.hole {
+			h.closeHole() // moves slots: the index is read after it
+		}
+		h.remove(int(t.ev.index))
 	}
 	t.s.release(t.ev)
 	return true
@@ -129,14 +139,20 @@ func (t Timer) Cancel() bool {
 // simulations (e.g. benchmark trials) may run in parallel goroutines, each
 // with its own Simulator.
 type Simulator struct {
-	now   Time
-	queue []slot // 4-ary min-heap on (when, seq); children of i are 4i+1..4i+4
+	now Time
+	// The two heaps: soon holds events due less than soonSpan after they
+	// were scheduled — packets in flight — and queue every later one — the
+	// standing timers — so a packet's push and pop sift through a few
+	// dozen slots instead of thousands. An event stays in the heap it was
+	// pushed into however the clock moves; head compares the heads.
+	queue heap4
+	soon  heap4
 
 	// The now queue: events scheduled for the instant they were scheduled
 	// at, in scheduling order. Entries are appended with when == now, the
 	// clock never moves backward and seq only grows, so nowq[nowHead:] is
-	// sorted by (when, seq) like the heap, and the next event is whichever
-	// of the two heads fires first (see head). nowq[:nowHead] has been
+	// sorted by (when, seq) like the heaps, and the next event is whichever
+	// of the three heads fires first (see head). nowq[:nowHead] has been
 	// popped; a cancelled entry stays behind as a zeroed tombstone until the
 	// head passes it or compactNow squeezes it out. While nowLive > 0 the
 	// head entry is live.
@@ -254,10 +270,49 @@ func (s *Simulator) release(e *event) {
 	s.free = e
 }
 
+// soonSpan is the distance ahead below which AtArg pushes an event into
+// the soon heap rather than the timer heap. It covers every path latency
+// and service time of the testbeds (0.3 ms LAN, 10–35 ms WAN, under 2 ms
+// of service) and lies under every standing timer: the shortest, vip's
+// minimum retransmission timeout, is 200 ms.
+const soonSpan = 100 * Millisecond
+
+// heap4 is a 4-ary min-heap on (when, seq); the children of slot i are
+// 4i+1..4i+4. A popped root may stay behind as a hole (see step): slots[0]
+// is then dead, the next push (AtArg) fills it from the root down, and
+// whatever reads or edits the heap before that push closes it first.
+type heap4 struct {
+	slots []slot
+	hole  bool
+}
+
+// heapOf returns the heap that holds e's slot (e.index >= 0).
+func (s *Simulator) heapOf(e *event) *heap4 {
+	if e.soon {
+		return &s.soon
+	}
+	return &s.queue
+}
+
+// len counts the heap's live slots: a hole is not one.
+func (h *heap4) len() int {
+	if h.hole {
+		return len(h.slots) - 1
+	}
+	return len(h.slots)
+}
+
+// closeHole fills an open hole the ordinary way: the last slot takes the
+// root and sifts down.
+func (h *heap4) closeHole() {
+	h.hole = false
+	h.remove(0)
+}
+
 // up places sl at or above position i, whose slot is free: ancestors that
 // fire after sl move down one level each, written once.
-func (s *Simulator) up(i int, sl slot) {
-	q := s.queue
+func (h *heap4) up(i int, sl slot) {
+	q := h.slots
 	for i > 0 {
 		p := (i - 1) / 4
 		if !sl.before(&q[p]) {
@@ -273,8 +328,8 @@ func (s *Simulator) up(i int, sl slot) {
 
 // down places sl at or below position i, whose slot is free: at each level
 // the earliest of up to four children moves up while it fires before sl.
-func (s *Simulator) down(i int, sl slot) {
-	q := s.queue
+func (h *heap4) down(i int, sl slot) {
+	q := h.slots
 	n := len(q)
 	for {
 		c := 4*i + 1
@@ -304,31 +359,55 @@ func (s *Simulator) down(i int, sl slot) {
 
 // remove deletes the slot at position i (0 pops the minimum): the last
 // slot takes its place and sifts to where it belongs.
-func (s *Simulator) remove(i int) {
-	q := s.queue
+func (h *heap4) remove(i int) {
+	q := h.slots
 	n := len(q) - 1
 	last := q[n]
 	q[n] = slot{}
-	s.queue = q[:n]
+	h.slots = q[:n]
 	if i == n {
 		return
 	}
 	if i > 0 && last.before(&q[(i-1)/4]) {
-		s.up(i, last)
+		h.up(i, last)
 	} else {
-		s.down(i, last)
+		h.down(i, last)
 	}
 }
 
-// head returns the earliest pending slot, or nil when nothing is pending.
-// The heap and the now queue are each sorted by (when, seq), so taking the
-// earlier of their two heads is a two-way merge of the one total order:
-// neither home has precedence, the comparison decides.
-func (s *Simulator) head() *slot {
-	var h *slot
-	if len(s.queue) > 0 {
-		h = &s.queue[0]
+// closeHoles closes whichever heap's hole is open. Code that may run
+// inside a callback and reads a heap's root calls it first.
+func (s *Simulator) closeHoles() {
+	if s.queue.hole {
+		s.queue.closeHole()
 	}
+	if s.soon.hole {
+		s.soon.closeHole()
+	}
+}
+
+// head returns the earliest pending slot, or nil when nothing is pending;
+// no hole may be open. The two heaps and the now queue are each sorted by
+// (when, seq), so taking the earliest of their heads is a k-way merge of
+// the one total order: no home has precedence, the comparison decides.
+// The merge is two functions, each within the inliner's budget where head
+// as a whole is not, so that step spells head out and pays no call.
+func (s *Simulator) head() *slot { return s.nowOr(s.heapHead()) }
+
+// heapHead returns the earlier of the two heaps' roots, or nil.
+func (s *Simulator) heapHead() *slot {
+	var h *slot
+	if q := s.queue.slots; len(q) > 0 {
+		h = &q[0]
+	}
+	if q := s.soon.slots; len(q) > 0 && (h == nil || q[0].before(h)) {
+		h = &q[0]
+	}
+	return h
+}
+
+// nowOr returns the now queue's head if it fires before h, h otherwise.
+func (s *Simulator) nowOr(h *slot) *slot {
 	if s.nowLive > 0 {
 		if n := &s.nowq[s.nowHead]; h == nil || n.before(h) {
 			return n
@@ -392,9 +471,11 @@ func (s *Simulator) After(d Duration, fn func()) Timer {
 // the allocation-free form the packet-delivery hot path uses.
 //
 // An event for the current instant is appended to the now queue in O(1);
-// any other is pushed into the heap. Same-instant events are the heap's
-// worst case (they sift up past every standing timer, and popping them
-// drags a far-future timer back down) and most of a packet-heavy run.
+// one due less than soonSpan ahead is pushed into the soon heap, any other
+// into the timer heap. Same-instant events are a heap's worst case (they
+// sift up past every pending event, and popping them drags a later one
+// back down) and most of a packet-heavy run; packets in flight are most of
+// the rest, and in the soon heap they do not sift past the standing timers.
 func (s *Simulator) AtArg(t Time, fn func(any), arg any) Timer {
 	if t < s.now {
 		t = s.now
@@ -414,8 +495,20 @@ func (s *Simulator) AtArg(t Time, fn func(any), arg any) Timer {
 		s.nowq = append(s.nowq, sl)
 		s.nowLive++
 	} else {
-		s.queue = append(s.queue, slot{})
-		s.up(len(s.queue)-1, sl)
+		h := &s.queue
+		if e.soon = t.Sub(s.now) < soonSpan; e.soon {
+			h = &s.soon
+		}
+		if h.hole {
+			// Replace-top: the popped event's callback is scheduling the
+			// next one, and it sifts down from the root the last slot
+			// would otherwise have been sifted down from.
+			h.hole = false
+			h.down(0, sl)
+		} else {
+			h.slots = append(h.slots, slot{})
+			h.up(len(h.slots)-1, sl)
+		}
 	}
 	return Timer{s: s, ev: e, gen: e.gen}
 }
@@ -425,23 +518,28 @@ func (s *Simulator) Stop() { s.stopped = true }
 
 // Pending reports the number of events waiting in the queue. Cancelled
 // events leave the queue immediately and are not counted.
-func (s *Simulator) Pending() int { return len(s.queue) + s.nowLive }
+func (s *Simulator) Pending() int { return s.queue.len() + s.soon.len() + s.nowLive }
 
-// step executes the next pending event. It reports false when the queue is
-// empty or the simulator has been stopped.
+// step executes the next pending event if it is due at or before limit.
+// It reports false when there is none or the simulator has been stopped.
+//
+// A heap's popped root is left as a hole for the callback's first push
+// into that heap to fill from the root down (AtArg), which saves the sift
+// of the last slot that removing the root would cost; if the callback
+// pushes nothing there, the hole is closed the ordinary way when it
+// returns. A popped event's hole is the only one that can be open.
 func (s *Simulator) step(limit Time) bool {
-	sl := s.head()
-	if s.stopped || sl == nil {
+	sl := s.nowOr(s.heapHead()) // head()
+	if s.stopped || sl == nil || sl.when > limit {
 		return false
 	}
 	when, ev := sl.when, sl.ev
-	if limit >= 0 && when > limit {
-		return false
-	}
+	var h *heap4
 	if ev.index < 0 {
 		s.retireNow(s.nowHead)
 	} else {
-		s.remove(0)
+		h = s.heapOf(ev)
+		h.hole = true
 	}
 	s.now = when
 	s.Processed++
@@ -450,13 +548,16 @@ func (s *Simulator) step(limit Time) bool {
 	fn, arg := ev.fn, ev.arg
 	s.release(ev)
 	fn(arg)
+	if h != nil && h.hole {
+		h.closeHole()
+	}
 	return true
 }
 
 // Run executes events until the queue is empty or Stop is called.
 func (s *Simulator) Run() {
 	s.stopped = false
-	for s.step(-1) {
+	for s.step(maxTime) {
 	}
 }
 
@@ -478,6 +579,7 @@ func (s *Simulator) RunFor(d Duration) { s.RunUntil(s.now.Add(d)) }
 // return is false when the queue is empty. Sharded coordinators use it to
 // compute the global window floor without popping anything.
 func (s *Simulator) PeekTime() (Time, bool) {
+	s.closeHoles()
 	sl := s.head()
 	if sl == nil {
 		return 0, false
@@ -492,11 +594,7 @@ func (s *Simulator) PeekTime() (Time, bool) {
 // events at or beyond the window boundary queued for later windows.
 func (s *Simulator) RunBefore(t Time) {
 	s.stopped = false
-	for !s.stopped {
-		if sl := s.head(); sl == nil || sl.when >= t {
-			break
-		}
-		s.step(-1)
+	for s.step(t - 1) {
 	}
 }
 
@@ -507,6 +605,7 @@ func (s *Simulator) RunBefore(t Time) {
 // coordinator uses it to bring every shard's clock to the common horizon
 // after the last window.
 func (s *Simulator) AdvanceTo(t Time) {
+	s.closeHoles()
 	if sl := s.head(); sl != nil && sl.when < t {
 		t = sl.when
 	}
