@@ -114,7 +114,7 @@ func crossSendWindow(g *Sharded, per int) func() {
 	k := len(g.shards)
 	return func() {
 		at := g.Now().Add(g.lookahead)
-		g.inWindow, g.windowEnd = true, at
+		g.inWindow, g.last = true, at-1
 		for from := 0; from < k; from++ {
 			for i := 0; i < per; i++ {
 				g.Send(from, (from+1)%k, at, nop, nil)

@@ -1,7 +1,10 @@
 package sim
 
 import (
+	"fmt"
 	"reflect"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -85,8 +88,8 @@ func runSingle(seed uint64, actors, shards, steps int, look Duration, horizon Ti
 }
 
 // runSharded executes the same workload on a Sharded engine with the given
-// worker count.
-func runSharded(seed uint64, actors, shards, steps, workers int, look Duration, horizon Time) [][]logRec {
+// worker count and reports what its windows offered to run in parallel.
+func runSharded(seed uint64, actors, shards, steps, workers int, look Duration, horizon Time) ([][]logRec, Parallelism) {
 	g := NewSharded(int64(seed), shards, workers)
 	defer g.Close()
 	g.SetLookahead(look)
@@ -103,7 +106,7 @@ func runSharded(seed uint64, actors, shards, steps, workers int, look Duration, 
 	w.now = func(actor int) Time { return g.Shard(w.shardOf(actor)).Now() }
 	w.kickoff()
 	g.RunUntil(horizon)
-	return w.logs
+	return w.logs, g.Parallelism()
 }
 
 // timesCollide reports whether any two events in the reference run share a
@@ -138,7 +141,7 @@ func TestShardedMatchesSingleThreaded(t *testing.T) {
 		if timesCollide(single) {
 			return true
 		}
-		sharded := runSharded(seed, actors, shards, 6, workers, look, horizon)
+		sharded, _ := runSharded(seed, actors, shards, 6, workers, look, horizon)
 		return reflect.DeepEqual(single, sharded)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
@@ -148,28 +151,49 @@ func TestShardedMatchesSingleThreaded(t *testing.T) {
 
 // TestShardedWorkerCountInvariance pins the stronger half of the
 // determinism contract: with ties or without, the (seed, shard count)
-// trace never depends on how many workers execute it.
+// trace and the engine's parallelism counts never depend on how many
+// workers execute it, also when the workers outnumber the cores.
 func TestShardedWorkerCountInvariance(t *testing.T) {
 	const look = 5 * Millisecond
 	const horizon = Time(20 * Second)
-	for _, seed := range []uint64{1, 7, 42, 1234567} {
-		ref := runSharded(seed, 24, 4, 8, 1, look, horizon)
-		for _, workers := range []int{2, 4, 8} {
-			got := runSharded(seed, 24, 4, 8, workers, look, horizon)
-			if !reflect.DeepEqual(ref, got) {
-				t.Fatalf("seed %d: workers=%d trace differs from workers=1", seed, workers)
+	check := func(t *testing.T, workerCounts ...int) {
+		for _, seed := range []uint64{1, 7, 42, 1234567} {
+			ref, refPar := runSharded(seed, 24, 4, 8, 1, look, horizon)
+			if refPar.Windows == 0 || refPar.Busiest > refPar.Events {
+				t.Fatalf("seed %d: implausible parallelism counts %+v", seed, refPar)
+			}
+			for _, workers := range workerCounts {
+				got, par := runSharded(seed, 24, 4, 8, workers, look, horizon)
+				if !reflect.DeepEqual(ref, got) {
+					t.Fatalf("seed %d: workers=%d trace differs from workers=1", seed, workers)
+				}
+				if par != refPar {
+					t.Fatalf("seed %d: workers=%d counts %+v, workers=1 counts %+v", seed, workers, par, refPar)
+				}
 			}
 		}
 	}
+	check(t, 2, 4, 8)
+	t.Run("GOMAXPROCS=1", func(t *testing.T) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		check(t, 4)
+	})
 }
 
 // TestShardedSingleShardDelegates checks K=1 is exactly the plain engine:
 // same trace, no lookahead required.
 func TestShardedSingleShardDelegates(t *testing.T) {
 	single := runSingle(99, 8, 1, 6, 10*Millisecond, Time(10*Second))
-	g := runSharded(99, 8, 1, 6, 1, 10*Millisecond, Time(10*Second))
+	g, par := runSharded(99, 8, 1, 6, 1, 10*Millisecond, Time(10*Second))
 	if !reflect.DeepEqual(single, g) {
 		t.Fatal("single-shard engine trace differs from plain Simulator")
+	}
+	events := uint64(0)
+	for _, l := range single {
+		events += uint64(len(l))
+	}
+	if want := (Parallelism{Windows: 1, Events: events, Busiest: events}); par != want {
+		t.Fatalf("single-shard counts %+v, want %+v", par, want)
 	}
 }
 
@@ -330,6 +354,236 @@ func TestClosedEngineRunUntilPanics(t *testing.T) {
 			}
 		case <-time.After(5 * time.Second):
 			t.Fatalf("ran=%v: RunUntil after Close deadlocked", ran)
+		}
+	}
+}
+
+// runGuarded runs g to t on another goroutine and reports what RunUntil
+// panicked with, failing the test if it has not returned within a minute.
+func runGuarded(t *testing.T, g *Sharded, until Time) any {
+	t.Helper()
+	done := make(chan any, 1)
+	go func() {
+		defer func() { done <- recover() }()
+		g.RunUntil(until)
+	}()
+	select {
+	case r := <-done:
+		return r
+	case <-time.After(time.Minute):
+		t.Fatalf("RunUntil(%v) has not returned", until)
+		return nil
+	}
+}
+
+// TestShardedRunUntilNearTimeLimit is the regression for windows whose end
+// overflowed: an event due within one lookahead of the last Time, or at it,
+// made every window empty and RunUntil spin forever.
+func TestShardedRunUntilNearTimeLimit(t *testing.T) {
+	for _, at := range []Time{maxTime - 5, maxTime} {
+		for _, workers := range []int{1, 2} {
+			g := NewSharded(1, 2, workers)
+			g.SetLookahead(10 * Millisecond)
+			fired := 0
+			g.Shard(1).At(at, func() { fired++ })
+			g.Shard(0).At(Time(Millisecond), func() {})
+			if r := runGuarded(t, g, maxTime); r != nil {
+				t.Fatalf("event at %v, workers=%d: RunUntil panicked: %v", at, workers, r)
+			}
+			if fired != 1 || g.Now() != maxTime || g.Pending() != 0 {
+				t.Errorf("event at %v, workers=%d: fired %d times, clock %v, %d pending", at, workers, fired, g.Now(), g.Pending())
+			}
+			g.Close()
+		}
+	}
+}
+
+// TestShardedStaleClaim holds the barrier's claim to its window: windows
+// alternate between one due shard and all K with a worker per shard, so a
+// helper still walking one window races the coordinator publishing the
+// next. Every event asserts that no other participant is running its shard
+// and that it runs within its window. A claim that does not carry the
+// window's epoch lets a late helper take a shard of the next window — beside
+// the participant that claims it there, or before the count of shards left
+// is set — and a claim by Swap can overwrite the next window's mark; either
+// way the barrier breaks, and a barrier that never opens fails the test
+// after a minute.
+func TestShardedStaleClaim(t *testing.T) {
+	const k, windows = 8, 4000
+	const look = Millisecond
+	g := NewSharded(3, k, k)
+	defer g.Close()
+	g.SetLookahead(look)
+	var running [k]atomic.Bool
+	var fault atomic.Value
+	var ran [k]int
+	var sink [k]uint64
+	for i := 0; i < k; i++ {
+		i, sh := i, g.Shard(i)
+		period := 2 * look // due in every other window
+		if i == 0 {
+			period = look // due in every window
+		}
+		var beat func(any)
+		beat = func(any) {
+			if !running[i].CompareAndSwap(false, true) {
+				fault.CompareAndSwap(nil, fmt.Sprintf("shard %d run by two participants at %v", i, sh.Now()))
+			}
+			if sh.Now() > g.last {
+				fault.CompareAndSwap(nil, fmt.Sprintf("shard %d ran an event at %v after its window's last instant %v", i, sh.Now(), g.last))
+			}
+			x := uint64(sh.Now())
+			for j := 0; j < 64; j++ {
+				x = splitmix64(x)
+			}
+			sink[i] += x // a little work, so that two runs of one shard overlap
+			ran[i]++
+			sh.AtArg(sh.Now().Add(period), beat, nil)
+			running[i].Store(false)
+		}
+		sh.AtArg(0, beat, nil)
+	}
+	if r := runGuarded(t, g, Time(windows-1)*Time(look)); r != nil {
+		t.Fatalf("RunUntil panicked: %v", r)
+	}
+	if f := fault.Load(); f != nil {
+		t.Fatal(f)
+	}
+	for i, n := range ran {
+		want := windows / 2
+		if i == 0 {
+			want = windows
+		}
+		if n != want {
+			t.Errorf("shard %d ran %d events, want %d", i, n, want)
+		}
+	}
+	if par := g.Parallelism(); par.Windows != windows || par.Events != windows*(k+1)/2 || par.Busiest != windows {
+		t.Errorf("counts %+v, want %d windows, %d events, busiest %d", par, windows, windows*(k+1)/2, windows)
+	}
+}
+
+// goroutinesAtMost reports runtime.NumGoroutine once it is at most want,
+// or after ten seconds. A goroutine leaves the count a moment after its
+// last synchronizing act — here the WaitGroup's Done that Close waits for —
+// and read at once the count still held an exiting helper in about one
+// run in 300 on two cores, so it yields the processor until the exit is
+// through.
+func goroutinesAtMost(want int) int {
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(10 * time.Second); n > want && time.Now().Before(deadline); {
+		runtime.Gosched()
+		n = runtime.NumGoroutine()
+	}
+	return n
+}
+
+// TestShardedOneWorkerStartsNoGoroutine: with one worker the caller runs
+// every shard itself.
+func TestShardedOneWorkerStartsNoGoroutine(t *testing.T) {
+	base := runtime.NumGoroutine()
+	g := NewSharded(1, 4, 1)
+	defer g.Close()
+	g.SetLookahead(Millisecond)
+	during := -1
+	for i := 0; i < 4; i++ {
+		g.Shard(i).At(Time(Microsecond), func() { during = runtime.NumGoroutine() })
+	}
+	g.RunUntil(Time(10 * Millisecond))
+	if after := runtime.NumGoroutine(); during > base || after > base {
+		t.Fatalf("goroutines: %d before, %d during a window, %d after", base, during, after)
+	}
+}
+
+// TestShardedCloseWaitsForHelpers: Close returns once the helpers have
+// left their loop, whether they still poll for the next window (Close right after
+// a run) or have parked.
+func TestShardedCloseWaitsForHelpers(t *testing.T) {
+	base := runtime.NumGoroutine()
+	for _, parked := range []bool{false, true} {
+		g := NewSharded(1, 4, 4)
+		g.SetLookahead(Millisecond)
+		for i := 0; i < 4; i++ {
+			g.Shard(i).At(Time(Microsecond), func() {})
+		}
+		g.RunUntil(Time(Millisecond))
+		if len(g.helpers) != 3 {
+			t.Fatalf("parked=%v: %d helpers started, want 3", parked, len(g.helpers))
+		}
+		if parked {
+			deadline := time.Now().Add(time.Minute)
+			for p := range g.helpers {
+				for !g.helpers[p].asleep.Load() {
+					if time.Now().After(deadline) {
+						t.Fatalf("helper %d never parked", p+1)
+					}
+					time.Sleep(time.Millisecond)
+				}
+			}
+		}
+		g.Close()
+		if n := goroutinesAtMost(base); n > base {
+			t.Fatalf("parked=%v: %d goroutines after Close, want %d", parked, n, base)
+		}
+	}
+}
+
+// TestShardedPanicReraised: a panic in an event is re-raised on the caller
+// of RunUntil whoever ran the shard. Two shards share one window; the one
+// that does not panic waits until the panicking one has started, so each
+// is run by its home participant: shard 0 by the coordinator, shard 1 by
+// the helper.
+func TestShardedPanicReraised(t *testing.T) {
+	for _, panicky := range []int{0, 1} {
+		g := NewSharded(1, 2, 2)
+		g.SetLookahead(Millisecond)
+		var started atomic.Bool
+		g.Shard(panicky).At(Time(Microsecond), func() {
+			started.Store(true)
+			panic(fmt.Sprintf("boom on shard %d", panicky))
+		})
+		g.Shard(1-panicky).At(Time(Microsecond), func() {
+			for deadline := time.Now().Add(time.Minute); !started.Load() && time.Now().Before(deadline); {
+				runtime.Gosched()
+			}
+		})
+		want := fmt.Sprintf("boom on shard %d", panicky)
+		if r := runGuarded(t, g, Time(Second)); r != want {
+			t.Errorf("shard %d: RunUntil recovered %v, want %q", panicky, r, want)
+		}
+		if !started.Load() {
+			t.Errorf("shard %d: the panicking event never ran", panicky)
+		}
+		g.Close()
+	}
+}
+
+// BenchmarkShardWindow times one window of an 8-shard engine — the floor
+// scan, the hand-out, the barrier and the lane merge — with one trivial
+// event per shard (what the barrier costs on its own) and with 13 per
+// shard (about the 106 events of a 3000-router ring's window), at one and
+// two workers.
+func BenchmarkShardWindow(b *testing.B) {
+	const k = 8
+	const look = 10 * Millisecond
+	for _, perShard := range []int{1, 13} {
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("events=%d/workers=%d", k*perShard, workers), func(b *testing.B) {
+				g := NewSharded(1, k, workers)
+				defer g.Close()
+				g.SetLookahead(look)
+				for i := 0; i < k; i++ {
+					sh := g.Shard(i)
+					var beat func(any)
+					beat = func(any) { sh.AtArg(sh.Now().Add(look), beat, nil) }
+					for j := 0; j < perShard; j++ {
+						sh.AtArg(Time(j)*Time(Microsecond), beat, nil)
+					}
+				}
+				g.RunUntil(Time(look))
+				b.ResetTimer()
+				g.RunUntil(g.Now().Add(Duration(b.N) * look))
+			})
 		}
 	}
 }

@@ -588,13 +588,17 @@ func (s *Simulator) PeekTime() (Time, bool) {
 }
 
 // RunBefore executes every event with timestamp strictly less than t and
-// stops without advancing the clock past the last executed event. It is the
-// window-execution primitive of the sharded engine: a shard runs its slice
-// of the window [T, T+lookahead) with RunBefore(T+lookahead), leaving
-// events at or beyond the window boundary queued for later windows.
-func (s *Simulator) RunBefore(t Time) {
+// stops without advancing the clock past the last executed event.
+func (s *Simulator) RunBefore(t Time) { s.runThrough(t - 1) }
+
+// runThrough executes every event with timestamp at or before last and
+// stops without advancing the clock past the last executed event. It is
+// the window-execution primitive of the sharded engine: a shard runs its
+// slice of a window through the window's last instant, leaving later
+// events queued for later windows.
+func (s *Simulator) runThrough(last Time) {
 	s.stopped = false
-	for s.step(t - 1) {
+	for s.step(last) {
 	}
 }
 
