@@ -50,11 +50,15 @@ type Connection struct {
 	// gossip and relinking.
 	URIs []URI
 
-	// node is the owning node, so the keepalive timers can arm through
-	// sim.AtArg with the connection itself as the argument (no closure).
+	// node is the owning node. The node's keepalive timer carries the
+	// connection it is armed for as its argument, and its callback reaches
+	// the node through this field (no closure).
 	node      *Node
 	lastHeard sim.Time
-	pingTimer sim.Timer
+	// due is the place in the event order of the connection's next
+	// keepalive step (dueTimeout tells which): the key its own event would
+	// have had, reserved when the step is set (Node.setDue).
+	due sim.Key
 	// pingWait is the deadline the armed ping round is waiting out; each
 	// resend doubles it.
 	pingWait  sim.Duration
@@ -78,6 +82,9 @@ type Connection struct {
 	// traffic arriving with it set counts as a premature timeout.
 	timedOut  bool
 	loadKnown bool
+	// dueTimeout marks due as a ping round's deadline (pingTimeout) rather
+	// than the next tick (pingTick).
+	dueTimeout bool
 	// reason records why dropConnection tore the connection down,
 	// readable by OnDisconnection callbacks — the repair overlord re-links
 	// only involuntary losses.
@@ -486,8 +493,10 @@ func (n *Node) dropConnection(c *Connection, sendClose bool, reason dropReason) 
 	}
 	c.closed = true
 	c.reason = reason
-	c.pingTimer.Cancel()
 	n.tableRemove(c)
+	if c == n.armed {
+		n.rearm()
+	}
 	n.uncountRoles(c)
 	n.Stats.Add(cConnDropped+int(reason), 1)
 	if sendClose && n.up {
@@ -559,24 +568,70 @@ func (n *Node) pingDeadline(c *Connection) sim.Duration {
 	return min(max(c.srtt+rtoK*c.rttvar, rtoMin), rtoMax)
 }
 
-// schedulePing arms the keepalive timer for a connection.
+// schedulePing sets a connection's next keepalive tick.
 func (n *Node) schedulePing(c *Connection) {
 	jitter := n.cfg.PingInterval / 10
 	wait := n.cfg.PingInterval + sim.Duration(n.rand().Int63n(int64(jitter)+1))
-	c.pingTimer = n.sim.AtArg(n.sim.Now().Add(wait), pingTickFired, c)
+	n.setDue(c, n.sim.Now().Add(wait), false)
 }
 
-// pingTickFired and pingTimeoutFired are the keepalive timer callbacks:
-// package-level functions taking the connection, so arming a timer
-// allocates nothing (see sim.AtArg).
-func pingTickFired(arg any) {
-	c := arg.(*Connection)
-	c.node.pingTick(c)
+// The keepalive plane runs on one timer per node: the pings of §IV-B need a
+// deadline per link, not a pending event per link. Each connection keeps the
+// key of its next step, reserved where the step's own event would have been
+// scheduled; the node's timer is armed at the earliest of them (armed), and a
+// firing serves that one connection, whose step sets its next key and so
+// re-arms the timer at whichever key is then the earliest. Every step fires at
+// the key its own event would have had, so the pop order is the one a timer
+// per connection gives, with one event pending per node instead.
+
+// setDue gives c its next keepalive step, due at t: the deadline of a ping
+// round when timeout is set, the next tick otherwise. The node's timer moves
+// only when c is the connection it is armed for or c now comes first.
+func (n *Node) setDue(c *Connection, t sim.Time, timeout bool) {
+	c.due = n.sim.Reserve(t)
+	c.dueTimeout = timeout
+	switch {
+	case c.closed: // dropped, or its node stopped: nothing to arm
+	case c == n.armed:
+		n.rearm()
+	case n.armed == nil || c.due.Before(n.armed.due):
+		n.arm(c)
+	}
 }
 
-func pingTimeoutFired(arg any) {
+// rearm arms the node's keepalive timer at the earliest due key of its
+// connections, or leaves it unarmed when the table is empty.
+func (n *Node) rearm() {
+	var first *Connection
+	for _, s := range n.table.slots {
+		if first == nil || s.c.due.Before(first.due) {
+			first = s.c
+		}
+	}
+	n.arm(first)
+}
+
+// arm moves the node's keepalive timer to c's due key; nil leaves it
+// unarmed.
+func (n *Node) arm(c *Connection) {
+	n.keepalive.Cancel()
+	n.armed = c
+	if c != nil {
+		n.keepalive = n.sim.AtKey(c.due, keepaliveFired, c)
+	}
+}
+
+// keepaliveFired is the node's keepalive timer callback: a package-level
+// function taking the armed connection, so arming allocates nothing (see
+// sim.AtKey). The step it runs sets the connection's next key or drops the
+// connection, and either re-arms the timer.
+func keepaliveFired(arg any) {
 	c := arg.(*Connection)
-	c.node.pingTimeout(c)
+	if c.dueTimeout {
+		c.node.pingTimeout(c)
+	} else {
+		c.node.pingTick(c)
+	}
 }
 
 // sendPing transmits one keepalive ping carrying the connection's
@@ -609,7 +664,7 @@ func (n *Node) pingTick(c *Connection) {
 // armPingTimeout waits for a pong, up to wait.
 func (n *Node) armPingTimeout(c *Connection, wait sim.Duration) {
 	c.pingWait = wait
-	c.pingTimer = n.sim.AtArg(n.sim.Now().Add(wait), pingTimeoutFired, c)
+	n.setDue(c, n.sim.Now().Add(wait), true)
 }
 
 // pingTimeout runs when a ping round's deadline expires: it resends with
@@ -653,7 +708,6 @@ func (n *Node) fastProbe(c *Connection) {
 	if c.closed || !n.up || c.awaiting != 0 {
 		return // dead already, or a ping round is in flight
 	}
-	c.pingTimer.Cancel()
 	c.pingRetry = int32(max(n.cfg.PingRetries-n.cfg.SuspectRetries, 0))
 	c.suspected = true
 	n.pingSeq++

@@ -27,16 +27,14 @@ func settledNode(t testing.TB, nodes []*Node) *Node {
 // frozen (zero-latency fabric): the ping tick fires, its deadline expires
 // once before the answer is seen (resend, doubled re-arm), both pings are
 // answered by pings flipped into pongs, and the expired deadline of the
-// answered round re-arms the next tick.
+// answered round re-arms the next tick. Each step sets c's next key and
+// moves the node's keepalive timer as a firing would.
 func keepaliveRound(s *sim.Simulator, n *Node, c *Connection) func() {
 	return func() {
-		c.pingTimer.Cancel()
 		c.lastHeard = s.Now().Add(-n.cfg.PingInterval) // stale: the tick must ping
 		n.pingTick(c)
-		c.pingTimer.Cancel()
 		n.pingTimeout(c) // unanswered so far: resend, re-arm at twice the wait
 		s.RunUntil(s.Now())
-		c.pingTimer.Cancel()
 		n.pingTimeout(c) // answered meanwhile: arm the next tick
 	}
 }

@@ -271,6 +271,11 @@ type Node struct {
 
 	tokenSeq uint64
 	pingSeq  uint64
+	// keepalive is the node's one liveness timer, armed at the due key of
+	// armed: of the connections in the table, the one whose keepalive step
+	// comes first (see setDue). Both are zero while the table is empty.
+	keepalive sim.Timer
+	armed     *Connection
 
 	// rng is the node-private protocol-jitter source (Config.JitterSeed);
 	// nil means draw from the shared simulator RNG as before.
@@ -632,9 +637,9 @@ func (n *Node) Stop() {
 	for _, lk := range n.linkers {
 		lk.finish(false)
 	}
+	n.arm(nil)
 	for _, s := range n.table.slots {
 		c := s.c
-		c.pingTimer.Cancel()
 		c.closed = true
 		if c.Stream != nil {
 			c.Stream.Close()

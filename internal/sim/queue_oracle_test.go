@@ -6,10 +6,11 @@ import "container/heap"
 // the tie-breaking sequence number: the model hands ids out in scheduling
 // order, exactly as the Simulator hands out seq.
 type oracleEvent struct {
-	when   Time
-	id     uint64
-	index  int // heap index, -1 once popped or removed
-	effect effect
+	when     Time
+	id       uint64
+	index    int  // heap index, -1 while not pending
+	reserved bool // a reserved key: pushed when armed, not when made
+	effect   effect
 }
 
 // eventHeap is the queue the engine used before the 4-ary slot heap: a
@@ -77,6 +78,28 @@ func (o *oracleSim) schedule(_ uint8, t Time, eff effect) {
 	o.events = append(o.events, ev)
 	heap.Push(&o.queue, ev)
 }
+
+// reserve hands out the next id, as schedule would, and pushes nothing: the
+// event enters the heap, with that id, when it is armed.
+func (o *oracleSim) reserve(t Time, eff effect) {
+	if t < o.now {
+		t = o.now
+	}
+	ev := &oracleEvent{when: t, id: uint64(len(o.events)), index: -1, reserved: true, effect: eff}
+	o.events = append(o.events, ev)
+}
+
+func (o *oracleSim) armable() []uint64 {
+	var ids []uint64
+	for _, ev := range o.events {
+		if ev.reserved && ev.index < 0 && !passed(ev.when, ev.id, o.now, o.popped) {
+			ids = append(ids, ev.id)
+		}
+	}
+	return ids
+}
+
+func (o *oracleSim) arm(id uint64) { heap.Push(&o.queue, o.events[id]) }
 
 func (o *oracleSim) cancel(id uint64) bool {
 	ev := o.events[id]

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -11,7 +12,10 @@ import (
 // effect is what an event does when it fires, besides being logged: the
 // queue is mutated from inside callbacks at least as often as from outside.
 type effect struct {
-	kind  uint8 // bit 0 schedule a child, bit 1 cancel some timer, bit 2 Stop the run, bit 3 a near event before the child
+	// kind: bit 0 schedule a child, bit 1 cancel some timer, bit 2 Stop the
+	// run, bit 3 a near event before the child, bit 4 arm a reserved key
+	// first of all, bit 5 reserve a key.
+	kind  uint8
 	x     uint8
 	depth uint8 // generations of children after the first that carry the effect on
 }
@@ -24,9 +28,47 @@ type effectTarget interface {
 	schedule(form uint8, t Time, eff effect)
 	cancel(id uint64) bool
 	stop()
+	// reserve takes the next id as a key due at t (Reserve), with the
+	// effect its event will have once armed.
+	reserve(t Time, eff effect)
+	// armable lists, in reservation order, the reserved ids arm may take:
+	// not pending, and not passed by the run (see passed).
+	armable() []uint64
+	// arm schedules a reserved id at its key (AtKey).
+	arm(id uint64)
+}
+
+// passed reports whether the run has passed the key (when, id): the clock
+// is beyond it, or the last event to fire came after it. Arming such a key
+// cannot fire it where AtArg at reservation time would have, so nothing
+// arms it.
+func passed(when Time, id uint64, now Time, popped []popRec) bool {
+	if when < now {
+		return true
+	}
+	if n := len(popped); n > 0 {
+		p := popped[n-1]
+		return when < p.when || (when == p.when && id <= p.id)
+	}
+	return false
+}
+
+// armOne arms the x-th armable reservation, if there is one.
+func armOne(q effectTarget, x uint8) {
+	if ids := q.armable(); len(ids) > 0 {
+		q.arm(ids[int(x)%len(ids)])
+	}
 }
 
 func (e effect) apply(q effectTarget) {
+	if e.kind&16 != 0 {
+		// Before anything else, so that a key landing in the heap this
+		// event popped from fills its replace-top hole.
+		armOne(q, e.x)
+	}
+	if e.kind&32 != 0 {
+		q.reserve(q.clock()+offset(e.x*5+3), effect{kind: e.kind & 2, x: e.x + 1})
+	}
 	if e.kind&8 != 0 {
 		// Into the now queue or the soon heap: a far child after it must
 		// still fill the hole its timer left, not this push.
@@ -55,6 +97,7 @@ type queueModel struct {
 	s       *Simulator
 	o       *oracleSim
 	handles []Timer // by id; the Simulator must hand out seq == id
+	resv    []reservation
 	got     []popRec
 	checked int // prefix of got already compared with the oracle's pops
 	err     error
@@ -62,6 +105,13 @@ type queueModel struct {
 
 type firing struct {
 	id  uint64
+	eff effect
+}
+
+// reservation is a key the model reserved, with what its event does.
+type reservation struct {
+	id  uint64
+	key Key
 	eff effect
 }
 
@@ -184,6 +234,57 @@ func (m *queueModel) schedule(form uint8, t Time, eff effect) {
 	}
 	if got := homeOf(h.ev); got != want {
 		m.failf("event %d scheduled at %d with the clock at %d: in the %s, want the %s", id, t, now, got, want)
+	}
+}
+
+func (m *queueModel) reserve(t Time, eff effect) {
+	id := uint64(len(m.handles))
+	k := m.s.Reserve(t)
+	if t < m.s.Now() {
+		t = m.s.Now()
+	}
+	if k.seq != id || k.When != t {
+		m.failf("Reserve(%d) = {when %d, seq %d}, want {when %d, seq %d}", t, k.When, k.seq, t, id)
+	}
+	m.handles = append(m.handles, Timer{})
+	m.resv = append(m.resv, reservation{id, k, eff})
+}
+
+func (m *queueModel) armable() []uint64 {
+	var ids []uint64
+	for _, r := range m.resv {
+		if !m.handles[r.id].Active() && !passed(r.key.When, r.id, m.s.Now(), m.got) {
+			ids = append(ids, r.id)
+		}
+	}
+	return ids
+}
+
+// arm arms a reservation and checks its slot carries the reserved key in a
+// heap: the soon heap when it is due less than soonSpan ahead, the timer
+// heap otherwise, never the now queue, whose entries it must leave alone.
+func (m *queueModel) arm(id uint64) {
+	var r reservation
+	for _, r = range m.resv {
+		if r.id == id {
+			break
+		}
+	}
+	now, nowq := m.s.Now(), append([]slot(nil), m.s.nowq[m.s.nowHead:]...)
+	h := m.s.AtKey(r.key, m.fireArg, firing{id, r.eff})
+	m.handles[id] = h
+	if sl := m.slotOf(h); sl.ev != h.ev || sl.seq != id || sl.when != r.key.When {
+		m.failf("reserved key %d armed at %d sits in slot {when %d, seq %d}", id, r.key.When, sl.when, sl.seq)
+	}
+	want := "timer heap"
+	if r.key.When.Sub(now) < soonSpan {
+		want = "soon heap"
+	}
+	if got := homeOf(h.ev); got != want {
+		m.failf("reserved key %d armed at %d with the clock at %d: in the %s, want the %s", id, r.key.When, now, got, want)
+	}
+	if !slices.Equal(nowq, m.s.nowq[m.s.nowHead:]) {
+		m.failf("arming reserved key %d changed the now queue", id)
 	}
 }
 
@@ -320,7 +421,7 @@ func runQueueProgram(prog []byte) error {
 		op, x := prog[pc], prog[pc+1]
 		now := m.s.Now()
 		switch op % 8 {
-		case 0, 1, 2, 3: // schedule: form and effect from op's bits
+		case 0, 1, 2: // schedule: form and effect from op's bits
 			eff := effect{kind: op >> 6, x: x ^ op, depth: op >> 4 & 3}
 			if op&8 != 0 && x&16 != 0 {
 				eff.kind |= 4
@@ -328,9 +429,23 @@ func runQueueProgram(prog []byte) error {
 			if op&8 != 0 && x&8 != 0 {
 				eff.kind |= 9
 			}
+			if x&32 != 0 {
+				eff.kind |= 16 << (op >> 6 & 1) // arm or reserve from the callback
+			}
 			m.schedule(op, now+offset(x), eff)
 			m.o.schedule(op, now+offset(x), eff)
 			m.check("schedule")
+		case 3: // reserve a key, or arm one of those reserved
+			if op&8 == 0 {
+				eff := effect{kind: op>>6 | op>>1&8, x: x ^ op}
+				m.reserve(now+offset(x), eff)
+				m.o.reserve(now+offset(x), eff)
+				m.check("reserve")
+				continue
+			}
+			armOne(m, x)
+			armOne(m.o, x)
+			m.check("arm")
 		case 4: // cancel, and with op's bit 3 re-arm at the same time
 			if len(m.handles) == 0 {
 				continue
@@ -342,6 +457,13 @@ func runQueueProgram(prog []byte) error {
 			}
 			m.check("cancel")
 			if want && op&8 != 0 {
+				if m.o.events[id].reserved {
+					// A reserved key goes back to its own place.
+					m.arm(id)
+					m.o.arm(id)
+					m.check("re-arm")
+					continue
+				}
 				when := m.o.events[id].when
 				m.schedule(op>>4, when, effect{})
 				m.o.schedule(op>>4, when, effect{})
@@ -573,6 +695,95 @@ func TestNowQueueCases(t *testing.T) {
 		}
 		if s.Pending() != 0 || len(s.nowq) != 0 || s.nowHead != 0 {
 			t.Errorf("%s: left %d pending, now queue len %d head %d", tc.name, s.Pending(), len(s.nowq), s.nowHead)
+		}
+	}
+}
+
+// TestAtKeyCases pins the reserved key one corner at a time: each case
+// reserves keys with Reserve, arms them with AtKey, and lists the (clock,
+// id) sequence it must fire; an id is the order in which its key or event
+// was taken.
+func TestAtKeyCases(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		run  func(s *Simulator, note func(any)) string
+		want []popRec
+	}{
+		{"a key armed later fires where AtArg at reservation time would have", func(s *Simulator, note func(any)) string {
+			s.AtArg(10, note, 0)
+			k := s.Reserve(10)
+			s.AtArg(10, note, 2)
+			s.AtArg(5, func(any) { note(3); s.AtKey(k, note, 1) }, nil)
+			s.Run()
+			return ""
+		}, []popRec{{5, 3}, {10, 0}, {10, 1}, {10, 2}}},
+		{"a key for the current instant goes into the soon heap and leaves the now queue alone", func(s *Simulator, note func(any)) string {
+			s.RunUntil(5)
+			s.AtArg(s.Now(), note, 0)
+			k := s.Reserve(3) // clamped to the clock
+			s.AtArg(s.Now(), note, 2)
+			if k.When != 5 {
+				return fmt.Sprintf("Reserve(3) at 5 is due at %d", k.When)
+			}
+			nowq := append([]slot(nil), s.nowq...)
+			tm := s.AtKey(k, note, 1)
+			if homeOf(tm.ev) != "soon heap" || !slices.Equal(nowq, s.nowq) || s.nowLive != 2 || s.Pending() != 3 {
+				return fmt.Sprintf("armed in the %s; now queue changed %v, %d live", homeOf(tm.ev), !slices.Equal(nowq, s.nowq), s.nowLive)
+			}
+			s.Run()
+			return ""
+		}, []popRec{{5, 0}, {5, 1}, {5, 2}}},
+		{"armed from the callback of its heap's root, a key fills the replace-top hole", func(s *Simulator, note func(any)) string {
+			var msg string
+			late := Time(Second + soonSpan) // a timer-heap distance from the callback
+			k := s.Reserve(late + 1)        // before the standing timers: it takes the root
+			s.AtArg(Time(Second), func(any) {
+				note(1)
+				if !s.queue.hole {
+					msg = "no hole open in the callback"
+					return
+				}
+				if tm := s.AtKey(k, note, 0); tm.ev.index != 0 || tm.ev.soon || s.queue.hole {
+					msg = fmt.Sprintf("the key went to the %s slot %d (hole %v)", homeOf(tm.ev), tm.ev.index, s.queue.hole)
+				}
+			}, nil)
+			for id := 2; id < 7; id++ {
+				s.AtArg(late+Time(id), note, id)
+			}
+			s.Run()
+			return msg
+		}, []popRec{{Time(Second), 1}, {Time(Second+soonSpan) + 1, 0}, {Time(Second+soonSpan) + 2, 2},
+			{Time(Second+soonSpan) + 3, 3}, {Time(Second+soonSpan) + 4, 4}, {Time(Second+soonSpan) + 5, 5}, {Time(Second+soonSpan) + 6, 6}}},
+		{"cancelled and armed again, a key keeps its place and fires once", func(s *Simulator, note func(any)) string {
+			k := s.Reserve(20)
+			s.AtArg(20, note, 1)
+			tm := s.AtKey(k, note, 0)
+			if !tm.Cancel() || s.Pending() != 1 {
+				return fmt.Sprintf("cancel of an armed key: Pending() %d", s.Pending())
+			}
+			s.AtKey(k, note, 0)
+			s.Run()
+			return ""
+		}, []popRec{{20, 0}, {20, 1}}},
+		{"a key due before the clock panics", func(s *Simulator, note func(any)) string {
+			k := s.Reserve(3)
+			s.RunUntil(10)
+			defer func() { recover() }()
+			s.AtKey(k, note, 0)
+			return "AtKey at a passed instant did not panic"
+		}, nil},
+	} {
+		s := New(1)
+		var got []popRec
+		note := func(arg any) { got = append(got, popRec{s.Now(), uint64(arg.(int))}) }
+		if msg := tc.run(s, note); msg != "" {
+			t.Errorf("%s: %s", tc.name, msg)
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: fired %v, want %v", tc.name, got, tc.want)
+		}
+		if s.Pending() != 0 {
+			t.Errorf("%s: left %d pending", tc.name, s.Pending())
 		}
 	}
 }
@@ -895,6 +1106,12 @@ func FuzzEventQueue(f *testing.F) {
 	f.Add([]byte{0x00, 0xF0, 0x01, 0xF1, 0x02, 0xF2, 0x00, 0xF4, 0x01, 0xF5, 0x02, 0xF6, 0x00, 0xF7,
 		0x00, 0xE0, 0x01, 0xE5, 0x08, 0xFB, 0x09, 0xF8, 0x4A, 0xFC, 0x88, 0xF9,
 		7, 0, 7, 0, 0x0C, 0, 7, 0, 6, 7, 7, 0, 7, 0, 7, 0, 7, 0})
+	// Reserved keys, by hand: a key for the current instant between two
+	// now-queue events, two standing ones, arms of each, a standing timer
+	// whose callback arms into its heap's hole, cancels of the timer heap's
+	// root with a re-arm at the same key, steps and a drain.
+	f.Add([]byte{0x00, 2, 0x03, 2, 0x00, 2, 0x03, 0xF0, 0x03, 0xF3, 0x0B, 0, 0x00, 0xF1,
+		0x0B, 1, 0x0B, 2, 0x0C, 0, 0x1C, 0, 7, 0, 7, 0, 0x03, 0xE2, 7, 0, 0x0B, 0, 7, 0})
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		if len(prog) > 2048 {
 			prog = prog[:2048]

@@ -477,38 +477,79 @@ func (s *Simulator) After(d Duration, fn func()) Timer {
 // back down) and most of a packet-heavy run; packets in flight are most of
 // the rest, and in the soon heap they do not sift past the standing timers.
 func (s *Simulator) AtArg(t Time, fn func(any), arg any) Timer {
-	if t < s.now {
-		t = s.now
+	k := s.Reserve(t)
+	if k.When > s.now {
+		return s.AtKey(k, fn, arg)
 	}
 	e := s.acquire()
 	e.fn, e.arg = fn, arg
-	sl := slot{when: t, seq: s.nextSeq, ev: e}
+	// Out of room with at most half the storage live: reuse it rather
+	// than grow, so capacity follows the largest burst of live entries
+	// and not the number of events an instant processes.
+	if n := len(s.nowq); n == cap(s.nowq) && s.nowLive <= n/2 {
+		s.compactNow()
+	}
+	e.index = ^int32(len(s.nowq))
+	s.nowq = append(s.nowq, slot{when: k.When, seq: k.seq, ev: e})
+	s.nowLive++
+	return Timer{s: s, ev: e, gen: e.gen}
+}
+
+// Key is a place in the pop order: the instant an event is due and the
+// sequence number that orders it among the events of that instant. Reserve
+// hands keys out and AtKey schedules at one.
+type Key struct {
+	When Time
+	seq  uint64
+}
+
+// Before reports whether k comes before o in the pop order.
+func (k Key) Before(o Key) bool {
+	return k.When < o.When || (k.When == o.When && k.seq < o.seq)
+}
+
+// Reserve takes the key AtArg(t, …) would give its event now — t clamped to
+// the current time, and the next sequence number — without scheduling
+// anything. Arming the key later with AtKey fires the event exactly where
+// AtArg would have: a deadline can wait outside the queue, behind an earlier
+// one its owner keeps armed, without moving anything in the pop order.
+func (s *Simulator) Reserve(t Time) Key {
+	if t < s.now {
+		t = s.now
+	}
+	k := Key{When: t, seq: s.nextSeq}
 	s.nextSeq++
-	if t == s.now {
-		// Out of room with at most half the storage live: reuse it rather
-		// than grow, so capacity follows the largest burst of live entries
-		// and not the number of events an instant processes.
-		if n := len(s.nowq); n == cap(s.nowq) && s.nowLive <= n/2 {
-			s.compactNow()
-		}
-		e.index = ^int32(len(s.nowq))
-		s.nowq = append(s.nowq, sl)
-		s.nowLive++
+	return k
+}
+
+// AtKey schedules fn(arg) at k, a key Reserve handed out that the run has
+// not passed: nothing that fires after k may have fired yet. A key can be
+// armed, cancelled and armed again. The event goes into a heap — the soon
+// heap when it is due less than soonSpan ahead, the timer heap otherwise —
+// even when it is due at the current instant: the now queue's order rests
+// on every append carrying a newer seq than the entries it joins, and a
+// reserved seq is older than those scheduled since. AtKey panics on a key
+// due before the clock; the rest of the contract is the caller's.
+func (s *Simulator) AtKey(k Key, fn func(any), arg any) Timer {
+	if k.When < s.now {
+		panic(fmt.Sprintf("sim: AtKey at %v, before the clock at %v", k.When, s.now))
+	}
+	e := s.acquire()
+	e.fn, e.arg = fn, arg
+	sl := slot{when: k.When, seq: k.seq, ev: e}
+	h := &s.queue
+	if e.soon = k.When.Sub(s.now) < soonSpan; e.soon {
+		h = &s.soon
+	}
+	if h.hole {
+		// Replace-top: the popped event's callback is scheduling the
+		// next one, and it sifts down from the root the last slot
+		// would otherwise have been sifted down from.
+		h.hole = false
+		h.down(0, sl)
 	} else {
-		h := &s.queue
-		if e.soon = t.Sub(s.now) < soonSpan; e.soon {
-			h = &s.soon
-		}
-		if h.hole {
-			// Replace-top: the popped event's callback is scheduling the
-			// next one, and it sifts down from the root the last slot
-			// would otherwise have been sifted down from.
-			h.hole = false
-			h.down(0, sl)
-		} else {
-			h.slots = append(h.slots, slot{})
-			h.up(len(h.slots)-1, sl)
-		}
+		h.slots = append(h.slots, slot{})
+		h.up(len(h.slots)-1, sl)
 	}
 	return Timer{s: s, ev: e, gen: e.gen}
 }
