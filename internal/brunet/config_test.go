@@ -12,16 +12,16 @@ func TestConfigZeroValuesTakeDefaults(t *testing.T) {
 	var c Config
 	c.fillDefaults()
 	d := DefaultConfig()
-	if c.NearPerSide != d.NearPerSide || c.FarCount != d.FarCount || c.MaxHops != d.MaxHops {
+	if c.FarCount != d.FarCount {
 		t.Errorf("topology defaults wrong: %+v", c)
 	}
 	if c.PingInterval != d.PingInterval || c.PingTimeout != d.PingTimeout || c.PingRetries != d.PingRetries {
 		t.Errorf("keepalive defaults wrong: %+v", c)
 	}
-	if c.LinkResend != d.LinkResend || c.LinkBackoff != d.LinkBackoff || c.LinkRetries != d.LinkRetries {
+	if c.LinkResend != d.LinkResend || c.LinkRetries != d.LinkRetries {
 		t.Errorf("linker defaults wrong: %+v", c)
 	}
-	if c.SuspectRetries != d.SuspectRetries || c.RelinkBase != d.RelinkBase || c.RelinkRetries != d.RelinkRetries {
+	if c.RelinkBase != d.RelinkBase {
 		t.Errorf("recovery defaults wrong: %+v", c)
 	}
 	if c.Transport != "udp" {
@@ -29,67 +29,18 @@ func TestConfigZeroValuesTakeDefaults(t *testing.T) {
 	}
 }
 
-// TestConfigUseZeroSentinel: UseZero must configure a literal zero instead
-// of being conflated with "unset".
-func TestConfigUseZeroSentinel(t *testing.T) {
-	c := Config{
-		FarCount:       UseZero, // no far connections
-		PingRetries:    UseZero, // dead after one unanswered ping
-		LinkRetries:    UseZero, // one shot per URI
-		SuspectRetries: UseZero, // fast probes get the full budget
-		RelinkRetries:  UseZero, // repair disabled
-	}
-	c.fillDefaults()
-	if c.FarCount != 0 || c.PingRetries != 0 || c.LinkRetries != 0 ||
-		c.SuspectRetries != 0 || c.RelinkRetries != 0 {
-		t.Errorf("UseZero not honored: %+v", c)
-	}
-	// Untouched fields still default.
-	if c.NearPerSide != DefaultConfig().NearPerSide || c.RelinkBase != DefaultConfig().RelinkBase {
-		t.Errorf("unset fields lost their defaults: %+v", c)
-	}
-}
-
 // TestConfigExplicitValuesPreserved: positive settings pass through
 // untouched.
 func TestConfigExplicitValuesPreserved(t *testing.T) {
 	c := Config{
-		NearPerSide:   3,
-		PingInterval:  7 * sim.Second,
-		LinkBackoff:   1.5,
-		RelinkBase:    2 * sim.Second,
-		RelinkRetries: 9,
-		Transport:     "tcp",
+		FarCount:     3,
+		PingInterval: 7 * sim.Second,
+		RelinkBase:   2 * sim.Second,
+		Transport:    "tcp",
 	}
 	c.fillDefaults()
-	if c.NearPerSide != 3 || c.PingInterval != 7*sim.Second || c.LinkBackoff != 1.5 ||
-		c.RelinkBase != 2*sim.Second || c.RelinkRetries != 9 || c.Transport != "tcp" {
+	if c.FarCount != 3 || c.PingInterval != 7*sim.Second || c.RelinkBase != 2*sim.Second || c.Transport != "tcp" {
 		t.Errorf("explicit values clobbered: %+v", c)
-	}
-}
-
-// TestRelinkDisabledByUseZero: with RelinkRetries = UseZero the repair
-// overlord must not schedule anything after an involuntary drop.
-func TestRelinkDisabledByUseZero(t *testing.T) {
-	cfg := FastTestConfig()
-	cfg.RelinkRetries = UseZero
-	r := newOverlayRig(31)
-	for i := 0; i < 6; i++ {
-		r.addPublic(t, nodeName(i), cfg)
-		r.s.RunFor(2 * sim.Second)
-	}
-	r.s.RunFor(60 * sim.Second)
-
-	victim := r.nodes[3]
-	victim.Stop() // involuntary from the peers' point of view
-	r.s.RunFor(5 * sim.Minute)
-	for _, n := range r.nodes {
-		if n == victim {
-			continue
-		}
-		if got := n.Stats.Get("relink.attempts"); got != 0 {
-			t.Errorf("node %s attempted %d relinks with repair disabled", n.Addr(), got)
-		}
 	}
 }
 

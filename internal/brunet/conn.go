@@ -697,18 +697,22 @@ func (n *Node) pingTimeout(c *Connection) {
 	n.armPingTimeout(c, c.pingWait*2)
 }
 
+// suspectRetries is the ping-retry budget left after a dead-link
+// notification (close-forwarding).
+const suspectRetries = 1
+
 // fastProbe pings a suspect connection immediately with a reduced retry
-// budget (Config.SuspectRetries) — the fast-detection path taken when a
+// budget (suspectRetries) — the fast-detection path taken when a
 // neighbor forwards a death verdict. A live peer answers and the probe
 // costs one ping; a dead one is declared in roughly
-// deadline·(2^(SuspectRetries+1)−1) instead of waiting out the full
+// deadline·(2^(suspectRetries+1)−1) instead of waiting out the full
 // PingInterval + deadline·(2^(PingRetries+1)−1) keepalive cycle, where
 // the deadline is pingDeadline's fixed or adaptive value.
 func (n *Node) fastProbe(c *Connection) {
 	if c.closed || !n.up || c.awaiting != 0 {
 		return // dead already, or a ping round is in flight
 	}
-	c.pingRetry = int32(max(n.cfg.PingRetries-n.cfg.SuspectRetries, 0))
+	c.pingRetry = int32(max(n.cfg.PingRetries-suspectRetries, 0))
 	c.suspected = true
 	n.pingSeq++
 	c.awaiting = n.pingSeq

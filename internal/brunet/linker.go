@@ -11,7 +11,7 @@ import (
 // exhausted. The paper notes the conservative constants lead to delays of
 // ~150s before giving up on a bad URI — exactly the mechanism behind the
 // slow UFL-UFL shortcut formation in Figure 4 — and those constants are
-// Config fields here (LinkResend, LinkBackoff, LinkRetries).
+// Config's LinkResend and LinkRetries and the linkBackoff factor here.
 //
 // Linkers are pooled per shard (shardPool): launchLinker takes one from the
 // list and finish puts it back, and nothing reads a linker after finish — the
@@ -221,6 +221,9 @@ func (lk *linker) sendRequest() {
 	lk.armResend()
 }
 
+// linkBackoff multiplies the link-request resend interval on every retry.
+const linkBackoff float64 = 2
+
 // armResend schedules the next resend with exponential backoff; once the
 // retry budget for the current trial slot is burned, the slot is counted
 // as timed out and the handshake restarts over the next one (§IV-D).
@@ -228,7 +231,7 @@ func (lk *linker) armResend() {
 	n := lk.node
 	wait := n.cfg.LinkResend
 	for i := 0; i < lk.attempt; i++ {
-		wait = sim.Duration(float64(wait) * n.cfg.LinkBackoff)
+		wait = sim.Duration(float64(wait) * linkBackoff)
 	}
 	lk.timer = n.sim.AtArg(n.sim.Now().Add(wait), linkResendFired, lk)
 }

@@ -54,7 +54,7 @@ func TestLinkerURIExhaustionGivesUp(t *testing.T) {
 }
 
 // TestLinkerResendBackoffProgression pins the resend schedule: requests go
-// out at LinkResend·LinkBackoff^i spacing (200ms, 400ms, 800ms, … under
+// out at LinkResend·linkBackoff^i spacing (200ms, 400ms, 800ms, … under
 // FastTestConfig), not on a fixed interval.
 func TestLinkerResendBackoffProgression(t *testing.T) {
 	r := buildRing(t, 22, 4)

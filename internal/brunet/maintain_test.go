@@ -15,7 +15,7 @@ import (
 func settledNode(t testing.TB, nodes []*Node) *Node {
 	t.Helper()
 	for _, n := range nodes[1:] {
-		if n.roleCount[StructuredNear] >= 2*n.cfg.NearPerSide && n.roleCount[StructuredFar] >= n.cfg.FarCount && n.near.leafConn() != nil {
+		if n.roleCount[StructuredNear] >= 2*nearPerSide && n.roleCount[StructuredFar] >= n.cfg.FarCount && n.near.leafConn() != nil {
 			return n
 		}
 	}
@@ -118,7 +118,7 @@ func TestAllocFreeMaintenance(t *testing.T) {
 	allocGuard(t, "shortcutOverlord.tick with nothing scored", 0, sco.tick)
 	// Arrivals just above the drain: scores stay positive and far below the
 	// threshold, so no CTM goes out.
-	trickle := 1.01 * sco.cfg.ServiceRate * sco.cfg.Tick.Seconds()
+	trickle := 1.01 * shortcutServiceRate * shortcutTick.Seconds()
 	allocGuard(t, "shortcutOverlord.tick over scored peers", 0, func() {
 		for _, peer := range nodes[:16] {
 			sco.observe(peer.addr, trickle)

@@ -272,7 +272,6 @@ type OverlayPacket struct {
 	Src, Dst Addr
 	Mode     DeliveryMode
 	Hops     int
-	MaxHops  int
 	Size     int
 	Payload  any
 

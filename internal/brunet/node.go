@@ -11,28 +11,17 @@ import (
 	"wow/internal/trace"
 )
 
-// UseZero is the explicit-zero sentinel for Config's numeric fields. A
-// zero-valued field selects its paper default, so a literal zero (for
-// example PingRetries = 0, "declare dead after one unanswered ping", or
-// FarCount = 0, "no far connections") must be requested by assigning
-// UseZero instead. fillDefaults normalizes the sentinel back to zero.
-const UseZero = -1
-
 // Config carries a node's protocol constants. Zero values select the
 // paper-faithful defaults (DefaultConfig), which are deliberately
 // conservative — the paper tuned Brunet for heavily loaded PlanetLab hosts
-// and accepts ~150s to abandon a dead URI (§IV-D footnote 2). Assign
-// UseZero to a numeric field to configure a literal zero.
+// and accepts ~150s to abandon a dead URI (§IV-D footnote 2). What no
+// caller varies is a constant beside the code that reads it: nearPerSide,
+// maxHops, linkBackoff, suspectRetries and relinkRetries.
 type Config struct {
 	// Port is the UDP port to bind; 0 picks an ephemeral port.
 	Port uint16
-	// NearPerSide is how many structured-near neighbors to keep on each
-	// ring side.
-	NearPerSide int
 	// FarCount is k, the number of structured-far connections (§IV-A).
 	FarCount int
-	// MaxHops bounds overlay routing.
-	MaxHops int
 
 	// PingInterval / PingTimeout / PingRetries drive keepalives. Dead
 	// peers are detected after roughly PingInterval +
@@ -55,11 +44,10 @@ type Config struct {
 	// serial and sharded engines and across shard counts.
 	JitterSeed int64
 
-	// LinkResend is the initial link-request resend interval;
-	// LinkBackoff multiplies it on every retry; after LinkRetries
-	// unanswered sends the linker moves to the target's next URI.
+	// LinkResend is the initial link-request resend interval, which
+	// linkBackoff multiplies on every retry; after LinkRetries unanswered
+	// sends the linker moves to the target's next URI.
 	LinkResend  sim.Duration
-	LinkBackoff float64
 	LinkRetries int
 
 	// StatusInterval paces ring-neighborhood gossip on near links.
@@ -67,23 +55,13 @@ type Config struct {
 	// FarInterval paces the far-connection overlord's top-up checks.
 	FarInterval sim.Duration
 
-	// SuspectRetries is the ping-retry budget left after a dead-link
-	// notification (close-forwarding): when a neighbor reports a peer's
-	// link dead, the node probes the peer immediately and declares it
-	// dead after SuspectRetries unanswered resends — fast failure
-	// detection instead of waiting out the full
-	// PingInterval + PingTimeout·(2^(PingRetries+1)−1) cycle.
-	SuspectRetries int
-
-	// RelinkBase and RelinkRetries drive connection-table repair: a
-	// structured peer lost involuntarily (ping timeout, stream death) is
-	// remembered and re-linked with jittered exponential backoff
-	// (RelinkBase·2^attempt + U[0, RelinkBase)) for up to RelinkRetries
+	// RelinkBase drives connection-table repair: a structured peer lost
+	// involuntarily (ping timeout, stream death) is remembered and
+	// re-linked with jittered exponential backoff
+	// (RelinkBase·2^attempt + U[0, RelinkBase)) for up to relinkRetries
 	// attempts — so a healed partition re-merges without waiting for
 	// bootstrap or gossip rounds, and without a reconnection stampede.
-	// RelinkRetries = UseZero disables repair.
-	RelinkBase    sim.Duration
-	RelinkRetries int
+	RelinkBase sim.Duration
 
 	// TunnelUpgradeInterval paces a tunnel edge's direct-link upgrade
 	// probes: every interval the tunnel overlord routes a fresh CTM to
@@ -91,7 +69,6 @@ type Config struct {
 	// URIs so the tunnel upgrades in place to a direct edge as soon as
 	// hole punching becomes possible (NAT relaxed, mapping migrated,
 	// node moved). The probes double as relay-candidate refresh.
-	// UseZero disables upgrade probing.
 	TunnelUpgradeInterval sim.Duration
 
 	// PrivateFirst flips the linking protocol's URI trial order to try
@@ -110,39 +87,26 @@ type Config struct {
 	Shortcut *ShortcutConfig
 }
 
-// ShortcutConfig parameterizes adaptive shortcut creation (§IV-E).
+// ShortcutConfig parameterizes adaptive shortcut creation (§IV-E); the
+// recurrence's service rate, tick, idle drop and retry cool-down are the
+// constants beside shortcutOverlord.
 type ShortcutConfig struct {
-	// ServiceRate is c in s_{i+1} = max(s_i + a_i − c, 0), in
-	// packets/second drained from the virtual work queue.
-	ServiceRate float64
 	// Threshold is the score that triggers shortcut establishment.
 	Threshold float64
-	// Tick is the score-update period (the paper's unit of time).
-	Tick sim.Duration
-	// IdleDrop closes a shortcut whose score has stayed at zero this
-	// long, bounding per-node connection count.
-	IdleDrop sim.Duration
-	// Retry is the cool-down before re-attempting a failed shortcut.
-	Retry sim.Duration
 }
 
 // DefaultConfig returns the paper-faithful constants.
 func DefaultConfig() Config {
 	return Config{
-		NearPerSide:    2,
 		FarCount:       8,
-		MaxHops:        100,
 		PingInterval:   15 * sim.Second,
 		PingTimeout:    5 * sim.Second,
 		PingRetries:    3,
 		LinkResend:     5 * sim.Second,
-		LinkBackoff:    2,
 		LinkRetries:    4, // 5+10+20+40+80 ≈ 155s per dead URI, as in §V-B
 		StatusInterval: 15 * sim.Second,
 		FarInterval:    30 * sim.Second,
-		SuspectRetries: 1,
 		RelinkBase:     10 * sim.Second,
-		RelinkRetries:  5,
 
 		TunnelUpgradeInterval: 60 * sim.Second,
 
@@ -150,17 +114,11 @@ func DefaultConfig() Config {
 	}
 }
 
-// DefaultShortcutConfig returns shortcut constants calibrated so steady
+// DefaultShortcutConfig returns the shortcut threshold calibrated so steady
 // 1 packet/s traffic (the paper's ICMP probes) triggers a shortcut after
 // roughly 20 seconds.
 func DefaultShortcutConfig() *ShortcutConfig {
-	return &ShortcutConfig{
-		ServiceRate: 0.25,
-		Threshold:   15,
-		Tick:        sim.Second,
-		IdleDrop:    120 * sim.Second,
-		Retry:       30 * sim.Second,
-	}
+	return &ShortcutConfig{Threshold: 15}
 }
 
 // FastTestConfig returns aggressive constants for unit tests that don't
@@ -180,33 +138,25 @@ func FastTestConfig() Config {
 }
 
 // defaulted resolves one numeric Config field: zero means "unset, take the
-// default", the UseZero sentinel (any negative) means a literal zero.
-func defaulted[T int | float64 | sim.Duration](v, def T) T {
-	switch {
-	case v == 0:
+// default".
+func defaulted[T int | sim.Duration](v, def T) T {
+	if v == 0 {
 		return def
-	case v < 0:
-		return 0
 	}
 	return v
 }
 
 func (c *Config) fillDefaults() {
 	d := DefaultConfig()
-	c.NearPerSide = defaulted(c.NearPerSide, d.NearPerSide)
 	c.FarCount = defaulted(c.FarCount, d.FarCount)
-	c.MaxHops = defaulted(c.MaxHops, d.MaxHops)
 	c.PingInterval = defaulted(c.PingInterval, d.PingInterval)
 	c.PingTimeout = defaulted(c.PingTimeout, d.PingTimeout)
 	c.PingRetries = defaulted(c.PingRetries, d.PingRetries)
 	c.LinkResend = defaulted(c.LinkResend, d.LinkResend)
-	c.LinkBackoff = defaulted(c.LinkBackoff, d.LinkBackoff)
 	c.LinkRetries = defaulted(c.LinkRetries, d.LinkRetries)
 	c.StatusInterval = defaulted(c.StatusInterval, d.StatusInterval)
 	c.FarInterval = defaulted(c.FarInterval, d.FarInterval)
-	c.SuspectRetries = defaulted(c.SuspectRetries, d.SuspectRetries)
 	c.RelinkBase = defaulted(c.RelinkBase, d.RelinkBase)
-	c.RelinkRetries = defaulted(c.RelinkRetries, d.RelinkRetries)
 	c.TunnelUpgradeInterval = defaulted(c.TunnelUpgradeInterval, d.TunnelUpgradeInterval)
 	if c.Transport == "" {
 		c.Transport = "udp"
@@ -217,7 +167,7 @@ func (c *Config) fillDefaults() {
 // internal/ipop) and PlanetLab bootstrap routers run bare Nodes.
 type Node struct {
 	// What a forwarded packet reads of its router comes first, ahead of
-	// the 176-byte cfg, so a transit hop touches the head of the struct
+	// the 136-byte cfg, so a transit hop touches the head of the struct
 	// and nothing else of it: everything down to occ shares one cache
 	// line (TestHotFieldsLayout pins it).
 	addr Addr
@@ -333,7 +283,7 @@ const poisonPayload = "brunet: use of released pooled object"
 func newShardPool(s *sim.Simulator) any {
 	return &shardPool{
 		pkts: sim.NewFreeList[OverlayPacket](s, "overlay packet",
-			OverlayPacket{Size: -1, Hops: -1, MaxHops: -1, Payload: poisonPayload}),
+			OverlayPacket{Size: -1, Hops: -1, Payload: poisonPayload}),
 		ctms:    sim.NewFreeList[ctmMsg](s, "CTM message", ctmMsg{Type: -1}),
 		frames:  sim.NewFreeList[tunnelFrame](s, "tunnel frame", tunnelFrame{Size: -1, Inner: poisonPayload}),
 		links:   sim.NewFreeList[linkMsg](s, "link message", linkMsg{Type: -1, Seq: -1}),
@@ -503,15 +453,12 @@ func (n *Node) OnConnection(f func(*Connection)) { n.onConn = append(n.onConn, f
 // after the node's own overlords have seen it.
 func (n *Node) OnDisconnection(f func(*Connection)) { n.onDisc = append(n.onDisc, f) }
 
-// notifyConn tells the running overlords, near, repair (when enabled) and
-// tunnel in that order, then the registered observers, that c is up or has
-// gained a role.
+// notifyConn tells the running overlords, near, repair and tunnel in that
+// order, then the registered observers, that c is up or has gained a role.
 func (n *Node) notifyConn(c *Connection) {
 	if n.near != nil {
 		n.near.onConnection(c)
-		if n.repair.enabled() {
-			n.repair.onConnection(c)
-		}
+		n.repair.onConnection(c)
 		n.tun.onConnection(c)
 	}
 	for _, f := range n.onConn {
@@ -523,9 +470,7 @@ func (n *Node) notifyConn(c *Connection) {
 func (n *Node) notifyDisc(c *Connection) {
 	if n.near != nil {
 		n.near.onDisconnection(c)
-		if n.repair.enabled() {
-			n.repair.onDisconnection(c)
-		}
+		n.repair.onDisconnection(c)
 		n.tun.onDisconnection(c)
 	}
 	for _, f := range n.onDisc {
@@ -584,7 +529,7 @@ func (n *Node) Start(bootstrap []URI) error {
 	if n.table.slots == nil {
 		// Room for the structured links the overlords aim at, made once:
 		// Stop keeps the array for a restart.
-		n.table.slots = make([]slot, 0, 2*n.cfg.NearPerSide+n.cfg.FarCount+tableSlack)
+		n.table.slots = make([]slot, 0, 2*nearPerSide+n.cfg.FarCount+tableSlack)
 	}
 
 	o := &overlords{
@@ -601,7 +546,7 @@ func (n *Node) Start(bootstrap []URI) error {
 	n.sim.StartTicker(&o.far.ticker, n.cfg.FarInterval, n.cfg.FarInterval/5, n.rng, farTickFired, &o.far)
 	if n.cfg.Shortcut != nil {
 		sco := newShortcutOverlord(n, *n.cfg.Shortcut)
-		n.sim.StartTicker(&sco.ticker, sco.cfg.Tick, sco.cfg.Tick/10, n.rng, shortcutTickFired, sco)
+		n.sim.StartTicker(&sco.ticker, shortcutTick, shortcutTick/10, n.rng, shortcutTickFired, sco)
 		n.sco = sco
 	}
 	// The health sampler runs jitter-free (no RNG draw) and read-only, so
@@ -889,7 +834,6 @@ func (n *Node) SendTo(dst Addr, mode DeliveryMode, d AppData) {
 	// once the shard's list holds what the shard keeps in flight.
 	pkt := n.pool.pkts.Get()
 	pkt.Src, pkt.Dst, pkt.Mode = n.addr, dst, mode
-	pkt.MaxHops = n.cfg.MaxHops
 	pkt.Size = overlayHdrSize + d.Size
 	pkt.app = d
 	pkt.Payload = &pkt.app
@@ -898,6 +842,10 @@ func (n *Node) SendTo(dst Addr, mode DeliveryMode, d AppData) {
 	}
 	n.routePacket(pkt, n.addr)
 }
+
+// maxHops bounds overlay routing: a packet that has taken this many hops is
+// dropped (route.hops_exceeded) instead of forwarded.
+const maxHops = 100
 
 // routePacket implements greedy routing (§IV-A): forward to the structured
 // connection closest to the destination; deliver locally when no neighbor
@@ -923,7 +871,7 @@ func (n *Node) routePacket(pkt *OverlayPacket, from Addr) {
 		n.release(pkt, "routePacket (delivered)")
 		return
 	}
-	if pkt.Hops >= pkt.MaxHops {
+	if pkt.Hops >= maxHops {
 		n.Stats.Add(cRouteHopsExceeded, 1)
 		if n.flight != nil && pkt.Trace != 0 {
 			n.flightTerminal(pkt, trace.OutcomeHopsExceeded)
@@ -1036,11 +984,11 @@ func (n *Node) relayCandidates(m *ctmMsg) {
 
 // ctmPacket takes a packet and a message from the shard's lists for the
 // connection protocol and returns them with the message in the packet, both
-// blank but for the packet's source and hop budget and the message's sender,
-// relay candidates and URIs.
+// blank but for the packet's source and the message's sender, relay
+// candidates and URIs.
 func (n *Node) ctmPacket(kind ctmKind) (*OverlayPacket, *ctmMsg) {
 	pkt, m := n.pool.pkts.Get(), n.pool.ctms.Get()
-	pkt.Src, pkt.MaxHops = n.addr, n.cfg.MaxHops
+	pkt.Src = n.addr
 	m.Kind, m.From, m.URIs = kind, n.addr, n.URIs()
 	n.relayCandidates(m)
 	pkt.Payload = m
@@ -1107,7 +1055,7 @@ func (n *Node) handleCTMRequest(pkt *OverlayPacket, req *ctmMsg, exact bool) {
 	// address: pass one copy across so both future neighbors link
 	// (§IV-C "form structured near connections with its left and right
 	// neighbors").
-	if !exact && req.Type == StructuredNear && pkt.Dst == req.From && pkt.Hops < pkt.MaxHops {
+	if !exact && req.Type == StructuredNear && pkt.Dst == req.From && pkt.Hops < maxHops {
 		if other := n.neighborAcross(req.From); other != nil {
 			// The copy is a packet and a message of their own, the request
 			// copied in: the original is released when this handler
@@ -1118,7 +1066,7 @@ func (n *Node) handleCTMRequest(pkt *OverlayPacket, req *ctmMsg, exact bool) {
 			cm.set(req)
 			cp.Payload = cm
 			cp.Src, cp.Dst, cp.Mode = pkt.Src, other.Peer, DeliverExact
-			cp.Hops, cp.MaxHops, cp.Size = pkt.Hops+1, pkt.MaxHops, pkt.Size
+			cp.Hops, cp.Size = pkt.Hops+1, pkt.Size
 			n.sendConn(other, cp.Size, cp)
 		}
 	}
@@ -1279,7 +1227,7 @@ func (n *Node) handleForwarded(pkt *OverlayPacket, rep *ctmMsg) {
 	fm.Kind = kindReply
 	fp.Payload = fm
 	fp.Src, fp.Dst, fp.Mode = n.addr, rep.To, DeliverExact
-	fp.MaxHops, fp.Size = n.cfg.MaxHops, pkt.Size-forwardHdrSize
+	fp.Size = pkt.Size - forwardHdrSize
 	n.sendConn(c, fp.Size, fp)
 }
 

@@ -277,10 +277,7 @@ func TestShortcutFormsUnderTraffic(t *testing.T) {
 
 func TestShortcutIdleDrop(t *testing.T) {
 	cfg := FastTestConfig()
-	cfg.Shortcut = &ShortcutConfig{
-		ServiceRate: 0.5, Threshold: 5, Tick: sim.Second,
-		IdleDrop: 20 * sim.Second, Retry: 10 * sim.Second,
-	}
+	cfg.Shortcut = &ShortcutConfig{Threshold: 5}
 	r := newOverlayRig(9)
 	for i := 0; i < 12; i++ {
 		r.addPublic(t, fmt.Sprintf("n%03d", i), cfg)
@@ -298,7 +295,10 @@ func TestShortcutIdleDrop(t *testing.T) {
 		t.Fatal("shortcut did not form")
 	}
 	tk.Stop()
-	r.s.RunFor(120 * sim.Second)
+	// A minute of 1 packet/s leaves a score near 45: it drains at
+	// shortcutServiceRate in three minutes, then idles out after
+	// shortcutIdleDrop.
+	r.s.RunFor(6 * sim.Minute)
 	if c := a.ConnectionTo(b.Addr()); c != nil && c.Has(Shortcut) {
 		t.Fatal("idle shortcut not dropped")
 	}
@@ -600,9 +600,10 @@ func TestStoppedNodeIgnoresTraffic(t *testing.T) {
 	}
 }
 
+// TestMaxHopsBounds starts every packet one hop short of maxHops, so each
+// one that needs a second hop trips the bound.
 func TestMaxHopsBounds(t *testing.T) {
 	cfg := FastTestConfig()
-	cfg.MaxHops = 1
 	r := newOverlayRig(19)
 	for i := 0; i < 10; i++ {
 		r.addPublic(t, fmt.Sprintf("n%03d", i), cfg)
@@ -613,7 +614,11 @@ func TestMaxHopsBounds(t *testing.T) {
 	for _, a := range r.nodes {
 		for _, b := range r.nodes {
 			if a != b {
-				a.SendTo(b.Addr(), DeliverExact, AppData{Proto: "x", Size: 1})
+				pkt := a.pool.pkts.Get()
+				pkt.Src, pkt.Dst, pkt.Mode, pkt.Hops = a.addr, b.addr, DeliverExact, maxHops-1
+				pkt.app = AppData{Proto: "x", Size: 1}
+				pkt.Payload, pkt.Size = &pkt.app, overlayHdrSize+1
+				a.routePacket(pkt, a.addr)
 			}
 		}
 	}
@@ -622,7 +627,7 @@ func TestMaxHopsBounds(t *testing.T) {
 		exceeded += n.Stats.Get("route.hops_exceeded")
 	}
 	if exceeded == 0 {
-		t.Fatal("MaxHops=1 never tripped on a 10-node ring")
+		t.Fatal("a packet one hop short of maxHops never tripped the bound on a 10-node ring")
 	}
 }
 
@@ -645,7 +650,7 @@ func TestDefaultConfigMatchesPaperTimings(t *testing.T) {
 	wait := c.LinkResend
 	for i := 0; i <= c.LinkRetries; i++ {
 		total += wait
-		wait = sim.Duration(float64(wait) * c.LinkBackoff)
+		wait = sim.Duration(float64(wait) * linkBackoff)
 	}
 	if total < 120*sim.Second || total > 200*sim.Second {
 		t.Fatalf("per-URI giveup %v, paper reports ~150s", total)

@@ -131,7 +131,7 @@ func (o *refShortcut) tick() {
 		return
 	}
 	now := n.sim.Now()
-	drain := o.cfg.ServiceRate * o.cfg.Tick.Seconds()
+	drain := shortcutServiceRate * shortcutTick.Seconds()
 	for peer, a := range o.arrivals {
 		o.score[peer] += a
 		delete(o.arrivals, peer)
@@ -152,7 +152,7 @@ func (o *refShortcut) tick() {
 
 		if s >= o.cfg.Threshold && !o.direct(peer) {
 			last, tried := o.lastTry[peer]
-			if !tried || now.Sub(last) >= o.cfg.Retry {
+			if !tried || now.Sub(last) >= shortcutRetry {
 				o.lastTry[peer] = now
 				n.Stats.Inc("shortcut.ctm", 1)
 				o.ctms = append(o.ctms, peer)
@@ -164,12 +164,12 @@ func (o *refShortcut) tick() {
 			if _, ok := o.zeroSince[peer]; !ok {
 				o.zeroSince[peer] = now
 			}
-			if c != nil && c.Has(Shortcut) && now.Sub(o.zeroSince[peer]) >= o.cfg.IdleDrop {
+			if c != nil && c.Has(Shortcut) && now.Sub(o.zeroSince[peer]) >= shortcutIdleDrop {
 				n.Stats.Inc("shortcut.idle_dropped", 1)
 				n.dropConnRole(c, Shortcut, dropIdle)
 			}
 			if c == nil || !c.Has(Shortcut) {
-				if now.Sub(o.zeroSince[peer]) >= o.cfg.IdleDrop {
+				if now.Sub(o.zeroSince[peer]) >= shortcutIdleDrop {
 					delete(o.score, peer)
 					delete(o.zeroSince, peer)
 					delete(o.lastTry, peer)

@@ -144,13 +144,16 @@ func (o *nearOverlord) handleStatus(m *statusMsg) {
 	}
 }
 
+// nearPerSide is how many structured-near neighbors a node keeps on each
+// ring side.
+const nearPerSide = 2
+
 // wanted reports whether a new near connection to w would belong to the
-// kept set (within NearPerSide nearest on its ring side).
+// kept set (within nearPerSide nearest on its ring side).
 func (o *nearOverlord) wanted(w Addr) bool {
 	n := o.node
-	k := n.cfg.NearPerSide
 	right := n.addr.Clockwise(w).Cmp(w.Clockwise(n.addr)) < 0
-	kth := n.kthNearOnSide(right, k)
+	kth := n.kthNearOnSide(right, nearPerSide)
 	if kth == nil {
 		return true
 	}
@@ -166,7 +169,7 @@ func (o *nearOverlord) wanted(w Addr) bool {
 // counter-clockwise, both fixed before the first drop.
 func (o *nearOverlord) trim() {
 	n := o.node
-	k := n.cfg.NearPerSide
+	k := nearPerSide
 	if n.roleCount[StructuredNear] <= 2*k {
 		return // the two k-long side walks cover every near connection
 	}
@@ -208,8 +211,8 @@ func (o *farOverlord) maintain() {
 // shortcutOverlord implements §IV-E: per-destination traffic scores follow
 // the queueing recurrence s_{i+1} = max(s_i + a_i − c, 0); when a score
 // crosses the threshold the overlord issues a CTM for a direct shortcut
-// connection, and shortcuts whose score has drained to zero for IdleDrop
-// are torn down, bounding keepalive overhead.
+// connection, and shortcuts whose score has drained to zero for
+// shortcutIdleDrop are torn down, bounding keepalive overhead.
 type shortcutOverlord struct {
 	node *Node
 	cfg  ShortcutConfig
@@ -236,6 +239,22 @@ type scoredPeer struct {
 	idle      bool
 	tried     bool
 }
+
+// The shortcut overlord's constants (§IV-E); with them the default
+// threshold is crossed after roughly 20 seconds of 1 packet/s traffic.
+const (
+	// shortcutServiceRate is c in s_{i+1} = max(s_i + a_i − c, 0), in
+	// packets/second drained from the virtual work queue.
+	shortcutServiceRate = 0.25
+	// shortcutTick is the score-update period (the paper's unit of time).
+	shortcutTick = sim.Second
+	// shortcutIdleDrop closes a shortcut whose score has stayed at zero
+	// this long, bounding per-node connection count.
+	shortcutIdleDrop = 120 * sim.Second
+	// shortcutRetry is the cool-down before re-attempting a failed
+	// shortcut.
+	shortcutRetry = 30 * sim.Second
+)
 
 func newShortcutOverlord(n *Node, cfg ShortcutConfig) *shortcutOverlord {
 	return &shortcutOverlord{node: n, cfg: cfg}
@@ -297,7 +316,7 @@ func (o *shortcutOverlord) tick() {
 		return
 	}
 	now := n.sim.Now()
-	drain := o.cfg.ServiceRate * o.cfg.Tick.Seconds()
+	drain := shortcutServiceRate * shortcutTick.Seconds()
 	kept := 0
 	for i := range o.scored {
 		e := &o.scored[i]
@@ -309,7 +328,7 @@ func (o *shortcutOverlord) tick() {
 		c, _ := n.lookup(e.peer)
 
 		if s >= o.cfg.Threshold && !(c != nil && c.structured()) { // no single-hop path yet
-			if !e.tried || now.Sub(e.lastTry) >= o.cfg.Retry {
+			if !e.tried || now.Sub(e.lastTry) >= shortcutRetry {
 				e.lastTry, e.tried = now, true
 				n.Stats.Add(cShortcutCTM, 1)
 				n.sendCTM(e.peer, Shortcut, DeliverExact, Zero)
@@ -320,7 +339,7 @@ func (o *shortcutOverlord) tick() {
 			if !e.idle {
 				e.zeroSince, e.idle = now, true
 			}
-			if now.Sub(e.zeroSince) >= o.cfg.IdleDrop {
+			if now.Sub(e.zeroSince) >= shortcutIdleDrop {
 				if c != nil && c.Has(Shortcut) {
 					n.Stats.Add(cShortcutIdleDropped, 1)
 					n.dropConnRole(c, Shortcut, dropIdle)

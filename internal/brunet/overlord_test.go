@@ -17,10 +17,12 @@ import (
 // both must hold the same peers with the same scores, idle-since and
 // last-try times, must have sent CTMs to the same targets in the same order
 // and dropped the same shortcuts — and the two rings, which differ in
-// nothing else, must have counted the same events on every node.
+// nothing else, must have counted the same events on every node. A tick is
+// shortcutTick; the script's timings follow the service rate (0.25 per
+// tick), the retry cool-down (30 ticks) and the idle drop (120 ticks).
 func TestShortcutScoreMatchesReference(t *testing.T) {
 	const size, self = 24, 5
-	cfg := ShortcutConfig{ServiceRate: 0.5, Threshold: 5, Tick: sim.Second, IdleDrop: 20 * sim.Second, Retry: 10 * sim.Second}
+	cfg := ShortcutConfig{Threshold: 5}
 	sa, ringA := buildZeroLatencyRing(t, 31, size)
 	sb, ringB := buildZeroLatencyRing(t, 31, size)
 	na, nb := ringA[self], ringB[self]
@@ -52,9 +54,9 @@ func TestShortcutScoreMatchesReference(t *testing.T) {
 		}
 	}
 	shrank, regrew := false, false
-	for tick := 0; tick < 160; tick++ {
+	for tick := 0; tick < 360; tick++ {
 		start := len(dev.scored)
-		if tick < 40 || tick >= 90 { // a run of one peer, idle for fifty ticks, back again
+		if tick < 40 || tick >= 170 { // a run of one peer, idle for 130 ticks, back again
 			for i := 0; i < 3; i++ {
 				observe(far[0], 1)
 			}
@@ -65,13 +67,13 @@ func TestShortcutScoreMatchesReference(t *testing.T) {
 				observe(far[2], 1)
 			}
 		}
-		if tick == 5 { // one burst that drains to idle, a second before the idle shortcut is dropped
-			observe(far[3], 40)
-		}
-		if tick == 95 {
+		if tick == 5 { // one burst that drains to idle by tick 44, a second before the idle shortcut is dropped
 			observe(far[3], 10)
 		}
-		observe(far[4], 0.4) // under the service rate: never scores, idles out, is seen again
+		if tick == 155 {
+			observe(far[3], 10)
+		}
+		observe(far[4], 0.2) // under the service rate: never scores, idles out, is seen again
 		observe(near, 8)
 		observe(ghost, 2)
 		observe(twin, 1)
@@ -79,8 +81,8 @@ func TestShortcutScoreMatchesReference(t *testing.T) {
 		observe(na.addr, 5)
 
 		before := len(dev.scored)
-		sa.RunUntil(sa.Now().Add(cfg.Tick))
-		sb.RunUntil(sb.Now().Add(cfg.Tick))
+		sa.RunUntil(sa.Now().Add(shortcutTick))
+		sb.RunUntil(sb.Now().Add(shortcutTick))
 		sent := len(ref.ctms)
 		dev.tick()
 		ref.tick()

@@ -287,7 +287,7 @@ func TestOwnerStampShardedTunnel(t *testing.T) {
 	r.eng.Shard(1).At(r.eng.Now(), func() {
 		// SendTo, keeping the packet.
 		pkt = orig.pool.pkts.Get()
-		pkt.Src, pkt.Dst, pkt.Mode, pkt.MaxHops = orig.addr, peer.addr, DeliverExact, orig.cfg.MaxHops
+		pkt.Src, pkt.Dst, pkt.Mode = orig.addr, peer.addr, DeliverExact
 		pkt.app = AppData{Proto: "owner", Size: 64}
 		pkt.Payload, pkt.Size = &pkt.app, overlayHdrSize+64
 		orig.routePacket(pkt, orig.addr)

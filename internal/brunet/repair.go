@@ -7,7 +7,7 @@ import "wow/internal/sim"
 // a healed partition without waiting for bootstrap retries or gossip
 // rounds. Each lost peer is retried against its last advertised URIs with
 // jittered exponential backoff, RelinkBase·2^attempt + U[0, RelinkBase),
-// for up to RelinkRetries attempts; the jitter desynchronizes the two
+// for up to relinkRetries attempts; the jitter desynchronizes the two
 // partition sides so a heal does not trigger a reconnection stampede.
 // Voluntary drops (leave, peer_close, trim, idle) are never re-linked.
 //
@@ -28,11 +28,8 @@ type relinkState struct {
 	ev      sim.Timer
 }
 
-// enabled reports whether repair is configured on (RelinkRetries = UseZero
-// turns it off).
-func (o *repairOverlord) enabled() bool {
-	return o.node.cfg.RelinkRetries > 0 && o.node.cfg.RelinkBase > 0
-}
+// relinkRetries is how many re-link attempts a lost peer gets.
+const relinkRetries = 5
 
 func (o *repairOverlord) onConnection(c *Connection) {
 	if st, ok := o.pending[c.Peer]; ok {
@@ -90,7 +87,7 @@ func (o *repairOverlord) fire(peer Addr, st *relinkState) {
 		n.Stats.Add(cRelinkSuccess, 1)
 		return
 	}
-	if st.attempt >= n.cfg.RelinkRetries {
+	if st.attempt >= relinkRetries {
 		delete(o.pending, peer)
 		n.Stats.Add(cRelinkGiveup, 1)
 		return

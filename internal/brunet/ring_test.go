@@ -168,7 +168,6 @@ func TestAllocFreeForwarding(t *testing.T) {
 		pkt.Dst = dst.Addr()
 		pkt.Mode = DeliverExact
 		pkt.Hops = 0
-		pkt.MaxHops = src.cfg.MaxHops
 		pkt.Size = overlayHdrSize + 64
 		src.routePacket(pkt, src.Addr())
 		s.RunUntil(s.Now())
@@ -254,7 +253,6 @@ func TestAllocFreeForwardingTraced(t *testing.T) {
 		pkt.Dst = dst.Addr()
 		pkt.Mode = DeliverExact
 		pkt.Hops = 0
-		pkt.MaxHops = src.cfg.MaxHops
 		pkt.Size = overlayHdrSize + 64
 		src.routePacket(pkt, src.Addr())
 		s.RunUntil(s.Now())

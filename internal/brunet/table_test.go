@@ -330,10 +330,10 @@ func TestOccSettlesOnRemove(t *testing.T) {
 // the router: the fields the forward path reads of a Node and of a
 // Connection end inside the struct's first 64 bytes. For Node the bound is
 // 56: a Node carries the allocator's 8-byte header in front (pointerful
-// objects over 512 bytes), which also makes 696 the last size in the
-// 704-byte class — one word more and every node costs 768. A Connection
+// objects over 512 bytes), which also makes 632 the last size in the
+// 640-byte class — one word more and every node costs 704. A Connection
 // stays within the 192-byte class, where every object starts on a cache
-// line.
+// line; phys's TestHotFieldsPacketSize holds a Packet to 64 bytes.
 func TestHotFieldsLayout(t *testing.T) {
 	type field struct {
 		name      string
@@ -372,8 +372,8 @@ func TestHotFieldsLayout(t *testing.T) {
 	if off := unsafe.Offsetof(n.table); off != 56 {
 		t.Errorf("Node.table starts at byte %d, want 56: right behind the hot fields", off)
 	}
-	if size := unsafe.Sizeof(n); size > 696 {
-		t.Errorf("Node is %d bytes, past 696: it left the 704-byte size class for the 768-byte one", size)
+	if size := unsafe.Sizeof(n); size > 632 {
+		t.Errorf("Node is %d bytes, past 632: it left the 640-byte size class for the 704-byte one", size)
 	}
 	if size := unsafe.Sizeof(c); size > 192 {
 		t.Errorf("Connection is %d bytes, past the 192-byte size class", size)

@@ -396,9 +396,6 @@ func (o *tunnelOverlord) reprobe(peer Addr, t ConnType) {
 // the edge stays tunneled and stops the moment it upgrades.
 func (o *tunnelOverlord) armUpgrade(c *Connection) {
 	n := o.node
-	if n.cfg.TunnelUpgradeInterval <= 0 {
-		return
-	}
 	peer := c.Peer
 	if _, armed := o.upgrades[peer]; armed {
 		return

@@ -109,7 +109,7 @@ const scaleJoinSpacing = 100 * sim.Millisecond
 // concurrent batch joiners depend on to find their true ring neighbors,
 // and the far overlord's tick (30s) must fire enough rounds within the
 // settle window to fill the far tables (coarsening either leaves successor
-// gaps or >MaxHops paths at 5k+ nodes).
+// gaps or paths past brunet's hop bound at 5k+ nodes).
 func coarseKeepaliveConfig() brunet.Config {
 	return brunet.Config{
 		PingInterval: 60 * sim.Second,

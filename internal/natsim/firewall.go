@@ -21,7 +21,6 @@ type Firewall struct {
 	outer *phys.Realm
 	// FlowTTL expires idle pinholes. Zero means 120s.
 	flowTTL sim.Duration
-	clock   func() sim.Time
 	// allowPorts are statically open inbound destination ports: a site
 	// opens one or none, so the rule sets are slices and scanned.
 	allowPorts []uint16
@@ -57,7 +56,9 @@ type flowKey struct {
 }
 
 // NewFirewall creates a stateful firewall. allowPorts lists inbound
-// destination ports that are statically open (may be nil).
+// destination ports that are statically open (may be nil). The clock is
+// unused: a firewall reads the time each packet passes it at (Outbound,
+// Inbound).
 func NewFirewall(name string, flowTTL sim.Duration, clock func() sim.Time, allowPorts ...uint16) *Firewall {
 	if flowTTL == 0 {
 		flowTTL = 120 * sim.Second
@@ -65,7 +66,6 @@ func NewFirewall(name string, flowTTL sim.Duration, clock func() sim.Time, allow
 	f := &Firewall{
 		name:       name,
 		flowTTL:    flowTTL,
-		clock:      clock,
 		allowPorts: slices.Clone(allowPorts),
 		flows:      make(map[flowKey]sim.Time),
 		Drops:      make(map[string]int),

@@ -19,7 +19,9 @@ import (
 // rewritten address, the drop counters and the tables themselves after
 // every step.
 
-const progTTL = 30 * sim.Second
+// progTTL is the NAT's idle expiry; the firewall programs give their
+// pinholes the same TTL.
+const progTTL = mappingTTL
 
 var (
 	progInner = endpoints("10.0.0.1", 3, 4000, 2)
@@ -65,7 +67,6 @@ func newNATProgram(rng *rand.Rand, cfgs ...Config) *natProgram {
 	pr := &natProgram{rng: rng}
 	clock := func() sim.Time { return pr.now }
 	for i, cfg := range cfgs {
-		cfg.MappingTTL = progTTL
 		pub := phys.MustParseIP("128.227.0.1") + phys.IP(i)
 		pr.chain = append(pr.chain, natLevel{NewNAT(fmt.Sprint("nat", i), cfg, pub, clock), newRefNAT(cfg, pub, clock)})
 	}

@@ -54,10 +54,10 @@ type Config struct {
 	// the inside addressed to the NAT's own public endpoint are turned
 	// around. The paper's UFL NAT lacks it; the VMware NAT has it.
 	Hairpin bool
-	// MappingTTL expires idle mappings. Zero means 120s, a typical
-	// consumer-router UDP timeout.
-	MappingTTL sim.Duration
 }
+
+// mappingTTL expires idle mappings: a typical consumer-router UDP timeout.
+const mappingTTL = 120 * sim.Second
 
 type mapKey struct {
 	proto uint8
@@ -108,9 +108,6 @@ type NAT struct {
 // NewNAT creates a NAT that will own publicIP in its outer realm. The
 // clock func supplies current virtual time (use sim.Simulator.Now).
 func NewNAT(name string, cfg Config, publicIP phys.IP, clock func() sim.Time) *NAT {
-	if cfg.MappingTTL == 0 {
-		cfg.MappingTTL = 120 * sim.Second
-	}
 	return &NAT{
 		name:     name,
 		cfg:      cfg,
@@ -195,7 +192,7 @@ func (n *NAT) Mappings() int {
 }
 
 func (n *NAT) expired(now sim.Time, m *mapping) bool {
-	return now.Sub(m.lastUsed) > n.cfg.MappingTTL
+	return now.Sub(m.lastUsed) > mappingTTL
 }
 
 // drop takes m out of both tables, and out of the memo if it is there.

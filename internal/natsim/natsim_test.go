@@ -444,7 +444,7 @@ func TestNestedNATs(t *testing.T) {
 func TestMappingExpiry(t *testing.T) {
 	r := newRig(1)
 	peer := r.publicHost("peer")
-	realm, nat := r.natRealm("nat", Config{Type: PortRestricted, MappingTTL: 30 * sim.Second}, r.net.Root(), "10.0.0.1")
+	realm, nat := r.natRealm("nat", Config{Type: PortRestricted}, r.net.Root(), "10.0.0.1")
 	inside := r.net.AddHost("inside", r.site, realm, phys.HostConfig{})
 
 	var pubs []phys.Endpoint
@@ -457,7 +457,7 @@ func TestMappingExpiry(t *testing.T) {
 	is.Send(phys.Endpoint{IP: peer.IP(), Port: 600}, 10, nil)
 	r.s.Run()
 	// Let the mapping expire, then have the peer try the old endpoint.
-	r.s.RunUntil(r.s.Now().Add(60 * sim.Second))
+	r.s.RunUntil(r.s.Now().Add(2 * mappingTTL))
 	ps.Send(pubs[0], 10, nil)
 	r.s.Run()
 	if rcvd != 0 {
@@ -489,8 +489,8 @@ func TestMappingExpiry(t *testing.T) {
 func TestKeepaliveSustainsMapping(t *testing.T) {
 	r := newRig(1)
 	peer := r.publicHost("peer")
-	ttl := 30 * sim.Second
-	realm, nat := r.natRealm("nat", Config{Type: PortRestricted, MappingTTL: ttl}, r.net.Root(), "10.0.0.1")
+	ttl := mappingTTL
+	realm, nat := r.natRealm("nat", Config{Type: PortRestricted}, r.net.Root(), "10.0.0.1")
 	inside := r.net.AddHost("inside", r.site, realm, phys.HostConfig{})
 
 	var pubs []phys.Endpoint

@@ -30,9 +30,6 @@ type refNAT struct {
 }
 
 func newRefNAT(cfg Config, publicIP phys.IP, clock func() sim.Time) *refNAT {
-	if cfg.MappingTTL == 0 {
-		cfg.MappingTTL = 120 * sim.Second
-	}
 	return &refNAT{
 		cfg:      cfg,
 		publicIP: publicIP,
@@ -55,7 +52,7 @@ func (n *refNAT) Mappings() int {
 	now := n.clock()
 	live := 0
 	for k, m := range n.byKey {
-		if now.Sub(m.lastUsed) <= n.cfg.MappingTTL {
+		if now.Sub(m.lastUsed) <= mappingTTL {
 			live++
 			continue
 		}
@@ -88,7 +85,7 @@ func (n *refNAT) allocPort(proto uint8) uint16 {
 func (n *refNAT) lookupOrCreate(now sim.Time, proto uint8, inner, dst phys.Endpoint) *refMapping {
 	k := n.key(proto, inner, dst)
 	m, ok := n.byKey[k]
-	if ok && now.Sub(m.lastUsed) > n.cfg.MappingTTL {
+	if ok && now.Sub(m.lastUsed) > mappingTTL {
 		delete(n.byKey, k)
 		delete(n.byPublic, pubKey{proto, m.public.Port})
 		ok = false
@@ -123,7 +120,7 @@ func (n *refNAT) Outbound(now sim.Time, p *phys.Packet) bool {
 
 func (n *refNAT) Inbound(now sim.Time, p *phys.Packet) bool {
 	m, ok := n.byPublic[pubKey{p.Proto, p.Dst.Port}]
-	if ok && now.Sub(m.lastUsed) > n.cfg.MappingTTL {
+	if ok && now.Sub(m.lastUsed) > mappingTTL {
 		delete(n.byKey, m.key)
 		delete(n.byPublic, pubKey{p.Proto, m.public.Port})
 		ok = false

@@ -231,7 +231,7 @@ func TestShardedNATClockIsOwningShard(t *testing.T) {
 	floor, _ := net.CrossShardFloor()
 	eng.SetLookahead(floor)
 	net.AddHost("server", pubSite, net.Root(), phys.HostConfig{})
-	nat := NewNAT("nat", Config{Type: PortRestricted, MappingTTL: 30 * sim.Second},
+	nat := NewNAT("nat", Config{Type: PortRestricted},
 		net.Root().NextIP(), eng.Shard(lanSite.Shard()).Now)
 	realm := net.AddRealm("lan", net.Root(), nat, phys.MustParseIP("10.0.0.1"))
 	inside := net.AddHost("inside", lanSite, realm, phys.HostConfig{})
@@ -243,7 +243,7 @@ func TestShardedNATClockIsOwningShard(t *testing.T) {
 	if got := nat.Mappings(); got != 1 {
 		t.Fatalf("live mappings = %d, want 1", got)
 	}
-	eng.RunFor(2 * sim.Minute)
+	eng.RunFor(mappingTTL + sim.Minute)
 	if got := nat.Mappings(); got != 0 {
 		t.Fatalf("live mappings after TTL = %d, want 0 (stale clock?)", got)
 	}

@@ -248,9 +248,6 @@ type MigrationConfig struct {
 	// — the origin of the paper's "hundreds of seconds" migration
 	// latency and ~8 minute no-routability window.
 	TransferBps float64
-	// DirtyRateBps is the guest's memory dirtying rate, used by live
-	// pre-copy migration (MigrateLive). Zero means 256 KB/s.
-	DirtyRateBps float64
 	// Graceful makes the IPOP shutdown a planned departure: instead of
 	// killing the process (peers discover the death by ping timeout, the
 	// paper's §V-C behaviour), the node leaves with handoff messages that
@@ -316,6 +313,10 @@ func (v *VM) resumeAt(dst *phys.Host, downtime sim.Duration, done func()) {
 // final stop-and-copy.
 const maxPreCopyRounds = 8
 
+// dirtyRateBps is the guest's memory dirtying rate during live pre-copy
+// migration, 256 KB/s.
+const dirtyRateBps = 256 << 10
+
 // MigrateLive performs iterative pre-copy live migration — the technique
 // the paper's §II/§VI anticipate from Xen-style monitors ("growing
 // support for checkpointing and live migration of running VMs"). Memory
@@ -333,12 +334,9 @@ func (v *VM) MigrateLive(dst *phys.Host, cfg MigrationConfig, done func()) error
 	if cfg.TransferBps == 0 {
 		cfg.TransferBps = 2 << 20
 	}
-	if cfg.DirtyRateBps == 0 {
-		cfg.DirtyRateBps = 256 << 10
-	}
-	if cfg.DirtyRateBps >= cfg.TransferBps {
-		return fmt.Errorf("vm %s: dirty rate %.0f B/s >= transfer rate %.0f B/s; pre-copy cannot converge",
-			v.spec.Name, cfg.DirtyRateBps, cfg.TransferBps)
+	if dirtyRateBps >= cfg.TransferBps {
+		return fmt.Errorf("vm %s: dirty rate %d B/s >= transfer rate %.0f B/s; pre-copy cannot converge",
+			v.spec.Name, dirtyRateBps, cfg.TransferBps)
 	}
 	v.Stats.Add(cVMMigrationsLive, 1)
 
@@ -349,7 +347,7 @@ func (v *VM) MigrateLive(dst *phys.Host, cfg MigrationConfig, done func()) error
 	var precopy func()
 	precopy = func() {
 		roundTime := remaining / cfg.TransferBps
-		dirtied := roundTime * cfg.DirtyRateBps
+		dirtied := roundTime * dirtyRateBps
 		round++
 		v.sim.After(sim.Duration(roundTime*float64(sim.Second)), func() {
 			remaining = dirtied

@@ -236,8 +236,8 @@ func TestLiveMigrationRunsDuringPreCopy(t *testing.T) {
 
 	dst := r.net.AddHost("dst", r.net.AddSite("dst"), r.net.Root(), phys.HostConfig{})
 	migrated := false
-	// 8 MB/s transfer, 512 KB/s dirty rate: pre-copy ~8s + tiny stop.
-	if err := v.MigrateLive(dst, MigrationConfig{TransferBps: 8 << 20, DirtyRateBps: 512 << 10}, func() { migrated = true }); err != nil {
+	// 8 MB/s transfer, 256 KB/s dirty rate: pre-copy ~8s + tiny stop.
+	if err := v.MigrateLive(dst, MigrationConfig{TransferBps: 8 << 20}, func() { migrated = true }); err != nil {
 		t.Fatal(err)
 	}
 	r.s.RunFor(5 * sim.Minute)
@@ -260,7 +260,8 @@ func TestLiveMigrationRejectsDivergentDirtyRate(t *testing.T) {
 	r := newRig(t, 10, 4)
 	v := r.addVM(t, "vm1", "172.16.1.2", Spec{})
 	dst := r.net.AddHost("d", r.net.AddSite("d"), r.net.Root(), phys.HostConfig{})
-	err := v.MigrateLive(dst, MigrationConfig{TransferBps: 1 << 20, DirtyRateBps: 2 << 20}, nil)
+	// A WAN slower than the guest dirties memory.
+	err := v.MigrateLive(dst, MigrationConfig{TransferBps: dirtyRateBps / 2}, nil)
 	if err == nil {
 		t.Fatal("divergent pre-copy accepted")
 	}
