@@ -140,16 +140,16 @@ func bootPicks(i, pool int, offsets []int) []int {
 // scaleOffsets are the three bootstrap picks of the scale and NAT fleets.
 var scaleOffsets = []int{0, 7, 13}
 
-// staggeredPlan starts n members one every spacing, each bootstrapping off
-// the earliest min(i, pool) members, so leaf-connection load spreads over
-// a small founder pool instead of piling onto one node.
-func staggeredPlan(n int, spacing sim.Duration, pool int, offsets []int) joinPlan {
-	p := joinPlan{steps: make([]joinStep, n)}
-	for i := range p.steps {
-		p.steps[i] = joinStep{at: p.end, boot: bootPicks(i, min(i, pool), offsets)}
+// staggered appends n members that start one every spacing from p.end on,
+// each bootstrapping off the earliest min(i, pool) members (i its fleet
+// index), so leaf-connection load spreads over a small founder pool instead
+// of piling onto one node.
+func (p *joinPlan) staggered(n int, spacing sim.Duration, pool int, offsets []int) {
+	for range n {
+		i := len(p.steps)
+		p.steps = append(p.steps, joinStep{at: p.end, boot: bootPicks(i, min(i, pool), offsets)})
 		p.end = p.end.Add(spacing)
 	}
-	return p
 }
 
 // batched appends n members that join in batches from p.end on, one batch

@@ -50,8 +50,8 @@ const goldenPartitionHealSeed5 = "Partition repair: 180 s site cut (NWU + half o
 	"    t=609.000s partition end\n"
 
 const goldenSymRingSeed5 = "All-symmetric-NAT ring: 20 NATed + 3 public routers, seed 5\n" +
-	"  routable: 100.0%; ring: 0 missing near links (6 direct, 19 tunneled)\n" +
-	"  tunnels: 157 established, 18 upgraded; relays: 52 lost, 4 reselected\n" +
+	"  routable: 100.0%; ring: 0 missing near links (5 direct, 20 tunneled)\n" +
+	"  tunnels: 208 established, 6 upgraded; relays: 21 lost, 38 reselected\n" +
 	"  vip ping (sym ws <-> sym ws): 4/4\n" +
 	"  migration to public host: vip outage 26.4 s\n"
 

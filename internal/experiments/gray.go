@@ -249,7 +249,8 @@ func RunGrayFailures(opts GrayOpts) (*GrayResult, error) {
 	}
 
 	t0 := time.Now()
-	plan := staggeredPlan(opts.Nodes, 200*sim.Millisecond, 4, []int{0, 1})
+	var plan joinPlan
+	plan.staggered(opts.Nodes, 200*sim.Millisecond, 4, []int{0, 1})
 	plan.settle(opts.Settle)
 	if err := f.join(nodes, plan, nil); err != nil {
 		return nil, err

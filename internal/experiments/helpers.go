@@ -15,9 +15,10 @@ import (
 func mustVIP(s string) vip.IP { return vip.MustParseIP(s) }
 
 // buildSmallOverlay stands up n public routers and two public
-// workstations on the given network, for experiments that don't need the
-// full Figure-1 testbed.
-func buildSmallOverlay(s *sim.Simulator, net *phys.Network, n int) (*testbed.WOW, error) {
+// workstations on a one-shard fabric's network, each on a site of its own,
+// for experiments that don't need the full Figure-1 testbed.
+func buildSmallOverlay(net *phys.Network, n int) (*testbed.WOW, error) {
+	s := net.Sim
 	w := testbed.NewWOW(testbed.Options{Shortcuts: true, Brunet: brunet.DefaultConfig()})
 	for i := 0; i < n; i++ {
 		name := fmt.Sprintf("r%02d", i)

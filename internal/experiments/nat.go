@@ -2,13 +2,14 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
+	"time"
 
 	"wow/internal/brunet"
 	"wow/internal/natsim"
 	"wow/internal/phys"
 	"wow/internal/sim"
-	"wow/internal/testbed"
 	"wow/internal/vm"
 )
 
@@ -19,7 +20,8 @@ import (
 // the worst-case deployment the paper's §IV-C traversal machinery cannot
 // serve without relays.
 //
-// Both experiments run on brunet.FastTestConfig constants: tunnel
+// Both experiments run on brunet.FastTestConfig's link-failure constants
+// (the ring on natRingConfig, which coarsens its keepalives): tunnel
 // fallback is gated on direct linking *failing*, and the paper-default
 // retry schedule would spend most of the run budget waiting out dead-URI
 // backoff. The topology outcomes (direct vs tunneled, ring consistency)
@@ -138,12 +140,13 @@ func addClassNode(s *sim.Simulator, net *phys.Network, site *phys.Site,
 // directly if traversal permits, as a tunnel through the relay otherwise.
 func runNATPair(seed int64, ca, cb natClass) (NATMatrixCell, error) {
 	cell := NATMatrixCell{A: ca.Name, B: cb.Name, WantTunnel: needsTunnel(ca, cb)}
-	s := sim.New(seed)
-	net := phys.NewNetwork(s, phys.UniformLatency(
-		phys.PathModel{OneWay: sim.Millisecond},
-		phys.PathModel{OneWay: 15 * sim.Millisecond},
-	))
-	site := net.AddSite("pub")
+	f, err := newFabric("nat-matrix", seed, 1, 1, 1,
+		phys.PathModel{OneWay: sim.Millisecond}, phys.PathModel{OneWay: 15 * sim.Millisecond})
+	if err != nil {
+		return cell, err
+	}
+	defer f.close()
+	s, net, site := f.net.Sim, f.net, f.site(0)
 
 	relay, err := addClassNode(s, net, site, "relay", natClass{Name: "public"}, nil)
 	if err != nil {
@@ -198,7 +201,7 @@ type SymRingOpts struct {
 	// Routers is the public bootstrap router count — the only nodes with
 	// unmediated Internet access, and hence the natural tunnel relays.
 	Routers int
-	// Nodes is the count of overlay routers each behind its own
+	// Nodes is the count of bare overlay nodes each behind its own
 	// symmetric NAT.
 	Nodes int
 	// Settle is the convergence time after the last join.
@@ -207,20 +210,17 @@ type SymRingOpts struct {
 	// symmetric-NATed workstations (workstation run only).
 	Pings int
 
-	// BatchJoin>0 (the default when Shards>1) runs the fleet-scale
-	// experiment instead of the workstation one: bare brunet nodes (no VM
-	// workstations or migration) on the harness fabric, every NAT realm
-	// pinned to its host's site, joins batched off the public routers
-	// only — a symmetric NAT admits no unsolicited inbound, so NATed
-	// peers are useless as bootstrap targets. Results are deterministic
-	// in (Seed, Shards) and independent of Workers. The workstation run
-	// (BatchJoin=0) is golden-pinned and untouched by the fields below.
+	// Shards is the engine's shard count (sites round-robin onto shards);
+	// 0 or 1 keeps a single event queue. Results are deterministic in
+	// (Seed, Shards) and independent of Workers.
 	Shards int
 	// Workers bounds the goroutines executing shard windows; 0 means
 	// min(Shards, GOMAXPROCS). Results never depend on it.
 	Workers int
-	// BatchJoin is the batched-bootstrap ramp cap; defaults to 64 when
-	// Shards>1.
+	// BatchJoin>0 (the default, 64, when Shards>1) runs the fleet-scale
+	// experiment instead of the workstation one: the fleet joins in
+	// batches ramping up to this size, with no VM workstations or
+	// migration, and the run ends with overlay probes.
 	BatchJoin int
 	// WANLatency is the one-way inter-site delay; its floor is the
 	// engine lookahead, so it must be positive when Shards>1.
@@ -257,16 +257,14 @@ func (o *SymRingOpts) fillDefaults() {
 	if o.Pings == 0 {
 		o.Pings = 10
 	}
-	if o.BatchJoin > 0 {
-		if o.WANLatency == 0 {
-			o.WANLatency = 15 * sim.Millisecond
-		}
-		if o.Sites == 0 {
-			o.Sites = max(32, o.Shards)
-		}
-		if o.Probes == 0 {
-			o.Probes = 200
-		}
+	if o.WANLatency == 0 {
+		o.WANLatency = 15 * sim.Millisecond
+	}
+	if o.Sites == 0 {
+		o.Sites = max(32, o.Shards)
+	}
+	if o.BatchJoin > 0 && o.Probes == 0 {
+		o.Probes = 200
 	}
 }
 
@@ -301,7 +299,8 @@ type SymRingResult struct {
 	// public host; negative if it never recovered in the window.
 	MigOutageSec float64
 
-	// Batched-run fields (zero in workstation runs).
+	// Provenance and cost of the run; BatchJoin and the fields after
+	// EventsTotal are zero in workstation runs.
 	Shards          int        `json:",omitempty"`
 	Workers         int        `json:",omitempty"`
 	BatchJoin       int        `json:",omitempty"`
@@ -352,74 +351,161 @@ func (r *SymRingResult) auditRing(members []*brunet.Node) {
 	r.MissingNear, r.DirectNear, r.TunnelNear = ringAudit(members)
 }
 
+// natRingConfig is the protocol schedule of the all-symmetric ring:
+// FastTestConfig's aggressive link-failure constants (tunnel fallback is
+// gated on direct linking failing, and the paper-default ~155s/dead-URI
+// schedule would dominate the run), but keepalives and topology ticks
+// coarsened for multi-thousand-node event budgets. PingInterval must stay
+// under half the 120s NAT mapping TTL: the keepalive traffic is what holds
+// every NAT pinhole open, and an expired mapping severs the link.
+func natRingConfig() brunet.Config {
+	c := brunet.FastTestConfig()
+	c.PingInterval = 30 * sim.Second
+	c.StatusInterval = 10 * sim.Second
+	c.FarInterval = 15 * sim.Second
+	c.TunnelUpgradeInterval = 30 * sim.Second
+	return c
+}
+
+// NATPoint is one sample of the batched build time series: the scale.series
+// schema (wall/virtual clocks, joined count, throughput, events) extended
+// with the tunnel subsystem's progress — how much of the fleet is routable,
+// how many relay-backed tunnel edges exist, and how many upgrade probes the
+// tunnels have burned trying to become direct edges (with all-symmetric NATs
+// they never succeed; the probe count measures the cost of trying).
+type NATPoint struct {
+	ScalePoint
+	RoutableFrac  float64
+	Tunnels       int64
+	UpgradeProbes int64
+}
+
+// symNATHost places a fresh host on site behind its own symmetric NAT. The
+// realm pins to the site, so the NAT's clock is its owning shard's and all
+// translation state is only ever touched on that timeline.
+func symNATHost(f *fabric, name string, site *phys.Site) *phys.Host {
+	nat := natsim.NewNAT(name+"-nat", natsim.Config{Type: natsim.Symmetric},
+		f.net.Root().NextIP(), f.eng.Shard(site.Shard()).Now)
+	realm := f.net.AddRealm(name, f.net.Root(), nat, phys.MustParseIP("10.0.0.2"))
+	return f.net.AddHost(name+"-host", site, realm, phys.HostConfig{})
+}
+
 // RunSymmetricRing stands up an overlay whose every member save a handful
-// of public routers sits behind its own symmetric NAT — the topology
-// where no NATed pair can ever link directly — and verifies the ring
-// still assembles (over tunnel edges through the public routers), routes
-// VIP traffic end to end, and survives a workstation migration.
+// of public routers sits behind its own symmetric NAT — the topology where
+// no NATed pair can ever link directly — and verifies the ring still
+// assembles over relay-backed tunnel edges through the routers. All hosts,
+// NATs and nodes are created up front on the harness fabric; the routers
+// start first, bootstrapping off earlier routers, and the NATed fleet then
+// joins off the public routers only (a symmetric NAT drops unsolicited
+// inbound dials, so only the routers are reachable bootstrap targets).
+//
+// BatchJoin picks the join plan and what follows it. The workstation run
+// (BatchJoin == 0, one shard) staggers the joins, adds two VM workstations
+// behind symmetric NATs, pings between them and migrates one to a public
+// host. The batched run joins the fleet in batches, possibly over several
+// shards, and routes overlay probes between random NATed pairs.
 func RunSymmetricRing(opts SymRingOpts) (*SymRingResult, error) {
 	opts.fillDefaults()
-	if opts.BatchJoin > 0 {
-		return runSymmetricRingBatched(opts)
+	f, err := newFabric("sym-ring", opts.Seed, opts.Shards, opts.Workers, opts.Sites,
+		phys.PathModel{OneWay: sim.Millisecond}, phys.PathModel{OneWay: opts.WANLatency})
+	if err != nil {
+		return nil, err
 	}
-	s := sim.New(opts.Seed)
-	net := phys.NewNetwork(s, phys.UniformLatency(
-		phys.PathModel{OneWay: sim.Millisecond},
-		phys.PathModel{OneWay: 15 * sim.Millisecond},
-	))
-	sites := make([]*phys.Site, 8)
-	for i := range sites {
-		sites[i] = net.AddSite(fmt.Sprintf("site%d", i))
-	}
-	w := testbed.NewWOW(testbed.Options{Shortcuts: true, Brunet: brunet.FastTestConfig()})
+	defer f.close()
 
+	cfg := natRingConfig()
+	members := make([]*brunet.Node, 0, opts.Routers+opts.Nodes)
 	for i := 0; i < opts.Routers; i++ {
-		name := fmt.Sprintf("pub%02d", i)
-		h := net.AddHost(name, sites[i%len(sites)], net.Root(), phys.HostConfig{})
-		if _, err := w.AddRouter(h, name); err != nil {
-			return nil, fmt.Errorf("sym-ring: %w", err)
-		}
-		s.RunFor(sim.Second)
+		name := fmt.Sprintf("pub%03d", i)
+		h := f.net.AddHost(name, f.site(i), f.net.Root(), phys.HostConfig{})
+		members = append(members, brunet.NewNode(h, brunet.AddrFromString(name), cfg))
 	}
-
-	// symHost places a fresh host behind its own symmetric NAT.
-	symHost := func(name string, site *phys.Site) *phys.Host {
-		nat := natsim.NewNAT(name+"-nat", natsim.Config{Type: natsim.Symmetric},
-			net.Root().NextIP(), s.Now)
-		realm := net.AddRealm(name, net.Root(), nat, phys.MustParseIP("10.0.0.2"))
-		return net.AddHost(name+"-host", site, realm, phys.HostConfig{})
-	}
-
 	for i := 0; i < opts.Nodes; i++ {
-		name := fmt.Sprintf("sym%03d", i)
-		if _, err := w.AddRouter(symHost(name, sites[i%len(sites)]), name); err != nil {
-			return nil, fmt.Errorf("sym-ring: %w", err)
-		}
-		s.RunFor(symJoinSpacing)
+		name := fmt.Sprintf("sym%05d", i)
+		h := symNATHost(f, name, f.site(i))
+		members = append(members, brunet.NewNode(h, brunet.AddrFromString(name), cfg))
+	}
+	for _, n := range members {
+		n.RegisterProto("nat", func(brunet.Addr, brunet.AppData) {})
 	}
 
-	// Two virtual workstations, also behind symmetric NATs.
-	for i := 0; i < 2; i++ {
-		name := fmt.Sprintf("ws%d", i)
-		if _, err := w.AddWorkstation(symHost(name, sites[i]),
-			mustVIP(fmt.Sprintf("172.16.1.%d", i+2)), vm.Spec{Name: name}); err != nil {
-			return nil, fmt.Errorf("sym-ring: %w", err)
+	var plan joinPlan
+	if opts.BatchJoin > 0 {
+		plan.staggered(opts.Routers, 250*sim.Millisecond, opts.Routers, scaleOffsets)
+		plan.end = plan.end.Add(symBatchInterval)
+		plan.batched(opts.Nodes, opts.BatchJoin, symBatchInterval, opts.Routers)
+		plan.settle(opts.Settle)
+	} else {
+		plan.staggered(opts.Routers, sim.Second, opts.Routers, scaleOffsets)
+		plan.staggered(opts.Nodes, symJoinSpacing, opts.Routers, scaleOffsets)
+	}
+
+	res := &SymRingResult{
+		Seed:         opts.Seed,
+		Routers:      opts.Routers,
+		Nodes:        opts.Nodes,
+		Shards:       f.eng.Shards(),
+		Workers:      f.eng.Workers(),
+		BatchJoin:    opts.BatchJoin,
+		WANLatencyMs: float64(opts.WANLatency) / float64(sim.Millisecond),
+		MaxProcs:     runtime.GOMAXPROCS(0),
+	}
+	t0 := time.Now()
+	err = f.join(members, plan, func(sp ScalePoint) {
+		p := NATPoint{
+			ScalePoint:    sp,
+			RoutableFrac:  float64(routableCount(members)) / float64(opts.Routers+sp.Joined),
+			Tunnels:       statTotal(members, "tunnel.established"),
+			UpgradeProbes: statTotal(members, "tunnel.upgrade_probes"),
 		}
+		res.Series = append(res.Series, p)
+		if opts.OnProgress != nil {
+			opts.OnProgress(p)
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	res.BuildWallSec = time.Since(t0).Seconds()
+	if opts.BatchJoin > 0 {
+		res.auditRing(members)
+		res.UpgradeProbes = statTotal(members, "tunnel.upgrade_probes")
+		// End-to-end probes between random NATed pairs, delivered through
+		// relay-backed tunnel routes.
+		res.ProbesSent = opts.Probes
+		del0 := statTotal(members, "route.delivered")
+		f.runUntil(f.scheduleProbes(members[opts.Routers:], "nat", opts.Probes, 10*sim.Second))
+		res.ProbesDelivered = int(statTotal(members, "route.delivered") - del0)
+	} else if err := symWorkstations(f, opts, cfg, members, res); err != nil {
+		return nil, err
+	}
+	res.EventsTotal = f.processed()
+	return res, nil
+}
+
+// symWorkstations finishes the workstation run on its one shard: two VM
+// workstations join behind symmetric NATs, the overlay settles and is
+// audited with them, ws1 pings ws0, and ws0 migrates to a public host while
+// ws1 measures the VIP outage.
+func symWorkstations(f *fabric, opts SymRingOpts, cfg brunet.Config, members []*brunet.Node, res *SymRingResult) error {
+	s := f.net.Sim
+	ws := make([]*vm.VM, 2)
+	for i := range ws {
+		// A workstation bootstraps off the routers as the next fleet
+		// member would.
+		var boot []brunet.URI
+		for _, b := range bootPicks(len(members), opts.Routers, scaleOffsets) {
+			boot = append(boot, members[b].BootstrapURI())
+		}
+		name := fmt.Sprintf("ws%d", i)
+		ws[i] = vm.New(symNATHost(f, name, f.site(i)), mustVIP(fmt.Sprintf("172.16.1.%d", i+2)), vm.Spec{Name: name}, cfg)
+		if err := ws[i].Start(boot); err != nil {
+			return fmt.Errorf("sym-ring: workstation %s: %w", name, err)
+		}
+		members = append(members, ws[i].Node().Overlay())
 		s.RunFor(symJoinSpacing)
 	}
 	s.RunFor(opts.Settle)
-	ws := w.Workstations()
-
-	res := &SymRingResult{Seed: opts.Seed, Routers: opts.Routers, Nodes: opts.Nodes}
-
-	// Collect every overlay member and audit the ring.
-	var members []*brunet.Node
-	for _, r := range w.Routers() {
-		members = append(members, r.Overlay())
-	}
-	for _, v := range ws {
-		members = append(members, v.Node().Overlay())
-	}
 	res.auditRing(members)
 
 	// End-to-end VIP pings between the symmetric-NATed workstations.
@@ -431,10 +517,10 @@ func RunSymmetricRing(opts SymRingOpts) (*SymRingResult, error) {
 	}
 
 	// Migrate ws0 to a public host and measure the VIP outage.
-	dst := net.AddHost("mig-dst", sites[0], net.Root(), phys.HostConfig{})
+	dst := f.net.AddHost("mig-dst", f.site(0), f.net.Root(), phys.HostConfig{})
 	start := s.Now()
 	if err := ws[0].Migrate(dst, vm.MigrationConfig{TransferBps: 32 << 20, Graceful: true}, nil); err != nil {
-		return nil, fmt.Errorf("sym-ring: migrate: %w", err)
+		return fmt.Errorf("sym-ring: migrate: %w", err)
 	}
 	res.MigOutageSec = -1
 	for s.Now().Sub(start) < 5*sim.Minute {
@@ -446,5 +532,5 @@ func RunSymmetricRing(opts SymRingOpts) (*SymRingResult, error) {
 			break
 		}
 	}
-	return res, nil
+	return nil
 }

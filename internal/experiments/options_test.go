@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"go/ast"
 	"go/build"
 	"go/importer"
@@ -10,6 +11,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -77,6 +79,55 @@ func TestEveryProtocolOptionHasAProductCaller(t *testing.T) {
 		}
 	})
 	reportUnset(t, fields, set, "protocol options")
+}
+
+// TestNoHandBuiltSubstrate holds product code to one substrate constructor:
+// outside internal/sim and internal/phys, the benchmark module under bench/
+// and examples/, no non-test file calls sim.New or phys.NewNetwork. A
+// harness or the testbed stands on sim.NewSharded and phys.NewShardedNetwork
+// (the fabric, one shard when it runs serially), which at one shard is the
+// serial engine and network.
+func TestNoHandBuiltSubstrate(t *testing.T) {
+	src := newModuleSource(t)
+	banned := map[string]bool{
+		src.mod + "/internal/sim.New":         true,
+		src.mod + "/internal/phys.NewNetwork": true,
+	}
+	var exempt []string
+	for _, dir := range []string{"internal/sim", "internal/phys", "bench", "examples"} {
+		exempt = append(exempt, filepath.Join(src.root, filepath.FromSlash(dir))+string(filepath.Separator))
+	}
+	var found []string
+	src.walk(t, func(path string, files []*ast.File, info *types.Info) {
+		for _, f := range files {
+			name := src.fset.Position(f.Package).Filename
+			if strings.HasSuffix(name, "_test.go") || slices.ContainsFunc(exempt, func(dir string) bool {
+				return strings.HasPrefix(name, dir)
+			}) {
+				continue
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				if fn, ok := info.Uses[sel.Sel].(*types.Func); ok && banned[fn.FullName()] {
+					pos := src.fset.Position(call.Pos())
+					rel, _ := filepath.Rel(src.root, pos.Filename)
+					found = append(found, fmt.Sprintf("%s:%d: %s", filepath.ToSlash(rel), pos.Line, fn.FullName()))
+				}
+				return true
+			})
+		}
+	})
+	if len(found) > 0 {
+		t.Errorf("%d hand-built substrate calls (stand on sim.NewSharded and phys.NewShardedNetwork):\n  %s",
+			len(found), strings.Join(found, "\n  "))
+	}
 }
 
 // option is one field of an options struct.

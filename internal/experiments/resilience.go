@@ -38,13 +38,15 @@ func (r *NATRebindResult) String() string {
 // box) trials times and measures how long the overlay takes to detect the
 // broken links and re-establish them — with no process restart anywhere.
 func RunNATRebind(seed int64, trials int) (*NATRebindResult, error) {
-	s := sim.New(seed)
-	net := phys.NewNetwork(s, phys.UniformLatency(
-		phys.PathModel{OneWay: sim.Millisecond},
-		phys.PathModel{OneWay: 15 * sim.Millisecond},
-	))
+	f, err := newFabric("natrebind", seed, 1, 1, 0,
+		phys.PathModel{OneWay: sim.Millisecond}, phys.PathModel{OneWay: 15 * sim.Millisecond})
+	if err != nil {
+		return nil, err
+	}
+	defer f.close()
+	s, net := f.net.Sim, f.net
 	// A small public overlay plus one node behind a rebinding NAT.
-	w, err := buildSmallOverlay(s, net, 24)
+	w, err := buildSmallOverlay(net, 24)
 	if err != nil {
 		return nil, fmt.Errorf("natrebind: %w", err)
 	}

@@ -180,7 +180,7 @@ func (ov *ScaleOverlay) join(opts ScaleOpts) error {
 	if opts.BatchJoin > 0 {
 		plan.batched(opts.Nodes, opts.BatchJoin, opts.BatchInterval, 0)
 	} else {
-		plan = staggeredPlan(opts.Nodes, scaleJoinSpacing, 16, scaleOffsets)
+		plan.staggered(opts.Nodes, scaleJoinSpacing, 16, scaleOffsets)
 	}
 	plan.settle(opts.Settle)
 	return ov.fab.join(ov.Nodes, plan, func(p ScalePoint) {

@@ -1,6 +1,6 @@
 // Package faults is a deterministic, sim-clock-driven fault injector for
-// the simulated WAN. Composable Fault values schedule link blackholes,
-// site-to-site partitions, packet-loss and latency bursts, node
+// the simulated WAN. Composable Fault values schedule site-to-site
+// partitions, latency bursts, jitter bursts, link flaps, node
 // crash+restart cycles, NAT table flushes and correlated churn waves
 // against any phys.Network (and hence any testbed built on one), recording
 // a per-fault timeline as they fire.
@@ -115,7 +115,6 @@ func (inj *Injector) record(label, event string) {
 type rule struct {
 	match  func(src, dst *phys.Host) bool
 	drop   bool
-	loss   float64
 	extra  sim.Duration
 	jitter sim.Duration
 
@@ -179,9 +178,8 @@ func pseudoRand(seed uint64, now sim.Time, a, b string) uint64 {
 }
 
 // perturb is the phys.Network hook: compose every active rule that matches
-// the packet's path. A drop rule wins outright; loss probabilities combine
-// as independent trials and latency adds. phys counts a blackholed packet
-// as lost.fault on the sending shard.
+// the packet's path. A drop rule wins outright and latency adds. phys
+// counts a dropped packet as lost.fault on the sending shard.
 func (inj *Injector) perturb(src, dst *phys.Host, pm phys.PathModel) (phys.PathModel, bool) {
 	now := src.Sim().Now()
 	for _, r := range inj.rules {
@@ -190,9 +188,6 @@ func (inj *Injector) perturb(src, dst *phys.Host, pm phys.PathModel) (phys.PathM
 		}
 		if r.drop {
 			return pm, true
-		}
-		if r.loss > 0 {
-			pm.Loss = 1 - (1-pm.Loss)*(1-r.loss)
 		}
 		if r.pseudoJitter > 0 {
 			span := uint64(2 * r.pseudoJitter)

@@ -105,24 +105,6 @@ func TestPartitionDropsThenHeals(t *testing.T) {
 	}
 }
 
-func TestBlackholeIsPairwise(t *testing.T) {
-	r := newRig(t, 1)
-	inj := New(r.s, r.net)
-	inj.Schedule(LinkBlackhole{A: On("a1"), B: On("b1"), From: 0, For: time10s()})
-	r.s.RunFor(sim.Second)
-	r.send("a1", "b1") // blackholed
-	r.send("a2", "b1") // third party: unaffected
-	r.s.RunFor(sim.Second)
-	if r.got["b1"] != 1 {
-		t.Fatalf("b1 got %d packets, want only a2's", r.got["b1"])
-	}
-	if dropped(inj) != 1 {
-		t.Fatalf("dropped = %d, want 1", dropped(inj))
-	}
-}
-
-func time10s() sim.Duration { return 10 * sim.Second }
-
 func TestLatencyBurstDelaysDelivery(t *testing.T) {
 	r := newRig(t, 1)
 	inj := New(r.s, r.net)
@@ -136,23 +118,6 @@ func TestLatencyBurstDelaysDelivery(t *testing.T) {
 	r.s.RunFor(sim.Second)
 	if r.got["b1"] != 1 {
 		t.Fatal("packet never arrived")
-	}
-}
-
-func TestLossBurstComposesToCertainLoss(t *testing.T) {
-	r := newRig(t, 1)
-	inj := New(r.s, r.net)
-	inj.Schedule(LossBurst{Scope: AtSites("site-b"), Loss: 1.0, From: 0, For: 10 * sim.Second})
-	r.s.RunFor(sim.Second)
-	for i := 0; i < 5; i++ {
-		r.send("a1", "b1")
-	}
-	r.s.RunFor(sim.Second)
-	if r.got["b1"] != 0 {
-		t.Fatalf("certain loss leaked %d packets", r.got["b1"])
-	}
-	if total := r.net.TotalStats(); total.Get("lost.wire") != 5 {
-		t.Fatalf("lost.wire = %d, want 5", total.Get("lost.wire"))
 	}
 }
 
@@ -177,9 +142,9 @@ func buildScenario(t *testing.T, seed int64) *Injector {
 		})
 	}
 	inj.Schedule(
-		LinkBlackhole{A: On("a1"), B: On("b1"), From: sim.Second, For: 5 * sim.Second},
+		LinkFlap{A: On("a1"), B: On("b1"), Period: 2 * sim.Second, Up: sim.Second, Start: sim.Second, For: 5 * sim.Second},
 		Partition{A: AtSites("site-a"), From: 2 * sim.Second, For: 8 * sim.Second},
-		LossBurst{Scope: On("a2"), Loss: 0.5, From: 3 * sim.Second, For: 4 * sim.Second},
+		JitterBurst{Scope: On("a2"), Amp: 50 * sim.Millisecond, Start: 3 * sim.Second, For: 4 * sim.Second, Seed: 1},
 		LatencyBurst{Scope: AtSites("site-b"), Extra: 100 * sim.Millisecond, From: sim.Second, For: 6 * sim.Second},
 		NATFlush{NAT: nat, At: 4 * sim.Second},
 		CrashRestart{Name: "crash.b1", At: 5 * sim.Second, Down: 3 * sim.Second,
@@ -187,7 +152,7 @@ func buildScenario(t *testing.T, seed int64) *Injector {
 		ChurnWave{Targets: targets, From: 10 * sim.Second, Spacing: 2 * sim.Second,
 			Jitter: sim.Second, Down: 4 * sim.Second},
 	)
-	// Background traffic so loss faults consume random draws too.
+	// Background traffic for the wire faults to act on.
 	for i := 0; i < 30; i++ {
 		at := sim.Duration(i) * 700 * sim.Millisecond
 		r.s.After(at, func() { r.send("a1", "b1"); r.send("a2", "b1") })
@@ -222,8 +187,8 @@ func TestDeterministicTimeline(t *testing.T) {
 	}
 }
 
-// TestWireFaultsSharded runs the four crisp wire faults one after another
-// over steady two-way traffic between two sites, on one shard and on two
+// TestWireFaultsSharded runs four wire faults one after another over steady
+// two-way traffic between two sites, on one shard and on two
 // shards with one and with two workers. Every run must deliver the same
 // packets at the same instants, lose the same ones for the same reasons and
 // record the same timeline. With two workers under -race it also holds the
@@ -277,8 +242,9 @@ func TestWireFaultsSharded(t *testing.T) {
 		defer inj.Close()
 		inj.Schedule(
 			Partition{A: AtSites("site-a"), From: sim.Second, For: sim.Second},
-			LinkBlackhole{A: On("a1"), B: On("b1"), From: 3 * sim.Second, For: sim.Second},
-			LossBurst{Scope: On("b1"), Loss: 1, From: 5 * sim.Second, For: sim.Second},
+			LinkFlap{A: On("a1"), B: On("b1"), Period: 200 * sim.Millisecond, Up: 100 * sim.Millisecond,
+				Start: 3 * sim.Second, For: sim.Second},
+			JitterBurst{Scope: On("b1"), Amp: 20 * sim.Millisecond, Start: 5 * sim.Second, For: sim.Second, Seed: 1},
 			LatencyBurst{Scope: On("b1"), Extra: 200 * sim.Millisecond, From: 7 * sim.Second, For: sim.Second},
 		)
 		eng.RunFor(11 * sim.Second)
@@ -293,9 +259,10 @@ func TestWireFaultsSharded(t *testing.T) {
 	}
 
 	one := run(1, 1)
-	// Each fault covers a hundred sends each way; the partition and the
-	// blackhole drop theirs, the loss burst loses its on the wire.
-	if want := "delivered=1400 lost.fault=400 lost.wire=200 "; one.counts != want {
+	// Each fault covers a hundred sends each way; the partition drops
+	// them all, the flap the half sent in its down phases, and the two
+	// bursts only delay theirs.
+	if want := "delivered=1700 lost.fault=300 "; one.counts != want {
 		t.Fatalf("one shard: counts %q, want %q", one.counts, want)
 	}
 	if strings.Count(one.timeline, "\n") != 8 {

@@ -5,32 +5,10 @@ import (
 	"wow/internal/sim"
 )
 
-// The gray faults model failures that degrade rather than sever: one-way
-// blackholes, latency variance, duty-cycled link flaps and slow hosts.
-// They arm through the same window as the crisp wire faults (see Injector)
-// and are deterministic and timeline-recorded like the original seven.
-
-// AsymmetricBlackhole drops packets in ONE direction only — From→To — for
-// the window. The classic gray failure a bidirectional ping can't localize:
-// requests arrive, answers vanish (or vice versa), and fixed-timeout
-// detectors on the two sides reach opposite verdicts.
-type AsymmetricBlackhole struct {
-	Name     string // timeline label; default "asymhole"
-	From, To Scope
-	Start    sim.Duration // offset from scheduling time
-	For      sim.Duration // window length; 0 = forever
-}
-
-// Label names the fault in timelines.
-func (f AsymmetricBlackhole) Label() string { return label(f.Name, "asymhole") }
-
-func (f AsymmetricBlackhole) arm(inj *Injector) {
-	a, b := f.From.matcher(), f.To.matcher()
-	inj.window(f.Label(), &rule{
-		drop:  true,
-		match: func(src, dst *phys.Host) bool { return a(src) && b(dst) },
-	}, f.Start, f.For)
-}
+// The gray faults model failures that degrade rather than sever: latency
+// variance and duty-cycled link flaps. They arm through the same window as
+// the crisp wire faults (see Injector) and are deterministic and
+// timeline-recorded like them.
 
 // JitterBurst adds latency VARIANCE to every path touching the scope: each
 // packet is delayed by an extra hash-derived amount uniform in
@@ -90,29 +68,5 @@ func (f LinkFlap) arm(inj *Injector) {
 		match: func(src, dst *phys.Host) bool {
 			return (a(src) && b(dst)) || (b(src) && a(dst))
 		},
-	}, f.Start, f.For)
-}
-
-// SlowNode models a host whose process has gone slow — CPU contention, GC
-// stalls, a saturated disk: every packet DELIVERED to a host in scope is
-// delayed by Extra before handling. Peers see inflated RTTs on all traffic
-// through the host while the host itself stays (slowly) responsive — the
-// half-alive state between healthy and dead.
-type SlowNode struct {
-	Name  string // timeline label; default "slow"
-	Scope Scope
-	Extra sim.Duration
-	Start sim.Duration
-	For   sim.Duration
-}
-
-// Label names the fault in timelines.
-func (f SlowNode) Label() string { return label(f.Name, "slow") }
-
-func (f SlowNode) arm(inj *Injector) {
-	m := f.Scope.matcher()
-	inj.window(f.Label(), &rule{
-		extra: f.Extra,
-		match: func(src, dst *phys.Host) bool { return m(dst) },
 	}, f.Start, f.For)
 }

@@ -5,30 +5,6 @@ import (
 	"wow/internal/sim"
 )
 
-// LinkBlackhole silently drops every packet between scopes A and B in both
-// directions for the window [From, From+For) — a dead WAN link or a
-// middlebox that has stopped forwarding. Unlike a host going down, traffic
-// to third parties is untouched.
-type LinkBlackhole struct {
-	Name string // timeline label; default "blackhole"
-	A, B Scope
-	From sim.Duration // offset from scheduling time
-	For  sim.Duration // window length; 0 = forever
-}
-
-// Label names the fault in timelines.
-func (f LinkBlackhole) Label() string { return label(f.Name, "blackhole") }
-
-func (f LinkBlackhole) arm(inj *Injector) {
-	a, b := f.A.matcher(), f.B.matcher()
-	inj.window(f.Label(), &rule{
-		drop: true,
-		match: func(src, dst *phys.Host) bool {
-			return (a(src) && b(dst)) || (b(src) && a(dst))
-		},
-	}, f.From, f.For)
-}
-
 // Partition splits the network: packets crossing from side A to side B (or
 // back) are dropped for the window, while traffic within each side flows
 // normally. Leave B empty to partition A from the rest of the world.
@@ -53,28 +29,6 @@ func (f Partition) arm(inj *Injector) {
 		match: func(src, dst *phys.Host) bool {
 			return (a(src) && b(dst)) || (b(src) && a(dst))
 		},
-	}, f.From, f.For)
-}
-
-// LossBurst adds independent per-packet loss to every path touching the
-// scope for the window — congestion or a flapping link, severe enough to
-// stress retransmission and keepalive machinery without severing links.
-type LossBurst struct {
-	Name  string // timeline label; default "loss"
-	Scope Scope
-	Loss  float64 // added loss probability, composed with the path's own
-	From  sim.Duration
-	For   sim.Duration
-}
-
-// Label names the fault in timelines.
-func (f LossBurst) Label() string { return label(f.Name, "loss") }
-
-func (f LossBurst) arm(inj *Injector) {
-	m := f.Scope.matcher()
-	inj.window(f.Label(), &rule{
-		loss:  f.Loss,
-		match: func(src, dst *phys.Host) bool { return m(src) || m(dst) },
 	}, f.From, f.For)
 }
 

@@ -30,11 +30,10 @@ type Boundary interface {
 }
 
 // Site is a network location. Path characteristics between two hosts are
-// looked up by their sites' indices in the network's latency model. Every
-// site (and so every host at it) belongs to one shard of the network.
+// looked up by their sites in the network's latency model. Every site (and
+// so every host at it) belongs to one shard of the network.
 type Site struct {
 	Name  string
-	Index int
 	shard int
 }
 
@@ -306,7 +305,7 @@ func (n *Network) Root() *Realm { return n.root }
 // AddSite registers a new site. Sites are spread round-robin over the
 // network's shards.
 func (n *Network) AddSite(name string) *Site {
-	s := &Site{Name: name, Index: len(n.sites), shard: len(n.sites) % len(n.sims)}
+	s := &Site{Name: name, shard: len(n.sites) % len(n.sims)}
 	n.sites = append(n.sites, s)
 	return s
 }
@@ -630,16 +629,5 @@ func UniformLatency(lan, wan PathModel) LatencyFunc {
 			return lan
 		}
 		return wan
-	}
-}
-
-// MatrixLatency returns a LatencyFunc backed by a symmetric site-by-site
-// matrix of one-way delays; jitter and loss apply to inter-site paths only.
-func MatrixLatency(oneWay [][]sim.Duration, jitter sim.Duration, loss float64, lan PathModel) LatencyFunc {
-	return func(a, b *Site) PathModel {
-		if a == b {
-			return lan
-		}
-		return PathModel{OneWay: oneWay[a.Index][b.Index], Jitter: jitter, Loss: loss}
 	}
 }

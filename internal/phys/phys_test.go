@@ -387,24 +387,6 @@ func TestRealmNextIPSkipsTaken(t *testing.T) {
 	}
 }
 
-func TestMatrixLatency(t *testing.T) {
-	s := sim.New(1)
-	m := [][]sim.Duration{
-		{0, 30 * sim.Millisecond},
-		{30 * sim.Millisecond, 0},
-	}
-	lf := MatrixLatency(m, 0, 0, PathModel{OneWay: sim.Millisecond})
-	net := NewNetwork(s, lf)
-	sa, sb := net.AddSite("a"), net.AddSite("b")
-	if pm := lf(sa, sb); pm.OneWay != 30*sim.Millisecond {
-		t.Fatalf("inter-site = %v", pm.OneWay)
-	}
-	if pm := lf(sa, sa); pm.OneWay != sim.Millisecond {
-		t.Fatalf("intra-site = %v", pm.OneWay)
-	}
-	_ = net
-}
-
 func TestNetworkString(t *testing.T) {
 	s := sim.New(1)
 	net := NewNetwork(s, lanWan())

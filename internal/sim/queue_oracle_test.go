@@ -47,10 +47,10 @@ func (h *eventHeap) Pop() any {
 }
 
 // oracleSim is the reference Simulator over eventHeap: the clock, the
-// clamp-to-now rule, Stop, the run primitives (RunBefore with the loop of
-// its own the engine had when the heap was its only queue), and the
-// model's effects (effect.apply, which it shares with the Simulator under
-// test), nothing else.
+// clamp-to-now rule, Stop, the run primitives (runBefore, the reference of
+// runThrough(t-1), with the loop of its own the engine had when the heap
+// was its only queue), and the model's effects (effect.apply, which it
+// shares with the Simulator under test), nothing else.
 type oracleSim struct {
 	now     Time
 	queue   eventHeap

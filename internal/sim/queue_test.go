@@ -476,9 +476,9 @@ func runQueueProgram(prog []byte) error {
 			m.check("RunUntil")
 		case 6:
 			t := now + Time(x%8) - 1
-			m.s.RunBefore(t)
+			m.s.runThrough(t - 1)
 			m.o.runBefore(t)
-			m.check("RunBefore")
+			m.check("runThrough")
 		case 7:
 			switch x % 4 {
 			case 0, 1:
@@ -637,20 +637,20 @@ func TestNowQueueCases(t *testing.T) {
 			s.Run()
 			return ""
 		}, []popRec{{4, 0}, {4, 1}, {4, 2}}},
-		{"RunUntil and RunBefore short of the clock run nothing", func(s *Simulator, note func(any)) string {
+		{"RunUntil and runThrough short of the clock run nothing", func(s *Simulator, note func(any)) string {
 			s.RunUntil(10)
 			tm := s.AtArg(3, note, 0) // clamped to now
 			if tm.Time() != 10 || tm.ev.index >= 0 {
 				return fmt.Sprintf("past-time event: Time() %d, index %d", tm.Time(), tm.ev.index)
 			}
 			s.RunUntil(5)
-			s.RunBefore(10)
+			s.runThrough(9)
 			if s.Processed != 0 || s.Now() != 10 || s.Pending() != 1 {
 				return fmt.Sprintf("ran %d events, clock %d, pending %d", s.Processed, s.Now(), s.Pending())
 			}
-			s.RunBefore(11)
+			s.runThrough(10)
 			if s.Now() != 10 {
-				return fmt.Sprintf("RunBefore moved the clock to %d", s.Now())
+				return fmt.Sprintf("runThrough moved the clock to %d", s.Now())
 			}
 			return ""
 		}, []popRec{{10, 0}}},
@@ -1102,7 +1102,7 @@ func FuzzEventQueue(f *testing.F) {
 	// then timers whose callbacks schedule near and then far (into the
 	// soon heap, into the now queue), near and near, and near twice with
 	// a cancel in between, all while the timer heap's hole is open; steps,
-	// a RunBefore and a cancel + re-arm of the timer heap's root between.
+	// a runThrough and a cancel + re-arm of the timer heap's root between.
 	f.Add([]byte{0x00, 0xF0, 0x01, 0xF1, 0x02, 0xF2, 0x00, 0xF4, 0x01, 0xF5, 0x02, 0xF6, 0x00, 0xF7,
 		0x00, 0xE0, 0x01, 0xE5, 0x08, 0xFB, 0x09, 0xF8, 0x4A, 0xFC, 0x88, 0xF9,
 		7, 0, 7, 0, 0x0C, 0, 7, 0, 6, 7, 7, 0, 7, 0, 7, 0, 7, 0})

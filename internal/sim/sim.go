@@ -628,10 +628,6 @@ func (s *Simulator) PeekTime() (Time, bool) {
 	return sl.when, true
 }
 
-// RunBefore executes every event with timestamp strictly less than t and
-// stops without advancing the clock past the last executed event.
-func (s *Simulator) RunBefore(t Time) { s.runThrough(t - 1) }
-
 // runThrough executes every event with timestamp at or before last and
 // stops without advancing the clock past the last executed event. It is
 // the window-execution primitive of the sharded engine: a shard runs its

@@ -157,11 +157,14 @@ func computeHostCfg() phys.HostConfig {
 }
 
 // Build constructs the testbed and runs the simulator until the overlay
-// has settled.
+// has settled. It stands on the sharded engine at one shard, which is the
+// serial engine: Sim is the engine's only shard, and no packet ever crosses
+// shards, so none is handed to the engine.
 func Build(cfg Config) *Testbed {
 	cfg.fillDefaults()
-	s := sim.New(cfg.Seed)
-	net := phys.NewNetwork(s, latency)
+	eng := sim.NewSharded(cfg.Seed, 1, 1)
+	s := eng.Shard(0)
+	net := phys.NewShardedNetwork(eng, latency)
 	tb := &Testbed{
 		WOW: NewWOW(Options{
 			Shortcuts: cfg.Shortcuts,
