@@ -18,7 +18,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"slices"
@@ -39,7 +38,6 @@ type bench struct {
 	settle, wan, traceHealth     float64
 	traceN                       uint64
 	nodesSet, jsonOut            bool
-	csvDir                       string
 	stdout, stderr, narrate      io.Writer
 	failed                       bool
 }
@@ -144,7 +142,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.Float64Var(&b.wan, "wan", 0, "scale/nat harnesses: one-way inter-site latency in ms for batched builds (0 = default; also the shard lookahead)")
 	paperScale := fs.Bool("paper-scale", false, "use the paper's full trial counts (slower)")
 	fs.BoolVar(&b.jsonOut, "json", false, "emit one JSON object per experiment on stdout")
-	fs.StringVar(&b.csvDir, "csv", "", "directory to write per-figure CSV series into")
 	fs.Uint64Var(&b.traceN, "trace", 0, "gray harness: sample 1-in-N originations for hop-by-hop route tracing (0 = off); records stream as trace.hop/trace.route JSONL envelopes in -json mode")
 	fs.Float64Var(&b.traceHealth, "trace-health", 0, "gray harness: per-node health.node snapshot period in virtual seconds (0 = off; needs -trace)")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
@@ -248,24 +245,6 @@ func (b *bench) series(name string, data any, format string, args ...any) {
 	fmt.Fprintf(b.narrate, format, args...)
 }
 
-// writeCSV writes one figure's series under -csv; a bad directory warns
-// and does not fail the run.
-func (b *bench) writeCSV(name, content string) {
-	if b.csvDir == "" {
-		return
-	}
-	path := filepath.Join(b.csvDir, name)
-	err := os.MkdirAll(b.csvDir, 0o755)
-	if err == nil {
-		err = os.WriteFile(path, []byte(content), 0o644)
-	}
-	if err != nil {
-		fmt.Fprintf(b.stderr, "csv: %v\n", err)
-		return
-	}
-	fmt.Fprintf(b.narrate, "(wrote %s)\n", path)
-}
-
 func runJoin(b *bench) {
 	b.show("join", experiments.RunJoinStats(experiments.JoinOpts{Seed: b.seed, Trials: b.trials * 3}), nil)
 }
@@ -273,11 +252,10 @@ func runJoin(b *bench) {
 func runFig4(b *bench) {
 	res := experiments.RunFig4(experiments.JoinOpts{Seed: b.seed, Trials: b.trials})
 	b.show("fig4", res, nil)
+	if !b.jsonOut {
+		return
+	}
 	for _, p := range res.Profiles {
-		b.writeCSV("fig4-"+p.Scenario.Name+".csv", p.CSV())
-		if !b.jsonOut {
-			continue
-		}
 		// One fig4.series row per echo sequence number; rtt_ms is null
 		// when every trial dropped that echo (NaN internally).
 		for i := range p.LossPct {
@@ -310,11 +288,7 @@ func runFig5(b *bench) {
 func runFig6(b *bench) {
 	res, err := experiments.RunFig6(experiments.Fig6Opts{Seed: b.seed})
 	b.show("fig6", res, err)
-	if err != nil {
-		return
-	}
-	b.writeCSV("fig6-progress.csv", res.Progress.CSV())
-	if !b.jsonOut {
+	if err != nil || !b.jsonOut {
 		return
 	}
 	// One fig6.series row per 5 s progress sample: seconds since transfer

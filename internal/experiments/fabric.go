@@ -79,6 +79,11 @@ func newFabric(name string, seed int64, shards, workers, sites int, lan, wan phy
 	return f, nil
 }
 
+// timeline is shard 0's simulator, the harness timeline: the clock a
+// one-shard harness runs on, and the one a multi-shard harness's driver and
+// fault injector schedule on and read between engine runs.
+func (f *fabric) timeline() *sim.Simulator { return f.eng.Shard(0) }
+
 func (f *fabric) runUntil(t sim.Time) { f.eng.RunUntil(t) }
 func (f *fabric) now() sim.Time       { return f.eng.Now() }
 func (f *fabric) processed() uint64   { return f.eng.Processed() }
@@ -211,7 +216,7 @@ type ScalePoint struct {
 // with the engine closed.
 func (f *fabric) join(fleet []*brunet.Node, plan joinPlan, sample func(ScalePoint)) error {
 	for i, st := range plan.steps {
-		i, st, n, s := i, st, fleet[i], fleet[i].Host().Sim()
+		n, s := fleet[i], fleet[i].Host().Sim()
 		var start func()
 		start = func() {
 			// On a zero-latency fabric whole handshake cascades run inside

@@ -233,16 +233,16 @@ func runMigrationWindow(opts FaultOpts, graceful bool) (float64, RecoveryReport,
 	}
 
 	window := -1.0
-	for tb.Sim.Now().Sub(killAt) < healWindow {
-		tb.Sim.RunFor(sim.Second)
+	waitFor(tb.Sim, sim.Second, healWindow, func() bool {
 		if victim.Node().Up() {
-			break // node restarted at the destination; window censored
+			return true // node restarted at the destination; window censored
 		}
 		if ringClosedAround(tb, victimAddr) {
 			window = tb.Sim.Now().Sub(killAt).Seconds()
-			break
+			return true
 		}
-	}
+		return false
+	})
 	report.RecoverySec = window
 	report.Counters = recoveryDelta(before, recoveryCounts(tb))
 	return window, report, nil

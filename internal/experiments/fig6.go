@@ -108,9 +108,7 @@ func runFig6(opts Fig6Opts, migrate func(*vm.VM, *phys.Host, vm.MigrationConfig,
 		}
 	})
 
-	for !tr.Done && migErr == nil && tb.Sim.Now().Sub(start) < 4*sim.Hour {
-		tb.Sim.RunFor(sim.Minute)
-	}
+	waitFor(tb.Sim, sim.Minute, 4*sim.Hour, func() bool { return tr.Done || migErr != nil })
 	if migErr != nil {
 		return nil, migErr
 	}

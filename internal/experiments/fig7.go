@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"wow/internal/middleware/nfs"
+	"wow/internal/metrics"
 	"wow/internal/middleware/pbs"
 	"wow/internal/sim"
 	"wow/internal/testbed"
@@ -88,21 +88,13 @@ func RunFig7(opts Fig7Opts) (*Fig7Result, error) {
 	head := tb.VM("node002")
 	worker := tb.VM("node003")
 
-	nfsSrv, err := nfs.NewServer(head.Stack())
+	// The two-minute registration doubles as the shortcut warm-up.
+	pbsHead, err := pbsCluster(tb, "fig7", head, []*vm.VM{worker})
 	if err != nil {
-		return nil, fmt.Errorf("fig7: %w", err)
+		return nil, err
 	}
-	meme := workloads.DefaultMEME()
-	nfsSrv.Put(meme.InputPath, meme.InputBytes)
-	pbsHead, err := pbs.NewHead(head.Stack())
-	if err != nil {
-		return nil, fmt.Errorf("fig7: %w", err)
-	}
-	if _, err := pbs.NewMOM(worker, head.IP()); err != nil {
-		return nil, fmt.Errorf("fig7: %w", err)
-	}
-	tb.Sim.RunFor(2 * sim.Minute) // registration + shortcut warmup
 
+	meme := workloads.DefaultMEME()
 	res := &Fig7Result{AllSucceeded: true}
 	var migErr error
 	rng := tb.Sim.Rand()
@@ -151,10 +143,7 @@ func RunFig7(opts Fig7Opts) (*Fig7Result, error) {
 	}
 	submit(0)
 
-	deadline := tb.Sim.Now().Add(12 * sim.Hour)
-	for len(res.Points) < opts.Jobs && migErr == nil && tb.Sim.Now() < deadline {
-		tb.Sim.RunFor(sim.Minute)
-	}
+	waitFor(tb.Sim, sim.Minute, 12*sim.Hour, func() bool { return len(res.Points) >= opts.Jobs || migErr != nil })
 	if migErr != nil {
 		return nil, migErr
 	}
@@ -173,19 +162,8 @@ func RunFig7(opts Fig7Opts) (*Fig7Result, error) {
 			migrated = append(migrated, p.WallSeconds)
 		}
 	}
-	res.BaselineMean = mean(base)
-	res.LoadedMean = mean(loaded)
-	res.MigratedMean = mean(migrated)
+	res.BaselineMean = metrics.Summarize(base).Mean
+	res.LoadedMean = metrics.Summarize(loaded).Mean
+	res.MigratedMean = metrics.Summarize(migrated).Mean
 	return res, nil
-}
-
-func mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
 }

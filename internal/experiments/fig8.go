@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"wow/internal/metrics"
-	"wow/internal/middleware/nfs"
 	"wow/internal/middleware/pbs"
 	"wow/internal/sim"
 	"wow/internal/testbed"
@@ -101,23 +100,10 @@ func RunFig8(opts Fig8Opts) (*Fig8Result, error) {
 		SettleTime:     5 * sim.Minute,
 	})
 	head := tb.VM("node002")
-
-	nfsSrv, err := nfs.NewServer(head.Stack())
+	pbsHead, err := pbsCluster(tb, "fig8", head, tb.Workstations())
 	if err != nil {
-		return nil, fmt.Errorf("fig8: %w", err)
+		return nil, err
 	}
-	meme := workloads.DefaultMEME()
-	nfsSrv.Put(meme.InputPath, meme.InputBytes)
-	pbsHead, err := pbs.NewHead(head.Stack())
-	if err != nil {
-		return nil, fmt.Errorf("fig8: %w", err)
-	}
-	for _, v := range tb.Workstations() {
-		if _, err := pbs.NewMOM(v, head.IP()); err != nil {
-			return nil, fmt.Errorf("fig8: mom %s: %w", v.Name(), err)
-		}
-	}
-	tb.Sim.RunFor(2 * sim.Minute) // registrations
 
 	res := &Fig8Result{
 		Shortcuts: opts.Shortcuts,
@@ -141,19 +127,16 @@ func RunFig8(opts Fig8Opts) (*Fig8Result, error) {
 		lastDone = tb.Sim.Now()
 	})
 
+	meme := workloads.DefaultMEME()
 	rng := tb.Sim.Rand()
 	firstSubmit = tb.Sim.Now()
 	for i := 0; i < opts.Jobs; i++ {
-		i := i
 		tb.Sim.At(firstSubmit.Add(sim.Duration(i)*fig8SubmitInterval), func() {
 			pbsHead.Submit(meme.Job(i, rng))
 		})
 	}
 
-	deadline := tb.Sim.Now().Add(48 * sim.Hour)
-	for done < opts.Jobs && tb.Sim.Now() < deadline {
-		tb.Sim.RunFor(sim.Minute)
-	}
+	waitFor(tb.Sim, sim.Minute, 48*sim.Hour, func() bool { return done >= opts.Jobs })
 
 	s := metrics.Summarize(walls)
 	res.MeanSeconds, res.StdSeconds = s.Mean, s.Std

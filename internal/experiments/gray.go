@@ -230,7 +230,7 @@ func RunGrayFailures(opts GrayOpts) (*GrayResult, error) {
 		return nil, err
 	}
 	defer f.close()
-	s := f.net.Sim // shard 0: the injector's timeline
+	s := f.timeline()
 
 	cfg := grayConfig(opts.Seed, opts.Adaptive)
 	detector := "fixed"
@@ -287,7 +287,6 @@ func RunGrayFailures(opts GrayOpts) (*GrayResult, error) {
 	}
 	kills := make([]GrayKill, len(victims))
 	for i, v := range victims {
-		v := v
 		at := cursor.Add(sim.Duration(i+1)*opts.WindowLen + opts.WindowLen/2)
 		kills[i] = GrayKill{Node: v.Addr().String(), AtSec: at.Seconds(), DetectSec: -1}
 		v.Host().Sim().At(at, func() { v.Stop() })

@@ -1,9 +1,13 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
+	"sync"
 
 	"wow/internal/brunet"
+	"wow/internal/middleware/nfs"
+	"wow/internal/middleware/pbs"
 	"wow/internal/phys"
 	"wow/internal/sim"
 	"wow/internal/testbed"
@@ -14,11 +18,45 @@ import (
 
 func mustVIP(s string) vip.IP { return vip.MustParseIP(s) }
 
+// parallel runs leg(0) … leg(n-1) on goroutines of their own and waits for
+// all of them. Each leg is an independent simulation on its own seeded
+// engine, so no result depends on which leg finishes first, and neither
+// does the error: of the legs that fail, the lowest index's is returned.
+// This is the one place a harness starts goroutines.
+func parallel(n int, leg func(i int) error) error {
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = leg(i)
+		}()
+	}
+	wg.Wait()
+	return cmp.Or(errs...)
+}
+
+// waitFor runs s a step at a time until done reports true or limit has
+// passed since the call, and reports whether done did. A completion
+// callback that never fires thus ends the run at the limit instead of
+// looping forever; every harness sets a limit its runs never reach.
+func waitFor(s *sim.Simulator, step, limit sim.Duration, done func() bool) bool {
+	deadline := s.Now().Add(limit)
+	for !done() {
+		if s.Now() >= deadline {
+			return false
+		}
+		s.RunFor(step)
+	}
+	return true
+}
+
 // buildSmallOverlay stands up n public routers and two public
 // workstations on a one-shard fabric's network, each on a site of its own,
 // for experiments that don't need the full Figure-1 testbed.
-func buildSmallOverlay(net *phys.Network, n int) (*testbed.WOW, error) {
-	s := net.Sim
+func buildSmallOverlay(f *fabric, n int) (*testbed.WOW, error) {
+	s, net := f.timeline(), f.net
 	w := testbed.NewWOW(testbed.Options{Shortcuts: true, Brunet: brunet.DefaultConfig()})
 	for i := 0; i < n; i++ {
 		name := fmt.Sprintf("r%02d", i)
@@ -112,15 +150,38 @@ func warmPath(s *sim.Simulator, src, dst *vm.VM, d sim.Duration) {
 }
 
 // runTTCP transfers size bytes from src to dst and runs the simulation, a
-// minute at a time, until the transfer reports its result.
+// minute at a time, until the transfer reports its result. A transfer that
+// has not reported after a day (Table II's slowest takes under three hours)
+// counts as not completed.
 func runTTCP(s *sim.Simulator, src, dst *vm.VM, size int64) workloads.TTCPResult {
 	var res workloads.TTCPResult
 	done := false
 	workloads.TTCP(src.Stack(), dst.IP(), size, func(r workloads.TTCPResult) {
 		res, done = r, true
 	})
-	for !done {
-		s.RunFor(sim.Minute)
-	}
+	waitFor(s, sim.Minute, 24*sim.Hour, func() bool { return done })
 	return res
+}
+
+// pbsCluster stands up the batch cluster of Figures 7 and 8 on tb: an NFS
+// export on head holding the MEME input, a PBS head beside it and a MOM on
+// every worker, then runs two minutes for the MOMs to register.
+func pbsCluster(tb *testbed.Testbed, name string, head *vm.VM, workers []*vm.VM) (*pbs.Head, error) {
+	nfsSrv, err := nfs.NewServer(head.Stack())
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", name, err)
+	}
+	meme := workloads.DefaultMEME()
+	nfsSrv.Put(meme.InputPath, meme.InputBytes)
+	pbsHead, err := pbs.NewHead(head.Stack())
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", name, err)
+	}
+	for _, v := range workers {
+		if _, err := pbs.NewMOM(v, head.IP()); err != nil {
+			return nil, fmt.Errorf("%s: mom %s: %w", name, v.Name(), err)
+		}
+	}
+	tb.Sim.RunFor(2 * sim.Minute)
+	return pbsHead, nil
 }

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"sync"
 
 	"wow/internal/brunet"
 	"wow/internal/metrics"
@@ -180,12 +179,10 @@ func RunJoinProfile(opts JoinOpts, sc JoinScenario) *JoinProfile {
 	tb, a := joinTestbed(opts, sc.ASite, true)
 
 	p := &JoinProfile{
-		Scenario:   sc,
-		Trials:     opts.Trials,
-		RTTms:      make([]float64, opts.Pings),
-		LossPct:    make([]float64, opts.Pings),
-		RoutableAt: nil,
-		ShortcutAt: nil,
+		Scenario: sc,
+		Trials:   opts.Trials,
+		RTTms:    make([]float64, opts.Pings),
+		LossPct:  make([]float64, opts.Pings),
 	}
 	rttSum := make([]float64, opts.Pings)
 	rttN := make([]int, opts.Pings)
@@ -199,7 +196,6 @@ func RunJoinProfile(opts JoinOpts, sc JoinScenario) *JoinProfile {
 		aAddr := a.Node().Addr()
 
 		for i := 0; i < opts.Pings; i++ {
-			i := i
 			tb.Sim.At(start.Add(sim.Duration(i+1)*sim.Second), func() {
 				b.Stack().Ping(a.IP(), 64, 2*sim.Second, func(ok bool, rtt sim.Duration) {
 					if !ok {
@@ -248,17 +244,6 @@ func RunJoinProfile(opts JoinOpts, sc JoinScenario) *JoinProfile {
 	return p
 }
 
-// CSV renders the profile as "seq,rtt_ms,loss_pct" lines, the series a
-// plotting tool needs to redraw the Figure 4 curves.
-func (p *JoinProfile) CSV() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "seq,rtt_ms,loss_pct\n")
-	for i := range p.RTTms {
-		fmt.Fprintf(&b, "%d,%.2f,%.2f\n", i+1, p.RTTms[i], p.LossPct[i])
-	}
-	return b.String()
-}
-
 // Fig4Result bundles the three scenario profiles.
 type Fig4Result struct {
 	Profiles []*JoinProfile
@@ -271,16 +256,10 @@ type Fig4Result struct {
 func RunFig4(opts JoinOpts) *Fig4Result {
 	scenarios := Fig4Scenarios()
 	res := &Fig4Result{Profiles: make([]*JoinProfile, len(scenarios))}
-	var wg sync.WaitGroup
-	for i, sc := range scenarios {
-		i, sc := i, sc
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			res.Profiles[i] = RunJoinProfile(opts, sc)
-		}()
-	}
-	wg.Wait()
+	_ = parallel(len(scenarios), func(i int) error { // a profile run returns no error
+		res.Profiles[i] = RunJoinProfile(opts, scenarios[i])
+		return nil
+	})
 	return res
 }
 
@@ -321,20 +300,14 @@ func RunJoinStats(opts JoinOpts) *JoinStats {
 		perSite = 1
 	}
 	profiles := make([]*JoinProfile, len(sites))
-	var wg sync.WaitGroup
-	for i, site := range sites {
-		i, site := i, site
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			o := opts
-			o.Seed = opts.Seed + int64(i)
-			o.Trials = perSite
-			o.Pings = 260 // enough to observe the 200s shortcut bound
-			profiles[i] = RunJoinProfile(o, JoinScenario{Name: "join-" + site, ASite: "ufl.edu", BSite: site})
-		}()
-	}
-	wg.Wait()
+	_ = parallel(len(sites), func(i int) error { // a profile run returns no error
+		o := opts
+		o.Seed = opts.Seed + int64(i)
+		o.Trials = perSite
+		o.Pings = 260 // enough to observe the 200s shortcut bound
+		profiles[i] = RunJoinProfile(o, JoinScenario{Name: "join-" + sites[i], ASite: "ufl.edu", BSite: sites[i]})
+		return nil
+	})
 	for _, p := range profiles {
 		st.RoutableAt = append(st.RoutableAt, p.RoutableAt...)
 		st.ShortcutAt = append(st.ShortcutAt, p.ShortcutAt...)

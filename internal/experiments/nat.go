@@ -146,7 +146,7 @@ func runNATPair(seed int64, ca, cb natClass) (NATMatrixCell, error) {
 		return cell, err
 	}
 	defer f.close()
-	s, net, site := f.net.Sim, f.net, f.site(0)
+	s, net, site := f.timeline(), f.net, f.site(0)
 
 	relay, err := addClassNode(s, net, site, "relay", natClass{Name: "public"}, nil)
 	if err != nil {
@@ -488,7 +488,7 @@ func RunSymmetricRing(opts SymRingOpts) (*SymRingResult, error) {
 // audited with them, ws1 pings ws0, and ws0 migrates to a public host while
 // ws1 measures the VIP outage.
 func symWorkstations(f *fabric, opts SymRingOpts, cfg brunet.Config, members []*brunet.Node, res *SymRingResult) error {
-	s := f.net.Sim
+	s := f.timeline()
 	ws := make([]*vm.VM, 2)
 	for i := range ws {
 		// A workstation bootstraps off the routers as the next fleet

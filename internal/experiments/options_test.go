@@ -130,6 +130,68 @@ func TestNoHandBuiltSubstrate(t *testing.T) {
 	}
 }
 
+// TestGoroutinesOnlyInTheKit holds the harnesses to one fan-out: in this
+// package's non-test files, a go statement or a sync.WaitGroup appears only
+// in parallel (helpers.go), which runs independent legs at once and returns
+// the lowest-index error whatever the finishing order. A harness that wants
+// legs run at once calls it instead of hand-rolling its own.
+func TestGoroutinesOnlyInTheKit(t *testing.T) {
+	src := newModuleSource(t)
+	harness := src.mod + "/internal/experiments"
+	var found []string
+	src.walk(t, func(path string, files []*ast.File, info *types.Info) {
+		if path != harness {
+			return
+		}
+		for _, f := range files {
+			if strings.HasSuffix(src.fset.Position(f.Package).Filename, "_test.go") {
+				continue
+			}
+			for _, d := range f.Decls {
+				fd, ok := d.(*ast.FuncDecl)
+				if ok && fd.Recv == nil && fd.Name.Name == "parallel" {
+					continue
+				}
+				var first token.Pos
+				var what []string
+				note := func(pos token.Pos, s string) {
+					if first == token.NoPos {
+						first = pos
+					}
+					if !slices.Contains(what, s) {
+						what = append(what, s)
+					}
+				}
+				ast.Inspect(d, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.GoStmt:
+						note(n.Pos(), "go statement")
+					case *ast.Ident:
+						if tn, ok := info.Uses[n].(*types.TypeName); ok && tn.Pkg() != nil && tn.Pkg().Path() == "sync" && tn.Name() == "WaitGroup" {
+							note(n.Pos(), "sync.WaitGroup")
+						}
+					}
+					return true
+				})
+				if first == token.NoPos {
+					continue
+				}
+				where := "package scope"
+				if ok {
+					where = fd.Name.Name
+				}
+				pos := src.fset.Position(first)
+				rel, _ := filepath.Rel(src.root, pos.Filename)
+				found = append(found, fmt.Sprintf("%s:%d: %s: %s", filepath.ToSlash(rel), pos.Line, where, strings.Join(what, ", ")))
+			}
+		}
+	})
+	if len(found) > 0 {
+		t.Errorf("%d harness functions start goroutines themselves (call parallel instead):\n  %s",
+			len(found), strings.Join(found, "\n  "))
+	}
+}
+
 // option is one field of an options struct.
 type option struct{ pkg, typ, field string }
 

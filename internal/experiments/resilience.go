@@ -44,9 +44,9 @@ func RunNATRebind(seed int64, trials int) (*NATRebindResult, error) {
 		return nil, err
 	}
 	defer f.close()
-	s, net := f.net.Sim, f.net
+	s, net := f.timeline(), f.net
 	// A small public overlay plus one node behind a rebinding NAT.
-	w, err := buildSmallOverlay(net, 24)
+	w, err := buildSmallOverlay(f, 24)
 	if err != nil {
 		return nil, fmt.Errorf("natrebind: %w", err)
 	}

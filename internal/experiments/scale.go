@@ -20,10 +20,9 @@ import (
 // a 16-node founder pool on a zero-latency fabric — the rung whose routing
 // hot path the benchmarks weigh. BatchJoin > 0 (the default when Shards > 1)
 // targets the 10k–20k rungs: each batch's joins fan across every
-// already-joined node, keepalives run on a coarse schedule, and the fabric
-// has real WAN latency, which with Shards > 1 is the conservative lookahead
-// of the site-sharded engine. Results are deterministic in (Seed, Shards)
-// and independent of Workers.
+// already-joined node, and the fabric has real WAN latency, which with
+// Shards > 1 is the conservative lookahead of the site-sharded engine.
+// Results are deterministic in (Seed, Shards) and independent of Workers.
 type ScaleOpts struct {
 	Seed int64
 	// Nodes is the overlay size; staggered joins target the 1,000–5,000
@@ -100,22 +99,6 @@ func (o *ScaleOpts) fillDefaults() {
 // scaleJoinSpacing staggers node starts when BatchJoin is 0.
 const scaleJoinSpacing = 100 * sim.Millisecond
 
-// coarseKeepaliveConfig is the protocol schedule of batched builds:
-// paper-default topology constants but liveness pings 4x coarser —
-// keepalives are pure background load on a fabric with no failures, and
-// dominate the per-node event budget of multi-thousand-node builds. The
-// topology-maintenance ticks stay at their defaults on purpose: the near
-// overlord's status tick (15s) is also the ring-repair cadence that
-// concurrent batch joiners depend on to find their true ring neighbors,
-// and the far overlord's tick (30s) must fire enough rounds within the
-// settle window to fill the far tables (coarsening either leaves successor
-// gaps or paths past brunet's hop bound at 5k+ nodes).
-func coarseKeepaliveConfig() brunet.Config {
-	return brunet.Config{
-		PingInterval: 60 * sim.Second,
-	}
-}
-
 // ScaleOverlay is a converged large overlay ready for routing
 // measurements. Built with staggered joins its fabric is zero-latency on
 // purpose: with no propagation delay a packet's whole multi-hop route
@@ -158,17 +141,14 @@ func newScaleOverlay(opts ScaleOpts) (*ScaleOverlay, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Shortcuts stay disabled: the harness measures pure ring routing
-	// (near + far connections), not the traffic-adaptive topology.
-	var cfg brunet.Config
-	if opts.BatchJoin > 0 {
-		cfg = coarseKeepaliveConfig()
-	}
+	// Every build runs the paper's protocol schedule. Shortcuts stay
+	// disabled: the harness measures pure ring routing (near + far
+	// connections), not the traffic-adaptive topology.
 	ov := &ScaleOverlay{fab: f, Nodes: make([]*brunet.Node, opts.Nodes)}
 	for i := range ov.Nodes {
 		name := fmt.Sprintf("scale%05d", i)
 		h := f.net.AddHost(name, f.site(i), f.net.Root(), phys.HostConfig{})
-		ov.Nodes[i] = brunet.NewNode(h, brunet.AddrFromString(name), cfg)
+		ov.Nodes[i] = brunet.NewNode(h, brunet.AddrFromString(name), brunet.Config{})
 		ov.Nodes[i].RegisterProto("scale", func(brunet.Addr, brunet.AppData) {})
 	}
 	return ov, nil

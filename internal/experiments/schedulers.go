@@ -90,16 +90,12 @@ func RunSchedulerComparison(seed int64, jobs int) (*SchedulerComparison, error) 
 	rng := tb.Sim.Rand()
 	firstSubmit = tb.Sim.Now()
 	for i := 0; i < jobs; i++ {
-		i := i
 		tb.Sim.At(firstSubmit.Add(sim.Duration(i)*sim.Second), func() {
 			spec := meme.Job(i, rng)
 			schedd.Submit(condor.JobAd{ID: i, CPU: spec.CPU})
 		})
 	}
-	deadline := tb.Sim.Now().Add(24 * sim.Hour)
-	for done < jobs && tb.Sim.Now() < deadline {
-		tb.Sim.RunFor(sim.Minute)
-	}
+	waitFor(tb.Sim, sim.Minute, 24*sim.Hour, func() bool { return done >= jobs })
 	res.CondorMeanSeconds = metrics.Summarize(walls).Mean
 	res.CondorMatchLatency = metrics.Summarize(lat).Mean
 	if wall := lastDone.Sub(firstSubmit).Seconds(); wall > 0 {

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"wow/internal/metrics"
 	"wow/internal/sim"
@@ -92,22 +91,14 @@ var table2Pairs = []struct{ scenario, src, dst string }{
 func RunTable2(opts Table2Opts) (*Table2Result, error) {
 	opts.fillDefaults()
 	res := &Table2Result{}
-	legs := make([][]Table2Cell, 2)
-	errs := make([]error, 2)
-	var wg sync.WaitGroup
-	for li, shortcuts := range []bool{true, false} {
-		li, shortcuts := li, shortcuts
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			legs[li], errs[li] = runTable2Leg(opts, shortcuts)
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	shortcuts := []bool{true, false}
+	legs := make([][]Table2Cell, len(shortcuts))
+	err := parallel(len(legs), func(i int) (err error) {
+		legs[i], err = runTable2Leg(opts, shortcuts[i])
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	for _, leg := range legs {
 		res.Cells = append(res.Cells, leg...)

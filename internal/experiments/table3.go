@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"wow/internal/middleware/pvm"
 	"wow/internal/sim"
@@ -87,10 +86,7 @@ func runFastDNAmlParallel(opts Table3Opts, workers int, shortcuts bool) (float64
 	if err := m.Run(opts.Workload.Rounds(), func(d sim.Duration) { elapsed = d }); err != nil {
 		return 0, fmt.Errorf("table3: %w", err)
 	}
-	deadline := tb.Sim.Now().Add(72 * sim.Hour)
-	for elapsed == 0 && tb.Sim.Now() < deadline {
-		tb.Sim.RunFor(10 * sim.Minute)
-	}
+	waitFor(tb.Sim, 10*sim.Minute, 72*sim.Hour, func() bool { return elapsed != 0 })
 	return elapsed.Seconds(), nil
 }
 
@@ -107,10 +103,7 @@ func runFastDNAmlSequential(opts Table3Opts, node string) float64 {
 	start := tb.Sim.Now()
 	var doneAt sim.Time
 	v.Execute(opts.Workload.SequentialCPU(), func() { doneAt = tb.Sim.Now() })
-	deadline := start.Add(200 * sim.Hour)
-	for doneAt == 0 && tb.Sim.Now() < deadline {
-		tb.Sim.RunFor(sim.Hour)
-	}
+	waitFor(tb.Sim, sim.Hour, 200*sim.Hour, func() bool { return doneAt != 0 })
 	return doneAt.Sub(start).Seconds()
 }
 
@@ -122,30 +115,22 @@ func runFastDNAmlSequential(opts Table3Opts, node string) float64 {
 func RunTable3(opts Table3Opts) (*Table3Result, error) {
 	opts.fillDefaults()
 	res := &Table3Result{}
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	run := func(dst *float64, f func() (float64, error)) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			v, err := f()
-			mu.Lock()
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
-			mu.Unlock()
-			*dst = v
-		}()
+	legs := []struct {
+		dst *float64
+		run func() (float64, error)
+	}{
+		{&res.SeqNode002, func() (float64, error) { return runFastDNAmlSequential(opts, "node002"), nil }},
+		{&res.SeqNode034, func() (float64, error) { return runFastDNAmlSequential(opts, "node034"), nil }},
+		{&res.Par15Shortcut, func() (float64, error) { return runFastDNAmlParallel(opts, 15, true) }},
+		{&res.Par30NoShortcut, func() (float64, error) { return runFastDNAmlParallel(opts, 30, false) }},
+		{&res.Par30Shortcut, func() (float64, error) { return runFastDNAmlParallel(opts, 30, true) }},
 	}
-	run(&res.SeqNode002, func() (float64, error) { return runFastDNAmlSequential(opts, "node002"), nil })
-	run(&res.SeqNode034, func() (float64, error) { return runFastDNAmlSequential(opts, "node034"), nil })
-	run(&res.Par15Shortcut, func() (float64, error) { return runFastDNAmlParallel(opts, 15, true) })
-	run(&res.Par30NoShortcut, func() (float64, error) { return runFastDNAmlParallel(opts, 30, false) })
-	run(&res.Par30Shortcut, func() (float64, error) { return runFastDNAmlParallel(opts, 30, true) })
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	err := parallel(len(legs), func(i int) (err error) {
+		*legs[i].dst, err = legs[i].run()
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }

@@ -277,16 +277,6 @@ func (s *Series) Len() int { return len(s.T) }
 // At returns point i.
 func (s *Series) At(i int) (t, v float64) { return s.T[i], s.V[i] }
 
-// CSV renders the series as "t,v" lines with a header.
-func (s *Series) CSV() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "t,%s\n", s.Name)
-	for i := range s.T {
-		fmt.Fprintf(&b, "%.3f,%.4f\n", s.T[i], s.V[i])
-	}
-	return b.String()
-}
-
 // Family is one package's declared counters: every name the package counts,
 // each at a fixed index the package declares as a constant. A Counter made by
 // the family (New) keeps one dense cell per name, and the package counts

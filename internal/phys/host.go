@@ -19,7 +19,7 @@ type Host struct {
 	Site  *Site
 	realm *Realm
 	// shard/sim locate the host in the network: all of the host's events
-	// run on shard's Simulator (shard 0, net.Sim, on a one-shard network).
+	// run on shard's Simulator (shard 0 on a one-shard network).
 	sim   *sim.Simulator
 	shard int
 	ip    IP

@@ -182,9 +182,6 @@ func (r *Realm) NextIP() IP {
 // with the counters, free list and connection-ID counter only its own events
 // touch; NewNetwork builds the one-shard case.
 type Network struct {
-	// Sim is shard 0's simulator: the clock of a one-shard network, and a
-	// clock between runs for code that needs no more than that.
-	Sim     *sim.Simulator
 	Latency LatencyFunc
 	// Perturb, when set, lets a fault injector rewrite the path model of
 	// a single packet — adding loss or latency, or blackholing the packet
@@ -249,7 +246,6 @@ func NewShardedNetwork(eng *sim.Sharded, latency LatencyFunc) *Network {
 
 func newNetwork(sims []*sim.Simulator, eng *sim.Sharded, latency LatencyFunc) *Network {
 	n := &Network{
-		Sim:     sims[0],
 		Latency: latency,
 		root:    &Realm{Name: "internet", base: MustParseIP("128.0.0.1")},
 		engine:  eng,
