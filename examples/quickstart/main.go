@@ -18,9 +18,11 @@ import (
 )
 
 func main() {
-	// 1. A simulated wide area: sites 25 ms apart.
-	s := sim.New(42)
-	net := phys.NewNetwork(s, phys.UniformLatency(
+	// 1. A simulated wide area: sites 25 ms apart, on the engine at one
+	// shard (its shard 0 is the whole timeline).
+	eng := sim.NewSharded(42, 1, 1)
+	s := eng.Shard(0)
+	net := phys.NewShardedNetwork(eng, phys.UniformLatency(
 		phys.PathModel{OneWay: 500 * sim.Microsecond},
 		phys.PathModel{OneWay: 12500 * sim.Microsecond},
 	))

@@ -11,7 +11,6 @@ import (
 	"crypto/sha1"
 	"encoding/binary"
 	"encoding/hex"
-	"fmt"
 	"math"
 	"math/bits"
 	"math/rand"
@@ -41,19 +40,6 @@ func (a Addr) FullString() string { return hex.EncodeToString(a[:]) }
 // keeps its overlay identity.
 func AddrFromString(s string) Addr {
 	return Addr(sha1.Sum([]byte(s)))
-}
-
-// RandomAddr draws a uniformly random address from rng.
-func RandomAddr(rng *rand.Rand) Addr {
-	var a Addr
-	for i := 0; i < AddrBytes; i += 4 {
-		v := rng.Uint32()
-		a[i] = byte(v >> 24)
-		a[i+1] = byte(v >> 16)
-		a[i+2] = byte(v >> 8)
-		a[i+3] = byte(v)
-	}
-	return a
 }
 
 // words loads a as three big-endian machine words — bits 159..96, 95..32
@@ -144,11 +130,6 @@ func subModRing(a, b Addr) Addr { return fromWords(subWords(&a, &b)) }
 // to b: (b - a) mod 2^160.
 func (a Addr) Clockwise(b Addr) Addr { return subModRing(b, a) }
 
-// RingDist returns the bidirectional ring distance between a and b: the
-// smaller of the clockwise and counter-clockwise distances. Greedy routing
-// minimizes this metric, per §IV-A.
-func (a Addr) RingDist(b Addr) Addr { return fromWords(ringDistWords(&a, &b)) }
-
 // CmpClockwise three-way-compares the clockwise distances from origin o to
 // a and to b — the comparison `o.Clockwise(a).Cmp(o.Clockwise(b))` without
 // materializing either distance. Since (x−o) mod 2^160 wraps exactly when
@@ -174,15 +155,6 @@ func (dst Addr) CmpRingDist(a, b Addr) int {
 	ah, am, al := ringDistWords(&a, &dst)
 	bh, bm, bl := ringDistWords(&b, &dst)
 	return cmpWords(ah, am, al, bh, bm, bl)
-}
-
-// Between reports whether x lies strictly within the clockwise arc from a
-// to b. The arc from a to a is the whole ring minus a itself.
-func Between(x, a, b Addr) bool {
-	if x == a || x == b {
-		return false
-	}
-	return a.CmpClockwise(x, b) < 0 || a == b
 }
 
 // Offset returns a + offset on the ring.
@@ -217,7 +189,3 @@ func KleinbergOffset(rng *rand.Rand) Addr {
 	e := minExp + rng.Float64()*(maxExp-minExp)
 	return AddrFromFloat(math.Exp2(e))
 }
-
-// Fmt renders a short diagnostic form "addr/offset-fraction" used in ring
-// dumps.
-func (a Addr) Fmt() string { return fmt.Sprintf("%s(%.4f)", a.String(), a.Float64()) }

@@ -1,10 +1,48 @@
 package brunet
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"wow/internal/phys"
 )
+
+// RandomAddr draws a uniformly random address from rng.
+func RandomAddr(rng *rand.Rand) Addr {
+	var a Addr
+	for i := 0; i < AddrBytes; i += 4 {
+		v := rng.Uint32()
+		a[i] = byte(v >> 24)
+		a[i+1] = byte(v >> 16)
+		a[i+2] = byte(v >> 8)
+		a[i+3] = byte(v)
+	}
+	return a
+}
+
+// RingDist returns the bidirectional ring distance between a and b: the
+// smaller of the clockwise and counter-clockwise distances, the metric
+// greedy routing minimizes (§IV-A). Routing itself compares distances with
+// CmpRingDist and never stores one.
+func (a Addr) RingDist(b Addr) Addr { return fromWords(ringDistWords(&a, &b)) }
+
+// Between reports whether x lies strictly within the clockwise arc from a
+// to b. The arc from a to a is the whole ring minus a itself.
+func Between(x, a, b Addr) bool {
+	if x == a || x == b {
+		return false
+	}
+	return a.CmpClockwise(x, b) < 0 || a == b
+}
+
+// Fmt renders a short diagnostic form "addr(offset-fraction)" for ring
+// dumps in test failures.
+func (a Addr) Fmt() string { return fmt.Sprintf("%s(%.4f)", a.String(), a.Float64()) }
+
+// UDPURI builds a brunet.udp URI for an endpoint.
+func UDPURI(ep phys.Endpoint) URI { return URI{Transport: "udp", EP: ep} }
 
 func addrFromByte(b byte) Addr {
 	var a Addr

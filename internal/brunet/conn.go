@@ -86,7 +86,7 @@ type Connection struct {
 	// than the next tick (pingTick).
 	dueTimeout bool
 	// reason records why dropConnection tore the connection down,
-	// readable by OnDisconnection callbacks — the repair overlord re-links
+	// readable by onDisconnection callbacks — the repair overlord re-links
 	// only involuntary losses.
 	reason dropReason
 }
@@ -120,12 +120,6 @@ func (c *Connection) tunnel() *tunnelState {
 
 // Has reports whether the connection serves the given role.
 func (c *Connection) Has(t ConnType) bool { return c.roles&maskOf(t) != 0 }
-
-// RTT reports the connection's smoothed round-trip estimate and variance;
-// ok is false before the first keepalive sample.
-func (c *Connection) RTT() (srtt, rttvar sim.Duration, ok bool) {
-	return c.srtt, c.rttvar, c.haveRTT
-}
 
 // observeRTT folds one clean round-trip sample into the estimators:
 // the standard Jacobson update (srtt ← 7/8·srtt + 1/8·rtt,

@@ -153,7 +153,7 @@ func TestSameInstantProbesKeepOrder(t *testing.T) {
 	var got []verdict
 	for _, n := range []*Node{a, b} {
 		n := n
-		n.OnDisconnection(func(c *Connection) {
+		n.onDisconnection(func(c *Connection) {
 			if c.Peer == victim.Addr() {
 				got = append(got, verdict{n.Addr().String(), r.s.Now()})
 			}

@@ -12,23 +12,23 @@ import (
 // srtt ← 7/8·srtt + 1/8·rtt, rttvar ← 3/4·rttvar + 1/4·|srtt − rtt|.
 func TestObserveRTTJacobson(t *testing.T) {
 	c := &Connection{}
-	if _, _, ok := c.RTT(); ok {
+	if c.haveRTT {
 		t.Fatal("RTT ok before any sample")
 	}
 	c.observeRTT(80 * sim.Millisecond)
-	srtt, rttvar, ok := c.RTT()
+	srtt, rttvar, ok := c.srtt, c.rttvar, c.haveRTT
 	if !ok || srtt != 80*sim.Millisecond || rttvar != 40*sim.Millisecond {
 		t.Fatalf("after first sample: srtt=%v rttvar=%v ok=%v", srtt, rttvar, ok)
 	}
 	c.observeRTT(40 * sim.Millisecond)
 	// rttvar = (3·40ms + |80−40|ms)/4 = 40ms; srtt = (7·80ms + 40ms)/8 = 75ms
-	srtt, rttvar, _ = c.RTT()
+	srtt, rttvar = c.srtt, c.rttvar
 	if srtt != 75*sim.Millisecond || rttvar != 40*sim.Millisecond {
 		t.Fatalf("after second sample: srtt=%v rttvar=%v", srtt, rttvar)
 	}
 	// Negative samples (clock weirdness) are ignored, not folded in.
 	c.observeRTT(-sim.Second)
-	if s2, v2, _ := c.RTT(); s2 != srtt || v2 != rttvar {
+	if c.srtt != srtt || c.rttvar != rttvar {
 		t.Fatal("negative sample mutated the estimators")
 	}
 }
@@ -119,8 +119,8 @@ func TestKarnRuleSkipsRetransmittedRounds(t *testing.T) {
 	c.awaiting, c.pingRetry, c.pingSentAt = 11, 0, s.Now()
 	s.RunFor(30 * sim.Millisecond)
 	n.handlePong(c, &pingMsg{From: c.Peer, Seq: 11, Pong: true})
-	if srtt, _, ok := c.RTT(); !ok || srtt != 30*sim.Millisecond {
-		t.Fatalf("clean round: srtt=%v ok=%v, want 30ms", srtt, ok)
+	if !c.haveRTT || c.srtt != 30*sim.Millisecond {
+		t.Fatalf("clean round: srtt=%v ok=%v, want 30ms", c.srtt, c.haveRTT)
 	}
 	if c.awaiting != 0 || c.pingRetry != 0 {
 		t.Fatal("pong did not reset the ping round")

@@ -205,8 +205,9 @@ type Node struct {
 	slisten   *phys.StreamListener
 
 	handlers map[string]func(src Addr, d AppData)
-	// onConn and onDisc are the observers registered from outside the
-	// package; the overlords are called directly (notifyConn).
+	// onConn and onDisc are the observers registered through onConnection
+	// and onDisconnection (in-package tests: the conn-table shadow oracle);
+	// the overlords are called directly (notifyConn).
 	onConn []func(*Connection)
 	onDisc []func(*Connection)
 
@@ -445,13 +446,13 @@ func (n *Node) RegisterProto(proto string, h func(src Addr, d AppData)) {
 	n.handlers[proto] = h
 }
 
-// OnConnection registers a callback invoked whenever a connection is
+// onConnection registers a callback invoked whenever a connection is
 // created or gains a role, after the node's own overlords have seen it.
-func (n *Node) OnConnection(f func(*Connection)) { n.onConn = append(n.onConn, f) }
+func (n *Node) onConnection(f func(*Connection)) { n.onConn = append(n.onConn, f) }
 
-// OnDisconnection registers a callback invoked whenever a connection dies,
+// onDisconnection registers a callback invoked whenever a connection dies,
 // after the node's own overlords have seen it.
-func (n *Node) OnDisconnection(f func(*Connection)) { n.onDisc = append(n.onDisc, f) }
+func (n *Node) onDisconnection(f func(*Connection)) { n.onDisc = append(n.onDisc, f) }
 
 // notifyConn tells the running overlords, near, repair and tunnel in that
 // order, then the registered observers, that c is up or has gained a role.

@@ -271,7 +271,7 @@ func TestShortcutFormsUnderTraffic(t *testing.T) {
 	r.s.RunFor(120 * sim.Second)
 	c := a.ConnectionTo(b.Addr())
 	if c == nil || !c.Has(Shortcut) {
-		t.Fatalf("shortcut did not form; score=%v stats=%v", a.sco.Score(b.Addr()), a.Stats.String())
+		t.Fatalf("shortcut did not form; score=%v stats=%v", a.sco.score(b.Addr()), a.Stats.String())
 	}
 }
 

@@ -13,16 +13,16 @@ import (
 // independent of the table and of its keys — and every comparison is the
 // byte-wise reference arithmetic of addr_oracle_test.go.
 
-// shadow is a node's live connections by peer, as its OnConnection and
-// OnDisconnection callbacks report them.
+// shadow is a node's live connections by peer, as its onConnection and
+// onDisconnection callbacks report them.
 type shadow map[Addr]*Connection
 
 // watch starts shadowing n. Node.Stop tears connections down without
 // callbacks, so a test that stops the node clears the shadow itself.
 func watch(n *Node) shadow {
 	sh := shadow{}
-	n.OnConnection(func(c *Connection) { sh[c.Peer] = c })
-	n.OnDisconnection(func(c *Connection) { delete(sh, c.Peer) })
+	n.onConnection(func(c *Connection) { sh[c.Peer] = c })
+	n.onDisconnection(func(c *Connection) { delete(sh, c.Peer) })
 	return sh
 }
 

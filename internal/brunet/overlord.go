@@ -297,8 +297,8 @@ func (o *shortcutOverlord) observe(peer Addr, pkts float64) {
 	o.last = i
 }
 
-// Score exposes the current score for a peer (diagnostics and tests).
-func (o *shortcutOverlord) Score(peer Addr) float64 {
+// score is the current score for a peer (diagnostics and tests).
+func (o *shortcutOverlord) score(peer Addr) float64 {
 	if i, ok := o.find(&peer); ok {
 		return o.scored[i].score
 	}

@@ -111,7 +111,7 @@ func TestShortcutScoreMatchesReference(t *testing.T) {
 			t.Fatalf("tick %d: CTMs to %v, reference %v", tick, ctms, ref.ctms[sent:])
 		}
 		for _, p := range universe {
-			if got, want := dev.Score(p), ref.Score(p); got != want {
+			if got, want := dev.score(p), ref.Score(p); got != want {
 				t.Fatalf("tick %d: Score(%v) = %v, reference %v", tick, p, got, want)
 			}
 		}
@@ -125,8 +125,8 @@ func TestShortcutScoreMatchesReference(t *testing.T) {
 		t.Fatalf("script exercised too little: %d CTMs, %d idle drops, shrank %v, regrew %v",
 			na.Stats.Get("shortcut.ctm"), na.Stats.Get("shortcut.idle_dropped"), shrank, regrew)
 	}
-	if dev.Score(na.addr) != 0 || dev.Score(near) < cfg.Threshold {
-		t.Fatalf("own address scored %v, ring neighbour %v", dev.Score(na.addr), dev.Score(near))
+	if dev.score(na.addr) != 0 || dev.score(near) < cfg.Threshold {
+		t.Fatalf("own address scored %v, ring neighbour %v", dev.score(na.addr), dev.score(near))
 	}
 	for i := range ringA {
 		if a, b := ringA[i].Stats.String(), ringB[i].Stats.String(); a != b {

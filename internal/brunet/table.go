@@ -210,7 +210,7 @@ func (n *Node) addRole(c *Connection, t ConnType) {
 }
 
 // uncountRoles takes every role c carries out of the per-role counts; the
-// mask itself stays readable on the dead connection (OnDisconnection
+// mask itself stays readable on the dead connection (onDisconnection
 // callbacks ask what it was).
 func (n *Node) uncountRoles(c *Connection) {
 	for t := range n.roleCount {
@@ -232,7 +232,7 @@ func (n *Node) dropConnRole(c *Connection, t ConnType, reason dropReason) {
 		c.roles &^= maskOf(t)
 		n.roleCount[t]--
 	}
-	// A connection torn down here reaches its OnDisconnection callbacks
+	// A connection torn down here reaches its onDisconnection callbacks
 	// without the role just dropped — an idle shortcut is not a structured
 	// loss to repair.
 	if c.roles == 0 {

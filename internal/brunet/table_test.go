@@ -257,7 +257,7 @@ func TestQuickConnTableChurn(t *testing.T) {
 	}
 }
 
-// A connection torn down by losing its last role reaches OnDisconnection
+// A connection torn down by losing its last role reaches onDisconnection
 // callbacks without that role: the repair overlord must not mistake an idle
 // shortcut or a trimmed near link for a structured loss, and the shortcut
 // overlord reads the cleared role right after the drop.
@@ -265,7 +265,7 @@ func TestDropLastRoleClearsItBeforeCallbacks(t *testing.T) {
 	n := ringTestNode(47)
 	sh := watch(n)
 	var seen []bool
-	n.OnDisconnection(func(c *Connection) { seen = append(seen, c.Has(Shortcut) || c.structured()) })
+	n.onDisconnection(func(c *Connection) { seen = append(seen, c.Has(Shortcut) || c.structured()) })
 	c := n.addConnection(AddrFromString("peer"), phys.Endpoint{IP: 1, Port: 1}, nil, nil, Shortcut)
 	n.dropConnRole(c, Shortcut, dropIdle)
 	if !c.closed || c.Has(Shortcut) || len(seen) != 1 || seen[0] {

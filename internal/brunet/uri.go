@@ -18,9 +18,6 @@ type URI struct {
 	EP        phys.Endpoint
 }
 
-// UDPURI builds a brunet.udp URI for an endpoint.
-func UDPURI(ep phys.Endpoint) URI { return URI{Transport: "udp", EP: ep} }
-
 // String renders "brunet.udp:ip:port".
 func (u URI) String() string { return fmt.Sprintf("brunet.%s:%s", u.Transport, u.EP) }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/build"
+	"go/build/constraint"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -82,9 +83,9 @@ func TestEveryProtocolOptionHasAProductCaller(t *testing.T) {
 }
 
 // TestNoHandBuiltSubstrate holds product code to one substrate constructor:
-// outside internal/sim and internal/phys, the benchmark module under bench/
-// and examples/, no non-test file calls sim.New or phys.NewNetwork. A
-// harness or the testbed stands on sim.NewSharded and phys.NewShardedNetwork
+// outside internal/sim and internal/phys and the benchmark module under
+// bench/, no non-test file calls sim.New or phys.NewNetwork. A harness, the
+// testbed or an example stands on sim.NewSharded and phys.NewShardedNetwork
 // (the fabric, one shard when it runs serially), which at one shard is the
 // serial engine and network.
 func TestNoHandBuiltSubstrate(t *testing.T) {
@@ -94,7 +95,7 @@ func TestNoHandBuiltSubstrate(t *testing.T) {
 		src.mod + "/internal/phys.NewNetwork": true,
 	}
 	var exempt []string
-	for _, dir := range []string{"internal/sim", "internal/phys", "bench", "examples"} {
+	for _, dir := range []string{"internal/sim", "internal/phys", "bench"} {
 		exempt = append(exempt, filepath.Join(src.root, filepath.FromSlash(dir))+string(filepath.Separator))
 	}
 	var found []string
@@ -190,6 +191,247 @@ func TestGoroutinesOnlyInTheKit(t *testing.T) {
 		t.Errorf("%d harness functions start goroutines themselves (call parallel instead):\n  %s",
 			len(found), strings.Join(found, "\n  "))
 	}
+}
+
+// TestEveryExportedFuncHasACaller holds the product API to the rule the
+// option guards hold its options to (DESIGN.md §6): an exported function or
+// method declared in a non-test file under internal/ exists only while
+// something outside its own package's tests reaches it — a non-test file of
+// the module (internal/, cmd/, examples/, the benchmark under bench/) or a
+// test file in another package's directory. A name only its own tests call
+// is test scaffolding in the product: its tests read the state directly, or
+// it is unexported (a seam an in-package test drives), or it moves into a
+// _test.go file. The one exemption is a method of an interface its type
+// implements: an interface of the module (those in build-tagged files, such
+// as the packetdebug list's Carries, included), fmt.Stringer, error or
+// json.Marshaler. A call through the interface names the interface's
+// method, not the type's.
+func TestEveryExportedFuncHasACaller(t *testing.T) {
+	src := newModuleSource(t)
+	internal := src.mod + "/internal/"
+	type decl struct {
+		name   string
+		dir    string
+		method string            // a method's name, "" for a function
+		sigs   map[string]string // a method's receiver's method set
+	}
+	decls := map[string]decl{} // by the position of the name
+	used := map[string]bool{}
+	var ifaces []map[string]string
+	for _, c := range []struct{ pkg, name string }{{"fmt", "Stringer"}, {"encoding/json", "Marshaler"}} {
+		p, err := src.std.Import(c.pkg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ifaces = append(ifaces, methodSigs(p.Scope().Lookup(c.name).Type()))
+	}
+	ifaces = append(ifaces, methodSigs(types.Universe.Lookup("error").Type()))
+	var paths []string
+	src.walk(t, func(path string, files []*ast.File, info *types.Info) {
+		paths = append(paths, path)
+		for _, f := range files {
+			name := src.fset.Position(f.Package).Filename
+			dir := filepath.Dir(name)
+			test := strings.HasSuffix(name, "_test.go")
+			if !test {
+				ifaces = append(ifaces, interfacesIn(f, info)...)
+			}
+			for _, d := range f.Decls {
+				fd, _ := d.(*ast.FuncDecl)
+				self := ""
+				if fd != nil {
+					self = src.fset.Position(fd.Name.Pos()).String()
+					if !test && fd.Name.IsExported() && strings.HasPrefix(path, internal) {
+						fn := info.Defs[fd.Name].(*types.Func)
+						dc := decl{name: funcName(fn), dir: dir}
+						if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+							dc.method, dc.sigs = fn.Name(), methodSigs(types.NewPointer(deref(recv.Type())))
+						}
+						decls[self] = dc
+					}
+				}
+				ast.Inspect(d, func(n ast.Node) bool {
+					id, ok := n.(*ast.Ident)
+					if !ok {
+						return true
+					}
+					fn, ok := info.Uses[id].(*types.Func)
+					if !ok {
+						return true
+					}
+					pos := src.fset.Position(fn.Origin().Pos())
+					if key := pos.String(); key != self && (!test || filepath.Dir(pos.Filename) != dir) {
+						used[key] = true
+					}
+					return true
+				})
+			}
+		}
+	})
+	ifaces = append(ifaces, src.taggedInterfaces(t, paths)...)
+	var unused []string
+	for key, d := range decls {
+		if used[key] || d.method != "" && slices.ContainsFunc(ifaces, func(i map[string]string) bool {
+			return implements(d.sigs, i, d.method)
+		}) {
+			continue
+		}
+		rel, _ := filepath.Rel(src.root, d.dir)
+		unused = append(unused, filepath.ToSlash(rel)+": "+d.name)
+	}
+	sort.Strings(unused)
+	if len(unused) > 0 {
+		t.Errorf("%d exported functions and methods under internal/ are reached only by their own package's tests "+
+			"(delete, unexport or move each to a _test.go file):\n  %s", len(unused), strings.Join(unused, "\n  "))
+	}
+}
+
+// funcName is fn as its package's reader spells it: Name, or Type.Name.
+func funcName(fn *types.Func) string {
+	if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+		if n, ok := deref(recv.Type()).(*types.Named); ok {
+			return n.Obj().Name() + "." + fn.Name()
+		}
+	}
+	return fn.Name()
+}
+
+func deref(t types.Type) types.Type {
+	if p, ok := t.(*types.Pointer); ok {
+		return p.Elem()
+	}
+	return t
+}
+
+// methodSigs is the method set of t (with its pointer's methods when t is a
+// pointer), each signature spelled with full package paths, so sets from
+// separate type checks of the same source compare equal.
+func methodSigs(t types.Type) map[string]string {
+	ms := types.NewMethodSet(t)
+	out := make(map[string]string, ms.Len())
+	for i := 0; i < ms.Len(); i++ {
+		fn := ms.At(i).Obj()
+		out[fn.Name()] = typeString(fn.Type())
+	}
+	return out
+}
+
+// typeString spells t with full package paths and without the names of
+// parameters and results, which an implementation need not share with its
+// interface.
+func typeString(t types.Type) string {
+	switch t := t.(type) {
+	case *types.Signature:
+		return "func(" + tupleString(t.Params(), t.Variadic()) + ")(" + tupleString(t.Results(), false) + ")"
+	case *types.Pointer:
+		return "*" + typeString(t.Elem())
+	case *types.Slice:
+		return "[]" + typeString(t.Elem())
+	case *types.Map:
+		return "map[" + typeString(t.Key()) + "]" + typeString(t.Elem())
+	}
+	return types.TypeString(t, nil)
+}
+
+func tupleString(tu *types.Tuple, variadic bool) string {
+	var b strings.Builder
+	for i := 0; i < tu.Len(); i++ {
+		if variadic && i == tu.Len()-1 {
+			b.WriteString("...")
+		}
+		b.WriteString(typeString(tu.At(i).Type()) + ";")
+	}
+	return b.String()
+}
+
+// implements reports whether a type with the method set sigs implements the
+// interface iface, which declares method.
+func implements(sigs, iface map[string]string, method string) bool {
+	if _, ok := iface[method]; !ok {
+		return false
+	}
+	for name, sig := range iface {
+		if sigs[name] != sig {
+			return false
+		}
+	}
+	return true
+}
+
+// interfacesIn is the method set of every interface type f spells, named or
+// literal (an assertion's interface{ Carries() any }).
+func interfacesIn(f *ast.File, info *types.Info) []map[string]string {
+	var out []map[string]string
+	ast.Inspect(f, func(n ast.Node) bool {
+		if it, ok := n.(*ast.InterfaceType); ok {
+			if tv, ok := info.Types[it]; ok {
+				if sigs := methodSigs(tv.Type); len(sigs) > 0 {
+					out = append(out, sigs)
+				}
+			}
+		}
+		return true
+	})
+	return out
+}
+
+// taggedInterfaces type-checks each package of paths that has non-test
+// files a build constraint leaves out, under the tags those files name, and
+// returns the interfaces the left-out files spell.
+func (s *moduleSource) taggedInterfaces(t *testing.T, paths []string) []map[string]string {
+	t.Helper()
+	var out []map[string]string
+	for _, path := range paths {
+		dir := filepath.Join(s.root, filepath.FromSlash(strings.TrimPrefix(strings.TrimPrefix(path, s.mod), "/")))
+		bp, err := build.ImportDir(dir, 0)
+		if err != nil {
+			continue // an external test package's path
+		}
+		ctx := build.Default
+		var tagged []string
+		for _, name := range bp.IgnoredGoFiles {
+			if strings.HasSuffix(name, "_test.go") {
+				continue
+			}
+			b, err := os.ReadFile(filepath.Join(dir, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, line := range strings.Split(string(b), "\n") {
+				if expr, err := constraint.Parse(line); err == nil {
+					expr.Eval(func(tag string) bool {
+						if !slices.Contains(ctx.BuildTags, tag) {
+							ctx.BuildTags = append(ctx.BuildTags, tag)
+						}
+						return true
+					})
+					tagged = append(tagged, name)
+					break
+				}
+			}
+		}
+		if len(tagged) == 0 {
+			continue
+		}
+		tp, err := ctx.ImportDir(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files, err := s.parse(dir, tp.GoFiles)
+		if err != nil {
+			t.Fatal(err)
+		}
+		info := &types.Info{Types: map[ast.Expr]types.TypeAndValue{}}
+		if _, err := (&types.Config{Importer: s.view(nil, nil)}).Check(path, s.fset, files, info); err != nil {
+			t.Fatalf("type-check %s with tags %v: %v", path, ctx.BuildTags, err)
+		}
+		for _, f := range files {
+			if slices.Contains(tagged, filepath.Base(s.fset.Position(f.Package).Filename)) {
+				out = append(out, interfacesIn(f, info)...)
+			}
+		}
+	}
+	return out
 }
 
 // option is one field of an options struct.
@@ -366,8 +608,10 @@ func (s *moduleSource) walk(t *testing.T, visit func(path string, files []*ast.F
 	t.Helper()
 	check := func(path string, files []*ast.File, imp types.Importer) *types.Package {
 		info := &types.Info{
+			Defs:       map[*ast.Ident]types.Object{},
 			Uses:       map[*ast.Ident]types.Object{},
 			Selections: map[*ast.SelectorExpr]*types.Selection{},
+			Types:      map[ast.Expr]types.TypeAndValue{},
 		}
 		pkg, err := (&types.Config{Importer: imp}).Check(path, s.fset, files, info)
 		if err != nil {

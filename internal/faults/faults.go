@@ -242,9 +242,6 @@ type Scope struct {
 	Sites []string
 }
 
-// On is shorthand for a host-name scope.
-func On(hosts ...string) Scope { return Scope{Hosts: hosts} }
-
 // AtSites is shorthand for a site-name scope.
 func AtSites(sites ...string) Scope { return Scope{Sites: sites} }
 

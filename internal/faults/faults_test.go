@@ -10,6 +10,9 @@ import (
 	"wow/internal/sim"
 )
 
+// On is shorthand for a host-name scope.
+func On(hosts ...string) Scope { return Scope{Hosts: hosts} }
+
 // rig is a two-site, three-host network with packet counting per host.
 type rig struct {
 	s     *sim.Simulator

@@ -86,9 +86,6 @@ func (n *Node) Clock() *sim.Simulator { return n.host.Sim() }
 // Overlay returns the underlying Brunet node (nil when stopped).
 func (n *Node) Overlay() *brunet.Node { return n.bn }
 
-// Host returns the physical host currently running the node.
-func (n *Node) Host() *phys.Host { return n.host }
-
 // Addr returns the node's overlay address.
 func (n *Node) Addr() brunet.Addr {
 	if n.routerOnly {

@@ -95,7 +95,7 @@ func TestDoubleStartRejected(t *testing.T) {
 	if err := n.Start(r.boot); err == nil {
 		t.Fatal("double start accepted")
 	}
-	if err := n.MoveToHost(r.routers[0].Host()); err == nil {
+	if err := n.MoveToHost(r.routers[0].host); err == nil {
 		t.Fatal("moved a running node")
 	}
 }

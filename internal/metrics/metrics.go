@@ -124,13 +124,6 @@ func (h *Histogram) Add(x float64) {
 	h.total++
 }
 
-// Total reports the number of samples recorded.
-func (h *Histogram) Total() int { return h.total }
-
-// Outliers reports how many samples fell below the range and at-or-above its
-// top edge. Those samples are still counted in the edge bins.
-func (h *Histogram) Outliers() (under, over int) { return h.under, h.over }
-
 // Frequencies returns each bin's share of the total (0 when empty).
 func (h *Histogram) Frequencies() []float64 {
 	out := make([]float64, len(h.Counts))
@@ -220,10 +213,6 @@ func (h *LogHistogram) Add(x float64) {
 
 // Total reports the number of samples recorded.
 func (h *LogHistogram) Total() int { return h.total }
-
-// Outliers reports how many samples fell below the range (including
-// non-positive values) and at-or-above its top edge.
-func (h *LogHistogram) Outliers() (under, over int) { return h.under, h.over }
 
 // BinLo returns the lower edge of bin i.
 func (h *LogHistogram) BinLo(i int) float64 {

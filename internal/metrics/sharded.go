@@ -22,9 +22,6 @@ func NewSharded(k int) *Sharded {
 	return s
 }
 
-// Shards reports the shard count.
-func (s *Sharded) Shards() int { return len(s.counters) }
-
 // Shard returns shard i's Counter. Only shard i's goroutine may increment
 // it while a sharded run is in flight.
 func (s *Sharded) Shard(i int) *Counter { return s.counters[i] }
@@ -48,13 +45,4 @@ func (s *Sharded) Merged() Counter {
 		out.Merge(c)
 	}
 	return out
-}
-
-// Get sums the named count across shards.
-func (s *Sharded) Get(name string) int64 {
-	var total int64
-	for _, c := range s.counters {
-		total += c.Get(name)
-	}
-	return total
 }

@@ -4,8 +4,8 @@ import "testing"
 
 func TestShardedCounters(t *testing.T) {
 	s := NewSharded(4)
-	if s.Shards() != 4 {
-		t.Fatalf("Shards() = %d, want 4", s.Shards())
+	if len(s.counters) != 4 {
+		t.Fatalf("%d shards, want 4", len(s.counters))
 	}
 	// Mixed handle and named increments, spread across shards.
 	h0 := s.Shard(0).Handle("delivered")
@@ -13,9 +13,6 @@ func TestShardedCounters(t *testing.T) {
 	s.Shard(1).Inc("delivered", 5)
 	s.Shard(2).Inc("lost.wire", 3)
 	s.Shard(3).Inc("delivered", 1)
-	if got := s.Get("delivered"); got != 16 {
-		t.Fatalf("Get(delivered) = %d, want 16", got)
-	}
 	m := s.Merged()
 	if got := m.Get("delivered"); got != 16 {
 		t.Fatalf("Merged delivered = %d, want 16", got)

@@ -196,7 +196,6 @@ type Schedd struct {
 	sim     *sim.Simulator
 	records []*JobRecord
 	idle    []*JobRecord
-	done    int
 	onDone  func(*JobRecord)
 	startds map[string]*rpc.Client
 
@@ -220,15 +219,6 @@ func (s *Schedd) Submit(ad JobAd) *JobRecord {
 
 // OnJobDone registers a completion callback.
 func (s *Schedd) OnJobDone(f func(*JobRecord)) { s.onDone = f }
-
-// Records returns all job records.
-func (s *Schedd) Records() []*JobRecord { return s.records }
-
-// Completed reports finished jobs.
-func (s *Schedd) Completed() int { return s.done }
-
-// IdleJobs reports jobs awaiting a match.
-func (s *Schedd) IdleJobs() int { return len(s.idle) }
 
 func (s *Schedd) idleJobs() []*JobRecord { return append([]*JobRecord(nil), s.idle...) }
 
@@ -254,7 +244,6 @@ func (s *Schedd) activate(rec *JobRecord, ad MachineAd) {
 		rsp, ok := resp.(claimRsp)
 		rec.Finished = s.sim.Now()
 		rec.OK = ok && rsp.OK
-		s.done++
 		if !rec.OK {
 			s.Stats.Inc("jobs.failed", 1)
 		}

@@ -95,8 +95,8 @@ func TestRequirementsFilterMachines(t *testing.T) {
 	if done {
 		t.Fatal("job ran despite unsatisfiable requirements")
 	}
-	if p.schedd.IdleJobs() != 1 {
-		t.Fatalf("idle = %d", p.schedd.IdleJobs())
+	if len(p.schedd.idle) != 1 {
+		t.Fatalf("idle = %d", len(p.schedd.idle))
 	}
 	if p.cm.Stats.Get("unmatched") == 0 {
 		t.Fatal("unmatched cycles not counted")
@@ -121,7 +121,7 @@ func TestPoolThroughput(t *testing.T) {
 	}
 	// All 8 machines should have been used.
 	used := map[string]bool{}
-	for _, r := range p.schedd.Records() {
+	for _, r := range p.schedd.records {
 		used[r.Machine] = true
 	}
 	if len(used) != 8 {

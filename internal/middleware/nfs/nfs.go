@@ -21,7 +21,6 @@ import (
 const Port = 2049
 
 // request ops.
-type lookupReq struct{ Path string }
 type readReq struct {
 	Path   string
 	Offset int64
@@ -32,10 +31,6 @@ type writeReq struct {
 	Count int64 // bytes appended
 }
 
-type lookupRsp struct {
-	OK   bool
-	Size int64
-}
 type readRsp struct {
 	OK    bool
 	Count int64
@@ -73,15 +68,8 @@ func (s *Server) Size(path string) (int64, bool) {
 	return sz, ok
 }
 
-// FileCount reports how many files exist.
-func (s *Server) FileCount() int { return len(s.files) }
-
 func (s *Server) handle(client vip.IP, body any, reply func(any, int)) {
 	switch req := body.(type) {
-	case lookupReq:
-		s.Ops["lookup"]++
-		sz, ok := s.files[req.Path]
-		reply(lookupRsp{OK: ok, Size: sz}, 64)
 	case readReq:
 		s.Ops["read"]++
 		sz, ok := s.files[req.Path]
@@ -116,18 +104,6 @@ type Client struct {
 // Mount connects a client stack to the server.
 func Mount(stack *vip.Stack, server vip.IP) *Client {
 	return &Client{rpc: rpc.Dial(stack, server, Port), BlockSize: 32 << 10}
-}
-
-// Lookup stats a file: cb receives its size, or ok=false.
-func (c *Client) Lookup(path string, cb func(ok bool, size int64)) {
-	c.rpc.Call(lookupReq{Path: path}, 64, func(resp any) {
-		r, k := resp.(lookupRsp)
-		if !k {
-			cb(false, 0)
-			return
-		}
-		cb(r.OK, r.Size)
-	})
 }
 
 // ReadFile streams an entire file block by block; cb reports the bytes
@@ -178,6 +154,3 @@ func (c *Client) WriteFile(path string, size int64, cb func(ok bool)) {
 	}
 	step(0)
 }
-
-// Unmount closes the client connection.
-func (c *Client) Unmount() { c.rpc.Close() }

@@ -122,24 +122,6 @@ func (h *Head) Submit(spec JobSpec) *JobRecord {
 	return rec
 }
 
-// Records returns all job records in submission order.
-func (h *Head) Records() []*JobRecord { return h.records }
-
-// Completed reports finished jobs.
-func (h *Head) Completed() int { return h.done }
-
-// QueueLength reports jobs waiting for a worker.
-func (h *Head) QueueLength() int { return len(h.queue) }
-
-// Workers reports registered workers and their job counts.
-func (h *Head) Workers() map[string]int {
-	out := make(map[string]int, len(h.workers))
-	for _, w := range h.workers {
-		out[w.name] = w.jobs
-	}
-	return out
-}
-
 // dispatch assigns queued jobs to free workers (FIFO job order, first
 // free worker — OpenPBS's default behaviour for a homogeneous queue).
 func (h *Head) dispatch() {
@@ -205,9 +187,6 @@ func NewMOM(machine Machine, head vip.IP) (*MOM, error) {
 	})
 	return m, nil
 }
-
-// NFS exposes the MOM's mounted client for diagnostics.
-func (m *MOM) NFS() *nfs.Client { return m.nfsC }
 
 // handle runs one job: stage in, compute, stage out, report.
 func (m *MOM) handle(client vip.IP, body any, reply func(any, int)) {

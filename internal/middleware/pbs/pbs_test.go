@@ -53,7 +53,7 @@ func newCluster(t *testing.T, seed int64, workers int, speeds []float64) *cluste
 
 func TestRegistration(t *testing.T) {
 	c := newCluster(t, 1, 4, nil)
-	if got := len(c.head.Workers()); got != 4 {
+	if got := len(c.head.workers); got != 4 {
 		t.Fatalf("registered %d of 4", got)
 	}
 	if c.head.Stats.Get("workers.registered") != 4 {
@@ -77,7 +77,7 @@ func TestSingleJobRuns(t *testing.T) {
 	if sz, ok := c.nfsSrv.Size("/out/1"); !ok || sz != 16<<10 {
 		t.Fatalf("output not committed to NFS: %d", sz)
 	}
-	if c.head.Completed() != 1 {
+	if c.head.done != 1 {
 		t.Fatal("completed count")
 	}
 }
@@ -104,7 +104,7 @@ func TestJobsQueueWhenWorkersBusy(t *testing.T) {
 		c.head.Submit(JobSpec{ID: i, CPU: 30 * sim.Second})
 	}
 	c.s.RunFor(20 * sim.Second)
-	if c.head.QueueLength() == 0 {
+	if len(c.head.queue) == 0 {
 		t.Fatal("queue empty despite 6 jobs on 2 workers")
 	}
 	c.s.RunFor(10 * sim.Minute)
@@ -121,10 +121,13 @@ func TestFasterWorkersRunMoreJobs(t *testing.T) {
 		c.head.Submit(JobSpec{ID: i, CPU: 20 * sim.Second})
 	}
 	c.s.RunFor(3 * sim.Hour)
-	if c.head.Completed() != 100 {
-		t.Fatalf("completed %d", c.head.Completed())
+	if c.head.done != 100 {
+		t.Fatalf("completed %d", c.head.done)
 	}
-	counts := c.head.Workers()
+	counts := map[string]int{}
+	for _, w := range c.head.workers {
+		counts[w.name] = w.jobs
+	}
 	fast := counts["node002"] // 1.33×
 	slow := counts["node005"] // 0.45×
 	if fast <= slow {
@@ -138,7 +141,7 @@ func TestRecordsTimeline(t *testing.T) {
 		c.head.Submit(JobSpec{ID: i, CPU: 5 * sim.Second})
 	}
 	c.s.RunFor(5 * sim.Minute)
-	recs := c.head.Records()
+	recs := c.head.records
 	if len(recs) != 3 {
 		t.Fatalf("records = %d", len(recs))
 	}

@@ -65,7 +65,6 @@ type Master struct {
 	pool      []Task
 	inflight  int
 	started   sim.Time
-	roundDone []sim.Time
 	onDone    func(elapsed sim.Duration)
 	running   bool
 	broadcast int
@@ -106,21 +105,6 @@ func NewMaster(stack *vip.Stack) (*Master, error) {
 // best tree at each round of tree optimization".
 func (m *Master) SetRoundBroadcast(bytes int) { m.broadcast = bytes }
 
-// WorkerCount reports enrolled workers.
-func (m *Master) WorkerCount() int { return len(m.workers) }
-
-// TasksPerWorker reports how many tasks each worker executed.
-func (m *Master) TasksPerWorker() map[string]int {
-	out := make(map[string]int, len(m.workers))
-	for _, w := range m.workers {
-		out[w.name] = w.tasks
-	}
-	return out
-}
-
-// RoundEndTimes returns when each round's barrier completed.
-func (m *Master) RoundEndTimes() []sim.Time { return m.roundDone }
-
 // Run executes the rounds in order; within a round tasks are dispatched
 // dynamically to idle workers, and the next round starts only after every
 // task of the current round has returned (the per-round synchronization
@@ -135,14 +119,12 @@ func (m *Master) Run(rounds [][]Task, onDone func(elapsed sim.Duration)) error {
 	m.onDone = onDone
 	m.running = true
 	m.started = m.sim.Now()
-	m.roundDone = m.roundDone[:0]
 	m.startRound()
 	return nil
 }
 
 func (m *Master) startRound() {
 	for m.round < len(m.rounds) && len(m.rounds[m.round]) == 0 {
-		m.roundDone = append(m.roundDone, m.sim.Now())
 		m.round++
 	}
 	if m.round >= len(m.rounds) {
@@ -208,7 +190,6 @@ func (m *Master) pump() {
 			m.Stats.Inc("tasks.completed", 1)
 			if m.inflight == 0 && len(m.pool) == 0 {
 				// Round barrier reached.
-				m.roundDone = append(m.roundDone, m.sim.Now())
 				m.round++
 				m.startRound()
 				return

@@ -14,7 +14,24 @@ type rig struct {
 	mesh   *viptest.Mesh
 	master *Master
 	mIP    vip.IP
-	nodes  []*viptest.Machine
+	execs  []execution // every task a worker's machine ran, in start order
+}
+
+// execution is one task a worker's machine started: when, and its CPU.
+type execution struct {
+	at  sim.Time
+	cpu sim.Duration
+}
+
+// recorder is a worker's machine that logs each task it starts.
+type recorder struct {
+	*viptest.Machine
+	log *[]execution
+}
+
+func (m recorder) Execute(cpu sim.Duration, done func()) {
+	*m.log = append(*m.log, execution{m.S.Sim().Now(), cpu})
+	m.Machine.Execute(cpu, done)
 }
 
 func newRig(t *testing.T, seed int64, workers int, speeds []float64) *rig {
@@ -33,10 +50,9 @@ func newRig(t *testing.T, seed int64, workers int, speeds []float64) *rig {
 			speed = speeds[i%len(speeds)]
 		}
 		w := viptest.NewMachine(m, fmt.Sprintf("w%02d", i), vip.MustParseIP("172.16.1.2")+vip.IP(i), speed)
-		if _, err := NewWorker(w, r.mIP); err != nil {
+		if _, err := NewWorker(recorder{w, &r.execs}, r.mIP); err != nil {
 			t.Fatal(err)
 		}
-		r.nodes = append(r.nodes, w)
 	}
 	s.RunFor(10 * sim.Second)
 	return r
@@ -56,8 +72,8 @@ func flatRounds(rounds, tasksPer int, cpu sim.Duration) [][]Task {
 
 func TestEnrollment(t *testing.T) {
 	r := newRig(t, 1, 5, nil)
-	if r.master.WorkerCount() != 5 {
-		t.Fatalf("enrolled %d of 5", r.master.WorkerCount())
+	if len(r.master.workers) != 5 {
+		t.Fatalf("enrolled %d of 5", len(r.master.workers))
 	}
 }
 
@@ -78,8 +94,8 @@ func TestRunCompletesAllTasks(t *testing.T) {
 		t.Fatalf("completed %d of 24", got)
 	}
 	total := 0
-	for _, n := range r.master.TasksPerWorker() {
-		total += n
+	for _, w := range r.master.workers {
+		total += w.tasks
 	}
 	if total != 24 {
 		t.Fatalf("per-worker sum %d", total)
@@ -94,17 +110,18 @@ func TestRoundBarriers(t *testing.T) {
 		{{ID: 0, Round: 0, CPU: 60 * sim.Second, SendBytes: 100, RecvBytes: 100}},
 		flatRounds(1, 8, sim.Second)[0],
 	}
-	r.master.Run(rounds, nil)
+	done := false
+	r.master.Run(rounds, func(sim.Duration) { done = true })
 	r.s.RunFor(sim.Hour)
-	ends := r.master.RoundEndTimes()
-	if len(ends) != 2 {
-		t.Fatalf("round ends = %v", ends)
+	if !done || len(r.execs) != 9 || r.execs[0].cpu != 60*sim.Second {
+		t.Fatalf("done=%v, tasks run %v; want the 60s task, then 8", done, r.execs)
 	}
-	if ends[0].Seconds() < 60 {
-		t.Fatalf("round 0 barrier at %.1fs, before its 60s task finished", ends[0].Seconds())
-	}
-	if ends[1] <= ends[0] {
-		t.Fatal("barriers out of order")
+	barrier := r.execs[0].at.Add(60 * sim.Second)
+	for _, e := range r.execs[1:] {
+		if e.at < barrier {
+			t.Fatalf("a round-1 task started at %.1fs, before the round-0 task finished at %.1fs",
+				e.at.Seconds(), barrier.Seconds())
+		}
 	}
 }
 
@@ -122,7 +139,10 @@ func TestDynamicDispatchFavorsFastWorkers(t *testing.T) {
 	r := newRig(t, 5, 2, []float64{2.0, 0.5})
 	r.master.Run(flatRounds(1, 40, 10*sim.Second), nil)
 	r.s.RunFor(3 * sim.Hour)
-	per := r.master.TasksPerWorker()
+	per := map[string]int{}
+	for _, w := range r.master.workers {
+		per[w.name] = w.tasks
+	}
 	if per["w00"] <= per["w01"] {
 		t.Fatalf("fast worker got %d, slow got %d", per["w00"], per["w01"])
 	}

@@ -62,7 +62,6 @@ type Client struct {
 	nextID  uint64
 	pending map[uint64]func(any)
 	closed  bool
-	onDown  func(error)
 }
 
 // Dial creates a client to server:port. The underlying connection is
@@ -75,10 +74,6 @@ func Dial(stack *vip.Stack, server vip.IP, port uint16) *Client {
 		pending: make(map[uint64]func(any)),
 	}
 }
-
-// OnDown registers a callback for transport-level failure (ErrTimeout);
-// pending calls are dropped.
-func (c *Client) OnDown(f func(error)) { c.onDown = f }
 
 func (c *Client) ensureConn() {
 	if c.conn != nil && !c.conn.Closed() {
@@ -105,9 +100,6 @@ func (c *Client) ensureConn() {
 				delete(c.pending, id)
 				cb(nil)
 			}
-			if c.onDown != nil {
-				c.onDown(err)
-			}
 		}
 	})
 	c.conn = conn
@@ -129,9 +121,6 @@ func (c *Client) Call(req any, reqSize int, cb func(resp any)) {
 		cb(nil)
 	}
 }
-
-// Pending reports in-flight calls.
-func (c *Client) Pending() int { return len(c.pending) }
 
 // Close tears the client down; pending calls get nil responses.
 func (c *Client) Close() {

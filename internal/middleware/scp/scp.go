@@ -146,17 +146,3 @@ func (t *Transfer) finish(err error) {
 		t.onDone(err)
 	}
 }
-
-// Throughput returns average goodput in bytes/second between two progress
-// sample indices (inclusive start, exclusive end).
-func (t *Transfer) Throughput(i, j int) float64 {
-	if j <= i || j > t.Progress.Len() {
-		return 0
-	}
-	t0, b0 := t.Progress.At(i)
-	t1, b1 := t.Progress.At(j - 1)
-	if t1 <= t0 {
-		return 0
-	}
-	return (b1 - b0) / (t1 - t0)
-}

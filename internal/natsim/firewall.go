@@ -18,7 +18,6 @@ import (
 type Firewall struct {
 	name  string
 	inner *phys.Realm
-	outer *phys.Realm
 	// FlowTTL expires idle pinholes. Zero means 120s.
 	flowTTL sim.Duration
 	// allowPorts are statically open inbound destination ports: a site
@@ -73,26 +72,13 @@ func NewFirewall(name string, flowTTL sim.Duration, clock func() sim.Time, allow
 	return f
 }
 
-// Attach implements phys.Boundary, recording both sides of the boundary.
-func (f *Firewall) Attach(inner, outer *phys.Realm) {
-	f.inner = inner
-	f.outer = outer
-}
-
-// Inner returns the protected realm behind the firewall (nil before
-// Attach).
-func (f *Firewall) Inner() *phys.Realm { return f.inner }
-
-// Outer returns the realm outside the firewall (nil before Attach).
-func (f *Firewall) Outer() *phys.Realm { return f.outer }
+// Attach implements phys.Boundary, recording the protected realm.
+func (f *Firewall) Attach(inner, _ *phys.Realm) { f.inner = inner }
 
 // Claims implements phys.Boundary: the firewall claims every address
 // routable inside it — protected hosts and the public endpoints of nested
 // NATs (all globally routable; the firewall filters without translating).
 func (f *Firewall) Claims(ip phys.IP) bool { return f.inner.Covers(ip) }
-
-// Name returns the device name.
-func (f *Firewall) Name() string { return f.name }
 
 // BlockProto drops all traffic of the given wire protocol in both
 // directions (e.g. phys.WireUDP for a UDP-hostile site).

@@ -344,12 +344,12 @@ func TestFlowMemoHitRates(t *testing.T) {
 	if *echoes != rounds || got != rounds {
 		t.Fatalf("%d echoes, %d replies, want %d", *echoes, got, rounds)
 	}
-	for _, d := range []interface {
-		Name() string
-		MemoStats() (uint64, uint64)
-	}{vmnat, wifi, isp, fw} {
-		if h, l := d.MemoStats(); l != 2*rounds || h*100 < l*99 {
-			t.Errorf("%s: %d of %d packets hit the memo, want >= 99%% of %d", d.Name(), h, l, 2*rounds)
+	for _, d := range []struct {
+		name string
+		dev  interface{ MemoStats() (uint64, uint64) }
+	}{{vmnat.name, vmnat}, {wifi.name, wifi}, {isp.name, isp}, {fw.name, fw}} {
+		if h, l := d.dev.MemoStats(); l != 2*rounds || h*100 < l*99 {
+			t.Errorf("%s: %d of %d packets hit the memo, want >= 99%% of %d", d.name, h, l, 2*rounds)
 		}
 	}
 

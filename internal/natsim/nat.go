@@ -80,8 +80,6 @@ type NAT struct {
 	name     string
 	cfg      Config
 	publicIP phys.IP
-	inner    *phys.Realm
-	outer    *phys.Realm
 	nextPort uint16
 	byKey    map[mapKey]*mapping
 	byPublic map[pubKey]*mapping
@@ -120,21 +118,17 @@ func NewNAT(name string, cfg Config, publicIP phys.IP, clock func() sim.Time) *N
 	}
 }
 
-// Attach implements phys.Boundary, recording both sides of the boundary.
-// The outer realm is where the NAT's public endpoints live: Attach rejects
-// a public IP that collides with a host already registered there (a
-// topology bug that would otherwise shadow the host from inbound routing),
-// and phys pins the whole inner chain to one site (and so one shard)
-// through phys.Realm placement, so a NAT knows its owning timeline via the
-// realms it is attached between: only events of that shard call Outbound
-// and Inbound.
-func (n *NAT) Attach(inner, outer *phys.Realm) {
+// Attach implements phys.Boundary. The outer realm is where the NAT's
+// public endpoints live: Attach rejects a public IP that collides with a
+// host already registered there (a topology bug that would otherwise shadow
+// the host from inbound routing). phys pins the whole inner chain to one
+// site (and so one shard) through phys.Realm placement, so only events of
+// that shard call Outbound and Inbound.
+func (n *NAT) Attach(_, outer *phys.Realm) {
 	if outer.HasHost(n.publicIP) {
 		panic(fmt.Sprintf("natsim: NAT %s public IP %s collides with a host in outer realm %q",
 			n.name, n.publicIP, outer.Name))
 	}
-	n.inner = inner
-	n.outer = outer
 }
 
 // Claims implements phys.Boundary: the NAT claims its public address.
@@ -142,19 +136,6 @@ func (n *NAT) Claims(ip phys.IP) bool { return ip == n.publicIP }
 
 // PublicIP returns the NAT's outer address.
 func (n *NAT) PublicIP() phys.IP { return n.publicIP }
-
-// Inner returns the private realm behind the NAT (nil before Attach).
-func (n *NAT) Inner() *phys.Realm { return n.inner }
-
-// Outer returns the realm the NAT's public endpoints live in (nil before
-// Attach).
-func (n *NAT) Outer() *phys.Realm { return n.outer }
-
-// Name returns the device name.
-func (n *NAT) Name() string { return n.name }
-
-// Type returns the NAT discipline.
-func (n *NAT) Type() NATType { return n.cfg.Type }
 
 // SetType changes the NAT discipline in place, modelling a reconfigured or
 // replaced middlebox (e.g. an admin relaxing a symmetric NAT to full-cone).

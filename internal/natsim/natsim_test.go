@@ -553,7 +553,7 @@ func TestSetTypeRelaxesFiltering(t *testing.T) {
 	// Relax to full-cone: a fresh flow from a new inner port maps once,
 	// and an unrelated third party can send through it.
 	nat.SetType(FullCone)
-	if nat.Type() != FullCone {
+	if nat.cfg.Type != FullCone {
 		t.Fatal("SetType did not take")
 	}
 	var e3 phys.Endpoint
@@ -625,7 +625,7 @@ func TestFirewallStaticAllowPort(t *testing.T) {
 	if *n != 1 || got != 1 {
 		t.Fatalf("static allow port failed: n=%d got=%d", *n, got)
 	}
-	if fw.Name() != "ncgrid" {
+	if fw.name != "ncgrid" {
 		t.Fatal("Name")
 	}
 }

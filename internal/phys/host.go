@@ -101,25 +101,10 @@ func (h *Host) Sim() *sim.Simulator { return h.sim }
 // network.
 func (h *Host) Shard() int { return h.shard }
 
-// Up reports whether the host is powered on.
-func (h *Host) Up() bool { return h.up }
-
 // SetUp powers the host on or off. Packets to a downed host are lost;
 // sockets survive power cycling (the owning process is assumed restarted by
 // higher layers).
 func (h *Host) SetUp(up bool) { h.up = up }
-
-// Config returns the host's performance model.
-func (h *Host) Config() HostConfig { return h.cfg }
-
-// SetLoadFactor changes the host's background-load multiplier, modelling
-// load spikes on shared infrastructure.
-func (h *Host) SetLoadFactor(f float64) {
-	if f < 1 {
-		f = 1
-	}
-	h.cfg.LoadFactor = f
-}
 
 // String renders "name(ip@site)".
 func (h *Host) String() string {
@@ -221,9 +206,6 @@ func (h *Host) listenWire(proto uint8, port uint16) (*UDPSock, error) {
 
 // Port returns the bound port.
 func (s *UDPSock) Port() uint16 { return s.port }
-
-// Host returns the owning host.
-func (s *UDPSock) Host() *Host { return s.host }
 
 // LocalEndpoint returns the socket's endpoint as seen inside its realm
 // (private address when behind NAT).

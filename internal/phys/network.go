@@ -80,7 +80,6 @@ type Realm struct {
 	// added before a run or between runs, never during one.
 	hosts    []*Host
 	base     IP
-	nhosts   int
 	children []childBoundary
 
 	// site/pinned are the realm's placement: set (with the whole chain) by
@@ -125,26 +124,14 @@ func (r *Realm) claimant(ip IP) *Realm {
 	return nil
 }
 
-// Hosts returns the number of hosts registered in the realm.
-func (r *Realm) Hosts() int { return r.nhosts }
-
-// Shard reports the shard owning this realm's middlebox timeline: the
+// shard reports the shard owning this realm's middlebox timeline: the
 // pinned site's shard for a private realm, 0 otherwise (root realm, or a
 // chain no host was ever placed behind).
-func (r *Realm) Shard() int {
+func (r *Realm) shard() int {
 	if r.pinned {
 		return r.site.shard
 	}
 	return 0
-}
-
-// Site returns the site a private realm is pinned to, nil when the realm is
-// unpinned (root, or empty chain).
-func (r *Realm) Site() *Site {
-	if r.pinned {
-		return r.site
-	}
-	return nil
 }
 
 // chainTop walks up to the realm directly under root — the top of the
@@ -264,9 +251,6 @@ func newNetwork(sims []*sim.Simulator, eng *sim.Sharded, latency LatencyFunc) *N
 	return n
 }
 
-// Shards reports how many shards the network runs on.
-func (n *Network) Shards() int { return len(n.sims) }
-
 // TotalStats returns the network-wide delivery/drop counters, merged over
 // the shards. Call between runs only.
 func (n *Network) TotalStats() metrics.Counter { return n.stats.Merged() }
@@ -377,7 +361,6 @@ func (n *Network) AddHost(name string, site *Site, realm *Realm, cfg HostConfig)
 	}
 	h.socks = h.sockArr[:0]
 	realm.hosts[ip-realm.base] = h
-	realm.nhosts++
 	n.hosts = append(n.hosts, h)
 	return h
 }
@@ -608,9 +591,6 @@ func (n *Network) allocConnID(h *Host) uint64 {
 	n.dialed[h.shard]++
 	return uint64(h.shard)<<48 | n.dialed[h.shard]
 }
-
-// AllHosts returns every host in creation order.
-func (n *Network) AllHosts() []*Host { return n.hosts }
 
 // String summarizes the network.
 func (n *Network) String() string {

@@ -171,7 +171,7 @@ func TestHostDownDropsAndRecovers(t *testing.T) {
 	s1, _ := h1.Listen(0)
 
 	h2.SetUp(false)
-	if h2.Up() {
+	if h2.up {
 		t.Fatal("SetUp(false) ignored")
 	}
 	s1.Send(Endpoint{IP: h2.IP(), Port: 1}, 10, nil)
@@ -301,21 +301,6 @@ func TestServiceTimeAndOverload(t *testing.T) {
 	}
 }
 
-func TestSetLoadFactorClamps(t *testing.T) {
-	s := sim.New(1)
-	net := NewNetwork(s, lanWan())
-	site := net.AddSite("a")
-	h := net.AddHost("h", site, net.Root(), HostConfig{})
-	h.SetLoadFactor(0.1)
-	if h.Config().LoadFactor != 1 {
-		t.Fatal("LoadFactor below 1 not clamped")
-	}
-	h.SetLoadFactor(5)
-	if h.Config().LoadFactor != 5 {
-		t.Fatal("LoadFactor not applied")
-	}
-}
-
 func TestWireLoss(t *testing.T) {
 	s := sim.New(7)
 	lossy := func(a, b *Site) PathModel {
@@ -379,8 +364,8 @@ func TestRealmNextIPSkipsTaken(t *testing.T) {
 	if h1.IP() == h2.IP() {
 		t.Fatal("IP collision")
 	}
-	if net.Root().Hosts() != 2 {
-		t.Fatalf("root hosts = %d", net.Root().Hosts())
+	if got := hostCount(net.Root()); got != 2 {
+		t.Fatalf("root hosts = %d", got)
 	}
 	if !net.Root().HasHost(h1.IP()) {
 		t.Fatal("HasHost false for registered host")
@@ -395,7 +380,7 @@ func TestNetworkString(t *testing.T) {
 	if got := net.String(); got != "phys.Network{sites=1 hosts=1}" {
 		t.Fatalf("String = %q", got)
 	}
-	if len(net.AllHosts()) != 1 {
-		t.Fatal("AllHosts wrong")
+	if len(net.hosts) != 1 {
+		t.Fatal("hosts wrong")
 	}
 }

@@ -94,22 +94,22 @@ func TestShardedRealmPinning(t *testing.T) {
 	nat := &fakeNAT{public: net.Root().NextIP()}
 	lan := net.AddRealm("lan", net.Root(), nat, MustParseIP("10.0.0.1"))
 	inner := net.AddRealm("inner", lan, &fakeNAT{public: MustParseIP("10.0.0.200")}, MustParseIP("192.168.0.1"))
-	if lan.Site() != nil || inner.Site() != nil {
+	if lan.site != nil || inner.site != nil {
 		t.Fatal("realms pinned before any host")
 	}
 	// First host lands in the NESTED realm: the pin must climb to the chain
 	// top and cover every realm of the chain.
 	net.AddHost("deep", s1, inner, HostConfig{})
-	if lan.Site() != s1 || inner.Site() != s1 {
-		t.Fatalf("chain not pinned to s1: lan=%v inner=%v", lan.Site(), inner.Site())
+	if lan.site != s1 || inner.site != s1 {
+		t.Fatalf("chain not pinned to s1: lan=%v inner=%v", lan.site, inner.site)
 	}
-	if lan.Shard() != s1.Shard() || inner.Shard() != s1.Shard() {
-		t.Fatalf("chain shards = %d,%d, want %d", lan.Shard(), inner.Shard(), s1.Shard())
+	if lan.shard() != s1.Shard() || inner.shard() != s1.Shard() {
+		t.Fatalf("chain shards = %d,%d, want %d", lan.shard(), inner.shard(), s1.Shard())
 	}
 	// A realm attached to a pinned chain inherits the pin immediately.
 	late := net.AddRealm("late", lan, &fakeNAT{public: MustParseIP("10.0.0.201")}, MustParseIP("172.16.0.1"))
-	if late.Site() != s1 {
-		t.Fatalf("late realm did not inherit pin: %v", late.Site())
+	if late.site != s1 {
+		t.Fatalf("late realm did not inherit pin: %v", late.site)
 	}
 	// Same-site hosts are fine anywhere in the chain.
 	net.AddHost("peer", s1, lan, HostConfig{})
@@ -124,7 +124,7 @@ func TestShardedRealmPinning(t *testing.T) {
 	}()
 	// The root realm never pins.
 	net.AddHost("pub", s0, net.Root(), HostConfig{})
-	if net.Root().Site() != nil || net.Root().Shard() != 0 {
+	if net.Root().site != nil || net.Root().shard() != 0 {
 		t.Fatal("root realm must stay unpinned")
 	}
 }
@@ -152,8 +152,8 @@ func runShardedNATExchange(t *testing.T, workers, count int) (logIn, logOut []si
 	nat := &fakeNAT{public: net.Root().NextIP()}
 	lan := net.AddRealm("lan", net.Root(), nat, MustParseIP("10.0.0.1"))
 	inside := net.AddHost("inside", lanSite, lan, HostConfig{})
-	if lan.Shard() != 1 {
-		t.Fatalf("lan realm on shard %d, want 1", lan.Shard())
+	if lan.shard() != 1 {
+		t.Fatalf("lan realm on shard %d, want 1", lan.shard())
 	}
 
 	ps, err := pub.Listen(200)

@@ -92,7 +92,6 @@ type Stream struct {
 	remoteFin uint64
 
 	onMsg   func(size int, payload any)
-	onOpen  func()
 	onClose func(err error)
 	closed  bool
 
@@ -118,9 +117,6 @@ type StreamListener struct {
 	sock   *UDPSock
 	accept func(*Stream)
 }
-
-// Port returns the listening port.
-func (l *StreamListener) Port() uint16 { return l.port }
 
 // Close stops accepting new streams; established streams survive.
 func (l *StreamListener) Close() { l.sock.Close() }
@@ -168,17 +164,8 @@ func (h *Host) DialStream(dst Endpoint) *Stream {
 // translated for accepted streams) — what a URI learner records.
 func (s *Stream) RemoteEndpoint() Endpoint { return s.remote }
 
-// LocalEndpoint returns this side's wire endpoint in its realm.
-func (s *Stream) LocalEndpoint() Endpoint { return s.sock.LocalEndpoint() }
-
-// Open reports whether the handshake completed and the stream is usable.
-func (s *Stream) Open() bool { return s.state == streamOpen }
-
 // OnMessage registers the in-order delivery callback.
 func (s *Stream) OnMessage(f func(size int, payload any)) { s.onMsg = f }
-
-// OnOpen registers the handshake-completion callback (dialer side).
-func (s *Stream) OnOpen(f func()) { s.onOpen = f }
 
 // OnClose registers the teardown callback; err is nil for a clean remote
 // close.
@@ -358,9 +345,6 @@ func (s *Stream) receive(p *Packet) {
 		s.state = streamOpen
 		s.retries = 0
 		s.rto = sim.Second
-		if s.onOpen != nil {
-			s.onOpen()
-		}
 		s.drainQueue()
 	case streamRst:
 		if m.ConnID == s.connID {

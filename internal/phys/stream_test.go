@@ -29,12 +29,10 @@ func TestStreamHandshakeAndMessages(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := h1.DialStream(Endpoint{IP: h2.IP(), Port: 7000})
-	opened := false
-	st.OnOpen(func() { opened = true })
 	st.SendMsg(100, "a")
 	st.SendMsg(100, "b")
 	s.RunFor(5 * sim.Second)
-	if !opened || !st.Open() {
+	if st.state != streamOpen {
 		t.Fatal("handshake failed")
 	}
 	if len(got) != 2 || got[0] != "a" || got[1] != "b" {
@@ -122,7 +120,7 @@ func TestStreamTimesOutOnDeadPeer(t *testing.T) {
 	var err error
 	st.OnClose(func(e error) { err = e })
 	s.RunFor(5 * sim.Second)
-	if !st.Open() {
+	if st.state != streamOpen {
 		t.Fatal("handshake failed")
 	}
 	h2.SetUp(false)
@@ -280,7 +278,7 @@ func TestAllocFreeRTO(t *testing.T) {
 	h2.ListenStream(7000, func(st *Stream) {})
 	st := h1.DialStream(Endpoint{IP: h2.IP(), Port: 7000})
 	s.RunFor(sim.Second)
-	if !st.Open() {
+	if st.state != streamOpen {
 		t.Fatal("handshake failed")
 	}
 	st.SendMsg(100, nil)
@@ -336,7 +334,7 @@ func TestListenStreamAllocs(t *testing.T) {
 		t.Fatal("dialled stream not indexed")
 	}
 	s.RunFor(sim.Second)
-	if !st.Open() || len(h2.streams) != 1 {
-		t.Fatalf("open %v, %d accepted streams indexed, want 1", st.Open(), len(h2.streams))
+	if st.state != streamOpen || len(h2.streams) != 1 {
+		t.Fatalf("open %v, %d accepted streams indexed, want 1", st.state == streamOpen, len(h2.streams))
 	}
 }

@@ -130,9 +130,9 @@ type Parallelism struct {
 	Busiest uint64 // sum over windows of the most events one shard executed
 }
 
-// Bound is Events/Busiest: the speed-up over one worker that a worker per
+// bound is Events/Busiest: the speed-up over one worker that a worker per
 // shard and a free barrier would give (0 before any event).
-func (p Parallelism) Bound() float64 {
+func (p Parallelism) bound() float64 {
 	if p.Busiest == 0 {
 		return 0
 	}
@@ -245,9 +245,9 @@ func (g *Sharded) Now() Time {
 	return max
 }
 
-// Parallelism reports what the windows run so far offered to run in
+// parallelism reports what the windows run so far offered to run in
 // parallel.
-func (g *Sharded) Parallelism() Parallelism { return g.par }
+func (g *Sharded) parallelism() Parallelism { return g.par }
 
 // Send schedules fn(arg) at absolute time when on shard to, on behalf of
 // shard from. During a window it buffers into the (from,to) lane and

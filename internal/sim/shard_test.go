@@ -106,7 +106,7 @@ func runSharded(seed uint64, actors, shards, steps, workers int, look Duration, 
 	w.now = func(actor int) Time { return g.Shard(w.shardOf(actor)).Now() }
 	w.kickoff()
 	g.RunUntil(horizon)
-	return w.logs, g.Parallelism()
+	return w.logs, g.parallelism()
 }
 
 // timesCollide reports whether any two events in the reference run share a
@@ -192,8 +192,8 @@ func TestShardedSingleShardDelegates(t *testing.T) {
 	for _, l := range single {
 		events += uint64(len(l))
 	}
-	if want := (Parallelism{Windows: 1, Events: events, Busiest: events}); par != want {
-		t.Fatalf("single-shard counts %+v, want %+v", par, want)
+	if want := (Parallelism{Windows: 1, Events: events, Busiest: events}); par != want || par.bound() != 1 {
+		t.Fatalf("single-shard counts %+v (bound %v), want %+v", par, par.bound(), want)
 	}
 }
 
@@ -458,8 +458,8 @@ func TestShardedStaleClaim(t *testing.T) {
 			t.Errorf("shard %d ran %d events, want %d", i, n, want)
 		}
 	}
-	if par := g.Parallelism(); par.Windows != windows || par.Events != windows*(k+1)/2 || par.Busiest != windows {
-		t.Errorf("counts %+v, want %d windows, %d events, busiest %d", par, windows, windows*(k+1)/2, windows)
+	if par := g.parallelism(); par.Windows != windows || par.Events != windows*(k+1)/2 || par.Busiest != windows || par.bound() != float64(k+1)/2 {
+		t.Errorf("counts %+v (bound %v), want %d windows, %d events, busiest %d", par, par.bound(), windows, windows*(k+1)/2, windows)
 	}
 }
 

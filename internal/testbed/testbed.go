@@ -290,9 +290,6 @@ func (tb *Testbed) addVM(def NodeDef) *vm.VM {
 // VM returns a compute node by Table I name (e.g. "node002").
 func (tb *Testbed) VM(name string) *vm.VM { return tb.byName[name] }
 
-// Head returns node002, the PBS/NFS head node of the paper's experiments.
-func (tb *Testbed) Head() *vm.VM { return tb.byName["node002"] }
-
 // NewVM adds an extra compute node at a Table I site with a fresh virtual
 // IP; used by the join experiments. speed defaults to 1.
 func (tb *Testbed) NewVM(site string, speed float64) *vm.VM {

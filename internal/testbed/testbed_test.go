@@ -74,7 +74,7 @@ func TestBuildFullTestbedAllRoutable(t *testing.T) {
 		}
 		t.Fatalf("routable VMs = %d of 33", got)
 	}
-	if tb.Head() == nil || tb.Head().Name() != "node002" {
+	if head := tb.VM("node002"); head == nil || head.Name() != "node002" {
 		t.Fatal("head lookup")
 	}
 	if tb.VM("node034") == nil {

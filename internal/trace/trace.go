@@ -193,9 +193,6 @@ func New(opts Options, clocks ...Clock) *Tracer {
 // Opts returns the tracer's configuration.
 func (t *Tracer) Opts() Options { return t.opts }
 
-// Shards reports the buffer count.
-func (t *Tracer) Shards() int { return len(t.bufs) }
-
 // Shard returns shard i's buffer.
 func (t *Tracer) Shard(i int) *Buf { return t.bufs[i] }
 

@@ -78,8 +78,8 @@ func TestTracerNormalizesOptions(t *testing.T) {
 	if tr.Opts().SampleN != 1 {
 		t.Errorf("SampleN 0 not normalized to 1: %d", tr.Opts().SampleN)
 	}
-	if tr.Shards() != 1 {
-		t.Errorf("Shards() = %d, want 1", tr.Shards())
+	if len(tr.bufs) != 1 {
+		t.Errorf("%d buffers, want 1", len(tr.bufs))
 	}
 	defer func() {
 		if recover() == nil {

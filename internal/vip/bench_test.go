@@ -19,14 +19,14 @@ func BenchmarkTCPSegment(b *testing.B) {
 	}{{"clean", 0}, {"lossy", 100}} {
 		b.Run(tc.name, func(b *testing.B) {
 			s, sa, sb, wa, _ := wiredStacks(1, sim.Millisecond)
-			mss := sa.Config().MSS
+			mss := sa.cfg.MSS
 			rcvd := 0
 			sb.ListenTCP(80, func(c *Conn) { c.OnMessage(func(size int, _ any) { rcvd += size }) })
 			c := sa.DialTCP(sb.IP(), 80)
 			// roundTrip runs one RTT and tops the send queue up to four
 			// windows ahead of what is acknowledged.
 			roundTrip := func() {
-				for c.QueuedBytes()-c.AckedBytes() < 4*sa.Config().Window*mss {
+				for c.sndBytes-c.AckedBytes() < 4*sa.cfg.Window*mss {
 					c.Send(mss, nil)
 				}
 				s.RunFor(2 * sim.Millisecond)
@@ -46,11 +46,11 @@ func BenchmarkTCPSegment(b *testing.B) {
 			}
 			b.StopTimer()
 			wa.dropEvery = 0
-			for i := 0; rcvd < c.QueuedBytes() && i < 10000; i++ {
+			for i := 0; rcvd < c.sndBytes && i < 10000; i++ {
 				s.RunFor(2 * sim.Millisecond)
 			}
-			if rcvd != c.QueuedBytes() {
-				b.Fatalf("receiver got %d of %d bytes", rcvd, c.QueuedBytes())
+			if rcvd != c.sndBytes {
+				b.Fatalf("receiver got %d of %d bytes", rcvd, c.sndBytes)
 			}
 		})
 	}

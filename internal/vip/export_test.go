@@ -14,6 +14,12 @@ const GuardsRelaxed = raceEnabled || poolDebug
 // poolDebug reports whether the packetdebug free list is compiled in.
 const poolDebug = sim.PoolDebug
 
+// Config is the stack's transport constants.
+func (s *Stack) Config() StackConfig { return s.cfg }
+
+// Established reports whether the handshake has completed.
+func (c *Conn) Established() bool { return c.state == stateEstablished }
+
 // PoolLen is the length of the packet free list s releases into.
 func (s *Stack) PoolLen() int { return s.pool.pkts.Len() }
 

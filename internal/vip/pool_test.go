@@ -98,7 +98,7 @@ func TestRTOArmedOncePerAck(t *testing.T) {
 	b.ListenTCP(80, func(*Conn) {})
 	c := a.DialTCP(b.IP(), 80)
 	s.RunFor(sim.Second)
-	if !c.Established() {
+	if c.state != stateEstablished {
 		t.Fatal("handshake failed")
 	}
 	progressing, counted := 0, 0
@@ -140,7 +140,7 @@ func TestOvertakenSegmentDropped(t *testing.T) {
 	b.ListenTCP(80, func(c *Conn) { srv = c })
 	c := a.DialTCP(b.IP(), 80)
 	s.RunFor(sim.Second)
-	if !c.Established() {
+	if c.state != stateEstablished {
 		t.Fatal("handshake failed")
 	}
 	wa.dropEvery = 1
@@ -174,7 +174,7 @@ func TestOvertakenReleasedInOrder(t *testing.T) {
 		b.ListenTCP(80, func(c *Conn) { srv = c })
 		c := a.DialTCP(b.IP(), 80)
 		s.RunFor(sim.Second)
-		if !c.Established() {
+		if c.state != stateEstablished {
 			t.Fatal("handshake failed")
 		}
 		var highest, ack *Packet
@@ -279,7 +279,7 @@ func transferProgram(gcOwned bool, sizesOut, sizesBack []uint16, dropA, dropB, l
 
 	for i, c := range conns {
 		fmt.Fprintf(&out, "conn %d: rcvd %d acked %d of %d retransmits %d closed %v oo %d msgs %v\n",
-			i, c.ReceivedBytes(), c.AckedBytes(), c.QueuedBytes(), c.Retransmits(), c.Closed(), c.OOLen(), *logOf[c])
+			i, c.rcvBytes, c.AckedBytes(), c.sndBytes, c.Retransmits(), c.Closed(), c.OOLen(), *logOf[c])
 	}
 	fmt.Fprintf(&out, "pings %v\nudp %v\nA %s\nB %s\n", pings, udp, a.Stats.String(), b.Stats.String())
 	return out.String()

@@ -139,9 +139,6 @@ func (s *Stack) IP() IP { return s.carrier.LocalVIP() }
 // Sim returns the simulation clock.
 func (s *Stack) Sim() *sim.Simulator { return s.sim }
 
-// Config returns the stack's transport constants.
-func (s *Stack) Config() StackConfig { return s.cfg }
-
 // packet takes a packet from the shard's list and addresses it from this
 // stack to dst; the caller fills in the transport header.
 func (s *Stack) packet(dst IP, proto Proto, size int) *Packet {
@@ -278,9 +275,6 @@ func (s *Stack) ListenUDP(port uint16, h UDPHandler) error {
 	s.udp[port] = h
 	return nil
 }
-
-// CloseUDP unbinds a datagram port.
-func (s *Stack) CloseUDP(port uint16) { delete(s.udp, port) }
 
 // SendUDP transmits one datagram. size is the payload size in bytes.
 func (s *Stack) SendUDP(dst IP, srcPort, dstPort uint16, size int, msg any) {

@@ -133,9 +133,6 @@ func (s *Stack) ListenTCP(port uint16, accept func(*Conn)) error {
 	return nil
 }
 
-// CloseTCPListener removes a listener; established connections survive.
-func (s *Stack) CloseTCPListener(port uint16) { delete(s.listeners, port) }
-
 // DialTCP opens a connection to dst:port. Writes may be enqueued
 // immediately; they flow once the handshake completes. Connection failure
 // surfaces through OnClose.
@@ -171,13 +168,6 @@ func (c *Conn) OnClose(f func(err error)) { c.onClose = f }
 // RemoteIP returns the peer's virtual address.
 func (c *Conn) RemoteIP() IP { return c.key.remote }
 
-// LocalPort returns the connection's local port.
-func (c *Conn) LocalPort() uint16 { return c.key.localPort }
-
-// ReceivedBytes reports in-order payload bytes delivered — the "file size
-// on the client's local disk" axis of Figure 6.
-func (c *Conn) ReceivedBytes() int { return c.rcvBytes }
-
 // AckedBytes reports payload bytes acknowledged by the peer.
 func (c *Conn) AckedBytes() int {
 	if c.sndUna > c.sndBytes {
@@ -186,14 +176,8 @@ func (c *Conn) AckedBytes() int {
 	return c.sndUna
 }
 
-// QueuedBytes reports payload bytes enqueued locally.
-func (c *Conn) QueuedBytes() int { return c.sndBytes }
-
 // Retransmits reports how many segments were retransmitted.
 func (c *Conn) Retransmits() int { return c.retransmits }
-
-// Established reports whether the handshake has completed.
-func (c *Conn) Established() bool { return c.state == stateEstablished }
 
 // Closed reports whether the connection is fully torn down.
 func (c *Conn) Closed() bool { return c.state == stateClosed }

@@ -128,18 +128,6 @@ func (v *VM) Start(bootstrap []brunet.URI) error {
 	return nil
 }
 
-// Shutdown powers the VM off.
-func (v *VM) Shutdown() {
-	if !v.running {
-		return
-	}
-	v.pauseCPU()
-	v.node.Stop()
-	v.running = false
-	v.queue = nil
-	v.current = nil
-}
-
 // Decommission removes the VM from the pool gracefully: guest services
 // stop and the IPOP node leaves the overlay with goodbyes, so peers repair
 // the ring immediately (a clean `qmgr` removal rather than a crash).
@@ -166,18 +154,9 @@ func (v *VM) SetHostLoad(f float64) {
 	v.resumeCPU()
 }
 
-// HostLoad returns the current background-load multiplier.
-func (v *VM) HostLoad() float64 { return v.hostLoad }
-
 // rate converts baseline CPU-seconds to wall-clock seconds on this VM.
 func (v *VM) rate() float64 {
 	return v.spec.VirtOverhead * v.hostLoad / v.spec.CPUSpeed
-}
-
-// EstimateWall returns the wall-clock duration a job of the given baseline
-// CPU time takes on this VM at current load, ignoring queueing.
-func (v *VM) EstimateWall(cpu sim.Duration) sim.Duration {
-	return sim.Duration(float64(cpu) * v.rate())
 }
 
 // Execute queues a compute job of the given baseline CPU seconds; done
@@ -190,12 +169,6 @@ func (v *VM) Execute(cpu sim.Duration, done func()) {
 	v.Stats.Add(cJobQueued, 1)
 	v.dispatch()
 }
-
-// QueueLength reports queued (not yet started) jobs.
-func (v *VM) QueueLength() int { return len(v.queue) }
-
-// Busy reports whether a job is executing or queued.
-func (v *VM) Busy() bool { return v.current != nil || len(v.queue) > 0 }
 
 func (v *VM) dispatch() {
 	if v.current != nil || len(v.queue) == 0 || !v.Running() {

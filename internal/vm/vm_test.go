@@ -87,8 +87,8 @@ func TestCPUSpeedScalesJobs(t *testing.T) {
 	if ratio < want*0.99 || ratio > want*1.01 {
 		t.Fatalf("speed ratio %.2f, want %.2f", ratio, want)
 	}
-	if fast.EstimateWall(100*sim.Second) != fastAt.Sub(start) {
-		t.Fatal("EstimateWall mismatch")
+	if sim.Duration(float64(100*sim.Second)*fast.rate()) != fastAt.Sub(start) {
+		t.Fatal("wall time does not follow the VM's rate")
 	}
 }
 
@@ -100,11 +100,11 @@ func TestJobsRunFIFO(t *testing.T) {
 		i := i
 		v.Execute(sim.Second, func() { order = append(order, i) })
 	}
-	if !v.Busy() {
+	if v.current == nil {
 		t.Fatal("VM not busy with queued jobs")
 	}
-	if v.QueueLength() != 4 {
-		t.Fatalf("queue = %d", v.QueueLength())
+	if len(v.queue) != 4 {
+		t.Fatalf("queue = %d", len(v.queue))
 	}
 	r.s.RunFor(sim.Minute)
 	for i, got := range order {
@@ -127,11 +127,11 @@ func TestHostLoadStretchesRunningJob(t *testing.T) {
 	if wall < 14.9 || wall > 15.1 {
 		t.Fatalf("job took %.2fs, want ~15s (load doubled at half-way)", wall)
 	}
-	if v.HostLoad() != 2 {
-		t.Fatal("HostLoad not recorded")
+	if v.hostLoad != 2 {
+		t.Fatal("host load not recorded")
 	}
 	v.SetHostLoad(0.5)
-	if v.HostLoad() != 1 {
+	if v.hostLoad != 1 {
 		t.Fatal("load below 1 not clamped")
 	}
 }
@@ -193,18 +193,21 @@ func TestMigrateErrors(t *testing.T) {
 	}
 }
 
-func TestShutdown(t *testing.T) {
+// TestDecommission: a decommissioned VM drops its jobs and leaves the
+// overlay, a second Decommission is a no-op, and the VM can start again.
+func TestDecommission(t *testing.T) {
 	r := newRig(t, 7, 4)
 	v := r.addVM(t, "vm1", "172.16.1.2", Spec{})
-	v.Execute(10*sim.Second, func() { t.Error("job completed after shutdown") })
-	v.Shutdown()
-	v.Shutdown() // idempotent
-	if v.Running() || v.Busy() {
-		t.Fatal("VM still running after shutdown")
+	v.Execute(10*sim.Second, func() { t.Error("job completed after decommission") })
+	v.Execute(10*sim.Second, nil)
+	v.Decommission()
+	v.Decommission() // idempotent
+	if v.Running() || v.current != nil || len(v.queue) != 0 {
+		t.Fatal("VM still running after decommission")
 	}
 	r.s.RunFor(sim.Minute)
 	if err := v.Start(r.boot); err != nil {
-		t.Fatalf("restart after shutdown: %v", err)
+		t.Fatalf("restart after decommission: %v", err)
 	}
 	if err := v.Start(r.boot); err == nil {
 		t.Fatal("double start accepted")
