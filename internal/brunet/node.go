@@ -260,8 +260,12 @@ type Node struct {
 // acquires its shard has ever seen, and only an exchange whose answer is taken
 // from the lists its request is released on — a CTM and its reply (packet and
 // message), a link request and its reply, a ping and its pong — leaves every
-// shard it touches where it found it.
+// shard it touches where it found it. A cache line of padding on each side
+// keeps the pools of two shards, made one after the other as each shard's
+// first node is built, off each other's lines (DESIGN.md §9, "Per-shard
+// state owns its cache lines").
 type shardPool struct {
+	_    [sim.CacheLine]byte
 	pkts sim.FreeList[OverlayPacket, *OverlayPacket]
 	// ctms holds the messages CTM packets carry: taken with the packet, put
 	// back with it (Node.release).
@@ -272,6 +276,7 @@ type shardPool struct {
 	// linkers is not traffic: a linker lives on its node, from launchLinker
 	// to finish.
 	linkers sim.FreeList[linker, *linker]
+	_       [sim.CacheLine]byte
 }
 
 // shardPoolKey is the pool's key among its Simulator's locals.

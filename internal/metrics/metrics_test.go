@@ -460,7 +460,6 @@ func BenchmarkCounter(b *testing.B) {
 func TestShardedConcurrentWrites(t *testing.T) {
 	const shards, perShard = 8, 10000
 	s := NewSharded(shards)
-	hot := s.Handles("hot")
 	var wg sync.WaitGroup
 	for i := 0; i < shards; i++ {
 		i := i
@@ -468,8 +467,9 @@ func TestShardedConcurrentWrites(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			c := s.Shard(i)
+			hot := c.Handle("hot")
 			for j := 0; j < perShard; j++ {
-				hot[i].Inc(1)
+				hot.Inc(1)
 				c.Inc("cold", 2)
 			}
 			c.Inc(fmt.Sprintf("shard%d", i), int64(i))

@@ -1,11 +1,14 @@
 package metrics
 
 // Sharded is a set of per-shard Counters for parallel simulation: each
-// shard increments only its own Counter (no atomics, no locks, no false
-// sharing on hot cells), and a merged fleet-wide view is computed between
-// runs, when no shard is executing. It is the counters analogue of
-// sim.Sharded's ownership rule: shard-local writes during a window,
-// coordinator-only aggregation at the barrier.
+// shard increments only its own Counter (no atomics, no locks), and a
+// merged fleet-wide view is computed between runs, when no shard is
+// executing. It is the counters analogue of sim.Sharded's ownership rule:
+// shard-local writes during a window, coordinator-only aggregation at the
+// barrier. A cell goes wherever the allocator puts it, which may be on a
+// line with another shard's cell, so a count bumped on every packet belongs
+// in the caller's own padded per-shard state instead (phys keeps its
+// delivery and boundary counts there).
 type Sharded struct {
 	counters []*Counter
 }
@@ -25,17 +28,6 @@ func NewSharded(k int) *Sharded {
 // Shard returns shard i's Counter. Only shard i's goroutine may increment
 // it while a sharded run is in flight.
 func (s *Sharded) Shard(i int) *Counter { return s.counters[i] }
-
-// Handles pre-resolves the named cell on every shard, in shard order. Hot
-// paths index the returned slice by executing shard and increment without
-// a map lookup — the sharded analogue of Counter.Handle.
-func (s *Sharded) Handles(name string) []Handle {
-	hs := make([]Handle, len(s.counters))
-	for i, c := range s.counters {
-		hs[i] = c.Handle(name)
-	}
-	return hs
-}
 
 // Merged sums every shard into one Counter. Call it only between runs —
 // it reads all shards without synchronization.

@@ -151,11 +151,11 @@ func finishReceive(a any) {
 		h.net.drop(h.shard, "lost.noport", p)
 		return
 	}
-	h.net.deliveredSh[h.shard].Inc(1)
+	h.net.shards[h.shard].delivered++
 	if sock := h.socks[i].sock; sock.OnRecv != nil {
 		sock.OnRecv(p)
 	}
-	h.net.pkts[h.shard].Put(p, "finishReceive")
+	h.net.shards[h.shard].pkts.Put(p, "finishReceive")
 }
 
 // UDPSock is a bound wire socket on a host. Despite the name it serves
@@ -219,7 +219,7 @@ func (s *UDPSock) Send(dst Endpoint, size int, payload any) {
 	if s.closed || !s.host.up {
 		return
 	}
-	p := s.host.net.pkts[s.host.shard].Get()
+	p := s.host.net.shards[s.host.shard].pkts.Get()
 	p.Src, p.Dst, p.Proto, p.Size, p.Payload = s.LocalEndpoint(), dst, s.proto, size, payload
 	s.host.net.send(s.host, p)
 }

@@ -194,23 +194,31 @@ type Network struct {
 	// NewNetwork network (nil engine) they never do.
 	engine *sim.Sharded
 	sims   []*sim.Simulator
-	// stats holds the delivery outcomes, one counter per shard: delivered,
-	// lost.wire, lost.noroute, lost.boundary, lost.hostdown, lost.noport,
-	// lost.overload, lost.fault, boundary.in, boundary.out. TotalStats is the
-	// one reader. deliveredSh/boundInSh/boundOutSh are its pre-resolved
-	// cells (inbound translations count on the chain's owning shard,
-	// outbound ones on the sender's), so the hot paths pay no counter-map
-	// lookup.
-	stats       *metrics.Sharded
-	deliveredSh []metrics.Handle
-	boundInSh   []metrics.Handle
-	boundOutSh  []metrics.Handle
-	// pkts is the packet free list of each shard: taken from and put on by
-	// the shard's own events alone, so pooling needs no lock under parallel
+	// stats holds the losses, one counter per shard: lost.wire,
+	// lost.noroute, lost.boundary, lost.hostdown, lost.noport,
+	// lost.overload, lost.fault. TotalStats is the one reader and adds the
+	// counts each shard's state keeps.
+	stats  *metrics.Sharded
+	shards []shardState
+}
+
+// shardState is what one shard's events write on every packet. A cache
+// line of padding on each side keeps it off the lines of every other
+// shard's state and of whatever the allocator puts beside the slice, so two
+// shards running at once never write to one line (DESIGN.md §9, "Per-shard
+// state owns its cache lines").
+type shardState struct {
+	_ [sim.CacheLine]byte
+	// pkts is the shard's packet free list: taken from and put on by the
+	// shard's own events alone, so pooling needs no lock under parallel
 	// execution, and a packet delivered on another shard joins that shard's.
-	pkts []sim.FreeList[Packet, *Packet]
-	// dialed counts the stream connections dialed on each shard (allocConnID).
-	dialed []uint64
+	pkts      sim.FreeList[Packet, *Packet]
+	delivered int64
+	// boundIn counts inbound translations on the chains the shard owns,
+	// boundOut outbound ones of the shard's senders.
+	boundIn, boundOut int64
+	dialed            uint64 // stream connections dialed (allocConnID)
+	_                 [sim.CacheLine]byte
 }
 
 // NewNetwork creates a one-shard network on s with the given latency model.
@@ -240,20 +248,26 @@ func newNetwork(sims []*sim.Simulator, eng *sim.Sharded, latency LatencyFunc) *N
 		stats:   metrics.NewSharded(len(sims)),
 	}
 	n.root.net = n
-	n.deliveredSh = n.stats.Handles("delivered")
-	n.boundInSh = n.stats.Handles("boundary.in")
-	n.boundOutSh = n.stats.Handles("boundary.out")
-	n.pkts = make([]sim.FreeList[Packet, *Packet], len(sims))
+	n.shards = make([]shardState, len(sims))
 	for i, s := range sims {
-		n.pkts[i] = sim.NewFreeList[Packet](s, "packet", Packet{Size: -1, Payload: "phys: use of released packet"})
+		n.shards[i].pkts = sim.NewFreeList[Packet](s, "packet", Packet{Size: -1, Payload: "phys: use of released packet"})
 	}
-	n.dialed = make([]uint64, len(sims))
 	return n
 }
 
 // TotalStats returns the network-wide delivery/drop counters, merged over
-// the shards. Call between runs only.
-func (n *Network) TotalStats() metrics.Counter { return n.stats.Merged() }
+// the shards: the losses, delivered, boundary.in and boundary.out. Call
+// between runs only.
+func (n *Network) TotalStats() metrics.Counter {
+	c := n.stats.Merged()
+	for i := range n.shards {
+		st := &n.shards[i]
+		c.Inc("delivered", st.delivered)
+		c.Inc("boundary.in", st.boundIn)
+		c.Inc("boundary.out", st.boundOut)
+	}
+	return c
+}
 
 // CrossShardFloor computes the infimum of inter-shard one-way delivery
 // latency over all site pairs living on different shards: OneWay-Jitter
@@ -397,7 +411,7 @@ func (n *Network) resolve(now sim.Time, p *Packet, src *Host) (*Host, *Realm, st
 		if !realm.boundary.Outbound(now, p) {
 			return nil, nil, "lost.boundary"
 		}
-		n.boundOutSh[src.shard].Inc(1)
+		n.shards[src.shard].boundOut++
 	}
 }
 
@@ -412,7 +426,7 @@ func (n *Network) descend(now sim.Time, p *Packet, entry *Realm) (*Host, string)
 		if !realm.boundary.Inbound(now, p) {
 			return nil, "lost.boundary"
 		}
-		n.boundInSh[entry.site.shard].Inc(1)
+		n.shards[entry.site.shard].boundIn++
 		if h := realm.host(p.Dst.IP); h != nil {
 			return h, ""
 		}
@@ -544,7 +558,7 @@ func deliverPacket(a any) {
 func (n *Network) drop(sh int, reason string, p *Packet) {
 	n.stats.Shard(sh).Inc(reason, 1)
 	n.flightDiscard(sh, reason, p.Payload)
-	n.pkts[sh].Put(p, "drop")
+	n.shards[sh].pkts.Put(p, "drop")
 }
 
 // flightDiscard emits a route terminal for a traced overlay payload dying
@@ -588,8 +602,9 @@ func (n *Network) flightDiscard(sh int, reason string, payload any) {
 // would do. On shard 0 — all of a one-shard network — the IDs are the plain
 // sequence 1, 2, 3, …
 func (n *Network) allocConnID(h *Host) uint64 {
-	n.dialed[h.shard]++
-	return uint64(h.shard)<<48 | n.dialed[h.shard]
+	st := &n.shards[h.shard]
+	st.dialed++
+	return uint64(h.shard)<<48 | st.dialed
 }
 
 // String summarizes the network.

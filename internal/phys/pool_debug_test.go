@@ -45,9 +45,9 @@ func mustPanic(t *testing.T, want string, f func()) {
 // Double release panics under the debug pool.
 func TestPacketDebugDoubleRelease(t *testing.T) {
 	_, net := debugNet()
-	p := net.pkts[0].Get()
-	net.pkts[0].Put(p, "finishReceive")
-	mustPanic(t, "double release", func() { net.pkts[0].Put(p, "drop") })
+	p := net.shards[0].pkts.Get()
+	net.shards[0].pkts.Put(p, "finishReceive")
+	mustPanic(t, "double release", func() { net.shards[0].pkts.Put(p, "drop") })
 }
 
 // A released packet re-entering the delivery pipeline panics.
@@ -55,10 +55,10 @@ func TestPacketDebugUseAfterRelease(t *testing.T) {
 	_, net := debugNet()
 	site := net.AddSite("site")
 	h := net.AddHost("h", site, net.Root(), HostConfig{})
-	p := net.pkts[0].Get()
+	p := net.shards[0].pkts.Get()
 	p.Src = Endpoint{IP: h.IP(), Port: 1}
 	p.Dst = Endpoint{IP: h.IP(), Port: 2}
-	net.pkts[0].Put(p, "drop")
+	net.shards[0].pkts.Put(p, "drop")
 	mustPanic(t, "use of released packet", func() { net.send(h, p) })
 }
 
@@ -68,21 +68,21 @@ func TestPacketDebugUseAfterRelease(t *testing.T) {
 // free lists through the engine.
 func TestPacketDebugCrossShardRelease(t *testing.T) {
 	_, net := shardedDebugNet(t, 4)
-	p := net.pkts[0].Get()
-	mustPanic(t, "cross-shard release", func() { net.pkts[1].Put(p, "drop") })
+	p := net.shards[0].pkts.Get()
+	mustPanic(t, "cross-shard release", func() { net.shards[1].pkts.Put(p, "drop") })
 
-	q := net.pkts[2].Get()
+	q := net.shards[2].pkts.Get()
 	sim.HandOff(q, net.sims[3]) // legal hand-off: ownership moves to shard 3
-	mustPanic(t, "cross-shard release", func() { net.pkts[2].Put(q, "drop") })
-	net.pkts[3].Put(q, "drop") // owner releases fine
-	mustPanic(t, "double release", func() { net.pkts[3].Put(q, "drop") })
+	mustPanic(t, "cross-shard release", func() { net.shards[2].pkts.Put(q, "drop") })
+	net.shards[3].pkts.Put(q, "drop") // owner releases fine
+	mustPanic(t, "double release", func() { net.shards[3].pkts.Put(q, "drop") })
 }
 
 // A shard touching a live packet it does not own panics at the pipeline
 // checkpoints.
 func TestPacketDebugCrossShardUse(t *testing.T) {
 	_, net := shardedDebugNet(t, 2)
-	p := net.pkts[1].Get()
+	p := net.shards[1].pkts.Get()
 	mustPanic(t, "owned by shard 1", func() { p.Live(net.sims[0], "send") })
 	p.Live(net.sims[1], "send") // owner passes
 }
@@ -141,10 +141,10 @@ func TestPacketDebugStreamHandOff(t *testing.T) {
 					t.Errorf("releasing the message on the receiving shard: %v", r)
 				}
 			}()
-			net.pkts[1].Put(msg.(*Packet), "OnMessage")
+			net.shards[1].pkts.Put(msg.(*Packet), "OnMessage")
 		})
 	})
-	eng.Shard(0).At(0, func() { a.DialStream(Endpoint{IP: b.IP(), Port: 7000}).SendMsg(64, net.pkts[0].Get()) })
+	eng.Shard(0).At(0, func() { a.DialStream(Endpoint{IP: b.IP(), Port: 7000}).SendMsg(64, net.shards[0].pkts.Get()) })
 	eng.RunUntil(sim.Time(sim.Second))
 	if got != 1 {
 		t.Fatalf("delivered %d stream messages, want 1", got)
@@ -161,8 +161,8 @@ func TestPacketDebugBoundaryCheckpoint(t *testing.T) {
 	lan := net.AddRealm("lan", net.Root(), nat, MustParseIP("10.0.0.1"))
 	net.AddHost("inside", lanSite, lan, HostConfig{})
 
-	p := net.pkts[1].Get()
-	net.pkts[1].Put(p, "drop")
+	p := net.shards[1].pkts.Get()
+	net.shards[1].pkts.Put(p, "drop")
 	p.entry = lan // simulate a stale pointer re-entering the boundary path
 	mustPanic(t, "use of released packet in boundary", func() { deliverBoundary(p) })
 }

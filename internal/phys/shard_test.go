@@ -339,7 +339,7 @@ func TestUnshardedStatsUnchanged(t *testing.T) {
 
 // TestTotalStatsConcurrentShardWrites: the per-shard stats counters obey
 // the same ownership rule as the engine — each shard's goroutine bumps
-// only its own Counter (map Incs and the pre-resolved delivered handle) —
+// only its own Counter's map cells and its own state's delivered count —
 // and TotalStats merges them exactly. Run under -race this also proves
 // the hot-path counters introduce no cross-shard write sharing.
 func TestTotalStatsConcurrentShardWrites(t *testing.T) {
@@ -354,7 +354,7 @@ func TestTotalStatsConcurrentShardWrites(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < perShard; j++ {
-				net.deliveredSh[i].Inc(1)
+				net.shards[i].delivered++
 				net.stats.Shard(i).Inc("lost.wire", 1)
 			}
 		}()

@@ -485,8 +485,8 @@ func TestAllocFreeDrop(t *testing.T) {
 	// under -tags packetdebug, whose pool never reuses one.
 	var held *Packet // keeps the debug pool's fresh packet from staying on the stack
 	pool := testing.AllocsPerRun(200, func() {
-		held = net.pkts[0].Get()
-		net.pkts[0].Put(held, "drop")
+		held = net.shards[0].pkts.Get()
+		net.shards[0].pkts.Put(held, "drop")
 	})
 	for _, tc := range []struct {
 		name, stat string
@@ -557,6 +557,45 @@ func TestHotFieldsLayout(t *testing.T) {
 func TestHotFieldsPacketSize(t *testing.T) {
 	if size := unsafe.Sizeof(Packet{}); size > 64 && !sim.PoolDebug {
 		t.Errorf("Packet is %d bytes, past the 64-byte size class", size)
+	}
+}
+
+// TestHotFieldsPerShardLines holds what each shard writes on every packet —
+// its packet free list's header and its delivery, boundary and dial counts
+// — to cache lines that no other shard's words touch, and a line away from
+// both ends of the slice they live in, so that nothing the allocator puts
+// beside the slice shares a line with them either (DESIGN.md §9, "Per-shard
+// state owns its cache lines").
+func TestHotFieldsPerShardLines(t *testing.T) {
+	const k, line = 8, 64
+	eng := sim.NewSharded(1, k, 1)
+	defer eng.Close()
+	net := NewShardedNetwork(eng, UniformLatency(PathModel{}, PathModel{}))
+	lo := uintptr(unsafe.Pointer(&net.shards[0]))
+	hi := lo + k*unsafe.Sizeof(net.shards[0])
+	owner := make(map[uintptr]int) // a cache line → the shard whose word lies on it
+	for i := range net.shards {
+		st := &net.shards[i]
+		for _, w := range []struct {
+			name     string
+			at, size uintptr
+		}{
+			{"pkts", uintptr(unsafe.Pointer(&st.pkts)), unsafe.Sizeof(st.pkts)},
+			{"delivered", uintptr(unsafe.Pointer(&st.delivered)), unsafe.Sizeof(st.delivered)},
+			{"boundary.in", uintptr(unsafe.Pointer(&st.boundIn)), unsafe.Sizeof(st.boundIn)},
+			{"boundary.out", uintptr(unsafe.Pointer(&st.boundOut)), unsafe.Sizeof(st.boundOut)},
+			{"dialed", uintptr(unsafe.Pointer(&st.dialed)), unsafe.Sizeof(st.dialed)},
+		} {
+			if w.at < lo+line || w.at+w.size > hi-line {
+				t.Errorf("shard %d's %s lies within %d bytes of an end of the shards' slice", i, w.name, line)
+			}
+			for l := w.at / line; l <= (w.at+w.size-1)/line; l++ {
+				if j, ok := owner[l]; ok && j != i {
+					t.Errorf("shard %d's %s shares a cache line with shard %d's words", i, w.name, j)
+				}
+				owner[l] = i
+			}
+		}
 	}
 }
 

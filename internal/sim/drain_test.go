@@ -298,7 +298,7 @@ func TestEventSlabAllocs(t *testing.T) {
 }
 
 // BenchmarkShardedWindow times one window of the K=8 engine through
-// RunUntil — floor scan, worker handoff, barrier, lane drain — with every
+// RunUntil — slot reads, worker handoff, barrier, lane drain — with every
 // shard active: idle windows run one self-rescheduling event per shard,
 // loaded windows add 32 cross-shard sends per shard.
 func BenchmarkShardedWindow(b *testing.B) {

@@ -47,13 +47,7 @@ type Sharded struct {
 
 	last     Time // inclusive last instant of the in-flight window
 	inWindow bool
-	// RunUntil's scratch: the shards with work in the window (first every
-	// shard with an event queued or in a lane), each shard's next event
-	// time, and what each had executed before the window.
-	active []int
-	next   []Time
-	before []uint64
-	par    Parallelism
+	par      Parallelism
 
 	// The window barrier (DESIGN.md §9, "The window barrier"): the caller
 	// of RunUntil runs shards itself, beside workers-1 helpers.
@@ -71,30 +65,46 @@ type Sharded struct {
 	panicked any
 }
 
-// cacheLine pads the words the participants of a window write, so that
-// one participant's write does not evict a line another one is polling.
-const cacheLine = 64
+// CacheLine pads what one participant of a window, or one shard, writes,
+// so that its writes do not evict a line another one is using.
+const CacheLine = 64
 
 // barrier holds the two words every participant of a window touches.
 type barrier struct {
 	// epoch numbers the window being run (1, 2, …); quitEpoch after Close.
 	epoch atomic.Uint64
-	_     [cacheLine - 8]byte
-	// left counts the window's due shards not yet run.
+	_     [CacheLine - 8]byte
+	// left counts the window's shards not yet run.
 	left atomic.Int64
-	_    [cacheLine - 8]byte
+	_    [CacheLine - 8]byte
 }
 
 // quitEpoch tells the helpers to exit.
 const quitEpoch = ^uint64(0)
 
-// shardSlot is a shard's claim word: 2e while the shard is due in window e
-// and no participant has claimed it, 2e+1 once one has. Only a CAS from 2e
-// to 2e+1 claims it, so a helper still walking an earlier window can never
-// take a shard of a later one.
+// shardSlot is a shard's line: its claim word and what the shard's runner
+// reports at the end of its slice of a window, so that the coordinator
+// learns the next window's floor and this window's counts from K lines,
+// without reaching into any shard's queue or lanes.
 type shardSlot struct {
+	// state is the claim word: 2e while window e is open and no participant
+	// has claimed the shard, 2e+1 once one has. Only a CAS from 2e to
+	// 2e+1 claims it, so a helper still walking an earlier window can never
+	// take a shard of a later one.
 	state atomic.Uint64
-	_     [cacheLine - 8]byte
+	// next is the earliest event the shard holds or has handed to a lane in
+	// the window (Send lowers it), unless idle says there is none.
+	next   Time
+	events uint64 // events the shard executed in the window
+	idle   bool
+	_      [CacheLine - 25]byte
+}
+
+// note lowers the slot's next to when, if ok.
+func (sl *shardSlot) note(when Time, ok bool) {
+	if ok && (sl.idle || when < sl.next) {
+		sl.next, sl.idle = when, false
+	}
 }
 
 // helper is a helper goroutine's parking place: it sleeps on wake once
@@ -104,15 +114,16 @@ type shardSlot struct {
 type helper struct {
 	wake   chan struct{}
 	asleep atomic.Bool
-	_      [cacheLine - 16]byte
+	_      [CacheLine - 16]byte
 }
 
 // helperSpin is how long an idle helper polls for the next window before
-// it parks. A loaded window of the 3000-router benchmark ring takes about
-// 40 µs; a helper that has finished its shards waits for the slowest
-// shard and the next floor scan, which is shorter, so a spin of
-// this length catches the next window without a wake-up while a long
-// pause between runs costs it no more than this much CPU.
+// it parks. A window of the 3000-router benchmark ring with 100 events or
+// more takes a median 24 µs on a 2-core guest (53 µs at the 90th
+// percentile); a helper that has finished its shards waits for the
+// slowest shard and the coordinator's read of the slots, which is shorter,
+// so a spin of this length catches the next window without a wake-up
+// while a long pause between runs costs it no more than this much CPU.
 const helperSpin = 50 * time.Microsecond
 
 // spinYield is how many polls a spinning participant makes between
@@ -173,9 +184,6 @@ func NewSharded(seed int64, k, workers int) *Sharded {
 		workers: workers,
 		lanes:   make([][]crossEvent, k*k),
 		inbound: make([][]crossEvent, k*k),
-		active:  make([]int, 0, k),
-		next:    make([]Time, k),
-		before:  make([]uint64, k),
 		slots:   make([]shardSlot, k),
 	}
 	for i := range g.shards {
@@ -264,6 +272,7 @@ func (g *Sharded) Send(from, to int, when Time, fn func(any), arg any) {
 		panic(fmt.Sprintf("sim: lookahead violation: shard %d sent an event to shard %d at %v inside window ending at %v inclusive (lookahead %v too large for the latency floor)",
 			from, to, when, g.last, g.lookahead))
 	}
+	g.slots[from].note(when, true)
 	lane := &g.lanes[from*len(g.shards)+to]
 	*lane = append(*lane, crossEvent{when: when, fn: fn, arg: arg})
 }
@@ -302,25 +311,16 @@ func (g *Sharded) RunUntil(t Time) {
 		panic("sim: multi-shard RunUntil without SetLookahead")
 	}
 	g.startHelpers()
+	// Between runs every event is in a shard's queue (mergeLanes), so the
+	// first floor comes from the shards' heads; each later one from what
+	// the runners of the window before reported on their slots.
+	for i, s := range g.shards {
+		g.slots[i].idle = true
+		g.slots[i].note(s.PeekTime())
+	}
 	for {
-		// Global window floor: earliest pending event anywhere, queued or
-		// in a lane.
-		active := g.active[:0]
-		var floor Time
-		for i, s := range g.shards {
-			pt, ok := s.PeekTime()
-			if lt, lok := g.laneMin(i); lok && (!ok || lt < pt) {
-				pt, ok = lt, true
-			}
-			if ok {
-				if len(active) == 0 || pt < floor {
-					floor = pt
-				}
-				g.next[i] = pt
-				active = append(active, i)
-			}
-		}
-		if len(active) == 0 || floor > t {
+		floor, ok := g.floor()
+		if !ok || floor > t {
 			break
 		}
 		// The window's last instant: floor+lookahead-1, or t if that is
@@ -329,7 +329,7 @@ func (g *Sharded) RunUntil(t Time) {
 		if Duration(t-floor) >= g.lookahead {
 			last = floor.Add(g.lookahead - 1)
 		}
-		g.window(active, last)
+		g.window(last)
 	}
 	g.mergeLanes()
 	for _, s := range g.shards {
@@ -337,39 +337,30 @@ func (g *Sharded) RunUntil(t Time) {
 	}
 }
 
-// laneMin reports the earliest event the lanes hold for shard to.
-func (g *Sharded) laneMin(to int) (Time, bool) {
-	k := len(g.shards)
-	var earliest Time
+// floor reports the earliest event the slots report: the next window's
+// floor, or false when no shard holds an event.
+func (g *Sharded) floor() (Time, bool) {
+	var floor Time
 	ok := false
-	for l := to; l < k*k; l += k { // the lanes from every shard to `to`
-		for i := range g.lanes[l] {
-			if w := g.lanes[l][i].when; !ok || w < earliest {
-				earliest, ok = w, true
-			}
+	for i := range g.slots {
+		if sl := &g.slots[i]; !sl.idle && (!ok || sl.next < floor) {
+			floor, ok = sl.next, true
 		}
 	}
-	return earliest, ok
+	return floor, ok
 }
 
-// window runs every shard of active with an event due by last through
-// last.
-func (g *Sharded) window(active []int, last Time) {
+// window runs every shard through last. A shard with nothing due by then
+// is claimed too: its runner drains its inbound lanes and reports its head.
+func (g *Sharded) window(last Time) {
 	e := g.bar.epoch.Load() + 1
 	g.last = last
 	g.inWindow = true
 	g.lanes, g.inbound = g.inbound, g.lanes
-	due := active[:0]
-	for _, i := range active {
-		if g.next[i] <= last {
-			due = append(due, i)
-			g.before[i] = g.shards[i].Processed
-			g.slots[i].state.Store(e << 1)
-		} else {
-			g.drain(g.inbound, i)
-		}
+	for i := range g.slots {
+		g.slots[i].state.Store(e << 1)
 	}
-	g.bar.left.Store(int64(len(due)))
+	g.bar.left.Store(int64(len(g.slots)))
 	g.publish(e)
 	g.work(0, e)
 	for n := 1; g.bar.left.Load() != 0; n++ {
@@ -384,8 +375,8 @@ func (g *Sharded) window(active []int, last Time) {
 		panic(r)
 	}
 	var busiest uint64
-	for _, i := range due {
-		d := g.shards[i].Processed - g.before[i]
+	for i := range g.slots {
+		d := g.slots[i].events
 		g.par.Events += d
 		busiest = max(busiest, d)
 	}
@@ -459,8 +450,8 @@ func (g *Sharded) await(h *helper, seen uint64) uint64 {
 }
 
 // work runs participant p's share of window e: its home shards
-// (i ≡ p mod workers) first, then, from the far end, every due shard no
-// one has claimed yet. The coordinator is participant 0.
+// (i ≡ p mod workers) first, then, from the far end, every shard no one
+// has claimed yet. The coordinator is participant 0.
 func (g *Sharded) work(p int, e uint64) {
 	k, w := len(g.shards), g.workers
 	for i := p; i < k; i += w {
@@ -473,8 +464,8 @@ func (g *Sharded) work(p int, e uint64) {
 	}
 }
 
-// claim runs shard i's slice of window e if it is due there and no one
-// has claimed it yet.
+// claim runs shard i's slice of window e if no one has claimed it there
+// yet.
 func (g *Sharded) claim(i int, e uint64) {
 	st := &g.slots[i].state
 	if st.Load() != e<<1 || !st.CompareAndSwap(e<<1, e<<1|1) {
@@ -484,9 +475,9 @@ func (g *Sharded) claim(i int, e uint64) {
 	g.bar.left.Add(-1)
 }
 
-// runShard executes shard i's slice of the current window, converting an
-// event-callback panic into a recorded value for the coordinator to
-// re-raise.
+// runShard executes shard i's slice of the current window and reports it
+// on the shard's slot, converting an event-callback panic into a recorded
+// value for the coordinator to re-raise.
 func (g *Sharded) runShard(i int) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -497,8 +488,13 @@ func (g *Sharded) runShard(i int) {
 			g.panicMu.Unlock()
 		}
 	}()
+	s, sl := g.shards[i], &g.slots[i]
+	n := s.Processed
+	sl.idle = true
 	g.drain(g.inbound, i)
-	g.shards[i].runThrough(g.last)
+	s.runThrough(g.last)
+	sl.events = s.Processed - n
+	sl.note(s.PeekTime())
 }
 
 // RunFor advances every shard d beyond the engine's current clock, like

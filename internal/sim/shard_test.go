@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 // splitmix64 is the deterministic hash driving the random workloads: both
@@ -152,15 +153,27 @@ func TestShardedMatchesSingleThreaded(t *testing.T) {
 // TestShardedWorkerCountInvariance pins the stronger half of the
 // determinism contract: with ties or without, the (seed, shard count)
 // trace and the engine's parallelism counts never depend on how many
-// workers execute it, also when the workers outnumber the cores.
+// workers execute it, also when the workers outnumber the cores. The
+// counts themselves are pinned too: however the coordinator learns each
+// window's floor, every window stays where it was.
 func TestShardedWorkerCountInvariance(t *testing.T) {
 	const look = 5 * Millisecond
 	const horizon = Time(20 * Second)
+	pinned := []struct {
+		seed uint64
+		par  Parallelism
+	}{
+		{1, Parallelism{Windows: 7, Events: 841, Busiest: 267}},
+		{7, Parallelism{Windows: 8, Events: 1126, Busiest: 375}},
+		{42, Parallelism{Windows: 7, Events: 1156, Busiest: 389}},
+		{1234567, Parallelism{Windows: 7, Events: 874, Busiest: 301}},
+	}
 	check := func(t *testing.T, workerCounts ...int) {
-		for _, seed := range []uint64{1, 7, 42, 1234567} {
+		for _, pin := range pinned {
+			seed := pin.seed
 			ref, refPar := runSharded(seed, 24, 4, 8, 1, look, horizon)
-			if refPar.Windows == 0 || refPar.Busiest > refPar.Events {
-				t.Fatalf("seed %d: implausible parallelism counts %+v", seed, refPar)
+			if refPar != pin.par {
+				t.Fatalf("seed %d: parallelism counts %+v, want %+v", seed, refPar, pin.par)
 			}
 			for _, workers := range workerCounts {
 				got, par := runSharded(seed, 24, 4, 8, workers, look, horizon)
@@ -194,6 +207,77 @@ func TestShardedSingleShardDelegates(t *testing.T) {
 	}
 	if want := (Parallelism{Windows: 1, Events: events, Busiest: events}); par != want || par.bound() != 1 {
 		t.Fatalf("single-shard counts %+v (bound %v), want %+v", par, par.bound(), want)
+	}
+}
+
+// TestShardedInboundOnlyShardRuns: a shard whose queue is empty when a
+// window opens, and whose only work is an event another shard sent it in
+// the window before, runs in that window, and the event fires at its own
+// timestamp. The window's floor is that event's time: the sender reported
+// it on its slot, and no one reads the lanes to find it.
+func TestShardedInboundOnlyShardRuns(t *testing.T) {
+	const look = 10 * Millisecond
+	const sent, arrive = Time(Millisecond), Time(Millisecond) + Time(look)
+	for _, workers := range []int{1, 3} {
+		g := NewSharded(1, 3, workers)
+		g.SetLookahead(look)
+		var firedAt, firedIn Time
+		g.Shard(0).At(sent, func() {
+			g.Send(0, 2, arrive, func(any) { firedAt, firedIn = g.Shard(2).Now(), g.last }, nil)
+		})
+		g.RunUntil(Time(Second))
+		g.Close()
+		if firedAt != arrive || firedIn != arrive.Add(look-1) {
+			t.Errorf("workers=%d: the sent event fired at %v in the window ending at %v, want %v in the one ending at %v",
+				workers, firedAt, firedIn, arrive, arrive.Add(look-1))
+		}
+		if par := g.parallelism(); par != (Parallelism{Windows: 2, Events: 2, Busiest: 2}) {
+			t.Errorf("workers=%d: counts %+v, want 2 windows of one event each", workers, par)
+		}
+	}
+}
+
+// TestShardedSeesEventScheduledBetweenRuns: an event scheduled on a shard
+// between two RunUntil calls is found when the second one reads the
+// shards' heads — on a shard the first run left idle, and on one whose
+// last report was a later event — and fires in a window that starts no
+// later than it.
+func TestShardedSeesEventScheduledBetweenRuns(t *testing.T) {
+	const look = 10 * Millisecond
+	g := NewSharded(1, 4, 2)
+	defer g.Close()
+	g.SetLookahead(look)
+	var fired [4]Time
+	note := func(i int) func() {
+		return func() {
+			if g.last >= g.Shard(i).Now().Add(look) {
+				t.Errorf("shard %d's event at %v ran in the window ending at %v", i, g.Shard(i).Now(), g.last)
+			}
+			fired[i] = g.Shard(i).Now()
+		}
+	}
+	g.Shard(0).At(Time(Millisecond), func() {})
+	g.Shard(3).At(Time(80*Millisecond), func() {})
+	g.RunUntil(Time(10 * Millisecond))
+	g.Shard(2).At(Time(40*Millisecond), note(2))
+	g.Shard(3).At(Time(20*Millisecond), note(3))
+	g.RunUntil(Time(Second))
+	if want := [4]Time{2: Time(40 * Millisecond), 3: Time(20 * Millisecond)}; fired != want {
+		t.Errorf("fired %v, want %v", fired, want)
+	}
+}
+
+// TestShardedSlotOneLine holds a shard's slot — its claim word and what its
+// runner reports — to one cache line, and a K = 8 engine's slots each to
+// their own.
+func TestShardedSlotOneLine(t *testing.T) {
+	if size := unsafe.Sizeof(shardSlot{}); size != CacheLine {
+		t.Errorf("shardSlot is %d bytes, want one %d-byte line", size, CacheLine)
+	}
+	g := NewSharded(1, 8, 1)
+	defer g.Close()
+	if at := uintptr(unsafe.Pointer(&g.slots[0])); at%CacheLine != 0 {
+		t.Errorf("the slots start at %#x, off a line", at)
 	}
 }
 
@@ -558,8 +642,8 @@ func TestShardedPanicReraised(t *testing.T) {
 	}
 }
 
-// BenchmarkShardWindow times one window of an 8-shard engine — the floor
-// scan, the hand-out, the barrier and the lane merge — with one trivial
+// BenchmarkShardWindow times one window of an 8-shard engine — the slot
+// reads, the hand-out, the barrier and the lane merge — with one trivial
 // event per shard (what the barrier costs on its own) and with 13 per
 // shard (about the 106 events of a 3000-router ring's window), at one and
 // two workers.

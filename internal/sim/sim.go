@@ -617,8 +617,8 @@ func (s *Simulator) RunUntil(t Time) {
 func (s *Simulator) RunFor(d Duration) { s.RunUntil(s.now.Add(d)) }
 
 // PeekTime reports the timestamp of the earliest pending event. The second
-// return is false when the queue is empty. Sharded coordinators use it to
-// compute the global window floor without popping anything.
+// return is false when the queue is empty. A sharded engine's runners
+// report it at the end of each window, for the next window's floor.
 func (s *Simulator) PeekTime() (Time, bool) {
 	s.closeHoles()
 	sl := s.head()

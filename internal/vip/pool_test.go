@@ -3,6 +3,7 @@ package vip
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -330,5 +331,24 @@ func TestQuickPooledMatchesGCOwned(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25, Rand: rand.New(rand.NewSource(7))}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestHotFieldsShardPoolLines keeps a cache line between a shard's free
+// lists and either end of its pool. The pools of two shards are made one
+// after the other, as each shard's first stack is built, and nothing the
+// allocator puts beside a pool may share a line with its lists (DESIGN.md
+// §9, "Per-shard state owns its cache lines").
+func TestHotFieldsShardPoolLines(t *testing.T) {
+	const line = 64
+	typ := reflect.TypeOf(shardPool{})
+	first, end := typ.Size(), uintptr(0)
+	for i := 0; i < typ.NumField(); i++ {
+		if f := typ.Field(i); f.Name != "_" {
+			first, end = min(first, f.Offset), max(end, f.Offset+f.Type.Size())
+		}
+	}
+	if first < line || typ.Size()-end < line {
+		t.Errorf("shardPool's lists lie at bytes %d to %d of %d: want a line of padding on each side", first, end, typ.Size())
 	}
 }

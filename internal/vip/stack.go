@@ -96,10 +96,14 @@ type pingState struct {
 // transfers brought home; across shards it holds the largest excess of
 // releases over acquires the shard has seen, which a transfer's returning
 // ACKs keep small. The lists are sim.FreeLists; -tags packetdebug swaps in
-// the one that reuses nothing and panics on misuse.
+// the one that reuses nothing and panics on misuse. A cache line of
+// padding on each side keeps the pools of two shards off each other's
+// lines (DESIGN.md §9, "Per-shard state owns its cache lines").
 type shardPool struct {
+	_     [sim.CacheLine]byte
 	pkts  sim.FreeList[Packet, *Packet]
 	pings sim.FreeList[pingState, *pingState]
+	_     [sim.CacheLine]byte
 }
 
 // shardPoolKey is the pool's key among its Simulator's locals.
