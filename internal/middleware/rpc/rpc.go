@@ -8,6 +8,7 @@ package rpc
 
 import (
 	"fmt"
+	"slices"
 
 	"wow/internal/vip"
 )
@@ -55,23 +56,46 @@ func Serve(stack *vip.Stack, port uint16, h Handler) (*Server, error) {
 
 // Client multiplexes requests over one persistent connection.
 type Client struct {
-	stack   *vip.Stack
-	server  vip.IP
-	port    uint16
-	conn    *vip.Conn
-	nextID  uint64
-	pending map[uint64]func(any)
+	stack  *vip.Stack
+	server vip.IP
+	port   uint16
+	conn   *vip.Conn
+	nextID uint64
+	// pending holds the calls awaiting a response, in call order.
+	pending []call
 	closed  bool
+}
+
+// call is one request awaiting its response.
+type call struct {
+	id uint64
+	cb func(any)
 }
 
 // Dial creates a client to server:port. The underlying connection is
 // established lazily and re-dialed after transport failures.
 func Dial(stack *vip.Stack, server vip.IP, port uint16) *Client {
-	return &Client{
-		stack:   stack,
-		server:  server,
-		port:    port,
-		pending: make(map[uint64]func(any)),
+	return &Client{stack: stack, server: server, port: port}
+}
+
+// take removes the pending call id and returns its callback, or nil.
+func (c *Client) take(id uint64) func(any) {
+	i := slices.IndexFunc(c.pending, func(p call) bool { return p.id == id })
+	if i < 0 {
+		return nil
+	}
+	cb := c.pending[i].cb
+	c.pending = slices.Delete(c.pending, i, i+1)
+	return cb
+}
+
+// failPending fails the pending calls in call order. A call made from one
+// of their callbacks is pending afresh and is not failed here.
+func (c *Client) failPending() {
+	failed := c.pending
+	c.pending = nil
+	for _, p := range failed {
+		p.cb(nil)
 	}
 }
 
@@ -85,8 +109,7 @@ func (c *Client) ensureConn() {
 		if !ok || !env.IsRsp {
 			return
 		}
-		if cb, waiting := c.pending[env.ID]; waiting {
-			delete(c.pending, env.ID)
+		if cb := c.take(env.ID); cb != nil {
 			cb(env.Body)
 		}
 	})
@@ -96,10 +119,7 @@ func (c *Client) ensureConn() {
 		}
 		if err != nil {
 			// Fail all pending calls; callers decide to retry.
-			for id, cb := range c.pending {
-				delete(c.pending, id)
-				cb(nil)
-			}
+			c.failPending()
 		}
 	})
 	c.conn = conn
@@ -115,9 +135,9 @@ func (c *Client) Call(req any, reqSize int, cb func(resp any)) {
 	c.ensureConn()
 	c.nextID++
 	id := c.nextID
-	c.pending[id] = cb
+	c.pending = append(c.pending, call{id, cb})
 	if err := c.conn.Send(reqSize, envelope{ID: id, Body: req}); err != nil {
-		delete(c.pending, id)
+		c.take(id)
 		cb(nil)
 	}
 }
@@ -128,10 +148,7 @@ func (c *Client) Close() {
 		return
 	}
 	c.closed = true
-	for id, cb := range c.pending {
-		delete(c.pending, id)
-		cb(nil)
-	}
+	c.failPending()
 	if c.conn != nil {
 		c.conn.Close()
 		c.conn = nil

@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"slices"
 	"testing"
 
 	"wow/internal/sim"
@@ -142,5 +143,75 @@ func TestRedialAfterFailure(t *testing.T) {
 	s.RunFor(sim.Minute)
 	if second != 3 {
 		t.Fatalf("redial failed: %v", second)
+	}
+}
+
+// TestPendingFailInCallOrder: a client fails its pending calls in the order
+// they were made, on Close and when the transport dies, so what the callbacks
+// do repeats from run to run. A call made from a failure callback waits on
+// the new connection and is answered once the path is back.
+func TestPendingFailInCallOrder(t *testing.T) {
+	const clients, calls = 6, 8
+	s, server, _, m := setup(7)
+	Serve(server, 100, func(from vip.IP, body any, reply func(any, int)) {
+		if body == "again" {
+			reply(body, 64)
+		}
+	})
+	cfg := vip.StackConfig{GiveUp: sim.Minute}
+	failed := make([][]int, 2*clients)
+	answered := make([]any, clients) // the dying clients' calls made from a callback
+	var closing, dying []*Client
+	for i := range failed {
+		c := Dial(m.AddStack(vip.MustParseIP("10.0.1.1")+vip.IP(i), cfg), server.IP(), 100)
+		if i < clients {
+			closing = append(closing, c)
+		} else {
+			dying = append(dying, c)
+		}
+		for j := 0; j < calls; j++ {
+			c.Call(j, 64, func(resp any) {
+				if resp != nil {
+					t.Errorf("client %d call %d answered %v, want a failure", i, j, resp)
+				}
+				failed[i] = append(failed[i], j)
+				if i >= clients && j == 0 {
+					c.Call("again", 64, func(resp any) { answered[i-clients] = resp })
+				}
+			})
+		}
+	}
+	s.RunFor(sim.Second)
+	for _, c := range closing {
+		c.Close()
+	}
+	for i := range closing {
+		if !slices.Equal(failed[i], []int{0, 1, 2, 3, 4, 5, 6, 7}) {
+			t.Errorf("Close failed client %d's calls in the order %v, want call order", i, failed[i])
+		}
+	}
+
+	m.SetUp(server.IP(), false)
+	for _, c := range dying {
+		c.Call("nudge", 64, func(any) {}) // traffic, so the transport notices
+	}
+	for i := 0; i < 600 && len(failed[len(failed)-1]) < calls; i++ {
+		s.RunFor(sim.Second)
+	}
+	for k, c := range dying {
+		i := clients + k
+		if !slices.Equal(failed[i], []int{0, 1, 2, 3, 4, 5, 6, 7}) {
+			t.Errorf("transport death failed client %d's calls in the order %v, want call order", i, failed[i])
+		}
+		if len(c.pending) != 1 || answered[k] != nil {
+			t.Fatalf("client %d: %d calls pending after the failure, answer %v; want the call made from the callback pending", i, len(c.pending), answered[k])
+		}
+	}
+	m.SetUp(server.IP(), true)
+	s.RunFor(sim.Minute)
+	for k := range dying {
+		if answered[k] != "again" {
+			t.Errorf("client %d: the call made from a failure callback got %v, want its answer", clients+k, answered[k])
+		}
 	}
 }

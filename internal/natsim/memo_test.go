@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -149,22 +150,43 @@ func sameNAT(n *NAT, r *refNAT) error {
 	if n.cfg != r.cfg || n.nextPort != r.nextPort || !reflect.DeepEqual(n.Drops, r.Drops) {
 		return fmt.Errorf("device cfg %+v nextPort %d drops %v, reference %+v %d %v", n.cfg, n.nextPort, n.Drops, r.cfg, r.nextPort, r.Drops)
 	}
-	if len(n.byKey) != len(r.byKey) || len(n.byPublic) != len(r.byPublic) {
-		return fmt.Errorf("device holds %d/%d mappings, reference %d/%d", len(n.byKey), len(n.byPublic), len(r.byKey), len(r.byPublic))
+	if len(n.table) != len(r.byKey) || len(r.byPublic) != len(r.byKey) {
+		return fmt.Errorf("device holds %d mappings, reference %d/%d", len(n.table), len(r.byKey), len(r.byPublic))
 	}
-	for k, rm := range r.byKey {
-		m := n.byKey[k]
-		if m == nil || m.key != k || m.inner != rm.inner || m.public != rm.public || m.lastUsed != rm.lastUsed || !reflect.DeepEqual(m.peers, rm.peers) {
-			return fmt.Errorf("mapping %+v: device %+v, reference %+v", k, m, rm)
+	// Each key and each public port is in the table once: the first match
+	// of either is the mapping itself. With the counts equal, the table and
+	// the reference's maps then hold the same mappings.
+	for _, m := range n.table {
+		rm := r.byKey[m.key]
+		if rm == nil || m.key.inner != rm.inner || m.public != rm.public || m.lastUsed != rm.lastUsed || !samePeers(m.peers, rm.peers) {
+			return fmt.Errorf("mapping %+v: device %+v, reference %+v", m.key, m, rm)
 		}
-		if n.byPublic[pubKey{k.proto, m.public.Port}] != m || r.byPublic[pubKey{k.proto, rm.public.Port}] != rm {
-			return fmt.Errorf("mapping %+v is not under its public port", k)
+		if n.byKey(m.key) != m || n.byPublic(m.key.proto, m.public.Port) != m || r.byPublic[pubKey{m.key.proto, rm.public.Port}] != rm {
+			return fmt.Errorf("mapping %+v is not the table's only one under its key and public port", m.key)
 		}
 	}
-	if m := n.last; m != nil && (n.byKey[m.key] != m || !m.peers[n.lastPeer.IP][n.lastPeer.Port]) {
-		return fmt.Errorf("memo %+v peer %v is not a mapping of the tables with that peer", m, n.lastPeer)
+	if m := n.last; m != nil && (!slices.Contains(n.table, m) || !slices.Contains(m.peers, n.lastPeer)) {
+		return fmt.Errorf("memo %+v peer %v is not a mapping of the table with that peer", m, n.lastPeer)
 	}
 	return nil
+}
+
+// samePeers reports whether the flat peer list holds each destination of
+// the reference's sets exactly once.
+func samePeers(peers []phys.Endpoint, ref map[phys.IP]map[uint16]bool) bool {
+	n := 0
+	for _, ports := range ref {
+		n += len(ports)
+	}
+	if len(peers) != n {
+		return false
+	}
+	for i, e := range peers {
+		if !ref[e.IP][e.Port] || slices.Contains(peers[:i], e) {
+			return false
+		}
+	}
+	return true
 }
 
 // run executes steps random steps. A packet usually repeats the previous
@@ -288,15 +310,15 @@ func TestFlowMemoCases(t *testing.T) {
 		pr.now = pr.now.Add(progTTL + 1)
 		pr.inbound(phys.WireUDP, peer, pub)
 		step("inbound past the TTL")
-		if nat.last != nil || len(nat.byKey) != 0 || nat.Drops["nomapping"] != 1 {
-			t.Fatalf("%v: expired mapping survives: memo %v, %d mappings, drops %v", typ, nat.last, len(nat.byKey), nat.Drops)
+		if nat.last != nil || len(nat.table) != 0 || nat.Drops["nomapping"] != 1 {
+			t.Fatalf("%v: expired mapping survives: memo %v, %d mappings, drops %v", typ, nat.last, len(nat.table), nat.Drops)
 		}
 		pr.outbound(phys.WireUDP, in, peer)
 		pr.now = pr.now.Add(progTTL + 1)
 		second, _ := pr.outbound(phys.WireUDP, in, peer)
 		step("outbound past the TTL")
-		if second.seenAs == pub || len(nat.byKey) != 1 {
-			t.Fatalf("%v: expired mapping re-used: public %v then %v, %d mappings", typ, pub, second.seenAs, len(nat.byKey))
+		if second.seenAs == pub || len(nat.table) != 1 {
+			t.Fatalf("%v: expired mapping re-used: public %v then %v, %d mappings", typ, pub, second.seenAs, len(nat.table))
 		}
 		// Rebind forgets the flow the memo holds.
 		nat.Rebind()

@@ -8,6 +8,7 @@ package natsim
 
 import (
 	"fmt"
+	"slices"
 
 	"wow/internal/phys"
 	"wow/internal/sim"
@@ -67,12 +68,11 @@ type mapKey struct {
 
 type mapping struct {
 	key      mapKey
-	inner    phys.Endpoint
 	public   phys.Endpoint
 	lastUsed sim.Time
-	// peers records destinations the inner endpoint has contacted, for
-	// restricted-cone filtering: IP -> set of ports.
-	peers map[phys.IP]map[uint16]bool
+	// peers lists the destinations the inner endpoint has contacted, each
+	// once, for restricted-cone and port-restricted filtering.
+	peers []phys.Endpoint
 }
 
 // NAT is a network address translator implementing phys.Boundary.
@@ -81,24 +81,26 @@ type NAT struct {
 	cfg      Config
 	publicIP phys.IP
 	nextPort uint16
-	byKey    map[mapKey]*mapping
-	byPublic map[pubKey]*mapping
-	clock    func() sim.Time
+	// table holds the mappings, at most one per key and one per (wire
+	// protocol, public port): NATs keep separate UDP and TCP translation
+	// tables. An expired mapping stays until a lookup, Mappings or Rebind
+	// finds it, and keeps its public port taken until then.
+	table []*mapping
+	clock func() sim.Time
 	// Drops counts packets dropped by this device, by reason.
 	Drops map[string]int
 
 	// The flow memo: the mapping the previous translation used, in either
 	// direction, and that packet's remote endpoint. A transfer is a long
-	// run of one flow, so the memo usually answers for both tables and the
-	// filter set without a map operation. While last is set it is the
-	// entry of byKey and byPublic under its own keys and last.peers holds
-	// lastPeer exactly: whatever takes a mapping out of the tables goes
-	// through drop or Rebind, which clear the memo, and only a translation
-	// that has just written or read that peer entry sets it. The TTL test
-	// and the lastUsed refresh run on a hit as on a miss.
+	// run of one flow, so the memo usually answers without scanning the
+	// table or the peer list. While last is set it is a mapping of the table
+	// and last.peers holds lastPeer: whatever takes a mapping out of the
+	// table goes through drop, Mappings or Rebind, which clear the memo, and
+	// only a translation that has just written or read that peer entry sets
+	// it. The TTL test and the lastUsed refresh run on a hit as on a miss.
 	last     *mapping
 	lastPeer phys.Endpoint
-	// memoHits of memoLookups translations did no map operation (tests read
+	// memoHits of memoLookups translations scanned nothing (tests read
 	// them; nothing prints them).
 	memoHits, memoLookups uint64
 }
@@ -111,8 +113,6 @@ func NewNAT(name string, cfg Config, publicIP phys.IP, clock func() sim.Time) *N
 		cfg:      cfg,
 		publicIP: publicIP,
 		nextPort: 1024,
-		byKey:    make(map[mapKey]*mapping),
-		byPublic: make(map[pubKey]*mapping),
 		clock:    clock,
 		Drops:    make(map[string]int),
 	}
@@ -151,9 +151,7 @@ func (n *NAT) SetType(t NATType) { n.cfg.Type = t }
 // flows at once. Overlay links through the NAT break until the protocols
 // re-establish them.
 func (n *NAT) Rebind() {
-	n.byKey = make(map[mapKey]*mapping)
-	n.byPublic = make(map[pubKey]*mapping)
-	n.last = nil
+	n.table, n.last = nil, nil
 }
 
 // Mappings reports the number of live (unexpired) mappings, reaping
@@ -161,28 +159,44 @@ func (n *NAT) Rebind() {
 // dead flows between packets.
 func (n *NAT) Mappings() int {
 	now := n.clock()
-	live := 0
-	for _, m := range n.byKey {
-		if n.expired(now, m) {
-			n.drop(m)
-		} else {
-			live++
-		}
+	if n.last != nil && n.expired(now, n.last) {
+		n.last = nil
 	}
-	return live
+	n.table = slices.DeleteFunc(n.table, func(m *mapping) bool { return n.expired(now, m) })
+	return len(n.table)
 }
 
 func (n *NAT) expired(now sim.Time, m *mapping) bool {
 	return now.Sub(m.lastUsed) > mappingTTL
 }
 
-// drop takes m out of both tables, and out of the memo if it is there.
+// drop takes m out of the table, and out of the memo if it is there.
 func (n *NAT) drop(m *mapping) {
-	delete(n.byKey, m.key)
-	delete(n.byPublic, pubKey{m.key.proto, m.public.Port})
+	i := slices.Index(n.table, m)
+	n.table = slices.Delete(n.table, i, i+1)
 	if n.last == m {
 		n.last = nil
 	}
+}
+
+// byKey returns the table's mapping under k, or nil.
+func (n *NAT) byKey(k mapKey) *mapping {
+	for _, m := range n.table {
+		if m.key == k {
+			return m
+		}
+	}
+	return nil
+}
+
+// byPublic returns the table's mapping of the public port, or nil.
+func (n *NAT) byPublic(proto uint8, port uint16) *mapping {
+	for _, m := range n.table {
+		if m.public.Port == port && m.key.proto == proto {
+			return m
+		}
+	}
+	return nil
 }
 
 func (n *NAT) key(proto uint8, inner, dst phys.Endpoint) mapKey {
@@ -192,13 +206,6 @@ func (n *NAT) key(proto uint8, inner, dst phys.Endpoint) mapKey {
 	return mapKey{proto: proto, inner: inner}
 }
 
-// pubKey identifies a public-side mapping: NATs keep separate UDP and TCP
-// translation tables.
-type pubKey struct {
-	proto uint8
-	port  uint16
-}
-
 func (n *NAT) allocPort(proto uint8) uint16 {
 	for {
 		p := n.nextPort
@@ -206,7 +213,7 @@ func (n *NAT) allocPort(proto uint8) uint16 {
 		if n.nextPort == 0 {
 			n.nextPort = 1024
 		}
-		if _, taken := n.byPublic[pubKey{proto, p}]; !taken {
+		if n.byPublic(proto, p) == nil {
 			return p
 		}
 	}
@@ -216,28 +223,21 @@ func (n *NAT) allocPort(proto uint8) uint16 {
 // if absent or expired, with dst recorded among its peers and both
 // remembered as the flow memo.
 func (n *NAT) lookupOrCreate(now sim.Time, k mapKey, dst phys.Endpoint) *mapping {
-	m, ok := n.byKey[k]
-	if ok && n.expired(now, m) {
+	m := n.byKey(k)
+	if m != nil && n.expired(now, m) {
 		// Expired: a fresh flow gets a fresh public port, modelling
 		// the NAT translation changes the paper observed on the
 		// home-broadband node034.
 		n.drop(m)
-		ok = false
+		m = nil
 	}
-	if !ok {
-		m = &mapping{
-			key:    k,
-			inner:  k.inner,
-			public: phys.Endpoint{IP: n.publicIP, Port: n.allocPort(k.proto)},
-			peers:  make(map[phys.IP]map[uint16]bool),
-		}
-		n.byKey[k] = m
-		n.byPublic[pubKey{k.proto, m.public.Port}] = m
+	if m == nil {
+		m = &mapping{key: k, public: phys.Endpoint{IP: n.publicIP, Port: n.allocPort(k.proto)}}
+		n.table = append(n.table, m)
 	}
-	if m.peers[dst.IP] == nil {
-		m.peers[dst.IP] = make(map[uint16]bool)
+	if !slices.Contains(m.peers, dst) {
+		m.peers = append(m.peers, dst)
 	}
-	m.peers[dst.IP][dst.Port] = true
 	n.last, n.lastPeer = m, dst
 	return m
 }
@@ -252,7 +252,7 @@ func (n *NAT) Outbound(now sim.Time, p *phys.Packet) bool {
 	n.memoLookups++
 	// The memo is compared by the key the current discipline computes, so
 	// a mapping made under another discipline (SetType) misses here exactly
-	// as it misses in byKey.
+	// as it misses in the table.
 	k := n.key(p.Proto, p.Src, p.Dst)
 	m := n.last
 	if m != nil && m.key == k && p.Dst == n.lastPeer && !n.expired(now, m) {
@@ -273,7 +273,7 @@ func (n *NAT) Inbound(now sim.Time, p *phys.Packet) bool {
 	m := n.last
 	hit := m != nil && m.public.Port == p.Dst.Port && m.key.proto == p.Proto
 	if !hit {
-		m = n.byPublic[pubKey{p.Proto, p.Dst.Port}]
+		m = n.byPublic(p.Proto, p.Dst.Port)
 	}
 	if m != nil && n.expired(now, m) {
 		// Expired mapping: reap it now; the packet is dropped exactly as
@@ -292,14 +292,14 @@ func (n *NAT) Inbound(now sim.Time, p *phys.Packet) bool {
 		// accept from anyone
 	case RestrictedCone:
 		hit = hit && p.Src.IP == n.lastPeer.IP
-		if !hit && m.peers[p.Src.IP] == nil {
+		if !hit && !slices.ContainsFunc(m.peers, func(e phys.Endpoint) bool { return e.IP == p.Src.IP }) {
 			n.Drops["filtered"]++
 			return false
 		}
 	case PortRestricted, Symmetric:
 		hit = hit && p.Src == n.lastPeer
 		if !hit {
-			if !m.peers[p.Src.IP][p.Src.Port] {
+			if !slices.Contains(m.peers, p.Src) {
 				n.Drops["filtered"]++
 				return false
 			}
@@ -310,7 +310,7 @@ func (n *NAT) Inbound(now sim.Time, p *phys.Packet) bool {
 		n.memoHits++
 	}
 	m.lastUsed = now
-	p.Dst = m.inner
+	p.Dst = m.key.inner
 	return true
 }
 

@@ -19,6 +19,13 @@ type refMapping struct {
 	peers    map[phys.IP]map[uint16]bool
 }
 
+// pubKey identifies a public-side mapping: NATs keep separate UDP and TCP
+// translation tables.
+type pubKey struct {
+	proto uint8
+	port  uint16
+}
+
 type refNAT struct {
 	cfg      Config
 	publicIP phys.IP

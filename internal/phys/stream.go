@@ -1,9 +1,10 @@
 package phys
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"wow/internal/sim"
 )
@@ -75,20 +76,23 @@ type Stream struct {
 	connID   uint64
 	state    int
 
-	// send side
-	nextSeq uint64
-	sendBuf map[uint64]*streamSeg // unacked, by seq
-	queue   []*streamSeg          // beyond the window
-	finSeq  uint64
-	closing bool
+	// send side: every unacknowledged message in sequence order, of which
+	// the first inFlight are on the wire (the window) and the rest queue
+	// behind it
+	nextSeq  uint64
+	unacked  []*streamSeg
+	inFlight int
+	finSeq   uint64
+	closing  bool
 
 	rto      sim.Duration
 	retries  int
 	rtoTimer sim.Timer
 
-	// receive side
+	// receive side; oo holds the segments that arrived ahead of rcvNext+1,
+	// in sequence order
 	rcvNext   uint64
-	oo        map[uint64]*streamSeg
+	oo        []*streamSeg
 	remoteFin uint64
 
 	onMsg   func(size int, payload any)
@@ -148,8 +152,6 @@ func (h *Host) DialStream(dst Endpoint) *Stream {
 		remote:   dst,
 		connID:   h.net.allocConnID(h),
 		state:    streamSynSent,
-		sendBuf:  make(map[uint64]*streamSeg),
-		oo:       make(map[uint64]*streamSeg),
 		rto:      sim.Second,
 	}
 	h.addStream(s)
@@ -196,22 +198,20 @@ func (s *Stream) Close() {
 	s.transmitOrQueue(fin)
 }
 
+// transmitOrQueue appends seg and sends it if the window has room: an open
+// stream's queue is empty whenever its window is not full.
 func (s *Stream) transmitOrQueue(seg *streamSeg) {
-	if s.state != streamOpen || uint64(len(s.sendBuf)) >= streamWindow {
-		s.queue = append(s.queue, seg)
-		return
+	s.unacked = append(s.unacked, seg)
+	if s.state == streamOpen && s.inFlight < streamWindow {
+		s.drainQueue()
 	}
-	s.sendBuf[seg.Seq] = seg
-	s.emit(streamHdrSize+seg.Size, *seg)
-	s.armRTO()
 }
 
 // drainQueue moves queued messages into the window.
 func (s *Stream) drainQueue() {
-	for len(s.queue) > 0 && uint64(len(s.sendBuf)) < streamWindow {
-		seg := s.queue[0]
-		s.queue = s.queue[1:]
-		s.sendBuf[seg.Seq] = seg
+	for s.inFlight < len(s.unacked) && s.inFlight < streamWindow {
+		seg := s.unacked[s.inFlight]
+		s.inFlight++
 		s.emit(streamHdrSize+seg.Size, *seg)
 	}
 	s.armRTO()
@@ -241,7 +241,7 @@ func (s *Stream) armRTO() {
 	if s.state == streamClosed {
 		return
 	}
-	if s.state == streamOpen && len(s.sendBuf) == 0 {
+	if s.state == streamOpen && s.inFlight == 0 {
 		return
 	}
 	s.rtoTimer = s.host.Sim().AtArg(s.host.Sim().Now().Add(s.rto), streamTimeoutFired, s)
@@ -266,13 +266,8 @@ func (s *Stream) onTimeout() {
 		s.emit(streamHdrSize, streamSyn{ConnID: s.connID})
 	case streamOpen:
 		// Retransmit the earliest unacked message.
-		var lo uint64
-		for seq := range s.sendBuf {
-			if lo == 0 || seq < lo {
-				lo = seq
-			}
-		}
-		if seg, ok := s.sendBuf[lo]; ok {
+		if s.inFlight > 0 {
+			seg := s.unacked[0]
 			s.emit(streamHdrSize+seg.Size, *seg)
 		}
 	}
@@ -306,31 +301,20 @@ func (s *Stream) abort(err error) {
 }
 
 // flightDiscardBuffers gives every traced overlay packet still buffered in
-// a dying stream a route terminal: unacked and queued messages on the send
-// side, out-of-order segments held on the receive side. Buffers are walked
-// in sequence order so the emitted records are deterministic. A segment
-// whose payload already terminated elsewhere (delivered from a wire copy,
-// or discarded by the peer's teardown of the same shared object) has a
-// cleared context and stays silent.
+// a dying stream a route terminal: the window's messages, then out-of-order
+// segments held on the receive side, then the queue, each in sequence order
+// so the emitted records are deterministic. A segment whose payload already
+// terminated elsewhere (delivered from a wire copy, or discarded by the
+// peer's teardown of the same shared object) has a cleared context and
+// stays silent.
 func (s *Stream) flightDiscardBuffers() {
 	if s.host.net.FlightRecorder == nil {
 		return
 	}
-	for _, buf := range []map[uint64]*streamSeg{s.sendBuf, s.oo} {
-		if len(buf) == 0 {
-			continue
+	for _, buf := range [][]*streamSeg{s.unacked[:s.inFlight], s.oo, s.unacked[s.inFlight:]} {
+		for _, seg := range buf {
+			s.host.net.flightDiscard(s.host.shard, "stream_abort", seg.Payload)
 		}
-		seqs := make([]uint64, 0, len(buf))
-		for seq := range buf {
-			seqs = append(seqs, seq)
-		}
-		sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-		for _, seq := range seqs {
-			s.host.net.flightDiscard(s.host.shard, "stream_abort", buf[seq].Payload)
-		}
-	}
-	for _, seg := range s.queue {
-		s.host.net.flightDiscard(s.host.shard, "stream_abort", seg.Payload)
 	}
 }
 
@@ -354,14 +338,13 @@ func (s *Stream) receive(p *Packet) {
 		if m.ConnID != s.connID {
 			return
 		}
-		progressed := false
-		for seq := range s.sendBuf {
-			if seq <= m.CumAck {
-				delete(s.sendBuf, seq)
-				progressed = true
-			}
+		acked := 0
+		for acked < s.inFlight && s.unacked[acked].Seq <= m.CumAck {
+			acked++
 		}
-		if progressed {
+		if acked > 0 {
+			s.unacked = slices.Delete(s.unacked, 0, acked)
+			s.inFlight -= acked
 			s.retries = 0
 			s.rto = sim.Second
 			s.drainQueue()
@@ -382,16 +365,18 @@ func (s *Stream) acceptSeg(seg *streamSeg) {
 	switch {
 	case seg.Seq == s.rcvNext+1:
 		s.deliver(seg)
-		for {
-			next, ok := s.oo[s.rcvNext+1]
-			if !ok {
-				break
-			}
-			delete(s.oo, s.rcvNext+1)
+		for len(s.oo) > 0 && s.oo[0].Seq == s.rcvNext+1 {
+			next := s.oo[0]
+			s.oo = slices.Delete(s.oo, 0, 1)
 			s.deliver(next)
 		}
 	case seg.Seq > s.rcvNext+1:
-		s.oo[seg.Seq] = seg
+		i, dup := slices.BinarySearchFunc(s.oo, seg.Seq, func(o *streamSeg, seq uint64) int { return cmp.Compare(o.Seq, seq) })
+		if dup {
+			s.oo[i] = seg
+		} else {
+			s.oo = slices.Insert(s.oo, i, seg)
+		}
 	}
 	s.emit(streamHdrSize, streamAck{ConnID: s.connID, CumAck: s.rcvNext})
 	if s.remoteFin > 0 && s.rcvNext == s.remoteFin && s.state != streamClosed {
@@ -425,14 +410,12 @@ func (h *Host) streamDispatchListener(l *StreamListener, p *Packet) {
 			return
 		}
 		s := &Stream{
-			host:    h,
-			sock:    l.sock,
-			remote:  p.Src,
-			connID:  m.ConnID,
-			state:   streamOpen,
-			sendBuf: make(map[uint64]*streamSeg),
-			oo:      make(map[uint64]*streamSeg),
-			rto:     sim.Second,
+			host:   h,
+			sock:   l.sock,
+			remote: p.Src,
+			connID: m.ConnID,
+			state:  streamOpen,
+			rto:    sim.Second,
 		}
 		h.addStream(s)
 		s.startReaper()

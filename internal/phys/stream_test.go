@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"wow/internal/sim"
+	"wow/internal/trace"
 )
 
 func streamRig(seed int64, loss float64) (*sim.Simulator, *Network, *Host, *Host) {
@@ -128,6 +129,83 @@ func TestStreamTimesOutOnDeadPeer(t *testing.T) {
 	s.RunFor(10 * sim.Minute)
 	if err != ErrStreamTimeout {
 		t.Fatalf("err = %v, want timeout", err)
+	}
+}
+
+// TestStreamReorderBuffer: segments that arrive out of order, some twice,
+// are each delivered once and in sequence once the gap before them fills.
+func TestStreamReorderBuffer(t *testing.T) {
+	s, _, h1, h2 := streamRig(12, 0)
+	h2.ListenStream(7000, func(*Stream) {})
+	st := h1.DialStream(Endpoint{IP: h2.IP(), Port: 7000})
+	var got []any
+	st.OnMessage(func(_ int, payload any) { got = append(got, payload) })
+	s.RunFor(sim.Second)
+	for _, seq := range []uint64{3, 5, 3, 5, 4, 2, 1} {
+		st.acceptSeg(&streamSeg{ConnID: st.connID, Seq: seq, Size: 10, Payload: seq})
+	}
+	if fmt.Sprint(got) != "[1 2 3 4 5]" || len(st.oo) != 0 {
+		t.Fatalf("delivered %v with %d segments still held, want [1 2 3 4 5] and none", got, len(st.oo))
+	}
+}
+
+// tracedMsg is an overlay payload carrying a trace context.
+type tracedMsg struct{ id uint64 }
+
+func (m *tracedMsg) TraceContext() (uint64, sim.Time) { return m.id, 0 }
+func (m *tracedMsg) ClearTrace()                      { m.id = 0 }
+
+// TestStreamAbortDiscardsBuffers: a traced stream that dies holding messages
+// in its window, segments in its reorder buffer and messages queued behind
+// the window gives each traced payload exactly one phys.stream_abort
+// terminal — the window's by sequence, then the reorder buffer's by
+// sequence, then the queue's — and an untraced payload none.
+func TestStreamAbortDiscardsBuffers(t *testing.T) {
+	s, net, h1, h2 := streamRig(11, 0)
+	net.FlightRecorder = trace.New(trace.Options{}, s)
+	h2.ListenStream(7000, func(*Stream) {})
+	st := h1.DialStream(Endpoint{IP: h2.IP(), Port: 7000})
+	var closeErr error
+	st.OnClose(func(err error) { closeErr = err })
+	s.RunFor(sim.Second)
+	if st.state != streamOpen {
+		t.Fatal("handshake failed")
+	}
+	net.Perturb = func(_, _ *Host, pm PathModel) (PathModel, bool) { return pm, true }
+
+	var want []uint64
+	for i := 1; i <= streamWindow+3; i++ {
+		id := uint64(i)
+		if i == 2 {
+			st.SendMsg(10, nil) // untraced
+			continue
+		}
+		st.SendMsg(10, &tracedMsg{id})
+		if i <= streamWindow {
+			want = append(want, id)
+		}
+	}
+	// Out of order and once twice, as a retransmission would arrive: the
+	// reorder buffer holds seqs 3 and 5, one entry each.
+	held := map[uint64]*tracedMsg{3: {1003}, 5: {1005}}
+	for _, seq := range []uint64{5, 3, 5} {
+		st.acceptSeg(&streamSeg{ConnID: st.connID, Seq: seq, Size: 10, Payload: held[seq]})
+	}
+	want = append(want, 1003, 1005, streamWindow+1, streamWindow+2, streamWindow+3)
+
+	s.RunFor(10 * sim.Minute)
+	if st.state != streamClosed || closeErr != ErrStreamTimeout {
+		t.Fatalf("stream state %d, closed with %v; want timed out", st.state, closeErr)
+	}
+	var got []uint64
+	for _, r := range net.FlightRecorder.Drain() {
+		if r.Stream != trace.StreamRoute || r.Outcome != trace.OutcomePhysicalDrop+"stream_abort" {
+			t.Fatalf("unexpected record %+v", r)
+		}
+		got = append(got, r.Trace)
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("stream_abort terminals for traces\n%v\nwant\n%v", got, want)
 	}
 }
 
@@ -282,7 +360,7 @@ func TestAllocFreeRTO(t *testing.T) {
 		t.Fatal("handshake failed")
 	}
 	st.SendMsg(100, nil)
-	if len(st.sendBuf) == 0 {
+	if st.inFlight == 0 {
 		t.Fatal("nothing unacknowledged after SendMsg")
 	}
 	avg := testing.AllocsPerRun(1000, func() {

@@ -52,6 +52,14 @@ func (c *Conn) RTOArmsSince(m RTOMark) (arms int, ok bool) {
 // OOLen is the number of out-of-order segments the connection has parked.
 func (c *Conn) OOLen() int { return len(c.oo) }
 
+// parkedPacket is the packet parked at first byte at, or nil.
+func (c *Conn) parkedPacket(at int) *Packet {
+	if i, ok := c.parkedAt(at); ok {
+		return c.oo[i].p
+	}
+	return nil
+}
+
 // gcCopy returns a copy of p that belongs to the garbage collector: no pool
 // will ever take it back, and it shares nothing with p.
 func (p *Packet) gcCopy() *Packet {

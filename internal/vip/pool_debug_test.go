@@ -57,7 +57,7 @@ func TestPoolDebugParkedSegment(t *testing.T) {
 	if srv == nil || srv.OOLen() != 1 {
 		t.Fatal("second segment not parked")
 	}
-	b.release(srv.oo[1400], "behind its back")
+	b.release(srv.parkedPacket(1400), "behind its back")
 	mustPanic(t, "use of released packet in drain (released in behind its back)", func() { s.RunFor(10 * sim.Second) })
 }
 

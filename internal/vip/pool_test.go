@@ -161,6 +161,52 @@ func TestOvertakenSegmentDropped(t *testing.T) {
 	}
 }
 
+// TestDrainBehindOvertaken: the segment parked at the stream's new rcvNxt is
+// delivered at once even when a segment the stream passed sits before it. A
+// 600-byte write is lost, an 800-byte one parks at 600 and a 300-byte one at
+// 1400; the retransmission cut [0, 1400) passes the segment parked at 600
+// and lands on the one at 1400, so the ACK that answers it acknowledges 1700.
+func TestDrainBehindOvertaken(t *testing.T) {
+	s, a, b, wa, wb := wiredStacks(5, 5*sim.Millisecond)
+	var srv *Conn
+	b.ListenTCP(80, func(c *Conn) { srv = c })
+	c := a.DialTCP(b.IP(), 80)
+	s.RunFor(sim.Second)
+	if c.state != stateEstablished {
+		t.Fatal("handshake failed")
+	}
+	retransmitted, acked := false, -1
+	data := wb.recv
+	wb.recv = func(p *Packet) {
+		if p.tcp.Len > 0 && p.tcp.Seq == 0 {
+			if srv.OOLen() != 2 {
+				t.Fatalf("want two segments parked when the retransmission arrives, oo holds %d", srv.OOLen())
+			}
+			retransmitted = true
+		}
+		data(p)
+	}
+	acks := wa.recv
+	wa.recv = func(p *Packet) {
+		if retransmitted && acked < 0 {
+			acked = p.tcp.Ack
+		}
+		acks(p)
+	}
+	wa.dropEvery = 1
+	c.Send(600, nil)
+	wa.dropEvery = 0
+	c.Send(800, nil)
+	c.Send(300, nil)
+	s.RunFor(10 * sim.Second)
+	if acked != 1700 {
+		t.Fatalf("the ACK after the retransmission acknowledges %d, want 1700", acked)
+	}
+	if srv.rcvNxt != 1700 || srv.OOLen() != 0 {
+		t.Fatalf("stream did not complete as scripted: rcvNxt %d, %d parked", srv.rcvNxt, srv.OOLen())
+	}
+}
+
 // TestOvertakenReleasedInOrder: when one retransmission carries the stream
 // past several parked segments they return to the list lowest first, whatever
 // order the map hands them out in — the free list, and with it which object
@@ -185,7 +231,7 @@ func TestOvertakenReleasedInOrder(t *testing.T) {
 				if srv.OOLen() != 5 {
 					t.Fatalf("want five segments parked when the retransmission arrives, oo holds %d", srv.OOLen())
 				}
-				highest = srv.oo[1200]
+				highest = srv.parkedPacket(1200)
 			}
 			data(p)
 		}

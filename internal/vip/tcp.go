@@ -1,8 +1,10 @@
 package vip
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"wow/internal/sim"
@@ -41,6 +43,14 @@ type connKey struct {
 	remote     IP
 	remotePort uint16
 	localPort  uint16
+}
+
+// ooSeg is an out-of-order segment: its packet, under the first byte it
+// had when it was parked (read from the packet, it would be gone once the
+// packet was released).
+type ooSeg struct {
+	at int
+	p  *Packet
 }
 
 // Conn states.
@@ -103,13 +113,13 @@ type Conn struct {
 	rcvNxt    int
 	rcvBytes  int
 	remoteFin int // stream offset of FIN, -1 until seen
-	// oo parks the segments that arrived ahead of rcvNxt, by first byte —
-	// the one place a received packet outlives its handler. A parked packet
-	// goes back to the pool when the stream reaches it and it is delivered,
-	// when the stream passes it by (a retransmission re-cut across its first
-	// byte) or when another segment takes its key; what is still parked
-	// when the connection goes is the garbage collector's.
-	oo map[int]*Packet
+	// oo parks the segments that arrived ahead of rcvNxt, ordered by first
+	// byte — the one place a received packet outlives its handler. A parked
+	// packet goes back to the pool when the stream reaches it and it is
+	// delivered, when the stream passes it by (a retransmission re-cut
+	// across its first byte) or when another segment takes its key; what is
+	// still parked when the connection goes is the garbage collector's.
+	oo []ooSeg
 
 	onConnect func()
 	onMessage func(size int, msg any)
@@ -145,7 +155,6 @@ func (s *Stack) DialTCP(dst IP, port uint16) *Conn {
 		ssthresh:  float64(s.cfg.Window),
 		rto:       sim.Second,
 		remoteFin: -1,
-		oo:        make(map[int]*Packet),
 	}
 	c.lastProgress = s.sim.Now()
 	s.conns[c.key] = c
@@ -460,7 +469,6 @@ func (s *Stack) handleTCP(p *Packet) (kept bool) {
 					ssthresh:  float64(s.cfg.Window),
 					rto:       sim.Second,
 					remoteFin: -1,
-					oo:        make(map[int]*Packet),
 				}
 				c.lastProgress = s.sim.Now()
 				s.conns[key] = c
@@ -671,13 +679,12 @@ func (c *Conn) receiveData(p *Packet) (parked bool) {
 	switch {
 	case seg.Len > 0 && seg.Seq == c.rcvNxt:
 		c.acceptSegment(seg)
-		// Drain contiguous out-of-order segments.
-		for {
-			next, ok := c.oo[c.rcvNxt]
-			if !ok {
-				break
-			}
-			delete(c.oo, c.rcvNxt)
+		// Drain contiguous out-of-order segments, each found afresh: it may
+		// sit behind segments the stream has passed, and delivering can
+		// re-enter the connection.
+		for i, ok := c.parkedAt(c.rcvNxt); ok; i, ok = c.parkedAt(c.rcvNxt) {
+			next := c.oo[i].p
+			c.oo = slices.Delete(c.oo, i, i+1)
 			next.Live(c.stack.sim, "drain")
 			c.acceptSegment(&next.tcp)
 			c.stack.release(next, "drain")
@@ -685,25 +692,19 @@ func (c *Conn) receiveData(p *Packet) (parked bool) {
 		// What the stream has passed without landing on is never looked up
 		// again: a go-back-N retransmission cut from sndUna can span the
 		// first byte of a parked segment. Lowest first, so the order of the
-		// free list does not hang on the map's iteration order.
-		for len(c.oo) > 0 {
-			lo := c.rcvNxt
-			for at := range c.oo {
-				if at < lo {
-					lo = at
-				}
-			}
-			if lo == c.rcvNxt {
-				break
-			}
-			c.stack.release(c.oo[lo], "overtaken")
-			delete(c.oo, lo)
+		// free list repeats from run to run.
+		passed, _ := c.parkedAt(c.rcvNxt)
+		for _, o := range c.oo[:passed] {
+			c.stack.release(o.p, "overtaken")
 		}
+		c.oo = slices.Delete(c.oo, 0, passed)
 	case seg.Len > 0 && seg.Seq > c.rcvNxt:
-		if old, dup := c.oo[seg.Seq]; dup {
-			c.stack.release(old, "replaced")
+		if i, dup := c.parkedAt(seg.Seq); dup {
+			c.stack.release(c.oo[i].p, "replaced")
+			c.oo[i].p = p
+		} else {
+			c.oo = slices.Insert(c.oo, i, ooSeg{seg.Seq, p})
 		}
-		c.oo[seg.Seq] = p
 		parked = true
 		c.stack.Stats.Add(cTCPOutOfOrder, 1)
 	}
@@ -713,6 +714,12 @@ func (c *Conn) receiveData(p *Packet) (parked bool) {
 	c.sendAck()
 	c.maybeFinish()
 	return parked
+}
+
+// parkedAt returns the index in oo of the first segment parked at at or
+// above it, and whether one is parked at at.
+func (c *Conn) parkedAt(at int) (int, bool) {
+	return slices.BinarySearchFunc(c.oo, at, func(o ooSeg, at int) int { return cmp.Compare(o.at, at) })
 }
 
 func (c *Conn) acceptSegment(seg *tcpSegment) {
