@@ -369,12 +369,7 @@ func (n *Node) sendConn(c *Connection, size int, payload any) {
 		n.sendTunnel(c, size, payload)
 		return
 	}
-	if c.Stream != nil {
-		unpool(payload)
-		c.Stream.SendMsg(size, payload)
-		return
-	}
-	n.sendDirect(c.EP, size, payload)
+	n.transmit(c.EP, c.Stream, size, payload)
 }
 
 // unpool takes a pooled message — packet (with a CTM's message:
@@ -494,11 +489,10 @@ func (n *Node) dropConnection(c *Connection, sendClose bool, reason dropReason) 
 	n.uncountRoles(c)
 	n.Stats.Add(cConnDropped+int(reason), 1)
 	if sendClose && n.up {
-		if c.Stream != nil {
-			c.Stream.SendMsg(pingMsgSize, n.closing())
-		} else {
-			n.sendDirect(c.EP, pingMsgSize, n.closing())
-		}
+		// A tunnel edge has neither stream nor endpoint: its close goes to
+		// the zero endpoint and is lost there, a known defect; the peer
+		// finds out at its next keepalive.
+		n.transmit(c.EP, c.Stream, pingMsgSize, n.closing())
 	}
 	if c.Stream != nil {
 		c.Stream.Close()

@@ -190,6 +190,7 @@ func (lk *linker) sendRequest() {
 		return
 	}
 	uri := lk.uris[lk.uriIdx]
+	var stream *phys.Stream // the handshake's stream on a TCP URI
 	if uri.Transport == "tcp" {
 		// TCP-transport URI: the handshake rides a kernel stream.
 		if lk.stream == nil {
@@ -212,11 +213,9 @@ func (lk *linker) sendRequest() {
 				}
 			})
 		}
-		unpool(req)
-		lk.stream.SendMsg(size, req)
-	} else {
-		n.sendDirect(uri.EP, size, req)
+		stream = lk.stream
 	}
+	n.transmit(uri.EP, stream, size, req)
 	n.Stats.Add(cLinkRequests, 1)
 	lk.armResend()
 }

@@ -662,6 +662,18 @@ func (n *Node) IsRoutable() bool {
 	return true
 }
 
+// transmit sends a message on stream st when there is one, unpooled first
+// (a message a stream carried is never recycled; see unpool), and as a
+// datagram to ep otherwise.
+func (n *Node) transmit(ep phys.Endpoint, st *phys.Stream, size int, payload any) {
+	if st != nil {
+		unpool(payload)
+		st.SendMsg(size, payload)
+		return
+	}
+	n.sendDirect(ep, size, payload)
+}
+
 // sendDirect transmits a link-layer message over the physical network.
 func (n *Node) sendDirect(ep phys.Endpoint, size int, payload any) {
 	if !n.up {
@@ -727,12 +739,7 @@ func (n *Node) replyTo(w wire, size int, payload any) {
 		n.sendFrame(rc, w.tpeer, size, payload)
 		return
 	}
-	if w.stream != nil {
-		unpool(payload)
-		w.stream.SendMsg(size, payload)
-		return
-	}
-	n.sendDirect(w.ep, size, payload)
+	n.transmit(w.ep, w.stream, size, payload)
 }
 
 // recv dispatches incoming datagrams.

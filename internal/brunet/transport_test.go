@@ -138,8 +138,9 @@ func TestTCPTransportThroughUDPBlockingFirewall(t *testing.T) {
 	r.nodes = append(r.nodes, n)
 	r.s.RunFor(2 * sim.Minute)
 	if !n.IsRoutable() {
-		t.Fatalf("TCP-transport node behind UDP-blocking firewall never joined (conns=%d, drops=%v)",
-			len(n.Connections()), fw.Drops)
+		total := r.net.TotalStats()
+		t.Fatalf("TCP-transport node behind UDP-blocking firewall never joined (conns=%d, lost.boundary=%d)",
+			len(n.Connections()), total.Get("lost.boundary"))
 	}
 	// And traffic flows both ways.
 	ok := false
@@ -149,7 +150,7 @@ func TestTCPTransportThroughUDPBlockingFirewall(t *testing.T) {
 	if !ok {
 		t.Fatal("packet to firewalled TCP node lost")
 	}
-	if fw.Drops["proto"] == 0 {
+	if total := r.net.TotalStats(); total.Get("lost.boundary") == 0 {
 		t.Log("note: no UDP was even attempted toward the blocked site")
 	}
 }

@@ -90,45 +90,72 @@ func TestEveryProtocolOptionHasAProductCaller(t *testing.T) {
 // serial engine and network.
 func TestNoHandBuiltSubstrate(t *testing.T) {
 	src := newModuleSource(t)
-	banned := map[string]bool{
-		src.mod + "/internal/sim.New":         true,
-		src.mod + "/internal/phys.NewNetwork": true,
+	found := productRefs(t, src, []string{"internal/sim", "internal/phys", "bench"},
+		src.mod+"/internal/sim.New", src.mod+"/internal/phys.NewNetwork")
+	if len(found) > 0 {
+		t.Errorf("%d hand-built substrate calls (stand on sim.NewSharded and phys.NewShardedNetwork):\n  %s",
+			len(found), strings.Join(found, "\n  "))
 	}
-	var exempt []string
-	for _, dir := range []string{"internal/sim", "internal/phys", "bench"} {
-		exempt = append(exempt, filepath.Join(src.root, filepath.FromSlash(dir))+string(filepath.Separator))
+}
+
+// TestNoCountingByName holds product code to one way of counting (DESIGN.md
+// §6): a package declares its counters as a family and adds to a cell by
+// index. Outside internal/metrics and the benchmark module under bench/,
+// whose drills time the by-name store, no non-test file counts by name
+// (Counter.Inc), merges counters by name (Counter.Merge) or keeps a
+// metrics.Sharded.
+func TestNoCountingByName(t *testing.T) {
+	src := newModuleSource(t)
+	m := src.mod + "/internal/metrics"
+	found := productRefs(t, src, []string{"internal/metrics", "bench"},
+		"(*"+m+".Counter).Inc", "(*"+m+".Counter).Merge", m+".Sharded", m+".NewSharded")
+	if len(found) > 0 {
+		t.Errorf("%d uses of the by-name counter store (declare a counter family and Add by index):\n  %s",
+			len(found), strings.Join(found, "\n  "))
+	}
+}
+
+// productRefs lists, as file:line: name, each reference that a non-test
+// file outside the module directories exempt makes to one of the named
+// functions, methods or types ("path.Name", "(*path.Type).Method").
+func productRefs(t *testing.T, src *moduleSource, exempt []string, names ...string) []string {
+	var dirs []string
+	for _, dir := range exempt {
+		dirs = append(dirs, filepath.Join(src.root, filepath.FromSlash(dir))+string(filepath.Separator))
 	}
 	var found []string
 	src.walk(t, func(path string, files []*ast.File, info *types.Info) {
 		for _, f := range files {
 			name := src.fset.Position(f.Package).Filename
-			if strings.HasSuffix(name, "_test.go") || slices.ContainsFunc(exempt, func(dir string) bool {
+			if strings.HasSuffix(name, "_test.go") || slices.ContainsFunc(dirs, func(dir string) bool {
 				return strings.HasPrefix(name, dir)
 			}) {
 				continue
 			}
 			ast.Inspect(f, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
+				id, ok := n.(*ast.Ident)
 				if !ok {
 					return true
 				}
-				sel, ok := call.Fun.(*ast.SelectorExpr)
-				if !ok {
-					return true
+				var full string
+				switch obj := info.Uses[id].(type) {
+				case *types.Func:
+					full = obj.FullName()
+				case *types.TypeName:
+					if obj.Pkg() != nil {
+						full = obj.Pkg().Path() + "." + obj.Name()
+					}
 				}
-				if fn, ok := info.Uses[sel.Sel].(*types.Func); ok && banned[fn.FullName()] {
-					pos := src.fset.Position(call.Pos())
+				if slices.Contains(names, full) {
+					pos := src.fset.Position(id.Pos())
 					rel, _ := filepath.Rel(src.root, pos.Filename)
-					found = append(found, fmt.Sprintf("%s:%d: %s", filepath.ToSlash(rel), pos.Line, fn.FullName()))
+					found = append(found, fmt.Sprintf("%s:%d: %s", filepath.ToSlash(rel), pos.Line, full))
 				}
 				return true
 			})
 		}
 	})
-	if len(found) > 0 {
-		t.Errorf("%d hand-built substrate calls (stand on sim.NewSharded and phys.NewShardedNetwork):\n  %s",
-			len(found), strings.Join(found, "\n  "))
-	}
+	return found
 }
 
 // TestGoroutinesOnlyInTheKit holds the harnesses to one fan-out: in this

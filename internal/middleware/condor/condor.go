@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"sort"
 
-	"wow/internal/metrics"
 	"wow/internal/middleware/rpc"
 	"wow/internal/sim"
 	"wow/internal/vip"
@@ -82,9 +81,6 @@ type CentralManager struct {
 	machines map[string]*machineEntry
 	schedd   *Schedd
 	ticker   *sim.Ticker
-
-	// Stats counts negotiation events.
-	Stats metrics.Counter
 }
 
 type machineEntry struct {
@@ -113,7 +109,6 @@ func NewCentralManager(stack *vip.Stack, cycle sim.Duration) (*CentralManager, e
 		if !ok {
 			return
 		}
-		cm.Stats.Inc("ads.received", 1)
 		e, exists := cm.machines[up.Ad.Name]
 		if !exists {
 			e = &machineEntry{}
@@ -153,7 +148,6 @@ func (cm *CentralManager) negotiate() {
 	if cm.schedd == nil {
 		return
 	}
-	cm.Stats.Inc("cycles", 1)
 	now := cm.sim.Now()
 	var avail []*machineEntry
 	for _, e := range cm.machines {
@@ -181,11 +175,9 @@ func (cm *CentralManager) negotiate() {
 			break
 		}
 		if pick == nil {
-			cm.Stats.Inc("unmatched", 1)
 			continue
 		}
 		pick.claimed = true // claimed until the next ad refresh says otherwise
-		cm.Stats.Inc("matches", 1)
 		cm.schedd.activate(job, pick.ad)
 	}
 }
@@ -198,9 +190,6 @@ type Schedd struct {
 	idle    []*JobRecord
 	onDone  func(*JobRecord)
 	startds map[string]*rpc.Client
-
-	// Stats counts queue events.
-	Stats metrics.Counter
 }
 
 // NewSchedd creates the job queue on a submit node's stack.
@@ -213,7 +202,6 @@ func (s *Schedd) Submit(ad JobAd) *JobRecord {
 	rec := &JobRecord{Ad: ad, Submitted: s.sim.Now()}
 	s.records = append(s.records, rec)
 	s.idle = append(s.idle, rec)
-	s.Stats.Inc("jobs.submitted", 1)
 	return rec
 }
 
@@ -239,14 +227,10 @@ func (s *Schedd) activate(rec *JobRecord, ad MachineAd) {
 		cli = rpc.Dial(s.stack, ad.IP, StartdPort)
 		s.startds[ad.Name] = cli
 	}
-	s.Stats.Inc("jobs.activated", 1)
 	cli.Call(claimReq{Job: rec.Ad}, 4096, func(resp any) {
 		rsp, ok := resp.(claimRsp)
 		rec.Finished = s.sim.Now()
 		rec.OK = ok && rsp.OK
-		if !rec.OK {
-			s.Stats.Inc("jobs.failed", 1)
-		}
 		if s.onDone != nil {
 			s.onDone(rec)
 		}
@@ -259,9 +243,6 @@ type Startd struct {
 	speed   float64
 	cm      vip.IP
 	busy    bool
-
-	// Stats counts startd events.
-	Stats metrics.Counter
 }
 
 // NewStartd runs a startd on the machine, advertising the given relative
@@ -278,11 +259,9 @@ func NewStartd(machine Machine, speed float64, cm vip.IP, adInterval sim.Duratio
 			return
 		}
 		sd.busy = true
-		sd.Stats.Inc("claims", 1)
 		sd.advertise() // propagate the claimed state promptly
 		machine.Execute(req.Job.CPU, func() {
 			sd.busy = false
-			sd.Stats.Inc("jobs.done", 1)
 			reply(claimRsp{OK: true}, 1024)
 			sd.advertise()
 		})
@@ -308,6 +287,5 @@ func (sd *Startd) advertise() {
 		Speed: sd.speed,
 		State: state,
 	}
-	sd.Stats.Inc("ads.sent", 1)
 	sd.machine.Stack().SendUDP(sd.cm, StartdPort, CollectorPort, 1024, adUpdate{Ad: ad})
 }

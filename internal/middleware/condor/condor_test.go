@@ -98,8 +98,8 @@ func TestRequirementsFilterMachines(t *testing.T) {
 	if len(p.schedd.idle) != 1 {
 		t.Fatalf("idle = %d", len(p.schedd.idle))
 	}
-	if p.cm.Stats.Get("unmatched") == 0 {
-		t.Fatal("unmatched cycles not counted")
+	if rec := p.schedd.idle[0]; rec.Matched != 0 || rec.Machine != "" {
+		t.Fatalf("unsatisfiable job matched to %q at %v", rec.Machine, rec.Matched)
 	}
 }
 

@@ -12,7 +12,6 @@ package pbs
 import (
 	"fmt"
 
-	"wow/internal/metrics"
 	"wow/internal/middleware/nfs"
 	"wow/internal/middleware/rpc"
 	"wow/internal/sim"
@@ -83,9 +82,6 @@ type Head struct {
 	records []*JobRecord
 	done    int
 	onDone  func(*JobRecord)
-
-	// Stats counts scheduler events.
-	Stats metrics.Counter
 }
 
 // NewHead starts the pbs_server on the head VM's stack.
@@ -96,7 +92,6 @@ func NewHead(stack *vip.Stack) (*Head, error) {
 		case registerReq:
 			w := &workerRef{name: m.Name, ip: client, cli: rpc.Dial(stack, client, MOMPort)}
 			h.workers = append(h.workers, w)
-			h.Stats.Inc("workers.registered", 1)
 			reply(registerRsp{OK: true}, 64)
 			h.dispatch()
 		default:
@@ -117,7 +112,6 @@ func (h *Head) Submit(spec JobSpec) *JobRecord {
 	rec := &JobRecord{Spec: spec, Submitted: h.sim.Now()}
 	h.records = append(h.records, rec)
 	h.queue = append(h.queue, rec)
-	h.Stats.Inc("jobs.submitted", 1)
 	h.dispatch()
 	return rec
 }
@@ -142,7 +136,6 @@ func (h *Head) dispatch() {
 		free.jobs++
 		rec.Started = h.sim.Now()
 		rec.Worker = free.name
-		h.Stats.Inc("jobs.dispatched", 1)
 		w := free
 		// The dispatch RPC carries the job script (~4 KB).
 		w.cli.Call(runReq{Spec: rec.Spec}, 4096, func(resp any) {
@@ -151,9 +144,6 @@ func (h *Head) dispatch() {
 			rec.OK = ok && rsp.OK
 			w.busy = false
 			h.done++
-			if !rec.OK {
-				h.Stats.Inc("jobs.failed", 1)
-			}
 			if h.onDone != nil {
 				h.onDone(rec)
 			}
@@ -167,8 +157,6 @@ type MOM struct {
 	vm   Machine
 	nfsC *nfs.Client
 	head vip.IP
-	// Stats counts executed jobs.
-	Stats metrics.Counter
 }
 
 // NewMOM starts a MOM on the worker VM, mounts NFS from the head and
@@ -180,11 +168,7 @@ func NewMOM(machine Machine, head vip.IP) (*MOM, error) {
 		return nil, fmt.Errorf("pbs mom: %w", err)
 	}
 	reg := rpc.Dial(machine.Stack(), head, Port)
-	reg.Call(registerReq{Name: machine.Name()}, 256, func(resp any) {
-		if resp == nil {
-			m.Stats.Inc("register.failed", 1)
-		}
-	})
+	reg.Call(registerReq{Name: machine.Name()}, 256, func(any) {})
 	return m, nil
 }
 
@@ -195,15 +179,7 @@ func (m *MOM) handle(client vip.IP, body any, reply func(any, int)) {
 		reply(nil, 16)
 		return
 	}
-	m.Stats.Inc("jobs.received", 1)
-	finish := func(ok bool) {
-		if ok {
-			m.Stats.Inc("jobs.ok", 1)
-		} else {
-			m.Stats.Inc("jobs.error", 1)
-		}
-		reply(runRsp{OK: ok}, 1024)
-	}
+	finish := func(ok bool) { reply(runRsp{OK: ok}, 1024) }
 	stageOut := func() {
 		if req.Spec.OutputBytes <= 0 {
 			finish(true)

@@ -8,7 +8,6 @@ package pvm
 import (
 	"fmt"
 
-	"wow/internal/metrics"
 	"wow/internal/middleware/rpc"
 	"wow/internal/sim"
 	"wow/internal/vip"
@@ -68,9 +67,6 @@ type Master struct {
 	onDone    func(elapsed sim.Duration)
 	running   bool
 	broadcast int
-
-	// Stats counts runtime events.
-	Stats metrics.Counter
 }
 
 // NewMaster starts the PVM master daemon on a stack (typically the head
@@ -82,7 +78,6 @@ func NewMaster(stack *vip.Stack) (*Master, error) {
 		case enrollReq:
 			w := &workerRef{name: req.Name, ip: client, cli: rpc.Dial(stack, client, WorkerPort)}
 			m.workers = append(m.workers, w)
-			m.Stats.Inc("workers.enrolled", 1)
 			reply(enrollRsp{OK: true}, 64)
 			if m.running {
 				m.pump()
@@ -141,7 +136,6 @@ func (m *Master) startRound() {
 		waiting := len(m.workers)
 		for _, w := range m.workers {
 			w := w
-			m.Stats.Inc("broadcasts.sent", 1)
 			w.cli.Call(bcastReq{Round: m.round}, m.broadcast, func(resp any) {
 				waiting--
 				if waiting == 0 {
@@ -175,19 +169,16 @@ func (m *Master) pump() {
 		idle.busy = true
 		idle.tasks++
 		m.inflight++
-		m.Stats.Inc("tasks.dispatched", 1)
 		w := idle
 		w.cli.Call(taskReq{T: t}, t.SendBytes, func(resp any) {
 			w.busy = false
 			m.inflight--
 			if _, ok := resp.(taskRsp); !ok {
 				// Transport failure: requeue the task.
-				m.Stats.Inc("tasks.requeued", 1)
 				m.pool = append(m.pool, t)
 				m.pump()
 				return
 			}
-			m.Stats.Inc("tasks.completed", 1)
 			if m.inflight == 0 && len(m.pool) == 0 {
 				// Round barrier reached.
 				m.round++
@@ -202,8 +193,6 @@ func (m *Master) pump() {
 // Worker executes tasks on a VM.
 type Worker struct {
 	vm Machine
-	// Stats counts executed tasks.
-	Stats metrics.Counter
 }
 
 // NewWorker starts the worker daemon on the VM and enrolls with the
@@ -213,12 +202,10 @@ func NewWorker(machine Machine, master vip.IP) (*Worker, error) {
 	_, err := rpc.Serve(machine.Stack(), WorkerPort, func(client vip.IP, body any, reply func(any, int)) {
 		switch req := body.(type) {
 		case taskReq:
-			w.Stats.Inc("tasks.received", 1)
 			machine.Execute(req.T.CPU, func() {
 				reply(taskRsp{OK: true}, req.T.RecvBytes)
 			})
 		case bcastReq:
-			w.Stats.Inc("broadcasts.received", 1)
 			reply(bcastRsp{OK: true}, 64)
 		default:
 			reply(nil, 16)
@@ -228,10 +215,6 @@ func NewWorker(machine Machine, master vip.IP) (*Worker, error) {
 		return nil, fmt.Errorf("pvm worker: %w", err)
 	}
 	enroll := rpc.Dial(machine.Stack(), master, Port)
-	enroll.Call(enrollReq{Name: machine.Name()}, 256, func(resp any) {
-		if resp == nil {
-			w.Stats.Inc("enroll.failed", 1)
-		}
-	})
+	enroll.Call(enrollReq{Name: machine.Name()}, 256, func(any) {})
 	return w, nil
 }

@@ -90,9 +90,6 @@ func TestRunCompletesAllTasks(t *testing.T) {
 	if elapsed == 0 {
 		t.Fatal("run never completed")
 	}
-	if got := r.master.Stats.Get("tasks.completed"); got != 24 {
-		t.Fatalf("completed %d of 24", got)
-	}
 	total := 0
 	for _, w := range r.master.workers {
 		total += w.tasks
@@ -192,10 +189,16 @@ func TestWorkerCrashRequeuesTask(t *testing.T) {
 	// Keepalive reaps the dead worker's connection after ~2h; the
 	// surviving worker then absorbs the requeued tasks.
 	s.RunFor(8 * sim.Hour)
-	if !done {
-		t.Fatalf("round never completed after worker crash (requeued=%d)", master.Stats.Get("tasks.requeued"))
+	// Every dispatch ends in a completion or a requeue, so once all six
+	// tasks completed, the dispatches past six are the requeues.
+	dispatched := 0
+	for _, w := range master.workers {
+		dispatched += w.tasks
 	}
-	if master.Stats.Get("tasks.requeued") == 0 {
+	if !done {
+		t.Fatalf("round never completed after worker crash (%d dispatches of 6 tasks)", dispatched)
+	}
+	if dispatched == 6 {
 		t.Fatal("no tasks requeued")
 	}
 }

@@ -30,8 +30,9 @@ type Firewall struct {
 	// flows maps (inner endpoint, outer endpoint) -> last use. The entry
 	// of the memo's pinhole may lag behind the memo; see remember.
 	flows map[flowKey]sim.Time
-	// Drops counts packets dropped, by reason.
-	Drops map[string]int
+	// drops counts packets dropped, by reason (tests read it; nothing
+	// prints it).
+	drops [numFirewallDrops]int
 
 	// The flow memo: the pinhole the previous packet used, in either
 	// direction, and its last use. A packet of the same flow refreshes
@@ -47,6 +48,13 @@ type Firewall struct {
 	// read them; nothing prints them).
 	memoHits, memoLookups uint64
 }
+
+// The reasons a firewall drops a packet, indexing Firewall.drops.
+const (
+	dropProto       = iota // a blocked wire protocol, either way
+	dropUnsolicited        // inbound with no live pinhole or open port
+	numFirewallDrops
+)
 
 type flowKey struct {
 	proto   uint8
@@ -67,7 +75,6 @@ func NewFirewall(name string, flowTTL sim.Duration, clock func() sim.Time, allow
 		flowTTL:    flowTTL,
 		allowPorts: slices.Clone(allowPorts),
 		flows:      make(map[flowKey]sim.Time),
-		Drops:      make(map[string]int),
 	}
 	return f
 }
@@ -109,7 +116,7 @@ func (f *Firewall) remember(k flowKey, now sim.Time) {
 // Outbound implements phys.Boundary: record the flow pinhole and pass.
 func (f *Firewall) Outbound(now sim.Time, p *phys.Packet) bool {
 	if slices.Contains(f.blockedProtos, p.Proto) {
-		f.Drops["proto"]++
+		f.drops[dropProto]++
 		return false
 	}
 	if k := (flowKey{proto: p.Proto, inside: p.Src, outside: p.Dst}); f.memo(k) {
@@ -124,7 +131,7 @@ func (f *Firewall) Outbound(now sim.Time, p *phys.Packet) bool {
 // or matching a live pinhole.
 func (f *Firewall) Inbound(now sim.Time, p *phys.Packet) bool {
 	if slices.Contains(f.blockedProtos, p.Proto) {
-		f.Drops["proto"]++
+		f.drops[dropProto]++
 		return false
 	}
 	if slices.Contains(f.allowPorts, p.Dst.Port) {
@@ -145,7 +152,7 @@ func (f *Firewall) Inbound(now sim.Time, p *phys.Packet) bool {
 		}
 		delete(f.flows, k)
 	}
-	f.Drops["unsolicited"]++
+	f.drops[dropUnsolicited]++
 	return false
 }
 

@@ -3,7 +3,6 @@ package natsim
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -87,10 +86,32 @@ func (pr *natProgram) same(what string, lvl int, ok, rok bool, p, q *phys.Packet
 	}
 }
 
+// onDevice runs one translation on the device and takes out of the
+// reference every expired mapping the device's table scan reaped, so the
+// reference, stepped next, reaps at the same moments and the tables stay
+// equal entry for entry.
+func (l natLevel) onDevice(now sim.Time, translate func() bool) bool {
+	var expired []*mapping
+	for _, m := range l.dev.table {
+		if l.dev.expired(now, m) {
+			expired = append(expired, m)
+		}
+	}
+	ok := translate()
+	for _, m := range expired {
+		if !slices.Contains(l.dev.table, m) {
+			l.ref.remove(l.ref.byKey[m.key])
+		}
+	}
+	return ok
+}
+
 // descend carries an inbound packet from level from down to the host.
 func (pr *natProgram) descend(from int, p, q *phys.Packet) {
 	for lvl := from; lvl >= 0; lvl-- {
-		ok, rok := pr.chain[lvl].dev.Inbound(pr.now, p), pr.chain[lvl].ref.Inbound(pr.now, q)
+		l := pr.chain[lvl]
+		ok := l.onDevice(pr.now, func() bool { return l.dev.Inbound(pr.now, p) })
+		rok := l.ref.Inbound(pr.now, q)
 		pr.same("Inbound", lvl, ok, rok, p, q)
 		if !ok {
 			return
@@ -111,7 +132,8 @@ func (pr *natProgram) outbound(proto uint8, src, dst phys.Endpoint) (flow, bool)
 	p := phys.Packet{Src: src, Dst: dst, Proto: proto}
 	q := p
 	for lvl, l := range pr.chain {
-		ok, rok := l.dev.Outbound(pr.now, &p), l.ref.Outbound(pr.now, &q)
+		ok := l.onDevice(pr.now, func() bool { return l.dev.Outbound(pr.now, &p) })
+		rok := l.ref.Outbound(pr.now, &q)
 		pr.same("Outbound", lvl, ok, rok, &p, &q)
 		if !ok {
 			return flow{}, false
@@ -147,21 +169,29 @@ func (pr *natProgram) check() {
 }
 
 func sameNAT(n *NAT, r *refNAT) error {
-	if n.cfg != r.cfg || n.nextPort != r.nextPort || !reflect.DeepEqual(n.Drops, r.Drops) {
-		return fmt.Errorf("device cfg %+v nextPort %d drops %v, reference %+v %d %v", n.cfg, n.nextPort, n.Drops, r.cfg, r.nextPort, r.Drops)
+	if n.cfg != r.cfg || n.nextPort != r.nextPort || !sameDrops(n.drops[:], natDropNames[:], r.Drops) {
+		return fmt.Errorf("device cfg %+v nextPort %d drops %v, reference %+v %d %v", n.cfg, n.nextPort, n.drops, r.cfg, r.nextPort, r.Drops)
 	}
 	if len(n.table) != len(r.byKey) || len(r.byPublic) != len(r.byKey) {
 		return fmt.Errorf("device holds %d mappings, reference %d/%d", len(n.table), len(r.byKey), len(r.byPublic))
 	}
-	// Each key and each public port is in the table once: the first match
-	// of either is the mapping itself. With the counts equal, the table and
-	// the reference's maps then hold the same mappings.
+	// Each key and each public port is in the table once. With the counts
+	// equal, the table and the reference's maps then hold the same mappings.
 	for _, m := range n.table {
 		rm := r.byKey[m.key]
 		if rm == nil || m.key.inner != rm.inner || m.public != rm.public || m.lastUsed != rm.lastUsed || !samePeers(m.peers, rm.peers) {
 			return fmt.Errorf("mapping %+v: device %+v, reference %+v", m.key, m, rm)
 		}
-		if n.byKey(m.key) != m || n.byPublic(m.key.proto, m.public.Port) != m || r.byPublic[pubKey{m.key.proto, rm.public.Port}] != rm {
+		keys, ports := 0, 0
+		for _, o := range n.table {
+			if o.key == m.key {
+				keys++
+			}
+			if o.public.Port == m.public.Port && o.key.proto == m.key.proto {
+				ports++
+			}
+		}
+		if keys != 1 || ports != 1 || r.byPublic[pubKey{m.key.proto, rm.public.Port}] != rm {
 			return fmt.Errorf("mapping %+v is not the table's only one under its key and public port", m.key)
 		}
 	}
@@ -310,8 +340,8 @@ func TestFlowMemoCases(t *testing.T) {
 		pr.now = pr.now.Add(progTTL + 1)
 		pr.inbound(phys.WireUDP, peer, pub)
 		step("inbound past the TTL")
-		if nat.last != nil || len(nat.table) != 0 || nat.Drops["nomapping"] != 1 {
-			t.Fatalf("%v: expired mapping survives: memo %v, %d mappings, drops %v", typ, nat.last, len(nat.table), nat.Drops)
+		if nat.last != nil || len(nat.table) != 0 || nat.drops[dropNoMapping] != 1 {
+			t.Fatalf("%v: expired mapping survives: memo %v, %d mappings, drops %v", typ, nat.last, len(nat.table), nat.drops)
 		}
 		pr.outbound(phys.WireUDP, in, peer)
 		pr.now = pr.now.Add(progTTL + 1)
@@ -334,6 +364,18 @@ func TestFlowMemoCases(t *testing.T) {
 		pr.inbound(phys.WireTCP, other, fourth.seenAs)
 		pr.inbound(phys.WireUDP, phys.Endpoint{IP: other.IP, Port: other.Port + 1}, fourth.seenAs)
 		step("two destinations")
+		// A scan that passes an expired mapping reaps it, whether the scan
+		// finds its own (a live flow's second destination; under Symmetric
+		// a new mapping, made after a scan that found nothing).
+		pr.outbound(phys.WireUDP, progInner[1], peer)
+		pr.now = pr.now.Add(progTTL / 2)
+		pr.outbound(phys.WireUDP, progInner[2], peer)
+		pr.now = pr.now.Add(progTTL/2 + 1)
+		pr.outbound(phys.WireUDP, progInner[2], other)
+		step("a scan past expired mappings")
+		if i := slices.IndexFunc(nat.table, func(m *mapping) bool { return nat.expired(pr.now, m) }); i >= 0 {
+			t.Fatalf("%v: expired mapping %+v survives a scan past it", typ, nat.table[i].key)
+		}
 	}
 }
 
@@ -441,8 +483,8 @@ func (pr *fwProgram) inbound(proto uint8, src, dst phys.Endpoint) error {
 // with: the memo's for the memo's pinhole, the map's for any other.
 func (pr *fwProgram) check() error {
 	f, r := pr.dev, pr.ref
-	if !reflect.DeepEqual(f.Drops, r.Drops) {
-		return fmt.Errorf("device drops %v, reference %v", f.Drops, r.Drops)
+	if !sameDrops(f.drops[:], firewallDropNames[:], r.Drops) {
+		return fmt.Errorf("device drops %v, reference %v", f.drops, r.Drops)
 	}
 	if len(f.flows) != len(r.flows) {
 		return fmt.Errorf("device holds %d pinholes, reference %d", len(f.flows), len(r.flows))
@@ -526,27 +568,27 @@ func TestPinholeMemoCases(t *testing.T) {
 	must(pr.outbound(phys.WireUDP, a, peer))
 	pr.now = pr.now.Add(progTTL)
 	must(pr.inbound(phys.WireUDP, peer, a)) // at the TTL: admitted, refreshed in the memo alone
-	if !pr.dev.last.dirty || pr.dev.Drops["unsolicited"] != 0 {
-		t.Fatalf("reply at the TTL: memo %+v, drops %v", pr.dev.last, pr.dev.Drops)
+	if !pr.dev.last.dirty || pr.dev.drops[dropUnsolicited] != 0 {
+		t.Fatalf("reply at the TTL: memo %+v, drops %v", pr.dev.last, pr.dev.drops)
 	}
 	must(pr.outbound(phys.WireUDP, b, peer)) // the memo moves; a's refresh must move into the map
 	pr.now = pr.now.Add(progTTL)
 	must(pr.inbound(phys.WireUDP, peer, a)) // alive only by that refresh
-	if pr.dev.Drops["unsolicited"] != 0 {
-		t.Fatalf("refresh lost when the memo moved: drops %v", pr.dev.Drops)
+	if pr.dev.drops[dropUnsolicited] != 0 {
+		t.Fatalf("refresh lost when the memo moved: drops %v", pr.dev.drops)
 	}
 	pr.now = pr.now.Add(progTTL + 1)
 	must(pr.inbound(phys.WireUDP, peer, a)) // the memo's pinhole, one nanosecond too old
-	if pr.dev.Drops["unsolicited"] != 1 || pr.dev.last.live || len(pr.dev.flows) != 1 {
-		t.Fatalf("expiry on the memo's pinhole: drops %v, memo %+v, %d pinholes", pr.dev.Drops, pr.dev.last, len(pr.dev.flows))
+	if pr.dev.drops[dropUnsolicited] != 1 || pr.dev.last.live || len(pr.dev.flows) != 1 {
+		t.Fatalf("expiry on the memo's pinhole: drops %v, memo %+v, %d pinholes", pr.dev.drops, pr.dev.last, len(pr.dev.flows))
 	}
 	must(pr.inbound(phys.WireUDP, peer, phys.Endpoint{IP: 3, Port: progAllowed})) // allow-listed: no pinhole needed
 	pr.dev.BlockProto(phys.WireUDP)
 	pr.ref.BlockProto(phys.WireUDP)
 	must(pr.outbound(phys.WireUDP, b, peer))
 	must(pr.inbound(phys.WireUDP, peer, phys.Endpoint{IP: 3, Port: progAllowed}))
-	if pr.dev.Drops["proto"] != 2 {
-		t.Fatalf("blocked protocol: drops %v", pr.dev.Drops)
+	if pr.dev.drops[dropProto] != 2 {
+		t.Fatalf("blocked protocol: drops %v", pr.dev.drops)
 	}
 }
 

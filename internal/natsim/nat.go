@@ -75,6 +75,14 @@ type mapping struct {
 	peers []phys.Endpoint
 }
 
+// The reasons a NAT drops a packet, indexing NAT.drops.
+const (
+	dropHairpin   = iota // addressed to the NAT's own public IP, and no hairpin
+	dropNoMapping        // inbound to a public port no live mapping holds
+	dropFiltered         // inbound from a source the mapping never sent to
+	numNATDrops
+)
+
 // NAT is a network address translator implementing phys.Boundary.
 type NAT struct {
 	name     string
@@ -83,21 +91,23 @@ type NAT struct {
 	nextPort uint16
 	// table holds the mappings, at most one per key and one per (wire
 	// protocol, public port): NATs keep separate UDP and TCP translation
-	// tables. An expired mapping stays until a lookup, Mappings or Rebind
-	// finds it, and keeps its public port taken until then.
+	// tables. An expired mapping stays until a scan passes it (reap), and
+	// keeps its public port taken until then.
 	table []*mapping
 	clock func() sim.Time
-	// Drops counts packets dropped by this device, by reason.
-	Drops map[string]int
+	// drops counts packets dropped by this device, by reason (tests read
+	// it; nothing prints it).
+	drops [numNATDrops]int
 
 	// The flow memo: the mapping the previous translation used, in either
 	// direction, and that packet's remote endpoint. A transfer is a long
 	// run of one flow, so the memo usually answers without scanning the
 	// table or the peer list. While last is set it is a mapping of the table
 	// and last.peers holds lastPeer: whatever takes a mapping out of the
-	// table goes through drop, Mappings or Rebind, which clear the memo, and
-	// only a translation that has just written or read that peer entry sets
-	// it. The TTL test and the lastUsed refresh run on a hit as on a miss.
+	// table (reap, Rebind) clears the memo with it, and only a translation
+	// that has just written or read that peer entry sets it. A hit needs
+	// the memo's mapping live; the lastUsed refresh runs on a hit as on a
+	// miss.
 	last     *mapping
 	lastPeer phys.Endpoint
 	// memoHits of memoLookups translations scanned nothing (tests read
@@ -114,7 +124,6 @@ func NewNAT(name string, cfg Config, publicIP phys.IP, clock func() sim.Time) *N
 		publicIP: publicIP,
 		nextPort: 1024,
 		clock:    clock,
-		Drops:    make(map[string]int),
 	}
 }
 
@@ -158,11 +167,7 @@ func (n *NAT) Rebind() {
 // expired entries as it goes so the translation table doesn't accumulate
 // dead flows between packets.
 func (n *NAT) Mappings() int {
-	now := n.clock()
-	if n.last != nil && n.expired(now, n.last) {
-		n.last = nil
-	}
-	n.table = slices.DeleteFunc(n.table, func(m *mapping) bool { return n.expired(now, m) })
+	n.reap(n.clock())
 	return len(n.table)
 }
 
@@ -170,29 +175,42 @@ func (n *NAT) expired(now sim.Time, m *mapping) bool {
 	return now.Sub(m.lastUsed) > mappingTTL
 }
 
-// drop takes m out of the table, and out of the memo if it is there.
-func (n *NAT) drop(m *mapping) {
-	i := slices.Index(n.table, m)
-	n.table = slices.Delete(n.table, i, i+1)
-	if n.last == m {
+// reap takes every expired mapping out of the table, and out of the memo.
+// An expired mapping is gone exactly as if it had never existed, since no
+// lookup could have found it; only its public port frees up earlier, which
+// allocPort reaches again after nextPort wraps.
+func (n *NAT) reap(now sim.Time) {
+	if n.last != nil && n.expired(now, n.last) {
 		n.last = nil
 	}
+	n.table = slices.DeleteFunc(n.table, func(m *mapping) bool { return n.expired(now, m) })
 }
 
-// byKey returns the table's mapping under k, or nil.
-func (n *NAT) byKey(k mapKey) *mapping {
+// byKey returns the table's live mapping under k, or nil. A scan that
+// meets an expired mapping reaps the table and starts again, so the table
+// holds expired mappings only until the next scan passes one.
+func (n *NAT) byKey(now sim.Time, k mapKey) *mapping {
 	for _, m := range n.table {
-		if m.key == k {
+		switch {
+		case n.expired(now, m):
+			n.reap(now)
+			return n.byKey(now, k)
+		case m.key == k:
 			return m
 		}
 	}
 	return nil
 }
 
-// byPublic returns the table's mapping of the public port, or nil.
-func (n *NAT) byPublic(proto uint8, port uint16) *mapping {
+// byPublic returns the table's live mapping of the public port, or nil,
+// reaping as byKey does.
+func (n *NAT) byPublic(now sim.Time, proto uint8, port uint16) *mapping {
 	for _, m := range n.table {
-		if m.public.Port == port && m.key.proto == proto {
+		switch {
+		case n.expired(now, m):
+			n.reap(now)
+			return n.byPublic(now, proto, port)
+		case m.public.Port == port && m.key.proto == proto:
 			return m
 		}
 	}
@@ -206,33 +224,28 @@ func (n *NAT) key(proto uint8, inner, dst phys.Endpoint) mapKey {
 	return mapKey{proto: proto, inner: inner}
 }
 
-func (n *NAT) allocPort(proto uint8) uint16 {
+func (n *NAT) allocPort(now sim.Time, proto uint8) uint16 {
 	for {
 		p := n.nextPort
 		n.nextPort++
 		if n.nextPort == 0 {
 			n.nextPort = 1024
 		}
-		if n.byPublic(proto, p) == nil {
+		if n.byPublic(now, proto, p) == nil {
 			return p
 		}
 	}
 }
 
-// lookupOrCreate is Outbound's table path: the mapping under k, made afresh
-// if absent or expired, with dst recorded among its peers and both
-// remembered as the flow memo.
+// lookupOrCreate is Outbound's table path: the live mapping under k, made
+// afresh if there is none, with dst recorded among its peers and both
+// remembered as the flow memo. A flow whose mapping expired gets a fresh
+// public port, modelling the NAT translation changes the paper observed on
+// the home-broadband node034.
 func (n *NAT) lookupOrCreate(now sim.Time, k mapKey, dst phys.Endpoint) *mapping {
-	m := n.byKey(k)
-	if m != nil && n.expired(now, m) {
-		// Expired: a fresh flow gets a fresh public port, modelling
-		// the NAT translation changes the paper observed on the
-		// home-broadband node034.
-		n.drop(m)
-		m = nil
-	}
+	m := n.byKey(now, k)
 	if m == nil {
-		m = &mapping{key: k, public: phys.Endpoint{IP: n.publicIP, Port: n.allocPort(k.proto)}}
+		m = &mapping{key: k, public: phys.Endpoint{IP: n.publicIP, Port: n.allocPort(now, k.proto)}}
 		n.table = append(n.table, m)
 	}
 	if !slices.Contains(m.peers, dst) {
@@ -246,7 +259,7 @@ func (n *NAT) lookupOrCreate(now sim.Time, k mapKey, dst phys.Endpoint) *mapping
 // Hairpin packets (dst == own public IP) are dropped unless Hairpin is set.
 func (n *NAT) Outbound(now sim.Time, p *phys.Packet) bool {
 	if p.Dst.IP == n.publicIP && !n.cfg.Hairpin {
-		n.Drops["hairpin"]++
+		n.drops[dropHairpin]++
 		return false
 	}
 	n.memoLookups++
@@ -271,18 +284,12 @@ func (n *NAT) Outbound(now sim.Time, p *phys.Packet) bool {
 func (n *NAT) Inbound(now sim.Time, p *phys.Packet) bool {
 	n.memoLookups++
 	m := n.last
-	hit := m != nil && m.public.Port == p.Dst.Port && m.key.proto == p.Proto
+	hit := m != nil && m.public.Port == p.Dst.Port && m.key.proto == p.Proto && !n.expired(now, m)
 	if !hit {
-		m = n.byPublic(p.Proto, p.Dst.Port)
-	}
-	if m != nil && n.expired(now, m) {
-		// Expired mapping: reap it now; the packet is dropped exactly as
-		// if the entry had never existed.
-		n.drop(m)
-		m = nil
+		m = n.byPublic(now, p.Proto, p.Dst.Port)
 	}
 	if m == nil {
-		n.Drops["nomapping"]++
+		n.drops[dropNoMapping]++
 		return false
 	}
 	// On the memo's mapping the memo's peer is known to be in m.peers; any
@@ -293,14 +300,14 @@ func (n *NAT) Inbound(now sim.Time, p *phys.Packet) bool {
 	case RestrictedCone:
 		hit = hit && p.Src.IP == n.lastPeer.IP
 		if !hit && !slices.ContainsFunc(m.peers, func(e phys.Endpoint) bool { return e.IP == p.Src.IP }) {
-			n.Drops["filtered"]++
+			n.drops[dropFiltered]++
 			return false
 		}
 	case PortRestricted, Symmetric:
 		hit = hit && p.Src == n.lastPeer
 		if !hit {
 			if !slices.Contains(m.peers, p.Src) {
-				n.Drops["filtered"]++
+				n.drops[dropFiltered]++
 				return false
 			}
 			n.last, n.lastPeer = m, p.Src

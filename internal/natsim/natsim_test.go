@@ -115,8 +115,8 @@ func TestUnsolicitedInboundDropped(t *testing.T) {
 	if *n != 0 {
 		t.Fatal("unsolicited packet delivered")
 	}
-	if nat.Drops["nomapping"] != 1 {
-		t.Fatalf("drops = %v", nat.Drops)
+	if nat.drops[dropNoMapping] != 1 {
+		t.Fatalf("drops = %v", nat.drops)
 	}
 }
 
@@ -126,11 +126,11 @@ func TestConeFiltering(t *testing.T) {
 	for _, tc := range []struct {
 		typ      NATType
 		thirdOK  bool
-		wantDrop string
+		wantDrop int
 	}{
-		{FullCone, true, ""},
-		{RestrictedCone, false, "filtered"},
-		{PortRestricted, false, "filtered"},
+		{FullCone, true, -1},
+		{RestrictedCone, false, dropFiltered},
+		{PortRestricted, false, dropFiltered},
 	} {
 		r := newRig(1)
 		peer := r.publicHost("peer")
@@ -163,8 +163,8 @@ func TestConeFiltering(t *testing.T) {
 			if rcvd != 0 {
 				t.Errorf("%v: third-party packet delivered, want filtered", tc.typ)
 			}
-			if nat.Drops[tc.wantDrop] != 1 {
-				t.Errorf("%v: drops = %v", tc.typ, nat.Drops)
+			if nat.drops[tc.wantDrop] != 1 {
+				t.Errorf("%v: drops = %v", tc.typ, nat.drops)
 			}
 		}
 	}
@@ -383,8 +383,8 @@ func TestHairpin(t *testing.T) {
 			if bGot != 0 {
 				t.Error("no-hairpin NAT delivered hairpin traffic")
 			}
-			if nat.Drops["hairpin"] == 0 {
-				t.Errorf("hairpin drops not counted: %v", nat.Drops)
+			if nat.drops[dropHairpin] == 0 {
+				t.Errorf("hairpin drops not counted: %v", nat.drops)
 			}
 		}
 	}
@@ -463,8 +463,8 @@ func TestMappingExpiry(t *testing.T) {
 	if rcvd != 0 {
 		t.Fatal("expired mapping admitted inbound")
 	}
-	if nat.Drops["nomapping"] == 0 {
-		t.Fatalf("drops = %v", nat.Drops)
+	if nat.drops[dropNoMapping] == 0 {
+		t.Fatalf("drops = %v", nat.drops)
 	}
 	if nat.Mappings() != 0 {
 		t.Fatalf("live mappings = %d, want 0", nat.Mappings())
@@ -591,8 +591,8 @@ func TestFirewallPinholes(t *testing.T) {
 	// Unsolicited inbound: dropped.
 	osock.Send(phys.Endpoint{IP: inside.IP(), Port: 100}, 10, nil)
 	r.s.Run()
-	if rcvd != 0 || fw.Drops["unsolicited"] != 1 {
-		t.Fatalf("unsolicited admitted: rcvd=%d drops=%v", rcvd, fw.Drops)
+	if rcvd != 0 || fw.drops[dropUnsolicited] != 1 {
+		t.Fatalf("unsolicited admitted: rcvd=%d drops=%v", rcvd, fw.drops)
 	}
 
 	// Outbound opens a pinhole; the reply is admitted. Addresses are

@@ -26,6 +26,27 @@ type pubKey struct {
 	port  uint16
 }
 
+// The devices' drop reasons as the references count them, by name.
+var (
+	natDropNames      = [numNATDrops]string{dropHairpin: "hairpin", dropNoMapping: "nomapping", dropFiltered: "filtered"}
+	firewallDropNames = [numFirewallDrops]string{dropProto: "proto", dropUnsolicited: "unsolicited"}
+)
+
+// sameDrops compares a device's drop counts with its reference's, reason
+// by reason.
+func sameDrops(drops []int, names []string, ref map[string]int) bool {
+	counted := 0
+	for i, name := range names {
+		if drops[i] != ref[name] {
+			return false
+		}
+		if drops[i] != 0 {
+			counted++
+		}
+	}
+	return counted == len(ref)
+}
+
 type refNAT struct {
 	cfg      Config
 	publicIP phys.IP
@@ -58,15 +79,20 @@ func (n *refNAT) Rebind() {
 func (n *refNAT) Mappings() int {
 	now := n.clock()
 	live := 0
-	for k, m := range n.byKey {
+	for _, m := range n.byKey {
 		if now.Sub(m.lastUsed) <= mappingTTL {
 			live++
 			continue
 		}
-		delete(n.byKey, k)
-		delete(n.byPublic, pubKey{k.proto, m.public.Port})
+		n.remove(m)
 	}
 	return live
+}
+
+// remove takes m out of both maps.
+func (n *refNAT) remove(m *refMapping) {
+	delete(n.byKey, m.key)
+	delete(n.byPublic, pubKey{m.key.proto, m.public.Port})
 }
 
 func (n *refNAT) key(proto uint8, inner, dst phys.Endpoint) mapKey {
@@ -93,8 +119,7 @@ func (n *refNAT) lookupOrCreate(now sim.Time, proto uint8, inner, dst phys.Endpo
 	k := n.key(proto, inner, dst)
 	m, ok := n.byKey[k]
 	if ok && now.Sub(m.lastUsed) > mappingTTL {
-		delete(n.byKey, k)
-		delete(n.byPublic, pubKey{proto, m.public.Port})
+		n.remove(m)
 		ok = false
 	}
 	if !ok {
@@ -128,8 +153,7 @@ func (n *refNAT) Outbound(now sim.Time, p *phys.Packet) bool {
 func (n *refNAT) Inbound(now sim.Time, p *phys.Packet) bool {
 	m, ok := n.byPublic[pubKey{p.Proto, p.Dst.Port}]
 	if ok && now.Sub(m.lastUsed) > mappingTTL {
-		delete(n.byKey, m.key)
-		delete(n.byPublic, pubKey{p.Proto, m.public.Port})
+		n.remove(m)
 		ok = false
 	}
 	if !ok {

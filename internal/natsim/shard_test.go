@@ -1,9 +1,6 @@
 package natsim
 
 import (
-	"fmt"
-	"sort"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -27,22 +24,9 @@ import (
 // natOutcome is everything observable of one scenario run.
 type natOutcome struct {
 	echoes, bGot, cGot int
-	bDrops, cDrops     string
+	bDrops, cDrops     [numNATDrops]int
 	bMaps, cMaps       int
 	stats              string
-}
-
-func dropsString(m map[string]int) string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	for _, k := range keys {
-		fmt.Fprintf(&b, "%s=%d ", k, m[k])
-	}
-	return b.String()
 }
 
 // runNATScenario replays a deterministic traffic plan over {public echo
@@ -138,8 +122,7 @@ func runNATScenario(seed int64, shards, workers int, tb, tc NATType, spacing sim
 	} else {
 		s.RunUntil(horizon)
 	}
-	out.bDrops = dropsString(natB.Drops)
-	out.cDrops = dropsString(natC.Drops)
+	out.bDrops, out.cDrops = natB.drops, natC.drops
 	out.bMaps = natB.Mappings()
 	out.cMaps = natC.Mappings()
 	total := net.TotalStats()

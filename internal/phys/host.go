@@ -116,7 +116,7 @@ func (h *Host) String() string {
 func (h *Host) receive(p *Packet) {
 	now := h.sim.Now()
 	if !h.up {
-		h.net.drop(h.shard, "lost.hostdown", p)
+		h.net.drop(h.shard, cLostHostDown, p)
 		return
 	}
 	svc := sim.Duration(float64(h.cfg.ServiceTime) * h.cfg.LoadFactor)
@@ -125,7 +125,7 @@ func (h *Host) receive(p *Packet) {
 		start = h.cpuBusyUntil
 	}
 	if start.Sub(now) > h.cfg.QueueLimit {
-		h.net.drop(h.shard, "lost.overload", p)
+		h.net.drop(h.shard, cLostOverload, p)
 		return
 	}
 	done := start.Add(svc)
@@ -142,20 +142,21 @@ func finishReceive(a any) {
 	p := a.(*Packet)
 	h := p.dest
 	if !h.up {
-		h.net.drop(h.shard, "lost.hostdown", p)
+		h.net.drop(h.shard, cLostHostDown, p)
 		return
 	}
 	// A socket in the table is open: Close takes it out.
 	i, ok := h.findSock(sockKey(p.Proto, p.Dst.Port))
 	if !ok {
-		h.net.drop(h.shard, "lost.noport", p)
+		h.net.drop(h.shard, cLostNoPort, p)
 		return
 	}
-	h.net.shards[h.shard].delivered++
+	st := &h.net.shards[h.shard]
+	st.counts[cDelivered]++
 	if sock := h.socks[i].sock; sock.OnRecv != nil {
 		sock.OnRecv(p)
 	}
-	h.net.shards[h.shard].pkts.Put(p, "finishReceive")
+	st.pkts.Put(p, "finishReceive")
 }
 
 // UDPSock is a bound wire socket on a host. Despite the name it serves

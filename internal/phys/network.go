@@ -194,11 +194,6 @@ type Network struct {
 	// NewNetwork network (nil engine) they never do.
 	engine *sim.Sharded
 	sims   []*sim.Simulator
-	// stats holds the losses, one counter per shard: lost.wire,
-	// lost.noroute, lost.boundary, lost.hostdown, lost.noport,
-	// lost.overload, lost.fault. TotalStats is the one reader and adds the
-	// counts each shard's state keeps.
-	stats  *metrics.Sharded
 	shards []shardState
 }
 
@@ -212,13 +207,14 @@ type shardState struct {
 	// pkts is the shard's packet free list: taken from and put on by the
 	// shard's own events alone, so pooling needs no lock under parallel
 	// execution, and a packet delivered on another shard joins that shard's.
-	pkts      sim.FreeList[Packet, *Packet]
-	delivered int64
-	// boundIn counts inbound translations on the chains the shard owns,
-	// boundOut outbound ones of the shard's senders.
-	boundIn, boundOut int64
-	dialed            uint64 // stream connections dialed (allocConnID)
-	_                 [sim.CacheLine]byte
+	pkts sim.FreeList[Packet, *Packet]
+	// counts holds the shard's cell of each of the network's counters:
+	// deliveries and losses where the shard's events end a packet, inbound
+	// translations on the chains the shard owns, outbound ones of the
+	// shard's senders.
+	counts [numCounters]int64
+	dialed uint64 // stream connections dialed (allocConnID)
+	_      [sim.CacheLine]byte
 }
 
 // NewNetwork creates a one-shard network on s with the given latency model.
@@ -245,7 +241,6 @@ func newNetwork(sims []*sim.Simulator, eng *sim.Sharded, latency LatencyFunc) *N
 		root:    &Realm{Name: "internet", base: MustParseIP("128.0.0.1")},
 		engine:  eng,
 		sims:    sims,
-		stats:   metrics.NewSharded(len(sims)),
 	}
 	n.root.net = n
 	n.shards = make([]shardState, len(sims))
@@ -255,16 +250,14 @@ func newNetwork(sims []*sim.Simulator, eng *sim.Sharded, latency LatencyFunc) *N
 	return n
 }
 
-// TotalStats returns the network-wide delivery/drop counters, merged over
-// the shards: the losses, delivered, boundary.in and boundary.out. Call
-// between runs only.
+// TotalStats returns the network's counters (Counters), summed over the
+// shards. Call between runs only.
 func (n *Network) TotalStats() metrics.Counter {
-	c := n.stats.Merged()
+	c := Counters.New()
 	for i := range n.shards {
-		st := &n.shards[i]
-		c.Inc("delivered", st.delivered)
-		c.Inc("boundary.in", st.boundIn)
-		c.Inc("boundary.out", st.boundOut)
+		for j, v := range n.shards[i].counts {
+			c.Add(j, v)
+		}
 	}
 	return c
 }
@@ -389,49 +382,50 @@ func (n *Network) AddHost(name string, site *Site, realm *Realm, cfg HostConfig)
 // host the translations end at. A chain pinned to another shard is not
 // touched: resolve returns its top realm, and deliverBoundary descends it on
 // the owning shard when the packet arrives. A chain nobody was ever placed
-// behind has no owner and no possible receiver.
-func (n *Network) resolve(now sim.Time, p *Packet, src *Host) (*Host, *Realm, string) {
+// behind has no owner and no possible receiver. The third result is the
+// loss, if the packet was lost, and 0 otherwise.
+func (n *Network) resolve(now sim.Time, p *Packet, src *Host) (*Host, *Realm, counter) {
 	for realm := src.realm; ; realm = realm.parent {
 		if h := realm.host(p.Dst.IP); h != nil {
-			return h, nil, ""
+			return h, nil, 0
 		}
 		if entry := realm.claimant(p.Dst.IP); entry != nil {
 			switch {
 			case !entry.pinned:
-				return nil, nil, "lost.noroute"
+				return nil, nil, cLostNoRoute
 			case entry.site.shard != src.shard:
-				return nil, entry, ""
+				return nil, entry, 0
 			}
-			h, reason := n.descend(now, p, entry)
-			return h, nil, reason
+			h, lost := n.descend(now, p, entry)
+			return h, nil, lost
 		}
 		if realm.parent == nil {
-			return nil, nil, "lost.noroute"
+			return nil, nil, cLostNoRoute
 		}
 		if !realm.boundary.Outbound(now, p) {
-			return nil, nil, "lost.boundary"
+			return nil, nil, cLostBoundary
 		}
-		n.shards[src.shard].boundOut++
+		n.shards[src.shard].counts[cBoundaryOut]++
 	}
 }
 
 // descend takes a packet through the boundary of realm entry and on down
 // the chain — inbound translations, nested boundaries included — to the host
-// they end at, or to a loss reason. It runs on the chain's owning shard and
+// they end at, or to a loss. It runs on the chain's owning shard and
 // nowhere else, so every mutation of the chain's middlebox state is
 // single-threaded: called by resolve when that shard is the sender's, by
 // deliverBoundary when it is not.
-func (n *Network) descend(now sim.Time, p *Packet, entry *Realm) (*Host, string) {
+func (n *Network) descend(now sim.Time, p *Packet, entry *Realm) (*Host, counter) {
 	for realm := entry; realm != nil; realm = realm.claimant(p.Dst.IP) {
 		if !realm.boundary.Inbound(now, p) {
-			return nil, "lost.boundary"
+			return nil, cLostBoundary
 		}
-		n.shards[entry.site.shard].boundIn++
+		n.shards[entry.site.shard].counts[cBoundaryIn]++
 		if h := realm.host(p.Dst.IP); h != nil {
-			return h, ""
+			return h, 0
 		}
 	}
-	return nil, "lost.noroute"
+	return nil, cLostNoRoute
 }
 
 // deliverBoundary is the arrival of a packet whose claiming chain lives on
@@ -445,9 +439,9 @@ func deliverBoundary(a any) {
 	n, sh := entry.net, entry.site.shard
 	s := n.sims[sh]
 	p.Live(s, "boundary")
-	h, reason := n.descend(s.Now(), p, entry)
-	if reason != "" {
-		n.drop(sh, reason, p)
+	h, lost := n.descend(s.Now(), p, entry)
+	if lost != 0 {
+		n.drop(sh, lost, p)
 		return
 	}
 	p.dest = h
@@ -480,9 +474,9 @@ func (n *Network) send(src *Host, p *Packet) {
 		src.txBusyUntil = depart
 	}
 
-	dst, entry, reason := n.resolve(now, p, src)
-	if reason != "" {
-		n.drop(src.shard, reason, p)
+	dst, entry, lost := n.resolve(now, p, src)
+	if lost != 0 {
+		n.drop(src.shard, lost, p)
 		return
 	}
 	// Where the packet lands: on the resolved host, or — deferred — on the
@@ -497,7 +491,7 @@ func (n *Network) send(src *Host, p *Packet) {
 	)
 	if dst != nil {
 		if !dst.up {
-			n.drop(src.shard, "lost.hostdown", p)
+			n.drop(src.shard, cLostHostDown, p)
 			return
 		}
 		p.dest, dstSite, to = dst, dst.Site, dst.shard
@@ -513,12 +507,12 @@ func (n *Network) send(src *Host, p *Packet) {
 		var blackhole bool
 		pm, blackhole = n.Perturb(src, dst, pm)
 		if blackhole {
-			n.drop(src.shard, "lost.fault", p)
+			n.drop(src.shard, cLostFault, p)
 			return
 		}
 	}
 	if pm.Loss > 0 && src.sim.Rand().Float64() < pm.Loss {
-		n.drop(src.shard, "lost.wire", p)
+		n.drop(src.shard, cLostWire, p)
 		return
 	}
 	prop := pm.OneWay
@@ -555,17 +549,18 @@ func deliverPacket(a any) {
 // drop records a packet loss and retires the packet. Every packet's life ends in exactly one drop call or one
 // delivered OnRecv call. sh is the shard the drop executes on (sender's
 // shard for wire/route losses, destination's for host-side losses).
-func (n *Network) drop(sh int, reason string, p *Packet) {
-	n.stats.Shard(sh).Inc(reason, 1)
-	n.flightDiscard(sh, reason, p.Payload)
-	n.shards[sh].pkts.Put(p, "drop")
+func (n *Network) drop(sh int, lost counter, p *Packet) {
+	st := &n.shards[sh]
+	st.counts[lost]++
+	n.flightDiscard(sh, counterNames[lost], p.Payload)
+	st.pkts.Put(p, "drop")
 }
 
 // flightDiscard emits a route terminal for a traced overlay payload dying
 // inside the physical layer — a wire/route drop, or a transport buffer
 // discarded at stream teardown. The drop is the last anyone would
 // otherwise hear of the packet. The record lands in the executing shard's
-// buffer (single-writer, like the stats counters) with that shard's clock,
+// buffer (single-writer, like the shard's counts) with that shard's clock,
 // and the payload's trace context is consumed so an object shared between
 // a retransmit buffer and the wire cannot terminate twice. The record's
 // outcome is trace.OutcomePhysicalDrop+reason, spelled out only once a

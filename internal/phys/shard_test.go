@@ -297,9 +297,9 @@ func TestShardedConnIDsUniqueAcrossRealms(t *testing.T) {
 }
 
 // TestUnshardedStatsUnchanged: TotalStats is the one reader of a network's
-// counters, and on a serial network it sees every live one — the cells the
-// hot paths hold handles to (delivered, boundary.in, boundary.out) and the
-// ones a drop finds by name.
+// counters, and on a serial network it sees every one of them — each packet
+// below ends in a different cell, and each cell's name is the one it had
+// when phys counted its losses by name.
 func TestUnshardedStatsUnchanged(t *testing.T) {
 	s := sim.New(1)
 	net := NewNetwork(s, UniformLatency(PathModel{}, PathModel{}))
@@ -308,6 +308,7 @@ func TestUnshardedStatsUnchanged(t *testing.T) {
 	b := net.AddHost("b", site, net.Root(), HostConfig{})
 	down := net.AddHost("down", site, net.Root(), HostConfig{})
 	down.SetUp(false)
+	busy := net.AddHost("busy", site, net.Root(), HostConfig{ServiceTime: sim.Millisecond, QueueLimit: 1})
 	nat := &fakeNAT{public: net.Root().NextIP()}
 	lan := net.AddRealm("lan", net.Root(), nat, MustParseIP("10.0.0.1"))
 	in := net.AddHost("in", site, lan, HostConfig{})
@@ -322,6 +323,7 @@ func TestUnshardedStatsUnchanged(t *testing.T) {
 	bs.OnRecv = func(p *Packet) { bs.Send(p.Src, 8, "echo") }
 	as, _ := a.Listen(8)
 	is, _ := in.Listen(8)
+	busy.Listen(7)
 	as.Send(Endpoint{IP: b.IP(), Port: 7}, 8, "delivered; the echo is blackholed")
 	as.Send(Endpoint{IP: b.IP(), Port: 9}, 8, "no such port")
 	as.Send(Endpoint{IP: down.IP(), Port: 7}, 8, "host down")
@@ -330,17 +332,18 @@ func TestUnshardedStatsUnchanged(t *testing.T) {
 	is.Send(Endpoint{IP: b.IP(), Port: 7}, 8, "translated, then lost on the wire")
 	is.Send(Endpoint{IP: a.IP(), Port: 8}, 8, "translated and delivered")
 	as.Send(Endpoint{IP: nat.public, Port: 2000}, 8, "translated back in")
+	as.Send(Endpoint{IP: busy.IP(), Port: 7}, 8, "delivered after a millisecond of service")
+	as.Send(Endpoint{IP: busy.IP(), Port: 7}, 8, "overload: the backlog passes the queue limit")
 	s.Run()
-	const want = "boundary.in=1 boundary.out=2 delivered=3 lost.boundary=1 lost.fault=1 lost.hostdown=1 lost.noport=1 lost.noroute=1 lost.wire=1"
+	const want = "boundary.in=1 boundary.out=2 delivered=4 lost.boundary=1 lost.fault=1 lost.hostdown=1 lost.noport=1 lost.noroute=1 lost.overload=1 lost.wire=1"
 	if got := statsString(net); got != want {
 		t.Fatalf("TotalStats = %q\nwant        %q", got, want)
 	}
 }
 
-// TestTotalStatsConcurrentShardWrites: the per-shard stats counters obey
-// the same ownership rule as the engine — each shard's goroutine bumps
-// only its own Counter's map cells and its own state's delivered count —
-// and TotalStats merges them exactly. Run under -race this also proves
+// TestTotalStatsConcurrentShardWrites: the per-shard counts obey the same
+// ownership rule as the engine — each shard's goroutine bumps only its own
+// state's cells — and TotalStats sums them exactly. Run under -race this also proves
 // the hot-path counters introduce no cross-shard write sharing.
 func TestTotalStatsConcurrentShardWrites(t *testing.T) {
 	const shards, perShard = 4, 5000
@@ -354,8 +357,8 @@ func TestTotalStatsConcurrentShardWrites(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < perShard; j++ {
-				net.shards[i].delivered++
-				net.stats.Shard(i).Inc("lost.wire", 1)
+				net.shards[i].counts[cDelivered]++
+				net.shards[i].counts[cLostWire]++
 			}
 		}()
 	}

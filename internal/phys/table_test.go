@@ -561,7 +561,7 @@ func TestHotFieldsPacketSize(t *testing.T) {
 }
 
 // TestHotFieldsPerShardLines holds what each shard writes on every packet —
-// its packet free list's header and its delivery, boundary and dial counts
+// its packet free list's header, its counters and its dial count
 // — to cache lines that no other shard's words touch, and a line away from
 // both ends of the slice they live in, so that nothing the allocator puts
 // beside the slice shares a line with them either (DESIGN.md §9, "Per-shard
@@ -581,9 +581,7 @@ func TestHotFieldsPerShardLines(t *testing.T) {
 			at, size uintptr
 		}{
 			{"pkts", uintptr(unsafe.Pointer(&st.pkts)), unsafe.Sizeof(st.pkts)},
-			{"delivered", uintptr(unsafe.Pointer(&st.delivered)), unsafe.Sizeof(st.delivered)},
-			{"boundary.in", uintptr(unsafe.Pointer(&st.boundIn)), unsafe.Sizeof(st.boundIn)},
-			{"boundary.out", uintptr(unsafe.Pointer(&st.boundOut)), unsafe.Sizeof(st.boundOut)},
+			{"counts", uintptr(unsafe.Pointer(&st.counts)), unsafe.Sizeof(st.counts)},
 			{"dialed", uintptr(unsafe.Pointer(&st.dialed)), unsafe.Sizeof(st.dialed)},
 		} {
 			if w.at < lo+line || w.at+w.size > hi-line {
