@@ -26,8 +26,12 @@ type Addr [AddrBytes]byte
 // Zero is the all-zero address; used as "unset".
 var Zero Addr
 
-// IsZero reports whether a is the unset address.
-func (a Addr) IsZero() bool { return a == Zero }
+// IsZero reports whether a is the unset address, on words as is does
+// (a.is(&Zero) would exceed the inlining budget).
+func (a Addr) IsZero() bool {
+	hi, mid, lo := words(&a)
+	return hi == 0 && mid == 0 && lo == 0
+}
 
 // String renders the first 8 hex digits, enough to identify nodes in logs.
 func (a Addr) String() string { return hex.EncodeToString(a[:4]) }
@@ -48,6 +52,14 @@ func AddrFromString(s string) Addr {
 // [20]byte is 20 bytes where three words would pad to 24.
 func words(a *Addr) (hi, mid uint64, lo uint32) {
 	return binary.BigEndian.Uint64(a[0:8]), binary.BigEndian.Uint64(a[8:16]), binary.BigEndian.Uint32(a[16:20])
+}
+
+// is reports *a == *b on three words. The compiler's == on a [20]byte is
+// a call to runtime.memequal; the hop's equality tests use this instead.
+func (a *Addr) is(b *Addr) bool {
+	ah, am, al := words(a)
+	bh, bm, bl := words(b)
+	return ah == bh && am == bm && al == bl
 }
 
 // fromWords is the inverse of words.

@@ -210,6 +210,35 @@ func TestQuickAddSubInverse(t *testing.T) {
 	}
 }
 
+// Property: is agrees with == — on random pairs, equal pairs, pairs that
+// share their top word or their first 16 bytes, and pairs one bit apart in
+// any byte (zero among them) — and IsZero with == Zero.
+func TestQuickAddrIsMatchesEquality(t *testing.T) {
+	f := func(ab, bb [AddrBytes]byte, shape uint8, flip uint8) bool {
+		a, b := Addr(ab), Addr(bb)
+		switch shape % 6 {
+		case 1:
+			b = a
+		case 2: // the same top word
+			copy(b[:8], a[:8])
+		case 3: // the same first 16 bytes
+			copy(b[:16], a[:16])
+		case 4: // one bit apart
+			b = a
+			b[int(flip)%AddrBytes] ^= 1 << (flip >> 5)
+		case 5: // zero, and one bit off zero
+			a, b = Zero, Zero
+			b[int(flip)%AddrBytes] ^= 1 << (flip >> 5)
+		}
+		eq := a == b
+		return a.is(&b) == eq && b.is(&a) == eq && a.is(&a) &&
+			a.IsZero() == (a == Zero) && b.IsZero() == (b == Zero)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 4000, Rand: rand.New(rand.NewSource(61))}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // Property: RingDist(a,b) == RingDist(b,a) and is at most half the ring.
 func TestQuickRingDistSymmetric(t *testing.T) {
 	var halfPlus Addr

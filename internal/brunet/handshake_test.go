@@ -119,9 +119,10 @@ func TestJoinCTMPassedAcross(t *testing.T) {
 	pkts, ctms, links := nodes[0].pktListLen(), nodes[0].ctmListLen(), nodes[0].linkListLen()
 	joiner := NewNode(net.AddHost("joiner", site, net.Root(), phys.HostConfig{}), AddrFromString("joiner"), FastTestConfig())
 
-	// Every node's receive watches the joiner's join CTM: the first message
-	// of a token to arrive anywhere is the original, and its relay candidates
-	// are noted as they read then; any other message of that token is a copy.
+	// A receiver in front of every node's own watches the joiner's join CTM:
+	// the first message of a token to arrive anywhere is the original, and
+	// its relay candidates are noted as they read then; any other message of
+	// that token is a copy.
 	type sighting struct {
 		orig *ctmMsg
 		want []NeighborInfo
@@ -129,8 +130,8 @@ func TestJoinCTMPassedAcross(t *testing.T) {
 	seen := map[uint64]*sighting{}
 	copies := 0
 	for _, n := range nodes {
-		recv := n.sock.OnRecv
-		n.sock.OnRecv = func(p *phys.Packet) {
+		recv := (*nodeRecv)(n)
+		n.sock.SetReceiver(recvFunc(func(p *phys.Packet) {
 			if op, ok := p.Payload.(*OverlayPacket); ok {
 				if m, ok := op.Payload.(*ctmMsg); ok && m.Kind == kindRequest && m.From == joiner.addr {
 					switch sg := seen[m.Token]; {
@@ -147,8 +148,8 @@ func TestJoinCTMPassedAcross(t *testing.T) {
 					}
 				}
 			}
-			recv(p)
-		}
+			recv.Recv(p)
+		}))
 	}
 
 	if err := joiner.Start([]URI{nodes[0].BootstrapURI()}); err != nil {
@@ -184,6 +185,12 @@ func TestJoinCTMPassedAcross(t *testing.T) {
 		t.Errorf("after the join the lists hold %d packets, %d CTM messages and %d link messages, %d, %d and %d before it: an object leaked or was released to be taken twice", pl, cl, ll, pkts, ctms, links)
 	}
 }
+
+// recvFunc is a function as a socket's phys.Receiver: a sniffer a test
+// installs in front of a node's own receiver, (*nodeRecv)(n).
+type recvFunc func(*phys.Packet)
+
+func (f recvFunc) Recv(p *phys.Packet) { f(p) }
 
 // gcOwned returns what a node would have received had the sender's message
 // been a fresh object that no list ever takes back: a copy that shares
@@ -245,11 +252,11 @@ func joinOverlay(t *testing.T, public, symmetric int, gcCopies bool) *natRig {
 	r := &natRig{overlayRig: newOverlayRig(23), nats: map[Addr]*natsim.NAT{}}
 	started := func(n *Node) {
 		if gcCopies {
-			recv := n.sock.OnRecv
-			n.sock.OnRecv = func(p *phys.Packet) {
+			recv := (*nodeRecv)(n)
+			n.sock.SetReceiver(recvFunc(func(p *phys.Packet) {
 				p.Payload = gcOwned(p.Payload)
-				recv(p)
-			}
+				recv.Recv(p)
+			}))
 		}
 		r.s.RunFor(500 * sim.Millisecond)
 	}

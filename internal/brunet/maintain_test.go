@@ -172,14 +172,15 @@ func TestRestartHoldsNoOldOverlords(t *testing.T) {
 			t.Fatalf("restart %d: the node did not rejoin (routable %v, leaf %v)", i, n.IsRoutable(), n.near.leafConn())
 		}
 	}
-	// What a Start keeps, 11 objects: four of phys's (the UDP socket; the
+	// What a Start keeps, 10 objects: four of phys's (the UDP socket; the
 	// stream listener, its TCP socket and that socket's receive closure), the
-	// two handler method values they call (n.recv, n.acceptStream), the
-	// overlords block and its tunnel overlord's candidate map, the shortcut
-	// overlord (FastTestConfig configures shortcuts), the copy of the
-	// bootstrap list, and the node's URI list, rebuilt on the new port for the
-	// leaf link request. Stop allocates nothing.
-	const kept = 11
+	// listener's handler method value (n.acceptStream; the UDP socket's
+	// receiver is the node itself), the overlords block and its tunnel
+	// overlord's candidate map, the shortcut overlord (FastTestConfig
+	// configures shortcuts), the copy of the bootstrap list, and the node's
+	// URI list, rebuilt on the new port for the leaf link request. Stop
+	// allocates nothing.
+	const kept = 10
 	if raceEnabled || poolDebug {
 		t.Logf("allocs per Stop+Start under -race or packetdebug: %v (not asserted)", allocs)
 		return

@@ -204,7 +204,10 @@ type Node struct {
 	bootstrap []URI
 	slisten   *phys.StreamListener
 
-	handlers map[string]func(src Addr, d AppData)
+	// handlers is the application protocols' handlers (RegisterProto), one
+	// entry per label: a node holds one or two, so a scan finds the label
+	// sooner than a hash would.
+	handlers []protoHandler
 	// onConn and onDisc are the observers registered through onConnection
 	// and onDisconnection (in-package tests: the conn-table shadow oracle);
 	// the overlords are called directly (notifyConn).
@@ -303,14 +306,13 @@ func newShardPool(s *sim.Simulator) any {
 func NewNode(host *phys.Host, addr Addr, cfg Config) *Node {
 	cfg.fillDefaults()
 	n := &Node{
-		addr:     addr,
-		host:     host,
-		sim:      host.Sim(),
-		cfg:      cfg,
-		linkers:  make(map[Addr]*linker),
-		handlers: make(map[string]func(src Addr, d AppData)),
-		Stats:    Counters.New(),
-		pool:     host.Sim().Local(shardPoolKey{}, newShardPool).(*shardPool),
+		addr:    addr,
+		host:    host,
+		sim:     host.Sim(),
+		cfg:     cfg,
+		linkers: make(map[Addr]*linker),
+		Stats:   Counters.New(),
+		pool:    host.Sim().Local(shardPoolKey{}, newShardPool).(*shardPool),
 	}
 	if cfg.JitterSeed != 0 {
 		h := fnv.New64a()
@@ -445,10 +447,23 @@ func (n *Node) learnURI(u URI) bool {
 	return true
 }
 
+// protoHandler is one entry of Node.handlers.
+type protoHandler struct {
+	proto string
+	fn    func(src Addr, d AppData)
+}
+
 // RegisterProto installs the handler for tunnelled application data with
-// the given protocol label (IPOP registers "ipop").
+// the given protocol label (IPOP registers "ipop"), replacing the label's
+// handler if it has one.
 func (n *Node) RegisterProto(proto string, h func(src Addr, d AppData)) {
-	n.handlers[proto] = h
+	for i := range n.handlers {
+		if n.handlers[i].proto == proto {
+			n.handlers[i].fn = h
+			return
+		}
+	}
+	n.handlers = append(n.handlers, protoHandler{proto, h})
 }
 
 // onConnection registers a callback invoked whenever a connection is
@@ -526,7 +541,7 @@ func (n *Node) Start(bootstrap []URI) error {
 		}
 	}
 	n.sock = sock
-	n.sock.OnRecv = n.recv
+	sock.SetReceiver((*nodeRecv)(n))
 	n.slisten = sl
 	n.private = URI{Transport: n.cfg.Transport, EP: sock.LocalEndpoint()}
 	n.uris = nil
@@ -742,9 +757,14 @@ func (n *Node) replyTo(w wire, size int, payload any) {
 	n.transmit(w.ep, w.stream, size, payload)
 }
 
-// recv dispatches incoming datagrams.
-func (n *Node) recv(p *phys.Packet) {
-	n.handleWire(wire{ep: p.Src}, p.Payload)
+// nodeRecv is the node as its UDP socket's receiver: the socket's slot in
+// the host's table holds the node itself, so a delivery calls in through
+// no closure and reads nothing of the socket.
+type nodeRecv Node
+
+// Recv dispatches an incoming datagram.
+func (r *nodeRecv) Recv(p *phys.Packet) {
+	(*Node)(r).handleWire(wire{ep: p.Src}, p.Payload)
 }
 
 // acceptStream hooks an inbound TCP-transport link into the dispatcher.
@@ -876,10 +896,10 @@ func (n *Node) routePacket(pkt *OverlayPacket, from Addr) {
 	}
 	// Sampling happens at origination only: a packet entering the router
 	// with zero hops from this node's own address.
-	if n.flight != nil && pkt.Trace == 0 && pkt.Hops == 0 && from == n.addr {
+	if n.flight != nil && pkt.Trace == 0 && pkt.Hops == 0 && from.is(&n.addr) {
 		n.flightSample(pkt)
 	}
-	if pkt.Dst == n.addr {
+	if pkt.Dst.is(&n.addr) {
 		n.deliver(pkt)
 		n.release(pkt, "routePacket (delivered)")
 		return
@@ -893,7 +913,7 @@ func (n *Node) routePacket(pkt *OverlayPacket, from Addr) {
 		return
 	}
 	best := n.nearestConn(pkt.Dst, from)
-	if best == nil || (best.Peer != pkt.Dst && pkt.Dst.CmpRingDist(best.Peer, n.addr) >= 0) {
+	if best == nil || (!best.Peer.is(&pkt.Dst) && pkt.Dst.CmpRingDist(best.Peer, n.addr) >= 0) {
 		// Nobody closer: we are the nearest live node.
 		n.deliver(pkt)
 		n.release(pkt, "routePacket (nearest)")
@@ -926,7 +946,7 @@ func (n *Node) release(pkt *OverlayPacket, where string) {
 // positions and far targets.
 func (n *Node) deliver(pkt *OverlayPacket) {
 	pkt.Live(n.sim, "deliver")
-	exact := pkt.Dst == n.addr
+	exact := pkt.Dst.is(&n.addr)
 	if !exact && pkt.Mode == DeliverExact {
 		n.Stats.Add(cRouteDeadLetter, 1)
 		if n.flight != nil && pkt.Trace != 0 {
@@ -970,11 +990,13 @@ func (n *Node) deliverApp(src Addr, m AppData) {
 	if n.sco != nil {
 		n.sco.observe(src, 1)
 	}
-	if h, ok := n.handlers[m.Proto]; ok {
-		h(src, m)
-	} else {
-		n.Stats.Add(cRecvNoProto, 1)
+	for i := range n.handlers {
+		if h := &n.handlers[i]; h.proto == m.Proto {
+			h.fn(src, m)
+			return
+		}
 	}
+	n.Stats.Add(cRecvNoProto, 1)
 }
 
 // relayCandidates fills m's relay list with this node's directly-connected

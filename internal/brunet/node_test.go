@@ -159,6 +159,39 @@ func TestAllPairsRouting(t *testing.T) {
 	}
 }
 
+// Registering a label again replaces its handler and adds no entry; a
+// packet whose label has no handler reaches none and counts recv.noproto
+// exactly once.
+func TestRegisterProtoReplacesAndCountsNoProto(t *testing.T) {
+	r := buildRing(t, 4, 8)
+	src, dst := r.nodes[1], r.nodes[6]
+	var first, second, other int
+	dst.RegisterProto("t", func(Addr, AppData) { first++ })
+	dst.RegisterProto("u", func(Addr, AppData) { other++ })
+	dst.RegisterProto("t", func(Addr, AppData) { second++ })
+	if len(dst.handlers) != 2 {
+		t.Fatalf("two labels, %d handler entries", len(dst.handlers))
+	}
+	send := func(proto string) {
+		src.SendTo(dst.Addr(), DeliverExact, AppData{Proto: proto, Size: 10})
+		r.s.RunFor(5 * sim.Second)
+	}
+	send("t")
+	if first != 0 || second != 1 || other != 0 {
+		t.Fatalf("after re-registering \"t\": the first handler ran %d times, its replacement %d, \"u\"'s %d; want 0, 1, 0",
+			first, second, other)
+	}
+	noproto, delivered := dst.Stats.Get("recv.noproto"), dst.Stats.Get("route.delivered")
+	send("v")
+	if got := dst.Stats.Get("recv.noproto") - noproto; got != 1 || dst.Stats.Get("route.delivered") != delivered+1 {
+		t.Fatalf("a packet for an unregistered label: recv.noproto +%d, route.delivered +%d; want +1 each",
+			got, dst.Stats.Get("route.delivered")-delivered)
+	}
+	if first != 0 || second != 1 || other != 0 {
+		t.Fatalf("a packet for an unregistered label ran a handler: %d, %d, %d", first, second, other)
+	}
+}
+
 func TestExactModeDeadLetters(t *testing.T) {
 	r := buildRing(t, 4, 8)
 	ghost := AddrFromString("no-such-node")

@@ -29,7 +29,7 @@ func (n *Node) nearestConn(dst, exclude Addr) *Connection {
 	x := &n.table
 	i, kd := x.search(&dst)
 	if i < len(x.slots) {
-		if s := x.slots[i]; s.key == kd && s.c.Peer == dst && dst != exclude && s.c.roles&(structuredRoles|maskOf(Leaf)) != 0 {
+		if s := x.slots[i]; s.key == kd && s.c.Peer.is(&dst) && !dst.is(&exclude) && s.c.roles&(structuredRoles|maskOf(Leaf)) != 0 {
 			return s.c
 		}
 	}

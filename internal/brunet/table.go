@@ -152,7 +152,7 @@ func (n *Node) lookup(peer Addr) (*Connection, bool) {
 		return nil, false
 	}
 	for i := x.first(key); i < len(x.slots) && x.slots[i].key == key; i++ {
-		if c := x.slots[i].c; c.Peer == peer {
+		if c := x.slots[i].c; c.Peer.is(&peer) {
 			return c, true
 		}
 	}

@@ -74,7 +74,7 @@ func runFastDNAmlParallel(opts Table3Opts, workers int, shortcuts bool) (float64
 		if n >= workers {
 			break
 		}
-		if _, err := pvm.NewWorker(tb.VM(def.Name), master.IP()); err != nil {
+		if err := pvm.NewWorker(tb.VM(def.Name), master.IP()); err != nil {
 			return 0, fmt.Errorf("table3: worker %s: %w", def.Name, err)
 		}
 		n++

@@ -13,7 +13,7 @@ import (
 	"wow/internal/vip"
 )
 
-// Machine is the compute node a Worker drives; internal/vm.VM satisfies
+// Machine is the compute node a worker daemon drives; internal/vm.VM satisfies
 // it.
 type Machine interface {
 	Name() string
@@ -190,15 +190,9 @@ func (m *Master) pump() {
 	}
 }
 
-// Worker executes tasks on a VM.
-type Worker struct {
-	vm Machine
-}
-
-// NewWorker starts the worker daemon on the VM and enrolls with the
-// master.
-func NewWorker(machine Machine, master vip.IP) (*Worker, error) {
-	w := &Worker{vm: machine}
+// NewWorker starts the worker daemon, which executes tasks on the VM, and
+// enrolls with the master.
+func NewWorker(machine Machine, master vip.IP) error {
 	_, err := rpc.Serve(machine.Stack(), WorkerPort, func(client vip.IP, body any, reply func(any, int)) {
 		switch req := body.(type) {
 		case taskReq:
@@ -212,9 +206,9 @@ func NewWorker(machine Machine, master vip.IP) (*Worker, error) {
 		}
 	})
 	if err != nil {
-		return nil, fmt.Errorf("pvm worker: %w", err)
+		return fmt.Errorf("pvm worker: %w", err)
 	}
 	enroll := rpc.Dial(machine.Stack(), master, Port)
 	enroll.Call(enrollReq{Name: machine.Name()}, 256, func(any) {})
-	return w, nil
+	return nil
 }

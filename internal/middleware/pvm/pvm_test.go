@@ -50,7 +50,7 @@ func newRig(t *testing.T, seed int64, workers int, speeds []float64) *rig {
 			speed = speeds[i%len(speeds)]
 		}
 		w := viptest.NewMachine(m, fmt.Sprintf("w%02d", i), vip.MustParseIP("172.16.1.2")+vip.IP(i), speed)
-		if _, err := NewWorker(recorder{w, &r.execs}, r.mIP); err != nil {
+		if err := NewWorker(recorder{w, &r.execs}, r.mIP); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -174,10 +174,10 @@ func TestWorkerCrashRequeuesTask(t *testing.T) {
 	}
 	good := viptest.NewMachine(m, "good", vip.MustParseIP("172.16.1.2"), 1)
 	bad := viptest.NewMachine(m, "bad", vip.MustParseIP("172.16.1.3"), 1)
-	if _, err := NewWorker(good, masterStack.IP()); err != nil {
+	if err := NewWorker(good, masterStack.IP()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewWorker(bad, masterStack.IP()); err != nil {
+	if err := NewWorker(bad, masterStack.IP()); err != nil {
 		t.Fatal(err)
 	}
 	s.RunFor(10 * sim.Second)

@@ -19,11 +19,17 @@ type Host struct {
 	Site  *Site
 	realm *Realm
 	// shard/sim locate the host in the network: all of the host's events
-	// run on shard's Simulator (shard 0 on a one-shard network).
+	// run on shard's Simulator (shard 0 on a one-shard network). shard is
+	// an int32 so that it and ip share a word, and nextPorts fits in the
+	// padding after up: that room is what lets the 24-byte slots of
+	// sockArr stay on the third line.
 	sim   *sim.Simulator
-	shard int
+	shard int32
 	ip    IP
 	up    bool
+	// nextPorts is the next ephemeral port to try in each wire namespace
+	// (indexed by wireIndex); zero means the counter is at its start.
+	nextPorts [2]uint16
 	// socks is the host's bound sockets in ascending key order (see
 	// sockSlot), found by findSock. It starts out backed by sockArr — a
 	// brunet router binds exactly two sockets, its UDP socket and its TCP
@@ -34,24 +40,27 @@ type Host struct {
 	txBusyUntil  sim.Time // uplink serialization
 	cpuBusyUntil sim.Time // receive-path CPU serialization
 
-	// nextPorts is the next ephemeral port to try in each wire namespace
-	// (indexed by wireIndex); zero means the counter is at its start.
-	nextPorts [2]uint16
-	sockArr   [2]sockSlot
-
-	Name string
 	// streams indexes the host's open streams by connection ID; the first
 	// stream, dialled or accepted, makes it (addStream).
 	streams map[uint64]*Stream
+	sockArr [2]sockSlot
+
+	Name string
 }
 
 // sockSlot is one entry of a host's socket table. The key namespaces ports
 // by wire protocol, as real hosts do — UDP port 5000 and TCP port 5000 are
-// independent — and sits inline beside the pointer, so a search reads the
-// table alone.
+// independent — and sits inline beside the socket's receiver, so a delivery
+// reads the table alone: the search, then the receiver's call.
 type sockSlot struct {
-	key  uint32
-	sock *UDPSock
+	key uint32
+	rx  Receiver
+}
+
+// Receiver takes the datagrams delivered to a bound socket. A socket is its
+// own receiver (its Recv calls OnRecv) until SetReceiver installs another.
+type Receiver interface {
+	Recv(p *Packet)
 }
 
 // sockKey is the socket-table key of a port in a wire namespace.
@@ -99,7 +108,7 @@ func (h *Host) Sim() *sim.Simulator { return h.sim }
 
 // Shard reports the shard owning this host's events; 0 on a one-shard
 // network.
-func (h *Host) Shard() int { return h.shard }
+func (h *Host) Shard() int { return int(h.shard) }
 
 // SetUp powers the host on or off. Packets to a downed host are lost;
 // sockets survive power cycling (the owning process is assumed restarted by
@@ -116,7 +125,7 @@ func (h *Host) String() string {
 func (h *Host) receive(p *Packet) {
 	now := h.sim.Now()
 	if !h.up {
-		h.net.drop(h.shard, cLostHostDown, p)
+		h.net.drop(h.Shard(), cLostHostDown, p)
 		return
 	}
 	svc := sim.Duration(float64(h.cfg.ServiceTime) * h.cfg.LoadFactor)
@@ -125,7 +134,7 @@ func (h *Host) receive(p *Packet) {
 		start = h.cpuBusyUntil
 	}
 	if start.Sub(now) > h.cfg.QueueLimit {
-		h.net.drop(h.shard, cLostOverload, p)
+		h.net.drop(h.Shard(), cLostOverload, p)
 		return
 	}
 	done := start.Add(svc)
@@ -135,27 +144,26 @@ func (h *Host) receive(p *Packet) {
 
 // finishReceive is the CPU-service-done callback: package-level so AtArg
 // schedules it without a closure allocation per packet. The destination
-// host rides in the packet (set by Network.send). The packet returns to
-// the pool when the socket's handler returns, so handlers must not retain
-// it (see Packet).
+// host rides in the packet (set by Network.send), and the socket's slot
+// holds its receiver, so the delivery reads neither the socket nor a
+// closure. The packet returns to the pool when the receiver returns, so
+// receivers must not retain it (see Packet).
 func finishReceive(a any) {
 	p := a.(*Packet)
 	h := p.dest
 	if !h.up {
-		h.net.drop(h.shard, cLostHostDown, p)
+		h.net.drop(h.Shard(), cLostHostDown, p)
 		return
 	}
 	// A socket in the table is open: Close takes it out.
 	i, ok := h.findSock(sockKey(p.Proto, p.Dst.Port))
 	if !ok {
-		h.net.drop(h.shard, cLostNoPort, p)
+		h.net.drop(h.Shard(), cLostNoPort, p)
 		return
 	}
 	st := &h.net.shards[h.shard]
 	st.counts[cDelivered]++
-	if sock := h.socks[i].sock; sock.OnRecv != nil {
-		sock.OnRecv(p)
-	}
+	h.socks[i].rx.Recv(p)
 	st.pkts.Put(p, "finishReceive")
 }
 
@@ -169,8 +177,28 @@ type UDPSock struct {
 	closed bool
 	// OnRecv is invoked for every datagram delivered to the socket, with
 	// Src reflecting whatever translations NATs applied en route — the
-	// address a reply should target.
+	// address a reply should target — while the socket is its own
+	// receiver (see SetReceiver).
 	OnRecv func(p *Packet)
+}
+
+// Recv is the socket as its own receiver: it hands p to OnRecv, if set.
+func (s *UDPSock) Recv(p *Packet) {
+	if s.OnRecv != nil {
+		s.OnRecv(p)
+	}
+}
+
+// SetReceiver makes r the receiver of the datagrams delivered to the
+// socket, in place of the socket itself and its OnRecv, until Close. On a
+// closed socket it does nothing; a socket bound again on the port starts
+// as its own receiver.
+func (s *UDPSock) SetReceiver(r Receiver) {
+	if s.closed {
+		return
+	}
+	i, _ := s.host.findSock(sockKey(s.proto, s.port))
+	s.host.socks[i].rx = r
 }
 
 // ErrPortInUse is returned when binding an already-bound port.

@@ -363,7 +363,7 @@ func (n *Network) AddHost(name string, site *Site, realm *Realm, cfg HostConfig)
 		ip:    ip,
 		cfg:   cfg,
 		up:    true,
-		shard: site.shard,
+		shard: int32(site.shard),
 		sim:   n.sims[site.shard],
 	}
 	h.socks = h.sockArr[:0]
@@ -393,7 +393,7 @@ func (n *Network) resolve(now sim.Time, p *Packet, src *Host) (*Host, *Realm, co
 			switch {
 			case !entry.pinned:
 				return nil, nil, cLostNoRoute
-			case entry.site.shard != src.shard:
+			case entry.site.shard != src.Shard():
 				return nil, entry, 0
 			}
 			h, lost := n.descend(now, p, entry)
@@ -458,7 +458,7 @@ func deliverBoundary(a any) {
 // elsewhere.
 func (n *Network) send(src *Host, p *Packet) {
 	p.Live(src.sim, "send")
-	now := src.sim.Now()
+	now, sh := src.sim.Now(), src.Shard()
 	if p.Proto == 0 {
 		p.Proto = WireUDP
 	}
@@ -476,7 +476,7 @@ func (n *Network) send(src *Host, p *Packet) {
 
 	dst, entry, lost := n.resolve(now, p, src)
 	if lost != 0 {
-		n.drop(src.shard, lost, p)
+		n.drop(sh, lost, p)
 		return
 	}
 	// Where the packet lands: on the resolved host, or — deferred — on the
@@ -491,10 +491,10 @@ func (n *Network) send(src *Host, p *Packet) {
 	)
 	if dst != nil {
 		if !dst.up {
-			n.drop(src.shard, cLostHostDown, p)
+			n.drop(sh, cLostHostDown, p)
 			return
 		}
-		p.dest, dstSite, to = dst, dst.Site, dst.shard
+		p.dest, dstSite, to = dst, dst.Site, dst.Shard()
 	} else {
 		p.entry, deliver, dstSite, to = entry, deliverBoundary, entry.site, entry.site.shard
 	}
@@ -507,12 +507,12 @@ func (n *Network) send(src *Host, p *Packet) {
 		var blackhole bool
 		pm, blackhole = n.Perturb(src, dst, pm)
 		if blackhole {
-			n.drop(src.shard, cLostFault, p)
+			n.drop(sh, cLostFault, p)
 			return
 		}
 	}
 	if pm.Loss > 0 && src.sim.Rand().Float64() < pm.Loss {
-		n.drop(src.shard, cLostWire, p)
+		n.drop(sh, cLostWire, p)
 		return
 	}
 	prop := pm.OneWay
@@ -524,7 +524,7 @@ func (n *Network) send(src *Host, p *Packet) {
 	}
 
 	arrive := depart.Add(prop)
-	if to == src.shard {
+	if to == sh {
 		src.sim.AtArg(arrive, deliver, p)
 		return
 	}
@@ -534,7 +534,7 @@ func (n *Network) send(src *Host, p *Packet) {
 	// shard sees it in deterministic timestamp order. The engine panics if
 	// arrive violates the lookahead (latency floor too small).
 	sim.HandOff(p, n.sims[to])
-	n.engine.Send(src.shard, to, arrive, deliver, p)
+	n.engine.Send(sh, to, arrive, deliver, p)
 }
 
 // deliverPacket is the propagation-done callback: package-level so AtArg

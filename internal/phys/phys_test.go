@@ -132,6 +132,42 @@ func TestReplyToObservedSource(t *testing.T) {
 	}
 }
 
+// A delivery reaches the receiver SetReceiver installed and not the
+// socket's OnRecv. Once the socket is closed, SetReceiver on it does
+// nothing: a socket bound again on the port is its own receiver.
+func TestSetReceiver(t *testing.T) {
+	s := sim.New(1)
+	net := NewNetwork(s, lanWan())
+	site := net.AddSite("a")
+	h1 := net.AddHost("h1", site, net.Root(), HostConfig{})
+	h2 := net.AddHost("h2", site, net.Root(), HostConfig{})
+	from, _ := h1.Listen(0)
+	to := Endpoint{IP: h2.IP(), Port: 7}
+
+	sock, _ := h2.Listen(7)
+	onRecv := 0
+	sock.OnRecv = func(*Packet) { onRecv++ }
+	rx := &tally{}
+	sock.SetReceiver(rx)
+	from.Send(to, 10, nil)
+	s.Run()
+	if rx.n != 1 || onRecv != 0 {
+		t.Fatalf("installed receiver heard %d datagrams and OnRecv %d; want 1 and 0", rx.n, onRecv)
+	}
+
+	sock.Close()
+	again, _ := h2.Listen(7)
+	againRecv := 0
+	again.OnRecv = func(*Packet) { againRecv++ }
+	sock.SetReceiver(rx)
+	from.Send(to, 10, nil)
+	s.Run()
+	if rx.n != 1 || againRecv != 1 || onRecv != 0 {
+		t.Fatalf("after a rebind, the closed socket's receiver heard %d datagrams, the new socket's OnRecv %d; want 1 and 1",
+			rx.n, againRecv)
+	}
+}
+
 func TestUnroutableCounted(t *testing.T) {
 	s := sim.New(1)
 	net := NewNetwork(s, lanWan())

@@ -313,7 +313,7 @@ func (s *Stream) flightDiscardBuffers() {
 	}
 	for _, buf := range [][]*streamSeg{s.unacked[:s.inFlight], s.oo, s.unacked[s.inFlight:]} {
 		for _, seg := range buf {
-			s.host.net.flightDiscard(s.host.shard, "stream_abort", seg.Payload)
+			s.host.net.flightDiscard(s.host.Shard(), "stream_abort", seg.Payload)
 		}
 	}
 }

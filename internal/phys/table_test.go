@@ -13,11 +13,24 @@ import (
 	"wow/internal/sim"
 )
 
+// boundSock is the oracle's row for a bound socket: the socket, and the
+// receiver its slot should hold.
+type boundSock struct {
+	sock *UDPSock
+	rx   Receiver
+}
+
+// tally is a receiver that counts what reaches it.
+type tally struct{ n int }
+
+func (r *tally) Recv(*Packet) { r.n++ }
+
 // sockTableHolds checks a host's socket table against the oracle the test
-// keeps: the same sockets under the same keys, strictly ascending, held in
-// the inline slots exactly while they fit, and found — or not — by the one
-// search for every key the program can produce.
-func sockTableHolds(h *Host, oracle map[uint32]*UDPSock, probes []uint32) error {
+// keeps: the same sockets under the same keys, each slot holding the
+// socket's receiver, strictly ascending, held in the inline slots exactly
+// while they fit, and found — or not — by the one search for every key the
+// program can produce.
+func sockTableHolds(h *Host, oracle map[uint32]boundSock, probes []uint32) error {
 	if len(h.socks) != len(oracle) {
 		return fmt.Errorf("table holds %d sockets, oracle %d", len(h.socks), len(oracle))
 	}
@@ -25,9 +38,9 @@ func sockTableHolds(h *Host, oracle map[uint32]*UDPSock, probes []uint32) error 
 		if i > 0 && h.socks[i-1].key >= sl.key {
 			return fmt.Errorf("slot %d: key %#x after %#x", i, sl.key, h.socks[i-1].key)
 		}
-		if sl.key != sockKey(sl.sock.proto, sl.sock.port) || oracle[sl.key] != sl.sock || sl.sock.closed {
-			return fmt.Errorf("slot %d: key %#x holds %d/%d (closed=%v), oracle %v",
-				i, sl.key, sl.sock.port, sl.sock.proto, sl.sock.closed, oracle[sl.key])
+		o, held := oracle[sl.key]
+		if !held || sl.key != sockKey(o.sock.proto, o.sock.port) || sl.rx != o.rx || o.sock.closed {
+			return fmt.Errorf("slot %d: key %#x holds receiver %v; oracle %+v", i, sl.key, sl.rx, o)
 		}
 	}
 	if inline := cap(h.socks) == len(h.sockArr); inline != (len(h.socks) <= len(h.sockArr)) {
@@ -39,7 +52,7 @@ func sockTableHolds(h *Host, oracle map[uint32]*UDPSock, probes []uint32) error 
 	for _, key := range probes {
 		want, held := oracle[key]
 		i, found := h.findSock(key)
-		if found != held || (found && h.socks[i].sock != want) {
+		if found != held || (found && h.socks[i].rx != want.rx) {
 			return fmt.Errorf("findSock(%#x) = %d, %v; oracle holds it: %v", key, i, found, held)
 		}
 		if !found && ((i > 0 && h.socks[i-1].key >= key) || (i < len(h.socks) && h.socks[i].key <= key)) {
@@ -50,10 +63,13 @@ func sockTableHolds(h *Host, oracle map[uint32]*UDPSock, probes []uint32) error 
 }
 
 // Property: through any program of Listen(port), Listen(0), ListenStream,
-// DialStream, Close, re-binds and datagrams, the sorted socket table is the
-// map it replaced. The oracle is that map, kept by the test, together with
-// a model of the ephemeral-port counter (start at 32768, skip bound ports,
-// wrap from 65535 back to 32768).
+// DialStream, Close, re-binds, SetReceiver on open and closed sockets and
+// datagrams, the sorted socket table is the map it replaced. The oracle is
+// that map, kept by the test — each socket with its receiver: itself from
+// the bind until SetReceiver replaces it — together with a model of the
+// ephemeral-port counter (start at 32768, skip bound ports, wrap from 65535
+// back to 32768). A datagram reaches the socket's receiver only: OnRecv
+// hears nothing once another receiver is installed.
 func TestQuickSockTable(t *testing.T) {
 	// Ports the program binds by number: low ones, and the bottom of the
 	// ephemeral range so explicit and ephemeral bindings collide.
@@ -77,9 +93,10 @@ func TestQuickSockTable(t *testing.T) {
 		}
 		from, _ := peer.Listen(9)
 
-		oracle := map[uint32]*UDPSock{}
+		oracle := map[uint32]boundSock{}
 		closers := map[uint32]func(){} // how the program closes what it bound
-		recv := map[uint32]int{}       // datagrams delivered, by UDP socket key
+		recv := map[uint32]int{}       // datagrams delivered through OnRecv, by UDP socket key
+		var closed []*UDPSock          // every socket the program closed
 		next := map[uint8]uint16{}     // ephemeral-counter model, by wire protocol
 		ephemeral := func(proto uint8) uint16 {
 			for {
@@ -95,11 +112,22 @@ func TestQuickSockTable(t *testing.T) {
 		}
 		bound := func(sock *UDPSock, closer func()) {
 			key := sockKey(sock.proto, sock.port)
-			oracle[key] = sock
-			closers[key] = closer
+			oracle[key] = boundSock{sock, sock}
+			closers[key] = func() {
+				closer()
+				closed = append(closed, sock)
+			}
 			if sock.proto == WireUDP {
 				sock.OnRecv = func(*Packet) { recv[key]++ }
 			}
+		}
+		// heard is what the receiver the oracle holds for a UDP key has
+		// heard: OnRecv's count while the socket is its own receiver.
+		heard := func(key uint32) int {
+			if t, ok := oracle[key].rx.(*tally); ok {
+				return t.n
+			}
+			return recv[key]
 		}
 		fail := func(step int, op uint32, format string, args ...any) bool {
 			failure = fmt.Errorf("step %d (op %#x): %s", step, op, fmt.Sprintf(format, args...))
@@ -107,7 +135,7 @@ func TestQuickSockTable(t *testing.T) {
 		}
 		for step, op := range ops {
 			port := ports[int(op>>8)%len(ports)]
-			switch op % 8 {
+			switch op % 10 {
 			case 0: // bind a UDP port by number; a bound one is refused
 				_, taken := oracle[sockKey(WireUDP, port)]
 				sock, err := h.Listen(port)
@@ -158,16 +186,20 @@ func TestQuickSockTable(t *testing.T) {
 						want++
 					}
 				}
-				had := map[uint32]int{}
-				for k, v := range recv {
-					had[k] = v
+				had, onRecv := map[uint32]int{}, map[uint32]int{}
+				for _, p := range ports {
+					key := sockKey(WireUDP, p)
+					had[key], onRecv[key] = heard(key), recv[key]
 				}
 				s.RunFor(sim.Millisecond)
 				for _, p := range ports {
 					key := sockKey(WireUDP, p)
-					got := recv[key] - had[key]
+					got := heard(key) - had[key]
 					if _, held := oracle[key]; held != (got == 1) || got > 1 {
 						return fail(step, op, "port %d bound=%v received %d datagrams", p, held, got)
+					}
+					if o, held := oracle[key]; held && o.rx != Receiver(o.sock) && recv[key] != onRecv[key] {
+						return fail(step, op, "port %d: OnRecv heard a datagram with a receiver installed", p)
 					}
 				}
 				if lost := stat(net, "lost.noport") - before; lost != want {
@@ -175,20 +207,37 @@ func TestQuickSockTable(t *testing.T) {
 				}
 			case 7: // a datagram in flight to a port that closes meanwhile
 				key := sockKey(WireUDP, port)
-				if _, held := oracle[key]; held {
-					before, had := stat(net, "lost.noport"), recv[key]
+				if o, held := oracle[key]; held {
+					count := func() int { // what the closing socket's receiver has heard
+						if t, ok := o.rx.(*tally); ok {
+							return t.n
+						}
+						return recv[key]
+					}
+					before, had := stat(net, "lost.noport"), count()
 					from.Send(Endpoint{IP: h.IP(), Port: port}, 10, nil)
 					closers[key]()
 					delete(oracle, key)
 					delete(closers, key)
 					s.RunFor(sim.Millisecond)
-					if recv[key] != had || stat(net, "lost.noport") != before+1 {
+					if count() != had || stat(net, "lost.noport") != before+1 {
 						return fail(step, op, "in flight to closed port %d: delivered %d, lost.noport +%d",
-							port, recv[key]-had, stat(net, "lost.noport")-before)
+							port, count()-had, stat(net, "lost.noport")-before)
 					}
 				} else if op>>28 == 0 { // rarely: park both counters just under the top
 					next[WireUDP], next[WireTCP] = 65534, 65534
 					h.nextPorts = [2]uint16{65534, 65534}
+				}
+			case 8: // a new receiver for a bound UDP socket
+				key := sockKey(WireUDP, port)
+				if o, held := oracle[key]; held {
+					o.rx = &tally{}
+					o.sock.SetReceiver(o.rx)
+					oracle[key] = o
+				}
+			case 9: // SetReceiver on a closed socket does nothing, even with its port bound again
+				if len(closed) > 0 {
+					closed[int(op>>16)%len(closed)].SetReceiver(&tally{})
 				}
 			}
 			if err := sockTableHolds(h, oracle, probes); err != nil {
@@ -210,7 +259,7 @@ func TestSockTableSpillsAndReturns(t *testing.T) {
 	s := sim.New(1)
 	net := NewNetwork(s, UniformLatency(PathModel{}, PathModel{}))
 	h := net.AddHost("h", net.AddSite("a"), net.Root(), HostConfig{})
-	oracle := map[uint32]*UDPSock{}
+	oracle := map[uint32]boundSock{}
 	var socks []*UDPSock
 	for _, port := range []uint16{30, 10, 20, 40} { // out of order on purpose
 		sock, err := h.Listen(port)
@@ -218,7 +267,7 @@ func TestSockTableSpillsAndReturns(t *testing.T) {
 			t.Fatal(err)
 		}
 		socks = append(socks, sock)
-		oracle[sockKey(WireUDP, port)] = sock
+		oracle[sockKey(WireUDP, port)] = boundSock{sock, sock}
 		if err := sockTableHolds(h, oracle, nil); err != nil {
 			t.Fatalf("after Listen(%d): %v", port, err)
 		}
