@@ -7,6 +7,9 @@
 # BENCH_counts.json (JSONL, one row per workload and change):
 #
 #   - sim_hops_mean, ok_frac and op_samples must be equal;
+#   - when the row carries an `events` field, every repetition's event
+#     total (the `events N` of the run's `bench:` stderr lines) must equal
+#     it: the simulation took exactly the same steps;
 #   - allocs_per_op, alloc_bytes_per_op and heap_bytes_per_node may not be
 #     more than 1 % above the row (the BENCHMARK.json bound). Allocations
 #     depend on the Go toolchain, so this half is checked only when the
@@ -20,6 +23,8 @@
 set -euo pipefail
 rows="${1:-BENCH_counts.json}"
 gover="$(go env GOVERSION)"
+err="$(mktemp)"
+trap 'rm -f "$err"' EXIT
 fail=0
 for w in ring_build ring_route sharded_ring wow_transfer; do
 	want="$(jq -c --arg w "$w" 'select(.workload == $w)' "$rows" | tail -n 1)"
@@ -28,17 +33,23 @@ for w in ring_build ring_route sharded_ring wow_transfer; do
 		fail=1
 		continue
 	fi
-	got="$(bash bench/run.sh --workload "$w" --seed 1 --seconds 0 --trace 0 2>/dev/null | tail -n 1)"
+	got="$(bash bench/run.sh --workload "$w" --seed 1 --seconds 0 --trace 0 2>"$err" | tail -n 1)"
+	# The distinct per-repetition event totals, comma-separated: one number
+	# when every repetition took the same steps.
+	events="$(sed -n 's/^bench: .* rep [0-9]*: .*, events \([0-9]*\)$/\1/p' "$err" | sort -u | paste -sd, -)"
 	bounded=false
 	if [ "$(jq -r '.env.go' <<<"$want")" = "$gover" ]; then
 		bounded=true
 	fi
-	verdict="$(jq -rn --argjson want "$want" --argjson got "$got" --argjson bounded "$bounded" '
+	verdict="$(jq -rn --argjson want "$want" --argjson got "$got" --argjson bounded "$bounded" --arg events "$events" '
 		($got.metrics | map_values(.value)) as $m
 		| [ (if $got.correct != true then "run not correct" else empty end),
 		    ("sim_hops_mean", "ok_frac", "op_samples"
 		     | select($m[.] != $want[.])
 		     | "\(.) \($m[.]) != \($want[.])"),
+		    (if $want.events != null and $events != ($want.events | tostring) then
+		       "events per repetition \($events) != \($want.events)"
+		     else empty end),
 		    (if $bounded then
 		       ("allocs_per_op", "alloc_bytes_per_op", "heap_bytes_per_node"
 		        | select($want[.] != null and $m[.] > $want[.] * 1.01)

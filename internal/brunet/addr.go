@@ -159,6 +159,35 @@ func (o Addr) CmpClockwise(a, b Addr) int {
 	return -1
 }
 
+// onRight reports whether x lies on o's right: its clockwise distance from
+// o is the shorter way round, strictly — `o.Clockwise(x).Cmp(x.Clockwise(o))
+// < 0` on the words of one subtraction. The two distances sum to 2^160, so
+// the clockwise one is the shorter exactly when it is non-zero and below
+// 2^159; x == o and the antipode, where the two are equal, are not on the
+// right.
+func (o *Addr) onRight(x *Addr) bool {
+	hi, mid, lo := subWords(x, o)
+	return hi>>63 == 0 && hi|mid|uint64(lo) != 0
+}
+
+// inside reports whether w lies strictly nearer o than kth on the given
+// side: clockwise distances compared on the right, counter-clockwise ones
+// on the left — `o.Clockwise(w).Cmp(o.Clockwise(kth)) < 0` and
+// `w.Clockwise(o).Cmp(kth.Clockwise(o)) < 0` on words, neither distance
+// stored as an address.
+func (o *Addr) inside(w, kth *Addr, right bool) bool {
+	var wh, wm, kh, km uint64
+	var wl, kl uint32
+	if right {
+		wh, wm, wl = subWords(w, o)
+		kh, km, kl = subWords(kth, o)
+	} else {
+		wh, wm, wl = subWords(o, w)
+		kh, km, kl = subWords(o, kth)
+	}
+	return cmpWords(wh, wm, wl, kh, km, kl) < 0
+}
+
 // CmpRingDist three-way-compares the bidirectional ring distances from dst
 // to a and to b — `a.RingDist(dst).Cmp(b.RingDist(dst))` on six machine
 // words, neither distance ever stored as an address. Greedy routing's inner

@@ -84,6 +84,21 @@ func refCmpRingDist(dst, a, b Addr) int {
 	return refCmp(refTopBitRingDist(a, dst), refTopBitRingDist(b, dst))
 }
 
+// refRight is the side test wanted() and neighborAcross() ran before they
+// moved to words: x is on o's right when its clockwise distance from o is
+// strictly the shorter way round.
+func refRight(o, x Addr) bool { return refCmp(refSub(x, o), refSub(o, x)) < 0 }
+
+// refInside is wanted()'s old inside-the-k-th-neighbour test: w strictly
+// nearer o than kth, by clockwise distance on the right and by
+// counter-clockwise distance on the left.
+func refInside(o, w, kth Addr, right bool) bool {
+	if right {
+		return refCmp(refSub(w, o), refSub(kth, o)) < 0
+	}
+	return refCmp(refSub(o, w), refSub(o, kth)) < 0
+}
+
 // wordsMatchBytes holds every word-wise operation to its reference on one
 // triple of addresses, naming the first that differs.
 func wordsMatchBytes(o, a, b Addr) string {
@@ -106,6 +121,11 @@ func wordsMatchBytes(o, a, b Addr) string {
 		return "CmpRingDist"
 	case distTop64(a, b) != refWord(refRingDist(a, b), 0):
 		return "distTop64"
+	case o.onRight(&a) != refRight(o, a):
+		return "onRight"
+	case o.inside(&a, &b, true) != refInside(o, a, b, true),
+		o.inside(&a, &b, false) != refInside(o, a, b, false):
+		return "inside"
 	}
 	if hi, mid, lo := words(&a); hi != refWord(a, 0) || mid != refWord(a, 8) ||
 		uint64(lo) != refWord(a, 16)>>32 || fromWords(hi, mid, lo) != a {
@@ -208,5 +228,78 @@ func TestQuickAddrWordsMatchBytewise(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 4000, Rand: rand.New(rand.NewSource(59))}); err != nil {
 		t.Fatalf("%s: %v", failed, err)
+	}
+}
+
+// Property: the near overlord's two decisions on words — the side of me a
+// candidate w lies on (onRight), and whether w lies strictly inside the
+// k-th neighbour kth on that side (inside) — are the byte-wise expressions
+// wanted() and neighborAcross() computed before, on random addresses and on
+// the shapes where a strict comparison decides: w == me, w at the antipode
+// and one step either side of it, w sharing me's top word, and kth a
+// neighbour on the right or on the left with w equal to it or one step
+// either side of it.
+func TestQuickRingSideMatchesBytewise(t *testing.T) {
+	one, half := seamAddrs()[1], seamAddrs()[3]
+	var failed string
+	f := func(mb, wb, kb [AddrBytes]byte, shape uint8) bool {
+		me, w, kth := Addr(mb), Addr(wb), Addr(kb)
+		switch shape % 8 {
+		case 1:
+			w = me
+		case 2:
+			w = refAdd(me, half)
+		case 3:
+			w = refAdd(refAdd(me, half), one)
+		case 4:
+			w = refSub(refAdd(me, half), one)
+		case 5: // the top word of me, any lower words
+			copy(w[:8], me[:8])
+		case 6: // w on kth or one step either side of it
+			kth = w
+			switch wb[19] % 3 {
+			case 0:
+				w = kth
+			case 1:
+				w = refAdd(kth, one)
+			case 2:
+				w = refSub(kth, one)
+			}
+		case 7: // kth a near neighbour: a short way clockwise or counter-clockwise
+			var d Addr
+			copy(d[8:], kb[8:])
+			if kb[0]&1 == 0 {
+				kth = refAdd(me, d)
+			} else {
+				kth = refSub(me, d)
+			}
+		}
+		if me.onRight(&w) != refRight(me, w) {
+			failed = "onRight"
+			return false
+		}
+		right := refRight(me, w)
+		for _, side := range []bool{right, !right} {
+			if me.inside(&w, &kth, side) != refInside(me, w, kth, side) {
+				failed = "inside"
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 4000, Rand: rand.New(rand.NewSource(61))}); err != nil {
+		t.Fatalf("%s: %v", failed, err)
+	}
+	// The antipode and me itself are on neither side's right; one step
+	// clockwise of me is on the right, one step counter-clockwise is not.
+	me := RandomAddr(rand.New(rand.NewSource(67)))
+	for _, c := range []struct {
+		w     Addr
+		right bool
+	}{{me, false}, {refAdd(me, half), false}, {refAdd(me, one), true}, {refSub(me, one), false},
+		{refSub(refAdd(me, half), one), true}, {refAdd(refAdd(me, half), one), false}} {
+		if me.onRight(&c.w) != c.right {
+			t.Errorf("onRight(%s) of %s = %v, want %v", c.w.FullString(), me.FullString(), !c.right, c.right)
+		}
 	}
 }

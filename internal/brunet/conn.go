@@ -25,12 +25,6 @@ type Connection struct {
 	EP     phys.Endpoint
 	roles  roleMask
 	closed bool
-	// suspected marks a connection under a fast probe after a forwarded
-	// death verdict: a pong clears it as a false suspicion, a timeout
-	// confirms it. It and haveRTT (see srtt) sit in the padding after
-	// closed.
-	haveRTT   bool
-	suspected bool
 	// Stream is the TCP-transport link carrying this connection, nil
 	// for UDP-transport connections (§IV-A: "connections between Brunet
 	// nodes are abstracted and may operate over any transport").
@@ -42,14 +36,13 @@ type Connection struct {
 	// adds relays learned from traffic and CTM exchanges and prunes dead
 	// ones. It is a slice of tun's array.
 	Relays []Addr
-	// tun is what only a tunnel edge keeps, made by the edge's first
-	// addRelay and dropped with Relays when the edge upgrades in place;
-	// nil on every direct edge.
-	tun *tunnelState
-	// URIs is the peer's last advertised URI list, kept for status
-	// gossip and relinking.
-	URIs []URI
 
+	// The second line, bytes 64–127, is the keepalive plane's: touch and a
+	// keepalive step (keepaliveFired, pingTick, pingTimeout, setDue) read
+	// and write these fields and, of the first line, closed — a step that
+	// pings reads the first line anyway to send (TestHotFieldsLayout pins
+	// them here).
+	//
 	// node is the owning node. The node's keepalive timer carries the
 	// connection it is armed for as its argument, and its callback reaches
 	// the node through this field (no closure).
@@ -61,30 +54,42 @@ type Connection struct {
 	due sim.Key
 	// pingWait is the deadline the armed ping round is waiting out; each
 	// resend doubles it.
-	pingWait  sim.Duration
-	pingRetry int32
-	// peerLoad is the peer's last advertised relay load (pongs, or a CTM
-	// NeighborInfo before the first pong); loadKnown marks a first-hand
-	// pong value, which third-party adverts never overwrite.
-	peerLoad int32
+	pingWait sim.Duration
 	awaiting uint64 // outstanding ping seq; 0 = none
-
 	// pingSentAt stamps the departure of the outstanding ping round.
 	pingSentAt sim.Time
+	pingRetry  int32
+	// timedOut marks that at least one ping deadline actually expired in
+	// the current round (fastProbe inflates pingRetry without one);
+	// traffic arriving with it set counts as a premature timeout.
+	timedOut bool
+	// dueTimeout marks due as a ping round's deadline (pingTimeout) rather
+	// than the next tick (pingTick).
+	dueTimeout bool
+	// suspected marks a connection under a fast probe after a forwarded
+	// death verdict: a pong clears it as a false suspicion, a timeout
+	// confirms it.
+	suspected bool
+
+	// tun is what only a tunnel edge keeps, made by the edge's first
+	// addRelay and dropped with Relays when the edge upgrades in place;
+	// nil on every direct edge.
+	tun *tunnelState
+	// URIs is the peer's last advertised URI list, kept for status
+	// gossip and relinking.
+	URIs []URI
 	// srtt/rttvar are the Jacobson estimators fed by keepalive RTT
 	// samples (Karn's rule: retransmitted rounds are never sampled);
 	// haveRTT marks the first sample. They drive the adaptive ping
 	// deadline and the tunnel-relay score.
 	srtt   sim.Duration
 	rttvar sim.Duration
-	// timedOut marks that at least one ping deadline actually expired in
-	// the current round (fastProbe inflates pingRetry without one);
-	// traffic arriving with it set counts as a premature timeout.
-	timedOut  bool
+	// peerLoad is the peer's last advertised relay load (pongs, or a CTM
+	// NeighborInfo before the first pong); loadKnown marks a first-hand
+	// pong value, which third-party adverts never overwrite.
+	peerLoad  int32
+	haveRTT   bool
 	loadKnown bool
-	// dueTimeout marks due as a ping round's deadline (pingTimeout) rather
-	// than the next tick (pingTick).
-	dueTimeout bool
 	// reason records why dropConnection tore the connection down,
 	// readable by onDisconnection callbacks — the repair overlord re-links
 	// only involuntary losses.

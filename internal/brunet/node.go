@@ -1113,8 +1113,7 @@ func (n *Node) handleCTMRequest(pkt *OverlayPacket, req *ctmMsg, exact bool) {
 func (n *Node) neighborAcross(x Addr) *Connection {
 	// x is on our right when its clockwise distance is the shorter one;
 	// its other neighbor is then our closest right neighbor.
-	right := n.addr.Clockwise(x).Cmp(x.Clockwise(n.addr)) < 0
-	return n.kthNearOnSide(right, 1)
+	return n.kthNearOnSide(n.addr.onRight(&x), 1)
 }
 
 // handleCTMReply starts initiator-side linking.

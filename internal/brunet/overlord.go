@@ -152,15 +152,9 @@ const nearPerSide = 2
 // kept set (within nearPerSide nearest on its ring side).
 func (o *nearOverlord) wanted(w Addr) bool {
 	n := o.node
-	right := n.addr.Clockwise(w).Cmp(w.Clockwise(n.addr)) < 0
+	right := n.addr.onRight(&w)
 	kth := n.kthNearOnSide(right, nearPerSide)
-	if kth == nil {
-		return true
-	}
-	if right {
-		return n.addr.Clockwise(w).Cmp(n.addr.Clockwise(kth.Peer)) < 0
-	}
-	return w.Clockwise(n.addr).Cmp(kth.Peer.Clockwise(n.addr)) < 0
+	return kth == nil || n.addr.inside(&w, &kth.Peer, right)
 }
 
 // trim drops the StructuredNear role from connections no longer among the

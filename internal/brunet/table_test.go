@@ -334,7 +334,8 @@ func TestOccSettlesOnRemove(t *testing.T) {
 // objects over 512 bytes), which also makes 632 the last size in the
 // 640-byte class — one word more and every node costs 704. A Connection
 // stays within the 192-byte class, where every object starts on a cache
-// line; phys's TestHotFieldsPacketSize holds a Packet to 64 bytes.
+// line; phys's TestHotFieldsPacketSize holds a Packet to 64 bytes. A
+// Connection's second line is the keepalive plane's (DESIGN.md §6).
 func TestHotFieldsLayout(t *testing.T) {
 	type field struct {
 		name      string
@@ -368,6 +369,37 @@ func TestHotFieldsLayout(t *testing.T) {
 			if f.off+f.size > s.limit {
 				t.Errorf("%s.%s ends at byte %d, past byte %d: the field moved off the hot cache line", s.name, f.name, f.off+f.size, s.limit)
 			}
+		}
+	}
+	// The keepalive plane's line: touch and a keepalive step read and
+	// write these fields (and closed, on the first line), so they sit on
+	// bytes 64–127, and what only tunnels, status gossip and the RTT
+	// estimators read stays off that line.
+	for _, f := range []field{
+		{"node", unsafe.Offsetof(c.node), unsafe.Sizeof(c.node)},
+		{"lastHeard", unsafe.Offsetof(c.lastHeard), unsafe.Sizeof(c.lastHeard)},
+		{"due", unsafe.Offsetof(c.due), unsafe.Sizeof(c.due)},
+		{"pingWait", unsafe.Offsetof(c.pingWait), unsafe.Sizeof(c.pingWait)},
+		{"awaiting", unsafe.Offsetof(c.awaiting), unsafe.Sizeof(c.awaiting)},
+		{"pingSentAt", unsafe.Offsetof(c.pingSentAt), unsafe.Sizeof(c.pingSentAt)},
+		{"pingRetry", unsafe.Offsetof(c.pingRetry), unsafe.Sizeof(c.pingRetry)},
+		{"timedOut", unsafe.Offsetof(c.timedOut), unsafe.Sizeof(c.timedOut)},
+		{"dueTimeout", unsafe.Offsetof(c.dueTimeout), unsafe.Sizeof(c.dueTimeout)},
+		{"suspected", unsafe.Offsetof(c.suspected), unsafe.Sizeof(c.suspected)},
+	} {
+		if f.off < 64 || f.off+f.size > 128 {
+			t.Errorf("Connection.%s lies at bytes %d–%d, off the keepalive line (bytes 64–127)", f.name, f.off, f.off+f.size-1)
+		}
+	}
+	for _, f := range []field{
+		{"tun", unsafe.Offsetof(c.tun), unsafe.Sizeof(c.tun)},
+		{"URIs", unsafe.Offsetof(c.URIs), unsafe.Sizeof(c.URIs)},
+		{"srtt", unsafe.Offsetof(c.srtt), unsafe.Sizeof(c.srtt)},
+		{"rttvar", unsafe.Offsetof(c.rttvar), unsafe.Sizeof(c.rttvar)},
+		{"peerLoad", unsafe.Offsetof(c.peerLoad), unsafe.Sizeof(c.peerLoad)},
+	} {
+		if f.off < 128 && f.off+f.size > 64 {
+			t.Errorf("Connection.%s lies at bytes %d–%d, on the keepalive line (bytes 64–127)", f.name, f.off, f.off+f.size-1)
 		}
 	}
 	if off := unsafe.Offsetof(n.table); off != 56 {

@@ -1,6 +1,7 @@
 package brunet
 
 import (
+	"slices"
 	"sort"
 
 	"wow/internal/sim"
@@ -294,8 +295,13 @@ func (o *tunnelOverlord) onDisconnection(c *Connection) {
 // left with no relays cannot carry frames and must not linger looking like
 // a direct edge, so it is dropped and a CTM re-probe rebuilds the link —
 // as a tunnel through fresh relays, or directly if the world has changed.
+// Most nodes hold no tunnel edge: one pass over the slots finds that out
+// without the walk's search per step.
 func (o *tunnelOverlord) relayLost(dead Addr) {
 	n := o.node
+	if !slices.ContainsFunc(n.table.slots, func(s slot) bool { return s.c.Tunneled() }) {
+		return
+	}
 	for tc := n.firstConn(allRoles); tc != nil; tc = n.connAfter(tc, allRoles) {
 		if !tc.Tunneled() || !tc.removeRelay(dead) {
 			continue

@@ -33,7 +33,8 @@ type Host struct {
 	// socks is the host's bound sockets in ascending key order (see
 	// sockSlot), found by findSock. It starts out backed by sockArr — a
 	// brunet router binds exactly two sockets, its UDP socket and its TCP
-	// listener — and only a host that dials streams spills to the heap.
+	// listener — and only a host that dials streams spills to the heap,
+	// for good.
 	socks []sockSlot
 	cfg   HostConfig
 
@@ -212,7 +213,10 @@ func (h *Host) Listen(port uint16) (*UDPSock, error) {
 
 // listenWire binds a socket in the given wire namespace, keeping the table
 // sorted. The third socket moves the table from the inline slots to the
-// heap (slices.Insert's doing); Close moves it back.
+// heap (slices.Insert's doing), where it stays for the host's life: a host
+// that dials streams goes on dialling them, and a table moved back would
+// cost a new heap array at the next dial. The inline slots it leaves are
+// cleared, so they hold no socket that later closes.
 func (h *Host) listenWire(proto uint8, port uint16) (*UDPSock, error) {
 	ephemeral := port == 0
 	var i int
@@ -230,6 +234,9 @@ func (h *Host) listenWire(proto uint8, port uint16) (*UDPSock, error) {
 	}
 	s := &UDPSock{host: h, proto: proto, port: port}
 	h.socks = slices.Insert(h.socks, i, sockSlot{sockKey(proto, port), s})
+	if len(h.socks) == len(h.sockArr)+1 {
+		h.sockArr = [2]sockSlot{}
+	}
 	return s, nil
 }
 
@@ -261,9 +268,5 @@ func (s *UDPSock) Close() {
 	s.closed = true
 	h := s.host
 	i, _ := h.findSock(sockKey(s.proto, s.port))
-	t := slices.Delete(h.socks, i, i+1) // zeroes the vacated slot
-	if len(t) <= len(h.sockArr) && cap(t) > len(h.sockArr) {
-		t = h.sockArr[:copy(h.sockArr[:], t)]
-	}
-	h.socks = t
+	h.socks = slices.Delete(h.socks, i, i+1) // zeroes the vacated slot
 }

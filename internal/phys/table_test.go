@@ -27,10 +27,11 @@ func (r *tally) Recv(*Packet) { r.n++ }
 
 // sockTableHolds checks a host's socket table against the oracle the test
 // keeps: the same sockets under the same keys, each slot holding the
-// socket's receiver, strictly ascending, held in the inline slots exactly
-// while they fit, and found — or not — by the one search for every key the
-// program can produce.
-func sockTableHolds(h *Host, oracle map[uint32]boundSock, probes []uint32) error {
+// socket's receiver, strictly ascending, held in the inline slots until the
+// table first outgrows them (spilled) and on the heap, with the inline slots
+// cleared, from then on, and found — or not — by the one search for every
+// key the program can produce.
+func sockTableHolds(h *Host, oracle map[uint32]boundSock, spilled bool, probes []uint32) error {
 	if len(h.socks) != len(oracle) {
 		return fmt.Errorf("table holds %d sockets, oracle %d", len(h.socks), len(oracle))
 	}
@@ -43,11 +44,14 @@ func sockTableHolds(h *Host, oracle map[uint32]boundSock, probes []uint32) error
 			return fmt.Errorf("slot %d: key %#x holds receiver %v; oracle %+v", i, sl.key, sl.rx, o)
 		}
 	}
-	if inline := cap(h.socks) == len(h.sockArr); inline != (len(h.socks) <= len(h.sockArr)) {
-		return fmt.Errorf("%d sockets, inline=%v", len(h.socks), inline)
+	if inline := cap(h.socks) == len(h.sockArr); inline == spilled {
+		return fmt.Errorf("%d sockets, spilled=%v, inline=%v", len(h.socks), spilled, inline)
 	}
-	if len(h.socks) > 0 && len(h.socks) <= len(h.sockArr) && &h.socks[0] != &h.sockArr[0] {
+	if !spilled && len(h.socks) > 0 && &h.socks[0] != &h.sockArr[0] {
 		return fmt.Errorf("%d sockets outside the host's own slots", len(h.socks))
+	}
+	if spilled && h.sockArr != [2]sockSlot{} {
+		return fmt.Errorf("the inline slots still hold %v after the table left them", h.sockArr)
 	}
 	for _, key := range probes {
 		want, held := oracle[key]
@@ -64,7 +68,8 @@ func sockTableHolds(h *Host, oracle map[uint32]boundSock, probes []uint32) error
 
 // Property: through any program of Listen(port), Listen(0), ListenStream,
 // DialStream, Close, re-binds, SetReceiver on open and closed sockets and
-// datagrams, the sorted socket table is the map it replaced. The oracle is
+// datagrams, the sorted socket table is the map it replaced, in the inline
+// slots until it first holds three sockets and on the heap from then on. The oracle is
 // that map, kept by the test — each socket with its receiver: itself from
 // the bind until SetReceiver replaces it — together with a model of the
 // ephemeral-port counter (start at 32768, skip bound ports, wrap from 65535
@@ -94,6 +99,7 @@ func TestQuickSockTable(t *testing.T) {
 		from, _ := peer.Listen(9)
 
 		oracle := map[uint32]boundSock{}
+		spilled := false               // the table has held more sockets than the inline slots
 		closers := map[uint32]func(){} // how the program closes what it bound
 		recv := map[uint32]int{}       // datagrams delivered through OnRecv, by UDP socket key
 		var closed []*UDPSock          // every socket the program closed
@@ -240,7 +246,8 @@ func TestQuickSockTable(t *testing.T) {
 					closed[int(op>>16)%len(closed)].SetReceiver(&tally{})
 				}
 			}
-			if err := sockTableHolds(h, oracle, probes); err != nil {
+			spilled = spilled || len(oracle) > len(h.sockArr)
+			if err := sockTableHolds(h, oracle, spilled, probes); err != nil {
 				return fail(step, op, "%v", err)
 			}
 		}
@@ -253,37 +260,44 @@ func TestQuickSockTable(t *testing.T) {
 }
 
 // The socket table leaves the host's inline slots on the third binding and
-// returns to them when a close brings it back to two — the directed case of
-// what TestQuickSockTable reaches by chance.
-func TestSockTableSpillsAndReturns(t *testing.T) {
+// stays on the heap when closes bring it back to two, to one and to none; a
+// new binding then lands in the same heap array — the directed case of what
+// TestQuickSockTable reaches by chance.
+func TestSockTableSpillsForGood(t *testing.T) {
 	s := sim.New(1)
 	net := NewNetwork(s, UniformLatency(PathModel{}, PathModel{}))
 	h := net.AddHost("h", net.AddSite("a"), net.Root(), HostConfig{})
 	oracle := map[uint32]boundSock{}
 	var socks []*UDPSock
-	for _, port := range []uint16{30, 10, 20, 40} { // out of order on purpose
+	for i, port := range []uint16{30, 10, 20, 40} { // out of order on purpose
 		sock, err := h.Listen(port)
 		if err != nil {
 			t.Fatal(err)
 		}
 		socks = append(socks, sock)
 		oracle[sockKey(WireUDP, port)] = boundSock{sock, sock}
-		if err := sockTableHolds(h, oracle, nil); err != nil {
+		if err := sockTableHolds(h, oracle, i >= len(h.sockArr), nil); err != nil {
 			t.Fatalf("after Listen(%d): %v", port, err)
 		}
 	}
-	if cap(h.socks) <= len(h.sockArr) {
-		t.Fatal("four sockets still in two inline slots")
-	}
+	heap := &h.socks[:1][0]
 	for _, sock := range socks {
 		sock.Close()
 		delete(oracle, sockKey(WireUDP, sock.port))
-		if err := sockTableHolds(h, oracle, []uint32{sockKey(WireUDP, sock.port)}); err != nil {
+		if err := sockTableHolds(h, oracle, true, []uint32{sockKey(WireUDP, sock.port)}); err != nil {
 			t.Fatalf("after Close(%d): %v", sock.port, err)
 		}
 	}
-	if h.sockArr != [2]sockSlot{} {
-		t.Fatalf("closed sockets still referenced from the inline slots: %v", h.sockArr)
+	sock, err := h.Listen(50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle[sockKey(WireUDP, 50)] = boundSock{sock, sock}
+	if err := sockTableHolds(h, oracle, true, nil); err != nil {
+		t.Fatalf("after Listen(50) on the emptied table: %v", err)
+	}
+	if &h.socks[0] != heap {
+		t.Fatal("a binding after the table emptied moved it to a new array")
 	}
 }
 
