@@ -160,6 +160,20 @@ func (c *Connection) Types() []ConnType {
 // structured reports whether the connection carries ring-routing roles.
 func (c *Connection) structured() bool { return c.roles&structuredRoles != 0 }
 
+// mainRole is the connection's most load-bearing structured role, the one a
+// re-link or a re-probe asks for (StructuredNear when it has none).
+func (c *Connection) mainRole() ConnType {
+	switch {
+	case c.Has(StructuredNear):
+		return StructuredNear
+	case c.Has(StructuredFar):
+		return StructuredFar
+	case c.Has(Shortcut):
+		return Shortcut
+	}
+	return StructuredNear
+}
+
 // Tunneled reports whether this is a tunnel edge (no direct physical
 // path; frames relayed through mutual neighbors).
 func (c *Connection) Tunneled() bool { return len(c.Relays) > 0 }
@@ -269,11 +283,16 @@ func (c *Connection) String() string {
 }
 
 // addConnection records a new connection or adds a role to an existing
-// one. It returns the connection. stream is non-nil for TCP-transport
-// links.
-func (n *Node) addConnection(peer Addr, ep phys.Endpoint, stream *phys.Stream, uris []URI, t ConnType) *Connection {
+// one, and returns it. stream is non-nil for TCP-transport links; non-empty
+// relays make a new connection a tunnel edge relayed through them. A direct
+// handshake upgrades an existing tunnel edge in place; a tunnel handshake
+// never downgrades an existing direct edge: its relays are ignored and only
+// the role is added (the peer's tunnel state is transient and its own
+// upgrade probe will converge on the direct edge).
+func (n *Node) addConnection(peer Addr, ep phys.Endpoint, stream *phys.Stream, relays []Addr, uris []URI, t ConnType) *Connection {
 	c, ok := n.lookup(peer)
-	if !ok {
+	switch {
+	case !ok:
 		c = &Connection{
 			Peer:      peer,
 			EP:        ep,
@@ -281,11 +300,24 @@ func (n *Node) addConnection(peer Addr, ep phys.Endpoint, stream *phys.Stream, u
 			node:      n,
 			lastHeard: n.sim.Now(),
 		}
+		for _, r := range relays {
+			c.addRelay(r)
+		}
 		n.tableInsert(c)
 		n.Stats.Add(cConnCreated, 1)
+		if c.Tunneled() {
+			n.Stats.Add(cTunnelEstablished, 1)
+		}
 		n.watchStream(c)
 		n.schedulePing(c)
-	} else {
+	case len(relays) > 0:
+		if c.Tunneled() {
+			for _, r := range relays {
+				c.addRelay(r)
+			}
+		}
+		c.lastHeard = n.sim.Now()
+	default:
 		// Relink: the peer may have moved (VM migration assigns new
 		// physical endpoints); adopt the fresh endpoint/transport.
 		c.EP = ep
@@ -299,42 +331,6 @@ func (n *Node) addConnection(peer Addr, ep phys.Endpoint, stream *phys.Stream, u
 			// state all carry over.
 			c.dropTunnel()
 			n.Stats.Add(cTunnelUpgraded, 1)
-		}
-		c.lastHeard = n.sim.Now()
-	}
-	if len(uris) > 0 {
-		c.URIs = uris
-	}
-	n.addRole(c, t)
-	n.notifyConn(c)
-	return c
-}
-
-// addTunnelConnection records a tunnel edge to peer relayed through the
-// given relays, or adds a role to an existing connection. An existing
-// direct connection is never downgraded: the relays are ignored and only
-// the role is added (the peer's tunnel state is transient and its own
-// upgrade probe will converge on the direct edge).
-func (n *Node) addTunnelConnection(peer Addr, relays []Addr, uris []URI, t ConnType) *Connection {
-	c, ok := n.lookup(peer)
-	if !ok {
-		c = &Connection{
-			Peer:      peer,
-			node:      n,
-			lastHeard: n.sim.Now(),
-		}
-		for _, r := range relays {
-			c.addRelay(r)
-		}
-		n.tableInsert(c)
-		n.Stats.Add(cConnCreated, 1)
-		n.Stats.Add(cTunnelEstablished, 1)
-		n.schedulePing(c)
-	} else {
-		if c.Tunneled() {
-			for _, r := range relays {
-				c.addRelay(r)
-			}
 		}
 		c.lastHeard = n.sim.Now()
 	}
@@ -431,8 +427,8 @@ func (n *Node) bestRelay(c *Connection) *Connection {
 	var best, active *Connection
 	var bestScore, activeScore sim.Duration
 	for _, r := range c.Relays {
-		rc, ok := n.lookup(r)
-		if !ok || rc.closed || rc.Tunneled() {
+		rc := n.direct(r)
+		if rc == nil {
 			continue
 		}
 		s := n.relayScore(rc)
@@ -509,6 +505,16 @@ func (n *Node) dropConnection(c *Connection, sendClose bool, reason dropReason) 
 func (n *Node) ConnectionTo(peer Addr) *Connection {
 	c, _ := n.lookup(peer)
 	return c
+}
+
+// direct returns the connection to peer if it is a direct edge, or nil. A
+// connection in the table is never closed: dropConnection takes it out in
+// the step that closes it, and Stop empties the table.
+func (n *Node) direct(peer Addr) *Connection {
+	if c, ok := n.lookup(peer); ok && !c.Tunneled() {
+		return c
+	}
+	return nil
 }
 
 // touch refreshes liveness state on any traffic from the peer. Traffic

@@ -106,7 +106,7 @@ func FuzzNearestConn(f *testing.F) {
 			typ := ConnType(int(ops[i+1]) % numConnTypes)
 			switch (ops[i] >> 4) % 4 {
 			case 0, 1:
-				n.addConnection(peer, ep, nil, nil, typ)
+				n.addConnection(peer, ep, nil, nil, nil, typ)
 			case 2:
 				if c, ok := sh[peer]; ok {
 					n.dropConnRole(c, typ, dropTrim)

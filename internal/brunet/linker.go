@@ -44,37 +44,25 @@ type linker struct {
 // tunnelMode reports whether the linker handshakes through relays.
 func (lk *linker) tunnelMode() bool { return len(lk.relays) > 0 }
 
-// startLinker begins a linking attempt toward target using its URI list.
-// If a linker for the target is already active the call is a no-op — the
-// outstanding attempt will complete (or fail) on its own.
+// startLinker begins a direct linking attempt toward target using its URI
+// list.
 func (n *Node) startLinker(target Addr, uris []URI, t ConnType) {
-	n.launchLinker(target, uris, nil, t, false)
+	n.launchLinker(target, uris, nil, t)
 }
 
-// startUpgradeLinker begins a direct linking attempt toward a peer we
-// already hold a (tunnel) connection to, so a successful handshake
-// upgrades the tunnel in place.
-func (n *Node) startUpgradeLinker(target Addr, uris []URI, t ConnType) {
-	n.launchLinker(target, uris, nil, t, true)
-}
-
-// startTunnelLinker begins a tunnel-mode linking attempt toward target,
-// handshaking through the given relays.
-func (n *Node) startTunnelLinker(target Addr, relays []Addr, uris []URI, t ConnType) {
-	n.launchLinker(target, uris, relays, t, false)
-}
-
-// launchLinker starts the linker the three above describe. upgrade marks an
-// attempt to replace an existing tunnel edge with a direct one: the "already
-// linked in this role" guard is skipped.
-func (n *Node) launchLinker(target Addr, uris []URI, relays []Addr, t ConnType, upgrade bool) {
+// launchLinker begins a linking attempt toward target: through relays when
+// there are any (a tunnel-mode handshake), by dialing uris otherwise. It is a
+// no-op when a direct edge already serves the role (a tunnel edge does not
+// count: a direct handshake upgrades it in place) or a linker for the target
+// is active: the outstanding attempt will complete (or fail) on its own.
+func (n *Node) launchLinker(target Addr, uris []URI, relays []Addr, t ConnType) {
 	if target == n.addr {
 		return
 	}
 	if len(uris) == 0 && len(relays) == 0 {
 		return
 	}
-	if c, ok := n.lookup(target); ok && c.Has(t) && !upgrade {
+	if c := n.direct(target); c != nil && c.Has(t) {
 		return // already linked in this role
 	}
 	if _, active := n.linkers[target]; active {
@@ -176,9 +164,8 @@ func (lk *linker) sendRequest() {
 		// Tunnel mode: the handshake rides tunnelFrames through the
 		// current relay. A relay we no longer hold a direct connection
 		// to is skipped immediately.
-		relay := lk.relays[lk.uriIdx]
-		rc, ok := n.lookup(relay)
-		if !ok || rc.closed || rc.Tunneled() {
+		rc := n.direct(lk.relays[lk.uriIdx])
+		if rc == nil {
 			lk.uriIdx++
 			lk.attempt = 0
 			lk.sendRequest()
@@ -312,10 +299,8 @@ func (n *Node) handleLinkRequest(w wire, req *linkMsg) {
 		// the race regardless of the address tie-break — otherwise
 		// upgrade probing livelocks, the smaller-address side forever
 		// "winning" races its own dials cannot cash in.
-		directUpgrade := false
-		if c, ok := n.lookup(req.From); ok && c.Tunneled() && !w.isTunnel() {
-			directUpgrade = true
-		}
+		c, ok := n.lookup(req.From)
+		directUpgrade := ok && c.Tunneled() && !w.isTunnel()
 		if n.addr.Less(req.From) && !directUpgrade {
 			// We win: tell the peer to stand down; our own attempt
 			// continues.
@@ -327,18 +312,17 @@ func (n *Node) handleLinkRequest(w wire, req *linkMsg) {
 		n.Stats.Add(cLinkRaceYield, 1)
 		lk.finish(false)
 	}
-	var c *Connection
+	var relays []Addr
 	observed := URIEndpoint{URI: URI{Transport: w.transport(), EP: src}}
 	if w.isTunnel() {
 		// Tunnel-mode handshake: record a tunnel edge through the relay
 		// the request arrived via. There is no physical source endpoint;
 		// the relay-stamped observation (our peer's public endpoint as the
 		// relay saw it) is echoed back instead.
-		c = n.addTunnelConnection(req.From, []Addr{w.tvia}, req.URIs, req.Type)
+		relays = []Addr{w.tvia}
 		observed = URIEndpoint{URI: w.tobs}
-	} else {
-		c = n.addConnection(req.From, src, w.stream, req.URIs, req.Type)
 	}
+	c := n.addConnection(req.From, src, w.stream, relays, req.URIs, req.Type)
 	n.touch(c)
 	// The reply comes from the list the request is about to go on.
 	reply := n.pool.links.Get()
@@ -381,16 +365,14 @@ func (n *Node) handleLinkReply(w wire, rep *linkMsg) {
 		}
 		return
 	}
-	var c *Connection
+	stream, relays := lk.stream, []Addr(nil)
 	if w.isTunnel() {
-		relays := lk.relays
+		stream, relays = nil, lk.relays
 		if len(relays) == 0 {
 			relays = []Addr{w.tvia}
 		}
-		c = n.addTunnelConnection(rep.From, relays, rep.URIs, lk.ctype)
-	} else {
-		c = n.addConnection(rep.From, src, lk.stream, rep.URIs, lk.ctype)
 	}
+	c := n.addConnection(rep.From, src, stream, relays, rep.URIs, lk.ctype)
 	n.touch(c)
 	lk.stream = nil // the connection owns it now
 	lk.finish(true)
@@ -443,16 +425,12 @@ func (n *Node) handleLinkError(rep *linkMsg) {
 			if !n.up {
 				return
 			}
-			if c, ok := n.lookup(target); ok && c.Has(ctype) {
-				if !c.Tunneled() {
-					n.busyRetry[target] = 0
-					return // the peer's attempt won after all
-				}
-				// Only a tunnel edge exists: keep retrying in upgrade
-				// mode, or the race loser could never dial out again.
-				n.startUpgradeLinker(target, uris, ctype)
-				return
+			if c := n.direct(target); c != nil && c.Has(ctype) {
+				n.busyRetry[target] = 0
+				return // the peer's attempt won after all
 			}
+			// A tunnel edge in the role does not stop the retry, or the
+			// race loser could never dial out again.
 			n.startLinker(target, uris, ctype)
 		})
 		return

@@ -276,7 +276,7 @@ func BenchmarkConnTableChurn(b *testing.B) {
 			rng := rand.New(rand.NewSource(5))
 			ep := phys.Endpoint{IP: 1, Port: 1}
 			for i := 0; i < size; i++ {
-				n.addConnection(RandomAddr(rng), ep, nil, nil, StructuredFar)
+				n.addConnection(RandomAddr(rng), ep, nil, nil, nil, StructuredFar)
 			}
 			peers := make([]Addr, 256)
 			for i := range peers {
@@ -285,7 +285,7 @@ func BenchmarkConnTableChurn(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				c := n.addConnection(peers[i%len(peers)], ep, nil, nil, StructuredFar)
+				c := n.addConnection(peers[i%len(peers)], ep, nil, nil, nil, StructuredFar)
 				n.dropConnection(c, false, dropTrim)
 			}
 		})

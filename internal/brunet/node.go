@@ -679,22 +679,15 @@ func (n *Node) IsRoutable() bool {
 
 // transmit sends a message on stream st when there is one, unpooled first
 // (a message a stream carried is never recycled; see unpool), and as a
-// datagram to ep otherwise.
+// datagram to ep otherwise, while the node is up.
 func (n *Node) transmit(ep phys.Endpoint, st *phys.Stream, size int, payload any) {
-	if st != nil {
+	switch {
+	case st != nil:
 		unpool(payload)
 		st.SendMsg(size, payload)
-		return
+	case n.up:
+		n.sock.Send(ep, size, payload)
 	}
-	n.sendDirect(ep, size, payload)
-}
-
-// sendDirect transmits a link-layer message over the physical network.
-func (n *Node) sendDirect(ep phys.Endpoint, size int, payload any) {
-	if !n.up {
-		return
-	}
-	n.sock.Send(ep, size, payload)
 }
 
 // wire identifies how a received message's sender can be answered: a UDP
@@ -746,8 +739,8 @@ func (n *Node) replyTo(w wire, size int, payload any) {
 		return
 	}
 	if w.isTunnel() {
-		rc, ok := n.lookup(w.tvia)
-		if !ok || rc.closed || rc.Tunneled() {
+		rc := n.direct(w.tvia)
+		if rc == nil {
 			n.Stats.Add(cTunnelNoReturn, 1)
 			return
 		}
@@ -1079,11 +1072,7 @@ func (n *Node) handleCTMRequest(pkt *OverlayPacket, req *ctmMsg, exact bool) {
 	// Responder-side linking. A CTM from a peer we only hold a tunnel to
 	// doubles as an upgrade probe: re-run direct linking with the fresh
 	// URIs the CTM carries (both sides do, which is what punches holes).
-	if c, ok := n.lookup(req.From); ok && c.Tunneled() {
-		n.startUpgradeLinker(req.From, c.upgradeURIs(req.URIs), req.Type)
-	} else {
-		n.startLinker(req.From, req.URIs, req.Type)
-	}
+	n.linkBack(req.From, req.URIs, req.Type)
 
 	// A join CTM (nearest-mode, addressed to the joiner itself) also
 	// concerns the ring neighbor on the other side of the joining
@@ -1125,11 +1114,17 @@ func (n *Node) handleCTMReply(rep *ctmMsg) {
 	if n.tun != nil {
 		n.tun.learnCandidates(rep)
 	}
-	if c, ok := n.lookup(rep.From); ok && c.Tunneled() {
-		n.startUpgradeLinker(rep.From, c.upgradeURIs(rep.URIs), rep.Type)
-		return
+	n.linkBack(rep.From, rep.URIs, rep.Type)
+}
+
+// linkBack starts linking toward the other end of a CTM exchange. A peer we
+// only hold a tunnel to gets an upgrade attempt: its relay-stamped
+// observations are dialed before the URIs the CTM carried.
+func (n *Node) linkBack(peer Addr, uris []URI, t ConnType) {
+	if c, ok := n.lookup(peer); ok && c.Tunneled() {
+		uris = c.upgradeURIs(uris)
 	}
-	n.startLinker(rep.From, rep.URIs, rep.Type)
+	n.startLinker(peer, uris, t)
 }
 
 // handleLeave processes a graceful departure with handoff: drop the
@@ -1196,13 +1191,13 @@ func (n *Node) linkFailed(target Addr, t ConnType) {
 func (n *Node) handleTunnelFrame(w wire, f *tunnelFrame) {
 	f.Live(n.sim, "handleTunnelFrame")
 	if f.To != n.addr {
-		c, ok := n.lookup(f.To)
-		if !ok || c.closed || c.Tunneled() {
+		c := n.direct(f.To)
+		if c == nil {
 			n.Stats.Add(cTunnelRelayNoRoute, 1)
 			n.flightDrop(f.Inner, trace.OutcomeRelayNoRoute)
 			// Bounce: tell the originator this relay has no direct route
 			// to To, so it fails over now rather than at ping timeout.
-			if oc, live := n.lookup(f.From); live && !oc.closed && !oc.Tunneled() {
+			if oc := n.direct(f.From); oc != nil {
 				n.sendConn(oc, pingMsgSize, tunnelNoRoute{Relay: n.addr, To: f.To})
 			}
 			return
@@ -1225,7 +1220,7 @@ func (n *Node) handleTunnelFrame(w wire, f *tunnelFrame) {
 	// the peer->us direction; adopt it so our own sends can fail over.
 	if c, ok := n.lookup(f.From); ok && c.Tunneled() {
 		if !f.Via.IsZero() && len(c.Relays) < tunnelMaxRelays {
-			if rc, rok := n.lookup(f.Via); rok && !rc.Tunneled() && c.addRelay(f.Via) {
+			if n.direct(f.Via) != nil && c.addRelay(f.Via) {
 				n.Stats.Add(cTunnelRelayLearned, 1)
 			}
 		}

@@ -44,7 +44,7 @@ func TestPrefixTieTableOrderLookupAndWalk(t *testing.T) {
 	held := []Addr{addrOf(top, lowHalf), addrOf(top, lowZero), addrOf(top, lowOnes), addrOf(top, lowOne),
 		addrOf(top, [12]byte{5: 7}), addrOf(top+1, lowZero), addrOf(top-1, lowOnes)}
 	for i, a := range held {
-		n.addConnection(a, ep, nil, nil, churnTypes[i%len(churnTypes)])
+		n.addConnection(a, ep, nil, nil, nil, churnTypes[i%len(churnTypes)])
 		if err := tableHolds(n, sh); err != nil {
 			t.Fatalf("after add %d: %v", i, err)
 		}
@@ -84,7 +84,7 @@ func TestPrefixTieTableOrderLookupAndWalk(t *testing.T) {
 	}
 	for bits := uint32(0); bits < 64; bits++ {
 		for _, gone := range []*Connection{a, b} { // refill, then walk with drops
-			n.addConnection(gone.Peer, ep, nil, nil, StructuredFar)
+			n.addConnection(gone.Peer, ep, nil, nil, nil, StructuredFar)
 		}
 		if err := dropDuringWalk(n, sh, allRoles, bits*0x9E3779B1); err != nil {
 			t.Fatalf("bits %#x: %v", bits, err)
@@ -140,7 +140,7 @@ func TestPrefixTieNearestMatchesOracle(t *testing.T) {
 			}
 			sh := watch(n)
 			for _, i := range rng.Perm(len(band))[:2+trial%6] {
-				n.addConnection(band[i], ep, nil, nil, churnTypes[rng.Intn(len(churnTypes))])
+				n.addConnection(band[i], ep, nil, nil, nil, churnTypes[rng.Intn(len(churnTypes))])
 			}
 			if err := tableHolds(n, sh); err != nil {
 				t.Fatal(err)
@@ -192,7 +192,7 @@ func TestKthNearOnSideAtTableEdges(t *testing.T) {
 			sh := watch(n)
 			for i, p := range peers {
 				for _, r := range roles[i] {
-					n.addConnection(p, ep, nil, nil, r)
+					n.addConnection(p, ep, nil, nil, nil, r)
 				}
 			}
 			if drop >= 0 { // and once with each peer gone
@@ -220,14 +220,14 @@ func structure(n *Node, count int, rng *rand.Rand) shadow {
 	ep := phys.Endpoint{IP: 1, Port: 1}
 	for i := 0; len(sh) < count; i++ {
 		if i%2 == 0 {
-			n.addConnection(n.addr.Offset(KleinbergOffset(rng)), ep, nil, nil, StructuredFar)
+			n.addConnection(n.addr.Offset(KleinbergOffset(rng)), ep, nil, nil, nil, StructuredFar)
 			continue
 		}
 		step := AddrFromFloat(rng.Float64() / 1024)
 		if i%4 == 1 {
 			step = Zero.Clockwise(step).Clockwise(Zero) // counter-clockwise side
 		}
-		n.addConnection(n.addr.Offset(step), ep, nil, nil, StructuredNear)
+		n.addConnection(n.addr.Offset(step), ep, nil, nil, nil, StructuredNear)
 	}
 	return sh
 }

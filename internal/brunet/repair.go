@@ -46,17 +46,10 @@ func (o *repairOverlord) onDisconnection(c *Connection) {
 	}
 	// Re-link in the connection's most load-bearing role; the overlords
 	// re-derive the rest once the link is back.
-	t := Shortcut
-	if c.Has(StructuredFar) {
-		t = StructuredFar
-	}
-	if c.Has(StructuredNear) {
-		t = StructuredNear
-	}
 	if st, ok := o.pending[c.Peer]; ok {
 		st.ev.Cancel()
 	}
-	st := &relinkState{uris: c.URIs, ctype: t}
+	st := &relinkState{uris: c.URIs, ctype: c.mainRole()}
 	if o.pending == nil {
 		o.pending = make(map[Addr]*relinkState)
 	}

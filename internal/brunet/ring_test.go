@@ -47,7 +47,7 @@ func applyChurn(seed int64, ops []uint32) (*Node, shadow) {
 		typ := churnTypes[int(op>>16)%len(churnTypes)]
 		switch op % 4 {
 		case 0, 1: // add (twice as likely: tables should be non-trivial)
-			n.addConnection(peer, ep, nil, nil, typ)
+			n.addConnection(peer, ep, nil, nil, nil, typ)
 		case 2: // drop one role, connection may survive
 			if c, ok := sh[peer]; ok && c.Has(typ) {
 				n.dropConnRole(c, typ, dropTrim)

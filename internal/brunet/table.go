@@ -3,11 +3,11 @@ package brunet
 import "encoding/binary"
 
 // The connection table is one index, Node.table: every live connection in
-// address order, written by addConnection/addTunnelConnection,
-// dropConnRole, dropConnection and Stop. Lookup by peer, every ordered walk
-// and the ring reads (ring.go) all search it; the ring is the slots whose
-// connection carries a ring-routing role, read in place. Per-role live
-// counts ride along so "how many near links do I hold" is a field read.
+// address order, written by addConnection, dropConnRole, dropConnection and
+// Stop. Lookup by peer, every ordered walk and the ring reads (ring.go) all
+// search it; the ring is the slots whose connection carries a ring-routing
+// role, read in place. Per-role live counts ride along so "how many near
+// links do I hold" is a field read.
 
 // roleMask is a set of ConnTypes, one bit per role.
 type roleMask uint8

@@ -168,11 +168,15 @@ func dropDuringWalk(n *Node, sh shadow, mask roleMask, bits uint32) error {
 // edges, role drops, full drops, drops issued from inside a walk, node stop
 // and restart — the connection table stays the live set in address order,
 // and lookup answers for every address, held or not, as the shadow map does.
+// Each held edge keeps the kind the oracle gives it: a direct add makes or
+// upgrades a direct edge, a tunnel add makes a tunnel edge only where no
+// connection was held and never downgrades a direct one.
 func TestQuickConnTableChurn(t *testing.T) {
 	var failure error
 	f := func(ops []uint32) bool {
 		n := ringTestNode(41)
 		sh := watch(n)
+		tunneled := map[Addr]bool{} // the oracle's edge kind per held peer
 		if err := n.Start(nil); err != nil {
 			failure = err
 			return false
@@ -208,9 +212,13 @@ func TestQuickConnTableChurn(t *testing.T) {
 			switch op % 16 {
 			case 0, 1, 2, 3, 4: // add, add a role, or relink from a new endpoint
 				ep := phys.Endpoint{IP: phys.IP(1 + op>>24), Port: 1}
-				n.addConnection(peer, ep, nil, nil, typ)
+				n.addConnection(peer, ep, nil, nil, nil, typ)
+				tunneled[peer] = false
 			case 5, 6: // tunnel edge (or a role on an existing connection)
-				n.addTunnelConnection(peer, []Addr{universe[int(op>>20)%len(universe)]}, nil, typ)
+				if _, held := sh[peer]; !held {
+					tunneled[peer] = true
+				}
+				n.addConnection(peer, phys.Endpoint{}, nil, []Addr{universe[int(op>>20)%len(universe)]}, nil, typ)
 			case 7, 8, 9:
 				if c, ok := sh[peer]; ok {
 					n.dropConnRole(c, typ, dropTrim)
@@ -242,6 +250,12 @@ func TestQuickConnTableChurn(t *testing.T) {
 				failure = fmt.Errorf("step %d (op %#x): %w", step, op, err)
 				return false
 			}
+			for peer, c := range sh {
+				if c.Tunneled() != tunneled[peer] {
+					failure = fmt.Errorf("step %d (op %#x): %s tunneled=%v, oracle %v", step, op, c, c.Tunneled(), tunneled[peer])
+					return false
+				}
+			}
 			for _, p := range probes {
 				want, held := sh[p]
 				if got, ok := n.lookup(p); got != want || ok != held {
@@ -267,7 +281,7 @@ func TestDropLastRoleClearsItBeforeCallbacks(t *testing.T) {
 	sh := watch(n)
 	var seen []bool
 	n.onDisconnection(func(c *Connection) { seen = append(seen, c.Has(Shortcut) || c.structured()) })
-	c := n.addConnection(AddrFromString("peer"), phys.Endpoint{IP: 1, Port: 1}, nil, nil, Shortcut)
+	c := n.addConnection(AddrFromString("peer"), phys.Endpoint{IP: 1, Port: 1}, nil, nil, nil, Shortcut)
 	n.dropConnRole(c, Shortcut, dropIdle)
 	if !c.closed || c.Has(Shortcut) || len(seen) != 1 || seen[0] {
 		t.Fatalf("closed=%v Has(Shortcut)=%v callbacks saw the role: %v", c.closed, c.Has(Shortcut), seen)
@@ -310,7 +324,7 @@ func TestOccSettlesOnRemove(t *testing.T) {
 		}
 	}
 	for _, p := range peers {
-		n.addConnection(p, ep, nil, nil, Leaf)
+		n.addConnection(p, ep, nil, nil, nil, Leaf)
 		check("after adding " + p.FullString())
 	}
 	if want := uint64(1)<<0 | 1<<1 | 1<<17 | 1<<18 | 1<<63; n.occ != want {

@@ -97,20 +97,6 @@ func (o *tunnelOverlord) dropStash(peer Addr) {
 // relay-candidate list advertised in CTMs.
 const tunnelMaxRelays = 4
 
-// tunnelRole picks the role a tunnel-related CTM should request for an
-// existing connection: its most load-bearing structured role.
-func tunnelRole(c *Connection) ConnType {
-	switch {
-	case c.Has(StructuredNear):
-		return StructuredNear
-	case c.Has(StructuredFar):
-		return StructuredFar
-	case c.Has(Shortcut):
-		return Shortcut
-	}
-	return StructuredNear
-}
-
 // learnCandidates records the URIs and relay candidates of m, a CTM or
 // reply from its sender (peer), unless the node holds peer over a direct
 // edge: the stash only feeds the tunnel fallback, and onConnection has
@@ -143,7 +129,7 @@ func (o *tunnelOverlord) learnCandidates(m *ctmMsg) {
 		if adv.Addr == n.addr || adv.Addr == peer {
 			continue
 		}
-		if rc, live := n.lookup(adv.Addr); live && !rc.closed && !rc.Tunneled() {
+		if rc := n.direct(adv.Addr); rc != nil {
 			if !rc.loadKnown {
 				// Seed the relay scorer with the advertised load until
 				// the relay's own pongs speak for it.
@@ -204,7 +190,7 @@ func (o *tunnelOverlord) establish(target Addr) {
 		if adv.Addr == n.addr || adv.Addr == target {
 			continue
 		}
-		if rc, live := n.lookup(adv.Addr); live && !rc.closed && !rc.Tunneled() {
+		if n.direct(adv.Addr) != nil {
 			candidates = append(candidates, adv)
 		}
 	}
@@ -223,7 +209,7 @@ func (o *tunnelOverlord) establish(target Addr) {
 			mutual[i] = adv.Addr
 		}
 		n.Stats.Add(cTunnelAttempts, 1)
-		n.startTunnelLinker(target, mutual, st.uris, StructuredNear)
+		n.launchLinker(target, st.uris, mutual, StructuredNear)
 		return
 	}
 	for _, adv := range st.list() {
@@ -324,7 +310,7 @@ func (o *tunnelOverlord) recoverOrDrop(tc *Connection) {
 		n.Stats.Add(cTunnelRelayReselected, 1)
 		return
 	}
-	role := tunnelRole(tc)
+	role := tc.mainRole()
 	peer := tc.Peer
 	n.dropConnection(tc, false, dropNoRelay)
 	o.reprobe(peer, role)
@@ -337,7 +323,7 @@ func (o *tunnelOverlord) recoverOrDrop(tc *Connection) {
 func (o *tunnelOverlord) noRoute(relay, to Addr) {
 	n := o.node
 	tc, ok := n.lookup(to)
-	if !ok || tc.closed || !tc.Tunneled() || !tc.removeRelay(relay) {
+	if !ok || !tc.Tunneled() || !tc.removeRelay(relay) {
 		return
 	}
 	n.Stats.Add(cTunnelRelayBounced, 1)
@@ -360,7 +346,7 @@ func (o *tunnelOverlord) relaySuspected(dead Addr) {
 			n.Stats.Add(cTunnelRelaySuspected, 1)
 			continue
 		}
-		o.reprobe(tc.Peer, tunnelRole(tc))
+		o.reprobe(tc.Peer, tc.mainRole())
 	}
 }
 
@@ -379,7 +365,7 @@ func (o *tunnelOverlord) refill(tc *Connection) bool {
 		if adv.Addr == n.addr || adv.Addr == tc.Peer {
 			continue
 		}
-		if rc, live := n.lookup(adv.Addr); live && !rc.closed && !rc.Tunneled() {
+		if n.direct(adv.Addr) != nil {
 			tc.addRelay(adv.Addr)
 		}
 	}
@@ -415,12 +401,12 @@ func (o *tunnelOverlord) armUpgrade(c *Connection) {
 			return
 		}
 		tc, ok := n.lookup(peer)
-		if !ok || tc.closed || !tc.Tunneled() {
+		if !ok || !tc.Tunneled() {
 			return
 		}
 		n.Stats.Add(cTunnelUpgradeProbes, 1)
 		o.armUpgrade(tc)
-		n.sendCTM(peer, tunnelRole(tc), DeliverExact, Zero)
+		n.sendCTM(peer, tc.mainRole(), DeliverExact, Zero)
 	})
 }
 

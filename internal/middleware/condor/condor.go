@@ -73,14 +73,12 @@ type claimRsp struct{ OK bool }
 
 // CentralManager is the collector + negotiator.
 type CentralManager struct {
-	stack *vip.Stack
-	sim   *sim.Simulator
+	sim *sim.Simulator
 	// AdTTL expires machine ads not refreshed (crashed startds).
 	AdTTL sim.Duration
 
 	machines map[string]*machineEntry
 	schedd   *Schedd
-	ticker   *sim.Ticker
 }
 
 type machineEntry struct {
@@ -97,7 +95,6 @@ func NewCentralManager(stack *vip.Stack, cycle sim.Duration) (*CentralManager, e
 		cycle = 60 * sim.Second
 	}
 	cm := &CentralManager{
-		stack:    stack,
 		sim:      stack.Sim(),
 		AdTTL:    5 * sim.Minute,
 		machines: make(map[string]*machineEntry),
@@ -121,7 +118,7 @@ func NewCentralManager(stack *vip.Stack, cycle sim.Duration) (*CentralManager, e
 	}); err != nil {
 		return nil, fmt.Errorf("condor: %w", err)
 	}
-	cm.ticker = cm.sim.Tick(cycle, cycle/10, cm.negotiate)
+	cm.sim.Tick(cycle, cycle/10, cm.negotiate)
 	return cm, nil
 }
 

@@ -67,7 +67,6 @@ type runRsp struct{ OK bool }
 
 type workerRef struct {
 	name string
-	ip   vip.IP
 	cli  *rpc.Client
 	busy bool
 	jobs int
@@ -75,7 +74,6 @@ type workerRef struct {
 
 // Head is the PBS head node service.
 type Head struct {
-	stack   *vip.Stack
 	sim     *sim.Simulator
 	workers []*workerRef
 	queue   []*JobRecord
@@ -86,11 +84,11 @@ type Head struct {
 
 // NewHead starts the pbs_server on the head VM's stack.
 func NewHead(stack *vip.Stack) (*Head, error) {
-	h := &Head{stack: stack, sim: stack.Sim()}
+	h := &Head{sim: stack.Sim()}
 	_, err := rpc.Serve(stack, Port, func(client vip.IP, body any, reply func(any, int)) {
 		switch m := body.(type) {
 		case registerReq:
-			w := &workerRef{name: m.Name, ip: client, cli: rpc.Dial(stack, client, MOMPort)}
+			w := &workerRef{name: m.Name, cli: rpc.Dial(stack, client, MOMPort)}
 			h.workers = append(h.workers, w)
 			reply(registerRsp{OK: true}, 64)
 			h.dispatch()
@@ -156,13 +154,12 @@ func (h *Head) dispatch() {
 type MOM struct {
 	vm   Machine
 	nfsC *nfs.Client
-	head vip.IP
 }
 
 // NewMOM starts a MOM on the worker VM, mounts NFS from the head and
 // registers with the pbs_server.
 func NewMOM(machine Machine, head vip.IP) (*MOM, error) {
-	m := &MOM{vm: machine, nfsC: nfs.Mount(machine.Stack(), head), head: head}
+	m := &MOM{vm: machine, nfsC: nfs.Mount(machine.Stack(), head)}
 	_, err := rpc.Serve(machine.Stack(), MOMPort, m.handle)
 	if err != nil {
 		return nil, fmt.Errorf("pbs mom: %w", err)

@@ -47,7 +47,6 @@ type bcastRsp struct{ OK bool }
 
 type workerRef struct {
 	name  string
-	ip    vip.IP
 	cli   *rpc.Client
 	busy  bool
 	tasks int
@@ -55,7 +54,6 @@ type workerRef struct {
 
 // Master coordinates rounds of tasks across enrolled workers.
 type Master struct {
-	stack   *vip.Stack
 	sim     *sim.Simulator
 	workers []*workerRef
 
@@ -72,11 +70,11 @@ type Master struct {
 // NewMaster starts the PVM master daemon on a stack (typically the head
 // VM or the node where the user launched fastDNAml).
 func NewMaster(stack *vip.Stack) (*Master, error) {
-	m := &Master{stack: stack, sim: stack.Sim()}
+	m := &Master{sim: stack.Sim()}
 	_, err := rpc.Serve(stack, Port, func(client vip.IP, body any, reply func(any, int)) {
 		switch req := body.(type) {
 		case enrollReq:
-			w := &workerRef{name: req.Name, ip: client, cli: rpc.Dial(stack, client, WorkerPort)}
+			w := &workerRef{name: req.Name, cli: rpc.Dial(stack, client, WorkerPort)}
 			m.workers = append(m.workers, w)
 			reply(enrollRsp{OK: true}, 64)
 			if m.running {

@@ -26,13 +26,12 @@ type Handler func(client vip.IP, body any, reply func(resp any, respSize int))
 
 // Server accepts RPC connections on a port.
 type Server struct {
-	stack   *vip.Stack
 	handler Handler
 }
 
 // Serve starts an RPC server on the stack's port.
 func Serve(stack *vip.Stack, port uint16, h Handler) (*Server, error) {
-	s := &Server{stack: stack, handler: h}
+	s := &Server{handler: h}
 	err := stack.ListenTCP(port, func(c *vip.Conn) {
 		c.OnMessage(func(size int, msg any) {
 			env, ok := msg.(envelope)

@@ -73,7 +73,6 @@ func (s *Server) Put(path string, size int64) { s.files[path] = size }
 
 // Transfer is one client-side download in progress.
 type Transfer struct {
-	conn *vip.Conn
 	// Progress records (seconds, bytes-received) samples — the Figure 6
 	// series.
 	Progress metrics.Series
@@ -95,7 +94,6 @@ func Fetch(stack *vip.Stack, server vip.IP, path string, sampleEvery sim.Duratio
 	t.Progress.Name = "bytes"
 	s := stack.Sim()
 	conn := stack.DialTCP(server, Port)
-	t.conn = conn
 	conn.OnConnect(func() {
 		conn.Send(128, authReq{User: "wow"})
 	})

@@ -117,7 +117,6 @@ func (h *Host) addStream(s *Stream) {
 // the host's socket table is the listener's registration: a second listener
 // on the port is refused at bind, and a closed one's SYNs find no socket.
 type StreamListener struct {
-	port   uint16
 	sock   *UDPSock
 	accept func(*Stream)
 }
@@ -133,7 +132,7 @@ func (h *Host) ListenStream(port uint16, accept func(*Stream)) (*StreamListener,
 	if err != nil {
 		return nil, fmt.Errorf("phys: stream listen: %w", err)
 	}
-	l := &StreamListener{port: sock.Port(), sock: sock, accept: accept}
+	l := &StreamListener{sock: sock, accept: accept}
 	sock.OnRecv = func(p *Packet) { h.streamDispatchListener(l, p) }
 	return l, nil
 }

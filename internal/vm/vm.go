@@ -15,7 +15,6 @@ import (
 
 	"wow/internal/brunet"
 	"wow/internal/ipop"
-	"wow/internal/metrics"
 	"wow/internal/phys"
 	"wow/internal/sim"
 	"wow/internal/vip"
@@ -71,9 +70,6 @@ type VM struct {
 	current   *task
 	started   sim.Time
 	compEv    sim.Timer
-
-	// Stats counts VM lifecycle and job events.
-	Stats metrics.Counter
 }
 
 // New creates a VM with the given virtual IP on a physical host. Call
@@ -87,7 +83,6 @@ func New(host *phys.Host, ip vip.IP, spec Spec, cfg brunet.Config) *VM {
 		node:     node,
 		sim:      host.Sim(),
 		hostLoad: 1,
-		Stats:    Counters.New(),
 	}
 	v.stack = vip.NewStack(node, vip.StackConfig{})
 	return v
@@ -124,7 +119,6 @@ func (v *VM) Start(bootstrap []brunet.URI) error {
 		return fmt.Errorf("vm %s: %w", v.spec.Name, err)
 	}
 	v.running = true
-	v.Stats.Add(cVMStarted, 1)
 	return nil
 }
 
@@ -166,7 +160,6 @@ func (v *VM) rate() float64 {
 func (v *VM) Execute(cpu sim.Duration, done func()) {
 	t := &task{remaining: cpu, done: done}
 	v.queue = append(v.queue, t)
-	v.Stats.Add(cJobQueued, 1)
 	v.dispatch()
 }
 
@@ -185,7 +178,6 @@ func (v *VM) startCurrent() {
 	wall := sim.Duration(float64(t.remaining) * v.rate())
 	v.compEv = v.sim.After(wall, func() {
 		v.current = nil
-		v.Stats.Add(cJobCompleted, 1)
 		if t.done != nil {
 			t.done()
 		}
@@ -253,7 +245,6 @@ func (v *VM) Migrate(dst *phys.Host, cfg MigrationConfig, done func()) error {
 	// Step 2: suspend the guest; in-flight jobs freeze.
 	v.suspended = true
 	v.pauseCPU()
-	v.Stats.Add(cVMMigrations, 1)
 
 	// Steps 3 and 4, once the image has crossed: resume on dst, restart
 	// IPOP.
@@ -275,7 +266,6 @@ func (v *VM) resumeAt(dst *phys.Host, downtime sim.Duration, done func()) {
 			panic(fmt.Sprintf("vm %s: ipop restart: %v", v.spec.Name, err))
 		}
 		v.resumeCPU()
-		v.Stats.Add(cVMMigrated, 1)
 		if done != nil {
 			done()
 		}
@@ -311,7 +301,6 @@ func (v *VM) MigrateLive(dst *phys.Host, cfg MigrationConfig, done func()) error
 		return fmt.Errorf("vm %s: dirty rate %d B/s >= transfer rate %.0f B/s; pre-copy cannot converge",
 			v.spec.Name, dirtyRateBps, cfg.TransferBps)
 	}
-	v.Stats.Add(cVMMigrationsLive, 1)
 
 	// Iterative pre-copy: each round ships the previous round's dirty
 	// set while the guest dirties more.
