@@ -3,6 +3,7 @@ package brunet
 import (
 	"fmt"
 
+	"wow/internal/phys"
 	"wow/internal/sim"
 	"wow/internal/trace"
 )
@@ -71,8 +72,10 @@ const (
 // shard's list, the responder takes the reply from its own — the list it is
 // about to put the request on — and handleWire releases either once its
 // handler has returned. The handlers keep the URIs slice and nothing else.
-// A message that is lost, or that reaches a stopped node, is the garbage
-// collector's, and so is one a phys.Stream has carried (unpool).
+// A message the physical layer loses goes on the list of the shard that
+// lost it (Discard). One that reaches a stopped node, or that a relay
+// cannot forward, is the garbage collector's, and so is one a phys.Stream
+// has carried (unpool).
 type linkMsg struct {
 	From Addr
 	// To is the request's intended target; a NAT-forwarded packet may reach
@@ -94,6 +97,10 @@ type linkMsg struct {
 
 	sim.Pooled
 }
+
+// Discard puts a link message the physical layer lost on the list of the
+// shard s drives (phys.Discarder).
+func (m *linkMsg) Discard(s *sim.Simulator) { poolOf(s).links.Put(m, "phys drop") }
 
 // URIEndpoint wraps the observed endpoint in the reply, letting initiators
 // behind NATs learn their NAT-assigned IP/port (§IV-C).
@@ -120,8 +127,9 @@ const (
 // sending it back, where the pinging node puts it on its shard's list again
 // (handleWire) — so a keepalive round allocates nothing and leaves the list
 // where it found it. This relies on the network delivering a payload at most
-// once and on no handler keeping a reference; a message lost in transit is
-// simply garbage, and so is one a phys.Stream has carried (unpool).
+// once and on no handler keeping a reference. A ping or pong the physical
+// layer loses goes on the list of the shard that lost it (Discard); one a
+// phys.Stream has carried is garbage (unpool).
 type pingMsg struct {
 	From Addr
 	Seq  uint64
@@ -134,6 +142,10 @@ type pingMsg struct {
 	sim.Pooled
 	Load int
 }
+
+// Discard puts a ping or pong the physical layer lost on the list of the
+// shard s drives (phys.Discarder).
+func (m *pingMsg) Discard(s *sim.Simulator) { poolOf(s).pings.Put(m, "phys drop") }
 
 // closeMsg announces graceful connection teardown. A node sends one and the
 // same message every time (Node.closing): it is immutable, so any shard may
@@ -173,11 +185,13 @@ type statusMsg struct {
 // NeighborInfo names one ring neighbor and how to reach it. Load, carried
 // only in CTM relay-candidate lists, is the advertiser's last view of that
 // neighbor's relay load — it seeds load-aware tunnel-relay selection
-// before the selector has heard a pong from the relay itself.
+// before the selector has heard a pong from the relay itself. Load sits in
+// the padding after Addr: an entry is 48 bytes, which every CTM message
+// holds tunnelMaxRelays of.
 type NeighborInfo struct {
 	Addr Addr
+	Load int32
 	URIs []URI
-	Load int
 }
 
 // same reports whether two entries advertise the same thing: the same peer
@@ -262,12 +276,15 @@ const (
 // list. Payload points at the one in use (boxing a pointer allocates
 // nothing). The sender takes the packet (and the message) from its shard's
 // lists and whichever node terminates it releases both into the lists of its
-// own, after the handler has returned (Node.release). Handlers therefore must
-// not retain the AppData or the ctmMsg (or pointers into them) past the
-// delivery callback. A packet lost on the way, delivered to a stopped node or
-// refused by a closed connection is the garbage collector's, message and all,
-// and so is one that a TCP-transport hop has carried: the stream's
-// retransmission buffer may still point at it (sendConn, unpool).
+// own, after the handler has returned (shardPool.release). Handlers
+// therefore must not retain the AppData or the ctmMsg (or pointers into
+// them) past the delivery callback. A packet the physical layer loses goes
+// on the lists of the shard that lost it, message and carried vip.Packet
+// with it (Discard). One that brunet itself cannot send on — delivered to a
+// stopped node, refused by a closed connection, no relay for a tunnel edge —
+// is the garbage collector's, message and all, and so is one that a
+// TCP-transport hop has carried: the stream's retransmission buffer may
+// still point at it (sendConn, unpool).
 type OverlayPacket struct {
 	Src, Dst Addr
 	Mode     DeliveryMode
@@ -313,6 +330,24 @@ func (p *OverlayPacket) Unpool() {
 	}
 }
 
+// Discard gives a packet the physical layer lost back to the lists of the
+// shard s drives (phys.Discarder): the packet, its CTM message, and the
+// application data's own payload (a vip.Packet under IPOP, which gives
+// itself back the same way). A packet a stream has carried is no list's,
+// and what it carries stays with the stream's retransmission buffer.
+func (p *OverlayPacket) Discard(s *sim.Simulator) {
+	var data any
+	if a, ok := p.Payload.(*AppData); ok {
+		data = a.Data // inside p: read before the release blanks it
+	}
+	if !poolOf(s).release(p, "phys drop") {
+		return
+	}
+	if d, ok := data.(phys.Discarder); ok {
+		d.Discard(s)
+	}
+}
+
 // ClearTrace consumes the trace context after a terminal record. The
 // physical layer calls it through trace.Traced so a packet object shared
 // between a transport retransmit buffer and the wire can never produce two
@@ -342,11 +377,11 @@ const forwardHdrSize = 16
 // ctmMsg is a message of the connection protocol (§IV-B1): the
 // Connect-To-Me request and its reply. It is pooled per shard (shardPool),
 // taken with the OverlayPacket that carries it (ctmPacket) and released with
-// it (Node.release), and a message sent on — the join CTM passed across, a
-// forwarded reply — is a copy in a message of its own (set). Its relay
-// candidates lie inside it, so a copy never shares them with the original; a
-// handler may keep the URIs slice, which is the sender's copy-on-write list,
-// and nothing else.
+// it (shardPool.release), and a message sent on — the join CTM passed
+// across, a forwarded reply — is a copy in a message of its own (set). Its
+// relay candidates lie inside it, so a copy never shares them with the
+// original; a handler may keep the URIs slice, which is the sender's
+// copy-on-write list, and nothing else.
 type ctmMsg struct {
 	Kind ctmKind
 	// Pooled sits in the padding after Kind.
@@ -395,12 +430,13 @@ func (m *ctmMsg) set(o *ctmMsg) {
 // ping it often carries: the originator takes it from its shard's list
 // (Node.sendFrame), the relay stamps Observed and forwards the frame it
 // received, and the tunnel endpoint releases it into its own shard's list
-// once Inner's handler has returned (handleTunnelFrame). A frame that is
-// lost or that a relay cannot forward is the garbage collector's. The one
-// thing that keeps a frame past its handler is the retransmission buffer of
-// a phys.Stream, when a hop of the tunnel runs over the TCP transport: such a
-// frame is no longer pooled (sendConn, unpool): the endpoint blanks it and
-// leaves it to the garbage collector.
+// once Inner's handler has returned (handleTunnelFrame). A frame the
+// physical layer loses goes on the list of the shard that lost it, and the
+// message inside with it (Discard); one that a relay cannot forward is the
+// garbage collector's. The one thing that keeps a frame past its handler is
+// the retransmission buffer of a phys.Stream, when a hop of the tunnel runs
+// over the TCP transport: such a frame is no longer pooled (sendConn,
+// unpool): the endpoint blanks it and leaves it to the garbage collector.
 type tunnelFrame struct {
 	From Addr
 	To   Addr
@@ -421,6 +457,20 @@ type tunnelFrame struct {
 // Carries is the wrapped message, which a cross-shard hand-off
 // (sim.HandOff) follows.
 func (f *tunnelFrame) Carries() any { return f.Inner }
+
+// Discard puts a frame the physical layer lost on the list of the shard s
+// drives, and gives back the message inside it the way that message's own
+// loss would (phys.Discarder). A frame a stream has carried gives back
+// nothing: its Inner was cut loose with it (unpool).
+func (f *tunnelFrame) Discard(s *sim.Simulator) {
+	inner := f.Inner
+	if !poolOf(s).frames.Put(f, "phys drop") {
+		return
+	}
+	if d, ok := inner.(phys.Discarder); ok {
+		d.Discard(s)
+	}
+}
 
 // TraceContext delegates to the wrapped message: dropping a tunnel frame
 // in flight terminates the traced overlay packet inside it.

@@ -271,7 +271,7 @@ type shardPool struct {
 	_    [sim.CacheLine]byte
 	pkts sim.FreeList[OverlayPacket, *OverlayPacket]
 	// ctms holds the messages CTM packets carry: taken with the packet, put
-	// back with it (Node.release).
+	// back with it (shardPool.release).
 	ctms   sim.FreeList[ctmMsg, *ctmMsg]
 	frames sim.FreeList[tunnelFrame, *tunnelFrame]
 	links  sim.FreeList[linkMsg, *linkMsg]
@@ -301,6 +301,11 @@ func newShardPool(s *sim.Simulator) any {
 	}
 }
 
+// poolOf is the pool of the shard s drives, made at its first use.
+func poolOf(s *sim.Simulator) *shardPool {
+	return s.Local(shardPoolKey{}, newShardPool).(*shardPool)
+}
+
 // NewNode creates a node with the given overlay address on a physical
 // host. Call Start to bind the socket and join the overlay.
 func NewNode(host *phys.Host, addr Addr, cfg Config) *Node {
@@ -312,7 +317,7 @@ func NewNode(host *phys.Host, addr Addr, cfg Config) *Node {
 		cfg:     cfg,
 		linkers: make(map[Addr]*linker),
 		Stats:   Counters.New(),
-		pool:    host.Sim().Local(shardPoolKey{}, newShardPool).(*shardPool),
+		pool:    poolOf(host.Sim()),
 	}
 	if cfg.JitterSeed != 0 {
 		h := fnv.New64a()
@@ -884,7 +889,7 @@ func (n *Node) routePacket(pkt *OverlayPacket, from Addr) {
 		if n.flight != nil && pkt.Trace != 0 {
 			n.flightTerminal(pkt, trace.OutcomeNodeDown)
 		}
-		n.release(pkt, "routePacket (node down)")
+		n.pool.release(pkt, "routePacket (node down)")
 		return
 	}
 	// Sampling happens at origination only: a packet entering the router
@@ -894,7 +899,7 @@ func (n *Node) routePacket(pkt *OverlayPacket, from Addr) {
 	}
 	if pkt.Dst.is(&n.addr) {
 		n.deliver(pkt)
-		n.release(pkt, "routePacket (delivered)")
+		n.pool.release(pkt, "routePacket (delivered)")
 		return
 	}
 	if pkt.Hops >= maxHops {
@@ -902,14 +907,14 @@ func (n *Node) routePacket(pkt *OverlayPacket, from Addr) {
 		if n.flight != nil && pkt.Trace != 0 {
 			n.flightTerminal(pkt, trace.OutcomeHopsExceeded)
 		}
-		n.release(pkt, "routePacket (hops exceeded)")
+		n.pool.release(pkt, "routePacket (hops exceeded)")
 		return
 	}
 	best := n.nearestConn(pkt.Dst, from)
 	if best == nil || (!best.Peer.is(&pkt.Dst) && pkt.Dst.CmpRingDist(best.Peer, n.addr) >= 0) {
 		// Nobody closer: we are the nearest live node.
 		n.deliver(pkt)
-		n.release(pkt, "routePacket (nearest)")
+		n.pool.release(pkt, "routePacket (nearest)")
 		return
 	}
 	pkt.Hops++
@@ -917,20 +922,27 @@ func (n *Node) routePacket(pkt *OverlayPacket, from Addr) {
 	n.sendConn(best, pkt.Size, pkt)
 	// After sendConn, so a tunnel hop's record names the relay this very
 	// frame used; a packet that died inside sendConn has had its context
-	// consumed by the terminal record and skips the hop record here.
+	// consumed by the terminal record and skips the hop record here. (One
+	// the physical layer lost is blank on this shard's list by now, and no
+	// Get can have taken it in between: its Trace reads zero.)
 	if n.flight != nil && pkt.Trace != 0 {
 		n.flightHop(pkt, best)
 	}
 }
 
-// release ends the life of a packet at its routing terminal: the packet goes
-// on the shard's list, and a CTM's message on the CTM list with it. A packet
-// the lists let go of (a stream carried it: unpool) keeps its message.
-func (n *Node) release(pkt *OverlayPacket, where string) {
+// release ends the life of a packet at its routing terminal, or lost on the
+// wire (OverlayPacket.Discard): the packet goes on the shard's list, and a
+// CTM's message on the CTM list with it. A packet the lists let go of (a
+// stream carried it: unpool) keeps its message, and release reports false.
+func (pl *shardPool) release(pkt *OverlayPacket, where string) bool {
 	m, _ := pkt.Payload.(*ctmMsg)
-	if n.pool.pkts.Put(pkt, where) && m != nil {
-		n.pool.ctms.Put(m, where)
+	if !pl.pkts.Put(pkt, where) {
+		return false
 	}
+	if m != nil {
+		pl.ctms.Put(m, where)
+	}
+	return true
 }
 
 // deliver terminates a packet at this node. Exact-mode packets for another
@@ -1003,7 +1015,7 @@ func (n *Node) relayCandidates(m *ctmMsg) {
 			break
 		}
 		if c := s.c; !c.Tunneled() {
-			m.relays[k] = NeighborInfo{Addr: c.Peer, URIs: c.URIs, Load: int(c.peerLoad)}
+			m.relays[k] = NeighborInfo{Addr: c.Peer, URIs: c.URIs, Load: c.peerLoad}
 			k++
 		}
 	}

@@ -42,7 +42,7 @@ func TestPoolDebugCTM(t *testing.T) {
 	if len(req.Relays()) == 0 {
 		t.Fatal("the CTM carries no relay candidates; the test would be vacuous")
 	}
-	n.release(pkt, "routePacket (nearest)")
+	n.pool.release(pkt, "routePacket (nearest)")
 	if pkt.Size != -1 || pkt.Payload != poisonPayload {
 		t.Fatalf("the released packet does not hold the poison: size %d payload %v", pkt.Size, pkt.Payload)
 	}
@@ -50,7 +50,7 @@ func TestPoolDebugCTM(t *testing.T) {
 		t.Fatalf("the message of a released CTM does not hold the poison: %+v", *req)
 	}
 	mustPanic(t, "double release of overlay packet in handleCTMRequest (first released in routePacket (nearest))",
-		func() { n.release(pkt, "handleCTMRequest") })
+		func() { n.pool.release(pkt, "handleCTMRequest") })
 	mustPanic(t, "double release of CTM message in x (first released in routePacket (nearest))",
 		func() { n.pool.ctms.Put(req, "x") })
 	mustPanic(t, "use of released CTM message in deliver (released in routePacket (nearest))",

@@ -9,6 +9,7 @@ import (
 	"unsafe"
 
 	"wow/internal/phys"
+	"wow/internal/sim"
 )
 
 // walkMasks are the role sets the table's walks are checked under: every
@@ -424,6 +425,22 @@ func TestHotFieldsLayout(t *testing.T) {
 	}
 	if size := unsafe.Sizeof(c); size > 192 {
 		t.Errorf("Connection is %d bytes, past the 192-byte size class", size)
+	}
+}
+
+// TestHotFieldsMessageSizes pins the in-memory size of a relay candidate and
+// of the CTM message that holds tunnelMaxRelays of them: NeighborInfo's Load
+// sits in the padding after Addr. Every shard's CTM list, every candidate
+// stash and every gossiped neighbor list is made of these. The wire sizes
+// (ctmSize, statusMsgSize) are estimates of their own and do not follow.
+// (The debug list's owner stamp and sites make a ctmMsg bigger under -tags
+// packetdebug.)
+func TestHotFieldsMessageSizes(t *testing.T) {
+	if size := unsafe.Sizeof(NeighborInfo{}); size != 48 {
+		t.Errorf("NeighborInfo is %d bytes, want 48", size)
+	}
+	if size := unsafe.Sizeof(ctmMsg{}); size != 304 && !sim.PoolDebug {
+		t.Errorf("ctmMsg is %d bytes, want 304", size)
 	}
 }
 

@@ -133,7 +133,7 @@ func (o *tunnelOverlord) learnCandidates(m *ctmMsg) {
 			if !rc.loadKnown {
 				// Seed the relay scorer with the advertised load until
 				// the relay's own pongs speak for it.
-				rc.peerLoad = int32(adv.Load)
+				rc.peerLoad = adv.Load
 			}
 			c.addRelay(adv.Addr)
 		}

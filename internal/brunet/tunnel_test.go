@@ -148,7 +148,7 @@ func TestStashCopyAcrossShards(t *testing.T) {
 	pkt, first := pub.ctmPacket(kindRequest)
 	holder.tun.learnCandidates(first)
 	want := append([]NeighborInfo(nil), first.Relays()...)
-	pub.release(pkt, "filed")
+	pub.pool.release(pkt, "filed")
 	if len(want) == 0 || holder.tun.stashOf(pub.Addr()) == nil {
 		t.Fatalf("the holder filed no stash of %d relay candidates; the test would be vacuous", len(want))
 	}
@@ -162,7 +162,7 @@ func TestStashCopyAcrossShards(t *testing.T) {
 			// delivered at its sender carries it.
 			pub.table.slots[0].c.peerLoad = int32(1000 + k)
 			pkt, m := pub.ctmPacket(kindRequest)
-			if m == first && m.relays[0].Load == 1000+k {
+			if m == first && m.relays[0].Load == int32(1000+k) {
 				rewritten++
 			}
 			pkt.Dst, pkt.Mode, pkt.Size = pub.addr, DeliverExact, ctmSize(m)

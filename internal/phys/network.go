@@ -546,13 +546,29 @@ func deliverPacket(a any) {
 	p.dest.receive(p)
 }
 
-// drop records a packet loss and retires the packet. Every packet's life ends in exactly one drop call or one
-// delivered OnRecv call. sh is the shard the drop executes on (sender's
-// shard for wire/route losses, destination's for host-side losses).
+// Discarder is a payload that gives back what it holds when the physical
+// layer loses it: Discard puts the payload, and the pooled objects it
+// carries, on the free lists of the shard s drives, which is the shard that
+// holds them (a cross-shard hand-off has re-stamped them). A payload is its
+// sender's no more once sent; one a stream has carried may still sit in the
+// stream's retransmission buffer, but it is no list's (sim.Pooled.Unpool),
+// so its Discard lists nothing.
+type Discarder interface {
+	Discard(s *sim.Simulator)
+}
+
+// drop records a packet loss and retires the packet and its payload. Every
+// packet's life ends in exactly one drop call or one delivered OnRecv call.
+// sh is the shard the drop executes on (sender's shard for wire/route
+// losses, destination's for host-side losses). The payload's trace context
+// is read before Discard blanks it.
 func (n *Network) drop(sh int, lost counter, p *Packet) {
 	st := &n.shards[sh]
 	st.counts[lost]++
 	n.flightDiscard(sh, counterNames[lost], p.Payload)
+	if d, ok := p.Payload.(Discarder); ok {
+		d.Discard(n.sims[sh])
+	}
 	st.pkts.Put(p, "drop")
 }
 

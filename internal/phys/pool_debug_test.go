@@ -194,3 +194,61 @@ func TestPacketDebugRetainedPacketIsPoisoned(t *testing.T) {
 	}
 	mustPanic(t, "use of released packet in send (released in finishReceive)", func() { retained.Live(s, "send") })
 }
+
+// pooledProbe is a pooled payload of the layers above: Discard puts it on
+// the list of the shard it runs on, as brunet's and vip's payloads do.
+type pooledProbe struct {
+	lists *probeLists
+	sim.Pooled
+}
+
+// probeLists are one list per shard, and what Discard put on each.
+type probeLists struct {
+	sims   []*sim.Simulator
+	lists  []sim.FreeList[pooledProbe, *pooledProbe]
+	listed []int
+}
+
+func (p *pooledProbe) Discard(s *sim.Simulator) {
+	l := p.lists // read before Put poisons p
+	for i, si := range l.sims {
+		if si == s && l.lists[i].Put(p, "phys drop") {
+			l.listed[i]++
+		}
+	}
+}
+
+// A pooled payload handed to another shard with its packet, and lost at the
+// boundary of the NAT chain that shard owns, goes on that shard's list, where
+// the owner stamp the hand-off moved lets it; one lost on the way out goes on
+// the sender's. A Discard on any other shard's list would panic here.
+func TestPacketDebugDropDiscardsOnHoldingShard(t *testing.T) {
+	eng, net := shardedDebugNet(t, 2)
+	pubSite, lanSite := net.AddSite("pub"), net.AddSite("lan")
+	floor, _ := net.CrossShardFloor()
+	eng.SetLookahead(floor)
+	pub := net.AddHost("pub", pubSite, net.Root(), HostConfig{})
+	nat := &fakeNAT{public: net.Root().NextIP()}
+	lan := net.AddRealm("lan", net.Root(), nat, MustParseIP("10.0.0.1"))
+	net.AddHost("inside", lanSite, lan, HostConfig{})
+	l := &probeLists{sims: net.sims, listed: make([]int, 2)}
+	for _, s := range net.sims {
+		l.lists = append(l.lists, sim.NewFreeList[pooledProbe](s, "probe", pooledProbe{}))
+	}
+	ps, _ := pub.Listen(0)
+	eng.Shard(0).At(0, func() {
+		p := l.lists[0].Get()
+		p.lists = l
+		ps.Send(Endpoint{IP: nat.public, Port: 999}, 32, p) // no mapping: lost on shard 1
+		q := l.lists[0].Get()
+		q.lists = l
+		ps.Send(Endpoint{IP: MustParseIP("203.0.113.9"), Port: 1}, 32, q) // no route: lost on shard 0
+	})
+	eng.RunUntil(sim.Time(sim.Second))
+	if b, r := stat(net, "lost.boundary"), stat(net, "lost.noroute"); b != 1 || r != 1 {
+		t.Fatalf("lost.boundary = %d, lost.noroute = %d, want 1 and 1", b, r)
+	}
+	if l.listed[0] != 1 || l.listed[1] != 1 {
+		t.Fatalf("shards 0 and 1 listed %d and %d payloads, want 1 and 1", l.listed[0], l.listed[1])
+	}
+}

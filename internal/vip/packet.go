@@ -87,9 +87,11 @@ func (p Proto) String() string {
 // receiving stack puts it on its own when its handler returns. A Carrier
 // hands the pointer on and keeps nothing; a handler keeps nothing either,
 // with one exception, a TCP segment that arrived ahead of its turn and waits
-// in Conn.oo. A packet the carrier loses, misroutes or delivers to nobody is
-// the garbage collector's. Packets built outside the stack are never put on
-// a list.
+// in Conn.oo. A packet whose overlay packet the physical layer loses goes
+// on the list of the shard that lost it (Discard, called through the overlay
+// packet's own). One the carrier drops itself, misroutes or delivers to
+// nobody is the garbage collector's. Packets built outside the stack are
+// never put on a list.
 type Packet struct {
 	Src, Dst IP
 	Proto    Proto

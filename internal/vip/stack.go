@@ -117,6 +117,11 @@ func newShardPool(s *sim.Simulator) any {
 	}
 }
 
+// poolOf is the pool of the shard s drives, made at its first use.
+func poolOf(s *sim.Simulator) *shardPool {
+	return s.Local(shardPoolKey{}, newShardPool).(*shardPool)
+}
+
 // NewStack creates a stack over the carrier.
 func NewStack(carrier Carrier, cfg StackConfig) *Stack {
 	cfg.fillDefaults()
@@ -125,7 +130,7 @@ func NewStack(carrier Carrier, cfg StackConfig) *Stack {
 		carrier:   carrier,
 		cfg:       cfg,
 		sim:       clock,
-		pool:      clock.Local(shardPoolKey{}, newShardPool).(*shardPool),
+		pool:      poolOf(clock),
 		pings:     make(map[uint64]*pingState),
 		udp:       make(map[uint16]UDPHandler),
 		listeners: make(map[uint16]func(*Conn)),
@@ -152,18 +157,29 @@ func (s *Stack) packet(dst IP, proto Proto, size int) *Packet {
 	return p
 }
 
-// release ends the life of a packet the stack took from a list: it goes on
-// the shard's list blank but for the backing array of its Ends, so the list
-// pins no message and the next sender finds nothing of this one in it. A
-// packet built outside the stack passes through untouched. where names the
-// site for the packetdebug list.
+// release ends the life of a packet the stack took from a list (see
+// shardPool.release). where names the site for the packetdebug list.
 func (s *Stack) release(p *Packet, where string) {
+	s.pool.release(p, where)
+	s.checkShard(where)
+}
+
+// release puts p on the list blank but for the backing array of its Ends, so
+// the list pins no message and the next sender finds nothing of this one in
+// it. A packet built outside the stack passes through untouched.
+func (pl *shardPool) release(p *Packet, where string) {
 	ends := p.tcp.Ends
-	if s.pool.pkts.Put(p, where) && !sim.PoolDebug {
+	if pl.pkts.Put(p, where) && !sim.PoolDebug {
 		clear(ends)
 		p.tcp.Ends = ends[:0]
 	}
-	s.checkShard(where)
+}
+
+// Discard puts a packet its carrier's physical layer lost on the list of the
+// shard s drives, as a receiving stack would (phys.Discarder, through the
+// overlay packet that carried it).
+func (p *Packet) Discard(s *sim.Simulator) {
+	poolOf(s).release(p, "phys drop")
 }
 
 // checkShard is the packetdebug build's check that the stack is still driven
