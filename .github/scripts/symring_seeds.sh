@@ -17,7 +17,7 @@
 #
 #   bash .github/scripts/symring_seeds.sh
 set -euo pipefail
-declare -A known=([1]=1 [8]=1 [11]=5 [12]=1 [13]=20 [19]=3)
+declare -A known=([1]=1 [8]=1 [11]=5 [12]=1 [19]=3)
 dir="$(mktemp -d)"
 trap 'rm -rf "$dir"' EXIT
 go build -o "$dir/wow-bench" ./cmd/wow-bench

@@ -33,10 +33,13 @@ func main() {
 	}
 	schedd := condor.NewSchedd(head.Stack())
 	cm.AttachSchedd(schedd)
+	var startds []*condor.Startd
 	for _, v := range tb.Workstations() {
-		if _, err := condor.NewStartd(v, v.Spec().CPUSpeed, head.IP(), 60*sim.Second); err != nil {
+		sd, err := condor.NewStartd(v, v.Spec().CPUSpeed, head.IP(), 60*sim.Second)
+		if err != nil {
 			panic(err)
 		}
+		startds = append(startds, sd)
 	}
 	tb.Sim.RunFor(2 * sim.Minute)
 	fmt.Printf("collector sees %d machines across 6 firewalled domains\n\n", len(cm.Machines()))
@@ -75,6 +78,10 @@ func main() {
 	if *minSpeed > 0 {
 		fmt.Printf("\nRequirements MinSpeed=%.2f filtered the pool to %d eligible machines\n",
 			*minSpeed, eligible(cm, *minSpeed))
+	}
+	cm.Close()
+	for _, sd := range startds {
+		sd.Close()
 	}
 }
 

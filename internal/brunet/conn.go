@@ -90,6 +90,12 @@ type Connection struct {
 	peerLoad  int32
 	haveRTT   bool
 	loadKnown bool
+	// recruited marks a Relay link this node recruited for a tunnel (set
+	// when the recruit's link comes up): only the recruiter reaps an idle
+	// relay, because the passive end holds no tunnel through it and would
+	// tear the link down while the recruiter still depends on it. The mark
+	// goes away with the edge.
+	recruited bool
 	// reason records why dropConnection tore the connection down,
 	// readable by onDisconnection callbacks — the repair overlord re-links
 	// only involuntary losses.
@@ -113,6 +119,9 @@ type tunnelState struct {
 	// frame used, kept until it dies or a challenger beats it by more than
 	// relayHysteresis.
 	activeRelay Addr
+	// upgrade is the edge's armed direct-link upgrade probe (armUpgrade),
+	// cancelled with the state when the edge upgrades in place or drops.
+	upgrade sim.Timer
 }
 
 // tunnel returns c's tunnel state, making it on first use.
@@ -190,8 +199,14 @@ func (c *Connection) Transport() string {
 }
 
 // dropTunnel forgets the tunnel state of an edge upgraded in place to a
-// direct one: its relays and its observations go together.
-func (c *Connection) dropTunnel() { c.Relays, c.tun = nil, nil }
+// direct one: its relays, its observations and its upgrade probe go
+// together.
+func (c *Connection) dropTunnel() {
+	if c.tun != nil {
+		c.tun.upgrade.Cancel()
+	}
+	c.Relays, c.tun = nil, nil
+}
 
 // hasRelay reports whether r is in the connection's relay list.
 func (c *Connection) hasRelay(r Addr) bool {

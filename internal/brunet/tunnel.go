@@ -38,20 +38,12 @@ type tunnelOverlord struct {
 	// list in no particular order (stashOf, dropStash): a node rarely holds
 	// more than two at a time.
 	cands []candidateStash
-	// upgrades holds the armed direct-link upgrade timer per tunnel peer.
-	// It and the two maps below are made at their first write (armUpgrade,
-	// establish): a node that never holds a tunnel never writes them, and
-	// reading, deleting from and ranging over a nil map are legal.
-	upgrades map[Addr]sim.Timer
 	// recruiting maps a relay candidate being linked (ConnType Relay) to
 	// the tunnel targets waiting on it — the path taken when no mutual
-	// neighbor exists yet and one must be recruited first.
+	// neighbor exists yet and one must be recruited first. Made at its
+	// first write (establish). Like cands it holds only peers the table does
+	// not hold over a direct edge: what an edge keeps lives on the edge.
 	recruiting map[Addr][]Addr
-	// recruited marks the Relay-type links this node initiated. Only the
-	// recruiting side may reap an idle Relay link: the relay itself holds
-	// no tunnel referencing the recruiter, so without the marker it would
-	// tear the link down as idle while the recruiter still depends on it.
-	recruited map[Addr]bool
 }
 
 // candidateStash is the tunnel-relevant content of one CTM exchange with
@@ -157,7 +149,9 @@ func (o *tunnelOverlord) linkFailed(target Addr, t ConnType) {
 			delete(o.recruiting, target)
 			n.Stats.Add(cTunnelRecruitFailed, int64(len(waiting)))
 		}
-		delete(o.recruited, target)
+		if c, ok := n.lookup(target); ok {
+			c.recruited = false
+		}
 		return
 	}
 	if c, ok := n.lookup(target); ok {
@@ -228,12 +222,10 @@ func (o *tunnelOverlord) establish(target Addr) {
 		}
 		if o.recruiting == nil {
 			o.recruiting = make(map[Addr][]Addr)
-			o.recruited = make(map[Addr]bool)
 		}
 		if !already {
 			o.recruiting[adv.Addr] = append(o.recruiting[adv.Addr], target)
 		}
-		o.recruited[adv.Addr] = true
 		n.Stats.Add(cTunnelRecruit, 1)
 		n.startLinker(adv.Addr, adv.URIs, Relay)
 		return
@@ -244,8 +236,10 @@ func (o *tunnelOverlord) establish(target Addr) {
 func (o *tunnelOverlord) onConnection(c *Connection) {
 	n := o.node
 	if waiting, ok := o.recruiting[c.Peer]; ok && !c.Tunneled() {
-		// A recruited relay came up: serve the targets waiting on it.
+		// A recruited relay came up: mark it as this node's to reap once
+		// idle, and serve the targets waiting on it.
 		delete(o.recruiting, c.Peer)
+		c.recruited = true
 		for _, target := range waiting {
 			if _, have := n.lookup(target); have {
 				continue
@@ -259,17 +253,20 @@ func (o *tunnelOverlord) onConnection(c *Connection) {
 		o.armUpgrade(c)
 		return
 	}
-	// A direct edge confirmed (possibly an in-place tunnel upgrade):
-	// upgrade probing is over, the stash is stale, and relays recruited on
-	// this peer's behalf may now be idle.
-	o.cancelUpgrade(c.Peer)
+	// A direct edge confirmed (possibly an in-place tunnel upgrade, whose
+	// dropTunnel ended the upgrade probing): the stash is stale, and relays
+	// recruited on this peer's behalf may now be idle.
 	o.dropStash(c.Peer)
 	o.reapRelays()
 }
 
+// onDisconnection runs after c has left the table: a dropped tunnel edge's
+// probe is cancelled through the edge itself, since a lookup would find
+// nothing, or a new edge to the same peer.
 func (o *tunnelOverlord) onDisconnection(c *Connection) {
-	o.cancelUpgrade(c.Peer)
-	delete(o.recruited, c.Peer)
+	if c.tun != nil {
+		c.tun.upgrade.Cancel()
+	}
 	if !c.Tunneled() {
 		// A direct link died; it may have been carrying tunnels.
 		o.relayLost(c.Peer)
@@ -385,74 +382,59 @@ func (o *tunnelOverlord) reprobe(peer Addr, t ConnType) {
 // edge. The probe is a CTM to the tunnel peer: both sides then re-run
 // direct linking with fresh URIs (the hole-punching dance), and a success
 // upgrades the connection in place. Probing repeats every interval while
-// the edge stays tunneled and stops the moment it upgrades.
+// the edge stays tunneled and stops the moment it upgrades. The timer is
+// the edge's (tunnelState.upgrade): dropTunnel and onDisconnection cancel
+// it, so while the node runs this overlord it only fires on a live tunnel
+// edge.
 func (o *tunnelOverlord) armUpgrade(c *Connection) {
-	n := o.node
-	peer := c.Peer
-	if _, armed := o.upgrades[peer]; armed {
+	n, t := o.node, c.tun
+	if t.upgrade.Active() {
 		return
 	}
-	if o.upgrades == nil {
-		o.upgrades = make(map[Addr]sim.Timer)
-	}
-	o.upgrades[peer] = n.sim.After(n.cfg.TunnelUpgradeInterval, func() {
-		delete(o.upgrades, peer)
+	t.upgrade = n.sim.After(n.cfg.TunnelUpgradeInterval, func() {
+		t.upgrade = sim.Timer{}
 		if !n.up || n.tun != o {
 			return
 		}
-		tc, ok := n.lookup(peer)
-		if !ok || !tc.Tunneled() {
-			return
-		}
 		n.Stats.Add(cTunnelUpgradeProbes, 1)
-		o.armUpgrade(tc)
-		n.sendCTM(peer, tc.mainRole(), DeliverExact, Zero)
+		o.armUpgrade(c)
+		n.sendCTM(c.Peer, c.mainRole(), DeliverExact, Zero)
 	})
-}
-
-// cancelUpgrade disarms the upgrade timer for peer, if any.
-func (o *tunnelOverlord) cancelUpgrade(peer Addr) {
-	if t, ok := o.upgrades[peer]; ok {
-		t.Cancel()
-		delete(o.upgrades, peer)
-	}
 }
 
 // reapRelays drops the Relay role from connections no tunnel edge, active
 // tunnel-mode linker, or pending recruit references any more — recruited
 // relays exist only to carry frames and are not kept alive idle. Only
-// links this node itself recruited are eligible: the passive end of a
-// Relay link never references it and must leave teardown to the
-// recruiter — so with nothing recruited there is nothing to reap, which is
-// the case on every direct-edge connection event of a tunnel-free node.
-// The in-use set is computed by membership (map iteration order is
-// irrelevant to the outcome); the drop loop walks in address order for
-// determinism.
+// links this node itself recruited (Connection.recruited) are eligible:
+// the passive end of a Relay link never references it and must leave
+// teardown to the recruiter — so with no recruited edge in the table there
+// is nothing to reap, which is the case on every connection event of a
+// tunnel-free node. The drop loop walks in address order for determinism.
 func (o *tunnelOverlord) reapRelays() {
 	n := o.node
-	if len(o.recruited) == 0 {
+	if !slices.ContainsFunc(n.table.slots, func(s slot) bool { return s.c.recruited }) {
 		return
-	}
-	inUse := make(map[Addr]bool)
-	for _, s := range n.table.slots {
-		for _, r := range s.c.Relays {
-			inUse[r] = true
-		}
-	}
-	for _, lk := range n.linkers {
-		for _, r := range lk.relays {
-			inUse[r] = true
-		}
-	}
-	for r := range o.recruiting {
-		inUse[r] = true
 	}
 	relay := maskOf(Relay)
 	for c := n.firstConn(relay); c != nil; c = n.connAfter(c, relay) {
-		if !inUse[c.Peer] && o.recruited[c.Peer] {
-			delete(o.recruited, c.Peer)
+		if c.recruited && !o.relayInUse(c.Peer) {
+			c.recruited = false
 			n.Stats.Add(cTunnelRelayReaped, 1)
 			n.dropConnRole(c, Relay, dropIdle)
 		}
 	}
+}
+
+// relayInUse reports whether r is a pending recruit or relays a tunnel edge
+// or an active tunnel-mode linker.
+func (o *tunnelOverlord) relayInUse(r Addr) bool {
+	if _, pending := o.recruiting[r]; pending {
+		return true
+	}
+	for _, lk := range o.node.linkers {
+		if slices.Contains(lk.relays, r) {
+			return true
+		}
+	}
+	return slices.ContainsFunc(o.node.table.slots, func(s slot) bool { return s.c.hasRelay(r) })
 }

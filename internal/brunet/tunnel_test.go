@@ -311,6 +311,100 @@ func TestLinkGiveUpReasonReject(t *testing.T) {
 	}
 }
 
+// addLone starts a node on a fresh public host as a ring of its own: it
+// bootstraps off nobody, so it holds only the edges a test gives it or links
+// itself.
+func (r *overlayRig) addLone(t *testing.T, name string) *Node {
+	t.Helper()
+	h := r.net.AddHost(name, r.site, r.net.Root(), phys.HostConfig{})
+	n := NewNode(h, AddrFromString(name), FastTestConfig())
+	if err := n.Start(nil); err != nil {
+		t.Fatalf("start %s: %v", name, err)
+	}
+	r.nodes = append(r.nodes, n)
+	return n
+}
+
+// TestRebuiltTunnelEdgeGetsNoStaleProbe: a tunnel edge's upgrade probe is
+// the edge's own. An edge dropped for lack of relays takes its armed probe
+// with it, so when an edge to the same peer is rebuilt at once, only the new
+// edge probes: one probe per interval. (A drop that cancelled the probe by
+// looking the peer up would find nothing, since the edge has left the table
+// by then, and the old edge would go on probing beside the new one.)
+func TestRebuiltTunnelEdgeGetsNoStaleProbe(t *testing.T) {
+	r := newOverlayRig(31)
+	n := r.addLone(t, "holder")
+	peer, relay := AddrFromString("tunnel-peer"), AddrFromString("tunnel-relay")
+	old := n.addConnection(peer, phys.Endpoint{}, nil, []Addr{relay}, nil, StructuredNear)
+	if !old.Tunneled() || !old.tun.upgrade.Active() {
+		t.Fatalf("the tunnel edge %v has no upgrade probe armed", old)
+	}
+	n.tun.relayLost(relay)
+	if n.ConnectionTo(peer) != nil || old.reason != dropNoRelay {
+		t.Fatalf("the edge was not dropped for lack of relays (reason %d)", old.reason)
+	}
+	if old.tun.upgrade.Active() {
+		t.Error("the dropped edge's upgrade probe is still armed")
+	}
+	rebuilt := n.addConnection(peer, phys.Endpoint{}, nil, []Addr{relay}, nil, StructuredNear)
+	before := n.Stats.Get("tunnel.upgrade_probes")
+	interval := n.cfg.TunnelUpgradeInterval
+	const intervals = 2
+	r.s.RunFor(intervals*interval + interval/2)
+	if n.ConnectionTo(peer) != rebuilt {
+		t.Fatal("the rebuilt edge did not last the run; the count would be vacuous")
+	}
+	if got := n.Stats.Get("tunnel.upgrade_probes") - before; got != intervals {
+		t.Errorf("%d upgrade probes in %d intervals of the rebuilt edge, want %d", got, intervals, intervals)
+	}
+	if old.tun.upgrade.Active() {
+		t.Error("the dropped edge re-armed its upgrade probe")
+	}
+}
+
+// TestRecruitedRelayReapedAfterEarlierEdgeDrops: a recruited relay is marked
+// on its Relay link when the link comes up, so nothing that happens to the
+// peer while the recruit is pending can lose the mark. Here the recruiter's
+// earlier tunnel edge to the relay drops for lack of relays while the Relay
+// link is still being made. The link comes up and carries a tunnel edge;
+// once that edge goes, the recruiter reaps the idle relay, and the relay —
+// the passive end, which holds no tunnel through the link — never does.
+func TestRecruitedRelayReapedAfterEarlierEdgeDrops(t *testing.T) {
+	r := newOverlayRig(32)
+	a, relay := r.addLone(t, "recruiter"), r.addLone(t, "relay")
+	target, via := AddrFromString("tunnel-target"), AddrFromString("other-relay")
+	// A CTM exchange with the target named the relay among its neighbours;
+	// the recruiter holds no edge to any of them, so it recruits the relay.
+	a.tun.cands = append(a.tun.cands, candidateStash{peer: target, nrelays: 1})
+	a.tun.cands[0].relays[0] = NeighborInfo{Addr: relay.Addr(), URIs: relay.URIs()}
+	a.tun.establish(target)
+	if _, ok := a.tun.recruiting[relay.Addr()]; !ok {
+		t.Fatal("establish recruited nobody")
+	}
+	a.addConnection(relay.Addr(), phys.Endpoint{}, nil, []Addr{via}, nil, StructuredNear)
+	a.tun.relayLost(via)
+	if a.ConnectionTo(relay.Addr()) != nil {
+		t.Fatal("the earlier tunnel edge to the relay did not drop")
+	}
+	tc := a.addConnection(target, phys.Endpoint{}, nil, []Addr{relay.Addr()}, nil, StructuredNear)
+	r.s.RunFor(sim.Second)
+	rc, pc := a.ConnectionTo(relay.Addr()), relay.ConnectionTo(a.Addr())
+	if rc == nil || !rc.Has(Relay) || rc.Tunneled() || pc == nil || !pc.Has(Relay) {
+		t.Fatalf("the Relay link is not up at both ends: recruiter %v, relay %v", rc, pc)
+	}
+	a.dropConnection(tc, false, dropIdle)
+	r.s.RunFor(sim.Second)
+	if c := a.ConnectionTo(relay.Addr()); c != nil {
+		t.Errorf("the recruiter kept its idle relay: %v", c)
+	}
+	if got := a.Stats.Get("tunnel.relay_reaped"); got != 1 {
+		t.Errorf("the recruiter reaped %d relays, want 1", got)
+	}
+	if got := relay.Stats.Get("tunnel.relay_reaped"); got != 0 {
+		t.Errorf("the passive end reaped %d relays, want none", got)
+	}
+}
+
 // tunnelFixture is the relay and URI pool the tunnel-bookkeeping tests draw
 // from: six relays, two more than an edge can hold, and a zero, a TCP and
 // three UDP observations.
@@ -337,10 +431,12 @@ func tunnelFixture() ([]Addr, []URI) {
 // slice-based bookkeeping it replaced, and wants the same relay list,
 // observations, upgrade lists and return values after every step. The
 // relay list must stay a slice of the tunnel state's array, whose vacated
-// slots are zero.
+// slots are zero, and a reset of an edge with an armed upgrade probe must
+// cancel it: an edge upgraded in place stops probing.
 func TestQuickTunnelBookkeepingMatchesOracle(t *testing.T) {
 	relays, uris := tunnelFixture()
-	var capped, absent, resets int
+	s := sim.New(35)
+	var capped, absent, resets, armed int
 	f := func(ops []uint16) bool {
 		c := &Connection{Peer: AddrFromString("peer")}
 		ref := &refTunnel{}
@@ -386,8 +482,18 @@ func TestQuickTunnelBookkeepingMatchesOracle(t *testing.T) {
 					return false
 				}
 			default:
+				var probe sim.Timer
+				if c.tun != nil {
+					c.tun.upgrade = s.After(sim.Second, func() {})
+					probe = c.tun.upgrade
+					armed++
+				}
 				c.dropTunnel()
 				ref.dropTunnel()
+				if probe.Active() {
+					t.Logf("step %d: the upgrade probe is still armed after the reset", step)
+					return false
+				}
 				resets++
 			}
 			var observed []URI
@@ -414,8 +520,8 @@ func TestQuickTunnelBookkeepingMatchesOracle(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000, Rand: rand.New(rand.NewSource(35))}); err != nil {
 		t.Fatal(err)
 	}
-	if capped == 0 || absent == 0 || resets == 0 {
-		t.Fatalf("sequences never hit the cap (%d), an absent remove (%d) or a reset (%d)", capped, absent, resets)
+	if capped == 0 || absent == 0 || resets == 0 || armed == 0 {
+		t.Fatalf("sequences never hit the cap (%d), an absent remove (%d), a reset (%d) or a reset with a probe armed (%d)", capped, absent, resets, armed)
 	}
 }
 

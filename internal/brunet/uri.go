@@ -2,6 +2,7 @@ package brunet
 
 import (
 	"fmt"
+	"slices"
 
 	"wow/internal/phys"
 )
@@ -38,24 +39,17 @@ const maxLearnedURIs = 4
 
 type uriSet struct {
 	list []URI
-	seen map[URI]bool
 }
 
+// add appends u unless it is zero or already listed; reports whether it was
+// new. The list is short enough that a scan finds a duplicate.
 func (s *uriSet) add(u URI) bool {
-	if u.IsZero() {
-		return false
-	}
-	if s.seen == nil {
-		s.seen = make(map[URI]bool)
-	}
-	if s.seen[u] {
+	if u.IsZero() || slices.Contains(s.list, u) {
 		return false
 	}
 	if len(s.list) >= maxLearnedURIs {
-		delete(s.seen, s.list[0])
 		s.list = append(s.list[:0], s.list[1:]...)
 	}
-	s.seen[u] = true
 	s.list = append(s.list, u)
 	return true
 }

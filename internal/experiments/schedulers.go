@@ -68,10 +68,13 @@ func RunSchedulerComparison(seed int64, jobs int) (*SchedulerComparison, error) 
 	// Jobs fetch no NFS data under Condor in this comparison; the CPU
 	// stream is identical and the I/O difference is noted in
 	// EXPERIMENTS.md.
+	var startds []*condor.Startd
 	for _, v := range tb.Workstations() {
-		if _, err := condor.NewStartd(v, v.Spec().CPUSpeed, head.IP(), 60*sim.Second); err != nil {
+		sd, err := condor.NewStartd(v, v.Spec().CPUSpeed, head.IP(), 60*sim.Second)
+		if err != nil {
 			return nil, fmt.Errorf("schedulers: startd %s: %w", v.Name(), err)
 		}
+		startds = append(startds, sd)
 	}
 	tb.Sim.RunFor(2 * sim.Minute)
 
@@ -100,6 +103,10 @@ func RunSchedulerComparison(seed int64, jobs int) (*SchedulerComparison, error) 
 	res.CondorMatchLatency = metrics.Summarize(lat).Mean
 	if wall := lastDone.Sub(firstSubmit).Seconds(); wall > 0 {
 		res.CondorJobsPerMinute = float64(len(walls)) / (wall / 60)
+	}
+	cm.Close()
+	for _, sd := range startds {
+		sd.Close()
 	}
 	return res, nil
 }

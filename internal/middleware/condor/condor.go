@@ -79,6 +79,8 @@ type CentralManager struct {
 
 	machines map[string]*machineEntry
 	schedd   *Schedd
+	// negotiator is the negotiation cycle's ticker, stopped by Close.
+	negotiator *sim.Ticker
 }
 
 type machineEntry struct {
@@ -118,9 +120,12 @@ func NewCentralManager(stack *vip.Stack, cycle sim.Duration) (*CentralManager, e
 	}); err != nil {
 		return nil, fmt.Errorf("condor: %w", err)
 	}
-	cm.sim.Tick(cycle, cycle/10, cm.negotiate)
+	cm.negotiator = cm.sim.Tick(cycle, cycle/10, cm.negotiate)
 	return cm, nil
 }
+
+// Close stops the negotiation cycle: no match is made after it.
+func (cm *CentralManager) Close() { cm.negotiator.Stop() }
 
 // Machines reports live (unexpired) machine ads.
 func (cm *CentralManager) Machines() []MachineAd {
@@ -240,6 +245,8 @@ type Startd struct {
 	speed   float64
 	cm      vip.IP
 	busy    bool
+	// adTicker re-sends the ClassAd every adInterval until Close.
+	adTicker *sim.Ticker
 }
 
 // NewStartd runs a startd on the machine, advertising the given relative
@@ -267,9 +274,13 @@ func NewStartd(machine Machine, speed float64, cm vip.IP, adInterval sim.Duratio
 		return nil, fmt.Errorf("condor startd: %w", err)
 	}
 	sd.advertise()
-	machine.Stack().Sim().Tick(adInterval, adInterval/10, sd.advertise)
+	sd.adTicker = machine.Stack().Sim().Tick(adInterval, adInterval/10, sd.advertise)
 	return sd, nil
 }
+
+// Close stops the periodic advertisement: the collector hears no ad from
+// the machine after it and lets the last one expire.
+func (sd *Startd) Close() { sd.adTicker.Stop() }
 
 // advertise pushes the machine's current ClassAd to the collector (UDP,
 // fire and forget — lost ads are refreshed next interval, as in Condor).

@@ -10,11 +10,12 @@ import (
 )
 
 type pool struct {
-	s      *sim.Simulator
-	mesh   *viptest.Mesh
-	cm     *CentralManager
-	schedd *Schedd
-	nodes  []*viptest.Machine
+	s       *sim.Simulator
+	mesh    *viptest.Mesh
+	cm      *CentralManager
+	schedd  *Schedd
+	nodes   []*viptest.Machine
+	startds []*Startd
 }
 
 func newPool(t *testing.T, seed int64, machines int, speeds []float64, cycle sim.Duration) *pool {
@@ -36,10 +37,12 @@ func newPool(t *testing.T, seed int64, machines int, speeds []float64, cycle sim
 			speed = speeds[i%len(speeds)]
 		}
 		w := viptest.NewMachine(m, fmt.Sprintf("exec%02d", i), vip.MustParseIP("172.16.1.10")+vip.IP(i), speed)
-		if _, err := NewStartd(w, speed, cmStack.IP(), 30*sim.Second); err != nil {
+		sd, err := NewStartd(w, speed, cmStack.IP(), 30*sim.Second)
+		if err != nil {
 			t.Fatal(err)
 		}
 		p.nodes = append(p.nodes, w)
+		p.startds = append(p.startds, sd)
 	}
 	s.RunFor(5 * sim.Second) // first ads arrive
 	return p
@@ -53,6 +56,34 @@ func TestAdsCollected(t *testing.T) {
 	}
 	if ads[0].State != "unclaimed" {
 		t.Fatalf("fresh machine state %q", ads[0].State)
+	}
+}
+
+// TestCloseStopsTickers: once the central manager and every startd are
+// closed, no negotiation cycle and no advertisement fires. A job submitted
+// after Close is never matched, every ad expires at the collector for want
+// of a refresh, and with both tickers stopped the simulator runs empty.
+func TestCloseStopsTickers(t *testing.T) {
+	p := newPool(t, 4, 3, nil, 10*sim.Second)
+	if got := len(p.cm.Machines()); got != 3 {
+		t.Fatalf("collector has %d ads before Close, want 3", got)
+	}
+	p.cm.Close()
+	for _, sd := range p.startds {
+		sd.Close()
+	}
+	var rec *JobRecord
+	p.schedd.OnJobDone(func(r *JobRecord) { rec = r })
+	p.schedd.Submit(JobAd{ID: 1, CPU: sim.Second})
+	p.s.RunFor(p.cm.AdTTL + sim.Minute)
+	if rec != nil {
+		t.Fatalf("a negotiation cycle matched job %d on %s after Close", rec.Ad.ID, rec.Machine)
+	}
+	if ads := p.cm.Machines(); len(ads) != 0 {
+		t.Fatalf("%d ads still fresh %v after Close, want every one expired", len(ads), p.cm.AdTTL+sim.Minute)
+	}
+	if n := p.s.Pending(); n != 0 {
+		t.Fatalf("%d events pending with every ticker closed, want none", n)
 	}
 }
 
