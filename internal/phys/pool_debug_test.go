@@ -122,7 +122,7 @@ func TestPacketDebugBoundaryRestamp(t *testing.T) {
 	}
 }
 
-// A stream message crosses shards inside a segment copy that the send-side
+// A stream message crosses shards inside a segment that the send-side
 // hand-off does not follow: the stream hands the message, and what it
 // carries, to the receiving shard on delivery, so a pooled object in it is
 // released there without a cross-shard panic.

@@ -242,9 +242,8 @@ func TestShardedUnpinnedRealmUnroutable(t *testing.T) {
 // streams by connection ID alone — so IDs derived from the dialer's IP
 // would collide and hijack each other's streams. The allocator counts per
 // shard under the shard's index: dialers on one shard and on two all differ,
-// and shard 0 — all of a one-shard network — counts 1, 2, 3, … (a streamSyn
-// with so small an ID boxes without allocating, and the golden traces were
-// pinned on that sequence).
+// and shard 0 — all of a one-shard network — counts 1, 2, 3, … (the golden
+// traces were pinned on that sequence).
 func TestShardedConnIDsUniqueAcrossRealms(t *testing.T) {
 	eng := sim.NewSharded(11, 2, 2)
 	defer eng.Close()
@@ -369,5 +368,58 @@ func TestTotalStatsConcurrentShardWrites(t *testing.T) {
 	}
 	if got := total.Get("lost.wire"); got != shards*perShard {
 		t.Errorf("lost.wire = %d, want %d", got, shards*perShard)
+	}
+}
+
+// TestShardedStreamLossyInOrder: a stream from a host on shard 0 to one on
+// shard 1, over a WAN path that loses and reorders segments and run by two
+// workers, delivers each of 500 messages once and in order, then closes
+// cleanly at both ends. The two ends read the dialer's SYN and every data
+// segment through one pointer from different shards; CI runs the test under
+// the race detector, with and without packetdebug.
+func TestShardedStreamLossyInOrder(t *testing.T) {
+	eng := sim.NewSharded(21, 2, 2)
+	defer eng.Close()
+	net := NewShardedNetwork(eng, UniformLatency(
+		PathModel{OneWay: sim.Millisecond},
+		PathModel{OneWay: 20 * sim.Millisecond, Jitter: 5 * sim.Millisecond, Loss: 0.05},
+	))
+	a := net.AddHost("a", net.AddSite("a"), net.Root(), HostConfig{}) // shard 0
+	b := net.AddHost("b", net.AddSite("b"), net.Root(), HostConfig{}) // shard 1
+	if a.Shard() != 0 || b.Shard() != 1 {
+		t.Fatalf("host shards = %d,%d", a.Shard(), b.Shard())
+	}
+	floor, _ := net.CrossShardFloor()
+	eng.SetLookahead(floor)
+
+	const n = 500
+	var got []int
+	var dialErr, acceptErr error = ErrStreamTimeout, ErrStreamTimeout
+	b.ListenStream(7000, func(st *Stream) {
+		st.OnMessage(func(_ int, m any) { got = append(got, m.(int)) })
+		st.OnClose(func(err error) { acceptErr = err })
+	})
+	eng.Shard(0).At(0, func() {
+		st := a.DialStream(Endpoint{IP: b.IP(), Port: 7000})
+		st.OnClose(func(err error) { dialErr = err })
+		for i := 0; i < n; i++ {
+			st.SendMsg(200, i)
+		}
+		st.Close()
+	})
+	eng.RunUntil(sim.Time(10 * sim.Minute))
+	if len(got) != n {
+		t.Fatalf("delivered %d of %d messages", len(got), n)
+	}
+	for i, m := range got {
+		if m != i {
+			t.Fatalf("message %d is %d: lost, duplicated or out of order", i, m)
+		}
+	}
+	if dialErr != nil || acceptErr != nil {
+		t.Fatalf("close: dialer %v, acceptor %v; want both clean", dialErr, acceptErr)
+	}
+	if stat(net, "lost.wire") == 0 {
+		t.Fatal("the WAN path lost nothing: the test would not exercise retransmission")
 	}
 }

@@ -29,7 +29,13 @@ var ErrStreamTimeout = errors.New("phys: stream timed out")
 // listener.
 var ErrStreamRefused = errors.New("phys: stream connection refused")
 
-// Stream wire messages.
+// Stream wire messages. A SYN and a data segment travel by pointer and are
+// never written once sent, so both ends, on any two shards, may read one:
+// the dialer's SYN is a field of its Stream, resent as the same pointer, and
+// a segment is the one SendMsg or Close built, which the sender keeps for
+// retransmission and the receiver may hold in its reorder buffer. A SYN-ACK,
+// an ACK and an RST go as values: a shared acknowledgement would let a later
+// CumAck overtake an earlier one still in flight.
 type streamSyn struct {
 	ConnID uint64
 }
@@ -58,6 +64,10 @@ const (
 	// direction — orphans left behind by abandoned link attempts.
 	// Active overlay links always carry sub-minute keepalives.
 	streamIdleReap = 5 * sim.Minute
+	// streamInline is how many unacknowledged messages a stream holds
+	// before its send queue moves to the heap: five is the most a dial
+	// queues before its handshake completes (or fails) in wow_transfer.
+	streamInline = 5
 )
 
 // Stream.state values.
@@ -72,18 +82,20 @@ type Stream struct {
 	host     *Host
 	sock     *UDPSock // underlying wire endpoint (TCP namespace)
 	ownsSock bool     // dialer side owns its socket; accepted streams share the listener's
+	closing  bool
+	closed   bool
 	remote   Endpoint
 	connID   uint64
 	state    int
+	syn      streamSyn // the dialer's SYN, sent and resent as &syn
 
 	// send side: every unacknowledged message in sequence order, of which
 	// the first inFlight are on the wire (the window) and the rest queue
 	// behind it
 	nextSeq  uint64
-	unacked  []*streamSeg
+	unacked  []*streamSeg // backed by unackedArr until it outgrows it
 	inFlight int
 	finSeq   uint64
-	closing  bool
 
 	rto      sim.Duration
 	retries  int
@@ -97,10 +109,21 @@ type Stream struct {
 
 	onMsg   func(size int, payload any)
 	onClose func(err error)
-	closed  bool
 
 	lastActivity sim.Time
-	reaper       *sim.Ticker
+	reaper       sim.Ticker
+
+	unackedArr [streamInline]*streamSeg
+}
+
+// newStream makes a stream on sock to remote and arms its idle reaper.
+func newStream(h *Host, sock *UDPSock, remote Endpoint, connID uint64, state int) *Stream {
+	s := &Stream{host: h, sock: sock, remote: remote, connID: connID, state: state, rto: sim.Second}
+	s.unacked = s.unackedArr[:0]
+	h.addStream(s)
+	s.lastActivity = h.sim.Now()
+	h.sim.StartTicker(&s.reaper, streamIdleReap/2, streamIdleReap/10, nil, streamReap, s)
+	return s
 }
 
 // addStream files s in the host's stream index, which the host's first
@@ -144,22 +167,22 @@ func (h *Host) DialStream(dst Endpoint) *Stream {
 	if err != nil {
 		panic(fmt.Sprintf("phys: ephemeral stream port: %v", err))
 	}
-	s := &Stream{
-		host:     h,
-		sock:     sock,
-		ownsSock: true,
-		remote:   dst,
-		connID:   h.net.allocConnID(h),
-		state:    streamSynSent,
-		rto:      sim.Second,
-	}
-	h.addStream(s)
-	sock.OnRecv = s.receive
-	s.startReaper()
-	s.emit(streamHdrSize, streamSyn{ConnID: s.connID})
+	s := newStream(h, sock, dst, h.net.allocConnID(h), streamSynSent)
+	s.ownsSock = true
+	s.syn.ConnID = s.connID
+	sock.SetReceiver((*streamRecv)(s))
+	s.emit(streamHdrSize, &s.syn)
 	s.armRTO()
 	return s
 }
+
+// streamRecv is a dialed stream as its own socket's receiver: the socket's
+// slot in the host's table holds the stream itself, so a delivery needs no
+// closure.
+type streamRecv Stream
+
+// Recv hands a delivered segment to the stream.
+func (r *streamRecv) Recv(p *Packet) { (*Stream)(r).receive(p) }
 
 // RemoteEndpoint returns the peer's wire endpoint as observed (NAT-
 // translated for accepted streams) — what a URI learner records.
@@ -211,7 +234,7 @@ func (s *Stream) drainQueue() {
 	for s.inFlight < len(s.unacked) && s.inFlight < streamWindow {
 		seg := s.unacked[s.inFlight]
 		s.inFlight++
-		s.emit(streamHdrSize+seg.Size, *seg)
+		s.emit(streamHdrSize+seg.Size, seg)
 	}
 	s.armRTO()
 }
@@ -221,18 +244,14 @@ func (s *Stream) emit(size int, payload any) {
 	s.sock.Send(s.remote, size, payload)
 }
 
-// startReaper arms the idle collector.
-func (s *Stream) startReaper() {
-	s.lastActivity = s.host.Sim().Now()
-	s.reaper = s.host.Sim().Tick(streamIdleReap/2, streamIdleReap/10, func() {
-		if s.state == streamClosed {
-			s.reaper.Stop()
-			return
-		}
-		if s.host.Sim().Now().Sub(s.lastActivity) > streamIdleReap {
-			s.abort(ErrStreamTimeout)
-		}
-	})
+// streamReap is the idle collector's tick: a package-level function taking
+// the stream, like streamTimeoutFired. abort stops the ticker, so a tick
+// finds the stream open.
+func streamReap(arg any) {
+	s := arg.(*Stream)
+	if s.host.sim.Now().Sub(s.lastActivity) > streamIdleReap {
+		s.abort(ErrStreamTimeout)
+	}
 }
 
 func (s *Stream) armRTO() {
@@ -262,12 +281,12 @@ func (s *Stream) onTimeout() {
 	}
 	switch s.state {
 	case streamSynSent:
-		s.emit(streamHdrSize, streamSyn{ConnID: s.connID})
+		s.emit(streamHdrSize, &s.syn)
 	case streamOpen:
 		// Retransmit the earliest unacked message.
 		if s.inFlight > 0 {
 			seg := s.unacked[0]
-			s.emit(streamHdrSize+seg.Size, *seg)
+			s.emit(streamHdrSize+seg.Size, seg)
 		}
 	}
 	s.rto *= 2
@@ -284,9 +303,7 @@ func (s *Stream) abort(err error) {
 	s.state = streamClosed
 	s.rtoTimer.Cancel()
 	delete(s.host.streams, s.connID)
-	if s.reaper != nil {
-		s.reaper.Stop()
-	}
+	s.reaper.Stop()
 	if s.ownsSock {
 		s.sock.Close()
 	}
@@ -351,15 +368,17 @@ func (s *Stream) receive(p *Packet) {
 		if s.closing && s.finSeq > 0 && m.CumAck >= s.finSeq {
 			s.abort(nil) // clean: our FIN delivered
 		}
-	case streamSeg:
+	case *streamSeg:
 		if m.ConnID != s.connID {
 			return
 		}
-		s.acceptSeg(&m)
+		s.acceptSeg(m)
 	}
 }
 
-// acceptSeg handles an inbound data segment (either side).
+// acceptSeg handles an inbound data segment (either side). seg is the
+// sender's own, which neither end writes again: the reorder buffer holds it
+// as it came.
 func (s *Stream) acceptSeg(seg *streamSeg) {
 	switch {
 	case seg.Seq == s.rcvNext+1:
@@ -390,7 +409,7 @@ func (s *Stream) deliver(seg *streamSeg) {
 		return
 	}
 	if s.onMsg != nil {
-		// The message crossed inside a segment copy, which the send-side
+		// The message crossed inside a segment, which the send-side
 		// hand-off does not follow: what it carries that is still a list's
 		// becomes this shard's here.
 		sim.HandOff(seg.Payload, s.host.sim)
@@ -402,29 +421,20 @@ func (s *Stream) deliver(seg *streamSeg) {
 // accepted streams; everything else dispatches by connection ID.
 func (h *Host) streamDispatchListener(l *StreamListener, p *Packet) {
 	switch m := p.Payload.(type) {
-	case streamSyn:
+	case *streamSyn:
 		if s, ok := h.streams[m.ConnID]; ok {
 			// Duplicate SYN: our SYNACK was lost.
 			s.emit(streamHdrSize, streamSynAck{ConnID: m.ConnID})
 			return
 		}
-		s := &Stream{
-			host:   h,
-			sock:   l.sock,
-			remote: p.Src,
-			connID: m.ConnID,
-			state:  streamOpen,
-			rto:    sim.Second,
-		}
-		h.addStream(s)
-		s.startReaper()
+		s := newStream(h, l.sock, p.Src, m.ConnID, streamOpen)
 		s.emit(streamHdrSize, streamSynAck{ConnID: m.ConnID})
 		l.accept(s)
-	case streamSeg:
+	case *streamSeg:
 		if s, ok := h.streams[m.ConnID]; ok {
 			s.remote = p.Src // track NAT rebinding
 			s.lastActivity = h.Sim().Now()
-			s.acceptSeg(&m)
+			s.acceptSeg(m)
 		} else {
 			l.sock.Send(p.Src, streamHdrSize, streamRst{ConnID: m.ConnID})
 		}

@@ -416,3 +416,89 @@ func TestListenStreamAllocs(t *testing.T) {
 		t.Fatalf("open %v, %d accepted streams indexed, want 1", st.state == streamOpen, len(h2.streams))
 	}
 }
+
+// TestDoomedDialAllocs guards what a dial to an endpoint that never answers
+// costs, from DialStream through every SYN retransmission to the abort: the
+// Stream, its socket and the k segments SendMsg queued behind the handshake,
+// and nothing else — no reaper, receive closure or send-queue growth, and
+// nothing per SYN. The connection IDs are past 255, where a SYN boxed as a
+// value would allocate each time it is sent.
+func TestDoomedDialAllocs(t *testing.T) {
+	s, net, h1, h2 := streamRig(13, 0)
+	net.shards[h1.shard].dialed = 1000
+	const k = streamInline
+	dial := func() {
+		st := h1.DialStream(Endpoint{IP: h2.IP(), Port: 9999}) // nothing bound: every SYN is lost
+		for i := 0; i < k; i++ {
+			st.SendMsg(100, nil)
+		}
+		s.RunFor(10 * sim.Minute)
+		if st.state != streamClosed || st.retries != 9 || st.connID <= 255 {
+			t.Fatalf("dial %d: state %d after %d timeouts, want closed after 9", st.connID, st.state, st.retries)
+		}
+	}
+	dial() // the host's stream index and the simulator's event storage
+	avg := testing.AllocsPerRun(20, dial)
+	if raceEnabled || sim.PoolDebug {
+		t.Logf("allocs per doomed dial under -race or packetdebug: %.2f (not asserted)", avg)
+	} else if want := float64(2 + k); avg != want {
+		t.Errorf("a doomed dial with %d messages queued: %.2f allocs, want %v (the Stream, its socket, the segments)", k, avg, want)
+	}
+	if lost := stat(net, "lost.noport"); lost != 9*22 {
+		t.Fatalf("lost.noport = %d, want 9 SYNs from each of 22 dials", lost)
+	}
+}
+
+// TestStreamIdleReap: an open stream that carries nothing is aborted with
+// ErrStreamTimeout at both ends once streamIdleReap has passed since its last
+// traffic, and no later than one jittered reaper tick after that; the
+// teardown leaves nothing of the stream pending in the simulator. A stream
+// that carries a message a minute is never reaped.
+func TestStreamIdleReap(t *testing.T) {
+	s, _, h1, h2 := streamRig(14, 0)
+	type end struct {
+		st  *Stream
+		at  sim.Time
+		err error
+	}
+	var accepted *end
+	h2.ListenStream(7000, func(st *Stream) {
+		e := &end{st: st}
+		accepted = e
+		st.OnClose(func(err error) { e.at, e.err = s.Now(), err })
+	})
+
+	before := s.Pending()
+	idle := &end{st: h1.DialStream(Endpoint{IP: h2.IP(), Port: 7000})}
+	idle.st.OnClose(func(err error) { idle.at, idle.err = s.Now(), err })
+	s.RunFor(sim.Second)
+	if idle.st.state != streamOpen || accepted == nil {
+		t.Fatal("handshake failed")
+	}
+	reaped := accepted
+	s.RunFor(15 * sim.Minute)
+	const tick = streamIdleReap/2 + streamIdleReap/10 // the longest jittered interval
+	for name, e := range map[string]*end{"dialer": idle, "acceptor": reaped} {
+		since := e.at.Sub(e.st.lastActivity)
+		if e.err != ErrStreamTimeout || since <= streamIdleReap || since > streamIdleReap+tick {
+			t.Errorf("idle %s closed with %v %v after its last traffic, want %v in (%v, %v]",
+				name, e.err, since, ErrStreamTimeout, streamIdleReap, streamIdleReap+tick)
+		}
+	}
+	if got := s.Pending(); got != before {
+		t.Errorf("%d events pending after both ends were reaped, %d before the dial", got, before)
+	}
+
+	busy := h1.DialStream(Endpoint{IP: h2.IP(), Port: 7000})
+	var busyErr error
+	busyClosed := false
+	busy.OnClose(func(err error) { busyClosed, busyErr = true, err })
+	for i := 0; i < 30; i++ {
+		busy.SendMsg(10, nil)
+		s.RunFor(sim.Minute)
+	}
+	if busyClosed || accepted.err != nil || accepted == reaped {
+		t.Fatalf("a stream with a message a minute: dialer closed=%v (%v), acceptor closed with %v",
+			busyClosed, busyErr, accepted.err)
+	}
+}

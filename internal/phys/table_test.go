@@ -71,7 +71,8 @@ func sockTableHolds(h *Host, oracle map[uint32]boundSock, spilled bool, probes [
 // datagrams, the sorted socket table is the map it replaced, in the inline
 // slots until it first holds three sockets and on the heap from then on. The oracle is
 // that map, kept by the test — each socket with its receiver: itself from
-// the bind until SetReceiver replaces it — together with a model of the
+// the bind until SetReceiver replaces it, a dialed stream's socket the
+// stream — together with a model of the
 // ephemeral-port counter (start at 32768, skip bound ports, wrap from 65535
 // back to 32768). A datagram reaches the socket's receiver only: OnRecv
 // hears nothing once another receiver is installed.
@@ -167,13 +168,14 @@ func TestQuickSockTable(t *testing.T) {
 				if err == nil {
 					bound(l.sock, l.Close)
 				}
-			case 3: // dialed stream: an ephemeral TCP socket, closed by stream teardown
+			case 3: // dialed stream: an ephemeral TCP socket, closed by stream teardown, whose receiver is the stream
 				want := ephemeral(WireTCP)
 				st := h.DialStream(Endpoint{IP: peer.IP(), Port: 9})
 				if st.sock.port != want {
 					return fail(step, op, "DialStream bound %d; model says %d", st.sock.port, want)
 				}
 				bound(st.sock, func() { st.abort(ErrStreamTimeout) })
+				oracle[sockKey(WireTCP, want)] = boundSock{st.sock, (*streamRecv)(st)}
 				s.RunFor(sim.Millisecond) // handshake done: nothing of it in flight later
 			case 4, 5: // close one of the bound sockets; closing twice is harmless
 				if len(h.socks) > 0 {
